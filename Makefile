@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test test-scalar race race-matcher crash-recovery failover-smoke bench bench-smoke bench-json load-smoke load-sweep metrics-smoke
+.PHONY: all build vet fmt test test-scalar race race-matcher crash-recovery failover-smoke bench bench-smoke benchmark-smoke bench-json load-smoke load-sweep metrics-smoke
 
 all: build vet test
 
@@ -76,6 +76,14 @@ bench:
 # IngestLive prepopulation, which is minutes of setup for one iteration.
 bench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x -run=^$$ ./...
+
+# The repository benchmark (BENCHMARK.json -> bench/run.sh) at 1/50 size,
+# every workload, plus the harness's own tests. bench/ is a module of its
+# own, so neither `make test` nor `make bench-smoke` (./...) reaches it: this
+# is what notices a change to the program that breaks the benchmark.
+benchmark-smoke:
+	bash bench/run.sh --workload all --smoke
+	$(GO) test -C bench ./...
 
 # Tier-1 benches -> BENCH_PR9.json "current" suite. The frozen "baseline"
 # suite is kept; when the file has none yet it is seeded from the previous

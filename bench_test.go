@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/ann"
 	"repro/internal/baselines"
 	"repro/internal/datagen"
 	"repro/internal/embed"
@@ -345,17 +346,26 @@ func BenchmarkLemma_MergingStrategies(b *testing.B) {
 
 // ---- Ablations (DESIGN.md §4) -----------------------------------------------
 
+// BenchmarkAblation_ANNBackend compares the three two-table join backends on
+// one pipeline (auto is the default; hnsw and brute force one leg), and its
+// "sweep" sub-benchmark measures the two legs in isolation over table size —
+// the two constants of BackendAuto's cost model in internal/multiem/merge.go:
+//
+//	go test -run '^$' -bench 'BenchmarkAblation_ANNBackend/sweep' -benchtime 1x .
+//
+// reports ns/pair for the exact join (|a|·|b| row pairs) and us/row for HNSW
+// build + search (|a|+|b| rows), sequential, on two Music-200 source tables
+// of the given size embedded at the pipeline's dimension (256).
 func BenchmarkAblation_ANNBackend(b *testing.B) {
 	cfg := benchConfigs()[0]
 	d := mustGen(b, cfg.Name, cfg.Scale, cfg.Seed)
-	for _, backend := range []multiem.ANNBackend{multiem.BackendHNSW, multiem.BackendBrute} {
-		name := "hnsw"
-		if backend == multiem.BackendBrute {
-			name = "brute"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, leg := range []struct {
+		name    string
+		backend multiem.ANNBackend
+	}{{"auto", multiem.BackendAuto}, {"hnsw", multiem.BackendHNSW}, {"brute", multiem.BackendBrute}} {
+		b.Run(leg.name, func(b *testing.B) {
 			opt := cfg.MultiEMOptions()
-			opt.Backend = backend
+			opt.Backend = leg.backend
 			var f1 float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -368,6 +378,49 @@ func BenchmarkAblation_ANNBackend(b *testing.B) {
 			b.ReportMetric(100*f1, "F1")
 		})
 	}
+	b.Run("sweep", func(b *testing.B) {
+		opt := repro.DefaultOptions()
+		hcfg := opt.HNSW
+		hcfg.Metric = opt.MergeMetric
+		for _, rows := range []int{500, 1000, 2000, 4000, 8000, 16000, 32000} {
+			if testing.Short() && rows > 1000 {
+				break // bench-smoke: prove both legs run, skip the minutes
+			}
+			// Music-200 has five sources of ~40k rows at scale 1.
+			sd := mustGen(b, "Music-200", float64(rows)/40000, 17)
+			side := func(t *table.Table) *vector.Store {
+				texts := make([]string, t.Len())
+				for i, e := range t.Entities {
+					texts[i] = table.Serialize(e, nil)
+				}
+				return embed.BatchStore(opt.Encoder, texts)
+			}
+			ta, tb := side(sd.Tables[0]), side(sd.Tables[1])
+			var pairs int
+			b.Run(fmt.Sprintf("exact/rows=%d", rows), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					pairs = len(ann.MutualTopKExact(ta, tb, opt.MergeMetric, opt.K, opt.M, 1))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ta.Len()*tb.Len()), "ns/pair")
+				b.ReportMetric(float64(pairs), "matched")
+			})
+			b.Run(fmt.Sprintf("hnsw/rows=%d", rows), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ia, err := ann.HNSWOverRows(ta, hcfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					ib, err := ann.HNSWOverRows(tb, hcfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pairs = len(ann.MutualTopK(ta, ib, tb, ia, opt.K, opt.M, opt.EfSearch, 1))
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(ta.Len()+tb.Len()), "us/row")
+				b.ReportMetric(float64(pairs), "matched")
+			})
+		}
+	})
 }
 
 func BenchmarkAblation_EERAndDP(b *testing.B) {

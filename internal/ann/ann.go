@@ -4,7 +4,11 @@
 //
 //	Pm = {(e, e') | e ∈ topK(e') ∧ e' ∈ topK(e) ∧ dist(e, e') ≤ m}
 //
-// which is the core primitive of the two-table merging strategy (Alg. 3).
+// which is the core primitive of the two-table merging strategy (Alg. 3),
+// in two forms over the same inputs and outputs: MutualTopK asks an index
+// of each table once per row of the other (the paper's HNSW route), and
+// MutualTopKExact computes the pair set exactly in one blocked pass over
+// the distance matrix (exact.go).
 package ann
 
 import (
@@ -25,22 +29,22 @@ type Index interface {
 	Len() int
 }
 
-// Builder constructs an index over a set of vectors with external ids.
-type Builder func(ids []int, vecs [][]float32) (Index, error)
-
-// HNSWBuilder returns a Builder that constructs HNSW indexes with cfg.
-func HNSWBuilder(dim int, cfg hnsw.Config) Builder {
-	return func(ids []int, vecs [][]float32) (Index, error) {
-		ix := hnsw.New(dim, cfg)
-		if err := ix.AddBatch(ids, vecs); err != nil {
+// HNSWOverRows builds an HNSW index over the rows of s, each stored under its
+// row number as id — the form MutualTopK expects.
+func HNSWOverRows(s *vector.Store, cfg hnsw.Config) (*hnsw.Index, error) {
+	ix := hnsw.New(s.Dim(), cfg)
+	for i := 0; i < s.Len(); i++ {
+		if err := ix.Add(i, s.At(i)); err != nil {
 			return nil, err
 		}
-		return ix, nil
 	}
+	return ix, nil
 }
 
-// BruteForce is an exact-search index; the reference backend used by tests
-// and the ANN-backend ablation. Vectors are copied into a contiguous arena
+// BruteForce is an exact-search index, one scan per query: the reference
+// Index in tests and the small-table blocker of the PLM baselines. (The
+// merging phase's exact backend is MutualTopKExact, not this.) Vectors are
+// copied into a contiguous arena
 // at construction and the metric is resolved once, so the scan in Search is
 // a cache-linear sweep with no per-row pointer chase or metric switch.
 type BruteForce struct {
@@ -56,13 +60,6 @@ func NewBruteForce(ids []int, vecs [][]float32, metric vector.Metric) *BruteForc
 		b.vecs = vector.StoreFromRows(len(vecs[0]), vecs)
 	}
 	return b
-}
-
-// BruteForceBuilder returns a Builder for exact search.
-func BruteForceBuilder(metric vector.Metric) Builder {
-	return func(ids []int, vecs [][]float32) (Index, error) {
-		return NewBruteForce(ids, vecs, metric), nil
-	}
 }
 
 // Search implements Index by scanning the arena with a batched kernel bound
@@ -104,41 +101,34 @@ func (b *BruteForce) Len() int {
 	return b.vecs.Len()
 }
 
-// Pair is a matched pair of external entity ids with their distance.
-// Invariant: A and B come from the two different input sides.
+// Pair is a matched pair of rows — A indexes the first table, B the second —
+// with their distance.
 type Pair struct {
 	A, B int
 	Dist float32
 }
 
-// MutualTopK finds all pairs (a, b) with a ∈ side A, b ∈ side B such that b
-// is among a's k nearest in B, a is among b's k nearest in A, and
-// dist(a, b) <= maxDist — the paper's Eq. 1.
+// MutualTopK finds all pairs (i, j) of a row of a and a row of b such that j
+// is among i's k nearest in b, i is among j's k nearest in a, and
+// dist(i, j) <= maxDist — the paper's Eq. 1 — by asking an index of each
+// side once per row of the other. indexA and indexB must hold the rows of a
+// and b under their row numbers as ids (HNSWOverRows). It is the approximate,
+// O((|a|+|b|)·log) leg of two-table merging; MutualTopKExact is the exact,
+// O(|a|·|b|) one.
 //
-// idsA/vecsA and idsB/vecsB are the two tables' entities; indexA and indexB
-// are indexes built over the respective sides. workers bounds query
-// parallelism: 1 forces sequential queries (MultiEM's non-parallel mode),
-// <= 0 uses all cores.
-func MutualTopK(idsA []int, vecsA [][]float32, indexB Index,
-	idsB []int, vecsB [][]float32, indexA Index,
+// workers bounds query parallelism: 1 forces sequential queries (MultiEM's
+// non-parallel mode), <= 0 uses all cores.
+func MutualTopK(a *vector.Store, indexB Index, b *vector.Store, indexA Index,
 	k int, maxDist float32, ef, workers int) []Pair {
 
-	if k <= 0 || len(idsA) == 0 || len(idsB) == 0 {
+	if k <= 0 || a.Len() == 0 || b.Len() == 0 {
 		return nil
 	}
-	// Direction A -> B.
-	fwd := topKAll(vecsA, indexB, k, ef, workers)
-	// Direction B -> A.
-	rev := topKAll(vecsB, indexA, k, ef, workers)
+	fwd := topKAll(a, indexB, k, ef, workers) // direction A -> B
+	rev := topKAll(b, indexA, k, ef, workers) // direction B -> A
 
-	// Build the reverse lookup: for each external b id, the external a ids
-	// it selected. k is small (the paper fixes k=1), so a linear scan over a
-	// slice beats one map per item.
-	idxB := make(map[int]int, len(idsB))
-	for i, id := range idsB {
-		idxB[id] = i
-	}
-
+	// k is small (the paper fixes k=1), so a linear scan over b's choices
+	// beats a set per row.
 	chose := func(ns []vector.Neighbor, id int) bool {
 		for _, n := range ns {
 			if n.ID == id {
@@ -149,57 +139,55 @@ func MutualTopK(idsA []int, vecsA [][]float32, indexB Index,
 	}
 	var pairs []Pair
 	for i, ns := range fwd {
-		a := idsA[i]
 		for _, n := range ns {
-			if n.Dist > maxDist {
+			if n.Dist > maxDist || n.ID < 0 || n.ID >= len(rev) {
 				continue
 			}
-			bi, ok := idxB[n.ID]
-			if !ok {
-				continue
-			}
-			if chose(rev[bi], a) {
-				pairs = append(pairs, Pair{A: a, B: n.ID, Dist: n.Dist})
+			if chose(rev[n.ID], i) {
+				pairs = append(pairs, Pair{A: i, B: n.ID, Dist: n.Dist})
 			}
 		}
 	}
 	return pairs
 }
 
-// topKAll runs index.Search for every query vector across workers
-// goroutines (<= 0 means all cores, 1 means sequential).
-func topKAll(queries [][]float32, index Index, k, ef, workers int) [][]vector.Neighbor {
-	out := make([][]vector.Neighbor, len(queries))
+// topKAll runs index.Search for every row of queries across workers
+// goroutines.
+func topKAll(queries *vector.Store, index Index, k, ef, workers int) [][]vector.Neighbor {
+	out := make([][]vector.Neighbor, queries.Len())
+	forRanges(len(out), clampWorkers(len(out), workers), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = index.Search(queries.At(i), k, ef)
+		}
+	})
+	return out
+}
+
+// clampWorkers resolves a worker count for n units of work: <= 0 means all
+// cores, and never more workers than units (but at least one).
+func clampWorkers(n, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
+	return max(1, min(workers, n))
+}
+
+// forRanges splits [0, n) into workers contiguous ranges of near-equal size
+// and runs fn(w, lo, hi) for each, concurrently when there is more than one,
+// returning when all have. Both legs of the join fan out through it, so
+// workers is the exact number of goroutines a join keeps busy.
+func forRanges(n, workers int, fn func(w, lo, hi int)) {
 	if workers <= 1 {
-		for i, q := range queries {
-			out[i] = index.Search(q, k, ef)
-		}
-		return out
+		fn(0, 0, n)
+		return
 	}
 	var wg sync.WaitGroup
-	chunk := (len(queries) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		if lo >= hi {
-			break
-		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = index.Search(queries[i], k, ef)
-			}
-		}(lo, hi)
+			fn(w, w*n/workers, (w+1)*n/workers)
+		}(w)
 	}
 	wg.Wait()
-	return out
 }

@@ -2,7 +2,8 @@ package ann
 
 import (
 	"math/rand"
-	"sort"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/hnsw"
@@ -35,65 +36,71 @@ func TestBruteForceEdgeCases(t *testing.T) {
 	}
 }
 
-func TestBuilders(t *testing.T) {
-	ids := []int{1, 2}
-	vecs := [][]float32{unit(1, 0), unit(0, 1)}
-	for name, b := range map[string]Builder{
-		"hnsw":  HNSWBuilder(2, hnsw.Config{Seed: 3}),
-		"brute": BruteForceBuilder(vector.Cosine),
-	} {
-		ix, err := b(ids, vecs)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if ix.Len() != 2 {
-			t.Fatalf("%s: Len = %d", name, ix.Len())
-		}
-		res := ix.Search(unit(1, 0.05), 1, 0)
-		if len(res) != 1 || res[0].ID != 1 {
-			t.Fatalf("%s: got %v", name, res)
-		}
+// storeOf copies rows into one arena; the row number is the id both joins
+// report.
+func storeOf(dim int, rows ...[]float32) *vector.Store {
+	return vector.StoreFromRows(dim, rows)
+}
+
+// bruteOver is the exact per-query index over a store's rows, ids = row
+// numbers: the form MutualTopK wants.
+func bruteOver(s *vector.Store, metric vector.Metric) *BruteForce {
+	ids := make([]int, s.Len())
+	rows := make([][]float32, s.Len())
+	for i := range ids {
+		ids[i], rows[i] = i, s.At(i)
+	}
+	return NewBruteForce(ids, rows, metric)
+}
+
+// joins are the two ways to evaluate Eq. 1; on exact indexes they must agree
+// on every semantic case below.
+var joins = map[string]func(a, b *vector.Store, k int, maxDist float32) []Pair{
+	"indexed": func(a, b *vector.Store, k int, maxDist float32) []Pair {
+		return MutualTopK(a, bruteOver(b, vector.Cosine), b, bruteOver(a, vector.Cosine), k, maxDist, 0, 0)
+	},
+	"exact": func(a, b *vector.Store, k int, maxDist float32) []Pair {
+		return MutualTopKExact(a, b, vector.Cosine, k, maxDist, 0)
+	},
+}
+
+func TestHNSWOverRows(t *testing.T) {
+	s := storeOf(2, unit(1, 0), unit(0, 1))
+	ix, err := HNSWOverRows(s, hnsw.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() != 2 {
+		t.Fatalf("Len = %d", ix.Len())
+	}
+	if res := ix.Search(unit(0.05, 1), 1, 0); len(res) != 1 || res[0].ID != 1 {
+		t.Fatalf("ids must be row numbers, got %v", res)
 	}
 }
 
-// Two clusters: a1~b1 close, a2~b2 close, across-cluster far. Mutual top-1
+// Two clusters: a0~b0 close, a1~b1 close, across-cluster far. Mutual top-1
 // should recover exactly the within-cluster pairs.
 func TestMutualTopKBasic(t *testing.T) {
-	idsA := []int{100, 101}
-	vecsA := [][]float32{unit(1, 0, 0), unit(0, 0, 1)}
-	idsB := []int{200, 201}
-	vecsB := [][]float32{unit(0.99, 0.01, 0), unit(0.01, 0, 0.99)}
-
-	indexA := NewBruteForce(idsA, vecsA, vector.Cosine)
-	indexB := NewBruteForce(idsB, vecsB, vector.Cosine)
-
-	pairs := MutualTopK(idsA, vecsA, indexB, idsB, vecsB, indexA, 1, 0.5, 0, 0)
-	if len(pairs) != 2 {
-		t.Fatalf("got %d pairs, want 2: %v", len(pairs), pairs)
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].A < pairs[j].A })
-	if pairs[0].A != 100 || pairs[0].B != 200 {
-		t.Fatalf("pair 0 = %v", pairs[0])
-	}
-	if pairs[1].A != 101 || pairs[1].B != 201 {
-		t.Fatalf("pair 1 = %v", pairs[1])
+	a := storeOf(3, unit(1, 0, 0), unit(0, 0, 1))
+	b := storeOf(3, unit(0.99, 0.01, 0), unit(0.01, 0, 0.99))
+	for name, join := range joins {
+		pairs := join(a, b, 1, 0.5)
+		if len(pairs) != 2 || pairs[0].A != 0 || pairs[0].B != 0 || pairs[1].A != 1 || pairs[1].B != 1 {
+			t.Fatalf("%s: got %v, want (0,0) and (1,1)", name, pairs)
+		}
 	}
 }
 
 func TestMutualTopKDistanceThreshold(t *testing.T) {
-	idsA := []int{1}
-	vecsA := [][]float32{unit(1, 0)}
-	idsB := []int{2}
-	vecsB := [][]float32{unit(0, 1)} // cosine distance 1.0
-
-	indexA := NewBruteForce(idsA, vecsA, vector.Cosine)
-	indexB := NewBruteForce(idsB, vecsB, vector.Cosine)
-
-	if got := MutualTopK(idsA, vecsA, indexB, idsB, vecsB, indexA, 1, 0.5, 0, 0); got != nil {
-		t.Fatalf("threshold must reject distant pair, got %v", got)
-	}
-	if got := MutualTopK(idsA, vecsA, indexB, idsB, vecsB, indexA, 1, 1.5, 0, 0); len(got) != 1 {
-		t.Fatalf("loose threshold must accept, got %v", got)
+	a := storeOf(2, unit(1, 0))
+	b := storeOf(2, unit(0, 1)) // cosine distance 1.0
+	for name, join := range joins {
+		if got := join(a, b, 1, 0.5); got != nil {
+			t.Fatalf("%s: threshold must reject distant pair, got %v", name, got)
+		}
+		if got := join(a, b, 1, 1.5); len(got) != 1 {
+			t.Fatalf("%s: loose threshold must accept, got %v", name, got)
+		}
 	}
 }
 
@@ -102,80 +109,69 @@ func TestMutualTopKDistanceThreshold(t *testing.T) {
 func TestMutualTopKRequiresMutuality(t *testing.T) {
 	// B has one point close to both A points; A has two points. With k=1:
 	// a0 -> b0, a1 -> b0, but b0 -> a0 only. So (a1, b0) is not mutual.
-	idsA := []int{0, 1}
-	vecsA := [][]float32{unit(1, 0), unit(0.95, 0.05)}
-	idsB := []int{5}
-	vecsB := [][]float32{unit(0.99, 0.005)}
-
-	indexA := NewBruteForce(idsA, vecsA, vector.Cosine)
-	indexB := NewBruteForce(idsB, vecsB, vector.Cosine)
-
-	pairs := MutualTopK(idsA, vecsA, indexB, idsB, vecsB, indexA, 1, 1.0, 0, 0)
-	if len(pairs) != 1 {
-		t.Fatalf("want exactly the mutual pair, got %v", pairs)
-	}
-	if pairs[0].A != 0 || pairs[0].B != 5 {
-		t.Fatalf("wrong mutual pair %v", pairs[0])
+	a := storeOf(2, unit(1, 0), unit(0.95, 0.05))
+	b := storeOf(2, unit(0.99, 0.005))
+	for name, join := range joins {
+		pairs := join(a, b, 1, 1.0)
+		if len(pairs) != 1 || pairs[0].A != 0 || pairs[0].B != 0 {
+			t.Fatalf("%s: want exactly the mutual pair (0,0), got %v", name, pairs)
+		}
 	}
 }
 
 func TestMutualTopKEmptySides(t *testing.T) {
-	ids := []int{1}
-	vecs := [][]float32{unit(1, 0)}
-	ix := NewBruteForce(ids, vecs, vector.Cosine)
-	empty := NewBruteForce(nil, nil, vector.Cosine)
-	if got := MutualTopK(nil, nil, ix, ids, vecs, empty, 1, 1, 0, 0); got != nil {
-		t.Fatalf("empty side A must yield nil, got %v", got)
-	}
-	if got := MutualTopK(ids, vecs, empty, nil, nil, ix, 1, 1, 0, 0); got != nil {
-		t.Fatalf("empty side B must yield nil, got %v", got)
-	}
-	if got := MutualTopK(ids, vecs, ix, ids, vecs, ix, 0, 1, 0, 0); got != nil {
-		t.Fatalf("k=0 must yield nil, got %v", got)
+	one := storeOf(2, unit(1, 0))
+	empty := vector.NewStore(2)
+	for name, join := range joins {
+		if got := join(empty, one, 1, 1); got != nil {
+			t.Fatalf("%s: empty side A must yield nil, got %v", name, got)
+		}
+		if got := join(one, empty, 1, 1); got != nil {
+			t.Fatalf("%s: empty side B must yield nil, got %v", name, got)
+		}
+		if got := join(one, one, 0, 1); got != nil {
+			t.Fatalf("%s: k=0 must yield nil, got %v", name, got)
+		}
 	}
 }
 
-// HNSW-backed mutual top-K must agree with brute-force mutual top-K on
-// moderately sized random data.
-func TestMutualTopKHNSWAgreesWithBrute(t *testing.T) {
+// randomSide draws n unit vectors of the given dimension.
+func randomSide(rng *rand.Rand, n, dim int) *vector.Store {
+	s := vector.NewStoreWithCap(dim, n)
+	v := make([]float32, dim)
+	for i := 0; i < n; i++ {
+		for j := range v {
+			v[j] = float32(rng.NormFloat64())
+		}
+		s.Append(vector.Normalize(v))
+	}
+	return s
+}
+
+// HNSW-backed mutual top-K must agree with the exact join on moderately
+// sized random data.
+func TestMutualTopKHNSWAgreesWithExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n, dim = 400, 16
-	makeSide := func(offset int) ([]int, [][]float32) {
-		ids := make([]int, n)
-		vecs := make([][]float32, n)
-		for i := range ids {
-			ids[i] = offset + i
-			v := make([]float32, dim)
-			for j := range v {
-				v[j] = float32(rng.NormFloat64())
-			}
-			vecs[i] = vector.Normalize(v)
-		}
-		return ids, vecs
-	}
-	idsA, vecsA := makeSide(0)
-	idsB, vecsB := makeSide(10000)
+	a, b := randomSide(rng, n, dim), randomSide(rng, n, dim)
 	// Plant 50 near-duplicate pairs.
 	for i := 0; i < 50; i++ {
-		copyVec := append([]float32(nil), vecsA[i]...)
+		copyVec := append([]float32(nil), a.At(i)...)
 		copyVec[0] += 0.01
-		vecsB[i] = vector.Normalize(copyVec)
+		b.SetRow(i, vector.Normalize(copyVec))
 	}
+	want := MutualTopKExact(a, b, vector.Cosine, 1, 0.05, 0)
 
-	bfA := NewBruteForce(idsA, vecsA, vector.Cosine)
-	bfB := NewBruteForce(idsB, vecsB, vector.Cosine)
-	want := MutualTopK(idsA, vecsA, bfB, idsB, vecsB, bfA, 1, 0.05, 0, 0)
-
-	hnswBuild := HNSWBuilder(dim, hnsw.Config{EfSearch: 128, Seed: 5})
-	hA, err := hnswBuild(idsA, vecsA)
+	cfg := hnsw.Config{EfSearch: 128, Seed: 5}
+	hA, err := HNSWOverRows(a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hB, err := hnswBuild(idsB, vecsB)
+	hB, err := HNSWOverRows(b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := MutualTopK(idsA, vecsA, hB, idsB, vecsB, hA, 1, 0.05, 0, 0)
+	got := MutualTopK(a, hB, b, hA, 1, 0.05, 0, 0)
 
 	key := func(p Pair) [2]int { return [2]int{p.A, p.B} }
 	wantSet := map[[2]int]bool{}
@@ -189,7 +185,7 @@ func TestMutualTopKHNSWAgreesWithBrute(t *testing.T) {
 		}
 	}
 	if len(want) < 40 {
-		t.Fatalf("sanity: expected ~50 planted pairs, brute force found %d", len(want))
+		t.Fatalf("sanity: expected ~50 planted pairs, the exact join found %d", len(want))
 	}
 	if float64(hits) < 0.95*float64(len(want)) {
 		t.Fatalf("HNSW recovered %d/%d mutual pairs", hits, len(want))
@@ -197,32 +193,58 @@ func TestMutualTopKHNSWAgreesWithBrute(t *testing.T) {
 }
 
 func TestPairInvariants(t *testing.T) {
-	// Pairs returned must always satisfy the distance threshold and come
-	// from the correct sides.
+	// Pairs returned must always satisfy the distance threshold and index
+	// rows of the correct sides.
 	rng := rand.New(rand.NewSource(77))
-	const n = 100
-	idsA, vecsA := make([]int, n), make([][]float32, n)
-	idsB, vecsB := make([]int, n), make([][]float32, n)
-	for i := 0; i < n; i++ {
-		idsA[i], idsB[i] = i, 1000+i
-		a := make([]float32, 8)
-		b := make([]float32, 8)
-		for j := range a {
-			a[j] = float32(rng.NormFloat64())
-			b[j] = float32(rng.NormFloat64())
-		}
-		vecsA[i], vecsB[i] = vector.Normalize(a), vector.Normalize(b)
-	}
-	ixA := NewBruteForce(idsA, vecsA, vector.Cosine)
-	ixB := NewBruteForce(idsB, vecsB, vector.Cosine)
+	a, b := randomSide(rng, 100, 8), randomSide(rng, 60, 8)
 	const maxDist = 0.9
-	pairs := MutualTopK(idsA, vecsA, ixB, idsB, vecsB, ixA, 3, maxDist, 0, 0)
-	for _, p := range pairs {
-		if p.Dist > maxDist {
-			t.Fatalf("pair %v violates threshold", p)
+	for name, join := range joins {
+		pairs := join(a, b, 3, maxDist)
+		if len(pairs) == 0 {
+			t.Fatalf("%s: sanity: no pairs", name)
 		}
-		if p.A < 0 || p.A >= n || p.B < 1000 {
-			t.Fatalf("pair %v has ids from wrong sides", p)
+		for _, p := range pairs {
+			if p.Dist > maxDist {
+				t.Fatalf("%s: pair %v violates threshold", name, p)
+			}
+			if p.A < 0 || p.A >= a.Len() || p.B < 0 || p.B >= b.Len() {
+				t.Fatalf("%s: pair %v indexes outside its sides", name, p)
+			}
+		}
+	}
+}
+
+// countingIndex records how many Search calls are in flight at once.
+type countingIndex struct {
+	Index
+	active, peak *atomic.Int32
+}
+
+func (c countingIndex) Search(q []float32, k, ef int) []vector.Neighbor {
+	n := c.active.Add(1)
+	for {
+		p := c.peak.Load()
+		if n <= p || c.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	runtime.Gosched() // let the other workers overlap with this call
+	defer c.active.Add(-1)
+	return c.Index.Search(q, k, ef)
+}
+
+// The workers argument is the number of goroutines a join keeps busy — the
+// contract the merging phase's budget split relies on.
+func TestMutualTopKHonoursWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b := randomSide(rng, 300, 8), randomSide(rng, 300, 8)
+	for _, workers := range []int{1, 3} {
+		var active, peak atomic.Int32
+		ixA := countingIndex{bruteOver(a, vector.Cosine), &active, &peak}
+		ixB := countingIndex{bruteOver(b, vector.Cosine), &active, &peak}
+		MutualTopK(a, ixB, b, ixA, 1, 1, 0, workers)
+		if got := int(peak.Load()); got > workers {
+			t.Fatalf("workers=%d: %d searches in flight", workers, got)
 		}
 	}
 }

@@ -7,18 +7,14 @@ import (
 	"sync"
 
 	"repro/internal/ann"
-	"repro/internal/hnsw"
 	"repro/internal/unionfind"
 	"repro/internal/vector"
 )
 
 // item is one row of a (possibly merged) table during Phase II: a candidate
-// tuple of entity positions plus a representative embedding. A fresh item's
-// vec aliases its entity's row in the pipeline arena; merged items hold the
-// L2-normalized centroid of their members' embeddings.
+// tuple of entity positions.
 type item struct {
 	members []int // global entity positions (rows in the pipeline's arena)
-	vec     []float32
 	// maxJoinDist is the largest pair distance accepted anywhere along
 	// this item's merge history — the "merge path" information the paper
 	// lists as future work (§VI): it survives the locality of pairwise
@@ -26,32 +22,68 @@ type item struct {
 	maxJoinDist float32
 }
 
+// mergeTable is one table of the hierarchy: its items and, row for row,
+// their representative embeddings in one contiguous arena — what both legs
+// of the two-table join read. A source table's arena is a window onto the
+// pipeline's entity arena; a merged table owns its own, holding each
+// unmatched item's vector unchanged and each merged item's L2-normalized
+// member centroid.
+type mergeTable struct {
+	items []item
+	vecs  *vector.Store
+}
+
 // mergeContext carries what two-table merging needs about the whole dataset:
 // the per-entity embedding arena used to recompute centroids.
 type mergeContext struct {
 	entVecs *vector.Store
 	opt     *Options
+	// wrapIndex, when set, decorates every index the HNSW leg builds. Tests
+	// use it to observe the searches a merge issues.
+	wrapIndex func(ann.Index) ann.Index
 }
 
-func (mc *mergeContext) buildIndex(vecs [][]float32, ids []int) (ann.Index, error) {
-	switch mc.opt.Backend {
-	case BackendBrute:
-		return ann.NewBruteForce(ids, vecs, mc.opt.MergeMetric), nil
-	default:
-		cfg := mc.opt.HNSW
-		cfg.Metric = mc.opt.MergeMetric
-		ix := hnsw.New(len(vecs[0]), cfg)
-		if err := ix.AddBatch(ids, vecs); err != nil {
-			return nil, err
-		}
-		return ix, nil
-	}
+// The two legs of a two-table join cost, to a first order,
+//
+//	exact join:  |a|·|b| · exactPairNs    (one tiled pass over a×b)
+//	HNSW:        (|a|+|b|) · hnswRowNs    (insert every row, then query it)
+//
+// and BackendAuto takes the cheaper one per table pair. Both constants come
+// from one command,
+//
+//	go test -run '^$' -bench 'BenchmarkAblation_ANNBackend/sweep' -benchtime 1x .
+//
+// which times each leg alone on two Music-200 source tables of 500 to 32k
+// rows (dim 256, sequential). On the development box (2 cores, AVX2):
+//
+//	rows a side     500    1k    2k    4k    8k   16k   32k
+//	exact ns/pair   7.9   8.0   8.4   7.9   8.7   8.1   8.1
+//	HNSW  µs/row     74    92   140   186   234   277   339
+//
+// The join is flat; HNSW climbs ~50 µs a doubling as the graph deepens and
+// leaves cache (and by 32k rows misses 6% of the pairs the join finds).
+// exactPairNs is the sweep's median and hnswRowNs its last point, the one
+// nearest the crossover, which the model then puts at 2·hnswRowNs/exactPairNs
+// ≈ 84k rows a side for equal tables; at 32k the join still wins 8.3 s to
+// 21.6 s, and extrapolating the climb the measured curves meet near 100k, so
+// the constant errs towards the paper's ANN. Geo, Music-20/200, Shopee and
+// the early levels of every hierarchy fall below the crossover; Music-2000
+// and Person source tables (400k, 1M rows) stay on HNSW. The model ignores
+// Options.Parallel: HNSW construction is sequential and the join is not, so
+// with workers the true crossover only moves further out.
+const (
+	exactPairNs = 8.1
+	hnswRowNs   = 340e3
+)
+
+// exactIsCheaper is the cost model behind BackendAuto.
+func exactIsCheaper(na, nb int) bool {
+	return float64(na)*float64(nb)*exactPairNs <= float64(na+nb)*hnswRowNs
 }
 
-// queryWorkers returns the parallelism used for ANN queries inside one
-// two-table merge: sequential MultiEM keeps queries on one goroutine, the
-// parallel variant fans out.
-func (mc *mergeContext) queryWorkers() int {
+// workers returns the goroutine budget of the merging phase: sequential
+// MultiEM stays on one goroutine, the parallel variant gets Options.Workers.
+func (mc *mergeContext) workers() int {
 	if !mc.opt.Parallel {
 		return 1
 	}
@@ -61,56 +93,63 @@ func (mc *mergeContext) queryWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// mergeTwoTables implements Algorithm 3: find mutual top-K entity pairs
-// between tables a and b (Eq. 1), union matched items transitively, and
-// emit the merged table containing combined tuples plus all unmatched items.
-func (mc *mergeContext) mergeTwoTables(a, b []item) ([]item, error) {
-	if len(a) == 0 {
-		return b, nil
+// matchedPairs finds the mutual top-K pairs between two tables (Eq. 1) with
+// the backend the options force or, under BackendAuto, the cost model picks.
+func (mc *mergeContext) matchedPairs(a, b *vector.Store, workers int) ([]ann.Pair, error) {
+	exact := mc.opt.Backend == BackendBrute ||
+		(mc.opt.Backend == BackendAuto && exactIsCheaper(a.Len(), b.Len()))
+	if exact {
+		return ann.MutualTopKExact(a, b, mc.opt.MergeMetric, mc.opt.K, mc.opt.M, workers), nil
 	}
-	if len(b) == 0 {
-		return a, nil
+	index := func(s *vector.Store) (ann.Index, error) {
+		cfg := mc.opt.HNSW
+		cfg.Metric = mc.opt.MergeMetric
+		ix, err := ann.HNSWOverRows(s, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if mc.wrapIndex != nil {
+			return mc.wrapIndex(ix), nil
+		}
+		return ix, nil
 	}
-	// Slot id spaces: A occupies [0, len(a)), B occupies [len(a), len(a)+len(b)).
-	idsA := make([]int, len(a))
-	vecsA := make([][]float32, len(a))
-	for i := range a {
-		idsA[i] = i
-		vecsA[i] = a[i].vec
-	}
-	idsB := make([]int, len(b))
-	vecsB := make([][]float32, len(b))
-	for j := range b {
-		idsB[j] = len(a) + j
-		vecsB[j] = b[j].vec
-	}
-	indexA, err := mc.buildIndex(vecsA, idsA)
+	indexA, err := index(a)
 	if err != nil {
 		return nil, fmt.Errorf("multiem: index A: %w", err)
 	}
-	indexB, err := mc.buildIndex(vecsB, idsB)
+	indexB, err := index(b)
 	if err != nil {
 		return nil, fmt.Errorf("multiem: index B: %w", err)
 	}
+	return ann.MutualTopK(a, indexB, b, indexA, mc.opt.K, mc.opt.M, mc.opt.EfSearch, workers), nil
+}
 
-	pairs := ann.MutualTopK(idsA, vecsA, indexB, idsB, vecsB, indexA,
-		mc.opt.K, mc.opt.M, mc.opt.EfSearch, mc.queryWorkers())
+// mergeTwoTables implements Algorithm 3: find mutual top-K entity pairs
+// between tables a and b (Eq. 1), union matched items transitively, and
+// emit the merged table containing combined tuples plus all unmatched items.
+// workers is this call's share of the merging phase's goroutine budget.
+func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) (mergeTable, error) {
+	if len(a.items) == 0 {
+		return b, nil
+	}
+	if len(b.items) == 0 {
+		return a, nil
+	}
+	pairs, err := mc.matchedPairs(a.vecs, b.vecs, workers)
+	if err != nil {
+		return mergeTable{}, err
+	}
 
-	// Merge matched slots by transitivity (Alg. 3 line 8).
+	// Slot id space: A occupies [0, na), B occupies [na, na+nb). Merge
+	// matched slots by transitivity (Alg. 3 line 8).
+	na := len(a.items)
+	total := na + len(b.items)
 	uf := unionfind.New()
-	total := len(a) + len(b)
 	for s := 0; s < total; s++ {
 		uf.Add(s)
 	}
 	for _, p := range pairs {
-		uf.Union(p.A, p.B)
-	}
-
-	slotItem := func(s int) item {
-		if s < len(a) {
-			return a[s]
-		}
-		return b[s-len(a)]
+		uf.Union(p.A, na+p.B)
 	}
 	// Merge-path provenance: the worst accepted pair distance per group.
 	groupMax := make(map[int]float32)
@@ -120,42 +159,38 @@ func (mc *mergeContext) mergeTwoTables(a, b []item) ([]item, error) {
 			groupMax[root] = p.Dist
 		}
 	}
-	groups := uf.Sets(1)
-	// Merged-item centroids live in one scratch arena per merge call instead
-	// of a fresh allocation each: the arena is pre-sized to the exact merged
-	// group count, so it never reallocates and the row views handed to the
-	// items stay valid for the rest of the hierarchy. (Per merge call, not
-	// per hierarchy: parallel hierarchies run mergeTwoTables concurrently.)
-	nMerged := 0
-	for _, group := range groups {
-		if len(group) > 1 {
-			nMerged++
+	slot := func(s int) (item, []float32) {
+		if s < na {
+			return a.items[s], a.vecs.At(s)
 		}
+		return b.items[s-na], b.vecs.At(s - na)
 	}
-	var centroids *vector.Store
-	if nMerged > 0 {
-		centroids = vector.NewStoreWithCap(mc.entVecs.Dim(), nMerged)
+
+	groups := uf.Sets(1)
+	merged := mergeTable{
+		items: make([]item, 0, len(groups)),
+		vecs:  vector.NewStoreWithCap(mc.entVecs.Dim(), len(groups)),
 	}
-	merged := make([]item, 0, total-len(pairs))
 	for _, group := range groups {
 		if len(group) == 1 {
 			// Mismatched item: retained unchanged into the next
 			// hierarchy (Alg. 3 line 9).
-			merged = append(merged, slotItem(group[0]))
+			it, vec := slot(group[0])
+			merged.items = append(merged.items, it)
+			merged.vecs.Append(vec)
 			continue
 		}
 		var members []int
 		maxDist := groupMax[uf.Find(group[0])]
 		for _, s := range group {
-			it := slotItem(s)
+			it, _ := slot(s)
 			members = append(members, it.members...)
 			if it.maxJoinDist > maxDist {
 				maxDist = it.maxJoinDist
 			}
 		}
-		row := centroids.AppendZero()
-		centroidInto(centroids.At(row), members, mc.entVecs)
-		merged = append(merged, item{members: members, vec: centroids.At(row), maxJoinDist: maxDist})
+		centroidInto(merged.vecs.At(merged.vecs.AppendZero()), members, mc.entVecs)
+		merged.items = append(merged.items, item{members: members, maxJoinDist: maxDist})
 	}
 	return merged, nil
 }
@@ -163,42 +198,45 @@ func (mc *mergeContext) mergeTwoTables(a, b []item) ([]item, error) {
 // hierarchicalMerge implements Algorithm 2: repeatedly pair up the current
 // tables at random and merge each pair (Fig. 2b) until a single integrated
 // table remains. With opt.Parallel, the pairs of one hierarchy are merged
-// concurrently (§III-E, "merging in parallel").
-func (mc *mergeContext) hierarchicalMerge(tables [][]item) ([]item, error) {
+// concurrently (§III-E, "merging in parallel"); the worker budget is split
+// between the pairs in flight and the queries inside each, so a hierarchy
+// never runs more than workers() goroutines: many small pairs run side by
+// side on one goroutine each, the last few large ones one at a time on all.
+func (mc *mergeContext) hierarchicalMerge(tables []mergeTable) ([]item, error) {
 	rng := rand.New(rand.NewSource(mc.opt.Seed + 211))
 	for len(tables) > 1 {
 		rng.Shuffle(len(tables), func(i, j int) { tables[i], tables[j] = tables[j], tables[i] })
 		nPairs := len(tables) / 2
-		next := make([][]item, 0, nPairs+1)
+		next := make([]mergeTable, nPairs, nPairs+1)
+		errs := make([]error, nPairs)
 
-		if mc.opt.Parallel && nPairs > 1 {
-			results := make([][]item, nPairs)
-			errs := make([]error, nPairs)
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, mc.queryWorkers())
+		budget := mc.workers()
+		inFlight := min(nPairs, budget)
+		inner := budget / inFlight
+		merge := func(p int) {
+			next[p], errs[p] = mc.mergeTwoTables(tables[2*p], tables[2*p+1], inner)
+		}
+		if inFlight == 1 {
 			for p := 0; p < nPairs; p++ {
+				merge(p)
+			}
+		} else {
+			var wg sync.WaitGroup
+			sem := make(chan struct{}, inFlight)
+			for p := 0; p < nPairs; p++ {
+				sem <- struct{}{}
 				wg.Add(1)
 				go func(p int) {
 					defer wg.Done()
-					sem <- struct{}{}
 					defer func() { <-sem }()
-					results[p], errs[p] = mc.mergeTwoTables(tables[2*p], tables[2*p+1])
+					merge(p)
 				}(p)
 			}
 			wg.Wait()
-			for p := 0; p < nPairs; p++ {
-				if errs[p] != nil {
-					return nil, errs[p]
-				}
-				next = append(next, results[p])
-			}
-		} else {
-			for p := 0; p < nPairs; p++ {
-				m, err := mc.mergeTwoTables(tables[2*p], tables[2*p+1])
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, m)
+		}
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
 			}
 		}
 		if len(tables)%2 == 1 {
@@ -210,5 +248,5 @@ func (mc *mergeContext) hierarchicalMerge(tables [][]item) ([]item, error) {
 	if len(tables) == 0 {
 		return nil, nil
 	}
-	return tables[0], nil
+	return tables[0].items, nil
 }

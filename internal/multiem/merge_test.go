@@ -2,8 +2,14 @@ package multiem
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/vector"
 )
 
@@ -25,30 +31,33 @@ func mcFor(t *testing.T, opt Options, entVecs [][]float32) *mergeContext {
 	return &mergeContext{entVecs: storeOf(entVecs), opt: &opt}
 }
 
-func singleItems(entVecs [][]float32, positions ...int) []item {
-	items := make([]item, len(positions))
+// singleItems is a source table: one single-member item per position, its
+// embedding alongside.
+func singleItems(entVecs [][]float32, positions ...int) mergeTable {
+	t := mergeTable{items: make([]item, len(positions)), vecs: vector.NewStore(len(entVecs[0]))}
 	for i, p := range positions {
-		items[i] = item{members: []int{p}, vec: entVecs[p]}
+		t.items[i] = item{members: []int{p}}
+		t.vecs.Append(entVecs[p])
 	}
-	return items
+	return t
 }
 
 func TestMergeTwoTablesEmptySides(t *testing.T) {
 	entVecs := [][]float32{unitv(1, 0)}
 	mc := mcFor(t, DefaultOptions(), entVecs)
 	a := singleItems(entVecs, 0)
-	got, err := mc.mergeTwoTables(a, nil)
+	got, err := mc.mergeTwoTables(a, mergeTable{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].members[0] != 0 {
+	if len(got.items) != 1 || got.items[0].members[0] != 0 {
 		t.Fatalf("empty B must return A unchanged: %+v", got)
 	}
-	got, err = mc.mergeTwoTables(nil, a)
+	got, err = mc.mergeTwoTables(mergeTable{}, a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
+	if len(got.items) != 1 {
 		t.Fatalf("empty A must return B unchanged: %+v", got)
 	}
 }
@@ -66,16 +75,16 @@ func TestMergeTwoTablesMatchesClosePairs(t *testing.T) {
 	mc := mcFor(t, opt, entVecs)
 	a := singleItems(entVecs, 0, 1)
 	b := singleItems(entVecs, 2, 3)
-	merged, err := mc.mergeTwoTables(a, b)
+	merged, err := mc.mergeTwoTables(a, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged) != 2 {
-		t.Fatalf("want 2 merged items, got %d: %+v", len(merged), merged)
+	if len(merged.items) != 2 {
+		t.Fatalf("want 2 merged items, got %d: %+v", len(merged.items), merged.items)
 	}
-	for _, it := range merged {
+	for _, it := range merged.items {
 		if len(it.members) != 2 {
-			t.Fatalf("each item must hold a matched pair: %+v", merged)
+			t.Fatalf("each item must hold a matched pair: %+v", merged.items)
 		}
 	}
 }
@@ -86,32 +95,35 @@ func TestMergeTwoTablesRespectsThreshold(t *testing.T) {
 	opt.M = 0.2 // orthogonal vectors are at distance 1.0
 	opt.Backend = BackendBrute
 	mc := mcFor(t, opt, entVecs)
-	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0), singleItems(entVecs, 1))
+	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0), singleItems(entVecs, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged) != 2 {
-		t.Fatalf("distant items must stay separate: %+v", merged)
+	if len(merged.items) != 2 {
+		t.Fatalf("distant items must stay separate: %+v", merged.items)
 	}
 }
 
-func TestUnmatchedItemKeepsSharedVector(t *testing.T) {
-	// Unmatched items pass through mergeTwoTables unchanged: their vec must
-	// keep aliasing the caller's slice, not land in the merged-centroid
-	// scratch arena.
-	entVecs := [][]float32{unitv(1, 0), unitv(0, 1)}
+func TestMergedTableRowsStayAligned(t *testing.T) {
+	// Row r of a merged table's arena is item r's representative: an
+	// unmatched item's own vector, carried over unchanged, or a merged
+	// item's member centroid.
+	entVecs := [][]float32{unitv(1, 0, 0), unitv(0, 1, 0), unitv(0.99, 0.01, 0), unitv(0, 0, 1)}
 	opt := DefaultOptions()
-	opt.M = 0.2 // orthogonal vectors are at distance 1.0
-	opt.Backend = BackendBrute
+	opt.M = 0.2
 	mc := mcFor(t, opt, entVecs)
-	a, b := singleItems(entVecs, 0), singleItems(entVecs, 1)
-	merged, err := mc.mergeTwoTables(a, b)
+	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0, 1), singleItems(entVecs, 2, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, it := range merged {
-		if &it.vec[0] != &entVecs[it.members[0]][0] {
-			t.Fatal("unmatched item's vec must alias its input slice (no copy)")
+	if len(merged.items) != 3 || merged.vecs.Len() != 3 {
+		t.Fatalf("want 3 aligned rows, got %d items and %d vectors", len(merged.items), merged.vecs.Len())
+	}
+	for r, it := range merged.items {
+		want := make([]float32, 3)
+		centroidInto(want, it.members, mc.entVecs)
+		if fmt.Sprint(merged.vecs.At(r)) != fmt.Sprint(want) {
+			t.Fatalf("row %d (members %v) holds %v, want %v", r, it.members, merged.vecs.At(r), want)
 		}
 	}
 }
@@ -122,14 +134,14 @@ func TestMergedCentroidIsUnitNorm(t *testing.T) {
 	opt.M = 0.3
 	opt.Backend = BackendBrute
 	mc := mcFor(t, opt, entVecs)
-	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0), singleItems(entVecs, 1))
+	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0), singleItems(entVecs, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged) != 1 || len(merged[0].members) != 2 {
-		t.Fatalf("want one merged pair, got %+v", merged)
+	if len(merged.items) != 1 || len(merged.items[0].members) != 2 {
+		t.Fatalf("want one merged pair, got %+v", merged.items)
 	}
-	c := merged[0].vec
+	c := merged.vecs.At(0)
 	if n := vector.Norm(c); n < 0.999 || n > 1.001 {
 		t.Fatalf("centroid norm = %v", n)
 	}
@@ -139,10 +151,127 @@ func TestMergedCentroidIsUnitNorm(t *testing.T) {
 	}
 }
 
+// The planner is the cost model and nothing else: exact below the crossover,
+// HNSW above it, decided from the two table sizes.
+func TestPlannerCrossover(t *testing.T) {
+	for _, c := range []struct {
+		na, nb int
+		exact  bool
+	}{
+		{1, 1, true},
+		{800, 800, true},              // Music-20 source tables
+		{40_000, 40_000, true},        // Music-200 source tables
+		{400_000, 400_000, false},     // Music-2000
+		{1_000_000, 1_000_000, false}, // Person
+		{1_000_000, 10, true},         // a sliver against a large table is one cheap scan
+	} {
+		if got := exactIsCheaper(c.na, c.nb); got != c.exact {
+			t.Errorf("exactIsCheaper(%d, %d) = %v, want %v", c.na, c.nb, got, c.exact)
+		}
+	}
+	// Equal tables cross over at 2·hnswRowNs/exactPairNs rows a side.
+	cross := int(math.Round(2 * hnswRowNs / exactPairNs))
+	if !exactIsCheaper(cross-1, cross-1) || exactIsCheaper(cross+1, cross+1) {
+		t.Errorf("equal tables must cross over at %d rows a side", cross)
+	}
+}
+
+// randomTables builds n source tables of rows random unit vectors each.
+func randomTables(n, rows, dim int) (tables []mergeTable, entVecs *vector.Store) {
+	rng := rand.New(rand.NewSource(int64(n*1000 + rows)))
+	entVecs = vector.NewStoreWithCap(dim, n*rows)
+	v := make([]float32, dim)
+	for i := 0; i < n*rows; i++ {
+		for j := range v {
+			v[j] = float32(rng.NormFloat64())
+		}
+		entVecs.Append(vector.Normalize(v))
+	}
+	for t := 0; t < n; t++ {
+		items := make([]item, rows)
+		for r := range items {
+			items[r] = item{members: []int{t*rows + r}}
+		}
+		tables = append(tables, mergeTable{items: items, vecs: entVecs.Slice(t*rows, (t+1)*rows)})
+	}
+	return tables, entVecs
+}
+
+// countingIndex records how many Search calls are in flight at once.
+type countingIndex struct {
+	ann.Index
+	active, peak *atomic.Int32
+}
+
+func (c countingIndex) Search(q []float32, k, ef int) []vector.Neighbor {
+	n := c.active.Add(1)
+	for {
+		p := c.peak.Load()
+		if n <= p || c.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	runtime.Gosched() // let the other workers overlap with this call
+	defer c.active.Add(-1)
+	return c.Index.Search(q, k, ef)
+}
+
+// Parallel merging splits one budget between the table pairs in flight and
+// the workers inside each: however many pairs a hierarchy has, no more than
+// Options.Workers searches may ever run at once. (Before the split, every
+// pair in flight fanned out over the whole budget again: workers².)
+func TestParallelMergeStaysWithinWorkerBudget(t *testing.T) {
+	for _, nTables := range []int{2, 5, 8} {
+		for _, workers := range []int{1, 2, 3, 5} {
+			tables, entVecs := randomTables(nTables, 60, 8)
+			opt := DefaultOptions()
+			opt.Backend = BackendHNSW
+			opt.Parallel = true
+			opt.Workers = workers
+			var active, peak atomic.Int32
+			mc := &mergeContext{entVecs: entVecs, opt: &opt, wrapIndex: func(ix ann.Index) ann.Index {
+				return countingIndex{ix, &active, &peak}
+			}}
+			if _, err := mc.hierarchicalMerge(tables); err != nil {
+				t.Fatal(err)
+			}
+			if got := int(peak.Load()); got == 0 || got > workers {
+				t.Errorf("%d tables, Workers=%d: peak of %d concurrent searches", nTables, workers, got)
+			}
+		}
+	}
+}
+
+// The budget split hands the exact join its worker count too; its result
+// must not depend on it, nor on how many pairs ran side by side.
+func TestExactMergeIndependentOfWorkers(t *testing.T) {
+	var want []item
+	for _, workers := range []int{0, 2, 7} {
+		tables, entVecs := randomTables(6, 50, 8)
+		opt := DefaultOptions()
+		opt.M = 1.2 // random vectors: loose enough that many pairs merge
+		opt.Parallel = workers > 0
+		opt.Workers = workers
+		mc := &mergeContext{entVecs: entVecs, opt: &opt}
+		got, err := mc.hierarchicalMerge(tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			if len(want) == 6*50 {
+				t.Fatal("sanity: nothing merged")
+			}
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Workers=%d changes the merged table", workers)
+		}
+	}
+}
+
 func TestHierarchicalMergeSingleTable(t *testing.T) {
 	entVecs := [][]float32{unitv(1, 0)}
 	mc := mcFor(t, DefaultOptions(), entVecs)
-	got, err := mc.hierarchicalMerge([][]item{singleItems(entVecs, 0)})
+	got, err := mc.hierarchicalMerge([]mergeTable{singleItems(entVecs, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +299,7 @@ func TestHierarchicalMergeOddTableCount(t *testing.T) {
 	opt.M = 0.3
 	opt.Backend = BackendBrute
 	mc := mcFor(t, opt, entVecs)
-	tables := [][]item{
+	tables := []mergeTable{
 		singleItems(entVecs, 0),
 		singleItems(entVecs, 1),
 		singleItems(entVecs, 2),
@@ -199,12 +328,12 @@ func TestTransitivityThroughHierarchies(t *testing.T) {
 	mc := mcFor(t, opt, entVecs)
 	// Put a and c in one table, b alone in the other, so both pairs are
 	// evaluated in a single two-table merge.
-	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0, 2), singleItems(entVecs, 1))
+	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0, 2), singleItems(entVecs, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged) != 1 || len(merged[0].members) != 3 {
-		t.Fatalf("transitive closure must group all three: %+v", merged)
+	if len(merged.items) != 1 || len(merged.items[0].members) != 3 {
+		t.Fatalf("transitive closure must group all three: %+v", merged.items)
 	}
 }
 

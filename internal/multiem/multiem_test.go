@@ -1,6 +1,7 @@
 package multiem
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/datagen"
@@ -143,7 +144,9 @@ func TestRunParallelMatchesSequentialQuality(t *testing.T) {
 
 func TestRunBruteBackendAgreesWithHNSW(t *testing.T) {
 	d := smallGeo(t)
-	h, err := Run(d, geoOpts())
+	ho := geoOpts()
+	ho.Backend = BackendHNSW
+	h, err := Run(d, ho)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +160,40 @@ func TestRunBruteBackendAgreesWithHNSW(t *testing.T) {
 	fb := eval.Evaluate(b.Tuples, d.Truth).Tuple.F1
 	if diff := fh - fb; diff > 0.05 || diff < -0.05 {
 		t.Fatalf("HNSW F1 %.3f vs brute F1 %.3f differ too much", fh, fb)
+	}
+}
+
+// At test sizes the planner is far below its crossover, so the default
+// backend must be the exact join, tuple for tuple and confidence for
+// confidence — and because the exact join does not depend on its worker
+// split, the parallel pipeline must reproduce the sequential one exactly.
+func TestRunAutoBackendIsExactBelowCrossover(t *testing.T) {
+	d, err := datagen.GenerateByName("Music-20", 0.05, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(mutate func(*Options)) *Result {
+		o := geoOpts()
+		mutate(&o)
+		res, err := Run(d, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if DefaultOptions().Backend != BackendAuto {
+		t.Fatal("BackendAuto must be the default")
+	}
+	auto := run(func(*Options) {})
+	brute := run(func(o *Options) { o.Backend = BackendBrute })
+	par := run(func(o *Options) { o.Backend = BackendBrute; o.Parallel = true; o.Workers = 3 })
+	if len(auto.Tuples) == 0 {
+		t.Fatal("sanity: no tuples")
+	}
+	for name, other := range map[string]*Result{"forced exact": brute, "parallel exact": par} {
+		if !reflect.DeepEqual(auto.Tuples, other.Tuples) || !reflect.DeepEqual(auto.Confidences, other.Confidences) {
+			t.Fatalf("default backend and %s disagree: %d vs %d tuples", name, len(auto.Tuples), len(other.Tuples))
+		}
 	}
 }
 

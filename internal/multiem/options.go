@@ -21,13 +21,20 @@ import (
 	"repro/internal/vector"
 )
 
-// ANNBackend selects the index used inside the merging phase.
+// ANNBackend selects how two-table merging finds its mutual top-K pairs.
 type ANNBackend int
 
 const (
-	// BackendHNSW is the paper's choice (§IV-A uses hnswlib).
-	BackendHNSW ANNBackend = iota
-	// BackendBrute is exact search; used by tests and the ANN ablation.
+	// BackendAuto plans per table pair from the two table sizes: the exact
+	// blocked join where one pass over |a|·|b| distances is cheaper than
+	// building and querying two HNSW graphs, HNSW above that (the cost model
+	// and its measured constants are in merge.go).
+	BackendAuto ANNBackend = iota
+	// BackendHNSW forces the paper's choice (§IV-A uses hnswlib) at every
+	// size; the approximate leg of the ANN ablation.
+	BackendHNSW
+	// BackendBrute forces the exact blocked join at every size; the exact
+	// leg of the ablation and the reference tests compare against.
 	BackendBrute
 )
 
@@ -63,7 +70,8 @@ type Options struct {
 	// Encoder embeds serialized entities. Defaults to the hashed n-gram
 	// encoder standing in for Sentence-BERT.
 	Encoder embed.Encoder
-	// Backend picks HNSW (default) or exact search.
+	// Backend picks the two-table join: planned per table pair (default),
+	// or forced to HNSW or to the exact join.
 	Backend ANNBackend
 	// HNSW configures the HNSW backend.
 	HNSW hnsw.Config
@@ -117,7 +125,7 @@ func DefaultOptions() Options {
 		Eps:         1.0,
 		MinPts:      2,
 		Encoder:     embed.NewHashEncoder(),
-		Backend:     BackendHNSW,
+		Backend:     BackendAuto,
 		HNSW:        hnsw.Config{M: 12, EfConstruction: 64, EfSearch: 64, Metric: vector.CosineUnit, Seed: 1},
 		Seed:        0,
 		MergeMetric: vector.CosineUnit,

@@ -109,15 +109,15 @@ func run(d *table.Dataset, opt Options) (*runState, error) {
 	// Phase II: table-wise hierarchical merging (Algorithm 2).
 	tMerge := time.Now()
 	mc := &mergeContext{entVecs: entVecs, opt: &opt}
-	tables := make([][]item, 0, len(d.Tables))
+	tables := make([]mergeTable, 0, len(d.Tables))
 	pos := 0
 	for _, t := range d.Tables {
 		rows := make([]item, t.Len())
 		for r := range rows {
-			rows[r] = item{members: []int{pos}, vec: entVecs.At(pos)}
-			pos++
+			rows[r] = item{members: []int{pos + r}}
 		}
-		tables = append(tables, rows)
+		tables = append(tables, mergeTable{items: rows, vecs: entVecs.Slice(pos, pos+t.Len())})
+		pos += t.Len()
 	}
 	integrated, err := mc.hierarchicalMerge(tables)
 	if err != nil {

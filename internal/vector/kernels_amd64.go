@@ -23,6 +23,17 @@ func cosineAVX2(a, b []float32) (dot, na, nb float32)
 //go:noescape
 func dotNormSqAVX2(a, b []float32) (dot, nb float32)
 
+// dotTileAVX2 and squaredDistTileAVX2 are the 2×4 register-tile kernels
+// behind DotTile and SquaredDistTile: rows a0 and a1 against groups×4 B rows
+// (row r at b + r*strideB floats), results to out0[0:4*groups] and
+// out1[0:4*groups]. See the comment above them in kernels_amd64.s.
+//
+//go:noescape
+func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
+
+//go:noescape
+func squaredDistTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
+
 // cpuid and xgetbv are tiny assembly shims over the CPUID and XGETBV
 // instructions, used once at init to probe AVX2+FMA support. xgetbv always
 // reads XCR0.

@@ -315,3 +315,196 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// ---- 2x4 register-tile kernels ----------------------------------------------
+//
+// dotTileAVX2 / squaredDistTileAVX2 evaluate two A rows against `groups`
+// consecutive groups of four B rows (row r of group g at b + (4g+r)*strideB
+// floats) and store the eight results of each group to out0[4g..4g+3] (row
+// a0) and out1[4g..4g+3] (row a1). Each of the eight pairs owns one YMM
+// accumulator — eight independent FMA chains, which is exactly what two FMA
+// ports at latency four need — and every loaded vector feeds two (A rows) or
+// four (B rows) FMAs, so the loop runs on the FMA ports instead of the load
+// ports as the one-pair kernels do.
+//
+// Every pair is reduced the same way whatever its position in the group:
+// 8-wide FMA steps into its accumulator, the fixed add tree
+// ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then one FMA per tail element. The Go
+// driver (tile.go) handles odd row counts by re-pointing the kernel at rows
+// it has already seen, so a pair's value never depends on where in a tile
+// it falls.
+
+// Row pointers of the current group and zeroed accumulators.
+#define TILE_GROUP_BEGIN \
+	LEAQ (R8)(R9*1), R10; \
+	LEAQ (R10)(R9*1), R11; \
+	LEAQ (R11)(R9*1), R12; \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y1, Y1, Y1; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y3, Y3, Y3; \
+	VXORPS Y4, Y4, Y4; \
+	VXORPS Y5, Y5, Y5; \
+	VXORPS Y6, Y6, Y6; \
+	VXORPS Y7, Y7, Y7; \
+	XORQ AX, AX
+
+// Y0..Y3 -> X0 (four sums of row a0), Y4..Y7 -> X4 (row a1).
+#define TILE_REDUCE \
+	VHADDPS Y1, Y0, Y0; \
+	VHADDPS Y3, Y2, Y2; \
+	VHADDPS Y2, Y0, Y0; \
+	VEXTRACTF128 $1, Y0, X1; \
+	VADDPS X1, X0, X0; \
+	VHADDPS Y5, Y4, Y4; \
+	VHADDPS Y7, Y6, Y6; \
+	VHADDPS Y6, Y4, Y4; \
+	VEXTRACTF128 $1, Y4, X5; \
+	VADDPS X5, X4, X4
+
+// Tail element AX of the four B rows -> X10, of a0/a1 broadcast -> X8/X9.
+#define TILE_TAIL_LOAD \
+	VMOVSS (R8)(AX*4), X10; \
+	VINSERTPS $0x10, (R10)(AX*4), X10, X10; \
+	VINSERTPS $0x20, (R11)(AX*4), X10, X10; \
+	VINSERTPS $0x30, (R12)(AX*4), X10, X10; \
+	VBROADCASTSS (SI)(AX*4), X8; \
+	VBROADCASTSS (DI)(AX*4), X9
+
+#define TILE_STORE_NEXT \
+	VMOVUPS X0, (R13); \
+	VMOVUPS X4, (BX); \
+	ADDQ $16, R13; \
+	ADDQ $16, BX; \
+	LEAQ (R12)(R9*1), R8; \
+	DECQ R14
+
+// func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
+TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
+	MOVQ a0+0(FP), SI
+	MOVQ a1+8(FP), DI
+	MOVQ b+16(FP), R8
+	MOVQ strideB+24(FP), R9
+	SHLQ $2, R9 // stride in bytes
+	MOVQ groups+32(FP), R14
+	MOVQ dim+40(FP), CX
+	MOVQ out0+48(FP), R13
+	MOVQ out1+56(FP), BX
+	MOVQ CX, DX
+	ANDQ $-8, DX
+	TESTQ R14, R14
+	JLE  dtile_done
+
+dtile_group:
+	TILE_GROUP_BEGIN
+	CMPQ DX, $0
+	JE   dtile_reduce
+
+dtile_loop8:
+	VMOVUPS (SI)(AX*4), Y8
+	VMOVUPS (DI)(AX*4), Y9
+	VMOVUPS (R8)(AX*4), Y10
+	VMOVUPS (R10)(AX*4), Y11
+	VMOVUPS (R11)(AX*4), Y12
+	VMOVUPS (R12)(AX*4), Y13
+	VFMADD231PS Y10, Y8, Y0
+	VFMADD231PS Y11, Y8, Y1
+	VFMADD231PS Y12, Y8, Y2
+	VFMADD231PS Y13, Y8, Y3
+	VFMADD231PS Y10, Y9, Y4
+	VFMADD231PS Y11, Y9, Y5
+	VFMADD231PS Y12, Y9, Y6
+	VFMADD231PS Y13, Y9, Y7
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JL   dtile_loop8
+
+dtile_reduce:
+	TILE_REDUCE
+
+dtile_tail:
+	CMPQ AX, CX
+	JGE  dtile_store
+	TILE_TAIL_LOAD
+	VFMADD231PS X10, X8, X0
+	VFMADD231PS X10, X9, X4
+	INCQ AX
+	JMP  dtile_tail
+
+dtile_store:
+	TILE_STORE_NEXT
+	JNZ  dtile_group
+
+dtile_done:
+	VZEROUPPER
+	RET
+
+// func squaredDistTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
+TEXT ·squaredDistTileAVX2(SB), NOSPLIT, $0-64
+	MOVQ a0+0(FP), SI
+	MOVQ a1+8(FP), DI
+	MOVQ b+16(FP), R8
+	MOVQ strideB+24(FP), R9
+	SHLQ $2, R9 // stride in bytes
+	MOVQ groups+32(FP), R14
+	MOVQ dim+40(FP), CX
+	MOVQ out0+48(FP), R13
+	MOVQ out1+56(FP), BX
+	MOVQ CX, DX
+	ANDQ $-8, DX
+	TESTQ R14, R14
+	JLE  sqtile_done
+
+sqtile_group:
+	TILE_GROUP_BEGIN
+	CMPQ DX, $0
+	JE   sqtile_reduce
+
+sqtile_loop8:
+	VMOVUPS (SI)(AX*4), Y8
+	VMOVUPS (DI)(AX*4), Y9
+	VMOVUPS (R8)(AX*4), Y10
+	VSUBPS Y10, Y8, Y11
+	VSUBPS Y10, Y9, Y12
+	VFMADD231PS Y11, Y11, Y0
+	VFMADD231PS Y12, Y12, Y4
+	VMOVUPS (R10)(AX*4), Y13
+	VSUBPS Y13, Y8, Y14
+	VSUBPS Y13, Y9, Y15
+	VFMADD231PS Y14, Y14, Y1
+	VFMADD231PS Y15, Y15, Y5
+	VMOVUPS (R11)(AX*4), Y10
+	VSUBPS Y10, Y8, Y11
+	VSUBPS Y10, Y9, Y12
+	VFMADD231PS Y11, Y11, Y2
+	VFMADD231PS Y12, Y12, Y6
+	VMOVUPS (R12)(AX*4), Y13
+	VSUBPS Y13, Y8, Y14
+	VSUBPS Y13, Y9, Y15
+	VFMADD231PS Y14, Y14, Y3
+	VFMADD231PS Y15, Y15, Y7
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JL   sqtile_loop8
+
+sqtile_reduce:
+	TILE_REDUCE
+
+sqtile_tail:
+	CMPQ AX, CX
+	JGE  sqtile_store
+	TILE_TAIL_LOAD
+	VSUBPS X10, X8, X8
+	VSUBPS X10, X9, X9
+	VFMADD231PS X8, X8, X0
+	VFMADD231PS X9, X9, X4
+	INCQ AX
+	JMP  sqtile_tail
+
+sqtile_store:
+	TILE_STORE_NEXT
+	JNZ  sqtile_group
+
+sqtile_done:
+	VZEROUPPER
+	RET

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -166,14 +167,18 @@ func TestSetKernels(t *testing.T) {
 }
 
 // FuzzSIMDKernels feeds arbitrary byte-derived float vectors through every
-// SIMD/scalar kernel pair. NaN/Inf inputs are filtered: both paths propagate
-// them, but relative-error comparison is meaningless there.
+// SIMD/scalar kernel pair, then re-reads the same floats as two arenas of
+// short rows — dimension, strides and row counts all derived from the input
+// length — and holds the tile kernels to checkTileKernels. NaN/Inf inputs are
+// filtered: both paths propagate them, but relative-error comparison is
+// meaningless there.
 func FuzzSIMDKernels(f *testing.F) {
 	if !hasAVX2 {
 		f.Skip("CPU lacks AVX2+FMA")
 	}
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})
 	f.Add(make([]byte, 4*33), make([]byte, 4*33))
+	f.Add(bytes.Repeat([]byte{0x3f, 0x80, 0x12, 0xbe, 0x9a}, 4*23), bytes.Repeat([]byte{0x40, 0x07, 0x3e}, 7*31))
 	f.Add([]byte{0x00, 0x00, 0x80, 0x3f}, []byte{0x00, 0x00, 0x80, 0xbf}) // 1.0, -1.0
 	f.Fuzz(func(t *testing.T, ab, bb []byte) {
 		n := min(len(ab), len(bb)) / 4
@@ -194,5 +199,13 @@ func FuzzSIMDKernels(f *testing.F) {
 			}
 		}
 		checkAllKernels(t, a, b)
+
+		dim := 1 + n%11
+		strideA, strideB := dim+n%3, dim+n%2
+		if n < dim {
+			return
+		}
+		na, nb := min((n-dim)/strideA+1, 5), min((n-dim)/strideB+1, 9)
+		checkTileKernels(t, a, strideA, na, b, strideB, nb, dim)
 	})
 }

@@ -110,6 +110,12 @@ func (s *Store) Raw() []float32 { return s.data }
 // published length and copy-on-writes anything it must overwrite — so an
 // epoch view is a set of shared chunk pointers plus frozen arenas, never a
 // deep copy.
-func (s *Store) Frozen() *Store {
-	return &Store{dim: s.dim, data: s.data[:len(s.data):len(s.data)]}
+func (s *Store) Frozen() *Store { return s.Slice(0, s.Len()) }
+
+// Slice returns rows [lo, hi) as a Store of their own that shares the backing
+// array, under Frozen's contract: the window is read-only and stays valid
+// while the original only appends. The merging phase hands each source
+// table its rows of the pipeline's entity arena this way, without a copy.
+func (s *Store) Slice(lo, hi int) *Store {
+	return &Store{dim: s.dim, data: s.data[lo*s.dim : hi*s.dim : hi*s.dim]}
 }
