@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test test-scalar race race-matcher crash-recovery failover-smoke bench bench-smoke benchmark-smoke bench-json load-smoke load-sweep metrics-smoke
+.PHONY: all build vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke bench-json load-smoke load-sweep metrics-smoke
 
 all: build vet test
 
@@ -35,6 +35,16 @@ race:
 # default.
 race-matcher:
 	$(GO) test -race -cpu=1,4 -count=1 -timeout 45m ./internal/multiem
+
+# ~15s of coverage-guided fuzzing per target: the batch-record decoder (it
+# parses bytes a follower fetched from its -primary-url) and the SIMD kernels
+# against their scalar reference. go test -fuzz takes one package and one
+# target per run. A crasher lands in that package's testdata/fuzz/ — commit
+# it with the fix, it replays as a regression test under plain `make test`.
+FUZZTIME ?= 15s
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatchRecord$$' -fuzztime=$(FUZZTIME) ./internal/multiem
+	$(GO) test -run='^$$' -fuzz='^FuzzSIMDKernels$$' -fuzztime=$(FUZZTIME) ./internal/vector
 
 # Black-box crash recovery: run the server under ingest load, SIGKILL it,
 # restart on the same -wal-dir, and diff /stats against the pre-kill state.

@@ -16,12 +16,12 @@
 // traffic to a replica that is still replaying its log, and restart scripts
 // poll readiness instead of sleeping.
 //
-// With -wal-dir the matcher is durable: every /add batch is appended to
-// per-shard write-ahead logs (fsync policy via -fsync) before it is applied,
+// With -wal-dir the matcher is durable: every /add batch is appended as one
+// record to a write-ahead log (fsync policy via -fsync) before it is applied,
 // snapshots checkpoint the state on -snapshot-interval, and a restart with
-// the same -wal-dir replays the logs so no acknowledged ingest is lost — the
+// the same -wal-dir replays the log so no acknowledged ingest is lost — the
 // recovered state is bit-identical to the pre-crash matcher. SIGINT/SIGTERM
-// drain in-flight requests and flush the logs before exit.
+// drain in-flight requests and flush the log before exit.
 //
 // Observability: /metrics serves the Prometheus catalogue (see metrics.go
 // and docs/OPERATIONS.md), logs go through log/slog (-log-level,

@@ -192,10 +192,10 @@ func (s *server) registerMetrics() {
 			return 0
 		}))
 	r.GaugeFunc("multiem_wal_segments",
-		"Live WAL segment files across the shard logs.", nil,
+		"Live WAL segment files.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.Segments) }))
 	r.GaugeFunc("multiem_wal_bytes",
-		"Live WAL bytes across the shard logs.", nil,
+		"Live WAL bytes.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.Bytes) }))
 	r.GaugeFunc("multiem_wal_next_seq",
 		"Sequence number the next ingest batch will be logged as.", nil,
@@ -210,7 +210,7 @@ func (s *server) registerMetrics() {
 		"fsync calls since open.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.Syncs) }))
 	r.CounterFunc("multiem_wal_torn_truncations_total",
-		"Torn-tail truncations performed when reopening shard logs.", nil,
+		"Torn-tail truncations performed when reopening the log.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.TornTruncations) }))
 	r.CounterFunc("multiem_wal_snapshots_total",
 		"Checkpoints taken since open.", nil,
@@ -219,7 +219,7 @@ func (s *server) registerMetrics() {
 		"Background checkpoints that failed.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.SnapshotErrors) }))
 	r.SummaryFunc("multiem_wal_sync_duration_seconds",
-		"fsync latency across the shard logs.", nil, func() *hist.Snapshot {
+		"WAL fsync latency.", nil, func() *hist.Snapshot {
 			m := matcher()
 			if m == nil {
 				return nil

@@ -193,7 +193,7 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("POST /promote", s.handlePromote)
 	mux.HandleFunc("GET /repl/manifest", s.replHandler((*repl.Primary).HandleManifest))
 	mux.HandleFunc("GET /repl/snapshot/{seq}", s.replHandler((*repl.Primary).HandleSnapshot))
-	mux.HandleFunc("GET /repl/segment/{shard}/{index}", s.replHandler((*repl.Primary).HandleSegment))
+	mux.HandleFunc("GET /repl/segment/{index}", s.replHandler((*repl.Primary).HandleSegment))
 	return mux
 }
 

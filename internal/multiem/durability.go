@@ -1,8 +1,7 @@
 package multiem
 
 import (
-	"bufio"
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -14,35 +13,33 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/binio"
 	"repro/internal/hist"
 	"repro/internal/wal"
 )
 
 // The durability subsystem: every AddRecords batch is appended, as raw rows,
-// to one write-ahead log per shard before the in-memory state changes, and a
+// to the matcher's write-ahead log before the in-memory state changes, and a
 // snapshotter periodically checkpoints the whole matcher and truncates the
-// logs. Recovery = load the latest snapshot (or rebuild the base state) and
+// log. Recovery = load the latest snapshot (or rebuild the base state) and
 // re-ingest the logged batches through the normal decision path, which is
 // deterministic — so the recovered matcher is bit-identical to the one that
 // crashed, down to its Save bytes.
 //
-// Log record layout (one per shard per batch, binio little-endian):
+// Log record layout (one per batch, little-endian):
 //
-//	seq       int64   batch sequence number, global across shards
-//	totalRows uint32  rows in the whole batch
-//	nRows     uint32  rows in this shard's slice
-//	per row:  rowIdx uint32; nVals uint32; nVals × (len uint32 + bytes)
+//	seq      int64   batch sequence number
+//	nRows    uint32  rows in the batch
+//	per row: nVals uint32; nVals × (len uint32 + bytes)
 //
-// A batch is replayable once the records of its seq, collected across all
-// shard logs, cover totalRows. Batches are serialized by addMu, so the only
-// incomplete batch a crash can leave is the last one — it was never
-// acknowledged and replay drops it whole.
+// The wal package makes a record atomic — a crash mid-append leaves a torn
+// tail that replay stops at and the next append truncates — so a batch is
+// either wholly in the log or not there at all. Batches are serialized by
+// addMu, so sequence numbers in the log ascend by one.
 
 // WALConfig configures the durability subsystem for RecoverMatcher.
 type WALConfig struct {
-	// Dir is the durability directory: per-shard logs under shard-NNNN/,
-	// snapshots as snapshot-<seq>.bin.
+	// Dir is the durability directory: the batch log's segments under
+	// LogDir(Dir), snapshots as snapshot-<seq>.bin.
 	Dir string
 	// Fsync is the log sync policy: "always" (fsync before an ingest
 	// returns), "interval" (fsync on a timer), or "off" (the OS decides).
@@ -65,8 +62,7 @@ type WALConfig struct {
 	SnapshotKeep int
 }
 
-// WALStats reports the durability subsystem's size and activity, aggregated
-// across the per-shard logs.
+// WALStats reports the durability subsystem's size and activity.
 type WALStats struct {
 	// Enabled is false for an in-memory matcher; all other fields are zero.
 	Enabled bool `json:"enabled"`
@@ -74,7 +70,7 @@ type WALStats struct {
 	Dir string `json:"dir,omitempty"`
 	// Fsync is the active sync policy.
 	Fsync string `json:"fsync,omitempty"`
-	// Segments is the total live segment count across the shard logs.
+	// Segments is the live log segment count.
 	Segments int `json:"segments"`
 	// Bytes is the total live log size in bytes.
 	Bytes int64 `json:"bytes"`
@@ -82,7 +78,7 @@ type WALStats struct {
 	Appends int64 `json:"appends"`
 	// Syncs counts fsyncs since open.
 	Syncs int64 `json:"syncs"`
-	// TornTruncations counts torn-tail truncations across the shard logs.
+	// TornTruncations counts torn-tail truncations of the log.
 	TornTruncations int64 `json:"torn_truncations"`
 	// NextSeq is the sequence number the next ingest batch will get.
 	NextSeq uint64 `json:"next_seq"`
@@ -99,7 +95,7 @@ type WALStats struct {
 type walState struct {
 	cfg    WALConfig
 	policy wal.SyncPolicy
-	logs   []*wal.Log // one per shard, same order as m.shards
+	log    *wal.Log
 
 	// seq is the next batch sequence number. Written under addMu; atomic so
 	// WALStats can read it without the ingest lock.
@@ -113,7 +109,7 @@ type walState struct {
 
 	// snapMu serializes whole checkpoints (the background loop and explicit
 	// Snapshot calls can overlap now that serialization runs off the ingest
-	// lock); rotation and cleanup of the shard logs must not interleave.
+	// lock); rotation and cleanup of the log must not interleave.
 	snapMu sync.Mutex
 
 	stop      chan struct{}
@@ -153,11 +149,6 @@ func latestSnapshot(dir string) (path string, seq uint64, ok bool, err error) {
 	return path, seq, ok, nil
 }
 
-// shardLogDir names shard s's log directory under the durability dir.
-func shardLogDir(dir string, s int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d", s))
-}
-
 // LatestSnapshot reports the newest checkpoint in a durability (or mirror)
 // directory: its path, the sequence it covers, and whether one exists.
 func LatestSnapshot(dir string) (path string, seq uint64, ok bool, err error) {
@@ -169,20 +160,42 @@ func LatestSnapshot(dir string) (path string, seq uint64, ok bool, err error) {
 // primary.
 func SnapshotFile(dir string, seq uint64) string { return snapshotPath(dir, seq) }
 
-// ShardLogDir names shard s's log directory under a durability directory;
-// exported for the replication layer, which mirrors the layout byte for
-// byte so a promoted follower's directory is a valid durability directory.
-func ShardLogDir(dir string, s int) string { return shardLogDir(dir, s) }
+// LogDir names the directory holding the batch log's segments under a
+// durability directory. Primary, follower and promotion all take the layout
+// from here, so a mirror is byte for byte a valid durability directory — and
+// a follower can drop its mirrored segments wholesale without reaching the
+// snapshots or the fencing term beside them.
+func LogDir(dir string) string { return filepath.Join(dir, "log") }
 
-// ShardLog exposes shard s's write-ahead log so the replication layer can
-// serve its manifest and segment bytes (wal.Log reads are safe alongside
-// the matcher's appends). Returns nil without an attached WAL or for an
-// out-of-range shard. Callers must only read.
-func (m *Matcher) ShardLog(s int) *wal.Log {
-	if m.wal == nil || s < 0 || s >= len(m.wal.logs) {
+// Log exposes the write-ahead log so the replication layer can serve its
+// manifest and segment bytes (wal.Log reads are safe alongside the matcher's
+// appends); nil without an attached WAL. Callers must only read.
+func (m *Matcher) Log() *wal.Log {
+	if m.wal == nil {
 		return nil
 	}
-	return m.wal.logs[s]
+	return m.wal.log
+}
+
+// ErrWALLayout reports a durability or mirror directory written by a version
+// that kept one log per shard. It is refused rather than upgraded in place.
+var ErrWALLayout = errors.New("multiem: directory holds per-shard logs (shard-NNNN/) from an earlier version; " +
+	"checkpoint it with the binary that wrote it, stop that binary, and remove the shard-* directories " +
+	"(a follower mirror can simply be emptied)")
+
+// CheckWALLayout returns ErrWALLayout when dir contains a shard-NNNN entry;
+// a missing dir is fine. Nothing is modified.
+func CheckWALLayout(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("multiem: wal dir: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "shard-") {
+			return fmt.Errorf("%w: found %s", ErrWALLayout, filepath.Join(dir, e.Name()))
+		}
+	}
+	return nil
 }
 
 // RecoverMatcher opens (or creates) the durability directory and returns a
@@ -194,12 +207,12 @@ func (m *Matcher) ShardLog(s int) *wal.Log {
 //  2. Every batch logged at or after the snapshot is replayed through the
 //     normal ingest path, so the recovered state is bit-identical to the
 //     matcher that crashed. A torn tail (crash mid-append) ends replay
-//     cleanly at the last whole batch.
-//  3. Subsequent AddRecords append to the logs under cfg's fsync policy,
+//     cleanly at the last whole batch; the next append truncates it.
+//  3. Subsequent AddRecords append to the log under cfg's fsync policy,
 //     and a background snapshotter (cfg.SnapshotInterval > 0) bounds
 //     recovery time by log-since-snapshot.
 //
-// Call CloseWAL on shutdown to flush and fsync the logs.
+// Call CloseWAL on shutdown to flush and fsync the log.
 func RecoverMatcher(cfg WALConfig, opt Options, base func() (*Matcher, error)) (*Matcher, error) {
 	cfg, policy, err := normalizeWALConfig(cfg)
 	if err != nil {
@@ -233,31 +246,13 @@ func RecoverMatcher(cfg WALConfig, opt Options, base func() (*Matcher, error)) (
 		}
 	}
 
-	// The logs are laid out one directory per shard; a directory beyond the
-	// matcher's shard count means the log belongs to a different topology
-	// and replaying a subset of it would silently lose batches.
-	if err := checkShardDirs(cfg.Dir, m.Shards()); err != nil {
+	ws := &walState{cfg: cfg, policy: policy, stop: make(chan struct{})}
+	if ws.log, err = wal.Open(LogDir(cfg.Dir), wal.Options{SegmentMaxBytes: cfg.SegmentMaxBytes}); err != nil {
 		return nil, err
 	}
-	ws := &walState{cfg: cfg, policy: policy, stop: make(chan struct{})}
-	ws.logs = make([]*wal.Log, m.Shards())
-	closeLogs := func() {
-		for _, l := range ws.logs {
-			if l != nil {
-				l.Close()
-			}
-		}
-	}
-	for s := range ws.logs {
-		if ws.logs[s], err = wal.Open(shardLogDir(cfg.Dir, s), wal.Options{SegmentMaxBytes: cfg.SegmentMaxBytes}); err != nil {
-			closeLogs()
-			return nil, err
-		}
-	}
-
-	nextSeq, sawIncomplete, err := m.replayWAL(ws.logs, snapSeq, policy)
+	nextSeq, err := m.replayWAL(ws.log, snapSeq)
 	if err != nil {
-		closeLogs()
+		ws.log.Close()
 		return nil, err
 	}
 	// Replay applied batches to writer state only (no per-batch views — no
@@ -267,26 +262,19 @@ func RecoverMatcher(cfg WALConfig, opt Options, base func() (*Matcher, error)) (
 	ws.seq.Store(nextSeq)
 	ws.snapshotSeq.Store(snapSeq)
 	m.wal = ws
-
-	// A dropped incomplete batch leaves its partial records in the logs. Its
-	// sequence number is about to be reused, so checkpoint now and truncate:
-	// the stale records vanish and the namespace is clean again.
-	if sawIncomplete {
-		if _, err := m.Snapshot(); err != nil {
-			closeLogs()
-			return nil, fmt.Errorf("multiem: recovery checkpoint: %w", err)
-		}
-	}
-
 	ws.startLoops(m)
 	return m, nil
 }
 
-// normalizeWALConfig applies the documented defaults and resolves the fsync
-// policy; RecoverMatcher and Replicator.Promote share it.
+// normalizeWALConfig applies the documented defaults, resolves the fsync
+// policy and refuses an old-layout directory — before anything is built or
+// written; RecoverMatcher and Replicator.Promote share it.
 func normalizeWALConfig(cfg WALConfig) (WALConfig, wal.SyncPolicy, error) {
 	if cfg.Dir == "" {
 		return cfg, 0, errors.New("multiem: WALConfig.Dir is required")
+	}
+	if err := CheckWALLayout(cfg.Dir); err != nil {
+		return cfg, 0, err
 	}
 	if cfg.Fsync == "" {
 		cfg.Fsync = "interval"
@@ -304,29 +292,6 @@ func normalizeWALConfig(cfg WALConfig) (WALConfig, wal.SyncPolicy, error) {
 	return cfg, policy, nil
 }
 
-// checkShardDirs rejects a durability dir whose shard logs outnumber the
-// matcher's shards.
-func checkShardDirs(dir string, nShards int) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("multiem: wal dir: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "shard-") {
-			continue
-		}
-		n, perr := strconv.Atoi(strings.TrimPrefix(name, "shard-"))
-		if perr != nil {
-			return fmt.Errorf("multiem: wal dir: unparseable shard log dir %q", name)
-		}
-		if n >= nShards {
-			return fmt.Errorf("multiem: wal dir has a log for shard %d but the matcher has %d shards (topology mismatch)", n, nShards)
-		}
-	}
-	return nil
-}
-
 // startLoops launches the background fsync ticker (interval policy) and the
 // snapshotter.
 func (ws *walState) startLoops(m *Matcher) {
@@ -341,9 +306,7 @@ func (ws *walState) startLoops(m *Matcher) {
 				case <-ws.stop:
 					return
 				case <-t.C:
-					for _, l := range ws.logs {
-						l.Sync() // a failed interval fsync retries next tick
-					}
+					ws.log.Sync() // a failed interval fsync retries next tick
 				}
 			}
 		}()
@@ -368,41 +331,27 @@ func (ws *walState) startLoops(m *Matcher) {
 	}
 }
 
-// walAppendBatch logs one ingest batch: each shard's slice of the rows goes
-// to that shard's log concurrently, fsynced in place under the "always"
-// policy. Called from addBatchLocked under addMu, before any state changes.
+// walAppendBatch logs one ingest batch as one record, fsynced in place under
+// the "always" policy. Called from addBatchLocked under addMu, before any
+// state changes.
 //
 // A failed append rejects the batch (in-memory state untouched) and poisons
-// the WAL: every later ingest fails too. Failing closed is what keeps the
-// log replayable — the failed sequence may sit half-written across the
-// shard logs, and appending more batches over it would let replay confuse
-// two batches' records for one. Like any commit-time I/O error, the
-// caller-visible outcome is indeterminate: if the records did reach every
-// log before the failure (say, only an fsync failed), recovery will find
-// the batch complete and apply it; if they did not, the incomplete batch is
-// dropped and checkpointed away. Either way the recovered state is
-// consistent, and ingest resumes after the restart.
-func (m *Matcher) walAppendBatch(rows [][]string, perShard [][]int) error {
+// the WAL: every later ingest fails too. Like any commit-time I/O error, the
+// caller-visible outcome is indeterminate: if the record did reach the log
+// before the failure (say, only the fsync failed), recovery will find the
+// batch and apply it; if it did not, the torn tail is truncated. Either way
+// the recovered state is consistent, and ingest resumes after the restart —
+// failing closed is what keeps this sequence number from being written twice.
+func (m *Matcher) walAppendBatch(rows [][]string) error {
 	ws := m.wal
 	if ws.brokenErr != nil {
 		return fmt.Errorf("multiem: wal failed earlier, ingest is fenced (restart to recover): %w", ws.brokenErr)
 	}
-	seq := ws.seq.Load()
-	errs := make([]error, len(ws.logs))
-	parallelFor(len(ws.logs), len(ws.logs), func(s int) {
-		if len(perShard[s]) == 0 {
-			return
-		}
-		payload := encodeBatchRecord(seq, len(rows), perShard[s], rows)
-		if err := ws.logs[s].Append(payload); err != nil {
-			errs[s] = err
-			return
-		}
-		if ws.policy == wal.SyncAlways {
-			errs[s] = ws.logs[s].Sync()
-		}
-	})
-	if err := errors.Join(errs...); err != nil {
+	err := ws.log.Append(encodeBatchRecord(ws.seq.Load(), rows))
+	if err == nil && ws.policy == wal.SyncAlways {
+		err = ws.log.Sync()
+	}
+	if err != nil {
 		ws.brokenErr = err
 		return fmt.Errorf("multiem: wal append: %w", err)
 	}
@@ -410,157 +359,137 @@ func (m *Matcher) walAppendBatch(rows [][]string, perShard [][]int) error {
 	return nil
 }
 
-// encodeBatchRecord frames one shard's slice of a batch for its log.
-func encodeBatchRecord(seq uint64, totalRows int, rowIdx []int, rows [][]string) []byte {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	binio.WriteI64(bw, int64(seq))
-	binio.WriteU32(bw, uint32(totalRows))
-	binio.WriteU32(bw, uint32(len(rowIdx)))
-	for _, i := range rowIdx {
-		binio.WriteU32(bw, uint32(i))
-		binio.WriteU32(bw, uint32(len(rows[i])))
-		for _, v := range rows[i] {
-			binio.WriteString(bw, v)
+// encodeBatchRecord frames one batch for the log.
+func encodeBatchRecord(seq uint64, rows [][]string) []byte {
+	le := binary.LittleEndian
+	buf := le.AppendUint32(le.AppendUint64(nil, seq), uint32(len(rows)))
+	for _, row := range rows {
+		buf = le.AppendUint32(buf, uint32(len(row)))
+		for _, v := range row {
+			buf = append(le.AppendUint32(buf, uint32(len(v))), v...)
 		}
 	}
-	bw.Flush() // a bytes.Buffer write cannot fail
-	return buf.Bytes()
+	return buf
 }
 
-// decodeBatchRecord parses one log record back into its shard slice.
-func decodeBatchRecord(payload []byte) (seq uint64, totalRows int, rowIdx []int, rows [][]string, err error) {
-	rd := binio.NewReader(bufio.NewReader(bytes.NewReader(payload)))
-	seq = uint64(rd.I64())
-	totalRows = int(rd.U32())
-	n := int(rd.U32())
-	if rd.Err() != nil {
-		return 0, 0, nil, nil, rd.Err()
+// ErrCorruptRecord is returned (wrapped) for a log record payload that does
+// not decode as a batch.
+var ErrCorruptRecord = errors.New("multiem: corrupt batch record")
+
+// decodeBatchRecord parses one log record back into its batch. The payload
+// may come from the network (a follower decodes whatever its primary URL
+// serves), so every count is checked against the bytes left before it sizes
+// an allocation: a row costs at least its 4-byte value count, a value at
+// least its 4-byte length. Memory stays within a constant factor of
+// len(payload).
+func decodeBatchRecord(payload []byte) (seq uint64, rows [][]string, err error) {
+	p := payload
+	u32 := func() (uint32, bool) { // next count, if 4 bytes are left
+		if len(p) < 4 {
+			return 0, false
+		}
+		v := binary.LittleEndian.Uint32(p)
+		p = p[4:]
+		return v, true
 	}
-	if totalRows <= 0 || totalRows > maxSaneCount || n <= 0 || n > totalRows {
-		return 0, 0, nil, nil, fmt.Errorf("corrupt batch record: %d rows of %d", n, totalRows)
+	corrupt := func(what string) (uint64, [][]string, error) {
+		return 0, nil, fmt.Errorf("%w: %s at byte %d of %d", ErrCorruptRecord, what, len(payload)-len(p), len(payload))
 	}
-	rowIdx = make([]int, n)
+	if len(p) < 12 {
+		return corrupt("short header")
+	}
+	seq = binary.LittleEndian.Uint64(p)
+	p = p[8:]
+	n, _ := u32()
+	if n == 0 || int64(n) > int64(len(p)/4) {
+		return corrupt(fmt.Sprintf("row count %d", n))
+	}
 	rows = make([][]string, n)
-	for i := 0; i < n; i++ {
-		rowIdx[i] = int(rd.U32())
-		nVals := int(rd.U32())
-		if rd.Err() != nil {
-			return 0, 0, nil, nil, rd.Err()
+	for i := range rows {
+		nVals, ok := u32()
+		if !ok || int64(nVals) > int64(len(p)/4) {
+			return corrupt(fmt.Sprintf("row %d value count %d", i, nVals))
 		}
-		if rowIdx[i] < 0 || rowIdx[i] >= totalRows || nVals < 0 || nVals > maxSaneSchema {
-			return 0, 0, nil, nil, fmt.Errorf("corrupt batch record: row %d/%d with %d values", rowIdx[i], totalRows, nVals)
+		rows[i] = make([]string, nVals)
+		for j := range rows[i] {
+			l, ok := u32()
+			if !ok || int64(l) > int64(len(p)) {
+				return corrupt(fmt.Sprintf("row %d value %d length %d", i, j, l))
+			}
+			rows[i][j] = string(p[:l])
+			p = p[l:]
 		}
-		vals := make([]string, nVals)
-		for j := range vals {
-			vals[j] = rd.Str(maxSaneStr)
-		}
-		rows[i] = vals
 	}
-	if err := rd.Err(); err != nil {
-		return 0, 0, nil, nil, err
+	if len(p) != 0 {
+		return corrupt("trailing bytes")
 	}
-	return seq, totalRows, rowIdx, rows, nil
+	return seq, rows, nil
 }
 
-// pendingBatch accumulates one batch's rows as its per-shard records are
-// read back.
-type pendingBatch struct {
-	total int
-	rows  map[int][]string // batch row index -> values
+// applyRecord decodes one log record and, when it holds batch want, re-runs
+// it through the normal (layout-independent) decision path. It returns the
+// record's sequence number; the batch was applied iff seq == want. Recovery
+// and the Replicator share it — what each makes of seq != want differs.
+func (m *Matcher) applyRecord(payload []byte, want uint64, mode batchMode) (seq uint64, err error) {
+	seq, rows, err := decodeBatchRecord(payload)
+	if err != nil || seq != want {
+		return seq, err
+	}
+	for i, row := range rows {
+		if err := m.checkArity(row, i); err != nil {
+			return seq, fmt.Errorf("multiem: logged batch %d does not fit the matcher schema (wrong base state or snapshot?): %w", seq, err)
+		}
+	}
+	m.addMu.Lock()
+	res, err := m.addBatchLocked(rows, mode)
+	m.addMu.Unlock()
+	// A compaction failure comes back alongside results, exactly as it did
+	// on the original ingest; the batch is applied either way.
+	if res == nil && err != nil {
+		return seq, fmt.Errorf("multiem: apply logged batch %d: %w", seq, err)
+	}
+	return seq, nil
 }
 
-// replayWAL re-ingests every complete batch logged at or after startSeq, in
-// sequence order, through the normal (layout-independent) decision path.
-// It returns the next sequence number to assign and whether dropped batches
-// were found — remnants of a crash, whose leftover records the caller must
-// truncate away (via a checkpoint) before their sequences are reused.
-func (m *Matcher) replayWAL(logs []*wal.Log, startSeq uint64, policy wal.SyncPolicy) (nextSeq uint64, sawDropped bool, err error) {
-	batches := make(map[uint64]*pendingBatch)
-	for s, l := range logs {
-		err := l.Replay(func(payload []byte) error {
-			seq, total, rowIdx, rows, err := decodeBatchRecord(payload)
-			if err != nil {
-				return fmt.Errorf("multiem: wal shard %d: %w", s, err)
-			}
-			if seq < startSeq {
-				return nil // covered by the snapshot; segment not yet dropped
-			}
-			b := batches[seq]
-			if b == nil {
-				b = &pendingBatch{total: total, rows: make(map[int][]string, len(rowIdx))}
-				batches[seq] = b
-			}
-			if b.total != total {
-				return fmt.Errorf("multiem: wal shard %d: batch %d row count disagrees across shards (%d vs %d)", s, seq, total, b.total)
-			}
-			for i, idx := range rowIdx {
-				if _, dup := b.rows[idx]; dup {
-					return fmt.Errorf("multiem: wal shard %d: batch %d row %d logged twice", s, seq, idx)
-				}
-				b.rows[idx] = rows[i]
-			}
-			return nil
-		})
-		// A torn tail is the expected remnant of a crash: every whole record
-		// before it was delivered, and the batch it belonged to is dropped
-		// below as incomplete. Anything else is real corruption.
-		if err != nil && !errors.Is(err, wal.ErrTornWrite) {
-			return 0, false, err
+// replayWAL re-ingests every batch logged at or after startSeq, in log
+// order, and returns the next sequence number to assign. Records below
+// startSeq are covered by the snapshot (their segment is not dropped yet);
+// past that the log must ascend by one — a single file cannot strand a whole
+// record beyond a hole without failing its CRC, so anything else is
+// corruption under every fsync policy.
+func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64) (nextSeq uint64, err error) {
+	nextSeq = startSeq
+	err = l.Replay(func(payload []byte) error {
+		seq, err := m.applyRecord(payload, nextSeq, batchRecover)
+		switch {
+		case err != nil:
+			return fmt.Errorf("multiem: wal replay: %w", err)
+		case seq == nextSeq:
+			nextSeq++
+		case seq >= startSeq:
+			return fmt.Errorf("multiem: wal replay: log holds batch %d where batch %d belongs", seq, nextSeq)
 		}
+		return nil
+	})
+	// A torn tail is the expected remnant of a crash: every whole record
+	// before it was delivered, the batch it belonged to was never
+	// acknowledged, and the next append truncates it. Anything else is real
+	// corruption.
+	if err != nil && !errors.Is(err, wal.ErrTornWrite) {
+		return 0, err
 	}
-
-	seq := startSeq
-	for {
-		b, ok := batches[seq]
-		if !ok || len(b.rows) != b.total {
-			break
-		}
-		rows := make([][]string, b.total)
-		for i := range rows {
-			rows[i] = b.rows[i]
-			if err := m.checkArity(rows[i], i); err != nil {
-				return 0, false, fmt.Errorf("multiem: wal batch %d does not fit the matcher schema (wrong base state?): %w", seq, err)
-			}
-		}
-		m.addMu.Lock()
-		res, err := m.addBatchLocked(rows, batchRecover)
-		m.addMu.Unlock()
-		// A compaction failure comes back alongside results, exactly as it
-		// did on the original ingest; the batch is applied either way.
-		if res == nil && err != nil {
-			return 0, false, fmt.Errorf("multiem: wal replay batch %d: %w", seq, err)
-		}
-		delete(batches, seq)
-		seq++
-	}
-	// Whatever remains past the stop point is dropped. Under "always" every
-	// acknowledged batch was fsynced in order, so the only droppable remnant
-	// is the final, incomplete batch — a complete one beyond the stop means
-	// the log and the replay rule disagree, which must not pass silently.
-	// Under "interval"/"off" a power loss can also persist the shard files
-	// out of order (OS writeback), leaving a complete batch stranded past a
-	// hole; that suffix is exactly the documented bounded-loss window, so it
-	// is dropped rather than failing recovery for good.
-	if policy == wal.SyncAlways {
-		for s, b := range batches {
-			if len(b.rows) == b.total && s != seq {
-				return 0, false, fmt.Errorf("multiem: wal batch %d is complete but unreachable (missing batch %d) despite fsync=always", s, seq)
-			}
-		}
-	}
-	return seq, len(batches) > 0, nil
+	return nextSeq, nil
 }
 
 // Snapshot checkpoints the matcher into the durability directory and
-// truncates the logs: state is saved atomically as snapshot-<seq>.bin (the
+// truncates the log: state is saved atomically as snapshot-<seq>.bin (the
 // per-shard sections serialized concurrently), log segments the checkpoint
 // covers are deleted, and older snapshots are removed. Recovery cost from
 // here on is the log written since this call.
 //
 // The ingest lock is held only for the prologue — pinning the epoch view,
-// reading the covered sequence number, and sealing the active log segments:
-// O(shards) work that does not depend on the state size. The serialization
+// reading the covered sequence number, and sealing the active log segment:
+// work that does not depend on the state size. The serialization
 // itself reads the pinned immutable view while AddRecords keeps committing
 // (to fresh segments, with sequence numbers past the checkpoint), so
 // checkpoint duration no longer bounds ingest stall. The view and the
@@ -578,17 +507,14 @@ func (m *Matcher) Snapshot() (seq uint64, err error) {
 	m.addMu.Lock()
 	v := m.state.Load()
 	seq = ws.seq.Load()
-	// Seal the active segments: every record covered by this checkpoint
-	// then lives in a sealed segment that can be dropped.
-	cuts := make([]int64, len(ws.logs))
-	for s, l := range ws.logs {
-		cuts[s] = l.ActiveSegment()
-		if err := l.Rotate(); err != nil {
-			m.addMu.Unlock()
-			return 0, fmt.Errorf("multiem: snapshot: %w", err)
-		}
-	}
+	// Seal the active segment: every record covered by this checkpoint then
+	// lives in a sealed segment that can be dropped.
+	cut := ws.log.ActiveSegment()
+	err = ws.log.Rotate()
 	m.addMu.Unlock()
+	if err != nil {
+		return 0, fmt.Errorf("multiem: snapshot: %w", err)
+	}
 
 	path := snapshotPath(ws.cfg.Dir, seq)
 	tmp := path + ".tmp"
@@ -622,16 +548,7 @@ func (m *Matcher) Snapshot() (seq uint64, err error) {
 	// so they surface as errors but the snapshot stands.
 	ws.snapshotSeq.Store(seq)
 	ws.snapshots.Add(1)
-	var cleanupErrs []error
-	for s, l := range ws.logs {
-		if err := l.DropSegmentsThrough(cuts[s]); err != nil {
-			cleanupErrs = append(cleanupErrs, err)
-		}
-	}
-	if err := dropOldSnapshots(ws.cfg.Dir, ws.cfg.SnapshotKeep); err != nil {
-		cleanupErrs = append(cleanupErrs, err)
-	}
-	if err := errors.Join(cleanupErrs...); err != nil {
+	if err := errors.Join(ws.log.DropSegmentsThrough(cut), dropOldSnapshots(ws.cfg.Dir, ws.cfg.SnapshotKeep)); err != nil {
 		return seq, fmt.Errorf("multiem: snapshot taken, cleanup failed: %w", err)
 	}
 	return seq, nil
@@ -689,8 +606,8 @@ func syncDir(dir string) {
 	}
 }
 
-// CloseWAL stops the background loops and flushes and fsyncs every shard
-// log — the graceful-shutdown path. The matcher remains usable for reads;
+// CloseWAL stops the background loops and flushes and fsyncs the log — the
+// graceful-shutdown path. The matcher remains usable for reads;
 // further AddRecords fail (their log is closed). Safe to call more than
 // once, and a no-op for an in-memory matcher.
 func (m *Matcher) CloseWAL() error {
@@ -701,54 +618,40 @@ func (m *Matcher) CloseWAL() error {
 	ws.closeOnce.Do(func() {
 		close(ws.stop)
 		ws.loops.Wait()
-		var errs []error
-		for _, l := range ws.logs {
-			if err := l.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		ws.closeErr = errors.Join(errs...)
+		ws.closeErr = ws.log.Close()
 	})
 	return ws.closeErr
 }
 
-// WALStats reports the durability subsystem's aggregate state; the zero
+// WALStats reports the durability subsystem's state; the zero
 // value (Enabled=false) for an in-memory matcher.
 func (m *Matcher) WALStats() WALStats {
 	ws := m.wal
 	if ws == nil {
 		return WALStats{}
 	}
-	st := WALStats{
-		Enabled:        true,
-		Dir:            ws.cfg.Dir,
-		Fsync:          ws.policy.String(),
-		NextSeq:        ws.seq.Load(),
-		SnapshotSeq:    ws.snapshotSeq.Load(),
-		Snapshots:      ws.snapshots.Load(),
-		SnapshotErrors: ws.snapErrs.Load(),
+	ls := ws.log.Stats()
+	return WALStats{
+		Enabled:         true,
+		Dir:             ws.cfg.Dir,
+		Fsync:           ws.policy.String(),
+		Segments:        ls.Segments,
+		Bytes:           ls.Bytes,
+		Appends:         ls.Appends,
+		Syncs:           ls.Syncs,
+		TornTruncations: ls.TornTruncations,
+		NextSeq:         ws.seq.Load(),
+		SnapshotSeq:     ws.snapshotSeq.Load(),
+		Snapshots:       ws.snapshots.Load(),
+		SnapshotErrors:  ws.snapErrs.Load(),
 	}
-	for _, l := range ws.logs {
-		ls := l.Stats()
-		st.Segments += ls.Segments
-		st.Bytes += ls.Bytes
-		st.Appends += ls.Appends
-		st.Syncs += ls.Syncs
-		st.TornTruncations += ls.TornTruncations
-	}
-	return st
 }
 
-// WALSyncDurations merges the per-shard logs' fsync latency distributions;
-// nil when the matcher has no WAL attached.
+// WALSyncDurations freezes the log's fsync latency distribution; nil when the
+// matcher has no WAL attached.
 func (m *Matcher) WALSyncDurations() *hist.Snapshot {
-	ws := m.wal
-	if ws == nil {
+	if m.wal == nil {
 		return nil
 	}
-	agg := &hist.Snapshot{}
-	for _, l := range ws.logs {
-		agg.Merge(l.SyncDurations())
-	}
-	return agg
+	return m.wal.log.SyncDurations()
 }

@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/table"
+	"repro/internal/wal"
 )
 
 // durOpts fixes a shard count so the WAL topology is deterministic across
@@ -221,84 +223,90 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// TestRecoveryDropsTornFinalBatch tears the tail of one shard's log after a
-// crash: the final batch must be dropped whole (never half-applied), the
-// recovered matcher must equal the uncrashed matcher minus that batch, and
-// the recovery checkpoint must leave the logs clean for the next restart.
+// TestRecoveryDropsTornFinalBatch cuts the log at every byte offset inside
+// its final record — every place a crash can interrupt the last append. The
+// batch is one record, so the log layer drops it whole: the recovered matcher
+// equals the uncrashed one minus that batch, with no recovery checkpoint,
+// and the next ingest reuses the dropped sequence number over the truncated
+// tear — which a second recovery must replay bit-identically.
 func TestRecoveryDropsTornFinalBatch(t *testing.T) {
 	d := smallGeo(t)
 	const shards = 4
-	dir := t.TempDir()
-	cfg := WALConfig{Dir: dir, Fsync: "off"}
+	srcDir := t.TempDir()
 	load := baseLoader(t, d, shards)
-
-	live, err := RecoverMatcher(cfg, durOpts(shards), load)
+	live, err := RecoverMatcher(WALConfig{Dir: srcDir, Fsync: "off"}, durOpts(shards), load)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := load() // will receive all but the last batch
+	reference, err := load() // receives all but the last batch
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	batches := randomBatches(d, 4, 8, 7)
-	var finalResults []AddResult
+	batches := randomBatches(d, 4, 5, 7)
 	for i, rows := range batches {
-		res, err := live.AddRecords(rows)
-		if err != nil {
+		if _, err := live.AddRecords(rows); err != nil {
 			t.Fatal(err)
 		}
 		if i < len(batches)-1 {
 			if _, err := reference.AddRecords(rows); err != nil {
 				t.Fatal(err)
 			}
-		} else {
-			finalResults = res
 		}
 	}
 	live.CloseWAL()
+	wantRecovered := saveBytes(t, reference)
+	reused := [][]string{{"reuses the torn sequence", "3.5", "-2.25"}}
+	if _, err := reference.AddRecords(reused); err != nil {
+		t.Fatal(err)
+	}
+	wantAfterReuse := saveBytes(t, reference)
 
-	// Tear the tail of one shard log that holds part of the final batch (the
-	// last record of such a log is that batch's slice): chop 3 bytes,
-	// mid-record. The batch is then incomplete and must be dropped whole —
-	// including its intact slices on the other shards.
-	tearShard := -1
-	for _, r := range finalResults {
-		s, _ := splitTupleID(r.Tuple)
-		if tearShard < 0 || s < tearShard {
-			tearShard = s
+	full, err := os.ReadFile(wal.SegmentFile(LogDir(srcDir), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := encodeBatchRecord(uint64(len(batches)-1), batches[len(batches)-1])
+	lastStart := int64(len(full)) - int64(len(final)) - 8 // the final record's frame: length + crc, then payload
+	if !bytes.Equal(full[lastStart+8:], final) {
+		t.Fatal("the log does not end in the final batch's record; test is vacuous")
+	}
+
+	for cut := lastStart; cut < int64(len(full)); cut++ {
+		dir := t.TempDir()
+		cfg := WALConfig{Dir: dir, Fsync: "off"}
+		if err := os.MkdirAll(LogDir(dir), 0o755); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if tearShard < 0 {
-		t.Fatal("final batch produced no results; test is vacuous")
-	}
-	segs, err := filepath.Glob(filepath.Join(shardLogDir(dir, tearShard), "seg-*.wal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("shard %d: no segments (%v)", tearShard, err)
-	}
-	last := segs[len(segs)-1]
-	b, err := os.ReadFile(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) <= 11 {
-		t.Fatalf("segment %s too small to tear (%d bytes)", last, len(b))
-	}
-	if err := os.WriteFile(last, b[:len(b)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
+		if err := os.WriteFile(wal.SegmentFile(LogDir(dir), 1), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := RecoverMatcher(cfg, durOpts(shards), load)
+		if err != nil {
+			t.Fatalf("cut %d: RecoverMatcher after tear: %v", cut, err)
+		}
+		if st := recovered.WALStats(); st.Snapshots != 0 || st.NextSeq != uint64(len(batches)-1) {
+			t.Fatalf("cut %d: recovery checkpointed or miscounted: %+v", cut, st)
+		}
+		if !bytes.Equal(saveBytes(t, recovered), wantRecovered) {
+			t.Fatalf("cut %d: recovered state is not the reference minus the torn batch", cut)
+		}
+		if _, err := recovered.AddRecords(reused); err != nil {
+			t.Fatalf("cut %d: AddRecords over the tear: %v", cut, err)
+		}
+		recovered.CloseWAL()
 
-	recovered, err := RecoverMatcher(cfg, durOpts(shards), load)
-	if err != nil {
-		t.Fatalf("RecoverMatcher after tear: %v", err)
+		again, err := RecoverMatcher(cfg, durOpts(shards), load)
+		if err != nil {
+			t.Fatalf("cut %d: second recovery: %v", cut, err)
+		}
+		if st := again.WALStats(); st.Snapshots != 0 || st.NextSeq != uint64(len(batches)) {
+			t.Fatalf("cut %d: second recovery: %+v", cut, st)
+		}
+		if !bytes.Equal(saveBytes(t, again), wantAfterReuse) {
+			t.Fatalf("cut %d: second recovery diverges after the sequence was reused", cut)
+		}
+		again.CloseWAL()
 	}
-	defer recovered.CloseWAL()
-	// The incomplete batch forced a recovery checkpoint, so the partial
-	// records are gone and the next restart starts from the snapshot.
-	if st := recovered.WALStats(); st.Snapshots == 0 {
-		t.Fatalf("recovery did not checkpoint away the torn batch: %+v", st)
-	}
-	assertMatchersIdentical(t, reference, recovered, d)
 }
 
 // TestSnapshotTruncatesLogs asserts the snapshotter actually bounds the log:
@@ -371,28 +379,42 @@ func TestSnapshotTruncatesLogs(t *testing.T) {
 	}
 }
 
-// TestRecoverMatcherRejectsTopologyMismatch: logs written by a 4-shard
-// matcher must not silently replay onto a 2-shard base.
-func TestRecoverMatcherRejectsTopologyMismatch(t *testing.T) {
+// TestRecoverMatcherRejectsOldLayout: a directory with per-shard logs from an
+// earlier version is refused by name — by recovery before it builds anything,
+// and by promotion — and left exactly as it was.
+func TestRecoverMatcherRejectsOldLayout(t *testing.T) {
 	d := smallGeo(t)
 	dir := t.TempDir()
-	cfg := WALConfig{Dir: dir, Fsync: "off"}
-	m, err := RecoverMatcher(cfg, durOpts(4), func() (*Matcher, error) {
-		return BuildMatcher(d, durOpts(4))
-	})
-	if err != nil {
+	old := filepath.Join(dir, "shard-0001")
+	if err := os.MkdirAll(old, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AddRecords([][]string{{"x", "1.0", "2.0"}}); err != nil {
+	if err := os.WriteFile(wal.SegmentFile(old, 1), []byte("MEMWAL1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m.CloseWAL()
+	listing := func() string {
+		var names []string
+		filepath.WalkDir(dir, func(path string, _ os.DirEntry, _ error) error {
+			names = append(names, path)
+			return nil
+		})
+		return strings.Join(names, "\n")
+	}
+	before := listing()
 
-	_, err = RecoverMatcher(cfg, durOpts(2), func() (*Matcher, error) {
+	_, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(2), func() (*Matcher, error) {
+		t.Error("base was built for a directory that must be refused")
 		return BuildMatcher(d, durOpts(2))
 	})
-	if err == nil || !strings.Contains(err.Error(), "topology mismatch") {
-		t.Fatalf("expected topology mismatch error, got %v", err)
+	if !errors.Is(err, ErrWALLayout) {
+		t.Fatalf("RecoverMatcher: %v, want ErrWALLayout", err)
+	}
+	err = NewReplicator(buildBase(t, d, 2), 0).Promote(WALConfig{Dir: dir, Fsync: "off"})
+	if !errors.Is(err, ErrWALLayout) {
+		t.Fatalf("Promote: %v, want ErrWALLayout", err)
+	}
+	if after := listing(); after != before {
+		t.Fatalf("refused directory was modified:\n%s\nwas:\n%s", after, before)
 	}
 }
 
@@ -488,4 +510,51 @@ func TestCloseWALFencesIngest(t *testing.T) {
 	if _, err := m.AddRecords([][]string{{"too late", "1.0", "2.0"}}); err == nil {
 		t.Fatal("AddRecords succeeded after CloseWAL; the batch would be unlogged")
 	}
+}
+
+// FuzzDecodeBatchRecord: a follower decodes whatever its -primary-url serves,
+// so on arbitrary bytes the decoder must not panic, must fail only with
+// ErrCorruptRecord, and must not let a count in the payload size an
+// allocation the payload cannot back; what it accepts re-encodes to the same
+// bytes, and what encodeBatchRecord produced decodes to the same rows.
+func FuzzDecodeBatchRecord(f *testing.F) {
+	for seq, rows := range [][][]string{
+		{{"a"}},
+		{{"", "x", "y"}, {"Café Zoë", "1.0", "-2.25"}},
+		{{}, {"only row with values"}},
+	} {
+		f.Add(encodeBatchRecord(uint64(seq), rows))
+	}
+	// 16 bytes that claim 2^26 rows, and a row that claims 2^20 values.
+	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0})
+	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 16, 0})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		seq, rows, err := decodeBatchRecord(payload)
+		runtime.ReadMemStats(&after)
+		// Row headers cost 24 B per >= 4 payload bytes, string headers 16 B
+		// per >= 4, the strings at most the payload: 11x, before size-class
+		// rounding. The constant covers the error value and the runtime.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(payload)+64<<10); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(payload), got, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorruptRecord) || rows != nil {
+				t.Fatalf("untyped failure: %v (rows %v)", err, rows)
+			}
+		} else if again := encodeBatchRecord(seq, rows); !bytes.Equal(again, payload) {
+			t.Fatalf("accepted payload does not re-encode to itself:\n  in  %x\n  out %x", payload, again)
+		}
+
+		// The other direction, on rows cut from the same bytes.
+		var want [][]string
+		for _, line := range strings.Split(string(payload), "\n") {
+			want = append(want, strings.Split(line, ","))
+		}
+		gotSeq, got, err := decodeBatchRecord(encodeBatchRecord(uint64(len(payload)), want))
+		if err != nil || gotSeq != uint64(len(payload)) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode(encode(x)) != x: seq %d, err %v\n  x   %q\n  got %q", gotSeq, err, want, got)
+		}
+	})
 }

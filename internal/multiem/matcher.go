@@ -168,7 +168,7 @@ type Matcher struct {
 	// nextID is the next entity ID to hand out; guarded by addMu.
 	nextID int
 	result *Result // pipeline output; nil when loaded from disk
-	// wal is the attached durability state (per-shard logs + snapshotter),
+	// wal is the attached durability state (batch log + snapshotter),
 	// or nil when the matcher runs in-memory only. Set by RecoverMatcher
 	// before the matcher is shared, or by Replicator.Promote under addMu.
 	wal *walState
@@ -619,11 +619,10 @@ type batchTuple struct {
 // previous index) and the error is returned alongside the results.
 //
 // With a WAL attached (RecoverMatcher), the batch's raw rows are appended to
-// the per-shard logs — each shard's log gets that shard's slice — after the
-// decisions are made and before any shard state changes, so a batch is
-// either fully logged or not applied at all. Under the "always" fsync policy
-// the logs are also fsynced before the apply, so an acknowledged batch
-// survives power loss.
+// the log as one record, after the decisions are made and before any shard
+// state changes, so a batch is either fully logged or not applied at all.
+// Under the "always" fsync policy the log is also fsynced before the apply,
+// so an acknowledged batch survives power loss.
 func (m *Matcher) AddRecords(rows [][]string) ([]AddResult, error) {
 	if m.readOnly.Load() {
 		return nil, ErrReadOnly
@@ -665,9 +664,8 @@ const (
 // addBatchLocked is the batch ingest body: decisions, optional WAL append,
 // and the per-shard apply. The caller holds addMu and has validated arity.
 func (m *Matcher) addBatchLocked(rows [][]string, mode batchMode) ([]AddResult, error) {
-	// An empty batch must return before the WAL append: it would write no
-	// log records, and burning a sequence number with nothing to replay
-	// would leave a permanent hole that stops recovery at that seq.
+	// An empty batch must return before the WAL append: it has nothing to
+	// make durable, and a record with no rows is one the decoder refuses.
 	if len(rows) == 0 {
 		return nil, nil
 	}
@@ -786,11 +784,11 @@ func (m *Matcher) addBatchLocked(rows [][]string, mode batchMode) ([]AddResult, 
 	}
 	sp.Mark(IngestStageChain)
 
-	// Write-ahead: the batch goes to the per-shard logs (and, under fsync
-	// "always", to stable storage) before any shard state changes. A failed
-	// append rejects the batch with the state untouched.
+	// Write-ahead: the batch goes to the log (and, under fsync "always", to
+	// stable storage) before any shard state changes. A failed append
+	// rejects the batch with the state untouched.
 	if mode == batchIngest && m.wal != nil {
-		if err := m.walAppendBatch(rows, perShard); err != nil {
+		if err := m.walAppendBatch(rows); err != nil {
 			return nil, err
 		}
 	}

@@ -9,24 +9,20 @@ import (
 )
 
 // Replicator applies a primary's shipped WAL stream to a follower matcher,
-// one complete batch at a time, through the same decision path live ingest
+// one batch record at a time, through the same decision path live ingest
 // uses — so the follower's state is bit-identical to the primary's at every
 // applied sequence. The wrapped matcher is fenced read-only (AddRecords
 // returns ErrReadOnly) until Promote.
 //
-// The replication layer feeds it raw log-record payloads as they arrive from
-// the mirrored segments (Offer), in any per-shard interleaving, then drains
-// whatever batches became complete (ApplyReady). Offer and ApplyReady must
-// be called from one goroutine — the fetch loop; NextSeq is safe from any
-// goroutine (the stats endpoint reads it while the loop runs).
+// The replication layer feeds it raw log-record payloads in log order as
+// they arrive in the mirrored segments (Apply). Apply must be called from one
+// goroutine — the fetch loop; NextSeq is safe from any goroutine (the stats
+// endpoint reads it while the loop runs).
 type Replicator struct {
 	m *Matcher
 	// nextSeq is the next batch sequence to apply; everything below it is
 	// already part of the matcher state.
 	nextSeq atomic.Uint64
-	// pending buffers decoded records of batches at or past nextSeq whose
-	// rows are not all here yet.
-	pending map[uint64]*pendingBatch
 }
 
 // NewReplicator wraps a follower matcher whose state covers every batch
@@ -34,7 +30,7 @@ type Replicator struct {
 // at that sequence — and fences it read-only.
 func NewReplicator(m *Matcher, startSeq uint64) *Replicator {
 	m.readOnly.Store(true)
-	r := &Replicator{m: m, pending: make(map[uint64]*pendingBatch)}
+	r := &Replicator{m: m}
 	r.nextSeq.Store(startSeq)
 	return r
 }
@@ -46,118 +42,66 @@ func (r *Replicator) Matcher() *Matcher { return r.m }
 // follower's applied position is NextSeq()-1. Safe for concurrent use.
 func (r *Replicator) NextSeq() uint64 { return r.nextSeq.Load() }
 
-// Offer decodes one shard-log record payload and buffers its slice of the
-// batch it belongs to. Records below the applied position are ignored (the
-// mirrored segments overlap the bootstrap snapshot). A record that
-// contradicts an earlier one for the same batch — different row totals, a
-// row delivered twice — is corruption in the shipped stream and fails.
-func (r *Replicator) Offer(payload []byte) error {
-	seq, total, rowIdx, rows, err := decodeBatchRecord(payload)
-	if err != nil {
+// ErrSeqGap reports a shipped record past the replicator's position: the
+// batches in between never arrived (the primary checkpointed them away, or
+// the mirror belongs to another history). Only a resync from a snapshot can
+// catch up.
+var ErrSeqGap = errors.New("multiem: replicate: gap in the shipped batch sequence")
+
+// Apply consumes one log record payload. A batch below the applied position
+// is skipped (the mirrored segments overlap the bootstrap snapshot); the
+// batch at the position commits through the normal copy-on-write publish, so
+// concurrent reads see it all-or-nothing and the follower serves consistent
+// state the whole time it is catching up; a batch past it is ErrSeqGap. An
+// undecodable payload fails with ErrCorruptRecord.
+func (r *Replicator) Apply(payload []byte) error {
+	next := r.nextSeq.Load()
+	seq, err := r.m.applyRecord(payload, next, batchReplicate)
+	switch {
+	case err != nil:
 		return fmt.Errorf("multiem: replicate: %w", err)
-	}
-	if seq < r.nextSeq.Load() {
-		return nil
-	}
-	b := r.pending[seq]
-	if b == nil {
-		b = &pendingBatch{total: total, rows: make(map[int][]string, len(rowIdx))}
-		r.pending[seq] = b
-	}
-	if b.total != total {
-		return fmt.Errorf("multiem: replicate: batch %d row count disagrees across shards (%d vs %d)", seq, total, b.total)
-	}
-	for i, idx := range rowIdx {
-		if _, dup := b.rows[idx]; dup {
-			return fmt.Errorf("multiem: replicate: batch %d row %d delivered twice", seq, idx)
-		}
-		b.rows[idx] = rows[i]
+	case seq == next:
+		r.nextSeq.Add(1)
+	case seq > next:
+		return fmt.Errorf("%w: got batch %d, want %d", ErrSeqGap, seq, next)
 	}
 	return nil
 }
 
-// ApplyReady applies every batch that is now complete, in sequence order,
-// stopping at the first gap. Each batch commits through the normal
-// copy-on-write publish, so concurrent reads see it all-or-nothing — the
-// follower serves consistent state the whole time it is catching up.
-func (r *Replicator) ApplyReady() (applied int, err error) {
-	for {
-		seq := r.nextSeq.Load()
-		b, ok := r.pending[seq]
-		if !ok || len(b.rows) != b.total {
-			return applied, nil
-		}
-		rows := make([][]string, b.total)
-		for i := range rows {
-			rows[i] = b.rows[i]
-			if err := r.m.checkArity(rows[i], i); err != nil {
-				return applied, fmt.Errorf("multiem: replicate batch %d does not fit the matcher schema (wrong snapshot?): %w", seq, err)
-			}
-		}
-		r.m.addMu.Lock()
-		res, err := r.m.addBatchLocked(rows, batchReplicate)
-		r.m.addMu.Unlock()
-		// A compaction failure comes back alongside results, exactly as on
-		// the primary; the batch is applied either way.
-		if res == nil && err != nil {
-			return applied, fmt.Errorf("multiem: replicate batch %d: %w", seq, err)
-		}
-		delete(r.pending, seq)
-		r.nextSeq.Add(1)
-		applied++
-	}
-}
-
-// Promote turns the follower into a primary: any incomplete trailing batches
-// are dropped (exactly as crash recovery drops an unacknowledged batch), the
-// mirrored directory is reopened as a live WAL for append, an immediate
-// checkpoint truncates away the dropped batches' partial records — their
-// sequence numbers are about to be reused — and the read-only fence lifts.
-// cfg.Dir must be the mirror directory the follower has been applying from;
-// its layout is already a valid durability directory.
+// Promote turns the follower into a primary: the mirrored directory is
+// reopened as a live WAL for append, an immediate checkpoint truncates away
+// whatever the mirror holds past the applied position — whole records the
+// fetch loop mirrored but never applied, whose sequence numbers are about to
+// be reused — and the read-only fence lifts. cfg.Dir must be the mirror
+// directory the follower has been applying from; its layout is already a
+// valid durability directory.
 //
-// The caller must have stopped feeding Offer/ApplyReady first. After Promote
-// the matcher behaves exactly like one returned by RecoverMatcher: AddRecords
-// logs under cfg's fsync policy, the snapshotter runs, CloseWAL shuts down.
+// The caller must have stopped feeding Apply first. After Promote the matcher
+// behaves exactly like one returned by RecoverMatcher: AddRecords logs under
+// cfg's fsync policy, the snapshotter runs, CloseWAL shuts down.
 func (r *Replicator) Promote(cfg WALConfig) error {
 	m := r.m
+	cfg, policy, err := normalizeWALConfig(cfg)
+	if err != nil {
+		return err
+	}
 	m.addMu.Lock()
 	if m.wal != nil {
 		m.addMu.Unlock()
 		return errors.New("multiem: promote: matcher already has a WAL attached")
 	}
-	cfg, policy, err := normalizeWALConfig(cfg)
-	if err != nil {
-		m.addMu.Unlock()
-		return err
-	}
-	if err := checkShardDirs(cfg.Dir, m.Shards()); err != nil {
-		m.addMu.Unlock()
-		return err
-	}
 	ws := &walState{cfg: cfg, policy: policy, stop: make(chan struct{})}
-	ws.logs = make([]*wal.Log, m.Shards())
-	for s := range ws.logs {
-		if ws.logs[s], err = wal.Open(shardLogDir(cfg.Dir, s), wal.Options{SegmentMaxBytes: cfg.SegmentMaxBytes}); err != nil {
-			for _, l := range ws.logs {
-				if l != nil {
-					l.Close()
-				}
-			}
-			m.addMu.Unlock()
-			return err
-		}
+	if ws.log, err = wal.Open(LogDir(cfg.Dir), wal.Options{SegmentMaxBytes: cfg.SegmentMaxBytes}); err != nil {
+		m.addMu.Unlock()
+		return err
 	}
-	r.pending = make(map[uint64]*pendingBatch)
 	ws.seq.Store(r.nextSeq.Load())
 	m.wal = ws
 	m.addMu.Unlock()
 
-	// Checkpoint before accepting writes: the mirror may hold partial
-	// records of batches that never completed, and the next ingest reuses
-	// their sequence numbers. The checkpoint covers the applied state and
-	// truncates everything else away — the same move RecoverMatcher makes
-	// after dropping an incomplete batch.
+	// Checkpoint before accepting writes: the checkpoint covers the applied
+	// state and drops every mirrored segment, so no stale record can share a
+	// sequence number with the batches this primary is about to log.
 	if _, err := m.Snapshot(); err != nil {
 		return fmt.Errorf("multiem: promote checkpoint: %w", err)
 	}

@@ -5,68 +5,61 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/wal"
 )
 
-// mirrorShardLogs copies the primary's live segment files byte-for-byte into
+// mirrorLog copies the primary's live segment files byte-for-byte into
 // mirrorDir with the same layout, through the chunked replication read path
 // (Segments + ReadSegmentAt), exactly as the HTTP follower does.
-func mirrorShardLogs(t *testing.T, primary *Matcher, mirrorDir string) {
+func mirrorLog(t *testing.T, primary *Matcher, mirrorDir string) {
 	t.Helper()
-	for s := 0; s < primary.Shards(); s++ {
-		l := primary.ShardLog(s)
-		if l == nil {
-			t.Fatalf("shard %d: no log", s)
-		}
-		dst := ShardLogDir(mirrorDir, s)
-		if err := os.MkdirAll(dst, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		segs, err := l.Segments()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seg := range segs {
-			var data []byte
-			for off := int64(0); off < seg.Bytes; {
-				buf, _, err := l.ReadSegmentAt(seg.Index, off, 512)
-				if err != nil {
-					t.Fatalf("shard %d segment %d: %v", s, seg.Index, err)
-				}
-				data = append(data, buf...)
-				off += int64(len(buf))
+	l, dst := primary.Log(), LogDir(mirrorDir)
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := l.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		var data []byte
+		for off := int64(0); off < seg.Bytes; {
+			buf, _, err := l.ReadSegmentAt(seg.Index, off, 512)
+			if err != nil {
+				t.Fatalf("segment %d: %v", seg.Index, err)
 			}
-			if err := os.WriteFile(wal.SegmentFile(dst, seg.Index), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			data = append(data, buf...)
+			off += int64(len(buf))
+		}
+		if err := os.WriteFile(wal.SegmentFile(dst, seg.Index), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-// scanMirror collects every record payload per shard from a mirror directory.
-func scanMirror(t *testing.T, mirrorDir string, shards int) [][][]byte {
+// scanMirror collects every record payload from a mirror directory, in log
+// order (ReadDir sorts, and segment names are zero-padded).
+func scanMirror(t *testing.T, mirrorDir string) [][]byte {
 	t.Helper()
-	out := make([][][]byte, shards)
-	for s := 0; s < shards; s++ {
-		entries, err := os.ReadDir(ShardLogDir(mirrorDir, s))
+	var out [][]byte
+	entries, err := os.ReadDir(LogDir(mirrorDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		_, tail, err := wal.ScanRecords(filepath.Join(LogDir(mirrorDir), e.Name()), 0, func(p []byte) error {
+			out = append(out, append([]byte(nil), p...))
+			return nil
+		})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		for _, e := range entries {
-			path := ShardLogDir(mirrorDir, s) + "/" + e.Name()
-			_, tail, err := wal.ScanRecords(path, 0, func(p []byte) error {
-				out[s] = append(out[s], append([]byte(nil), p...))
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("shard %d %s: %v", s, e.Name(), err)
-			}
-			if tail != wal.TailClean {
-				t.Fatalf("shard %d %s: tail %v on a quiesced mirror", s, e.Name(), tail)
-			}
+		if tail != wal.TailClean {
+			t.Fatalf("%s: tail %v on a quiesced mirror", e.Name(), tail)
 		}
 	}
 	return out
@@ -128,34 +121,22 @@ func TestReplicationProperty(t *testing.T) {
 					t.Fatalf("follower AddRecords: %v, want ErrReadOnly", err)
 				}
 
-				// Ship the stream and feed it one record at a time, round-robin
-				// across shards; at every applied sequence the follower's Save
-				// bytes must equal the primary's at that same sequence.
+				// Ship the stream and feed it one record at a time; at every
+				// applied sequence the follower's Save bytes must equal the
+				// primary's at that same sequence.
 				mirrorDir := t.TempDir()
-				mirrorShardLogs(t, primary, mirrorDir)
-				perShard := scanMirror(t, mirrorDir, shards)
+				mirrorLog(t, primary, mirrorDir)
 				covered := 0
-				for remaining := true; remaining; {
-					remaining = false
-					for s := range perShard {
-						if len(perShard[s]) == 0 {
-							continue
+				for _, p := range scanMirror(t, mirrorDir) {
+					before := r.NextSeq()
+					if err := r.Apply(p); err != nil {
+						t.Fatal(err)
+					}
+					for seq := before; seq < r.NextSeq(); seq++ {
+						if !bytes.Equal(saveBytes(t, follower), states[seq]) {
+							t.Fatalf("follower diverges from primary at seq %d", seq)
 						}
-						remaining = true
-						before := r.NextSeq()
-						if err := r.Offer(perShard[s][0]); err != nil {
-							t.Fatal(err)
-						}
-						perShard[s] = perShard[s][1:]
-						if _, err := r.ApplyReady(); err != nil {
-							t.Fatal(err)
-						}
-						for seq := before; seq < r.NextSeq(); seq++ {
-							if !bytes.Equal(saveBytes(t, follower), states[seq]) {
-								t.Fatalf("follower diverges from primary at seq %d", seq)
-							}
-							covered++
-						}
+						covered++
 					}
 				}
 				if want := uint64(len(batches)); r.NextSeq() != want {
@@ -196,11 +177,11 @@ func TestReplicationProperty(t *testing.T) {
 	}
 }
 
-// TestPromotionDropsIncompleteBatch covers the failover edge the fencing
-// design exists for: the primary dies after writing the final batch's
-// records to only some shard logs. The follower must stop before the
-// incomplete batch, promote to the last complete sequence, and truncate the
-// partial records away so their sequence numbers can be reused safely.
+// TestPromotionDropsIncompleteBatch covers the failover edge the promotion
+// checkpoint exists for: the primary dies with the final batch's record
+// mirrored but not yet applied. The follower promotes at the last applied
+// sequence and truncates the stale record away, so its sequence number can
+// be reused safely. A record past a missing one is a named gap.
 func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	d := smallGeo(t)
 	const shards = 4
@@ -239,47 +220,30 @@ func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	r := NewReplicator(follower, snapSeq)
 
 	mirrorDir := t.TempDir()
-	mirrorShardLogs(t, primary, mirrorDir)
-	perShard := scanMirror(t, mirrorDir, shards)
-	// Withhold every record of the final batch — as if the primary died
-	// before those appends reached the follower.
+	mirrorLog(t, primary, mirrorDir)
+	records := scanMirror(t, mirrorDir)
+	// Withhold the final batch's record — as if the primary died before the
+	// fetch loop got to apply it.
 	last := uint64(len(batches) - 1)
-	withheld := 0
-	for s := range perShard {
-		kept := perShard[s][:0]
-		for _, p := range perShard[s] {
-			seq, _, _, _, err := decodeBatchRecord(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq == last {
-				withheld++
-				continue
-			}
-			kept = append(kept, p)
+	if seq, _, err := decodeBatchRecord(records[len(records)-1]); err != nil || seq != last {
+		t.Fatalf("mirror ends in batch %d (err %v), want %d", seq, err, last)
+	}
+	// Delivered ahead of the batches before it, it is refused by name and
+	// moves nothing.
+	if err := r.Apply(records[len(records)-1]); !errors.Is(err, ErrSeqGap) || r.NextSeq() != snapSeq {
+		t.Fatalf("Apply past a gap: %v at seq %d, want ErrSeqGap at %d", err, r.NextSeq(), snapSeq)
+	}
+	for _, p := range records[:len(records)-1] {
+		if err := r.Apply(p); err != nil {
+			t.Fatal(err)
 		}
-		perShard[s] = kept
-	}
-	if withheld == 0 {
-		t.Fatal("final batch wrote no records; test needs a non-empty batch")
-	}
-	for s := range perShard {
-		for _, p := range perShard[s] {
-			if err := r.Offer(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := r.ApplyReady(); err != nil {
-		t.Fatal(err)
 	}
 	if r.NextSeq() != last {
 		t.Fatalf("follower applied through %d, want stop at %d", r.NextSeq(), last)
 	}
 
-	// Simulate partial delivery bytes sitting in the mirror: the shipped
-	// files still hold the final batch's records (mirrorShardLogs copied
-	// them); promotion must checkpoint past them so seq reuse is safe.
+	// The shipped files still hold the final batch's record (mirrorLog
+	// copied it); promotion must checkpoint past it so seq reuse is safe.
 	if err := r.Promote(WALConfig{Dir: mirrorDir, Fsync: "off"}); err != nil {
 		t.Fatal(err)
 	}

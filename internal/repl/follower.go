@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -69,7 +71,7 @@ type Stats struct {
 	// LagBatches is PrimaryNextSeq - NextSeq (0 when caught up).
 	LagBatches uint64 `json:"lag_batches"`
 	// LagBytes is the segment bytes the primary has that the mirror does
-	// not, summed over shards, as of the last manifest.
+	// not, as of the last manifest.
 	LagBytes int64 `json:"lag_bytes"`
 	// BytesFetched counts mirrored bytes since start (snapshots included).
 	BytesFetched int64 `json:"bytes_fetched"`
@@ -87,12 +89,18 @@ type Stats struct {
 // snapshot.
 var errGap = errors.New("repl: primary dropped segments the mirror still needs")
 
+// errManifestFormat reports a manifest in another wire format — an older or
+// newer primary. Primary and followers upgrade together; until they have,
+// nothing the manifest lists can be trusted to mean what this build thinks.
+var errManifestFormat = errors.New("repl: primary speaks a different manifest format (upgrade primary and followers together)")
+
 // errStaleTerm reports a manifest with a term below the persisted one — a
 // revived old primary. Its data must not be applied.
 var errStaleTerm = errors.New("repl: primary term is below the acknowledged term (fenced)")
 
 // segMirror tracks one mirrored segment file.
 type segMirror struct {
+	index    int64
 	mirrored int64 // local file size: also the resume offset for fetches
 	scanned  int64 // offset already fed to the replicator
 	sealed   int64 // final size per manifest; -1 while unknown
@@ -110,8 +118,9 @@ type Follower struct {
 	matcher atomic.Pointer[multiem.Matcher]
 	repl    atomic.Pointer[multiem.Replicator]
 
-	// segs is the per-shard mirror state; owned by the fetch loop.
-	segs []map[int64]*segMirror
+	// segs is the mirror state, ascending by segment index — the order the
+	// replicator must be fed in; owned by the fetch loop.
+	segs []*segMirror
 
 	term           atomic.Uint64
 	primaryNextSeq atomic.Uint64
@@ -149,6 +158,9 @@ func Start(cfg Config) (*Follower, error) {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
+	}
+	if err := multiem.CheckWALLayout(cfg.Dir); err != nil {
+		return nil, err // promotion would refuse it; say so now, not mid-failover
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repl: mirror dir: %w", err)
@@ -215,8 +227,8 @@ func (f *Follower) Close() error {
 
 // Promote stops the fetch loop, mints and persists a term above every one
 // seen, and reopens the mirror as a live WAL (multiem.Replicator.Promote):
-// incomplete trailing batches are dropped exactly like crash recovery, and
-// the matcher flips writable. Safe to call once; later calls (and calls
+// whatever was mirrored but not applied is checkpointed away, and the
+// matcher flips writable. Safe to call once; later calls (and calls
 // racing the auto-promotion policy) return nil if already promoted.
 func (f *Follower) Promote() error {
 	f.stopOnce.Do(func() { close(f.stop) })
@@ -330,7 +342,7 @@ func (f *Follower) syncOnce() error {
 		}
 	}
 	applied, err := f.pull(man)
-	if errors.Is(err, errGap) {
+	if errors.Is(err, errGap) || errors.Is(err, multiem.ErrSeqGap) {
 		f.cfg.Logf("repl: %v; resyncing from a fresh snapshot", err)
 		return f.resync(man)
 	}
@@ -381,25 +393,21 @@ func (f *Follower) bootstrap(man *Manifest) error {
 
 	// Adopt whatever segment files are already mirrored; their sealed sizes
 	// are unknown until a manifest confirms them.
-	f.segs = make([]map[int64]*segMirror, man.Shards)
-	for s := range f.segs {
-		f.segs[s] = make(map[int64]*segMirror)
-		dir := multiem.ShardLogDir(f.cfg.Dir, s)
-		entries, err := os.ReadDir(dir)
-		if err != nil && !os.IsNotExist(err) {
+	f.segs = nil
+	entries, err := os.ReadDir(multiem.LogDir(f.cfg.Dir))
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	for _, e := range entries {
+		var idx int64
+		if _, err := fmt.Sscanf(e.Name(), "seg-%d.wal", &idx); err != nil {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
 			return err
 		}
-		for _, e := range entries {
-			var idx int64
-			if _, err := fmt.Sscanf(e.Name(), "seg-%d.wal", &idx); err != nil {
-				continue
-			}
-			info, err := e.Info()
-			if err != nil {
-				return err
-			}
-			f.segs[s][idx] = &segMirror{mirrored: info.Size(), sealed: -1}
-		}
+		f.mirrorOf(idx).mirrored = info.Size()
 	}
 	// Publish replicator before matcher: Stats observing the matcher must
 	// also see Bootstrapped.
@@ -421,126 +429,98 @@ func (f *Follower) resync(man *Manifest) error {
 		return err
 	}
 	// Drop mirrored segments wholesale: the fresh snapshot covers them, and
-	// partial files below the new position would only confuse adoption.
-	for s := 0; s < man.Shards; s++ {
-		dir := multiem.ShardLogDir(f.cfg.Dir, s)
-		entries, err := os.ReadDir(dir)
-		if err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		for _, e := range entries {
-			if err := os.Remove(dir + "/" + e.Name()); err != nil {
-				return err
-			}
-		}
+	// partial files below the new position would only confuse adoption. The
+	// log directory holds nothing else — snapshots and the term sit beside it.
+	if err := os.RemoveAll(multiem.LogDir(f.cfg.Dir)); err != nil {
+		return err
 	}
 	f.repl.Store(nil)
 	f.resyncs.Add(1)
 	return f.bootstrap(man)
 }
 
+// mirrorOf returns the state of mirrored segment index, inserting an empty
+// one in index order when the mirror has none yet.
+func (f *Follower) mirrorOf(index int64) *segMirror {
+	i := sort.Search(len(f.segs), func(i int) bool { return f.segs[i].index >= index })
+	if i == len(f.segs) || f.segs[i].index != index {
+		f.segs = slices.Insert(f.segs, i, &segMirror{index: index, sealed: -1})
+	}
+	return f.segs[i]
+}
+
 // pull mirrors every byte the manifest lists that the mirror lacks, then
 // feeds newly mirrored records to the replicator. Returns how many batches
 // were applied.
 func (f *Follower) pull(man *Manifest) (applied int, err error) {
-	if len(man.ShardSegments) != len(f.segs) {
-		return 0, fmt.Errorf("repl: manifest has %d shards, mirror has %d", len(man.ShardSegments), len(f.segs))
-	}
 	var lag int64
-	for s, listed := range man.ShardSegments {
-		if len(listed) == 0 {
-			continue
-		}
-		lo := listed[0].Index
+	if len(man.Segments) > 0 {
+		lo := man.Segments[0].Index
 		// Segments that vanished from the manifest were dropped by a
-		// checkpoint. That is fine for fully mirrored ones; a partial
-		// mirror of a dropped segment is a hole we can never fill.
-		for idx, st := range f.segs[s] {
-			if idx >= lo {
-				continue
-			}
-			if st.sealed < 0 || st.mirrored < st.sealed {
-				return applied, fmt.Errorf("%w: shard %d segment %d", errGap, s, idx)
+		// checkpoint. That is fine for fully mirrored ones; a partial mirror
+		// of a dropped segment is a hole we can never fill.
+		for _, st := range f.segs {
+			if st.index < lo && (st.sealed < 0 || st.mirrored < st.sealed) {
+				return 0, fmt.Errorf("%w: segment %d", errGap, st.index)
 			}
 		}
-		if maxIdx, ok := maxKey(f.segs[s]); ok && lo > maxIdx+1 {
-			return applied, fmt.Errorf("%w: shard %d jumps to segment %d past %d", errGap, s, lo, maxIdx)
+		if n := len(f.segs); n > 0 && lo > f.segs[n-1].index+1 {
+			return 0, fmt.Errorf("%w: log jumps to segment %d past %d", errGap, lo, f.segs[n-1].index)
 		}
-		for _, seg := range listed {
-			st := f.segs[s][seg.Index]
-			if st == nil {
-				st = &segMirror{sealed: -1}
-				f.segs[s][seg.Index] = st
-			}
-			if seg.Sealed {
-				st.sealed = seg.Bytes
-			}
-			if st.mirrored > seg.Bytes {
-				// The mirror is ahead of the primary's fence: the primary
-				// lost unsynced bytes in a crash, or this is a different
-				// history. Resync rather than guess.
-				return applied, fmt.Errorf("%w: shard %d segment %d mirrored %d past fence %d", errGap, s, seg.Index, st.mirrored, seg.Bytes)
-			}
-			if st.mirrored < seg.Bytes {
-				if err := f.fetchSegment(s, seg, st); err != nil {
-					return applied, err
-				}
-			}
-			lag += seg.Bytes - st.mirrored
+	}
+	for _, seg := range man.Segments {
+		st := f.mirrorOf(seg.Index)
+		if seg.Sealed {
+			st.sealed = seg.Bytes
 		}
+		if st.mirrored > seg.Bytes {
+			// The mirror is ahead of the primary's fence: the primary lost
+			// unsynced bytes in a crash, or this is a different history.
+			// Resync rather than guess.
+			return 0, fmt.Errorf("%w: segment %d mirrored %d past fence %d", errGap, seg.Index, st.mirrored, seg.Bytes)
+		}
+		if st.mirrored < seg.Bytes {
+			if err := f.fetchSegment(seg, st); err != nil {
+				return 0, err
+			}
+		}
+		lag += seg.Bytes - st.mirrored
 	}
 	f.lagBytes.Store(lag)
 	return f.drain()
 }
 
-// drain scans newly mirrored bytes into the replicator and applies complete
-// batches.
+// drain feeds newly mirrored records to the replicator, oldest segment first
+// — Apply takes batches in log order and reports anything else as a gap.
 func (f *Follower) drain() (applied int, err error) {
 	r := f.repl.Load()
-	for s := range f.segs {
-		for idx, st := range f.segs[s] {
-			if st.scanned >= st.mirrored {
-				continue
-			}
-			path := wal.SegmentFile(multiem.ShardLogDir(f.cfg.Dir, s), idx)
-			next, tail, err := wal.ScanRecords(path, st.scanned, r.Offer)
-			if err != nil {
-				return applied, fmt.Errorf("repl: shard %d segment %d: %w", s, idx, err)
-			}
-			if tail == wal.TailInvalid {
-				return applied, fmt.Errorf("repl: shard %d segment %d: invalid frame at offset %d", s, idx, next)
-			}
-			// TailPartial below the fence cannot happen (fetches stop at
-			// whole-record fences); at the fence it just means the next
-			// chunk has not arrived.
-			st.scanned = next
+	before := r.NextSeq()
+	dir := multiem.LogDir(f.cfg.Dir)
+	for _, st := range f.segs {
+		if st.scanned >= st.mirrored {
+			continue
 		}
+		// TailPartial below the fence cannot happen (fetches stop at
+		// whole-record fences); at the fence it just means the next chunk
+		// has not arrived. A damaged frame comes back as an error.
+		next, _, err := wal.ScanRecords(wal.SegmentFile(dir, st.index), st.scanned, r.Apply)
+		if err != nil {
+			return int(r.NextSeq() - before), fmt.Errorf("repl: segment %d: %w", st.index, err)
+		}
+		st.scanned = next
 	}
-	n, err := r.ApplyReady()
-	return n, err
+	return int(r.NextSeq() - before), nil
 }
 
 // allScanned reports whether every mirrored byte has been fed to the
 // replicator — the precondition for declaring a stall.
 func (f *Follower) allScanned() bool {
-	for s := range f.segs {
-		for _, st := range f.segs[s] {
-			if st.scanned < st.mirrored {
-				return false
-			}
+	for _, st := range f.segs {
+		if st.scanned < st.mirrored {
+			return false
 		}
 	}
 	return true
-}
-
-func maxKey(m map[int64]*segMirror) (int64, bool) {
-	max, ok := int64(-1), false
-	for k := range m {
-		if !ok || k > max {
-			max, ok = k, true
-		}
-	}
-	return max, ok
 }
 
 // fetchManifest GETs and decodes /repl/manifest.
@@ -561,8 +541,8 @@ func (f *Follower) fetchManifest(ctx context.Context) (*Manifest, error) {
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&man); err != nil {
 		return nil, fmt.Errorf("repl: manifest: %w", err)
 	}
-	if man.Shards <= 0 {
-		return nil, errors.New("repl: manifest has no shards")
+	if man.Format != ManifestFormat {
+		return nil, fmt.Errorf("%w: got format %d, want %d", errManifestFormat, man.Format, ManifestFormat)
 	}
 	return &man, nil
 }
@@ -617,14 +597,14 @@ func (f *Follower) fetchSnapshot(entry SnapshotEntry) error {
 // fetchSegment appends the missing byte range [st.mirrored, seg.Bytes) of
 // one segment to its mirror file, in chunks, resuming from the local size;
 // a sealed segment is CRC-checked once complete.
-func (f *Follower) fetchSegment(s int, seg SegmentEntry, st *segMirror) error {
-	dir := multiem.ShardLogDir(f.cfg.Dir, s)
+func (f *Follower) fetchSegment(seg SegmentEntry, st *segMirror) error {
+	dir := multiem.LogDir(f.cfg.Dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	path := wal.SegmentFile(dir, seg.Index)
 	for st.mirrored < seg.Bytes {
-		n, err := f.fetchChunk(s, seg.Index, path, st.mirrored, seg.Bytes)
+		n, err := f.fetchChunk(seg.Index, path, st.mirrored, seg.Bytes)
 		if err != nil {
 			return err
 		}
@@ -642,7 +622,7 @@ func (f *Follower) fetchSegment(s int, seg SegmentEntry, st *segMirror) error {
 			return err
 		}
 		if wal.CRC(raw) != seg.CRC {
-			return fmt.Errorf("%w: shard %d segment %d fails its manifest CRC", errGap, s, seg.Index)
+			return fmt.Errorf("%w: segment %d fails its manifest CRC", errGap, seg.Index)
 		}
 	}
 	return nil
@@ -651,14 +631,14 @@ func (f *Follower) fetchSegment(s int, seg SegmentEntry, st *segMirror) error {
 // fetchChunk GETs one byte range and appends it to the mirror file, checking
 // the local size against the requested offset first — the file is the
 // resume cursor, so it must never diverge from it.
-func (f *Follower) fetchChunk(s int, index int64, path string, off, limit int64) (int64, error) {
+func (f *Follower) fetchChunk(index int64, path string, off, limit int64) (int64, error) {
 	want := limit - off
 	if want > int64(f.cfg.ChunkBytes) {
 		want = int64(f.cfg.ChunkBytes)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.Timeout)
 	defer cancel()
-	url := fmt.Sprintf("%s/repl/segment/%d/%d?off=%d&max=%d", f.cfg.PrimaryURL, s, index, off, want)
+	url := fmt.Sprintf("%s/repl/segment/%d?off=%d&max=%d", f.cfg.PrimaryURL, index, off, want)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, err
@@ -671,9 +651,9 @@ func (f *Follower) fetchChunk(s int, index int64, path string, off, limit int64)
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotFound, http.StatusConflict:
-		return 0, fmt.Errorf("%w: shard %d segment %d: %s", errGap, s, index, resp.Status)
+		return 0, fmt.Errorf("%w: segment %d: %s", errGap, index, resp.Status)
 	default:
-		return 0, fmt.Errorf("repl: segment %d/%d: %s", s, index, resp.Status)
+		return 0, fmt.Errorf("repl: segment %d: %s", index, resp.Status)
 	}
 	if term := resp.Header.Get("X-Repl-Term"); term != "" {
 		if t, err := strconv.ParseUint(term, 10, 64); err == nil && t < f.term.Load() {

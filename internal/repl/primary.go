@@ -32,13 +32,8 @@ type Primary struct {
 	// and snapshots never change, and recomputing them on every manifest
 	// request would read the whole directory per poll.
 	mu      sync.Mutex
-	segCRC  map[segKey]uint32
+	segCRC  map[int64]uint32
 	snapCRC map[uint64]uint32
-}
-
-type segKey struct {
-	shard int
-	index int64
 }
 
 // NewPrimary wraps a matcher recovered from (and logging to) dir. The
@@ -46,7 +41,7 @@ type segKey struct {
 // primary. At least one snapshot is guaranteed to exist afterwards, so a
 // follower can always bootstrap.
 func NewPrimary(m *multiem.Matcher, dir string) (*Primary, error) {
-	if m.ShardLog(0) == nil {
+	if m.Log() == nil {
 		return nil, errors.New("repl: primary requires a matcher with an attached WAL")
 	}
 	term, err := LoadTerm(dir)
@@ -66,7 +61,7 @@ func NewPrimary(m *multiem.Matcher, dir string) (*Primary, error) {
 			return nil, fmt.Errorf("repl: bootstrap snapshot: %w", err)
 		}
 	}
-	return &Primary{m: m, dir: dir, term: term, segCRC: make(map[segKey]uint32), snapCRC: make(map[uint64]uint32)}, nil
+	return &Primary{m: m, dir: dir, term: term, segCRC: make(map[int64]uint32), snapCRC: make(map[uint64]uint32)}, nil
 }
 
 // Term reports the primary's fencing term.
@@ -74,7 +69,7 @@ func (p *Primary) Term() uint64 { return p.term }
 
 // Manifest assembles the current replication catalog.
 func (p *Primary) Manifest() (*Manifest, error) {
-	man := &Manifest{Term: p.term, NextSeq: p.m.WALStats().NextSeq, Shards: p.m.Shards()}
+	man := &Manifest{Format: ManifestFormat, Term: p.term, NextSeq: p.m.WALStats().NextSeq}
 	seqs, err := multiem.ListSnapshots(p.dir)
 	if err != nil {
 		return nil, err
@@ -90,26 +85,23 @@ func (p *Primary) Manifest() (*Manifest, error) {
 		}
 		man.Snapshots = append(man.Snapshots, SnapshotEntry{Seq: seq, Bytes: size, CRC: crc})
 	}
-	man.ShardSegments = make([][]SegmentEntry, man.Shards)
-	for s := 0; s < man.Shards; s++ {
-		segs, err := p.m.ShardLog(s).Segments()
-		if err != nil {
-			return nil, err
-		}
-		for _, seg := range segs {
-			e := SegmentEntry{Index: seg.Index, Bytes: seg.Bytes, Sealed: seg.Sealed}
-			if seg.Sealed {
-				if e.CRC, err = p.sealedCRC(s, seg.Index); err != nil {
-					// Raced with a checkpoint dropping the segment: skip it;
-					// the next manifest will not list it either.
-					if os.IsNotExist(err) {
-						continue
-					}
-					return nil, err
+	segs, err := p.m.Log().Segments()
+	if err != nil {
+		return nil, err
+	}
+	for _, seg := range segs {
+		e := SegmentEntry{Index: seg.Index, Bytes: seg.Bytes, Sealed: seg.Sealed}
+		if seg.Sealed {
+			if e.CRC, err = p.sealedCRC(seg.Index); err != nil {
+				// Raced with a checkpoint dropping the segment: skip it;
+				// the next manifest will not list it either.
+				if os.IsNotExist(err) {
+					continue
 				}
+				return nil, err
 			}
-			man.ShardSegments[s] = append(man.ShardSegments[s], e)
 		}
+		man.Segments = append(man.Segments, e)
 	}
 	return man, nil
 }
@@ -136,20 +128,19 @@ func (p *Primary) snapshotCRC(seq uint64) (uint32, int64, error) {
 	return crc, size, nil
 }
 
-func (p *Primary) sealedCRC(shard int, index int64) (uint32, error) {
-	key := segKey{shard, index}
+func (p *Primary) sealedCRC(index int64) (uint32, error) {
 	p.mu.Lock()
-	crc, ok := p.segCRC[key]
+	crc, ok := p.segCRC[index]
 	p.mu.Unlock()
 	if ok {
 		return crc, nil
 	}
-	crc, _, err := crcFile(wal.SegmentFile(multiem.ShardLogDir(p.dir, shard), index))
+	crc, _, err := crcFile(wal.SegmentFile(multiem.LogDir(p.dir), index))
 	if err != nil {
 		return 0, err
 	}
 	p.mu.Lock()
-	p.segCRC[key] = crc
+	p.segCRC[index] = crc
 	p.mu.Unlock()
 	return crc, nil
 }
@@ -195,25 +186,19 @@ func (p *Primary) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
 	io.Copy(w, f)
 }
 
-// HandleSegment serves GET /repl/segment/{shard}/{index}?off=N&max=M: raw
+// HandleSegment serves GET /repl/segment/{index}?off=N&max=M: raw
 // segment bytes from offset off, never past the whole-record fence — this is
 // both the sealed-segment fetch and the live-tail chase (an empty 200 with
 // X-Repl-Fence == off means "caught up, poll again").
 func (p *Primary) HandleSegment(w http.ResponseWriter, r *http.Request) {
-	shard, err1 := strconv.Atoi(r.PathValue("shard"))
-	index, err2 := strconv.ParseInt(r.PathValue("index"), 10, 64)
-	if err1 != nil || err2 != nil {
-		http.Error(w, "bad segment path", http.StatusBadRequest)
-		return
-	}
-	l := p.m.ShardLog(shard)
-	if l == nil {
-		http.Error(w, "no such shard", http.StatusNotFound)
+	index, err := strconv.ParseInt(r.PathValue("index"), 10, 64)
+	if err != nil {
+		http.Error(w, "bad segment index", http.StatusBadRequest)
 		return
 	}
 	off := int64(0)
 	if v := r.URL.Query().Get("off"); v != "" {
-		if off, err1 = strconv.ParseInt(v, 10, 64); err1 != nil || off < 0 {
+		if off, err = strconv.ParseInt(v, 10, 64); err != nil || off < 0 {
 			http.Error(w, "bad offset", http.StatusBadRequest)
 			return
 		}
@@ -229,7 +214,7 @@ func (p *Primary) HandleSegment(w http.ResponseWriter, r *http.Request) {
 			max = n
 		}
 	}
-	buf, info, err := l.ReadSegmentAt(index, off, max)
+	buf, info, err := p.m.Log().ReadSegmentAt(index, off, max)
 	switch {
 	case errors.Is(err, wal.ErrNoSegment):
 		http.Error(w, err.Error(), http.StatusNotFound)

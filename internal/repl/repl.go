@@ -1,7 +1,7 @@
 // Package repl implements WAL-shipping replication for the matcher: a
-// primary serves its durability directory — snapshots plus per-shard log
+// primary serves its durability directory — snapshots plus the batch log's
 // segments — over HTTP, and followers mirror it byte-for-byte, replaying
-// complete batches through the matcher's normal decision path so their state
+// each batch record through the matcher's normal decision path so their state
 // is bit-identical to the primary's at every applied sequence. A follower
 // serves read-only traffic the whole time and can be promoted to primary,
 // fenced against the old primary by a monotonic term.
@@ -23,9 +23,17 @@ import (
 	"repro/internal/wal"
 )
 
+// ManifestFormat numbers the manifest's wire format and what it implies
+// about the files behind it: 2 is one batch log (one record per batch,
+// fetched from /repl/segment/{index}). Format 1 — per-shard logs under
+// "shard_segments" — predates the field and decodes as 0.
+const ManifestFormat = 2
+
 // Manifest is the primary's replication catalog: everything a follower can
 // fetch, plus the positions that define lag.
 type Manifest struct {
+	// Format is ManifestFormat; a follower refuses any other value.
+	Format int `json:"format"`
 	// Term is the primary's fencing term. A follower refuses manifests with
 	// a term below the highest it has ever acknowledged, so a revived old
 	// primary cannot feed it stale segments.
@@ -33,13 +41,10 @@ type Manifest struct {
 	// NextSeq is the sequence number the primary's next ingest batch will
 	// get; follower lag in batches is NextSeq minus the follower's own.
 	NextSeq uint64 `json:"next_seq"`
-	// Shards is the matcher's shard count; the follower's matcher must
-	// agree (it will, when bootstrapped from one of the snapshots).
-	Shards int `json:"shards"`
 	// Snapshots lists the retained checkpoints, oldest first.
 	Snapshots []SnapshotEntry `json:"snapshots"`
-	// ShardSegments lists each shard's live log segments, oldest first.
-	ShardSegments [][]SegmentEntry `json:"shard_segments"`
+	// Segments lists the batch log's live segments, oldest first.
+	Segments []SegmentEntry `json:"segments"`
 }
 
 // SnapshotEntry describes one fetchable checkpoint.
@@ -53,9 +58,9 @@ type SnapshotEntry struct {
 	CRC uint32 `json:"crc"`
 }
 
-// SegmentEntry describes one fetchable log segment of one shard.
+// SegmentEntry describes one fetchable log segment.
 type SegmentEntry struct {
-	// Index is the segment number within the shard's log.
+	// Index is the segment number within the log.
 	Index int64 `json:"index"`
 	// Bytes is the fenced size: every byte below it is whole records. For
 	// a sealed segment this is the final file size.

@@ -2,11 +2,14 @@ package repl
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -107,7 +110,7 @@ func newPrimary(t *testing.T, d *table.Dataset, dir string, shards int, segMax i
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /repl/manifest", p.HandleManifest)
 	mux.HandleFunc("GET /repl/snapshot/{seq}", p.HandleSnapshot)
-	mux.HandleFunc("GET /repl/segment/{shard}/{index}", p.HandleSegment)
+	mux.HandleFunc("GET /repl/segment/{index}", p.HandleSegment)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return m, p, srv
@@ -336,6 +339,36 @@ func TestFollowerRejectsStaleTerm(t *testing.T) {
 	}
 }
 
+// TestMixedVersionsFailLoudly: a follower pointed at a primary that still
+// serves the per-shard manifest (no format number) reports a named error
+// every round instead of seeing zero segments and resyncing forever; and a
+// mirror directory in the old layout is refused at Start, not at promotion.
+func TestMixedVersionsFailLoudly(t *testing.T) {
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"term":1,"next_seq":3,"shards":1,"snapshots":[{"seq":0,"bytes":1,"crc":0}],"shard_segments":[[]]}`)
+	}))
+	defer old.Close()
+	bare := &Follower{cfg: Config{PrimaryURL: old.URL}, client: http.DefaultClient}
+	if _, err := bare.fetchManifest(context.Background()); !errors.Is(err, errManifestFormat) {
+		t.Fatalf("manifest from an old primary: %v, want errManifestFormat", err)
+	}
+	f := startFollower(t, old.URL, t.TempDir(), 1)
+	waitFor(t, 10*time.Second, "counted fetch errors", func() bool {
+		return f.Stats().FetchErrors >= 2
+	})
+	if st := f.Stats(); st.Bootstrapped || st.Resyncs != 0 {
+		t.Fatalf("follower acted on an old-format manifest: %+v", st)
+	}
+
+	mirror := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(mirror, "shard-0000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Start(Config{PrimaryURL: old.URL, Dir: mirror}); !errors.Is(err, multiem.ErrWALLayout) {
+		t.Fatalf("Start on an old-layout mirror: %v, want ErrWALLayout", err)
+	}
+}
+
 // TestAutoPromote: with PromoteAfter set, a follower whose primary stops
 // answering self-promotes from the fetch loop and reports the new role.
 func TestAutoPromote(t *testing.T) {
@@ -401,7 +434,7 @@ func TestPrimaryManifestAndFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Term != 1 || man.Shards != 1 || len(man.Snapshots) == 0 {
+	if man.Term != 1 || man.Format != ManifestFormat || len(man.Snapshots) == 0 {
 		t.Fatalf("manifest: %+v", man)
 	}
 	if man.NextSeq != m.WALStats().NextSeq {
@@ -426,8 +459,8 @@ func TestPrimaryManifestAndFence(t *testing.T) {
 		t.Fatalf("snapshot body (%d bytes) does not match manifest entry %+v", len(raw), snap)
 	}
 
-	live := man.ShardSegments[0][len(man.ShardSegments[0])-1]
-	resp, err = http.Get(fmt.Sprintf("%s/repl/segment/0/%d?off=%d", srv.URL, live.Index, live.Bytes))
+	live := man.Segments[len(man.Segments)-1]
+	resp, err = http.Get(fmt.Sprintf("%s/repl/segment/%d?off=%d", srv.URL, live.Index, live.Bytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +471,7 @@ func TestPrimaryManifestAndFence(t *testing.T) {
 	if got := resp.Header.Get("X-Repl-Fence"); got != fmt.Sprint(live.Bytes) {
 		t.Fatalf("fence header %q, want %d", got, live.Bytes)
 	}
-	resp, err = http.Get(fmt.Sprintf("%s/repl/segment/0/%d?off=%d", srv.URL, live.Index, live.Bytes+1))
+	resp, err = http.Get(fmt.Sprintf("%s/repl/segment/%d?off=%d", srv.URL, live.Index, live.Bytes+1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +479,7 @@ func TestPrimaryManifestAndFence(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("read past fence: status %d, want 409", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL + "/repl/segment/0/999999")
+	resp, err = http.Get(srv.URL + "/repl/segment/999999")
 	if err != nil {
 		t.Fatal(err)
 	}

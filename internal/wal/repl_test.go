@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -151,6 +152,29 @@ func TestScanRecordsCorruptionVsTornTail(t *testing.T) {
 	}
 	if !bytes.Equal(got[0], recs[1]) {
 		t.Fatalf("resume: first record %q, want %q", got[0], recs[1])
+	}
+}
+
+// TestScanRecordsBoundsAllocation: a frame header may declare any length up
+// to the record limit, and a follower scans bytes it fetched from elsewhere —
+// the length must be checked against what the file holds before it sizes a
+// buffer, so eight damaged bytes cannot cost a gibibyte.
+func TestScanRecordsBoundsAllocation(t *testing.T) {
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], maxRecordBytes)
+	path := filepath.Join(t.TempDir(), "seg-0000000000000001.wal")
+	if err := os.WriteFile(path, append(segMagic[:], hdr[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	next, tail, err := ScanRecords(path, 0, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil || tail != TailPartial || next != int64(len(segMagic)) {
+		t.Fatalf("next %d, tail %v, err %v; want %d, TailPartial, nil", next, tail, err, len(segMagic))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("scanning a 16-byte file allocated %d bytes", got)
 	}
 }
 

@@ -560,11 +560,16 @@ func ScanRecords(path string, off int64, fn func(payload []byte) error) (next in
 		return off, TailClean, fmt.Errorf("wal: scan records: %w", err)
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return off, TailClean, fmt.Errorf("wal: scan records: %w", err)
+	}
 	if off == 0 {
 		var mg [8]byte
-		switch n, err := io.ReadFull(f, mg[:]); {
-		case err == io.EOF || err == io.ErrUnexpectedEOF:
-			_ = n
+		switch _, err := io.ReadFull(f, mg[:]); {
+		case err == io.EOF:
+			return 0, TailClean, nil // empty file: crash between create and header write
+		case err == io.ErrUnexpectedEOF:
 			return 0, TailPartial, nil // header not fully written yet
 		case err != nil:
 			return 0, TailClean, fmt.Errorf("wal: scan records: %w", err)
@@ -592,12 +597,18 @@ func ScanRecords(path string, off int64, fn func(payload []byte) error) (next in
 		if int64(n) > maxRecordBytes {
 			return off, TailInvalid, fmt.Errorf("wal: segment %s: record length %d exceeds limit at offset %d", filepath.Base(path), n, off)
 		}
+		// A declared length is trusted only as far as the file backs it: the
+		// check comes before the allocation, so a damaged header cannot size
+		// a buffer the file could never fill.
+		if int64(n) > info.Size()-off-frameHeaderLen {
+			return off, TailPartial, nil
+		}
 		if int(n) > len(buf) {
 			buf = make([]byte, n)
 		}
 		switch _, err := io.ReadFull(br, buf[:n]); {
 		case err == io.EOF || err == io.ErrUnexpectedEOF:
-			return off, TailPartial, nil
+			return off, TailPartial, nil // the file shrank under the scan
 		case err != nil:
 			return off, TailClean, fmt.Errorf("wal: scan records: %w", err)
 		}
@@ -648,11 +659,12 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Replay streams every whole record, oldest first, to fn. It stops early
-// when fn returns an error (returned verbatim). A partial record at the tail
-// of the final segment ends the stream with a wrapped ErrTornWrite — the
-// expected shape after a crash; the torn bytes are truncated away by the
-// next Append. The same damage anywhere else is reported as corruption.
+// Replay streams every whole record, oldest first, to fn; the payload slice
+// is only valid during the call. It stops early when fn returns an error
+// (returned verbatim). A partial or damaged record at the tail of the final
+// segment ends the stream with a wrapped ErrTornWrite — the expected shape
+// after a crash; the torn bytes are truncated away by the next Append. The
+// same damage anywhere else is reported as corruption.
 //
 // Replay reads the segment files directly and may run on a Log that is also
 // being appended to only if the caller provides the exclusion (the matcher
@@ -662,10 +674,22 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 	segs := append([]segment(nil), l.segments...)
 	l.mu.Unlock()
 	for i, seg := range segs {
-		final := i == len(segs)-1
-		if err := replaySegment(seg.path, final, fn); err != nil {
-			return err
+		next, tail, err := ScanRecords(seg.path, 0, fn)
+		switch {
+		case tail == TailClean && err == nil:
+			continue
+		case tail == TailClean, tail == TailInvalid && next == 0:
+			return err // fn's error or an I/O failure; a foreign file (bad magic)
 		}
+		what := "partial record"
+		if err != nil {
+			what = err.Error()
+		}
+		base := filepath.Base(seg.path)
+		if i == len(segs)-1 {
+			return fmt.Errorf("%w: segment %s, offset %d: %s", ErrTornWrite, base, next, what)
+		}
+		return fmt.Errorf("wal: segment %s: corrupt record at offset %d: %s", base, next, what)
 	}
 	return nil
 }
@@ -683,63 +707,4 @@ func validSegmentSize(path string) (int64, error) {
 		return 0, err
 	}
 	return next, nil
-}
-
-// replaySegment streams one segment's records to fn (fn may be nil to only
-// validate). final marks the log's last segment, where a partial record is a
-// torn tail rather than corruption.
-func replaySegment(path string, final bool, fn func([]byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: replay: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	base := filepath.Base(path)
-
-	tear := func(offset int64, what string) error {
-		if final {
-			return fmt.Errorf("%w: segment %s, offset %d: %s", ErrTornWrite, base, offset, what)
-		}
-		return fmt.Errorf("wal: segment %s: corrupt record at offset %d: %s", base, offset, what)
-	}
-
-	var mg [8]byte
-	switch _, err := io.ReadFull(br, mg[:]); {
-	case err == io.EOF:
-		return nil // empty file: crash between create and header write
-	case err != nil:
-		return tear(0, "partial segment header")
-	case mg != segMagic:
-		return fmt.Errorf("wal: segment %s: bad magic %q", base, mg[:])
-	}
-
-	offset := int64(len(segMagic))
-	var hdr [frameHeaderLen]byte
-	for {
-		switch _, err := io.ReadFull(br, hdr[:]); {
-		case err == io.EOF:
-			return nil // clean end on a record boundary
-		case err != nil:
-			return tear(offset, "partial record header")
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
-		want := binary.LittleEndian.Uint32(hdr[4:])
-		if int64(n) > maxRecordBytes {
-			return tear(offset, fmt.Sprintf("record length %d exceeds limit", n))
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return tear(offset, "partial record payload")
-		}
-		if crc32.Checksum(payload, crcTable) != want {
-			return tear(offset, "checksum mismatch")
-		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				return err
-			}
-		}
-		offset += frameHeaderLen + int64(n)
-	}
 }

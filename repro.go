@@ -78,7 +78,7 @@ type (
 	ArityError = multiem.ArityError
 )
 
-// Durability: per-shard write-ahead logging, background snapshots, and
+// Durability: write-ahead logging, background snapshots, and
 // crash recovery for the online matcher.
 type (
 	// WALConfig configures the durability directory, fsync policy
@@ -93,6 +93,11 @@ type (
 // ErrReadOnly is returned by AddRecords on a replication follower: writes
 // must go to the primary until the follower is promoted.
 var ErrReadOnly = multiem.ErrReadOnly
+
+// ErrWALLayout is returned by RecoverMatcher for a durability directory in
+// the per-shard log layout of an earlier version; its message carries the
+// upgrade procedure.
+var ErrWALLayout = multiem.ErrWALLayout
 
 // Evaluation.
 type (
