@@ -36,14 +36,18 @@ race:
 race-matcher:
 	$(GO) test -race -cpu=1,4 -count=1 -timeout 45m ./internal/multiem
 
-# ~15s of coverage-guided fuzzing per target: the batch-record decoder (it
-# parses bytes a follower fetched from its -primary-url) and the SIMD kernels
-# against their scalar reference. go test -fuzz takes one package and one
-# target per run. A crasher lands in that package's testdata/fuzz/ — commit
-# it with the fix, it replays as a regression test under plain `make test`.
+# ~15s of coverage-guided fuzzing per target: the batch-record decoder and
+# the matcher-file loader with its embedded HNSW index (both parse bytes a
+# follower fetched from its -primary-url), and the SIMD kernels against
+# their scalar reference. go test -fuzz takes one package and one target per
+# run. A crasher lands in that package's testdata/fuzz/ — commit it with the
+# fix, it replays as a regression test under plain `make test`. The loader's
+# inputs are whole matcher files: without the cap, minimising the first
+# input that reaches new code (60s by default) would be the entire run.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatchRecord$$' -fuzztime=$(FUZZTIME) ./internal/multiem
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadMatcher$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzSIMDKernels$$' -fuzztime=$(FUZZTIME) ./internal/vector
 
 # Black-box crash recovery: run the server under ingest load, SIGKILL it,

@@ -196,6 +196,20 @@ func (ix *Index) Len() int { return len(ix.ids) }
 // Dim reports the vector dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
 
+// Vector returns the stored vector of internal node i — nodes are numbered
+// 0..Len()-1 in Add order, so the node an Add just created is Len()-1. The
+// slice aliases the index's arena under vector.Store.At's rule: read-only,
+// and valid until the next Add (growth may move the arena; the values never
+// change). On a frozen Clone it stays valid for the clone's lifetime. Callers
+// that keep one vector per external id (the matcher's tuple centroids) read
+// it back through this instead of holding a second copy.
+func (ix *Index) Vector(i int) []float32 { return ix.vecs.At(i) }
+
+// RawVectors returns the whole node arena, Len()*Dim() float32s with node i
+// at [i*Dim(), (i+1)*Dim()), for the vector gather kernels. Same aliasing
+// rule as Vector.
+func (ix *Index) RawVectors() []float32 { return ix.vecs.Raw() }
+
 // regionSize is the links-arena footprint of a node at the given level.
 func (ix *Index) regionSize(level int) int {
 	return (1 + 2*ix.cfg.M) + level*(1+ix.cfg.M)

@@ -126,6 +126,12 @@ func Load(r io.Reader) (*Index, error) {
 	if cfg.M <= 0 || cfg.M > maxSaneM {
 		return nil, fmt.Errorf("hnsw: load: implausible config M %d", cfg.M)
 	}
+	// Save writes the config New normalised and a metric New resolved; one
+	// that is neither was not written by Save, would not save back to the
+	// same bytes, and an unknown metric has no kernel to resolve.
+	if cfg != cfg.withDefaults() || cfg.Metric < vector.Cosine || cfg.Metric > vector.CosineUnit {
+		return nil, fmt.Errorf("hnsw: load: implausible config %+v", cfg)
+	}
 	if dim <= 0 || dim > maxSaneDim {
 		return nil, fmt.Errorf("hnsw: load: implausible dim %d", dim)
 	}
@@ -142,13 +148,15 @@ func Load(r io.Reader) (*Index, error) {
 	ix := New(dim, cfg)
 	ix.entry = entry
 	ix.maxL = maxL
-	ix.ids = make([]int, count)
-	for i := range ix.ids {
-		ix.ids[i] = int(rd.I64())
+	// ids and levels grow as their bytes arrive, and offs is sized only once
+	// they have: the header's count alone never sizes an allocation.
+	for i := 0; i < count; i++ {
+		ix.ids = append(ix.ids, int(rd.I64()))
+		if rd.Err() != nil {
+			return nil, fmt.Errorf("hnsw: load: node %d: %w", i, rd.Err())
+		}
 	}
-	ix.levels = make([]int32, count)
-	ix.offs = make([]int64, count)
-	for i := range ix.levels {
+	for i := 0; i < count; i++ {
 		level := rd.I32()
 		if rd.Err() != nil {
 			return nil, fmt.Errorf("hnsw: load: node %d: %w", i, rd.Err())
@@ -159,8 +167,9 @@ func Load(r io.Reader) (*Index, error) {
 		if level < 0 || level > maxSaneLevel {
 			return nil, fmt.Errorf("hnsw: load: node %d has implausible level %d", i, level)
 		}
-		ix.levels[i] = int32(level)
+		ix.levels = append(ix.levels, int32(level))
 	}
+	ix.offs = make([]int64, count)
 	// Allocate each node's arena region as its data actually arrives, never
 	// from the header's promise alone: a crafted count/level combination
 	// within the individual bounds above could still multiply to terabytes,

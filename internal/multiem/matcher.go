@@ -3,10 +3,13 @@ package multiem
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,8 +104,8 @@ func (e *ArityError) Error() string {
 }
 
 // tupleState is one tracked tuple: its member entity rows (local to the
-// owning shard) and merge-path provenance. The tuple's unit-norm centroid
-// lives in the shard's centroid version arena at row centroidRow.
+// owning shard) and merge-path provenance. The tuple's unit-norm centroid is
+// the vector of node `node` in the shard's HNSW index.
 type tupleState struct {
 	members     []int
 	maxJoinDist float32
@@ -111,18 +114,19 @@ type tupleState struct {
 	// creation: later members always carry fresh, larger IDs. Derived
 	// state, recomputed on load rather than persisted.
 	minEntID int
-	// centroidRow is the tuple's current row in the shard's centroid arena.
-	// Centroid refreshes append a new version row instead of overwriting
-	// (published views may still be reading the old one) and move this
-	// pointer; compaction re-densifies the arena. Derived state: Save
-	// canonicalizes centroids into local order, so on load it equals the
-	// tuple's local index.
-	centroidRow int32
+	// node is the internal HNSW node (hnsw.Index.Vector's numbering) of the
+	// tuple's current index entry, whose vector is the tuple's centroid. A
+	// centroid refresh indexes a new node under the same tuple id instead of
+	// overwriting (published views may still be reading the old one) and
+	// moves this pointer; compaction rebuilds the index dense, node = local
+	// index. Derived state, like minEntID: on load it is the last index node
+	// carrying the tuple's id.
+	node int32
 }
 
 // Matcher serves online entity matching over a completed pipeline run. Its
 // state is hash-sharded: each shard owns a disjoint set of tuples together
-// with their member embeddings, centroid version arena, and HNSW index.
+// with their member embeddings and the HNSW index that stores their centroids.
 // Tuples are addressed by stable global IDs (shard<<32 | local index).
 //
 // Match answers "which tuple does this record belong to" without re-running
@@ -255,9 +259,9 @@ func (m *Matcher) newShards(n int) {
 	m.shards = make([]*shard, n)
 	for s := range m.shards {
 		m.shards[s] = &shard{
-			entVecs:   vector.NewStore(m.dim),
-			tuples:    newTupleTable(shift),
-			centroids: vector.NewStore(m.dim),
+			entVecs:  vector.NewStore(m.dim),
+			tuples:   newTupleTable(shift),
+			centroid: make([]float32, m.dim),
 		}
 	}
 }
@@ -310,12 +314,10 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 			local[i] = sh.entVecs.Append(st.entVecs.At(p))
 			sh.entIDs = append(sh.entIDs, st.ents[p].ID)
 		}
-		row := sh.centroids.Append(centroid)
 		sh.tuples.append(tupleState{
 			members:     local,
 			maxJoinDist: maxJoinDist,
 			minEntID:    minMemberID(local, sh.entIDs),
-			centroidRow: int32(row),
 		})
 	}
 	for ti, pos := range st.posTuples {
@@ -341,12 +343,15 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 	return m, nil
 }
 
-// buildShardIndex constructs shard s's centroid HNSW index from its tuples.
+// buildShardIndex constructs shard s's centroid HNSW index from its tuples,
+// in local order, so tuple l starts out at node l. Each centroid is derived
+// again from the member rows the shard now owns — the same vectors in the
+// same order as the routing centroid, hence the same bits.
 func (m *Matcher) buildShardIndex(s int) error {
 	sh := m.shards[s]
 	sh.index = hnsw.New(m.dim, m.shardHNSWConfig(s))
 	for local := 0; local < sh.tuples.len(); local++ {
-		if err := sh.index.Add(local, sh.centroids.At(local)); err != nil {
+		if err := sh.indexCentroid(local); err != nil {
 			return fmt.Errorf("multiem: matcher index (shard %d): %w", s, err)
 		}
 	}
@@ -440,8 +445,9 @@ type shardHits struct {
 // searchShard runs one shard's leg of a fan-out query: over-fetch from the
 // view's index, collapse stale duplicates, and re-rank every distinct tuple
 // against its epoch-current centroid with the query-bound batch kernel qb —
-// one gather call over the centroid version arena instead of a kernel call
-// per tuple. The view is immutable, so no lock is involved.
+// one gather call over the index's node store (the rows the graph walk just
+// read) instead of a kernel call per tuple. The view is immutable, so no lock
+// is involved.
 func searchShard(v *shardView, s, fetch, ef int, q []float32, qb vector.QueryBatch, hits *shardHits) {
 	// Over-fetch: absorbed-into tuples leave stale centroid entries in the
 	// index, and several entries can resolve to one tuple.
@@ -450,22 +456,22 @@ func searchShard(v *shardView, s, fetch, ef int, q []float32, qb vector.QueryBat
 		return
 	}
 	seen := make(map[int]bool, len(raw))
-	rows := make([]int32, 0, len(raw))
+	nodes := make([]int32, 0, len(raw))
 	for _, r := range raw {
 		if seen[r.ID] {
 			continue
 		}
 		seen[r.ID] = true
 		ts := v.tuples.at(r.ID)
-		rows = append(rows, ts.centroidRow)
+		nodes = append(nodes, ts.node)
 		hits.keys = append(hits.keys, ts.minEntID)
 		hits.ids = append(hits.ids, globalTupleID(s, r.ID))
 	}
 	// Distances against the current centroids, not the possibly stale
 	// indexed vectors. Clamp: float rounding can push an exact self-match a
 	// hair below zero.
-	hits.dists = make([]float32, len(rows))
-	qb(v.centroids.Raw(), v.centroids.Dim(), rows, hits.dists)
+	hits.dists = make([]float32, len(nodes))
+	qb(v.index.RawVectors(), v.index.Dim(), nodes, hits.dists)
 	for i, d := range hits.dists {
 		if d < 0 {
 			hits.dists[i] = 0
@@ -563,6 +569,18 @@ func confidenceFrom(maxJoinDist float32) float64 {
 // nearest tuple to absorb into.
 const addSearchK = 8
 
+// decideScratch is one decide worker's candidate set for one shard: the
+// distinct tuples a search returned, their current index nodes, and the
+// re-rank distances. A search returns at most addSearchK hits, so the arrays
+// never grow; the pool hands each worker goroutine its own.
+type decideScratch struct {
+	locals [addSearchK]int
+	nodes  [addSearchK]int32
+	dists  [addSearchK]float32
+}
+
+var decidePool = sync.Pool{New: func() any { return new(decideScratch) }}
+
 // addDecision is the outcome of one record's snapshot search and intra-batch
 // chaining: where it goes and at what distance.
 type addDecision struct {
@@ -576,8 +594,8 @@ type addDecision struct {
 
 // batchTuple is a tuple created by the current batch: the rows that chained
 // into it (ascending) and its running centroid, used only for intra-batch
-// join decisions — the authoritative centroid is recomputed in the shard
-// arena at apply time.
+// join decisions — the authoritative centroid is recomputed from the member
+// rows at apply time.
 type batchTuple struct {
 	rows     []int
 	centroid []float32
@@ -598,9 +616,9 @@ type batchTuple struct {
 //     routing hash of its embedding names.
 //  3. The batch is partitioned by destination shard and applied
 //     concurrently, each shard's slice in row order against the writer-side
-//     state: members appended, touched centroids recomputed once into fresh
-//     version rows, refreshed centroids re-indexed, and the shard compacted
-//     if stale index entries piled up. The batch commits with one atomic
+//     state: members appended, each created or touched tuple's centroid
+//     computed once and indexed as a fresh node, and the shard compacted if
+//     stale index entries piled up. The batch commits with one atomic
 //     view swap, so concurrent readers see it all-or-nothing across shards.
 //
 // Decisions against pre-existing tuples use the state at the start of the
@@ -686,27 +704,29 @@ func (m *Matcher) addBatchLocked(rows [][]string, mode batchMode) ([]AddResult, 
 		if vector.Norm(d.vec) > 0 {
 			// Bind the merge metric to the row once; each shard's candidate
 			// set is then scored in a single gather call over that shard's
-			// centroid version arena.
+			// index node store.
 			qb := m.opt.MergeMetric.QueryBatchFunc(d.vec)
 			bestID, bestMin := -1, 0
 			var bestDist float32
-			var crows []int32
-			var dists []float32
+			sc := decidePool.Get().(*decideScratch)
+			defer decidePool.Put(sc)
 			for s, sh := range m.shards {
-				raw := sh.index.Search(d.vec, addSearchK, ef)
-				if len(raw) == 0 {
+				// Several hits can be stale versions of one tuple; they all
+				// re-rank against the same current centroid, so keep the
+				// first and score each tuple once.
+				n := 0
+				for _, r := range sh.index.Search(d.vec, addSearchK, ef) {
+					if !slices.Contains(sc.locals[:n], r.ID) {
+						sc.locals[n], sc.nodes[n] = r.ID, sh.tuples.at(r.ID).node
+						n++
+					}
+				}
+				if n == 0 {
 					continue
 				}
-				crows = crows[:0]
-				for _, r := range raw {
-					crows = append(crows, sh.tuples.at(r.ID).centroidRow)
-				}
-				if cap(dists) < len(raw) {
-					dists = make([]float32, len(raw))
-				}
-				ds := dists[:len(raw)]
-				qb(sh.centroids.Raw(), m.dim, crows, ds)
-				for j, r := range raw {
+				ds := sc.dists[:n]
+				qb(sh.index.RawVectors(), m.dim, sc.nodes[:n], ds)
+				for j, local := range sc.locals[:n] {
 					if bestID >= 0 && ds[j] > bestDist {
 						continue
 					}
@@ -714,9 +734,9 @@ func (m *Matcher) addBatchLocked(rows [][]string, mode batchMode) ([]AddResult, 
 					// entity ID — an identity no shard layout changes, so
 					// every layout picks the same winner. (Global tuple IDs
 					// would not do: they encode the layout.)
-					cm := m.tupleMinEntityID(s, r.ID)
+					cm := m.tupleMinEntityID(s, local)
 					if bestID < 0 || ds[j] < bestDist || cm < bestMin {
-						bestID, bestDist, bestMin = globalTupleID(s, r.ID), ds[j], cm
+						bestID, bestDist, bestMin = globalTupleID(s, local), ds[j], cm
 					}
 				}
 			}
@@ -813,7 +833,7 @@ func (m *Matcher) addBatchLocked(rows [][]string, mode batchMode) ([]AddResult, 
 		// chunks it dirties instead of the whole table. Member slices are
 		// shared across copies — appends to them only write past every
 		// published length, which no pinned reader can see. Centroid
-		// refreshes likewise append new arena rows instead of overwriting
+		// refreshes likewise index new nodes instead of overwriting
 		// published ones. Recovery replay gets in-place mutation for free:
 		// no view is built between replayed batches, so every chunk stays
 		// writer-owned and mut never copies.
@@ -845,8 +865,7 @@ func (m *Matcher) addBatchLocked(rows [][]string, mode batchMode) ([]AddResult, 
 				created = append(created, sh.tuples.len())
 				// The first row has the tuple's smallest entity ID: rows
 				// chain in ascending order and batch IDs are dense.
-				row := sh.centroids.Append(d.vec)
-				local = sh.tuples.append(tupleState{members: []int{pos}, maxJoinDist: newTuples[d.batch].maxJoin, minEntID: baseID + i, centroidRow: int32(row)})
+				local = sh.tuples.append(tupleState{members: []int{pos}, maxJoinDist: newTuples[d.batch].maxJoin, minEntID: baseID + i})
 				out[i] = AddResult{EntityID: baseID + i, Tuple: globalTupleID(s, local), Absorbed: false}
 				continue
 			}
@@ -854,20 +873,16 @@ func (m *Matcher) addBatchLocked(rows [][]string, mode batchMode) ([]AddResult, 
 			ts.members = append(ts.members, pos)
 			out[i] = AddResult{EntityID: baseID + i, Tuple: globalTupleID(s, local), Absorbed: true, Distance: d.dist}
 		}
-		// Index each batch-created tuple once, with its settled centroid;
-		// its arena row was appended by this batch, so no published view can
-		// read it yet and settling in place is safe.
+		// Index each batch-created tuple once, with its settled centroid,
+		// then each touched tuple once with its recomputed one, under the
+		// same local id: the previous index entry goes stale, and Match and
+		// AddRecords re-rank against current centroids, so staleness only
+		// costs recall head-room until compaction — not correctness. Add
+		// fails only on a frozen index or a foreign dimensionality, neither
+		// of which a writer-side shard can have.
 		for _, local := range created {
-			if members := sh.tuples.at(local).members; len(members) > 1 {
-				centroidInto(sh.centroidAt(local), members, sh.entVecs)
-			}
-			sh.index.Add(local, sh.centroidAt(local))
+			_ = sh.indexCentroid(local)
 		}
-		// Recompute each touched centroid once per batch into a fresh
-		// version row and re-index it under the same local id; the previous
-		// index entry goes stale, and Match and AddRecords re-rank against
-		// current centroids, so staleness only costs recall head-room until
-		// compaction — not correctness.
 		sort.Ints(touched)
 		last := -1
 		for _, local := range touched {
@@ -875,10 +890,7 @@ func (m *Matcher) addBatchLocked(rows [][]string, mode batchMode) ([]AddResult, 
 				continue
 			}
 			last = local
-			row := sh.centroids.AppendZero()
-			centroidInto(sh.centroids.At(row), sh.tuples.at(local).members, sh.entVecs)
-			sh.tuples.mut(local).centroidRow = int32(row)
-			sh.index.Add(local, sh.centroids.At(row))
+			_ = sh.indexCentroid(local)
 		}
 		compactErrs[s] = sh.maybeCompact(m.shardHNSWConfig(s), m.dim)
 		if mode != batchRecover {
@@ -927,7 +939,7 @@ func minMemberID(members []int, entIDs []int) int {
 
 // meanInto recomputes a batch tuple's running centroid: the unit-norm mean
 // of its member rows' embeddings, summed in row order — the same derivation
-// (and float-op order) centroidInto applies in the shard arena later.
+// (and float-op order) centroidInto applies to the shard's member rows at apply.
 func meanInto(dst []float32, rows []int, decs []addDecision) {
 	for i := range dst {
 		dst[i] = 0
@@ -1012,9 +1024,14 @@ func (m *Matcher) Tuples() ([][]int, []float64) {
 //	  entIDs      count + count × int64
 //	  entVecs     count × dim × float32, the shard's embedding arena as one block
 //	  tuples      count × { nMembers int32; members []int32 (local rows); maxJoinDist f32 }
-//	  centroids   count × dim × float32, the shard's centroid arena as one block
+//	  centroids   count × dim × float32, tuple l's current centroid at row l
 //	  compactions int64
 //	  index       embedded hnsw.Index (its own versioned format)
+//
+// The centroids block is redundant with the index — row l repeats the vector
+// of the last index node carrying id l — and is kept because the format
+// predates the index owning the centroids: Save gathers it from the index
+// rows, LoadMatcher checks it against them and keeps nothing of it.
 //
 // Version 2 held one global section set; version 3 introduced one
 // self-contained section per shard, matching the sharded in-memory layout,
@@ -1034,10 +1051,18 @@ const matcherFormatVersion = 4
 // rebuild it" from corruption with errors.Is.
 var ErrFormatVersion = errors.New("multiem: unsupported matcher format version")
 
-// Corruption bounds, mirroring the hnsw serializer: a bad count in a tiny
-// file must fail with an error, not a multi-gigabyte allocation.
+// ErrCorruptState is wrapped by LoadMatcher for input that is not a
+// well-formed matcher file of the current version: truncated, a count or
+// reference out of range, or sections that contradict each other (a tuple
+// the index never mentions, a centroid that differs from its index node).
+// Such a state could not be served, so it is refused whole.
+var ErrCorruptState = errors.New("multiem: corrupt matcher state")
+
+// Corruption bounds for the header, mirroring the hnsw serializer: a bad
+// count in a tiny file must fail with an error, not a multi-gigabyte
+// allocation. Counts inside a shard section are bounded by the section's own
+// length instead (readSection).
 const (
-	maxSaneCount  = 1 << 26
 	maxSaneSchema = 1 << 20
 	maxSaneStr    = 1 << 20
 	maxSaneDim    = 1 << 20
@@ -1104,10 +1129,8 @@ func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 }
 
 // writeSection serializes one shard's section — entities, tuples, centroids,
-// and the embedded index — into w. Centroids are canonicalized: the version
-// arena is written densely in local-tuple order, so the bytes never depend
-// on how many superseded version rows the in-memory arena happens to carry,
-// and the on-disk layout is exactly the pre-versioning format.
+// and the embedded index — into w. The centroids block is gathered from the
+// index: each tuple's current node, in local-tuple order.
 func (v *shardView) writeSection(w *bytes.Buffer) error {
 	bw := bufio.NewWriter(w)
 	binio.WriteI32(bw, int32(len(v.entIDs)))
@@ -1174,10 +1197,10 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 
 	var mg [8]byte
 	if _, err := io.ReadFull(br, mg[:]); err != nil {
-		return nil, fmt.Errorf("multiem: load matcher: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrCorruptState, err)
 	}
 	if mg != matcherMagic {
-		return nil, fmt.Errorf("multiem: load matcher: bad magic %q (not a matcher file)", mg[:])
+		return nil, fmt.Errorf("%w: bad magic %q (not a matcher file)", ErrCorruptState, mg[:])
 	}
 	rd := binio.NewReader(br)
 	version := rd.U32()
@@ -1190,36 +1213,42 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	m.nextID = int(rd.I64())
 	nShards := rd.I32()
 	if rd.Err() != nil {
-		return nil, fmt.Errorf("multiem: load matcher: %w", rd.Err())
+		return nil, fmt.Errorf("%w: %w", ErrCorruptState, rd.Err())
 	}
 	if m.dim <= 0 || m.dim > maxSaneDim {
-		return nil, fmt.Errorf("multiem: load matcher: corrupt dim %d", m.dim)
+		return nil, fmt.Errorf("%w: dim %d", ErrCorruptState, m.dim)
 	}
 	if got := opt.Encoder.Dim(); got != m.dim {
 		return nil, fmt.Errorf("multiem: load matcher: encoder dim %d does not match saved dim %d", got, m.dim)
 	}
 	if nShards <= 0 || nShards > maxSaneShards {
-		return nil, fmt.Errorf("multiem: load matcher: corrupt shard count %d", nShards)
+		return nil, fmt.Errorf("%w: shard count %d", ErrCorruptState, nShards)
 	}
 
 	nSchema := rd.I32()
 	if rd.Err() == nil && (nSchema < 0 || nSchema > maxSaneSchema) {
-		return nil, fmt.Errorf("multiem: load matcher: corrupt schema size %d", nSchema)
+		return nil, fmt.Errorf("%w: schema size %d", ErrCorruptState, nSchema)
 	}
-	m.schema = make([]string, nSchema)
-	for i := range m.schema {
-		m.schema[i] = rd.Str(maxSaneStr)
+	// Grown as the strings arrive, so the count alone allocates nothing.
+	m.schema = []string{}
+	for i := 0; i < nSchema && rd.Err() == nil; i++ {
+		m.schema = append(m.schema, rd.Str(maxSaneStr))
 	}
 	nSel := rd.I32()
-	if rd.Err() == nil && nSel > nSchema {
-		return nil, fmt.Errorf("multiem: load matcher: %d selected attributes for schema of %d", nSel, nSchema)
+	if rd.Err() != nil {
+		return nil, fmt.Errorf("%w: schema: %w", ErrCorruptState, rd.Err())
+	}
+	// -1 is the only negative Save writes; any other would load as "all
+	// attributes" and save back as a different file.
+	if nSel < -1 || nSel > nSchema {
+		return nil, fmt.Errorf("%w: %d selected attributes for schema of %d", ErrCorruptState, nSel, nSchema)
 	}
 	if nSel >= 0 {
 		m.selected = make([]int, nSel)
 		for i := range m.selected {
 			j := rd.I32()
 			if rd.Err() == nil && (j < 0 || j >= nSchema) {
-				return nil, fmt.Errorf("multiem: load matcher: selected attribute %d out of schema range", j)
+				return nil, fmt.Errorf("%w: selected attribute %d out of schema range", ErrCorruptState, j)
 			}
 			m.selected[i] = j
 		}
@@ -1235,17 +1264,17 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	for s := range secs {
 		secLen := rd.I64()
 		if rd.Err() != nil {
-			return nil, fmt.Errorf("multiem: load matcher: shard %d section: %w", s, rd.Err())
+			return nil, fmt.Errorf("%w: shard %d section: %w", ErrCorruptState, s, rd.Err())
 		}
 		if secLen < 0 {
-			return nil, fmt.Errorf("multiem: load matcher: shard %d: corrupt section length %d", s, secLen)
+			return nil, fmt.Errorf("%w: shard %d: section length %d", ErrCorruptState, s, secLen)
 		}
 		// Read via a growing buffer, not one make([]byte, secLen): a corrupt
 		// length in a short file must fail at the first missing byte, not
 		// allocate by the header's promise.
 		var buf bytes.Buffer
 		if _, err := io.CopyN(&buf, br, secLen); err != nil {
-			return nil, fmt.Errorf("multiem: load matcher: shard %d section: %w", s, err)
+			return nil, fmt.Errorf("%w: shard %d section: %w", ErrCorruptState, s, err)
 		}
 		secs[s] = buf.Bytes()
 	}
@@ -1255,7 +1284,7 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	parallelFor(nShards, nShards, func(s int) {
 		maxEntIDs[s], errs[s] = m.shards[s].readSection(secs[s], m.dim)
 		if errs[s] != nil {
-			errs[s] = fmt.Errorf("multiem: load matcher: shard %d: %w", s, errs[s])
+			errs[s] = fmt.Errorf("%w: shard %d: %w", ErrCorruptState, s, errs[s])
 		}
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -1270,44 +1299,47 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	// A nextID at or below an existing ID would hand out colliding IDs on
 	// the first AddRecords; reject it like every other corrupt field.
 	if m.nextID <= maxEntID {
-		return nil, fmt.Errorf("multiem: load matcher: nextID %d not above max entity ID %d", m.nextID, maxEntID)
+		return nil, fmt.Errorf("%w: nextID %d not above max entity ID %d", ErrCorruptState, m.nextID, maxEntID)
 	}
 	m.publishAll(0)
 	return m, nil
 }
 
 // readSection decodes one shard's section bytes into sh, returning the
-// largest entity ID seen (-1 when the shard is empty).
+// largest entity ID seen (-1 when the shard is empty). Every count is checked
+// against the bytes the section still holds before anything is sized by it,
+// and the centroids block is never materialised: it is compared, row by row,
+// against the index nodes it repeats.
 func (sh *shard) readSection(sec []byte, dim int) (maxEntID int, err error) {
-	br := bufio.NewReader(bytes.NewReader(sec))
+	src := bytes.NewReader(sec)
+	br := bufio.NewReader(src)
 	rd := binio.NewReader(br)
+	left := func() int { return src.Len() + br.Buffered() }
 	maxEntID = -1
 
 	nEnts := rd.I32()
-	if rd.Err() == nil && (nEnts < 0 || nEnts > maxSaneCount) {
-		return -1, fmt.Errorf("corrupt entity count %d", nEnts)
+	if rd.Err() == nil && (nEnts < 0 || nEnts > left()/(8+4*dim)) {
+		return -1, fmt.Errorf("entity count %d exceeds the section", nEnts)
 	}
 	sh.entIDs = make([]int, nEnts)
 	for i := 0; i < nEnts; i++ {
 		sh.entIDs[i] = int(rd.I64())
-		if rd.Err() != nil {
-			return -1, fmt.Errorf("entity %d: %w", i, rd.Err())
-		}
 		if sh.entIDs[i] > maxEntID {
 			maxEntID = sh.entIDs[i]
 		}
 	}
 	if err := readArena(rd, sh.entVecs, nEnts); err != nil {
-		return -1, fmt.Errorf("entity vectors: %w", err)
+		return -1, fmt.Errorf("entities: %w", err)
 	}
 
+	// A tuple costs its member count, its join distance and a centroid row.
 	nTuples := rd.I32()
-	if rd.Err() == nil && (nTuples < 0 || nTuples > maxSaneCount) {
-		return -1, fmt.Errorf("corrupt tuple count %d", nTuples)
+	if rd.Err() == nil && (nTuples < 0 || nTuples > left()/(8+4*dim)) {
+		return -1, fmt.Errorf("tuple count %d exceeds the section", nTuples)
 	}
 	for i := 0; i < nTuples; i++ {
 		nMembers := rd.I32()
-		if rd.Err() == nil && (nMembers < 0 || nMembers > nEnts) {
+		if rd.Err() == nil && (nMembers < 0 || nMembers > nEnts || nMembers > left()/4) {
 			return -1, fmt.Errorf("tuple %d has corrupt member count %d", i, nMembers)
 		}
 		members := make([]int, nMembers)
@@ -1322,13 +1354,16 @@ func (sh *shard) readSection(sec []byte, dim int) (maxEntID int, err error) {
 			members:     members,
 			maxJoinDist: rd.F32(),
 			minEntID:    minMemberID(members, sh.entIDs),
-			centroidRow: int32(i), // the on-disk arena is dense in local order
+			node:        -1, // until the index names one
 		})
 	}
 	if rd.Err() != nil {
 		return -1, rd.Err()
 	}
-	if err := readArena(rd, sh.centroids, nTuples); err != nil {
+	// Step over the centroids block; it is checked once the index it
+	// repeats has been read.
+	centroids := sec[len(sec)-left():]
+	if _, err := br.Discard(nTuples * dim * 4); err != nil {
 		return -1, fmt.Errorf("centroids: %w", err)
 	}
 	sh.compactions = rd.I64()
@@ -1346,19 +1381,32 @@ func (sh *shard) readSection(sec []byte, dim int) (maxEntID int, err error) {
 	if ix.Dim() != dim {
 		return -1, fmt.Errorf("index dim %d does not match matcher dim %d", ix.Dim(), dim)
 	}
-	// Index ids are local tuple indexes; an out-of-range id would make the
-	// first Match panic, so reject it at load time.
-	for _, id := range ix.IDs() {
-		if id < 0 || id >= nTuples {
-			return -1, fmt.Errorf("index references tuple %d, have %d tuples", id, nTuples)
-		}
-	}
-	if ix.Len() < nTuples {
-		return -1, fmt.Errorf("index has %d centroids for %d tuples", ix.Len(), nTuples)
-	}
-	sh.index = ix
 	if _, err := br.ReadByte(); err != io.EOF {
 		return -1, fmt.Errorf("section has trailing bytes")
 	}
+	// Index ids are local tuple indexes, and a tuple's current node is the
+	// last one carrying its id (Add order is history order). A tuple without
+	// a node could never be found or re-ranked; a centroid row that differs
+	// from its node is a file whose two copies disagree, and serving either
+	// would be a guess.
+	for node, id := range ix.IDs() {
+		if id < 0 || id >= nTuples {
+			return -1, fmt.Errorf("index references tuple %d, have %d tuples", id, nTuples)
+		}
+		sh.tuples.mut(id).node = int32(node)
+	}
+	for l := 0; l < nTuples; l++ {
+		node := int(sh.tuples.at(l).node)
+		if node < 0 {
+			return -1, fmt.Errorf("tuple %d has no index entry", l)
+		}
+		row := centroids[l*dim*4:]
+		for j, f := range ix.Vector(node) {
+			if math.Float32bits(f) != binary.LittleEndian.Uint32(row[4*j:]) {
+				return -1, fmt.Errorf("tuple %d: centroid differs from index node %d at component %d", l, node, j)
+			}
+		}
+	}
+	sh.index = ix
 	return maxEntID, nil
 }

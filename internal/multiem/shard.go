@@ -45,12 +45,16 @@ func splitTupleID(id int) (shard, local int) {
 // the writer last published for it.
 //
 // Every structure here is built so a published view stays valid while the
-// writer keeps going: entIDs, entVecs, and centroids are append-only (a
-// recomputed centroid is appended as a new version row, never written over a
-// row a view may be reading — tupleState.centroidRow says which row is
-// current), the chunked tuple table copies a view-shared chunk before a
-// batch mutates into it, and the live index is mutable only on the writer
-// side (views get a frozen Clone sharing its link chunks the same way).
+// writer keeps going: entIDs and entVecs are append-only, the chunked tuple
+// table copies a view-shared chunk before a batch mutates into it, and the
+// live index is mutable only on the writer side (views get a frozen Clone
+// sharing its link chunks the same way).
+//
+// The index's node store is the only copy of the tuple centroids. A node's
+// vector is immutable, so a recomputed centroid is indexed as a new node
+// under the same tuple id, never written over one a view may be reading;
+// tupleState.node says which node is current, and the superseded ones are
+// the index's stale entries until the next compaction rebuilds it dense.
 type shard struct {
 	// entIDs maps local entity row -> global entity ID. Append-only.
 	entIDs []int
@@ -63,13 +67,13 @@ type shard struct {
 	// first mutation, so the rows inside any published view are never
 	// written again, and clean chunks are shared across epochs.
 	tuples *tupleTable
-	// centroids is the centroid version arena: row tupleState.centroidRow is
-	// tuple l's current centroid, superseded rows are garbage until the next
-	// compaction rebuilds the arena dense. Append-only between compactions.
-	centroids *vector.Store
-	// index is the live HNSW index, mutated incrementally per batch; views
-	// receive read-only clones of it.
+	// index is the live HNSW index over tuple centroids, ids = local tuple
+	// indexes, mutated incrementally per batch; views receive read-only
+	// clones of it. Append-only between compactions.
 	index *hnsw.Index
+	// centroid is apply-time scratch (dim floats): a settled centroid is
+	// computed here and handed to index.Add, which copies it.
+	centroid []float32
 	// compactions counts stale-centroid index rebuilds (persisted, so stats
 	// survive a save/load round-trip).
 	compactions int64
@@ -78,14 +82,14 @@ type shard struct {
 // shardView is the immutable serving state of one shard. A view is built by
 // the writer after a batch is fully applied and is never mutated afterwards:
 // the slices and arenas it holds are append-only snapshots (safe to share
-// with the still-growing writer state) and the index is a frozen clone.
+// with the still-growing writer state) and the index is a frozen clone, which
+// pins the centroid store at the epoch's length.
 // Match, Stats, Tuples, and Snapshot all read shardViews exclusively, which
 // is why none of them takes a lock.
 type shardView struct {
 	entIDs      []int
 	entVecs     *vector.Store
 	tuples      tupleView
-	centroids   *vector.Store
 	index       *hnsw.Index
 	compactions int64
 }
@@ -100,21 +104,33 @@ func (sh *shard) view() *shardView {
 		entIDs:      sh.entIDs[:len(sh.entIDs):len(sh.entIDs)],
 		entVecs:     sh.entVecs.Frozen(),
 		tuples:      sh.tuples.snapshot(),
-		centroids:   sh.centroids.Frozen(),
 		index:       sh.index.Clone(),
 		compactions: sh.compactions,
 	}
 }
 
-// centroidAt resolves tuple local's current centroid row in the writer
-// arena. The caller holds addMu.
+// centroidAt resolves tuple local's current centroid: the vector of its
+// current index node, valid until the index's next Add. The caller holds
+// addMu.
 func (sh *shard) centroidAt(local int) []float32 {
-	return sh.centroids.At(int(sh.tuples.at(local).centroidRow))
+	return sh.index.Vector(int(sh.tuples.at(local).node))
 }
 
 // centroidAt resolves tuple local's centroid as of this view's epoch.
 func (v *shardView) centroidAt(local int) []float32 {
-	return v.centroids.At(int(v.tuples.at(local).centroidRow))
+	return v.index.Vector(int(v.tuples.at(local).node))
+}
+
+// indexCentroid recomputes tuple local's centroid from its members, indexes
+// it as a new node under the tuple's id, and makes that node current. The
+// tuple's previous node, if it had one, goes stale. The caller holds addMu.
+func (sh *shard) indexCentroid(local int) error {
+	centroidInto(sh.centroid, sh.tuples.at(local).members, sh.entVecs)
+	if err := sh.index.Add(local, sh.centroid); err != nil {
+		return err
+	}
+	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
+	return nil
 }
 
 // ShardStats describes one shard's share of the matcher state.
@@ -172,16 +188,15 @@ func (v *shardView) memberIDs(members []int) []int {
 
 // compactThreshold triggers an index rebuild when stale entries outnumber
 // live centroids by this factor: every absorption leaves the tuple's previous
-// centroid behind in the index (and a superseded version row in the centroid
-// arena), and past 2x the dead entries dominate both memory and search work.
+// centroid behind in the index, and past 2x the dead entries dominate both
+// memory and search work.
 const compactThreshold = 2
 
-// maybeCompact rebuilds the shard's index — and the centroid version arena —
-// from current centroids when the stale/live ratio exceeds compactThreshold.
-// The caller holds addMu. Both rebuilds allocate fresh structures and swap
-// them in only on success: published views keep the old arena and index, so
-// readers are never affected, and a failed rebuild leaves the shard serving
-// from its previous state.
+// maybeCompact rebuilds the shard's index from current centroids when the
+// stale/live ratio exceeds compactThreshold. The caller holds addMu. The
+// rebuild fills a fresh index and swaps it in only on success: published
+// views keep the old one, so readers are never affected, and a failed
+// rebuild leaves the shard serving from its previous state.
 //
 // The rebuilt index starts a fresh seeded RNG stream, which is deterministic:
 // the trigger depends only on ingest history (index entries accrue one per
@@ -197,20 +212,17 @@ func (sh *shard) maybeCompact(cfg hnsw.Config, dim int) error {
 	// The rebuild replaces the index but not the logical shard: keep the
 	// search-effort counters monotonic across compactions.
 	ix.CarrySearchStats(sh.index)
-	dense := vector.NewStoreWithCap(dim, live)
 	for l := 0; l < live; l++ {
-		dense.Append(sh.centroidAt(l))
-		if err := ix.Add(l, dense.At(l)); err != nil {
+		if err := ix.Add(l, sh.centroidAt(l)); err != nil {
 			return fmt.Errorf("multiem: shard compaction: %w", err)
 		}
 	}
-	// Re-densifying rewrites every row's centroidRow, which dirties (and so
-	// copies) every shared tuple chunk — fine: compaction is already an
-	// O(live) rebuild, and it runs rarely by construction.
+	// In the dense index tuple l's node is l. Rewriting every row's node
+	// dirties (and so copies) every shared tuple chunk — fine: compaction is
+	// already an O(live) rebuild, and it runs rarely by construction.
 	for l := 0; l < live; l++ {
-		sh.tuples.mut(l).centroidRow = int32(l)
+		sh.tuples.mut(l).node = int32(l)
 	}
-	sh.centroids = dense
 	sh.index = ix
 	sh.compactions++
 	return nil

@@ -99,6 +99,12 @@ var ErrReadOnly = multiem.ErrReadOnly
 // upgrade procedure.
 var ErrWALLayout = multiem.ErrWALLayout
 
+// ErrCorruptState is wrapped by LoadMatcher, LoadMatcherFile and
+// RecoverMatcher (for its newest snapshot) when the bytes are not a
+// well-formed matcher file: truncated, a count or reference out of range, or
+// sections that contradict each other. Nothing is loaded from such a file.
+var ErrCorruptState = multiem.ErrCorruptState
+
 // Evaluation.
 type (
 	// Report bundles tuple-level metrics and pair-F1.
