@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke bench-json load-smoke load-sweep metrics-smoke
+.PHONY: all build vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke load-smoke load-sweep metrics-smoke
 
 all: build vet test
 
@@ -38,8 +38,9 @@ race-matcher:
 
 # ~15s of coverage-guided fuzzing per target: the batch-record decoder and
 # the matcher-file loader with its embedded HNSW index (both parse bytes a
-# follower fetched from its -primary-url), and the SIMD kernels against
-# their scalar reference. go test -fuzz takes one package and one target per
+# follower fetched from its -primary-url), the SIMD kernels against their
+# scalar reference, and the encoder's sparse token accumulation against its
+# dense definition. go test -fuzz takes one package and one target per
 # run. A crasher lands in that package's testdata/fuzz/ — commit it with the
 # fix, it replays as a regression test under plain `make test`. The loader's
 # inputs are whole matcher files: without the cap, minimising the first
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatchRecord$$' -fuzztime=$(FUZZTIME) ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadMatcher$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzSIMDKernels$$' -fuzztime=$(FUZZTIME) ./internal/vector
+	$(GO) test -run='^$$' -fuzz='^FuzzEncodeMatchesDense$$' -fuzztime=$(FUZZTIME) ./internal/embed
 
 # Black-box crash recovery: run the server under ingest load, SIGKILL it,
 # restart on the same -wal-dir, and diff /stats against the pre-kill state.
@@ -82,6 +84,8 @@ load-sweep:
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 
+# Developer-loop microbenchmarks; see docs/BENCHMARKING.md for what they are
+# and are not for.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
@@ -98,25 +102,3 @@ bench-smoke:
 benchmark-smoke:
 	bash bench/run.sh --workload all --smoke
 	$(GO) test -C bench ./...
-
-# Tier-1 benches -> BENCH_PR9.json "current" suite. The frozen "baseline"
-# suite is kept; when the file has none yet it is seeded from the previous
-# PR's "current" (BENCH_BASE), which is how the measured trajectory chains
-# across PRs (see docs/BENCHMARKING.md). BENCH_REGRESS > 0 turns benchjson
-# into a gate that exits non-zero when any benchmark's ns/op regressed past
-# that percentage vs the baseline (CI runs it informationally,
-# continue-on-error). CI uploads the file as an artifact; see
-# docs/BENCHMARKING.md for the format.
-BENCH_JSON ?= BENCH_PR10.json
-BENCH_BASE ?= BENCH_PR9.json
-BENCH_REGRESS ?= 0
-bench-json:
-	@rm -f .bench.out
-	$(GO) test -run='^$$' -bench='BenchmarkTable4_MultiEM' -benchmem -count=1 . >> .bench.out
-	$(GO) test -run='^$$' -bench='BenchmarkMatcher|BenchmarkSnapshotStall' -benchmem -count=1 -timeout 120m . >> .bench.out
-	$(GO) test -run='^$$' -bench='Build1k|Search10k|SearchBatched' -benchmem -count=1 ./internal/hnsw >> .bench.out
-	$(GO) test -run='^$$' -bench='Encode' -benchmem -count=1 ./internal/embed >> .bench.out
-	$(GO) test -run='^$$' -bench='.' -benchmem -count=1 ./internal/vector >> .bench.out
-	$(GO) run ./cmd/benchjson -pr 10 -desc 'O(batch) epoch commits: chunked COW tuple tables and chunk-level HNSW link snapshots; view publication copies dirty chunks only, BenchmarkMatcherIngestLive pins commit cost at 10k/100k/1M live entities' -set current -merge $(BENCH_JSON) -baseline-from $(BENCH_BASE) -fail-on-regress $(BENCH_REGRESS) -o $(BENCH_JSON) < .bench.out
-	@rm -f .bench.out
-	@echo "wrote $(BENCH_JSON)"

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"math"
 	"sync"
 	"unicode"
 	"unicode/utf8"
@@ -54,6 +55,7 @@ func BatchStore(e Encoder, texts []string) *vector.Store {
 // concurrent use, and needs no training data or model files.
 type HashEncoder struct {
 	dim      int
+	pow2     bool  // dim is a power of two: h % dim is h & (dim-1)
 	grams    []int // n-gram sizes, e.g. {3, 4}
 	seqLen   int
 	tokenLex bool // apply lexicality weighting (disabled only in tests)
@@ -65,11 +67,25 @@ type HashEncoder struct {
 
 // encodeScratch is the reusable working state of one Encode call.
 type encodeScratch struct {
-	buf     []byte     // lowercased token bytes, all tokens back to back
-	spans   [][2]int32 // token i is buf[spans[i][0]:spans[i][1]]
+	// buf is the lowercased tokens, each between boundary markers and
+	// sharing them with its neighbours: "#apple#iphone#8#". The markers
+	// make prefixes/suffixes distinguishable ("#tim#" vs "tim" inside a
+	// longer word).
+	buf     []byte
+	spans   [][2]int32 // token i with its markers is buf[spans[i][0]:spans[i][1]]
 	weights []float32  // Lexicality of token i
-	tokVec  []float32  // per-token accumulation vector
-	marked  []byte     // "#token#" gram window
+	// tokVec holds the current token's signed n-gram counts. It is all
+	// zero between tokens: each token re-zeroes the coordinates it touched
+	// instead of clearing all dim of them.
+	tokVec  []float32
+	touched []int32     // tokVec coordinates that left zero, in hit order
+	nz      []gramCount // the token's distinct non-zero coordinates
+}
+
+// gramCount is one non-zero coordinate of a token's count vector.
+type gramCount struct {
+	idx int32
+	c   float32
 }
 
 // Option configures a HashEncoder.
@@ -108,6 +124,7 @@ func NewHashEncoder(opts ...Option) *HashEncoder {
 	if len(e.grams) == 0 {
 		panic("embed: at least one n-gram size required")
 	}
+	e.pow2 = e.dim&(e.dim-1) == 0
 	e.scratch.New = func() any { return &encodeScratch{} }
 	return e
 }
@@ -125,6 +142,12 @@ func (e *HashEncoder) Encode(text string) []float32 {
 // EncodeInto writes the unit-norm embedding of text into out, which must
 // have length Dim. It allocates nothing in steady state, which is what lets
 // EncodeBatchStore fill an arena with zero per-vector garbage.
+//
+// A token's hashed n-gram vector has about two non-zero coordinates per
+// character, so it is never walked densely: the token is normalized and
+// pooled into out one touched coordinate at a time (the package comment
+// says why that is bit-identical to the dense definition). Only the final
+// mean and normalization of out visit all Dim coordinates.
 func (e *HashEncoder) EncodeInto(text string, out []float32) {
 	if len(out) != e.dim {
 		panic("embed: EncodeInto output has wrong dimension")
@@ -141,21 +164,51 @@ func (e *HashEncoder) EncodeInto(text string, out []float32) {
 	if len(sc.tokVec) != e.dim {
 		sc.tokVec = make([]float32, e.dim)
 	}
+	tokVec := sc.tokVec
 	var total float32
 	for ti, sp := range sc.spans {
-		tok := sc.buf[sp[0]:sp[1]]
-		tokVec := sc.tokVec
-		for i := range tokVec {
-			tokVec[i] = 0
-		}
-		e.embedToken(tok, tokVec, sc)
-		vector.Normalize(tokVec)
+		e.countGrams(sc.buf[sp[0]:sp[1]], sc)
 		w := float32(1)
 		if e.tokenLex {
 			w = sc.weights[ti]
 		}
-		vector.AddScaled(out, tokVec, w)
 		total += w
+		// Gather the distinct non-zero counts and hand tokVec back all
+		// zero. A coordinate that cancelled to zero and was hit again is
+		// listed twice in touched (its second visit reads the zero the
+		// first one left); one that stayed cancelled contributes nothing.
+		nz := sc.nz[:0]
+		var normSq float32
+		for _, idx := range sc.touched {
+			c := tokVec[idx]
+			if c == 0 {
+				continue
+			}
+			tokVec[idx] = 0
+			normSq += c * c
+			nz = append(nz, gramCount{idx, c})
+		}
+		sc.nz = nz
+		if normSq >= 1<<24 {
+			// A float32 sum of integer squares is exact, hence the same
+			// in every summation order, only below 2^24. A token this
+			// heavy (thousands of characters) takes its norm from the
+			// kernel the dense definition uses, reduction order included.
+			for _, g := range nz {
+				tokVec[g.idx] = g.c
+			}
+			normSq = vector.Dot(tokVec, tokVec)
+			for _, g := range nz {
+				tokVec[g.idx] = 0
+			}
+		}
+		if normSq == 0 {
+			continue
+		}
+		inv := 1 / float32(math.Sqrt(float64(normSq)))
+		for _, g := range nz {
+			out[g.idx] += w * (g.c * inv)
+		}
 	}
 	if total > 0 {
 		vector.Scale(out, 1/total)
@@ -165,64 +218,88 @@ func (e *HashEncoder) EncodeInto(text string, out []float32) {
 
 // tokenize fills the scratch with the lowercased alphanumeric runs of text
 // (at most seqLen of them) plus each run's Lexicality, computed in the same
-// pass so the token never needs to exist as a string.
+// pass so the token never needs to exist as a string. ASCII bytes — nearly
+// all of every record — are classified and lowercased inline; everything
+// else goes through the unicode tables.
 func (sc *encodeScratch) tokenize(text string, seqLen int) {
-	sc.buf = sc.buf[:0]
+	sc.buf = append(sc.buf[:0], '#')
 	sc.spans = sc.spans[:0]
 	sc.weights = sc.weights[:0]
-	start := 0
+	start := 1
 	letters, digits, vowels := 0, 0, 0
-	flush := func() {
-		if len(sc.buf) > start {
-			sc.spans = append(sc.spans, [2]int32{int32(start), int32(len(sc.buf))})
-			sc.weights = append(sc.weights, lexicalityCounts(letters, digits, vowels))
+	for i := 0; i < len(text); {
+		if c := text[i]; c < utf8.RuneSelf {
+			i++
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if 'a' <= c && c <= 'z' {
+				sc.buf = append(sc.buf, c)
+				letters++
+				if isVowel(rune(c)) {
+					vowels++
+				}
+				continue
+			}
+			if '0' <= c && c <= '9' {
+				sc.buf = append(sc.buf, c)
+				digits++
+				continue
+			}
+		} else {
+			r, size := utf8.DecodeRuneInString(text[i:])
+			i += size
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				lr := unicode.ToLower(r)
+				sc.buf = utf8.AppendRune(sc.buf, lr)
+				if unicode.IsDigit(lr) {
+					digits++
+				} else {
+					letters++
+					if isVowel(lr) {
+						vowels++
+					}
+				}
+				continue
+			}
+		}
+		// Anything else separates tokens.
+		sc.endToken(start, letters, digits, vowels)
+		if len(sc.spans) == seqLen {
+			return
 		}
 		start = len(sc.buf)
 		letters, digits, vowels = 0, 0, 0
 	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			lr := unicode.ToLower(r)
-			sc.buf = utf8.AppendRune(sc.buf, lr)
-			if unicode.IsDigit(lr) {
-				digits++
-			} else {
-				letters++
-				switch lr {
-				case 'a', 'e', 'i', 'o', 'u', 'y':
-					vowels++
-				}
-			}
-		default:
-			flush()
-			if len(sc.spans) == seqLen {
-				return
-			}
-		}
-	}
-	flush()
+	sc.endToken(start, letters, digits, vowels)
 	if len(sc.spans) > seqLen {
 		sc.spans = sc.spans[:seqLen]
 		sc.weights = sc.weights[:seqLen]
 	}
 }
 
-// embedToken accumulates the signed hashed n-gram features of one token
-// into dst. Tokens are wrapped in boundary markers so prefixes/suffixes are
-// distinguishable ("#tim#" vs "tim" inside a longer word).
-func (e *HashEncoder) embedToken(tok []byte, dst []float32, sc *encodeScratch) {
-	marked := append(sc.marked[:0], '#')
-	marked = append(marked, tok...)
-	marked = append(marked, '#')
-	sc.marked = marked
+// endToken closes buf[start:] with a marker and records it as a token,
+// unless it is empty.
+func (sc *encodeScratch) endToken(start, letters, digits, vowels int) {
+	if len(sc.buf) > start {
+		sc.buf = append(sc.buf, '#')
+		sc.spans = append(sc.spans, [2]int32{int32(start - 1), int32(len(sc.buf))})
+		sc.weights = append(sc.weights, lexicalityCounts(letters, digits, vowels))
+	}
+}
+
+// countGrams accumulates the signed hashed n-gram counts of one token,
+// boundary markers included, into sc.tokVec and lists the coordinates it
+// moved off zero in sc.touched.
+func (e *HashEncoder) countGrams(marked []byte, sc *encodeScratch) {
+	sc.touched = sc.touched[:0]
 	for _, n := range e.grams {
 		if len(marked) < n {
-			e.addGram(marked, dst)
+			e.addGram(marked, sc)
 			continue
 		}
 		for i := 0; i+n <= len(marked); i++ {
-			e.addGram(marked[i:i+n], dst)
+			e.addGram(marked[i:i+n], sc)
 		}
 	}
 }
@@ -237,19 +314,25 @@ const (
 // index (low bits) and the sign (a high bit), the standard signed
 // feature-hashing trick that keeps hashed inner products unbiased. The hash
 // is inlined — an fnv.New64a() per n-gram was the encoder's hottest
-// allocation-and-interface-call site.
-func (e *HashEncoder) addGram(gram []byte, dst []float32) {
+// allocation-and-interface-call site. A coordinate leaving zero is noted in
+// sc.touched, which is all the caller walks afterwards.
+func (e *HashEncoder) addGram(gram []byte, sc *encodeScratch) {
 	h := uint64(fnvOffset64)
 	for _, c := range gram {
 		h ^= uint64(c)
 		h *= fnvPrime64
 	}
-	idx := int(h % uint64(e.dim))
-	if h&(1<<63) != 0 {
-		dst[idx]--
-	} else {
-		dst[idx]++
+	idx := h & uint64(e.dim-1)
+	if !e.pow2 {
+		idx = h % uint64(e.dim)
 	}
+	c := sc.tokVec[idx]
+	if c == 0 {
+		sc.touched = append(sc.touched, int32(idx))
+	}
+	// +1 or -1 without a branch: the sign bit is a coin flip the predictor
+	// loses half the time.
+	sc.tokVec[idx] = c + float32(1-2*int32(h>>63))
 }
 
 // EncodeBatch implements Encoder using a fixed worker pool.

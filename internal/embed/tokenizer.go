@@ -16,6 +16,24 @@
 //   - entity vectors are the weighted mean pool over the first MaxSeqLen
 //     token vectors, L2-normalized, exactly as the paper mean-pools
 //     Sentence-BERT token embeddings.
+//
+// Batch encoding (EncodeBatch, EncodeBatchStore, BatchStore) always splits
+// the texts over all cores; nothing in the pipeline's options narrows it.
+//
+// A token vector is sparse: about two non-zero coordinates per character,
+// each a small signed integer count. HashEncoder therefore never walks one
+// densely. It keeps the counts of the current token in a scratch vector that
+// is all zero between tokens, lists the coordinates the token touched, and
+// pools the token into the output one listed coordinate at a time. The
+// result is bit-identical to building, normalizing and adding the dense
+// vector through the vector kernels, because (a) the squared norm is a sum
+// of squared integers, which float32 holds exactly below 2^24 in whatever
+// order the scalar or AVX2 Dot adds them (a token heavy enough to pass 2^24
+// takes its norm from that Dot over the scratch vector instead), and (b)
+// out[i] += w * (count * inv) rounds exactly where the dense a[i] *= inv
+// followed by out[i] += w * a[i] rounded, while a zero coordinate
+// contributed w * 0 = +0, which changes no out[i] (out[i] is never -0).
+// The dense definition lives on as the test oracle (denseEncodeInto).
 package embed
 
 import (
@@ -68,13 +86,21 @@ func Lexicality(token string) float32 {
 			digits++
 		case unicode.IsLetter(r):
 			letters++
-			switch r {
-			case 'a', 'e', 'i', 'o', 'u', 'y':
+			if isVowel(r) {
 				vowels++
 			}
 		}
 	}
 	return lexicalityCounts(letters, digits, vowels)
+}
+
+// isVowel reports whether a lowercased letter counts as a vowel.
+func isVowel(r rune) bool {
+	switch r {
+	case 'a', 'e', 'i', 'o', 'u', 'y':
+		return true
+	}
+	return false
 }
 
 // lexicalityCounts is the scoring rule behind Lexicality, split out so the

@@ -5,8 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // TestCloneFrozenSnapshot: a Clone must answer every query exactly like the
@@ -84,5 +88,38 @@ func TestCloneFrozenSnapshot(t *testing.T) {
 	}
 	if ix.Len() != len(vecs)+len(extra) {
 		t.Fatalf("original has %d entries, want %d", ix.Len(), len(vecs)+len(extra))
+	}
+}
+
+// TestCloneSearchReusesWarmContext: the matcher publishes a Clone per epoch
+// and a reader's first Search on it must find a search context already sized
+// to the index. With a context pool per clone that Search allocated and
+// zeroed a visit set of 4 bytes a node, once per view per shard.
+func TestCloneSearchReusesWarmContext(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const n, dim = 20_000, 4
+	rng := rand.New(rand.NewSource(9))
+	ix := New(dim, Config{M: 4, EfConstruction: 8})
+	for i, v := range randUnitVecs(rng, n, dim) {
+		if err := ix.Add(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := randUnitVecs(rng, 1, dim)[0]
+	// A collection empties sync.Pool, and an item put back on one P is out
+	// of reach of a Get that runs on another; keep both out of the window.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ix.Clone().Search(q, 5, 20) // warm the shared pool
+
+	c := ix.Clone()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.Search(q, 5, 20)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4*n {
+		t.Fatalf("first Search on a fresh Clone of a warmed %d-node index allocated %d bytes, want < %d", n, got, 4*n)
 	}
 }

@@ -103,7 +103,11 @@ type Index struct {
 	entry    int       // index into ids of the entry point; -1 when empty
 	maxL     int
 
-	searchPool sync.Pool  // *searchCtx for concurrent Search
+	// searchPool holds *searchCtx for concurrent Search. Clones share the
+	// origin's pool, like stats: a context's visit set is sized to the
+	// index, so a pool per clone would allocate and zero 4 bytes a node on
+	// the first Search of every published view.
+	searchPool *sync.Pool
 	buildCtx   *searchCtx // construction reuse, guarded by mu
 	selScratch []vector.Neighbor
 	backCands  []vector.Neighbor
@@ -169,7 +173,7 @@ func (ctx *searchCtx) distBuf(n int) []float32 {
 // New creates an empty index for vectors of the given dimensionality.
 func New(dim int, cfg Config) *Index {
 	cfg = cfg.withDefaults()
-	ix := &Index{
+	return &Index{
 		cfg:    cfg,
 		dim:    dim,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
@@ -178,10 +182,10 @@ func New(dim int, cfg Config) *Index {
 		vecs:   vector.NewStore(dim),
 		entry:  -1,
 		stats:  &searchStats{},
+
+		searchPool: &sync.Pool{New: func() any { return newSearchCtx() }},
+		buildCtx:   newSearchCtx(),
 	}
-	ix.searchPool.New = func() any { return newSearchCtx() }
-	ix.buildCtx = newSearchCtx()
-	return ix
 }
 
 func newSearchCtx() *searchCtx {
@@ -341,10 +345,11 @@ func (ix *Index) Clone() *Index {
 		maxL:     ix.maxL,
 		frozen:   true,
 		stats:    ix.stats, // shared: clone searches count towards the origin
+
+		searchPool: ix.searchPool, // shared: a warm context fits every view
 	}
 	// (Re-slicing a nil cosNorms stays nil, so the nil-means-no-cosine
 	// sentinel survives the three-index slice above.)
-	c.searchPool.New = func() any { return newSearchCtx() }
 	return c
 }
 
@@ -502,9 +507,12 @@ type visitSet struct {
 	epoch  uint32
 }
 
+// reset empties the set and sizes it for nodes 0..n-1. It grows
+// geometrically: an index that gains a node per Add would otherwise
+// allocate and zero a fresh 4n-byte array on every insert.
 func (v *visitSet) reset(n int) {
 	if len(v.stamps) < n {
-		v.stamps = make([]uint32, n)
+		v.stamps = make([]uint32, max(n, 2*len(v.stamps)))
 		v.epoch = 0
 	}
 	v.epoch++

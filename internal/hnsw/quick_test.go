@@ -94,3 +94,24 @@ func TestVisitSetEpochWrap(t *testing.T) {
 		t.Fatal("stale stamp must not read as visited after wrap")
 	}
 }
+
+// An index gains one node per Add and resets the build context's visit set
+// on every one, so the set must grow geometrically: sizing it to exactly n
+// reallocates (and zeroes 4n bytes) a hundred thousand times here.
+func TestVisitSetGrowsGeometrically(t *testing.T) {
+	var v visitSet
+	reallocs := 0
+	for n := 1; n <= 100_000; n++ {
+		before := len(v.stamps)
+		v.reset(n)
+		if len(v.stamps) < n {
+			t.Fatalf("reset(%d) left room for %d nodes", n, len(v.stamps))
+		}
+		if len(v.stamps) != before {
+			reallocs++
+		}
+	}
+	if reallocs > 20 {
+		t.Fatalf("reset(1..100000) reallocated %d times, want <= 20", reallocs)
+	}
+}

@@ -78,7 +78,9 @@ type Options struct {
 	// EfSearch overrides query beam width (0 keeps the backend default).
 	EfSearch int
 	// Parallel enables parallel merging of table pairs and parallel
-	// pruning (MultiEM(parallel), §III-E).
+	// pruning (MultiEM(parallel), §III-E). Phase I is not governed by it:
+	// attribute selection and representation always encode on all cores
+	// (embed.BatchStore), with or without Parallel, whatever Workers says.
 	Parallel bool
 	// Workers bounds parallelism when Parallel is set (<= 0: all cores).
 	Workers int
