@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke load-smoke load-sweep metrics-smoke
+.PHONY: all build vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke load-smoke metrics-smoke loc
 
 all: build vet test
 
@@ -71,12 +71,6 @@ failover-smoke:
 load-smoke:
 	./scripts/load_smoke.sh
 
-# Parameter sweep (CI-smoke sized by default): shards x fsync grid, one CSV
-# row per configuration point -> sweep.csv. Widen via SWEEP_ARGS/DURATION
-# env vars; see docs/BENCHMARKING.md.
-load-sweep:
-	./scripts/load_sweep.sh
-
 # Observability smoke: boot a durable server with the debug listener on,
 # drive loadgen traffic, and assert /metrics is well-formed Prometheus
 # text exposition with the key matcher/WAL/HNSW/HTTP series non-zero, and
@@ -102,3 +96,10 @@ bench-smoke:
 benchmark-smoke:
 	bash bench/run.sh --workload all --smoke
 	$(GO) test -C bench ./...
+
+# Go line counts, the three numbers a CHANGES.md entry quotes: non-test and
+# test code outside bench/, and the bench/ module.
+loc:
+	@printf 'non-test Go outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+	@printf 'test Go outside bench/:     '; find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+	@printf 'bench/ Go:                  '; find ./bench -name '*.go' | xargs cat | wc -l

@@ -8,24 +8,10 @@
 // to response completion and recorded in HDR-style histograms
 // (p50/p90/p99/p999 per endpoint), alongside error/timeout/drop counts.
 //
-// Single-run mode drives an already-running server:
+// It drives an already-running server, one trial per invocation:
 //
 //	loadgen -url http://localhost:8080 -rate 500 -duration 30s \
 //	    -match-ratio 0.9 -batch 16 -dataset Geo -zipf 1.2 -json report.json
-//
-// Sweep mode starts the server itself, once per configuration point in the
-// cross product of the -sweep axes, runs a fixed-duration trial against
-// each, and appends one CSV row per point (client and server percentiles,
-// achieved rate, WAL bytes, snapshot count, epoch advance rate from
-// /stats):
-//
-//	loadgen -server-bin ./server -server-args '-dataset Geo -scale 0.1' \
-//	    -sweep shards=1,2,4 -sweep fsync=off,interval,always \
-//	    -rate 300 -duration 10s -csv sweep.csv
-//
-// Server-side axes: shards, fsync (implies a fresh -wal-dir per point),
-// efsearch. Client-side axes: rate, batch, zipf. Integer axes accept
-// "a..b" as a doubling range (32..256 = 32,64,128,256).
 //
 // The -dataset family must match the one the server was built from, so
 // generated records have the server's schema arity.
@@ -47,12 +33,11 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
-	"repro/internal/vector"
 )
 
 func main() {
 	var (
-		url        = flag.String("url", "", "base URL of a running server (single-run mode)")
+		url        = flag.String("url", "", "base URL of a running server")
 		rate       = flag.Float64("rate", 200, "target arrival rate, requests/second across both endpoints")
 		duration   = flag.Duration("duration", 30*time.Second, "measured window per trial")
 		warmup     = flag.Duration("warmup", 2*time.Second, "warmup window before measurement (sent, not recorded)")
@@ -67,27 +52,13 @@ func main() {
 		inflight   = flag.Int("max-inflight", 4096, "max outstanding requests; arrivals beyond it are dropped and counted, not delayed")
 		jsonOut    = flag.String("json", "", "write the full report (client + server views) as JSON to this path")
 		failOnErr  = flag.Bool("fail-on-error", false, "exit non-zero when any request errored or nothing completed (CI smoke gate)")
-
-		serverBin  = flag.String("server-bin", "", "server binary for sweep mode (restarted per configuration point)")
-		serverArgs = flag.String("server-args", "", "base arguments passed to -server-bin (split on spaces)")
-		csvOut     = flag.String("csv", "sweep.csv", "sweep mode: CSV output path (one row per configuration point)")
-		kernels    = flag.String("kernels", "", "distance kernel path for sweep-spawned servers: auto | scalar | avx2 (exported as VECTOR_KERNELS)")
 	)
-	var sweeps sweepFlags
-	flag.Var(&sweeps, "sweep", "sweep axis as name=v1,v2,... or name=a..b (repeatable; axes: shards, fsync, efsearch, rate, batch, zipf)")
 	flag.Parse()
 
-	if *kernels != "" {
-		// Validate locally, then export: sweep-mode server children inherit
-		// the environment, so every spawned point runs the requested path.
-		if err := vector.SetKernels(*kernels); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			os.Exit(2)
-		}
-		os.Setenv("VECTOR_KERNELS", *kernels)
+	if *url == "" {
+		fatalf("-url is required")
 	}
-
-	base := trialParams{
+	out, err := runTrial(*url, trialParams{
 		rate:       *rate,
 		duration:   *duration,
 		warmup:     *warmup,
@@ -100,22 +71,7 @@ func main() {
 		seed:       *seed,
 		timeout:    *timeout,
 		inflight:   *inflight,
-	}
-
-	if len(sweeps) > 0 {
-		if *serverBin == "" {
-			fatalf("sweep mode needs -server-bin (the server is restarted per configuration point)")
-		}
-		if err := runSweep(*serverBin, strings.Fields(*serverArgs), sweeps, base, *csvOut); err != nil {
-			fatalf("sweep: %v", err)
-		}
-		return
-	}
-
-	if *url == "" {
-		fatalf("-url is required (or -sweep ... -server-bin for sweep mode)")
-	}
-	out, err := runTrial(*url, base)
+	})
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -141,8 +97,7 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// trialParams is one trial's client-side configuration (sweep points
-// override individual fields).
+// trialParams is one trial's client-side configuration.
 type trialParams struct {
 	rate       float64
 	duration   time.Duration
@@ -231,7 +186,7 @@ func runTrial(baseURL string, p trialParams) (*output, error) {
 }
 
 // scrapeMetrics fetches and strictly parses /metrics; a malformed
-// exposition is an error, not a partial result, so a sweep cannot record
+// exposition is an error, not a partial result, so a report cannot carry
 // numbers from a broken scrape surface.
 func scrapeMetrics(baseURL string) (*obs.Exposition, error) {
 	client := &http.Client{Timeout: 10 * time.Second}

@@ -26,7 +26,7 @@ import (
 // every tuple's node carries the tuple's id, is the last node that does, and
 // holds exactly the centroid its members produce. It returns a copy of the
 // centroids in local order.
-func checkCentroidNodes(tuples *tupleView, index *hnsw.Index, entVecs *vector.Store) ([][]float32, error) {
+func checkCentroidNodes(tuples *tupleTable, index *hnsw.Index, entVecs *vector.Store) ([][]float32, error) {
 	ids := index.IDs()
 	last := make(map[int]int, tuples.len())
 	for node, id := range ids {
@@ -58,7 +58,7 @@ func checkWriterShards(t *testing.T, m *Matcher) {
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
 	for s, sh := range m.shards {
-		if _, err := checkCentroidNodes(&sh.tuples.tupleView, sh.index, sh.entVecs); err != nil {
+		if _, err := checkCentroidNodes(&sh.tuples, sh.index, sh.entVecs); err != nil {
 			t.Fatalf("writer shard %d: %v", s, err)
 		}
 	}

@@ -96,7 +96,7 @@ func (m *Matcher) Save(w io.Writer) error {
 func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 	secs := make([]bytes.Buffer, len(v.shards))
 	errs := make([]error, len(v.shards))
-	parallelFor(len(v.shards), len(v.shards), func(s int) {
+	parallelFor(len(v.shards), func(s int) {
 		errs[s] = v.shards[s].writeSection(&secs[s])
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -285,7 +285,7 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 
 	maxEntIDs := make([]int, nShards)
 	errs := make([]error, nShards)
-	parallelFor(nShards, nShards, func(s int) {
+	parallelFor(nShards, func(s int) {
 		maxEntIDs[s], errs[s] = m.shards[s].readSection(secs[s], m.dim)
 		if errs[s] != nil {
 			errs[s] = fmt.Errorf("%w: shard %d: %w", ErrCorruptState, s, errs[s])

@@ -332,8 +332,8 @@ func (ws *walState) startLoops(m *Matcher) {
 }
 
 // walAppendBatch logs one ingest batch as one record, fsynced in place under
-// the "always" policy. Called from addBatchLocked under addMu, before any
-// state changes.
+// the "always" policy. Called from commitBatch under addMu, before any state
+// changes.
 //
 // A failed append rejects the batch (in-memory state untouched) and poisons
 // the WAL: every later ingest fails too. Like any commit-time I/O error, the
@@ -426,11 +426,14 @@ func decodeBatchRecord(payload []byte) (seq uint64, rows [][]string, err error) 
 	return seq, rows, nil
 }
 
-// applyRecord decodes one log record and, when it holds batch want, re-runs
-// it through the normal (layout-independent) decision path. It returns the
-// record's sequence number; the batch was applied iff seq == want. Recovery
-// and the Replicator share it — what each makes of seq != want differs.
-func (m *Matcher) applyRecord(payload []byte, want uint64, mode batchMode) (seq uint64, err error) {
+// applyRecord decodes one log record and, when it holds batch want, runs it
+// under the ingest lock through the path the caller names: replayBatch for
+// recovery, commitBatch for a follower. Both re-make the batch's decisions
+// with the normal (layout-independent) decision path. It returns the
+// record's sequence number; the batch was applied iff seq == want and err is
+// nil. Recovery and the Replicator share it — what each makes of seq != want
+// differs.
+func (m *Matcher) applyRecord(payload []byte, want uint64, run func(rows [][]string) ([]AddResult, error)) (seq uint64, err error) {
 	seq, rows, err := decodeBatchRecord(payload)
 	if err != nil || seq != want {
 		return seq, err
@@ -441,7 +444,7 @@ func (m *Matcher) applyRecord(payload []byte, want uint64, mode batchMode) (seq 
 		}
 	}
 	m.addMu.Lock()
-	res, err := m.addBatchLocked(rows, mode)
+	res, err := run(rows)
 	m.addMu.Unlock()
 	// A compaction failure comes back alongside results, exactly as it did
 	// on the original ingest; the batch is applied either way.
@@ -460,7 +463,7 @@ func (m *Matcher) applyRecord(payload []byte, want uint64, mode batchMode) (seq 
 func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64) (nextSeq uint64, err error) {
 	nextSeq = startSeq
 	err = l.Replay(func(payload []byte) error {
-		seq, err := m.applyRecord(payload, nextSeq, batchRecover)
+		seq, err := m.applyRecord(payload, nextSeq, m.replayBatch)
 		switch {
 		case err != nil:
 			return fmt.Errorf("multiem: wal replay: %w", err)

@@ -27,7 +27,7 @@ func durOpts(shards int) Options {
 
 // buildBase builds the deterministic pre-WAL matcher the recovery tests
 // start from.
-func buildBase(t *testing.T, d *table.Dataset, shards int) *Matcher {
+func buildBase(t testing.TB, d *table.Dataset, shards int) *Matcher {
 	t.Helper()
 	m, err := BuildMatcher(d, durOpts(shards))
 	if err != nil {

@@ -34,14 +34,15 @@ func compactEveryShard(t *testing.T, m *Matcher, rows [][]string, visit func([]A
 	t.Helper()
 	for batch := 0; ; batch++ {
 		done := true
-		for _, ss := range m.ShardStats() {
+		_, per, _ := m.StatsWithShards()
+		for _, ss := range per {
 			done = done && ss.Compactions > 0
 		}
 		if done {
 			return
 		}
 		if batch == 400 {
-			t.Fatalf("no compaction on every shard after %d absorb batches: %+v", batch, m.ShardStats())
+			t.Fatalf("no compaction on every shard after %d absorb batches: %+v", batch, per)
 		}
 		res, err := m.AddRecords(rows)
 		if err != nil {

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/hnsw"
-	"repro/internal/obs"
 	"repro/internal/table"
 	"repro/internal/vector"
 )
@@ -134,10 +132,10 @@ type tupleState struct {
 //
 // Concurrency: the matcher serves reads through an epoch-stamped,
 // copy-on-write view. Every batch ends with one atomic swap that installs
-// the new views of all shards it touched and bumps the epoch; Match, Stats,
-// ShardStats, and Tuples pin the view once and read it lock-free, so they
-// never block on ingest (or each other) and always observe every batch
-// all-or-nothing across shards — never a half-applied batch. AddRecords is
+// the new views of all shards it touched and bumps the epoch; Match, Stats
+// and Tuples pin the view once and read it lock-free, so they never block on
+// ingest (or each other) and always observe every batch all-or-nothing
+// across shards — never a half-applied batch. AddRecords is
 // serialized on an ingest lock; Save and Snapshot serialize from a pinned
 // view, off that lock, so checkpoint duration does not stall ingest. The
 // configured Encoder must be safe for concurrent use (the default
@@ -213,16 +211,18 @@ func (m *Matcher) publishAll(epoch uint64) {
 	m.lastPublish.Store(time.Now().UnixNano())
 }
 
-// commit publishes the batch the caller just applied: shards[s] == nil keeps
-// shard s's current view (untouched shards pay nothing), non-nil entries are
-// installed, and the epoch advances by one. The caller holds addMu.
-func (m *Matcher) commit(views []*shardView) {
+// publish makes the batch the caller just applied visible: a fresh view of
+// every shard the plan touched (untouched shards keep their current view and
+// pay nothing) and epoch+1, installed with one atomic swap — readers see the
+// whole batch or none of it. The caller holds addMu.
+func (m *Matcher) publish(p *batchPlan) {
 	old := m.state.Load()
-	v := &matcherView{epoch: old.epoch + 1, nextID: m.nextID, shards: make([]*shardView, len(old.shards))}
-	copy(v.shards, old.shards)
-	for s, sv := range views {
-		if sv != nil {
-			v.shards[s] = sv
+	v := &matcherView{epoch: old.epoch + 1, nextID: m.nextID, shards: slices.Clone(old.shards)}
+	for s, rows := range p.perShard {
+		if len(rows) > 0 {
+			t0 := time.Now()
+			v.shards[s] = m.shards[s].view()
+			m.obs().viewBuild.Record(time.Since(t0))
 		}
 	}
 	m.state.Store(v)
@@ -253,9 +253,8 @@ func (m *Matcher) newShards(n int) {
 	m.shards = make([]*shard, n)
 	for s := range m.shards {
 		m.shards[s] = &shard{
-			entVecs:  vector.NewStore(m.dim),
-			tuples:   newTupleTable(shift),
-			centroid: make([]float32, m.dim),
+			shardView: shardView{entVecs: vector.NewStore(m.dim), tuples: tupleTable{shift: shift}},
+			centroid:  make([]float32, m.dim),
 		}
 	}
 }
@@ -325,7 +324,7 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 
 	// Per-shard index builds are independent; run them concurrently.
 	errs := make([]error, len(m.shards))
-	parallelFor(len(m.shards), len(m.shards), func(s int) {
+	parallelFor(len(m.shards), func(s int) {
 		errs[s] = m.buildShardIndex(s)
 	})
 	for _, err := range errs {
@@ -425,51 +424,47 @@ func (m *Matcher) shardEf() int {
 	return ef
 }
 
-// shardHits is one shard's contribution to a fan-out query: distinct tuples
-// re-ranked against their current centroids. keys are the tuples' smallest
-// member entity IDs — unique across all shards (members are disjoint) and
-// independent of the shard layout, so they can drive the merged ranking's
-// tie-breaks.
+// shardHits is one shard's contribution to a query: the distinct tuples its
+// index returned, each scored against its current centroid. keys are the
+// tuples' smallest member entity IDs — unique across all shards (members are
+// disjoint) and independent of the shard layout, so they can drive a merged
+// ranking's tie-breaks. searchShard reuses the slices, so a caller that keeps
+// one shardHits across searches pays for them once.
 type shardHits struct {
-	keys  []int // smallest member entity ID per tuple
-	ids   []int // global tuple IDs
-	dists []float32
+	keys   []int   // smallest member entity ID per tuple
+	locals []int   // local tuple indexes
+	nodes  []int32 // the tuples' current index nodes
+	dists  []float32
 }
 
-// searchShard runs one shard's leg of a fan-out query: over-fetch from the
-// view's index, collapse stale duplicates, and re-rank every distinct tuple
-// against its epoch-current centroid with the query-bound batch kernel qb —
-// one gather call over the index's node store (the rows the graph walk just
-// read) instead of a kernel call per tuple. The view is immutable, so no lock
-// is involved.
-func searchShard(v *shardView, s, fetch, ef int, q []float32, qb vector.QueryBatch, hits *shardHits) {
-	// Over-fetch: absorbed-into tuples leave stale centroid entries in the
-	// index, and several entries can resolve to one tuple.
+// searchShard runs one shard's leg of a query — Match's over a published
+// view, decide's over the writer's own state — and is the only place the
+// matcher searches an index: fetch entries (callers over-fetch, because
+// absorbed-into tuples leave stale centroid entries behind), collapse the
+// entries that resolve to one tuple, and re-rank every distinct tuple against
+// its current centroid with the query-bound batch kernel qb — one gather call
+// over the index's node store (the rows the graph walk just read) instead of
+// a kernel call per tuple. Nothing here writes shard state, so no lock is
+// involved. Distances are as the kernel returns them, unclamped.
+func searchShard(v *shardView, fetch, ef int, q []float32, qb vector.QueryBatch, hits *shardHits) {
 	raw := v.index.Search(q, fetch, ef)
-	if len(raw) == 0 {
-		return
-	}
-	seen := make(map[int]bool, len(raw))
-	nodes := make([]int32, 0, len(raw))
+	hits.keys = slices.Grow(hits.keys[:0], len(raw))
+	hits.locals = slices.Grow(hits.locals[:0], len(raw))
+	hits.nodes = slices.Grow(hits.nodes[:0], len(raw))
 	for _, r := range raw {
-		if seen[r.ID] {
+		// Stale versions of one tuple all re-rank against the same current
+		// centroid, so keep the first and score each tuple once.
+		if slices.Contains(hits.locals, r.ID) {
 			continue
 		}
-		seen[r.ID] = true
 		ts := v.tuples.at(r.ID)
-		nodes = append(nodes, ts.node)
 		hits.keys = append(hits.keys, ts.minEntID)
-		hits.ids = append(hits.ids, globalTupleID(s, r.ID))
+		hits.locals = append(hits.locals, r.ID)
+		hits.nodes = append(hits.nodes, ts.node)
 	}
-	// Distances against the current centroids, not the possibly stale
-	// indexed vectors. Clamp: float rounding can push an exact self-match a
-	// hair below zero.
-	hits.dists = make([]float32, len(nodes))
-	qb(v.index.RawVectors(), v.index.Dim(), nodes, hits.dists)
-	for i, d := range hits.dists {
-		if d < 0 {
-			hits.dists[i] = 0
-		}
+	hits.dists = slices.Grow(hits.dists[:0], len(hits.nodes))[:len(hits.nodes)]
+	if len(hits.nodes) > 0 {
+		qb(v.index.RawVectors(), v.index.Dim(), hits.nodes, hits.dists)
 	}
 }
 
@@ -510,8 +505,8 @@ func (m *Matcher) Match(values []string, k int) ([]Candidate, error) {
 	ef := m.shardEf()
 	v := m.state.Load()
 	perShard := make([]shardHits, len(v.shards))
-	parallelFor(len(v.shards), len(v.shards), func(s int) {
-		searchShard(v.shards[s], s, fetch, ef, q, qb, &perShard[s])
+	parallelFor(len(v.shards), func(s int) {
+		searchShard(v.shards[s], fetch, ef, q, qb, &perShard[s])
 	})
 	sp.Mark(MatchStageFanout)
 
@@ -524,8 +519,10 @@ func (m *Matcher) Match(values []string, k int) ([]Candidate, error) {
 	for s := range perShard {
 		h := &perShard[s]
 		for i, key := range h.keys {
-			top.Push(key, h.dists[i])
-			byKey[key] = h.ids[i]
+			// Clamp: float rounding can push an exact self-match a hair
+			// below zero.
+			top.Push(key, max(0, h.dists[i]))
+			byKey[key] = globalTupleID(s, h.locals[i])
 		}
 	}
 	merged := top.Results()
@@ -563,27 +560,15 @@ func confidenceFrom(maxJoinDist float32) float64 {
 // nearest tuple to absorb into.
 const addSearchK = 8
 
-// decideScratch is one decide worker's candidate set for one shard: the
-// distinct tuples a search returned, their current index nodes, and the
-// re-rank distances. A search returns at most addSearchK hits, so the arrays
-// never grow; the pool hands each worker goroutine its own.
-type decideScratch struct {
-	locals [addSearchK]int
-	nodes  [addSearchK]int32
-	dists  [addSearchK]float32
-}
-
-var decidePool = sync.Pool{New: func() any { return new(decideScratch) }}
-
-// addDecision is the outcome of one record's snapshot search and intra-batch
-// chaining: where it goes and at what distance.
+// addDecision is where one row of a batch goes and at what distance: decide
+// settles it against the pre-batch tuples, chain against the tuples the batch
+// itself is forming.
 type addDecision struct {
-	vec    []float32
 	absorb bool // join an existing (pre-batch) tuple
 	shard  int  // owning shard of the destination tuple
 	local  int  // local tuple index when absorbing into an existing tuple
 	dist   float32
-	batch  int // index into the batch's new tuples when not absorbing
+	batch  int // index into the plan's new tuples when not absorbing
 }
 
 // batchTuple is a tuple created by the current batch: the rows that chained
@@ -595,6 +580,24 @@ type batchTuple struct {
 	centroid []float32
 	maxJoin  float32
 	shard    int
+	// ord is the tuple's position among the batch's new tuples on its shard,
+	// in creation order: apply gives it local index (tuples before the
+	// batch) + ord.
+	ord int
+}
+
+// batchPlan is everything a batch settles before any state changes. decide
+// fills vecs and the pre-batch half of rows; chain finishes rows and adds
+// tuples and perShard; apply only reads it.
+type batchPlan struct {
+	// vecs holds the row embeddings, row i's at vecs.At(i).
+	vecs *vector.Store
+	rows []addDecision
+	// tuples are the tuples the batch creates, in creation order (ascending
+	// first row).
+	tuples []batchTuple
+	// perShard lists each destination shard's rows, ascending.
+	perShard [][]int
 }
 
 // AddRecords ingests a batch of records incrementally. Rows are validated
@@ -622,9 +625,9 @@ type batchTuple struct {
 // batch is forming than to its pre-batch target joins the batch tuple; the
 // one divergence from one-row-at-a-time ingestion is that a row never joins
 // a pre-batch tuple via a centroid moved by an earlier row of the same
-// batch. Ingest parallelism scales with the
-// shard count — a single-shard matcher ingests serially; the default
-// Options.Shards = GOMAXPROCS uses every core.
+// batch. Ingest parallelism scales with the shard count — a single-shard
+// matcher ingests serially; the default Options.Shards = GOMAXPROCS uses
+// every core.
 //
 // Assigned entity IDs are fresh and dense in row order. On a compaction
 // failure the records are still ingested (the shard keeps serving from its
@@ -646,277 +649,179 @@ func (m *Matcher) AddRecords(rows [][]string) ([]AddResult, error) {
 	}
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
-	return m.addBatchLocked(rows, batchIngest)
+	return m.commitBatch(rows)
 }
 
-// batchMode selects which side effects accompany one batch application. The
-// decision phases are identical in every mode — that is what keeps a
-// recovered or replicated matcher bit-identical to the one that ingested
-// the batch originally.
-type batchMode int
-
-const (
-	// batchIngest is live ingestion: write-ahead log the batch, apply it
-	// copy-on-write, and publish the new views.
-	batchIngest batchMode = iota
-	// batchRecover is startup WAL replay: no logging (the records are being
-	// read back), and no per-batch views — no reader exists until
-	// RecoverMatcher returns, so building a full copy-on-write view per
-	// replayed batch (tuple-table copy + links-arena clone, immediately
-	// superseded by the next batch) would make recovery cost
-	// O(batches × live state); the replay caller publishes once at the end.
-	batchRecover
-	// batchReplicate is a follower applying a shipped batch: no logging
-	// (the mirrored segments already hold the records), but full
-	// copy-on-write and publish — the follower is serving reads the whole
-	// time, so every batch must commit atomically under pinned views.
-	batchReplicate
-)
-
-// addBatchLocked is the batch ingest body: decisions, optional WAL append,
-// and the per-shard apply. The caller holds addMu and has validated arity.
-func (m *Matcher) addBatchLocked(rows [][]string, mode batchMode) ([]AddResult, error) {
+// commitBatch is the serving path of one batch, for live ingest and for a
+// follower applying a shipped batch alike: settle the plan, log the batch if
+// a WAL is attached, apply the plan copy-on-write and publish the new views.
+// A follower has no WAL until promotion (Replicator.Apply refuses once it
+// has), so its mirrored records are not logged a second time, while every
+// batch still commits atomically under the views it is serving reads from.
+// The caller holds addMu and has validated arity.
+func (m *Matcher) commitBatch(rows [][]string) ([]AddResult, error) {
 	// An empty batch must return before the WAL append: it has nothing to
 	// make durable, and a record with no rows is one the decoder refuses.
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	// The span skips recovery replay: replay re-applies history before any
-	// reader exists, and its timings would pollute the serving histograms.
-	// The zero Span is a no-op, so the stage marks below need no branches.
-	var sp obs.Span
-	if mode != batchRecover {
-		sp = m.obs().ingest.Start()
+	sp := m.obs().ingest.Start()
+	p := m.decide(rows)
+	sp.Mark(IngestStageDecide)
+	m.chain(p)
+	sp.Mark(IngestStageChain)
+	// Write-ahead: the batch goes to the log (and, under fsync "always", to
+	// stable storage) before any shard state changes. A failed append
+	// rejects the batch with the state untouched.
+	if m.wal != nil {
+		if err := m.walAppendBatch(rows); err != nil {
+			return nil, err
+		}
 	}
-	// Phase 1: snapshot decisions. No shard locks are needed: addMu keeps
-	// every writer out, and concurrent Match calls only read.
-	decs := make([]addDecision, len(rows))
+	sp.Mark(IngestStageWAL)
+	out, err := m.apply(p)
+	sp.Mark(IngestStageApply)
+	m.publish(p)
+	sp.Mark(IngestStagePublish)
+	sp.End()
+	ins := m.obs()
+	ins.batches.Add(1)
+	ins.rows.Add(int64(len(rows)))
+	return out, err
+}
+
+// replayBatch is recovery's path for one logged batch: the same plan and the
+// same apply as commitBatch — which keeps a recovered matcher bit-identical
+// to the one that ingested the batch — and nothing else. No logging (the
+// records are being read back), no span or counters (replayed history would
+// pollute the serving histograms), and no views: no reader exists until
+// RecoverMatcher returns, which publishes once, so until then every chunk
+// stays writer-owned and is mutated in place instead of copied per batch.
+func (m *Matcher) replayBatch(rows [][]string) ([]AddResult, error) {
+	p := m.decide(rows)
+	m.chain(p)
+	return m.apply(p)
+}
+
+// decide embeds the batch and settles every row against the pre-batch state:
+// a row within the merge threshold M of its globally nearest tuple is marked
+// for absorption into it. Rows are independent: one worker per shard takes
+// the next unclaimed row until none is left (rows differ in cost, and on a
+// busy box so do the workers). No shard locks are needed: addMu keeps every
+// writer out, and concurrent Match calls only read.
+func (m *Matcher) decide(rows [][]string) *batchPlan {
+	p := &batchPlan{vecs: vector.NewStoreWithCap(m.dim, len(rows)), rows: make([]addDecision, len(rows))}
+	p.vecs.Grow(len(rows))
 	ef := m.shardEf()
-	parallelFor(len(m.shards), len(rows), func(i int) {
-		d := &decs[i]
-		d.vec = m.embed(rows[i])
-		if vector.Norm(d.vec) > 0 {
-			// Bind the merge metric to the row once; each shard's candidate
-			// set is then scored in a single gather call over that shard's
-			// index node store.
-			qb := m.opt.MergeMetric.QueryBatchFunc(d.vec)
-			bestID, bestMin := -1, 0
-			var bestDist float32
-			sc := decidePool.Get().(*decideScratch)
-			defer decidePool.Put(sc)
-			for s, sh := range m.shards {
-				// Several hits can be stale versions of one tuple; they all
-				// re-rank against the same current centroid, so keep the
-				// first and score each tuple once.
-				n := 0
-				for _, r := range sh.index.Search(d.vec, addSearchK, ef) {
-					if !slices.Contains(sc.locals[:n], r.ID) {
-						sc.locals[n], sc.nodes[n] = r.ID, sh.tuples.at(r.ID).node
-						n++
-					}
-				}
-				if n == 0 {
-					continue
-				}
-				ds := sc.dists[:n]
-				qb(sh.index.RawVectors(), m.dim, sc.nodes[:n], ds)
-				for j, local := range sc.locals[:n] {
-					if bestID >= 0 && ds[j] > bestDist {
-						continue
-					}
-					// Equidistant tuples tie-break on their smallest member
-					// entity ID — an identity no shard layout changes, so
-					// every layout picks the same winner. (Global tuple IDs
-					// would not do: they encode the layout.)
-					cm := m.tupleMinEntityID(s, local)
-					if bestID < 0 || ds[j] < bestDist || cm < bestMin {
-						bestID, bestDist, bestMin = globalTupleID(s, local), ds[j], cm
-					}
-				}
-			}
-			if bestID >= 0 && bestDist <= m.opt.M {
-				d.absorb = true
-				d.shard, d.local = splitTupleID(bestID)
-				d.dist = bestDist
-			}
+	var claimed atomic.Int64
+	parallelFor(min(len(m.shards), len(rows)), func(int) {
+		// One candidate set and one ranking per worker, reused for all its
+		// rows and every shard they search.
+		var hits shardHits
+		top := vector.NewTopK(1)
+		for i := int(claimed.Add(1)) - 1; i < len(rows); i = int(claimed.Add(1)) - 1 {
+			p.vecs.SetRow(i, m.embed(rows[i]))
+			m.decideRow(&p.rows[i], p.vecs.At(i), ef, &hits, top)
 		}
 	})
-	sp.Mark(IngestStageDecide)
+	return p
+}
 
-	// Phase 2: chain rows against the batch's own forming tuples in row
-	// order. A row joins a batch tuple when it is within M and strictly
-	// closer than the row's pre-batch absorption target (ties prefer the
-	// established tuple), so near-duplicates arriving together end up in
-	// one tuple just as they would one at a time. Rows with no text (zero
-	// embedding) never chain; each gets its own singleton. Sequential and
-	// layout-independent by design.
-	var newTuples []batchTuple
-	for i := range decs {
-		d := &decs[i]
-		if vector.Norm(d.vec) > 0 {
+// decideRow finds the pre-batch tuple nearest to q across all shards and
+// marks the row for absorption when it is within M. Rows with no text (zero
+// embedding) search nothing.
+func (m *Matcher) decideRow(d *addDecision, q []float32, ef int, hits *shardHits, top *vector.TopK) {
+	if vector.Norm(q) == 0 {
+		return
+	}
+	// Bind the merge metric to the row once; each shard's candidate set is
+	// then scored in a single gather call over that shard's node store.
+	qb := m.opt.MergeMetric.QueryBatchFunc(q)
+	top.Reset(1)
+	for s, sh := range m.shards {
+		searchShard(&sh.shardView, addSearchK, ef, q, qb, hits)
+		for j, key := range hits.keys {
+			// Equidistant tuples tie-break on their smallest member entity
+			// ID — the order Match ranks by, and an identity no shard layout
+			// changes, so every layout picks the same winner. (Global tuple
+			// IDs would not do: they encode the layout.)
+			if top.Push(key, hits.dists[j]) {
+				d.shard, d.local = s, hits.locals[j]
+			}
+		}
+	}
+	if top.Len() > 0 && top.Worst() <= m.opt.M {
+		d.absorb, d.dist = true, top.Worst()
+	}
+}
+
+// chain settles the rows against the tuples the batch itself is forming, in
+// row order, and completes the plan: the new tuples, every row's destination
+// shard, the rows partitioned by it. A row joins a forming tuple when it is
+// within M and strictly closer than its pre-batch target (ties prefer the
+// established tuple); any other row not absorbed starts a tuple on the shard
+// its embedding routes to. Rows with no text (zero embedding) never chain;
+// each gets its own singleton. Sequential and layout-independent by design.
+func (m *Matcher) chain(p *batchPlan) {
+	created := make([]int, len(m.shards)) // new tuples per shard so far
+	for i := range p.rows {
+		d, vec := &p.rows[i], p.vecs.At(i)
+		if vector.Norm(vec) > 0 {
 			best := -1
 			var bestDist float32
-			for t := range newTuples {
-				dd := m.dist(d.vec, newTuples[t].centroid)
+			for t := range p.tuples {
+				dd := m.dist(vec, p.tuples[t].centroid)
 				if best < 0 || dd < bestDist {
 					best, bestDist = t, dd
 				}
 			}
 			if best >= 0 && bestDist <= m.opt.M && (!d.absorb || bestDist < d.dist) {
-				nt := &newTuples[best]
-				nt.rows = append(nt.rows, i)
-				meanInto(nt.centroid, nt.rows, decs)
-				if bestDist > nt.maxJoin {
-					nt.maxJoin = bestDist
-				}
-				d.absorb = false
-				d.batch = best
-				d.dist = bestDist
+				bt := &p.tuples[best]
+				bt.rows = append(bt.rows, i)
+				centroidInto(bt.centroid, bt.rows, p.vecs)
+				bt.maxJoin = max(bt.maxJoin, bestDist)
+				*d = addDecision{batch: best, dist: bestDist}
 				continue
 			}
 		}
 		if d.absorb {
 			continue
 		}
-		d.batch = len(newTuples)
-		newTuples = append(newTuples, batchTuple{
-			rows:     []int{i},
-			centroid: append([]float32(nil), d.vec...),
-			shard:    routeVec(d.vec, len(m.shards)),
-		})
+		home := routeVec(vec, len(m.shards))
+		d.batch = len(p.tuples)
+		p.tuples = append(p.tuples, batchTuple{rows: []int{i}, centroid: slices.Clone(vec), shard: home, ord: created[home]})
+		created[home]++
 	}
-	for i := range decs {
-		if !decs[i].absorb {
-			decs[i].shard = newTuples[decs[i].batch].shard
+	p.perShard = make([][]int, len(m.shards))
+	for i := range p.rows {
+		d := &p.rows[i]
+		if !d.absorb {
+			d.shard = p.tuples[d.batch].shard
 		}
+		p.perShard[d.shard] = append(p.perShard[d.shard], i)
 	}
+}
 
-	// Phase 3: partition by destination shard, log, and apply concurrently.
-	perShard := make([][]int, len(m.shards))
-	for i := range decs {
-		perShard[decs[i].shard] = append(perShard[decs[i].shard], i)
-	}
-	sp.Mark(IngestStageChain)
-
-	// Write-ahead: the batch goes to the log (and, under fsync "always", to
-	// stable storage) before any shard state changes. A failed append
-	// rejects the batch with the state untouched.
-	if mode == batchIngest && m.wal != nil {
-		if err := m.walAppendBatch(rows); err != nil {
-			return nil, err
-		}
-	}
-	sp.Mark(IngestStageWAL)
-
+// apply carries out a settled plan: it hands the batch its entity IDs —
+// fresh and dense in row order — and runs every destination shard's share
+// concurrently (shard.apply), compacting a shard whose stale index entries
+// piled up. A compaction failure leaves the batch applied (the shard keeps
+// its previous index), so the results come back alongside the error.
+func (m *Matcher) apply(p *batchPlan) ([]AddResult, error) {
 	baseID := m.nextID
-	m.nextID += len(rows)
-
-	out := make([]AddResult, len(rows))
-	views := make([]*shardView, len(m.shards))
-	compactErrs := make([]error, len(m.shards))
-	parallelFor(len(m.shards), len(m.shards), func(s int) {
-		rowIdx := perShard[s]
-		if len(rowIdx) == 0 {
-			return
-		}
-		sh := m.shards[s]
-
-		// Copy-on-write happens at chunk granularity inside the tuple table:
-		// published views share its chunks, and mut copies a shared chunk
-		// before the batch's first write into it, so this batch pays for the
-		// chunks it dirties instead of the whole table. Member slices are
-		// shared across copies — appends to them only write past every
-		// published length, which no pinned reader can see. Centroid
-		// refreshes likewise index new nodes instead of overwriting
-		// published ones. Recovery replay gets in-place mutation for free:
-		// no view is built between replayed batches, so every chunk stays
-		// writer-owned and mut never copies.
-		var touched []int           // pre-existing tuples whose centroid moved
-		var created []int           // tuples created by this batch, in creation order
-		batchLocal := map[int]int{} // batch tuple index -> local tuple index
-		for _, i := range rowIdx {  // ascending row order: deterministic appends
-			d := &decs[i]
-			pos := sh.entVecs.Append(d.vec)
-			sh.entIDs = append(sh.entIDs, baseID+i)
-			if d.absorb {
-				ts := sh.tuples.mut(d.local)
-				ts.members = append(ts.members, pos)
-				if d.dist > ts.maxJoinDist {
-					ts.maxJoinDist = d.dist
-				}
-				if len(touched) == 0 || touched[len(touched)-1] != d.local {
-					touched = append(touched, d.local)
-				}
-				out[i] = AddResult{EntityID: baseID + i, Tuple: globalTupleID(s, d.local), Absorbed: true, Distance: d.dist}
-				continue
-			}
-			local, ok := batchLocal[d.batch]
-			if !ok {
-				// First row of a batch-formed tuple: create it. Later rows
-				// of the same tuple count as absorbed at their join
-				// distance, exactly as one-at-a-time ingestion would report.
-				batchLocal[d.batch] = sh.tuples.len()
-				created = append(created, sh.tuples.len())
-				// The first row has the tuple's smallest entity ID: rows
-				// chain in ascending order and batch IDs are dense.
-				local = sh.tuples.append(tupleState{members: []int{pos}, maxJoinDist: newTuples[d.batch].maxJoin, minEntID: baseID + i})
-				out[i] = AddResult{EntityID: baseID + i, Tuple: globalTupleID(s, local), Absorbed: false}
-				continue
-			}
-			ts := sh.tuples.mut(local)
-			ts.members = append(ts.members, pos)
-			out[i] = AddResult{EntityID: baseID + i, Tuple: globalTupleID(s, local), Absorbed: true, Distance: d.dist}
-		}
-		// Index each batch-created tuple once, with its settled centroid,
-		// then each touched tuple once with its recomputed one, under the
-		// same local id: the previous index entry goes stale, and Match and
-		// AddRecords re-rank against current centroids, so staleness only
-		// costs recall head-room until compaction — not correctness. Add
-		// fails only on a frozen index or a foreign dimensionality, neither
-		// of which a writer-side shard can have.
-		for _, local := range created {
-			_ = sh.indexCentroid(local)
-		}
-		sort.Ints(touched)
-		last := -1
-		for _, local := range touched {
-			if local == last {
-				continue
-			}
-			last = local
-			_ = sh.indexCentroid(local)
-		}
-		compactErrs[s] = sh.maybeCompact(m.shardHNSWConfig(s), m.dim)
-		if mode != batchRecover {
-			t0 := time.Now()
-			views[s] = sh.view()
-			m.obs().viewBuild.Record(time.Since(t0))
+	m.nextID += len(p.rows)
+	out := make([]AddResult, len(p.rows))
+	errs := make([]error, len(m.shards))
+	parallelFor(len(m.shards), func(s int) {
+		if len(p.perShard[s]) > 0 {
+			m.shards[s].apply(s, p, baseID, out)
+			errs[s] = m.shards[s].maybeCompact(m.shardHNSWConfig(s), m.dim)
 		}
 	})
-	sp.Mark(IngestStageApply)
-	// One atomic swap installs every touched shard's new view and advances
-	// the epoch: readers see the whole batch or none of it.
-	if mode != batchRecover {
-		m.commit(views)
-		sp.Mark(IngestStagePublish)
-		sp.End()
-		ins := m.obs()
-		ins.batches.Add(1)
-		ins.rows.Add(int64(len(rows)))
-	}
-	if err := errors.Join(compactErrs...); err != nil {
+	if err := errors.Join(errs...); err != nil {
 		return out, fmt.Errorf("multiem: records ingested, but shard compaction failed: %w", err)
 	}
 	return out, nil
-}
-
-// tupleMinEntityID is the smallest member entity ID of a tuple: a
-// layout-independent identity for deterministic tie-breaks (members of
-// distinct tuples are disjoint, so the minimum is unique per tuple). It
-// reads writer-side state; the caller holds addMu. Readers get the same
-// value from their pinned view's tuples.
-func (m *Matcher) tupleMinEntityID(s, local int) int {
-	return m.shards[s].tuples.at(local).minEntID
 }
 
 // minMemberID scans members for the smallest entity ID; used to seed a
@@ -931,30 +836,10 @@ func minMemberID(members []int, entIDs []int) int {
 	return min
 }
 
-// meanInto recomputes a batch tuple's running centroid: the unit-norm mean
-// of its member rows' embeddings, summed in row order — the same derivation
-// (and float-op order) centroidInto applies to the shard's member rows at apply.
-func meanInto(dst []float32, rows []int, decs []addDecision) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, r := range rows {
-		vector.Add(dst, decs[r].vec)
-	}
-	vector.Scale(dst, 1/float32(len(rows)))
-	vector.Normalize(dst)
-}
-
 // Stats reports the matcher's current size, aggregated over shards.
 func (m *Matcher) Stats() MatcherStats {
 	s, _, _ := m.StatsWithShards()
 	return s
-}
-
-// ShardStats reports per-shard sizes, one entry per shard in shard order.
-func (m *Matcher) ShardStats() []ShardStats {
-	_, per, _ := m.StatsWithShards()
-	return per
 }
 
 // StatsWithShards reports the aggregate stats, the per-shard breakdown, and

@@ -17,7 +17,8 @@ import (
 // then merge the per-shard rankings and materialize candidates.
 // Ingest (one AddRecords batch): snapshot decisions (parallel embed +
 // search + absorption scoring), intra-batch chaining, WAL append, the
-// per-shard copy-on-write apply, and the epoch publish (commit swap).
+// per-shard copy-on-write apply, and the epoch publish (view builds of the
+// touched shards + commit swap).
 const (
 	MatchStageEmbed = iota
 	MatchStageFanout
@@ -107,8 +108,9 @@ func (m *Matcher) IngestTotals() (batches, rows int64) {
 }
 
 // ViewBuildDurations freezes the distribution of per-shard copy-on-write
-// view builds — the O(live) commit cost ROADMAP open item 2 targets.
-// One observation per touched shard per batch.
+// view builds — chunk-spine snapshots, O(chunks) each; the batch pays for
+// the chunks it dirties in apply — taken in the publish stage. One
+// observation per touched shard per batch.
 func (m *Matcher) ViewBuildDurations() *hist.Snapshot {
 	return m.obs().viewBuild.Snapshot()
 }

@@ -17,7 +17,7 @@ func geoOpts() Options {
 	return o
 }
 
-func smallGeo(t *testing.T) *table.Dataset {
+func smallGeo(t testing.TB) *table.Dataset {
 	t.Helper()
 	d, err := datagen.GenerateByName("Geo", 0.3, 11)
 	if err != nil {

@@ -48,15 +48,27 @@ func (r *Replicator) NextSeq() uint64 { return r.nextSeq.Load() }
 // catch up.
 var ErrSeqGap = errors.New("multiem: replicate: gap in the shipped batch sequence")
 
+// ErrPromoted reports an Apply on a matcher that has a WAL attached: Promote
+// has run (whether or not it succeeded), so the matcher logs what it ingests
+// under its own sequence numbers and a shipped batch has no place in that log.
+var ErrPromoted = errors.New("multiem: matcher has a WAL attached (promoted); shipped batches are refused")
+
 // Apply consumes one log record payload. A batch below the applied position
 // is skipped (the mirrored segments overlap the bootstrap snapshot); the
-// batch at the position commits through the normal copy-on-write publish, so
-// concurrent reads see it all-or-nothing and the follower serves consistent
-// state the whole time it is catching up; a batch past it is ErrSeqGap. An
-// undecodable payload fails with ErrCorruptRecord.
+// batch at the position commits the way a live ingest does — minus the log
+// append, a follower having no WAL — so concurrent reads see it
+// all-or-nothing and the follower serves consistent state the whole time it
+// is catching up; a batch past it is ErrSeqGap. An undecodable payload fails
+// with ErrCorruptRecord, and once Promote has attached a WAL the batch at the
+// position is refused with ErrPromoted, nothing applied.
 func (r *Replicator) Apply(payload []byte) error {
 	next := r.nextSeq.Load()
-	seq, err := r.m.applyRecord(payload, next, batchReplicate)
+	seq, err := r.m.applyRecord(payload, next, func(rows [][]string) ([]AddResult, error) {
+		if r.m.wal != nil { // under addMu, like Promote's write of it
+			return nil, ErrPromoted
+		}
+		return r.m.commitBatch(rows)
+	})
 	switch {
 	case err != nil:
 		return fmt.Errorf("multiem: replicate: %w", err)
@@ -76,9 +88,10 @@ func (r *Replicator) Apply(payload []byte) error {
 // directory the follower has been applying from; its layout is already a
 // valid durability directory.
 //
-// The caller must have stopped feeding Apply first. After Promote the matcher
-// behaves exactly like one returned by RecoverMatcher: AddRecords logs under
-// cfg's fsync policy, the snapshotter runs, CloseWAL shuts down.
+// The caller must have stopped feeding Apply first (a batch delivered later
+// anyway is refused, ErrPromoted). After Promote the matcher behaves exactly
+// like one returned by RecoverMatcher: AddRecords logs under cfg's fsync
+// policy, the snapshotter runs, CloseWAL shuts down.
 func (r *Replicator) Promote(cfg WALConfig) error {
 	m := r.m
 	cfg, policy, err := normalizeWALConfig(cfg)

@@ -181,7 +181,8 @@ func TestReplicationProperty(t *testing.T) {
 // checkpoint exists for: the primary dies with the final batch's record
 // mirrored but not yet applied. The follower promotes at the last applied
 // sequence and truncates the stale record away, so its sequence number can
-// be reused safely. A record past a missing one is a named gap.
+// be reused safely. A record past a missing one is a named gap, and a record
+// delivered after the promotion is refused by name (ErrPromoted).
 func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	d := smallGeo(t)
 	const shards = 4
@@ -250,6 +251,22 @@ func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	defer follower.CloseWAL()
 	if !bytes.Equal(saveBytes(t, follower), states[last-1]) {
 		t.Fatal("promoted state does not match the last complete sequence")
+	}
+
+	// A fetch loop that outlived the promotion would now deliver the withheld
+	// record — the batch at the replicator's position. The matcher keeps its
+	// own log from here on, so the batch is refused by name: not applied, and
+	// not logged as if a client had sent it.
+	epoch, logged := follower.Epoch(), follower.WALStats().Appends
+	if err := r.Apply(records[len(records)-1]); !errors.Is(err, ErrPromoted) {
+		t.Fatalf("Apply after Promote: %v, want ErrPromoted", err)
+	}
+	if follower.Epoch() != epoch || r.NextSeq() != last || follower.WALStats().Appends != logged {
+		t.Fatalf("refused Apply moved state: epoch %d -> %d, next seq %d (want %d), log records %d -> %d",
+			epoch, follower.Epoch(), r.NextSeq(), last, logged, follower.WALStats().Appends)
+	}
+	if !bytes.Equal(saveBytes(t, follower), states[last-1]) {
+		t.Fatal("refused Apply changed the matcher state")
 	}
 
 	// The reused sequence numbers must not collide with the stale records:

@@ -3,9 +3,9 @@ package multiem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/hnsw"
 	"repro/internal/vector"
@@ -39,63 +39,53 @@ func splitTupleID(id int) (shard, local int) {
 	return id >> tupleShardShift, id & tupleLocalMask
 }
 
-// shard is one slice of the matcher's writer-side state, guarded by the
-// matcher's ingest lock (addMu): only AddRecords and recovery replay touch
-// it. Readers never see a shard directly — they read the immutable shardView
-// the writer last published for it.
+// shardView is one shard's state — its entities, its tuples and the centroid
+// index over them — and the only type that holds them: a published view is
+// one that is never written again, the writer's shard one it may mutate.
 //
 // Every structure here is built so a published view stays valid while the
 // writer keeps going: entIDs and entVecs are append-only, the chunked tuple
 // table copies a view-shared chunk before a batch mutates into it, and the
-// live index is mutable only on the writer side (views get a frozen Clone
-// sharing its link chunks the same way).
+// index is mutable only on the writer side (views get a frozen Clone sharing
+// its link chunks the same way).
 //
 // The index's node store is the only copy of the tuple centroids. A node's
 // vector is immutable, so a recomputed centroid is indexed as a new node
 // under the same tuple id, never written over one a view may be reading;
 // tupleState.node says which node is current, and the superseded ones are
 // the index's stale entries until the next compaction rebuilds it dense.
-type shard struct {
+type shardView struct {
 	// entIDs maps local entity row -> global entity ID. Append-only.
 	entIDs []int
 	// entVecs holds the embeddings of every entity owned by this shard; a
 	// tuple's members index into it. Append-only.
 	entVecs *vector.Store
-	// tuples is the writer's working copy of the chunked tuple table
-	// (tupletable.go). A batch mutates rows copy-on-write at chunk
-	// granularity: a chunk any published view shares is copied before its
-	// first mutation, so the rows inside any published view are never
-	// written again, and clean chunks are shared across epochs.
-	tuples *tupleTable
-	// index is the live HNSW index over tuple centroids, ids = local tuple
-	// indexes, mutated incrementally per batch; views receive read-only
-	// clones of it. Append-only between compactions.
+	// tuples is the chunked tuple table (tupletable.go): the writer's copy
+	// in a shard, a frozen snapshot of it in a published view.
+	tuples tupleTable
+	// index is the HNSW index over tuple centroids, ids = local tuple
+	// indexes. Append-only between compactions.
 	index *hnsw.Index
-	// centroid is apply-time scratch (dim floats): a settled centroid is
-	// computed here and handed to index.Add, which copies it.
-	centroid []float32
 	// compactions counts stale-centroid index rebuilds (persisted, so stats
 	// survive a save/load round-trip).
 	compactions int64
 }
 
-// shardView is the immutable serving state of one shard. A view is built by
-// the writer after a batch is fully applied and is never mutated afterwards:
-// the slices and arenas it holds are append-only snapshots (safe to share
-// with the still-growing writer state) and the index is a frozen clone, which
-// pins the centroid store at the epoch's length.
-// Match, Stats, Tuples, and Snapshot all read shardViews exclusively, which
-// is why none of them takes a lock.
-type shardView struct {
-	entIDs      []int
-	entVecs     *vector.Store
-	tuples      tupleView
-	index       *hnsw.Index
-	compactions int64
+// shard is the writer's side of one shard: the mutable shardView plus the
+// scratch an apply reuses from batch to batch. It is guarded by the
+// matcher's ingest lock (addMu) — only ingest and recovery replay touch it —
+// and readers never see it, only the views taken of it.
+type shard struct {
+	shardView
+	// centroid (dim floats) is where a settled centroid is computed before
+	// index.Add copies it; touched collects the pre-existing tuples a batch
+	// absorbed rows into.
+	centroid []float32
+	touched  []int
 }
 
-// view freezes the shard's current writer state into an immutable shardView.
-// The caller holds addMu. The tuple table and the index's link arena are
+// view freezes the shard's current state into an immutable shardView. The
+// caller holds addMu. The tuple table and the index's link arena are
 // snapshotted at chunk granularity (O(chunks) spine copies that mark every
 // chunk shared), so building a view costs O(state/chunkSize), not O(state) —
 // the writer's next batch copies only the chunks it actually dirties.
@@ -110,13 +100,8 @@ func (sh *shard) view() *shardView {
 }
 
 // centroidAt resolves tuple local's current centroid: the vector of its
-// current index node, valid until the index's next Add. The caller holds
-// addMu.
-func (sh *shard) centroidAt(local int) []float32 {
-	return sh.index.Vector(int(sh.tuples.at(local).node))
-}
-
-// centroidAt resolves tuple local's centroid as of this view's epoch.
+// current index node. On the writer's shard it is valid until the index's
+// next Add.
 func (v *shardView) centroidAt(local int) []float32 {
 	return v.index.Vector(int(v.tuples.at(local).node))
 }
@@ -131,6 +116,61 @@ func (sh *shard) indexCentroid(local int) error {
 	}
 	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
 	return nil
+}
+
+// apply carries out the plan's share for this shard, s: its rows, in
+// ascending order (deterministic appends), join the tuples the plan names,
+// and every tuple the batch created or absorbed into is indexed once with its
+// settled centroid. The caller holds addMu; out[i] is written for the
+// shard's own rows only, so shards apply concurrently.
+//
+// Published views share the tuple table's chunks, and mut copies a shared
+// chunk before the batch's first write into it. Member slices are shared
+// across the copies — appends to them only write past every published
+// length, which no pinned reader can see.
+func (sh *shard) apply(s int, p *batchPlan, baseID int, out []AddResult) {
+	base := sh.tuples.len()
+	sh.touched = sh.touched[:0]
+	for _, i := range p.perShard[s] {
+		d := &p.rows[i]
+		pos := sh.entVecs.Append(p.vecs.At(i))
+		sh.entIDs = append(sh.entIDs, baseID+i)
+		local := d.local
+		if !d.absorb {
+			bt := &p.tuples[d.batch]
+			local = base + bt.ord
+			if bt.rows[0] == i {
+				// First row of a batch-formed tuple: create it. It has the
+				// tuple's smallest entity ID — rows chain in ascending order
+				// and batch IDs are dense. Later rows count as absorbed at
+				// their join distance, exactly as one-at-a-time ingestion
+				// would report.
+				sh.tuples.append(tupleState{members: []int{pos}, maxJoinDist: bt.maxJoin, minEntID: baseID + i})
+				out[i] = AddResult{EntityID: baseID + i, Tuple: globalTupleID(s, local)}
+				continue
+			}
+		}
+		ts := sh.tuples.mut(local)
+		ts.members = append(ts.members, pos)
+		if d.absorb {
+			ts.maxJoinDist = max(ts.maxJoinDist, d.dist)
+			sh.touched = append(sh.touched, local)
+		}
+		out[i] = AddResult{EntityID: baseID + i, Tuple: globalTupleID(s, local), Absorbed: true, Distance: d.dist}
+	}
+	// Created tuples first, in creation order, then each touched tuple once,
+	// ascending, with its recomputed centroid under the same local id: the
+	// previous index entry goes stale, and every search re-ranks against
+	// current centroids, so staleness only costs recall head-room until
+	// compaction — not correctness. Add fails only on a frozen index or a
+	// foreign dimensionality, neither of which a writer-side shard can have.
+	for local := base; local < sh.tuples.len(); local++ {
+		_ = sh.indexCentroid(local)
+	}
+	slices.Sort(sh.touched)
+	for _, local := range slices.Compact(sh.touched) {
+		_ = sh.indexCentroid(local)
+	}
 }
 
 // ShardStats describes one shard's share of the matcher state.
@@ -262,32 +302,23 @@ func (m *Matcher) shardHNSWConfig(shardID int) hnsw.Config {
 	return cfg
 }
 
-// parallelFor runs f(0..n-1) on up to workers goroutines. Iterations must be
-// independent; with workers <= 1 it degenerates to a plain loop.
-func parallelFor(workers, n int, f func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+// parallelFor runs f(0), …, f(n-1) concurrently, one goroutine each, and
+// returns when all are done; n <= 1 is a plain call. Every caller fans out
+// over shards (or one worker per shard), so n is small.
+func parallelFor(n int, f func(int)) {
+	if n <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)
 		}
 		return
 	}
-	var next int64 = -1
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
+			f(i)
+		}(i)
 	}
 	wg.Wait()
 }

@@ -226,7 +226,9 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Shards() != 4 {
 		t.Fatalf("loaded shard count %d, want the saved 4", loaded.Shards())
 	}
-	if ss, ls := fmt.Sprintf("%+v", m.ShardStats()), fmt.Sprintf("%+v", loaded.ShardStats()); ss != ls {
+	_, saved, _ := m.StatsWithShards()
+	_, restored, _ := loaded.StatsWithShards()
+	if ss, ls := fmt.Sprintf("%+v", saved), fmt.Sprintf("%+v", restored); ss != ls {
 		t.Fatalf("per-shard stats differ after round-trip:\n  saved  %s\n  loaded %s", ss, ls)
 	}
 
@@ -325,7 +327,7 @@ func TestShardCompaction(t *testing.T) {
 			t.Fatalf("batch %d: stale %d exceeds %dx live %d without compaction", b, stale, compactThreshold, s.Live)
 		}
 	}
-	ss := m.ShardStats()
+	_, ss, _ := m.StatsWithShards()
 	if len(ss) != 1 || ss[0].Compactions == 0 {
 		t.Fatalf("expected at least one compaction, got %+v", ss)
 	}
@@ -379,7 +381,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 				case 0:
 					_ = m.Stats()
 				case 1:
-					_ = m.ShardStats()
+					_, _, _ = m.StatsWithShards()
 				default:
 					m.Tuples()
 				}

@@ -1,13 +1,11 @@
 package multiem
 
-// The tuple table used to be one []tupleState that every batch copied in
-// full before mutating — O(live) per commit, the other half (with the HNSW
-// links clone) of the PR 5 copy-on-write trade. It is now a chunked
-// persistent table: rows live in fixed-size chunks behind a chunk-pointer
-// spine, a published view takes an O(chunks) spine snapshot, and the writer
-// copies a chunk the first time a batch mutates into it after a snapshot.
-// A batch therefore pays for the chunks it dirties — bounded by its own row
-// count — and consecutive epoch views share every clean chunk.
+// The tuple table is a chunked persistent table: rows live in fixed-size
+// chunks behind a chunk-pointer spine, a published view takes an O(chunks)
+// spine snapshot, and the writer copies a chunk the first time a batch
+// mutates into it after a snapshot. A batch therefore pays for the chunks it
+// dirties — bounded by its own row count — and consecutive epoch views share
+// every clean chunk.
 //
 // Row i lives at chunks[i>>shift][i&mask]. Chunks grow geometrically up to
 // the chunk size, so a table whose configured chunk holds the whole shard
@@ -24,29 +22,33 @@ package multiem
 // enough that a million-row shard's spine is ~1k pointers.
 const defaultTupleChunkShift = 10
 
-// tupleView is the read side of the table: the chunk spine and the row
-// count, both frozen at snapshot time. Chunk contents are shared with the
-// writer (and with other views) under the copy-on-write protocol above.
-type tupleView struct {
+// tupleTable is the chunked table. The writer's copy carries per-chunk
+// ownership: owned[i] reports that no snapshot shares chunk i, so the writer
+// may mutate it in place; snapshot clears every flag, mut and the growth
+// paths set them. A snapshot is the same type with a nil owned — spine and
+// row count frozen, never written through (the convention the HNSW link
+// arena's snapshot follows too).
+type tupleTable struct {
 	chunks [][]tupleState
+	owned  []bool
 	shift  uint
 	n      int
 }
 
-func (v *tupleView) len() int { return v.n }
+func (t *tupleTable) len() int { return t.n }
 
-// at returns row i for reading. The pointer stays valid for the view's
-// lifetime: a writer never mutates a chunk a view shares, it replaces its
-// own spine entry with a copy.
-func (v *tupleView) at(i int) *tupleState {
-	return &v.chunks[i>>v.shift][i&(1<<v.shift-1)]
+// at returns row i for reading. In a snapshot the pointer stays valid for
+// the snapshot's lifetime: the writer never mutates a chunk a snapshot
+// shares, it replaces its own spine entry with a copy.
+func (t *tupleTable) at(i int) *tupleState {
+	return &t.chunks[i>>t.shift][i&(1<<t.shift-1)]
 }
 
 // each visits every row in local order. Chunk lengths sum exactly to n by
 // construction, so the walk needs no per-row bounds math.
-func (v *tupleView) each(f func(local int, ts *tupleState)) {
+func (t *tupleTable) each(f func(local int, ts *tupleState)) {
 	i := 0
-	for _, c := range v.chunks {
+	for _, c := range t.chunks {
 		for j := range c {
 			f(i, &c[j])
 			i++
@@ -54,21 +56,8 @@ func (v *tupleView) each(f func(local int, ts *tupleState)) {
 	}
 }
 
-// tupleTable is the writer's table: the same chunked layout plus per-chunk
-// ownership. owned[i] reports that no view shares chunk i, so the writer may
-// mutate it in place; snapshot clears every flag, mut and the growth paths
-// set them.
-type tupleTable struct {
-	tupleView
-	owned []bool
-}
-
-func newTupleTable(shift uint) *tupleTable {
-	return &tupleTable{tupleView: tupleView{shift: shift}}
-}
-
-// mut returns row i for writing, copying the chunk first when a view shares
-// it so pinned readers keep seeing the pre-batch row.
+// mut returns row i for writing, copying the chunk first when a snapshot
+// shares it so pinned readers keep seeing the pre-batch row.
 func (t *tupleTable) mut(i int) *tupleState {
 	ci := i >> t.shift
 	if !t.owned[ci] {
@@ -111,14 +100,14 @@ func (t *tupleTable) append(ts tupleState) int {
 	return i
 }
 
-// snapshot freezes the table into a view — an O(chunks) spine copy — and
-// marks every chunk shared, so the writer's next mutation into any of them
-// copies it first.
-func (t *tupleTable) snapshot() tupleView {
+// snapshot freezes the table — an O(chunks) spine copy — and marks every
+// chunk shared, so the writer's next mutation into any of them copies it
+// first.
+func (t *tupleTable) snapshot() tupleTable {
 	for i := range t.owned {
 		t.owned[i] = false
 	}
-	return tupleView{
+	return tupleTable{
 		chunks: append([][]tupleState(nil), t.chunks...),
 		shift:  t.shift,
 		n:      t.n,
