@@ -53,7 +53,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEncodeMatchesDense$$' -fuzztime=$(FUZZTIME) ./internal/embed
 
 # Black-box crash recovery: run the server under ingest load, SIGKILL it,
-# restart on the same -wal-dir, and diff /stats against the pre-kill state.
+# restart on the same -wal-dir, and diff /stats and the SHA-256 of /tuples
+# against the pre-kill state; prints the restart-to-ready time.
 crash-recovery:
 	./scripts/crash_recovery.sh
 

@@ -11,6 +11,7 @@ package repro_test
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -701,6 +702,54 @@ func BenchmarkMatcherIngestWAL(b *testing.B) {
 			b.ReportMetric(float64(batchSize*b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
+}
+
+// BenchmarkRecoverReplay measures recovery: a durability directory is written
+// once — the base state plus 256 batches of 16 rows through AddRecords — and
+// one op is RecoverMatcher over it: load the base file, replay the log,
+// publish. rows/s is logged rows per second of that whole call; nearly all of
+// it is replay, which redoes each batch from the decisions its record holds.
+func BenchmarkRecoverReplay(b *testing.B) {
+	const batches, batchRows = 256, 16
+	m, _ := benchMatcher(b, 2)
+	opt := repro.DefaultOptions()
+	opt.M = 0.5
+	dir := b.TempDir()
+	basePath := filepath.Join(dir, "base.bin")
+	if err := repro.SaveMatcherFile(m, basePath); err != nil {
+		b.Fatal(err)
+	}
+	base := func() (*repro.Matcher, error) { return repro.LoadMatcherFile(basePath, opt) }
+	cfg := repro.WALConfig{Dir: filepath.Join(dir, "wal"), Fsync: "off"}
+	live, err := repro.RecoverMatcher(cfg, opt, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < batches; i++ {
+		if _, err := live.AddRecords(benchIngestRows(i, batchRows)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := live.CloseWAL(); err != nil {
+		b.Fatal(err)
+	}
+	want := live.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := repro.RecoverMatcher(cfg, opt, base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if got := rec.Stats(); got.Entities != want.Entities || got.Tuples != want.Tuples {
+			b.Fatalf("recovered %d entities in %d tuples, want %d in %d", got.Entities, got.Tuples, want.Entities, want.Tuples)
+		}
+		if err := rec.CloseWAL(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(batches*batchRows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // BenchmarkMatcherMixed is the serving-traffic shape: many goroutines issuing

@@ -220,7 +220,9 @@ func main() {
 				ws := matcher.WALStats()
 				slog.Info("durability on", "wal_dir", ws.Dir, "fsync", ws.Fsync,
 					"segments", ws.Segments, "bytes", ws.Bytes,
-					"next_seq", ws.NextSeq, "snapshot_seq", ws.SnapshotSeq)
+					"next_seq", ws.NextSeq, "snapshot_seq", ws.SnapshotSeq,
+					"replayed_batches", ws.ReplayedBatches, "replayed_rows", ws.ReplayedRows,
+					"replay_seconds", ws.ReplaySeconds)
 			}
 		} else {
 			matcher, err = base()

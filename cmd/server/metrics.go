@@ -218,6 +218,12 @@ func (s *server) registerMetrics() {
 	r.CounterFunc("multiem_wal_snapshot_errors_total",
 		"Background checkpoints that failed.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.SnapshotErrors) }))
+	r.GaugeFunc("multiem_recovery_replayed_rows",
+		"Rows replayed from the WAL when this process recovered.", nil,
+		walGauge(func(ws repro.WALStats) float64 { return float64(ws.ReplayedRows) }))
+	r.GaugeFunc("multiem_recovery_replay_seconds",
+		"Time that replay took; rows over seconds is what a snapshot interval is sized from.", nil,
+		walGauge(func(ws repro.WALStats) float64 { return ws.ReplaySeconds }))
 	r.SummaryFunc("multiem_wal_sync_duration_seconds",
 		"WAL fsync latency.", nil, func() *hist.Snapshot {
 			m := matcher()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,19 +18,33 @@ import (
 	"repro/internal/wal"
 )
 
-// The durability subsystem: every AddRecords batch is appended, as raw rows,
-// to the matcher's write-ahead log before the in-memory state changes, and a
-// snapshotter periodically checkpoints the whole matcher and truncates the
-// log. Recovery = load the latest snapshot (or rebuild the base state) and
-// re-ingest the logged batches through the normal decision path, which is
-// deterministic — so the recovered matcher is bit-identical to the one that
-// crashed, down to its Save bytes.
+// The durability subsystem: every AddRecords batch is appended — its rows and
+// what decide settled for each of them — to the matcher's write-ahead log
+// before the in-memory state changes, and a snapshotter periodically
+// checkpoints the whole matcher and truncates the log. Recovery = load the
+// latest snapshot (or rebuild the base state) and redo the logged batches:
+// each row is embedded again, takes the decision the log holds for it
+// (checked against the state it is replayed over, searched for never), and
+// the batch runs the same chain and apply as the live ingest did — so the
+// recovered matcher is bit-identical to the one that crashed, down to its
+// Save bytes. A follower applies shipped records the same way.
 //
-// Log record layout (one per batch, little-endian):
+// Log record layout (one per batch; uvarints minimal, little-endian):
 //
-//	seq      int64   batch sequence number
-//	nRows    uint32  rows in the batch
-//	per row: nVals uint32; nVals × (len uint32 + bytes)
+//	format   byte     recordFormat
+//	seq      uvarint  batch sequence number
+//	nShards  uvarint  shard count of the matcher that decided the batch
+//	nRows    uvarint  rows in the batch (>= 1)
+//	per row:
+//	  target uvarint  0 = not absorbed, else 1 + local*nShards + shard of the
+//	                  pre-batch tuple decide chose
+//	  dist   float32  only when target != 0: the distance to that tuple
+//	  nVals  uvarint; nVals x (len uvarint + bytes)
+//
+// The decisions are decide's, taken before chain runs: chain reads nothing
+// but the plan, so replay runs it again instead of logging its output. A log
+// is bound to the shard layout it names — tuples are addressed by (shard,
+// local), exactly as in the tuple IDs clients were acknowledged with.
 //
 // The wal package makes a record atomic — a crash mid-append leaves a torn
 // tail that replay stops at and the next append truncates — so a batch is
@@ -89,6 +104,13 @@ type WALStats struct {
 	Snapshots int64 `json:"snapshots"`
 	// SnapshotErrors counts failed background checkpoints.
 	SnapshotErrors int64 `json:"snapshot_errors"`
+	// ReplayedBatches and ReplayedRows count what RecoverMatcher replayed
+	// from the log when this matcher was opened, and ReplaySeconds is how
+	// long that took: rows per second of replay is the number a snapshot
+	// interval is sized from. Zero after a promotion (nothing was replayed).
+	ReplayedBatches int64   `json:"replayed_batches"`
+	ReplayedRows    int64   `json:"replayed_rows"`
+	ReplaySeconds   float64 `json:"replay_seconds"`
 }
 
 // walState is a matcher's attached durability state.
@@ -103,6 +125,13 @@ type walState struct {
 	snapshotSeq atomic.Uint64
 	snapshots   atomic.Int64
 	snapErrs    atomic.Int64
+
+	// replayed is what recovery replayed from the log, and how long it took;
+	// written once, before the matcher is shared.
+	replayed struct {
+		batches, rows int64
+		dur           time.Duration
+	}
 
 	// brokenErr fences ingest after a failed append; guarded by addMu.
 	brokenErr error
@@ -177,14 +206,17 @@ func (m *Matcher) Log() *wal.Log {
 	return m.wal.log
 }
 
-// ErrWALLayout reports a durability or mirror directory written by a version
-// that kept one log per shard. It is refused rather than upgraded in place.
-var ErrWALLayout = errors.New("multiem: directory holds per-shard logs (shard-NNNN/) from an earlier version; " +
-	"checkpoint it with the binary that wrote it, stop that binary, and remove the shard-* directories " +
-	"(a follower mirror can simply be emptied)")
+// ErrWALLayout reports a durability or mirror directory whose logs were
+// written by an earlier version: one log per shard (shard-NNNN/), or a batch
+// log whose records hold raw rows without their decisions (an older segment
+// format version under log/). It is refused rather than upgraded in place.
+var ErrWALLayout = errors.New("multiem: directory holds logs written by an earlier version (per-shard shard-NNNN/ logs, " +
+	"or log/ segments in an older record format); checkpoint it with the binary that wrote it, stop that binary, " +
+	"and remove the shard-* directories and log/ (a follower mirror can simply be emptied)")
 
-// CheckWALLayout returns ErrWALLayout when dir contains a shard-NNNN entry;
-// a missing dir is fine. Nothing is modified.
+// CheckWALLayout returns ErrWALLayout when dir contains a shard-NNNN entry or
+// a log segment of another format version; a missing dir is fine. Nothing is
+// modified.
 func CheckWALLayout(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil && !os.IsNotExist(err) {
@@ -195,6 +227,11 @@ func CheckWALLayout(dir string) error {
 			return fmt.Errorf("%w: found %s", ErrWALLayout, filepath.Join(dir, e.Name()))
 		}
 	}
+	if err := wal.CheckVersion(LogDir(dir)); errors.Is(err, wal.ErrVersion) {
+		return fmt.Errorf("%w: %v", ErrWALLayout, err)
+	} else if err != nil {
+		return fmt.Errorf("multiem: wal dir: %w", err)
+	}
 	return nil
 }
 
@@ -204,10 +241,12 @@ func CheckWALLayout(dir string) error {
 //  1. The latest snapshot, when one exists, is loaded; otherwise base() must
 //     produce the starting state (build the pipeline, or load a saved
 //     matcher file) — it must be deterministic for recovery to be exact.
-//  2. Every batch logged at or after the snapshot is replayed through the
-//     normal ingest path, so the recovered state is bit-identical to the
-//     matcher that crashed. A torn tail (crash mid-append) ends replay
-//     cleanly at the last whole batch; the next append truncates it.
+//  2. Every batch logged at or after the snapshot is redone — the logged
+//     decisions, checked against the state (ErrLogMismatch when the log was
+//     written over another one), then the normal chain and apply — so the
+//     recovered state is bit-identical to the matcher that crashed. A torn
+//     tail (crash mid-append) ends replay cleanly at the last whole batch;
+//     the next append truncates it.
 //  3. Subsequent AddRecords append to the log under cfg's fsync policy,
 //     and a background snapshotter (cfg.SnapshotInterval > 0) bounds
 //     recovery time by log-since-snapshot.
@@ -250,11 +289,13 @@ func RecoverMatcher(cfg WALConfig, opt Options, base func() (*Matcher, error)) (
 	if ws.log, err = wal.Open(LogDir(cfg.Dir), wal.Options{SegmentMaxBytes: cfg.SegmentMaxBytes}); err != nil {
 		return nil, err
 	}
-	nextSeq, err := m.replayWAL(ws.log, snapSeq)
+	t0 := time.Now()
+	nextSeq, rows, err := m.replayWAL(ws.log, snapSeq)
 	if err != nil {
 		ws.log.Close()
 		return nil, err
 	}
+	ws.replayed.batches, ws.replayed.rows, ws.replayed.dur = int64(nextSeq-snapSeq), rows, time.Since(t0)
 	// Replay applied batches to writer state only (no per-batch views — no
 	// reader exists yet); publish the recovered state once, at the epoch the
 	// replayed batch count implies, before anything serves or snapshots it.
@@ -331,8 +372,10 @@ func (ws *walState) startLoops(m *Matcher) {
 	}
 }
 
-// walAppendBatch logs one ingest batch as one record, fsynced in place under
-// the "always" policy. Called from commitBatch under addMu, before any state
+// walAppendBatch logs one ingest batch — its rows and the decisions p holds
+// for them — as one record, fsynced in place under the "always" policy. Called
+// from commitBatch under addMu, after decide and before chain (which overwrites
+// the decision of a row it moves to a forming tuple) and before any state
 // changes.
 //
 // A failed append rejects the batch (in-memory state untouched) and poisons
@@ -342,12 +385,13 @@ func (ws *walState) startLoops(m *Matcher) {
 // batch and apply it; if it did not, the torn tail is truncated. Either way
 // the recovered state is consistent, and ingest resumes after the restart —
 // failing closed is what keeps this sequence number from being written twice.
-func (m *Matcher) walAppendBatch(rows [][]string) error {
+func (m *Matcher) walAppendBatch(p *batchPlan) error {
 	ws := m.wal
 	if ws.brokenErr != nil {
 		return fmt.Errorf("multiem: wal failed earlier, ingest is fenced (restart to recover): %w", ws.brokenErr)
 	}
-	err := ws.log.Append(encodeBatchRecord(ws.seq.Load(), rows))
+	rec := batchRecord{seq: ws.seq.Load(), nShards: len(m.shards), rows: p.values, decisions: p.rows}
+	err := ws.log.Append(encodeBatchRecord(&rec))
 	if err == nil && ws.policy == wal.SyncAlways {
 		err = ws.log.Sync()
 	}
@@ -359,14 +403,36 @@ func (m *Matcher) walAppendBatch(rows [][]string) error {
 	return nil
 }
 
+// recordFormat opens every batch record. The segment magic already keeps
+// records of another layout away from this decoder; the byte makes a record
+// say what it is on its own.
+const recordFormat = 2
+
+// batchRecord is one log record: a batch's rows and what decide settled for
+// each — absorb, shard, local and dist of decisions[i] belong to rows[i];
+// batch is chain's to fill and is not logged.
+type batchRecord struct {
+	seq       uint64
+	nShards   int
+	rows      [][]string
+	decisions []addDecision
+}
+
 // encodeBatchRecord frames one batch for the log.
-func encodeBatchRecord(seq uint64, rows [][]string) []byte {
-	le := binary.LittleEndian
-	buf := le.AppendUint32(le.AppendUint64(nil, seq), uint32(len(rows)))
-	for _, row := range rows {
-		buf = le.AppendUint32(buf, uint32(len(row)))
+func encodeBatchRecord(rec *batchRecord) []byte {
+	buf := binary.AppendUvarint([]byte{recordFormat}, rec.seq)
+	buf = binary.AppendUvarint(buf, uint64(rec.nShards))
+	buf = binary.AppendUvarint(buf, uint64(len(rec.rows)))
+	for i, row := range rec.rows {
+		if d := &rec.decisions[i]; d.absorb {
+			buf = binary.AppendUvarint(buf, 1+uint64(d.local)*uint64(rec.nShards)+uint64(d.shard))
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(d.dist))
+		} else {
+			buf = append(buf, 0)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(row)))
 		for _, v := range row {
-			buf = append(le.AppendUint32(buf, uint32(len(v))), v...)
+			buf = append(binary.AppendUvarint(buf, uint64(len(v))), v...)
 		}
 	}
 	return buf
@@ -379,91 +445,115 @@ var ErrCorruptRecord = errors.New("multiem: corrupt batch record")
 // decodeBatchRecord parses one log record back into its batch. The payload
 // may come from the network (a follower decodes whatever its primary URL
 // serves), so every count is checked against the bytes left before it sizes
-// an allocation: a row costs at least its 4-byte value count, a value at
-// least its 4-byte length. Memory stays within a constant factor of
-// len(payload).
-func decodeBatchRecord(payload []byte) (seq uint64, rows [][]string, err error) {
+// an allocation: a row costs at least two bytes (target and value count), a
+// value at least its length byte. Memory stays within a constant factor of
+// len(payload). Exactly the bytes encodeBatchRecord writes are accepted — a
+// uvarint longer than its value needs, a shard count or tuple index no
+// matcher can have, and trailing bytes are all corruption — so an accepted
+// payload re-encodes to itself.
+func decodeBatchRecord(payload []byte) (rec batchRecord, err error) {
 	p := payload
-	u32 := func() (uint32, bool) { // next count, if 4 bytes are left
-		if len(p) < 4 {
+	uvarint := func() (uint64, bool) { // next count: present, not overflowing, minimal
+		v, n := binary.Uvarint(p)
+		if n <= 0 || (n > 1 && p[n-1] == 0) {
 			return 0, false
 		}
-		v := binary.LittleEndian.Uint32(p)
-		p = p[4:]
+		p = p[n:]
 		return v, true
 	}
-	corrupt := func(what string) (uint64, [][]string, error) {
-		return 0, nil, fmt.Errorf("%w: %s at byte %d of %d", ErrCorruptRecord, what, len(payload)-len(p), len(payload))
+	corrupt := func(what string) (batchRecord, error) {
+		return batchRecord{}, fmt.Errorf("%w: %s at byte %d of %d", ErrCorruptRecord, what, len(payload)-len(p), len(payload))
 	}
-	if len(p) < 12 {
-		return corrupt("short header")
+	if len(p) == 0 || p[0] != recordFormat {
+		return corrupt("format byte")
 	}
-	seq = binary.LittleEndian.Uint64(p)
-	p = p[8:]
-	n, _ := u32()
-	if n == 0 || int64(n) > int64(len(p)/4) {
+	p = p[1:]
+	seq, ok := uvarint()
+	if !ok {
+		return corrupt("sequence number")
+	}
+	nShards, ok := uvarint()
+	if !ok || nShards == 0 || nShards > maxSaneShards {
+		return corrupt(fmt.Sprintf("shard count %d", nShards))
+	}
+	n, ok := uvarint()
+	if !ok || n == 0 || n > uint64(len(p)/2) {
 		return corrupt(fmt.Sprintf("row count %d", n))
 	}
-	rows = make([][]string, n)
-	for i := range rows {
-		nVals, ok := u32()
-		if !ok || int64(nVals) > int64(len(p)/4) {
+	rec = batchRecord{seq: seq, nShards: int(nShards), rows: make([][]string, n), decisions: make([]addDecision, n)}
+	for i := range rec.rows {
+		target, ok := uvarint()
+		if !ok {
+			return corrupt(fmt.Sprintf("row %d target", i))
+		}
+		if target != 0 {
+			shard, local := (target-1)%nShards, (target-1)/nShards
+			if local > tupleLocalMask || len(p) < 4 {
+				return corrupt(fmt.Sprintf("row %d target %d", i, target))
+			}
+			dist := math.Float32frombits(binary.LittleEndian.Uint32(p))
+			p = p[4:]
+			rec.decisions[i] = addDecision{absorb: true, shard: int(shard), local: int(local), dist: dist}
+		}
+		nVals, ok := uvarint()
+		if !ok || nVals > uint64(len(p)) {
 			return corrupt(fmt.Sprintf("row %d value count %d", i, nVals))
 		}
-		rows[i] = make([]string, nVals)
-		for j := range rows[i] {
-			l, ok := u32()
-			if !ok || int64(l) > int64(len(p)) {
+		rec.rows[i] = make([]string, nVals)
+		for j := range rec.rows[i] {
+			l, ok := uvarint()
+			if !ok || l > uint64(len(p)) {
 				return corrupt(fmt.Sprintf("row %d value %d length %d", i, j, l))
 			}
-			rows[i][j] = string(p[:l])
+			rec.rows[i][j] = string(p[:l])
 			p = p[l:]
 		}
 	}
 	if len(p) != 0 {
 		return corrupt("trailing bytes")
 	}
-	return seq, rows, nil
+	return rec, nil
 }
 
-// applyRecord decodes one log record and, when it holds batch want, runs it
-// under the ingest lock through the path the caller names: replayBatch for
-// recovery, commitBatch for a follower. Both re-make the batch's decisions
-// with the normal (layout-independent) decision path. It returns the
-// record's sequence number; the batch was applied iff seq == want and err is
-// nil. Recovery and the Replicator share it — what each makes of seq != want
-// differs.
-func (m *Matcher) applyRecord(payload []byte, want uint64, run func(rows [][]string) ([]AddResult, error)) (seq uint64, err error) {
-	seq, rows, err := decodeBatchRecord(payload)
-	if err != nil || seq != want {
-		return seq, err
-	}
-	for i, row := range rows {
-		if err := m.checkArity(row, i); err != nil {
-			return seq, fmt.Errorf("multiem: logged batch %d does not fit the matcher schema (wrong base state or snapshot?): %w", seq, err)
-		}
+// applyRecord decodes one log record and, when it holds batch want, hands it
+// to run under the ingest lock: recovery's run replays it, a follower's
+// commits it. Neither decides anything — both take the plan the record holds
+// (planFromRecord). It returns the record's sequence number; the batch was
+// applied iff seq == want and err is nil. Recovery and the Replicator share
+// it — what each makes of seq != want differs.
+func (m *Matcher) applyRecord(payload []byte, want uint64, run func(rec *batchRecord) ([]AddResult, error)) (seq uint64, err error) {
+	rec, err := decodeBatchRecord(payload)
+	if err != nil || rec.seq != want {
+		return rec.seq, err
 	}
 	m.addMu.Lock()
-	res, err := run(rows)
+	res, err := run(&rec)
 	m.addMu.Unlock()
 	// A compaction failure comes back alongside results, exactly as it did
 	// on the original ingest; the batch is applied either way.
 	if res == nil && err != nil {
-		return seq, fmt.Errorf("multiem: apply logged batch %d: %w", seq, err)
+		return rec.seq, fmt.Errorf("multiem: apply logged batch %d: %w", rec.seq, err)
 	}
-	return seq, nil
+	return rec.seq, nil
 }
 
-// replayWAL re-ingests every batch logged at or after startSeq, in log
-// order, and returns the next sequence number to assign. Records below
-// startSeq are covered by the snapshot (their segment is not dropped yet);
-// past that the log must ascend by one — a single file cannot strand a whole
-// record beyond a hole without failing its CRC, so anything else is
-// corruption under every fsync policy.
-func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64) (nextSeq uint64, err error) {
+// replayWAL redoes every batch logged at or after startSeq, in log order, and
+// returns the next sequence number to assign and the rows it replayed.
+// Records below startSeq are covered by the snapshot (their segment is not
+// dropped yet); past that the log must ascend by one — a single file cannot
+// strand a whole record beyond a hole without failing its CRC, so anything
+// else is corruption under every fsync policy.
+func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64) (nextSeq uint64, rows int64, err error) {
 	nextSeq = startSeq
 	err = l.Replay(func(payload []byte) error {
-		seq, err := m.applyRecord(payload, nextSeq, m.replayBatch)
+		seq, err := m.applyRecord(payload, nextSeq, func(rec *batchRecord) ([]AddResult, error) {
+			p, err := m.planFromRecord(rec)
+			if err != nil {
+				return nil, err
+			}
+			rows += int64(len(rec.rows))
+			return m.replayBatch(p)
+		})
 		switch {
 		case err != nil:
 			return fmt.Errorf("multiem: wal replay: %w", err)
@@ -479,9 +569,9 @@ func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64) (nextSeq uint64, err er
 	// acknowledged, and the next append truncates it. Anything else is real
 	// corruption.
 	if err != nil && !errors.Is(err, wal.ErrTornWrite) {
-		return 0, err
+		return 0, 0, err
 	}
-	return nextSeq, nil
+	return nextSeq, rows, nil
 }
 
 // Snapshot checkpoints the matcher into the durability directory and
@@ -647,6 +737,9 @@ func (m *Matcher) WALStats() WALStats {
 		SnapshotSeq:     ws.snapshotSeq.Load(),
 		Snapshots:       ws.snapshots.Load(),
 		SnapshotErrors:  ws.snapErrs.Load(),
+		ReplayedBatches: ws.replayed.batches,
+		ReplayedRows:    ws.replayed.rows,
+		ReplaySeconds:   ws.replayed.dur.Seconds(),
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -265,10 +267,12 @@ func TestRecoveryDropsTornFinalBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := encodeBatchRecord(uint64(len(batches)-1), batches[len(batches)-1])
+	records := scanMirror(t, srcDir) // a durability directory is laid out like a mirror
+	final := records[len(records)-1]
 	lastStart := int64(len(full)) - int64(len(final)) - 8 // the final record's frame: length + crc, then payload
-	if !bytes.Equal(full[lastStart+8:], final) {
-		t.Fatal("the log does not end in the final batch's record; test is vacuous")
+	rec, err := decodeBatchRecord(final)
+	if err != nil || rec.seq != uint64(len(batches)-1) || !reflect.DeepEqual(rec.rows, batches[len(batches)-1]) || !bytes.Equal(full[lastStart+8:], final) {
+		t.Fatalf("the log does not end in the final batch's record (err %v); test is vacuous", err)
 	}
 
 	for cut := lastStart; cut < int64(len(full)); cut++ {
@@ -379,42 +383,52 @@ func TestSnapshotTruncatesLogs(t *testing.T) {
 	}
 }
 
-// TestRecoverMatcherRejectsOldLayout: a directory with per-shard logs from an
-// earlier version is refused by name — by recovery before it builds anything,
-// and by promotion — and left exactly as it was.
+// TestRecoverMatcherRejectsOldLayout: a directory whose logs an earlier version
+// wrote — one log per shard, or a batch log of records without decisions (an
+// older segment version) — is refused by name — by recovery before it builds
+// anything, and by promotion — and left exactly as it was. No old record ever
+// reaches the decoder.
 func TestRecoverMatcherRejectsOldLayout(t *testing.T) {
 	d := smallGeo(t)
-	dir := t.TempDir()
-	old := filepath.Join(dir, "shard-0001")
-	if err := os.MkdirAll(old, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(wal.SegmentFile(old, 1), []byte("MEMWAL1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	listing := func() string {
-		var names []string
-		filepath.WalkDir(dir, func(path string, _ os.DirEntry, _ error) error {
-			names = append(names, path)
-			return nil
-		})
-		return strings.Join(names, "\n")
-	}
-	before := listing()
+	for name, seg := range map[string]func(dir string) string{
+		"per-shard logs":      func(dir string) string { return wal.SegmentFile(filepath.Join(dir, "shard-0001"), 1) },
+		"older record format": func(dir string) string { return wal.SegmentFile(LogDir(dir), 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Dir(seg(dir)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			// The previous segment magic is all it takes: the version digit
+			// is what stands between an old record and the decoder.
+			if err := os.WriteFile(seg(dir), []byte("MEMWAL1\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			listing := func() string {
+				var names []string
+				filepath.WalkDir(dir, func(path string, _ os.DirEntry, _ error) error {
+					names = append(names, path)
+					return nil
+				})
+				return strings.Join(names, "\n")
+			}
+			before := listing()
 
-	_, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(2), func() (*Matcher, error) {
-		t.Error("base was built for a directory that must be refused")
-		return BuildMatcher(d, durOpts(2))
-	})
-	if !errors.Is(err, ErrWALLayout) {
-		t.Fatalf("RecoverMatcher: %v, want ErrWALLayout", err)
-	}
-	err = NewReplicator(buildBase(t, d, 2), 0).Promote(WALConfig{Dir: dir, Fsync: "off"})
-	if !errors.Is(err, ErrWALLayout) {
-		t.Fatalf("Promote: %v, want ErrWALLayout", err)
-	}
-	if after := listing(); after != before {
-		t.Fatalf("refused directory was modified:\n%s\nwas:\n%s", after, before)
+			_, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(2), func() (*Matcher, error) {
+				t.Error("base was built for a directory that must be refused")
+				return BuildMatcher(d, durOpts(2))
+			})
+			if !errors.Is(err, ErrWALLayout) {
+				t.Fatalf("RecoverMatcher: %v, want ErrWALLayout", err)
+			}
+			err = NewReplicator(buildBase(t, d, 2), 0).Promote(WALConfig{Dir: dir, Fsync: "off"})
+			if !errors.Is(err, ErrWALLayout) {
+				t.Fatalf("Promote: %v, want ErrWALLayout", err)
+			}
+			if after := listing(); after != before {
+				t.Fatalf("refused directory was modified:\n%s\nwas:\n%s", after, before)
+			}
+		})
 	}
 }
 
@@ -512,49 +526,82 @@ func TestCloseWALFencesIngest(t *testing.T) {
 	}
 }
 
+// sameRecord compares two batch records down to the distance bits (a NaN is
+// equal to itself here, which reflect.DeepEqual would deny).
+func sameRecord(a, b *batchRecord) bool {
+	return a.seq == b.seq && a.nShards == b.nShards && reflect.DeepEqual(a.rows, b.rows) &&
+		slices.EqualFunc(a.decisions, b.decisions, func(x, y addDecision) bool {
+			return x.absorb == y.absorb && x.shard == y.shard && x.local == y.local && x.batch == y.batch &&
+				math.Float32bits(x.dist) == math.Float32bits(y.dist)
+		})
+}
+
+// decodeAllocFactor bounds what decoding a payload may allocate, per payload
+// byte: the cheapest row is two bytes (target 0, no values) and costs a slice
+// header and a decision, 24 + 40 B — 32x — and the cheapest value is its one
+// length byte for a 16 B string header; size-class rounding takes the rest.
+const decodeAllocFactor = 40
+
 // FuzzDecodeBatchRecord: a follower decodes whatever its -primary-url serves,
 // so on arbitrary bytes the decoder must not panic, must fail only with
 // ErrCorruptRecord, and must not let a count in the payload size an
 // allocation the payload cannot back; what it accepts re-encodes to the same
-// bytes, and what encodeBatchRecord produced decodes to the same rows.
+// bytes, and what encodeBatchRecord produced decodes to the same record, down
+// to the distance bits.
 func FuzzDecodeBatchRecord(f *testing.F) {
-	for seq, rows := range [][][]string{
-		{{"a"}},
-		{{"", "x", "y"}, {"Café Zoë", "1.0", "-2.25"}},
-		{{}, {"only row with values"}},
-	} {
-		f.Add(encodeBatchRecord(uint64(seq), rows))
+	absorb := func(shard, local int, dist float32) addDecision {
+		return addDecision{absorb: true, shard: shard, local: local, dist: dist}
 	}
-	// 16 bytes that claim 2^26 rows, and a row that claims 2^20 values.
-	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0})
-	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 16, 0})
+	for _, rec := range []batchRecord{
+		{seq: 0, nShards: 1, rows: [][]string{{"a"}}, decisions: make([]addDecision, 1)},
+		{seq: 1, nShards: 4, rows: [][]string{{"", "x", "y"}, {"Café Zoë", "1.0", "-2.25"}},
+			decisions: []addDecision{absorb(3, 5, 0.125), {}}},
+		// Ragged rows, one of them absorbed though it has no values: the
+		// decoder frames, planFromRecord judges.
+		{seq: 2, nShards: 2, rows: [][]string{{}, {"only row with values"}},
+			decisions: []addDecision{absorb(1, 0, float32(math.NaN())), absorb(0, 0, -1e-7)}},
+		// Multi-byte uvarints everywhere: sequence, target, value length.
+		{seq: 1 << 40, nShards: maxSaneShards, rows: [][]string{{strings.Repeat("long value ", 30)}},
+			decisions: []addDecision{absorb(maxSaneShards-1, tupleLocalMask, 0.5)}},
+	} {
+		f.Add(encodeBatchRecord(&rec))
+	}
+	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 1, 0, 0}) // a 10-byte sequence number that overflows
+	f.Add([]byte{2, 0x80, 0x00, 1, 1, 0, 0})                                                 // a sequence number in two bytes where one does
+	f.Add([]byte{2, 7, 1, 0xff, 0xff, 0xff, 0x1f, 0, 0})                                     // 2^26 rows in two bytes
+	f.Add([]byte{2, 7, 1, 1, 0, 0x80, 0x80, 0x40, 0})                                        // a row of 2^20 values in one byte
+	f.Add([]byte{2, 7, 1, 1, 3, 0, 0})                                                       // an absorbed row cut off inside its distance
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		seq, rows, err := decodeBatchRecord(payload)
+		rec, err := decodeBatchRecord(payload)
 		runtime.ReadMemStats(&after)
-		// Row headers cost 24 B per >= 4 payload bytes, string headers 16 B
-		// per >= 4, the strings at most the payload: 11x, before size-class
-		// rounding. The constant covers the error value and the runtime.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(payload)+64<<10); got > limit {
+		// The constant covers the error value and the runtime.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(decodeAllocFactor*len(payload)+64<<10); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(payload), got, limit)
 		}
 		if err != nil {
-			if !errors.Is(err, ErrCorruptRecord) || rows != nil {
-				t.Fatalf("untyped failure: %v (rows %v)", err, rows)
+			if !errors.Is(err, ErrCorruptRecord) || rec.rows != nil || rec.decisions != nil {
+				t.Fatalf("untyped failure: %v (record %+v)", err, rec)
 			}
-		} else if again := encodeBatchRecord(seq, rows); !bytes.Equal(again, payload) {
+		} else if again := encodeBatchRecord(&rec); !bytes.Equal(again, payload) {
 			t.Fatalf("accepted payload does not re-encode to itself:\n  in  %x\n  out %x", payload, again)
 		}
 
-		// The other direction, on rows cut from the same bytes.
-		var want [][]string
+		// The other direction, on a record cut from the same bytes: rows from
+		// its lines, decisions from their lengths and a running checksum.
+		want := batchRecord{seq: uint64(len(payload)) << (len(payload) % 57), nShards: 1 + len(payload)%5}
 		for _, line := range strings.Split(string(payload), "\n") {
-			want = append(want, strings.Split(line, ","))
+			want.rows = append(want.rows, strings.Split(line, ","))
+			var d addDecision
+			if sum := wal.CRC([]byte(line)); len(line)%2 == 1 {
+				d = absorb(int(sum)%want.nShards, int(sum>>7), math.Float32frombits(sum))
+			}
+			want.decisions = append(want.decisions, d)
 		}
-		gotSeq, got, err := decodeBatchRecord(encodeBatchRecord(uint64(len(payload)), want))
-		if err != nil || gotSeq != uint64(len(payload)) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("decode(encode(x)) != x: seq %d, err %v\n  x   %q\n  got %q", gotSeq, err, want, got)
+		got, err := decodeBatchRecord(encodeBatchRecord(&want))
+		if err != nil || !sameRecord(&got, &want) {
+			t.Fatalf("decode(encode(x)) != x: err %v\n  x   %+v\n  got %+v", err, want, got)
 		}
 	})
 }

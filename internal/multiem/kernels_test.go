@@ -83,3 +83,35 @@ func TestMatcherKernelParity(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayAcrossKernels: a log written under the AVX2 kernels replays under
+// the scalar ones. The logged distances then differ from the recomputed ones
+// in the 1e-7 digit, which planFromRecord's tolerance must absorb, and every
+// row lands in the tuple its client was acknowledged with.
+func TestReplayAcrossKernels(t *testing.T) {
+	if vector.Kernels() != "avx2" {
+		t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
+	}
+	const shards = 2
+	load := baseLoader(t, smallGeo(t), shards)
+	cfg := WALConfig{Dir: t.TempDir(), Fsync: "off"}
+	_, acked, _ := loggedHistory(t, cfg.Dir, shards, load) // absorbs rows, or it fails
+
+	defer withKernels(t, "scalar")()
+	recovered, err := RecoverMatcher(cfg, durOpts(shards), load)
+	if err != nil {
+		t.Fatalf("replay under the scalar kernels: %v", err)
+	}
+	defer recovered.CloseWAL()
+	tupleOf := make(map[int]int)
+	for c := recovered.TupleCursor(1); c.Next(); {
+		for _, id := range c.Members() {
+			tupleOf[id] = c.ID()
+		}
+	}
+	for _, r := range acked {
+		if got, ok := tupleOf[r.EntityID]; !ok || got != r.Tuple {
+			t.Fatalf("entity %d was acknowledged in tuple %d, recovered in %d (present %v)", r.EntityID, r.Tuple, got, ok)
+		}
+	}
+}

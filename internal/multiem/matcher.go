@@ -3,6 +3,7 @@ package multiem
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/hnsw"
+	"repro/internal/obs"
 	"repro/internal/table"
 	"repro/internal/vector"
 )
@@ -586,10 +588,14 @@ type batchTuple struct {
 	ord int
 }
 
-// batchPlan is everything a batch settles before any state changes. decide
-// fills vecs and the pre-batch half of rows; chain finishes rows and adds
-// tuples and perShard; apply only reads it.
+// batchPlan is everything a batch settles before any state changes. It has
+// two sources — decide on the primary, which searches, and planFromRecord for
+// recovery and followers, which takes the decisions a log record holds — and
+// both fill values, vecs and the pre-batch half of rows; chain finishes rows
+// and adds tuples and perShard; apply only reads it.
 type batchPlan struct {
+	// values are the batch's raw rows, kept for the log record.
+	values [][]string
 	// vecs holds the row embeddings, row i's at vecs.At(i).
 	vecs *vector.Store
 	rows []addDecision
@@ -633,11 +639,12 @@ type batchPlan struct {
 // failure the records are still ingested (the shard keeps serving from its
 // previous index) and the error is returned alongside the results.
 //
-// With a WAL attached (RecoverMatcher), the batch's raw rows are appended to
-// the log as one record, after the decisions are made and before any shard
-// state changes, so a batch is either fully logged or not applied at all.
-// Under the "always" fsync policy the log is also fsynced before the apply,
-// so an acknowledged batch survives power loss.
+// With a WAL attached (RecoverMatcher), the batch's rows and the decisions of
+// step 1 are appended to the log as one record, before any shard state
+// changes, so a batch is either fully logged or not applied at all — and
+// recovery and followers redo it from those decisions instead of searching
+// again. Under the "always" fsync policy the log is also fsynced before the
+// apply, so an acknowledged batch survives power loss.
 func (m *Matcher) AddRecords(rows [][]string) ([]AddResult, error) {
 	if m.readOnly.Load() {
 		return nil, ErrReadOnly
@@ -647,38 +654,39 @@ func (m *Matcher) AddRecords(rows [][]string) ([]AddResult, error) {
 			return nil, err
 		}
 	}
-	m.addMu.Lock()
-	defer m.addMu.Unlock()
-	return m.commitBatch(rows)
-}
-
-// commitBatch is the serving path of one batch, for live ingest and for a
-// follower applying a shipped batch alike: settle the plan, log the batch if
-// a WAL is attached, apply the plan copy-on-write and publish the new views.
-// A follower has no WAL until promotion (Replicator.Apply refuses once it
-// has), so its mirrored records are not logged a second time, while every
-// batch still commits atomically under the views it is serving reads from.
-// The caller holds addMu and has validated arity.
-func (m *Matcher) commitBatch(rows [][]string) ([]AddResult, error) {
-	// An empty batch must return before the WAL append: it has nothing to
-	// make durable, and a record with no rows is one the decoder refuses.
+	// An empty batch commits nothing: it has nothing to make durable, and a
+	// record with no rows is one the decoder refuses.
 	if len(rows) == 0 {
 		return nil, nil
 	}
+	m.addMu.Lock()
+	defer m.addMu.Unlock()
 	sp := m.obs().ingest.Start()
-	p := m.decide(rows)
+	return m.commitBatch(&sp, m.decide(rows))
+}
+
+// commitBatch is the serving path of one planned batch, for live ingest and
+// for a follower applying a shipped batch alike: log the batch if a WAL is
+// attached, chain, apply the plan copy-on-write and publish the new views. sp
+// is the ingest span the caller opened before it made the plan, so the decide
+// stage times whichever source the plan came from. A follower has no WAL
+// until promotion (Replicator.Apply refuses once it has), so its mirrored
+// records are not logged a second time, while every batch still commits
+// atomically under the views it is serving reads from. The caller holds addMu.
+func (m *Matcher) commitBatch(sp *obs.Span, p *batchPlan) ([]AddResult, error) {
 	sp.Mark(IngestStageDecide)
-	m.chain(p)
-	sp.Mark(IngestStageChain)
 	// Write-ahead: the batch goes to the log (and, under fsync "always", to
-	// stable storage) before any shard state changes. A failed append
-	// rejects the batch with the state untouched.
+	// stable storage) before any shard state changes — and before chain,
+	// because the record holds the decisions as its source left them. A
+	// failed append rejects the batch with the state untouched.
 	if m.wal != nil {
-		if err := m.walAppendBatch(rows); err != nil {
+		if err := m.walAppendBatch(p); err != nil {
 			return nil, err
 		}
 	}
 	sp.Mark(IngestStageWAL)
+	m.chain(p)
+	sp.Mark(IngestStageChain)
 	out, err := m.apply(p)
 	sp.Mark(IngestStageApply)
 	m.publish(p)
@@ -686,19 +694,19 @@ func (m *Matcher) commitBatch(rows [][]string) ([]AddResult, error) {
 	sp.End()
 	ins := m.obs()
 	ins.batches.Add(1)
-	ins.rows.Add(int64(len(rows)))
+	ins.rows.Add(int64(len(p.rows)))
 	return out, err
 }
 
-// replayBatch is recovery's path for one logged batch: the same plan and the
-// same apply as commitBatch — which keeps a recovered matcher bit-identical
-// to the one that ingested the batch — and nothing else. No logging (the
-// records are being read back), no span or counters (replayed history would
-// pollute the serving histograms), and no views: no reader exists until
-// RecoverMatcher returns, which publishes once, so until then every chunk
-// stays writer-owned and is mutated in place instead of copied per batch.
-func (m *Matcher) replayBatch(rows [][]string) ([]AddResult, error) {
-	p := m.decide(rows)
+// replayBatch is recovery's path for one planned batch: the same chain and
+// the same apply as commitBatch — which keeps a recovered matcher
+// bit-identical to the one that ingested the batch — and nothing else. No
+// logging (the records are being read back), no span or counters (replayed
+// history would pollute the serving histograms), and no views: no reader
+// exists until RecoverMatcher returns, which publishes once, so until then
+// every chunk stays writer-owned and is mutated in place instead of copied
+// per batch.
+func (m *Matcher) replayBatch(p *batchPlan) ([]AddResult, error) {
 	m.chain(p)
 	return m.apply(p)
 }
@@ -710,7 +718,7 @@ func (m *Matcher) replayBatch(rows [][]string) ([]AddResult, error) {
 // busy box so do the workers). No shard locks are needed: addMu keeps every
 // writer out, and concurrent Match calls only read.
 func (m *Matcher) decide(rows [][]string) *batchPlan {
-	p := &batchPlan{vecs: vector.NewStoreWithCap(m.dim, len(rows)), rows: make([]addDecision, len(rows))}
+	p := &batchPlan{values: rows, vecs: vector.NewStoreWithCap(m.dim, len(rows)), rows: make([]addDecision, len(rows))}
 	p.vecs.Grow(len(rows))
 	ef := m.shardEf()
 	var claimed atomic.Int64
@@ -753,6 +761,75 @@ func (m *Matcher) decideRow(d *addDecision, q []float32, ef int, hits *shardHits
 	if top.Len() > 0 && top.Worst() <= m.opt.M {
 		d.absorb, d.dist = true, top.Worst()
 	}
+}
+
+// ErrLogMismatch reports a logged batch that does not fit the state it is
+// being replayed over: the log was written by a matcher with another shard
+// count, or over another base state or snapshot. Nothing of the batch is
+// applied.
+var ErrLogMismatch = errors.New("multiem: logged batch does not fit this matcher state " +
+	"(replay a log over the base state or snapshot it was written over, with the same shard count)")
+
+// distTolerance is how far a logged absorption distance may lie from the one
+// recomputed at replay: the batch kernel that decided and the single-pair
+// kernel that checks differ in the 1e-7 digit, as do the scalar and AVX2
+// paths; a different target centroid differs in the first.
+const distTolerance = 1e-5
+
+// planFromRecord is the plan's second source: the rows of a log record,
+// embedded with decide's worker split, under the decisions the record holds
+// for them — what decide settled when the batch was acknowledged. It searches
+// nothing. Because it trusts the log for where a row goes, it checks that the
+// log belongs to this state before anything changes: the record's shard
+// count is the matcher's, the rows fit the schema, and every absorption
+// names a tuple that exists, carries text, lies within M and is as far from
+// the target's current centroid as the log says. Anything else is
+// ErrLogMismatch. The caller holds addMu.
+func (m *Matcher) planFromRecord(rec *batchRecord) (*batchPlan, error) {
+	if rec.nShards != len(m.shards) {
+		return nil, fmt.Errorf("%w: decided by a %d-shard matcher, this one has %d", ErrLogMismatch, rec.nShards, len(m.shards))
+	}
+	rows := rec.rows
+	for i, row := range rows {
+		if err := m.checkArity(row, i); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrLogMismatch, err)
+		}
+	}
+	p := &batchPlan{values: rows, vecs: vector.NewStoreWithCap(m.dim, len(rows)), rows: rec.decisions}
+	p.vecs.Grow(len(rows))
+	var claimed atomic.Int64
+	parallelFor(min(len(m.shards), len(rows)), func(int) {
+		for i := int(claimed.Add(1)) - 1; i < len(rows); i = int(claimed.Add(1)) - 1 {
+			p.vecs.SetRow(i, m.embed(rows[i]))
+		}
+	})
+	for i := range p.rows {
+		if err := m.checkDecision(&p.rows[i], p.vecs.At(i)); err != nil {
+			return nil, fmt.Errorf("%w: row %d: %v", ErrLogMismatch, i, err)
+		}
+	}
+	return p, nil
+}
+
+// checkDecision validates one logged decision for the row embedded as q
+// against the pre-batch state.
+func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
+	if !d.absorb {
+		return nil
+	}
+	if d.shard >= len(m.shards) || d.local >= m.shards[d.shard].tuples.len() {
+		return fmt.Errorf("absorbed into tuple %d of shard %d, which does not exist here", d.local, d.shard)
+	}
+	if vector.Norm(q) == 0 {
+		return errors.New("a row without text is logged as absorbed")
+	}
+	if !(d.dist <= m.opt.M) { // NaN included
+		return fmt.Errorf("logged distance %v is not within M = %v", d.dist, m.opt.M)
+	}
+	if got := m.dist(q, m.shards[d.shard].centroidAt(d.local)); math.Abs(float64(got-d.dist)) > distTolerance {
+		return fmt.Errorf("logged at distance %v from tuple %d of shard %d, which is at %v here", d.dist, d.local, d.shard, got)
+	}
+	return nil
 }
 
 // chain settles the rows against the tuples the batch itself is forming, in

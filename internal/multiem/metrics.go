@@ -15,10 +15,12 @@ import (
 // Match: embed the record, fan the query out across the per-shard HNSW
 // indexes (each shard's search + batch re-rank runs inside the fan-out),
 // then merge the per-shard rankings and materialize candidates.
-// Ingest (one AddRecords batch): snapshot decisions (parallel embed +
-// search + absorption scoring), intra-batch chaining, WAL append, the
-// per-shard copy-on-write apply, and the epoch publish (view builds of the
-// touched shards + commit swap).
+// Ingest (one batch): the plan's source — on a primary snapshot decisions
+// (parallel embed + search + absorption scoring), on a follower the embed
+// and the validation of the decisions its record holds — then the WAL
+// append (the record holds the decisions as that stage left them),
+// intra-batch chaining, the per-shard copy-on-write apply, and the epoch
+// publish (view builds of the touched shards + commit swap).
 const (
 	MatchStageEmbed = iota
 	MatchStageFanout
@@ -27,8 +29,8 @@ const (
 
 const (
 	IngestStageDecide = iota
-	IngestStageChain
 	IngestStageWAL
+	IngestStageChain
 	IngestStageApply
 	IngestStagePublish
 )
@@ -37,7 +39,7 @@ const (
 // above.
 var (
 	MatchStageNames  = []string{"embed", "fanout", "merge"}
-	IngestStageNames = []string{"decide", "chain", "wal_append", "apply", "publish"}
+	IngestStageNames = []string{"decide", "wal_append", "chain", "apply", "publish"}
 )
 
 // slowLogDefaults is the package-level slow-request logging config new

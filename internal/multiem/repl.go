@@ -9,10 +9,11 @@ import (
 )
 
 // Replicator applies a primary's shipped WAL stream to a follower matcher,
-// one batch record at a time, through the same decision path live ingest
-// uses — so the follower's state is bit-identical to the primary's at every
-// applied sequence. The wrapped matcher is fenced read-only (AddRecords
-// returns ErrReadOnly) until Promote.
+// one batch record at a time: the decisions the primary logged, checked
+// against the follower's state, then the chain, apply and publish live ingest
+// runs — so the follower's state is bit-identical to the primary's at every
+// applied sequence, without searching for anything. The wrapped matcher is
+// fenced read-only (AddRecords returns ErrReadOnly) until Promote.
 //
 // The replication layer feeds it raw log-record payloads in log order as
 // they arrive in the mirrored segments (Apply). Apply must be called from one
@@ -59,15 +60,21 @@ var ErrPromoted = errors.New("multiem: matcher has a WAL attached (promoted); sh
 // append, a follower having no WAL — so concurrent reads see it
 // all-or-nothing and the follower serves consistent state the whole time it
 // is catching up; a batch past it is ErrSeqGap. An undecodable payload fails
-// with ErrCorruptRecord, and once Promote has attached a WAL the batch at the
-// position is refused with ErrPromoted, nothing applied.
+// with ErrCorruptRecord, a batch decided over another state or shard layout
+// with ErrLogMismatch, and once Promote has attached a WAL the batch at the
+// position is refused with ErrPromoted — nothing applied in any of them.
 func (r *Replicator) Apply(payload []byte) error {
-	next := r.nextSeq.Load()
-	seq, err := r.m.applyRecord(payload, next, func(rows [][]string) ([]AddResult, error) {
-		if r.m.wal != nil { // under addMu, like Promote's write of it
+	m, next := r.m, r.nextSeq.Load()
+	seq, err := m.applyRecord(payload, next, func(rec *batchRecord) ([]AddResult, error) {
+		if m.wal != nil { // under addMu, like Promote's write of it
 			return nil, ErrPromoted
 		}
-		return r.m.commitBatch(rows)
+		sp := m.obs().ingest.Start()
+		p, err := m.planFromRecord(rec)
+		if err != nil {
+			return nil, err
+		}
+		return m.commitBatch(&sp, p)
 	})
 	switch {
 	case err != nil:

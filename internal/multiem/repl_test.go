@@ -226,8 +226,8 @@ func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	// Withhold the final batch's record — as if the primary died before the
 	// fetch loop got to apply it.
 	last := uint64(len(batches) - 1)
-	if seq, _, err := decodeBatchRecord(records[len(records)-1]); err != nil || seq != last {
-		t.Fatalf("mirror ends in batch %d (err %v), want %d", seq, err, last)
+	if rec, err := decodeBatchRecord(records[len(records)-1]); err != nil || rec.seq != last {
+		t.Fatalf("mirror ends in batch %d (err %v), want %d", rec.seq, err, last)
 	}
 	// Delivered ahead of the batches before it, it is refused by name and
 	// moves nothing.

@@ -28,7 +28,8 @@ type Config struct {
 	// primary's durability layout, so on promotion it simply becomes one.
 	Dir string
 	// Opt are the matcher runtime options (encoder, thresholds); they must
-	// match the primary's or the replayed decisions would diverge.
+	// match the primary's: a shipped batch is embedded, checked against the
+	// primary's logged decisions and chained under them.
 	Opt multiem.Options
 	// WAL configures the log opened at promotion (fsync policy, intervals);
 	// Dir is overridden with the mirror directory.

@@ -1,10 +1,11 @@
 // Package repl implements WAL-shipping replication for the matcher: a
 // primary serves its durability directory — snapshots plus the batch log's
-// segments — over HTTP, and followers mirror it byte-for-byte, replaying
-// each batch record through the matcher's normal decision path so their state
-// is bit-identical to the primary's at every applied sequence. A follower
-// serves read-only traffic the whole time and can be promoted to primary,
-// fenced against the old primary by a monotonic term.
+// segments — over HTTP, and followers mirror it byte-for-byte, applying each
+// batch record's rows under the decisions the primary logged with them
+// (checked against the follower's state, never searched for again) so their
+// state is bit-identical to the primary's at every applied sequence. A
+// follower serves read-only traffic the whole time and can be promoted to
+// primary, fenced against the old primary by a monotonic term.
 //
 // The wire protocol is deliberately dumb: the manifest names what exists,
 // snapshots and segments are fetched as raw bytes at offsets, and all
@@ -24,10 +25,12 @@ import (
 )
 
 // ManifestFormat numbers the manifest's wire format and what it implies
-// about the files behind it: 2 is one batch log (one record per batch,
-// fetched from /repl/segment/{index}). Format 1 — per-shard logs under
-// "shard_segments" — predates the field and decodes as 0.
-const ManifestFormat = 2
+// about the files behind it: 3 is one batch log (one record per batch,
+// fetched from /repl/segment/{index}) whose records carry the batch's
+// decisions beside its rows. Format 2 had the same manifest over records of
+// raw rows; format 1 — per-shard logs under "shard_segments" — predates the
+// field and decodes as 0.
+const ManifestFormat = 3
 
 // Manifest is the primary's replication catalog: everything a follower can
 // fetch, plus the positions that define lag.

@@ -339,33 +339,52 @@ func TestFollowerRejectsStaleTerm(t *testing.T) {
 	}
 }
 
-// TestMixedVersionsFailLoudly: a follower pointed at a primary that still
-// serves the per-shard manifest (no format number) reports a named error
-// every round instead of seeing zero segments and resyncing forever; and a
-// mirror directory in the old layout is refused at Start, not at promotion.
+// TestMixedVersionsFailLoudly: a follower pointed at a primary of another
+// version — one that still serves the per-shard manifest (no format number),
+// or the one-log manifest of format 2, whose records hold rows without their
+// decisions — reports a named error every round instead of seeing zero
+// segments and resyncing forever, or feeding old records to the new decoder;
+// and a mirror directory an earlier version wrote is refused at Start, not at
+// promotion.
 func TestMixedVersionsFailLoudly(t *testing.T) {
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"term":1,"next_seq":3,"shards":1,"snapshots":[{"seq":0,"bytes":1,"crc":0}],"shard_segments":[[]]}`)
-	}))
-	defer old.Close()
-	bare := &Follower{cfg: Config{PrimaryURL: old.URL}, client: http.DefaultClient}
-	if _, err := bare.fetchManifest(context.Background()); !errors.Is(err, errManifestFormat) {
-		t.Fatalf("manifest from an old primary: %v, want errManifestFormat", err)
-	}
-	f := startFollower(t, old.URL, t.TempDir(), 1)
-	waitFor(t, 10*time.Second, "counted fetch errors", func() bool {
-		return f.Stats().FetchErrors >= 2
-	})
-	if st := f.Stats(); st.Bootstrapped || st.Resyncs != 0 {
-		t.Fatalf("follower acted on an old-format manifest: %+v", st)
+	for name, manifest := range map[string]string{
+		"per-shard": `{"term":1,"next_seq":3,"shards":1,"snapshots":[{"seq":0,"bytes":1,"crc":0}],"shard_segments":[[]]}`,
+		"format 2":  `{"format":2,"term":1,"next_seq":3,"snapshots":[{"seq":0,"bytes":1,"crc":0}],"segments":[{"index":1,"bytes":8,"sealed":false}]}`,
+	} {
+		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, manifest)
+		}))
+		defer old.Close()
+		bare := &Follower{cfg: Config{PrimaryURL: old.URL}, client: http.DefaultClient}
+		if _, err := bare.fetchManifest(context.Background()); !errors.Is(err, errManifestFormat) {
+			t.Fatalf("%s manifest from an old primary: %v, want errManifestFormat", name, err)
+		}
+		f := startFollower(t, old.URL, t.TempDir(), 1)
+		waitFor(t, 10*time.Second, "counted fetch errors", func() bool {
+			return f.Stats().FetchErrors >= 2
+		})
+		if st := f.Stats(); st.Bootstrapped || st.Resyncs != 0 {
+			t.Fatalf("follower acted on a %s manifest: %+v", name, st)
+		}
 	}
 
-	mirror := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(mirror, "shard-0000"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Start(Config{PrimaryURL: old.URL, Dir: mirror}); !errors.Is(err, multiem.ErrWALLayout) {
-		t.Fatalf("Start on an old-layout mirror: %v, want ErrWALLayout", err)
+	nobody := httptest.NewServer(http.NotFoundHandler())
+	defer nobody.Close()
+	for name, entry := range map[string]string{
+		"per-shard logs":      "shard-0000/seg-0000000000000001.wal",
+		"older record format": "log/seg-0000000000000001.wal",
+	} {
+		mirror := t.TempDir()
+		path := filepath.Join(mirror, entry)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("MEMWAL1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Start(Config{PrimaryURL: nobody.URL, Dir: mirror}); !errors.Is(err, multiem.ErrWALLayout) {
+			t.Fatalf("Start on a mirror with %s: %v, want ErrWALLayout", name, err)
+		}
 	}
 }
 

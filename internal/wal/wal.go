@@ -86,8 +86,38 @@ func (p SyncPolicy) String() string {
 var ErrTornWrite = errors.New("wal: torn write at log tail")
 
 // segMagic opens every segment file; the trailing digit is the format
-// version.
-var segMagic = [8]byte{'M', 'E', 'M', 'W', 'A', 'L', '1', '\n'}
+// version. It covers the records' payload layout too: the matcher bumps it
+// when its batch record changes, so no old record reaches a new decoder (2 =
+// batch records that carry their decisions).
+var segMagic = [8]byte{'M', 'E', 'M', 'W', 'A', 'L', '2', '\n'}
+
+// ErrVersion reports a segment written under another format version: its
+// magic differs from this build's in the version digit only.
+var ErrVersion = errors.New("wal: segment written under another format version")
+
+// CheckVersion returns ErrVersion (wrapped, naming the file) when dir holds a
+// segment of another format version. A missing dir, a header still being
+// written and a foreign file (Replay reports that as a bad magic) all pass;
+// nothing is modified.
+func CheckVersion(dir string) error {
+	segs, err := scanSegments(dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	for _, seg := range segs {
+		f, err := os.Open(seg.path)
+		if err != nil {
+			return fmt.Errorf("wal: check version: %w", err)
+		}
+		var mg [8]byte
+		_, err = io.ReadFull(f, mg[:])
+		f.Close()
+		if err == nil && mg != segMagic && string(mg[:6]) == string(segMagic[:6]) {
+			return fmt.Errorf("%w: %s opens with %q, want %q", ErrVersion, seg.path, mg[:7], segMagic[:7])
+		}
+	}
+	return nil
+}
 
 const (
 	frameHeaderLen = 8       // length + crc32c

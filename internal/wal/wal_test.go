@@ -335,3 +335,41 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 		t.Fatal("Open accepted an unparseable segment name")
 	}
 }
+
+// TestCheckVersion: only a complete header of another format version is
+// ErrVersion. A missing directory, this version's own segments, a header a
+// crash cut short and a file that is no segment at all pass — the last is
+// Replay's to report as a bad magic.
+func TestCheckVersion(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	if err := CheckVersion(dir); err != nil {
+		t.Fatalf("missing dir: %v", err)
+	}
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("record")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckVersion(dir); err != nil {
+		t.Fatalf("own segments: %v", err)
+	}
+	for _, header := range []string{"MEMW", "notawal!"} {
+		if err := os.WriteFile(segPath(dir, 2), []byte(header), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckVersion(dir); err != nil {
+			t.Fatalf("second segment opening with %q: %v", header, err)
+		}
+	}
+	if err := os.WriteFile(segPath(dir, 2), []byte("MEMWAL1\nold records"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckVersion(dir); !errors.Is(err, ErrVersion) {
+		t.Fatalf("a version-1 segment: %v, want ErrVersion", err)
+	}
+}

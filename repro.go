@@ -94,10 +94,16 @@ type (
 // must go to the primary until the follower is promoted.
 var ErrReadOnly = multiem.ErrReadOnly
 
-// ErrWALLayout is returned by RecoverMatcher for a durability directory in
-// the per-shard log layout of an earlier version; its message carries the
-// upgrade procedure.
+// ErrWALLayout is returned by RecoverMatcher for a durability directory whose
+// logs an earlier version wrote (per-shard logs, or batch records without
+// decisions); its message carries the upgrade procedure.
 var ErrWALLayout = multiem.ErrWALLayout
+
+// ErrLogMismatch is returned by RecoverMatcher when a logged batch does not
+// fit the state it is replayed over: the log was written by a matcher with
+// another shard count, or over another base state or snapshot. Nothing of the
+// batch is applied.
+var ErrLogMismatch = multiem.ErrLogMismatch
 
 // ErrCorruptState is wrapped by LoadMatcher, LoadMatcherFile and
 // RecoverMatcher (for its newest snapshot) when the bytes are not a
@@ -174,9 +180,11 @@ func SaveMatcherFile(m *Matcher, path string) error {
 
 // RecoverMatcher opens a durable matcher: the latest snapshot in cfg.Dir is
 // loaded (or, when there is none, base() builds the starting state), every
-// write-ahead-logged batch since is replayed through the normal ingest path
-// — so the recovered state is bit-identical to the matcher that crashed —
-// and subsequent AddRecords are logged under cfg's fsync policy. Call
+// write-ahead-logged batch since is redone from the decisions its record
+// holds — checked against the state, ErrLogMismatch when the log was written
+// over another base or shard count — so the recovered state is bit-identical
+// to the matcher that crashed, and subsequent AddRecords are logged under
+// cfg's fsync policy. Call
 // Matcher.CloseWAL on shutdown to flush; Matcher.Snapshot (or
 // cfg.SnapshotInterval) checkpoints state and truncates the logs.
 func RecoverMatcher(cfg WALConfig, opt Options, base func() (*Matcher, error)) (*Matcher, error) {

@@ -5,8 +5,14 @@
 #   2. serve it with -wal-dir and ingest batches over HTTP
 #   3. SIGKILL the server mid-flight (no graceful shutdown, no final fsync)
 #   4. restart it on the same -load-index and -wal-dir
-#   5. assert /stats (entities, tuples, matched, singletons) match the
-#      pre-kill state exactly — every acknowledged batch survived
+#   5. assert /stats (entities, tuples, matched, singletons) and the SHA-256
+#      of the whole tuple set (GET /tuples, singletons included) match the
+#      pre-kill state exactly — every acknowledged batch survived, and every
+#      row sits in the tuple it was acknowledged in. Recovery takes a batch's
+#      decisions from the log, so "right counts, wrong members" is the
+#      failure the counts alone would miss.
+#   6. print the seconds from restart to /readyz 200, and what the server
+#      says it replayed
 #
 # Run from the repository root (CI: make crash-recovery).
 set -euo pipefail
@@ -29,11 +35,11 @@ log() { echo "crash-recovery: $*" >&2; }
 # installed. Polling readiness (instead of sleeping, or trusting liveness) is
 # what makes the post-restart stats comparison race-free.
 wait_ready() {
-  for _ in $(seq 1 150); do
+  for _ in $(seq 1 600); do
     if curl -fsS "$BASE/readyz" >/dev/null 2>&1; then
       return 0
     fi
-    sleep 0.2
+    sleep 0.05
   done
   log "server on $ADDR never became ready"
   cat "$WORK/server.log" >&2 || true
@@ -46,6 +52,12 @@ wait_ready() {
 stat_counts() {
   curl -fsS "$BASE/stats" | tr ',{' '\n\n' |
     grep -E '^"(entities|tuples|matched|singletons)":' | head -4 | sort
+}
+
+# tuples_hash digests the full tuple set — ids, members, confidences — as
+# /tuples streams it from one pinned epoch.
+tuples_hash() {
+  curl -fsS "$BASE/tuples?min_members=1" | sha256sum | cut -d' ' -f1
 }
 
 log "building server"
@@ -69,6 +81,12 @@ wait_ready
 log "ingesting batches"
 for b in $(seq 1 8); do
   rows=""
+  # every batch after the first opens with a row of the batch before it, so
+  # the log also holds absorptions into tuples that existed before the batch
+  if [ "$b" -gt 1 ]; then
+    id="$(((b - 1) * 100 + 1))"
+    rows+="[\"station $id sector $((id % 7))\",\"$((id % 90)).5\",\"-$((id % 80)).25\"],"
+  fi
   for r in $(seq 1 32); do
     id="$((b * 100 + r))"
     rows+="[\"station $id sector $((id % 7))\",\"$((id % 90)).5\",\"-$((id % 80)).25\"],"
@@ -82,7 +100,8 @@ for b in $(seq 1 8); do
 done
 
 BEFORE="$(stat_counts)"
-log "pre-kill stats: $(echo "$BEFORE" | tr '\n' ' ')"
+BEFORE_HASH="$(tuples_hash)"
+log "pre-kill stats: $(echo "$BEFORE" | tr '\n' ' ') tuples sha256 $BEFORE_HASH"
 if ! curl -fsS "$BASE/stats" | grep -q '"wal":{"enabled":true'; then
   log "/stats does not report an enabled WAL"
   exit 1
@@ -94,13 +113,17 @@ wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 
 log "restarting on the same -wal-dir"
+T0="$(date +%s.%N)"
 "$WORK/server" -load-index "$WORK/base.bin" -wal-dir "$WORK/wal" -fsync off \
   -addr "$ADDR" >"$WORK/server2.log" 2>&1 &
 SERVER_PID=$!
 wait_ready
+log "recovery: $(awk -v a="$T0" -v b="$(date +%s.%N)" 'BEGIN { printf "%.2f", b - a }') s from restart to /readyz 200;" \
+  "$(curl -fsS "$BASE/stats" | tr ',{' '\n\n' | grep -E '^"(replayed_batches|replayed_rows|replay_seconds)":' | tr -d '}' | tr '\n' ' ')"
 
 AFTER="$(stat_counts)"
-log "post-recovery stats: $(echo "$AFTER" | tr '\n' ' ')"
+AFTER_HASH="$(tuples_hash)"
+log "post-recovery stats: $(echo "$AFTER" | tr '\n' ' ') tuples sha256 $AFTER_HASH"
 
 if [ "$BEFORE" != "$AFTER" ]; then
   log "FAIL: stats diverged across the crash"
@@ -109,9 +132,14 @@ if [ "$BEFORE" != "$AFTER" ]; then
   cat "$WORK/server2.log" >&2 || true
   exit 1
 fi
+if [ "$BEFORE_HASH" != "$AFTER_HASH" ]; then
+  log "FAIL: same counts, different tuples: /tuples hashed $BEFORE_HASH before the kill, $AFTER_HASH after"
+  cat "$WORK/server2.log" >&2 || true
+  exit 1
+fi
 
 # The recovered server must keep ingesting (sequence numbers intact).
 curl -fsS -X POST -H 'Content-Type: application/json' \
   -d '{"records":[["post crash probe","1.5","-2.5"]]}' "$BASE/add" >/dev/null
 
-log "PASS: recovered state matches pre-kill state"
+log "PASS: recovered state matches pre-kill state, tuple for tuple"

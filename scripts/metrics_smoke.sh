@@ -10,6 +10,8 @@
 #      search effort, WAL appends — moved off zero
 #   5. assert the pprof index answers on the debug listener and that the
 #      debug listener serves the same /metrics catalogue
+#   6. SIGKILL the server, restart it on the same -wal-dir, and assert the
+#      recovery gauges report the replay (rows and seconds off zero)
 #
 # Env overrides: RATE, DURATION.
 # Run from the repository root.
@@ -143,4 +145,18 @@ grep -q '"msg":"starting"' "$WORK/server.log" \
 grep -q '"kernels":' "$WORK/server.log" \
   || { log "FAIL: startup record does not name the kernels path"; exit 1; }
 
-log "PASS: /metrics well-formed, key series non-zero, pprof reachable"
+log "restarting on the same -wal-dir: recovery must report itself"
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+"$WORK/server" -dataset Geo -scale 0.1 -seed 7 \
+  -wal-dir "$WORK/wal" -fsync interval \
+  -log-format json -addr "$ADDR" >>"$WORK/server.log" 2>&1 &
+SERVER_PID=$!
+wait_ready
+curl -fsS "$BASE/metrics" >"$WORK/metrics.txt"
+assert_positive multiem_recovery_replayed_rows
+assert_positive multiem_recovery_replay_seconds
+grep -q '"msg":"durability on".*"replayed_rows":[1-9]' "$WORK/server.log" \
+  || { log "FAIL: the durability log line does not report the replay"; exit 1; }
+
+log "PASS: /metrics well-formed, key series non-zero, pprof reachable, recovery reported"
