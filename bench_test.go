@@ -704,52 +704,62 @@ func BenchmarkMatcherIngestWAL(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoverReplay measures recovery: a durability directory is written
-// once — the base state plus 256 batches of 16 rows through AddRecords — and
-// one op is RecoverMatcher over it: load the base file, replay the log,
-// publish. rows/s is logged rows per second of that whole call; nearly all of
-// it is replay, which redoes each batch from the decisions its record holds.
+// BenchmarkRecoverReplay measures recovery by layout: a durability directory
+// is written once per sub-benchmark — the base state at that shard count plus
+// about 4 096 rows through AddRecords in batches of the given size — and one op
+// is RecoverMatcher over it: load the base file, replay the log, publish.
+// rows/s is logged rows per second of that whole call; nearly all of it is
+// replay, which redoes each batch from the decisions its record holds, one
+// apply stream per shard. shards=1 is the reader overlapping one stream; more
+// shards scale with min(shards, cores).
 func BenchmarkRecoverReplay(b *testing.B) {
-	const batches, batchRows = 256, 16
-	m, _ := benchMatcher(b, 2)
-	opt := repro.DefaultOptions()
-	opt.M = 0.5
-	dir := b.TempDir()
-	basePath := filepath.Join(dir, "base.bin")
-	if err := repro.SaveMatcherFile(m, basePath); err != nil {
-		b.Fatal(err)
-	}
-	base := func() (*repro.Matcher, error) { return repro.LoadMatcherFile(basePath, opt) }
-	cfg := repro.WALConfig{Dir: filepath.Join(dir, "wal"), Fsync: "off"}
-	live, err := repro.RecoverMatcher(cfg, opt, base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < batches; i++ {
-		if _, err := live.AddRecords(benchIngestRows(i, batchRows)); err != nil {
-			b.Fatal(err)
+	const totalRows = 4096
+	for _, shards := range []int{1, 2, 4} {
+		for _, batchRows := range []int{6, 16} {
+			b.Run(fmt.Sprintf("shards=%d/rows=%d", shards, batchRows), func(b *testing.B) {
+				batches := totalRows / batchRows
+				m, _ := benchMatcher(b, shards)
+				opt := repro.DefaultOptions()
+				opt.M = 0.5
+				dir := b.TempDir()
+				basePath := filepath.Join(dir, "base.bin")
+				if err := repro.SaveMatcherFile(m, basePath); err != nil {
+					b.Fatal(err)
+				}
+				base := func() (*repro.Matcher, error) { return repro.LoadMatcherFile(basePath, opt) }
+				cfg := repro.WALConfig{Dir: filepath.Join(dir, "wal"), Fsync: "off"}
+				live, err := repro.RecoverMatcher(cfg, opt, base)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < batches; i++ {
+					if _, err := live.AddRecords(benchIngestRows(i, batchRows)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := live.CloseWAL(); err != nil {
+					b.Fatal(err)
+				}
+				want := live.Stats()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rec, err := repro.RecoverMatcher(cfg, opt, base)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					if got := rec.Stats(); got.Entities != want.Entities || got.Tuples != want.Tuples {
+						b.Fatalf("recovered %d entities in %d tuples, want %d in %d", got.Entities, got.Tuples, want.Entities, want.Tuples)
+					}
+					if err := rec.CloseWAL(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(batches*batchRows*b.N)/b.Elapsed().Seconds(), "rows/s")
+			})
 		}
 	}
-	if err := live.CloseWAL(); err != nil {
-		b.Fatal(err)
-	}
-	want := live.Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := repro.RecoverMatcher(cfg, opt, base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if got := rec.Stats(); got.Entities != want.Entities || got.Tuples != want.Tuples {
-			b.Fatalf("recovered %d entities in %d tuples, want %d in %d", got.Entities, got.Tuples, want.Entities, want.Tuples)
-		}
-		if err := rec.CloseWAL(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(batches*batchRows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // BenchmarkMatcherMixed is the serving-traffic shape: many goroutines issuing

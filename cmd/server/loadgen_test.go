@@ -25,11 +25,14 @@ func TestLoadgenLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// No warmup window: the server's summaries count every request it handled,
+	// the coldest first ones included, so the client's must too for the two
+	// distributions to be compared below.
 	rep, err := loadgen.Run(loadgen.Config{
 		BaseURL:    srv.URL,
 		Rate:       150,
-		Duration:   400 * time.Millisecond,
-		Warmup:     100 * time.Millisecond,
+		Duration:   500 * time.Millisecond,
+		Warmup:     0,
 		MatchRatio: 0.6,
 		Seed:       1,
 		Workload:   streamWorkload{stream: stream, batch: 4},
@@ -54,8 +57,7 @@ func TestLoadgenLoopback(t *testing.T) {
 	}
 
 	// Server-side view: /stats endpoints must account for every request the
-	// client sent (warmup included — the server does not know about warmup)
-	// with zero errors and populated percentiles.
+	// client sent with zero errors and populated percentiles.
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -86,9 +88,9 @@ func TestLoadgenLoopback(t *testing.T) {
 			t.Errorf("%s: empty/inconsistent server summary: %+v", name, es)
 		}
 		serverTotal += es.Requests
-		// The client measures from the scheduled instant, the server from
-		// handler entry, so the server's distribution is bounded by the
-		// client's worst case.
+		// Both sides saw the same requests; the client measures each from its
+		// scheduled instant, the server from handler entry, so the server's
+		// distribution is bounded by the client's worst case.
 		if cl := rep.Endpoints[name]; es.P99Ms > cl.MaxMs {
 			t.Errorf("%s: server p99 %.2fms exceeds client max %.2fms", name, es.P99Ms, cl.MaxMs)
 		}

@@ -222,7 +222,9 @@ func main() {
 					"segments", ws.Segments, "bytes", ws.Bytes,
 					"next_seq", ws.NextSeq, "snapshot_seq", ws.SnapshotSeq,
 					"replayed_batches", ws.ReplayedBatches, "replayed_rows", ws.ReplayedRows,
-					"replay_seconds", ws.ReplaySeconds)
+					"replay_seconds", ws.ReplaySeconds,
+					"replay_reader_busy_seconds", ws.ReplayReaderBusySeconds,
+					"replay_shard_busy_seconds", ws.ReplayShardBusySeconds)
 			}
 		} else {
 			matcher, err = base()

@@ -224,6 +224,23 @@ func (s *server) registerMetrics() {
 	r.GaugeFunc("multiem_recovery_replay_seconds",
 		"Time that replay took; rows over seconds is what a snapshot interval is sized from.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return ws.ReplaySeconds }))
+	r.GaugeFunc("multiem_recovery_reader_busy_seconds",
+		"Replay time the log reader spent decoding, embedding and chaining rather than waiting for the shard streams.", nil,
+		walGauge(func(ws repro.WALStats) float64 { return ws.ReplayReaderBusySeconds }))
+	r.GaugeSetFunc("multiem_recovery_shard_busy_seconds",
+		"Replay time the shard's apply stream spent checking and applying rather than waiting for the reader.",
+		func() []obs.Sample {
+			m := matcher()
+			if m == nil {
+				return nil
+			}
+			busy := m.WALStats().ReplayShardBusySeconds
+			out := make([]obs.Sample, len(busy))
+			for s, v := range busy {
+				out[s] = obs.Sample{Labels: obs.L("shard", strconv.Itoa(s)), Value: v}
+			}
+			return out
+		})
 	r.SummaryFunc("multiem_wal_sync_duration_seconds",
 		"WAL fsync latency.", nil, func() *hist.Snapshot {
 			m := matcher()

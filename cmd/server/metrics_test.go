@@ -62,6 +62,9 @@ var pinnedMetrics = map[string]string{
 	"multiem_recovery_replayed_rows":     "gauge",
 	"multiem_recovery_replay_seconds":    "gauge",
 
+	"multiem_recovery_reader_busy_seconds": "gauge",
+	"multiem_recovery_shard_busy_seconds":  "gauge",
+
 	"multiem_repl_role":                  "gauge",
 	"multiem_repl_term":                  "gauge",
 	"multiem_repl_lag_batches":           "gauge",

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,9 +26,10 @@ import (
 // latest snapshot (or rebuild the base state) and redo the logged batches:
 // each row is embedded again, takes the decision the log holds for it
 // (checked against the state it is replayed over, searched for never), and
-// the batch runs the same chain and apply as the live ingest did — so the
-// recovered matcher is bit-identical to the one that crashed, down to its
-// Save bytes. A follower applies shipped records the same way.
+// the batch runs the same chain and, shard by shard, the same apply as the
+// live ingest did — so the recovered matcher is bit-identical to the one that
+// crashed, down to its Save bytes. A follower applies shipped records the
+// same way, one batch at a time under the views it serves.
 //
 // Log record layout (one per batch; uvarints minimal, little-endian):
 //
@@ -111,6 +113,14 @@ type WALStats struct {
 	ReplayedBatches int64   `json:"replayed_batches"`
 	ReplayedRows    int64   `json:"replayed_rows"`
 	ReplaySeconds   float64 `json:"replay_seconds"`
+	// ReplayReaderBusySeconds and ReplayShardBusySeconds say where
+	// ReplaySeconds went: replay is one reader (decode, embed, chain) feeding
+	// one apply stream per shard, and these are the seconds each spent working
+	// rather than waiting for the other side. Every shard near ReplaySeconds:
+	// replay is insert-bound; one shard near it and the rest low: absorption
+	// is skewed; the reader near it: embed-bound. Empty after a promotion.
+	ReplayReaderBusySeconds float64   `json:"replay_reader_busy_seconds"`
+	ReplayShardBusySeconds  []float64 `json:"replay_shard_busy_seconds,omitempty"`
 }
 
 // walState is a matcher's attached durability state.
@@ -126,12 +136,9 @@ type walState struct {
 	snapshots   atomic.Int64
 	snapErrs    atomic.Int64
 
-	// replayed is what recovery replayed from the log, and how long it took;
-	// written once, before the matcher is shared.
-	replayed struct {
-		batches, rows int64
-		dur           time.Duration
-	}
+	// replayed is what recovery replayed from the log, and where the time
+	// went; written once, before the matcher is shared.
+	replayed replayStats
 
 	// brokenErr fences ingest after a failed append; guarded by addMu.
 	brokenErr error
@@ -242,11 +249,14 @@ func CheckWALLayout(dir string) error {
 //     produce the starting state (build the pipeline, or load a saved
 //     matcher file) — it must be deterministic for recovery to be exact.
 //  2. Every batch logged at or after the snapshot is redone — the logged
-//     decisions, checked against the state (ErrLogMismatch when the log was
-//     written over another one), then the normal chain and apply — so the
-//     recovered state is bit-identical to the matcher that crashed. A torn
-//     tail (crash mid-append) ends replay cleanly at the last whole batch;
-//     the next append truncates it.
+//     decisions and the normal chain, then on every shard, as an independent
+//     stream over the log, the decisions checked against that shard's state
+//     and the normal apply (replayWAL) — so the recovered state is
+//     bit-identical to the matcher that crashed. A log written over another
+//     state fails with the ErrLogMismatch of its lowest failing batch and no
+//     matcher is returned; nothing in the directory is touched. A torn tail
+//     (crash mid-append) ends replay cleanly at the last whole batch; the
+//     next append truncates it.
 //  3. Subsequent AddRecords append to the log under cfg's fsync policy,
 //     and a background snapshotter (cfg.SnapshotInterval > 0) bounds
 //     recovery time by log-since-snapshot.
@@ -289,18 +299,15 @@ func RecoverMatcher(cfg WALConfig, opt Options, base func() (*Matcher, error)) (
 	if ws.log, err = wal.Open(LogDir(cfg.Dir), wal.Options{SegmentMaxBytes: cfg.SegmentMaxBytes}); err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	nextSeq, rows, err := m.replayWAL(ws.log, snapSeq)
-	if err != nil {
+	if ws.replayed, err = m.replayWAL(ws.log, snapSeq); err != nil {
 		ws.log.Close()
 		return nil, err
 	}
-	ws.replayed.batches, ws.replayed.rows, ws.replayed.dur = int64(nextSeq-snapSeq), rows, time.Since(t0)
 	// Replay applied batches to writer state only (no per-batch views — no
 	// reader exists yet); publish the recovered state once, at the epoch the
 	// replayed batch count implies, before anything serves or snapshots it.
-	m.publishAll(nextSeq - snapSeq)
-	ws.seq.Store(nextSeq)
+	m.publishAll(uint64(ws.replayed.batches))
+	ws.seq.Store(snapSeq + uint64(ws.replayed.batches))
 	ws.snapshotSeq.Store(snapSeq)
 	m.wal = ws
 	ws.startLoops(m)
@@ -515,63 +522,225 @@ func decodeBatchRecord(payload []byte) (rec batchRecord, err error) {
 	return rec, nil
 }
 
-// applyRecord decodes one log record and, when it holds batch want, hands it
-// to run under the ingest lock: recovery's run replays it, a follower's
-// commits it. Neither decides anything — both take the plan the record holds
-// (planFromRecord). It returns the record's sequence number; the batch was
-// applied iff seq == want and err is nil. Recovery and the Replicator share
-// it — what each makes of seq != want differs.
-func (m *Matcher) applyRecord(payload []byte, want uint64, run func(rec *batchRecord) ([]AddResult, error)) (seq uint64, err error) {
-	rec, err := decodeBatchRecord(payload)
-	if err != nil || rec.seq != want {
-		return rec.seq, err
-	}
-	m.addMu.Lock()
-	res, err := run(&rec)
-	m.addMu.Unlock()
-	// A compaction failure comes back alongside results, exactly as it did
-	// on the original ingest; the batch is applied either way.
-	if res == nil && err != nil {
-		return rec.seq, fmt.Errorf("multiem: apply logged batch %d: %w", rec.seq, err)
-	}
-	return rec.seq, nil
+// replayInflightRows bounds the rows the reader may have handed to the shard
+// streams and not yet seen applied by all of them: a batch is admitted while
+// fewer than this many rows are in flight, so at most this many plus one
+// batch ever are (an /add body, hence a batch, may be 64 MiB). The slack is
+// what absorbs the imbalance between shards — a 16-row batch splits 10/6 as
+// often as 8/8 — and a few hundred rows of it is enough: replaying 16 000 rows
+// of 16-row batches over two shards took 1.19–1.43 s with one batch in flight,
+// 1.03–1.36 s with 4 and 0.97–1.20 s with 32. 1 024 rows are 1 MiB of
+// embeddings at dim 256.
+const replayInflightRows = 1024
+
+// replayStats is what a replay reports of itself.
+type replayStats struct {
+	batches, rows int64
+	// wall is the whole replay. readerBusy is the reader's share of it —
+	// reading, decoding, embedding, chaining; its waits for the window to open
+	// excluded — and shardBusy[s] shard stream s's time checking and applying,
+	// its waits for the reader excluded.
+	wall, readerBusy time.Duration
+	shardBusy        []time.Duration
+	// peakRows is the most rows that were in flight at once.
+	peakRows int
 }
 
-// replayWAL redoes every batch logged at or after startSeq, in log order, and
-// returns the next sequence number to assign and the rows it replayed.
-// Records below startSeq are covered by the snapshot (their segment is not
-// dropped yet); past that the log must ascend by one — a single file cannot
-// strand a whole record beyond a hole without failing its CRC, so anything
-// else is corruption under every fsync policy.
-func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64) (nextSeq uint64, rows int64, err error) {
-	nextSeq = startSeq
-	err = l.Replay(func(payload []byte) error {
-		seq, err := m.applyRecord(payload, nextSeq, func(rec *batchRecord) ([]AddResult, error) {
-			p, err := m.planFromRecord(rec)
-			if err != nil {
-				return nil, err
-			}
-			rows += int64(len(rec.rows))
-			return m.replayBatch(p)
-		})
-		switch {
-		case err != nil:
-			return fmt.Errorf("multiem: wal replay: %w", err)
-		case seq == nextSeq:
-			nextSeq++
-		case seq >= startSeq:
-			return fmt.Errorf("multiem: wal replay: log holds batch %d where batch %d belongs", seq, nextSeq)
-		}
-		return nil
-	})
-	// A torn tail is the expected remnant of a crash: every whole record
-	// before it was delivered, the batch it belonged to was never
-	// acknowledged, and the next append truncates it. Anything else is real
-	// corruption.
-	if err != nil && !errors.Is(err, wal.ErrTornWrite) {
-		return 0, 0, err
+// replayItem is one logged batch on its way through the shard streams.
+type replayItem struct {
+	seq uint64
+	p   *batchPlan
+	// logged are the decisions as the record holds them: chain overwrites
+	// p.rows[i] for a row it moves to a forming tuple, and the shard the log
+	// sent that row to still has to check it.
+	logged []addDecision
+	baseID int
+	// pending counts the streams that have not finished with the batch; the
+	// last one returns its rows to the window.
+	pending atomic.Int32
+}
+
+// replayer is the state of one replayWAL call: the reader (read, on the
+// caller's goroutine) and one stream goroutine per shard.
+type replayer struct {
+	m        *Matcher
+	startSeq uint64
+	st       replayStats
+	// queues[s] feeds shard s's stream every batch, in log order.
+	queues []chan *replayItem
+
+	// mu guards the window (inflight, with freed signalled when rows return;
+	// blocked is how long the reader waited on it) and the failure.
+	mu       sync.Mutex
+	freed    sync.Cond
+	inflight int
+	blocked  time.Duration
+	// The failure with the lowest (failSeq, failRow) seen so far. failSeq is
+	// math.MaxUint64 while there is none, and atomic so that every stage reads
+	// it without the lock: none touches a batch at or past it.
+	failSeq atomic.Uint64
+	failRow int
+	failErr error
+}
+
+// errReplayStopped ends the log scan once a shard stream has failed.
+var errReplayStopped = errors.New("multiem: wal replay stopped")
+
+// replayWAL redoes every batch logged at or after startSeq and reports what it
+// replayed. Records below startSeq are covered by the snapshot (their segment
+// is not dropped yet); past that the log must ascend by one — a single file
+// cannot strand a whole record beyond a hole without failing its CRC, so
+// anything else is corruption under every fsync policy.
+//
+// Redo is local to the shard it touches (ARIES), and shards share nothing, so
+// replay is a pipeline with no join between batches — a live batch needs one
+// for its atomic publish and its acknowledgement, replay has neither. One
+// reader walks the log: it decodes a record, makes its plan (planFromRecord),
+// runs chain — which reads only the plan, and is the one cross-shard step —
+// hands out the entity IDs, and sends the plan to every shard's stream. A
+// stream takes the batches in log order and for each checks the logged
+// decisions that target its shard (checkShard; the shard's state is the
+// pre-batch one, its own share of the batch comes next), then runs the same
+// shard.apply and maybeCompact live ingest runs — the same Adds per shard in
+// the same order, so graphs, RNG streams, compaction points and Save bytes are
+// the primary's. A compaction failure leaves the batch applied and the shard
+// on its previous index, as it does live. Nothing else happens: no logging
+// (the records are being read back), no spans or counters (replayed history
+// would pollute the serving histograms) and no views — no reader exists until
+// RecoverMatcher publishes once, so every chunk stays writer-owned and is
+// mutated in place. addMu is held throughout.
+//
+// On a failure — a corrupt or out-of-sequence record, a plan or a shard check
+// that refuses (ErrLogMismatch) — the stages stop and the error of the lowest
+// failing batch (and in it, row) is returned: a stream that failed at batch f
+// does not stop the others short of f, so which failure is reported does not
+// depend on which stream ran ahead. The shards are then partly applied and the
+// matcher must be dropped. A torn tail is not a failure: every whole record
+// before it was delivered, the batch it belonged to was never acknowledged,
+// and the next append truncates it.
+func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64) (replayStats, error) {
+	m.addMu.Lock()
+	defer m.addMu.Unlock()
+	r := &replayer{m: m, startSeq: startSeq, queues: make([]chan *replayItem, len(m.shards))}
+	r.st.shardBusy = make([]time.Duration, len(m.shards))
+	r.freed.L = &r.mu
+	r.failSeq.Store(math.MaxUint64)
+	var streams sync.WaitGroup
+	for s := range r.queues {
+		// Every batch in flight holds at least one row, so the window admits at
+		// most replayInflightRows of them and a send never blocks: the reader
+		// waits in one place only, admit.
+		r.queues[s] = make(chan *replayItem, replayInflightRows)
+		streams.Add(1)
+		go func(s int) {
+			defer streams.Done()
+			r.stream(s)
+		}(s)
 	}
-	return nextSeq, rows, nil
+	t0 := time.Now()
+	err := l.Replay(r.read)
+	if err != nil && !errors.Is(err, errReplayStopped) && !errors.Is(err, wal.ErrTornWrite) {
+		r.fail(r.nextSeq(), -1, err)
+	}
+	r.st.readerBusy = time.Since(t0) - r.blocked
+	for _, q := range r.queues {
+		close(q)
+	}
+	streams.Wait()
+	r.st.wall = time.Since(t0)
+	if r.failErr != nil {
+		return replayStats{}, fmt.Errorf("multiem: wal replay: %w", r.failErr)
+	}
+	return r.st, nil
+}
+
+// nextSeq is the sequence number the next record to replay must carry.
+func (r *replayer) nextSeq() uint64 { return r.startSeq + uint64(r.st.batches) }
+
+// read is the reader's step for one log record.
+func (r *replayer) read(payload []byte) error {
+	if r.failSeq.Load() != math.MaxUint64 {
+		return errReplayStopped
+	}
+	m, want := r.m, r.nextSeq()
+	rec, err := decodeBatchRecord(payload)
+	switch {
+	case err != nil:
+		return err
+	case rec.seq < r.startSeq:
+		return nil
+	case rec.seq != want:
+		return fmt.Errorf("log holds batch %d where batch %d belongs", rec.seq, want)
+	}
+	p, err := m.planFromRecord(&rec)
+	if err != nil {
+		return fmt.Errorf("apply logged batch %d: %w", rec.seq, err)
+	}
+	it := &replayItem{seq: rec.seq, p: p, logged: slices.Clone(p.rows), baseID: m.nextID}
+	m.chain(p)
+	m.nextID += len(p.rows)
+	it.pending.Store(int32(len(r.queues)))
+	r.admit(len(p.rows))
+	for _, q := range r.queues {
+		q <- it
+	}
+	r.st.batches++
+	r.st.rows += int64(len(p.rows))
+	return nil
+}
+
+// admit waits until fewer than replayInflightRows rows are in flight and adds
+// n to them.
+func (r *replayer) admit(n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.inflight >= replayInflightRows {
+		t0 := time.Now()
+		for r.inflight >= replayInflightRows {
+			r.freed.Wait()
+		}
+		r.blocked += time.Since(t0)
+	}
+	r.inflight += n
+	r.st.peakRows = max(r.st.peakRows, r.inflight)
+}
+
+// stream is shard s's side of the replay: its share of every batch below the
+// lowest failure, in log order. A batch past a failure is only counted off, so
+// the window keeps opening until the reader has noticed.
+func (r *replayer) stream(s int) {
+	m, sh, cfg := r.m, r.m.shards[s], r.m.shardHNSWConfig(s)
+	var out []AddResult // what apply reports per row; replay has no one to tell
+	for it := range r.queues[s] {
+		if it.seq < r.failSeq.Load() {
+			t0 := time.Now()
+			if row, err := m.checkShard(s, it.logged, it.p.vecs); err != nil {
+				r.fail(it.seq, row, fmt.Errorf("apply logged batch %d: %w", it.seq, err))
+			} else if len(it.p.perShard[s]) > 0 {
+				out = slices.Grow(out[:0], len(it.p.rows))[:len(it.p.rows)]
+				sh.apply(s, it.p, it.baseID, out)
+				_ = sh.maybeCompact(cfg, m.dim) // the batch is applied either way
+			}
+			r.st.shardBusy[s] += time.Since(t0)
+		}
+		if it.pending.Add(-1) == 0 {
+			r.mu.Lock()
+			r.inflight -= len(it.p.rows)
+			r.mu.Unlock()
+			r.freed.Signal()
+		}
+	}
+}
+
+// fail records a failure at batch seq (row -1 when it is not a row's), keeping
+// the lowest.
+func (r *replayer) fail(seq uint64, row int, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f := r.failSeq.Load(); seq < f || seq == f && row < r.failRow {
+		r.failSeq.Store(seq)
+		r.failRow, r.failErr = row, err
+	}
 }
 
 // Snapshot checkpoints the matcher into the durability directory and
@@ -724,6 +893,10 @@ func (m *Matcher) WALStats() WALStats {
 		return WALStats{}
 	}
 	ls := ws.log.Stats()
+	shardBusy := make([]float64, len(ws.replayed.shardBusy))
+	for s, d := range ws.replayed.shardBusy {
+		shardBusy[s] = d.Seconds()
+	}
 	return WALStats{
 		Enabled:         true,
 		Dir:             ws.cfg.Dir,
@@ -739,7 +912,10 @@ func (m *Matcher) WALStats() WALStats {
 		SnapshotErrors:  ws.snapErrs.Load(),
 		ReplayedBatches: ws.replayed.batches,
 		ReplayedRows:    ws.replayed.rows,
-		ReplaySeconds:   ws.replayed.dur.Seconds(),
+		ReplaySeconds:   ws.replayed.wall.Seconds(),
+
+		ReplayReaderBusySeconds: ws.replayed.readerBusy.Seconds(),
+		ReplayShardBusySeconds:  shardBusy,
 	}
 }
 

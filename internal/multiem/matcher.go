@@ -653,19 +653,6 @@ func (m *Matcher) commitBatch(sp *obs.Span, p *batchPlan) ([]AddResult, error) {
 	return out, err
 }
 
-// replayBatch is recovery's path for one planned batch: the same chain and
-// the same apply as commitBatch — which keeps a recovered matcher
-// bit-identical to the one that ingested the batch — and nothing else. No
-// logging (the records are being read back), no span or counters (replayed
-// history would pollute the serving histograms), and no views: no reader
-// exists until RecoverMatcher returns, which publishes once, so until then
-// every chunk stays writer-owned and is mutated in place instead of copied
-// per batch.
-func (m *Matcher) replayBatch(p *batchPlan) ([]AddResult, error) {
-	m.chain(p)
-	return m.apply(p)
-}
-
 // minMemberID scans members for the smallest entity ID; used to seed a
 // tuple's cached minEntID at creation and load time.
 func minMemberID(members []int, entIDs []int) int {

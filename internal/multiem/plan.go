@@ -108,8 +108,8 @@ func (m *Matcher) decideRow(d *addDecision, q []float32, ef int, hits *shardHits
 
 // ErrLogMismatch reports a logged batch that does not fit the state it is
 // being replayed over: the log was written by a matcher with another shard
-// count, or over another base state or snapshot. Nothing of the batch is
-// applied.
+// count, or over another base state or snapshot. A follower applies nothing of
+// the batch and stays where it was; recovery returns no matcher.
 var ErrLogMismatch = errors.New("multiem: logged batch does not fit this matcher state " +
 	"(replay a log over the base state or snapshot it was written over, with the same shard count)")
 
@@ -120,14 +120,14 @@ var ErrLogMismatch = errors.New("multiem: logged batch does not fit this matcher
 const distTolerance = 1e-5
 
 // planFromRecord is the plan's second source: the rows of a log record,
-// embedded with decide's worker split, under the decisions the record holds
-// for them — what decide settled when the batch was acknowledged. It searches
-// nothing. Because it trusts the log for where a row goes, it checks that the
-// log belongs to this state before anything changes: the record's shard
-// count is the matcher's, the rows fit the schema, and every absorption
-// names a tuple that exists, carries text, lies within M and is as far from
-// the target's current centroid as the log says. Anything else is
-// ErrLogMismatch. The caller holds addMu.
+// embedded, under the decisions the record holds for them — what decide
+// settled when the batch was acknowledged. It searches nothing and reads no
+// shard state, so recovery's reader runs it while the shard streams are still
+// applying earlier batches. Because replay trusts the log for where a row
+// goes, the log must belong to this state; what can be told without the state
+// is checked here — the record's shard count is the matcher's, the rows fit
+// the schema, every absorption names a shard the matcher has — and the rest
+// is checkShard's, shard by shard. Anything else is ErrLogMismatch.
 func (m *Matcher) planFromRecord(rec *batchRecord) (*batchPlan, error) {
 	if rec.nShards != len(m.shards) {
 		return nil, fmt.Errorf("%w: decided by a %d-shard matcher, this one has %d", ErrLogMismatch, rec.nShards, len(m.shards))
@@ -137,30 +137,42 @@ func (m *Matcher) planFromRecord(rec *batchRecord) (*batchPlan, error) {
 		if err := m.checkArity(row, i); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrLogMismatch, err)
 		}
+		if d := &rec.decisions[i]; d.absorb && d.shard >= len(m.shards) {
+			return nil, fmt.Errorf("%w: row %d: absorbed into shard %d, which does not exist here", ErrLogMismatch, i, d.shard)
+		}
 	}
 	p := &batchPlan{values: rows, vecs: vector.NewStoreWithCap(m.dim, len(rows)), rows: rec.decisions}
 	p.vecs.Grow(len(rows))
-	var claimed atomic.Int64
-	parallelFor(min(len(m.shards), len(rows)), func(int) {
-		for i := int(claimed.Add(1)) - 1; i < len(rows); i = int(claimed.Add(1)) - 1 {
-			p.vecs.SetRow(i, m.embed(rows[i]))
-		}
-	})
-	for i := range p.rows {
-		if err := m.checkDecision(&p.rows[i], p.vecs.At(i)); err != nil {
-			return nil, fmt.Errorf("%w: row %d: %v", ErrLogMismatch, i, err)
-		}
+	for i, row := range rows {
+		p.vecs.SetRow(i, m.embed(row))
 	}
 	return p, nil
 }
 
-// checkDecision validates one logged decision for the row embedded as q
-// against the pre-batch state.
-func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
-	if !d.absorb {
-		return nil
+// checkShard validates the logged decisions that absorb into shard s against
+// that shard's state, which must be the pre-batch one: every such row names a
+// tuple that exists, carries text, lies within M and is as far from the
+// target's current centroid as the log says. It reads shard s and no other, so
+// a follower runs it over every shard before anything changes and a recovery
+// stream over its own shard just before that shard's share of the batch.
+// logged[i] is row i's decision as the record holds it (chain overwrites the
+// plan's copy for a row it moves to a forming tuple), vecs the plan's
+// embeddings. It returns the first offending row with the ErrLogMismatch.
+func (m *Matcher) checkShard(s int, logged []addDecision, vecs *vector.Store) (row int, err error) {
+	for i := range logged {
+		if d := &logged[i]; d.absorb && d.shard == s {
+			if err := m.checkDecision(d, vecs.At(i)); err != nil {
+				return i, fmt.Errorf("%w: row %d: %v", ErrLogMismatch, i, err)
+			}
+		}
 	}
-	if d.shard >= len(m.shards) || d.local >= m.shards[d.shard].tuples.len() {
+	return 0, nil
+}
+
+// checkDecision validates one logged absorption for the row embedded as q
+// against the pre-batch state of the shard it names.
+func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
+	if d.local >= m.shards[d.shard].tuples.len() {
 		return fmt.Errorf("absorbed into tuple %d of shard %d, which does not exist here", d.local, d.shard)
 	}
 	if vector.Norm(q) == 0 {

@@ -65,25 +65,34 @@ var ErrPromoted = errors.New("multiem: matcher has a WAL attached (promoted); sh
 // position is refused with ErrPromoted — nothing applied in any of them.
 func (r *Replicator) Apply(payload []byte) error {
 	m, next := r.m, r.nextSeq.Load()
-	seq, err := m.applyRecord(payload, next, func(rec *batchRecord) ([]AddResult, error) {
-		if m.wal != nil { // under addMu, like Promote's write of it
-			return nil, ErrPromoted
-		}
-		sp := m.obs().ingest.Start()
-		p, err := m.planFromRecord(rec)
-		if err != nil {
-			return nil, err
-		}
-		return m.commitBatch(&sp, p)
-	})
+	rec, err := decodeBatchRecord(payload)
 	switch {
 	case err != nil:
 		return fmt.Errorf("multiem: replicate: %w", err)
-	case seq == next:
-		r.nextSeq.Add(1)
-	case seq > next:
-		return fmt.Errorf("%w: got batch %d, want %d", ErrSeqGap, seq, next)
+	case rec.seq < next:
+		return nil
+	case rec.seq > next:
+		return fmt.Errorf("%w: got batch %d, want %d", ErrSeqGap, rec.seq, next)
 	}
+	m.addMu.Lock()
+	defer m.addMu.Unlock()
+	if m.wal != nil { // under addMu, like Promote's write of it
+		return fmt.Errorf("multiem: replicate: %w", ErrPromoted)
+	}
+	sp := m.obs().ingest.Start()
+	// The plan the record holds, and every shard's check of it before any
+	// shard changes: a refused batch leaves the follower serving what it had.
+	p, err := m.planFromRecord(&rec)
+	for s := 0; err == nil && s < len(m.shards); s++ {
+		_, err = m.checkShard(s, p.rows, p.vecs)
+	}
+	if err != nil {
+		return fmt.Errorf("multiem: replicate: apply logged batch %d: %w", rec.seq, err)
+	}
+	// A compaction failure comes back alongside the results, exactly as it did
+	// on the original ingest; the batch is applied either way.
+	_, _ = m.commitBatch(&sp, p)
+	r.nextSeq.Add(1)
 	return nil
 }
 

@@ -3,11 +3,19 @@ package multiem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/table"
+	"repro/internal/vector"
+	"repro/internal/wal"
 )
 
 // The log carries the plan: these tests pin what recovery and followers do
@@ -249,4 +257,278 @@ func TestPlanFromRecordRefuses(t *testing.T) {
 			t.Fatalf("RecoverMatcher over a foreign base: %v, want ErrLogMismatch", err)
 		}
 	})
+}
+
+// skewedHistory ingests, in batches of batchRows, a history whose one
+// compaction falls on shard 0 alone — mixed batches, then batches of exact
+// duplicates of shard 0's base tuples until that shard rebuilds its index,
+// then mixed batches again — into both matchers, and returns how many batches
+// and rows that took.
+func skewedHistory(t *testing.T, d *table.Dataset, batchRows int, primary, uncrashed *Matcher) (batches, rows int) {
+	t.Helper()
+	add := func(batch [][]string) {
+		for _, m := range []*Matcher{primary, uncrashed} {
+			if _, err := m.AddRecords(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batches, rows = batches+1, rows+len(batch)
+	}
+	for _, batch := range randomBatches(d, 3, batchRows, 17) {
+		add(batch)
+	}
+	byID := d.EntityByID()
+	var dups [][]string // one member of every base tuple of shard 0
+	sh := uncrashed.shards[0]
+	sh.tuples.each(func(_ int, ts *tupleState) {
+		if e, ok := byID[sh.entIDs[ts.members[0]]]; ok {
+			dups = append(dups, e.Values)
+		}
+	})
+	for next := 0; uncrashed.shards[0].compactions == 0; {
+		if rows > 50*len(dups) {
+			t.Fatalf("shard 0 has not compacted after %d rows", rows)
+		}
+		batch := make([][]string, batchRows)
+		for i := range batch {
+			batch[i], next = dups[next%len(dups)], next+1
+		}
+		add(batch)
+	}
+	for _, batch := range randomBatches(d, 3, batchRows, 18) {
+		add(batch)
+	}
+	for s, sh := range uncrashed.shards {
+		if (sh.compactions > 0) != (s == 0) {
+			t.Fatalf("shard %d compacted %d times; the history wants shard 0 alone to", s, sh.compactions)
+		}
+	}
+	return batches, rows
+}
+
+// TestReplayStreamsEqualLive: recovery's per-shard streams, which join only at
+// the end of the log, rebuild what live ingest built joining after every
+// batch — Save bytes, the next entity ID and the replayed counts — at every
+// shard count, from one-row batches (every shard sees every batch, most have
+// no share of it) to batches that fill a third of the window, across a
+// compaction that stalls one stream only, and with a torn record closing the
+// log.
+func TestReplayStreamsEqualLive(t *testing.T) {
+	d := smallGeo(t)
+	for _, shards := range []int{1, 2, 3} {
+		load := baseLoader(t, d, shards)
+		for _, batchRows := range []int{1, 6, 16, 300} {
+			t.Run(fmt.Sprintf("shards=%d/rows=%d", shards, batchRows), func(t *testing.T) {
+				dir := t.TempDir()
+				cfg := WALConfig{Dir: dir, Fsync: "off"}
+				primary, err := RecoverMatcher(cfg, durOpts(shards), load)
+				if err != nil {
+					t.Fatal(err)
+				}
+				uncrashed, err := load()
+				if err != nil {
+					t.Fatal(err)
+				}
+				batches, rows := skewedHistory(t, d, batchRows, primary, uncrashed)
+
+				// One more batch reaches the log only in part.
+				seg := wal.SegmentFile(LogDir(dir), 1)
+				whole, err := os.Stat(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := primary.AddRecords(ingestRows(0, batchRows)); err != nil {
+					t.Fatal(err)
+				}
+				if err := primary.CloseWAL(); err != nil {
+					t.Fatal(err)
+				}
+				torn, err := os.Stat(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Truncate(seg, (whole.Size()+torn.Size())/2); err != nil {
+					t.Fatal(err)
+				}
+
+				recovered, err := RecoverMatcher(cfg, durOpts(shards), load)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer recovered.CloseWAL()
+				if !bytes.Equal(saveBytes(t, recovered), saveBytes(t, uncrashed)) {
+					t.Fatal("recovered Save bytes differ from the uncrashed matcher's")
+				}
+				if recovered.nextID != uncrashed.nextID {
+					t.Fatalf("recovered nextID %d, uncrashed %d", recovered.nextID, uncrashed.nextID)
+				}
+				st := recovered.WALStats()
+				if st.ReplayedBatches != int64(batches) || st.ReplayedRows != int64(rows) || st.NextSeq != uint64(batches) {
+					t.Fatalf("recovery reports %d batches, %d rows, next seq %d; want %d batches of %d rows", st.ReplayedBatches, st.ReplayedRows, st.NextSeq, batches, batchRows)
+				}
+				// Where the time went: every stage worked, none longer than the
+				// replay lasted.
+				busy := append([]float64{st.ReplayReaderBusySeconds}, st.ReplayShardBusySeconds...)
+				if len(busy) != 1+shards {
+					t.Fatalf("%d shard streams reported, want %d", len(st.ReplayShardBusySeconds), shards)
+				}
+				for i, b := range busy {
+					if b <= 0 || b > st.ReplaySeconds {
+						t.Fatalf("stage %d (0 = reader) busy %vs of a %vs replay", i, b, st.ReplaySeconds)
+					}
+				}
+			})
+		}
+	}
+}
+
+// perturbCentroid nudges the centroid of one tuple of a freshly loaded base,
+// so that a logged distance to it no longer holds.
+func perturbCentroid(m *Matcher, shard, local int) {
+	c := m.shards[shard].centroidAt(local)
+	for i := range c {
+		c[i] *= 1 + 0.15*float32(i%2)
+	}
+	vector.Normalize(c)
+}
+
+// TestReplayRefusalDeterministic: over a base that differs from the log's in
+// one tuple of shard 1, first absorbed into by batch k, and one of shard 0,
+// first absorbed into by batch k+2, either stream can meet its mismatch first
+// — and every run refuses with batch k's, returns no matcher, leaves no
+// goroutine behind and writes nothing, so the genuine base recovers the
+// directory afterwards.
+func TestReplayRefusalDeterministic(t *testing.T) {
+	d := smallGeo(t)
+	const shards = 2
+	load := baseLoader(t, d, shards)
+	dir := t.TempDir()
+	uncrashed, _, records := loggedHistory(t, dir, shards, load)
+
+	// Each base tuple's first absorption, by shard and batch.
+	base, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type target struct{ local, row int }
+	first := [shards]map[int]target{{}, {}} // shard -> batch -> a tuple first touched there
+	seen := map[[2]int]bool{}
+	for b, p := range records {
+		rec, err := decodeBatchRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row, dec := range rec.decisions {
+			if key := [2]int{dec.shard, dec.local}; dec.absorb && dec.local < base.shards[dec.shard].tuples.len() && !seen[key] {
+				seen[key] = true
+				if _, ok := first[dec.shard][b]; !ok {
+					first[dec.shard][b] = target{dec.local, row}
+				}
+			}
+		}
+	}
+	k := -1
+	for b := range records {
+		_, on1 := first[1][b]
+		_, on0 := first[0][b+2]
+		if on1 && on0 && k < 0 {
+			k = b
+		}
+	}
+	if k < 0 {
+		t.Fatalf("no batch k first absorbs into a shard-1 tuple with batch k+2 doing so on shard 0: %v", first)
+	}
+	foreign := func() (*Matcher, error) {
+		m, err := load()
+		if err == nil {
+			perturbCentroid(m, 1, first[1][k].local)
+			perturbCentroid(m, 0, first[0][k+2].local)
+		}
+		return m, err
+	}
+
+	before, err := os.ReadFile(wal.SegmentFile(LogDir(dir), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+	want := fmt.Sprintf("apply logged batch %d: %v: row %d:", k, ErrLogMismatch, first[1][k].row)
+	for run := 0; run < 20; run++ {
+		m, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(shards), foreign)
+		if m != nil || !errors.Is(err, ErrLogMismatch) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run %d: matcher %v, error %v; want no matcher and %q", run, m != nil, err, want)
+		}
+	}
+	// A finished goroutine leaves the count a moment after the WaitGroup that
+	// announced it.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the refusals, %d after", goroutines, runtime.NumGoroutine())
+		}
+	}
+	if after, err := os.ReadFile(wal.SegmentFile(LogDir(dir), 1)); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("the refusals changed the log (err %v)", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("the refusals left %v in the directory beside log/ (err %v)", entries, err)
+	}
+
+	recovered, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(shards), load)
+	if err != nil {
+		t.Fatalf("the genuine base after the refusals: %v", err)
+	}
+	defer recovered.CloseWAL()
+	if !bytes.Equal(saveBytes(t, recovered), saveBytes(t, uncrashed)) {
+		t.Fatal("the genuine base recovers a state that differs from the uncrashed matcher's")
+	}
+}
+
+// TestReplayBoundsRowsInFlight: the reader runs ahead of the streams by rows,
+// not batches — never more in flight than the window plus the batch that
+// crossed it, whether the log holds /add bodies of 2 048 rows or of 16.
+func TestReplayBoundsRowsInFlight(t *testing.T) {
+	d := smallGeo(t)
+	const shards = 2
+	load := baseLoader(t, d, shards)
+	for _, c := range []struct{ batches, batchRows int }{{2, 2048}, {100, 16}} {
+		dir := t.TempDir()
+		primary, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(shards), load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < c.batches; b++ {
+			if _, err := primary.AddRecords(ingestRows(b, c.batchRows)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := primary.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+
+		m, err := load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := wal.Open(LogDir(dir), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.replayWAL(l, 0)
+		l.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.batches != int64(c.batches) || st.rows != int64(c.batches*c.batchRows) {
+			t.Fatalf("replayed %d batches, %d rows; want %d of %d rows", st.batches, st.rows, c.batches, c.batchRows)
+		}
+		// Each log is longer than the window, and a stream needs several times
+		// as long for a row as the reader, so an unbounded reader would show.
+		if limit := replayInflightRows - 1 + c.batchRows; st.peakRows < c.batchRows || st.peakRows > limit {
+			t.Fatalf("%d-row batches: %d rows in flight at the peak, want at most %d", c.batchRows, st.peakRows, limit)
+		}
+		m.publishAll(uint64(st.batches))
+		if !bytes.Equal(saveBytes(t, m), saveBytes(t, primary)) {
+			t.Fatalf("%d-row batches: replayed state differs from the primary's", c.batchRows)
+		}
+	}
 }

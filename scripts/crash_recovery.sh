@@ -12,7 +12,8 @@
 #      decisions from the log, so "right counts, wrong members" is the
 #      failure the counts alone would miss.
 #   6. print the seconds from restart to /readyz 200, and what the server
-#      says it replayed
+#      says of the replay: rows, seconds, rows/s, and how busy the log reader
+#      and each shard's apply stream were
 #
 # Run from the repository root (CI: make crash-recovery).
 set -euo pipefail
@@ -118,8 +119,16 @@ T0="$(date +%s.%N)"
   -addr "$ADDR" >"$WORK/server2.log" 2>&1 &
 SERVER_PID=$!
 wait_ready
-log "recovery: $(awk -v a="$T0" -v b="$(date +%s.%N)" 'BEGIN { printf "%.2f", b - a }') s from restart to /readyz 200;" \
-  "$(curl -fsS "$BASE/stats" | tr ',{' '\n\n' | grep -E '^"(replayed_batches|replayed_rows|replay_seconds)":' | tr -d '}' | tr '\n' ' ')"
+READY="$(date +%s.%N)"
+# What the replay itself did, from /stats: its rate, and how busy the log
+# reader and each shard's apply stream were (docs/OPERATIONS.md, "How long it
+# takes", reads the split).
+WAL_STATS="$(curl -fsS "$BASE/stats" | grep -o '"wal":{[^}]*}')"
+wal_stat() { echo "$WAL_STATS" | grep -oE "\"$1\":(\[[^]]*\]|[^,}]*)" | cut -d: -f2-; }
+log "recovery: $(awk -v a="$T0" -v b="$READY" 'BEGIN { printf "%.2f", b - a }') s from restart to /readyz 200;" \
+  "replayed $(wal_stat replayed_rows) rows in $(wal_stat replayed_batches) batches in $(wal_stat replay_seconds) s" \
+  "($(awk -v r="$(wal_stat replayed_rows)" -v s="$(wal_stat replay_seconds)" 'BEGIN { printf("%.0f", (s > 0) ? r / s : 0) }') rows/s);" \
+  "busy seconds: reader $(wal_stat replay_reader_busy_seconds), shard streams $(wal_stat replay_shard_busy_seconds)"
 
 AFTER="$(stat_counts)"
 AFTER_HASH="$(tuples_hash)"

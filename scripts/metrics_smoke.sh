@@ -156,6 +156,8 @@ wait_ready
 curl -fsS "$BASE/metrics" >"$WORK/metrics.txt"
 assert_positive multiem_recovery_replayed_rows
 assert_positive multiem_recovery_replay_seconds
+assert_positive multiem_recovery_reader_busy_seconds
+assert_positive multiem_recovery_shard_busy_seconds 'shard="0"'
 grep -q '"msg":"durability on".*"replayed_rows":[1-9]' "$WORK/server.log" \
   || { log "FAIL: the durability log line does not report the replay"; exit 1; }
 
