@@ -3,12 +3,20 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke load-smoke metrics-smoke loc
+.PHONY: all build build-arm64 vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke load-smoke metrics-smoke loc
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# The assembly kernels are declared in kernels_amd64.go and must each have a
+# twin in kernels_noasm.go; only a build for another architecture notices a
+# missing one. vet type-checks the two packages' tests as well, which call the
+# kernels directly.
+build-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/vector ./internal/hnsw
 
 vet:
 	$(GO) vet ./...

@@ -638,10 +638,11 @@ func liveBenchMatcher(b *testing.B, live int) *repro.Matcher {
 // O(batch dirty chunks) and "viewbuild-µs" — the mean per-shard view-build
 // time over the timed batches, from the matcher's own
 // multiem_view_build_duration_seconds histogram — should stay roughly flat
-// from 10k to 1M. rows/s still drifts down with N, and neither the commit
-// nor search's log(N) is why (decide is flat; apply grows). What has been
-// measured of it, and what is still unexplained, is in docs/BENCHMARKING.md
-// ("What the matcher suites mean").
+// from 10k to 1M. rows/s still drifts down with N, and the commit is not
+// why: a search evaluates 1.6x the distances at 1M that it does at 10k, and
+// each gathered row costs 2.9x as much once the node arena has left L2 and
+// then the last-level cache. The three states' counters and the curve are in
+// docs/BENCHMARKING.md ("The gather kernel").
 func BenchmarkMatcherIngestLive(b *testing.B) {
 	const batchSize = 256
 	for _, live := range []int{10_000, 100_000, 1_000_000} {

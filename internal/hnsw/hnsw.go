@@ -236,6 +236,14 @@ func (ix *Index) neighbors(i, l int) []int32 {
 	return blk[1 : 1+blk[0]]
 }
 
+// prefetchLinks hints node i's layer-l link block towards L1. Reading a
+// block is three dependent loads (offs, the chunk spine, the chunk), cold on
+// most pops of a walk over a large index; issued before a block is scored
+// they complete behind the arithmetic instead of in front of the next pop.
+func (ix *Index) prefetchLinks(i, l int) {
+	vector.PrefetchInt32s(ix.la.block(ix.blockStart(i, l)))
+}
+
 // layerCap is the link capacity at layer l (hnswlib's maxM/maxM0).
 func (ix *Index) layerCap(l int) int {
 	if l == 0 {
@@ -403,10 +411,12 @@ type batchDist func(idxs []int32, dists []float32)
 
 // queryDistBatch is the batched companion of queryDist: one call scores a
 // whole neighbour block against the bound query through the vector gather
-// kernels, amortizing closure and bounds-check overhead that queryDist pays
-// per node. dists[j] is bit-identical to queryDist(q)(idxs[j]) on the same
-// kernel path. The arena is re-read on every call, so the kernel stays valid
-// across Appends by the same goroutine.
+// kernels — on the AVX2 path a single assembly call that prefetches the
+// block's later rows while it sums the earlier ones, which is where a walk
+// over an arena larger than the cache spends its time. dists[j] is
+// bit-identical to queryDist(q)(idxs[j]) on the same kernel path. The arena
+// is re-read on every call, so the kernel stays valid across Appends by the
+// same goroutine.
 func (ix *Index) queryDistBatch(q []float32) batchDist {
 	switch {
 	case ix.cosNorms != nil:
@@ -540,6 +550,9 @@ func (v *visitSet) visit(i int32) bool {
 // are collected and scored in one qb call over the flat links arena, then
 // pushed in block order — the same order the per-neighbour loop used, so the
 // best.Worst() gating sequence and therefore the result set are unchanged.
+// The walk's two kinds of cache miss are both asked for early and change
+// nothing it computes: the block's rows inside qb, the next pop's link block
+// just before it.
 func (ix *Index) searchLayer(qd func(int) float32, qb batchDist, ep, ef, l int, ctx *searchCtx) []vector.Neighbor {
 	ctx.visit.reset(len(ix.ids))
 	ctx.visit.visit(int32(ep))
@@ -570,6 +583,11 @@ func (ix *Index) searchLayer(qd func(int) float32, qb batchDist, ep, ef, l int, 
 		}
 		ctx.visited += uint64(len(unv))
 		ctx.evals += uint64(len(unv))
+		// The frontier's head is the next pop unless this block holds a
+		// closer node: ask for its links now, behind the block's arithmetic.
+		if ctx.frontier.Len() > 0 {
+			ix.prefetchLinks(ctx.frontier.Min().ID, l)
+		}
 		dists := ctx.distBuf(len(unv))
 		qb(unv, dists)
 		for j, nb := range unv {

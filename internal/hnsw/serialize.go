@@ -90,6 +90,23 @@ func (ix *Index) Save(w io.Writer) error {
 	return nil
 }
 
+// SaveSize returns the exact number of bytes Save would write now, so a
+// caller collecting the index in memory can reserve them once instead of
+// growing a buffer by doubling under a multi-megabyte arena.
+func (ix *Index) SaveSize() int {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+
+	n := len(magic) + 4 + 4*4 + 8 + 4*4 // magic, version, config, shape
+	n += len(ix.ids) * (8 + 4)          // ids, levels
+	for i := range ix.ids {
+		for l := 0; l <= int(ix.levels[i]); l++ {
+			n += 4 * (1 + len(ix.neighbors(i, l)))
+		}
+	}
+	return n + 4*len(ix.vecs.Raw())
+}
+
 // Load reads an index previously written by Save. The returned index is an
 // exact reconstruction: searches return identical results, and subsequent
 // Adds draw node levels from the same point in the seeded random stream as

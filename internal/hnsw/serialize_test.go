@@ -46,6 +46,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
+	if got := ix.SaveSize(); got != buf.Len() {
+		t.Fatalf("SaveSize=%d, Save wrote %d bytes", got, buf.Len())
+	}
 	loaded, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -128,6 +131,9 @@ func TestSaveLoadEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
+	}
+	if got := ix.SaveSize(); got != buf.Len() {
+		t.Fatalf("SaveSize=%d, Save wrote %d bytes", got, buf.Len())
 	}
 	loaded, err := Load(&buf)
 	if err != nil {

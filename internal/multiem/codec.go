@@ -136,6 +136,10 @@ func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 // and the embedded index — into w. The centroids block is gathered from the
 // index: each tuple's current node, in local-tuple order.
 func (v *shardView) writeSection(w *bytes.Buffer) error {
+	// One allocation of the section's exact size: grown by doubling, a
+	// section of tens of megabytes spends a third of Save clearing and
+	// re-copying what it has already written.
+	w.Grow(v.sectionSize())
 	bw := bufio.NewWriter(w)
 	binio.WriteI32(bw, int32(len(v.entIDs)))
 	for _, id := range v.entIDs {
@@ -160,6 +164,18 @@ func (v *shardView) writeSection(w *bytes.Buffer) error {
 	// The index writes through its own bufio layer onto w; flushing ours
 	// first keeps the bytes in order.
 	return v.index.Save(w)
+}
+
+// sectionSize is the number of bytes writeSection produces for this view.
+func (v *shardView) sectionSize() int {
+	n := 4 + 8*len(v.entIDs) + 4*len(v.entVecs.Raw()) // entities
+	n += 4                                            // tuple count
+	v.tuples.each(func(_ int, ts *tupleState) {
+		n += 4 + 4*len(ts.members) + 4
+	})
+	n += 4 * v.tuples.len() * v.index.Dim() // centroids
+	n += 8                                  // compactions
+	return n + v.index.SaveSize()
 }
 
 // readArena reads rows vectors into the store in bounded chunks, so the

@@ -98,6 +98,16 @@ func TestSaveBytesGolden(t *testing.T) {
 			}
 			raw := saveBytes(t, m)
 			h.Write(raw)
+			// Save reserves each section once; the reservation is exact.
+			for s, sh := range m.state.Load().shards {
+				var sec bytes.Buffer
+				if err := sh.writeSection(&sec); err != nil {
+					t.Fatal(err)
+				}
+				if got := sh.sectionSize(); got != sec.Len() {
+					t.Fatalf("shard %d: sectionSize=%d, writeSection wrote %d bytes", s, got, sec.Len())
+				}
+			}
 
 			loaded, err := LoadMatcher(bytes.NewReader(raw), durOpts(2))
 			if err != nil {

@@ -3,16 +3,20 @@ package vector
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Batched one-query × N-rows kernels over flat Store arenas. Row i lives at
 // rows[i*stride : i*stride+len(q)]; stride may exceed len(q). Each function
 // fills out[j] for every j, reading row j (contiguous forms) or row idxs[j]
-// (gather forms). Per-row math routes through the same dispatched kernels as
-// the single-pair functions, so out[j] is bit-identical to the corresponding
-// single-pair call on the active kernel path — the batch layer buys the
-// call sites one bound-checked setup and one closure instead of N, not a
-// different numeric result.
+// (gather forms). out[j] is bit-identical to the corresponding single-pair
+// call on the active kernel path — the single-pair kernels are the reference
+// and the batch layer reorders no math. The contiguous forms buy their call
+// sites one bound-checked setup and one closure instead of N. The gather
+// forms — what a graph walk calls, over rows scattered through an arena far
+// larger than the cache — are one assembly call per block on the AVX2 path
+// (kernels_amd64.s), which prefetches the rows ahead in idxs while it sums
+// the current one.
 
 func checkBatch(q []float32, stride int, idxs []int32, out []float32) {
 	if stride < len(q) {
@@ -37,11 +41,40 @@ func DotBatch(q, rows []float32, stride int, out []float32) {
 	}
 }
 
+// gatherAhead is how many rows ahead of the one being summed the gather
+// kernels prefetch. Fixed from BenchmarkGather's sweep over arena sizes
+// (docs/BENCHMARKING.md, "The gather kernel").
+const gatherAhead = 2
+
+// checkGather is checkBatch for the gather forms, which always take idxs: it
+// also panics unless every index names a whole row of dim len(q) inside rows.
+// The assembly gather kernels take raw pointers, so this is the only bounds
+// check between a bad index and a wild read; it runs before the kernel on
+// every call.
+func checkGather(q, rows []float32, stride int, idxs []int32, out []float32) {
+	checkBatch(q, stride, nil, out)
+	if len(idxs) != len(out) {
+		panic(fmt.Sprintf("vector: batch idxs len %d != out len %d", len(idxs), len(out)))
+	}
+	for _, i := range idxs {
+		// (A product that wrapped is caught too: the kernel wraps the same
+		// way, so an offset this accepts is the one it reads.)
+		if off := int(i) * stride; i < 0 || off < 0 || off > len(rows)-len(q) {
+			panic(fmt.Sprintf("vector: gather row %d out of range (stride %d, dim %d, arena of %d floats)", i, stride, len(q), len(rows)))
+		}
+	}
+}
+
 // DotGather sets out[j] = Dot(q, row idxs[j]) for j in [0, len(out)).
 func DotGather(q, rows []float32, stride int, idxs []int32, out []float32) {
-	checkBatch(q, stride, idxs, out)
-	for j := range out {
-		out[j] = Dot(q, row(rows, stride, len(q), int(idxs[j])))
+	checkGather(q, rows, stride, idxs, out)
+	if simdOn {
+		dotGatherAVX2(unsafe.SliceData(q), unsafe.SliceData(rows), len(q), stride,
+			unsafe.SliceData(idxs), len(idxs), gatherAhead, unsafe.SliceData(out))
+		return
+	}
+	for j, i := range idxs {
+		out[j] = dotScalar(q, row(rows, stride, len(q), int(i)))
 	}
 }
 
@@ -55,9 +88,14 @@ func SquaredDistBatch(q, rows []float32, stride int, out []float32) {
 
 // SquaredDistGather sets out[j] = SquaredDist(q, row idxs[j]).
 func SquaredDistGather(q, rows []float32, stride int, idxs []int32, out []float32) {
-	checkBatch(q, stride, idxs, out)
-	for j := range out {
-		out[j] = SquaredDist(q, row(rows, stride, len(q), int(idxs[j])))
+	checkGather(q, rows, stride, idxs, out)
+	if simdOn {
+		squaredDistGatherAVX2(unsafe.SliceData(q), unsafe.SliceData(rows), len(q), stride,
+			unsafe.SliceData(idxs), len(idxs), gatherAhead, unsafe.SliceData(out))
+		return
+	}
+	for j, i := range idxs {
+		out[j] = squaredDistScalar(q, row(rows, stride, len(q), int(i)))
 	}
 }
 
@@ -100,24 +138,24 @@ func (m Metric) QueryBatchFunc(q []float32) QueryBatch {
 		}
 	case Euclidean:
 		return func(rows []float32, stride int, idxs []int32, out []float32) {
-			checkBatch(q, stride, idxs, out)
+			if idxs != nil {
+				SquaredDistGather(q, rows, stride, idxs, out)
+			} else {
+				SquaredDistBatch(q, rows, stride, out)
+			}
 			for j := range out {
-				i := j
-				if idxs != nil {
-					i = int(idxs[j])
-				}
-				out[j] = float32(math.Sqrt(float64(SquaredDist(q, row(rows, stride, len(q), i)))))
+				out[j] = float32(math.Sqrt(float64(out[j])))
 			}
 		}
 	case CosineUnit:
 		return func(rows []float32, stride int, idxs []int32, out []float32) {
-			checkBatch(q, stride, idxs, out)
+			if idxs != nil {
+				DotGather(q, rows, stride, idxs, out)
+			} else {
+				DotBatch(q, rows, stride, out)
+			}
 			for j := range out {
-				i := j
-				if idxs != nil {
-					i = int(idxs[j])
-				}
-				out[j] = 1 - Dot(q, row(rows, stride, len(q), i))
+				out[j] = 1 - out[j]
 			}
 		}
 	default:

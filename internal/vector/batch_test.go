@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -69,6 +70,61 @@ func TestBatchMatchesSinglePair(t *testing.T) {
 	}
 }
 
+// TestGatherMatchesSinglePair holds the gather forms to the single-pair
+// kernels bit for bit, on both kernel paths, across every regime of the
+// assembly: dims 1…259 (no 32-wide pass, several, each 8-wide and scalar-tail
+// remainder), padded and unpadded strides, blocks of 0…33 rows with repeated
+// indexes, and — on the raw kernels — look-ahead distances from none to past
+// the end of idxs, which must change no bit and write nothing beyond out[n).
+func TestGatherMatchesSinglePair(t *testing.T) {
+	const rows, maxN = 37, 33
+	rng := rand.New(rand.NewSource(9))
+	idxs := make([]int32, maxN)
+	out := make([]float32, maxN+1)
+	sentinel := float32(math.Inf(-1))
+	for _, mode := range []string{"scalar", "auto"} {
+		forceKernels(t, mode)
+		for dim := 1; dim <= 259; dim++ {
+			for _, stride := range []int{dim, dim + 5} {
+				arena := testArena(rng, rows, stride)
+				q := randVecOff(rng, dim, 1)
+				for j := range idxs {
+					idxs[j] = int32(rng.Intn(rows))
+				}
+				idxs[7], idxs[8], idxs[20] = idxs[6], idxs[6], idxs[0] // repeats, adjacent and apart
+				check := func(name string, n int, single func(a, b []float32) float32) {
+					t.Helper()
+					for j := 0; j < n; j++ {
+						want := single(q, row(arena, stride, dim, int(idxs[j])))
+						if math.Float32bits(out[j]) != math.Float32bits(want) {
+							t.Fatalf("%s %s dim %d stride %d n %d: out[%d] = %v, single-pair = %v", mode, name, dim, stride, n, j, out[j], want)
+						}
+					}
+					if out[n] != sentinel {
+						t.Fatalf("%s %s dim %d n %d: wrote past out[n)", mode, name, dim, n)
+					}
+				}
+				for n := 0; n <= maxN; n++ {
+					out[n] = sentinel
+					DotGather(q, arena, stride, idxs[:n], out[:n])
+					check("DotGather", n, Dot)
+					SquaredDistGather(q, arena, stride, idxs[:n], out[:n])
+					check("SquaredDistGather", n, SquaredDist)
+					if !simdOn || n == 0 || n%8 > 1 {
+						continue
+					}
+					for _, ahead := range []int{0, 1, gatherAhead, 5, n, n + 40} {
+						dotGatherAVX2(&q[0], &arena[0], dim, stride, &idxs[0], n, ahead, &out[0])
+						check("dotGatherAVX2", n, Dot)
+						squaredDistGatherAVX2(&q[0], &arena[0], dim, stride, &idxs[0], n, ahead, &out[0])
+						check("squaredDistGatherAVX2", n, SquaredDist)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestQueryBatchFuncMatchesQueryFunc: for every metric, the batched bound
 // kernel must be bit-identical per row to the single-row bound kernel —
 // including the zero-query and zero-row cosine edge cases.
@@ -125,4 +181,22 @@ func TestBatchValidationPanics(t *testing.T) {
 	mustPanic("stride < dim", func() { DotBatch(q, arena, 7, out) })
 	mustPanic("idxs/out mismatch", func() { DotGather(q, arena, 8, []int32{0}, out) })
 	mustPanic("row out of range", func() { DotBatch(q, arena, 8, make([]float32, 9)) })
+
+	// The gather forms hand raw pointers to assembly on the AVX2 path, so a
+	// bad index must be refused in Go first, on either path, wherever in idxs
+	// it sits — including where only the look-ahead would have touched it.
+	for _, mode := range []string{"scalar", "auto"} {
+		forceKernels(t, mode)
+		for _, bad := range [][]int32{{-1, 0}, {0, -1}, {8, 0}, {0, 8}, {math.MinInt32, 0}, {0, math.MaxInt32}} {
+			mustPanic("DotGather bad index", func() { DotGather(q, arena, 8, bad, out) })
+			mustPanic("SquaredDistGather bad index", func() { SquaredDistGather(q, arena, 8, bad, out) })
+			for _, m := range []Metric{Euclidean, CosineUnit} {
+				mustPanic(m.String()+" QueryBatchFunc bad index", func() { m.QueryBatchFunc(q)(arena, 8, bad, out) })
+			}
+		}
+		// A row that starts inside the arena but does not end inside it.
+		mustPanic("DotGather partial row", func() { DotGather(q, arena[:63], 8, []int32{0, 7}, out) })
+		mustPanic("DotGather nil idxs", func() { DotGather(q, arena, 8, nil, out) })
+		mustPanic("SquaredDistGather idxs/out mismatch", func() { SquaredDistGather(q, arena, 8, []int32{0, 1, 2}, out) })
+	}
 }

@@ -34,6 +34,31 @@ func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float
 //go:noescape
 func squaredDistTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
 
+// dotGatherAVX2 and squaredDistGatherAVX2 are the one-call-per-block kernels
+// behind DotGather and SquaredDistGather: q against the n rows idxs[0..n) of
+// the arena (row i at rows + i*stride floats), out[j] bit-equal to dotAVX2 /
+// squaredDistAVX2 on row idxs[j], with row idxs[j+ahead] prefetched while row
+// j is summed. They take raw pointers and check nothing: every index must
+// already be known to name a whole row inside the arena. See the comment above
+// them in kernels_amd64.s.
+//
+//go:noescape
+func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
+
+//go:noescape
+func squaredDistGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
+
+// PrefetchInt32s hints the first two cache lines of s (32 values) towards
+// L1 and returns at once: a PREFETCHT0 pair, which reads nothing
+// architecturally and cannot fault, so any s is fine, empty or short
+// included. A graph walk calls it on the link block it will read next, just
+// before a block's worth of distance arithmetic, so the block's dependent
+// loads are in flight behind it. Not a kernel: it is issued on either kernel
+// path, and is a no-op off amd64.
+//
+//go:noescape
+func PrefetchInt32s(s []int32)
+
 // cpuid and xgetbv are tiny assembly shims over the CPUID and XGETBV
 // instructions, used once at init to probe AVX2+FMA support. xgetbv always
 // reads XCR0.

@@ -316,6 +316,13 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
+// func PrefetchInt32s(s []int32)
+TEXT ·PrefetchInt32s(SB), NOSPLIT, $0-24
+	MOVQ s_base+0(FP), AX
+	PREFETCHT0 (AX)
+	PREFETCHT0 64(AX)
+	RET
+
 // ---- 2x4 register-tile kernels ----------------------------------------------
 //
 // dotTileAVX2 / squaredDistTileAVX2 evaluate two A rows against `groups`
@@ -506,5 +513,206 @@ sqtile_store:
 	JNZ  sqtile_group
 
 sqtile_done:
+	VZEROUPPER
+	RET
+
+// ---- gather kernels ----------------------------------------------------------
+//
+// dotGatherAVX2 / squaredDistGatherAVX2 score one query against the n rows
+// idxs[0..n) of an arena (row i at rows + i*stride floats) in a single call
+// and store the results to out[0..n). Each row is summed exactly as
+// dotAVX2 / squaredDistAVX2 sum it — the same four accumulators over the
+// 32-wide loop, the same fold, 8-wide loop, reduction and scalar-FMA tail —
+// so out[j] has the bits of the single-pair call.
+//
+// What the single call buys is that the misses overlap: a graph walk's rows
+// are scattered over an arena far larger than L2, and a row's sixteen cache
+// lines (dim 256) only start to arrive once its first load issues. While row
+// j is summed, every pass of the 32-wide loop prefetches the two lines at the
+// same offset of row idxs[j+ahead], so a whole row is requested across the
+// arithmetic of an earlier one. Rows 0..ahead-1 of a block get no request of
+// their own; their demand loads are the next in line anyway. Past the end of
+// idxs the look-ahead row is the current one (its lines are already on their
+// way — no branch in the loop, no read of idxs[n..]). Prefetches stay below
+// offset dim&^31 of a row, loads below dim: nothing touches a byte outside
+// the rows idxs names.
+//
+// Callers guarantee 0 <= idxs[j] and idxs[j]*stride+dim <= len(rows) for
+// every j (batch.go checks before the call) and ahead >= 0.
+//
+// Registers: SI q, R8 rows, R9 stride in bytes, R10 idxs, R11 n, R12 ahead,
+// R13 out, CX dim, BX j, DI current row, R14 look-ahead row, AX element
+// index, DX loop bound.
+
+// Row pointers for j = BX (the look-ahead index clamps to j past the end),
+// zeroed accumulators, DX = dim&^31.
+#define GATHER_ROW_BEGIN \
+	MOVLQSX (R10)(BX*4), DI; \
+	IMULQ R9, DI; \
+	ADDQ R8, DI; \
+	LEAQ (BX)(R12*1), AX; \
+	CMPQ AX, R11; \
+	CMOVQGE BX, AX; \
+	MOVLQSX (R10)(AX*4), R14; \
+	IMULQ R9, R14; \
+	ADDQ R8, R14; \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y1, Y1, Y1; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y3, Y3, Y3; \
+	XORQ AX, AX; \
+	MOVQ CX, DX; \
+	ANDQ $-32, DX
+
+// Y0..Y3 -> Y0, DX = dim&^7: what follows the 32-wide loop in the
+// single-pair kernels.
+#define GATHER_FOLD \
+	VADDPS Y1, Y0, Y0; \
+	VADDPS Y3, Y2, Y2; \
+	VADDPS Y2, Y0, Y0; \
+	MOVQ CX, DX; \
+	ANDQ $-8, DX
+
+#define GATHER_REDUCE \
+	VEXTRACTF128 $1, Y0, X1; \
+	VADDPS X1, X0, X0; \
+	VHADDPS X0, X0, X0; \
+	VHADDPS X0, X0, X0
+
+// func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
+TEXT ·dotGatherAVX2(SB), NOSPLIT, $0-64
+	MOVQ q+0(FP), SI
+	MOVQ rows+8(FP), R8
+	MOVQ dim+16(FP), CX
+	MOVQ stride+24(FP), R9
+	SHLQ $2, R9 // stride in bytes
+	MOVQ idxs+32(FP), R10
+	MOVQ n+40(FP), R11
+	MOVQ ahead+48(FP), R12
+	MOVQ out+56(FP), R13
+	XORQ BX, BX
+
+dotg_row:
+	CMPQ BX, R11
+	JGE  dotg_done
+	GATHER_ROW_BEGIN
+	CMPQ DX, $0
+	JE   dotg_fold
+
+dotg_loop32:
+	PREFETCHT0 (R14)(AX*4)
+	PREFETCHT0 64(R14)(AX*4)
+	VMOVUPS (SI)(AX*4), Y4
+	VMOVUPS 32(SI)(AX*4), Y5
+	VMOVUPS 64(SI)(AX*4), Y6
+	VMOVUPS 96(SI)(AX*4), Y7
+	VFMADD231PS (DI)(AX*4), Y4, Y0
+	VFMADD231PS 32(DI)(AX*4), Y5, Y1
+	VFMADD231PS 64(DI)(AX*4), Y6, Y2
+	VFMADD231PS 96(DI)(AX*4), Y7, Y3
+	ADDQ $32, AX
+	CMPQ AX, DX
+	JL   dotg_loop32
+
+dotg_fold:
+	GATHER_FOLD
+
+dotg_loop8:
+	CMPQ AX, DX
+	JGE  dotg_reduce
+	VMOVUPS (SI)(AX*4), Y4
+	VFMADD231PS (DI)(AX*4), Y4, Y0
+	ADDQ $8, AX
+	JMP  dotg_loop8
+
+dotg_reduce:
+	GATHER_REDUCE
+
+dotg_tail:
+	CMPQ AX, CX
+	JGE  dotg_store
+	VMOVSS (SI)(AX*4), X4
+	VFMADD231SS (DI)(AX*4), X4, X0
+	INCQ AX
+	JMP  dotg_tail
+
+dotg_store:
+	VMOVSS X0, (R13)(BX*4)
+	INCQ BX
+	JMP  dotg_row
+
+dotg_done:
+	VZEROUPPER
+	RET
+
+// func squaredDistGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
+TEXT ·squaredDistGatherAVX2(SB), NOSPLIT, $0-64
+	MOVQ q+0(FP), SI
+	MOVQ rows+8(FP), R8
+	MOVQ dim+16(FP), CX
+	MOVQ stride+24(FP), R9
+	SHLQ $2, R9 // stride in bytes
+	MOVQ idxs+32(FP), R10
+	MOVQ n+40(FP), R11
+	MOVQ ahead+48(FP), R12
+	MOVQ out+56(FP), R13
+	XORQ BX, BX
+
+sqg_row:
+	CMPQ BX, R11
+	JGE  sqg_done
+	GATHER_ROW_BEGIN
+	CMPQ DX, $0
+	JE   sqg_fold
+
+sqg_loop32:
+	PREFETCHT0 (R14)(AX*4)
+	PREFETCHT0 64(R14)(AX*4)
+	VMOVUPS (SI)(AX*4), Y4
+	VMOVUPS 32(SI)(AX*4), Y5
+	VMOVUPS 64(SI)(AX*4), Y6
+	VMOVUPS 96(SI)(AX*4), Y7
+	VSUBPS (DI)(AX*4), Y4, Y4
+	VSUBPS 32(DI)(AX*4), Y5, Y5
+	VSUBPS 64(DI)(AX*4), Y6, Y6
+	VSUBPS 96(DI)(AX*4), Y7, Y7
+	VFMADD231PS Y4, Y4, Y0
+	VFMADD231PS Y5, Y5, Y1
+	VFMADD231PS Y6, Y6, Y2
+	VFMADD231PS Y7, Y7, Y3
+	ADDQ $32, AX
+	CMPQ AX, DX
+	JL   sqg_loop32
+
+sqg_fold:
+	GATHER_FOLD
+
+sqg_loop8:
+	CMPQ AX, DX
+	JGE  sqg_reduce
+	VMOVUPS (SI)(AX*4), Y4
+	VSUBPS (DI)(AX*4), Y4, Y4
+	VFMADD231PS Y4, Y4, Y0
+	ADDQ $8, AX
+	JMP  sqg_loop8
+
+sqg_reduce:
+	GATHER_REDUCE
+
+sqg_tail:
+	CMPQ AX, CX
+	JGE  sqg_store
+	VMOVSS (SI)(AX*4), X4
+	VSUBSS (DI)(AX*4), X4, X4
+	VFMADD231SS X4, X4, X0
+	INCQ AX
+	JMP  sqg_tail
+
+sqg_store:
+	VMOVSS X0, (R13)(BX*4)
+	INCQ BX
+	JMP  sqg_row
+
+sqg_done:
 	VZEROUPPER
 	RET

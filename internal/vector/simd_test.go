@@ -169,7 +169,8 @@ func TestSetKernels(t *testing.T) {
 // FuzzSIMDKernels feeds arbitrary byte-derived float vectors through every
 // SIMD/scalar kernel pair, then re-reads the same floats as two arenas of
 // short rows — dimension, strides and row counts all derived from the input
-// length — and holds the tile kernels to checkTileKernels. NaN/Inf inputs are
+// length — and holds the tile kernels to checkTileKernels and the gather
+// kernels to the single-pair ones, bit for bit. NaN/Inf inputs are
 // filtered: both paths propagate them, but relative-error comparison is
 // meaningless there.
 func FuzzSIMDKernels(f *testing.F) {
@@ -207,5 +208,30 @@ func FuzzSIMDKernels(f *testing.F) {
 		}
 		na, nb := min((n-dim)/strideA+1, 5), min((n-dim)/strideB+1, 9)
 		checkTileKernels(t, a, strideA, na, b, strideB, nb, dim)
+
+		// The gather kernels over the same arena: up to 33 indexes read off
+		// the input bytes (repeats included), every look-ahead from none to
+		// past the end, each out[j] holding the single-pair kernel's bits.
+		rowsB := (n-dim)/strideB + 1
+		idxs := make([]int32, min(len(ab), 33))
+		for j := range idxs {
+			idxs[j] = int32(int(ab[j]) % rowsB)
+		}
+		out := make([]float32, len(idxs))
+		q := a[:dim]
+		for ahead := 0; ahead <= len(idxs)+1; ahead += 1 + ahead/3 {
+			dotGatherAVX2(&q[0], &b[0], dim, strideB, &idxs[0], len(idxs), ahead, &out[0])
+			for j, i := range idxs {
+				if want := dotAVX2(q, row(b, strideB, dim, int(i))); math.Float32bits(out[j]) != math.Float32bits(want) {
+					t.Fatalf("dotGatherAVX2 dim %d ahead %d: out[%d] = %v, dotAVX2 = %v", dim, ahead, j, out[j], want)
+				}
+			}
+			squaredDistGatherAVX2(&q[0], &b[0], dim, strideB, &idxs[0], len(idxs), ahead, &out[0])
+			for j, i := range idxs {
+				if want := squaredDistAVX2(q, row(b, strideB, dim, int(i))); math.Float32bits(out[j]) != math.Float32bits(want) {
+					t.Fatalf("squaredDistGatherAVX2 dim %d ahead %d: out[%d] = %v, squaredDistAVX2 = %v", dim, ahead, j, out[j], want)
+				}
+			}
+		}
 	})
 }

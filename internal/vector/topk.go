@@ -178,6 +178,10 @@ func (h *MinHeap) Push(n Neighbor) {
 	}
 }
 
+// Min returns the closest neighbour without removing it. It panics when
+// empty.
+func (h *MinHeap) Min() Neighbor { return h.heap[0] }
+
 // Pop removes and returns the closest neighbour. It panics when empty.
 func (h *MinHeap) Pop() Neighbor {
 	top := h.heap[0]
