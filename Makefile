@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build build-arm64 vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke load-smoke metrics-smoke loc
+.PHONY: all build build-arm64 build-bigendian vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke load-smoke metrics-smoke loc
 
 all: build vet test
 
@@ -17,6 +17,16 @@ build:
 build-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/vector ./internal/hnsw
+
+# internal/binio moves whole arenas between memory and the file as one block
+# where the host is little-endian and through a byte swap elsewhere, chosen by
+# the build-tagged constant in byteorder_{le,be}.go. No amd64 or arm64 build
+# compiles the big-endian side — or notices a GOARCH that neither file's tag
+# list names — so this leg builds the serializers for s390x, and vets binio
+# (its tests included) there.
+build-bigendian:
+	GOARCH=s390x $(GO) build ./internal/binio ./internal/hnsw ./internal/multiem
+	GOARCH=s390x $(GO) vet ./internal/binio
 
 vet:
 	$(GO) vet ./...

@@ -763,6 +763,54 @@ func BenchmarkRecoverReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkStateFile measures the matcher file both ways as a function of
+// state size — one parameter varied over a range, the same two operations at
+// every step: Music-20 built at three scales (about 5k, 10k and 20k entities
+// at dim 256; the largest is the size of the repository benchmark's
+// serve_read state), then LoadMatcher from memory and Save into a reused
+// in-memory buffer. MB/s is file bytes per second of the whole call; B/op
+// says how many times the state is held along the way — one read buffer plus
+// the arenas for a load, nothing that grows with the state for a save.
+func BenchmarkStateFile(b *testing.B) {
+	opt := repro.DefaultOptions()
+	opt.M = 0.5
+	opt.Shards = 2
+	for _, scale := range []float64{0.25, 0.5, 1} {
+		m, err := repro.BuildMatcher(mustGen(b, "Music-20", scale, 13), opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := m.Save(&file); err != nil {
+			b.Fatal(err)
+		}
+		raw := file.Bytes()
+		name := fmt.Sprintf("entities=%d", m.Stats().Entities)
+		b.Run(name+"/LoadMatcher", func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := repro.LoadMatcher(bytes.NewReader(raw), opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/Save", func(b *testing.B) {
+			var sink bytes.Buffer
+			sink.Grow(len(raw))
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink.Reset()
+				if err := m.Save(&sink); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMatcherMixed is the serving-traffic shape: many goroutines issuing
 // Match with an AddRecords batch mixed in every 16th op, so reads contend
 // with per-shard write locks.

@@ -221,6 +221,7 @@ func main() {
 				slog.Info("durability on", "wal_dir", ws.Dir, "fsync", ws.Fsync,
 					"segments", ws.Segments, "bytes", ws.Bytes,
 					"next_seq", ws.NextSeq, "snapshot_seq", ws.SnapshotSeq,
+					"load_seconds", ws.LoadSeconds, "load_bytes", ws.LoadBytes,
 					"replayed_batches", ws.ReplayedBatches, "replayed_rows", ws.ReplayedRows,
 					"replay_seconds", ws.ReplaySeconds,
 					"replay_reader_busy_seconds", ws.ReplayReaderBusySeconds,

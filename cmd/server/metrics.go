@@ -218,6 +218,12 @@ func (s *server) registerMetrics() {
 	r.CounterFunc("multiem_wal_snapshot_errors_total",
 		"Background checkpoints that failed.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.SnapshotErrors) }))
+	r.GaugeFunc("multiem_recovery_load_seconds",
+		"Time reading and decoding the state file this process started from (newest snapshot or -load-index); a restart is this plus the replay.", nil,
+		walGauge(func(ws repro.WALStats) float64 { return ws.LoadSeconds }))
+	r.GaugeFunc("multiem_recovery_load_bytes",
+		"Size of that state file; over load seconds is the load rate.", nil,
+		walGauge(func(ws repro.WALStats) float64 { return float64(ws.LoadBytes) }))
 	r.GaugeFunc("multiem_recovery_replayed_rows",
 		"Rows replayed from the WAL when this process recovered.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.ReplayedRows) }))

@@ -59,6 +59,8 @@ var pinnedMetrics = map[string]string{
 	"multiem_wal_snapshots_total":        "counter",
 	"multiem_wal_snapshot_errors_total":  "counter",
 	"multiem_wal_sync_duration_seconds":  "summary",
+	"multiem_recovery_load_seconds":      "gauge",
+	"multiem_recovery_load_bytes":        "gauge",
 	"multiem_recovery_replayed_rows":     "gauge",
 	"multiem_recovery_replay_seconds":    "gauge",
 

@@ -48,16 +48,16 @@ const (
 	maxSaneDim   = 1 << 20
 )
 
-// Save writes the index to w in the versioned binary format above. The index
+// Save writes the index to w in the versioned binary format above: the small
+// fields through one bufio.Writer (w itself when it already is one), each
+// link block and the vector arena as one Write of their own memory. The index
 // must not be mutated concurrently.
 func (ix *Index) Save(w io.Writer) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return fmt.Errorf("hnsw: save: %w", err)
-	}
+	bw.Write(magic[:])
 	binio.WriteU32(bw, formatVersion)
 	binio.WriteI32(bw, int32(ix.cfg.M))
 	binio.WriteI32(bw, int32(ix.cfg.EfConstruction))
@@ -68,19 +68,13 @@ func (ix *Index) Save(w io.Writer) error {
 	binio.WriteI32(bw, int32(len(ix.ids)))
 	binio.WriteI32(bw, int32(ix.entry))
 	binio.WriteI32(bw, int32(ix.maxL))
-	for _, id := range ix.ids {
-		binio.WriteI64(bw, int64(id))
-	}
-	for _, lv := range ix.levels {
-		binio.WriteI32(bw, lv)
-	}
+	binio.WriteInts(bw, ix.ids)
+	binio.WriteI32s(bw, ix.levels)
 	for i := range ix.ids {
 		for l := 0; l <= int(ix.levels[i]); l++ {
-			nbs := ix.neighbors(i, l)
-			binio.WriteI32(bw, int32(len(nbs)))
-			for _, nb := range nbs {
-				binio.WriteI32(bw, nb)
-			}
+			// A block in memory is its file form: the count, then the links.
+			blk := ix.la.block(ix.blockStart(i, l))
+			binio.WriteI32s(bw, blk[:1+blk[0]])
 		}
 	}
 	binio.WriteF32s(bw, ix.vecs.Raw())
@@ -90,9 +84,8 @@ func (ix *Index) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveSize returns the exact number of bytes Save would write now, so a
-// caller collecting the index in memory can reserve them once instead of
-// growing a buffer by doubling under a multi-megabyte arena.
+// SaveSize returns the exact number of bytes Save would write now: what a
+// container format that embeds the index writes as its length prefix.
 func (ix *Index) SaveSize() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -111,17 +104,24 @@ func (ix *Index) SaveSize() int {
 // exact reconstruction: searches return identical results, and subsequent
 // Adds draw node levels from the same point in the seeded random stream as
 // they would have on the original index. A file written by an older format
-// version fails with an error wrapping ErrFormatVersion.
+// version fails with an error wrapping ErrFormatVersion. Load consumes r to
+// its end (binio.ReadAll) and decodes from the front of what it read.
 func Load(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	raw, err := binio.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("hnsw: load: %w", err)
 	}
-	if m != magic {
-		return nil, fmt.Errorf("hnsw: load: bad magic %q (not an HNSW index file)", m[:])
+	return Decode(binio.NewReader(raw))
+}
+
+// Decode is Load over bytes already in memory: it reads one index from rd and
+// leaves the cursor behind its last byte, so a container format (the matcher
+// file) decodes its embedded index in place. Every array is allocated once, at
+// its final size, after the bytes left have been checked to hold it.
+func Decode(rd *binio.Reader) (*Index, error) {
+	if m := rd.Next(len(magic)); string(m) != string(magic[:]) {
+		return nil, fmt.Errorf("hnsw: load: bad magic %q (not an HNSW index file)", m)
 	}
-	rd := binio.NewReader(br)
 	version := rd.U32()
 	if rd.Err() == nil && version != formatVersion {
 		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrFormatVersion, version, formatVersion)
@@ -152,8 +152,10 @@ func Load(r io.Reader) (*Index, error) {
 	if dim <= 0 || dim > maxSaneDim {
 		return nil, fmt.Errorf("hnsw: load: implausible dim %d", dim)
 	}
-	if count < 0 || count > maxSaneCount {
-		return nil, fmt.Errorf("hnsw: load: implausible node count %d", count)
+	// A node is at least its id, its level, its layer-0 link count and its
+	// vector; past this check the header's count sizes only what is there.
+	if count < 0 || count > maxSaneCount || count > rd.Len()/(8+4+4+4*dim) {
+		return nil, fmt.Errorf("hnsw: load: implausible node count %d for the %d bytes that follow", count, rd.Len())
 	}
 	if entry < -1 || entry >= count {
 		return nil, fmt.Errorf("hnsw: load: entry point %d out of range for %d nodes", entry, count)
@@ -165,36 +167,27 @@ func Load(r io.Reader) (*Index, error) {
 	ix := New(dim, cfg)
 	ix.entry = entry
 	ix.maxL = maxL
-	// ids and levels grow as their bytes arrive, and offs is sized only once
-	// they have: the header's count alone never sizes an allocation.
-	for i := 0; i < count; i++ {
-		ix.ids = append(ix.ids, int(rd.I64()))
-		if rd.Err() != nil {
-			return nil, fmt.Errorf("hnsw: load: node %d: %w", i, rd.Err())
-		}
-	}
-	for i := 0; i < count; i++ {
-		level := rd.I32()
-		if rd.Err() != nil {
-			return nil, fmt.Errorf("hnsw: load: node %d: %w", i, rd.Err())
-		}
+	ix.ids = rd.Ints(count)
+	ix.levels = rd.I32s(count)
+	// What the levels promise must be present before the link arena is
+	// sized by them: one count per layer, and every vector.
+	need := 4 * dim * count
+	for i, level := range ix.levels {
 		// Levels follow a truncated geometric distribution; genuine levels
 		// stay tiny, so a large one is corruption — and would also drive a
 		// huge links allocation below.
 		if level < 0 || level > maxSaneLevel {
 			return nil, fmt.Errorf("hnsw: load: node %d has implausible level %d", i, level)
 		}
-		ix.levels = append(ix.levels, int32(level))
+		need += 4 * (int(level) + 1)
 	}
+	if need > rd.Len() {
+		return nil, fmt.Errorf("hnsw: load: %d nodes need %d bytes of links and vectors, %d follow: %w", count, need, rd.Len(), io.ErrUnexpectedEOF)
+	}
+	// Regions are laid out node by node, which is the chunk layout a fresh
+	// build of the same nodes produces; every chunk is writer-owned, so the
+	// block writes below never copy.
 	ix.offs = make([]int64, count)
-	// Allocate each node's arena region as its data actually arrives, never
-	// from the header's promise alone: a crafted count/level combination
-	// within the individual bounds above could still multiply to terabytes,
-	// and a short file must fail with an error at its first missing byte —
-	// like the per-record v1 loader did — not with an up-front allocation
-	// panic. The resulting chunk layout is the one a fresh build of the same
-	// nodes produces; every chunk is writer-owned, so the block writes below
-	// never copy.
 	for i := 0; i < count; i++ {
 		ix.offs[i] = ix.la.alloc(ix.regionSize(int(ix.levels[i])))
 		for l := 0; l <= int(ix.levels[i]); l++ {
@@ -209,8 +202,8 @@ func Load(r io.Reader) (*Index, error) {
 			}
 			blk, _ := ix.la.mutBlock(ix.blockStart(i, l))
 			blk[0] = int32(nLinks)
-			for j := 0; j < nLinks; j++ {
-				nb := int32(rd.I32())
+			rd.I32sInto(blk[1 : 1+nLinks])
+			for _, nb := range blk[1 : 1+nLinks] {
 				if nb < 0 || int(nb) >= count {
 					return nil, fmt.Errorf("hnsw: load: node %d layer %d links to out-of-range node %d", i, l, nb)
 				}
@@ -221,7 +214,6 @@ func Load(r io.Reader) (*Index, error) {
 				if int(ix.levels[nb]) < l {
 					return nil, fmt.Errorf("hnsw: load: node %d layer %d links to node %d of level %d", i, l, nb, ix.levels[nb])
 				}
-				blk[1+j] = nb
 			}
 		}
 	}
@@ -230,20 +222,9 @@ func Load(r io.Reader) (*Index, error) {
 	if entry >= 0 && int(ix.levels[entry]) != maxL {
 		return nil, fmt.Errorf("hnsw: load: entry node level %d does not match maxL %d", ix.levels[entry], maxL)
 	}
-	// Read the vector arena in bounded row chunks for the same reason: the
-	// bytes must exist before the next chunk's memory does.
-	const rowChunk = 4096
-	for read := 0; read < count; {
-		n := count - read
-		if n > rowChunk {
-			n = rowChunk
-		}
-		ix.vecs.Grow(n)
-		rd.F32s(ix.vecs.Raw()[read*dim : (read+n)*dim])
-		if rd.Err() != nil {
-			return nil, fmt.Errorf("hnsw: load: vectors: %w", rd.Err())
-		}
-		read += n
+	ix.vecs = vector.StoreOver(dim, rd.F32s(dim*count))
+	if rd.Err() != nil {
+		return nil, fmt.Errorf("hnsw: load: vectors: %w", rd.Err())
 	}
 	// Rebuild the cosine norm cache from the arena; identical inputs give
 	// identical norms, so a loaded index computes identical distances.
@@ -254,16 +235,16 @@ func Load(r io.Reader) (*Index, error) {
 			ix.cosNorms[i] = math.Sqrt(float64(vector.Dot(v, v)))
 		}
 	}
-	// Rebuild the link-distance cache (not persisted: it is derived state;
-	// the arena sized it alongside each link chunk). Kernels are
-	// deterministic, so the recomputed values equal the ones the original
-	// build cached and post-load Adds shrink identically.
+	// Rebuild the link-distance cache (derived state, not persisted; the arena
+	// sized it alongside each link chunk), one gather-kernel call a block with
+	// the node as the query. queryDistBatch keeps the bits of nodeDist, so the
+	// values equal the ones the build cached and post-load Adds shrink alike.
 	for i := 0; i < count; i++ {
+		dist := ix.queryDistBatch(ix.vecs.At(i))
 		for l := 0; l <= int(ix.levels[i]); l++ {
 			blk, dists := ix.la.mutBlock(ix.blockStart(i, l))
-			for k := 0; k < int(blk[0]); k++ {
-				dists[1+k] = ix.nodeDist(i, int(blk[1+k]))
-			}
+			n := int(blk[0])
+			dist(blk[1:1+n], dists[1:1+n])
 		}
 	}
 	// Advance the level-sampling stream past the draws the original build

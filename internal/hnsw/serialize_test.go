@@ -3,10 +3,12 @@ package hnsw
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/binio"
 	"repro/internal/vector"
 )
 
@@ -244,5 +246,66 @@ func TestLoadOldVersionFailsWithNamedError(t *testing.T) {
 		if !errors.Is(err, ErrFormatVersion) {
 			t.Fatalf("version-%d error %v does not wrap ErrFormatVersion", old, err)
 		}
+	}
+}
+
+// TestLoadRebuildsLinkDistances: the link-distance cache is derived state
+// that Load recomputes with one gather-kernel call a block. Every entry must
+// carry the bits the build cached and the bits of the single-pair kernel,
+// for each metric — linkBack shrinks a full block by these values, so one
+// differing bit is a different graph after the next Add.
+func TestLoadRebuildsLinkDistances(t *testing.T) {
+	for _, metric := range []vector.Metric{vector.Cosine, vector.Euclidean, vector.CosineUnit} {
+		vecs := randomUnitVecs(300, 19, 5) // 19: the kernels' scalar tail runs
+		if metric != vector.CosineUnit {
+			for _, v := range vecs {
+				vector.Scale(v, 1+v[0]) // off the unit sphere
+			}
+			vecs[7] = make([]float32, 19) // a zero vector: cosine's special case
+		}
+		ix := buildIndex(t, vecs, Config{M: 6, EfConstruction: 40, Metric: metric, Seed: 2})
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%v: %v", metric, err)
+		}
+		blocks := 0
+		for i := range ix.ids {
+			for l := 0; l <= int(ix.levels[i]); l++ {
+				_, built := ix.la.mutBlock(ix.blockStart(i, l))
+				blk, got := loaded.la.mutBlock(loaded.blockStart(i, l))
+				for k := 0; k < int(blk[0]); k++ {
+					single := loaded.nodeDist(i, int(blk[1+k]))
+					if g := math.Float32bits(got[1+k]); g != math.Float32bits(built[1+k]) || g != math.Float32bits(single) {
+						t.Fatalf("%v: node %d layer %d link %d: loaded %v, built %v, single-pair %v", metric, i, l, k, got[1+k], built[1+k], single)
+					}
+				}
+				blocks++
+			}
+		}
+		if blocks <= len(ix.ids) {
+			t.Fatalf("%v: no node above layer 0", metric)
+		}
+	}
+}
+
+// TestDecodeStopsAtIndexEnd: Decode consumes one index and leaves what
+// follows it to the caller, which is how a container format embeds one.
+func TestDecodeStopsAtIndexEnd(t *testing.T) {
+	ix := buildIndex(t, randomUnitVecs(40, 8, 1), Config{M: 4})
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("trailer")
+	rd := binio.NewReader(buf.Bytes())
+	if _, err := Decode(rd); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(rd.Next(rd.Len())); got != "trailer" {
+		t.Fatalf("Decode left %q behind the index", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -199,16 +200,6 @@ func TestLoadMatcherRejectsUnservableState(t *testing.T) {
 			t.Fatalf("LoadMatcher: %v, want ErrCorruptState naming tuple 0", err)
 		}
 	})
-	t.Run("centroid differs from its node", func(t *testing.T) {
-		// The centroids block ends where compactions (8 bytes) and the
-		// index begin: flip the lowest mantissa bit of its last float.
-		bad := append([]byte(nil), raw...)
-		bad[ix-8-4] ^= 1
-		_, err := LoadMatcher(bytes.NewReader(bad), durOpts(1))
-		if !errors.Is(err, ErrCorruptState) || !strings.Contains(err.Error(), "centroid differs from index node") {
-			t.Fatalf("LoadMatcher: %v, want ErrCorruptState naming the centroid", err)
-		}
-	})
 	t.Run("every truncation", func(t *testing.T) {
 		for cut := 0; cut < len(raw); cut += 1 + len(raw)/97 {
 			if _, err := LoadMatcher(bytes.NewReader(raw[:cut]), durOpts(1)); !errors.Is(err, ErrCorruptState) {
@@ -302,16 +293,26 @@ func FuzzLoadMatcher(f *testing.F) {
 	}
 	// A header that promises 2^20 schema strings and 4096 shards.
 	f.Add(append(append([]byte(nil), matcherMagic[:]...), 4, 0, 0, 0, dim, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0))
+	// Version 4, which the loader still reads: the file the last v4 writer
+	// left, and that header again under the current version.
+	v4, err := os.ReadFile(v4FixturePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v4)
+	f.Add(append(append([]byte(nil), matcherMagic[:]...), matcherFormatVersion, 0, 0, 0, dim, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		m, err := LoadMatcher(bytes.NewReader(raw), opt)
 		runtime.ReadMemStats(&after)
-		// Measured on the seeds: 9x (section buffer, arenas grown in chunks,
-		// link blocks with their distance cache, the published view). The
+		// Measured on a 140 KB state of this dim: 3.1x (2.1x at dim 256) —
+		// the one copy of the input, then arenas of exactly the input's
+		// size plus what memory adds to it (link blocks at full capacity
+		// with their distance cache, tuple rows, the published view). The
 		// constant covers 4096 empty shards and the runtime.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(24*len(raw)+4<<20); got > limit {
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(raw)+4<<20); got > limit {
 			t.Fatalf("loading %d bytes allocated %d (limit %d)", len(raw), got, limit)
 		}
 		if err != nil {
@@ -321,13 +322,19 @@ func FuzzLoadMatcher(f *testing.F) {
 			}
 			return
 		}
-		// LoadMatcher reads a stream: bytes past the last section are not its.
-		var again bytes.Buffer
-		if err := m.Save(&again); err != nil {
-			t.Fatal(err)
+		// Bytes past the last section are not LoadMatcher's. A version-4
+		// file saves as version 5, so for one the property is held by the
+		// v5 file it becomes.
+		again := saveBytes(t, m)
+		if binary.LittleEndian.Uint32(raw[8:]) == matcherFormatV4 {
+			m5, err := LoadMatcher(bytes.NewReader(again), opt)
+			if err != nil {
+				t.Fatalf("a v4 file loaded, the v5 file it saved as did not: %v", err)
+			}
+			raw, again = again, saveBytes(t, m5)
 		}
-		if !bytes.HasPrefix(raw, again.Bytes()) {
-			t.Fatalf("accepted %d bytes that save back as %d different ones", len(raw), again.Len())
+		if !bytes.HasPrefix(raw, again) {
+			t.Fatalf("accepted %d bytes that save back as %d different ones", len(raw), len(again))
 		}
 	})
 }

@@ -106,6 +106,12 @@ type WALStats struct {
 	Snapshots int64 `json:"snapshots"`
 	// SnapshotErrors counts failed background checkpoints.
 	SnapshotErrors int64 `json:"snapshot_errors"`
+	// LoadSeconds and LoadBytes are the other half of a restart: how long
+	// LoadMatcher took to read and decode the state this matcher started from
+	// (the newest snapshot, or the matcher file base() loaded) and how large
+	// that file was. Both zero when the state was built, not loaded.
+	LoadSeconds float64 `json:"load_seconds"`
+	LoadBytes   int64   `json:"load_bytes"`
 	// ReplayedBatches and ReplayedRows count what RecoverMatcher replayed
 	// from the log when this matcher was opened, and ReplaySeconds is how
 	// long that took: rows per second of replay is the number a snapshot
@@ -910,6 +916,8 @@ func (m *Matcher) WALStats() WALStats {
 		SnapshotSeq:     ws.snapshotSeq.Load(),
 		Snapshots:       ws.snapshots.Load(),
 		SnapshotErrors:  ws.snapErrs.Load(),
+		LoadSeconds:     m.loadTime.Seconds(),
+		LoadBytes:       m.loadBytes,
 		ReplayedBatches: ws.replayed.batches,
 		ReplayedRows:    ws.replayed.rows,
 		ReplaySeconds:   ws.replayed.wall.Seconds(),

@@ -165,6 +165,11 @@ type Matcher struct {
 	// nextID is the next entity ID to hand out; guarded by addMu.
 	nextID int
 	result *Result // pipeline output; nil when loaded from disk
+	// loadBytes and loadTime are what LoadMatcher read to produce this
+	// matcher and how long reading and decoding took; zero for a built one.
+	// Recovery reports them beside its replay (WALStats).
+	loadBytes int64
+	loadTime  time.Duration
 	// wal is the attached durability state (batch log + snapshotter),
 	// or nil when the matcher runs in-memory only. Set by RecoverMatcher
 	// before the matcher is shared, or by Replicator.Promote under addMu.

@@ -119,6 +119,10 @@ func TestReplaySearchesNothing(t *testing.T) {
 		if st := recovered.WALStats(); st.ReplayedBatches != int64(len(records)) || st.ReplayedRows != 8*int64(len(records)) || st.ReplaySeconds <= 0 {
 			t.Fatalf("shards=%d: recovery reports %d batches, %d rows in %vs; want %d batches of 8 rows", shards, st.ReplayedBatches, st.ReplayedRows, st.ReplaySeconds, len(records))
 		}
+		// The base came out of a matcher file: recovery reports that half too.
+		if st := recovered.WALStats(); st.LoadBytes <= 0 || st.LoadSeconds <= 0 {
+			t.Fatalf("shards=%d: recovery reports a load of %d bytes in %vs", shards, st.LoadBytes, st.LoadSeconds)
+		}
 		assertMatchersIdentical(t, uncrashed, recovered, d)
 	}
 }

@@ -36,6 +36,19 @@ func NewStoreWithCap(dim, rows int) *Store {
 	return s
 }
 
+// StoreOver returns a Store that adopts data — rows of dim float32s, row
+// major — as its arena without copying: how a loader that filled an exactly
+// sized slice in one bulk read hands it over. len(data) must be a multiple
+// of dim, and the caller must not keep using data.
+func StoreOver(dim int, data []float32) *Store {
+	s := NewStore(dim)
+	if len(data)%dim != 0 {
+		panic(fmt.Sprintf("vector: %d floats are not whole rows of dimension %d", len(data), dim))
+	}
+	s.data = data
+	return s
+}
+
 // StoreFromRows copies rows into a fresh arena. Rows must all have length
 // dim.
 func StoreFromRows(dim int, rows [][]float32) *Store {

@@ -11,7 +11,8 @@
 #   5. assert the pprof index answers on the debug listener and that the
 #      debug listener serves the same /metrics catalogue
 #   6. SIGKILL the server, restart it on the same -wal-dir, and assert the
-#      recovery gauges report the replay (rows and seconds off zero)
+#      recovery gauges report the load (seconds, bytes) and the replay (rows
+#      and seconds) off zero
 #
 # Env overrides: RATE, DURATION.
 # Run from the repository root.
@@ -154,11 +155,14 @@ wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=$!
 wait_ready
 curl -fsS "$BASE/metrics" >"$WORK/metrics.txt"
+# The restart loaded the snapshot the replication feed took at seq 0.
+assert_positive multiem_recovery_load_seconds
+assert_positive multiem_recovery_load_bytes
 assert_positive multiem_recovery_replayed_rows
 assert_positive multiem_recovery_replay_seconds
 assert_positive multiem_recovery_reader_busy_seconds
 assert_positive multiem_recovery_shard_busy_seconds 'shard="0"'
-grep -q '"msg":"durability on".*"replayed_rows":[1-9]' "$WORK/server.log" \
-  || { log "FAIL: the durability log line does not report the replay"; exit 1; }
+grep -q '"msg":"durability on".*"load_bytes":[1-9].*"replayed_rows":[1-9]' "$WORK/server.log" \
+  || { log "FAIL: the durability log line does not report the load and the replay"; exit 1; }
 
 log "PASS: /metrics well-formed, key series non-zero, pprof reachable, recovery reported"
