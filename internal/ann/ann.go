@@ -1,6 +1,5 @@
-// Package ann layers a uniform approximate-nearest-neighbour interface over
-// the HNSW index and an exact brute-force baseline, and implements the
-// mutual top-K matched-pair search of the paper's Eq. 1:
+// Package ann implements the mutual top-K matched-pair search of the paper's
+// Eq. 1 over the HNSW index:
 //
 //	Pm = {(e, e') | e ∈ topK(e') ∧ e' ∈ topK(e) ∧ dist(e, e') ≤ m}
 //
@@ -39,66 +38,6 @@ func HNSWOverRows(s *vector.Store, cfg hnsw.Config) (*hnsw.Index, error) {
 		}
 	}
 	return ix, nil
-}
-
-// BruteForce is an exact-search index, one scan per query: the reference
-// Index in tests and the small-table blocker of the PLM baselines. (The
-// merging phase's exact backend is MutualTopKExact, not this.) Vectors are
-// copied into a contiguous arena
-// at construction and the metric is resolved once, so the scan in Search is
-// a cache-linear sweep with no per-row pointer chase or metric switch.
-type BruteForce struct {
-	ids    []int
-	vecs   *vector.Store
-	metric vector.Metric
-}
-
-// NewBruteForce builds an exact index over ids/vecs using the metric.
-func NewBruteForce(ids []int, vecs [][]float32, metric vector.Metric) *BruteForce {
-	b := &BruteForce{ids: ids, metric: metric}
-	if len(vecs) > 0 {
-		b.vecs = vector.StoreFromRows(len(vecs[0]), vecs)
-	}
-	return b
-}
-
-// Search implements Index by scanning the arena with a batched kernel bound
-// to q once for the whole sweep: rows are scored a fixed-size chunk at a
-// time (stack scratch, no allocation) and only the chunk minima pass through
-// the top-K heap's comparison.
-func (b *BruteForce) Search(q []float32, k, _ int) []vector.Neighbor {
-	if k <= 0 || b.Len() == 0 {
-		return nil
-	}
-	qb := b.metric.QueryBatchFunc(q)
-	tk := vector.NewTopK(k)
-	raw, d := b.vecs.Raw(), b.vecs.Dim()
-	n := b.vecs.Len()
-	var buf [256]float32
-	for start := 0; start < n; start += len(buf) {
-		m := n - start
-		if m > len(buf) {
-			m = len(buf)
-		}
-		dists := buf[:m]
-		qb(raw[start*d:], d, nil, dists)
-		for j, dist := range dists {
-			tk.Push(start+j, dist)
-		}
-	}
-	res := tk.Results()
-	for i := range res {
-		res[i].ID = b.ids[res[i].ID]
-	}
-	return res
-}
-
-// Len implements Index.
-func (b *BruteForce) Len() int {
-	if b.vecs == nil {
-		return 0
-	}
-	return b.vecs.Len()
 }
 
 // Pair is a matched pair of rows — A indexes the first table, B the second —

@@ -12,52 +12,34 @@ import (
 
 func unit(vs ...float32) []float32 { return vector.Normalize(vs) }
 
-func TestBruteForceExact(t *testing.T) {
-	ids := []int{10, 20, 30}
-	vecs := [][]float32{unit(1, 0), unit(0, 1), unit(-1, 0)}
-	bf := NewBruteForce(ids, vecs, vector.Cosine)
-	res := bf.Search(unit(0.9, 0.1), 2, 0)
-	if len(res) != 2 || res[0].ID != 10 {
-		t.Fatalf("got %v", res)
-	}
-	if bf.Len() != 3 {
-		t.Fatal("Len wrong")
-	}
-}
-
-func TestBruteForceEdgeCases(t *testing.T) {
-	bf := NewBruteForce(nil, nil, vector.Cosine)
-	if bf.Search([]float32{1}, 3, 0) != nil {
-		t.Fatal("empty index must return nil")
-	}
-	bf2 := NewBruteForce([]int{1}, [][]float32{{1, 0}}, vector.Cosine)
-	if bf2.Search([]float32{1, 0}, 0, 0) != nil {
-		t.Fatal("k=0 must return nil")
-	}
-}
-
 // storeOf copies rows into one arena; the row number is the id both joins
 // report.
 func storeOf(dim int, rows ...[]float32) *vector.Store {
 	return vector.StoreFromRows(dim, rows)
 }
 
-// bruteOver is the exact per-query index over a store's rows, ids = row
-// numbers: the form MutualTopK wants.
-func bruteOver(s *vector.Store, metric vector.Metric) *BruteForce {
-	ids := make([]int, s.Len())
-	rows := make([][]float32, s.Len())
-	for i := range ids {
-		ids[i], rows[i] = i, s.At(i)
+// exactIndex is the exact per-query Index over a store's rows, ids = row
+// numbers: the form MutualTopK wants, scanning every row with Metric.Dist.
+type exactIndex struct {
+	rows   *vector.Store
+	metric vector.Metric
+}
+
+func (x exactIndex) Len() int { return x.rows.Len() }
+
+func (x exactIndex) Search(q []float32, k, _ int) []vector.Neighbor {
+	tk := vector.NewTopK(k)
+	for i := 0; i < x.rows.Len(); i++ {
+		tk.Push(i, x.metric.Dist(q, x.rows.At(i)))
 	}
-	return NewBruteForce(ids, rows, metric)
+	return tk.Results()
 }
 
 // joins are the two ways to evaluate Eq. 1; on exact indexes they must agree
 // on every semantic case below.
 var joins = map[string]func(a, b *vector.Store, k int, maxDist float32) []Pair{
 	"indexed": func(a, b *vector.Store, k int, maxDist float32) []Pair {
-		return MutualTopK(a, bruteOver(b, vector.Cosine), b, bruteOver(a, vector.Cosine), k, maxDist, 0, 0)
+		return MutualTopK(a, exactIndex{b, vector.Cosine}, b, exactIndex{a, vector.Cosine}, k, maxDist, 0, 0)
 	},
 	"exact": func(a, b *vector.Store, k int, maxDist float32) []Pair {
 		return MutualTopKExact(a, b, vector.Cosine, k, maxDist, 0)
@@ -240,8 +222,8 @@ func TestMutualTopKHonoursWorkers(t *testing.T) {
 	a, b := randomSide(rng, 300, 8), randomSide(rng, 300, 8)
 	for _, workers := range []int{1, 3} {
 		var active, peak atomic.Int32
-		ixA := countingIndex{bruteOver(a, vector.Cosine), &active, &peak}
-		ixB := countingIndex{bruteOver(b, vector.Cosine), &active, &peak}
+		ixA := countingIndex{exactIndex{a, vector.Cosine}, &active, &peak}
+		ixB := countingIndex{exactIndex{b, vector.Cosine}, &active, &peak}
 		MutualTopK(a, ixB, b, ixA, 1, 1, 0, workers)
 		if got := int(peak.Load()); got > workers {
 			t.Fatalf("workers=%d: %d searches in flight", workers, got)

@@ -3,12 +3,14 @@ package baselines
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/embed"
 	"repro/internal/eval"
 	"repro/internal/table"
+	"repro/internal/vector"
 )
 
 func testCtx(t *testing.T, name string, scale float64, seed int64) *Context {
@@ -82,19 +84,42 @@ func TestPairsToTuplesDeduplicates(t *testing.T) {
 	}
 }
 
+// TestBlockTopK holds the exact blocking leg to a reference built here: each
+// entity of the smaller table paired with the k rows of the larger one that
+// vector.CosineUnit.Dist ranks first by (distance, row), in that order.
 func TestBlockTopK(t *testing.T) {
 	ctx := testCtx(t, "Geo", 0.05, 1)
 	a, b := ctx.Dataset.Tables[0], ctx.Dataset.Tables[1]
-	cands := BlockTopK(ctx, a, b, 3)
-	if len(cands) == 0 {
-		t.Fatal("blocking must produce candidates")
+	reference := func(a, b *table.Table, k int) []IDPair {
+		small, large := a, b
+		if small.Len() > large.Len() {
+			small, large = large, small
+		}
+		var out []IDPair
+		for _, e := range small.Entities {
+			ranked := make([]vector.Neighbor, large.Len())
+			for i, f := range large.Entities {
+				ranked[i] = vector.Neighbor{ID: i, Dist: vector.CosineUnit.Dist(ctx.Vec(e.ID), ctx.Vec(f.ID))}
+			}
+			sort.Slice(ranked, func(i, j int) bool {
+				if ranked[i].Dist != ranked[j].Dist {
+					return ranked[i].Dist < ranked[j].Dist
+				}
+				return ranked[i].ID < ranked[j].ID
+			})
+			for _, n := range ranked[:min(k, len(ranked))] {
+				out = append(out, MkPair(e.ID, large.Entities[n.ID].ID))
+			}
+		}
+		return out
 	}
-	small := a.Len()
-	if b.Len() < small {
-		small = b.Len()
-	}
-	if len(cands) > small*3 {
-		t.Fatalf("too many candidates: %d > %d", len(cands), small*3)
+	for _, k := range []int{1, 3} {
+		for _, tables := range [][2]*table.Table{{a, b}, {b, a}} {
+			got := BlockTopK(ctx, tables[0], tables[1], k)
+			if want := reference(tables[0], tables[1], k); len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d: BlockTopK returned %d pairs, the exact reference %d, or in another order", k, len(got), len(want))
+			}
+		}
 	}
 	if BlockTopK(ctx, a, b, 0) != nil {
 		t.Fatal("k=0 must return nil")

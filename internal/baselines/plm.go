@@ -184,8 +184,8 @@ const bruteBlockLimit = 20_000
 
 // BlockTopK generates candidate pairs between two tables: each entity of
 // the smaller side is paired with its k nearest neighbours on the larger
-// side (cosine). Exact search for small tables, HNSW beyond
-// bruteBlockLimit. Shared by several baselines.
+// side (cosine). An exact scan for small tables, HNSW beyond bruteBlockLimit.
+// Shared by several baselines.
 func BlockTopK(ctx *Context, a, b *table.Table, k int) []IDPair {
 	if a.Len() == 0 || b.Len() == 0 || k <= 0 {
 		return nil
@@ -195,35 +195,50 @@ func BlockTopK(ctx *Context, a, b *table.Table, k int) []IDPair {
 	if small.Len() > large.Len() {
 		small, large = large, small
 	}
-	idsL := make([]int, large.Len())
-	vecsL := make([][]float32, large.Len())
-	for i, e := range large.Entities {
-		idsL[i] = e.ID
-		vecsL[i] = ctx.Vec(e.ID)
+	rows := vector.NewStoreWithCap(len(ctx.Vec(large.Entities[0].ID)), large.Len())
+	for _, e := range large.Entities {
+		rows.Append(ctx.Vec(e.ID))
 	}
-	var ix ann.Index
+	search := func(q []float32) []vector.Neighbor { return scanTopK(q, rows, k) }
 	if large.Len() > bruteBlockLimit {
-		h := hnsw.New(len(vecsL[0]), hnsw.Config{Metric: vector.CosineUnit, EfConstruction: 100, Seed: 1})
-		if err := h.AddBatch(idsL, vecsL); err != nil {
+		ix, err := ann.HNSWOverRows(rows, hnsw.Config{Metric: vector.CosineUnit, EfConstruction: 100, Seed: 1})
+		if err != nil {
 			// Vector dimensions are uniform by construction; an error
 			// here is a programming bug, not an input condition.
 			panic(err)
 		}
-		ix = h
-	} else {
-		ix = ann.NewBruteForce(idsL, vecsL, vector.CosineUnit)
+		search = func(q []float32) []vector.Neighbor { return ix.Search(q, k, 0) }
 	}
 	queries := make([][]vector.Neighbor, small.Len())
 	parallelFor(small.Len(), func(i int) {
-		queries[i] = ix.Search(ctx.Vec(small.Entities[i].ID), k, 0)
+		queries[i] = search(ctx.Vec(small.Entities[i].ID))
 	})
 	var out []IDPair
 	for i, e := range small.Entities {
 		for _, n := range queries[i] {
-			out = append(out, MkPair(e.ID, n.ID))
+			out = append(out, MkPair(e.ID, large.Entities[n.ID].ID))
 		}
 	}
 	return out
+}
+
+// scanTopK returns the k rows of s nearest to q under CosineUnit, ranked by
+// (distance, row), scoring a fixed-size block of rows per Gather call.
+func scanTopK(q []float32, s *vector.Store, k int) []vector.Neighbor {
+	tk := vector.NewTopK(k)
+	var idxs [256]int32
+	var dists [256]float32
+	for start := 0; start < s.Len(); start += len(idxs) {
+		n := min(len(idxs), s.Len()-start)
+		for j := range idxs[:n] {
+			idxs[j] = int32(start + j)
+		}
+		vector.CosineUnit.Gather(q, s.Raw(), s.Dim(), idxs[:n], dists[:n])
+		for j, d := range dists[:n] {
+			tk.Push(start+j, d)
+		}
+	}
+	return tk.Results()
 }
 
 // parallelFor runs f(i) for i in [0, n) across all cores.

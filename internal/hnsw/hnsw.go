@@ -16,8 +16,10 @@
 // (links.go), with per-node offsets and fixed per-layer capacities — no
 // per-node or per-layer heap objects, no pointer chasing between a node and
 // its links, and chunk-granular copy-on-write sharing between the writer and
-// its frozen clones. The distance metric is resolved to a concrete kernel
-// once at construction instead of switching per call.
+// its frozen clones. Every distance the index computes — a query against a
+// neighbour block, a node against the picks of selectHeuristic, a link whose
+// cached distance Load rebuilds — is one Index.dists call: the metric's
+// gather kernel over the node arena, with the metric switch paid once a block.
 //
 // Construction is serialized internally; Search is safe for concurrent use
 // once construction has finished (the merging pipeline builds per-table
@@ -86,22 +88,15 @@ type Index struct {
 	dim    int
 	mu     sync.Mutex
 	rng    *rand.Rand
-	levelF float64         // 1 / ln(M)
-	dist   vector.DistFunc // cfg.Metric resolved once
+	levelF float64 // 1 / ln(M)
 
 	vecs   *vector.Store // row i = vector of internal node i
 	ids    []int         // external id per node
 	levels []int32       // top layer per node
-	// cosNorms caches ||v|| per node when the metric is Cosine (nil
-	// otherwise), so every node-node and query-node cosine distance is a
-	// single Dot pass plus a multiply instead of three inner products —
-	// hnswlib's stored-norm trick. Vectors are immutable once added, so the
-	// cache never invalidates.
-	cosNorms []float64
-	la       linkArena // chunked adjacency arena, see links.go
-	offs     []int64   // offs[i] = encoded arena offset of node i's region
-	entry    int       // index into ids of the entry point; -1 when empty
-	maxL     int
+	la     linkArena     // chunked adjacency arena, see links.go
+	offs   []int64       // offs[i] = encoded arena offset of node i's region
+	entry  int           // index into ids of the entry point; -1 when empty
+	maxL   int
 
 	// searchPool holds *searchCtx for concurrent Search. Clones share the
 	// origin's pool, like stats: a context's visit set is sized to the
@@ -170,6 +165,22 @@ func (ctx *searchCtx) distBuf(n int) []float32 {
 	return ctx.dists[:n]
 }
 
+// dists sets out[j] to the distance from q to node idxs[j]: the metric's
+// gather kernel over the node arena, and the only place the index computes a
+// distance. The arena is re-read on every call, so it stays valid across
+// Appends by the same goroutine; q may be a node's own row.
+func (ix *Index) dists(q []float32, idxs []int32, out []float32) {
+	ix.cfg.Metric.Gather(q, ix.vecs.Raw(), ix.dim, idxs, out)
+}
+
+// distTo is dists for the one node i, through ctx's scratch.
+func (ix *Index) distTo(q []float32, i int, ctx *searchCtx) float32 {
+	ctx.cands = append(ctx.cands[:0], int32(i))
+	d := ctx.distBuf(1)
+	ix.dists(q, ctx.cands, d)
+	return d[0]
+}
+
 // New creates an empty index for vectors of the given dimensionality.
 func New(dim int, cfg Config) *Index {
 	cfg = cfg.withDefaults()
@@ -178,7 +189,6 @@ func New(dim int, cfg Config) *Index {
 		dim:    dim,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		levelF: 1 / math.Log(float64(cfg.M)),
-		dist:   cfg.Metric.Func(),
 		vecs:   vector.NewStore(dim),
 		entry:  -1,
 		stats:  &searchStats{},
@@ -280,9 +290,6 @@ func (ix *Index) Add(id int, vec []float32) error {
 	ix.levels = append(ix.levels, int32(level))
 	ix.offs = append(ix.offs, ix.la.alloc(ix.regionSize(level)))
 	ix.vecs.Append(vec)
-	if ix.cfg.Metric == vector.Cosine {
-		ix.cosNorms = append(ix.cosNorms, math.Sqrt(float64(vector.Dot(vec, vec))))
-	}
 	q := ix.vecs.At(cur)
 
 	if ix.entry < 0 {
@@ -292,18 +299,13 @@ func (ix *Index) Add(id int, vec []float32) error {
 	}
 
 	ep := ix.entry
-	// Bind the metric to the new vector once: the whole insert's descent and
-	// beam searches share one query-specialized kernel (for cosine, the
-	// query norm is computed once here, not once per distance call).
-	qd := ix.queryDist(q)
-	qb := ix.queryDistBatch(q)
 	// Greedy descent through layers above the new node's level.
 	for l := ix.maxL; l > level; l-- {
-		ep = ix.greedyClosest(qd, qb, ep, l, ix.buildCtx)
+		ep = ix.greedyClosest(q, ep, l, ix.buildCtx)
 	}
 	// Beam search + heuristic linking at each layer <= level.
 	for l := min(level, ix.maxL); l >= 0; l-- {
-		cands := ix.searchLayer(qd, qb, ep, ix.cfg.EfConstruction, l, ix.buildCtx)
+		cands := ix.searchLayer(q, ep, ix.cfg.EfConstruction, l, ix.buildCtx)
 		selected := ix.selectHeuristic(cands, ix.cfg.M, &ix.selScratch)
 		for _, s := range selected {
 			// s.Dist is dist(new, s); the metric is symmetric, so the
@@ -326,11 +328,10 @@ func (ix *Index) Add(id int, vec []float32) error {
 // Searches (and Save) may keep using while the original continues to take
 // Adds — the building block for copy-on-write serving views.
 //
-// Nothing is deep-copied. The vector arena, ids, levels, offsets, and cached
-// norms are strictly append-only until the index is discarded wholesale, so
-// the clone shares those backing arrays and pins only their current lengths;
-// later Adds on the original write past every pinned length and never into
-// it. The adjacency arena — the one structure Add mutates in place (linkBack
+// Nothing is deep-copied. The vector arena, ids, levels and offsets are
+// strictly append-only until the index is discarded wholesale, so the clone
+// shares those backing arrays and pins only their current lengths; later Adds
+// on the original write past every pinned length and never into it. The adjacency arena — the one structure Add mutates in place (linkBack
 // rewrites existing nodes' neighbour lists) — is shared at chunk granularity:
 // the clone takes an O(chunks) spine snapshot, and the writer copies a chunk
 // the first time it mutates into it afterwards, so a batch's commit cost
@@ -338,135 +339,22 @@ func (ix *Index) Add(id int, vec []float32) error {
 // link-distance cache, RNG, and construction scratch stay behind: they exist
 // only for Add, which a frozen clone refuses.
 func (ix *Index) Clone() *Index {
-	c := &Index{
-		cfg:      ix.cfg,
-		dim:      ix.dim,
-		levelF:   ix.levelF,
-		dist:     ix.dist,
-		vecs:     ix.vecs.Frozen(),
-		ids:      ix.ids[:len(ix.ids):len(ix.ids)],
-		levels:   ix.levels[:len(ix.levels):len(ix.levels)],
-		cosNorms: ix.cosNorms[:len(ix.cosNorms):len(ix.cosNorms)],
-		la:       ix.la.snapshot(),
-		offs:     ix.offs[:len(ix.offs):len(ix.offs)],
-		entry:    ix.entry,
-		maxL:     ix.maxL,
-		frozen:   true,
-		stats:    ix.stats, // shared: clone searches count towards the origin
+	return &Index{
+		cfg:    ix.cfg,
+		dim:    ix.dim,
+		levelF: ix.levelF,
+		vecs:   ix.vecs.Frozen(),
+		ids:    ix.ids[:len(ix.ids):len(ix.ids)],
+		levels: ix.levels[:len(ix.levels):len(ix.levels)],
+		la:     ix.la.snapshot(),
+		offs:   ix.offs[:len(ix.offs):len(ix.offs)],
+		entry:  ix.entry,
+		maxL:   ix.maxL,
+		frozen: true,
+		stats:  ix.stats, // shared: clone searches count towards the origin
 
 		searchPool: ix.searchPool, // shared: a warm context fits every view
 	}
-	// (Re-slicing a nil cosNorms stays nil, so the nil-means-no-cosine
-	// sentinel survives the three-index slice above.)
-	return c
-}
-
-// nodeDist is the distance between two stored nodes, through the cached-norm
-// cosine fast path when available and without a closure hop for the
-// pipeline's CosineUnit metric.
-func (ix *Index) nodeDist(i, j int) float32 {
-	switch {
-	case ix.cosNorms != nil:
-		ni, nj := ix.cosNorms[i], ix.cosNorms[j]
-		if ni == 0 || nj == 0 {
-			return 1 // CosineSim defines zero-vector similarity as 0
-		}
-		return 1 - vector.Dot(ix.vecs.At(i), ix.vecs.At(j))/float32(ni*nj)
-	case ix.cfg.Metric == vector.CosineUnit:
-		return 1 - vector.Dot(ix.vecs.At(i), ix.vecs.At(j))
-	default:
-		return ix.dist(ix.vecs.At(i), ix.vecs.At(j))
-	}
-}
-
-// queryDist binds q to a node-indexed distance kernel for one search. With
-// cached cosine norms the per-node cost is one Dot; CosineUnit and Euclidean
-// get direct single-closure kernels (every distance call in a beam search
-// pays the call overhead, so closure-over-closure layering shows up); other
-// metrics defer to the metric's query-specialized kernel.
-func (ix *Index) queryDist(q []float32) func(int) float32 {
-	switch {
-	case ix.cosNorms != nil:
-		qn := math.Sqrt(float64(vector.Dot(q, q)))
-		return func(i int) float32 {
-			ni := ix.cosNorms[i]
-			if qn == 0 || ni == 0 {
-				return 1
-			}
-			return 1 - vector.Dot(q, ix.vecs.At(i))/float32(qn*ni)
-		}
-	case ix.cfg.Metric == vector.CosineUnit:
-		return func(i int) float32 { return 1 - vector.Dot(q, ix.vecs.At(i)) }
-	case ix.cfg.Metric == vector.Euclidean:
-		return func(i int) float32 { return vector.EuclideanDist(q, ix.vecs.At(i)) }
-	default:
-		qf := ix.cfg.Metric.QueryFunc(q)
-		return func(i int) float32 { return qf(ix.vecs.At(i)) }
-	}
-}
-
-// batchDist evaluates a bound query against many node indexes at once,
-// writing dists[j] for node idxs[j].
-type batchDist func(idxs []int32, dists []float32)
-
-// queryDistBatch is the batched companion of queryDist: one call scores a
-// whole neighbour block against the bound query through the vector gather
-// kernels — on the AVX2 path a single assembly call that prefetches the
-// block's later rows while it sums the earlier ones, which is where a walk
-// over an arena larger than the cache spends its time. dists[j] is
-// bit-identical to queryDist(q)(idxs[j]) on the same kernel path. The arena
-// is re-read on every call, so the kernel stays valid across Appends by the
-// same goroutine.
-func (ix *Index) queryDistBatch(q []float32) batchDist {
-	switch {
-	case ix.cosNorms != nil:
-		qn := math.Sqrt(float64(vector.Dot(q, q)))
-		return func(idxs []int32, dists []float32) {
-			vector.DotGather(q, ix.vecs.Raw(), ix.dim, idxs, dists)
-			for j, i := range idxs {
-				ni := ix.cosNorms[i]
-				if qn == 0 || ni == 0 {
-					dists[j] = 1
-					continue
-				}
-				dists[j] = 1 - dists[j]/float32(qn*ni)
-			}
-		}
-	case ix.cfg.Metric == vector.CosineUnit:
-		return func(idxs []int32, dists []float32) {
-			vector.DotGather(q, ix.vecs.Raw(), ix.dim, idxs, dists)
-			for j := range dists {
-				dists[j] = 1 - dists[j]
-			}
-		}
-	case ix.cfg.Metric == vector.Euclidean:
-		return func(idxs []int32, dists []float32) {
-			vector.SquaredDistGather(q, ix.vecs.Raw(), ix.dim, idxs, dists)
-			for j := range dists {
-				dists[j] = float32(math.Sqrt(float64(dists[j])))
-			}
-		}
-	default:
-		qf := ix.cfg.Metric.QueryFunc(q)
-		return func(idxs []int32, dists []float32) {
-			for j, i := range idxs {
-				dists[j] = qf(ix.vecs.At(int(i)))
-			}
-		}
-	}
-}
-
-// AddBatch inserts vectors ids[i] -> vecs[i] sequentially.
-func (ix *Index) AddBatch(ids []int, vecs [][]float32) error {
-	if len(ids) != len(vecs) {
-		return fmt.Errorf("hnsw: %d ids but %d vectors", len(ids), len(vecs))
-	}
-	for i := range ids {
-		if err := ix.Add(ids[i], vecs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // randomLevel samples a node level from the truncated geometric
@@ -479,13 +367,13 @@ func (ix *Index) randomLevel() int {
 	return int(-math.Log(u) * ix.levelF)
 }
 
-// greedyClosest walks layer l greedily from ep towards the query bound in
-// qd/qb, returning the local minimum. Each hop scores the whole neighbour
-// block in one batched call; the running-minimum scan over the results in
-// block order makes the walk identical to the per-neighbour version.
-func (ix *Index) greedyClosest(qd func(int) float32, qb batchDist, ep, l int, ctx *searchCtx) int {
+// greedyClosest walks layer l greedily from ep towards q, returning the local
+// minimum. Each hop scores the whole neighbour block in one dists call; the
+// running-minimum scan over the results in block order makes the walk
+// identical to the per-neighbour version.
+func (ix *Index) greedyClosest(q []float32, ep, l int, ctx *searchCtx) int {
 	cur := ep
-	curDist := qd(cur)
+	curDist := ix.distTo(q, cur, ctx)
 	ctx.evals++
 	for {
 		nbs := ix.neighbors(cur, l)
@@ -495,7 +383,7 @@ func (ix *Index) greedyClosest(qd func(int) float32, qb batchDist, ep, l int, ct
 		ctx.visited++
 		ctx.evals += uint64(len(nbs))
 		dists := ctx.distBuf(len(nbs))
-		qb(nbs, dists)
+		ix.dists(q, nbs, dists)
 		improved := false
 		for j, nb := range nbs {
 			if dists[j] < curDist {
@@ -547,16 +435,16 @@ func (v *visitSet) visit(i int32) bool {
 // returned slice is ctx.out — valid until the ctx's next search.
 //
 // Neighbour expansion is batched: each popped node's unvisited neighbours
-// are collected and scored in one qb call over the flat links arena, then
+// are collected and scored in one dists call over the flat links arena, then
 // pushed in block order — the same order the per-neighbour loop used, so the
 // best.Worst() gating sequence and therefore the result set are unchanged.
 // The walk's two kinds of cache miss are both asked for early and change
-// nothing it computes: the block's rows inside qb, the next pop's link block
-// just before it.
-func (ix *Index) searchLayer(qd func(int) float32, qb batchDist, ep, ef, l int, ctx *searchCtx) []vector.Neighbor {
+// nothing it computes: the block's rows inside dists, the next pop's link
+// block just before it.
+func (ix *Index) searchLayer(q []float32, ep, ef, l int, ctx *searchCtx) []vector.Neighbor {
 	ctx.visit.reset(len(ix.ids))
 	ctx.visit.visit(int32(ep))
-	epDist := qd(ep)
+	epDist := ix.distTo(q, ep, ctx)
 	ctx.visited++
 	ctx.evals++
 
@@ -589,7 +477,7 @@ func (ix *Index) searchLayer(qd func(int) float32, qb batchDist, ep, ef, l int, 
 			ix.prefetchLinks(ctx.frontier.Min().ID, l)
 		}
 		dists := ctx.distBuf(len(unv))
-		qb(unv, dists)
+		ix.dists(q, unv, dists)
 		for j, nb := range unv {
 			d := dists[j]
 			if !best.Full() || d < best.Worst() {
@@ -607,27 +495,35 @@ func (ix *Index) searchLayer(qd func(int) float32, qb batchDist, ep, ef, l int, 
 // that is closer to an already-selected neighbour than to the query. This
 // spreads links across clusters and preserves graph navigability. scratch
 // backs the result when selection is needed; when candidates already fit,
-// cands is returned as-is.
+// cands is returned as-is. Each candidate is scored against all the picks so
+// far in one dists call, through buildCtx's scratch: selection runs only
+// under construction, after the search that produced cands has returned.
 func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vector.Neighbor) []vector.Neighbor {
 	if len(cands) <= m {
 		return cands
 	}
+	ctx := ix.buildCtx
+	picks := ctx.cands[:0]
 	selected := (*scratch)[:0]
 	for _, c := range cands {
 		if len(selected) == m {
 			break
 		}
+		dists := ctx.distBuf(len(picks))
+		ix.dists(ix.vecs.At(c.ID), picks, dists)
 		ok := true
-		for _, s := range selected {
-			if ix.nodeDist(c.ID, s.ID) < c.Dist {
+		for _, d := range dists {
+			if d < c.Dist {
 				ok = false
 				break
 			}
 		}
 		if ok {
 			selected = append(selected, c)
+			picks = append(picks, int32(c.ID))
 		}
 	}
+	ctx.cands = picks
 	// Backfill with nearest skipped candidates if the heuristic was too
 	// aggressive (hnswlib's keepPrunedConnections behaviour). The picks so
 	// far are a subsequence of cands in order, so a two-pointer scan finds
@@ -681,10 +577,14 @@ func (ix *Index) linkBack(from, to, l int, d float32) {
 
 // Search returns the (approximately) k nearest stored vectors to q, sorted
 // by increasing distance, with external ids. ef overrides the configured
-// EfSearch when positive.
+// EfSearch when positive. A q of another dimensionality is a programming
+// error and panics, as the distance kernels do.
 func (ix *Index) Search(q []float32, k, ef int) []vector.Neighbor {
 	if ix.entry < 0 || k <= 0 {
 		return nil
+	}
+	if len(q) != ix.dim {
+		panic(fmt.Sprintf("hnsw: query has dim %d, index wants %d", len(q), ix.dim))
 	}
 	if ef <= 0 {
 		ef = ix.cfg.EfSearch
@@ -695,13 +595,11 @@ func (ix *Index) Search(q []float32, k, ef int) []vector.Neighbor {
 	ctx := ix.searchPool.Get().(*searchCtx)
 	defer ix.searchPool.Put(ctx)
 	ctx.visited, ctx.evals = 0, 0
-	qd := ix.queryDist(q)
-	qb := ix.queryDistBatch(q)
 	ep := ix.entry
 	for l := ix.maxL; l > 0; l-- {
-		ep = ix.greedyClosest(qd, qb, ep, l, ctx)
+		ep = ix.greedyClosest(q, ep, l, ctx)
 	}
-	res := ix.searchLayer(qd, qb, ep, ef, 0, ctx)
+	res := ix.searchLayer(q, ep, ef, 0, ctx)
 	ix.stats.searches.Add(1)
 	ix.stats.visited.Add(ctx.visited)
 	ix.stats.evals.Add(ctx.evals)

@@ -56,13 +56,6 @@ func TestDimMismatch(t *testing.T) {
 	}
 }
 
-func TestAddBatchLengthMismatch(t *testing.T) {
-	ix := New(2, Config{})
-	if err := ix.AddBatch([]int{1, 2}, [][]float32{{1, 0}}); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
-}
-
 func TestExactOnTinySet(t *testing.T) {
 	ix := New(2, Config{Seed: 7})
 	pts := [][]float32{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}
@@ -318,57 +311,36 @@ func TestClusteredDataNavigability(t *testing.T) {
 	}
 }
 
+// benchMetrics are the metrics the dev benchmarks run: CosineUnit, which the
+// matcher and the pipeline run, and Cosine, the Config default, whose norms
+// are summed on every distance.
+var benchMetrics = []vector.Metric{vector.CosineUnit, vector.Cosine}
+
 func BenchmarkBuild1k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vecs := randUnitVecs(rng, 1000, 32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix := New(32, Config{Seed: 1})
-		for j, v := range vecs {
-			if err := ix.Add(j, v); err != nil {
-				b.Fatal(err)
+	for _, metric := range benchMetrics {
+		b.Run(metric.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ix := New(32, Config{Metric: metric, Seed: 1})
+				for j, v := range vecs {
+					if err := ix.Add(j, v); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
 func BenchmarkSearch10k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vecs := randUnitVecs(rng, 10000, 32)
-	ix := New(32, Config{Seed: 1})
-	for j, v := range vecs {
-		if err := ix.Add(j, v); err != nil {
-			b.Fatal(err)
-		}
-	}
 	q := randUnitVecs(rng, 1, 32)[0]
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix.Search(q, 10, 0)
-	}
-}
-
-// BenchmarkSearchBatched measures Search at the pipeline's real
-// dimensionality (256, embed.DefaultDim) under both kernel paths: the
-// batched neighbour expansion plus SIMD kernels vs the same batched
-// traversal forced onto the portable scalar kernels.
-func BenchmarkSearchBatched(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const dim = 256
-	vecs := randUnitVecs(rng, 5000, dim)
-	q := randUnitVecs(rng, 1, dim)[0]
-	for _, mode := range []string{"auto", "scalar"} {
-		b.Run(mode, func(b *testing.B) {
-			if err := vector.SetKernels(mode); err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				if err := vector.SetKernels("auto"); err != nil {
-					b.Fatal(err)
-				}
-			}()
-			ix := New(dim, Config{Seed: 1})
+	for _, metric := range benchMetrics {
+		b.Run(metric.String(), func(b *testing.B) {
+			ix := New(32, Config{Metric: metric, Seed: 1})
 			for j, v := range vecs {
 				if err := ix.Add(j, v); err != nil {
 					b.Fatal(err)
@@ -380,5 +352,41 @@ func BenchmarkSearchBatched(b *testing.B) {
 				ix.Search(q, 10, 0)
 			}
 		})
+	}
+}
+
+// BenchmarkSearchBatched measures Search at the pipeline's real
+// dimensionality (256, embed.DefaultDim) per metric under both kernel paths:
+// the batched neighbour expansion plus SIMD kernels vs the same batched
+// traversal forced onto the portable scalar kernels.
+func BenchmarkSearchBatched(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const dim = 256
+	vecs := randUnitVecs(rng, 5000, dim)
+	q := randUnitVecs(rng, 1, dim)[0]
+	for _, metric := range benchMetrics {
+		for _, mode := range []string{"auto", "scalar"} {
+			b.Run(metric.String()+"/"+mode, func(b *testing.B) {
+				if err := vector.SetKernels(mode); err != nil {
+					b.Fatal(err)
+				}
+				defer func() {
+					if err := vector.SetKernels("auto"); err != nil {
+						b.Fatal(err)
+					}
+				}()
+				ix := New(dim, Config{Metric: metric, Seed: 1})
+				for j, v := range vecs {
+					if err := ix.Add(j, v); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ResetTimer()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ix.Search(q, 10, 0)
+				}
+			})
+		}
 	}
 }

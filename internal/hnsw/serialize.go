@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/binio"
 	"repro/internal/vector"
@@ -226,25 +225,16 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	if rd.Err() != nil {
 		return nil, fmt.Errorf("hnsw: load: vectors: %w", rd.Err())
 	}
-	// Rebuild the cosine norm cache from the arena; identical inputs give
-	// identical norms, so a loaded index computes identical distances.
-	if cfg.Metric == vector.Cosine {
-		ix.cosNorms = make([]float64, count)
-		for i := range ix.cosNorms {
-			v := ix.vecs.At(i)
-			ix.cosNorms[i] = math.Sqrt(float64(vector.Dot(v, v)))
-		}
-	}
 	// Rebuild the link-distance cache (derived state, not persisted; the arena
-	// sized it alongside each link chunk), one gather-kernel call a block with
-	// the node as the query. queryDistBatch keeps the bits of nodeDist, so the
-	// values equal the ones the build cached and post-load Adds shrink alike.
+	// sized it alongside each link chunk), one dists call a block with the node
+	// as the query. Build cached each link's distance from one end or the
+	// other, and every metric's gather is symmetric to the bit, so the values
+	// equal the ones the build cached and post-load Adds shrink alike.
 	for i := 0; i < count; i++ {
-		dist := ix.queryDistBatch(ix.vecs.At(i))
 		for l := 0; l <= int(ix.levels[i]); l++ {
 			blk, dists := ix.la.mutBlock(ix.blockStart(i, l))
 			n := int(blk[0])
-			dist(blk[1:1+n], dists[1:1+n])
+			ix.dists(ix.vecs.At(i), blk[1:1+n], dists[1:1+n])
 		}
 	}
 	// Advance the level-sampling stream past the draws the original build

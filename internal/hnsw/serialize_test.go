@@ -251,9 +251,10 @@ func TestLoadOldVersionFailsWithNamedError(t *testing.T) {
 
 // TestLoadRebuildsLinkDistances: the link-distance cache is derived state
 // that Load recomputes with one gather-kernel call a block. Every entry must
-// carry the bits the build cached and the bits of the single-pair kernel,
-// for each metric — linkBack shrinks a full block by these values, so one
-// differing bit is a different graph after the next Add.
+// carry the bits the build cached and the bits of the same distance taken
+// from the link's other end, for each metric — linkBack shrinks a full block
+// by these values, so one differing bit is a different graph after the next
+// Add.
 func TestLoadRebuildsLinkDistances(t *testing.T) {
 	for _, metric := range []vector.Metric{vector.Cosine, vector.Euclidean, vector.CosineUnit} {
 		vecs := randomUnitVecs(300, 19, 5) // 19: the kernels' scalar tail runs
@@ -273,14 +274,15 @@ func TestLoadRebuildsLinkDistances(t *testing.T) {
 			t.Fatalf("%v: %v", metric, err)
 		}
 		blocks := 0
+		back := make([]float32, 1)
 		for i := range ix.ids {
 			for l := 0; l <= int(ix.levels[i]); l++ {
 				_, built := ix.la.mutBlock(ix.blockStart(i, l))
 				blk, got := loaded.la.mutBlock(loaded.blockStart(i, l))
 				for k := 0; k < int(blk[0]); k++ {
-					single := loaded.nodeDist(i, int(blk[1+k]))
-					if g := math.Float32bits(got[1+k]); g != math.Float32bits(built[1+k]) || g != math.Float32bits(single) {
-						t.Fatalf("%v: node %d layer %d link %d: loaded %v, built %v, single-pair %v", metric, i, l, k, got[1+k], built[1+k], single)
+					loaded.dists(loaded.Vector(int(blk[1+k])), []int32{int32(i)}, back)
+					if g := math.Float32bits(got[1+k]); g != math.Float32bits(built[1+k]) || g != math.Float32bits(back[0]) {
+						t.Fatalf("%v: node %d layer %d link %d: loaded %v, built %v, from the other end %v", metric, i, l, k, got[1+k], built[1+k], back[0])
 					}
 				}
 				blocks++

@@ -167,34 +167,17 @@ func snapshotPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%020d.bin", snapshotPrefix, seq))
 }
 
-// latestSnapshot finds the newest checkpoint in dir, returning ok=false when
-// there is none. Incomplete checkpoints never surface here: Snapshot writes
-// to a .tmp and renames atomically.
-func latestSnapshot(dir string) (path string, seq uint64, ok bool, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", 0, false, fmt.Errorf("multiem: wal dir: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, snapshotPrefix) || !strings.HasSuffix(name, ".bin") {
-			continue
-		}
-		n, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapshotPrefix), ".bin"), 10, 64)
-		if perr != nil {
-			return "", 0, false, fmt.Errorf("multiem: wal dir: unparseable snapshot name %q", name)
-		}
-		if !ok || n > seq {
-			path, seq, ok = filepath.Join(dir, name), n, true
-		}
-	}
-	return path, seq, ok, nil
-}
-
 // LatestSnapshot reports the newest checkpoint in a durability (or mirror)
-// directory: its path, the sequence it covers, and whether one exists.
+// directory: its path, the sequence it covers, and whether one exists — the
+// last of ListSnapshots. Incomplete checkpoints never surface here: Snapshot
+// writes to a .tmp and renames atomically.
 func LatestSnapshot(dir string) (path string, seq uint64, ok bool, err error) {
-	return latestSnapshot(dir)
+	seqs, err := ListSnapshots(dir)
+	if err != nil || len(seqs) == 0 {
+		return "", 0, false, err
+	}
+	seq = seqs[len(seqs)-1]
+	return snapshotPath(dir, seq), seq, true, nil
 }
 
 // SnapshotFile names the checkpoint file covering seq under a durability
@@ -277,7 +260,7 @@ func RecoverMatcher(cfg WALConfig, opt Options, base func() (*Matcher, error)) (
 		return nil, fmt.Errorf("multiem: wal dir: %w", err)
 	}
 
-	snapPath, snapSeq, haveSnap, err := latestSnapshot(cfg.Dir)
+	snapPath, snapSeq, haveSnap, err := LatestSnapshot(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}

@@ -448,11 +448,11 @@ type shardHits struct {
 // matcher searches an index: fetch entries (callers over-fetch, because
 // absorbed-into tuples leave stale centroid entries behind), collapse the
 // entries that resolve to one tuple, and re-rank every distinct tuple against
-// its current centroid with the query-bound batch kernel qb — one gather call
-// over the index's node store (the rows the graph walk just read) instead of
-// a kernel call per tuple. Nothing here writes shard state, so no lock is
-// involved. Distances are as the kernel returns them, unclamped.
-func searchShard(v *shardView, fetch, ef int, q []float32, qb vector.QueryBatch, hits *shardHits) {
+// its current centroid under metric — one gather call over the index's node
+// store (the rows the graph walk just read) instead of a kernel call per
+// tuple. Nothing here writes shard state, so no lock is involved. Distances
+// are as the kernel returns them, unclamped.
+func searchShard(v *shardView, fetch, ef int, q []float32, metric vector.Metric, hits *shardHits) {
 	raw := v.index.Search(q, fetch, ef)
 	hits.keys = slices.Grow(hits.keys[:0], len(raw))
 	hits.locals = slices.Grow(hits.locals[:0], len(raw))
@@ -470,7 +470,7 @@ func searchShard(v *shardView, fetch, ef int, q []float32, qb vector.QueryBatch,
 	}
 	hits.dists = slices.Grow(hits.dists[:0], len(hits.nodes))[:len(hits.nodes)]
 	if len(hits.nodes) > 0 {
-		qb(v.index.RawVectors(), v.index.Dim(), hits.nodes, hits.dists)
+		metric.Gather(q, v.index.RawVectors(), v.index.Dim(), hits.nodes, hits.dists)
 	}
 }
 
@@ -504,15 +504,12 @@ func (m *Matcher) Match(values []string, k int) ([]Candidate, error) {
 		return nil, nil
 	}
 
-	// Bind the metric to the query once; every shard's re-rank shares the
-	// kernel (for cosine, ||q|| is hoisted out of all candidate loops).
-	qb := m.opt.MergeMetric.QueryBatchFunc(q)
 	fetch := 4*k + 8
 	ef := m.shardEf()
 	v := m.state.Load()
 	perShard := make([]shardHits, len(v.shards))
 	parallelFor(len(v.shards), func(s int) {
-		searchShard(v.shards[s], fetch, ef, q, qb, &perShard[s])
+		searchShard(v.shards[s], fetch, ef, q, m.opt.MergeMetric, &perShard[s])
 	})
 	sp.Mark(MatchStageFanout)
 

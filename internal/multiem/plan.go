@@ -85,12 +85,9 @@ func (m *Matcher) decideRow(d *addDecision, q []float32, ef int, hits *shardHits
 	if vector.Norm(q) == 0 {
 		return
 	}
-	// Bind the merge metric to the row once; each shard's candidate set is
-	// then scored in a single gather call over that shard's node store.
-	qb := m.opt.MergeMetric.QueryBatchFunc(q)
 	top.Reset(1)
 	for s, sh := range m.shards {
-		searchShard(&sh.shardView, addSearchK, ef, q, qb, hits)
+		searchShard(&sh.shardView, addSearchK, ef, q, m.opt.MergeMetric, hits)
 		for j, key := range hits.keys {
 			// Equidistant tuples tie-break on their smallest member entity
 			// ID — the order Match ranks by, and an identity no shard layout

@@ -161,10 +161,9 @@ func TestSearchShardWriterEqualsView(t *testing.T) {
 		for _, fetch := range []int{addSearchK, 4*3 + 8} {
 			for qi, values := range queries {
 				q := m.embed(values)
-				qb := m.opt.MergeMetric.QueryBatchFunc(q)
 				var w, v shardHits
-				searchShard(&sh.shardView, fetch, ef, q, qb, &w)
-				searchShard(views[s], fetch, ef, q, qb, &v)
+				searchShard(&sh.shardView, fetch, ef, q, m.opt.MergeMetric, &w)
+				searchShard(views[s], fetch, ef, q, m.opt.MergeMetric, &v)
 				if !slices.Equal(w.keys, v.keys) || !slices.Equal(w.locals, v.locals) || !slices.Equal(w.nodes, v.nodes) {
 					t.Fatalf("shard %d fetch %d query %d: writer hits %+v, view hits %+v", s, fetch, qi, w, v)
 				}

@@ -37,18 +37,6 @@ func TestBatchMatchesSinglePair(t *testing.T) {
 						t.Fatalf("%s dim %d stride %d: DotBatch[%d] = %v, Dot = %v", mode, dim, stride, i, out[i], want)
 					}
 				}
-				SquaredDistBatch(q, arena, stride, out)
-				for i := range out {
-					if want := SquaredDist(q, rowAt(i)); out[i] != want {
-						t.Fatalf("%s dim %d stride %d: SquaredDistBatch[%d] = %v, SquaredDist = %v", mode, dim, stride, i, out[i], want)
-					}
-				}
-				CosineSimBatch(q, arena, stride, out)
-				for i := range out {
-					if want := CosineSim(q, rowAt(i)); out[i] != want {
-						t.Fatalf("%s dim %d stride %d: CosineSimBatch[%d] = %v, CosineSim = %v", mode, dim, stride, i, out[i], want)
-					}
-				}
 
 				// Gather forms against a shuffled index set (with repeats).
 				idxs := []int32{3, 0, 8, 3, 5}
@@ -125,39 +113,71 @@ func TestGatherMatchesSinglePair(t *testing.T) {
 	}
 }
 
-// TestQueryBatchFuncMatchesQueryFunc: for every metric, the batched bound
-// kernel must be bit-identical per row to the single-row bound kernel —
-// including the zero-query and zero-row cosine edge cases.
-func TestQueryBatchFuncMatchesQueryFunc(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
+// TestMetricGatherMatchesDist: Gather is Dist row by row, on both kernel
+// paths, across the kernels' tail lengths and padded strides — to the bit for
+// CosineUnit and Euclidean, within float reassociation for Cosine (whose norms
+// come from the fused dotNormSq pass) — and a zero vector on either side of a
+// cosine distance is at distance 1.
+func TestMetricGatherMatchesDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	idxs := []int32{6, 2, 0, 2, 5}
+	out := make([]float32, len(idxs))
 	for _, mode := range []string{"scalar", "auto"} {
 		forceKernels(t, mode)
 		for _, m := range []Metric{Cosine, Euclidean, CosineUnit} {
-			const dim, stride, rows = 19, 21, 7
-			arena := testArena(rng, rows, stride)
-			// Row 2 is a zero vector; zero-distance semantics must survive
-			// batching.
-			for c := 0; c < dim; c++ {
-				arena[2*stride+c] = 0
-			}
-			for _, q := range [][]float32{randVecOff(rng, dim, 0), make([]float32, dim)} {
-				qf := m.QueryFunc(q)
-				qb := m.QueryBatchFunc(q)
-
-				out := make([]float32, rows)
-				qb(arena, stride, nil, out)
-				for i := range out {
-					if want := qf(arena[i*stride : i*stride+dim]); out[i] != want {
-						t.Fatalf("%s %s: contiguous row %d = %v, QueryFunc = %v", mode, m, i, out[i], want)
+			for dim := 1; dim <= 70; dim++ {
+				stride := dim + dim%3
+				arena := testArena(rng, 7, stride)
+				q := randVecOff(rng, dim, 1)
+				m.Gather(q, arena, stride, idxs, out)
+				for j, i := range idxs {
+					want := m.Dist(q, row(arena, stride, dim, int(i)))
+					if m == Cosine {
+						if diff := out[j] - want; diff > 1e-5 || diff < -1e-5 {
+							t.Fatalf("%s %v dim %d: Gather[%d] = %v, Dist = %v", mode, m, dim, j, out[j], want)
+						}
+					} else if math.Float32bits(out[j]) != math.Float32bits(want) {
+						t.Fatalf("%s %v dim %d: Gather[%d] = %v, Dist = %v", mode, m, dim, j, out[j], want)
 					}
 				}
+			}
+		}
+		zero := make([]float32, 8)
+		one := Normalize([]float32{1, 1, 1, 1, 1, 1, 1, 1})
+		arena := append(append([]float32(nil), zero...), one...)
+		both := []int32{0, 1}
+		Cosine.Gather(zero, arena, 8, both, out[:2])
+		if out[0] != 1 || out[1] != 1 {
+			t.Fatalf("%s: cosine distances from a zero query = %v, want [1 1]", mode, out[:2])
+		}
+		Cosine.Gather(one, arena, 8, both, out[:2])
+		if out[0] != 1 {
+			t.Fatalf("%s: cosine distance to a zero row = %v, want 1", mode, out[0])
+		}
+	}
+}
 
-				idxs := []int32{6, 2, 0, 2}
-				gout := make([]float32, len(idxs))
-				qb(arena, stride, idxs, gout)
-				for j, i := range idxs {
-					if want := qf(arena[int(i)*stride : int(i)*stride+dim]); gout[j] != want {
-						t.Fatalf("%s %s: gather j=%d row %d = %v, QueryFunc = %v", mode, m, j, i, gout[j], want)
+// TestMetricGatherSymmetric: for every metric and on both kernel paths, the
+// distance from row a to row b has the bits of the distance from b to a —
+// zero rows included. An index caches a link's distance from one end and
+// recomputes it from the other when it loads.
+func TestMetricGatherSymmetric(t *testing.T) {
+	const rows = 12
+	rng := rand.New(rand.NewSource(5))
+	ab, ba := make([]float32, 1), make([]float32, 1)
+	for _, mode := range []string{"scalar", "auto"} {
+		forceKernels(t, mode)
+		for _, m := range []Metric{Cosine, Euclidean, CosineUnit} {
+			for _, dim := range []int{1, 7, 19, 64, 259} {
+				arena := testArena(rng, rows, dim)
+				clear(row(arena, dim, dim, 3))
+				for a := 0; a < rows; a++ {
+					for b := 0; b < rows; b++ {
+						m.Gather(row(arena, dim, dim, a), arena, dim, []int32{int32(b)}, ab)
+						m.Gather(row(arena, dim, dim, b), arena, dim, []int32{int32(a)}, ba)
+						if math.Float32bits(ab[0]) != math.Float32bits(ba[0]) {
+							t.Fatalf("%s %v dim %d: %d->%d = %v, %d->%d = %v", mode, m, dim, a, b, ab[0], b, a, ba[0])
+						}
 					}
 				}
 			}
@@ -190,13 +210,15 @@ func TestBatchValidationPanics(t *testing.T) {
 		for _, bad := range [][]int32{{-1, 0}, {0, -1}, {8, 0}, {0, 8}, {math.MinInt32, 0}, {0, math.MaxInt32}} {
 			mustPanic("DotGather bad index", func() { DotGather(q, arena, 8, bad, out) })
 			mustPanic("SquaredDistGather bad index", func() { SquaredDistGather(q, arena, 8, bad, out) })
-			for _, m := range []Metric{Euclidean, CosineUnit} {
-				mustPanic(m.String()+" QueryBatchFunc bad index", func() { m.QueryBatchFunc(q)(arena, 8, bad, out) })
+			for _, m := range []Metric{Cosine, Euclidean, CosineUnit} {
+				mustPanic(m.String()+" Gather bad index", func() { m.Gather(q, arena, 8, bad, out) })
 			}
 		}
 		// A row that starts inside the arena but does not end inside it.
 		mustPanic("DotGather partial row", func() { DotGather(q, arena[:63], 8, []int32{0, 7}, out) })
 		mustPanic("DotGather nil idxs", func() { DotGather(q, arena, 8, nil, out) })
 		mustPanic("SquaredDistGather idxs/out mismatch", func() { SquaredDistGather(q, arena, 8, []int32{0, 1, 2}, out) })
+		mustPanic("Cosine Gather idxs/out mismatch", func() { Cosine.Gather(q, arena, 8, []int32{0, 1, 2}, out) })
+		mustPanic("Cosine Gather stride < dim", func() { Cosine.Gather(q, arena, 7, []int32{0, 1}, out) })
 	}
 }

@@ -125,18 +125,28 @@ func BenchmarkDotBatch(b *testing.B) {
 	sinkF32 = out[0]
 }
 
-func BenchmarkSquaredDistBatch(b *testing.B) {
+// BenchmarkMetricGather is BenchmarkDotBatch's shape through the metric
+// layer, per metric: what one neighbour block costs a graph walk.
+func BenchmarkMetricGather(b *testing.B) {
 	const rows = 32
 	rng := rand.New(rand.NewSource(4))
 	arena := make([]float32, rows*benchDim)
 	for i := range arena {
 		arena[i] = float32(rng.NormFloat64())
 	}
+	idxs := make([]int32, rows)
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
 	q := benchVecs(1)[0]
 	out := make([]float32, rows)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SquaredDistBatch(q, arena, benchDim, out)
+	for _, m := range []Metric{CosineUnit, Euclidean, Cosine} {
+		b.Run(m.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Gather(q, arena, benchDim, idxs, out)
+			}
+		})
 	}
 	sinkF32 = out[0]
 }

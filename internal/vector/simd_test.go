@@ -102,8 +102,8 @@ func TestSIMDZeroVectors(t *testing.T) {
 }
 
 // TestDispatchedAPIAgrees exercises the public API (not the raw kernels)
-// under both SetKernels modes: Metric.Dist, QueryFunc, and Norm must agree
-// within the property bound for every metric.
+// under both SetKernels modes: Metric.Dist, Metric.Gather, and Norm must
+// agree within the property bound for every metric.
 func TestDispatchedAPIAgrees(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("CPU lacks AVX2+FMA")
@@ -113,9 +113,9 @@ func TestDispatchedAPIAgrees(t *testing.T) {
 	for _, dim := range simdTestDims {
 		a, b := randVecOff(rng, dim, 0), randVecOff(rng, dim, 2)
 		type sample struct {
-			norm  float32
-			dists []float32
-			qds   []float32
+			norm     float32
+			dists    []float32
+			gathered []float32
 		}
 		run := func(mode string) sample {
 			if err := SetKernels(mode); err != nil {
@@ -124,7 +124,9 @@ func TestDispatchedAPIAgrees(t *testing.T) {
 			s := sample{norm: Norm(a)}
 			for _, m := range metrics {
 				s.dists = append(s.dists, m.Dist(a, b))
-				s.qds = append(s.qds, m.QueryFunc(a)(b))
+				g := make([]float32, 1)
+				m.Gather(a, b, dim, []int32{0}, g)
+				s.gathered = append(s.gathered, g[0])
 			}
 			return s
 		}
@@ -136,7 +138,7 @@ func TestDispatchedAPIAgrees(t *testing.T) {
 		relClose(t, "Norm", simd.norm, scalar.norm)
 		for i, m := range metrics {
 			relClose(t, m.String()+".Dist", simd.dists[i], scalar.dists[i])
-			relClose(t, m.String()+".QueryFunc", simd.qds[i], scalar.qds[i])
+			relClose(t, m.String()+".Gather", simd.gathered[i], scalar.gathered[i])
 		}
 	}
 }

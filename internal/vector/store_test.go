@@ -105,43 +105,6 @@ func TestMetricFuncMatchesDist(t *testing.T) {
 	}
 }
 
-// QueryFunc kernels must agree with Dist: bit-for-bit for Euclidean and
-// CosineUnit, and within float reassociation tolerance for Cosine (whose
-// query-bound kernel hoists the query norm).
-func TestMetricQueryFuncMatchesDist(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, m := range []Metric{Cosine, Euclidean, CosineUnit} {
-		for trial := 0; trial < 50; trial++ {
-			dim := 1 + rng.Intn(70)
-			q, b := make([]float32, dim), make([]float32, dim)
-			for i := range q {
-				q[i] = float32(rng.NormFloat64())
-				b[i] = float32(rng.NormFloat64())
-			}
-			Normalize(q)
-			Normalize(b)
-			got := m.QueryFunc(q)(b)
-			want := m.Dist(q, b)
-			if m == Cosine {
-				if diff := got - want; diff > 1e-5 || diff < -1e-5 {
-					t.Fatalf("%v: QueryFunc=%v Dist=%v (dim %d)", m, got, want, dim)
-				}
-			} else if got != want {
-				t.Fatalf("%v: QueryFunc=%v Dist=%v (dim %d)", m, got, want, dim)
-			}
-		}
-	}
-	// Zero vectors: cosine similarity is defined as 0, distance 1.
-	zero := make([]float32, 8)
-	one := Normalize([]float32{1, 1, 1, 1, 1, 1, 1, 1})
-	if d := Cosine.QueryFunc(zero)(one); d != 1 {
-		t.Fatalf("cosine dist from zero query = %v, want 1", d)
-	}
-	if d := Cosine.QueryFunc(one)(zero); d != 1 {
-		t.Fatalf("cosine dist to zero vector = %v, want 1", d)
-	}
-}
-
 func TestAddScaled(t *testing.T) {
 	dst := []float32{1, 2, 3}
 	AddScaled(dst, []float32{10, 20, 30}, 0.5)

@@ -114,7 +114,7 @@ type TileDist func(i0, i1, j0, j1 int, out []float32)
 
 // TileFunc binds the metric to two arenas of equal dimensionality and
 // returns its tiled form. Distances follow Dist's definitions — Cosine
-// treats a zero vector as similarity 0, exactly as QueryFunc does, with
+// treats a zero vector as similarity 0, exactly as Gather does, with
 // both sides' norms computed once here instead of once per pair — on the
 // tile kernels' reduction order (see the file comment). The stores are
 // captured, not copied, and must stay unchanged while the kernel is in use;

@@ -67,8 +67,7 @@ func dotScalar(a, b []float32) float32 {
 }
 
 // Norm returns the L2 norm of a, computed as sqrt(Dot(a, a)) so it rides the
-// same unrolled/SIMD kernel as every other inner product (it sits under
-// cosine-metric Add and the load-time norm rebuild in hnsw/serialize.go).
+// same unrolled/SIMD kernel as every other inner product.
 func Norm(a []float32) float32 {
 	return float32(math.Sqrt(float64(Dot(a, a))))
 }
@@ -87,19 +86,12 @@ func Normalize(a []float32) []float32 {
 	return a
 }
 
-// Normalized returns a fresh unit-norm copy of a.
-func Normalized(a []float32) []float32 {
-	out := make([]float32, len(a))
-	copy(out, a)
-	return Normalize(out)
-}
-
 // CosineSim returns the cosine similarity of a and b in [-1, 1]. If either
 // vector is zero the similarity is defined as 0. Dispatches to the fused
 // AVX2+FMA kernel when enabled; the portable path fuses the three inner
-// products into one 2-way-unrolled pass. Callers that evaluate many
-// candidates against one fixed vector should use Metric.QueryFunc instead,
-// which hoists the fixed vector's norm out of the loop entirely.
+// products into one 2-way-unrolled pass. Callers that score one fixed vector
+// against many stored rows should use Metric.Gather instead, which sums the
+// fixed vector's norm once.
 func CosineSim(a, b []float32) float32 {
 	assertSameLen(a, b)
 	var dot, na, nb float32
@@ -193,10 +185,26 @@ func squaredDistScalar(a, b []float32) float32 {
 	return s
 }
 
-// Add accumulates src into dst element-wise.
+// Add accumulates src into dst element-wise. Centroid updates spend most of
+// their time here; eight elements a step keep the loop's speed from hanging
+// on where the linker happens to place it. Element-wise, so the result has
+// the bits of the one-float loop.
 func Add(dst, src []float32) {
 	assertSameLen(dst, src)
-	for i := range dst {
+	src = src[:len(dst)]
+	i := 0
+	for n := len(dst) &^ 7; i < n; i += 8 {
+		d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+		d[0] += s[0]
+		d[1] += s[1]
+		d[2] += s[2]
+		d[3] += s[3]
+		d[4] += s[4]
+		d[5] += s[5]
+		d[6] += s[6]
+		d[7] += s[7]
+	}
+	for ; i < len(dst); i++ {
 		dst[i] += src[i]
 	}
 }
@@ -216,20 +224,6 @@ func Scale(a []float32, c float32) {
 	for i := range a {
 		a[i] *= c
 	}
-}
-
-// Mean returns the element-wise mean of vecs. It panics if vecs is empty or
-// dimensions disagree.
-func Mean(vecs [][]float32) []float32 {
-	if len(vecs) == 0 {
-		panic("vector: Mean of zero vectors")
-	}
-	out := make([]float32, len(vecs[0]))
-	for _, v := range vecs {
-		Add(out, v)
-	}
-	Scale(out, 1/float32(len(vecs)))
-	return out
 }
 
 func assertSameLen(a, b []float32) {
@@ -304,11 +298,8 @@ func (m Metric) Func() DistFunc {
 	}
 }
 
-// QueryDist is a distance kernel bound to a fixed query vector.
-type QueryDist func(b []float32) float32
-
 // dotNormSq returns Dot(a, b) and Dot(b, b) in one fused pass; the inner
-// loop of query-bound cosine distance. Dispatched like Dot.
+// loop of Metric.Gather's cosine. Dispatched like Dot.
 func dotNormSq(a, b []float32) (float32, float32) {
 	if simdOn {
 		return dotNormSqAVX2(a, b)
@@ -339,32 +330,4 @@ func dotNormSqScalar(a, b []float32) (float32, float32) {
 		nb += b[i] * b[i]
 	}
 	return dot, nb
-}
-
-// QueryFunc returns a kernel specialized to the fixed query q. For Cosine it
-// hoists the query-norm computation out of the per-candidate loop — one
-// search against n candidates pays for ||q|| once instead of n times — and
-// fuses the remaining two inner products into a single pass. Values equal
-// m.Dist(q, b) up to float reassociation; each metric's kernel is
-// deterministic, which is what index traversal needs. q is captured, not
-// copied: it must stay unchanged while the kernel is in use.
-func (m Metric) QueryFunc(q []float32) QueryDist {
-	switch m {
-	case Cosine:
-		qn := math.Sqrt(float64(Dot(q, q)))
-		return func(b []float32) float32 {
-			assertSameLen(q, b)
-			dot, nb := dotNormSq(q, b)
-			if qn == 0 || nb == 0 {
-				return 1 // CosineSim defines zero-vector similarity as 0
-			}
-			return 1 - dot/float32(qn*math.Sqrt(float64(nb)))
-		}
-	case Euclidean:
-		return func(b []float32) float32 { return EuclideanDist(q, b) }
-	case CosineUnit:
-		return func(b []float32) float32 { return cosineUnitDist(q, b) }
-	default:
-		panic("vector: unknown metric " + m.String())
-	}
 }

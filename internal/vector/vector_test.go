@@ -51,17 +51,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestNormalizedDoesNotMutate(t *testing.T) {
-	v := []float32{3, 4}
-	u := Normalized(v)
-	if v[0] != 3 || v[1] != 4 {
-		t.Fatal("Normalized mutated its input")
-	}
-	if !almostEq(Norm(u), 1, 1e-6) {
-		t.Fatalf("Normalized result norm = %v", Norm(u))
-	}
-}
-
 func TestCosineSim(t *testing.T) {
 	tests := []struct {
 		name string
@@ -105,22 +94,6 @@ func TestEuclideanDist(t *testing.T) {
 	if got := SquaredDist(a, b); got != 25 {
 		t.Fatalf("SquaredDist = %v, want 25", got)
 	}
-}
-
-func TestMean(t *testing.T) {
-	m := Mean([][]float32{{1, 2}, {3, 4}})
-	if m[0] != 2 || m[1] != 3 {
-		t.Fatalf("Mean = %v, want [2 3]", m)
-	}
-}
-
-func TestMeanEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for empty Mean")
-		}
-	}()
-	Mean(nil)
 }
 
 func TestMetricString(t *testing.T) {
