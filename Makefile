@@ -116,9 +116,10 @@ benchmark-smoke:
 	bash bench/run.sh --workload all --smoke
 	$(GO) test -C bench ./...
 
-# Go line counts, the three numbers a CHANGES.md entry quotes: non-test and
-# test code outside bench/, and the bench/ module.
+# Line counts, the numbers a CHANGES.md entry quotes: non-test and test Go
+# outside bench/, the bench/ module, and the assembly kernels.
 loc:
 	@printf 'non-test Go outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'test Go outside bench/:     '; find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 	@printf 'bench/ Go:                  '; find ./bench -name '*.go' | xargs cat | wc -l
+	@printf 'assembly outside bench/:    '; find . -name '*.s' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l

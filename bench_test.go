@@ -381,8 +381,6 @@ func BenchmarkAblation_ANNBackend(b *testing.B) {
 	}
 	b.Run("sweep", func(b *testing.B) {
 		opt := repro.DefaultOptions()
-		hcfg := opt.HNSW
-		hcfg.Metric = opt.MergeMetric
 		for _, rows := range []int{500, 1000, 2000, 4000, 8000, 16000, 32000} {
 			if testing.Short() && rows > 1000 {
 				break // bench-smoke: prove both legs run, skip the minutes
@@ -400,18 +398,18 @@ func BenchmarkAblation_ANNBackend(b *testing.B) {
 			var pairs int
 			b.Run(fmt.Sprintf("exact/rows=%d", rows), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					pairs = len(ann.MutualTopKExact(ta, tb, opt.MergeMetric, opt.K, opt.M, 1))
+					pairs = len(ann.MutualTopKExact(ta, tb, vector.CosineUnit, opt.K, opt.M, 1))
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ta.Len()*tb.Len()), "ns/pair")
 				b.ReportMetric(float64(pairs), "matched")
 			})
 			b.Run(fmt.Sprintf("hnsw/rows=%d", rows), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					ia, err := ann.HNSWOverRows(ta, hcfg)
+					ia, err := ann.HNSWOverRows(ta, opt.HNSW)
 					if err != nil {
 						b.Fatal(err)
 					}
-					ib, err := ann.HNSWOverRows(tb, hcfg)
+					ib, err := ann.HNSWOverRows(tb, opt.HNSW)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -39,10 +39,10 @@ func (x exactIndex) Search(q []float32, k, _ int) []vector.Neighbor {
 // on every semantic case below.
 var joins = map[string]func(a, b *vector.Store, k int, maxDist float32) []Pair{
 	"indexed": func(a, b *vector.Store, k int, maxDist float32) []Pair {
-		return MutualTopK(a, exactIndex{b, vector.Cosine}, b, exactIndex{a, vector.Cosine}, k, maxDist, 0, 0)
+		return MutualTopK(a, exactIndex{b, vector.CosineUnit}, b, exactIndex{a, vector.CosineUnit}, k, maxDist, 0, 0)
 	},
 	"exact": func(a, b *vector.Store, k int, maxDist float32) []Pair {
-		return MutualTopKExact(a, b, vector.Cosine, k, maxDist, 0)
+		return MutualTopKExact(a, b, vector.CosineUnit, k, maxDist, 0)
 	},
 }
 
@@ -142,7 +142,7 @@ func TestMutualTopKHNSWAgreesWithExact(t *testing.T) {
 		copyVec[0] += 0.01
 		b.SetRow(i, vector.Normalize(copyVec))
 	}
-	want := MutualTopKExact(a, b, vector.Cosine, 1, 0.05, 0)
+	want := MutualTopKExact(a, b, vector.CosineUnit, 1, 0.05, 0)
 
 	cfg := hnsw.Config{EfSearch: 128, Seed: 5}
 	hA, err := HNSWOverRows(a, cfg)
@@ -222,8 +222,8 @@ func TestMutualTopKHonoursWorkers(t *testing.T) {
 	a, b := randomSide(rng, 300, 8), randomSide(rng, 300, 8)
 	for _, workers := range []int{1, 3} {
 		var active, peak atomic.Int32
-		ixA := countingIndex{exactIndex{a, vector.Cosine}, &active, &peak}
-		ixB := countingIndex{exactIndex{b, vector.Cosine}, &active, &peak}
+		ixA := countingIndex{exactIndex{a, vector.CosineUnit}, &active, &peak}
+		ixB := countingIndex{exactIndex{b, vector.CosineUnit}, &active, &peak}
 		MutualTopK(a, ixB, b, ixA, 1, 1, 0, workers)
 		if got := int(peak.Load()); got > workers {
 			t.Fatalf("workers=%d: %d searches in flight", workers, got)

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -258,6 +259,31 @@ func TestAutoFJHighPrecision(t *testing.T) {
 	prec := float64(correct) / float64(len(pairs))
 	if prec < 0.7 {
 		t.Fatalf("AutoFJ pair precision %.3f; its signature is high precision", prec)
+	}
+}
+
+// TestAutoFJCosDist: AutoFJ's distance ignores the vectors' scale, puts a
+// zero vector at 1, and agrees with CosineUnit on unit vectors up to rounding
+// (odd and even lengths, so the tail loop runs too).
+func TestAutoFJCosDist(t *testing.T) {
+	for _, c := range []struct {
+		a, b []float32
+		want float32
+	}{
+		{[]float32{3, 0, 0}, []float32{0, 0.5, 0}, 1},
+		{[]float32{2, 2}, []float32{-1, -1}, 2},
+		{[]float32{0, 0, 0, 0}, []float32{1, 2, 3, 4}, 1},
+		{[]float32{1, 2, 3, 4}, []float32{0, 0, 0, 0}, 1},
+	} {
+		if got := cosDist(c.a, c.b); math.Abs(float64(got-c.want)) > 1e-6 {
+			t.Fatalf("cosDist(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+	for _, pair := range [][2][]float32{{{1, 2, 3}, {3, -1, 2}}, {{0.5, 1, -2, 4}, {1, 1, 1, 1}}} {
+		a, b := vector.Normalize(pair[0]), vector.Normalize(pair[1])
+		if got, want := cosDist(a, b), vector.CosineUnit.Dist(a, b); math.Abs(float64(got-want)) > 1e-6 {
+			t.Fatalf("cosDist(%v, %v) = %v, CosineUnit.Dist = %v", a, b, got, want)
+		}
 	}
 }
 

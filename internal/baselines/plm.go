@@ -108,7 +108,7 @@ func (m *PLMMatcher) Name() string {
 
 // features builds the pairwise feature vector.
 func (m *PLMMatcher) features(ctx *Context, a, b int) []float64 {
-	cos := float64(vector.CosineSim(ctx.Vec(a), ctx.Vec(b)))
+	cos := float64(vector.Dot(ctx.Vec(a), ctx.Vec(b))) // unit-norm embeddings
 	jac := ctx.Jaccard(a, b)
 	lr := ctx.LengthRatio(a, b)
 	pre := ctx.PrefixSim(a, b)
@@ -201,7 +201,7 @@ func BlockTopK(ctx *Context, a, b *table.Table, k int) []IDPair {
 	}
 	search := func(q []float32) []vector.Neighbor { return scanTopK(q, rows, k) }
 	if large.Len() > bruteBlockLimit {
-		ix, err := ann.HNSWOverRows(rows, hnsw.Config{Metric: vector.CosineUnit, EfConstruction: 100, Seed: 1})
+		ix, err := ann.HNSWOverRows(rows, hnsw.Config{EfConstruction: 100, Seed: 1})
 		if err != nil {
 			// Vector dimensions are uniform by construction; an error
 			// here is a programming bug, not an input condition.

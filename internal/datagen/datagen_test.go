@@ -202,14 +202,14 @@ func TestCorruptionPreservesMatchability(t *testing.T) {
 	embOf := func(id int) []float32 {
 		return enc.Encode(table.Serialize(byID[id], sig))
 	}
-	var matchedSims, randomSims []float32
+	var matchedSims, randomSims []float32 // dot = cosine on unit-norm embeddings
 	rng := rand.New(rand.NewSource(1))
 	all := d.AllEntities()
 	for _, tuple := range d.Truth[:50] {
-		matchedSims = append(matchedSims, vector.CosineSim(embOf(tuple[0]), embOf(tuple[1])))
+		matchedSims = append(matchedSims, vector.Dot(embOf(tuple[0]), embOf(tuple[1])))
 		a := all[rng.Intn(len(all))].ID
 		b := all[rng.Intn(len(all))].ID
-		randomSims = append(randomSims, vector.CosineSim(embOf(a), embOf(b)))
+		randomSims = append(randomSims, vector.Dot(embOf(a), embOf(b)))
 	}
 	if mean32(matchedSims) < mean32(randomSims)+0.3 {
 		t.Fatalf("matched sim %.3f not separated from random sim %.3f",

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/datagen"
+	"repro/internal/table"
 	"repro/internal/vector"
 )
 
@@ -78,12 +80,42 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncodeUnitNorm pins what every cosine in the pipeline rests on:
+// vector.CosineUnit takes 1 - dot for the cosine distance, and attribute
+// selection and the PLM baselines take dot for the similarity, which holds
+// only for unit-norm or zero vectors. Every serialized row of every dataset
+// family at a small scale, and the empty text, goes through Encode and
+// EncodeBatchStore on both kernel paths; each embedding must be exactly zero
+// or within 1e-5 of unit norm.
 func TestEncodeUnitNorm(t *testing.T) {
-	e := NewHashEncoder()
-	v := e.Encode("hello world")
-	if n := vector.Norm(v); math.Abs(float64(n)-1) > 1e-5 {
-		t.Fatalf("norm = %v, want 1", n)
+	texts := []string{"hello world", ""}
+	for _, spec := range datagen.Specs() {
+		d, err := datagen.Generate(spec, min(1, 1000/float64(spec.Tuples+spec.Singletons)), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range d.AllEntities() {
+			texts = append(texts, table.Serialize(ent, nil))
+		}
 	}
+	e := NewHashEncoder()
+	check := func(t *testing.T, path, text string, v []float32) {
+		t.Helper()
+		var sq float64
+		for _, x := range v {
+			sq += float64(x) * float64(x)
+		}
+		if n := math.Sqrt(sq); sq != 0 && math.Abs(n-1) > 1e-5 {
+			t.Fatalf("%s: norm %v, want 1 or exactly 0 (text %q)", path, n, clip(text))
+		}
+	}
+	bothKernels(t, func(t *testing.T) {
+		store := e.EncodeBatchStore(texts)
+		for i, text := range texts {
+			check(t, "Encode", text, e.Encode(text))
+			check(t, "EncodeBatchStore", text, store.At(i))
+		}
+	})
 }
 
 func TestEncodeEmptyIsZero(t *testing.T) {
@@ -98,14 +130,15 @@ func TestEncodeEmptyIsZero(t *testing.T) {
 }
 
 // The core property the pipeline needs: similar strings are closer than
-// dissimilar strings in cosine space.
+// dissimilar strings in cosine space. Embeddings are unit-norm or zero
+// (TestEncodeUnitNorm), so their dot product is their cosine similarity.
 func TestEncodeSimilarityOrdering(t *testing.T) {
 	e := NewHashEncoder()
 	base := e.Encode("apple iphone 8 plus 64gb silver")
 	variant := e.Encode("apple iphone 8 plus 5.5 64gb 4g unlocked sim free")
 	other := e.Encode("samsung galaxy watch active 2 rose gold")
-	simVariant := vector.CosineSim(base, variant)
-	simOther := vector.CosineSim(base, other)
+	simVariant := vector.Dot(base, variant)
+	simOther := vector.Dot(base, other)
 	if simVariant <= simOther {
 		t.Fatalf("variant sim %v must exceed unrelated sim %v", simVariant, simOther)
 	}
@@ -119,7 +152,7 @@ func TestEncodeTypoRobustness(t *testing.T) {
 	a := e.Encode("chameleon tim obrien")
 	b := e.Encode("chamelon tim o brien") // deletion + token split
 	c := e.Encode("completely different words here")
-	if vector.CosineSim(a, b) <= vector.CosineSim(a, c) {
+	if vector.Dot(a, b) <= vector.Dot(a, c) {
 		t.Fatal("typo variant must stay closer than unrelated text")
 	}
 }
@@ -131,8 +164,8 @@ func TestExample1IdentifierInsensitivity(t *testing.T) {
 	ea := e.Encode("wom14513028 megna's tim o'brien chameleon")
 	eb := e.Encode("wom94369364 megna's tim o'brien chameleon")  // id replaced
 	ec := e.Encode("wom14513028 megna's tim o'brien the hitmen") // album replaced
-	simID := vector.CosineSim(ea, eb)
-	simAlbum := vector.CosineSim(ea, ec)
+	simID := vector.Dot(ea, eb)
+	simAlbum := vector.Dot(ea, ec)
 	if simID <= simAlbum {
 		t.Fatalf("id change (sim %v) must perturb less than album change (sim %v)", simID, simAlbum)
 	}
@@ -148,7 +181,7 @@ func TestWithoutLexicalityChangesBehaviour(t *testing.T) {
 	weighted := NewHashEncoder()
 	wa := weighted.Encode("wom14513028 megna's tim o'brien chameleon")
 	wb := weighted.Encode("wom94369364 megna's tim o'brien chameleon")
-	if vector.CosineSim(wa, wb) <= vector.CosineSim(ea, eb) {
+	if vector.Dot(wa, wb) <= vector.Dot(ea, eb) {
 		t.Fatal("lexicality weighting must increase robustness to id churn")
 	}
 }
@@ -227,8 +260,8 @@ func TestEncodeProperty(t *testing.T) {
 	e := NewHashEncoder(WithDim(32))
 	f := func(a, b string) bool {
 		va, vb := e.Encode(a), e.Encode(b)
-		s1 := vector.CosineSim(va, vb)
-		s2 := vector.CosineSim(vb, va)
+		s1 := vector.Dot(va, vb)
+		s2 := vector.Dot(vb, va)
 		return s1 >= -1.0001 && s1 <= 1.0001 && math.Abs(float64(s1-s2)) < 1e-5
 	}
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(5))}
@@ -241,9 +274,9 @@ func TestEncodeProperty(t *testing.T) {
 func TestSharedContextIncreasesSimilarity(t *testing.T) {
 	e := NewHashEncoder()
 	a, b := "red bicycle", "blue car"
-	plain := vector.CosineSim(e.Encode(a), e.Encode(b))
+	plain := vector.Dot(e.Encode(a), e.Encode(b))
 	ctx := " vintage collectors edition nineteen fifty"
-	shared := vector.CosineSim(e.Encode(a+ctx), e.Encode(b+ctx))
+	shared := vector.Dot(e.Encode(a+ctx), e.Encode(b+ctx))
 	if shared <= plain {
 		t.Fatalf("shared context must raise similarity: %v -> %v", plain, shared)
 	}

@@ -47,8 +47,8 @@ type Config struct {
 	// lower for speed. Default 64. Search never uses a beam narrower
 	// than k.
 	EfSearch int
-	// Metric selects the distance function. Default vector.Cosine, which
-	// matches the merging phase of the paper.
+	// Metric selects the distance function. Default vector.CosineUnit, the
+	// merging phase's cosine, which expects unit-norm (or zero) vectors.
 	Metric vector.Metric
 	// Seed makes level sampling deterministic. Default 1.
 	Seed int64
@@ -63,6 +63,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EfSearch <= 0 {
 		c.EfSearch = 64
+	}
+	if c.Metric == 0 {
+		c.Metric = vector.CosineUnit
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

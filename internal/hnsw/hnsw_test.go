@@ -125,7 +125,7 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 	totalHits, total := 0, 0
 	for qi := 0; qi < queries; qi++ {
 		q := randUnitVecs(rng, 1, dim)[0]
-		want := bruteKNN(q, vecs, k, vector.Cosine)
+		want := bruteKNN(q, vecs, k, vector.CosineUnit)
 		wantSet := make(map[int]bool, k)
 		for _, w := range want {
 			wantSet[w.ID] = true
@@ -311,26 +311,17 @@ func TestClusteredDataNavigability(t *testing.T) {
 	}
 }
 
-// benchMetrics are the metrics the dev benchmarks run: CosineUnit, which the
-// matcher and the pipeline run, and Cosine, the Config default, whose norms
-// are summed on every distance.
-var benchMetrics = []vector.Metric{vector.CosineUnit, vector.Cosine}
-
 func BenchmarkBuild1k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vecs := randUnitVecs(rng, 1000, 32)
-	for _, metric := range benchMetrics {
-		b.Run(metric.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ix := New(32, Config{Metric: metric, Seed: 1})
-				for j, v := range vecs {
-					if err := ix.Add(j, v); err != nil {
-						b.Fatal(err)
-					}
-				}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ix := New(32, Config{Seed: 1})
+		for j, v := range vecs {
+			if err := ix.Add(j, v); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	}
 }
 
@@ -338,9 +329,39 @@ func BenchmarkSearch10k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vecs := randUnitVecs(rng, 10000, 32)
 	q := randUnitVecs(rng, 1, 32)[0]
-	for _, metric := range benchMetrics {
-		b.Run(metric.String(), func(b *testing.B) {
-			ix := New(32, Config{Metric: metric, Seed: 1})
+	ix := New(32, Config{Seed: 1})
+	for j, v := range vecs {
+		if err := ix.Add(j, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ix.Search(q, 10, 0)
+	}
+}
+
+// BenchmarkSearchBatched measures Search at the pipeline's real
+// dimensionality (256, embed.DefaultDim) under both kernel paths: the
+// batched neighbour expansion plus SIMD kernels vs the same batched
+// traversal forced onto the portable scalar kernels.
+func BenchmarkSearchBatched(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const dim = 256
+	vecs := randUnitVecs(rng, 5000, dim)
+	q := randUnitVecs(rng, 1, dim)[0]
+	for _, mode := range []string{"auto", "scalar"} {
+		b.Run(mode, func(b *testing.B) {
+			if err := vector.SetKernels(mode); err != nil {
+				b.Fatal(err)
+			}
+			defer func() {
+				if err := vector.SetKernels("auto"); err != nil {
+					b.Fatal(err)
+				}
+			}()
+			ix := New(dim, Config{Seed: 1})
 			for j, v := range vecs {
 				if err := ix.Add(j, v); err != nil {
 					b.Fatal(err)
@@ -352,41 +373,5 @@ func BenchmarkSearch10k(b *testing.B) {
 				ix.Search(q, 10, 0)
 			}
 		})
-	}
-}
-
-// BenchmarkSearchBatched measures Search at the pipeline's real
-// dimensionality (256, embed.DefaultDim) per metric under both kernel paths:
-// the batched neighbour expansion plus SIMD kernels vs the same batched
-// traversal forced onto the portable scalar kernels.
-func BenchmarkSearchBatched(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const dim = 256
-	vecs := randUnitVecs(rng, 5000, dim)
-	q := randUnitVecs(rng, 1, dim)[0]
-	for _, metric := range benchMetrics {
-		for _, mode := range []string{"auto", "scalar"} {
-			b.Run(metric.String()+"/"+mode, func(b *testing.B) {
-				if err := vector.SetKernels(mode); err != nil {
-					b.Fatal(err)
-				}
-				defer func() {
-					if err := vector.SetKernels("auto"); err != nil {
-						b.Fatal(err)
-					}
-				}()
-				ix := New(dim, Config{Metric: metric, Seed: 1})
-				for j, v := range vecs {
-					if err := ix.Add(j, v); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ix.Search(q, 10, 0)
-				}
-			})
-		}
 	}
 }

@@ -144,8 +144,10 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	}
 	// Save writes the config New normalised and a metric New resolved; one
 	// that is neither was not written by Save, would not save back to the
-	// same bytes, and an unknown metric has no kernel to resolve.
-	if cfg != cfg.withDefaults() || cfg.Metric < vector.Cosine || cfg.Metric > vector.CosineUnit {
+	// same bytes, and an unknown metric has no kernel to resolve. The metric
+	// field holds Euclidean (1) or CosineUnit (2); 0, the retired non-unit
+	// cosine, is refused by the first test.
+	if cfg != cfg.withDefaults() || cfg.Metric < vector.Euclidean || cfg.Metric > vector.CosineUnit {
 		return nil, fmt.Errorf("hnsw: load: implausible config %+v", cfg)
 	}
 	if dim <= 0 || dim > maxSaneDim {

@@ -187,6 +187,10 @@ func TestLoadRejectsCorruptHeaderFields(t *testing.T) {
 		"bad entry":     patch(44, 1<<20),
 		"maxL too high": patch(48, 3_000),
 		"huge M":        patch(12, 1<<20),
+		// The metric field holds Euclidean (1) or CosineUnit (2); 0 is the
+		// retired non-unit cosine.
+		"metric 0": patch(24, 0),
+		"metric 3": patch(24, 3),
 	}
 	for name, b := range cases {
 		if _, err := Load(bytes.NewReader(b)); err == nil {
@@ -256,14 +260,14 @@ func TestLoadOldVersionFailsWithNamedError(t *testing.T) {
 // by these values, so one differing bit is a different graph after the next
 // Add.
 func TestLoadRebuildsLinkDistances(t *testing.T) {
-	for _, metric := range []vector.Metric{vector.Cosine, vector.Euclidean, vector.CosineUnit} {
+	for _, metric := range []vector.Metric{vector.Euclidean, vector.CosineUnit} {
 		vecs := randomUnitVecs(300, 19, 5) // 19: the kernels' scalar tail runs
-		if metric != vector.CosineUnit {
+		if metric == vector.Euclidean {
 			for _, v := range vecs {
 				vector.Scale(v, 1+v[0]) // off the unit sphere
 			}
-			vecs[7] = make([]float32, 19) // a zero vector: cosine's special case
 		}
+		vecs[7] = make([]float32, 19) // a zero vector
 		ix := buildIndex(t, vecs, Config{M: 6, EfConstruction: 40, Metric: metric, Seed: 2})
 		var buf bytes.Buffer
 		if err := ix.Save(&buf); err != nil {

@@ -74,10 +74,12 @@ func SelectAttributes(d *table.Dataset, opt Options) ([]AttrScore, []int) {
 		}
 		newEmb := embed.BatchStore(opt.Encoder, shuffled)
 
-		// Mean similarity between old and new embeddings (line 9).
+		// Mean similarity between old and new embeddings (line 9). The
+		// encoder returns unit-norm or zero vectors, so cosine similarity is
+		// the dot product (0 against a zero vector).
 		var sum float32
 		for i := 0; i < n; i++ {
-			sum += vector.CosineSim(base.At(i), newEmb.At(i))
+			sum += vector.Dot(base.At(i), newEmb.At(i))
 		}
 		mean := sum / float32(n)
 		scores[j] = AttrScore{

@@ -179,7 +179,7 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 		return nil, fmt.Errorf("%w: file has version %d, this build reads %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV4)
 	}
 
-	m := &Matcher{opt: opt, dist: opt.MergeMetric.Func()}
+	m := &Matcher{opt: opt}
 	m.dim = rd.I32()
 	m.nextID = int(rd.I64())
 	nShards := rd.I32()

@@ -152,10 +152,7 @@ type Matcher struct {
 	// a cross-shard-consistent snapshot for as long as they like.
 	state atomic.Pointer[matcherView]
 	opt   Options
-	// dist is opt.MergeMetric resolved once; AddRecords re-ranks candidates
-	// with it on every query.
-	dist vector.DistFunc
-	dim  int
+	dim   int
 	// schema is the attribute list incoming records must follow.
 	schema []string
 	// selected are the schema positions used for serialization; nil means
@@ -279,7 +276,6 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 
 	m := &Matcher{
 		opt:    opt,
-		dist:   opt.MergeMetric.Func(),
 		dim:    opt.Encoder.Dim(),
 		schema: append([]string(nil), d.Schema().Attrs...),
 		result: st.res,
@@ -447,12 +443,12 @@ type shardHits struct {
 // view, decide's over the writer's own state — and is the only place the
 // matcher searches an index: fetch entries (callers over-fetch, because
 // absorbed-into tuples leave stale centroid entries behind), collapse the
-// entries that resolve to one tuple, and re-rank every distinct tuple against
-// its current centroid under metric — one gather call over the index's node
+// entries that resolve to one tuple, and re-rank every distinct tuple by cosine
+// distance to its current centroid — one gather call over the index's node
 // store (the rows the graph walk just read) instead of a kernel call per
 // tuple. Nothing here writes shard state, so no lock is involved. Distances
 // are as the kernel returns them, unclamped.
-func searchShard(v *shardView, fetch, ef int, q []float32, metric vector.Metric, hits *shardHits) {
+func searchShard(v *shardView, fetch, ef int, q []float32, hits *shardHits) {
 	raw := v.index.Search(q, fetch, ef)
 	hits.keys = slices.Grow(hits.keys[:0], len(raw))
 	hits.locals = slices.Grow(hits.locals[:0], len(raw))
@@ -470,7 +466,7 @@ func searchShard(v *shardView, fetch, ef int, q []float32, metric vector.Metric,
 	}
 	hits.dists = slices.Grow(hits.dists[:0], len(hits.nodes))[:len(hits.nodes)]
 	if len(hits.nodes) > 0 {
-		metric.Gather(q, v.index.RawVectors(), v.index.Dim(), hits.nodes, hits.dists)
+		vector.CosineUnit.Gather(q, v.index.RawVectors(), v.index.Dim(), hits.nodes, hits.dists)
 	}
 }
 
@@ -509,7 +505,7 @@ func (m *Matcher) Match(values []string, k int) ([]Candidate, error) {
 	v := m.state.Load()
 	perShard := make([]shardHits, len(v.shards))
 	parallelFor(len(v.shards), func(s int) {
-		searchShard(v.shards[s], fetch, ef, q, m.opt.MergeMetric, &perShard[s])
+		searchShard(v.shards[s], fetch, ef, q, &perShard[s])
 	})
 	sp.Mark(MatchStageFanout)
 

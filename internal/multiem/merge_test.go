@@ -146,7 +146,7 @@ func TestMergedCentroidIsUnitNorm(t *testing.T) {
 		t.Fatalf("centroid norm = %v", n)
 	}
 	// Must lie between the two inputs.
-	if vector.CosineSim(c, entVecs[0]) < 0.5 || vector.CosineSim(c, entVecs[1]) < 0.5 {
+	if vector.Dot(c, entVecs[0]) < 0.5 || vector.Dot(c, entVecs[1]) < 0.5 {
 		t.Fatal("centroid must be between its members")
 	}
 }

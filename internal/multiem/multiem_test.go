@@ -7,6 +7,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/table"
+	"repro/internal/vector"
 )
 
 func geoOpts() Options {
@@ -84,15 +85,52 @@ func TestRunGeoQuality(t *testing.T) {
 	}
 }
 
+// TestRunSelectsGeoNameOnly pins Table VII's selections on the three configs
+// bench_test.go runs (γ 0.9 and r 0.2 are the defaults there too), on both
+// kernel paths: a last-bit change in the similarity Algorithm 1 averages must
+// not flip an attribute silently. Geo's run goes through Run as well, which
+// must report what SelectAttributes chose.
 func TestRunSelectsGeoNameOnly(t *testing.T) {
-	d := smallGeo(t)
-	res, err := Run(d, geoOpts())
+	for _, c := range []struct {
+		name  string
+		scale float64
+		seed  int64
+		want  []string
+	}{
+		{"Geo", 0.3, 11, []string{"name"}},
+		{"Music-20", 0.1, 13, []string{"title", "artist", "album"}},
+		{"Shopee", 0.05, 29, []string{"title"}},
+	} {
+		d, err := datagen.GenerateByName(c.name, c.scale, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []string{"scalar", "avx2"} {
+			t.Run(c.name+"/"+mode, func(t *testing.T) {
+				if mode == "avx2" && vector.Kernels() != "avx2" {
+					t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
+				}
+				defer withKernels(t, mode)()
+				scores, sel := SelectAttributes(d, DefaultOptions())
+				var got []string
+				for _, j := range sel {
+					got = append(got, d.Schema().Attrs[j])
+				}
+				if !reflect.DeepEqual(got, c.want) {
+					for _, s := range scores {
+						t.Logf("%-10s MeanSim %.9g selected %v", s.Attr, s.MeanSim, s.Selected)
+					}
+					t.Fatalf("%s must select %v (Table VII), got %v", c.name, c.want, got)
+				}
+			})
+		}
+	}
+	res, err := Run(smallGeo(t), geoOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.SelectedNames) != 1 || res.SelectedNames[0] != "name" {
-		t.Fatalf("Geo must select {name} (Table VII), got %v (scores %+v)",
-			res.SelectedNames, res.AttrScores)
+	if !reflect.DeepEqual(res.SelectedNames, []string{"name"}) {
+		t.Fatalf("Run on Geo selected %v, want [name] (scores %+v)", res.SelectedNames, res.AttrScores)
 	}
 }
 

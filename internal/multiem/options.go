@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/hnsw"
-	"repro/internal/vector"
 )
 
 // ANNBackend selects how two-table merging finds its mutual top-K pairs.
@@ -96,10 +95,6 @@ type Options struct {
 	// the filter. This implements the merge-path extension the paper
 	// lists as future work (§VI).
 	MinConfidence float64
-	// MergeMetric is the distance used in merging (paper: cosine).
-	MergeMetric vector.Metric
-	// PruneMetric is the distance used in pruning (paper: euclidean).
-	PruneMetric vector.Metric
 	// Shards is the number of hash shards the online Matcher splits its
 	// state across; ingest parallelism and write-lock granularity scale
 	// with it. <= 0 uses GOMAXPROCS. Ignored by LoadMatcher, which restores
@@ -115,8 +110,10 @@ type Options struct {
 	tupleChunkOverride int
 }
 
-// DefaultOptions mirrors §IV-A: k=1, MinPts=2, r=0.2, cosine merging,
-// euclidean pruning, mid-grid m and γ and ε.
+// DefaultOptions mirrors §IV-A: k=1, MinPts=2, r=0.2, mid-grid m and γ and
+// ε. The metrics are not options: merging and the matcher use cosine distance
+// (vector.CosineUnit, over the encoder's unit-norm embeddings and normalized
+// centroids), pruning uses euclidean distance.
 func DefaultOptions() Options {
 	return Options{
 		K:           1,
@@ -128,10 +125,8 @@ func DefaultOptions() Options {
 		MinPts:      2,
 		Encoder:     embed.NewHashEncoder(),
 		Backend:     BackendAuto,
-		HNSW:        hnsw.Config{M: 12, EfConstruction: 64, EfSearch: 64, Metric: vector.CosineUnit, Seed: 1},
+		HNSW:        hnsw.Config{M: 12, EfConstruction: 64, EfSearch: 64, Seed: 1},
 		Seed:        0,
-		MergeMetric: vector.CosineUnit,
-		PruneMetric: vector.Euclidean,
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/vector"
 )
 
 // rowOutcome is what a plan settles for one row, in layout-independent
@@ -95,7 +97,7 @@ func TestPlanLayoutIndependent(t *testing.T) {
 			if !pre[i].absorb || pre[i].target != est {
 				t.Fatalf("shards=%d row %d: decide %+v, want absorption into the tuple of entity %d", shards, i, pre[i], est)
 			}
-			if toForming := m.dist(p.vecs.At(i), p.vecs.At(0)); toForming > m.opt.M {
+			if toForming := vector.CosineUnit.Dist(p.vecs.At(i), p.vecs.At(0)); toForming > m.opt.M {
 				t.Fatalf("shards=%d row %d: forming tuple at %v is out of reach; the case is not contested", shards, i, toForming)
 			}
 		}
@@ -162,8 +164,8 @@ func TestSearchShardWriterEqualsView(t *testing.T) {
 			for qi, values := range queries {
 				q := m.embed(values)
 				var w, v shardHits
-				searchShard(&sh.shardView, fetch, ef, q, m.opt.MergeMetric, &w)
-				searchShard(views[s], fetch, ef, q, m.opt.MergeMetric, &v)
+				searchShard(&sh.shardView, fetch, ef, q, &w)
+				searchShard(views[s], fetch, ef, q, &v)
 				if !slices.Equal(w.keys, v.keys) || !slices.Equal(w.locals, v.locals) || !slices.Equal(w.nodes, v.nodes) {
 					t.Fatalf("shard %d fetch %d query %d: writer hits %+v, view hits %+v", s, fetch, qi, w, v)
 				}

@@ -294,7 +294,7 @@ func routeVec(vec []float32, nShards int) int {
 // own Save/Load, which is what keeps post-load AddRecords deterministic.
 func (m *Matcher) shardHNSWConfig(shardID int) hnsw.Config {
 	cfg := m.opt.HNSW
-	cfg.Metric = m.opt.MergeMetric
+	cfg.Metric = vector.CosineUnit
 	if cfg.Seed == 0 {
 		cfg.Seed = 1 // mirror hnsw's default so the offset below is stable
 	}

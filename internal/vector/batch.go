@@ -88,13 +88,10 @@ func SquaredDistGather(q, rows []float32, stride int, idxs []int32, out []float3
 
 // Gather sets out[j] to the metric's distance from q to row idxs[j] — the one
 // way to score a query against stored rows, in a graph walk and in an exact
-// scan alike. For CosineUnit and Euclidean out[j] is bit-identical to
-// m.Dist(q, row idxs[j]) on the active kernel path. For Cosine, q's squared
-// norm is summed by the same fused pass as each row's, so the distance from a
-// to b has the bits of the distance from b to a (an index caches a link's
-// distance in one direction and recomputes it in the other); it agrees with
-// Dist up to float reassociation, and a zero vector on either side is at
-// distance 1. q is only read, and may alias a row of the arena.
+// scan alike. out[j] is bit-identical to m.Dist(q, row idxs[j]) on the active
+// kernel path, so the distance from a to b has the bits of the distance from
+// b to a (an index caches a link's distance in one direction and recomputes
+// it in the other). q is only read, and may alias a row of the arena.
 func (m Metric) Gather(q, rows []float32, stride int, idxs []int32, out []float32) {
 	switch m {
 	case CosineUnit:
@@ -106,18 +103,6 @@ func (m Metric) Gather(q, rows []float32, stride int, idxs []int32, out []float3
 		SquaredDistGather(q, rows, stride, idxs, out)
 		for j := range out {
 			out[j] = float32(math.Sqrt(float64(out[j])))
-		}
-	case Cosine:
-		checkGather(q, rows, stride, idxs, out)
-		_, qq := dotNormSq(q, q)
-		qn := math.Sqrt(float64(qq))
-		for j, i := range idxs {
-			dot, nb := dotNormSq(q, row(rows, stride, len(q), int(i)))
-			if qq == 0 || nb == 0 {
-				out[j] = 1 // CosineSim defines zero-vector similarity as 0
-				continue
-			}
-			out[j] = 1 - dot/float32(qn*math.Sqrt(float64(nb)))
 		}
 	default:
 		panic("vector: unknown metric " + m.String())

@@ -113,18 +113,16 @@ func TestGatherMatchesSinglePair(t *testing.T) {
 	}
 }
 
-// TestMetricGatherMatchesDist: Gather is Dist row by row, on both kernel
-// paths, across the kernels' tail lengths and padded strides — to the bit for
-// CosineUnit and Euclidean, within float reassociation for Cosine (whose norms
-// come from the fused dotNormSq pass) — and a zero vector on either side of a
-// cosine distance is at distance 1.
+// TestMetricGatherMatchesDist: Gather is Dist row by row, to the bit, on both
+// kernel paths, across the kernels' tail lengths and padded strides — and a
+// zero vector on either side of a cosine distance is at distance 1.
 func TestMetricGatherMatchesDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	idxs := []int32{6, 2, 0, 2, 5}
 	out := make([]float32, len(idxs))
 	for _, mode := range []string{"scalar", "auto"} {
 		forceKernels(t, mode)
-		for _, m := range []Metric{Cosine, Euclidean, CosineUnit} {
+		for _, m := range []Metric{Euclidean, CosineUnit} {
 			for dim := 1; dim <= 70; dim++ {
 				stride := dim + dim%3
 				arena := testArena(rng, 7, stride)
@@ -132,11 +130,7 @@ func TestMetricGatherMatchesDist(t *testing.T) {
 				m.Gather(q, arena, stride, idxs, out)
 				for j, i := range idxs {
 					want := m.Dist(q, row(arena, stride, dim, int(i)))
-					if m == Cosine {
-						if diff := out[j] - want; diff > 1e-5 || diff < -1e-5 {
-							t.Fatalf("%s %v dim %d: Gather[%d] = %v, Dist = %v", mode, m, dim, j, out[j], want)
-						}
-					} else if math.Float32bits(out[j]) != math.Float32bits(want) {
+					if math.Float32bits(out[j]) != math.Float32bits(want) {
 						t.Fatalf("%s %v dim %d: Gather[%d] = %v, Dist = %v", mode, m, dim, j, out[j], want)
 					}
 				}
@@ -146,11 +140,11 @@ func TestMetricGatherMatchesDist(t *testing.T) {
 		one := Normalize([]float32{1, 1, 1, 1, 1, 1, 1, 1})
 		arena := append(append([]float32(nil), zero...), one...)
 		both := []int32{0, 1}
-		Cosine.Gather(zero, arena, 8, both, out[:2])
+		CosineUnit.Gather(zero, arena, 8, both, out[:2])
 		if out[0] != 1 || out[1] != 1 {
 			t.Fatalf("%s: cosine distances from a zero query = %v, want [1 1]", mode, out[:2])
 		}
-		Cosine.Gather(one, arena, 8, both, out[:2])
+		CosineUnit.Gather(one, arena, 8, both, out[:2])
 		if out[0] != 1 {
 			t.Fatalf("%s: cosine distance to a zero row = %v, want 1", mode, out[0])
 		}
@@ -167,7 +161,7 @@ func TestMetricGatherSymmetric(t *testing.T) {
 	ab, ba := make([]float32, 1), make([]float32, 1)
 	for _, mode := range []string{"scalar", "auto"} {
 		forceKernels(t, mode)
-		for _, m := range []Metric{Cosine, Euclidean, CosineUnit} {
+		for _, m := range []Metric{Euclidean, CosineUnit} {
 			for _, dim := range []int{1, 7, 19, 64, 259} {
 				arena := testArena(rng, rows, dim)
 				clear(row(arena, dim, dim, 3))
@@ -210,7 +204,7 @@ func TestBatchValidationPanics(t *testing.T) {
 		for _, bad := range [][]int32{{-1, 0}, {0, -1}, {8, 0}, {0, 8}, {math.MinInt32, 0}, {0, math.MaxInt32}} {
 			mustPanic("DotGather bad index", func() { DotGather(q, arena, 8, bad, out) })
 			mustPanic("SquaredDistGather bad index", func() { SquaredDistGather(q, arena, 8, bad, out) })
-			for _, m := range []Metric{Cosine, Euclidean, CosineUnit} {
+			for _, m := range []Metric{Euclidean, CosineUnit} {
 				mustPanic(m.String()+" Gather bad index", func() { m.Gather(q, arena, 8, bad, out) })
 			}
 		}
@@ -218,7 +212,9 @@ func TestBatchValidationPanics(t *testing.T) {
 		mustPanic("DotGather partial row", func() { DotGather(q, arena[:63], 8, []int32{0, 7}, out) })
 		mustPanic("DotGather nil idxs", func() { DotGather(q, arena, 8, nil, out) })
 		mustPanic("SquaredDistGather idxs/out mismatch", func() { SquaredDistGather(q, arena, 8, []int32{0, 1, 2}, out) })
-		mustPanic("Cosine Gather idxs/out mismatch", func() { Cosine.Gather(q, arena, 8, []int32{0, 1, 2}, out) })
-		mustPanic("Cosine Gather stride < dim", func() { Cosine.Gather(q, arena, 7, []int32{0, 1}, out) })
+		for _, m := range []Metric{Euclidean, CosineUnit} {
+			mustPanic(m.String()+" Gather idxs/out mismatch", func() { m.Gather(q, arena, 8, []int32{0, 1, 2}, out) })
+			mustPanic(m.String()+" Gather stride < dim", func() { m.Gather(q, arena, 7, []int32{0, 1}, out) })
+		}
 	}
 }

@@ -44,20 +44,12 @@ func BenchmarkSquaredDist(b *testing.B) {
 	}
 }
 
-func BenchmarkCosineSim(b *testing.B) {
-	vs := benchVecs(2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkF32 = CosineSim(vs[0], vs[1])
-	}
-}
-
 func BenchmarkMetricDist(b *testing.B) {
 	// The per-call Metric switch as the pipeline pays it today; compare
 	// against BenchmarkMetricFunc after kernel resolution lands.
 	vs := benchVecs(2)
 	b.ReportAllocs()
-	for _, m := range []Metric{Cosine, Euclidean, CosineUnit} {
+	for _, m := range []Metric{Euclidean, CosineUnit} {
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sinkF32 = m.Dist(vs[0], vs[1])
@@ -140,7 +132,7 @@ func BenchmarkMetricGather(b *testing.B) {
 	}
 	q := benchVecs(1)[0]
 	out := make([]float32, rows)
-	for _, m := range []Metric{CosineUnit, Euclidean, Cosine} {
+	for _, m := range []Metric{CosineUnit, Euclidean} {
 		b.Run(m.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -5,9 +5,9 @@ import (
 	"os"
 )
 
-// simdOn selects the kernel path for Dot, SquaredDist, CosineSim, and
-// dotNormSq (and everything layered on them: Norm, the Metric kernels, and
-// the batch/gather API). It defaults to the AVX2+FMA assembly whenever the
+// simdOn selects the kernel path for Dot and SquaredDist and everything
+// layered on them: Norm, the Metric kernels, and the batch, gather and tile
+// API. It defaults to the AVX2+FMA assembly whenever the
 // CPU supports it and may be forced to the portable scalar path with
 // SetKernels or the VECTOR_KERNELS environment variable.
 //

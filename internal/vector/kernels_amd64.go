@@ -13,16 +13,6 @@ func dotAVX2(a, b []float32) float32
 //go:noescape
 func squaredDistAVX2(a, b []float32) float32
 
-// cosineAVX2 returns (Dot(a,b), Dot(a,a), Dot(b,b)) in one fused pass.
-//
-//go:noescape
-func cosineAVX2(a, b []float32) (dot, na, nb float32)
-
-// dotNormSqAVX2 returns (Dot(a,b), Dot(b,b)) in one fused pass.
-//
-//go:noescape
-func dotNormSqAVX2(a, b []float32) (dot, nb float32)
-
 // dotTileAVX2 and squaredDistTileAVX2 are the 2×4 register-tile kernels
 // behind DotTile and SquaredDistTile: rows a0 and a1 against groups×4 B rows
 // (row r at b + r*strideB floats), results to out0[0:4*groups] and

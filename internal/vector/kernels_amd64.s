@@ -1,6 +1,6 @@
 // AVX2+FMA distance kernels. Each kernel handles arbitrary vector lengths:
-// a 32- or 16-element FMA main loop over four/two accumulator registers
-// (hiding FMA latency, mirroring the scalar kernels' multi-chain unrolls),
+// the one-pair kernels run a 32-element FMA main loop over four accumulator
+// registers (hiding FMA latency, mirroring the scalar kernels' unrolls),
 // an 8-element loop, a horizontal reduction, and a scalar-FMA tail. Loads
 // are unaligned (VMOVUPS) — arena rows have no alignment guarantee.
 //
@@ -139,161 +139,6 @@ sq_tail:
 
 sq_done:
 	VMOVSS X0, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func cosineAVX2(a, b []float32) (dot, na, nb float32)
-// One fused pass producing all three inner products; 16-wide main loop
-// (three accumulator pairs plus four load registers is the register budget).
-TEXT ·cosineAVX2(SB), NOSPLIT, $0-60
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ a_len+8(FP), CX
-	VXORPS Y0, Y0, Y0 // dot lo
-	VXORPS Y1, Y1, Y1 // dot hi
-	VXORPS Y2, Y2, Y2 // na lo
-	VXORPS Y3, Y3, Y3 // na hi
-	VXORPS Y4, Y4, Y4 // nb lo
-	VXORPS Y5, Y5, Y5 // nb hi
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-16, DX
-	CMPQ DX, $0
-	JE   cos_fold
-
-cos_loop16:
-	VMOVUPS (SI)(AX*4), Y6
-	VMOVUPS 32(SI)(AX*4), Y7
-	VMOVUPS (DI)(AX*4), Y8
-	VMOVUPS 32(DI)(AX*4), Y9
-	VFMADD231PS Y8, Y6, Y0
-	VFMADD231PS Y9, Y7, Y1
-	VFMADD231PS Y6, Y6, Y2
-	VFMADD231PS Y7, Y7, Y3
-	VFMADD231PS Y8, Y8, Y4
-	VFMADD231PS Y9, Y9, Y5
-	ADDQ $16, AX
-	CMPQ AX, DX
-	JL   cos_loop16
-
-cos_fold:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y5, Y4, Y4
-	MOVQ CX, DX
-	ANDQ $-8, DX
-
-cos_loop8:
-	CMPQ AX, DX
-	JGE  cos_reduce
-	VMOVUPS (SI)(AX*4), Y6
-	VMOVUPS (DI)(AX*4), Y8
-	VFMADD231PS Y8, Y6, Y0
-	VFMADD231PS Y6, Y6, Y2
-	VFMADD231PS Y8, Y8, Y4
-	ADDQ $8, AX
-	JMP  cos_loop8
-
-cos_reduce:
-	VEXTRACTF128 $1, Y0, X6
-	VADDPS X6, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VEXTRACTF128 $1, Y2, X6
-	VADDPS X6, X2, X2
-	VHADDPS X2, X2, X2
-	VHADDPS X2, X2, X2
-	VEXTRACTF128 $1, Y4, X6
-	VADDPS X6, X4, X4
-	VHADDPS X4, X4, X4
-	VHADDPS X4, X4, X4
-
-cos_tail:
-	CMPQ AX, CX
-	JGE  cos_done
-	VMOVSS (SI)(AX*4), X6
-	VMOVSS (DI)(AX*4), X8
-	VFMADD231SS X8, X6, X0
-	VFMADD231SS X6, X6, X2
-	VFMADD231SS X8, X8, X4
-	INCQ AX
-	JMP  cos_tail
-
-cos_done:
-	VMOVSS X0, dot+48(FP)
-	VMOVSS X2, na+52(FP)
-	VMOVSS X4, nb+56(FP)
-	VZEROUPPER
-	RET
-
-// func dotNormSqAVX2(a, b []float32) (dot, nb float32)
-// Fused Dot(a, b) and Dot(b, b); the inner loop of query-bound cosine.
-TEXT ·dotNormSqAVX2(SB), NOSPLIT, $0-56
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ a_len+8(FP), CX
-	VXORPS Y0, Y0, Y0 // dot lo
-	VXORPS Y1, Y1, Y1 // dot hi
-	VXORPS Y2, Y2, Y2 // nb lo
-	VXORPS Y3, Y3, Y3 // nb hi
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-16, DX
-	CMPQ DX, $0
-	JE   dns_fold
-
-dns_loop16:
-	VMOVUPS (SI)(AX*4), Y4
-	VMOVUPS 32(SI)(AX*4), Y5
-	VMOVUPS (DI)(AX*4), Y6
-	VMOVUPS 32(DI)(AX*4), Y7
-	VFMADD231PS Y6, Y4, Y0
-	VFMADD231PS Y7, Y5, Y1
-	VFMADD231PS Y6, Y6, Y2
-	VFMADD231PS Y7, Y7, Y3
-	ADDQ $16, AX
-	CMPQ AX, DX
-	JL   dns_loop16
-
-dns_fold:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	MOVQ CX, DX
-	ANDQ $-8, DX
-
-dns_loop8:
-	CMPQ AX, DX
-	JGE  dns_reduce
-	VMOVUPS (SI)(AX*4), Y4
-	VMOVUPS (DI)(AX*4), Y6
-	VFMADD231PS Y6, Y4, Y0
-	VFMADD231PS Y6, Y6, Y2
-	ADDQ $8, AX
-	JMP  dns_loop8
-
-dns_reduce:
-	VEXTRACTF128 $1, Y0, X4
-	VADDPS X4, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VEXTRACTF128 $1, Y2, X4
-	VADDPS X4, X2, X2
-	VHADDPS X2, X2, X2
-	VHADDPS X2, X2, X2
-
-dns_tail:
-	CMPQ AX, CX
-	JGE  dns_done
-	VMOVSS (SI)(AX*4), X4
-	VMOVSS (DI)(AX*4), X6
-	VFMADD231SS X6, X4, X0
-	VFMADD231SS X6, X6, X2
-	INCQ AX
-	JMP  dns_tail
-
-dns_done:
-	VMOVSS X0, dot+48(FP)
-	VMOVSS X2, nb+52(FP)
 	VZEROUPPER
 	RET
 

@@ -113,10 +113,8 @@ func tileAVX2(kern tileKernel, a []float32, strideA, na int, b []float32, stride
 type TileDist func(i0, i1, j0, j1 int, out []float32)
 
 // TileFunc binds the metric to two arenas of equal dimensionality and
-// returns its tiled form. Distances follow Dist's definitions — Cosine
-// treats a zero vector as similarity 0, exactly as Gather does, with
-// both sides' norms computed once here instead of once per pair — on the
-// tile kernels' reduction order (see the file comment). The stores are
+// returns its tiled form. Distances follow Dist's definitions on the tile
+// kernels' reduction order (see the file comment). The stores are
 // captured, not copied, and must stay unchanged while the kernel is in use;
 // the returned function is safe for concurrent use.
 func (m Metric) TileFunc(a, b *Store) TileDist {
@@ -139,22 +137,6 @@ func (m Metric) TileFunc(a, b *Store) TileDist {
 				out[x] = 1 - dot
 			}
 		}
-	case Cosine:
-		an, bn := rowNorms(a), rowNorms(b)
-		return func(i0, i1, j0, j1 int, out []float32) {
-			raw(DotTile, i0, i1, j0, j1, out)
-			nj := j1 - j0
-			for i := i0; i < i1; i++ {
-				o := out[(i-i0)*nj : (i-i0+1)*nj]
-				for j := range o {
-					if an[i] == 0 || bn[j0+j] == 0 {
-						o[j] = 1 // CosineSim defines zero-vector similarity as 0
-						continue
-					}
-					o[j] = 1 - o[j]/float32(an[i]*bn[j0+j])
-				}
-			}
-		}
 	case Euclidean:
 		return func(i0, i1, j0, j1 int, out []float32) {
 			for x, sq := range raw(SquaredDistTile, i0, i1, j0, j1, out) {
@@ -164,15 +146,4 @@ func (m Metric) TileFunc(a, b *Store) TileDist {
 	default:
 		panic("vector: unknown metric " + m.String())
 	}
-}
-
-// rowNorms returns the L2 norm of every row, in the float64 form the cosine
-// kernels divide by.
-func rowNorms(s *Store) []float64 {
-	out := make([]float64, s.Len())
-	for i := range out {
-		r := s.At(i)
-		out[i] = math.Sqrt(float64(Dot(r, r)))
-	}
-	return out
 }

@@ -1,6 +1,6 @@
 // Package vector provides float32 vector math primitives used throughout the
-// MultiEM pipeline: dot products, cosine and euclidean distances,
-// normalization, and small fixed-size top-K accumulators.
+// MultiEM pipeline: dot products, the unit-vector cosine and euclidean
+// distances, normalization, and small fixed-size top-K accumulators.
 //
 // All distance functions treat vectors of unequal lengths as a programming
 // error and panic; embeddings in this repository always share a single
@@ -84,57 +84,6 @@ func Normalize(a []float32) []float32 {
 		a[i] *= inv
 	}
 	return a
-}
-
-// CosineSim returns the cosine similarity of a and b in [-1, 1]. If either
-// vector is zero the similarity is defined as 0. Dispatches to the fused
-// AVX2+FMA kernel when enabled; the portable path fuses the three inner
-// products into one 2-way-unrolled pass. Callers that score one fixed vector
-// against many stored rows should use Metric.Gather instead, which sums the
-// fixed vector's norm once.
-func CosineSim(a, b []float32) float32 {
-	assertSameLen(a, b)
-	var dot, na, nb float32
-	if simdOn {
-		dot, na, nb = cosineAVX2(a, b)
-	} else {
-		dot, na, nb = cosineScalar(a, b)
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / float32(math.Sqrt(float64(na))*math.Sqrt(float64(nb)))
-}
-
-// cosineScalar returns (Dot(a,b), Dot(a,a), Dot(b,b)) in one fused pass. The
-// 2-way unroll with six accumulators measured fastest: against a
-// 4-way/twelve-accumulator variant and against three separate unrolled Dot
-// passes, wider unrolls spill registers once three sums are in flight.
-func cosineScalar(a, b []float32) (float32, float32, float32) {
-	b = b[:len(a)]
-	var d0, d1, x0, x1, y0, y1 float32
-	n := len(a) &^ 1
-	for i := 0; i < n; i += 2 {
-		aa, bb := a[i:i+2:i+2], b[i:i+2:i+2]
-		d0 += aa[0] * bb[0]
-		d1 += aa[1] * bb[1]
-		x0 += aa[0] * aa[0]
-		x1 += aa[1] * aa[1]
-		y0 += bb[0] * bb[0]
-		y1 += bb[1] * bb[1]
-	}
-	dot, na, nb := d0+d1, x0+x1, y0+y1
-	for i := n; i < len(a); i++ {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	return dot, na, nb
-}
-
-// CosineDist returns 1 - CosineSim(a, b), the cosine distance in [0, 2].
-func CosineDist(a, b []float32) float32 {
-	return 1 - CosineSim(a, b)
 }
 
 // EuclideanDist returns the L2 distance between a and b.
@@ -235,24 +184,22 @@ func assertSameLen(a, b []float32) {
 // Metric identifies a distance function over embeddings.
 type Metric int
 
+// The values are what hnsw index files store; 0 is the retired non-unit
+// cosine and names no metric.
 const (
-	// Cosine is cosine distance (1 - cosine similarity). Used by the
-	// merging phase, matching the paper's §IV-A.
-	Cosine Metric = iota
-	// Euclidean is L2 distance. Used by the pruning phase.
-	Euclidean
-	// CosineUnit is cosine distance specialized to unit-norm (or zero)
-	// vectors: 1 - dot(a, b). Identical to Cosine on such inputs at a
-	// third of the arithmetic; the pipeline uses it because the encoder
-	// guarantees unit-norm embeddings and merging normalizes centroids.
-	CosineUnit
+	// Euclidean is L2 distance. Used by the pruning phase (paper §III-D).
+	Euclidean Metric = 1
+	// CosineUnit is cosine distance (1 - cosine similarity) over unit-norm
+	// or zero vectors, computed as 1 - dot(a, b): the merging phase's metric
+	// (paper §III-C). The encoder returns unit-norm or zero embeddings and
+	// merging normalizes centroids, so every vector the pipeline and the
+	// matcher compare qualifies; a zero vector is at distance 1 from all.
+	CosineUnit Metric = 2
 )
 
 // String implements fmt.Stringer.
 func (m Metric) String() string {
 	switch m {
-	case Cosine:
-		return "cosine"
 	case Euclidean:
 		return "euclidean"
 	case CosineUnit:
@@ -265,8 +212,6 @@ func (m Metric) String() string {
 // Dist evaluates the metric between a and b.
 func (m Metric) Dist(a, b []float32) float32 {
 	switch m {
-	case Cosine:
-		return CosineDist(a, b)
 	case Euclidean:
 		return EuclideanDist(a, b)
 	case CosineUnit:
@@ -287,8 +232,6 @@ func cosineUnitDist(a, b []float32) float32 { return 1 - Dot(a, b) }
 // computes exactly what Dist computes, bit for bit.
 func (m Metric) Func() DistFunc {
 	switch m {
-	case Cosine:
-		return CosineDist
 	case Euclidean:
 		return EuclideanDist
 	case CosineUnit:
@@ -296,38 +239,4 @@ func (m Metric) Func() DistFunc {
 	default:
 		panic("vector: unknown metric " + m.String())
 	}
-}
-
-// dotNormSq returns Dot(a, b) and Dot(b, b) in one fused pass; the inner
-// loop of Metric.Gather's cosine. Dispatched like Dot.
-func dotNormSq(a, b []float32) (float32, float32) {
-	if simdOn {
-		return dotNormSqAVX2(a, b)
-	}
-	return dotNormSqScalar(a, b)
-}
-
-func dotNormSqScalar(a, b []float32) (float32, float32) {
-	b = b[:len(a)]
-	var d0, d1, d2, d3 float32
-	var y0, y1, y2, y3 float32
-	n := len(a) &^ 3
-	for i := 0; i < n; i += 4 {
-		aa, bb := a[i:i+4:i+4], b[i:i+4:i+4]
-		d0 += aa[0] * bb[0]
-		d1 += aa[1] * bb[1]
-		d2 += aa[2] * bb[2]
-		d3 += aa[3] * bb[3]
-		y0 += bb[0] * bb[0]
-		y1 += bb[1] * bb[1]
-		y2 += bb[2] * bb[2]
-		y3 += bb[3] * bb[3]
-	}
-	dot := (d0 + d1) + (d2 + d3)
-	nb := (y0 + y1) + (y2 + y3)
-	for i := n; i < len(a); i++ {
-		dot += a[i] * b[i]
-		nb += b[i] * b[i]
-	}
-	return dot, nb
 }

@@ -51,6 +51,9 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// TestCosineSim: on normalized inputs, 1 - CosineUnit.Dist is the cosine
+// similarity, and a zero vector (which Normalize leaves zero) is at
+// similarity 0 from everything.
 func TestCosineSim(t *testing.T) {
 	tests := []struct {
 		name string
@@ -66,8 +69,8 @@ func TestCosineSim(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := CosineSim(tc.a, tc.b); !almostEq(got, tc.want, 1e-6) {
-				t.Fatalf("CosineSim = %v, want %v", got, tc.want)
+			if got := 1 - CosineUnit.Dist(Normalize(tc.a), Normalize(tc.b)); !almostEq(got, tc.want, 1e-6) {
+				t.Fatalf("cosine similarity = %v, want %v", got, tc.want)
 			}
 		})
 	}
@@ -76,9 +79,9 @@ func TestCosineSim(t *testing.T) {
 func TestCosineDistRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
-		a := randVec(rng, 8)
-		b := randVec(rng, 8)
-		d := CosineDist(a, b)
+		a := Normalize(randVec(rng, 8))
+		b := Normalize(randVec(rng, 8))
+		d := CosineUnit.Dist(a, b)
 		if d < -1e-5 || d > 2+1e-5 {
 			t.Fatalf("cosine distance %v out of [0,2]", d)
 		}
@@ -97,10 +100,11 @@ func TestEuclideanDist(t *testing.T) {
 }
 
 func TestMetricString(t *testing.T) {
-	if Cosine.String() != "cosine" || Euclidean.String() != "euclidean" {
+	if CosineUnit.String() != "cosine-unit" || Euclidean.String() != "euclidean" {
 		t.Fatal("unexpected metric names")
 	}
-	if Metric(99).String() != "Metric(99)" {
+	// 0 is the retired non-unit cosine: it names no metric any more.
+	if Metric(0).String() != "Metric(0)" || Metric(99).String() != "Metric(99)" {
 		t.Fatal("unknown metric should format numerically")
 	}
 }
@@ -108,8 +112,8 @@ func TestMetricString(t *testing.T) {
 func TestMetricDist(t *testing.T) {
 	a := []float32{1, 0}
 	b := []float32{0, 1}
-	if got := Cosine.Dist(a, b); !almostEq(got, 1, 1e-6) {
-		t.Fatalf("Cosine.Dist = %v, want 1", got)
+	if got := CosineUnit.Dist(a, b); !almostEq(got, 1, 1e-6) {
+		t.Fatalf("CosineUnit.Dist = %v, want 1", got)
 	}
 	if got := Euclidean.Dist(a, b); !almostEq(got, float32(math.Sqrt2), 1e-6) {
 		t.Fatalf("Euclidean.Dist = %v, want sqrt2", got)
@@ -136,21 +140,22 @@ func TestEuclideanTriangleInequality(t *testing.T) {
 	}
 }
 
-// Property: cosine similarity is symmetric and scale-invariant.
+// Property: cosine distance over normalized vectors is symmetric to the bit
+// and invariant to scaling a vector before it is normalized.
 func TestCosineSymmetryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
-		a := randVec(rng, 16)
-		b := randVec(rng, 16)
-		if !almostEq(CosineSim(a, b), CosineSim(b, a), 1e-6) {
-			t.Fatal("cosine similarity must be symmetric")
+		raw := randVec(rng, 16)
+		scaled := make([]float32, len(raw))
+		for j := range raw {
+			scaled[j] = raw[j] * 3.5
 		}
-		scaled := make([]float32, len(a))
-		for j := range a {
-			scaled[j] = a[j] * 3.5
+		a, b := Normalize(raw), Normalize(randVec(rng, 16))
+		if CosineUnit.Dist(a, b) != CosineUnit.Dist(b, a) {
+			t.Fatal("cosine distance must be symmetric")
 		}
-		if !almostEq(CosineSim(a, b), CosineSim(scaled, b), 1e-5) {
-			t.Fatal("cosine similarity must be scale invariant")
+		if !almostEq(CosineUnit.Dist(a, b), CosineUnit.Dist(Normalize(scaled), b), 1e-5) {
+			t.Fatal("cosine distance must be scale invariant")
 		}
 	}
 }
