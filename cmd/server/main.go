@@ -225,7 +225,8 @@ func main() {
 					"replayed_batches", ws.ReplayedBatches, "replayed_rows", ws.ReplayedRows,
 					"replay_seconds", ws.ReplaySeconds,
 					"replay_reader_busy_seconds", ws.ReplayReaderBusySeconds,
-					"replay_shard_busy_seconds", ws.ReplayShardBusySeconds)
+					"replay_shard_busy_seconds", ws.ReplayShardBusySeconds,
+					"replay_skipped_links", ws.ReplaySkippedLinks)
 			}
 		} else {
 			matcher, err = base()

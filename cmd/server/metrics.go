@@ -247,6 +247,9 @@ func (s *server) registerMetrics() {
 			}
 			return out
 		})
+	r.GaugeFunc("multiem_recovery_skipped_links",
+		"Index nodes replay appended without linking because a compaction later in the log discarded them; 0 when the log crossed no compaction.", nil,
+		walGauge(func(ws repro.WALStats) float64 { return float64(ws.ReplaySkippedLinks) }))
 	r.SummaryFunc("multiem_wal_sync_duration_seconds",
 		"WAL fsync latency.", nil, func() *hist.Snapshot {
 			m := matcher()

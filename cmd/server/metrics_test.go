@@ -66,6 +66,7 @@ var pinnedMetrics = map[string]string{
 
 	"multiem_recovery_reader_busy_seconds": "gauge",
 	"multiem_recovery_shard_busy_seconds":  "gauge",
+	"multiem_recovery_skipped_links":       "gauge",
 
 	"multiem_repl_role":                  "gauge",
 	"multiem_repl_term":                  "gauge",

@@ -100,6 +100,9 @@ type Index struct {
 	offs   []int64       // offs[i] = encoded arena offset of node i's region
 	entry  int           // index into ids of the entry point; -1 when empty
 	maxL   int
+	// linked counts the nodes in the graph: 0..linked-1 are linked, the rest
+	// were Appended and wait for Link. Entry and maxL describe the linked ones.
+	linked int
 
 	// searchPool holds *searchCtx for concurrent Search. Clones share the
 	// origin's pool, like stats: a context's visit set is sized to the
@@ -214,12 +217,13 @@ func (ix *Index) Len() int { return len(ix.ids) }
 func (ix *Index) Dim() int { return ix.dim }
 
 // Vector returns the stored vector of internal node i — nodes are numbered
-// 0..Len()-1 in Add order, so the node an Add just created is Len()-1. The
-// slice aliases the index's arena under vector.Store.At's rule: read-only,
-// and valid until the next Add (growth may move the arena; the values never
-// change). On a frozen Clone it stays valid for the clone's lifetime. Callers
-// that keep one vector per external id (the matcher's tuple centroids) read
-// it back through this instead of holding a second copy.
+// 0..Len()-1 in Add (or Append) order, so the node an Add just created is
+// Len()-1, linked or not. The slice aliases the index's arena under
+// vector.Store.At's rule: read-only, and valid until the next Add or Append
+// (growth may move the arena; the values never change). On a frozen Clone it
+// stays valid for the clone's lifetime. Callers that keep one vector per
+// external id (the matcher's tuple centroids) read it back through this
+// instead of holding a second copy.
 func (ix *Index) Vector(i int) []float32 { return ix.vecs.At(i) }
 
 // RawVectors returns the whole node arena, Len()*Dim() float32s with node i
@@ -275,30 +279,79 @@ func (ix *Index) appendLink(i, l int, nb int32, d float32) {
 	blk[0] = int32(n + 1)
 }
 
-// Add inserts a vector under an external id. The vector is copied into the
-// index's arena; the caller keeps ownership of its slice.
+// Add inserts a vector under an external id: Append, then Link. The vector is
+// copied into the index's arena; the caller keeps ownership of its slice.
 func (ix *Index) Add(id int, vec []float32) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if err := ix.appendNode(id, vec); err != nil {
+		return err
+	}
+	ix.linkPending()
+	return nil
+}
+
+// Append is the first half of Add: it draws the node's level, allocates its
+// link region and stores its vector and id, as node Len()-1, without linking
+// it into the graph. Vector, RawVectors, Len and IDs see the node at once;
+// nothing searches it until Link. Append and Link in any interleaving build
+// the graph, RNG stream and Save bytes that Adds of the same vectors build —
+// so a node that is discarded before its Link (a compaction's input) costs
+// no graph work at all.
+func (ix *Index) Append(id int, vec []float32) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.appendNode(id, vec)
+}
+
+// Link links every Appended node not linked yet, in node order — what their
+// Adds would have done, at a later time.
+func (ix *Index) Link() {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.linkPending()
+}
+
+// Unlinked reports how many Appended nodes wait for Link.
+func (ix *Index) Unlinked() int { return len(ix.ids) - ix.linked }
+
+// mustBeLinked panics, naming op and the count, when nodes wait for Link: a
+// graph missing them would answer, clone and save a different index.
+func (ix *Index) mustBeLinked(op string) {
+	if n := ix.Unlinked(); n != 0 {
+		panic(fmt.Sprintf("hnsw: %s with %d appended nodes not linked", op, n))
+	}
+}
+
+func (ix *Index) appendNode(id int, vec []float32) error {
 	if ix.frozen {
 		return fmt.Errorf("hnsw: Add on a frozen Clone")
 	}
 	if len(vec) != ix.dim {
 		return fmt.Errorf("hnsw: vector has dim %d, index wants %d", len(vec), ix.dim)
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-
 	level := ix.randomLevel()
-	cur := len(ix.ids)
 	ix.ids = append(ix.ids, id)
 	ix.levels = append(ix.levels, int32(level))
 	ix.offs = append(ix.offs, ix.la.alloc(ix.regionSize(level)))
 	ix.vecs.Append(vec)
-	q := ix.vecs.At(cur)
+	return nil
+}
 
+func (ix *Index) linkPending() {
+	for ; ix.linked < len(ix.ids); ix.linked++ {
+		ix.linkNode(ix.linked)
+	}
+}
+
+// linkNode links node cur into the graph of nodes 0..cur-1.
+func (ix *Index) linkNode(cur int) {
+	level := int(ix.levels[cur])
+	q := ix.vecs.At(cur)
 	if ix.entry < 0 {
 		ix.entry = cur
 		ix.maxL = level
-		return nil
+		return
 	}
 
 	ep := ix.entry
@@ -324,7 +377,6 @@ func (ix *Index) Add(id int, vec []float32) error {
 		ix.maxL = level
 		ix.entry = cur
 	}
-	return nil
 }
 
 // Clone returns a frozen, read-only copy of the index that concurrent
@@ -340,8 +392,10 @@ func (ix *Index) Add(id int, vec []float32) error {
 // the first time it mutates into it afterwards, so a batch's commit cost
 // tracks the links it touches instead of every link in the index. The
 // link-distance cache, RNG, and construction scratch stay behind: they exist
-// only for Add, which a frozen clone refuses.
+// only for Add, which a frozen clone refuses. Cloning an index whose Appended
+// nodes wait for Link panics.
 func (ix *Index) Clone() *Index {
+	ix.mustBeLinked("Clone")
 	return &Index{
 		cfg:    ix.cfg,
 		dim:    ix.dim,
@@ -353,6 +407,7 @@ func (ix *Index) Clone() *Index {
 		offs:   ix.offs[:len(ix.offs):len(ix.offs)],
 		entry:  ix.entry,
 		maxL:   ix.maxL,
+		linked: ix.linked,
 		frozen: true,
 		stats:  ix.stats, // shared: clone searches count towards the origin
 
@@ -580,9 +635,11 @@ func (ix *Index) linkBack(from, to, l int, d float32) {
 
 // Search returns the (approximately) k nearest stored vectors to q, sorted
 // by increasing distance, with external ids. ef overrides the configured
-// EfSearch when positive. A q of another dimensionality is a programming
-// error and panics, as the distance kernels do.
+// EfSearch when positive. A q of another dimensionality, or Appended nodes
+// that wait for Link, are programming errors and panic, as the distance
+// kernels do.
 func (ix *Index) Search(q []float32, k, ef int) []vector.Neighbor {
+	ix.mustBeLinked("Search")
 	if ix.entry < 0 || k <= 0 {
 		return nil
 	}

@@ -1,6 +1,8 @@
 package hnsw
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -374,4 +376,108 @@ func BenchmarkSearchBatched(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestAppendLinkEqualsAdd: Append then Link is Add split in two. n Appends
+// and one Link, and random interleavings of Appends, Adds and Links, save the
+// bytes n Adds save — for both metrics on both kernel paths. Until its
+// appended nodes are linked an index refuses to be searched, cloned or saved,
+// naming how many wait; a decoded index has every node linked.
+func TestAppendLinkEqualsAdd(t *testing.T) {
+	const n, dim = 300, 19 // 19: the kernels' scalar tail runs
+	for _, mode := range []string{"scalar", "avx2"} {
+		t.Run(mode, func(t *testing.T) {
+			prev := vector.Kernels()
+			if err := vector.SetKernels(mode); err != nil {
+				t.Skip(err)
+			}
+			defer vector.SetKernels(prev)
+			for _, metric := range []vector.Metric{vector.CosineUnit, vector.Euclidean} {
+				vecs := randomUnitVecs(n, dim, 8)
+				if metric == vector.Euclidean {
+					for _, v := range vecs {
+						vector.Scale(v, 1+v[0]) // off the unit sphere
+					}
+				}
+				cfg := Config{M: 6, EfConstruction: 40, Metric: metric, Seed: 5}
+				want := savedBytes(t, buildIndex(t, vecs, cfg))
+
+				ix := New(dim, cfg)
+				for i, v := range vecs {
+					if err := ix.Append(i*7, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if ix.Len() != n || ix.Unlinked() != n {
+					t.Fatalf("%v: %d appended nodes, %d unlinked; want %d of each", metric, ix.Len(), ix.Unlinked(), n)
+				}
+				for op, f := range map[string]func(){
+					"Search": func() { ix.Search(vecs[0], 1, 0) },
+					"Clone":  func() { ix.Clone() },
+					"Save":   func() { ix.Save(&bytes.Buffer{}) },
+				} {
+					mustPanicWith(t, fmt.Sprintf("hnsw: %s with %d appended nodes not linked", op, n), f)
+				}
+				ix.Link()
+				if got := savedBytes(t, ix); !bytes.Equal(got, want) {
+					t.Fatalf("%v: %d Appends and one Link save other bytes than %d Adds", metric, n, n)
+				}
+
+				rng := rand.New(rand.NewSource(int64(metric)))
+				for trial := 0; trial < 4; trial++ {
+					ix := New(dim, cfg)
+					var ops []byte
+					for i, v := range vecs {
+						insert, op := ix.Append, byte('p')
+						if rng.Intn(4) == 0 {
+							insert, op = ix.Add, 'A'
+						}
+						ops = append(ops, op)
+						if err := insert(i*7, v); err != nil {
+							t.Fatal(err)
+						}
+						if rng.Intn(16) == 0 {
+							ops = append(ops, 'L')
+							ix.Link()
+						}
+					}
+					ix.Link()
+					if got := savedBytes(t, ix); !bytes.Equal(got, want) {
+						t.Fatalf("%v: interleaving %s saves other bytes than %d Adds", metric, ops, n)
+					}
+				}
+
+				loaded, err := Load(bytes.NewReader(want))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if loaded.Unlinked() != 0 {
+					t.Fatalf("%v: a decoded index has %d nodes waiting for Link", metric, loaded.Unlinked())
+				}
+				loaded.Clone().Search(vecs[0], 1, 0)
+				if got := savedBytes(t, loaded); !bytes.Equal(got, want) {
+					t.Fatalf("%v: a decoded index saves other bytes", metric)
+				}
+			}
+		})
+	}
+}
+
+func savedBytes(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func mustPanicWith(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if got := recover(); got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	}()
+	f()
 }

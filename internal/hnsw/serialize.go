@@ -50,10 +50,12 @@ const (
 // Save writes the index to w in the versioned binary format above: the small
 // fields through one bufio.Writer (w itself when it already is one), each
 // link block and the vector arena as one Write of their own memory. The index
-// must not be mutated concurrently.
+// must not be mutated concurrently, and saving one whose Appended nodes wait
+// for Link panics: the file has no place for a node outside the graph.
 func (ix *Index) Save(w io.Writer) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.mustBeLinked("Save")
 
 	bw := bufio.NewWriter(w)
 	bw.Write(magic[:])
@@ -168,6 +170,7 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	ix := New(dim, cfg)
 	ix.entry = entry
 	ix.maxL = maxL
+	ix.linked = count // a saved node is a linked one
 	ix.ids = rd.Ints(count)
 	ix.levels = rd.I32s(count)
 	// What the levels promise must be present before the link arena is

@@ -127,6 +127,11 @@ type WALStats struct {
 	// is skewed; the reader near it: embed-bound. Empty after a promotion.
 	ReplayReaderBusySeconds float64   `json:"replay_reader_busy_seconds"`
 	ReplayShardBusySeconds  []float64 `json:"replay_shard_busy_seconds,omitempty"`
+	// ReplaySkippedLinks counts the index nodes replay appended without
+	// linking them into a graph, because a compaction later in the log
+	// discarded them: graph work the crashed process did and recovery did not
+	// have to. Zero when the replayed log crossed no compaction.
+	ReplaySkippedLinks int64 `json:"replay_skipped_links"`
 }
 
 // walState is a matcher's attached durability state.
@@ -288,7 +293,7 @@ func RecoverMatcher(cfg WALConfig, opt Options, base func() (*Matcher, error)) (
 	if ws.log, err = wal.Open(LogDir(cfg.Dir), wal.Options{SegmentMaxBytes: cfg.SegmentMaxBytes}); err != nil {
 		return nil, err
 	}
-	if ws.replayed, err = m.replayWAL(ws.log, snapSeq); err != nil {
+	if ws.replayed, err = m.replayWAL(ws.log, snapSeq, replayInflightBytes); err != nil {
 		ws.log.Close()
 		return nil, err
 	}
@@ -511,28 +516,82 @@ func decodeBatchRecord(payload []byte) (rec batchRecord, err error) {
 	return rec, nil
 }
 
-// replayInflightRows bounds the rows the reader may have handed to the shard
-// streams and not yet seen applied by all of them: a batch is admitted while
-// fewer than this many rows are in flight, so at most this many plus one
-// batch ever are (an /add body, hence a batch, may be 64 MiB). The slack is
-// what absorbs the imbalance between shards — a 16-row batch splits 10/6 as
-// often as 8/8 — and a few hundred rows of it is enough: replaying 16 000 rows
-// of 16-row batches over two shards took 1.19–1.43 s with one batch in flight,
-// 1.03–1.36 s with 4 and 0.97–1.20 s with 32. 1 024 rows are 1 MiB of
-// embeddings at dim 256.
-const replayInflightRows = 1024
+// replayInflightBytes bounds the embeddings of the rows the reader may have
+// handed to the shard streams and not yet seen applied by all of them (their
+// plans also hold the raw values and the decisions). A batch is admitted
+// while fewer rows than the window — this over the row size, 16 384 rows at
+// dim 256 — are in flight, so at most the window plus one batch ever are (an
+// /add body, hence a batch, may be 64 MiB).
+//
+// The window is two things. It is the slack that absorbs the imbalance
+// between shards — a 16-row batch splits 10/6 as often as 8/8 — for which a
+// few hundred rows would do. And it is how far the reader sees ahead of the
+// streams, which is what deferred linking needs: a stream skips the graph
+// work of a batch only when the reader has already planned the compaction
+// that discards it. Replaying serve_mixed's log in-process (seed 1: 12 000
+// rows in 1 000 batches, the two shards compacting after batches 825 and
+// 863; medians of five recoveries, two alternations, 2 cores) took 0.82 s
+// with linking eager, 0.74–0.93 s with a 1 024-row window, 0.67–0.69 s with
+// 4 096, 0.46–0.49 s with 16 384 and 0.52–0.53 s with 65 536: the window
+// pays once it spans the stretch of log before a compaction. A log whose
+// compactions lie further apart than that replays exactly all the same, but
+// saves only the inserts within one window before each compaction.
+const replayInflightBytes = 16 << 20
 
 // replayStats is what a replay reports of itself.
 type replayStats struct {
 	batches, rows int64
 	// wall is the whole replay. readerBusy is the reader's share of it —
 	// reading, decoding, embedding, chaining; its waits for the window to open
-	// excluded — and shardBusy[s] shard stream s's time checking and applying,
-	// its waits for the reader excluded.
+	// excluded — and shardBusy[s] shard stream s's time checking, applying and
+	// linking, its waits for the reader excluded.
 	wall, readerBusy time.Duration
 	shardBusy        []time.Duration
 	// peakRows is the most rows that were in flight at once.
 	peakRows int
+	// compactAt[s] lists the batches after which the reader foresaw shard s
+	// compact; deferred[s] counts the batches shard s applied without linking,
+	// and skipped[s] the nodes it appended that a compaction then discarded
+	// unlinked.
+	compactAt [][]uint64
+	deferred  []int
+	skipped   []int64
+}
+
+// indexForecast is the reader's model of one shard's index: its length and
+// live count, advanced from the plans alone — apply indexes one node per
+// tuple a batch creates on the shard and one per pre-batch tuple it absorbs
+// rows into — through the compactDue test maybeCompact runs.
+type indexForecast struct {
+	indexLen, live int
+	touched        []int
+}
+
+// advance moves the forecast for shard s past plan p and reports whether the
+// shard compacts after it.
+func (f *indexForecast) advance(p *batchPlan, s int) bool {
+	if len(p.perShard[s]) == 0 {
+		return false // no share, no apply, no maybeCompact
+	}
+	f.touched = f.touched[:0]
+	for _, i := range p.perShard[s] {
+		if d := &p.rows[i]; d.absorb {
+			f.touched = append(f.touched, d.local)
+		}
+	}
+	slices.Sort(f.touched)
+	f.indexLen += len(slices.Compact(f.touched))
+	for t := range p.tuples {
+		if p.tuples[t].shard == s {
+			f.indexLen++
+			f.live++
+		}
+	}
+	if !compactDue(f.indexLen, f.live) {
+		return false
+	}
+	f.indexLen = f.live
+	return true
 }
 
 // replayItem is one logged batch on its way through the shard streams.
@@ -557,6 +616,14 @@ type replayer struct {
 	st       replayStats
 	// queues[s] feeds shard s's stream every batch, in log order.
 	queues []chan *replayItem
+	// window is replayWAL's windowBytes in rows of this matcher's dimension.
+	window int
+	// forecasts[s] is the reader's model of shard s's index; linkFrom[s] is one
+	// past the last batch after which it foresees shard s compact. A stream
+	// defers linking for a batch below its shard's linkFrom: the compaction
+	// discards whatever that batch indexes.
+	forecasts []indexForecast
+	linkFrom  []atomic.Uint64
 
 	// mu guards the window (inflight, with freed signalled when rows return;
 	// blocked is how long the reader waited on it) and the failure.
@@ -579,7 +646,9 @@ var errReplayStopped = errors.New("multiem: wal replay stopped")
 // replayed. Records below startSeq are covered by the snapshot (their segment
 // is not dropped yet); past that the log must ascend by one — a single file
 // cannot strand a whole record beyond a hole without failing its CRC, so
-// anything else is corruption under every fsync policy.
+// anything else is corruption under every fsync policy. windowBytes bounds
+// the embeddings in flight between the reader and the streams; recovery
+// passes replayInflightBytes.
 //
 // Redo is local to the shard it touches (ARIES), and shards share nothing, so
 // replay is a pipeline with no join between batches — a live batch needs one
@@ -590,10 +659,21 @@ var errReplayStopped = errors.New("multiem: wal replay stopped")
 // stream takes the batches in log order and for each checks the logged
 // decisions that target its shard (checkShard; the shard's state is the
 // pre-batch one, its own share of the batch comes next), then runs the same
-// shard.apply and maybeCompact live ingest runs — the same Adds per shard in
-// the same order, so graphs, RNG streams, compaction points and Save bytes are
-// the primary's. A compaction failure leaves the batch applied and the shard
-// on its previous index, as it does live. Nothing else happens: no logging
+// shard.apply and maybeCompact live ingest runs — the same inserts per shard
+// in the same order, so graphs, RNG streams, compaction points and Save bytes
+// are the primary's. A compaction failure leaves the batch applied and the
+// shard on its previous index, as it does live.
+//
+// Replay never searches, and a compaction rebuilds a shard's graph from its
+// live centroids alone, so the links of a node indexed before the shard's
+// last compaction are never read. The reader runs maybeCompact's trigger over
+// each plan (indexForecast) and tells the streams where it foresees each
+// shard compact; a stream only Appends the nodes of a batch at or before a
+// foreseen compaction (shard.deferLinks), and links whatever is pending at
+// its next Add or when its queue closes. The forecast decides only when
+// linking happens, never what is linked — Link links every appended node in
+// node order, as their Adds would have — so a wrong or late forecast costs
+// time, not exactness. Nothing else happens: no logging
 // (the records are being read back), no spans or counters (replayed history
 // would pollute the serving histograms) and no views — no reader exists until
 // RecoverMatcher publishes once, so every chunk stays writer-owned and is
@@ -607,19 +687,31 @@ var errReplayStopped = errors.New("multiem: wal replay stopped")
 // matcher must be dropped. A torn tail is not a failure: every whole record
 // before it was delivered, the batch it belonged to was never acknowledged,
 // and the next append truncates it.
-func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64) (replayStats, error) {
+func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64, windowBytes int) (replayStats, error) {
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
-	r := &replayer{m: m, startSeq: startSeq, queues: make([]chan *replayItem, len(m.shards))}
-	r.st.shardBusy = make([]time.Duration, len(m.shards))
+	n := len(m.shards)
+	r := &replayer{
+		m:         m,
+		startSeq:  startSeq,
+		queues:    make([]chan *replayItem, n),
+		window:    max(1, windowBytes/(4*m.dim)),
+		forecasts: make([]indexForecast, n),
+		linkFrom:  make([]atomic.Uint64, n),
+	}
+	r.st.shardBusy = make([]time.Duration, n)
+	r.st.compactAt = make([][]uint64, n)
+	r.st.deferred = make([]int, n)
+	r.st.skipped = make([]int64, n)
 	r.freed.L = &r.mu
 	r.failSeq.Store(math.MaxUint64)
 	var streams sync.WaitGroup
-	for s := range r.queues {
+	for s, sh := range m.shards {
+		r.forecasts[s] = indexForecast{indexLen: sh.index.Len(), live: sh.tuples.len()}
 		// Every batch in flight holds at least one row, so the window admits at
-		// most replayInflightRows of them and a send never blocks: the reader
-		// waits in one place only, admit.
-		r.queues[s] = make(chan *replayItem, replayInflightRows)
+		// most r.window of them and a send never blocks: the reader waits in one
+		// place only, admit.
+		r.queues[s] = make(chan *replayItem, r.window)
 		streams.Add(1)
 		go func(s int) {
 			defer streams.Done()
@@ -668,6 +760,12 @@ func (r *replayer) read(payload []byte) error {
 	it := &replayItem{seq: rec.seq, p: p, logged: slices.Clone(p.rows), baseID: m.nextID}
 	m.chain(p)
 	m.nextID += len(p.rows)
+	for s := range r.forecasts {
+		if r.forecasts[s].advance(p, s) {
+			r.st.compactAt[s] = append(r.st.compactAt[s], rec.seq)
+			r.linkFrom[s].Store(rec.seq + 1)
+		}
+	}
 	it.pending.Store(int32(len(r.queues)))
 	r.admit(len(p.rows))
 	for _, q := range r.queues {
@@ -678,14 +776,13 @@ func (r *replayer) read(payload []byte) error {
 	return nil
 }
 
-// admit waits until fewer than replayInflightRows rows are in flight and adds
-// n to them.
+// admit waits until fewer than r.window rows are in flight and adds n to them.
 func (r *replayer) admit(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.inflight >= replayInflightRows {
+	if r.inflight >= r.window {
 		t0 := time.Now()
-		for r.inflight >= replayInflightRows {
+		for r.inflight >= r.window {
 			r.freed.Wait()
 		}
 		r.blocked += time.Since(t0)
@@ -696,7 +793,8 @@ func (r *replayer) admit(n int) {
 
 // stream is shard s's side of the replay: its share of every batch below the
 // lowest failure, in log order. A batch past a failure is only counted off, so
-// the window keeps opening until the reader has noticed.
+// the window keeps opening until the reader has noticed. When the queue
+// closes, the stream links what its deferred batches left pending.
 func (r *replayer) stream(s int) {
 	m, sh, cfg := r.m, r.m.shards[s], r.m.shardHNSWConfig(s)
 	var out []AddResult // what apply reports per row; replay has no one to tell
@@ -707,8 +805,16 @@ func (r *replayer) stream(s int) {
 				r.fail(it.seq, row, fmt.Errorf("apply logged batch %d: %w", it.seq, err))
 			} else if len(it.p.perShard[s]) > 0 {
 				out = slices.Grow(out[:0], len(it.p.rows))[:len(it.p.rows)]
+				sh.deferLinks = it.seq < r.linkFrom[s].Load()
+				if sh.deferLinks {
+					r.st.deferred[s]++
+				}
 				sh.apply(s, it.p, it.baseID, out)
+				unlinked, compactions := sh.index.Unlinked(), sh.compactions
 				_ = sh.maybeCompact(cfg, m.dim) // the batch is applied either way
+				if sh.compactions > compactions {
+					r.st.skipped[s] += int64(unlinked)
+				}
 			}
 			r.st.shardBusy[s] += time.Since(t0)
 		}
@@ -718,6 +824,14 @@ func (r *replayer) stream(s int) {
 			r.mu.Unlock()
 			r.freed.Signal()
 		}
+	}
+	// A failed replay's matcher is dropped; a finished one is published next,
+	// and a view needs the whole graph.
+	sh.deferLinks = false
+	if r.failSeq.Load() == math.MaxUint64 {
+		t0 := time.Now()
+		sh.index.Link()
+		r.st.shardBusy[s] += time.Since(t0)
 	}
 }
 
@@ -886,6 +1000,10 @@ func (m *Matcher) WALStats() WALStats {
 	for s, d := range ws.replayed.shardBusy {
 		shardBusy[s] = d.Seconds()
 	}
+	var skipped int64
+	for _, n := range ws.replayed.skipped {
+		skipped += n
+	}
 	return WALStats{
 		Enabled:         true,
 		Dir:             ws.cfg.Dir,
@@ -907,6 +1025,7 @@ func (m *Matcher) WALStats() WALStats {
 
 		ReplayReaderBusySeconds: ws.replayed.readerBusy.Seconds(),
 		ReplayShardBusySeconds:  shardBusy,
+		ReplaySkippedLinks:      skipped,
 	}
 }
 

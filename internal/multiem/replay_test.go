@@ -266,15 +266,19 @@ func TestPlanFromRecordRefuses(t *testing.T) {
 // skewedHistory ingests, in batches of batchRows, a history whose one
 // compaction falls on shard 0 alone — mixed batches, then batches of exact
 // duplicates of shard 0's base tuples until that shard rebuilds its index,
-// then mixed batches again — into both matchers, and returns how many batches
-// and rows that took.
-func skewedHistory(t *testing.T, d *table.Dataset, batchRows int, primary, uncrashed *Matcher) (batches, rows int) {
+// then tail mixed batches again — into both matchers, and returns how many
+// batches and rows that took and the batches after which shard 0 compacted.
+func skewedHistory(t *testing.T, d *table.Dataset, batchRows, tail int, primary, uncrashed *Matcher) (batches, rows int, compactAt []uint64) {
 	t.Helper()
 	add := func(batch [][]string) {
+		before := uncrashed.shards[0].compactions
 		for _, m := range []*Matcher{primary, uncrashed} {
 			if _, err := m.AddRecords(batch); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if uncrashed.shards[0].compactions > before {
+			compactAt = append(compactAt, uint64(batches))
 		}
 		batches, rows = batches+1, rows+len(batch)
 	}
@@ -299,7 +303,7 @@ func skewedHistory(t *testing.T, d *table.Dataset, batchRows int, primary, uncra
 		}
 		add(batch)
 	}
-	for _, batch := range randomBatches(d, 3, batchRows, 18) {
+	for _, batch := range randomBatches(d, tail, batchRows, 18) {
 		add(batch)
 	}
 	for s, sh := range uncrashed.shards {
@@ -307,15 +311,16 @@ func skewedHistory(t *testing.T, d *table.Dataset, batchRows int, primary, uncra
 			t.Fatalf("shard %d compacted %d times; the history wants shard 0 alone to", s, sh.compactions)
 		}
 	}
-	return batches, rows
+	return batches, rows, compactAt
 }
 
 // TestReplayStreamsEqualLive: recovery's per-shard streams, which join only at
 // the end of the log, rebuild what live ingest built joining after every
 // batch — Save bytes, the next entity ID and the replayed counts — at every
 // shard count, from one-row batches (every shard sees every batch, most have
-// no share of it) to batches that fill a third of the window, across a
-// compaction that stalls one stream only, and with a torn record closing the
+// no share of it) to batches of 300 rows, across a compaction on one shard
+// only — which the reader foresees as live ingest ran it, and whose discarded
+// nodes that shard's stream never links — and with a torn record closing the
 // log.
 func TestReplayStreamsEqualLive(t *testing.T) {
 	d := smallGeo(t)
@@ -333,7 +338,7 @@ func TestReplayStreamsEqualLive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batches, rows := skewedHistory(t, d, batchRows, primary, uncrashed)
+				batches, rows, compactAt := skewedHistory(t, d, batchRows, 3, primary, uncrashed)
 
 				// One more batch reaches the log only in part.
 				seg := wal.SegmentFile(LogDir(dir), 1)
@@ -381,8 +386,61 @@ func TestReplayStreamsEqualLive(t *testing.T) {
 						t.Fatalf("stage %d (0 = reader) busy %vs of a %vs replay", i, b, st.ReplaySeconds)
 					}
 				}
+				// The reader foresaw the compactions live ingest ran, and the
+				// streams deferred linking on the compacting shard alone: at
+				// least the compacting batch's own nodes were never linked, and
+				// no other shard appended a node unlinked.
+				rs := recovered.wal.replayed
+				for s := 0; s < shards; s++ {
+					var want []uint64
+					if s == 0 {
+						want = compactAt
+					}
+					if !slices.Equal(rs.compactAt[s], want) {
+						t.Fatalf("shard %d: the reader foresaw compactions after batches %v; live ingest compacted after %v", s, rs.compactAt[s], want)
+					}
+					if (rs.deferred[s] > 0) != (s == 0) || (rs.skipped[s] > 0) != (s == 0) {
+						t.Fatalf("shard %d applied %d batches unlinked, and a compaction discarded %d nodes unlinked; want both on shard 0 only", s, rs.deferred[s], rs.skipped[s])
+					}
+				}
+				if st.ReplaySkippedLinks != rs.skipped[0] {
+					t.Fatalf("WALStats reports %d skipped links, shard 0 skipped %d", st.ReplaySkippedLinks, rs.skipped[0])
+				}
 			})
 		}
+	}
+}
+
+// TestReplayEndsOnCompaction: a log whose last batch compacts a shard leaves
+// that shard's rebuilt index appended and not linked when the queue closes;
+// the stream links it then, and recovery publishes the uncrashed graph.
+func TestReplayEndsOnCompaction(t *testing.T) {
+	d := smallGeo(t)
+	const shards = 2
+	load := baseLoader(t, d, shards)
+	cfg := WALConfig{Dir: t.TempDir(), Fsync: "off"}
+	primary, err := RecoverMatcher(cfg, durOpts(shards), load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncrashed, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, _, compactAt := skewedHistory(t, d, 16, 0, primary, uncrashed)
+	if err := primary.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(compactAt, []uint64{uint64(batches - 1)}) {
+		t.Fatalf("shard 0 compacted after batches %v of %d; want after the last alone", compactAt, batches)
+	}
+	recovered, err := RecoverMatcher(cfg, durOpts(shards), load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.CloseWAL()
+	if !bytes.Equal(saveBytes(t, recovered), saveBytes(t, uncrashed)) {
+		t.Fatal("recovered Save bytes differ from the uncrashed matcher's")
 	}
 }
 
@@ -489,10 +547,14 @@ func TestReplayRefusalDeterministic(t *testing.T) {
 
 // TestReplayBoundsRowsInFlight: the reader runs ahead of the streams by rows,
 // not batches — never more in flight than the window plus the batch that
-// crossed it, whether the log holds /add bodies of 2 048 rows or of 16.
+// crossed it, whether the log holds /add bodies of 2 048 rows or of 16. The
+// bound does not depend on the window's size, so the logs here replay under a
+// 1 MiB window (1 024 rows at dim 256) rather than recovery's 16 MiB, which
+// would need logs of more than 16 384 rows each — several seconds of tier-1
+// time to ingest and replay.
 func TestReplayBoundsRowsInFlight(t *testing.T) {
 	d := smallGeo(t)
-	const shards = 2
+	const shards, windowBytes = 2, 1 << 20
 	load := baseLoader(t, d, shards)
 	for _, c := range []struct{ batches, batchRows int }{{2, 2048}, {100, 16}} {
 		dir := t.TempDir()
@@ -517,7 +579,7 @@ func TestReplayBoundsRowsInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := m.replayWAL(l, 0)
+		st, err := m.replayWAL(l, 0, windowBytes)
 		l.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -527,7 +589,11 @@ func TestReplayBoundsRowsInFlight(t *testing.T) {
 		}
 		// Each log is longer than the window, and a stream needs several times
 		// as long for a row as the reader, so an unbounded reader would show.
-		if limit := replayInflightRows - 1 + c.batchRows; st.peakRows < c.batchRows || st.peakRows > limit {
+		window := windowBytes / (4 * m.dim)
+		if c.batches*c.batchRows <= window {
+			t.Fatalf("a log of %d rows fits the %d-row window", c.batches*c.batchRows, window)
+		}
+		if limit := window - 1 + c.batchRows; st.peakRows < c.batchRows || st.peakRows > limit {
 			t.Fatalf("%d-row batches: %d rows in flight at the peak, want at most %d", c.batchRows, st.peakRows, limit)
 		}
 		m.publishAll(uint64(st.batches))

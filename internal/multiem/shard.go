@@ -82,6 +82,10 @@ type shard struct {
 	// absorbed rows into.
 	centroid []float32
 	touched  []int
+	// deferLinks makes index inserts Append without linking: replay sets it
+	// while a compaction later in the log will discard the index they go
+	// into. The next Add, or the end of replay, links what is still pending.
+	deferLinks bool
 }
 
 // view freezes the shard's current state into an immutable shardView. The
@@ -111,11 +115,20 @@ func (v *shardView) centroidAt(local int) []float32 {
 // tuple's previous node, if it had one, goes stale. The caller holds addMu.
 func (sh *shard) indexCentroid(local int) error {
 	centroidInto(sh.centroid, sh.tuples.at(local).members, sh.entVecs)
-	if err := sh.index.Add(local, sh.centroid); err != nil {
+	if err := sh.insert(sh.index, local, sh.centroid); err != nil {
 		return err
 	}
 	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
 	return nil
+}
+
+// insert puts vec into ix under id: Add, or only Append under deferLinks.
+// Either way the node is ix.Len()-1 and its vector readable at once.
+func (sh *shard) insert(ix *hnsw.Index, id int, vec []float32) error {
+	if sh.deferLinks {
+		return ix.Append(id, vec)
+	}
+	return ix.Add(id, vec)
 }
 
 // apply carries out the plan's share for this shard, s: its rows, in
@@ -232,6 +245,13 @@ func (v *shardView) memberIDs(members []int) []int {
 // memory and search work.
 const compactThreshold = 2
 
+// compactDue is maybeCompact's trigger for an index of indexLen entries over
+// live current centroids. Recovery's reader runs it over the plans alone to
+// tell, ahead of the shard streams, where each shard's last compaction falls.
+func compactDue(indexLen, live int) bool {
+	return live > 0 && indexLen-live > compactThreshold*live
+}
+
 // maybeCompact rebuilds the shard's index from current centroids when the
 // stale/live ratio exceeds compactThreshold. The caller holds addMu. The
 // rebuild fills a fresh index and swaps it in only on success: published
@@ -242,10 +262,11 @@ const compactThreshold = 2
 // the trigger depends only on ingest history (index entries accrue one per
 // new tuple and one per centroid refresh, regardless of shard layout or any
 // save/load in between), so an original matcher and its save/load twin
-// compact at the same point and rebuild identical graphs.
+// compact at the same point and rebuild identical graphs. Under deferLinks
+// the rebuild only Appends, and its graph is built when it is next linked.
 func (sh *shard) maybeCompact(cfg hnsw.Config, dim int) error {
 	live := sh.tuples.len()
-	if live == 0 || sh.index.Len()-live <= compactThreshold*live {
+	if !compactDue(sh.index.Len(), live) {
 		return nil
 	}
 	ix := hnsw.New(dim, cfg)
@@ -253,7 +274,7 @@ func (sh *shard) maybeCompact(cfg hnsw.Config, dim int) error {
 	// search-effort counters monotonic across compactions.
 	ix.CarrySearchStats(sh.index)
 	for l := 0; l < live; l++ {
-		if err := ix.Add(l, sh.centroidAt(l)); err != nil {
+		if err := sh.insert(ix, l, sh.centroidAt(l)); err != nil {
 			return fmt.Errorf("multiem: shard compaction: %w", err)
 		}
 	}

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Black-box crash-recovery check for the durable matcher server:
 #
-#   1. build a base matcher index once (deterministic pipeline run)
-#   2. serve it with -wal-dir and ingest batches over HTTP
+#   1. build a small base matcher index once (deterministic pipeline run)
+#   2. serve it with -wal-dir and ingest batches over HTTP, then re-send them
+#      until a shard compacts its index (/stats per_shard "compactions"), so
+#      the log crosses a compaction
 #   3. SIGKILL the server mid-flight (no graceful shutdown, no final fsync)
 #   4. restart it on the same -load-index and -wal-dir
 #   5. assert /stats (entities, tuples, matched, singletons) and the SHA-256
@@ -11,9 +13,11 @@
 #      row sits in the tuple it was acknowledged in. Recovery takes a batch's
 #      decisions from the log, so "right counts, wrong members" is the
 #      failure the counts alone would miss.
-#   6. print the seconds from restart to /readyz 200, and what the server
-#      says of the replay: rows, seconds, rows/s, and how busy the log reader
-#      and each shard's apply stream were
+#   6. assert the replay skipped linking nodes the compaction discarded
+#      (/stats wal "replay_skipped_links" > 0), and print the seconds from
+#      restart to /readyz 200 and what the server says of the replay: rows,
+#      seconds, rows/s, skipped links, and how busy the log reader and each
+#      shard's apply stream were
 #
 # Run from the repository root (CI: make crash-recovery).
 set -euo pipefail
@@ -65,7 +69,7 @@ log "building server"
 go build -o "$WORK/server" ./cmd/server
 
 log "building base index"
-"$WORK/server" -dataset Geo -scale 0.2 -seed 7 -shards 4 \
+"$WORK/server" -dataset Geo -scale 0.05 -seed 7 -shards 2 \
   -save-index "$WORK/base.bin" -addr "$ADDR" >"$WORK/server.log" 2>&1 &
 SERVER_PID=$!
 wait_ready
@@ -79,9 +83,9 @@ log "starting durable server (fsync=off: survival must come from the log bytes, 
 SERVER_PID=$!
 wait_ready
 
-log "ingesting batches"
-for b in $(seq 1 8); do
-  rows=""
+# add_batch B posts ingest batch B.
+add_batch() {
+  local b="$1" rows="" id r
   # every batch after the first opens with a row of the batch before it, so
   # the log also holds absorptions into tuples that existed before the batch
   if [ "$b" -gt 1 ]; then
@@ -96,9 +100,32 @@ for b in $(seq 1 8); do
       rows+="[\"station $id sector $((id % 7))\",\"$((id % 90)).5\",\"-$((id % 80)).25\"],"
     fi
   done
-  body="{\"records\":[${rows%,}]}"
-  curl -fsS -X POST -H 'Content-Type: application/json' -d "$body" "$BASE/add" >/dev/null
+  curl -fsS -X POST -H 'Content-Type: application/json' -d "{\"records\":[${rows%,}]}" "$BASE/add" >/dev/null
+}
+
+# compactions sums the per-shard index compaction counts in /stats.
+compactions() {
+  curl -fsS "$BASE/stats" | grep -oE '"compactions":[0-9]+' | cut -d: -f2 | awk '{ n += $1 } END { print n + 0 }'
+}
+
+log "ingesting batches"
+for b in $(seq 1 8); do
+  add_batch "$b"
 done
+# A re-sent row is absorbed into its tuple and re-indexes the tuple's
+# centroid, leaving the old index entry stale; past twice the live entries a
+# shard rebuilds its index. Re-send until one has.
+for round in $(seq 1 40); do
+  [ "$(compactions)" -gt 0 ] && break
+  for b in $(seq 1 8); do
+    add_batch "$b"
+  done
+done
+if [ "$(compactions)" -eq 0 ]; then
+  log "FAIL: no shard compacted its index after $round rounds of re-sent batches"
+  exit 1
+fi
+log "the log crosses $(compactions) index compaction(s) after $round round(s) of re-sent batches"
 
 BEFORE="$(stat_counts)"
 BEFORE_HASH="$(tuples_hash)"
@@ -128,6 +155,7 @@ wal_stat() { echo "$WAL_STATS" | grep -oE "\"$1\":(\[[^]]*\]|[^,}]*)" | cut -d: 
 log "recovery: $(awk -v a="$T0" -v b="$READY" 'BEGIN { printf "%.2f", b - a }') s from restart to /readyz 200;" \
   "replayed $(wal_stat replayed_rows) rows in $(wal_stat replayed_batches) batches in $(wal_stat replay_seconds) s" \
   "($(awk -v r="$(wal_stat replayed_rows)" -v s="$(wal_stat replay_seconds)" 'BEGIN { printf("%.0f", (s > 0) ? r / s : 0) }') rows/s);" \
+  "$(wal_stat replay_skipped_links) index nodes left unlinked;" \
   "busy seconds: reader $(wal_stat replay_reader_busy_seconds), shard streams $(wal_stat replay_shard_busy_seconds)"
 
 AFTER="$(stat_counts)"
@@ -143,6 +171,13 @@ if [ "$BEFORE" != "$AFTER" ]; then
 fi
 if [ "$BEFORE_HASH" != "$AFTER_HASH" ]; then
   log "FAIL: same counts, different tuples: /tuples hashed $BEFORE_HASH before the kill, $AFTER_HASH after"
+  cat "$WORK/server2.log" >&2 || true
+  exit 1
+fi
+
+# The log crosses a compaction: the nodes it discarded were never linked.
+if ! [ "$(wal_stat replay_skipped_links)" -gt 0 ]; then
+  log "FAIL: the replayed log crosses a compaction, but replay_skipped_links is $(wal_stat replay_skipped_links)"
   cat "$WORK/server2.log" >&2 || true
   exit 1
 fi

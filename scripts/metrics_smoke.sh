@@ -12,7 +12,9 @@
 #      debug listener serves the same /metrics catalogue
 #   6. SIGKILL the server, restart it on the same -wal-dir, and assert the
 #      recovery gauges report the load (seconds, bytes) and the replay (rows
-#      and seconds) off zero
+#      and seconds) off zero, and that the skipped-links gauge is exported
+#      (it is off zero only when the log crossed a compaction; make
+#      crash-recovery asserts that case)
 #
 # Env overrides: RATE, DURATION.
 # Run from the repository root.
@@ -57,13 +59,19 @@ metric() {
   fi
 }
 
+# assert_present NAME [LABELS] fails unless the series exists.
+assert_present() {
+  if [ "$(metric "$@")" = MISSING ]; then
+    log "FAIL: series $1${2:+{$2}} missing from /metrics"
+    exit 1
+  fi
+}
+
 # assert_positive NAME [LABELS] fails unless the series exists and is > 0.
 assert_positive() {
   local v
+  assert_present "$@"
   v="$(metric "$@")"
-  case "$v" in
-    MISSING) log "FAIL: series $1${2:+{$2}} missing from /metrics"; exit 1 ;;
-  esac
   if ! awk -v x="$v" 'BEGIN { exit !(x > 0) }'; then
     log "FAIL: series $1${2:+{$2}} = $v, want > 0"
     exit 1
@@ -162,7 +170,8 @@ assert_positive multiem_recovery_replayed_rows
 assert_positive multiem_recovery_replay_seconds
 assert_positive multiem_recovery_reader_busy_seconds
 assert_positive multiem_recovery_shard_busy_seconds 'shard="0"'
-grep -q '"msg":"durability on".*"load_bytes":[1-9].*"replayed_rows":[1-9]' "$WORK/server.log" \
+assert_present multiem_recovery_skipped_links
+grep -q '"msg":"durability on".*"load_bytes":[1-9].*"replayed_rows":[1-9].*"replay_skipped_links":[0-9]' "$WORK/server.log" \
   || { log "FAIL: the durability log line does not report the load and the replay"; exit 1; }
 
 log "PASS: /metrics well-formed, key series non-zero, pprof reachable, recovery reported"
