@@ -398,7 +398,7 @@ func BenchmarkAblation_ANNBackend(b *testing.B) {
 			var pairs int
 			b.Run(fmt.Sprintf("exact/rows=%d", rows), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					pairs = len(ann.MutualTopKExact(ta, tb, vector.CosineUnit, opt.K, opt.M, 1))
+					pairs = len(ann.MutualTopKExact(ta, tb, opt.K, opt.M, 1))
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ta.Len()*tb.Len()), "ns/pair")
 				b.ReportMetric(float64(pairs), "matched")
@@ -579,7 +579,7 @@ func liveBenchOptions() repro.Options {
 	opt.M = 0.5
 	opt.Shards = 1
 	opt.Encoder = embed.NewHashEncoder(embed.WithDim(64))
-	opt.HNSW = hnsw.Config{M: 8, EfConstruction: 40, EfSearch: 40, Metric: vector.CosineUnit, Seed: 1}
+	opt.HNSW = hnsw.Config{M: 8, EfConstruction: 40, EfSearch: 40, Seed: 1}
 	return opt
 }
 

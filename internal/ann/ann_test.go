@@ -19,10 +19,9 @@ func storeOf(dim int, rows ...[]float32) *vector.Store {
 }
 
 // exactIndex is the exact per-query Index over a store's rows, ids = row
-// numbers: the form MutualTopK wants, scanning every row with Metric.Dist.
+// numbers: the form MutualTopK wants, scanning every row with CosineUnitDist.
 type exactIndex struct {
-	rows   *vector.Store
-	metric vector.Metric
+	rows *vector.Store
 }
 
 func (x exactIndex) Len() int { return x.rows.Len() }
@@ -30,7 +29,7 @@ func (x exactIndex) Len() int { return x.rows.Len() }
 func (x exactIndex) Search(q []float32, k, _ int) []vector.Neighbor {
 	tk := vector.NewTopK(k)
 	for i := 0; i < x.rows.Len(); i++ {
-		tk.Push(i, x.metric.Dist(q, x.rows.At(i)))
+		tk.Push(i, vector.CosineUnitDist(q, x.rows.At(i)))
 	}
 	return tk.Results()
 }
@@ -39,10 +38,10 @@ func (x exactIndex) Search(q []float32, k, _ int) []vector.Neighbor {
 // on every semantic case below.
 var joins = map[string]func(a, b *vector.Store, k int, maxDist float32) []Pair{
 	"indexed": func(a, b *vector.Store, k int, maxDist float32) []Pair {
-		return MutualTopK(a, exactIndex{b, vector.CosineUnit}, b, exactIndex{a, vector.CosineUnit}, k, maxDist, 0, 0)
+		return MutualTopK(a, exactIndex{b}, b, exactIndex{a}, k, maxDist, 0, 0)
 	},
 	"exact": func(a, b *vector.Store, k int, maxDist float32) []Pair {
-		return MutualTopKExact(a, b, vector.CosineUnit, k, maxDist, 0)
+		return MutualTopKExact(a, b, k, maxDist, 0)
 	},
 }
 
@@ -142,7 +141,7 @@ func TestMutualTopKHNSWAgreesWithExact(t *testing.T) {
 		copyVec[0] += 0.01
 		b.SetRow(i, vector.Normalize(copyVec))
 	}
-	want := MutualTopKExact(a, b, vector.CosineUnit, 1, 0.05, 0)
+	want := MutualTopKExact(a, b, 1, 0.05, 0)
 
 	cfg := hnsw.Config{EfSearch: 128, Seed: 5}
 	hA, err := HNSWOverRows(a, cfg)
@@ -222,8 +221,8 @@ func TestMutualTopKHonoursWorkers(t *testing.T) {
 	a, b := randomSide(rng, 300, 8), randomSide(rng, 300, 8)
 	for _, workers := range []int{1, 3} {
 		var active, peak atomic.Int32
-		ixA := countingIndex{exactIndex{a, vector.CosineUnit}, &active, &peak}
-		ixB := countingIndex{exactIndex{b, vector.CosineUnit}, &active, &peak}
+		ixA := countingIndex{exactIndex{a}, &active, &peak}
+		ixB := countingIndex{exactIndex{b}, &active, &peak}
 		MutualTopK(a, ixB, b, ixA, 1, 1, 0, workers)
 		if got := int(peak.Load()); got > workers {
 			t.Fatalf("workers=%d: %d searches in flight", workers, got)

@@ -16,7 +16,8 @@ const (
 	exactTileB = 32
 )
 
-// MutualTopKExact returns the Eq.-1 pair set between the rows of a and b,
+// MutualTopKExact returns the Eq.-1 pair set between the rows of a and b
+// under vector.CosineUnitDist,
 //
 //	{(i, j) | j ∈ topK_b(i) ∧ i ∈ topK_a(j) ∧ dist(i, j) ≤ maxDist},
 //
@@ -29,16 +30,16 @@ const (
 // Pairs carry row indices (A into a, B into b) and come out ordered by A,
 // then by rank among A's neighbours. workers splits the a-rows across that
 // many goroutines (<= 0: all cores); the result does not depend on it.
-func MutualTopKExact(a, b *vector.Store, metric vector.Metric, k int, maxDist float32, workers int) []Pair {
-	return mutualTopKExact(a, b, metric, k, maxDist, workers, exactTileA, exactTileB)
+func MutualTopKExact(a, b *vector.Store, k int, maxDist float32, workers int) []Pair {
+	return mutualTopKExact(a, b, k, maxDist, workers, exactTileA, exactTileB)
 }
 
-func mutualTopKExact(a, b *vector.Store, metric vector.Metric, k int, maxDist float32, workers, tileA, tileB int) []Pair {
+func mutualTopKExact(a, b *vector.Store, k int, maxDist float32, workers, tileA, tileB int) []Pair {
 	na, nb := a.Len(), b.Len()
 	if k <= 0 || na == 0 || nb == 0 {
 		return nil
 	}
-	dist := metric.TileFunc(a, b)
+	dist := vector.CosineUnitTile(a, b)
 	rows := newBestK(na, k)
 	// Every worker owns a contiguous range of a-rows — its slice of the row
 	// bests — and a private set of column bests, merged below.

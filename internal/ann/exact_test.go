@@ -16,12 +16,12 @@ import (
 // and cut at k, then the pairs that survive both cuts and the threshold.
 // O(n² log n), no tiling, no filtering before ranking, no sharing between
 // directions — the reference MutualTopKExact must reproduce, order included.
-func naiveMutualTopK(a, b *vector.Store, metric vector.Metric, k int, maxDist float32) []Pair {
+func naiveMutualTopK(a, b *vector.Store, k int, maxDist float32) []Pair {
 	na, nb := a.Len(), b.Len()
 	if k <= 0 || na == 0 || nb == 0 {
 		return nil
 	}
-	dist := metric.TileFunc(a, b)
+	dist := vector.CosineUnitTile(a, b)
 	d := make([][]float32, na)
 	for i := range d {
 		d[i] = make([]float32, nb)
@@ -66,7 +66,7 @@ func naiveMutualTopK(a, b *vector.Store, metric vector.Metric, k int, maxDist fl
 
 // tiedSides builds two tables full of ties: random unit vectors, rows
 // duplicated inside a table and across the two, and (for the cosine
-// metric's zero-vector rule) the odd all-zero row.
+// distance's zero-vector rule) the odd all-zero row.
 func tiedSides(rng *rand.Rand, na, nb, dim int) (*vector.Store, *vector.Store) {
 	a, b := randomSide(rng, na, dim), randomSide(rng, nb, dim)
 	for x := 0; x < (na+nb)/3; x++ {
@@ -90,12 +90,12 @@ func tiedSides(rng *rand.Rand, na, nb, dim int) (*vector.Store, *vector.Store) {
 
 // thresholdsAround returns maxDist values that sit exactly on, one ulp below
 // and one ulp above real pair distances, plus the degenerate ends.
-func thresholdsAround(rng *rand.Rand, a, b *vector.Store, metric vector.Metric) []float32 {
+func thresholdsAround(rng *rand.Rand, a, b *vector.Store) []float32 {
 	out := []float32{0, 0.35, float32(math.Inf(1))}
 	if a.Len() == 0 || b.Len() == 0 {
 		return out
 	}
-	dist := metric.TileFunc(a, b)
+	dist := vector.CosineUnitTile(a, b)
 	for x := 0; x < 3; x++ {
 		var d [1]float32
 		i, j := rng.Intn(a.Len()), rng.Intn(b.Len())
@@ -108,25 +108,23 @@ func thresholdsAround(rng *rand.Rand, a, b *vector.Store, metric vector.Metric) 
 func TestMutualTopKExactMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(20240926))
 	sizes := [][2]int{{0, 5}, {5, 0}, {1, 1}, {1, 9}, {9, 1}, {2, 3}, {33, 70}, {70, 33}, {129, 64}}
-	for _, metric := range []vector.Metric{vector.Euclidean, vector.CosineUnit} {
-		for _, sz := range sizes {
-			a, b := tiedSides(rng, sz[0], sz[1], 1+rng.Intn(40))
-			for _, k := range []int{1, 2, 3} {
-				for _, maxDist := range thresholdsAround(rng, a, b, metric) {
-					want := naiveMutualTopK(a, b, metric, k, maxDist)
-					for _, tile := range []int{1, 7, 64, max(sz[0], sz[1], 1)} {
-						for _, workers := range []int{1, 2, 5} {
-							got := mutualTopKExact(a, b, metric, k, maxDist, workers, tile, tile)
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("%v %dx%d k=%d maxDist=%v tile=%d workers=%d:\n got %v\nwant %v",
-									metric, sz[0], sz[1], k, maxDist, tile, workers, got, want)
-							}
+	for _, sz := range sizes {
+		a, b := tiedSides(rng, sz[0], sz[1], 1+rng.Intn(40))
+		for _, k := range []int{1, 2, 3} {
+			for _, maxDist := range thresholdsAround(rng, a, b) {
+				want := naiveMutualTopK(a, b, k, maxDist)
+				for _, tile := range []int{1, 7, 64, max(sz[0], sz[1], 1)} {
+					for _, workers := range []int{1, 2, 5} {
+						got := mutualTopKExact(a, b, k, maxDist, workers, tile, tile)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%dx%d k=%d maxDist=%v tile=%d workers=%d:\n got %v\nwant %v",
+								sz[0], sz[1], k, maxDist, tile, workers, got, want)
 						}
 					}
-					if got := MutualTopKExact(a, b, metric, k, maxDist, 0); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v %dx%d k=%d maxDist=%v default shape:\n got %v\nwant %v",
-							metric, sz[0], sz[1], k, maxDist, got, want)
-					}
+				}
+				if got := MutualTopKExact(a, b, k, maxDist, 0); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%dx%d k=%d maxDist=%v default shape:\n got %v\nwant %v",
+						sz[0], sz[1], k, maxDist, got, want)
 				}
 			}
 		}
@@ -140,7 +138,7 @@ func TestMutualTopKExactTieBreak(t *testing.T) {
 	a := storeOf(3, v, v, v)
 	b := storeOf(3, v, v, v, v)
 	for k := 1; k <= 3; k++ {
-		got := MutualTopKExact(a, b, vector.CosineUnit, k, 0.5, 0)
+		got := MutualTopKExact(a, b, k, 0.5, 0)
 		var want []Pair
 		for i := 0; i < k; i++ {
 			for j := 0; j < k; j++ {

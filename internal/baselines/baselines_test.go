@@ -87,7 +87,7 @@ func TestPairsToTuplesDeduplicates(t *testing.T) {
 
 // TestBlockTopK holds the exact blocking leg to a reference built here: each
 // entity of the smaller table paired with the k rows of the larger one that
-// vector.CosineUnit.Dist ranks first by (distance, row), in that order.
+// vector.CosineUnitDist ranks first by (distance, row), in that order.
 func TestBlockTopK(t *testing.T) {
 	ctx := testCtx(t, "Geo", 0.05, 1)
 	a, b := ctx.Dataset.Tables[0], ctx.Dataset.Tables[1]
@@ -100,7 +100,7 @@ func TestBlockTopK(t *testing.T) {
 		for _, e := range small.Entities {
 			ranked := make([]vector.Neighbor, large.Len())
 			for i, f := range large.Entities {
-				ranked[i] = vector.Neighbor{ID: i, Dist: vector.CosineUnit.Dist(ctx.Vec(e.ID), ctx.Vec(f.ID))}
+				ranked[i] = vector.Neighbor{ID: i, Dist: vector.CosineUnitDist(ctx.Vec(e.ID), ctx.Vec(f.ID))}
 			}
 			sort.Slice(ranked, func(i, j int) bool {
 				if ranked[i].Dist != ranked[j].Dist {
@@ -281,8 +281,8 @@ func TestAutoFJCosDist(t *testing.T) {
 	}
 	for _, pair := range [][2][]float32{{{1, 2, 3}, {3, -1, 2}}, {{0.5, 1, -2, 4}, {1, 1, 1, 1}}} {
 		a, b := vector.Normalize(pair[0]), vector.Normalize(pair[1])
-		if got, want := cosDist(a, b), vector.CosineUnit.Dist(a, b); math.Abs(float64(got-want)) > 1e-6 {
-			t.Fatalf("cosDist(%v, %v) = %v, CosineUnit.Dist = %v", a, b, got, want)
+		if got, want := cosDist(a, b), vector.CosineUnitDist(a, b); math.Abs(float64(got-want)) > 1e-6 {
+			t.Fatalf("cosDist(%v, %v) = %v, CosineUnitDist = %v", a, b, got, want)
 		}
 	}
 }

@@ -222,8 +222,8 @@ func BlockTopK(ctx *Context, a, b *table.Table, k int) []IDPair {
 	return out
 }
 
-// scanTopK returns the k rows of s nearest to q under CosineUnit, ranked by
-// (distance, row), scoring a fixed-size block of rows per Gather call.
+// scanTopK returns the k rows of s nearest to q under CosineUnitDist, ranked
+// by (distance, row), scoring a fixed-size block of rows per gather call.
 func scanTopK(q []float32, s *vector.Store, k int) []vector.Neighbor {
 	tk := vector.NewTopK(k)
 	var idxs [256]int32
@@ -233,7 +233,7 @@ func scanTopK(q []float32, s *vector.Store, k int) []vector.Neighbor {
 		for j := range idxs[:n] {
 			idxs[j] = int32(start + j)
 		}
-		vector.CosineUnit.Gather(q, s.Raw(), s.Dim(), idxs[:n], dists[:n])
+		vector.CosineUnitGather(q, s.Raw(), s.Dim(), idxs[:n], dists[:n])
 		for j, d := range dists[:n] {
 			tk.Push(start+j, d)
 		}

@@ -10,19 +10,19 @@ import (
 )
 
 func TestClassifyDensityEmpty(t *testing.T) {
-	if got := ClassifyDensity(nil, vector.Euclidean, 1, 2); len(got) != 0 {
+	if got := ClassifyDensity(nil, 1, 2); len(got) != 0 {
 		t.Fatal("empty input must yield empty roles")
 	}
 }
 
 func TestClassifyDensitySingleton(t *testing.T) {
-	roles := ClassifyDensity([][]float32{{0, 0}}, vector.Euclidean, 1, 2)
+	roles := ClassifyDensity([][]float32{{0, 0}}, 1, 2)
 	// A singleton has only itself as neighbour: 1 < MinPts=2 and no core
 	// exists, so it is an outlier.
 	if roles[0] != Outlier {
 		t.Fatalf("singleton with minPts=2 must be outlier, got %v", roles[0])
 	}
-	roles = ClassifyDensity([][]float32{{0, 0}}, vector.Euclidean, 1, 1)
+	roles = ClassifyDensity([][]float32{{0, 0}}, 1, 1)
 	if roles[0] != Core {
 		t.Fatalf("singleton with minPts=1 must be core, got %v", roles[0])
 	}
@@ -36,7 +36,7 @@ func TestClassifyDensityFigure4(t *testing.T) {
 		{0, 0.1}, // e3
 		{5, 5},   // e4 outlier
 	}
-	roles := ClassifyDensity(vecs, vector.Euclidean, 0.5, 2)
+	roles := ClassifyDensity(vecs, 0.5, 2)
 	if roles[0] != Core || roles[1] != Core || roles[2] != Core {
 		t.Fatalf("tight points must be core: %v", roles)
 	}
@@ -50,7 +50,7 @@ func TestClassifyDensityReachable(t *testing.T) {
 	// minPts 3. b sees all three (core); a and c see only two each
 	// (non-core) but each is within eps of core b -> reachable.
 	vecs := [][]float32{{0}, {0.9}, {1.8}}
-	roles := ClassifyDensity(vecs, vector.Euclidean, 1.0, 3)
+	roles := ClassifyDensity(vecs, 1.0, 3)
 	want := []Role{Reachable, Core, Reachable}
 	if !reflect.DeepEqual(roles, want) {
 		t.Fatalf("roles = %v, want %v", roles, want)
@@ -59,7 +59,7 @@ func TestClassifyDensityReachable(t *testing.T) {
 
 func TestClassifyDensityAllOutliers(t *testing.T) {
 	vecs := [][]float32{{0}, {10}, {20}}
-	roles := ClassifyDensity(vecs, vector.Euclidean, 1, 2)
+	roles := ClassifyDensity(vecs, 1, 2)
 	for i, r := range roles {
 		if r != Outlier {
 			t.Fatalf("point %d = %v, want outlier", i, r)
@@ -69,7 +69,7 @@ func TestClassifyDensityAllOutliers(t *testing.T) {
 
 func TestPruneTuple(t *testing.T) {
 	vecs := [][]float32{{0, 0}, {0.1, 0}, {5, 5}}
-	keep := PruneTuple(vecs, vector.Euclidean, 0.5, 2)
+	keep := PruneTuple(vecs, 0.5, 2)
 	if !reflect.DeepEqual(keep, []int{0, 1}) {
 		t.Fatalf("keep = %v, want [0 1]", keep)
 	}
@@ -77,7 +77,7 @@ func TestPruneTuple(t *testing.T) {
 
 func TestPruneTupleKeepsAllWhenDense(t *testing.T) {
 	vecs := [][]float32{{0}, {0.1}, {0.2}, {0.15}}
-	keep := PruneTuple(vecs, vector.Euclidean, 0.5, 2)
+	keep := PruneTuple(vecs, 0.5, 2)
 	if len(keep) != 4 {
 		t.Fatalf("dense tuple must survive intact, got %v", keep)
 	}
@@ -104,7 +104,7 @@ func TestClassifyDensityInvariants(t *testing.T) {
 		}
 		eps := float32(0.5 + rng.Float64())
 		minPts := 1 + rng.Intn(4)
-		roles := ClassifyDensity(vecs, vector.Euclidean, eps, minPts)
+		roles := ClassifyDensity(vecs, eps, minPts)
 		for i, r := range roles {
 			n := 0
 			for j := range vecs {
@@ -146,6 +146,11 @@ func TestClassifyDensityInvariants(t *testing.T) {
 	}
 }
 
+// euclidean is HACOptions.Dist over a point set.
+func euclidean(vecs [][]float32) func(i, j int) float32 {
+	return func(i, j int) float32 { return vector.EuclideanDist(vecs[i], vecs[j]) }
+}
+
 func TestHACEmpty(t *testing.T) {
 	if got := HAC(0, HACOptions{Dist: func(i, j int) float32 { return 0 }, StopDist: 1}); got != nil {
 		t.Fatal("empty HAC must return nil")
@@ -154,7 +159,7 @@ func TestHACEmpty(t *testing.T) {
 
 func TestHACTwoClusters(t *testing.T) {
 	vecs := [][]float32{{0}, {0.1}, {0.2}, {10}, {10.1}}
-	got := HAC(len(vecs), HACOptions{Linkage: AverageLinkage, Dist: VectorDist(vecs, vector.Euclidean), StopDist: 1})
+	got := HAC(len(vecs), HACOptions{Linkage: AverageLinkage, Dist: euclidean(vecs), StopDist: 1})
 	if len(got) != 2 {
 		t.Fatalf("want 2 clusters, got %d: %v", len(got), got)
 	}
@@ -167,7 +172,7 @@ func TestHACTwoClusters(t *testing.T) {
 
 func TestHACStopDistZeroKeepsSingletons(t *testing.T) {
 	vecs := [][]float32{{0}, {5}, {9}}
-	got := HAC(len(vecs), HACOptions{Dist: VectorDist(vecs, vector.Euclidean), StopDist: 0.001})
+	got := HAC(len(vecs), HACOptions{Dist: euclidean(vecs), StopDist: 0.001})
 	if len(got) != 3 {
 		t.Fatalf("nothing should merge, got %v", got)
 	}
@@ -178,11 +183,11 @@ func TestHACLinkagesDiffer(t *testing.T) {
 	// chain under stop 1.5; complete linkage keeps the far ends apart
 	// when their distance (2.0) exceeds the stop.
 	vecs := [][]float32{{0}, {1}, {2}}
-	single := HAC(len(vecs), HACOptions{Linkage: SingleLinkage, Dist: VectorDist(vecs, vector.Euclidean), StopDist: 1.5})
+	single := HAC(len(vecs), HACOptions{Linkage: SingleLinkage, Dist: euclidean(vecs), StopDist: 1.5})
 	if len(single) != 1 {
 		t.Fatalf("single linkage should chain everything: %v", single)
 	}
-	complete := HAC(len(vecs), HACOptions{Linkage: CompleteLinkage, Dist: VectorDist(vecs, vector.Euclidean), StopDist: 1.5})
+	complete := HAC(len(vecs), HACOptions{Linkage: CompleteLinkage, Dist: euclidean(vecs), StopDist: 1.5})
 	if len(complete) != 2 {
 		t.Fatalf("complete linkage should stop at 2 clusters: %v", complete)
 	}
@@ -193,12 +198,12 @@ func TestHACSourceConstraint(t *testing.T) {
 	// MSCD source constraint is active.
 	vecs := [][]float32{{0}, {0.01}}
 	sources := []int{0, 0}
-	got := HAC(len(vecs), HACOptions{Dist: VectorDist(vecs, vector.Euclidean), StopDist: 1, Sources: sources})
+	got := HAC(len(vecs), HACOptions{Dist: euclidean(vecs), StopDist: 1, Sources: sources})
 	if len(got) != 2 {
 		t.Fatalf("same-source merge must be forbidden: %v", got)
 	}
 	// Different sources merge fine.
-	got = HAC(len(vecs), HACOptions{Dist: VectorDist(vecs, vector.Euclidean), StopDist: 1, Sources: []int{0, 1}})
+	got = HAC(len(vecs), HACOptions{Dist: euclidean(vecs), StopDist: 1, Sources: []int{0, 1}})
 	if len(got) != 1 {
 		t.Fatalf("cross-source merge must happen: %v", got)
 	}
@@ -210,7 +215,7 @@ func TestHACCoversAllPoints(t *testing.T) {
 	for i := range vecs {
 		vecs[i] = []float32{rng.Float32() * 10, rng.Float32() * 10}
 	}
-	clusters := HAC(len(vecs), HACOptions{Linkage: AverageLinkage, Dist: VectorDist(vecs, vector.Euclidean), StopDist: 2})
+	clusters := HAC(len(vecs), HACOptions{Linkage: AverageLinkage, Dist: euclidean(vecs), StopDist: 2})
 	seen := map[int]bool{}
 	for _, c := range clusters {
 		for _, i := range c {

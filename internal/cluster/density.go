@@ -40,26 +40,24 @@ func (r Role) String() string {
 
 // ClassifyDensity implements Algorithm 4: given the vectors of one data
 // item (candidate tuple), label every member Core, Reachable, or Outlier
-// using the metric, radius eps, and density threshold minPts.
+// using euclidean distance, radius eps, and density threshold minPts.
 //
 // Tuples are small (a handful of entities, bounded by the number of
 // sources), so the O(u²) pairwise distance matrix is the right tool.
-func ClassifyDensity(vecs [][]float32, metric vector.Metric, eps float32, minPts int) []Role {
+func ClassifyDensity(vecs [][]float32, eps float32, minPts int) []Role {
 	u := len(vecs)
 	roles := make([]Role, u)
 	if u == 0 {
 		return roles
 	}
-	// Pairwise distance matrix, through the kernel resolved once per tuple
-	// instead of a metric switch per pair.
-	distFn := metric.Func()
+	// Pairwise distance matrix.
 	dist := make([][]float32, u)
 	for i := range dist {
 		dist[i] = make([]float32, u)
 	}
 	for i := 0; i < u; i++ {
 		for j := i + 1; j < u; j++ {
-			d := distFn(vecs[i], vecs[j])
+			d := vector.EuclideanDist(vecs[i], vecs[j])
 			dist[i][j], dist[j][i] = d, d
 		}
 	}
@@ -93,8 +91,8 @@ func ClassifyDensity(vecs [][]float32, metric vector.Metric, eps float32, minPts
 
 // PruneTuple applies the pruning rule of §III-D to one candidate tuple:
 // outliers are dropped and the surviving member indexes are returned.
-func PruneTuple(vecs [][]float32, metric vector.Metric, eps float32, minPts int) []int {
-	roles := ClassifyDensity(vecs, metric, eps, minPts)
+func PruneTuple(vecs [][]float32, eps float32, minPts int) []int {
+	roles := ClassifyDensity(vecs, eps, minPts)
 	keep := make([]int, 0, len(vecs))
 	for i, r := range roles {
 		if r != Outlier {

@@ -1,9 +1,5 @@
 package cluster
 
-import (
-	"repro/internal/vector"
-)
-
 // Linkage selects how HAC scores the distance between two clusters.
 type Linkage int
 
@@ -45,11 +41,6 @@ type HACOptions struct {
 	// source in one cluster, because each source is assumed
 	// duplicate-free. Nil disables the constraint.
 	Sources []int
-}
-
-// VectorDist adapts a vector metric over a point set to HACOptions.Dist.
-func VectorDist(vecs [][]float32, m vector.Metric) func(i, j int) float32 {
-	return func(i, j int) float32 { return m.Dist(vecs[i], vecs[j]) }
 }
 
 // HAC performs hierarchical agglomerative clustering over n points and

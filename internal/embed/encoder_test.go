@@ -81,7 +81,7 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 // TestEncodeUnitNorm pins what every cosine in the pipeline rests on:
-// vector.CosineUnit takes 1 - dot for the cosine distance, and attribute
+// vector.CosineUnitDist takes 1 - dot for the cosine distance, and attribute
 // selection and the PLM baselines take dot for the similarity, which holds
 // only for unit-norm or zero vectors. Every serialized row of every dataset
 // family at a small scale, and the empty text, goes through Encode and

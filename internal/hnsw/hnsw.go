@@ -16,10 +16,13 @@
 // (links.go), with per-node offsets and fixed per-layer capacities — no
 // per-node or per-layer heap objects, no pointer chasing between a node and
 // its links, and chunk-granular copy-on-write sharing between the writer and
-// its frozen clones. Every distance the index computes — a query against a
-// neighbour block, a node against the picks of selectHeuristic, a link whose
-// cached distance Load rebuilds — is one Index.dists call: the metric's
-// gather kernel over the node arena, with the metric switch paid once a block.
+// its frozen clones.
+//
+// The distance is the merging phase's one cosine, vector.CosineUnitDist over
+// unit-norm (or zero) vectors; the index has no other. Every distance it
+// computes — a query against a neighbour block, a node against the picks of
+// selectHeuristic, a link whose cached distance Load rebuilds — is one
+// Index.dists call: vector.CosineUnitGather over the node arena.
 //
 // Construction is serialized internally; Search is safe for concurrent use
 // once construction has finished (the merging pipeline builds per-table
@@ -47,9 +50,6 @@ type Config struct {
 	// lower for speed. Default 64. Search never uses a beam narrower
 	// than k.
 	EfSearch int
-	// Metric selects the distance function. Default vector.CosineUnit, the
-	// merging phase's cosine, which expects unit-norm (or zero) vectors.
-	Metric vector.Metric
 	// Seed makes level sampling deterministic. Default 1.
 	Seed int64
 }
@@ -63,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EfSearch <= 0 {
 		c.EfSearch = 64
-	}
-	if c.Metric == 0 {
-		c.Metric = vector.CosineUnit
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -171,12 +168,12 @@ func (ctx *searchCtx) distBuf(n int) []float32 {
 	return ctx.dists[:n]
 }
 
-// dists sets out[j] to the distance from q to node idxs[j]: the metric's
-// gather kernel over the node arena, and the only place the index computes a
-// distance. The arena is re-read on every call, so it stays valid across
-// Appends by the same goroutine; q may be a node's own row.
+// dists sets out[j] to the distance from q to node idxs[j]: the gather kernel
+// over the node arena, and the only place the index computes a distance. The
+// arena is re-read on every call, so it stays valid across Appends by the
+// same goroutine; q may be a node's own row.
 func (ix *Index) dists(q []float32, idxs []int32, out []float32) {
-	ix.cfg.Metric.Gather(q, ix.vecs.Raw(), ix.dim, idxs, out)
+	vector.CosineUnitGather(q, ix.vecs.Raw(), ix.dim, idxs, out)
 }
 
 // distTo is dists for the one node i, through ctx's scratch.
@@ -364,7 +361,7 @@ func (ix *Index) linkNode(cur int) {
 		cands := ix.searchLayer(q, ep, ix.cfg.EfConstruction, l, ix.buildCtx)
 		selected := ix.selectHeuristic(cands, ix.cfg.M, &ix.selScratch)
 		for _, s := range selected {
-			// s.Dist is dist(new, s); the metric is symmetric, so the
+			// s.Dist is dist(new, s); the distance is symmetric, so the
 			// reverse edge carries the same distance.
 			ix.appendLink(cur, l, int32(s.ID), s.Dist)
 			ix.linkBack(s.ID, cur, l, s.Dist)
@@ -681,11 +678,4 @@ func sortNeighbors(ns []vector.Neighbor) {
 			ns[j], ns[j-1] = ns[j-1], ns[j]
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

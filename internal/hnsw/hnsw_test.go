@@ -22,10 +22,10 @@ func randUnitVecs(rng *rand.Rand, n, dim int) [][]float32 {
 	return vecs
 }
 
-func bruteKNN(q []float32, vecs [][]float32, k int, m vector.Metric) []vector.Neighbor {
+func bruteKNN(q []float32, vecs [][]float32, k int, dist func(a, b []float32) float32) []vector.Neighbor {
 	tk := vector.NewTopK(k)
 	for i, v := range vecs {
-		tk.Push(i, m.Dist(q, v))
+		tk.Push(i, dist(q, v))
 	}
 	return tk.Results()
 }
@@ -127,7 +127,7 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 	totalHits, total := 0, 0
 	for qi := 0; qi < queries; qi++ {
 		q := randUnitVecs(rng, 1, dim)[0]
-		want := bruteKNN(q, vecs, k, vector.CosineUnit)
+		want := bruteKNN(q, vecs, k, vector.CosineUnitDist)
 		wantSet := make(map[int]bool, k)
 		for _, w := range want {
 			wantSet[w.ID] = true
@@ -146,11 +146,14 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestRecallEuclidean: on unit vectors |a-b|² = 2·CosineUnitDist(a, b), so
+// the cosine index ranks as a euclidean one would, and must reach the same
+// recall against a euclidean brute-force scan.
 func TestRecallEuclidean(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const n, dim, k = 1000, 8, 5
 	vecs := randUnitVecs(rng, n, dim)
-	ix := New(dim, Config{Metric: vector.Euclidean, EfSearch: 100, Seed: 13})
+	ix := New(dim, Config{EfSearch: 100, Seed: 13})
 	for i, v := range vecs {
 		if err := ix.Add(i, v); err != nil {
 			t.Fatal(err)
@@ -159,7 +162,7 @@ func TestRecallEuclidean(t *testing.T) {
 	hits, total := 0, 0
 	for qi := 0; qi < 20; qi++ {
 		q := randUnitVecs(rng, 1, dim)[0]
-		want := bruteKNN(q, vecs, k, vector.Euclidean)
+		want := bruteKNN(q, vecs, k, vector.EuclideanDist)
 		wantSet := map[int]bool{}
 		for _, w := range want {
 			wantSet[w.ID] = true
@@ -380,9 +383,9 @@ func BenchmarkSearchBatched(b *testing.B) {
 
 // TestAppendLinkEqualsAdd: Append then Link is Add split in two. n Appends
 // and one Link, and random interleavings of Appends, Adds and Links, save the
-// bytes n Adds save — for both metrics on both kernel paths. Until its
-// appended nodes are linked an index refuses to be searched, cloned or saved,
-// naming how many wait; a decoded index has every node linked.
+// bytes n Adds save — on both kernel paths. Until its appended nodes are
+// linked an index refuses to be searched, cloned or saved, naming how many
+// wait; a decoded index has every node linked.
 func TestAppendLinkEqualsAdd(t *testing.T) {
 	const n, dim = 300, 19 // 19: the kernels' scalar tail runs
 	for _, mode := range []string{"scalar", "avx2"} {
@@ -392,72 +395,65 @@ func TestAppendLinkEqualsAdd(t *testing.T) {
 				t.Skip(err)
 			}
 			defer vector.SetKernels(prev)
-			for _, metric := range []vector.Metric{vector.CosineUnit, vector.Euclidean} {
-				vecs := randomUnitVecs(n, dim, 8)
-				if metric == vector.Euclidean {
-					for _, v := range vecs {
-						vector.Scale(v, 1+v[0]) // off the unit sphere
-					}
-				}
-				cfg := Config{M: 6, EfConstruction: 40, Metric: metric, Seed: 5}
-				want := savedBytes(t, buildIndex(t, vecs, cfg))
+			vecs := randomUnitVecs(n, dim, 8)
+			cfg := Config{M: 6, EfConstruction: 40, Seed: 5}
+			want := savedBytes(t, buildIndex(t, vecs, cfg))
 
+			ix := New(dim, cfg)
+			for i, v := range vecs {
+				if err := ix.Append(i*7, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ix.Len() != n || ix.Unlinked() != n {
+				t.Fatalf("%d appended nodes, %d unlinked; want %d of each", ix.Len(), ix.Unlinked(), n)
+			}
+			for op, f := range map[string]func(){
+				"Search": func() { ix.Search(vecs[0], 1, 0) },
+				"Clone":  func() { ix.Clone() },
+				"Save":   func() { ix.Save(&bytes.Buffer{}) },
+			} {
+				mustPanicWith(t, fmt.Sprintf("hnsw: %s with %d appended nodes not linked", op, n), f)
+			}
+			ix.Link()
+			if got := savedBytes(t, ix); !bytes.Equal(got, want) {
+				t.Fatalf("%d Appends and one Link save other bytes than %d Adds", n, n)
+			}
+
+			rng := rand.New(rand.NewSource(2))
+			for trial := 0; trial < 4; trial++ {
 				ix := New(dim, cfg)
+				var ops []byte
 				for i, v := range vecs {
-					if err := ix.Append(i*7, v); err != nil {
+					insert, op := ix.Append, byte('p')
+					if rng.Intn(4) == 0 {
+						insert, op = ix.Add, 'A'
+					}
+					ops = append(ops, op)
+					if err := insert(i*7, v); err != nil {
 						t.Fatal(err)
 					}
-				}
-				if ix.Len() != n || ix.Unlinked() != n {
-					t.Fatalf("%v: %d appended nodes, %d unlinked; want %d of each", metric, ix.Len(), ix.Unlinked(), n)
-				}
-				for op, f := range map[string]func(){
-					"Search": func() { ix.Search(vecs[0], 1, 0) },
-					"Clone":  func() { ix.Clone() },
-					"Save":   func() { ix.Save(&bytes.Buffer{}) },
-				} {
-					mustPanicWith(t, fmt.Sprintf("hnsw: %s with %d appended nodes not linked", op, n), f)
+					if rng.Intn(16) == 0 {
+						ops = append(ops, 'L')
+						ix.Link()
+					}
 				}
 				ix.Link()
 				if got := savedBytes(t, ix); !bytes.Equal(got, want) {
-					t.Fatalf("%v: %d Appends and one Link save other bytes than %d Adds", metric, n, n)
+					t.Fatalf("interleaving %s saves other bytes than %d Adds", ops, n)
 				}
+			}
 
-				rng := rand.New(rand.NewSource(int64(metric)))
-				for trial := 0; trial < 4; trial++ {
-					ix := New(dim, cfg)
-					var ops []byte
-					for i, v := range vecs {
-						insert, op := ix.Append, byte('p')
-						if rng.Intn(4) == 0 {
-							insert, op = ix.Add, 'A'
-						}
-						ops = append(ops, op)
-						if err := insert(i*7, v); err != nil {
-							t.Fatal(err)
-						}
-						if rng.Intn(16) == 0 {
-							ops = append(ops, 'L')
-							ix.Link()
-						}
-					}
-					ix.Link()
-					if got := savedBytes(t, ix); !bytes.Equal(got, want) {
-						t.Fatalf("%v: interleaving %s saves other bytes than %d Adds", metric, ops, n)
-					}
-				}
-
-				loaded, err := Load(bytes.NewReader(want))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if loaded.Unlinked() != 0 {
-					t.Fatalf("%v: a decoded index has %d nodes waiting for Link", metric, loaded.Unlinked())
-				}
-				loaded.Clone().Search(vecs[0], 1, 0)
-				if got := savedBytes(t, loaded); !bytes.Equal(got, want) {
-					t.Fatalf("%v: a decoded index saves other bytes", metric)
-				}
+			loaded, err := Load(bytes.NewReader(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Unlinked() != 0 {
+				t.Fatalf("a decoded index has %d nodes waiting for Link", loaded.Unlinked())
+			}
+			loaded.Clone().Search(vecs[0], 1, 0)
+			if got := savedBytes(t, loaded); !bytes.Equal(got, want) {
+				t.Fatal("a decoded index saves other bytes")
 			}
 		})
 	}

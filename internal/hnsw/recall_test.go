@@ -45,7 +45,7 @@ func TestRecallOnClusteredData(t *testing.T) {
 			vecs = append(vecs, point(c, 0.15))
 		}
 	}
-	cfg := Config{M: 12, EfConstruction: 100, EfSearch: 80, Metric: vector.CosineUnit, Seed: 3}
+	cfg := Config{M: 12, EfConstruction: 100, EfSearch: 80, Seed: 3}
 	ix := New(dim, cfg)
 	for i, v := range vecs {
 		if err := ix.Add(i, v); err != nil {
@@ -53,11 +53,10 @@ func TestRecallOnClusteredData(t *testing.T) {
 		}
 	}
 
-	dist := cfg.Metric.Func()
 	exactTopK := func(q []float32) map[int]bool {
 		ds := make([]vector.Neighbor, n)
 		for i, v := range vecs {
-			ds[i] = vector.Neighbor{ID: i, Dist: dist(q, v)}
+			ds[i] = vector.Neighbor{ID: i, Dist: vector.CosineUnitDist(q, v)}
 		}
 		sort.Slice(ds, func(i, j int) bool {
 			if ds[i].Dist != ds[j].Dist {

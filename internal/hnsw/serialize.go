@@ -14,7 +14,7 @@ import (
 //
 //	magic    [8]byte  "HNSWIDX\n"
 //	version  uint32   currently 2
-//	config   M, EfConstruction, EfSearch, Metric as int32; Seed as int64
+//	config   M, EfConstruction, EfSearch, metric as int32; Seed as int64
 //	shape    dim, count, entry, maxL as int32 (entry is -1 when empty)
 //	ids      count × int64
 //	levels   count × int32
@@ -23,6 +23,8 @@ import (
 //
 // The format captures the complete index state — levels, links, and vectors —
 // so a loaded index answers every query exactly as the index that was saved.
+// The metric field is always metricCosineUnit: the index has one distance,
+// and the field stays so that every byte of the format stays where it was.
 //
 // Version 1 interleaved ids/levels/links per node and the vectors as
 // per-node records; version 2 stores each as its own section so the loader
@@ -32,6 +34,10 @@ import (
 var magic = [8]byte{'H', 'N', 'S', 'W', 'I', 'D', 'X', '\n'}
 
 const formatVersion = 2
+
+// metricCosineUnit is the value Save writes to the metric field and the only
+// one Decode accepts.
+const metricCosineUnit = 2
 
 // ErrFormatVersion is wrapped by Load when the file's format version is not
 // the one this build writes; callers distinguish "old index file, rebuild
@@ -63,7 +69,7 @@ func (ix *Index) Save(w io.Writer) error {
 	binio.WriteI32(bw, int32(ix.cfg.M))
 	binio.WriteI32(bw, int32(ix.cfg.EfConstruction))
 	binio.WriteI32(bw, int32(ix.cfg.EfSearch))
-	binio.WriteI32(bw, int32(ix.cfg.Metric))
+	binio.WriteI32(bw, metricCosineUnit)
 	binio.WriteI64(bw, ix.cfg.Seed)
 	binio.WriteI32(bw, int32(ix.dim))
 	binio.WriteI32(bw, int32(len(ix.ids)))
@@ -132,7 +138,7 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	cfg.M = rd.I32()
 	cfg.EfConstruction = rd.I32()
 	cfg.EfSearch = rd.I32()
-	cfg.Metric = vector.Metric(rd.I32())
+	metric := rd.I32()
 	cfg.Seed = rd.I64()
 	dim := rd.I32()
 	count := rd.I32()
@@ -144,13 +150,17 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	if cfg.M <= 0 || cfg.M > maxSaneM {
 		return nil, fmt.Errorf("hnsw: load: implausible config M %d", cfg.M)
 	}
-	// Save writes the config New normalised and a metric New resolved; one
-	// that is neither was not written by Save, would not save back to the
-	// same bytes, and an unknown metric has no kernel to resolve. The metric
-	// field holds Euclidean (1) or CosineUnit (2); 0, the retired non-unit
-	// cosine, is refused by the first test.
-	if cfg != cfg.withDefaults() || cfg.Metric < vector.Euclidean || cfg.Metric > vector.CosineUnit {
+	// Save writes the config New normalised; one that is not was not written
+	// by Save and would not save back to the same bytes.
+	if cfg != cfg.withDefaults() {
 		return nil, fmt.Errorf("hnsw: load: implausible config %+v", cfg)
+	}
+	// The metric field is always 2. A 1 is a euclidean index and a 0 a
+	// non-unit cosine one, and this build has no kernel for either; any
+	// other value is corruption. No matcher ever saved an index holding
+	// anything but 2.
+	if metric != metricCosineUnit {
+		return nil, fmt.Errorf("hnsw: load: metric %d, want %d (cosine over unit vectors)", metric, metricCosineUnit)
 	}
 	if dim <= 0 || dim > maxSaneDim {
 		return nil, fmt.Errorf("hnsw: load: implausible dim %d", dim)
@@ -233,8 +243,8 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	// Rebuild the link-distance cache (derived state, not persisted; the arena
 	// sized it alongside each link chunk), one dists call a block with the node
 	// as the query. Build cached each link's distance from one end or the
-	// other, and every metric's gather is symmetric to the bit, so the values
-	// equal the ones the build cached and post-load Adds shrink alike.
+	// other, and the gather is symmetric to the bit, so the values equal the
+	// ones the build cached and post-load Adds shrink alike.
 	for i := 0; i < count; i++ {
 		for l := 0; l <= int(ix.levels[i]); l++ {
 			blk, dists := ix.la.mutBlock(ix.blockStart(i, l))

@@ -41,7 +41,7 @@ func buildIndex(t *testing.T, vecs [][]float32, cfg Config) *Index {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	const dim = 32
 	vecs := randomUnitVecs(500, dim, 1)
-	cfg := Config{M: 8, EfConstruction: 50, EfSearch: 40, Metric: vector.CosineUnit, Seed: 3}
+	cfg := Config{M: 8, EfConstruction: 50, EfSearch: 40, Seed: 3}
 	ix := buildIndex(t, vecs, cfg)
 
 	var buf bytes.Buffer
@@ -87,7 +87,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestSaveLoadThenAdd(t *testing.T) {
 	const dim = 16
 	all := randomUnitVecs(300, dim, 5)
-	cfg := Config{M: 6, EfConstruction: 40, Metric: vector.CosineUnit, Seed: 9}
+	cfg := Config{M: 6, EfConstruction: 40, Seed: 9}
 
 	// Continuous build over all vectors.
 	full := buildIndex(t, all, cfg)
@@ -187,9 +187,10 @@ func TestLoadRejectsCorruptHeaderFields(t *testing.T) {
 		"bad entry":     patch(44, 1<<20),
 		"maxL too high": patch(48, 3_000),
 		"huge M":        patch(12, 1<<20),
-		// The metric field holds Euclidean (1) or CosineUnit (2); 0 is the
-		// retired non-unit cosine.
+		// The metric field is always 2: 0 was a non-unit cosine index, 1 a
+		// euclidean one, and this build reads neither.
 		"metric 0": patch(24, 0),
+		"metric 1": patch(24, 1),
 		"metric 3": patch(24, 3),
 	}
 	for name, b := range cases {
@@ -256,45 +257,37 @@ func TestLoadOldVersionFailsWithNamedError(t *testing.T) {
 // TestLoadRebuildsLinkDistances: the link-distance cache is derived state
 // that Load recomputes with one gather-kernel call a block. Every entry must
 // carry the bits the build cached and the bits of the same distance taken
-// from the link's other end, for each metric — linkBack shrinks a full block
-// by these values, so one differing bit is a different graph after the next
-// Add.
+// from the link's other end — linkBack shrinks a full block by these values,
+// so one differing bit is a different graph after the next Add.
 func TestLoadRebuildsLinkDistances(t *testing.T) {
-	for _, metric := range []vector.Metric{vector.Euclidean, vector.CosineUnit} {
-		vecs := randomUnitVecs(300, 19, 5) // 19: the kernels' scalar tail runs
-		if metric == vector.Euclidean {
-			for _, v := range vecs {
-				vector.Scale(v, 1+v[0]) // off the unit sphere
-			}
-		}
-		vecs[7] = make([]float32, 19) // a zero vector
-		ix := buildIndex(t, vecs, Config{M: 6, EfConstruction: 40, Metric: metric, Seed: 2})
-		var buf bytes.Buffer
-		if err := ix.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("%v: %v", metric, err)
-		}
-		blocks := 0
-		back := make([]float32, 1)
-		for i := range ix.ids {
-			for l := 0; l <= int(ix.levels[i]); l++ {
-				_, built := ix.la.mutBlock(ix.blockStart(i, l))
-				blk, got := loaded.la.mutBlock(loaded.blockStart(i, l))
-				for k := 0; k < int(blk[0]); k++ {
-					loaded.dists(loaded.Vector(int(blk[1+k])), []int32{int32(i)}, back)
-					if g := math.Float32bits(got[1+k]); g != math.Float32bits(built[1+k]) || g != math.Float32bits(back[0]) {
-						t.Fatalf("%v: node %d layer %d link %d: loaded %v, built %v, from the other end %v", metric, i, l, k, got[1+k], built[1+k], back[0])
-					}
+	vecs := randomUnitVecs(300, 19, 5) // 19: the kernels' scalar tail runs
+	vecs[7] = make([]float32, 19)      // a zero vector
+	ix := buildIndex(t, vecs, Config{M: 6, EfConstruction: 40, Seed: 2})
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := 0
+	back := make([]float32, 1)
+	for i := range ix.ids {
+		for l := 0; l <= int(ix.levels[i]); l++ {
+			_, built := ix.la.mutBlock(ix.blockStart(i, l))
+			blk, got := loaded.la.mutBlock(loaded.blockStart(i, l))
+			for k := 0; k < int(blk[0]); k++ {
+				loaded.dists(loaded.Vector(int(blk[1+k])), []int32{int32(i)}, back)
+				if g := math.Float32bits(got[1+k]); g != math.Float32bits(built[1+k]) || g != math.Float32bits(back[0]) {
+					t.Fatalf("node %d layer %d link %d: loaded %v, built %v, from the other end %v", i, l, k, got[1+k], built[1+k], back[0])
 				}
-				blocks++
 			}
+			blocks++
 		}
-		if blocks <= len(ix.ids) {
-			t.Fatalf("%v: no node above layer 0", metric)
-		}
+	}
+	if blocks <= len(ix.ids) {
+		t.Fatal("no node above layer 0")
 	}
 }
 

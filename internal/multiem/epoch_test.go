@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/hnsw"
-	"repro/internal/vector"
 )
 
 // largeHammerBase caches the serialized prepopulated base state for
@@ -165,7 +164,7 @@ func TestEpochHammerLargeChunkedState(t *testing.T) {
 	// into existing tuples and the prepopulation loop never reaches its
 	// target.
 	opt.Encoder = embed.NewHashEncoder(embed.WithDim(64))
-	opt.HNSW = hnsw.Config{M: 6, EfConstruction: 24, EfSearch: 24, Metric: vector.CosineUnit, Seed: 1}
+	opt.HNSW = hnsw.Config{M: 6, EfConstruction: 24, EfSearch: 24, Seed: 1}
 
 	m, err := RecoverMatcher(WALConfig{Dir: t.TempDir(), Fsync: "off"}, opt, func() (*Matcher, error) {
 		// Prepopulate as part of the base state (large batches keep it

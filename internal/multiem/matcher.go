@@ -466,7 +466,7 @@ func searchShard(v *shardView, fetch, ef int, q []float32, hits *shardHits) {
 	}
 	hits.dists = slices.Grow(hits.dists[:0], len(hits.nodes))[:len(hits.nodes)]
 	if len(hits.nodes) > 0 {
-		vector.CosineUnit.Gather(q, v.index.RawVectors(), v.index.Dim(), hits.nodes, hits.dists)
+		vector.CosineUnitGather(q, v.index.RawVectors(), v.index.Dim(), hits.nodes, hits.dists)
 	}
 }
 

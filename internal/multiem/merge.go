@@ -99,12 +99,10 @@ func (mc *mergeContext) matchedPairs(a, b *vector.Store, workers int) ([]ann.Pai
 	exact := mc.opt.Backend == BackendBrute ||
 		(mc.opt.Backend == BackendAuto && exactIsCheaper(a.Len(), b.Len()))
 	if exact {
-		return ann.MutualTopKExact(a, b, vector.CosineUnit, mc.opt.K, mc.opt.M, workers), nil
+		return ann.MutualTopKExact(a, b, mc.opt.K, mc.opt.M, workers), nil
 	}
 	index := func(s *vector.Store) (ann.Index, error) {
-		cfg := mc.opt.HNSW
-		cfg.Metric = vector.CosineUnit
-		ix, err := ann.HNSWOverRows(s, cfg)
+		ix, err := ann.HNSWOverRows(s, mc.opt.HNSW)
 		if err != nil {
 			return nil, err
 		}

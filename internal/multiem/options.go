@@ -111,9 +111,9 @@ type Options struct {
 }
 
 // DefaultOptions mirrors §IV-A: k=1, MinPts=2, r=0.2, mid-grid m and γ and
-// ε. The metrics are not options: merging and the matcher use cosine distance
-// (vector.CosineUnit, over the encoder's unit-norm embeddings and normalized
-// centroids), pruning uses euclidean distance.
+// ε. The distances are not options: merging, its HNSW indexes and the matcher
+// use vector.CosineUnitDist (over the encoder's unit-norm embeddings and
+// normalized centroids), pruning uses vector.EuclideanDist.
 func DefaultOptions() Options {
 	return Options{
 		K:           1,

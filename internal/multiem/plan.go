@@ -178,7 +178,7 @@ func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
 	if !(d.dist <= m.opt.M) { // NaN included
 		return fmt.Errorf("logged distance %v is not within M = %v", d.dist, m.opt.M)
 	}
-	if got := vector.CosineUnit.Dist(q, m.shards[d.shard].centroidAt(d.local)); math.Abs(float64(got-d.dist)) > distTolerance {
+	if got := vector.CosineUnitDist(q, m.shards[d.shard].centroidAt(d.local)); math.Abs(float64(got-d.dist)) > distTolerance {
 		return fmt.Errorf("logged at distance %v from tuple %d of shard %d, which is at %v here", d.dist, d.local, d.shard, got)
 	}
 	return nil
@@ -199,7 +199,7 @@ func (m *Matcher) chain(p *batchPlan) {
 			best := -1
 			var bestDist float32
 			for t := range p.tuples {
-				dd := vector.CosineUnit.Dist(vec, p.tuples[t].centroid)
+				dd := vector.CosineUnitDist(vec, p.tuples[t].centroid)
 				if best < 0 || dd < bestDist {
 					best, bestDist = t, dd
 				}

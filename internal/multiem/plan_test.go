@@ -97,7 +97,7 @@ func TestPlanLayoutIndependent(t *testing.T) {
 			if !pre[i].absorb || pre[i].target != est {
 				t.Fatalf("shards=%d row %d: decide %+v, want absorption into the tuple of entity %d", shards, i, pre[i], est)
 			}
-			if toForming := vector.CosineUnit.Dist(p.vecs.At(i), p.vecs.At(0)); toForming > m.opt.M {
+			if toForming := vector.CosineUnitDist(p.vecs.At(i), p.vecs.At(0)); toForming > m.opt.M {
 				t.Fatalf("shards=%d row %d: forming tuple at %v is out of reach; the case is not contested", shards, i, toForming)
 			}
 		}

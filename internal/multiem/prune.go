@@ -38,7 +38,7 @@ func pruneItems(items []item, entVecs *vector.Store, opt *Options) ([][]int, []f
 		for i, pos := range it.members {
 			vecs[i] = entVecs.At(pos)
 		}
-		keep := cluster.PruneTuple(vecs, vector.Euclidean, opt.Eps, opt.MinPts)
+		keep := cluster.PruneTuple(vecs, opt.Eps, opt.MinPts)
 		if len(keep) < 2 {
 			return nil
 		}

@@ -309,13 +309,12 @@ func routeVec(vec []float32, nShards int) int {
 	return int(h % uint64(nShards))
 }
 
-// shardHNSWConfig derives the HNSW configuration for one shard: the merge
-// metric, and a per-shard seed offset so the shards' level-sampling RNG
-// streams are distinct. Each stream replays independently through the index's
-// own Save/Load, which is what keeps post-load AddRecords deterministic.
+// shardHNSWConfig derives the HNSW configuration for one shard: a per-shard
+// seed offset so the shards' level-sampling RNG streams are distinct. Each
+// stream replays independently through the index's own Save/Load, which is
+// what keeps post-load AddRecords deterministic.
 func (m *Matcher) shardHNSWConfig(shardID int) hnsw.Config {
 	cfg := m.opt.HNSW
-	cfg.Metric = vector.CosineUnit
 	if cfg.Seed == 0 {
 		cfg.Seed = 1 // mirror hnsw's default so the offset below is stable
 	}

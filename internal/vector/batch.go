@@ -2,7 +2,6 @@ package vector
 
 import (
 	"fmt"
-	"math"
 	"unsafe"
 )
 
@@ -11,11 +10,11 @@ import (
 // fills out[j] for every j, reading row j (DotBatch) or row idxs[j] (the
 // gather forms). out[j] is bit-identical to the corresponding single-pair
 // call on the active kernel path — the single-pair kernels are the reference
-// and the batch layer reorders no math. The gather forms — what a graph walk
-// calls, over rows scattered through an arena far larger than the cache — are
-// one assembly call per block on the AVX2 path (kernels_amd64.s), which
+// and the batch layer reorders no math. DotGather — what a graph walk calls,
+// over rows scattered through an arena far larger than the cache — is one
+// assembly call per block on the AVX2 path (kernels_amd64.s), which
 // prefetches the rows ahead in idxs while it sums the current one.
-// Metric.Gather puts a metric on top of them.
+// CosineUnitGather puts the merging distance on top of it.
 
 func checkStride(q []float32, stride int) {
 	if stride < len(q) {
@@ -38,13 +37,13 @@ func DotBatch(q, rows []float32, stride int, out []float32) {
 }
 
 // gatherAhead is how many rows ahead of the one being summed the gather
-// kernels prefetch. Fixed from BenchmarkGather's sweep over arena sizes
+// kernel prefetches. Fixed from BenchmarkGather's sweep over arena sizes
 // (docs/BENCHMARKING.md, "The gather kernel").
 const gatherAhead = 2
 
 // checkGather panics unless stride fits q, idxs and out have one length, and
 // every index names a whole row of dim len(q) inside rows. The assembly
-// gather kernels take raw pointers, so this is the only bounds check between
+// gather kernel takes raw pointers, so this is the only bounds check between
 // a bad index and a wild read; it runs before the kernel on every call.
 func checkGather(q, rows []float32, stride int, idxs []int32, out []float32) {
 	checkStride(q, stride)
@@ -73,38 +72,15 @@ func DotGather(q, rows []float32, stride int, idxs []int32, out []float32) {
 	}
 }
 
-// SquaredDistGather sets out[j] = SquaredDist(q, row idxs[j]).
-func SquaredDistGather(q, rows []float32, stride int, idxs []int32, out []float32) {
-	checkGather(q, rows, stride, idxs, out)
-	if simdOn {
-		squaredDistGatherAVX2(unsafe.SliceData(q), unsafe.SliceData(rows), len(q), stride,
-			unsafe.SliceData(idxs), len(idxs), gatherAhead, unsafe.SliceData(out))
-		return
-	}
-	for j, i := range idxs {
-		out[j] = squaredDistScalar(q, row(rows, stride, len(q), int(i)))
-	}
-}
-
-// Gather sets out[j] to the metric's distance from q to row idxs[j] — the one
+// CosineUnitGather sets out[j] to CosineUnitDist(q, row idxs[j]) — the one
 // way to score a query against stored rows, in a graph walk and in an exact
-// scan alike. out[j] is bit-identical to m.Dist(q, row idxs[j]) on the active
+// scan alike. out[j] is bit-identical to the single-pair call on the active
 // kernel path, so the distance from a to b has the bits of the distance from
 // b to a (an index caches a link's distance in one direction and recomputes
 // it in the other). q is only read, and may alias a row of the arena.
-func (m Metric) Gather(q, rows []float32, stride int, idxs []int32, out []float32) {
-	switch m {
-	case CosineUnit:
-		DotGather(q, rows, stride, idxs, out)
-		for j := range out {
-			out[j] = 1 - out[j]
-		}
-	case Euclidean:
-		SquaredDistGather(q, rows, stride, idxs, out)
-		for j := range out {
-			out[j] = float32(math.Sqrt(float64(out[j])))
-		}
-	default:
-		panic("vector: unknown metric " + m.String())
+func CosineUnitGather(q, rows []float32, stride int, idxs []int32, out []float32) {
+	DotGather(q, rows, stride, idxs, out)
+	for j := range out {
+		out[j] = 1 - out[j]
 	}
 }

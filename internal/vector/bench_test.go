@@ -44,20 +44,6 @@ func BenchmarkSquaredDist(b *testing.B) {
 	}
 }
 
-func BenchmarkMetricDist(b *testing.B) {
-	// The per-call Metric switch as the pipeline pays it today; compare
-	// against BenchmarkMetricFunc after kernel resolution lands.
-	vs := benchVecs(2)
-	b.ReportAllocs()
-	for _, m := range []Metric{Euclidean, CosineUnit} {
-		b.Run(m.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF32 = m.Dist(vs[0], vs[1])
-			}
-		})
-	}
-}
-
 // BenchmarkDotScalar pins the portable kernel regardless of CPU, so the
 // SIMD speedup is measurable on one box (compare against BenchmarkDot,
 // which runs the dispatched path).
@@ -117,8 +103,8 @@ func BenchmarkDotBatch(b *testing.B) {
 	sinkF32 = out[0]
 }
 
-// BenchmarkMetricGather is BenchmarkDotBatch's shape through the metric
-// layer, per metric: what one neighbour block costs a graph walk.
+// BenchmarkMetricGather is BenchmarkDotBatch's shape through
+// CosineUnitGather: what one neighbour block costs a graph walk.
 func BenchmarkMetricGather(b *testing.B) {
 	const rows = 32
 	rng := rand.New(rand.NewSource(4))
@@ -132,13 +118,9 @@ func BenchmarkMetricGather(b *testing.B) {
 	}
 	q := benchVecs(1)[0]
 	out := make([]float32, rows)
-	for _, m := range []Metric{CosineUnit, Euclidean} {
-		b.Run(m.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.Gather(q, arena, benchDim, idxs, out)
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		CosineUnitGather(q, arena, benchDim, idxs, out)
 	}
 	sinkF32 = out[0]
 }

@@ -13,30 +13,23 @@ func dotAVX2(a, b []float32) float32
 //go:noescape
 func squaredDistAVX2(a, b []float32) float32
 
-// dotTileAVX2 and squaredDistTileAVX2 are the 2×4 register-tile kernels
-// behind DotTile and SquaredDistTile: rows a0 and a1 against groups×4 B rows
-// (row r at b + r*strideB floats), results to out0[0:4*groups] and
-// out1[0:4*groups]. See the comment above them in kernels_amd64.s.
+// dotTileAVX2 is the 2×4 register-tile kernel behind DotTile: rows a0 and a1
+// against groups×4 B rows (row r at b + r*strideB floats), results to
+// out0[0:4*groups] and out1[0:4*groups]. See the comment above it in
+// kernels_amd64.s.
 //
 //go:noescape
 func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
 
-//go:noescape
-func squaredDistTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
-
-// dotGatherAVX2 and squaredDistGatherAVX2 are the one-call-per-block kernels
-// behind DotGather and SquaredDistGather: q against the n rows idxs[0..n) of
-// the arena (row i at rows + i*stride floats), out[j] bit-equal to dotAVX2 /
-// squaredDistAVX2 on row idxs[j], with row idxs[j+ahead] prefetched while row
-// j is summed. They take raw pointers and check nothing: every index must
-// already be known to name a whole row inside the arena. See the comment above
-// them in kernels_amd64.s.
+// dotGatherAVX2 is the one-call-per-block kernel behind DotGather: q against
+// the n rows idxs[0..n) of the arena (row i at rows + i*stride floats),
+// out[j] bit-equal to dotAVX2 on row idxs[j], with row idxs[j+ahead]
+// prefetched while row j is summed. It takes raw pointers and checks
+// nothing: every index must already be known to name a whole row inside the
+// arena. See the comment above it in kernels_amd64.s.
 //
 //go:noescape
 func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
-
-//go:noescape
-func squaredDistGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
 
 // PrefetchInt32s hints the first two cache lines of s (32 values) towards
 // L1 and returns at once: a PREFETCHT0 pair, which reads nothing

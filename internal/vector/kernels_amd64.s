@@ -168,16 +168,16 @@ TEXT ·PrefetchInt32s(SB), NOSPLIT, $0-24
 	PREFETCHT0 64(AX)
 	RET
 
-// ---- 2x4 register-tile kernels ----------------------------------------------
+// ---- 2x4 register-tile kernel ----------------------------------------------
 //
-// dotTileAVX2 / squaredDistTileAVX2 evaluate two A rows against `groups`
-// consecutive groups of four B rows (row r of group g at b + (4g+r)*strideB
-// floats) and store the eight results of each group to out0[4g..4g+3] (row
-// a0) and out1[4g..4g+3] (row a1). Each of the eight pairs owns one YMM
-// accumulator — eight independent FMA chains, which is exactly what two FMA
-// ports at latency four need — and every loaded vector feeds two (A rows) or
-// four (B rows) FMAs, so the loop runs on the FMA ports instead of the load
-// ports as the one-pair kernels do.
+// dotTileAVX2 evaluates two A rows against `groups` consecutive groups of
+// four B rows (row r of group g at b + (4g+r)*strideB floats) and stores the
+// eight results of each group to out0[4g..4g+3] (row a0) and out1[4g..4g+3]
+// (row a1). Each of the eight pairs owns one YMM accumulator — eight
+// independent FMA chains, which is exactly what two FMA ports at latency four
+// need — and every loaded vector feeds two (A rows) or four (B rows) FMAs, so
+// the loop runs on the FMA ports instead of the load ports as the one-pair
+// kernels do.
 //
 // Every pair is reduced the same way whatever its position in the group:
 // 8-wide FMA steps into its accumulator, the fixed add tree
@@ -185,51 +185,6 @@ TEXT ·PrefetchInt32s(SB), NOSPLIT, $0-24
 // driver (tile.go) handles odd row counts by re-pointing the kernel at rows
 // it has already seen, so a pair's value never depends on where in a tile
 // it falls.
-
-// Row pointers of the current group and zeroed accumulators.
-#define TILE_GROUP_BEGIN \
-	LEAQ (R8)(R9*1), R10; \
-	LEAQ (R10)(R9*1), R11; \
-	LEAQ (R11)(R9*1), R12; \
-	VXORPS Y0, Y0, Y0; \
-	VXORPS Y1, Y1, Y1; \
-	VXORPS Y2, Y2, Y2; \
-	VXORPS Y3, Y3, Y3; \
-	VXORPS Y4, Y4, Y4; \
-	VXORPS Y5, Y5, Y5; \
-	VXORPS Y6, Y6, Y6; \
-	VXORPS Y7, Y7, Y7; \
-	XORQ AX, AX
-
-// Y0..Y3 -> X0 (four sums of row a0), Y4..Y7 -> X4 (row a1).
-#define TILE_REDUCE \
-	VHADDPS Y1, Y0, Y0; \
-	VHADDPS Y3, Y2, Y2; \
-	VHADDPS Y2, Y0, Y0; \
-	VEXTRACTF128 $1, Y0, X1; \
-	VADDPS X1, X0, X0; \
-	VHADDPS Y5, Y4, Y4; \
-	VHADDPS Y7, Y6, Y6; \
-	VHADDPS Y6, Y4, Y4; \
-	VEXTRACTF128 $1, Y4, X5; \
-	VADDPS X5, X4, X4
-
-// Tail element AX of the four B rows -> X10, of a0/a1 broadcast -> X8/X9.
-#define TILE_TAIL_LOAD \
-	VMOVSS (R8)(AX*4), X10; \
-	VINSERTPS $0x10, (R10)(AX*4), X10, X10; \
-	VINSERTPS $0x20, (R11)(AX*4), X10, X10; \
-	VINSERTPS $0x30, (R12)(AX*4), X10, X10; \
-	VBROADCASTSS (SI)(AX*4), X8; \
-	VBROADCASTSS (DI)(AX*4), X9
-
-#define TILE_STORE_NEXT \
-	VMOVUPS X0, (R13); \
-	VMOVUPS X4, (BX); \
-	ADDQ $16, R13; \
-	ADDQ $16, BX; \
-	LEAQ (R12)(R9*1), R8; \
-	DECQ R14
 
 // func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
 TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
@@ -248,7 +203,19 @@ TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
 	JLE  dtile_done
 
 dtile_group:
-	TILE_GROUP_BEGIN
+	// Row pointers of the current group and zeroed accumulators.
+	LEAQ (R8)(R9*1), R10
+	LEAQ (R10)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	XORQ AX, AX
 	CMPQ DX, $0
 	JE   dtile_reduce
 
@@ -272,103 +239,53 @@ dtile_loop8:
 	JL   dtile_loop8
 
 dtile_reduce:
-	TILE_REDUCE
+	// Y0..Y3 -> X0 (four sums of row a0), Y4..Y7 -> X4 (row a1).
+	VHADDPS Y1, Y0, Y0
+	VHADDPS Y3, Y2, Y2
+	VHADDPS Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0
+	VHADDPS Y5, Y4, Y4
+	VHADDPS Y7, Y6, Y6
+	VHADDPS Y6, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VADDPS X5, X4, X4
 
 dtile_tail:
 	CMPQ AX, CX
 	JGE  dtile_store
-	TILE_TAIL_LOAD
+	// Tail element AX of the four B rows -> X10, of a0/a1 broadcast -> X8/X9.
+	VMOVSS (R8)(AX*4), X10
+	VINSERTPS $0x10, (R10)(AX*4), X10, X10
+	VINSERTPS $0x20, (R11)(AX*4), X10, X10
+	VINSERTPS $0x30, (R12)(AX*4), X10, X10
+	VBROADCASTSS (SI)(AX*4), X8
+	VBROADCASTSS (DI)(AX*4), X9
 	VFMADD231PS X10, X8, X0
 	VFMADD231PS X10, X9, X4
 	INCQ AX
 	JMP  dtile_tail
 
 dtile_store:
-	TILE_STORE_NEXT
+	VMOVUPS X0, (R13)
+	VMOVUPS X4, (BX)
+	ADDQ $16, R13
+	ADDQ $16, BX
+	LEAQ (R12)(R9*1), R8
+	DECQ R14
 	JNZ  dtile_group
 
 dtile_done:
 	VZEROUPPER
 	RET
 
-// func squaredDistTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
-TEXT ·squaredDistTileAVX2(SB), NOSPLIT, $0-64
-	MOVQ a0+0(FP), SI
-	MOVQ a1+8(FP), DI
-	MOVQ b+16(FP), R8
-	MOVQ strideB+24(FP), R9
-	SHLQ $2, R9 // stride in bytes
-	MOVQ groups+32(FP), R14
-	MOVQ dim+40(FP), CX
-	MOVQ out0+48(FP), R13
-	MOVQ out1+56(FP), BX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	TESTQ R14, R14
-	JLE  sqtile_done
-
-sqtile_group:
-	TILE_GROUP_BEGIN
-	CMPQ DX, $0
-	JE   sqtile_reduce
-
-sqtile_loop8:
-	VMOVUPS (SI)(AX*4), Y8
-	VMOVUPS (DI)(AX*4), Y9
-	VMOVUPS (R8)(AX*4), Y10
-	VSUBPS Y10, Y8, Y11
-	VSUBPS Y10, Y9, Y12
-	VFMADD231PS Y11, Y11, Y0
-	VFMADD231PS Y12, Y12, Y4
-	VMOVUPS (R10)(AX*4), Y13
-	VSUBPS Y13, Y8, Y14
-	VSUBPS Y13, Y9, Y15
-	VFMADD231PS Y14, Y14, Y1
-	VFMADD231PS Y15, Y15, Y5
-	VMOVUPS (R11)(AX*4), Y10
-	VSUBPS Y10, Y8, Y11
-	VSUBPS Y10, Y9, Y12
-	VFMADD231PS Y11, Y11, Y2
-	VFMADD231PS Y12, Y12, Y6
-	VMOVUPS (R12)(AX*4), Y13
-	VSUBPS Y13, Y8, Y14
-	VSUBPS Y13, Y9, Y15
-	VFMADD231PS Y14, Y14, Y3
-	VFMADD231PS Y15, Y15, Y7
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JL   sqtile_loop8
-
-sqtile_reduce:
-	TILE_REDUCE
-
-sqtile_tail:
-	CMPQ AX, CX
-	JGE  sqtile_store
-	TILE_TAIL_LOAD
-	VSUBPS X10, X8, X8
-	VSUBPS X10, X9, X9
-	VFMADD231PS X8, X8, X0
-	VFMADD231PS X9, X9, X4
-	INCQ AX
-	JMP  sqtile_tail
-
-sqtile_store:
-	TILE_STORE_NEXT
-	JNZ  sqtile_group
-
-sqtile_done:
-	VZEROUPPER
-	RET
-
-// ---- gather kernels ----------------------------------------------------------
+// ---- gather kernel ----------------------------------------------------------
 //
-// dotGatherAVX2 / squaredDistGatherAVX2 score one query against the n rows
-// idxs[0..n) of an arena (row i at rows + i*stride floats) in a single call
-// and store the results to out[0..n). Each row is summed exactly as
-// dotAVX2 / squaredDistAVX2 sum it — the same four accumulators over the
-// 32-wide loop, the same fold, 8-wide loop, reduction and scalar-FMA tail —
-// so out[j] has the bits of the single-pair call.
+// dotGatherAVX2 scores one query against the n rows idxs[0..n) of an arena
+// (row i at rows + i*stride floats) in a single call and stores the results
+// to out[0..n). Each row is summed exactly as dotAVX2 sums it — the same four
+// accumulators over the 32-wide loop, the same fold, 8-wide loop, reduction
+// and scalar-FMA tail — so out[j] has the bits of the single-pair call.
 //
 // What the single call buys is that the misses overlap: a graph walk's rows
 // are scattered over an arena far larger than L2, and a row's sixteen cache
@@ -389,41 +306,6 @@ sqtile_done:
 // R13 out, CX dim, BX j, DI current row, R14 look-ahead row, AX element
 // index, DX loop bound.
 
-// Row pointers for j = BX (the look-ahead index clamps to j past the end),
-// zeroed accumulators, DX = dim&^31.
-#define GATHER_ROW_BEGIN \
-	MOVLQSX (R10)(BX*4), DI; \
-	IMULQ R9, DI; \
-	ADDQ R8, DI; \
-	LEAQ (BX)(R12*1), AX; \
-	CMPQ AX, R11; \
-	CMOVQGE BX, AX; \
-	MOVLQSX (R10)(AX*4), R14; \
-	IMULQ R9, R14; \
-	ADDQ R8, R14; \
-	VXORPS Y0, Y0, Y0; \
-	VXORPS Y1, Y1, Y1; \
-	VXORPS Y2, Y2, Y2; \
-	VXORPS Y3, Y3, Y3; \
-	XORQ AX, AX; \
-	MOVQ CX, DX; \
-	ANDQ $-32, DX
-
-// Y0..Y3 -> Y0, DX = dim&^7: what follows the 32-wide loop in the
-// single-pair kernels.
-#define GATHER_FOLD \
-	VADDPS Y1, Y0, Y0; \
-	VADDPS Y3, Y2, Y2; \
-	VADDPS Y2, Y0, Y0; \
-	MOVQ CX, DX; \
-	ANDQ $-8, DX
-
-#define GATHER_REDUCE \
-	VEXTRACTF128 $1, Y0, X1; \
-	VADDPS X1, X0, X0; \
-	VHADDPS X0, X0, X0; \
-	VHADDPS X0, X0, X0
-
 // func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
 TEXT ·dotGatherAVX2(SB), NOSPLIT, $0-64
 	MOVQ q+0(FP), SI
@@ -440,7 +322,24 @@ TEXT ·dotGatherAVX2(SB), NOSPLIT, $0-64
 dotg_row:
 	CMPQ BX, R11
 	JGE  dotg_done
-	GATHER_ROW_BEGIN
+	// Row pointers for j = BX (the look-ahead index clamps to j past the
+	// end), zeroed accumulators, DX = dim&^31.
+	MOVLQSX (R10)(BX*4), DI
+	IMULQ R9, DI
+	ADDQ R8, DI
+	LEAQ (BX)(R12*1), AX
+	CMPQ AX, R11
+	CMOVQGE BX, AX
+	MOVLQSX (R10)(AX*4), R14
+	IMULQ R9, R14
+	ADDQ R8, R14
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-32, DX
 	CMPQ DX, $0
 	JE   dotg_fold
 
@@ -460,7 +359,11 @@ dotg_loop32:
 	JL   dotg_loop32
 
 dotg_fold:
-	GATHER_FOLD
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y2, Y0, Y0
+	MOVQ CX, DX
+	ANDQ $-8, DX
 
 dotg_loop8:
 	CMPQ AX, DX
@@ -471,7 +374,10 @@ dotg_loop8:
 	JMP  dotg_loop8
 
 dotg_reduce:
-	GATHER_REDUCE
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0
+	VHADDPS X0, X0, X0
+	VHADDPS X0, X0, X0
 
 dotg_tail:
 	CMPQ AX, CX
@@ -487,77 +393,5 @@ dotg_store:
 	JMP  dotg_row
 
 dotg_done:
-	VZEROUPPER
-	RET
-
-// func squaredDistGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
-TEXT ·squaredDistGatherAVX2(SB), NOSPLIT, $0-64
-	MOVQ q+0(FP), SI
-	MOVQ rows+8(FP), R8
-	MOVQ dim+16(FP), CX
-	MOVQ stride+24(FP), R9
-	SHLQ $2, R9 // stride in bytes
-	MOVQ idxs+32(FP), R10
-	MOVQ n+40(FP), R11
-	MOVQ ahead+48(FP), R12
-	MOVQ out+56(FP), R13
-	XORQ BX, BX
-
-sqg_row:
-	CMPQ BX, R11
-	JGE  sqg_done
-	GATHER_ROW_BEGIN
-	CMPQ DX, $0
-	JE   sqg_fold
-
-sqg_loop32:
-	PREFETCHT0 (R14)(AX*4)
-	PREFETCHT0 64(R14)(AX*4)
-	VMOVUPS (SI)(AX*4), Y4
-	VMOVUPS 32(SI)(AX*4), Y5
-	VMOVUPS 64(SI)(AX*4), Y6
-	VMOVUPS 96(SI)(AX*4), Y7
-	VSUBPS (DI)(AX*4), Y4, Y4
-	VSUBPS 32(DI)(AX*4), Y5, Y5
-	VSUBPS 64(DI)(AX*4), Y6, Y6
-	VSUBPS 96(DI)(AX*4), Y7, Y7
-	VFMADD231PS Y4, Y4, Y0
-	VFMADD231PS Y5, Y5, Y1
-	VFMADD231PS Y6, Y6, Y2
-	VFMADD231PS Y7, Y7, Y3
-	ADDQ $32, AX
-	CMPQ AX, DX
-	JL   sqg_loop32
-
-sqg_fold:
-	GATHER_FOLD
-
-sqg_loop8:
-	CMPQ AX, DX
-	JGE  sqg_reduce
-	VMOVUPS (SI)(AX*4), Y4
-	VSUBPS (DI)(AX*4), Y4, Y4
-	VFMADD231PS Y4, Y4, Y0
-	ADDQ $8, AX
-	JMP  sqg_loop8
-
-sqg_reduce:
-	GATHER_REDUCE
-
-sqg_tail:
-	CMPQ AX, CX
-	JGE  sqg_store
-	VMOVSS (SI)(AX*4), X4
-	VSUBSS (DI)(AX*4), X4, X4
-	VFMADD231SS X4, X4, X0
-	INCQ AX
-	JMP  sqg_tail
-
-sqg_store:
-	VMOVSS X0, (R13)(BX*4)
-	INCQ BX
-	JMP  sqg_row
-
-sqg_done:
 	VZEROUPPER
 	RET

@@ -20,15 +20,7 @@ func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float
 	panic("vector: AVX2 kernel called on non-amd64 build")
 }
 
-func squaredDistTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32) {
-	panic("vector: AVX2 kernel called on non-amd64 build")
-}
-
 func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32) {
-	panic("vector: AVX2 kernel called on non-amd64 build")
-}
-
-func squaredDistGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32) {
 	panic("vector: AVX2 kernel called on non-amd64 build")
 }
 

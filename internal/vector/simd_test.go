@@ -83,8 +83,8 @@ func TestSIMDZeroVectors(t *testing.T) {
 		checkAllKernels(t, zero, zero)
 		// The exported zero-vector semantics must hold on the SIMD path too.
 		forceKernels(t, "avx2")
-		if got := CosineUnit.Dist(zero, v); got != 1 {
-			t.Errorf("dim %d: CosineUnit.Dist(0, v) = %v on avx2 path, want 1", dim, got)
+		if got := CosineUnitDist(zero, v); got != 1 {
+			t.Errorf("dim %d: CosineUnitDist(0, v) = %v on avx2 path, want 1", dim, got)
 		}
 		if got := Norm(zero); got != 0 {
 			t.Errorf("dim %d: Norm(0) = %v on avx2 path, want 0", dim, got)
@@ -93,33 +93,23 @@ func TestSIMDZeroVectors(t *testing.T) {
 }
 
 // TestDispatchedAPIAgrees exercises the public API (not the raw kernels)
-// under both SetKernels modes: Metric.Dist, Metric.Gather, and Norm must
-// agree within the property bound for every metric.
+// under both SetKernels modes: Norm, both distances and CosineUnitGather must
+// agree within the property bound.
 func TestDispatchedAPIAgrees(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("CPU lacks AVX2+FMA")
 	}
 	rng := rand.New(rand.NewSource(44))
-	metrics := []Metric{Euclidean, CosineUnit}
 	for _, dim := range simdTestDims {
 		a, b := randVecOff(rng, dim, 0), randVecOff(rng, dim, 2)
-		type sample struct {
-			norm     float32
-			dists    []float32
-			gathered []float32
-		}
+		type sample struct{ norm, cos, euclid, gathered float32 }
 		run := func(mode string) sample {
 			if err := SetKernels(mode); err != nil {
 				t.Fatal(err)
 			}
-			s := sample{norm: Norm(a)}
-			for _, m := range metrics {
-				s.dists = append(s.dists, m.Dist(a, b))
-				g := make([]float32, 1)
-				m.Gather(a, b, dim, []int32{0}, g)
-				s.gathered = append(s.gathered, g[0])
-			}
-			return s
+			g := make([]float32, 1)
+			CosineUnitGather(a, b, dim, []int32{0}, g)
+			return sample{Norm(a), CosineUnitDist(a, b), EuclideanDist(a, b), g[0]}
 		}
 		simd := run("avx2")
 		scalar := run("scalar")
@@ -127,10 +117,9 @@ func TestDispatchedAPIAgrees(t *testing.T) {
 			t.Fatal(err)
 		}
 		relClose(t, "Norm", simd.norm, scalar.norm)
-		for i, m := range metrics {
-			relClose(t, m.String()+".Dist", simd.dists[i], scalar.dists[i])
-			relClose(t, m.String()+".Gather", simd.gathered[i], scalar.gathered[i])
-		}
+		relClose(t, "CosineUnitDist", simd.cos, scalar.cos)
+		relClose(t, "EuclideanDist", simd.euclid, scalar.euclid)
+		relClose(t, "CosineUnitGather", simd.gathered, scalar.gathered)
 	}
 }
 
@@ -162,8 +151,8 @@ func TestSetKernels(t *testing.T) {
 // FuzzSIMDKernels feeds arbitrary byte-derived float vectors through every
 // SIMD/scalar kernel pair, then re-reads the same floats as two arenas of
 // short rows — dimension, strides and row counts all derived from the input
-// length — and holds the tile kernels to checkTileKernels and the gather
-// kernels to the single-pair ones, bit for bit. NaN/Inf inputs are
+// length — and holds the tile kernel to checkTileKernels and the gather
+// kernel to the single-pair one, bit for bit. NaN/Inf inputs are
 // filtered: both paths propagate them, but relative-error comparison is
 // meaningless there.
 func FuzzSIMDKernels(f *testing.F) {
@@ -202,7 +191,7 @@ func FuzzSIMDKernels(f *testing.F) {
 		na, nb := min((n-dim)/strideA+1, 5), min((n-dim)/strideB+1, 9)
 		checkTileKernels(t, a, strideA, na, b, strideB, nb, dim)
 
-		// The gather kernels over the same arena: up to 33 indexes read off
+		// The gather kernel over the same arena: up to 33 indexes read off
 		// the input bytes (repeats included), every look-ahead from none to
 		// past the end, each out[j] holding the single-pair kernel's bits.
 		rowsB := (n-dim)/strideB + 1
@@ -217,12 +206,6 @@ func FuzzSIMDKernels(f *testing.F) {
 			for j, i := range idxs {
 				if want := dotAVX2(q, row(b, strideB, dim, int(i))); math.Float32bits(out[j]) != math.Float32bits(want) {
 					t.Fatalf("dotGatherAVX2 dim %d ahead %d: out[%d] = %v, dotAVX2 = %v", dim, ahead, j, out[j], want)
-				}
-			}
-			squaredDistGatherAVX2(&q[0], &b[0], dim, strideB, &idxs[0], len(idxs), ahead, &out[0])
-			for j, i := range idxs {
-				if want := squaredDistAVX2(q, row(b, strideB, dim, int(i))); math.Float32bits(out[j]) != math.Float32bits(want) {
-					t.Fatalf("squaredDistGatherAVX2 dim %d ahead %d: out[%d] = %v, squaredDistAVX2 = %v", dim, ahead, j, out[j], want)
 				}
 			}
 		}

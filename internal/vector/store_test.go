@@ -83,28 +83,6 @@ func TestStoreDimMismatchPanics(t *testing.T) {
 	NewStore(3).Append([]float32{1})
 }
 
-// Metric.Func must compute exactly what Metric.Dist computes: resolved
-// kernels may not drift from the switch.
-func TestMetricFuncMatchesDist(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, m := range []Metric{Euclidean, CosineUnit} {
-		fn := m.Func()
-		for trial := 0; trial < 50; trial++ {
-			dim := 1 + rng.Intn(70) // cover tail lengths around the unroll width
-			a, b := make([]float32, dim), make([]float32, dim)
-			for i := range a {
-				a[i] = float32(rng.NormFloat64())
-				b[i] = float32(rng.NormFloat64())
-			}
-			Normalize(a)
-			Normalize(b)
-			if got, want := fn(a, b), m.Dist(a, b); got != want {
-				t.Fatalf("%v: Func()=%v Dist=%v (dim %d)", m, got, want, dim)
-			}
-		}
-	}
-}
-
 func TestAddScaled(t *testing.T) {
 	dst := []float32{1, 2, 3}
 	AddScaled(dst, []float32{10, 20, 30}, 0.5)

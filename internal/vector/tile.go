@@ -1,30 +1,25 @@
 package vector
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Many-queries × many-rows tile kernels: out[i*nb+j] is the value for A row
-// i against B row j, for every i < na, j < nb. Row i of a lives at
-// a[i*strideA : i*strideA+dim] (strides may exceed dim), likewise b.
+// The many-queries × many-rows tile kernel, DotTile: out[i*nb+j] is the
+// inner product of A row i and B row j, for every i < na, j < nb. Row i of a
+// lives at a[i*strideA : i*strideA+dim] (strides may exceed dim), likewise b.
+// CosineUnitTile puts the merging distance on top of it for the exact join.
 //
 // Where the one-query batch layer (batch.go) calls the single-pair kernel
 // once per row, the AVX2 path here runs a 2×4 register tile: eight pairs
 // accumulate at once and every loaded vector is used two or four times, so
 // a pair costs about half of a dispatched Dot. The price is a reduction
 // order of its own — one 8-lane accumulator per pair instead of Dot's four —
-// so tile values agree with Dot/SquaredDist to float reassociation (~1e-7
-// relative), not bit for bit. The portable path calls the scalar single-pair
-// kernels and is bit-identical to them.
+// so tile values agree with Dot to float reassociation (~1e-7 relative), not
+// bit for bit. The portable path calls the scalar single-pair kernel and is
+// bit-identical to it.
 //
 // What both paths guarantee is position independence: a pair's value is a
 // function of the two rows alone, never of where in a tile, an edge group or
 // a caller's blocking it was computed. The exact mutual-top-K join relies on
 // that to return the same pairs for every tile size and worker count.
-
-// tileFunc is the shape of DotTile and SquaredDistTile.
-type tileFunc func(a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32)
 
 func checkTile(a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32) {
 	if dim <= 0 || strideA < dim || strideB < dim {
@@ -45,43 +40,28 @@ func checkTile(a []float32, strideA, na int, b []float32, strideB, nb, dim int, 
 func DotTile(a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32) {
 	checkTile(a, strideA, na, b, strideB, nb, dim, out)
 	if simdOn {
-		tileAVX2(dotTileAVX2, a, strideA, na, b, strideB, nb, dim, out)
+		tileAVX2(a, strideA, na, b, strideB, nb, dim, out)
 		return
 	}
-	tileScalar(dotScalar, a, strideA, na, b, strideB, nb, dim, out)
+	tileScalar(a, strideA, na, b, strideB, nb, dim, out)
 }
 
-// SquaredDistTile sets out[i*nb+j] to the squared L2 distance between A row
-// i and B row j.
-func SquaredDistTile(a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32) {
-	checkTile(a, strideA, na, b, strideB, nb, dim, out)
-	if simdOn {
-		tileAVX2(squaredDistTileAVX2, a, strideA, na, b, strideB, nb, dim, out)
-		return
-	}
-	tileScalar(squaredDistScalar, a, strideA, na, b, strideB, nb, dim, out)
-}
-
-func tileScalar(pair func(a, b []float32) float32, a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32) {
+func tileScalar(a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32) {
 	for i := 0; i < na; i++ {
 		ai := row(a, strideA, dim, i)
 		o := out[i*nb : i*nb+nb]
 		for j := range o {
-			o[j] = pair(ai, row(b, strideB, dim, j))
+			o[j] = dotScalar(ai, row(b, strideB, dim, j))
 		}
 	}
 }
 
-// tileKernel is the signature of the 2×4 assembly kernels: rows a0 and a1
-// against groups×4 B rows starting at b, results to out0/out1.
-type tileKernel func(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
-
-// tileAVX2 covers an na×nb tile with the 2×4 kernel. Edges never get a
-// kernel of their own: an odd last A row is paired with itself, a ragged
-// last B group is the four rows ending at nb (recomputing up to three
+// tileAVX2 covers an na×nb tile with the 2×4 kernel dotTileAVX2. Edges never
+// get a kernel of their own: an odd last A row is paired with itself, a
+// ragged last B group is the four rows ending at nb (recomputing up to three
 // columns to the same bits), and fewer than four B rows are fed one at a
 // time as a stride-0 group of four copies.
-func tileAVX2(kern tileKernel, a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32) {
+func tileAVX2(a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32) {
 	if na == 0 || nb == 0 {
 		return
 	}
@@ -94,56 +74,40 @@ func tileAVX2(kern tileKernel, a []float32, strideA, na int, b []float32, stride
 		if nb < 4 {
 			var o0, o1 [4]float32
 			for j := 0; j < nb; j++ {
-				kern(a0, a1, &b[j*strideB], 0, 1, dim, &o0[0], &o1[0])
+				dotTileAVX2(a0, a1, &b[j*strideB], 0, 1, dim, &o0[0], &o1[0])
 				out[i*nb+j], out[i1*nb+j] = o0[0], o1[0]
 			}
 			continue
 		}
-		kern(a0, a1, &b[0], strideB, nb/4, dim, &out[i*nb], &out[i1*nb])
+		dotTileAVX2(a0, a1, &b[0], strideB, nb/4, dim, &out[i*nb], &out[i1*nb])
 		if nb%4 != 0 {
 			j := nb - 4
-			kern(a0, a1, &b[j*strideB], strideB, 1, dim, &out[i*nb+j], &out[i1*nb+j])
+			dotTileAVX2(a0, a1, &b[j*strideB], strideB, 1, dim, &out[i*nb+j], &out[i1*nb+j])
 		}
 	}
 }
 
-// TileDist evaluates a metric between A rows [i0, i1) and B rows [j0, j1) of
-// the two stores it was bound to: out[(i-i0)*(j1-j0)+(j-j0)] is the distance
-// from A row i to B row j.
+// TileDist evaluates CosineUnitDist between A rows [i0, i1) and B rows
+// [j0, j1) of the two stores it was bound to: out[(i-i0)*(j1-j0)+(j-j0)] is
+// the distance from A row i to B row j.
 type TileDist func(i0, i1, j0, j1 int, out []float32)
 
-// TileFunc binds the metric to two arenas of equal dimensionality and
-// returns its tiled form. Distances follow Dist's definitions on the tile
-// kernels' reduction order (see the file comment). The stores are
-// captured, not copied, and must stay unchanged while the kernel is in use;
-// the returned function is safe for concurrent use.
-func (m Metric) TileFunc(a, b *Store) TileDist {
+// CosineUnitTile binds the merging distance to two arenas of equal
+// dimensionality and returns its tiled form: 1 - DotTile, on the tile
+// kernels' reduction order (see the file comment). The stores are captured,
+// not copied, and must stay unchanged while the kernel is in use; the
+// returned function is safe for concurrent use.
+func CosineUnitTile(a, b *Store) TileDist {
 	if a.Dim() != b.Dim() {
 		panic(fmt.Sprintf("vector: dimension mismatch %d vs %d", a.Dim(), b.Dim()))
 	}
 	dim := a.Dim()
 	ra, rb := a.Raw(), b.Raw()
-	// raw runs a tile kernel over the block and returns the filled prefix
-	// of out for the metric to finish in place.
-	raw := func(kern tileFunc, i0, i1, j0, j1 int, out []float32) []float32 {
+	return func(i0, i1, j0, j1 int, out []float32) {
 		out = out[:(i1-i0)*(j1-j0)]
-		kern(ra[i0*dim:], dim, i1-i0, rb[j0*dim:], dim, j1-j0, dim, out)
-		return out
-	}
-	switch m {
-	case CosineUnit:
-		return func(i0, i1, j0, j1 int, out []float32) {
-			for x, dot := range raw(DotTile, i0, i1, j0, j1, out) {
-				out[x] = 1 - dot
-			}
+		DotTile(ra[i0*dim:], dim, i1-i0, rb[j0*dim:], dim, j1-j0, dim, out)
+		for x, dot := range out {
+			out[x] = 1 - dot
 		}
-	case Euclidean:
-		return func(i0, i1, j0, j1 int, out []float32) {
-			for x, sq := range raw(SquaredDistTile, i0, i1, j0, j1, out) {
-				out[x] = float32(math.Sqrt(float64(sq)))
-			}
-		}
-	default:
-		panic("vector: unknown metric " + m.String())
 	}
 }

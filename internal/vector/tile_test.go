@@ -8,48 +8,32 @@ import (
 )
 
 // checkTileKernels holds one tile layout against the two properties the tile
-// layer promises, for both kernels: every AVX2 value is within the SIMD
-// bound of the scalar single-pair kernel, and — on either path — a pair
-// computed alone as a 1×1 tile has the very bits it has inside the tile,
-// whichever register lane, edge group or self-paired odd row it fell in.
+// layer promises: every AVX2 value is within the SIMD bound of the scalar
+// single-pair kernel, and — on either path — a pair computed alone as a 1×1
+// tile has the very bits it has inside the tile, whichever register lane,
+// edge group or self-paired odd row it fell in.
 func checkTileKernels(t *testing.T, a []float32, strideA, na int, b []float32, strideB, nb, dim int) {
 	t.Helper()
 	type path struct {
-		name     string
-		dot, sqd tileFunc
+		name string
+		tile func(a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32)
 	}
-	scalar := func(pair func(a, b []float32) float32) tileFunc {
-		return func(a []float32, sa, na int, b []float32, sb, nb, dim int, out []float32) {
-			tileScalar(pair, a, sa, na, b, sb, nb, dim, out)
-		}
-	}
-	avx2 := func(kern tileKernel) tileFunc {
-		return func(a []float32, sa, na int, b []float32, sb, nb, dim int, out []float32) {
-			tileAVX2(kern, a, sa, na, b, sb, nb, dim, out)
-		}
-	}
-	paths := []path{{"scalar", scalar(dotScalar), scalar(squaredDistScalar)}}
+	paths := []path{{"scalar", tileScalar}}
 	if hasAVX2 {
-		paths = append(paths, path{"avx2", avx2(dotTileAVX2), avx2(squaredDistTileAVX2)})
+		paths = append(paths, path{"avx2", tileAVX2})
 	}
 	for _, p := range paths {
-		dots, sqds := make([]float32, na*nb), make([]float32, na*nb)
-		p.dot(a, strideA, na, b, strideB, nb, dim, dots)
-		p.sqd(a, strideA, na, b, strideB, nb, dim, sqds)
+		dots := make([]float32, na*nb)
+		p.tile(a, strideA, na, b, strideB, nb, dim, dots)
 		for i := 0; i < na; i++ {
 			for j := 0; j < nb; j++ {
 				ai, bj := row(a, strideA, dim, i), row(b, strideB, dim, j)
 				at := fmt.Sprintf("%s dim=%d %dx%d strides %d,%d pair (%d,%d)", p.name, dim, na, nb, strideA, strideB, i, j)
 				relClose(t, at+" DotTile", dots[i*nb+j], dotScalar(ai, bj))
-				relClose(t, at+" SquaredDistTile", sqds[i*nb+j], squaredDistScalar(ai, bj))
 				var alone [1]float32
-				p.dot(ai, dim, 1, bj, dim, 1, dim, alone[:])
+				p.tile(ai, dim, 1, bj, dim, 1, dim, alone[:])
 				if math.Float32bits(alone[0]) != math.Float32bits(dots[i*nb+j]) {
 					t.Fatalf("%s: DotTile value depends on position: %v alone, %v in the tile", at, alone[0], dots[i*nb+j])
-				}
-				p.sqd(ai, dim, 1, bj, dim, 1, dim, alone[:])
-				if math.Float32bits(alone[0]) != math.Float32bits(sqds[i*nb+j]) {
-					t.Fatalf("%s: SquaredDistTile value depends on position: %v alone, %v in the tile", at, alone[0], sqds[i*nb+j])
 				}
 			}
 		}
@@ -81,8 +65,8 @@ func TestTileKernelsMatchSinglePair(t *testing.T) {
 	}
 }
 
-// The exported kernels dispatch like Dot, and reject layouts that would read
-// outside their arenas.
+// The exported kernel dispatches like Dot, and rejects layouts that would
+// read outside its arenas.
 func TestTileDispatchAndBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	a, b := randArena(rng, 3*20), randArena(rng, 6*20)
@@ -92,9 +76,9 @@ func TestTileDispatchAndBounds(t *testing.T) {
 		DotTile(a, 20, 3, b, 20, 6, 17, out)
 		want := make([]float32, 3*6)
 		if simdOn {
-			tileAVX2(dotTileAVX2, a, 20, 3, b, 20, 6, 17, want)
+			tileAVX2(a, 20, 3, b, 20, 6, 17, want)
 		} else {
-			tileScalar(dotScalar, a, 20, 3, b, 20, 6, 17, want)
+			tileScalar(a, 20, 3, b, 20, 6, 17, want)
 		}
 		for x := range out {
 			if out[x] != want[x] {
@@ -104,7 +88,7 @@ func TestTileDispatchAndBounds(t *testing.T) {
 	}
 	for name, call := range map[string]func(){
 		"short A arena": func() { DotTile(a, 20, 4, b, 20, 6, 17, make([]float32, 24)) },
-		"short B arena": func() { SquaredDistTile(a, 20, 3, b, 20, 7, 17, make([]float32, 21)) },
+		"short B arena": func() { DotTile(a, 20, 3, b, 20, 7, 17, make([]float32, 21)) },
 		"short out":     func() { DotTile(a, 20, 3, b, 20, 6, 17, make([]float32, 17)) },
 		"stride < dim":  func() { DotTile(a, 16, 3, b, 20, 6, 17, make([]float32, 18)) },
 		"zero dim":      func() { DotTile(a, 20, 3, b, 20, 6, 0, make([]float32, 18)) },
@@ -121,10 +105,10 @@ func TestTileDispatchAndBounds(t *testing.T) {
 	DotTile(nil, 4, 0, b, 20, 6, 4, nil) // empty tiles are fine
 }
 
-// TileFunc must agree with the metric's single-pair definition on every
-// block shape, zero vectors included, and a block's values must not depend
-// on how the caller cut the blocks.
-func TestTileFuncMatchesDist(t *testing.T) {
+// CosineUnitTile must agree with CosineUnitDist on every block shape, zero
+// vectors included, and a block's values must not depend on how the caller
+// cut the blocks.
+func TestCosineUnitTileMatchesDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	const dim, na, nb = 19, 7, 11
 	a, b := NewStore(dim), NewStore(dim)
@@ -138,25 +122,23 @@ func TestTileFuncMatchesDist(t *testing.T) {
 	b.SetRow(5, make([]float32, dim))
 	for _, mode := range []string{"scalar", "auto"} {
 		forceKernels(t, mode)
-		for _, m := range []Metric{Euclidean, CosineUnit} {
-			tile := m.TileFunc(a, b)
-			whole := make([]float32, na*nb)
-			tile(0, na, 0, nb, whole)
-			for i := 0; i < na; i++ {
-				for j := 0; j < nb; j++ {
-					relClose(t, fmt.Sprintf("%s %v (%d,%d)", mode, m, i, j), whole[i*nb+j], m.Dist(a.At(i), b.At(j)))
-				}
+		tile := CosineUnitTile(a, b)
+		whole := make([]float32, na*nb)
+		tile(0, na, 0, nb, whole)
+		for i := 0; i < na; i++ {
+			for j := 0; j < nb; j++ {
+				relClose(t, fmt.Sprintf("%s (%d,%d)", mode, i, j), whole[i*nb+j], CosineUnitDist(a.At(i), b.At(j)))
 			}
-			if m == CosineUnit && (whole[2*nb+3] != 1 || whole[0*nb+5] != 1) {
-				t.Fatalf("%s: cosine to a zero vector must be distance 1, got %v and %v", mode, whole[2*nb+3], whole[5])
-			}
-			part := make([]float32, 3*4)
-			tile(3, 6, 5, 9, part)
-			for i := 3; i < 6; i++ {
-				for j := 5; j < 9; j++ {
-					if part[(i-3)*4+(j-5)] != whole[i*nb+j] {
-						t.Fatalf("%s %v: pair (%d,%d) differs between blockings", mode, m, i, j)
-					}
+		}
+		if whole[2*nb+3] != 1 || whole[0*nb+5] != 1 {
+			t.Fatalf("%s: cosine to a zero vector must be distance 1, got %v and %v", mode, whole[2*nb+3], whole[5])
+		}
+		part := make([]float32, 3*4)
+		tile(3, 6, 5, 9, part)
+		for i := 3; i < 6; i++ {
+			for j := 5; j < 9; j++ {
+				if part[(i-3)*4+(j-5)] != whole[i*nb+j] {
+					t.Fatalf("%s: pair (%d,%d) differs between blockings", mode, i, j)
 				}
 			}
 		}

@@ -1,6 +1,8 @@
 // Package vector provides float32 vector math primitives used throughout the
-// MultiEM pipeline: dot products, the unit-vector cosine and euclidean
-// distances, normalization, and small fixed-size top-K accumulators.
+// MultiEM pipeline: dot products, normalization, small fixed-size top-K
+// accumulators, and the two distances the paper fixes, one per phase —
+// cosine over unit vectors for merging (CosineUnitDist, and its gather and
+// tile forms over flat arenas) and euclidean for pruning (EuclideanDist).
 //
 // All distance functions treat vectors of unequal lengths as a programming
 // error and panic; embeddings in this repository always share a single
@@ -86,15 +88,15 @@ func Normalize(a []float32) []float32 {
 	return a
 }
 
-// EuclideanDist returns the L2 distance between a and b.
+// EuclideanDist returns the L2 distance between a and b: the pruning phase's
+// distance (paper §III-D), taken pair by pair inside one small tuple.
 func EuclideanDist(a, b []float32) float32 {
 	return float32(math.Sqrt(float64(SquaredDist(a, b))))
 }
 
-// SquaredDist returns the squared L2 distance between a and b. It is cheaper
-// than EuclideanDist and order-equivalent, so index internals prefer it.
-// Dispatches like Dot; the portable path is unrolled 8-way for the same
-// latency-hiding reason.
+// SquaredDist returns the squared L2 distance between a and b, the kernel
+// under EuclideanDist. Dispatches like Dot; the portable path is unrolled
+// 8-way for the same latency-hiding reason.
 func SquaredDist(a, b []float32) float32 {
 	assertSameLen(a, b)
 	if simdOn {
@@ -181,62 +183,9 @@ func assertSameLen(a, b []float32) {
 	}
 }
 
-// Metric identifies a distance function over embeddings.
-type Metric int
-
-// The values are what hnsw index files store; 0 is the retired non-unit
-// cosine and names no metric.
-const (
-	// Euclidean is L2 distance. Used by the pruning phase (paper §III-D).
-	Euclidean Metric = 1
-	// CosineUnit is cosine distance (1 - cosine similarity) over unit-norm
-	// or zero vectors, computed as 1 - dot(a, b): the merging phase's metric
-	// (paper §III-C). The encoder returns unit-norm or zero embeddings and
-	// merging normalizes centroids, so every vector the pipeline and the
-	// matcher compare qualifies; a zero vector is at distance 1 from all.
-	CosineUnit Metric = 2
-)
-
-// String implements fmt.Stringer.
-func (m Metric) String() string {
-	switch m {
-	case Euclidean:
-		return "euclidean"
-	case CosineUnit:
-		return "cosine-unit"
-	default:
-		return fmt.Sprintf("Metric(%d)", int(m))
-	}
-}
-
-// Dist evaluates the metric between a and b.
-func (m Metric) Dist(a, b []float32) float32 {
-	switch m {
-	case Euclidean:
-		return EuclideanDist(a, b)
-	case CosineUnit:
-		return cosineUnitDist(a, b)
-	default:
-		panic("vector: unknown metric " + m.String())
-	}
-}
-
-// DistFunc is a resolved distance kernel: calling it skips the per-call
-// Metric switch, and the concrete function can be inlined at monomorphic
-// call sites. Index structures resolve their metric once at construction.
-type DistFunc func(a, b []float32) float32
-
-func cosineUnitDist(a, b []float32) float32 { return 1 - Dot(a, b) }
-
-// Func returns the resolved kernel for the metric. The returned function
-// computes exactly what Dist computes, bit for bit.
-func (m Metric) Func() DistFunc {
-	switch m {
-	case Euclidean:
-		return EuclideanDist
-	case CosineUnit:
-		return cosineUnitDist
-	default:
-		panic("vector: unknown metric " + m.String())
-	}
-}
+// CosineUnitDist is cosine distance (1 - cosine similarity) over unit-norm or
+// zero vectors, computed as 1 - Dot(a, b): the merging phase's distance
+// (paper §III-C). The encoder returns unit-norm or zero embeddings and
+// merging normalizes centroids, so every vector the pipeline and the matcher
+// compare qualifies; a zero vector is at distance 1 from all.
+func CosineUnitDist(a, b []float32) float32 { return 1 - Dot(a, b) }

@@ -51,7 +51,7 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-// TestCosineSim: on normalized inputs, 1 - CosineUnit.Dist is the cosine
+// TestCosineSim: on normalized inputs, 1 - CosineUnitDist is the cosine
 // similarity, and a zero vector (which Normalize leaves zero) is at
 // similarity 0 from everything.
 func TestCosineSim(t *testing.T) {
@@ -69,7 +69,7 @@ func TestCosineSim(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := 1 - CosineUnit.Dist(Normalize(tc.a), Normalize(tc.b)); !almostEq(got, tc.want, 1e-6) {
+			if got := 1 - CosineUnitDist(Normalize(tc.a), Normalize(tc.b)); !almostEq(got, tc.want, 1e-6) {
 				t.Fatalf("cosine similarity = %v, want %v", got, tc.want)
 			}
 		})
@@ -81,7 +81,7 @@ func TestCosineDistRange(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := Normalize(randVec(rng, 8))
 		b := Normalize(randVec(rng, 8))
-		d := CosineUnit.Dist(a, b)
+		d := CosineUnitDist(a, b)
 		if d < -1e-5 || d > 2+1e-5 {
 			t.Fatalf("cosine distance %v out of [0,2]", d)
 		}
@@ -99,24 +99,15 @@ func TestEuclideanDist(t *testing.T) {
 	}
 }
 
-func TestMetricString(t *testing.T) {
-	if CosineUnit.String() != "cosine-unit" || Euclidean.String() != "euclidean" {
-		t.Fatal("unexpected metric names")
-	}
-	// 0 is the retired non-unit cosine: it names no metric any more.
-	if Metric(0).String() != "Metric(0)" || Metric(99).String() != "Metric(99)" {
-		t.Fatal("unknown metric should format numerically")
-	}
-}
-
+// TestMetricDist: the two distances, one per phase, on one orthogonal pair.
 func TestMetricDist(t *testing.T) {
 	a := []float32{1, 0}
 	b := []float32{0, 1}
-	if got := CosineUnit.Dist(a, b); !almostEq(got, 1, 1e-6) {
-		t.Fatalf("CosineUnit.Dist = %v, want 1", got)
+	if got := CosineUnitDist(a, b); !almostEq(got, 1, 1e-6) {
+		t.Fatalf("CosineUnitDist = %v, want 1", got)
 	}
-	if got := Euclidean.Dist(a, b); !almostEq(got, float32(math.Sqrt2), 1e-6) {
-		t.Fatalf("Euclidean.Dist = %v, want sqrt2", got)
+	if got := EuclideanDist(a, b); !almostEq(got, float32(math.Sqrt2), 1e-6) {
+		t.Fatalf("EuclideanDist = %v, want sqrt2", got)
 	}
 }
 
@@ -151,10 +142,10 @@ func TestCosineSymmetryProperty(t *testing.T) {
 			scaled[j] = raw[j] * 3.5
 		}
 		a, b := Normalize(raw), Normalize(randVec(rng, 16))
-		if CosineUnit.Dist(a, b) != CosineUnit.Dist(b, a) {
+		if CosineUnitDist(a, b) != CosineUnitDist(b, a) {
 			t.Fatal("cosine distance must be symmetric")
 		}
-		if !almostEq(CosineUnit.Dist(a, b), CosineUnit.Dist(Normalize(scaled), b), 1e-5) {
+		if !almostEq(CosineUnitDist(a, b), CosineUnitDist(Normalize(scaled), b), 1e-5) {
 			t.Fatal("cosine distance must be scale invariant")
 		}
 	}
