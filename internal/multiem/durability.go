@@ -1,13 +1,10 @@
 package multiem
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,28 +27,6 @@ import (
 // live ingest did — so the recovered matcher is bit-identical to the one that
 // crashed, down to its Save bytes. A follower applies shipped records the
 // same way, one batch at a time under the views it serves.
-//
-// Log record layout (one per batch; uvarints minimal, little-endian):
-//
-//	format   byte     recordFormat
-//	seq      uvarint  batch sequence number
-//	nShards  uvarint  shard count of the matcher that decided the batch
-//	nRows    uvarint  rows in the batch (>= 1)
-//	per row:
-//	  target uvarint  0 = not absorbed, else 1 + local*nShards + shard of the
-//	                  pre-batch tuple decide chose
-//	  dist   float32  only when target != 0: the distance to that tuple
-//	  nVals  uvarint; nVals x (len uvarint + bytes)
-//
-// The decisions are decide's, taken before chain runs: chain reads nothing
-// but the plan, so replay runs it again instead of logging its output. A log
-// is bound to the shard layout it names — tuples are addressed by (shard,
-// local), exactly as in the tuple IDs clients were acknowledged with.
-//
-// The wal package makes a record atomic — a crash mid-append leaves a torn
-// tail that replay stops at and the next append truncates — so a batch is
-// either wholly in the log or not there at all. Batches are serialized by
-// addMu, so sequence numbers in the log ascend by one.
 
 // WALConfig configures the durability subsystem for RecoverMatcher.
 type WALConfig struct {
@@ -370,479 +345,6 @@ func (ws *walState) startLoops(m *Matcher) {
 				}
 			}
 		}()
-	}
-}
-
-// walAppendBatch logs one ingest batch — its rows and the decisions p holds
-// for them — as one record, fsynced in place under the "always" policy. Called
-// from commitBatch under addMu, after decide and before chain (which overwrites
-// the decision of a row it moves to a forming tuple) and before any state
-// changes.
-//
-// A failed append rejects the batch (in-memory state untouched) and poisons
-// the WAL: every later ingest fails too. Like any commit-time I/O error, the
-// caller-visible outcome is indeterminate: if the record did reach the log
-// before the failure (say, only the fsync failed), recovery will find the
-// batch and apply it; if it did not, the torn tail is truncated. Either way
-// the recovered state is consistent, and ingest resumes after the restart —
-// failing closed is what keeps this sequence number from being written twice.
-func (m *Matcher) walAppendBatch(p *batchPlan) error {
-	ws := m.wal
-	if ws.brokenErr != nil {
-		return fmt.Errorf("multiem: wal failed earlier, ingest is fenced (restart to recover): %w", ws.brokenErr)
-	}
-	rec := batchRecord{seq: ws.seq.Load(), nShards: len(m.shards), rows: p.values, decisions: p.rows}
-	err := ws.log.Append(encodeBatchRecord(&rec))
-	if err == nil && ws.policy == wal.SyncAlways {
-		err = ws.log.Sync()
-	}
-	if err != nil {
-		ws.brokenErr = err
-		return fmt.Errorf("multiem: wal append: %w", err)
-	}
-	ws.seq.Add(1)
-	return nil
-}
-
-// recordFormat opens every batch record. The segment magic already keeps
-// records of another layout away from this decoder; the byte makes a record
-// say what it is on its own.
-const recordFormat = 2
-
-// batchRecord is one log record: a batch's rows and what decide settled for
-// each — absorb, shard, local and dist of decisions[i] belong to rows[i];
-// batch is chain's to fill and is not logged.
-type batchRecord struct {
-	seq       uint64
-	nShards   int
-	rows      [][]string
-	decisions []addDecision
-}
-
-// encodeBatchRecord frames one batch for the log.
-func encodeBatchRecord(rec *batchRecord) []byte {
-	buf := binary.AppendUvarint([]byte{recordFormat}, rec.seq)
-	buf = binary.AppendUvarint(buf, uint64(rec.nShards))
-	buf = binary.AppendUvarint(buf, uint64(len(rec.rows)))
-	for i, row := range rec.rows {
-		if d := &rec.decisions[i]; d.absorb {
-			buf = binary.AppendUvarint(buf, 1+uint64(d.local)*uint64(rec.nShards)+uint64(d.shard))
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(d.dist))
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(row)))
-		for _, v := range row {
-			buf = append(binary.AppendUvarint(buf, uint64(len(v))), v...)
-		}
-	}
-	return buf
-}
-
-// ErrCorruptRecord is returned (wrapped) for a log record payload that does
-// not decode as a batch.
-var ErrCorruptRecord = errors.New("multiem: corrupt batch record")
-
-// decodeBatchRecord parses one log record back into its batch. The payload
-// may come from the network (a follower decodes whatever its primary URL
-// serves), so every count is checked against the bytes left before it sizes
-// an allocation: a row costs at least two bytes (target and value count), a
-// value at least its length byte. Memory stays within a constant factor of
-// len(payload). Exactly the bytes encodeBatchRecord writes are accepted — a
-// uvarint longer than its value needs, a shard count or tuple index no
-// matcher can have, and trailing bytes are all corruption — so an accepted
-// payload re-encodes to itself.
-func decodeBatchRecord(payload []byte) (rec batchRecord, err error) {
-	p := payload
-	uvarint := func() (uint64, bool) { // next count: present, not overflowing, minimal
-		v, n := binary.Uvarint(p)
-		if n <= 0 || (n > 1 && p[n-1] == 0) {
-			return 0, false
-		}
-		p = p[n:]
-		return v, true
-	}
-	corrupt := func(what string) (batchRecord, error) {
-		return batchRecord{}, fmt.Errorf("%w: %s at byte %d of %d", ErrCorruptRecord, what, len(payload)-len(p), len(payload))
-	}
-	if len(p) == 0 || p[0] != recordFormat {
-		return corrupt("format byte")
-	}
-	p = p[1:]
-	seq, ok := uvarint()
-	if !ok {
-		return corrupt("sequence number")
-	}
-	nShards, ok := uvarint()
-	if !ok || nShards == 0 || nShards > maxSaneShards {
-		return corrupt(fmt.Sprintf("shard count %d", nShards))
-	}
-	n, ok := uvarint()
-	if !ok || n == 0 || n > uint64(len(p)/2) {
-		return corrupt(fmt.Sprintf("row count %d", n))
-	}
-	rec = batchRecord{seq: seq, nShards: int(nShards), rows: make([][]string, n), decisions: make([]addDecision, n)}
-	for i := range rec.rows {
-		target, ok := uvarint()
-		if !ok {
-			return corrupt(fmt.Sprintf("row %d target", i))
-		}
-		if target != 0 {
-			shard, local := (target-1)%nShards, (target-1)/nShards
-			if local > tupleLocalMask || len(p) < 4 {
-				return corrupt(fmt.Sprintf("row %d target %d", i, target))
-			}
-			dist := math.Float32frombits(binary.LittleEndian.Uint32(p))
-			p = p[4:]
-			rec.decisions[i] = addDecision{absorb: true, shard: int(shard), local: int(local), dist: dist}
-		}
-		nVals, ok := uvarint()
-		if !ok || nVals > uint64(len(p)) {
-			return corrupt(fmt.Sprintf("row %d value count %d", i, nVals))
-		}
-		rec.rows[i] = make([]string, nVals)
-		for j := range rec.rows[i] {
-			l, ok := uvarint()
-			if !ok || l > uint64(len(p)) {
-				return corrupt(fmt.Sprintf("row %d value %d length %d", i, j, l))
-			}
-			rec.rows[i][j] = string(p[:l])
-			p = p[l:]
-		}
-	}
-	if len(p) != 0 {
-		return corrupt("trailing bytes")
-	}
-	return rec, nil
-}
-
-// replayInflightBytes bounds the embeddings of the rows the reader may have
-// handed to the shard streams and not yet seen applied by all of them (their
-// plans also hold the raw values and the decisions). A batch is admitted
-// while fewer rows than the window — this over the row size, 16 384 rows at
-// dim 256 — are in flight, so at most the window plus one batch ever are (an
-// /add body, hence a batch, may be 64 MiB).
-//
-// The window is two things. It is the slack that absorbs the imbalance
-// between shards — a 16-row batch splits 10/6 as often as 8/8 — for which a
-// few hundred rows would do. And it is how far the reader sees ahead of the
-// streams, which is what deferred linking needs: a stream skips the graph
-// work of a batch only when the reader has already planned the compaction
-// that discards it. Replaying serve_mixed's log in-process (seed 1: 12 000
-// rows in 1 000 batches, the two shards compacting after batches 825 and
-// 863; medians of five recoveries, two alternations, 2 cores) took 0.82 s
-// with linking eager, 0.74–0.93 s with a 1 024-row window, 0.67–0.69 s with
-// 4 096, 0.46–0.49 s with 16 384 and 0.52–0.53 s with 65 536: the window
-// pays once it spans the stretch of log before a compaction. A log whose
-// compactions lie further apart than that replays exactly all the same, but
-// saves only the inserts within one window before each compaction.
-const replayInflightBytes = 16 << 20
-
-// replayStats is what a replay reports of itself.
-type replayStats struct {
-	batches, rows int64
-	// wall is the whole replay. readerBusy is the reader's share of it —
-	// reading, decoding, embedding, chaining; its waits for the window to open
-	// excluded — and shardBusy[s] shard stream s's time checking, applying and
-	// linking, its waits for the reader excluded.
-	wall, readerBusy time.Duration
-	shardBusy        []time.Duration
-	// peakRows is the most rows that were in flight at once.
-	peakRows int
-	// compactAt[s] lists the batches after which the reader foresaw shard s
-	// compact; deferred[s] counts the batches shard s applied without linking,
-	// and skipped[s] the nodes it appended that a compaction then discarded
-	// unlinked.
-	compactAt [][]uint64
-	deferred  []int
-	skipped   []int64
-}
-
-// indexForecast is the reader's model of one shard's index: its length and
-// live count, advanced from the plans alone — apply indexes one node per
-// tuple a batch creates on the shard and one per pre-batch tuple it absorbs
-// rows into — through the compactDue test maybeCompact runs.
-type indexForecast struct {
-	indexLen, live int
-	touched        []int
-}
-
-// advance moves the forecast for shard s past plan p and reports whether the
-// shard compacts after it.
-func (f *indexForecast) advance(p *batchPlan, s int) bool {
-	if len(p.perShard[s]) == 0 {
-		return false // no share, no apply, no maybeCompact
-	}
-	f.touched = f.touched[:0]
-	for _, i := range p.perShard[s] {
-		if d := &p.rows[i]; d.absorb {
-			f.touched = append(f.touched, d.local)
-		}
-	}
-	slices.Sort(f.touched)
-	f.indexLen += len(slices.Compact(f.touched))
-	for t := range p.tuples {
-		if p.tuples[t].shard == s {
-			f.indexLen++
-			f.live++
-		}
-	}
-	if !compactDue(f.indexLen, f.live) {
-		return false
-	}
-	f.indexLen = f.live
-	return true
-}
-
-// replayItem is one logged batch on its way through the shard streams.
-type replayItem struct {
-	seq uint64
-	p   *batchPlan
-	// logged are the decisions as the record holds them: chain overwrites
-	// p.rows[i] for a row it moves to a forming tuple, and the shard the log
-	// sent that row to still has to check it.
-	logged []addDecision
-	baseID int
-	// pending counts the streams that have not finished with the batch; the
-	// last one returns its rows to the window.
-	pending atomic.Int32
-}
-
-// replayer is the state of one replayWAL call: the reader (read, on the
-// caller's goroutine) and one stream goroutine per shard.
-type replayer struct {
-	m        *Matcher
-	startSeq uint64
-	st       replayStats
-	// queues[s] feeds shard s's stream every batch, in log order.
-	queues []chan *replayItem
-	// window is replayWAL's windowBytes in rows of this matcher's dimension.
-	window int
-	// forecasts[s] is the reader's model of shard s's index; linkFrom[s] is one
-	// past the last batch after which it foresees shard s compact. A stream
-	// defers linking for a batch below its shard's linkFrom: the compaction
-	// discards whatever that batch indexes.
-	forecasts []indexForecast
-	linkFrom  []atomic.Uint64
-
-	// mu guards the window (inflight, with freed signalled when rows return;
-	// blocked is how long the reader waited on it) and the failure.
-	mu       sync.Mutex
-	freed    sync.Cond
-	inflight int
-	blocked  time.Duration
-	// The failure with the lowest (failSeq, failRow) seen so far. failSeq is
-	// math.MaxUint64 while there is none, and atomic so that every stage reads
-	// it without the lock: none touches a batch at or past it.
-	failSeq atomic.Uint64
-	failRow int
-	failErr error
-}
-
-// errReplayStopped ends the log scan once a shard stream has failed.
-var errReplayStopped = errors.New("multiem: wal replay stopped")
-
-// replayWAL redoes every batch logged at or after startSeq and reports what it
-// replayed. Records below startSeq are covered by the snapshot (their segment
-// is not dropped yet); past that the log must ascend by one — a single file
-// cannot strand a whole record beyond a hole without failing its CRC, so
-// anything else is corruption under every fsync policy. windowBytes bounds
-// the embeddings in flight between the reader and the streams; recovery
-// passes replayInflightBytes.
-//
-// Redo is local to the shard it touches (ARIES), and shards share nothing, so
-// replay is a pipeline with no join between batches — a live batch needs one
-// for its atomic publish and its acknowledgement, replay has neither. One
-// reader walks the log: it decodes a record, makes its plan (planFromRecord),
-// runs chain — which reads only the plan, and is the one cross-shard step —
-// hands out the entity IDs, and sends the plan to every shard's stream. A
-// stream takes the batches in log order and for each checks the logged
-// decisions that target its shard (checkShard; the shard's state is the
-// pre-batch one, its own share of the batch comes next), then runs the same
-// shard.apply and maybeCompact live ingest runs — the same inserts per shard
-// in the same order, so graphs, RNG streams, compaction points and Save bytes
-// are the primary's. A compaction failure leaves the batch applied and the
-// shard on its previous index, as it does live.
-//
-// Replay never searches, and a compaction rebuilds a shard's graph from its
-// live centroids alone, so the links of a node indexed before the shard's
-// last compaction are never read. The reader runs maybeCompact's trigger over
-// each plan (indexForecast) and tells the streams where it foresees each
-// shard compact; a stream only Appends the nodes of a batch at or before a
-// foreseen compaction (shard.deferLinks), and links whatever is pending at
-// its next Add or when its queue closes. The forecast decides only when
-// linking happens, never what is linked — Link links every appended node in
-// node order, as their Adds would have — so a wrong or late forecast costs
-// time, not exactness. Nothing else happens: no logging
-// (the records are being read back), no spans or counters (replayed history
-// would pollute the serving histograms) and no views — no reader exists until
-// RecoverMatcher publishes once, so every chunk stays writer-owned and is
-// mutated in place. addMu is held throughout.
-//
-// On a failure — a corrupt or out-of-sequence record, a plan or a shard check
-// that refuses (ErrLogMismatch) — the stages stop and the error of the lowest
-// failing batch (and in it, row) is returned: a stream that failed at batch f
-// does not stop the others short of f, so which failure is reported does not
-// depend on which stream ran ahead. The shards are then partly applied and the
-// matcher must be dropped. A torn tail is not a failure: every whole record
-// before it was delivered, the batch it belonged to was never acknowledged,
-// and the next append truncates it.
-func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64, windowBytes int) (replayStats, error) {
-	m.addMu.Lock()
-	defer m.addMu.Unlock()
-	n := len(m.shards)
-	r := &replayer{
-		m:         m,
-		startSeq:  startSeq,
-		queues:    make([]chan *replayItem, n),
-		window:    max(1, windowBytes/(4*m.dim)),
-		forecasts: make([]indexForecast, n),
-		linkFrom:  make([]atomic.Uint64, n),
-	}
-	r.st.shardBusy = make([]time.Duration, n)
-	r.st.compactAt = make([][]uint64, n)
-	r.st.deferred = make([]int, n)
-	r.st.skipped = make([]int64, n)
-	r.freed.L = &r.mu
-	r.failSeq.Store(math.MaxUint64)
-	var streams sync.WaitGroup
-	for s, sh := range m.shards {
-		r.forecasts[s] = indexForecast{indexLen: sh.index.Len(), live: sh.tuples.len()}
-		// Every batch in flight holds at least one row, so the window admits at
-		// most r.window of them and a send never blocks: the reader waits in one
-		// place only, admit.
-		r.queues[s] = make(chan *replayItem, r.window)
-		streams.Add(1)
-		go func(s int) {
-			defer streams.Done()
-			r.stream(s)
-		}(s)
-	}
-	t0 := time.Now()
-	err := l.Replay(r.read)
-	if err != nil && !errors.Is(err, errReplayStopped) && !errors.Is(err, wal.ErrTornWrite) {
-		r.fail(r.nextSeq(), -1, err)
-	}
-	r.st.readerBusy = time.Since(t0) - r.blocked
-	for _, q := range r.queues {
-		close(q)
-	}
-	streams.Wait()
-	r.st.wall = time.Since(t0)
-	if r.failErr != nil {
-		return replayStats{}, fmt.Errorf("multiem: wal replay: %w", r.failErr)
-	}
-	return r.st, nil
-}
-
-// nextSeq is the sequence number the next record to replay must carry.
-func (r *replayer) nextSeq() uint64 { return r.startSeq + uint64(r.st.batches) }
-
-// read is the reader's step for one log record.
-func (r *replayer) read(payload []byte) error {
-	if r.failSeq.Load() != math.MaxUint64 {
-		return errReplayStopped
-	}
-	m, want := r.m, r.nextSeq()
-	rec, err := decodeBatchRecord(payload)
-	switch {
-	case err != nil:
-		return err
-	case rec.seq < r.startSeq:
-		return nil
-	case rec.seq != want:
-		return fmt.Errorf("log holds batch %d where batch %d belongs", rec.seq, want)
-	}
-	p, err := m.planFromRecord(&rec)
-	if err != nil {
-		return fmt.Errorf("apply logged batch %d: %w", rec.seq, err)
-	}
-	it := &replayItem{seq: rec.seq, p: p, logged: slices.Clone(p.rows), baseID: m.nextID}
-	m.chain(p)
-	m.nextID += len(p.rows)
-	for s := range r.forecasts {
-		if r.forecasts[s].advance(p, s) {
-			r.st.compactAt[s] = append(r.st.compactAt[s], rec.seq)
-			r.linkFrom[s].Store(rec.seq + 1)
-		}
-	}
-	it.pending.Store(int32(len(r.queues)))
-	r.admit(len(p.rows))
-	for _, q := range r.queues {
-		q <- it
-	}
-	r.st.batches++
-	r.st.rows += int64(len(p.rows))
-	return nil
-}
-
-// admit waits until fewer than r.window rows are in flight and adds n to them.
-func (r *replayer) admit(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.inflight >= r.window {
-		t0 := time.Now()
-		for r.inflight >= r.window {
-			r.freed.Wait()
-		}
-		r.blocked += time.Since(t0)
-	}
-	r.inflight += n
-	r.st.peakRows = max(r.st.peakRows, r.inflight)
-}
-
-// stream is shard s's side of the replay: its share of every batch below the
-// lowest failure, in log order. A batch past a failure is only counted off, so
-// the window keeps opening until the reader has noticed. When the queue
-// closes, the stream links what its deferred batches left pending.
-func (r *replayer) stream(s int) {
-	m, sh, cfg := r.m, r.m.shards[s], r.m.shardHNSWConfig(s)
-	var out []AddResult // what apply reports per row; replay has no one to tell
-	for it := range r.queues[s] {
-		if it.seq < r.failSeq.Load() {
-			t0 := time.Now()
-			if row, err := m.checkShard(s, it.logged, it.p.vecs); err != nil {
-				r.fail(it.seq, row, fmt.Errorf("apply logged batch %d: %w", it.seq, err))
-			} else if len(it.p.perShard[s]) > 0 {
-				out = slices.Grow(out[:0], len(it.p.rows))[:len(it.p.rows)]
-				sh.deferLinks = it.seq < r.linkFrom[s].Load()
-				if sh.deferLinks {
-					r.st.deferred[s]++
-				}
-				sh.apply(s, it.p, it.baseID, out)
-				unlinked, compactions := sh.index.Unlinked(), sh.compactions
-				_ = sh.maybeCompact(cfg, m.dim) // the batch is applied either way
-				if sh.compactions > compactions {
-					r.st.skipped[s] += int64(unlinked)
-				}
-			}
-			r.st.shardBusy[s] += time.Since(t0)
-		}
-		if it.pending.Add(-1) == 0 {
-			r.mu.Lock()
-			r.inflight -= len(it.p.rows)
-			r.mu.Unlock()
-			r.freed.Signal()
-		}
-	}
-	// A failed replay's matcher is dropped; a finished one is published next,
-	// and a view needs the whole graph.
-	sh.deferLinks = false
-	if r.failSeq.Load() == math.MaxUint64 {
-		t0 := time.Now()
-		sh.index.Link()
-		r.st.shardBusy[s] += time.Since(t0)
-	}
-}
-
-// fail records a failure at batch seq (row -1 when it is not a row's), keeping
-// the lowest.
-func (r *replayer) fail(seq uint64, row int, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f := r.failSeq.Load(); seq < f || seq == f && row < r.failRow {
-		r.failSeq.Store(seq)
-		r.failRow, r.failErr = row, err
 	}
 }
 
