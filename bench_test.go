@@ -31,6 +31,7 @@ import (
 	"repro/internal/multiem"
 	"repro/internal/table"
 	"repro/internal/vector"
+	"repro/internal/wal"
 )
 
 // benchConfigs returns reduced-scale dataset configs for benchmarking.
@@ -703,13 +704,16 @@ func BenchmarkMatcherIngestWAL(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoverReplay measures recovery by layout: a durability directory
+// BenchmarkRecoverReplay measures replay by layout: a durability directory
 // is written once per sub-benchmark — the base state at that shard count plus
-// about 4 096 rows through AddRecords in batches of the given size — and one op
-// is RecoverMatcher over it: load the base file, replay the log, publish.
-// rows/s is logged rows per second of that whole call; nearly all of it is
-// replay, which redoes each batch from the decisions its record holds, one
-// apply stream per shard. shards=1 is the reader overlapping one stream; more
+// about 4 096 rows through AddRecords in batches of the given size — and
+// replayed two ways. A recover op is RecoverMatcher over it: load the base
+// file, replay the log, publish. A follower op is what a follower's catch-up
+// costs: LoadMatcher of the same base, then one Replicator.Apply round over
+// the whole log. rows/s is logged rows per second of the whole op; nearly all
+// of it is replay, which redoes each batch from the decisions its record
+// holds, one apply stream per shard — the same replay both ways, so the two
+// legs should read alike. shards=1 is the reader overlapping one stream; more
 // shards scale with min(shards, cores). skipped-% is the index nodes replay
 // left unlinked, because a compaction later in the log discarded them, per
 // hundred replayed rows: the graph work deferred linking saved.
@@ -742,25 +746,46 @@ func BenchmarkRecoverReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 				want := live.Stats()
-				var skipped int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rec, err := repro.RecoverMatcher(cfg, opt, base)
+				// leg times replay, one op a call; what it returns is checked
+				// against the live matcher off the clock.
+				leg := func(b *testing.B, replay func() (*repro.Matcher, error)) {
+					var skipped int64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						rec, err := replay()
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.StopTimer()
+						if got := rec.Stats(); got.Entities != want.Entities || got.Tuples != want.Tuples {
+							b.Fatalf("replayed %d entities in %d tuples, want %d in %d", got.Entities, got.Tuples, want.Entities, want.Tuples)
+						}
+						skipped += rec.WALStats().ReplaySkippedLinks
+						if err := rec.CloseWAL(); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					b.ReportMetric(float64(batches*batchRows*b.N)/b.Elapsed().Seconds(), "rows/s")
+					b.ReportMetric(100*float64(skipped)/float64(batches*batchRows*b.N), "skipped-%")
+				}
+				b.Run("recover", func(b *testing.B) {
+					leg(b, func() (*repro.Matcher, error) { return repro.RecoverMatcher(cfg, opt, base) })
+				})
+				b.Run("follower", func(b *testing.B) {
+					l, err := wal.Open(multiem.LogDir(cfg.Dir), wal.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
-					b.StopTimer()
-					if got := rec.Stats(); got.Entities != want.Entities || got.Tuples != want.Tuples {
-						b.Fatalf("recovered %d entities in %d tuples, want %d in %d", got.Entities, got.Tuples, want.Entities, want.Tuples)
-					}
-					skipped += rec.WALStats().ReplaySkippedLinks
-					if err := rec.CloseWAL(); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-				b.ReportMetric(float64(batches*batchRows*b.N)/b.Elapsed().Seconds(), "rows/s")
-				b.ReportMetric(100*float64(skipped)/float64(batches*batchRows*b.N), "skipped-%")
+					defer l.Close()
+					leg(b, func() (*repro.Matcher, error) {
+						m, err := base()
+						if err != nil {
+							return nil, err
+						}
+						return m, multiem.NewReplicator(m, 0).Apply(l.Replay)
+					})
+				})
 			})
 		}
 	}

@@ -225,7 +225,7 @@ func (s *server) registerMetrics() {
 		"Size of that state file; over load seconds is the load rate.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.LoadBytes) }))
 	r.GaugeFunc("multiem_recovery_replayed_rows",
-		"Rows replayed from the WAL when this process recovered.", nil,
+		"Rows replayed from the WAL: at recovery, or summed over a follower's rounds.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.ReplayedRows) }))
 	r.GaugeFunc("multiem_recovery_replay_seconds",
 		"Time that replay took; rows over seconds is what a snapshot interval is sized from.", nil,

@@ -25,8 +25,8 @@ import (
 // (checked against the state it is replayed over, searched for never), and
 // the batch runs the same chain and, shard by shard, the same apply as the
 // live ingest did — so the recovered matcher is bit-identical to the one that
-// crashed, down to its Save bytes. A follower applies shipped records the
-// same way, one batch at a time under the views it serves.
+// crashed, down to its Save bytes. A follower applies shipped records through
+// the same replay, one round per fetch, under the views it serves.
 
 // WALConfig configures the durability subsystem for RecoverMatcher.
 type WALConfig struct {
@@ -56,7 +56,7 @@ type WALConfig struct {
 
 // WALStats reports the durability subsystem's size and activity.
 type WALStats struct {
-	// Enabled is false for an in-memory matcher; all other fields are zero.
+	// Enabled is false without a WAL; only Load* and Replay* are set then.
 	Enabled bool `json:"enabled"`
 	// Dir is the durability directory.
 	Dir string `json:"dir,omitempty"`
@@ -87,10 +87,10 @@ type WALStats struct {
 	// that file was. Both zero when the state was built, not loaded.
 	LoadSeconds float64 `json:"load_seconds"`
 	LoadBytes   int64   `json:"load_bytes"`
-	// ReplayedBatches and ReplayedRows count what RecoverMatcher replayed
-	// from the log when this matcher was opened, and ReplaySeconds is how
-	// long that took: rows per second of replay is the number a snapshot
-	// interval is sized from. Zero after a promotion (nothing was replayed).
+	// ReplayedBatches and ReplayedRows count what this matcher replayed from
+	// the log — at RecoverMatcher, or over a follower's rounds (kept through a
+	// promotion) — and ReplaySeconds how long that took: rows per second is
+	// what a snapshot interval is sized from, and a follower's catch-up rate.
 	ReplayedBatches int64   `json:"replayed_batches"`
 	ReplayedRows    int64   `json:"replayed_rows"`
 	ReplaySeconds   float64 `json:"replay_seconds"`
@@ -99,7 +99,7 @@ type WALStats struct {
 	// one apply stream per shard, and these are the seconds each spent working
 	// rather than waiting for the other side. Every shard near ReplaySeconds:
 	// replay is insert-bound; one shard near it and the rest low: absorption
-	// is skewed; the reader near it: embed-bound. Empty after a promotion.
+	// is skewed; the reader near it: embed-bound.
 	ReplayReaderBusySeconds float64   `json:"replay_reader_busy_seconds"`
 	ReplayShardBusySeconds  []float64 `json:"replay_shard_busy_seconds,omitempty"`
 	// ReplaySkippedLinks counts the index nodes replay appended without
@@ -122,10 +122,6 @@ type walState struct {
 	snapshots   atomic.Int64
 	snapErrs    atomic.Int64
 
-	// replayed is what recovery replayed from the log, and where the time
-	// went; written once, before the matcher is shared.
-	replayed replayStats
-
 	// brokenErr fences ingest after a failed append; guarded by addMu.
 	brokenErr error
 
@@ -143,10 +139,6 @@ type walState struct {
 // snapshotPrefix names checkpoint files; the suffix is the covered sequence.
 const snapshotPrefix = "snapshot-"
 
-func snapshotPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%020d.bin", snapshotPrefix, seq))
-}
-
 // LatestSnapshot reports the newest checkpoint in a durability (or mirror)
 // directory: its path, the sequence it covers, and whether one exists — the
 // last of ListSnapshots. Incomplete checkpoints never surface here: Snapshot
@@ -157,13 +149,15 @@ func LatestSnapshot(dir string) (path string, seq uint64, ok bool, err error) {
 		return "", 0, false, err
 	}
 	seq = seqs[len(seqs)-1]
-	return snapshotPath(dir, seq), seq, true, nil
+	return SnapshotFile(dir, seq), seq, true, nil
 }
 
 // SnapshotFile names the checkpoint file covering seq under a durability
 // directory; replication mirrors use it to lay files out exactly like the
 // primary.
-func SnapshotFile(dir string, seq uint64) string { return snapshotPath(dir, seq) }
+func SnapshotFile(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%020d.bin", snapshotPrefix, seq))
+}
 
 // LogDir names the directory holding the batch log's segments under a
 // durability directory. Primary, follower and promotion all take the layout
@@ -220,12 +214,12 @@ func CheckWALLayout(dir string) error {
 //  2. Every batch logged at or after the snapshot is redone — the logged
 //     decisions and the normal chain, then on every shard, as an independent
 //     stream over the log, the decisions checked against that shard's state
-//     and the normal apply (replayWAL) — so the recovered state is
-//     bit-identical to the matcher that crashed. A log written over another
-//     state fails with the ErrLogMismatch of its lowest failing batch and no
-//     matcher is returned; nothing in the directory is touched. A torn tail
-//     (crash mid-append) ends replay cleanly at the last whole batch; the
-//     next append truncates it.
+//     and the normal apply (replayWAL, which a follower runs too) — so the
+//     recovered state is bit-identical to the matcher that crashed. A log
+//     written over another state fails with the ErrLogMismatch of its lowest
+//     failing batch and no matcher is returned; nothing in the directory is
+//     touched. A torn tail (crash mid-append) ends replay cleanly at the
+//     last whole batch; the next append truncates it.
 //  3. Subsequent AddRecords append to the log under cfg's fsync policy,
 //     and a background snapshotter (cfg.SnapshotInterval > 0) bounds
 //     recovery time by log-since-snapshot.
@@ -268,15 +262,12 @@ func RecoverMatcher(cfg WALConfig, opt Options, base func() (*Matcher, error)) (
 	if ws.log, err = wal.Open(LogDir(cfg.Dir), wal.Options{SegmentMaxBytes: cfg.SegmentMaxBytes}); err != nil {
 		return nil, err
 	}
-	if ws.replayed, err = m.replayWAL(ws.log, snapSeq, replayInflightBytes); err != nil {
+	batches, err := m.replayWAL(ws.log.Replay, snapSeq, replayInflightBytes)
+	if err != nil {
 		ws.log.Close()
 		return nil, err
 	}
-	// Replay applied batches to writer state only (no per-batch views — no
-	// reader exists yet); publish the recovered state once, at the epoch the
-	// replayed batch count implies, before anything serves or snapshots it.
-	m.publishAll(uint64(ws.replayed.batches))
-	ws.seq.Store(snapSeq + uint64(ws.replayed.batches))
+	ws.seq.Store(snapSeq + uint64(batches))
 	ws.snapshotSeq.Store(snapSeq)
 	m.wal = ws
 	ws.startLoops(m)
@@ -383,7 +374,7 @@ func (m *Matcher) Snapshot() (seq uint64, err error) {
 		return 0, fmt.Errorf("multiem: snapshot: %w", err)
 	}
 
-	path := snapshotPath(ws.cfg.Dir, seq)
+	path := SnapshotFile(ws.cfg.Dir, seq)
 	tmp := path + ".tmp"
 	err = func() error {
 		f, err := os.Create(tmp)
@@ -434,7 +425,7 @@ func dropOldSnapshots(dir string, keep int) error {
 	}
 	var errs []error
 	for i := 0; i < len(seqs)-keep; i++ { // seqs ascend; drop the oldest
-		if err := os.Remove(snapshotPath(dir, seqs[i])); err != nil {
+		if err := os.Remove(SnapshotFile(dir, seqs[i])); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -490,45 +481,29 @@ func (m *Matcher) CloseWAL() error {
 	return ws.closeErr
 }
 
-// WALStats reports the durability subsystem's state; the zero
-// value (Enabled=false) for an in-memory matcher.
+// WALStats reports the durability subsystem's state; without a WAL, what the
+// matcher loaded and replayed (a follower's catch-up) only.
 func (m *Matcher) WALStats() WALStats {
+	st := WALStats{LoadSeconds: m.loadTime.Seconds(), LoadBytes: m.loadBytes}
+	if rs := m.replayed.Load(); rs != nil {
+		st.ReplayedBatches, st.ReplayedRows = rs.batches, rs.rows
+		st.ReplaySeconds, st.ReplayReaderBusySeconds = rs.wall.Seconds(), rs.readerBusy.Seconds()
+		st.ReplayShardBusySeconds = make([]float64, len(rs.shardBusy))
+		for s, d := range rs.shardBusy {
+			st.ReplayShardBusySeconds[s] = d.Seconds()
+			st.ReplaySkippedLinks += rs.skipped[s]
+		}
+	}
 	ws := m.wal
 	if ws == nil {
-		return WALStats{}
+		return st
 	}
 	ls := ws.log.Stats()
-	shardBusy := make([]float64, len(ws.replayed.shardBusy))
-	for s, d := range ws.replayed.shardBusy {
-		shardBusy[s] = d.Seconds()
-	}
-	var skipped int64
-	for _, n := range ws.replayed.skipped {
-		skipped += n
-	}
-	return WALStats{
-		Enabled:         true,
-		Dir:             ws.cfg.Dir,
-		Fsync:           ws.policy.String(),
-		Segments:        ls.Segments,
-		Bytes:           ls.Bytes,
-		Appends:         ls.Appends,
-		Syncs:           ls.Syncs,
-		TornTruncations: ls.TornTruncations,
-		NextSeq:         ws.seq.Load(),
-		SnapshotSeq:     ws.snapshotSeq.Load(),
-		Snapshots:       ws.snapshots.Load(),
-		SnapshotErrors:  ws.snapErrs.Load(),
-		LoadSeconds:     m.loadTime.Seconds(),
-		LoadBytes:       m.loadBytes,
-		ReplayedBatches: ws.replayed.batches,
-		ReplayedRows:    ws.replayed.rows,
-		ReplaySeconds:   ws.replayed.wall.Seconds(),
-
-		ReplayReaderBusySeconds: ws.replayed.readerBusy.Seconds(),
-		ReplayShardBusySeconds:  shardBusy,
-		ReplaySkippedLinks:      skipped,
-	}
+	st.Enabled, st.Dir, st.Fsync = true, ws.cfg.Dir, ws.policy.String()
+	st.Segments, st.Bytes, st.Appends, st.Syncs, st.TornTruncations = ls.Segments, ls.Bytes, ls.Appends, ls.Syncs, ls.TornTruncations
+	st.NextSeq, st.SnapshotSeq = ws.seq.Load(), ws.snapshotSeq.Load()
+	st.Snapshots, st.SnapshotErrors = ws.snapshots.Load(), ws.snapErrs.Load()
+	return st
 }
 
 // WALSyncDurations freezes the log's fsync latency distribution; nil when the

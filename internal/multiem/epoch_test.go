@@ -135,6 +135,72 @@ func TestEpochBatchAtomicity(t *testing.T) {
 	}
 }
 
+// TestFollowerRoundAtomicity is the same property for a follower: while it
+// replays the primary's log in rounds of one to three batches, the shard
+// streams mutating state that published views share, every pinned view holds
+// exactly its epoch's worth of whole batches — a round is seen all or not at
+// all — and the follower ends byte-identical to the primary.
+func TestFollowerRoundAtomicity(t *testing.T) {
+	const shards, batchRows, batches = 4, 8, 30
+	load := baseLoader(t, smallGeo(t), shards)
+	dir := t.TempDir()
+	primary, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(shards), load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < batches; b++ {
+		if _, err := primary.AddRecords(epochRows(b, batchRows)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	records := scanMirror(t, dir)
+	m, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, r := m.Stats().Entities, NewReplicator(m, 0)
+
+	stop := make(chan struct{})
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s, _, e := m.StatsWithShards()
+				if want := base + int(e)*batchRows; s.Entities != want {
+					t.Errorf("epoch %d reports %d entities, want %d — part of a round visible", e, s.Entities, want)
+					return
+				}
+				m.Tuples()
+				reads.Add(1)
+			}
+		}()
+	}
+	for b, n := 0, 1; b < batches; b, n = b+n, n%3+1 {
+		if err := r.Apply(scanOf(records[b:min(b+n, batches)]...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if reads.Load() == 0 {
+		t.Fatal("readers never ran; the hammer is vacuous")
+	}
+	if !bytes.Equal(saveBytes(t, m), saveBytes(t, primary)) {
+		t.Fatal("the follower diverges from the primary")
+	}
+}
+
 // TestEpochHammerLargeChunkedState is the chunked-view hammer at scale: a
 // single-shard matcher prepopulated to >= 100k live tuples — enough that the
 // tuple table and HNSW link arena each span hundreds of chunks — takes

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/hnsw"
-	"repro/internal/obs"
 	"repro/internal/table"
 	"repro/internal/vector"
 )
@@ -167,6 +166,9 @@ type Matcher struct {
 	// Recovery reports them beside its replay (WALStats).
 	loadBytes int64
 	loadTime  time.Duration
+	// replayed sums every replay this matcher ran — recovery's, or a
+	// follower's rounds; nil before the first. Stored under addMu.
+	replayed atomic.Pointer[replayStats]
 	// wal is the attached durability state (batch log + snapshotter),
 	// or nil when the matcher runs in-memory only. Set by RecoverMatcher
 	// before the matcher is shared, or by Replicator.Promote under addMu.
@@ -203,8 +205,8 @@ type matcherView struct {
 	shards []*shardView
 }
 
-// publishAll installs a fresh view of every shard at the given epoch; used
-// at construction and load time, before the matcher is shared.
+// publishAll installs a fresh view of every shard at the given epoch: at
+// construction and load, and at the end of a replay (under addMu).
 func (m *Matcher) publishAll(epoch uint64) {
 	v := &matcherView{epoch: epoch, nextID: m.nextID, shards: make([]*shardView, len(m.shards))}
 	for s, sh := range m.shards {
@@ -615,23 +617,12 @@ func (m *Matcher) AddRecords(rows [][]string) ([]AddResult, error) {
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
 	sp := m.obs().ingest.Start()
-	return m.commitBatch(&sp, m.decide(rows))
-}
-
-// commitBatch is the serving path of one planned batch, for live ingest and
-// for a follower applying a shipped batch alike: log the batch if a WAL is
-// attached, chain, apply the plan copy-on-write and publish the new views. sp
-// is the ingest span the caller opened before it made the plan, so the decide
-// stage times whichever source the plan came from. A follower has no WAL
-// until promotion (Replicator.Apply refuses once it has), so its mirrored
-// records are not logged a second time, while every batch still commits
-// atomically under the views it is serving reads from. The caller holds addMu.
-func (m *Matcher) commitBatch(sp *obs.Span, p *batchPlan) ([]AddResult, error) {
+	p := m.decide(rows)
 	sp.Mark(IngestStageDecide)
 	// Write-ahead: the batch goes to the log (and, under fsync "always", to
 	// stable storage) before any shard state changes — and before chain,
-	// because the record holds the decisions as its source left them. A
-	// failed append rejects the batch with the state untouched.
+	// because the record holds the decisions as decide left them. A failed
+	// append rejects the batch with the state untouched.
 	if m.wal != nil {
 		if err := m.walAppendBatch(p); err != nil {
 			return nil, err

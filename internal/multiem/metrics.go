@@ -15,10 +15,9 @@ import (
 // Match: embed the record, fan the query out across the per-shard HNSW
 // indexes (each shard's search + batch re-rank runs inside the fan-out),
 // then merge the per-shard rankings and materialize candidates.
-// Ingest (one batch): the plan's source — on a primary snapshot decisions
-// (parallel embed + search + absorption scoring), on a follower the embed
-// and the validation of the decisions its record holds — then the WAL
-// append (the record holds the decisions as that stage left them),
+// Ingest (one batch): decide (parallel embed + search + absorption scoring
+// against a snapshot of the shards), then the WAL append (the record holds
+// the decisions as decide left them),
 // intra-batch chaining, the per-shard copy-on-write apply, and the epoch
 // publish (view builds of the touched shards + commit swap).
 const (

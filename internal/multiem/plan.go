@@ -105,8 +105,8 @@ func (m *Matcher) decideRow(d *addDecision, q []float32, ef int, hits *shardHits
 
 // ErrLogMismatch reports a logged batch that does not fit the state it is
 // being replayed over: the log was written by a matcher with another shard
-// count, or over another base state or snapshot. A follower applies nothing of
-// the batch and stays where it was; recovery returns no matcher.
+// count, or over another base state or snapshot. Nothing of the replay is
+// published: recovery returns no matcher, a follower resyncs.
 var ErrLogMismatch = errors.New("multiem: logged batch does not fit this matcher state " +
 	"(replay a log over the base state or snapshot it was written over, with the same shard count)")
 
@@ -150,8 +150,8 @@ func (m *Matcher) planFromRecord(rec *batchRecord) (*batchPlan, error) {
 // that shard's state, which must be the pre-batch one: every such row names a
 // tuple that exists, carries text, lies within M and is as far from the
 // target's current centroid as the log says. It reads shard s and no other, so
-// a follower runs it over every shard before anything changes and a recovery
-// stream over its own shard just before that shard's share of the batch.
+// a replay stream runs it over its own shard just before that shard's share
+// of the batch.
 // logged[i] is row i's decision as the record holds it (chain overwrites the
 // plan's copy for a row it moves to a forming tuple), vecs the plan's
 // embeddings. It returns the first offending row with the ErrLogMismatch.

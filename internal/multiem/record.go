@@ -33,7 +33,7 @@ import (
 
 // walAppendBatch logs one ingest batch — its rows and the decisions p holds
 // for them — as one record, fsynced in place under the "always" policy. Called
-// from commitBatch under addMu, after decide and before chain (which overwrites
+// from AddRecords under addMu, after decide and before chain (which overwrites
 // the decision of a row it moves to a forming tuple) and before any state
 // changes.
 //

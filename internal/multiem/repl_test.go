@@ -65,6 +65,19 @@ func scanMirror(t *testing.T, mirrorDir string) [][]byte {
 	return out
 }
 
+// scanOf is a scan over payloads, in order, with the shape of wal.Log.Replay:
+// one follower round for Replicator.Apply.
+func scanOf(payloads ...[]byte) func(fn func(payload []byte) error) error {
+	return func(fn func(payload []byte) error) error {
+		for _, p := range payloads {
+			if err := fn(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // TestReplicationProperty is the headline replication correctness claim:
 // a follower bootstrapped from the primary's snapshot and fed the shipped
 // WAL stream is bit-identical (Save bytes) to the primary at every covered
@@ -121,15 +134,15 @@ func TestReplicationProperty(t *testing.T) {
 					t.Fatalf("follower AddRecords: %v, want ErrReadOnly", err)
 				}
 
-				// Ship the stream and feed it one record at a time; at every
-				// applied sequence the follower's Save bytes must equal the
-				// primary's at that same sequence.
+				// Ship the stream and feed it one record per round, so that every
+				// sequence is published: at each, the follower's Save bytes must
+				// equal the primary's at that same sequence.
 				mirrorDir := t.TempDir()
 				mirrorLog(t, primary, mirrorDir)
 				covered := 0
 				for _, p := range scanMirror(t, mirrorDir) {
 					before := r.NextSeq()
-					if err := r.Apply(p); err != nil {
+					if err := r.Apply(scanOf(p)); err != nil {
 						t.Fatal(err)
 					}
 					for seq := before; seq < r.NextSeq(); seq++ {
@@ -209,16 +222,18 @@ func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("no snapshot: %v", err)
 	}
-	f, err := os.Open(snapPath)
-	if err != nil {
-		t.Fatal(err)
+	replica := func() *Replicator {
+		f, err := os.Open(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		m, err := LoadMatcher(f, durOpts(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewReplicator(m, snapSeq)
 	}
-	follower, err := LoadMatcher(f, durOpts(shards))
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReplicator(follower, snapSeq)
 
 	mirrorDir := t.TempDir()
 	mirrorLog(t, primary, mirrorDir)
@@ -231,13 +246,14 @@ func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	}
 	// Delivered ahead of the batches before it, it is refused by name and
 	// moves nothing.
-	if err := r.Apply(records[len(records)-1]); !errors.Is(err, ErrSeqGap) || r.NextSeq() != snapSeq {
-		t.Fatalf("Apply past a gap: %v at seq %d, want ErrSeqGap at %d", err, r.NextSeq(), snapSeq)
+	gapped := replica()
+	if err := gapped.Apply(scanOf(records[len(records)-1])); !errors.Is(err, ErrSeqGap) || gapped.NextSeq() != snapSeq {
+		t.Fatalf("Apply past a gap: %v at seq %d, want ErrSeqGap at %d", err, gapped.NextSeq(), snapSeq)
 	}
-	for _, p := range records[:len(records)-1] {
-		if err := r.Apply(p); err != nil {
-			t.Fatal(err)
-		}
+	r := replica()
+	follower := r.m
+	if err := r.Apply(scanOf(records[:len(records)-1]...)); err != nil {
+		t.Fatal(err)
 	}
 	if r.NextSeq() != last {
 		t.Fatalf("follower applied through %d, want stop at %d", r.NextSeq(), last)
@@ -258,7 +274,7 @@ func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	// own log from here on, so the batch is refused by name: not applied, and
 	// not logged as if a client had sent it.
 	epoch, logged := follower.Epoch(), follower.WALStats().Appends
-	if err := r.Apply(records[len(records)-1]); !errors.Is(err, ErrPromoted) {
+	if err := r.Apply(scanOf(records[len(records)-1])); !errors.Is(err, ErrPromoted) {
 		t.Fatalf("Apply after Promote: %v, want ErrPromoted", err)
 	}
 	if follower.Epoch() != epoch || r.NextSeq() != last || follower.WALStats().Appends != logged {

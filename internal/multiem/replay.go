@@ -34,7 +34,8 @@ import (
 // saves only the inserts within one window before each compaction.
 const replayInflightBytes = 16 << 20
 
-// replayStats is what a replay reports of itself.
+// replayStats is what one replayWAL call reports of itself, or (plus) the sum
+// of every call a matcher ran.
 type replayStats struct {
 	batches, rows int64
 	// wall is the whole replay. readerBusy is the reader's share of it —
@@ -52,6 +53,23 @@ type replayStats struct {
 	compactAt [][]uint64
 	deferred  []int
 	skipped   []int64
+}
+
+// plus returns the totals of st and the calls before it, prev (nil for none),
+// reusing st's slices: st is a finished call's, which nothing else holds.
+func (st replayStats) plus(prev *replayStats) *replayStats {
+	if prev != nil {
+		st.batches, st.rows = st.batches+prev.batches, st.rows+prev.rows
+		st.wall, st.readerBusy = st.wall+prev.wall, st.readerBusy+prev.readerBusy
+		st.peakRows = max(st.peakRows, prev.peakRows)
+		for s := range st.shardBusy {
+			st.shardBusy[s] += prev.shardBusy[s]
+			st.compactAt[s] = append(slices.Clip(prev.compactAt[s]), st.compactAt[s]...)
+			st.deferred[s] += prev.deferred[s]
+			st.skipped[s] += prev.skipped[s]
+		}
+	}
+	return &st
 }
 
 // indexForecast is the reader's model of one shard's index: its length and
@@ -138,13 +156,18 @@ type replayer struct {
 // errReplayStopped ends the log scan once a shard stream has failed.
 var errReplayStopped = errors.New("multiem: wal replay stopped")
 
-// replayWAL redoes every batch logged at or after startSeq and reports what it
-// replayed. Records below startSeq are covered by the snapshot (their segment
-// is not dropped yet); past that the log must ascend by one — a single file
-// cannot strand a whole record beyond a hole without failing its CRC, so
-// anything else is corruption under every fsync policy. windowBytes bounds
-// the embeddings in flight between the reader and the streams; recovery
-// passes replayInflightBytes.
+// ErrSeqGap reports a logged batch past the replay's position: the batches in
+// between are not in the log, and only a snapshot catches a follower up.
+var ErrSeqGap = errors.New("multiem: gap in the logged batch sequence")
+
+// replayWAL redoes every batch scan delivers at or after startSeq, publishes
+// the result and reports how many batches it replayed. scan has the shape of
+// wal.Log.Replay: recovery passes its log's, a follower's round one over what
+// it just mirrored. Records below startSeq are covered by the snapshot; past
+// that the log must ascend by one (ErrSeqGap). windowBytes bounds the
+// embeddings in flight between the reader and the streams. The caller holds
+// addMu or owns the matcher alone; a matcher with a WAL attached has been
+// promoted and replays nothing (ErrPromoted).
 //
 // Redo is local to the shard it touches (ARIES), and shards share nothing, so
 // replay is a pipeline with no join between batches — a live batch needs one
@@ -169,23 +192,26 @@ var errReplayStopped = errors.New("multiem: wal replay stopped")
 // its next Add or when its queue closes. The forecast decides only when
 // linking happens, never what is linked — Link links every appended node in
 // node order, as their Adds would have — so a wrong or late forecast costs
-// time, not exactness. Nothing else happens: no logging
-// (the records are being read back), no spans or counters (replayed history
-// would pollute the serving histograms) and no views — no reader exists until
-// RecoverMatcher publishes once, so every chunk stays writer-owned and is
-// mutated in place. addMu is held throughout.
+// time, not exactness. Nothing else happens: no logging (the records are
+// being read back) and no spans or counters (replayed history would pollute
+// the serving histograms). The shards change copy-on-write, as under live
+// ingest, so the views readers hold stay intact; once every stream has
+// finished and linked, one view of every shard is published, at the epoch
+// plus the batches replayed.
 //
 // On a failure — a corrupt or out-of-sequence record, a plan or a shard check
 // that refuses (ErrLogMismatch) — the stages stop and the error of the lowest
 // failing batch (and in it, row) is returned: a stream that failed at batch f
 // does not stop the others short of f, so which failure is reported does not
-// depend on which stream ran ahead. The shards are then partly applied and the
-// matcher must be dropped. A torn tail is not a failure: every whole record
-// before it was delivered, the batch it belonged to was never acknowledged,
-// and the next append truncates it.
-func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64, windowBytes int) (replayStats, error) {
-	m.addMu.Lock()
-	defer m.addMu.Unlock()
+// depend on which stream ran ahead. The shards are then partly applied and
+// nothing of the replay is published: recovery drops the matcher, a
+// Replicator refuses every later round. A torn tail is not a failure: every
+// whole record before it was delivered, the batch it belonged to was never
+// acknowledged, and the next append truncates it.
+func (m *Matcher) replayWAL(scan func(fn func(payload []byte) error) error, startSeq uint64, windowBytes int) (batches int64, err error) {
+	if m.wal != nil {
+		return 0, ErrPromoted
+	}
 	n := len(m.shards)
 	r := &replayer{
 		m:         m,
@@ -215,7 +241,7 @@ func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64, windowBytes int) (repla
 		}(s)
 	}
 	t0 := time.Now()
-	err := l.Replay(r.read)
+	err = scan(r.read)
 	if err != nil && !errors.Is(err, errReplayStopped) && !errors.Is(err, wal.ErrTornWrite) {
 		r.fail(r.nextSeq(), -1, err)
 	}
@@ -224,11 +250,15 @@ func (m *Matcher) replayWAL(l *wal.Log, startSeq uint64, windowBytes int) (repla
 		close(q)
 	}
 	streams.Wait()
-	r.st.wall = time.Since(t0)
 	if r.failErr != nil {
-		return replayStats{}, fmt.Errorf("multiem: wal replay: %w", r.failErr)
+		return 0, fmt.Errorf("multiem: wal replay: %w", r.failErr)
 	}
-	return r.st, nil
+	if r.st.batches > 0 {
+		m.publishAll(m.state.Load().epoch + uint64(r.st.batches))
+	}
+	r.st.wall = time.Since(t0)
+	m.replayed.Store(r.st.plus(m.replayed.Load()))
+	return r.st.batches, nil
 }
 
 // nextSeq is the sequence number the next record to replay must carry.
@@ -247,7 +277,7 @@ func (r *replayer) read(payload []byte) error {
 	case rec.seq < r.startSeq:
 		return nil
 	case rec.seq != want:
-		return fmt.Errorf("log holds batch %d where batch %d belongs", rec.seq, want)
+		return fmt.Errorf("%w: log holds batch %d where batch %d belongs", ErrSeqGap, rec.seq, want)
 	}
 	p, err := m.planFromRecord(&rec)
 	if err != nil {
@@ -321,8 +351,8 @@ func (r *replayer) stream(s int) {
 			r.freed.Signal()
 		}
 	}
-	// A failed replay's matcher is dropped; a finished one is published next,
-	// and a view needs the whole graph.
+	// A failed replay's shards are never published; a finished one's are
+	// next, and a view needs the whole graph.
 	sh.deferLinks = false
 	if r.failSeq.Load() == math.MaxUint64 {
 		t0 := time.Now()

@@ -20,8 +20,8 @@ import (
 
 // The log carries the plan: these tests pin what recovery and followers do
 // with the decisions a record holds — apply them without searching, and
-// refuse them, before anything changes, when they do not belong to the state
-// they are replayed over.
+// refuse them, publishing nothing, when they do not belong to the state they
+// are replayed over.
 
 // shardSearches reads every shard index's search counters.
 func shardSearches(m *Matcher) [][3]uint64 {
@@ -73,9 +73,10 @@ func loggedHistory(t *testing.T, dir string, shards int, load func() (*Matcher, 
 	return uncrashed, acked, scanMirror(t, dir) // a durability directory is laid out like a mirror
 }
 
-// TestReplaySearchesNothing: recovery and a follower's Apply reach the
+// TestReplaySearchesNothing: recovery and a follower's round reach the
 // uncrashed matcher's exact state without one index search — every shard's
-// search counters read after the replay what they read before it.
+// search counters read after the replay what they read before it — and both
+// report what they replayed.
 func TestReplaySearchesNothing(t *testing.T) {
 	d := smallGeo(t)
 	for _, shards := range []int{1, 4} {
@@ -89,16 +90,20 @@ func TestReplaySearchesNothing(t *testing.T) {
 		}
 		r := NewReplicator(follower, 0)
 		before := shardSearches(follower)
-		for _, p := range records {
-			if err := r.Apply(p); err != nil {
-				t.Fatal(err)
-			}
+		if err := r.Apply(scanOf(records...)); err != nil {
+			t.Fatal(err)
 		}
 		if after := shardSearches(follower); !slices.Equal(before, after) {
 			t.Fatalf("shards=%d: follower apply searched: %v -> %v", shards, before, after)
 		}
 		if !bytes.Equal(saveBytes(t, follower), saveBytes(t, uncrashed)) {
 			t.Fatalf("shards=%d: follower diverges from the uncrashed matcher", shards)
+		}
+		// One round, one publish; the follower has no log, and its catch-up
+		// shows in the replay fields all the same.
+		if st := follower.WALStats(); follower.Epoch() != uint64(len(records)) || st.Enabled || st.ReplayedBatches != int64(len(records)) ||
+			st.ReplayedRows != 8*int64(len(records)) || st.ReplaySeconds <= 0 || len(st.ReplayShardBusySeconds) != shards {
+			t.Fatalf("shards=%d: follower at epoch %d reports %+v; want %d batches of 8 rows", shards, follower.Epoch(), st, len(records))
 		}
 
 		var base *Matcher
@@ -130,7 +135,8 @@ func TestReplaySearchesNothing(t *testing.T) {
 // TestPlanFromRecordRefuses: a record whose decisions do not belong to the
 // state it meets is refused with ErrLogMismatch whichever field gives it
 // away, and the refusal leaves the matcher exactly as it was — Save bytes,
-// epoch and position — and able to take the genuine record afterwards.
+// epoch and position — and refusing, the genuine record included, until a
+// resync replaces it.
 func TestPlanFromRecordRefuses(t *testing.T) {
 	d := smallGeo(t)
 	const shards = 2
@@ -162,10 +168,8 @@ func TestPlanFromRecordRefuses(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := NewReplicator(m, 0)
-		for _, p := range records[:upTo] {
-			if err := r.Apply(p); err != nil {
-				t.Fatal(err)
-			}
+		if err := r.Apply(scanOf(records[:upTo]...)); err != nil {
+			t.Fatal(err)
 		}
 		return r
 	}
@@ -173,7 +177,7 @@ func TestPlanFromRecordRefuses(t *testing.T) {
 	// matcher.
 	refused := func(t *testing.T, r *Replicator, try func() error) {
 		t.Helper()
-		m := r.Matcher()
+		m := r.m
 		state, epoch, next := saveBytes(t, m), m.Epoch(), r.NextSeq()
 		err := try()
 		if !errors.Is(err, ErrLogMismatch) {
@@ -204,11 +208,9 @@ func TestPlanFromRecordRefuses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.mutate(r.Matcher(), &rec, &rec.decisions[row])
-			refused(t, r, func() error { return r.Apply(encodeBatchRecord(&rec)) })
-			if err := r.Apply(records[k]); err != nil {
-				t.Fatalf("the genuine record after the refusal: %v", err)
-			}
+			c.mutate(r.m, &rec, &rec.decisions[row])
+			refused(t, r, func() error { return r.Apply(scanOf(encodeBatchRecord(&rec))) })
+			refused(t, r, func() error { return r.Apply(scanOf(records[k])) })
 		})
 	}
 
@@ -223,7 +225,7 @@ func TestPlanFromRecordRefuses(t *testing.T) {
 		}
 		rec.decisions[row].shard = shards
 		refused(t, r, func() error {
-			_, err := r.Matcher().planFromRecord(&rec)
+			_, err := r.m.planFromRecord(&rec)
 			return err
 		})
 	})
@@ -238,10 +240,10 @@ func TestPlanFromRecordRefuses(t *testing.T) {
 		raw := saveBytes(t, buildBase(t, other, shards))
 		otherBase := func() (*Matcher, error) { return LoadMatcher(bytes.NewReader(raw), durOpts(shards)) }
 		r := follower(otherBase, 0)
-		m, applied := r.Matcher(), 0
+		m, applied := r.m, 0
 		for _, p := range records {
 			state, epoch := saveBytes(t, m), m.Epoch()
-			err := r.Apply(p)
+			err := r.Apply(scanOf(p))
 			if err == nil {
 				applied++
 				continue
@@ -261,6 +263,61 @@ func TestPlanFromRecordRefuses(t *testing.T) {
 			t.Fatalf("RecoverMatcher over a foreign base: %v, want ErrLogMismatch", err)
 		}
 	})
+}
+
+// TestFollowerRoundRefusal: a follower round over a 2-shard log whose batch k
+// misstates one decision on shard 1 alone is refused, and although shard 0's
+// stream may have applied batch k and beyond, nothing of the round is
+// published — not even the batches before k: Save bytes, epoch and position
+// stay where the round found them. The replicator then refuses every later
+// round, the genuine log included, and promotion too.
+func TestFollowerRoundRefusal(t *testing.T) {
+	d := smallGeo(t)
+	const shards = 2
+	load := baseLoader(t, d, shards)
+	_, _, records := loggedHistory(t, t.TempDir(), shards, load)
+
+	k, row := -1, -1
+	for i, p := range records[1:] {
+		rec, err := decodeBatchRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, dec := range rec.decisions {
+			if dec.absorb && dec.shard == 1 && k < 0 {
+				k, row = i+1, j
+			}
+		}
+	}
+	if k < 0 {
+		t.Fatal("no record past the first absorbs a row on shard 1")
+	}
+	rec, err := decodeBatchRecord(records[k])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.decisions[row].dist -= 1e-3
+	doctored := slices.Clone(records)
+	doctored[k] = encodeBatchRecord(&rec)
+
+	m, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplicator(m, 0)
+	state, epoch := saveBytes(t, m), m.Epoch()
+	want := fmt.Sprintf("apply logged batch %d: %v: row %d:", k, ErrLogMismatch, row)
+	for _, round := range [][][]byte{doctored, records} {
+		if err := r.Apply(scanOf(round...)); !errors.Is(err, ErrLogMismatch) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("got %v, want %q", err, want)
+		}
+		if !bytes.Equal(saveBytes(t, m), state) || m.Epoch() != epoch || r.NextSeq() != 0 {
+			t.Fatalf("the refused round moved the follower: epoch %d -> %d, next seq %d", epoch, m.Epoch(), r.NextSeq())
+		}
+	}
+	if err := r.Promote(WALConfig{Dir: t.TempDir(), Fsync: "off"}); !errors.Is(err, ErrLogMismatch) {
+		t.Fatalf("Promote after a refused round: %v, want ErrLogMismatch", err)
+	}
 }
 
 // skewedHistory ingests, in batches of batchRows, a history whose one
@@ -390,7 +447,7 @@ func TestReplayStreamsEqualLive(t *testing.T) {
 				// streams deferred linking on the compacting shard alone: at
 				// least the compacting batch's own nodes were never linked, and
 				// no other shard appended a node unlinked.
-				rs := recovered.wal.replayed
+				rs := recovered.replayed.Load()
 				for s := 0; s < shards; s++ {
 					var want []uint64
 					if s == 0 {
@@ -579,13 +636,14 @@ func TestReplayBoundsRowsInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := m.replayWAL(l, 0, windowBytes)
+		batches, err := m.replayWAL(l.Replay, 0, windowBytes)
 		l.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.batches != int64(c.batches) || st.rows != int64(c.batches*c.batchRows) {
-			t.Fatalf("replayed %d batches, %d rows; want %d of %d rows", st.batches, st.rows, c.batches, c.batchRows)
+		st := m.replayed.Load()
+		if batches != int64(c.batches) || st.rows != int64(c.batches*c.batchRows) {
+			t.Fatalf("replayed %d batches, %d rows; want %d of %d rows", batches, st.rows, c.batches, c.batchRows)
 		}
 		// Each log is longer than the window, and a stream needs several times
 		// as long for a row as the reader, so an unbounded reader would show.
@@ -596,7 +654,6 @@ func TestReplayBoundsRowsInFlight(t *testing.T) {
 		if limit := window - 1 + c.batchRows; st.peakRows < c.batchRows || st.peakRows > limit {
 			t.Fatalf("%d-row batches: %d rows in flight at the peak, want at most %d", c.batchRows, st.peakRows, limit)
 		}
-		m.publishAll(uint64(st.batches))
 		if !bytes.Equal(saveBytes(t, m), saveBytes(t, primary)) {
 			t.Fatalf("%d-row batches: replayed state differs from the primary's", c.batchRows)
 		}

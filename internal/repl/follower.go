@@ -347,6 +347,12 @@ func (f *Follower) syncOnce() error {
 		f.cfg.Logf("repl: %v; resyncing from a fresh snapshot", err)
 		return f.resync(man)
 	}
+	if errors.Is(err, multiem.ErrLogMismatch) {
+		// Only a snapshot goes past a refusal. It counts as a failed round: with
+		// options unlike the primary's every resync meets it again, at backoff.
+		f.cfg.Logf("repl: %v; resyncing from a fresh snapshot", err)
+		return errors.Join(err, f.resync(man))
+	}
 	if err != nil {
 		return err
 	}
@@ -491,26 +497,32 @@ func (f *Follower) pull(man *Manifest) (applied int, err error) {
 	return f.drain()
 }
 
-// drain feeds newly mirrored records to the replicator, oldest segment first
-// — Apply takes batches in log order and reports anything else as a gap.
+// drain feeds the records mirrored since the last round to the replicator as
+// one round, oldest segment first — Apply takes batches in log order.
 func (f *Follower) drain() (applied int, err error) {
+	if f.allScanned() {
+		return 0, nil
+	}
 	r := f.repl.Load()
 	before := r.NextSeq()
 	dir := multiem.LogDir(f.cfg.Dir)
-	for _, st := range f.segs {
-		if st.scanned >= st.mirrored {
-			continue
+	err = r.Apply(func(fn func(payload []byte) error) error {
+		for _, st := range f.segs {
+			if st.scanned >= st.mirrored {
+				continue
+			}
+			// TailPartial below the fence cannot happen (fetches stop at
+			// whole-record fences); at the fence it just means the next chunk
+			// has not arrived. A damaged frame comes back as an error.
+			next, _, err := wal.ScanRecords(wal.SegmentFile(dir, st.index), st.scanned, fn)
+			if err != nil {
+				return fmt.Errorf("repl: segment %d: %w", st.index, err)
+			}
+			st.scanned = next
 		}
-		// TailPartial below the fence cannot happen (fetches stop at
-		// whole-record fences); at the fence it just means the next chunk
-		// has not arrived. A damaged frame comes back as an error.
-		next, _, err := wal.ScanRecords(wal.SegmentFile(dir, st.index), st.scanned, r.Apply)
-		if err != nil {
-			return int(r.NextSeq() - before), fmt.Errorf("repl: segment %d: %w", st.index, err)
-		}
-		st.scanned = next
-	}
-	return int(r.NextSeq() - before), nil
+		return nil
+	})
+	return int(r.NextSeq() - before), err
 }
 
 // allScanned reports whether every mirrored byte has been fed to the

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -317,6 +318,66 @@ func TestFollowerResyncsWhenLogTruncated(t *testing.T) {
 	})
 	if !bytes.Equal(saveBytes(t, f2.Matcher()), saveBytes(t, m)) {
 		t.Fatal("resynced follower diverges")
+	}
+}
+
+// TestFollowerResyncsOnRefusal: a follower whose mirror holds a snapshot of
+// another state — the primary's log does not fit it — meets ErrLogMismatch on
+// its first round, resyncs from the primary's snapshot instead of retrying the
+// refused round for ever, and catches up to the primary's exact state.
+func TestFollowerResyncsOnRefusal(t *testing.T) {
+	d := smallGeo(t)
+	const shards = 2
+	m, _, srv := newPrimary(t, d, t.TempDir(), shards, 1<<10)
+	for _, rows := range randomBatches(d, 3, 6, 7) {
+		if _, err := m.AddRecords(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other, err := datagen.GenerateByName("Geo", 0.3, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := multiem.BuildMatcher(other, testOpts(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := t.TempDir()
+	if err := os.WriteFile(multiem.SnapshotFile(mirror, 0), saveBytes(t, foreign), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var refused atomic.Bool
+	f, err := Start(Config{
+		PrimaryURL: srv.URL,
+		Dir:        mirror,
+		Opt:        testOpts(shards),
+		Poll:       10 * time.Millisecond,
+		Timeout:    2 * time.Second,
+		MaxBackoff: 50 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			if strings.Contains(line, "does not fit this matcher state") && strings.Contains(line, "resyncing") {
+				refused.Store(true)
+			}
+			t.Log(line)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	waitFor(t, 10*time.Second, "resync catch-up", func() bool {
+		st := f.Stats()
+		return st.Bootstrapped && st.Resyncs > 0 && st.NextSeq == m.WALStats().NextSeq
+	})
+	if !refused.Load() {
+		t.Fatal("the follower resynced, but not for a refused round")
+	}
+	if st := f.Stats(); st.Resyncs != 1 {
+		t.Fatalf("%d resyncs, want 1", st.Resyncs)
+	}
+	if !bytes.Equal(saveBytes(t, f.Matcher()), saveBytes(t, m)) {
+		t.Fatal("resynced follower diverges from the primary")
 	}
 }
 

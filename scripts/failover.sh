@@ -109,6 +109,7 @@ for b in $(seq 1 "$N_PROBES"); do
 done
 
 log "waiting for replication lag 0"
+CATCHUP_T0="$(date +%s.%N)"
 PRIMARY_SEQ="$(stats_field "$P_BASE" next_seq)"
 for _ in $(seq 1 200); do
   LAG="$(stats_field "$F_BASE" lag_batches || echo missing)"
@@ -119,7 +120,8 @@ for _ in $(seq 1 200); do
   sleep 0.1
 done
 [ "$(stats_field "$F_BASE" lag_batches)" = "0" ] || fail "follower never reached lag 0"
-log "follower caught up at seq $PRIMARY_SEQ"
+log "follower caught up at seq $PRIMARY_SEQ," \
+  "$(awk -v t0="$CATCHUP_T0" -v t1="$(date +%s.%N)" 'BEGIN { printf("%.2f", t1 - t0) }') s after the last probe batch was acked"
 
 log "starting background ingest burst"
 (
