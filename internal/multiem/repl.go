@@ -9,19 +9,16 @@ import (
 )
 
 // Replicator applies a primary's shipped WAL stream to a follower matcher
-// through recovery's replay (replayWAL), one round per fetch: the follower's
-// state is bit-identical to the primary's at every published sequence, and
-// nothing is searched for. The wrapped matcher is fenced read-only
-// (AddRecords returns ErrReadOnly) until Promote. Apply must be called from
-// one goroutine — the fetch loop; NextSeq is safe from any goroutine (the
-// stats endpoint reads it while the loop runs).
+// through recovery's replay (replayWAL), one round per fetch, keeping it
+// bit-identical to the primary at every published sequence; the matcher is
+// fenced read-only (ErrReadOnly) until Promote. Apply must be called from one
+// goroutine — the fetch loop; NextSeq is safe from any.
 type Replicator struct {
 	m *Matcher
 	// nextSeq is the next batch sequence to apply; everything below it is
 	// already part of the published state.
 	nextSeq atomic.Uint64
-	// refused is the error of the round that failed, after which the writer's
-	// shards may be past the published view; guarded by addMu.
+	// refused is the error of the round that failed; guarded by addMu.
 	refused error
 }
 
@@ -50,16 +47,15 @@ var ErrPromoted = errors.New("multiem: matcher has a WAL attached (promoted); sh
 // mirrored segments overlap the bootstrap snapshot). A batch past it fails
 // with ErrSeqGap, an undecodable payload with ErrCorruptRecord, a batch
 // decided over another state or shard layout with ErrLogMismatch, a round
-// after Promote with ErrPromoted. A failed round publishes nothing and may
+// after Promote with ErrPromoted. A failed round publishes nothing but may
 // leave the shards past the published view, so every later round, and
 // Promote, return its error: only a resync from a snapshot goes on.
 func (r *Replicator) Apply(scan func(fn func(payload []byte) error) error) error {
-	m := r.m
-	m.addMu.Lock()
-	defer m.addMu.Unlock()
+	r.m.addMu.Lock()
+	defer r.m.addMu.Unlock()
 	if r.refused == nil {
 		var batches int64
-		batches, r.refused = m.replayWAL(scan, r.nextSeq.Load(), replayInflightBytes)
+		batches, r.refused = r.m.replayWAL(scan, r.nextSeq.Load(), replayInflightBytes)
 		r.nextSeq.Add(uint64(batches))
 	}
 	return r.refused

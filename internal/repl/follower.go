@@ -457,8 +457,7 @@ func (f *Follower) mirrorOf(index int64) *segMirror {
 }
 
 // pull mirrors every byte the manifest lists that the mirror lacks, then
-// feeds newly mirrored records to the replicator. Returns how many batches
-// were applied.
+// drains them into the replicator; it returns the batches applied.
 func (f *Follower) pull(man *Manifest) (applied int, err error) {
 	var lag int64
 	if len(man.Segments) > 0 {
@@ -522,6 +521,11 @@ func (f *Follower) drain() (applied int, err error) {
 		}
 		return nil
 	})
+	if err != nil { // a failed round feeds nothing: the next poll meets its error again
+		for _, st := range f.segs {
+			st.scanned = 0
+		}
+	}
 	return int(r.NextSeq() - before), err
 }
 

@@ -324,11 +324,26 @@ func TestFollowerResyncsWhenLogTruncated(t *testing.T) {
 // TestFollowerResyncsOnRefusal: a follower whose mirror holds a snapshot of
 // another state — the primary's log does not fit it — meets ErrLogMismatch on
 // its first round, resyncs from the primary's snapshot instead of retrying the
-// refused round for ever, and catches up to the primary's exact state.
+// refused round for ever, and catches up to the primary's exact state. The
+// first snapshot download fails, and with nothing new to mirror the next poll
+// still meets the refusal and tries again.
 func TestFollowerResyncsOnRefusal(t *testing.T) {
 	d := smallGeo(t)
 	const shards = 2
-	m, _, srv := newPrimary(t, d, t.TempDir(), shards, 1<<10)
+	m, p, _ := newPrimary(t, d, t.TempDir(), shards, 1<<10)
+	var snapshotGets atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /repl/manifest", p.HandleManifest)
+	mux.HandleFunc("GET /repl/segment/{index}", p.HandleSegment)
+	mux.HandleFunc("GET /repl/snapshot/{seq}", func(w http.ResponseWriter, r *http.Request) {
+		if snapshotGets.Add(1) == 1 {
+			http.Error(w, "try again", http.StatusServiceUnavailable)
+			return
+		}
+		p.HandleSnapshot(w, r)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
 	for _, rows := range randomBatches(d, 3, 6, 7) {
 		if _, err := m.AddRecords(rows); err != nil {
 			t.Fatal(err)
@@ -373,8 +388,8 @@ func TestFollowerResyncsOnRefusal(t *testing.T) {
 	if !refused.Load() {
 		t.Fatal("the follower resynced, but not for a refused round")
 	}
-	if st := f.Stats(); st.Resyncs != 1 {
-		t.Fatalf("%d resyncs, want 1", st.Resyncs)
+	if st := f.Stats(); st.Resyncs != 1 || snapshotGets.Load() != 2 {
+		t.Fatalf("%d resyncs from %d snapshot downloads, want 1 from 2", st.Resyncs, snapshotGets.Load())
 	}
 	if !bytes.Equal(saveBytes(t, f.Matcher()), saveBytes(t, m)) {
 		t.Fatal("resynced follower diverges from the primary")
