@@ -18,7 +18,7 @@ type Replicator struct {
 	// nextSeq is the next batch sequence to apply; everything below it is
 	// already part of the published state.
 	nextSeq atomic.Uint64
-	// refused is the error of the round that failed; guarded by addMu.
+	// refused is the ErrLogMismatch of a refused round; guarded by addMu.
 	refused error
 }
 
@@ -44,21 +44,24 @@ var ErrPromoted = errors.New("multiem: matcher has a WAL attached (promoted); sh
 // Apply replays one round — every record scan delivers, in log order; scan
 // has the shape of wal.Log.Replay — and publishes it as one view, so reads
 // see the round all-or-nothing. Batches below NextSeq are skipped (the
-// mirrored segments overlap the bootstrap snapshot). A batch past it fails
-// with ErrSeqGap, an undecodable payload with ErrCorruptRecord, a batch
-// decided over another state or shard layout with ErrLogMismatch, a round
-// after Promote with ErrPromoted. A failed round publishes nothing but may
-// leave the shards past the published view, so every later round, and
-// Promote, return its error: only a resync from a snapshot goes on.
+// mirrored segments overlap the bootstrap snapshot). A round cut short — by a
+// batch past NextSeq (ErrSeqGap), an undecodable payload (ErrCorruptRecord),
+// scan's own error or Promote (ErrPromoted) — publishes the batches before it.
+// A refused batch (ErrLogMismatch: decided over another state or shard layout)
+// may leave the shards past the published view, so every later round, and
+// Promote, return the refusal until a resync replaces the follower.
 func (r *Replicator) Apply(scan func(fn func(payload []byte) error) error) error {
 	r.m.addMu.Lock()
 	defer r.m.addMu.Unlock()
-	if r.refused == nil {
-		var batches int64
-		batches, r.refused = r.m.replayWAL(scan, r.nextSeq.Load(), replayInflightBytes)
-		r.nextSeq.Add(uint64(batches))
+	if r.refused != nil {
+		return r.refused
 	}
-	return r.refused
+	batches, err := r.m.replayWAL(scan, r.nextSeq.Load(), replayInflightBytes)
+	r.nextSeq.Add(uint64(batches))
+	if errors.Is(err, ErrLogMismatch) {
+		r.refused = err
+	}
+	return err
 }
 
 // Promote turns the follower into a primary: the mirrored directory is

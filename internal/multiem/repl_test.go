@@ -194,8 +194,10 @@ func TestReplicationProperty(t *testing.T) {
 // checkpoint exists for: the primary dies with the final batch's record
 // mirrored but not yet applied. The follower promotes at the last applied
 // sequence and truncates the stale record away, so its sequence number can
-// be reused safely. A record past a missing one is a named gap, and a record
-// delivered after the promotion is refused by name (ErrPromoted).
+// be reused safely. A record past a missing one is a named gap, a round whose
+// scan fails keeps the batches before the failure, neither stops the follower
+// from going on and promoting, and a record delivered after the promotion is
+// refused by name (ErrPromoted).
 func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	d := smallGeo(t)
 	const shards = 4
@@ -222,18 +224,16 @@ func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("no snapshot: %v", err)
 	}
-	replica := func() *Replicator {
-		f, err := os.Open(snapPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		m, err := LoadMatcher(f, durOpts(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewReplicator(m, snapSeq)
+	f, err := os.Open(snapPath)
+	if err != nil {
+		t.Fatal(err)
 	}
+	follower, err := LoadMatcher(f, durOpts(shards))
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplicator(follower, snapSeq)
 
 	mirrorDir := t.TempDir()
 	mirrorLog(t, primary, mirrorDir)
@@ -246,12 +246,24 @@ func TestPromotionDropsIncompleteBatch(t *testing.T) {
 	}
 	// Delivered ahead of the batches before it, it is refused by name and
 	// moves nothing.
-	gapped := replica()
-	if err := gapped.Apply(scanOf(records[len(records)-1])); !errors.Is(err, ErrSeqGap) || gapped.NextSeq() != snapSeq {
-		t.Fatalf("Apply past a gap: %v at seq %d, want ErrSeqGap at %d", err, gapped.NextSeq(), snapSeq)
+	if err := r.Apply(scanOf(records[len(records)-1])); !errors.Is(err, ErrSeqGap) || r.NextSeq() != snapSeq || follower.Epoch() != 0 {
+		t.Fatalf("Apply past a gap: %v at seq %d, epoch %d; want ErrSeqGap at %d, epoch 0", err, r.NextSeq(), follower.Epoch(), snapSeq)
 	}
-	r := replica()
-	follower := r.m
+	// A round whose scan fails after two whole records publishes those two and
+	// returns the scan's error.
+	hiccup := errors.New("read error")
+	if err := r.Apply(func(fn func(payload []byte) error) error {
+		if err := scanOf(records[:2]...)(fn); err != nil {
+			return err
+		}
+		return hiccup
+	}); !errors.Is(err, hiccup) || r.NextSeq() != snapSeq+2 || follower.Epoch() != 2 {
+		t.Fatalf("round cut short by its scan: %v at seq %d, epoch %d; want the scan's error at %d, epoch 2", err, r.NextSeq(), follower.Epoch(), snapSeq+2)
+	}
+	if !bytes.Equal(saveBytes(t, follower), states[snapSeq+1]) {
+		t.Fatal("the batches before the scan's error are not the primary's")
+	}
+	// Neither error sticks: the next round rescans the mirror from its start.
 	if err := r.Apply(scanOf(records[:len(records)-1]...)); err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ import (
 // saves only the inserts within one window before each compaction.
 const replayInflightBytes = 16 << 20
 
-// replayStats is what one replayWAL call reports of itself, or (plus) the sum
-// of every call a matcher ran.
+// replayStats is what one replayWAL call reports of itself, or (plus) what
+// WALStats reports summed over every call a matcher ran.
 type replayStats struct {
 	batches, rows int64
 	// wall is the whole replay. readerBusy is the reader's share of it —
@@ -55,17 +55,14 @@ type replayStats struct {
 	skipped   []int64
 }
 
-// plus returns the totals of st and the calls before it, prev (nil for none),
-// reusing st's slices: st is a finished call's, which nothing else holds.
+// plus adds prev's (nil for none) WALStats fields to st's, reusing st's slices,
+// which nothing else holds; peakRows, compactAt and deferred stay st's own.
 func (st replayStats) plus(prev *replayStats) *replayStats {
 	if prev != nil {
 		st.batches, st.rows = st.batches+prev.batches, st.rows+prev.rows
 		st.wall, st.readerBusy = st.wall+prev.wall, st.readerBusy+prev.readerBusy
-		st.peakRows = max(st.peakRows, prev.peakRows)
 		for s := range st.shardBusy {
 			st.shardBusy[s] += prev.shardBusy[s]
-			st.compactAt[s] = append(slices.Clip(prev.compactAt[s]), st.compactAt[s]...)
-			st.deferred[s] += prev.deferred[s]
 			st.skipped[s] += prev.skipped[s]
 		}
 	}
@@ -117,9 +114,10 @@ type replayItem struct {
 	// sent that row to still has to check it.
 	logged []addDecision
 	baseID int
-	// pending counts the streams that have not finished with the batch; the
-	// last one returns its rows to the window.
-	pending atomic.Int32
+	// pending counts the streams that have not finished with the batch, and
+	// next is the batch after it in the log; both guarded by replayer.mu.
+	pending int
+	next    *replayItem
 }
 
 // replayer is the state of one replayWAL call: the reader (read, on the
@@ -128,8 +126,9 @@ type replayer struct {
 	m        *Matcher
 	startSeq uint64
 	st       replayStats
-	// queues[s] feeds shard s's stream every batch, in log order.
-	queues []chan *replayItem
+	// tail is the last batch posted. Each stream walks the list from the head it
+	// started at and nothing else holds it, so a batch all have passed is garbage.
+	tail *replayItem
 	// window is replayWAL's windowBytes in rows of this matcher's dimension.
 	window int
 	// forecasts[s] is the reader's model of shard s's index; linkFrom[s] is one
@@ -140,11 +139,12 @@ type replayer struct {
 	linkFrom  []atomic.Uint64
 
 	// mu guards the window (inflight, with freed signalled when rows return;
-	// blocked is how long the reader waited on it) and the failure.
-	mu       sync.Mutex
-	freed    sync.Cond
-	inflight int
-	blocked  time.Duration
+	// blocked is how long the reader waited on it), the list (posted signalled
+	// when it grows; it ends in a batch of no rows) and the failure.
+	mu            sync.Mutex
+	freed, posted sync.Cond
+	inflight      int
+	blocked       time.Duration
 	// The failure with the lowest (failSeq, failRow) seen so far. failSeq is
 	// math.MaxUint64 while there is none, and atomic so that every stage reads
 	// it without the lock: none touches a batch at or past it.
@@ -174,14 +174,14 @@ var ErrSeqGap = errors.New("multiem: gap in the logged batch sequence")
 // for its atomic publish and its acknowledgement, replay has neither. One
 // reader walks the log: it decodes a record, makes its plan (planFromRecord),
 // runs chain — which reads only the plan, and is the one cross-shard step —
-// hands out the entity IDs, and sends the plan to every shard's stream. A
-// stream takes the batches in log order and for each checks the logged
-// decisions that target its shard (checkShard; the shard's state is the
-// pre-batch one, its own share of the batch comes next), then runs the same
-// shard.apply and maybeCompact live ingest runs — the same inserts per shard
-// in the same order, so graphs, RNG streams, compaction points and Save bytes
-// are the primary's. A compaction failure leaves the batch applied and the
-// shard on its previous index, as it does live.
+// hands out the entity IDs, and posts the plan to the list every shard's
+// stream walks. A stream takes the batches in log order and for each checks
+// the logged decisions that target its shard (checkShard; the shard's state
+// is the pre-batch one, its own share of the batch comes next), then runs the
+// same shard.apply and maybeCompact live ingest runs — the same inserts per
+// shard in the same order, so graphs, RNG streams, compaction points and Save
+// bytes are the primary's. A compaction failure leaves the batch applied and
+// the shard on its previous index, as it does live.
 //
 // Replay never searches, and a compaction rebuilds a shard's graph from its
 // live centroids alone, so the links of a node indexed before the shard's
@@ -189,7 +189,7 @@ var ErrSeqGap = errors.New("multiem: gap in the logged batch sequence")
 // each plan (indexForecast) and tells the streams where it foresees each
 // shard compact; a stream only Appends the nodes of a batch at or before a
 // foreseen compaction (shard.deferLinks), and links whatever is pending at
-// its next Add or when its queue closes. The forecast decides only when
+// its next Add or when the list ends. The forecast decides only when
 // linking happens, never what is linked — Link links every appended node in
 // node order, as their Adds would have — so a wrong or late forecast costs
 // time, not exactness. Nothing else happens: no logging (the records are
@@ -199,15 +199,17 @@ var ErrSeqGap = errors.New("multiem: gap in the logged batch sequence")
 // finished and linked, one view of every shard is published, at the epoch
 // plus the batches replayed.
 //
-// On a failure — a corrupt or out-of-sequence record, a plan or a shard check
-// that refuses (ErrLogMismatch) — the stages stop and the error of the lowest
-// failing batch (and in it, row) is returned: a stream that failed at batch f
-// does not stop the others short of f, so which failure is reported does not
-// depend on which stream ran ahead. The shards are then partly applied and
-// nothing of the replay is published: recovery drops the matcher, a
-// Replicator refuses every later round. A torn tail is not a failure: every
-// whole record before it was delivered, the batch it belonged to was never
-// acknowledged, and the next append truncates it.
+// A failure the reader meets — a corrupt or out-of-sequence record, a plan
+// that refuses, an error of scan's own — ends the replay there: the batches
+// before it are published and counted, beside the error. A shard check that
+// refuses (ErrLogMismatch) stops every stage and publishes nothing, the
+// shards standing at different batches, and the error of the lowest failing
+// batch (and in it, row) is returned — a stream that failed at batch f does
+// not stop the others short of f, so the report does not depend on which ran
+// ahead. Recovery drops the matcher on any failure; a Replicator refuses every
+// round after a refusal. A torn tail is not a failure: every whole record
+// before it was delivered, its batch was never acknowledged, and the next
+// append truncates it.
 func (m *Matcher) replayWAL(scan func(fn func(payload []byte) error) error, startSeq uint64, windowBytes int) (batches int64, err error) {
 	if m.wal != nil {
 		return 0, ErrPromoted
@@ -216,7 +218,7 @@ func (m *Matcher) replayWAL(scan func(fn func(payload []byte) error) error, star
 	r := &replayer{
 		m:         m,
 		startSeq:  startSeq,
-		queues:    make([]chan *replayItem, n),
+		tail:      &replayItem{}, // the head: no batch, only the first one's link
 		window:    max(1, windowBytes/(4*m.dim)),
 		forecasts: make([]indexForecast, n),
 		linkFrom:  make([]atomic.Uint64, n),
@@ -225,20 +227,13 @@ func (m *Matcher) replayWAL(scan func(fn func(payload []byte) error) error, star
 	r.st.compactAt = make([][]uint64, n)
 	r.st.deferred = make([]int, n)
 	r.st.skipped = make([]int64, n)
-	r.freed.L = &r.mu
+	r.freed.L, r.posted.L = &r.mu, &r.mu
 	r.failSeq.Store(math.MaxUint64)
 	var streams sync.WaitGroup
 	for s, sh := range m.shards {
 		r.forecasts[s] = indexForecast{indexLen: sh.index.Len(), live: sh.tuples.len()}
-		// Every batch in flight holds at least one row, so the window admits at
-		// most r.window of them and a send never blocks: the reader waits in one
-		// place only, admit.
-		r.queues[s] = make(chan *replayItem, r.window)
 		streams.Add(1)
-		go func(s int) {
-			defer streams.Done()
-			r.stream(s)
-		}(s)
+		go r.stream(s, r.tail, &streams)
 	}
 	t0 := time.Now()
 	err = scan(r.read)
@@ -246,11 +241,9 @@ func (m *Matcher) replayWAL(scan func(fn func(payload []byte) error) error, star
 		r.fail(r.nextSeq(), -1, err)
 	}
 	r.st.readerBusy = time.Since(t0) - r.blocked
-	for _, q := range r.queues {
-		close(q)
-	}
+	r.post(&replayItem{p: &batchPlan{}})
 	streams.Wait()
-	if r.failErr != nil {
+	if r.failSeq.Load() < r.nextSeq() { // a stream refused: the shards stand at different batches
 		return 0, fmt.Errorf("multiem: wal replay: %w", r.failErr)
 	}
 	if r.st.batches > 0 {
@@ -258,6 +251,9 @@ func (m *Matcher) replayWAL(scan func(fn func(payload []byte) error) error, star
 	}
 	r.st.wall = time.Since(t0)
 	m.replayed.Store(r.st.plus(m.replayed.Load()))
+	if r.failErr != nil {
+		return r.st.batches, fmt.Errorf("multiem: wal replay: %w", r.failErr)
+	}
 	return r.st.batches, nil
 }
 
@@ -283,7 +279,7 @@ func (r *replayer) read(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("apply logged batch %d: %w", rec.seq, err)
 	}
-	it := &replayItem{seq: rec.seq, p: p, logged: slices.Clone(p.rows), baseID: m.nextID}
+	it := &replayItem{seq: rec.seq, p: p, logged: slices.Clone(p.rows), baseID: m.nextID, pending: len(m.shards)}
 	m.chain(p)
 	m.nextID += len(p.rows)
 	for s := range r.forecasts {
@@ -292,20 +288,16 @@ func (r *replayer) read(payload []byte) error {
 			r.linkFrom[s].Store(rec.seq + 1)
 		}
 	}
-	it.pending.Store(int32(len(r.queues)))
-	r.admit(len(p.rows))
-	for _, q := range r.queues {
-		q <- it
-	}
+	r.post(it)
 	r.st.batches++
 	r.st.rows += int64(len(p.rows))
 	return nil
 }
 
-// admit waits until fewer than r.window rows are in flight and adds n to them.
-func (r *replayer) admit(n int) {
+// post waits until fewer than r.window rows are in flight, adds the rows of it
+// to them and appends it to the list: the one place the reader waits.
+func (r *replayer) post(it *replayItem) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.inflight >= r.window {
 		t0 := time.Now()
 		for r.inflight >= r.window {
@@ -313,18 +305,37 @@ func (r *replayer) admit(n int) {
 		}
 		r.blocked += time.Since(t0)
 	}
-	r.inflight += n
+	r.inflight += len(it.p.rows)
 	r.st.peakRows = max(r.st.peakRows, r.inflight)
+	r.tail.next, r.tail = it, it
+	r.mu.Unlock()
+	r.posted.Broadcast()
 }
 
-// stream is shard s's side of the replay: its share of every batch below the
-// lowest failure, in log order. A batch past a failure is only counted off, so
-// the window keeps opening until the reader has noticed. When the queue
-// closes, the stream links what its deferred batches left pending.
-func (r *replayer) stream(s int) {
+// next counts a stream off it — the last returns its rows to the window; the
+// head, pending 0, never gets there — and waits for the batch after it.
+func (r *replayer) next(it *replayItem) *replayItem {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if it.pending--; it.pending == 0 {
+		r.inflight -= len(it.p.rows)
+		r.freed.Signal()
+	}
+	for it.next == nil {
+		r.posted.Wait()
+	}
+	return it.next
+}
+
+// stream is shard s's side of the replay: its share of every batch after head
+// below the lowest failure, in log order. A batch past a failure is only
+// counted off, so the window keeps opening until the reader has noticed. When
+// the list ends, the stream links what its deferred batches left pending.
+func (r *replayer) stream(s int, head *replayItem, done *sync.WaitGroup) {
+	defer done.Done()
 	m, sh, cfg := r.m, r.m.shards[s], r.m.shardHNSWConfig(s)
 	var out []AddResult // what apply reports per row; replay has no one to tell
-	for it := range r.queues[s] {
+	for it := r.next(head); len(it.p.rows) > 0; it = r.next(it) {
 		if it.seq < r.failSeq.Load() {
 			t0 := time.Now()
 			if row, err := m.checkShard(s, it.logged, it.p.vecs); err != nil {
@@ -344,21 +355,13 @@ func (r *replayer) stream(s int) {
 			}
 			r.st.shardBusy[s] += time.Since(t0)
 		}
-		if it.pending.Add(-1) == 0 {
-			r.mu.Lock()
-			r.inflight -= len(it.p.rows)
-			r.mu.Unlock()
-			r.freed.Signal()
-		}
 	}
-	// A failed replay's shards are never published; a finished one's are
-	// next, and a view needs the whole graph.
+	// The shards are published next (unless a stream refused), and a view
+	// needs the whole graph.
 	sh.deferLinks = false
-	if r.failSeq.Load() == math.MaxUint64 {
-		t0 := time.Now()
-		sh.index.Link()
-		r.st.shardBusy[s] += time.Since(t0)
-	}
+	t0 := time.Now()
+	sh.index.Link()
+	r.st.shardBusy[s] += time.Since(t0)
 }
 
 // fail records a failure at batch seq (row -1 when it is not a row's), keeping

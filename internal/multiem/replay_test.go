@@ -469,7 +469,7 @@ func TestReplayStreamsEqualLive(t *testing.T) {
 }
 
 // TestReplayEndsOnCompaction: a log whose last batch compacts a shard leaves
-// that shard's rebuilt index appended and not linked when the queue closes;
+// that shard's rebuilt index appended and not linked when the list ends;
 // the stream links it then, and recovery publishes the uncrashed graph.
 func TestReplayEndsOnCompaction(t *testing.T) {
 	d := smallGeo(t)

@@ -521,7 +521,9 @@ func (f *Follower) drain() (applied int, err error) {
 		}
 		return nil
 	})
-	if err != nil { // a failed round feeds nothing: the next poll meets its error again
+	// Any other failure published the segments scanned whole; a refusal published
+	// nothing, and if its resync fails the next poll must meet it again.
+	if errors.Is(err, multiem.ErrLogMismatch) {
 		for _, st := range f.segs {
 			st.scanned = 0
 		}

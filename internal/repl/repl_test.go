@@ -272,6 +272,80 @@ func TestFollowerRestartResumesFromMirror(t *testing.T) {
 	}
 }
 
+// TestFollowerRetriesFailedScan: a round whose scan fails part-way — here at
+// a mirrored frame that fails its checksum until it is repaired — publishes
+// the batches before the failure and is retried at the next poll, neither
+// sticking nor resyncing; once the scan succeeds the follower reaches the
+// primary's exact state and promotes.
+func TestFollowerRetriesFailedScan(t *testing.T) {
+	d := smallGeo(t)
+	const shards, damaged = 2, 2
+	m, _, srv := newPrimary(t, d, t.TempDir(), shards, 1<<20)
+	for _, rows := range randomBatches(d, 4, 6, 5) {
+		if _, err := m.AddRecords(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mirror := t.TempDir()
+	f := startFollower(t, srv.URL, mirror, shards)
+	waitFor(t, 10*time.Second, "first catch-up", func() bool {
+		return f.Stats().Bootstrapped && f.Stats().NextSeq == m.WALStats().NextSeq
+	})
+	f.Close()
+
+	// Damage one byte of batch 2's payload in the mirror's one segment. The
+	// restarted follower bootstraps from the mirrored snapshot at seq 0 and
+	// rescans the segment from its start.
+	entries, err := os.ReadDir(multiem.LogDir(mirror))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("mirror log holds %d segments (%v), want 1", len(entries), err)
+	}
+	seg := filepath.Join(multiem.LogDir(mirror), entries[0].Name())
+	var payloads [][]byte
+	if _, _, err := wal.ScanRecords(seg, 0, func(p []byte) error {
+		payloads = append(payloads, bytes.Clone(p))
+		return nil
+	}); err != nil || len(payloads) != 4 {
+		t.Fatalf("mirror holds %d records (%v), want 4", len(payloads), err)
+	}
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := int64(bytes.Index(raw, payloads[damaged]))
+	writeByte := func(b byte) {
+		file, err := os.OpenFile(seg, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer file.Close()
+		if _, err := file.WriteAt([]byte{b}, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeByte(^raw[at])
+
+	f2 := startFollower(t, srv.URL, mirror, shards)
+	waitFor(t, 10*time.Second, "rounds failing at the damaged frame", func() bool {
+		st := f2.Stats()
+		return st.Bootstrapped && st.NextSeq == damaged && st.FetchErrors >= 2
+	})
+	writeByte(raw[at])
+	waitFor(t, 10*time.Second, "catch-up after the repair", func() bool {
+		return f2.Stats().NextSeq == m.WALStats().NextSeq
+	})
+	if !bytes.Equal(saveBytes(t, f2.Matcher()), saveBytes(t, m)) {
+		t.Fatal("follower diverges after a failed scan")
+	}
+	if f2.Stats().Resyncs != 0 {
+		t.Fatal("a failed scan should be retried, not resynced")
+	}
+	if err := f2.Promote(); err != nil {
+		t.Fatalf("promote after a failed scan: %v", err)
+	}
+	f2.Matcher().CloseWAL()
+}
+
 // TestFollowerResyncsWhenLogTruncated: the follower goes away, the primary
 // checkpoints (dropping the segments the follower still needs), and the
 // restarted follower detects the gap and re-bootstraps from a fresh snapshot
