@@ -48,7 +48,7 @@ race:
 
 # The sharded matcher's locking under both a single P (lock ordering) and
 # real parallelism (shard contention). The crash-recovery property matrix
-# and the 100k-tuple chunked-state hammer make this the longest suite; the
+# and the 32k-tuple chunked-state hammer make this the longest suite; the
 # explicit timeout keeps single-core boxes from tripping go test's 10m
 # default.
 race-matcher:

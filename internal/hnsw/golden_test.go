@@ -11,11 +11,10 @@ import (
 )
 
 // TestSaveBytesGolden pins the graph an index builds — which links every node
-// keeps, at which cached distances, and what a search returns — to hashes, on
-// both kernel paths.
+// keeps, and what a search returns — to hashes, on both kernel paths.
 // The history builds, saves, loads, adds on top of the loaded index and saves
 // again, so a change to any distance the index computes (in the walk, in
-// selectHeuristic, or in Load's link-distance rebuild) fails here first.
+// selectHeuristic, or in linkBack's shrink after a load) fails here first.
 func TestSaveBytesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes were taken on amd64; other compilers may fuse multiply-adds")

@@ -21,8 +21,9 @@
 // The distance is the merging phase's one cosine, vector.CosineUnitDist over
 // unit-norm (or zero) vectors; the index has no other. Every distance it
 // computes — a query against a neighbour block, a node against the picks of
-// selectHeuristic, a link whose cached distance Load rebuilds — is one
-// Index.dists call: vector.CosineUnitGather over the node arena.
+// selectHeuristic, a full node against its links when linkBack shrinks them —
+// is one Index.dists call: vector.CosineUnitGather over the node arena. The
+// arena stores links only; no distance is cached or persisted.
 //
 // Construction is serialized internally; Search is safe for concurrent use
 // once construction has finished (the merging pipeline builds per-table
@@ -33,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -266,13 +268,12 @@ func (ix *Index) layerCap(l int) int {
 	return ix.cfg.M
 }
 
-// appendLink adds one neighbour at distance d to node i's layer-l block;
-// the caller guarantees the block has room.
-func (ix *Index) appendLink(i, l int, nb int32, d float32) {
-	blk, dists := ix.la.mutBlock(ix.blockStart(i, l))
+// appendLink adds one neighbour to node i's layer-l block; the caller
+// guarantees the block has room.
+func (ix *Index) appendLink(i, l int, nb int32) {
+	blk := ix.la.mutBlock(ix.blockStart(i, l))
 	n := int(blk[0])
 	blk[1+n] = nb
-	dists[1+n] = d
 	blk[0] = int32(n + 1)
 }
 
@@ -363,7 +364,7 @@ func (ix *Index) linkNode(cur int) {
 		for _, s := range selected {
 			// s.Dist is dist(new, s); the distance is symmetric, so the
 			// reverse edge carries the same distance.
-			ix.appendLink(cur, l, int32(s.ID), s.Dist)
+			ix.appendLink(cur, l, int32(s.ID))
 			ix.linkBack(s.ID, cur, l, s.Dist)
 		}
 		if len(cands) > 0 {
@@ -378,19 +379,13 @@ func (ix *Index) linkNode(cur int) {
 
 // Clone returns a frozen, read-only copy of the index that concurrent
 // Searches (and Save) may keep using while the original continues to take
-// Adds — the building block for copy-on-write serving views.
-//
-// Nothing is deep-copied. The vector arena, ids, levels and offsets are
-// strictly append-only until the index is discarded wholesale, so the clone
-// shares those backing arrays and pins only their current lengths; later Adds
-// on the original write past every pinned length and never into it. The adjacency arena — the one structure Add mutates in place (linkBack
-// rewrites existing nodes' neighbour lists) — is shared at chunk granularity:
-// the clone takes an O(chunks) spine snapshot, and the writer copies a chunk
-// the first time it mutates into it afterwards, so a batch's commit cost
-// tracks the links it touches instead of every link in the index. The
-// link-distance cache, RNG, and construction scratch stay behind: they exist
-// only for Add, which a frozen clone refuses. Cloning an index whose Appended
-// nodes wait for Link panics.
+// Adds — the building block for copy-on-write serving views. Nothing is
+// deep-copied: the vector arena, ids, levels and offsets are append-only
+// arrays and are clipped, the link arena (which linkBack rewrites in place)
+// is a copy-on-write table and is snapshotted, under the two contracts stated
+// on multiem's shardView. The RNG and construction scratch stay behind: they
+// exist only for Add, which a frozen clone refuses. Cloning an index whose
+// Appended nodes wait for Link panics.
 func (ix *Index) Clone() *Index {
 	ix.mustBeLinked("Clone")
 	return &Index{
@@ -398,10 +393,10 @@ func (ix *Index) Clone() *Index {
 		dim:    ix.dim,
 		levelF: ix.levelF,
 		vecs:   ix.vecs.Frozen(),
-		ids:    ix.ids[:len(ix.ids):len(ix.ids)],
-		levels: ix.levels[:len(ix.levels):len(ix.levels)],
+		ids:    slices.Clip(ix.ids),
+		levels: slices.Clip(ix.levels),
 		la:     ix.la.snapshot(),
-		offs:   ix.offs[:len(ix.offs):len(ix.offs)],
+		offs:   slices.Clip(ix.offs),
 		entry:  ix.entry,
 		maxL:   ix.maxL,
 		linked: ix.linked,
@@ -601,23 +596,27 @@ func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vect
 	return selected
 }
 
-// linkBack adds a reverse edge at distance d from the node at internal
-// index from to the new node, shrinking the neighbour list with the
-// heuristic when it is full. Candidate distances for the shrink come from
-// the link-distance cache — no kernel calls to gather them.
+// linkBack adds a reverse edge from the node at internal index from to the
+// new node, which lies at distance d, shrinking the neighbour list with the
+// heuristic when it is full. The shrink scores from's current links in one
+// dists call, the only place the index computes the distance of an existing
+// link; the gather is symmetric to the bit, so each value equals the one
+// computed from the link's other end when it was made.
 func (ix *Index) linkBack(from, to, l int, d float32) {
-	blk, dists := ix.la.mutBlock(ix.blockStart(from, l))
+	blk := ix.la.mutBlock(ix.blockStart(from, l))
 	cnt := int(blk[0])
 	maxM := ix.layerCap(l)
 	if cnt < maxM {
 		blk[1+cnt] = int32(to)
-		dists[1+cnt] = d
 		blk[0] = int32(cnt + 1)
 		return
 	}
+	nbs := blk[1 : 1+cnt]
+	dists := ix.buildCtx.distBuf(cnt)
+	ix.dists(ix.vecs.At(from), nbs, dists)
 	cands := ix.backCands[:0]
-	for k, nb := range blk[1 : 1+cnt] {
-		cands = append(cands, vector.Neighbor{ID: int(nb), Dist: dists[1+k]})
+	for k, nb := range nbs {
+		cands = append(cands, vector.Neighbor{ID: int(nb), Dist: dists[k]})
 	}
 	cands = append(cands, vector.Neighbor{ID: to, Dist: d})
 	ix.backCands = cands
@@ -625,7 +624,6 @@ func (ix *Index) linkBack(from, to, l int, d float32) {
 	kept := ix.selectHeuristic(cands, maxM, &ix.backSel)
 	for i, kn := range kept {
 		blk[1+i] = int32(kn.ID)
-		dists[1+i] = kn.Dist
 	}
 	blk[0] = int32(len(kept))
 }

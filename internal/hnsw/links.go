@@ -14,19 +14,12 @@ package hnsw
 // larger than a whole chunk gets a dedicated oversized chunk), so the old
 // flat-arena arithmetic — block start = region offset + constant — still
 // holds within the slot field, and a block read is one extra indirection.
-//
-// Mutation safety mirrors the matcher's append-past-published-length
-// invariant: alloc may hand out the zeroed tail of a shared chunk without
-// copying it (no pinned reader addresses slots past the regions that existed
-// when it was cloned), but any write inside an existing region must go
-// through mutBlock, which copies a shared chunk first.
 
 const (
 	// linkChunkShift sizes a regular chunk at 1<<linkChunkShift int32 slots
-	// (8 KiB of links plus 8 KiB of cached distances on the writer). Small
-	// enough that a batch's dirty-chunk copies stay near the batch's own
-	// footprint, large enough that a million-node index needs only a few
-	// hundred thousand spine entries.
+	// (8 KiB). Small enough that a batch's dirty-chunk copies stay near the
+	// batch's own footprint, large enough that a million-node index needs
+	// only a few hundred thousand spine entries.
 	linkChunkShift = 11
 	linkChunkSlots = 1 << linkChunkShift
 
@@ -37,16 +30,14 @@ const (
 	linkWithinMask = 1<<linkOffShift - 1
 )
 
-// linkArena is the chunked adjacency storage. dists mirrors chunks slot for
-// slot on the writer side only: the cache exists for Add, which a frozen
-// clone refuses, so clones never carry or copy it — and a chunk copy-on-write
-// leaves the dists chunk in place, still aligned with the fresh link chunk.
+// linkArena is the chunked adjacency storage, a copy-on-write table under the
+// contract on multiem's shardView: alloc may hand out the zeroed tail of a
+// shared chunk, but a write inside an existing region goes through mutBlock.
 type linkArena struct {
 	chunks [][]int32
-	dists  [][]float32
 	// owned[i] reports that no clone shares chunk i, so the writer may
 	// mutate it in place. Cleared wholesale by snapshot, set by newChunk
-	// and mutChunk.
+	// and mutBlock; nil in a snapshot.
 	owned []bool
 	// tail is the number of used slots in the last chunk; regions are
 	// allocated from it and never freed.
@@ -73,13 +64,8 @@ func (a *linkArena) alloc(size int) int64 {
 // newChunk opens a fresh chunk holding one region of size slots (regular
 // chunks are linkChunkSlots long; oversized regions get exactly their size).
 func (a *linkArena) newChunk(size int) int64 {
-	n := size
-	if n < linkChunkSlots {
-		n = linkChunkSlots
-	}
 	ci := len(a.chunks)
-	a.chunks = append(a.chunks, make([]int32, n))
-	a.dists = append(a.dists, make([]float32, n))
+	a.chunks = append(a.chunks, make([]int32, max(size, linkChunkSlots)))
 	a.owned = append(a.owned, true)
 	a.tail = size
 	return int64(ci) << linkOffShift
@@ -92,29 +78,23 @@ func (a *linkArena) block(off int64) []int32 {
 	return a.chunks[off>>linkOffShift][off&linkWithinMask:]
 }
 
-// mutBlock is block for writers: it returns the links and cached-distance
-// slices from the offset onward, copying the chunk first when a clone shares
+// mutBlock is block for writers, copying the chunk first when a clone shares
 // it so pinned readers keep seeing the pre-mutation links.
-func (a *linkArena) mutBlock(off int64) ([]int32, []float32) {
+func (a *linkArena) mutBlock(off int64) []int32 {
 	ci := int(off >> linkOffShift)
 	if !a.owned[ci] {
 		a.chunks[ci] = append([]int32(nil), a.chunks[ci]...)
 		a.owned[ci] = true
 	}
-	w := off & linkWithinMask
-	return a.chunks[ci][w:], a.dists[ci][w:]
+	return a.chunks[ci][off&linkWithinMask:]
 }
 
-// snapshot returns a frozen copy of the arena for a clone — a spine copy
-// sharing every chunk — and marks the writer's chunks shared, so the writer's
-// next mutation into any of them copies it first. O(chunks), not O(links).
+// snapshot freezes the arena for a clone — an O(chunks) spine copy with a nil
+// owned — and marks every chunk shared, so the writer's next mutation into
+// any of them copies it first.
 func (a *linkArena) snapshot() linkArena {
 	for i := range a.owned {
 		a.owned[i] = false
 	}
-	// owned stays nil: a clone is frozen, so nothing ever asks it to mutate.
-	return linkArena{
-		chunks: append([][]int32(nil), a.chunks...),
-		tail:   a.tail,
-	}
+	return linkArena{chunks: append([][]int32(nil), a.chunks...), tail: a.tail}
 }

@@ -214,7 +214,7 @@ func Decode(rd *binio.Reader) (*Index, error) {
 			if nLinks < 0 || nLinks > ix.layerCap(l) {
 				return nil, fmt.Errorf("hnsw: load: node %d layer %d has implausible link count %d", i, l, nLinks)
 			}
-			blk, _ := ix.la.mutBlock(ix.blockStart(i, l))
+			blk := ix.la.mutBlock(ix.blockStart(i, l))
 			blk[0] = int32(nLinks)
 			rd.I32sInto(blk[1 : 1+nLinks])
 			for _, nb := range blk[1 : 1+nLinks] {
@@ -239,18 +239,6 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	ix.vecs = vector.StoreOver(dim, rd.F32s(dim*count))
 	if rd.Err() != nil {
 		return nil, fmt.Errorf("hnsw: load: vectors: %w", rd.Err())
-	}
-	// Rebuild the link-distance cache (derived state, not persisted; the arena
-	// sized it alongside each link chunk), one dists call a block with the node
-	// as the query. Build cached each link's distance from one end or the
-	// other, and the gather is symmetric to the bit, so the values equal the
-	// ones the build cached and post-load Adds shrink alike.
-	for i := 0; i < count; i++ {
-		for l := 0; l <= int(ix.levels[i]); l++ {
-			blk, dists := ix.la.mutBlock(ix.blockStart(i, l))
-			n := int(blk[0])
-			ix.dists(ix.vecs.At(i), blk[1:1+n], dists[1:1+n])
-		}
 	}
 	// Advance the level-sampling stream past the draws the original build
 	// consumed, so an Add after Load assigns the same level it would have

@@ -3,7 +3,6 @@ package hnsw
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -251,43 +250,6 @@ func TestLoadOldVersionFailsWithNamedError(t *testing.T) {
 		if !errors.Is(err, ErrFormatVersion) {
 			t.Fatalf("version-%d error %v does not wrap ErrFormatVersion", old, err)
 		}
-	}
-}
-
-// TestLoadRebuildsLinkDistances: the link-distance cache is derived state
-// that Load recomputes with one gather-kernel call a block. Every entry must
-// carry the bits the build cached and the bits of the same distance taken
-// from the link's other end — linkBack shrinks a full block by these values,
-// so one differing bit is a different graph after the next Add.
-func TestLoadRebuildsLinkDistances(t *testing.T) {
-	vecs := randomUnitVecs(300, 19, 5) // 19: the kernels' scalar tail runs
-	vecs[7] = make([]float32, 19)      // a zero vector
-	ix := buildIndex(t, vecs, Config{M: 6, EfConstruction: 40, Seed: 2})
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := 0
-	back := make([]float32, 1)
-	for i := range ix.ids {
-		for l := 0; l <= int(ix.levels[i]); l++ {
-			_, built := ix.la.mutBlock(ix.blockStart(i, l))
-			blk, got := loaded.la.mutBlock(loaded.blockStart(i, l))
-			for k := 0; k < int(blk[0]); k++ {
-				loaded.dists(loaded.Vector(int(blk[1+k])), []int32{int32(i)}, back)
-				if g := math.Float32bits(got[1+k]); g != math.Float32bits(built[1+k]) || g != math.Float32bits(back[0]) {
-					t.Fatalf("node %d layer %d link %d: loaded %v, built %v, from the other end %v", i, l, k, got[1+k], built[1+k], back[0])
-				}
-			}
-			blocks++
-		}
-	}
-	if blocks <= len(ix.ids) {
-		t.Fatal("no node above layer 0")
 	}
 }
 

@@ -3,6 +3,7 @@ package multiem
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -142,7 +143,7 @@ const snapshotPrefix = "snapshot-"
 // LatestSnapshot reports the newest checkpoint in a durability (or mirror)
 // directory: its path, the sequence it covers, and whether one exists — the
 // last of ListSnapshots. Incomplete checkpoints never surface here: Snapshot
-// writes to a .tmp and renames atomically.
+// writes them with wal.WriteFileAtomic.
 func LatestSnapshot(dir string) (path string, seq uint64, ok bool, err error) {
 	seqs, err := ListSnapshots(dir)
 	if err != nil || len(seqs) == 0 {
@@ -374,32 +375,10 @@ func (m *Matcher) Snapshot() (seq uint64, err error) {
 		return 0, fmt.Errorf("multiem: snapshot: %w", err)
 	}
 
-	path := SnapshotFile(ws.cfg.Dir, seq)
-	tmp := path + ".tmp"
-	err = func() error {
-		f, err := os.Create(tmp)
-		if err != nil {
-			return err
-		}
-		if err := m.saveView(v, f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}()
+	err = wal.WriteFileAtomic(SnapshotFile(ws.cfg.Dir, seq), func(w io.Writer) error { return m.saveView(v, w) })
 	if err != nil {
-		os.Remove(tmp)
 		return 0, fmt.Errorf("multiem: snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("multiem: snapshot: %w", err)
-	}
-	syncDir(ws.cfg.Dir) // make the rename itself durable
 
 	// The checkpoint is durable: the log prefix and older snapshots are now
 	// redundant. Failures past this point leave extra files, not lost data,
@@ -453,15 +432,6 @@ func ListSnapshots(dir string) ([]uint64, error) {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	return seqs, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power loss;
-// best-effort (some platforms refuse directory fsyncs).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // CloseWAL stops the background loops and flushes and fsyncs the log — the

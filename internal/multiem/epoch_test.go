@@ -14,7 +14,7 @@ import (
 
 // largeHammerBase caches the serialized prepopulated base state for
 // TestEpochHammerLargeChunkedState, so -cpu list reruns within one test
-// binary rebuild it from bytes instead of re-ingesting >100k rows.
+// binary rebuild it from bytes instead of re-ingesting >30k rows.
 var largeHammerBase struct {
 	sync.Mutex
 	raw []byte
@@ -202,35 +202,40 @@ func TestFollowerRoundAtomicity(t *testing.T) {
 }
 
 // TestEpochHammerLargeChunkedState is the chunked-view hammer at scale: a
-// single-shard matcher prepopulated to >= 100k live tuples — enough that the
-// tuple table and HNSW link arena each span hundreds of chunks — takes
-// continuous checkpoints, ingest batches, and readers concurrently. At this
-// size a full-copy view build would dominate every batch; with chunk-level
-// COW the writer dirties a bounded set of chunks per batch while snapshots
-// and readers walk spines frozen at their epoch. The hammer asserts the same
-// whole-batch visibility as the small hammers plus cursor-walk consistency:
-// a TupleCursor must observe exactly its pinned epoch's tuple count however
-// many batches commit during the walk. CI runs this under -race -cpu=1,4;
-// -short skips it.
+// single-shard matcher prepopulated to >= 32k live tuples, with 128-row tuple
+// chunks, so that the tuple table and the HNSW link arena each span hundreds
+// of chunks, takes continuous checkpoints, ingest batches, and readers
+// concurrently. With chunk-level COW the writer dirties a bounded set of
+// chunks per batch while snapshots and readers walk spines frozen at their
+// epoch. The hammer asserts the same whole-batch visibility as the small
+// hammers plus cursor-walk consistency: a TupleCursor must observe exactly
+// its pinned epoch's tuple count however many batches commit during the
+// walk. CI runs this under -race -cpu=1,4; -short skips it.
 func TestEpochHammerLargeChunkedState(t *testing.T) {
 	if testing.Short() {
-		t.Skip("100k-tuple hammer skipped in -short mode")
+		t.Skip("32k-tuple hammer skipped in -short mode")
 	}
-	const liveTarget = 100_000
+	const liveTarget = 32_000
 	const prepopBatch = 8192
 	const batchRows = 64
 
 	d := smallGeo(t)
 	opt := geoOpts()
 	opt.Shards = 1
+	opt.tupleChunkOverride = 8 // 1<<7 = 128-row tuple chunks
 	// Cheap substrate: the hammer stresses commit/snapshot interleaving, not
-	// embedding or search quality, and >100k HNSW inserts under -race are the
+	// embedding or search quality, and >30k HNSW inserts under -race are the
 	// dominant cost. Dim 64 keeps random rows distinct enough to land as
 	// fresh tuples — at dim 32 hash-embedding collisions absorb most rows
 	// into existing tuples and the prepopulation loop never reaches its
 	// target.
 	opt.Encoder = embed.NewHashEncoder(embed.WithDim(64))
 	opt.HNSW = hnsw.Config{M: 6, EfConstruction: 24, EfSearch: 24, Seed: 1}
+	// A link-arena chunk is 2048 slots and a node's region takes 1+2M = 13
+	// of them at layer 0 (more above), so a chunk holds at most
+	// 2048/13 = 157 nodes, and an index of >= 200*157 = 31 400 entries spans
+	// >= 200 chunks.
+	const minTupleChunks, minIndexSize = 200, 200 * (2048 / (1 + 2*6))
 
 	m, err := RecoverMatcher(WALConfig{Dir: t.TempDir(), Fsync: "off"}, opt, func() (*Matcher, error) {
 		// Prepopulate as part of the base state (large batches keep it
@@ -267,11 +272,18 @@ func TestEpochHammerLargeChunkedState(t *testing.T) {
 	if base.Tuples < liveTarget {
 		t.Fatalf("prepopulation stopped at %d tuples, want >= %d", base.Tuples, liveTarget)
 	}
+	sv := m.state.Load().shards[0]
+	if n := len(sv.tuples.chunks); n < minTupleChunks {
+		t.Fatalf("tuple table spans %d chunks, want >= %d", n, minTupleChunks)
+	}
+	if n := sv.index.Len(); n < minIndexSize {
+		t.Fatalf("index holds %d entries, want >= %d so its link arena spans >= 200 chunks", n, minIndexSize)
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Snapshotter: checkpoint the ~100k-tuple state continuously. Each
+	// Snapshotter: checkpoint the ~32k-tuple state continuously. Each
 	// checkpoint serializes from a pinned view off the ingest lock, so the
 	// batches below must keep committing at O(batch) cost underneath it.
 	var snaps atomic.Int64
@@ -340,7 +352,7 @@ func TestEpochHammerLargeChunkedState(t *testing.T) {
 		}
 	}
 	// Let at least one checkpoint cover the fully-ingested state. Generous:
-	// serializing a >100k-tuple state under -race on a loaded single-core
+	// serializing a >30k-tuple state under -race on a loaded single-core
 	// box can take tens of seconds per checkpoint.
 	deadline := time.Now().Add(2 * time.Minute)
 	for snaps.Load() == 0 && time.Now().Before(deadline) {

@@ -44,10 +44,22 @@ func splitTupleID(id int) (shard, local int) {
 // one that is never written again, the writer's shard one it may mutate.
 //
 // Every structure here is built so a published view stays valid while the
-// writer keeps going: entIDs and entVecs are append-only, the chunked tuple
-// table copies a view-shared chunk before a batch mutates into it, and the
-// index is mutable only on the writer side (views get a frozen Clone sharing
-// its link chunks the same way).
+// writer keeps going, and each is one of two kinds, frozen one way per kind:
+//
+//   - Append-only arrays (entIDs, entVecs, and the index's vectors, ids,
+//     levels and offsets): existing elements are never overwritten, and the
+//     writer appends past every frozen length — in place, or into a new
+//     backing array. A view clips them (slices.Clip, vector.Store.Frozen):
+//     O(1), sharing the backing array.
+//   - Copy-on-write tables (the tuple table, the index's link arena): rows
+//     live in fixed-size chunks behind a spine, and the writer owns or shares
+//     each chunk. A view takes snapshot(): an O(chunks) spine copy with no
+//     ownership, which marks every writer chunk shared. The writer copies a
+//     shared chunk before it mutates a row in it, and may append into a
+//     shared chunk's tail, which lies past every frozen length.
+//
+// So a view costs O(chunks), never O(state), and the writer's next batch
+// copies only the chunks it dirties.
 //
 // The index's node store is the only copy of the tuple centroids. A node's
 // vector is immutable, so a recomputed centroid is indexed as a new node
@@ -88,14 +100,11 @@ type shard struct {
 	deferLinks bool
 }
 
-// view freezes the shard's current state into an immutable shardView. The
-// caller holds addMu. The tuple table and the index's link arena are
-// snapshotted at chunk granularity (O(chunks) spine copies that mark every
-// chunk shared), so building a view costs O(state/chunkSize), not O(state) —
-// the writer's next batch copies only the chunks it actually dirties.
+// view freezes the shard's current state into an immutable shardView, each
+// field the one way its kind freezes (see shardView). The caller holds addMu.
 func (sh *shard) view() *shardView {
 	return &shardView{
-		entIDs:      sh.entIDs[:len(sh.entIDs):len(sh.entIDs)],
+		entIDs:      slices.Clip(sh.entIDs),
 		entVecs:     sh.entVecs.Frozen(),
 		tuples:      sh.tuples.snapshot(),
 		index:       sh.index.Clone(),
@@ -137,10 +146,8 @@ func (sh *shard) insert(ix *hnsw.Index, id int, vec []float32) error {
 // settled centroid. The caller holds addMu; out[i] is written for the
 // shard's own rows only, so shards apply concurrently.
 //
-// Published views share the tuple table's chunks, and mut copies a shared
-// chunk before the batch's first write into it. Member slices are shared
-// across the copies — appends to them only write past every published
-// length, which no pinned reader can see.
+// A tuple's member slice is shared by every copy of its tuple chunk; it is an
+// append-only array under shardView's contract.
 func (sh *shard) apply(s int, p *batchPlan, baseID int, out []AddResult) {
 	base := sh.tuples.len()
 	sh.touched = sh.touched[:0]

@@ -28,13 +28,7 @@ type TupleCursor struct {
 // Tuples reports), <= 1 includes singletons (what a snapshot serializer
 // needs).
 func (m *Matcher) TupleCursor(minMembers int) *TupleCursor {
-	return newTupleCursor(m.state.Load(), minMembers)
-}
-
-// newTupleCursor builds a cursor over an already-pinned view; internal
-// callers that hold a matcherView (the snapshot path) start here so their
-// walk and the epoch they report can never straddle a commit.
-func newTupleCursor(v *matcherView, minMembers int) *TupleCursor {
+	v := m.state.Load()
 	return &TupleCursor{shards: v.shards, epoch: v.epoch, minMembers: minMembers}
 }
 

@@ -1,20 +1,13 @@
 package multiem
 
-// The tuple table is a chunked persistent table: rows live in fixed-size
-// chunks behind a chunk-pointer spine, a published view takes an O(chunks)
-// spine snapshot, and the writer copies a chunk the first time a batch
-// mutates into it after a snapshot. A batch therefore pays for the chunks it
-// dirties — bounded by its own row count — and consecutive epoch views share
-// every clean chunk.
+// The tuple table is a copy-on-write table under the contract on shardView:
+// a batch pays for the chunks it dirties — bounded by its own row count — and
+// consecutive epoch views share every clean chunk.
 //
 // Row i lives at chunks[i>>shift][i&mask]. Chunks grow geometrically up to
 // the chunk size, so a table whose configured chunk holds the whole shard
 // (the compatibility layout the property tests pin) does not pre-allocate
-// the maximum. Appending to the last chunk in place — even when a view
-// shares it — is safe for the same reason every arena here is append-only:
-// the slot being written lies past every published length, so no pinned
-// reader addresses it. Mutating an existing row goes through mut, which
-// copies a shared chunk first.
+// the maximum.
 
 // defaultTupleChunkShift sizes production chunks at 1<<10 = 1024 rows
 // (~48 KiB): small enough that a batch's worst-case dirty-chunk copies stay
@@ -22,12 +15,9 @@ package multiem
 // enough that a million-row shard's spine is ~1k pointers.
 const defaultTupleChunkShift = 10
 
-// tupleTable is the chunked table. The writer's copy carries per-chunk
-// ownership: owned[i] reports that no snapshot shares chunk i, so the writer
-// may mutate it in place; snapshot clears every flag, mut and the growth
-// paths set them. A snapshot is the same type with a nil owned — spine and
-// row count frozen, never written through (the convention the HNSW link
-// arena's snapshot follows too).
+// tupleTable is the chunked table. owned[i] reports that no snapshot shares
+// chunk i, so the writer may mutate it in place; snapshot clears every flag,
+// mut and the growth paths set them, and a snapshot's owned is nil.
 type tupleTable struct {
 	chunks [][]tupleState
 	owned  []bool
@@ -100,9 +90,9 @@ func (t *tupleTable) append(ts tupleState) int {
 	return i
 }
 
-// snapshot freezes the table — an O(chunks) spine copy — and marks every
-// chunk shared, so the writer's next mutation into any of them copies it
-// first.
+// snapshot freezes the table — an O(chunks) spine copy with a nil owned —
+// and marks every chunk shared, so the writer's next mutation into any of
+// them copies it first.
 func (t *tupleTable) snapshot() tupleTable {
 	for i := range t.owned {
 		t.owned[i] = false

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
@@ -369,15 +370,15 @@ func (f *Follower) syncOnce() error {
 }
 
 // bootstrap establishes the serving matcher: from the newest local mirror
-// snapshot when restarting, else by fetching the primary's newest snapshot.
-// The mirror's segment files are then rescanned from zero — the replicator
-// skips sequences the snapshot already covers.
+// snapshot that loads when restarting, else by fetching the primary's newest
+// snapshot. The mirror's segment files are then rescanned from zero — the
+// replicator skips sequences the snapshot already covers.
 func (f *Follower) bootstrap(man *Manifest) error {
-	path, seq, ok, err := multiem.LatestSnapshot(f.cfg.Dir)
+	m, seq, path, err := f.loadMirroredSnapshot()
 	if err != nil {
 		return err
 	}
-	if !ok {
+	if m == nil {
 		entry, have := man.newestSnapshot()
 		if !have {
 			return errors.New("repl: primary has no snapshot to bootstrap from")
@@ -385,16 +386,10 @@ func (f *Follower) bootstrap(man *Manifest) error {
 		if err := f.fetchSnapshot(entry); err != nil {
 			return err
 		}
-		path, seq = multiem.SnapshotFile(f.cfg.Dir, entry.Seq), entry.Seq
-	}
-	file, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	m, err := multiem.LoadMatcher(file, f.cfg.Opt)
-	file.Close()
-	if err != nil {
-		return fmt.Errorf("repl: load snapshot seq %d: %w", seq, err)
+		seq, path = entry.Seq, multiem.SnapshotFile(f.cfg.Dir, entry.Seq)
+		if m, err = loadSnapshot(path, f.cfg.Opt); err != nil {
+			return fmt.Errorf("repl: load snapshot seq %d: %w", seq, err)
+		}
 	}
 	r := multiem.NewReplicator(m, seq)
 
@@ -406,8 +401,11 @@ func (f *Follower) bootstrap(man *Manifest) error {
 		return err
 	}
 	for _, e := range entries {
-		var idx int64
-		if _, err := fmt.Sscanf(e.Name(), "seg-%d.wal", &idx); err != nil {
+		idx, ok, err := wal.ParseSegmentName(e.Name())
+		if err != nil {
+			return err
+		}
+		if !ok {
 			continue
 		}
 		info, err := e.Info()
@@ -422,6 +420,38 @@ func (f *Follower) bootstrap(man *Manifest) error {
 	f.matcher.Store(m)
 	f.cfg.Logf("repl: bootstrapped from snapshot seq %d (%s)", seq, path)
 	return nil
+}
+
+// loadMirroredSnapshot loads the newest mirrored snapshot that loads. One
+// that does not (torn by a crash, damaged on disk) is renamed to
+// <name>.bad, out of ListSnapshots' sight, and the next newest is tried, so a
+// bad file costs a fetch from the primary instead of wedging bootstrap. m is
+// nil when no mirrored snapshot is left.
+func (f *Follower) loadMirroredSnapshot() (m *multiem.Matcher, seq uint64, path string, err error) {
+	for {
+		path, seq, ok, err := multiem.LatestSnapshot(f.cfg.Dir)
+		if err != nil || !ok {
+			return nil, 0, "", err
+		}
+		m, err := loadSnapshot(path, f.cfg.Opt)
+		if err == nil {
+			return m, seq, path, nil
+		}
+		f.cfg.Logf("repl: mirrored snapshot seq %d does not load (%v); moving it aside to %s.bad", seq, err, filepath.Base(path))
+		if err := os.Rename(path, path+".bad"); err != nil {
+			return nil, 0, "", err
+		}
+	}
+}
+
+// loadSnapshot loads the matcher a snapshot file holds.
+func loadSnapshot(path string, opt multiem.Options) (*multiem.Matcher, error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer file.Close()
+	return multiem.LoadMatcher(file, opt)
 }
 
 // resync abandons the current state and re-bootstraps from the primary's
@@ -566,8 +596,9 @@ func (f *Follower) fetchManifest(ctx context.Context) (*Manifest, error) {
 	return &man, nil
 }
 
-// fetchSnapshot downloads one checkpoint into the mirror (write-tmp, verify
-// CRC, rename) and prunes all but the newest two mirrored snapshots.
+// fetchSnapshot downloads one checkpoint, verifies its CRC, writes it into
+// the mirror with wal.WriteFileAtomic, and prunes all but the newest two
+// mirrored snapshots.
 func (f *Follower) fetchSnapshot(entry SnapshotEntry) error {
 	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.Timeout)
 	defer cancel()
@@ -591,13 +622,11 @@ func (f *Follower) fetchSnapshot(entry SnapshotEntry) error {
 	if int64(len(raw)) != entry.Bytes || wal.CRC(raw) != entry.CRC {
 		return fmt.Errorf("repl: snapshot %d: body does not match manifest (%d bytes)", entry.Seq, len(raw))
 	}
-	path := multiem.SnapshotFile(f.cfg.Dir, entry.Seq)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	err = wal.WriteFileAtomic(multiem.SnapshotFile(f.cfg.Dir, entry.Seq), func(w io.Writer) error {
+		_, err := w.Write(raw)
 		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	})
+	if err != nil {
 		return err
 	}
 	f.bytesFetched.Add(entry.Bytes)

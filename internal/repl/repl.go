@@ -16,6 +16,7 @@ package repl
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -112,22 +113,16 @@ func LoadTerm(dir string) (uint64, error) {
 	return term, nil
 }
 
-// StoreTerm durably persists the fencing term (write-tmp, rename, dir sync):
-// a crash right after a promotion must not forget the new term, or a revived
-// old primary could be accepted again.
+// StoreTerm durably persists the fencing term (wal.WriteFileAtomic): a crash
+// right after a promotion must not forget the new term, or a revived old
+// primary could be accepted again.
 func StoreTerm(dir string, term uint64) error {
-	path := filepath.Join(dir, termFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(term, 10)+"\n"), 0o644); err != nil {
+	err := wal.WriteFileAtomic(filepath.Join(dir, termFile), func(w io.Writer) error {
+		_, err := io.WriteString(w, strconv.FormatUint(term, 10)+"\n")
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("repl: store term: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("repl: store term: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

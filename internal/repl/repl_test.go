@@ -237,38 +237,70 @@ func TestFollowerReplicatesTailAndPromotes(t *testing.T) {
 }
 
 // TestFollowerRestartResumesFromMirror: a restarted follower bootstraps from
-// its local mirror (no re-fetch of the snapshot) and resumes segment fetches
-// from its local file sizes.
+// its local mirror and resumes segment fetches from its local file sizes. A
+// mirrored snapshot that does not load is moved aside and fetched again from
+// the primary, and a stray file next to a segment ("seg-<n>.wal~", a prefix
+// copy) is no segment: neither may keep the follower from the primary's state.
 func TestFollowerRestartResumesFromMirror(t *testing.T) {
-	d := smallGeo(t)
-	const shards = 2
-	m, _, srv := newPrimary(t, d, t.TempDir(), shards, 1<<10)
-	for _, rows := range randomBatches(d, 2, 6, 5) {
-		if _, err := m.AddRecords(rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mirror := t.TempDir()
-	f := startFollower(t, srv.URL, mirror, shards)
-	waitFor(t, 10*time.Second, "first catch-up", func() bool {
-		return f.Stats().Bootstrapped && f.Stats().NextSeq == m.WALStats().NextSeq
-	})
-	f.Close()
+	for name, damage := range map[string]func(t *testing.T, mirror string){
+		"clean": func(*testing.T, string) {},
+		"torn snapshot": func(t *testing.T, mirror string) {
+			path, _, ok, err := multiem.LatestSnapshot(mirror)
+			if err != nil || !ok {
+				t.Fatalf("no mirrored snapshot (%v)", err)
+			}
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, info.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"stray segment copy": func(t *testing.T, mirror string) {
+			seg := wal.SegmentFile(multiem.LogDir(mirror), 1)
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(seg+"~", raw[:len(raw)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := smallGeo(t)
+			const shards = 2
+			m, _, srv := newPrimary(t, d, t.TempDir(), shards, 1<<10)
+			for _, rows := range randomBatches(d, 2, 6, 5) {
+				if _, err := m.AddRecords(rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mirror := t.TempDir()
+			f := startFollower(t, srv.URL, mirror, shards)
+			waitFor(t, 10*time.Second, "first catch-up", func() bool {
+				return f.Stats().Bootstrapped && f.Stats().NextSeq == m.WALStats().NextSeq
+			})
+			f.Close()
 
-	for _, rows := range randomBatches(d, 2, 6, 17) {
-		if _, err := m.AddRecords(rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f2 := startFollower(t, srv.URL, mirror, shards)
-	waitFor(t, 10*time.Second, "resumed catch-up", func() bool {
-		return f2.Stats().Bootstrapped && f2.Stats().NextSeq == m.WALStats().NextSeq
-	})
-	if !bytes.Equal(saveBytes(t, f2.Matcher()), saveBytes(t, m)) {
-		t.Fatal("restarted follower diverges")
-	}
-	if f2.Stats().Resyncs != 0 {
-		t.Fatal("restart should resume, not resync")
+			damage(t, mirror)
+			for _, rows := range randomBatches(d, 2, 6, 17) {
+				if _, err := m.AddRecords(rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f2 := startFollower(t, srv.URL, mirror, shards)
+			waitFor(t, 10*time.Second, "resumed catch-up", func() bool {
+				return f2.Stats().Bootstrapped && f2.Stats().NextSeq == m.WALStats().NextSeq
+			})
+			if !bytes.Equal(saveBytes(t, f2.Matcher()), saveBytes(t, m)) {
+				t.Fatal("restarted follower diverges")
+			}
+			if f2.Stats().Resyncs != 0 {
+				t.Fatal("restart should resume, not resync")
+			}
+		})
 	}
 }
 

@@ -107,22 +107,12 @@ func (s *Store) SetRow(i int, v []float32) {
 // write and read it as one block; callers must not resize it.
 func (s *Store) Raw() []float32 { return s.data }
 
-// Frozen returns a read-only snapshot of the store: a new Store value whose
-// length is fixed at the current row count but whose backing array is shared
-// with the original. Because rows are append-only — existing rows are never
-// overwritten, and growth either writes past the frozen length or moves to a
-// new backing array — concurrent Appends on the original never touch memory a
-// frozen snapshot can read. This is what lets a published matcher view hand
-// out arena rows without a lock while ingest keeps appending. The caller must
-// not mutate the snapshot.
-//
-// Frozen is O(1) and snapshots share the arena across epochs: N published
-// views of an N-times-appended store cost one backing array, not N copies.
-// The matcher's chunked tuple table and the HNSW link arena follow the same
-// discipline — published state is immutable, the writer appends past every
-// published length and copy-on-writes anything it must overwrite — so an
-// epoch view is a set of shared chunk pointers plus frozen arenas, never a
-// deep copy.
+// Frozen returns a read-only snapshot of the store in O(1): a new Store
+// clipped at the current row count, sharing the backing array. Concurrent
+// Appends on the original never touch memory the snapshot can read, as long
+// as the original's rows are only appended, never overwritten — the
+// append-only contract stated on multiem's shardView. The caller must not
+// mutate the snapshot.
 func (s *Store) Frozen() *Store { return s.Slice(0, s.Len()) }
 
 // Slice returns rows [lo, hi) as a Store of their own that shares the backing

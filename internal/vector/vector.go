@@ -160,8 +160,8 @@ func Add(dst, src []float32) {
 	}
 }
 
-// AddScaled accumulates c*src into dst element-wise; the mean-pooling kernel
-// of the encoder and the centroid update.
+// AddScaled accumulates c*src into dst element-wise. Only the dense
+// encoder's reference test uses it, to pool token vectors the plain way.
 func AddScaled(dst, src []float32, c float32) {
 	assertSameLen(dst, src)
 	src = src[:len(dst)]

@@ -211,19 +211,18 @@ func scanSegments(dir string) ([]segment, error) {
 	}
 	var segs []segment
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		idx, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".wal"), 10, 64)
+		idx, ok, err := ParseSegmentName(e.Name())
 		if err != nil {
-			return nil, fmt.Errorf("wal: scan: unparseable segment name %q", name)
+			return nil, err
+		}
+		if !ok {
+			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			return nil, fmt.Errorf("wal: scan: %w", err)
 		}
-		segs = append(segs, segment{index: idx, path: filepath.Join(dir, name), bytes: info.Size(), fence: -1})
+		segs = append(segs, segment{index: idx, path: filepath.Join(dir, e.Name()), bytes: info.Size(), fence: -1})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
 	return segs, nil
@@ -236,6 +235,24 @@ func segPath(dir string, index int64) string {
 // SegmentFile names segment index's file under a log directory; exported so
 // replication mirrors lay their copies out exactly like the source log.
 func SegmentFile(dir string, index int64) string { return segPath(dir, index) }
+
+// ParseSegmentName reports whether name is a segment file's name — exactly
+// "seg-<n>.wal" — and its index n. Anything else (a "seg-<n>.wal~" editor
+// copy, a ".wal.bak") is not a segment. A name with that prefix and suffix
+// around anything but a number is an error: no log writes one, so it is a
+// foreign file in the log's place.
+func ParseSegmentName(name string) (index int64, ok bool, err error) {
+	digits, hasPrefix := strings.CutPrefix(name, "seg-")
+	digits, hasSuffix := strings.CutSuffix(digits, ".wal")
+	if !hasPrefix || !hasSuffix {
+		return 0, false, nil
+	}
+	index, err = strconv.ParseInt(digits, 10, 64)
+	if err != nil {
+		return 0, false, fmt.Errorf("wal: unparseable segment name %q", name)
+	}
+	return index, true, nil
+}
 
 // CRC computes the checksum the log frames use (CRC-32C, Castagnoli) over b;
 // exported so the replication layer integrity-checks whole mirrored files

@@ -336,6 +336,33 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	}
 }
 
+// TestParseSegmentName: only "seg-<n>.wal" exactly is a segment; a name with
+// that prefix and suffix around something else is an error.
+func TestParseSegmentName(t *testing.T) {
+	for name, want := range map[string]int64{
+		"seg-0000000000000001.wal": 1,
+		"seg-0000000000000042.wal": 42,
+	} {
+		if got, ok, err := ParseSegmentName(name); !ok || err != nil || got != want {
+			t.Errorf("%s: %d %v %v, want %d", name, got, ok, err, want)
+		}
+	}
+	for _, name := range []string{
+		"seg-0000000000000001.wal~",
+		"seg-0000000000000001.wal.bak",
+		"seg-0000000000000001.wal.tmp",
+		"snapshot-1.bin",
+		"repl-term",
+	} {
+		if _, ok, err := ParseSegmentName(name); ok || err != nil {
+			t.Errorf("%s: ok %v, err %v, want no segment and no error", name, ok, err)
+		}
+	}
+	if _, ok, err := ParseSegmentName("seg-bogus.wal"); ok || err == nil {
+		t.Error("seg-bogus.wal parsed without an error")
+	}
+}
+
 // TestCheckVersion: only a complete header of another format version is
 // ErrVersion. A missing directory, this version's own segments, a header a
 // crash cut short and a file that is no segment at all pass — the last is

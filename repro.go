@@ -27,6 +27,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/multiem"
 	"repro/internal/table"
+	"repro/internal/wal"
 )
 
 // Core data model.
@@ -157,25 +158,11 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	return multiem.LoadMatcher(r, opt)
 }
 
-// SaveMatcherFile writes the matcher to path atomically: the state goes to a
-// temp file first and is renamed into place, so a crash mid-save never
-// leaves a truncated index behind.
+// SaveMatcherFile writes the matcher to path atomically and durably
+// (wal.WriteFileAtomic), so neither a crash nor a power loss mid-save leaves
+// a truncated index behind.
 func SaveMatcherFile(m *Matcher, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return wal.WriteFileAtomic(path, m.Save)
 }
 
 // RecoverMatcher opens a durable matcher: the latest snapshot in cfg.Dir is
