@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build build-arm64 build-bigendian vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke load-smoke metrics-smoke loc
+.PHONY: all build build-arm64 build-bigendian vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke paper-parity benchmark-smoke load-smoke metrics-smoke loc
 
 all: build vet test
 
@@ -107,6 +107,13 @@ bench:
 # IngestLive prepopulation, which is minutes of setup for one iteration.
 bench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x -run=^$$ ./...
+
+# Every paper bench (Table|Figure|Ablation|Lemma) once under the default
+# kernels and once under VECTOR_KERNELS=scalar; fails if any sub-benchmark's
+# F1, pair-F1, selected-attrs or matched differs. On a CPU without AVX2 both
+# runs are scalar and it passes trivially.
+paper-parity:
+	GO=$(GO) ./scripts/paper_parity.sh
 
 # The repository benchmark (BENCHMARK.json -> bench/run.sh) at 1/50 size,
 # every workload, plus the harness's own tests. bench/ is a module of its

@@ -1,17 +1,22 @@
 // Benchmarks regenerating the paper's tables and figures (one benchmark per
 // table/figure), complexity-scaling benches validating Lemmas 1-3, and
-// ablation benches for the design choices called out in DESIGN.md §4.
+// ablation benches for the paper's design choices and the merge backend.
 //
 // Benchmark scales are deliberately small so `go test -bench=.` completes in
-// minutes; cmd/experiments runs the full-scale versions. Quality metrics
-// (F1, pair-F1) are attached to benchmark output via b.ReportMetric, so a
-// single bench run reproduces both the performance and effectiveness shape.
+// minutes; cmd/experiments runs the full-scale versions. A paper bench is a
+// timing loop over internal/experiments — RunMethod runs each method, Sweeps
+// holds the Figure 6 grids, ConfigFor the tuned hyperparameters — so a bench
+// and cmd/experiments give the same numbers at the same config. Quality
+// metrics (F1, pair-F1) are attached to benchmark output via b.ReportMetric,
+// so a single bench run reproduces both the performance and effectiveness
+// shape; `make paper-parity` checks them across the kernel paths.
 package repro_test
 
 import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -34,13 +39,17 @@ import (
 	"repro/internal/wal"
 )
 
-// benchConfigs returns reduced-scale dataset configs for benchmarking.
+// benchConfig returns the harness's tuned configuration for a dataset at a
+// reduced generation scale.
+func benchConfig(name string, scale float64) experiments.DatasetConfig {
+	cfg := *experiments.ConfigFor(name)
+	cfg.Scale = scale
+	return cfg
+}
+
+// benchConfigs returns the reduced-scale dataset configs of the paper benches.
 func benchConfigs() []experiments.DatasetConfig {
-	return []experiments.DatasetConfig{
-		{Name: "Geo", Scale: 0.3, Seed: 11, M: 0.5, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.2},
-		{Name: "Music-20", Scale: 0.1, Seed: 13, M: 0.5, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.2},
-		{Name: "Shopee", Scale: 0.05, Seed: 29, M: 0.2, Gamma: 0.9, Eps: 0.8, SampleRatio: 0.2},
-	}
+	return []experiments.DatasetConfig{benchConfig("Geo", 0.3), benchConfig("Music-20", 0.1), benchConfig("Shopee", 0.05)}
 }
 
 func mustGen(b *testing.B, name string, scale float64, seed int64) *repro.Dataset {
@@ -50,6 +59,34 @@ func mustGen(b *testing.B, name string, scale float64, seed int64) *repro.Datase
 		b.Fatal(err)
 	}
 	return d
+}
+
+// runMethod is a paper bench's timed loop: b.N calls of experiments.RunMethod
+// for one experiments.Methods row. It returns the last call's tuples and, for
+// a MultiEM row, its result. ctx is the baselines' shared context (nil for
+// MultiEM rows).
+func runMethod(b *testing.B, method string, cfg experiments.DatasetConfig, d *repro.Dataset, ctx *baselines.Context) ([][]int, *multiem.Result) {
+	b.Helper()
+	var tuples [][]int
+	var res *multiem.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if tuples, res, err = experiments.RunMethod(method, cfg, d, ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	return tuples, res
+}
+
+func reportF1(b *testing.B, d *repro.Dataset, tuples [][]int) {
+	b.ReportMetric(100*repro.Evaluate(tuples, d.Truth).Tuple.F1, "F1")
+}
+
+// sequentialParallel names the two legs of Table V and Figure 5.
+var sequentialParallel = []struct{ name, method string }{
+	{"sequential", "MultiEM"}, {"parallel", "MultiEM (parallel)"},
 }
 
 // ---- Table III ------------------------------------------------------------
@@ -74,19 +111,10 @@ func BenchmarkTable4_MultiEM(b *testing.B) {
 	for _, cfg := range benchConfigs() {
 		b.Run(cfg.Name, func(b *testing.B) {
 			d := mustGen(b, cfg.Name, cfg.Scale, cfg.Seed)
-			opt := cfg.MultiEMOptions()
-			var f1, pf1 float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := repro.Match(d, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep := repro.Evaluate(res.Tuples, d.Truth)
-				f1, pf1 = rep.Tuple.F1, rep.Pair.F1
-			}
-			b.ReportMetric(100*f1, "F1")
-			b.ReportMetric(100*pf1, "pair-F1")
+			tuples, _ := runMethod(b, "MultiEM", cfg, d, nil)
+			rep := repro.Evaluate(tuples, d.Truth)
+			b.ReportMetric(100*rep.Tuple.F1, "F1")
+			b.ReportMetric(100*rep.Pair.F1, "pair-F1")
 		})
 	}
 }
@@ -98,48 +126,18 @@ func BenchmarkTable4_Baselines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, f func() [][]int) {
-		var f1 float64
-		for i := 0; i < b.N; i++ {
-			tuples := f()
-			f1 = eval.Evaluate(tuples, d.Truth).Tuple.F1
-		}
-		b.ReportMetric(100*f1, "F1")
+	for _, leg := range []struct{ name, method string }{
+		{"Ditto-chain", "Ditto (c)"},
+		{"PromptEM-pairwise", "PromptEM (pw)"},
+		{"AutoFJ-pairwise", "AutoFJ (pw)"},
+		{"MSCD-HAC", "MSCD-HAC"},
+		{"ALMSER-GB", "ALMSER-GB"},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			tuples, _ := runMethod(b, leg.method, cfg, d, ctx)
+			reportF1(b, d, tuples)
+		})
 	}
-	b.Run("Ditto-chain", func(b *testing.B) {
-		m := baselines.NewPLMMatcher(baselines.VariantDitto)
-		m.Train(ctx, baselines.MakeSplit(d, 0.05, 3, 1))
-		run(b, func() [][]int { return baselines.PairsToTuples(baselines.ChainMatch(ctx, m)) })
-	})
-	b.Run("PromptEM-pairwise", func(b *testing.B) {
-		m := baselines.NewPLMMatcher(baselines.VariantPromptEM)
-		m.Train(ctx, baselines.MakeSplit(d, 0.05, 3, 1))
-		run(b, func() [][]int { return baselines.PairsToTuples(baselines.PairwiseMatch(ctx, m)) })
-	})
-	b.Run("AutoFJ-pairwise", func(b *testing.B) {
-		fj := baselines.NewAutoFJ()
-		run(b, func() [][]int { return baselines.PairsToTuples(baselines.PairwiseMatch(ctx, fj)) })
-	})
-	b.Run("MSCD-HAC", func(b *testing.B) {
-		hac := baselines.NewMSCDHAC()
-		run(b, func() [][]int {
-			tuples, err := hac.Run(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return tuples
-		})
-	})
-	b.Run("ALMSER-GB", func(b *testing.B) {
-		run(b, func() [][]int {
-			al := baselines.NewALMSER(d.NumTruthPairs() / 20)
-			tuples, err := al.Run(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return tuples
-		})
-	})
 }
 
 // ---- Table V: running time (sequential vs parallel) ------------------------
@@ -147,20 +145,9 @@ func BenchmarkTable4_Baselines(b *testing.B) {
 func BenchmarkTable5_Runtime(b *testing.B) {
 	for _, cfg := range benchConfigs() {
 		d := mustGen(b, cfg.Name, cfg.Scale, cfg.Seed)
-		for _, parallel := range []bool{false, true} {
-			name := cfg.Name + "/sequential"
-			if parallel {
-				name = cfg.Name + "/parallel"
-			}
-			b.Run(name, func(b *testing.B) {
-				opt := cfg.MultiEMOptions()
-				opt.Parallel = parallel
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := repro.Match(d, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
+		for _, leg := range sequentialParallel {
+			b.Run(cfg.Name+"/"+leg.name, func(b *testing.B) {
+				runMethod(b, leg.method, cfg, d, nil)
 			})
 		}
 	}
@@ -173,26 +160,19 @@ func BenchmarkTable6_Memory(b *testing.B) {
 	d := mustGen(b, cfg.Name, cfg.Scale, cfg.Seed)
 	b.Run("MultiEM", func(b *testing.B) {
 		b.ReportAllocs()
-		opt := cfg.MultiEMOptions()
-		for i := 0; i < b.N; i++ {
-			if _, err := repro.Match(d, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
+		runMethod(b, "MultiEM", cfg, d, nil)
 	})
 	b.Run("MSCD-HAC-infeasible", func(b *testing.B) {
-		// The paper's "\" cell: MSCD-HAC cannot complete Music-20 at
-		// full size; the guard must fire instead of consuming the box.
-		ctx, err := baselines.NewContext(d, embed.NewHashEncoder())
-		if err != nil {
-			b.Fatal(err)
-		}
-		hac := baselines.NewMSCDHAC()
-		hac.MaxEntities = 100
-		b.ResetTimer()
+		// The paper's "\" cell: Music-20's full size is over
+		// experiments.GateMSCDHAC, so the harness must show the cell
+		// instead of running MSCD-HAC.
 		for i := 0; i < b.N; i++ {
-			if _, err := hac.Run(ctx); err == nil {
-				b.Fatal("guard must refuse")
+			rows, err := experiments.RunDataset(cfg, []string{"MSCD-HAC"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rows[0].Skipped != `\` {
+				b.Fatalf("MSCD-HAC on Music-20 reads %+v, want the \\ cell", rows[0])
 			}
 		}
 	})
@@ -221,23 +201,10 @@ func BenchmarkTable7_AttrSelect(b *testing.B) {
 func BenchmarkFigure5_Phases(b *testing.B) {
 	cfg := benchConfigs()[1]
 	d := mustGen(b, cfg.Name, cfg.Scale, cfg.Seed)
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			opt := cfg.MultiEMOptions()
-			opt.Parallel = parallel
-			var t multiem.PhaseTimings
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := repro.Match(d, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				t = res.Timings
-			}
+	for _, leg := range sequentialParallel {
+		b.Run(leg.name, func(b *testing.B) {
+			_, res := runMethod(b, leg.method, cfg, d, nil)
+			t := res.Timings
 			b.ReportMetric(t.Select.Seconds()*1000, "S-ms")
 			b.ReportMetric(t.Represent.Seconds()*1000, "R-ms")
 			b.ReportMetric(t.Merge.Seconds()*1000, "M-ms")
@@ -248,46 +215,37 @@ func BenchmarkFigure5_Phases(b *testing.B) {
 
 // ---- Figure 6: sensitivity sweeps -------------------------------------------
 
-func benchSweep(b *testing.B, set func(*repro.Options, float64), grid []float64) {
+// benchSweep runs one experiments.Sweeps curve on the Geo bench config, a
+// sub-benchmark per grid value.
+func benchSweep(b *testing.B, figure string) {
+	k := slices.IndexFunc(experiments.Sweeps, func(s experiments.Sweep) bool { return s.Figure == figure })
+	if k < 0 {
+		b.Fatalf("no Figure %s sweep", figure)
+	}
+	sweep := experiments.Sweeps[k]
 	cfg := benchConfigs()[0]
 	d := mustGen(b, cfg.Name, cfg.Scale, cfg.Seed)
-	for _, v := range grid {
+	for _, v := range sweep.Grid {
 		b.Run(fmt.Sprintf("%g", v), func(b *testing.B) {
 			opt := cfg.MultiEMOptions()
-			set(&opt, v)
-			var f1 float64
+			sweep.Set(&opt, v)
+			var res *repro.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := repro.Match(d, opt)
-				if err != nil {
+				var err error
+				if res, err = repro.Match(d, opt); err != nil {
 					b.Fatal(err)
 				}
-				f1 = repro.Evaluate(res.Tuples, d.Truth).Tuple.F1
 			}
-			b.ReportMetric(100*f1, "F1")
+			reportF1(b, d, res.Tuples)
 		})
 	}
 }
 
-func BenchmarkFigure6a_Gamma(b *testing.B) {
-	benchSweep(b, func(o *repro.Options, v float64) { o.Gamma = float32(v) },
-		[]float64{0.80, 0.85, 0.90, 0.95})
-}
-
-func BenchmarkFigure6b_MergeOrderSeed(b *testing.B) {
-	benchSweep(b, func(o *repro.Options, v float64) { o.Seed = int64(v) },
-		[]float64{0, 1, 2, 3})
-}
-
-func BenchmarkFigure6c_M(b *testing.B) {
-	benchSweep(b, func(o *repro.Options, v float64) { o.M = float32(v) },
-		[]float64{0.05, 0.2, 0.35, 0.5})
-}
-
-func BenchmarkFigure6e_Eps(b *testing.B) {
-	benchSweep(b, func(o *repro.Options, v float64) { o.Eps = float32(v) },
-		[]float64{0.7, 0.8, 0.9, 1.0})
-}
+func BenchmarkFigure6a_Gamma(b *testing.B)          { benchSweep(b, "6a") }
+func BenchmarkFigure6b_MergeOrderSeed(b *testing.B) { benchSweep(b, "6b") }
+func BenchmarkFigure6c_M(b *testing.B)              { benchSweep(b, "6c") }
+func BenchmarkFigure6e_Eps(b *testing.B)            { benchSweep(b, "6e") }
 
 // ---- Lemmas 1-3: merging strategy complexity scaling -----------------------
 //
@@ -346,7 +304,7 @@ func BenchmarkLemma_MergingStrategies(b *testing.B) {
 	}
 }
 
-// ---- Ablations (DESIGN.md §4) -----------------------------------------------
+// ---- Ablations -----------------------------------------------------------------
 
 // BenchmarkAblation_ANNBackend compares the three two-table join backends on
 // one pipeline (auto is the default; hnsw and brute force one leg), and its
@@ -426,25 +384,12 @@ func BenchmarkAblation_ANNBackend(b *testing.B) {
 func BenchmarkAblation_EERAndDP(b *testing.B) {
 	cfg := benchConfigs()[1]
 	d := mustGen(b, cfg.Name, cfg.Scale, cfg.Seed)
-	variants := map[string]func(*repro.Options){
-		"full":    func(*repro.Options) {},
-		"w/o-EER": func(o *repro.Options) { o.DisableAttrSelect = true },
-		"w/o-DP":  func(o *repro.Options) { o.DisablePruning = true },
-	}
-	for name, mutate := range variants {
-		b.Run(name, func(b *testing.B) {
-			opt := cfg.MultiEMOptions()
-			mutate(&opt)
-			var f1 float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := repro.Match(d, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				f1 = repro.Evaluate(res.Tuples, d.Truth).Tuple.F1
-			}
-			b.ReportMetric(100*f1, "F1")
+	for _, leg := range []struct{ name, method string }{
+		{"full", "MultiEM"}, {"w/o-EER", "MultiEM w/o EER"}, {"w/o-DP", "MultiEM w/o DP"},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			tuples, _ := runMethod(b, leg.method, cfg, d, nil)
+			reportF1(b, d, tuples)
 		})
 	}
 }
@@ -460,16 +405,8 @@ func BenchmarkAblation_MutualVsOneDirectional(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("mutual", func(b *testing.B) {
-		opt := cfg.MultiEMOptions()
-		var f1 float64
-		for i := 0; i < b.N; i++ {
-			res, err := repro.Match(d, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f1 = repro.Evaluate(res.Tuples, d.Truth).Tuple.F1
-		}
-		b.ReportMetric(100*f1, "F1")
+		tuples, _ := runMethod(b, "MultiEM", cfg, d, nil)
+		reportF1(b, d, tuples)
 	})
 	b.Run("one-directional", func(b *testing.B) {
 		var f1 float64

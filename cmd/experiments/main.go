@@ -10,8 +10,7 @@
 //	experiments -figure 6a|6b|6c|6e # sensitivity sweeps
 //	experiments -all                # everything
 //
-// Flags -datasets and -scale restrict/override the default configuration;
-// see EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+// Flags -datasets and -scale restrict/override the default configuration.
 package main
 
 import (
@@ -88,12 +87,10 @@ func main() {
 		any = true
 		run("Figure 5", func() error { _, err := experiments.RunFigure5(w, cfgs); return err })
 	}
-	sweeps := map[string]string{"6a": "gamma", "6b": "seed", "6c": "m", "6e": "eps"}
-	for fig, which := range sweeps {
-		if *all || *figureSel == fig {
+	for _, s := range experiments.Sweeps {
+		if *all || *figureSel == s.Figure {
 			any = true
-			which := which
-			run("Figure "+fig, func() error { _, err := experiments.RunFigure6(w, cfgs, which); return err })
+			run("Figure "+s.Figure, func() error { _, err := experiments.RunFigure6(w, cfgs, s.Param); return err })
 		}
 	}
 	if !any {

@@ -4,8 +4,7 @@
 // matchers in the multi-table setting:
 //
 //   - PLMMatcher: a trainable pairwise classifier standing in for the
-//     fine-tuned language-model matchers Ditto and PromptEM (see DESIGN.md
-//     for the substitution argument);
+//     fine-tuned language-model matchers Ditto and PromptEM;
 //   - AutoFJ: unsupervised fuzzy join with automatic threshold calibration
 //     for a target precision, after Auto-FuzzyJoin (SIGMOD 2021);
 //   - ALMSER: similarity-graph multi-source matcher with committee-based

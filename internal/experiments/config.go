@@ -10,8 +10,9 @@
 //	Figure 6   — sensitivity to γ, merge order, m, ε
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
-// data, simulated PLM baselines); EXPERIMENTS.md records paper-vs-measured
-// and the shape checks.
+// data, simulated PLM baselines). RunMethod is the one definition of how
+// each method runs; the root package's paper benches are timing loops over
+// it and Sweeps (see docs/BENCHMARKING.md).
 package experiments
 
 import (
@@ -44,7 +45,7 @@ func DefaultConfigs() []DatasetConfig {
 		{Name: "Music-20", Scale: 1.0, Seed: 13, M: 0.5, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.2},
 		{Name: "Music-200", Scale: 0.1, Seed: 17, M: 0.5, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.2},
 		// Music-2000 and Person at paper scale are 1.9M and 5M entities;
-		// they run at reduced scale by default (see DESIGN.md).
+		// they run at reduced scale by default.
 		{Name: "Music-2000", Scale: 0.01, Seed: 19, M: 0.5, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.05},
 		{Name: "Person", Scale: 0.008, Seed: 23, M: 0.35, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.05},
 		{Name: "Shopee", Scale: 0.6, Seed: 29, M: 0.2, Gamma: 0.9, Eps: 0.8, SampleRatio: 0.2},

@@ -5,15 +5,23 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/datagen"
+	"repro/internal/embed"
 )
 
+// scaled returns name's configuration at another generation scale, relative
+// to the paper's full size.
+func scaled(name string, scale float64) DatasetConfig {
+	cfg := *ConfigFor(name)
+	cfg.Scale = scale
+	return cfg
+}
+
 // tinyConfigs returns heavily scaled-down configs so the harness itself can
-// be tested quickly. Scale is relative to the paper's full sizes.
+// be tested quickly.
 func tinyConfigs() []DatasetConfig {
-	return []DatasetConfig{
-		{Name: "Geo", Scale: 0.15, Seed: 11, M: 0.5, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.2},
-		{Name: "Music-20", Scale: 0.03, Seed: 13, M: 0.5, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.2},
-	}
+	return []DatasetConfig{scaled("Geo", 0.15), scaled("Music-20", 0.03)}
 }
 
 func TestDefaultConfigsCoverAllDatasets(t *testing.T) {
@@ -114,7 +122,7 @@ func TestRunDatasetMultiEMOnly(t *testing.T) {
 func TestRunDatasetGatesScaleWithFullSize(t *testing.T) {
 	// Music-2000 at tiny scale must still be gated for PLM baselines,
 	// because feasibility is judged at full size.
-	cfg := DatasetConfig{Name: "Music-2000", Scale: 0.002, Seed: 19, M: 0.5, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.2}
+	cfg := scaled("Music-2000", 0.002)
 	res, err := RunDataset(cfg, []string{"Ditto (pw)", "MSCD-HAC", "AutoFJ (c)", "ALMSER-GB"})
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +138,38 @@ func TestRunDatasetGatesScaleWithFullSize(t *testing.T) {
 	for _, r := range res {
 		if r.Skipped != wantMark[r.Method] {
 			t.Fatalf("%s skip marker %q, want %q", r.Method, r.Skipped, wantMark[r.Method])
+		}
+	}
+}
+
+// slowEncoder makes the baselines' context build take at least delay.
+type slowEncoder struct {
+	embed.Encoder
+	delay time.Duration
+}
+
+func (e slowEncoder) EncodeBatch(texts []string) [][]float32 {
+	time.Sleep(e.delay)
+	return e.Encoder.EncodeBatch(texts)
+}
+
+// Every baseline row's runtime includes the shared embedding context's build
+// time, the row that builds it as much as the rows that reuse it. The build
+// is made slower than the baseline itself, so a row that leaves it out shows.
+func TestBaselineRowsIncludeContextTime(t *testing.T) {
+	cfg := tinyConfigs()[0]
+	d, err := datagen.GenerateByName(cfg.Name, cfg.Scale, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := sharedContext{enc: slowEncoder{embed.NewHashEncoder(), 200 * time.Millisecond}}
+	for row := 0; row < 2; row++ {
+		r, err := runMethod("AutoFJ (pw)", cfg, d, &shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Runtime < shared.took {
+			t.Fatalf("row %d: runtime %v leaves out the shared context's %v", row, r.Runtime, shared.took)
 		}
 	}
 }
@@ -230,6 +270,16 @@ func TestRunFigure6MSweep(t *testing.T) {
 	// The loosest m must beat the tightest on recall-driven F1 here.
 	if pts[3].F1 <= pts[0].F1 {
 		t.Fatalf("m=0.5 F1 %.3f should exceed m=0.05 F1 %.3f on Geo", pts[3].F1, pts[0].F1)
+	}
+}
+
+func TestSweepsInPaperOrder(t *testing.T) {
+	var got []string
+	for _, s := range Sweeps {
+		got = append(got, s.Figure)
+	}
+	if strings.Join(got, " ") != "6a 6b 6c 6e" {
+		t.Fatalf("sweep order %v, want 6a 6b 6c 6e", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/datagen"
@@ -28,14 +29,11 @@ func RunFigure5(w io.Writer, cfgs []DatasetConfig) ([]Figure5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		seqOpt := cfg.MultiEMOptions()
-		seq, err := multiem.Run(d, seqOpt)
+		_, seq, err := RunMethod("MultiEM", cfg, d, nil)
 		if err != nil {
 			return nil, err
 		}
-		parOpt := cfg.MultiEMOptions()
-		parOpt.Parallel = true
-		par, err := multiem.Run(d, parOpt)
+		_, par, err := RunMethod("MultiEM (parallel)", cfg, d, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -73,23 +71,34 @@ type SweepPoint struct {
 	NormTime float64
 }
 
-// RunFigure6 sweeps one hyperparameter over the paper's grid on the given
-// datasets. which selects the subfigure: "gamma" (6a), "seed" (6b),
-// "m" (6c+6d), "eps" (6e+6f).
+// Sweep is one Figure 6 sensitivity curve: a MultiEM hyperparameter, the
+// paper's grid for it, and how a grid value sets it.
+type Sweep struct {
+	// Figure is the subfigure id; 6c and 6e also give 6d's and 6f's
+	// running times.
+	Figure string
+	// Param names the hyperparameter.
+	Param string
+	Grid  []float64
+	Set   func(*multiem.Options, float64)
+}
+
+// Sweeps lists the Figure 6 sweeps in the paper's order.
+var Sweeps = []Sweep{
+	{"6a", "gamma", []float64{0.80, 0.85, 0.90, 0.95}, func(o *multiem.Options, v float64) { o.Gamma = float32(v) }},
+	{"6b", "seed", []float64{0, 1, 2, 3}, func(o *multiem.Options, v float64) { o.Seed = int64(v) }},
+	{"6c", "m", []float64{0.05, 0.2, 0.35, 0.5}, func(o *multiem.Options, v float64) { o.M = float32(v) }},
+	{"6e", "eps", []float64{0.7, 0.8, 0.9, 1.0}, func(o *multiem.Options, v float64) { o.Eps = float32(v) }},
+}
+
+// RunFigure6 runs the Sweeps entry whose Param is which on the given
+// datasets.
 func RunFigure6(w io.Writer, cfgs []DatasetConfig, which string) ([]SweepPoint, error) {
-	var grid []float64
-	switch which {
-	case "gamma":
-		grid = []float64{0.80, 0.85, 0.90, 0.95}
-	case "seed":
-		grid = []float64{0, 1, 2, 3}
-	case "m":
-		grid = []float64{0.05, 0.2, 0.35, 0.5}
-	case "eps":
-		grid = []float64{0.7, 0.8, 0.9, 1.0}
-	default:
+	k := slices.IndexFunc(Sweeps, func(s Sweep) bool { return s.Param == which })
+	if k < 0 {
 		return nil, fmt.Errorf("experiments: unknown sweep %q", which)
 	}
+	sweep := Sweeps[k]
 	var out []SweepPoint
 	var rows [][]string
 	for _, cfg := range cfgs {
@@ -98,18 +107,9 @@ func RunFigure6(w io.Writer, cfgs []DatasetConfig, which string) ([]SweepPoint, 
 			return nil, err
 		}
 		var base time.Duration
-		for i, v := range grid {
+		for i, v := range sweep.Grid {
 			opt := cfg.MultiEMOptions()
-			switch which {
-			case "gamma":
-				opt.Gamma = float32(v)
-			case "seed":
-				opt.Seed = int64(v)
-			case "m":
-				opt.M = float32(v)
-			case "eps":
-				opt.Eps = float32(v)
-			}
+			sweep.Set(&opt, v)
 			res, err := multiem.Run(d, opt)
 			if err != nil {
 				return nil, err

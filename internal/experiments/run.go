@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -85,6 +87,103 @@ var Methods = []string{
 	"MultiEM w/o EER", "MultiEM w/o DP",
 }
 
+// trainFrac is the share of truth pairs a supervised baseline may label:
+// the PLM matchers' training split and ALMSER's active-learning budget.
+const trainFrac = 0.05
+
+// RunMethod runs one paper method on d, untimed, and returns its predicted
+// tuples; for a MultiEM row it also returns the pipeline's result. method is
+// a name from Methods and d is cfg's generated dataset. ctx is the
+// baselines' shared embedding context over d; MultiEM rows do not read it,
+// so it may be nil for them. This is the one place that knows how each
+// method of Tables IV-VI runs: cmd/experiments times it through RunDataset,
+// and the paper benches call it directly.
+func RunMethod(method string, cfg DatasetConfig, d *table.Dataset, ctx *baselines.Context) ([][]int, *multiem.Result, error) {
+	opt := cfg.MultiEMOptions()
+	switch method {
+	case "MultiEM":
+	case "MultiEM (parallel)":
+		opt.Parallel = true
+	case "MultiEM w/o EER":
+		opt.DisableAttrSelect = true
+	case "MultiEM w/o DP":
+		opt.DisablePruning = true
+	case "MSCD-HAC":
+		tuples, err := baselines.NewMSCDHAC().Run(ctx)
+		return tuples, nil, err
+	case "ALMSER-GB":
+		budget := max(int(float64(d.NumTruthPairs())*trainFrac), 10)
+		tuples, err := baselines.NewALMSER(budget).Run(ctx)
+		return tuples, nil, err
+	case "AutoFJ (pw)", "AutoFJ (c)":
+		return twoTable(method, ctx, baselines.NewAutoFJ()), nil, nil
+	case "Ditto (pw)", "Ditto (c)":
+		return twoTable(method, ctx, trainPLM(baselines.VariantDitto, cfg.Seed, d, ctx)), nil, nil
+	case "PromptEM (pw)", "PromptEM (c)":
+		return twoTable(method, ctx, trainPLM(baselines.VariantPromptEM, cfg.Seed, d, ctx)), nil, nil
+	default:
+		return nil, nil, fmt.Errorf("unknown method %q", method)
+	}
+	res, err := multiem.Run(d, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Tuples, res, nil
+}
+
+// trainPLM trains a PLM matcher on a split drawn with the dataset's seed.
+func trainPLM(v baselines.PLMVariant, seed int64, d *table.Dataset, ctx *baselines.Context) *baselines.PLMMatcher {
+	m := baselines.NewPLMMatcher(v)
+	m.Train(ctx, baselines.MakeSplit(d, trainFrac, 3, seed))
+	return m
+}
+
+// twoTable extends a two-table matcher to all tables, pairwise for a
+// "(pw)" row and as a chain for a "(c)" row (Fig. 2a/2c).
+func twoTable(method string, ctx *baselines.Context, m baselines.TwoTableMatcher) [][]int {
+	if strings.HasSuffix(method, "(pw)") {
+		return baselines.PairsToTuples(baselines.PairwiseMatch(ctx, m))
+	}
+	return baselines.PairsToTuples(baselines.ChainMatch(ctx, m))
+}
+
+// gate returns a baseline's feasibility limit on the full-scale entity count
+// and the cell it shows beyond it. Any other method gets limit 0: it is
+// never gated and needs no baseline context.
+func gate(method string) (limit int, mark string) {
+	switch method {
+	case "MSCD-HAC":
+		return GateMSCDHAC, `\`
+	case "ALMSER-GB":
+		return GateALMSER, `\`
+	case "AutoFJ (pw)", "AutoFJ (c)":
+		return GateAutoFJ, "-"
+	case "PromptEM (pw)", "PromptEM (c)", "Ditto (pw)", "Ditto (c)":
+		return GatePLM, `\`
+	}
+	return 0, ""
+}
+
+// sharedContext is the baselines' one embedding context per dataset, built
+// with enc on first use, and what building it took.
+type sharedContext struct {
+	enc  embed.Encoder
+	ctx  *baselines.Context
+	took time.Duration
+}
+
+func (s *sharedContext) get(d *table.Dataset) (*baselines.Context, time.Duration, error) {
+	if s.ctx == nil {
+		start := time.Now()
+		ctx, err := baselines.NewContext(d, s.enc)
+		if err != nil {
+			return nil, 0, err
+		}
+		s.ctx, s.took = ctx, time.Since(start)
+	}
+	return s.ctx, s.took, nil
+}
+
 // RunDataset generates the dataset for cfg and evaluates every requested
 // method on it. methods nil means all Methods.
 func RunDataset(cfg DatasetConfig, methods []string) ([]MethodResult, error) {
@@ -96,19 +195,9 @@ func RunDataset(cfg DatasetConfig, methods []string) ([]MethodResult, error) {
 		methods = Methods
 	}
 	var out []MethodResult
-	var sharedCtx *baselines.Context
-	ctxTime := time.Duration(0)
-	needCtx := func() error {
-		if sharedCtx != nil {
-			return nil
-		}
-		start := time.Now()
-		sharedCtx, err = baselines.NewContext(d, embed.NewHashEncoder())
-		ctxTime = time.Since(start)
-		return err
-	}
+	shared := sharedContext{enc: embed.NewHashEncoder()}
 	for _, m := range methods {
-		r, err := runMethod(m, cfg, d, needCtx, &sharedCtx, ctxTime)
+		r, err := runMethod(m, cfg, d, &shared)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s on %s: %w", m, cfg.Name, err)
 		}
@@ -117,132 +206,50 @@ func RunDataset(cfg DatasetConfig, methods []string) ([]MethodResult, error) {
 	return out, nil
 }
 
-func runMethod(method string, cfg DatasetConfig, d *table.Dataset,
-	needCtx func() error, ctxp **baselines.Context, ctxTime time.Duration) (MethodResult, error) {
-
+// runMethod is one Tables IV-VI cell: the feasibility gate, then RunMethod
+// under measure.
+func runMethod(method string, cfg DatasetConfig, d *table.Dataset, shared *sharedContext) (MethodResult, error) {
 	res := MethodResult{Method: method, Dataset: cfg.Name}
-
 	// Feasibility is a property of the real (full-scale) dataset: a method
 	// that cannot complete the paper's Music-2000 must show "\" even when
 	// this run generates Music-2000 at reduced scale.
-	fullN := int(float64(d.NumEntities()) / cfg.Scale)
-
-	gate := func(limit int, reason string) bool {
-		if fullN > limit {
-			res.Skipped = reason
-			return true
-		}
-		return false
+	limit, mark := gate(method)
+	if limit > 0 && int(float64(d.NumEntities())/cfg.Scale) > limit {
+		res.Skipped = mark
+		return res, nil
 	}
-
-	switch method {
-	case "MultiEM", "MultiEM (parallel)", "MultiEM w/o EER", "MultiEM w/o DP":
-		opt := cfg.MultiEMOptions()
-		switch method {
-		case "MultiEM (parallel)":
-			opt.Parallel = true
-		case "MultiEM w/o EER":
-			opt.DisableAttrSelect = true
-		case "MultiEM w/o DP":
-			opt.DisablePruning = true
-		}
-		var result *multiem.Result
-		elapsed, peak, err := measure(func() error {
-			var e error
-			result, e = multiem.Run(d, opt)
-			return e
-		})
-		if err != nil {
+	var ctx *baselines.Context
+	var ctxTime time.Duration
+	if limit > 0 {
+		var err error
+		if ctx, ctxTime, err = shared.get(d); err != nil {
 			return res, err
 		}
-		res.Runtime, res.PeakMem = elapsed, peak
-		res.Report = eval.Evaluate(result.Tuples, d.Truth)
-		res.Phases = result.Timings
-		res.SelectedAttrs = result.SelectedNames
-		res.AttrScores = result.AttrScores
-		return res, nil
-
-	case "MSCD-HAC":
-		if gate(GateMSCDHAC, `\`) {
-			return res, nil
-		}
-	case "ALMSER-GB":
-		if gate(GateALMSER, `\`) {
-			return res, nil
-		}
-	case "AutoFJ (pw)", "AutoFJ (c)":
-		if gate(GateAutoFJ, "-") {
-			return res, nil
-		}
-	case "PromptEM (pw)", "PromptEM (c)", "Ditto (pw)", "Ditto (c)":
-		if gate(GatePLM, `\`) {
-			return res, nil
-		}
-	default:
-		return res, fmt.Errorf("unknown method %q", method)
 	}
-
-	// Baseline path: build (or reuse) the shared embedding context.
-	if err := needCtx(); err != nil {
-		return res, err
-	}
-	ctx := *ctxp
 
 	var tuples [][]int
+	var result *multiem.Result
 	elapsed, peak, err := measure(func() error {
 		var e error
-		tuples, e = runBaseline(method, cfg, ctx)
+		tuples, result, e = RunMethod(method, cfg, d, ctx)
 		return e
 	})
+	var tooLarge *baselines.ErrTooLarge
+	if errors.As(err, &tooLarge) {
+		res.Skipped = `\`
+		return res, nil
+	}
 	if err != nil {
-		if tooLarge, ok := err.(*baselines.ErrTooLarge); ok {
-			res.Skipped = `\`
-			_ = tooLarge
-			return res, nil
-		}
 		return res, err
 	}
 	// Representation time is shared across baselines but belongs to each
 	// method's end-to-end cost.
-	res.Runtime = elapsed + ctxTime
-	res.PeakMem = peak
-	res.Report = eval.Evaluate(tuples, ctx.Dataset.Truth)
+	res.Runtime, res.PeakMem = elapsed+ctxTime, peak
+	res.Report = eval.Evaluate(tuples, d.Truth)
+	if result != nil {
+		res.Phases = result.Timings
+		res.SelectedAttrs = result.SelectedNames
+		res.AttrScores = result.AttrScores
+	}
 	return res, nil
-}
-
-func runBaseline(method string, cfg DatasetConfig, ctx *baselines.Context) ([][]int, error) {
-	trainFrac := 0.05
-	switch method {
-	case "MSCD-HAC":
-		return baselines.NewMSCDHAC().Run(ctx)
-	case "ALMSER-GB":
-		budget := int(float64(ctx.Dataset.NumTruthPairs()) * trainFrac)
-		if budget < 10 {
-			budget = 10
-		}
-		return baselines.NewALMSER(budget).Run(ctx)
-	}
-
-	var matcher baselines.TwoTableMatcher
-	switch method {
-	case "AutoFJ (pw)", "AutoFJ (c)":
-		matcher = baselines.NewAutoFJ()
-	case "Ditto (pw)", "Ditto (c)":
-		m := baselines.NewPLMMatcher(baselines.VariantDitto)
-		m.Train(ctx, baselines.MakeSplit(ctx.Dataset, trainFrac, 3, cfg.Seed))
-		matcher = m
-	case "PromptEM (pw)", "PromptEM (c)":
-		m := baselines.NewPLMMatcher(baselines.VariantPromptEM)
-		m.Train(ctx, baselines.MakeSplit(ctx.Dataset, trainFrac, 3, cfg.Seed))
-		matcher = m
-	default:
-		return nil, fmt.Errorf("unknown baseline %q", method)
-	}
-	var pairs []baselines.IDPair
-	if method[len(method)-4:] == "(pw)" {
-		pairs = baselines.PairwiseMatch(ctx, matcher)
-	} else {
-		pairs = baselines.ChainMatch(ctx, matcher)
-	}
-	return baselines.PairsToTuples(pairs), nil
 }

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/datagen"
 	"repro/internal/multiem"
 )
 
-// Table3 generates every configured dataset and prints its statistics
-// (paper Table III). It returns the datasets' stats for tests.
+// DatasetStats is one dataset's row of Table III.
 type DatasetStats struct {
 	Name     string
 	Sources  int
@@ -51,7 +51,7 @@ func RunTable3(w io.Writer, cfgs []DatasetConfig) ([]DatasetStats, error) {
 
 // RunTables456 executes every method on every configured dataset once and
 // prints matching performance (Table IV), running time (Table V) and memory
-// usage (Table VI). Results are returned for tests and EXPERIMENTS.md.
+// usage (Table VI). Results are returned for tests.
 func RunTables456(w io.Writer, cfgs []DatasetConfig, methods []string) (map[string][]MethodResult, error) {
 	all := make(map[string][]MethodResult, len(cfgs))
 	for _, cfg := range cfgs {
@@ -160,20 +160,9 @@ func RunTable7(w io.Writer, cfgs []DatasetConfig) ([]Table7Row, error) {
 			row.Selected = append(row.Selected, d.Schema().Attrs[j])
 		}
 		out = append(out, row)
-		rows = append(rows, []string{cfg.Name, join(row.All), join(row.Selected)})
+		rows = append(rows, []string{cfg.Name, strings.Join(row.All, ", "), strings.Join(row.Selected, ", ")})
 	}
 	renderTable(w, "Table VII: automatically selected attributes",
 		[]string{"Dataset", "All attributes", "Selected attributes"}, rows)
 	return out, nil
-}
-
-func join(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ", "
-		}
-		out += x
-	}
-	return out
 }

@@ -36,33 +36,6 @@ func TestConfidencesAlignedAndBounded(t *testing.T) {
 	}
 }
 
-func TestMinConfidenceFilters(t *testing.T) {
-	d, err := datagen.GenerateByName("Geo", 0.2, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.M = 0.5
-	base, err := Run(d, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict := opt
-	strict.MinConfidence = 0.9 // joins must be within distance 0.2
-	filtered, err := Run(d, strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filtered.Tuples) >= len(base.Tuples) {
-		t.Fatalf("MinConfidence must drop tuples: %d -> %d", len(base.Tuples), len(filtered.Tuples))
-	}
-	for _, c := range filtered.Confidences {
-		if c < 0.9 {
-			t.Fatalf("tuple with confidence %v survived a 0.9 filter", c)
-		}
-	}
-}
-
 func TestHighConfidenceTuplesMorePrecise(t *testing.T) {
 	d, err := datagen.GenerateByName("Music-20", 0.05, 13)
 	if err != nil {

@@ -43,7 +43,7 @@ type Options struct {
 	// K is the mutual top-K width of Eq. 1. The paper fixes k=1 (§IV-A).
 	K int
 	// M is the distance threshold m of Eq. 1 on cosine distance; pairs
-	// farther than M are never merged. Grid {0.05, 0.2, 0.35, 0.5}.
+	// farther than M are never merged. Figure 6c sweeps it.
 	M float32
 	// Gamma is the attribute-selection threshold γ: an attribute is kept
 	// when shuffling it moves embeddings enough that the mean cosine
@@ -90,11 +90,6 @@ type Options struct {
 	DisableAttrSelect bool
 	// DisablePruning turns off Phase III ("MultiEM w/o DP" ablation).
 	DisablePruning bool
-	// MinConfidence drops predicted tuples whose merge-path confidence
-	// (1 - worst-accepted-join-distance / 2) falls below it. 0 disables
-	// the filter. This implements the merge-path extension the paper
-	// lists as future work (§VI).
-	MinConfidence float64
 	// Shards is the number of hash shards the online Matcher splits its
 	// state across; ingest parallelism and write-lock granularity scale
 	// with it. <= 0 uses GOMAXPROCS. Ignored by LoadMatcher, which restores

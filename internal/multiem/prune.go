@@ -53,7 +53,7 @@ func pruneItems(items []item, entVecs *vector.Store, opt *Options) ([][]int, []f
 		var tuples [][]int
 		var confs []float64
 		for _, it := range items {
-			if t := prune(it); t != nil && confidence(it) >= opt.MinConfidence {
+			if t := prune(it); t != nil {
 				tuples = append(tuples, t)
 				confs = append(confs, confidence(it))
 			}
@@ -90,7 +90,7 @@ func pruneItems(items []item, entVecs *vector.Store, opt *Options) ([][]int, []f
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			for _, it := range items[lo:hi] {
-				if t := prune(it); t != nil && confidence(it) >= opt.MinConfidence {
+				if t := prune(it); t != nil {
 					results[w].tuples = append(results[w].tuples, t)
 					results[w].confs = append(results[w].confs, confidence(it))
 				}

@@ -29,10 +29,7 @@ func TestTable4KernelParity(t *testing.T) {
 	}
 	defer restore()
 
-	cfgs := []experiments.DatasetConfig{
-		{Name: "Geo", Scale: 0.1, Seed: 11, M: 0.5, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.2},
-		{Name: "Music-20", Scale: 0.05, Seed: 13, M: 0.5, Gamma: 0.9, Eps: 1.0, SampleRatio: 0.2},
-	}
+	cfgs := []experiments.DatasetConfig{benchConfig("Geo", 0.1), benchConfig("Music-20", 0.05)}
 	backends := map[string]multiem.ANNBackend{"hnsw": multiem.BackendHNSW, "exact": multiem.BackendBrute}
 	for _, cfg := range cfgs {
 		for name, backend := range backends {

@@ -15,7 +15,7 @@
 //	rep := repro.Evaluate(res.Tuples, d.Truth)
 //	fmt.Printf("F1 %.3f  pair-F1 %.3f\n", rep.Tuple.F1, rep.Pair.F1)
 //
-// See examples/ for runnable programs and DESIGN.md for the architecture.
+// See examples/ for runnable programs and README.md for the architecture.
 package repro
 
 import (
