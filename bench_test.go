@@ -653,7 +653,8 @@ func BenchmarkMatcherIngestWAL(b *testing.B) {
 // legs should read alike. shards=1 is the reader overlapping one stream; more
 // shards scale with min(shards, cores). skipped-% is the index nodes replay
 // left unlinked, because a compaction later in the log discarded them, per
-// hundred replayed rows: the graph work deferred linking saved.
+// hundred replayed rows: the graph work that linking each stream once, when
+// the log ends, saves. It depends on the log alone.
 func BenchmarkRecoverReplay(b *testing.B) {
 	const totalRows = 4096
 	for _, shards := range []int{1, 2, 4} {

@@ -106,7 +106,9 @@ type WALStats struct {
 	// ReplaySkippedLinks counts the index nodes replay appended without
 	// linking them into a graph, because a compaction later in the log
 	// discarded them: graph work the crashed process did and recovery did not
-	// have to. Zero when the replayed log crossed no compaction.
+	// have to. Replay links a shard only when its log (or round) ends, so the
+	// count is every node a compaction discards, fixed by the log and the
+	// state it replays over. Zero when the replayed log crossed no compaction.
 	ReplaySkippedLinks int64 `json:"replay_skipped_links"`
 }
 
@@ -296,7 +298,7 @@ func normalizeWALConfig(cfg WALConfig) (WALConfig, wal.SyncPolicy, error) {
 		cfg.FsyncInterval = 100 * time.Millisecond
 	}
 	if cfg.SnapshotKeep <= 0 {
-		cfg.SnapshotKeep = 2
+		cfg.SnapshotKeep = defaultSnapshotKeep
 	}
 	return cfg, policy, nil
 }
@@ -385,22 +387,26 @@ func (m *Matcher) Snapshot() (seq uint64, err error) {
 	// so they surface as errors but the snapshot stands.
 	ws.snapshotSeq.Store(seq)
 	ws.snapshots.Add(1)
-	if err := errors.Join(ws.log.DropSegmentsThrough(cut), dropOldSnapshots(ws.cfg.Dir, ws.cfg.SnapshotKeep)); err != nil {
+	if err := errors.Join(ws.log.DropSegmentsThrough(cut), DropOldSnapshots(ws.cfg.Dir, ws.cfg.SnapshotKeep)); err != nil {
 		return seq, fmt.Errorf("multiem: snapshot taken, cleanup failed: %w", err)
 	}
 	return seq, nil
 }
 
-// dropOldSnapshots removes all but the newest keep checkpoints. Retaining
-// more than the latest one keeps a snapshot a follower is mid-download
-// alive across the next checkpoint.
-func dropOldSnapshots(dir string, keep int) error {
+// defaultSnapshotKeep is WALConfig.SnapshotKeep's default.
+const defaultSnapshotKeep = 2
+
+// DropOldSnapshots removes all but the newest keep checkpoints from a
+// durability directory or a follower's mirror of one; keep <= 0 means
+// WALConfig.SnapshotKeep's default. Retaining more than the latest one keeps
+// a snapshot a follower is mid-download alive across the next checkpoint.
+func DropOldSnapshots(dir string, keep int) error {
 	seqs, err := ListSnapshots(dir)
 	if err != nil {
 		return err
 	}
-	if keep < 1 {
-		keep = 1
+	if keep <= 0 {
+		keep = defaultSnapshotKeep
 	}
 	var errs []error
 	for i := 0; i < len(seqs)-keep; i++ { // seqs ascend; drop the oldest

@@ -24,10 +24,10 @@ type Candidate struct {
 	Tuple int `json:"tuple"`
 	// EntityIDs are the member entity IDs, sorted ascending.
 	EntityIDs []int `json:"entity_ids"`
-	// Distance is the merge-metric distance from the query to the tuple
-	// centroid.
+	// Distance is the cosine distance (vector.CosineUnitDist) from the query
+	// to the tuple centroid.
 	Distance float32 `json:"distance"`
-	// Similarity is 1 - Distance (cosine similarity for the default metric).
+	// Similarity is 1 - Distance, the cosine similarity.
 	Similarity float32 `json:"similarity"`
 	// Confidence is the tuple's merge-path confidence in [0, 1].
 	Confidence float64 `json:"confidence"`
@@ -122,8 +122,9 @@ type tupleState struct {
 // Tuples are addressed by stable global IDs (shard<<32 | local index).
 //
 // Match answers "which tuple does this record belong to" without re-running
-// the pipeline: the query is embedded once, bound to the merge metric, fanned
-// out across the shards' indexes, and the per-shard top-k are merged.
+// the pipeline: the query is embedded once, fanned out across the shards'
+// indexes, and the per-shard top-k are merged. Every score is
+// vector.CosineUnitDist, the one distance merging also uses.
 // AddRecords ingests a batch incrementally: rows are embedded and searched in
 // parallel against a snapshot of all shards, then partitioned by destination
 // shard and applied concurrently — absorbed into the globally nearest tuple
@@ -341,9 +342,10 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 }
 
 // buildShardIndex constructs shard s's centroid HNSW index from its tuples,
-// in local order, so tuple l starts out at node l. Each centroid is derived
-// again from the member rows the shard now owns — the same vectors in the
-// same order as the routing centroid, hence the same bits.
+// in local order, so tuple l starts out at node l, and links it for the
+// first view. Each centroid is derived again from the member rows the shard
+// now owns — the same vectors in the same order as the routing centroid,
+// hence the same bits.
 func (m *Matcher) buildShardIndex(s int) error {
 	sh := m.shards[s]
 	sh.index = hnsw.New(m.dim, m.shardHNSWConfig(s))
@@ -352,6 +354,7 @@ func (m *Matcher) buildShardIndex(s int) error {
 			return fmt.Errorf("multiem: matcher index (shard %d): %w", s, err)
 		}
 	}
+	sh.index.Link()
 	return nil
 }
 

@@ -234,8 +234,10 @@ func (m *Matcher) chain(p *batchPlan) {
 // apply carries out a settled plan: it hands the batch its entity IDs —
 // fresh and dense in row order — and runs every destination shard's share
 // concurrently (shard.apply), compacting a shard whose stale index entries
-// piled up. A compaction failure leaves the batch applied (the shard keeps
-// its previous index), so the results come back alongside the error.
+// piled up, then links what the shard appended: publish takes its view next,
+// and the next batch's decide searches it. A compaction failure leaves the
+// batch applied (the shard keeps its previous index), so the results come
+// back alongside the error.
 func (m *Matcher) apply(p *batchPlan) ([]AddResult, error) {
 	baseID := m.nextID
 	m.nextID += len(p.rows)
@@ -243,8 +245,10 @@ func (m *Matcher) apply(p *batchPlan) ([]AddResult, error) {
 	errs := make([]error, len(m.shards))
 	parallelFor(len(m.shards), func(s int) {
 		if len(p.perShard[s]) > 0 {
-			m.shards[s].apply(s, p, baseID, out)
-			errs[s] = m.shards[s].maybeCompact(m.shardHNSWConfig(s), m.dim)
+			sh := m.shards[s]
+			sh.apply(s, p, baseID, out)
+			errs[s] = sh.maybeCompact(m.shardHNSWConfig(s), m.dim)
+			sh.index.Link()
 		}
 	})
 	if err := errors.Join(errs...); err != nil {

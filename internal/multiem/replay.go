@@ -17,21 +17,10 @@ import (
 // plans also hold the raw values and the decisions). A batch is admitted
 // while fewer rows than the window — this over the row size, 16 384 rows at
 // dim 256 — are in flight, so at most the window plus one batch ever are (an
-// /add body, hence a batch, may be 64 MiB).
-//
-// The window is two things. It is the slack that absorbs the imbalance
-// between shards — a 16-row batch splits 10/6 as often as 8/8 — for which a
-// few hundred rows would do. And it is how far the reader sees ahead of the
-// streams, which is what deferred linking needs: a stream skips the graph
-// work of a batch only when the reader has already planned the compaction
-// that discards it. Replaying serve_mixed's log in-process (seed 1: 12 000
-// rows in 1 000 batches, the two shards compacting after batches 825 and
-// 863; medians of five recoveries, two alternations, 2 cores) took 0.82 s
-// with linking eager, 0.74–0.93 s with a 1 024-row window, 0.67–0.69 s with
-// 4 096, 0.46–0.49 s with 16 384 and 0.52–0.53 s with 65 536: the window
-// pays once it spans the stretch of log before a compaction. A log whose
-// compactions lie further apart than that replays exactly all the same, but
-// saves only the inserts within one window before each compaction.
+// /add body, hence a batch, may be 64 MiB). That bound on memory is the
+// window's one job: the slack it leaves between the reader and the streams,
+// which absorbs the imbalance between shards (a 16-row batch splits 10/6 as
+// often as 8/8), would need only a few hundred rows.
 const replayInflightBytes = 16 << 20
 
 // replayStats is what one replayWAL call reports of itself, or (plus) what
@@ -46,17 +35,13 @@ type replayStats struct {
 	shardBusy        []time.Duration
 	// peakRows is the most rows that were in flight at once.
 	peakRows int
-	// compactAt[s] lists the batches after which the reader foresaw shard s
-	// compact; deferred[s] counts the batches shard s applied without linking,
-	// and skipped[s] the nodes it appended that a compaction then discarded
-	// unlinked.
-	compactAt [][]uint64
-	deferred  []int
-	skipped   []int64
+	// skipped[s] counts the nodes shard s's stream appended that a compaction
+	// then discarded unlinked.
+	skipped []int64
 }
 
 // plus adds prev's (nil for none) WALStats fields to st's, reusing st's slices,
-// which nothing else holds; peakRows, compactAt and deferred stay st's own.
+// which nothing else holds; peakRows stays st's own.
 func (st replayStats) plus(prev *replayStats) *replayStats {
 	if prev != nil {
 		st.batches, st.rows = st.batches+prev.batches, st.rows+prev.rows
@@ -67,42 +52,6 @@ func (st replayStats) plus(prev *replayStats) *replayStats {
 		}
 	}
 	return &st
-}
-
-// indexForecast is the reader's model of one shard's index: its length and
-// live count, advanced from the plans alone — apply indexes one node per
-// tuple a batch creates on the shard and one per pre-batch tuple it absorbs
-// rows into — through the compactDue test maybeCompact runs.
-type indexForecast struct {
-	indexLen, live int
-	touched        []int
-}
-
-// advance moves the forecast for shard s past plan p and reports whether the
-// shard compacts after it.
-func (f *indexForecast) advance(p *batchPlan, s int) bool {
-	if len(p.perShard[s]) == 0 {
-		return false // no share, no apply, no maybeCompact
-	}
-	f.touched = f.touched[:0]
-	for _, i := range p.perShard[s] {
-		if d := &p.rows[i]; d.absorb {
-			f.touched = append(f.touched, d.local)
-		}
-	}
-	slices.Sort(f.touched)
-	f.indexLen += len(slices.Compact(f.touched))
-	for t := range p.tuples {
-		if p.tuples[t].shard == s {
-			f.indexLen++
-			f.live++
-		}
-	}
-	if !compactDue(f.indexLen, f.live) {
-		return false
-	}
-	f.indexLen = f.live
-	return true
 }
 
 // replayItem is one logged batch on its way through the shard streams.
@@ -131,12 +80,6 @@ type replayer struct {
 	tail *replayItem
 	// window is replayWAL's windowBytes in rows of this matcher's dimension.
 	window int
-	// forecasts[s] is the reader's model of shard s's index; linkFrom[s] is one
-	// past the last batch after which it foresees shard s compact. A stream
-	// defers linking for a batch below its shard's linkFrom: the compaction
-	// discards whatever that batch indexes.
-	forecasts []indexForecast
-	linkFrom  []atomic.Uint64
 
 	// mu guards the window (inflight, with freed signalled when rows return;
 	// blocked is how long the reader waited on it), the list (posted signalled
@@ -183,21 +126,17 @@ var ErrSeqGap = errors.New("multiem: gap in the logged batch sequence")
 // bytes are the primary's. A compaction failure leaves the batch applied and
 // the shard on its previous index, as it does live.
 //
-// Replay never searches, and a compaction rebuilds a shard's graph from its
-// live centroids alone, so the links of a node indexed before the shard's
-// last compaction are never read. The reader runs maybeCompact's trigger over
-// each plan (indexForecast) and tells the streams where it foresees each
-// shard compact; a stream only Appends the nodes of a batch at or before a
-// foreseen compaction (shard.deferLinks), and links whatever is pending at
-// its next Add or when the list ends. The forecast decides only when
-// linking happens, never what is linked — Link links every appended node in
-// node order, as their Adds would have — so a wrong or late forecast costs
-// time, not exactness. Nothing else happens: no logging (the records are
-// being read back) and no spans or counters (replayed history would pollute
-// the serving histograms). The shards change copy-on-write, as under live
-// ingest, so the views readers hold stay intact; once every stream has
-// finished and linked, one view of every shard is published, at the epoch
-// plus the batches replayed.
+// Replay never searches, so no stream links its graph until its list ends:
+// apply and maybeCompact only Append (shard.apply), and a stream links what
+// is pending once, after its last batch. Link links every appended node in
+// node order, as their Adds would have, so the graph is the one live ingest
+// built; and a node that a compaction discards before then is never linked
+// at all. Nothing else happens: no logging (the records are being read back)
+// and no spans or counters (replayed history would pollute the serving
+// histograms). The shards change copy-on-write, as under live ingest, so the
+// views readers hold stay intact; once every stream has finished and linked,
+// one view of every shard is published, at the epoch plus the batches
+// replayed.
 //
 // A failure the reader meets — a corrupt or out-of-sequence record, a plan
 // that refuses, an error of scan's own — ends the replay there: the batches
@@ -216,22 +155,17 @@ func (m *Matcher) replayWAL(scan func(fn func(payload []byte) error) error, star
 	}
 	n := len(m.shards)
 	r := &replayer{
-		m:         m,
-		startSeq:  startSeq,
-		tail:      &replayItem{}, // the head: no batch, only the first one's link
-		window:    max(1, windowBytes/(4*m.dim)),
-		forecasts: make([]indexForecast, n),
-		linkFrom:  make([]atomic.Uint64, n),
+		m:        m,
+		startSeq: startSeq,
+		tail:     &replayItem{}, // the head: no batch, only the first one's link
+		window:   max(1, windowBytes/(4*m.dim)),
 	}
 	r.st.shardBusy = make([]time.Duration, n)
-	r.st.compactAt = make([][]uint64, n)
-	r.st.deferred = make([]int, n)
 	r.st.skipped = make([]int64, n)
 	r.freed.L, r.posted.L = &r.mu, &r.mu
 	r.failSeq.Store(math.MaxUint64)
 	var streams sync.WaitGroup
-	for s, sh := range m.shards {
-		r.forecasts[s] = indexForecast{indexLen: sh.index.Len(), live: sh.tuples.len()}
+	for s := range m.shards {
 		streams.Add(1)
 		go r.stream(s, r.tail, &streams)
 	}
@@ -282,12 +216,6 @@ func (r *replayer) read(payload []byte) error {
 	it := &replayItem{seq: rec.seq, p: p, logged: slices.Clone(p.rows), baseID: m.nextID, pending: len(m.shards)}
 	m.chain(p)
 	m.nextID += len(p.rows)
-	for s := range r.forecasts {
-		if r.forecasts[s].advance(p, s) {
-			r.st.compactAt[s] = append(r.st.compactAt[s], rec.seq)
-			r.linkFrom[s].Store(rec.seq + 1)
-		}
-	}
 	r.post(it)
 	r.st.batches++
 	r.st.rows += int64(len(p.rows))
@@ -330,7 +258,7 @@ func (r *replayer) next(it *replayItem) *replayItem {
 // stream is shard s's side of the replay: its share of every batch after head
 // below the lowest failure, in log order. A batch past a failure is only
 // counted off, so the window keeps opening until the reader has noticed. When
-// the list ends, the stream links what its deferred batches left pending.
+// the list ends, the stream links what its batches appended.
 func (r *replayer) stream(s int, head *replayItem, done *sync.WaitGroup) {
 	defer done.Done()
 	m, sh, cfg := r.m, r.m.shards[s], r.m.shardHNSWConfig(s)
@@ -342,10 +270,6 @@ func (r *replayer) stream(s int, head *replayItem, done *sync.WaitGroup) {
 				r.fail(it.seq, row, fmt.Errorf("apply logged batch %d: %w", it.seq, err))
 			} else if len(it.p.perShard[s]) > 0 {
 				out = slices.Grow(out[:0], len(it.p.rows))[:len(it.p.rows)]
-				sh.deferLinks = it.seq < r.linkFrom[s].Load()
-				if sh.deferLinks {
-					r.st.deferred[s]++
-				}
 				sh.apply(s, it.p, it.baseID, out)
 				unlinked, compactions := sh.index.Unlinked(), sh.compactions
 				_ = sh.maybeCompact(cfg, m.dim) // the batch is applied either way
@@ -358,7 +282,6 @@ func (r *replayer) stream(s int, head *replayItem, done *sync.WaitGroup) {
 	}
 	// The shards are published next (unless a stream refused), and a view
 	// needs the whole graph.
-	sh.deferLinks = false
 	t0 := time.Now()
 	sh.index.Link()
 	r.st.shardBusy[s] += time.Since(t0)

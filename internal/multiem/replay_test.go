@@ -324,18 +324,35 @@ func TestFollowerRoundRefusal(t *testing.T) {
 // compaction falls on shard 0 alone — mixed batches, then batches of exact
 // duplicates of shard 0's base tuples until that shard rebuilds its index,
 // then tail mixed batches again — into both matchers, and returns how many
-// batches and rows that took and the batches after which shard 0 compacted.
-func skewedHistory(t *testing.T, d *table.Dataset, batchRows, tail int, primary, uncrashed *Matcher) (batches, rows int, compactAt []uint64) {
+// batches and rows that took, the batches after which shard 0 compacted, and
+// how many index nodes those compactions discard that a replay of the whole
+// history over the base never links: every node shard 0 appended from the
+// base's linked index on, up to the last compaction.
+func skewedHistory(t *testing.T, d *table.Dataset, batchRows, tail int, primary, uncrashed *Matcher) (batches, rows int, compactedAfter []uint64, unlinked int64) {
 	t.Helper()
+	linked := uncrashed.shards[0].index.Len() // the base's index, linked at load
 	add := func(batch [][]string) {
-		before := uncrashed.shards[0].compactions
+		sh := uncrashed.shards[0]
+		before, indexLen := sh.compactions, sh.index.Len()
+		var res []AddResult
 		for _, m := range []*Matcher{primary, uncrashed} {
-			if _, err := m.AddRecords(batch); err != nil {
+			var err error
+			if res, err = m.AddRecords(batch); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if uncrashed.shards[0].compactions > before {
-			compactAt = append(compactAt, uint64(batches))
+		if sh.compactions > before {
+			// The batch appended one node per shard-0 tuple it created or
+			// absorbed into; the compaction discarded those with the rest.
+			touched := map[int]bool{}
+			for _, r := range res {
+				if s, _ := splitTupleID(r.Tuple); s == 0 {
+					touched[r.Tuple] = true
+				}
+			}
+			unlinked += int64(indexLen + len(touched) - linked)
+			linked = 0 // the rebuilt index is appended and not linked
+			compactedAfter = append(compactedAfter, uint64(batches))
 		}
 		batches, rows = batches+1, rows+len(batch)
 	}
@@ -368,7 +385,7 @@ func skewedHistory(t *testing.T, d *table.Dataset, batchRows, tail int, primary,
 			t.Fatalf("shard %d compacted %d times; the history wants shard 0 alone to", s, sh.compactions)
 		}
 	}
-	return batches, rows, compactAt
+	return batches, rows, compactedAfter, unlinked
 }
 
 // TestReplayStreamsEqualLive: recovery's per-shard streams, which join only at
@@ -376,9 +393,8 @@ func skewedHistory(t *testing.T, d *table.Dataset, batchRows, tail int, primary,
 // batch — Save bytes, the next entity ID and the replayed counts — at every
 // shard count, from one-row batches (every shard sees every batch, most have
 // no share of it) to batches of 300 rows, across a compaction on one shard
-// only — which the reader foresees as live ingest ran it, and whose discarded
-// nodes that shard's stream never links — and with a torn record closing the
-// log.
+// only — whose stream never links a node that compaction discards, and no
+// other stream skips one — and with a torn record closing the log.
 func TestReplayStreamsEqualLive(t *testing.T) {
 	d := smallGeo(t)
 	for _, shards := range []int{1, 2, 3} {
@@ -395,7 +411,7 @@ func TestReplayStreamsEqualLive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batches, rows, compactAt := skewedHistory(t, d, batchRows, 3, primary, uncrashed)
+				batches, rows, _, unlinked := skewedHistory(t, d, batchRows, 3, primary, uncrashed)
 
 				// One more batch reaches the log only in part.
 				seg := wal.SegmentFile(LogDir(dir), 1)
@@ -443,25 +459,21 @@ func TestReplayStreamsEqualLive(t *testing.T) {
 						t.Fatalf("stage %d (0 = reader) busy %vs of a %vs replay", i, b, st.ReplaySeconds)
 					}
 				}
-				// The reader foresaw the compactions live ingest ran, and the
-				// streams deferred linking on the compacting shard alone: at
-				// least the compacting batch's own nodes were never linked, and
-				// no other shard appended a node unlinked.
+				// The stream of the shard that compacted skipped the link of
+				// every node the compaction discarded — a count the log alone
+				// fixes — and no other stream skipped any.
 				rs := recovered.replayed.Load()
 				for s := 0; s < shards; s++ {
-					var want []uint64
+					var want int64
 					if s == 0 {
-						want = compactAt
+						want = unlinked
 					}
-					if !slices.Equal(rs.compactAt[s], want) {
-						t.Fatalf("shard %d: the reader foresaw compactions after batches %v; live ingest compacted after %v", s, rs.compactAt[s], want)
-					}
-					if (rs.deferred[s] > 0) != (s == 0) || (rs.skipped[s] > 0) != (s == 0) {
-						t.Fatalf("shard %d applied %d batches unlinked, and a compaction discarded %d nodes unlinked; want both on shard 0 only", s, rs.deferred[s], rs.skipped[s])
+					if rs.skipped[s] != want || (rs.skipped[s] > 0) != (s == 0) {
+						t.Fatalf("shard %d: a compaction discarded %d nodes unlinked, want %d (> 0 on shard 0 alone)", s, rs.skipped[s], want)
 					}
 				}
-				if st.ReplaySkippedLinks != rs.skipped[0] {
-					t.Fatalf("WALStats reports %d skipped links, shard 0 skipped %d", st.ReplaySkippedLinks, rs.skipped[0])
+				if st.ReplaySkippedLinks != unlinked {
+					t.Fatalf("WALStats reports %d skipped links, want %d", st.ReplaySkippedLinks, unlinked)
 				}
 			})
 		}
@@ -484,12 +496,12 @@ func TestReplayEndsOnCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, _, compactAt := skewedHistory(t, d, 16, 0, primary, uncrashed)
+	batches, _, compactedAfter, _ := skewedHistory(t, d, 16, 0, primary, uncrashed)
 	if err := primary.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(compactAt, []uint64{uint64(batches - 1)}) {
-		t.Fatalf("shard 0 compacted after batches %v of %d; want after the last alone", compactAt, batches)
+	if !slices.Equal(compactedAfter, []uint64{uint64(batches - 1)}) {
+		t.Fatalf("shard 0 compacted after batches %v of %d; want after the last alone", compactedAfter, batches)
 	}
 	recovered, err := RecoverMatcher(cfg, durOpts(shards), load)
 	if err != nil {
@@ -498,6 +510,76 @@ func TestReplayEndsOnCompaction(t *testing.T) {
 	defer recovered.CloseWAL()
 	if !bytes.Equal(saveBytes(t, recovered), saveBytes(t, uncrashed)) {
 		t.Fatal("recovered Save bytes differ from the uncrashed matcher's")
+	}
+}
+
+// TestFollowerRoundsCrossCompaction: a follower that catches up on a log in
+// rounds — one ending just before the batch that compacts shard 0, one
+// holding that batch alone, one holding the rest — stands where a live twin
+// given the same batches stands at the end of every round: each round links
+// what it appended before it publishes. Only the round that holds the
+// compaction skips a link.
+func TestFollowerRoundsCrossCompaction(t *testing.T) {
+	d := smallGeo(t)
+	const shards = 2
+	load := baseLoader(t, d, shards)
+	dir := t.TempDir()
+	primary, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(shards), load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncrashed, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, _, compactedAfter, _ := skewedHistory(t, d, 16, 3, primary, uncrashed)
+	if err := primary.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if len(compactedAfter) != 1 {
+		t.Fatalf("shard 0 compacted after batches %v; want once", compactedAfter)
+	}
+	records := scanMirror(t, dir)
+	if len(records) != batches {
+		t.Fatalf("the log holds %d records, want %d", len(records), batches)
+	}
+
+	follower, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplicator(follower, 0)
+	c := int(compactedAfter[0])
+	var skipped int64
+	for _, end := range []int{c, c + 1, batches} {
+		round := records[r.NextSeq():end]
+		if err := r.Apply(scanOf(round...)); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range round {
+			rec, err := decodeBatchRecord(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twin.AddRecords(rec.rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r.NextSeq() != uint64(end) {
+			t.Fatalf("the follower stands at seq %d, want %d", r.NextSeq(), end)
+		}
+		if !bytes.Equal(saveBytes(t, follower), saveBytes(t, twin)) {
+			t.Fatalf("the round ending at seq %d: follower Save bytes differ from the live twin's", end)
+		}
+		got := follower.WALStats().ReplaySkippedLinks - skipped
+		skipped += got
+		if holds := c < end && c >= end-len(round); (got > 0) != holds {
+			t.Fatalf("the round ending at seq %d skipped %d links; it holds the compaction: %v", end, got, holds)
+		}
 	}
 }
 

@@ -90,18 +90,15 @@ type shardView struct {
 type shard struct {
 	shardView
 	// centroid (dim floats) is where a settled centroid is computed before
-	// index.Add copies it; touched collects the pre-existing tuples a batch
-	// absorbed rows into.
+	// index.Append copies it; touched collects the pre-existing tuples a
+	// batch absorbed rows into.
 	centroid []float32
 	touched  []int
-	// deferLinks makes index inserts Append without linking: replay sets it
-	// while a compaction later in the log will discard the index they go
-	// into. The next Add, or the end of replay, links what is still pending.
-	deferLinks bool
 }
 
 // view freezes the shard's current state into an immutable shardView, each
-// field the one way its kind freezes (see shardView). The caller holds addMu.
+// field the one way its kind freezes (see shardView). The caller holds addMu
+// and has linked the index.
 func (sh *shard) view() *shardView {
 	return &shardView{
 		entIDs:      slices.Clip(sh.entIDs),
@@ -119,32 +116,26 @@ func (v *shardView) centroidAt(local int) []float32 {
 	return v.index.Vector(int(v.tuples.at(local).node))
 }
 
-// indexCentroid recomputes tuple local's centroid from its members, indexes
+// indexCentroid recomputes tuple local's centroid from its members, appends
 // it as a new node under the tuple's id, and makes that node current. The
-// tuple's previous node, if it had one, goes stale. The caller holds addMu.
+// tuple's previous node, if it had one, goes stale. The node's vector is
+// readable at once; it is linked into the graph when whoever next takes a
+// view of the shard calls index.Link. The caller holds addMu.
 func (sh *shard) indexCentroid(local int) error {
 	centroidInto(sh.centroid, sh.tuples.at(local).members, sh.entVecs)
-	if err := sh.insert(sh.index, local, sh.centroid); err != nil {
+	if err := sh.index.Append(local, sh.centroid); err != nil {
 		return err
 	}
 	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
 	return nil
 }
 
-// insert puts vec into ix under id: Add, or only Append under deferLinks.
-// Either way the node is ix.Len()-1 and its vector readable at once.
-func (sh *shard) insert(ix *hnsw.Index, id int, vec []float32) error {
-	if sh.deferLinks {
-		return ix.Append(id, vec)
-	}
-	return ix.Add(id, vec)
-}
-
 // apply carries out the plan's share for this shard, s: its rows, in
 // ascending order (deterministic appends), join the tuples the plan names,
 // and every tuple the batch created or absorbed into is indexed once with its
-// settled centroid. The caller holds addMu; out[i] is written for the
-// shard's own rows only, so shards apply concurrently.
+// settled centroid, appended and not yet linked. The caller holds addMu;
+// out[i] is written for the shard's own rows only, so shards apply
+// concurrently.
 //
 // A tuple's member slice is shared by every copy of its tuple chunk; it is an
 // append-only array under shardView's contract.
@@ -182,7 +173,7 @@ func (sh *shard) apply(s int, p *batchPlan, baseID int, out []AddResult) {
 	// ascending, with its recomputed centroid under the same local id: the
 	// previous index entry goes stale, and every search re-ranks against
 	// current centroids, so staleness only costs recall head-room until
-	// compaction — not correctness. Add fails only on a frozen index or a
+	// compaction — not correctness. Append fails only on a frozen index or a
 	// foreign dimensionality, neither of which a writer-side shard can have.
 	for local := base; local < sh.tuples.len(); local++ {
 		_ = sh.indexCentroid(local)
@@ -252,13 +243,6 @@ func (v *shardView) memberIDs(members []int) []int {
 // memory and search work.
 const compactThreshold = 2
 
-// compactDue is maybeCompact's trigger for an index of indexLen entries over
-// live current centroids. Recovery's reader runs it over the plans alone to
-// tell, ahead of the shard streams, where each shard's last compaction falls.
-func compactDue(indexLen, live int) bool {
-	return live > 0 && indexLen-live > compactThreshold*live
-}
-
 // maybeCompact rebuilds the shard's index from current centroids when the
 // stale/live ratio exceeds compactThreshold. The caller holds addMu. The
 // rebuild fills a fresh index and swaps it in only on success: published
@@ -269,11 +253,12 @@ func compactDue(indexLen, live int) bool {
 // the trigger depends only on ingest history (index entries accrue one per
 // new tuple and one per centroid refresh, regardless of shard layout or any
 // save/load in between), so an original matcher and its save/load twin
-// compact at the same point and rebuild identical graphs. Under deferLinks
-// the rebuild only Appends, and its graph is built when it is next linked.
+// compact at the same point and rebuild identical graphs. The rebuild only
+// Appends, like apply: its graph is built when it is next linked, and the
+// nodes of the index it replaces that were never linked never are.
 func (sh *shard) maybeCompact(cfg hnsw.Config, dim int) error {
 	live := sh.tuples.len()
-	if !compactDue(sh.index.Len(), live) {
+	if live == 0 || sh.index.Len()-live <= compactThreshold*live {
 		return nil
 	}
 	ix := hnsw.New(dim, cfg)
@@ -281,7 +266,7 @@ func (sh *shard) maybeCompact(cfg hnsw.Config, dim int) error {
 	// search-effort counters monotonic across compactions.
 	ix.CarrySearchStats(sh.index)
 	for l := 0; l < live; l++ {
-		if err := sh.insert(ix, l, sh.centroidAt(l)); err != nil {
+		if err := ix.Append(l, sh.centroidAt(l)); err != nil {
 			return fmt.Errorf("multiem: shard compaction: %w", err)
 		}
 	}

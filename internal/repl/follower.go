@@ -597,8 +597,8 @@ func (f *Follower) fetchManifest(ctx context.Context) (*Manifest, error) {
 }
 
 // fetchSnapshot downloads one checkpoint, verifies its CRC, writes it into
-// the mirror with wal.WriteFileAtomic, and prunes all but the newest two
-// mirrored snapshots.
+// the mirror with wal.WriteFileAtomic, and prunes the mirrored snapshots by
+// the primary's rule: the newest cfg.WAL.SnapshotKeep stay.
 func (f *Follower) fetchSnapshot(entry SnapshotEntry) error {
 	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.Timeout)
 	defer cancel()
@@ -630,13 +630,8 @@ func (f *Follower) fetchSnapshot(entry SnapshotEntry) error {
 		return err
 	}
 	f.bytesFetched.Add(entry.Bytes)
-	// Keep the newest two mirrored snapshots, like the primary's retention.
-	seqs, err := multiem.ListSnapshots(f.cfg.Dir)
-	if err != nil {
+	if err := multiem.DropOldSnapshots(f.cfg.Dir, f.cfg.WAL.SnapshotKeep); err != nil {
 		return err
-	}
-	for i := 0; i < len(seqs)-2; i++ {
-		os.Remove(multiem.SnapshotFile(f.cfg.Dir, seqs[i]))
 	}
 	f.cfg.Logf("repl: fetched snapshot seq %d (%d bytes)", entry.Seq, entry.Bytes)
 	return nil

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -687,5 +688,53 @@ func TestPrimaryManifestAndFence(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing segment: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestFollowerSnapshotRetention: a follower prunes its mirrored snapshots by
+// the primary's rule, WALConfig.SnapshotKeep (default 2): after fetching four
+// checkpoints it keeps the newest SnapshotKeep of them.
+func TestFollowerSnapshotRetention(t *testing.T) {
+	d := smallGeo(t)
+	for _, c := range []struct{ keep, want int }{{0, 2}, {3, 3}} {
+		t.Run(fmt.Sprintf("keep=%d", c.keep), func(t *testing.T) {
+			m, _, srv := newPrimary(t, d, t.TempDir(), 1, 0)
+			dir := t.TempDir()
+			f := &Follower{
+				cfg: Config{
+					PrimaryURL: srv.URL,
+					Dir:        dir,
+					WAL:        multiem.WALConfig{SnapshotKeep: c.keep},
+					Timeout:    2 * time.Second,
+					Logf:       t.Logf,
+				},
+				client: &http.Client{},
+			}
+			var fetched []uint64
+			for _, rows := range randomBatches(d, 4, 3, 21) {
+				if _, err := m.AddRecords(rows); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				man, err := f.fetchManifest(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				newest := man.Snapshots[len(man.Snapshots)-1]
+				if err := f.fetchSnapshot(newest); err != nil {
+					t.Fatal(err)
+				}
+				fetched = append(fetched, newest.Seq)
+			}
+			got, err := multiem.ListSnapshots(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fetched[len(fetched)-c.want:]; !slices.Equal(got, want) {
+				t.Fatalf("the mirror keeps snapshots %v of the fetched %v; want %v", got, fetched, want)
+			}
+		})
 	}
 }

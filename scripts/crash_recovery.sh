@@ -18,6 +18,9 @@
 #      restart to /readyz 200 and what the server says of the replay: rows,
 #      seconds, rows/s, skipped links, and how busy the log reader and each
 #      shard's apply stream were
+#   7. SIGKILL and restart a second time, with no checkpoint in between, and
+#      assert the same stats, the same /tuples hash and the same
+#      replay_skipped_links: the count is a function of the log alone
 #
 # Run from the repository root (CI: make crash-recovery).
 set -euo pipefail
@@ -135,28 +138,35 @@ if ! curl -fsS "$BASE/stats" | grep -q '"wal":{"enabled":true'; then
   exit 1
 fi
 
-log "SIGKILL"
-kill -9 "$SERVER_PID"
-wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
-
-log "restarting on the same -wal-dir"
-T0="$(date +%s.%N)"
-"$WORK/server" -load-index "$WORK/base.bin" -wal-dir "$WORK/wal" -fsync off \
-  -addr "$ADDR" >"$WORK/server2.log" 2>&1 &
-SERVER_PID=$!
-wait_ready
-READY="$(date +%s.%N)"
-# What the replay itself did, from /stats: its rate, and how busy the log
-# reader and each shard's apply stream were (docs/OPERATIONS.md, "How long it
-# takes", reads the split).
-WAL_STATS="$(curl -fsS "$BASE/stats" | grep -o '"wal":{[^}]*}')"
+# kill_restart LOG SIGKILLs the server and starts it again on the same
+# -load-index and -wal-dir, logging to LOG, with background checkpoints off so
+# that every restart replays the same log over the same snapshot. It prints
+# the seconds from restart to /readyz 200 and what the replay itself did, from
+# /stats: its rate, and how busy the log reader and each shard's apply stream
+# were (docs/OPERATIONS.md, "How long it takes", reads the split).
+kill_restart() {
+  log "SIGKILL"
+  kill -9 "$SERVER_PID"
+  wait "$SERVER_PID" 2>/dev/null || true
+  SERVER_PID=""
+  log "restarting on the same -wal-dir"
+  local t0 ready
+  t0="$(date +%s.%N)"
+  "$WORK/server" -load-index "$WORK/base.bin" -wal-dir "$WORK/wal" -fsync off \
+    -snapshot-interval 0 -addr "$ADDR" >"$1" 2>&1 &
+  SERVER_PID=$!
+  wait_ready
+  ready="$(date +%s.%N)"
+  WAL_STATS="$(curl -fsS "$BASE/stats" | grep -o '"wal":{[^}]*}')"
+  log "recovery: $(awk -v a="$t0" -v b="$ready" 'BEGIN { printf "%.2f", b - a }') s from restart to /readyz 200;" \
+    "replayed $(wal_stat replayed_rows) rows in $(wal_stat replayed_batches) batches in $(wal_stat replay_seconds) s" \
+    "($(awk -v r="$(wal_stat replayed_rows)" -v s="$(wal_stat replay_seconds)" 'BEGIN { printf("%.0f", (s > 0) ? r / s : 0) }') rows/s);" \
+    "$(wal_stat replay_skipped_links) index nodes left unlinked;" \
+    "busy seconds: reader $(wal_stat replay_reader_busy_seconds), shard streams $(wal_stat replay_shard_busy_seconds)"
+}
 wal_stat() { echo "$WAL_STATS" | grep -oE "\"$1\":(\[[^]]*\]|[^,}]*)" | cut -d: -f2-; }
-log "recovery: $(awk -v a="$T0" -v b="$READY" 'BEGIN { printf "%.2f", b - a }') s from restart to /readyz 200;" \
-  "replayed $(wal_stat replayed_rows) rows in $(wal_stat replayed_batches) batches in $(wal_stat replay_seconds) s" \
-  "($(awk -v r="$(wal_stat replayed_rows)" -v s="$(wal_stat replay_seconds)" 'BEGIN { printf("%.0f", (s > 0) ? r / s : 0) }') rows/s);" \
-  "$(wal_stat replay_skipped_links) index nodes left unlinked;" \
-  "busy seconds: reader $(wal_stat replay_reader_busy_seconds), shard streams $(wal_stat replay_shard_busy_seconds)"
+
+kill_restart "$WORK/server2.log"
 
 AFTER="$(stat_counts)"
 AFTER_HASH="$(tuples_hash)"
@@ -182,8 +192,30 @@ if ! [ "$(wal_stat replay_skipped_links)" -gt 0 ]; then
   exit 1
 fi
 
+# A second crash with no checkpoint in between replays the same log over the
+# same snapshot: the same state, and the same links skipped.
+SKIPPED="$(wal_stat replay_skipped_links)"
+SNAPSHOTS="$(ls "$WORK/wal" | grep '^snapshot-')"
+kill_restart "$WORK/server3.log"
+AGAIN="$(stat_counts)"
+AGAIN_HASH="$(tuples_hash)"
+if [ "$(ls "$WORK/wal" | grep '^snapshot-')" != "$SNAPSHOTS" ]; then
+  log "FAIL: a checkpoint was taken between the two restarts"
+  exit 1
+fi
+if [ "$AGAIN" != "$BEFORE" ] || [ "$AGAIN_HASH" != "$BEFORE_HASH" ]; then
+  log "FAIL: the second restart recovered another state: /tuples hashed $AGAIN_HASH, want $BEFORE_HASH"
+  cat "$WORK/server3.log" >&2 || true
+  exit 1
+fi
+if [ "$(wal_stat replay_skipped_links)" != "$SKIPPED" ]; then
+  log "FAIL: the second restart skipped $(wal_stat replay_skipped_links) links, the first $SKIPPED"
+  cat "$WORK/server3.log" >&2 || true
+  exit 1
+fi
+
 # The recovered server must keep ingesting (sequence numbers intact).
 curl -fsS -X POST -H 'Content-Type: application/json' \
   -d '{"records":[["post crash probe","1.5","-2.5"]]}' "$BASE/add" >/dev/null
 
-log "PASS: recovered state matches pre-kill state, tuple for tuple"
+log "PASS: recovered state matches pre-kill state, tuple for tuple, twice"
