@@ -43,8 +43,12 @@ test:
 test-scalar:
 	VECTOR_KERNELS=scalar $(GO) test ./...
 
+# The second line runs the fan-out primitive and the packages that call it
+# with workers <= 0 under one P and four: at -cpu=1 par.For takes its inline
+# single-worker path, at 4 it spawns goroutines that claim blocks.
 race:
 	$(GO) test -race -timeout 25m ./...
+	$(GO) test -race -cpu=1,4 -count=1 ./internal/par ./internal/ann ./internal/embed ./internal/baselines
 
 # The sharded matcher's locking under both a single P (lock ordering) and
 # real parallelism (shard contention). The crash-recovery property matrix

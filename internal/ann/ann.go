@@ -8,13 +8,14 @@
 // of each table once per row of the other (the paper's HNSW route), and
 // MutualTopKExact computes the pair set exactly in one blocked pass over
 // the distance matrix (exact.go).
+//
+// Both fan out through par.For on workers goroutines (par.Workers: 1 runs on
+// the caller, <= 0 uses GOMAXPROCS); the pairs found do not depend on it.
 package ann
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/hnsw"
+	"repro/internal/par"
 	"repro/internal/vector"
 )
 
@@ -55,8 +56,8 @@ type Pair struct {
 // O((|a|+|b|)·log) leg of two-table merging; MutualTopKExact is the exact,
 // O(|a|·|b|) one.
 //
-// workers bounds query parallelism: 1 forces sequential queries (MultiEM's
-// non-parallel mode), <= 0 uses all cores.
+// workers bounds query parallelism: 1 asks every query on the caller
+// (MultiEM's non-parallel mode), <= 0 uses GOMAXPROCS.
 func MutualTopK(a *vector.Store, indexB Index, b *vector.Store, indexA Index,
 	k int, maxDist float32, ef, workers int) []Pair {
 
@@ -94,39 +95,8 @@ func MutualTopK(a *vector.Store, indexB Index, b *vector.Store, indexA Index,
 // goroutines.
 func topKAll(queries *vector.Store, index Index, k, ef, workers int) [][]vector.Neighbor {
 	out := make([][]vector.Neighbor, queries.Len())
-	forRanges(len(out), clampWorkers(len(out), workers), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = index.Search(queries.At(i), k, ef)
-		}
+	par.For(len(out), workers, func(_, i int) {
+		out[i] = index.Search(queries.At(i), k, ef)
 	})
 	return out
-}
-
-// clampWorkers resolves a worker count for n units of work: <= 0 means all
-// cores, and never more workers than units (but at least one).
-func clampWorkers(n, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(workers, n))
-}
-
-// forRanges splits [0, n) into workers contiguous ranges of near-equal size
-// and runs fn(w, lo, hi) for each, concurrently when there is more than one,
-// returning when all have. Both legs of the join fan out through it, so
-// workers is the exact number of goroutines a join keeps busy.
-func forRanges(n, workers int, fn func(w, lo, hi int)) {
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w, w*n/workers, (w+1)*n/workers)
-		}(w)
-	}
-	wg.Wait()
 }

@@ -3,6 +3,7 @@ package ann
 import (
 	"math"
 
+	"repro/internal/par"
 	"repro/internal/vector"
 )
 
@@ -28,8 +29,9 @@ const (
 // and per direction. Neighbours at equal distance rank by lower row index.
 //
 // Pairs carry row indices (A into a, B into b) and come out ordered by A,
-// then by rank among A's neighbours. workers splits the a-rows across that
-// many goroutines (<= 0: all cores); the result does not depend on it.
+// then by rank among A's neighbours. workers (par.Workers: <= 0 means
+// GOMAXPROCS) claim the a-rows a tile block at a time; the result does not
+// depend on it.
 func MutualTopKExact(a, b *vector.Store, k int, maxDist float32, workers int) []Pair {
 	return mutualTopKExact(a, b, k, maxDist, workers, exactTileA, exactTileB)
 }
@@ -41,32 +43,33 @@ func mutualTopKExact(a, b *vector.Store, k int, maxDist float32, workers, tileA,
 	}
 	dist := vector.CosineUnitTile(a, b)
 	rows := newBestK(na, k)
-	// Every worker owns a contiguous range of a-rows — its slice of the row
-	// bests — and a private set of column bests, merged below.
-	workers = clampWorkers(na, workers)
-	cols := make([]*bestK, workers)
-	forRanges(na, workers, func(w, lo, hi int) {
-		c := newBestK(nb, k)
-		cols[w] = c
-		buf := make([]float32, tileA*tileB)
-		for i0 := lo; i0 < hi; i0 += tileA {
-			i1 := min(i0+tileA, hi)
-			for j0 := 0; j0 < nb; j0 += tileB {
-				j1 := min(j0+tileB, nb)
-				dist(i0, i1, j0, j1, buf)
-				nj := j1 - j0
-				for i := i0; i < i1; i++ {
-					// A pair past maxDist can never be output, and dropping
-					// it cannot promote another pair into a top-K that
-					// matters: whatever outranks an accepted pair is at
-					// least as close, hence also within maxDist. So the
-					// threshold filters before the heaps, and almost every
-					// distance costs one comparison.
-					for j, d := range buf[(i-i0)*nj : (i-i0+1)*nj] {
-						if d <= maxDist {
-							rows.offer(i, j0+j, d)
-							c.offer(j0+j, i, d)
-						}
+	// A worker claims blocks of tileA a-rows, whose row bests no other
+	// worker touches; its column bests (merged below) and tile buffer are
+	// its own.
+	blocks := (na + tileA - 1) / tileA
+	workers = par.Workers(blocks, workers)
+	cols, bufs := make([]*bestK, workers), make([][]float32, workers)
+	for w := range workers {
+		cols[w], bufs[w] = newBestK(nb, k), make([]float32, tileA*tileB)
+	}
+	par.For(blocks, workers, func(w, blk int) {
+		c, buf := cols[w], bufs[w]
+		i0 := blk * tileA
+		i1 := min(i0+tileA, na)
+		for j0 := 0; j0 < nb; j0 += tileB {
+			j1 := min(j0+tileB, nb)
+			dist(i0, i1, j0, j1, buf)
+			nj := j1 - j0
+			for i := i0; i < i1; i++ {
+				// A pair past maxDist can never be output, and dropping it
+				// cannot promote another pair into a top-K that matters:
+				// whatever outranks an accepted pair is at least as close,
+				// hence also within maxDist. So the threshold filters before
+				// the heaps, and almost every distance costs one comparison.
+				for j, d := range buf[(i-i0)*nj : (i-i0+1)*nj] {
+					if d <= maxDist {
+						rows.offer(i, j0+j, d)
+						c.offer(j0+j, i, d)
 					}
 				}
 			}

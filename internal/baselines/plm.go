@@ -3,11 +3,10 @@ package baselines
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/ann"
 	"repro/internal/hnsw"
+	"repro/internal/par"
 	"repro/internal/table"
 	"repro/internal/vector"
 )
@@ -210,7 +209,7 @@ func BlockTopK(ctx *Context, a, b *table.Table, k int) []IDPair {
 		search = func(q []float32) []vector.Neighbor { return ix.Search(q, k, 0) }
 	}
 	queries := make([][]vector.Neighbor, small.Len())
-	parallelFor(small.Len(), func(i int) {
+	par.For(small.Len(), 0, func(_, i int) {
 		queries[i] = search(ctx.Vec(small.Entities[i].ID))
 	})
 	var out []IDPair
@@ -239,39 +238,6 @@ func scanTopK(q []float32, s *vector.Store, k int) []vector.Neighbor {
 		}
 	}
 	return tk.Results()
-}
-
-// parallelFor runs f(i) for i in [0, n) across all cores.
-func parallelFor(n int, f func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 var _ TwoTableMatcher = (*PLMMatcher)(nil)

@@ -6,6 +6,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"repro/internal/par"
 	"repro/internal/vector"
 )
 
@@ -335,13 +336,11 @@ func (e *HashEncoder) addGram(gram []byte, sc *encodeScratch) {
 	sc.tokVec[idx] = c + float32(1-2*int32(h>>63))
 }
 
-// EncodeBatch implements Encoder using a fixed worker pool.
+// EncodeBatch implements Encoder on GOMAXPROCS workers (par.For).
 func (e *HashEncoder) EncodeBatch(texts []string) [][]float32 {
 	out := make([][]float32, len(texts))
-	parallelChunks(len(texts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = e.Encode(texts[i])
-		}
+	par.For(len(texts), 0, func(_, i int) {
+		out[i] = e.Encode(texts[i])
 	})
 	return out
 }
@@ -352,10 +351,8 @@ func (e *HashEncoder) EncodeBatch(texts []string) [][]float32 {
 func (e *HashEncoder) EncodeBatchStore(texts []string) *vector.Store {
 	s := vector.NewStoreWithCap(e.dim, len(texts))
 	s.Grow(len(texts))
-	parallelChunks(len(texts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.EncodeInto(texts[i], s.At(i))
-		}
+	par.For(len(texts), 0, func(_, i int) {
+		e.EncodeInto(texts[i], s.At(i))
 	})
 	return s
 }

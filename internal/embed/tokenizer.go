@@ -17,8 +17,9 @@
 //     token vectors, L2-normalized, exactly as the paper mean-pools
 //     Sentence-BERT token embeddings.
 //
-// Batch encoding (EncodeBatch, EncodeBatchStore, BatchStore) always splits
-// the texts over all cores; nothing in the pipeline's options narrows it.
+// Batch encoding (EncodeBatch, EncodeBatchStore, BatchStore) always hands
+// the texts to GOMAXPROCS workers through par.For, whose single-worker case
+// runs on the caller; nothing in the pipeline's options narrows it.
 //
 // A token vector is sparse: about two non-zero coordinates per character,
 // each a small signed integer count. HashEncoder therefore never walks one

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/binio"
 	"repro/internal/hnsw"
+	"repro/internal/par"
 	"repro/internal/vector"
 )
 
@@ -240,7 +241,7 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	m.newShards(nShards)
 	maxEntIDs := make([]int, nShards)
 	errs := make([]error, nShards)
-	parallelFor(nShards, func(s int) {
+	par.For(nShards, nShards, func(_, s int) {
 		maxEntIDs[s], errs[s] = m.shards[s].readSection(secs[s], m.dim, version)
 		if errs[s] != nil {
 			errs[s] = fmt.Errorf("%w: shard %d: %w", ErrCorruptState, s, errs[s])

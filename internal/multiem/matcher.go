@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/hnsw"
+	"repro/internal/par"
 	"repro/internal/table"
 	"repro/internal/vector"
 )
@@ -329,7 +330,7 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 
 	// Per-shard index builds are independent; run them concurrently.
 	errs := make([]error, len(m.shards))
-	parallelFor(len(m.shards), func(s int) {
+	par.For(len(m.shards), len(m.shards), func(_, s int) {
 		errs[s] = m.buildShardIndex(s)
 	})
 	for _, err := range errs {
@@ -509,7 +510,7 @@ func (m *Matcher) Match(values []string, k int) ([]Candidate, error) {
 	ef := m.shardEf()
 	v := m.state.Load()
 	perShard := make([]shardHits, len(v.shards))
-	parallelFor(len(v.shards), func(s int) {
+	par.For(len(v.shards), len(v.shards), func(_, s int) {
 		searchShard(v.shards[s], fetch, ef, q, &perShard[s])
 	})
 	sp.Mark(MatchStageFanout)
@@ -550,8 +551,9 @@ func (m *Matcher) Match(values []string, k int) ([]Candidate, error) {
 	return out, nil
 }
 
-// confidenceFrom maps a tuple's worst accepted join distance into (0, 1],
-// matching the pipeline's merge-path confidence.
+// confidenceFrom maps a tuple's worst accepted join distance into [0, 1],
+// lower the nearer a join came to M. It is the one confidence rule:
+// Result.Confidences (pruneItems), Match and TupleCursor all read it.
 func confidenceFrom(maxJoinDist float32) float64 {
 	c := 1 - float64(maxJoinDist)/2
 	if c < 0 {

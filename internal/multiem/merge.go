@@ -3,10 +3,9 @@ package multiem
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/ann"
+	"repro/internal/par"
 	"repro/internal/unionfind"
 	"repro/internal/vector"
 )
@@ -79,18 +78,6 @@ const (
 // exactIsCheaper is the cost model behind BackendAuto.
 func exactIsCheaper(na, nb int) bool {
 	return float64(na)*float64(nb)*exactPairNs <= float64(na+nb)*hnswRowNs
-}
-
-// workers returns the goroutine budget of the merging phase: sequential
-// MultiEM stays on one goroutine, the parallel variant gets Options.Workers.
-func (mc *mergeContext) workers() int {
-	if !mc.opt.Parallel {
-		return 1
-	}
-	if mc.opt.Workers > 0 {
-		return mc.opt.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // matchedPairs finds the mutual top-K pairs between two tables (Eq. 1) with
@@ -198,8 +185,9 @@ func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) (mergeTable
 // table remains. With opt.Parallel, the pairs of one hierarchy are merged
 // concurrently (§III-E, "merging in parallel"); the worker budget is split
 // between the pairs in flight and the queries inside each, so a hierarchy
-// never runs more than workers() goroutines: many small pairs run side by
-// side on one goroutine each, the last few large ones one at a time on all.
+// never runs more than Options.workers() goroutines: many small pairs run
+// side by side on one goroutine each, the last few large ones one at a time
+// on all.
 func (mc *mergeContext) hierarchicalMerge(tables []mergeTable) ([]item, error) {
 	rng := rand.New(rand.NewSource(mc.opt.Seed + 211))
 	for len(tables) > 1 {
@@ -208,30 +196,12 @@ func (mc *mergeContext) hierarchicalMerge(tables []mergeTable) ([]item, error) {
 		next := make([]mergeTable, nPairs, nPairs+1)
 		errs := make([]error, nPairs)
 
-		budget := mc.workers()
+		budget := mc.opt.workers()
 		inFlight := min(nPairs, budget)
 		inner := budget / inFlight
-		merge := func(p int) {
+		par.For(nPairs, inFlight, func(_, p int) {
 			next[p], errs[p] = mc.mergeTwoTables(tables[2*p], tables[2*p+1], inner)
-		}
-		if inFlight == 1 {
-			for p := 0; p < nPairs; p++ {
-				merge(p)
-			}
-		} else {
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, inFlight)
-			for p := 0; p < nPairs; p++ {
-				sem <- struct{}{}
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					merge(p)
-				}(p)
-			}
-			wg.Wait()
-		}
+		})
 		for _, err := range errs {
 			if err != nil {
 				return nil, err

@@ -363,37 +363,51 @@ func TestPruneItemsDropsShrunkenTuples(t *testing.T) {
 	}
 }
 
+// Parallel pruning hands tuples to workers in blocks; the tuples it keeps,
+// their order and their confidences must be the sequential run's exactly, at
+// any worker count, with and without the pruning rules.
 func TestPruneItemsParallelMatchesSequential(t *testing.T) {
-	entVecs := make([][]float32, 60)
-	items := make([]item, 20)
-	for i := range items {
+	var entVecs [][]float32
+	var items []item
+	for i := 0; i < 40; i++ {
 		base := unitv(float32(i+1), 1, 0)
-		entVecs[3*i] = base
-		entVecs[3*i+1] = base
-		entVecs[3*i+2] = unitv(0, 0, 1)
-		items[i] = item{members: []int{3 * i, 3*i + 1, 3*i + 2}}
+		first := len(entVecs)
+		var members []int
+		switch i % 4 {
+		case 0: // a singleton: never a prediction
+			entVecs = append(entVecs, base)
+		case 1: // a dense pair and an outlier the rules remove
+			entVecs = append(entVecs, base, base, unitv(0, 0, 1))
+		case 2: // dense throughout: kept whole
+			entVecs = append(entVecs, base, base, base, base)
+		case 3: // two far apart: pruned below two members
+			entVecs = append(entVecs, base, unitv(0, 0, 1))
+		}
+		for p := first; p < len(entVecs); p++ {
+			members = append(members, p)
+		}
+		items = append(items, item{members: members, maxJoinDist: float32(i%7) / 5})
 	}
-	seq := DefaultOptions()
-	seq.Eps = 0.5
-	par := seq
-	par.Parallel = true
-	a, _ := pruneItems(items, storeOf(entVecs), &seq)
-	b, _ := pruneItems(items, storeOf(entVecs), &par)
-	if len(a) != len(b) {
-		t.Fatalf("parallel pruning differs: %d vs %d tuples", len(a), len(b))
-	}
-	seen := map[string]bool{}
-	for _, tp := range a {
-		seen[key(tp)] = true
-	}
-	for _, tp := range b {
-		if !seen[key(tp)] {
-			t.Fatalf("parallel produced unseen tuple %v", tp)
+	store := storeOf(entVecs)
+	for _, disable := range []bool{false, true} {
+		seq := DefaultOptions()
+		seq.Eps = 0.5
+		seq.DisablePruning = disable
+		wantT, wantC := pruneItems(items, store, &seq)
+		if disable && len(wantT) != 30 || !disable && (len(wantT) != 20 || len(wantT[0]) != 2) {
+			t.Fatalf("DisablePruning=%v: sanity: kept %v", disable, wantT)
+		}
+		for _, workers := range []int{1, 2, 3, 7} {
+			opt := seq
+			opt.Parallel, opt.Workers = true, workers
+			gotT, gotC := pruneItems(items, store, &opt)
+			if !reflect.DeepEqual(gotT, wantT) || !reflect.DeepEqual(gotC, wantC) {
+				t.Fatalf("DisablePruning=%v Workers=%d: parallel pruning gave %v %v, sequential %v %v",
+					disable, workers, gotT, gotC, wantT, wantC)
+			}
 		}
 	}
 }
-
-func key(tuple []int) string { return fmt.Sprint(tuple) }
 
 func TestPruneItemsDisabled(t *testing.T) {
 	entVecs := [][]float32{unitv(1, 0), unitv(0, 1)}

@@ -15,9 +15,11 @@ package multiem
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/embed"
 	"repro/internal/hnsw"
+	"repro/internal/par"
 )
 
 // ANNBackend selects how two-table merging finds its mutual top-K pairs.
@@ -81,7 +83,8 @@ type Options struct {
 	// attribute selection and representation always encode on all cores
 	// (embed.BatchStore), with or without Parallel, whatever Workers says.
 	Parallel bool
-	// Workers bounds parallelism when Parallel is set (<= 0: all cores).
+	// Workers bounds the goroutines of merging and pruning when Parallel is
+	// set (par.Workers: <= 0 means GOMAXPROCS); without it they run on one.
 	Workers int
 	// Seed drives the random merge order of Algorithm 2.
 	Seed int64
@@ -152,4 +155,14 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("multiem: Shards must be at most %d, got %d", maxSaneShards, o.Shards)
 	}
 	return nil
+}
+
+// workers is the goroutine budget of the two phases Parallel governs,
+// merging and pruning: sequential MultiEM runs them on one goroutine, the
+// parallel variant on Workers (all cores when <= 0).
+func (o *Options) workers() int {
+	if !o.Parallel {
+		return 1
+	}
+	return par.Workers(math.MaxInt, o.Workers)
 }

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/vector"
 )
 
@@ -56,24 +56,25 @@ type batchPlan struct {
 
 // decide embeds the batch and settles every row against the pre-batch state:
 // a row within the merge threshold M of its globally nearest tuple is marked
-// for absorption into it. Rows are independent: one worker per shard takes
-// the next unclaimed row until none is left (rows differ in cost, and on a
-// busy box so do the workers). No shard locks are needed: addMu keeps every
-// writer out, and concurrent Match calls only read.
+// for absorption into it. Rows are independent: one worker per shard claims
+// rows until none is left (rows differ in cost, and on a busy box so do the
+// workers; a 16-row batch is claimed row by row). No shard locks are needed:
+// addMu keeps every writer out, and concurrent Match calls only read.
 func (m *Matcher) decide(rows [][]string) *batchPlan {
 	p := &batchPlan{values: rows, vecs: vector.NewStoreWithCap(m.dim, len(rows)), rows: make([]addDecision, len(rows))}
 	p.vecs.Grow(len(rows))
 	ef := m.shardEf()
-	var claimed atomic.Int64
-	parallelFor(min(len(m.shards), len(rows)), func(int) {
-		// One candidate set and one ranking per worker, reused for all its
-		// rows and every shard they search.
-		var hits shardHits
-		top := vector.NewTopK(1)
-		for i := int(claimed.Add(1)) - 1; i < len(rows); i = int(claimed.Add(1)) - 1 {
-			p.vecs.SetRow(i, m.embed(rows[i]))
-			m.decideRow(&p.rows[i], p.vecs.At(i), ef, &hits, top)
-		}
+	// One candidate set and one ranking per worker, reused for all its rows
+	// and every shard they search, each allocated apart so that no two
+	// workers rewrite one cache line.
+	workers := par.Workers(len(rows), len(m.shards))
+	hits, tops := make([]*shardHits, workers), make([]*vector.TopK, workers)
+	for w := range workers {
+		hits[w], tops[w] = new(shardHits), vector.NewTopK(1)
+	}
+	par.For(len(rows), workers, func(w, i int) {
+		p.vecs.SetRow(i, m.embed(rows[i]))
+		m.decideRow(&p.rows[i], p.vecs.At(i), ef, hits[w], tops[w])
 	})
 	return p
 }
@@ -243,7 +244,7 @@ func (m *Matcher) apply(p *batchPlan) ([]AddResult, error) {
 	m.nextID += len(p.rows)
 	out := make([]AddResult, len(p.rows))
 	errs := make([]error, len(m.shards))
-	parallelFor(len(m.shards), func(s int) {
+	par.For(len(m.shards), len(m.shards), func(_, s int) {
 		if len(p.perShard[s]) > 0 {
 			sh := m.shards[s]
 			sh.apply(s, p, baseID, out)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/hnsw"
 	"repro/internal/vector"
@@ -312,25 +311,4 @@ func (m *Matcher) shardHNSWConfig(shardID int) hnsw.Config {
 	}
 	cfg.Seed += int64(shardID)
 	return cfg
-}
-
-// parallelFor runs f(0), …, f(n-1) concurrently, one goroutine each, and
-// returns when all are done; n <= 1 is a plain call. Every caller fans out
-// over shards (or one worker per shard), so n is small.
-func parallelFor(n int, f func(int)) {
-	if n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f(i)
-		}(i)
-	}
-	wg.Wait()
 }
