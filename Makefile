@@ -28,8 +28,12 @@ build-bigendian:
 	GOARCH=s390x $(GO) build ./internal/binio ./internal/hnsw ./internal/multiem
 	GOARCH=s390x $(GO) vet ./internal/binio
 
+# bench/ is a module of its own, so ./... never reaches it; vetting it here
+# makes a program change that breaks the benchmark's build fail this fast
+# job, not only benchmark-smoke.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # fmt rewrites; CI uses `gofmt -l` as a read-only gate (see ci.yml).
 fmt:

@@ -364,15 +364,8 @@ func BenchmarkAblation_ANNBackend(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("hnsw/rows=%d", rows), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					ia, err := ann.HNSWOverRows(ta, opt.HNSW)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ib, err := ann.HNSWOverRows(tb, opt.HNSW)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pairs = len(ann.MutualTopK(ta, ib, tb, ia, opt.K, opt.M, opt.EfSearch, 1))
+					ia, ib := ann.HNSWOverRows(ta, opt.HNSW), ann.HNSWOverRows(tb, opt.HNSW)
+					pairs = len(ann.MutualTopK(ta, ib, tb, ia, opt.K, opt.M, 0, 1))
 				}
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(ta.Len()+tb.Len()), "us/row")
 				b.ReportMetric(float64(pairs), "matched")

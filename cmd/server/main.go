@@ -120,7 +120,9 @@ func main() {
 	opt.Parallel = *parallel
 	opt.Seed = *seed
 	opt.Shards = *shards
-	opt.EfSearch = *efSearch
+	if *efSearch > 0 {
+		opt.HNSW.EfSearch = *efSearch
+	}
 
 	slog.Info("starting", "kernels", vector.Kernels(), "role", *role,
 		"shards", *shards, "addr", *addr, "wal_dir", *walDir)

@@ -306,10 +306,6 @@ type addRequest struct {
 
 type addResponse struct {
 	Results []repro.AddResult `json:"results"`
-	// Warning reports a non-fatal ingest-side problem (a failed shard
-	// compaction): the records in Results were committed, so the client
-	// must not retry the batch.
-	Warning string `json:"warning,omitempty"`
 }
 
 type statsResponse struct {
@@ -431,14 +427,7 @@ func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusServiceUnavailable, msg)
 			return
 		}
-		// AddRecords returns results alongside a compaction error: the
-		// records were ingested. A 500 here would invite a retry that
-		// duplicates the whole batch, so report success with a warning.
-		if results == nil {
-			writeMatcherError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, addResponse{Results: results, Warning: err.Error()})
+		writeMatcherError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, addResponse{Results: results})

@@ -30,15 +30,15 @@ type Index interface {
 }
 
 // HNSWOverRows builds an HNSW index over the rows of s, each stored under its
-// row number as id — the form MutualTopK expects.
-func HNSWOverRows(s *vector.Store, cfg hnsw.Config) (*hnsw.Index, error) {
+// row number as id — the form MutualTopK expects: it appends every row, then
+// links them once, which builds the graph row-by-row Adds would.
+func HNSWOverRows(s *vector.Store, cfg hnsw.Config) *hnsw.Index {
 	ix := hnsw.New(s.Dim(), cfg)
 	for i := 0; i < s.Len(); i++ {
-		if err := ix.Add(i, s.At(i)); err != nil {
-			return nil, err
-		}
+		ix.Append(i, s.At(i))
 	}
-	return ix, nil
+	ix.Link()
+	return ix
 }
 
 // Pair is a matched pair of rows — A indexes the first table, B the second —

@@ -47,12 +47,9 @@ var joins = map[string]func(a, b *vector.Store, k int, maxDist float32) []Pair{
 
 func TestHNSWOverRows(t *testing.T) {
 	s := storeOf(2, unit(1, 0), unit(0, 1))
-	ix, err := HNSWOverRows(s, hnsw.Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d", ix.Len())
+	ix := HNSWOverRows(s, hnsw.Config{Seed: 3})
+	if ix.Len() != 2 || ix.Unlinked() != 0 {
+		t.Fatalf("Len = %d, unlinked %d", ix.Len(), ix.Unlinked())
 	}
 	if res := ix.Search(unit(0.05, 1), 1, 0); len(res) != 1 || res[0].ID != 1 {
 		t.Fatalf("ids must be row numbers, got %v", res)
@@ -144,14 +141,7 @@ func TestMutualTopKHNSWAgreesWithExact(t *testing.T) {
 	want := MutualTopKExact(a, b, 1, 0.05, 0)
 
 	cfg := hnsw.Config{EfSearch: 128, Seed: 5}
-	hA, err := HNSWOverRows(a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hB, err := HNSWOverRows(b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hA, hB := HNSWOverRows(a, cfg), HNSWOverRows(b, cfg)
 	got := MutualTopK(a, hB, b, hA, 1, 0.05, 0, 0)
 
 	key := func(p Pair) [2]int { return [2]int{p.A, p.B} }

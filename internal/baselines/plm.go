@@ -200,12 +200,7 @@ func BlockTopK(ctx *Context, a, b *table.Table, k int) []IDPair {
 	}
 	search := func(q []float32) []vector.Neighbor { return scanTopK(q, rows, k) }
 	if large.Len() > bruteBlockLimit {
-		ix, err := ann.HNSWOverRows(rows, hnsw.Config{EfConstruction: 100, Seed: 1})
-		if err != nil {
-			// Vector dimensions are uniform by construction; an error
-			// here is a programming bug, not an input condition.
-			panic(err)
-		}
+		ix := ann.HNSWOverRows(rows, hnsw.Config{EfConstruction: 100, Seed: 1})
 		search = func(q []float32) []vector.Neighbor { return ix.Search(q, k, 0) }
 	}
 	queries := make([][]vector.Neighbor, small.Len())

@@ -38,6 +38,7 @@ func TestCloneFrozenSnapshot(t *testing.T) {
 	if err := c.Add(999, vecs[0]); err == nil {
 		t.Fatal("Add on a frozen clone must fail")
 	}
+	mustPanicWith(t, "hnsw: insert into a frozen Clone", func() { c.Append(999, vecs[0]) })
 
 	frozen := make([]string, len(queries))
 	for qi, q := range queries {

@@ -113,7 +113,8 @@ type Index struct {
 	backCands  []vector.Neighbor
 	backSel    []vector.Neighbor
 
-	// frozen marks a read-only Clone: Add fails on it, Search and Save work.
+	// frozen marks a read-only Clone: Add fails and Append panics on it;
+	// Search and Save work.
 	frozen bool
 
 	// stats accumulates per-query search effort. Clones share the pointer,
@@ -279,12 +280,14 @@ func (ix *Index) appendLink(i, l int, nb int32) {
 
 // Add inserts a vector under an external id: Append, then Link. The vector is
 // copied into the index's arena; the caller keeps ownership of its slice.
+// It fails on a frozen Clone or a vector of another dimensionality.
 func (ix *Index) Add(id int, vec []float32) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if err := ix.appendNode(id, vec); err != nil {
+	if err := ix.refuses(vec); err != nil {
 		return err
 	}
+	ix.appendNode(id, vec)
 	ix.linkPending()
 	return nil
 }
@@ -296,10 +299,16 @@ func (ix *Index) Add(id int, vec []float32) error {
 // the graph, RNG stream and Save bytes that Adds of the same vectors build —
 // so a node that is discarded before its Link (a compaction's input) costs
 // no graph work at all.
-func (ix *Index) Append(id int, vec []float32) error {
+//
+// Append panics where Add fails, as Search does on a foreign query: an owner
+// inserting its own vectors into its own index can hit neither case.
+func (ix *Index) Append(id int, vec []float32) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.appendNode(id, vec)
+	if err := ix.refuses(vec); err != nil {
+		panic(err.Error())
+	}
+	ix.appendNode(id, vec)
 }
 
 // Link links every Appended node not linked yet, in node order — what their
@@ -321,19 +330,23 @@ func (ix *Index) mustBeLinked(op string) {
 	}
 }
 
-func (ix *Index) appendNode(id int, vec []float32) error {
+// refuses says why vec cannot be inserted, or nil when it can.
+func (ix *Index) refuses(vec []float32) error {
 	if ix.frozen {
-		return fmt.Errorf("hnsw: Add on a frozen Clone")
+		return fmt.Errorf("hnsw: insert into a frozen Clone")
 	}
 	if len(vec) != ix.dim {
 		return fmt.Errorf("hnsw: vector has dim %d, index wants %d", len(vec), ix.dim)
 	}
+	return nil
+}
+
+func (ix *Index) appendNode(id int, vec []float32) {
 	level := ix.randomLevel()
 	ix.ids = append(ix.ids, id)
 	ix.levels = append(ix.levels, int32(level))
 	ix.offs = append(ix.offs, ix.la.alloc(ix.regionSize(level)))
 	ix.vecs.Append(vec)
-	return nil
 }
 
 func (ix *Index) linkPending() {

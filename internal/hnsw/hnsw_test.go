@@ -51,10 +51,15 @@ func TestSingleElement(t *testing.T) {
 	}
 }
 
+// TestDimMismatch: Add reports a foreign dimensionality, Append panics on it.
 func TestDimMismatch(t *testing.T) {
 	ix := New(3, Config{})
 	if err := ix.Add(0, []float32{1, 0}); err == nil {
 		t.Fatal("expected dimension error")
+	}
+	mustPanicWith(t, "hnsw: vector has dim 2, index wants 3", func() { ix.Append(0, []float32{1, 0}) })
+	if ix.Len() != 0 {
+		t.Fatalf("refused inserts left %d nodes", ix.Len())
 	}
 }
 
@@ -401,9 +406,7 @@ func TestAppendLinkEqualsAdd(t *testing.T) {
 
 			ix := New(dim, cfg)
 			for i, v := range vecs {
-				if err := ix.Append(i*7, v); err != nil {
-					t.Fatal(err)
-				}
+				ix.Append(i*7, v)
 			}
 			if ix.Len() != n || ix.Unlinked() != n {
 				t.Fatalf("%d appended nodes, %d unlinked; want %d of each", ix.Len(), ix.Unlinked(), n)
@@ -425,13 +428,14 @@ func TestAppendLinkEqualsAdd(t *testing.T) {
 				ix := New(dim, cfg)
 				var ops []byte
 				for i, v := range vecs {
-					insert, op := ix.Append, byte('p')
 					if rng.Intn(4) == 0 {
-						insert, op = ix.Add, 'A'
-					}
-					ops = append(ops, op)
-					if err := insert(i*7, v); err != nil {
-						t.Fatal(err)
+						ops = append(ops, 'A')
+						if err := ix.Add(i*7, v); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						ops = append(ops, 'p')
+						ix.Append(i*7, v)
 					}
 					if rng.Intn(16) == 0 {
 						ops = append(ops, 'L')

@@ -36,10 +36,8 @@ func SelectAttributes(d *table.Dataset, opt Options) ([]AttrScore, []int) {
 	all := d.AllEntities()
 
 	// Sample rows (Alg. 1 line 2). Deterministic under opt.Seed.
-	n := int(float64(len(all)) * opt.SampleRatio)
-	if n < opt.MinSample {
-		n = opt.MinSample
-	}
+	const minSample = 50 // so tiny datasets stay meaningful
+	n := max(int(float64(len(all))*opt.SampleRatio), minSample)
 	if n > len(all) {
 		n = len(all)
 	}

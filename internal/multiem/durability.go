@@ -63,16 +63,9 @@ type WALStats struct {
 	Dir string `json:"dir,omitempty"`
 	// Fsync is the active sync policy.
 	Fsync string `json:"fsync,omitempty"`
-	// Segments is the live log segment count.
-	Segments int `json:"segments"`
-	// Bytes is the total live log size in bytes.
-	Bytes int64 `json:"bytes"`
-	// Appends counts log records written since open.
-	Appends int64 `json:"appends"`
-	// Syncs counts fsyncs since open.
-	Syncs int64 `json:"syncs"`
-	// TornTruncations counts torn-tail truncations of the log.
-	TornTruncations int64 `json:"torn_truncations"`
+	// Stats is the log's own: its live segments and bytes, and the appends,
+	// fsyncs and torn-tail truncations since open.
+	wal.Stats
 	// NextSeq is the sequence number the next ingest batch will get.
 	NextSeq uint64 `json:"next_seq"`
 	// SnapshotSeq is the sequence the latest snapshot covers: recovery
@@ -474,9 +467,7 @@ func (m *Matcher) WALStats() WALStats {
 	if ws == nil {
 		return st
 	}
-	ls := ws.log.Stats()
-	st.Enabled, st.Dir, st.Fsync = true, ws.cfg.Dir, ws.policy.String()
-	st.Segments, st.Bytes, st.Appends, st.Syncs, st.TornTruncations = ls.Segments, ls.Bytes, ls.Appends, ls.Syncs, ls.TornTruncations
+	st.Enabled, st.Dir, st.Fsync, st.Stats = true, ws.cfg.Dir, ws.policy.String(), ws.log.Stats()
 	st.NextSeq, st.SnapshotSeq = ws.seq.Load(), ws.snapshotSeq.Load()
 	st.Snapshots, st.SnapshotErrors = ws.snapshots.Load(), ws.snapErrs.Load()
 	return st

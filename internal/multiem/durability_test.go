@@ -2,6 +2,7 @@ package multiem
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -604,4 +605,32 @@ func FuzzDecodeBatchRecord(f *testing.F) {
 			t.Fatalf("decode(encode(x)) != x: err %v\n  x   %+v\n  got %+v", err, want, got)
 		}
 	})
+}
+
+// TestWALStatsJSON pins the keys /stats "wal" carries and their order: the
+// log's own counters sit between fsync and next_seq, flattened, as they did
+// before WALStats embedded wal.Stats.
+func TestWALStatsJSON(t *testing.T) {
+	var st WALStats
+	st.Enabled, st.Dir, st.Fsync = true, "d", "always"
+	st.Segments, st.Bytes, st.Appends, st.Syncs, st.TornTruncations = 1, 2, 3, 4, 5
+	st.NextSeq, st.SnapshotSeq, st.Snapshots, st.SnapshotErrors = 6, 7, 8, 9
+	st.LoadSeconds, st.LoadBytes = 0.5, 10
+	st.ReplayedBatches, st.ReplayedRows, st.ReplaySeconds = 11, 12, 1.5
+	st.ReplayReaderBusySeconds, st.ReplayShardBusySeconds = 0.25, []float64{0.75}
+	st.ReplaySkippedLinks = 13
+	got, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"enabled":true,"dir":"d","fsync":"always",` +
+		`"segments":1,"bytes":2,"appends":3,"syncs":4,"torn_truncations":5,` +
+		`"next_seq":6,"snapshot_seq":7,"snapshots":8,"snapshot_errors":9,` +
+		`"load_seconds":0.5,"load_bytes":10,` +
+		`"replayed_batches":11,"replayed_rows":12,"replay_seconds":1.5,` +
+		`"replay_reader_busy_seconds":0.25,"replay_shard_busy_seconds":[0.75],` +
+		`"replay_skipped_links":13}`
+	if string(got) != want {
+		t.Fatalf("WALStats marshals to\n%s\nwant\n%s", got, want)
+	}
 }

@@ -329,15 +329,7 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 	}
 
 	// Per-shard index builds are independent; run them concurrently.
-	errs := make([]error, len(m.shards))
-	par.For(len(m.shards), len(m.shards), func(_, s int) {
-		errs[s] = m.buildShardIndex(s)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	par.For(len(m.shards), len(m.shards), func(_, s int) { m.buildShardIndex(s) })
 	m.publishAll(0)
 	return m, nil
 }
@@ -347,16 +339,13 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 // first view. Each centroid is derived again from the member rows the shard
 // now owns — the same vectors in the same order as the routing centroid,
 // hence the same bits.
-func (m *Matcher) buildShardIndex(s int) error {
+func (m *Matcher) buildShardIndex(s int) {
 	sh := m.shards[s]
 	sh.index = hnsw.New(m.dim, m.shardHNSWConfig(s))
 	for local := 0; local < sh.tuples.len(); local++ {
-		if err := sh.indexCentroid(local); err != nil {
-			return fmt.Errorf("multiem: matcher index (shard %d): %w", s, err)
-		}
+		sh.indexCentroid(local)
 	}
 	sh.index.Link()
-	return nil
 }
 
 // centroidInto writes the unit-norm mean embedding of the member positions
@@ -414,15 +403,13 @@ func (m *Matcher) checkArity(values []string, row int) error {
 }
 
 // shardEf is the per-shard search beam for fan-out queries. Each shard holds
-// roughly 1/n of the centroids, so the configured beam is split across the
-// shards; the total search effort stays near the single-shard cost instead
-// of multiplying by the shard count. The index never searches with a beam
-// narrower than the requested k, so small shards keep full recall.
+// roughly 1/n of the centroids, so the configured beam (Options.HNSW.EfSearch)
+// is split across the shards; the total search effort stays near the
+// single-shard cost instead of multiplying by the shard count. The index never
+// searches with a beam narrower than the requested k, so small shards keep
+// full recall.
 func (m *Matcher) shardEf() int {
-	ef := m.opt.EfSearch
-	if ef <= 0 {
-		ef = m.opt.HNSW.EfSearch
-	}
+	ef := m.opt.HNSW.EfSearch
 	if ef <= 0 {
 		ef = 64 // hnsw's own EfSearch default
 	}
@@ -595,9 +582,10 @@ const addSearchK = 8
 // matcher ingests serially; the default Options.Shards = GOMAXPROCS uses
 // every core.
 //
-// Assigned entity IDs are fresh and dense in row order. On a compaction
-// failure the records are still ingested (the shard keeps serving from its
-// previous index) and the error is returned alongside the results.
+// Assigned entity IDs are fresh and dense in row order. AddRecords returns
+// the results or an error, never both: on an error no row of the batch was
+// applied (though a failed log append may still have made it durable; see
+// walAppendBatch).
 //
 // With a WAL attached (RecoverMatcher), the batch's rows and the decisions of
 // step 1 are appended to the log as one record, before any shard state
@@ -636,7 +624,7 @@ func (m *Matcher) AddRecords(rows [][]string) ([]AddResult, error) {
 	sp.Mark(IngestStageWAL)
 	m.chain(p)
 	sp.Mark(IngestStageChain)
-	out, err := m.apply(p)
+	out := m.apply(p)
 	sp.Mark(IngestStageApply)
 	m.publish(p)
 	sp.Mark(IngestStagePublish)
@@ -644,7 +632,7 @@ func (m *Matcher) AddRecords(rows [][]string) ([]AddResult, error) {
 	ins := m.obs()
 	ins.batches.Add(1)
 	ins.rows.Add(int64(len(p.rows)))
-	return out, err
+	return out, nil
 }
 
 // minMemberID scans members for the smallest entity ID; used to seed a

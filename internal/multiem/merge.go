@@ -1,7 +1,6 @@
 package multiem
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/ann"
@@ -82,48 +81,34 @@ func exactIsCheaper(na, nb int) bool {
 
 // matchedPairs finds the mutual top-K pairs between two tables (Eq. 1) with
 // the backend the options force or, under BackendAuto, the cost model picks.
-func (mc *mergeContext) matchedPairs(a, b *vector.Store, workers int) ([]ann.Pair, error) {
+func (mc *mergeContext) matchedPairs(a, b *vector.Store, workers int) []ann.Pair {
 	exact := mc.opt.Backend == BackendBrute ||
 		(mc.opt.Backend == BackendAuto && exactIsCheaper(a.Len(), b.Len()))
 	if exact {
-		return ann.MutualTopKExact(a, b, mc.opt.K, mc.opt.M, workers), nil
+		return ann.MutualTopKExact(a, b, mc.opt.K, mc.opt.M, workers)
 	}
-	index := func(s *vector.Store) (ann.Index, error) {
-		ix, err := ann.HNSWOverRows(s, mc.opt.HNSW)
-		if err != nil {
-			return nil, err
-		}
+	index := func(s *vector.Store) ann.Index {
+		ix := ann.HNSWOverRows(s, mc.opt.HNSW)
 		if mc.wrapIndex != nil {
-			return mc.wrapIndex(ix), nil
+			return mc.wrapIndex(ix)
 		}
-		return ix, nil
+		return ix
 	}
-	indexA, err := index(a)
-	if err != nil {
-		return nil, fmt.Errorf("multiem: index A: %w", err)
-	}
-	indexB, err := index(b)
-	if err != nil {
-		return nil, fmt.Errorf("multiem: index B: %w", err)
-	}
-	return ann.MutualTopK(a, indexB, b, indexA, mc.opt.K, mc.opt.M, mc.opt.EfSearch, workers), nil
+	return ann.MutualTopK(a, index(b), b, index(a), mc.opt.K, mc.opt.M, 0, workers)
 }
 
 // mergeTwoTables implements Algorithm 3: find mutual top-K entity pairs
 // between tables a and b (Eq. 1), union matched items transitively, and
 // emit the merged table containing combined tuples plus all unmatched items.
 // workers is this call's share of the merging phase's goroutine budget.
-func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) (mergeTable, error) {
+func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) mergeTable {
 	if len(a.items) == 0 {
-		return b, nil
+		return b
 	}
 	if len(b.items) == 0 {
-		return a, nil
+		return a
 	}
-	pairs, err := mc.matchedPairs(a.vecs, b.vecs, workers)
-	if err != nil {
-		return mergeTable{}, err
-	}
+	pairs := mc.matchedPairs(a.vecs, b.vecs, workers)
 
 	// Slot id space: A occupies [0, na), B occupies [na, na+nb). Merge
 	// matched slots by transitivity (Alg. 3 line 8).
@@ -177,7 +162,7 @@ func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) (mergeTable
 		centroidInto(merged.vecs.At(merged.vecs.AppendZero()), members, mc.entVecs)
 		merged.items = append(merged.items, item{members: members, maxJoinDist: maxDist})
 	}
-	return merged, nil
+	return merged
 }
 
 // hierarchicalMerge implements Algorithm 2: repeatedly pair up the current
@@ -188,25 +173,19 @@ func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) (mergeTable
 // never runs more than Options.workers() goroutines: many small pairs run
 // side by side on one goroutine each, the last few large ones one at a time
 // on all.
-func (mc *mergeContext) hierarchicalMerge(tables []mergeTable) ([]item, error) {
+func (mc *mergeContext) hierarchicalMerge(tables []mergeTable) []item {
 	rng := rand.New(rand.NewSource(mc.opt.Seed + 211))
 	for len(tables) > 1 {
 		rng.Shuffle(len(tables), func(i, j int) { tables[i], tables[j] = tables[j], tables[i] })
 		nPairs := len(tables) / 2
 		next := make([]mergeTable, nPairs, nPairs+1)
-		errs := make([]error, nPairs)
 
 		budget := mc.opt.workers()
 		inFlight := min(nPairs, budget)
 		inner := budget / inFlight
 		par.For(nPairs, inFlight, func(_, p int) {
-			next[p], errs[p] = mc.mergeTwoTables(tables[2*p], tables[2*p+1], inner)
+			next[p] = mc.mergeTwoTables(tables[2*p], tables[2*p+1], inner)
 		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
 		if len(tables)%2 == 1 {
 			// The odd table out is carried into the next hierarchy.
 			next = append(next, tables[len(tables)-1])
@@ -214,7 +193,7 @@ func (mc *mergeContext) hierarchicalMerge(tables []mergeTable) ([]item, error) {
 		tables = next
 	}
 	if len(tables) == 0 {
-		return nil, nil
+		return nil
 	}
-	return tables[0].items, nil
+	return tables[0].items
 }

@@ -46,17 +46,11 @@ func TestMergeTwoTablesEmptySides(t *testing.T) {
 	entVecs := [][]float32{unitv(1, 0)}
 	mc := mcFor(t, DefaultOptions(), entVecs)
 	a := singleItems(entVecs, 0)
-	got, err := mc.mergeTwoTables(a, mergeTable{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mc.mergeTwoTables(a, mergeTable{}, 1)
 	if len(got.items) != 1 || got.items[0].members[0] != 0 {
 		t.Fatalf("empty B must return A unchanged: %+v", got)
 	}
-	got, err = mc.mergeTwoTables(mergeTable{}, a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = mc.mergeTwoTables(mergeTable{}, a, 1)
 	if len(got.items) != 1 {
 		t.Fatalf("empty A must return B unchanged: %+v", got)
 	}
@@ -75,10 +69,7 @@ func TestMergeTwoTablesMatchesClosePairs(t *testing.T) {
 	mc := mcFor(t, opt, entVecs)
 	a := singleItems(entVecs, 0, 1)
 	b := singleItems(entVecs, 2, 3)
-	merged, err := mc.mergeTwoTables(a, b, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := mc.mergeTwoTables(a, b, 1)
 	if len(merged.items) != 2 {
 		t.Fatalf("want 2 merged items, got %d: %+v", len(merged.items), merged.items)
 	}
@@ -95,10 +86,7 @@ func TestMergeTwoTablesRespectsThreshold(t *testing.T) {
 	opt.M = 0.2 // orthogonal vectors are at distance 1.0
 	opt.Backend = BackendBrute
 	mc := mcFor(t, opt, entVecs)
-	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0), singleItems(entVecs, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := mc.mergeTwoTables(singleItems(entVecs, 0), singleItems(entVecs, 1), 1)
 	if len(merged.items) != 2 {
 		t.Fatalf("distant items must stay separate: %+v", merged.items)
 	}
@@ -112,10 +100,7 @@ func TestMergedTableRowsStayAligned(t *testing.T) {
 	opt := DefaultOptions()
 	opt.M = 0.2
 	mc := mcFor(t, opt, entVecs)
-	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0, 1), singleItems(entVecs, 2, 3), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := mc.mergeTwoTables(singleItems(entVecs, 0, 1), singleItems(entVecs, 2, 3), 1)
 	if len(merged.items) != 3 || merged.vecs.Len() != 3 {
 		t.Fatalf("want 3 aligned rows, got %d items and %d vectors", len(merged.items), merged.vecs.Len())
 	}
@@ -134,10 +119,7 @@ func TestMergedCentroidIsUnitNorm(t *testing.T) {
 	opt.M = 0.3
 	opt.Backend = BackendBrute
 	mc := mcFor(t, opt, entVecs)
-	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0), singleItems(entVecs, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := mc.mergeTwoTables(singleItems(entVecs, 0), singleItems(entVecs, 1), 1)
 	if len(merged.items) != 1 || len(merged.items[0].members) != 2 {
 		t.Fatalf("want one merged pair, got %+v", merged.items)
 	}
@@ -232,9 +214,7 @@ func TestParallelMergeStaysWithinWorkerBudget(t *testing.T) {
 			mc := &mergeContext{entVecs: entVecs, opt: &opt, wrapIndex: func(ix ann.Index) ann.Index {
 				return countingIndex{ix, &active, &peak}
 			}}
-			if _, err := mc.hierarchicalMerge(tables); err != nil {
-				t.Fatal(err)
-			}
+			mc.hierarchicalMerge(tables)
 			if got := int(peak.Load()); got == 0 || got > workers {
 				t.Errorf("%d tables, Workers=%d: peak of %d concurrent searches", nTables, workers, got)
 			}
@@ -253,10 +233,7 @@ func TestExactMergeIndependentOfWorkers(t *testing.T) {
 		opt.Parallel = workers > 0
 		opt.Workers = workers
 		mc := &mergeContext{entVecs: entVecs, opt: &opt}
-		got, err := mc.hierarchicalMerge(tables)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mc.hierarchicalMerge(tables)
 		if want == nil {
 			want = got
 			if len(want) == 6*50 {
@@ -271,10 +248,7 @@ func TestExactMergeIndependentOfWorkers(t *testing.T) {
 func TestHierarchicalMergeSingleTable(t *testing.T) {
 	entVecs := [][]float32{unitv(1, 0)}
 	mc := mcFor(t, DefaultOptions(), entVecs)
-	got, err := mc.hierarchicalMerge([]mergeTable{singleItems(entVecs, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mc.hierarchicalMerge([]mergeTable{singleItems(entVecs, 0)})
 	if len(got) != 1 {
 		t.Fatalf("single table passes through: %+v", got)
 	}
@@ -282,10 +256,7 @@ func TestHierarchicalMergeSingleTable(t *testing.T) {
 
 func TestHierarchicalMergeNoTables(t *testing.T) {
 	mc := mcFor(t, DefaultOptions(), nil)
-	got, err := mc.hierarchicalMerge(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mc.hierarchicalMerge(nil)
 	if got != nil {
 		t.Fatalf("no tables -> nil, got %+v", got)
 	}
@@ -304,10 +275,7 @@ func TestHierarchicalMergeOddTableCount(t *testing.T) {
 		singleItems(entVecs, 1),
 		singleItems(entVecs, 2),
 	}
-	got, err := mc.hierarchicalMerge(tables)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mc.hierarchicalMerge(tables)
 	if len(got) != 1 || len(got[0].members) != 3 {
 		t.Fatalf("all three copies must merge: %+v", got)
 	}
@@ -328,10 +296,7 @@ func TestTransitivityThroughHierarchies(t *testing.T) {
 	mc := mcFor(t, opt, entVecs)
 	// Put a and c in one table, b alone in the other, so both pairs are
 	// evaluated in a single two-table merge.
-	merged, err := mc.mergeTwoTables(singleItems(entVecs, 0, 2), singleItems(entVecs, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := mc.mergeTwoTables(singleItems(entVecs, 0, 2), singleItems(entVecs, 1), 1)
 	if len(merged.items) != 1 || len(merged.items[0].members) != 3 {
 		t.Fatalf("transitive closure must group all three: %+v", merged.items)
 	}

@@ -62,8 +62,6 @@ type Options struct {
 	// computing attribute significance. 0.2 default, 0.05 for very large
 	// datasets (§IV-A).
 	SampleRatio float64
-	// MinSample floors the row sample so tiny datasets stay meaningful.
-	MinSample int
 	// Eps is the pruning radius ε (euclidean, Defs. 3-5). Grid {0.8, 1.0}.
 	Eps float32
 	// MinPts is the core-entity density threshold; the paper fixes 2.
@@ -74,10 +72,9 @@ type Options struct {
 	// Backend picks the two-table join: planned per table pair (default),
 	// or forced to HNSW or to the exact join.
 	Backend ANNBackend
-	// HNSW configures the HNSW backend.
+	// HNSW configures merging's and a built matcher's HNSW indexes; its
+	// EfSearch is also any matcher's query beam, split across shards.
 	HNSW hnsw.Config
-	// EfSearch overrides query beam width (0 keeps the backend default).
-	EfSearch int
 	// Parallel enables parallel merging of table pairs and parallel
 	// pruning (MultiEM(parallel), §III-E). Phase I is not governed by it:
 	// attribute selection and representation always encode on all cores
@@ -118,7 +115,6 @@ func DefaultOptions() Options {
 		M:           0.35,
 		Gamma:       0.9,
 		SampleRatio: 0.2,
-		MinSample:   50,
 		Eps:         1.0,
 		MinPts:      2,
 		Encoder:     embed.NewHashEncoder(),

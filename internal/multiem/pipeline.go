@@ -119,10 +119,7 @@ func run(d *table.Dataset, opt Options) (*runState, error) {
 		tables = append(tables, mergeTable{items: rows, vecs: entVecs.Slice(pos, pos+t.Len())})
 		pos += t.Len()
 	}
-	integrated, err := mc.hierarchicalMerge(tables)
-	if err != nil {
-		return nil, err
-	}
+	integrated := mc.hierarchicalMerge(tables)
 	res.Timings.Merge = time.Since(tMerge)
 
 	// Phase III: density-based pruning (Algorithm 4).

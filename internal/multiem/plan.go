@@ -236,24 +236,18 @@ func (m *Matcher) chain(p *batchPlan) {
 // fresh and dense in row order — and runs every destination shard's share
 // concurrently (shard.apply), compacting a shard whose stale index entries
 // piled up, then links what the shard appended: publish takes its view next,
-// and the next batch's decide searches it. A compaction failure leaves the
-// batch applied (the shard keeps its previous index), so the results come
-// back alongside the error.
-func (m *Matcher) apply(p *batchPlan) ([]AddResult, error) {
+// and the next batch's decide searches it.
+func (m *Matcher) apply(p *batchPlan) []AddResult {
 	baseID := m.nextID
 	m.nextID += len(p.rows)
 	out := make([]AddResult, len(p.rows))
-	errs := make([]error, len(m.shards))
 	par.For(len(m.shards), len(m.shards), func(_, s int) {
 		if len(p.perShard[s]) > 0 {
 			sh := m.shards[s]
 			sh.apply(s, p, baseID, out)
-			errs[s] = sh.maybeCompact(m.shardHNSWConfig(s), m.dim)
+			sh.maybeCompact()
 			sh.index.Link()
 		}
 	})
-	if err := errors.Join(errs...); err != nil {
-		return out, fmt.Errorf("multiem: records ingested, but shard compaction failed: %w", err)
-	}
-	return out, nil
+	return out
 }

@@ -36,7 +36,7 @@ type replayStats struct {
 	// peakRows is the most rows that were in flight at once.
 	peakRows int
 	// skipped[s] counts the nodes shard s's stream appended that a compaction
-	// then discarded unlinked.
+	// then discarded unlinked, as maybeCompact reports them.
 	skipped []int64
 }
 
@@ -123,8 +123,7 @@ var ErrSeqGap = errors.New("multiem: gap in the logged batch sequence")
 // is the pre-batch one, its own share of the batch comes next), then runs the
 // same shard.apply and maybeCompact live ingest runs — the same inserts per
 // shard in the same order, so graphs, RNG streams, compaction points and Save
-// bytes are the primary's. A compaction failure leaves the batch applied and
-// the shard on its previous index, as it does live.
+// bytes are the primary's.
 //
 // Replay never searches, so no stream links its graph until its list ends:
 // apply and maybeCompact only Append (shard.apply), and a stream links what
@@ -261,7 +260,7 @@ func (r *replayer) next(it *replayItem) *replayItem {
 // the list ends, the stream links what its batches appended.
 func (r *replayer) stream(s int, head *replayItem, done *sync.WaitGroup) {
 	defer done.Done()
-	m, sh, cfg := r.m, r.m.shards[s], r.m.shardHNSWConfig(s)
+	m, sh := r.m, r.m.shards[s]
 	var out []AddResult // what apply reports per row; replay has no one to tell
 	for it := r.next(head); len(it.p.rows) > 0; it = r.next(it) {
 		if it.seq < r.failSeq.Load() {
@@ -271,11 +270,7 @@ func (r *replayer) stream(s int, head *replayItem, done *sync.WaitGroup) {
 			} else if len(it.p.perShard[s]) > 0 {
 				out = slices.Grow(out[:0], len(it.p.rows))[:len(it.p.rows)]
 				sh.apply(s, it.p, it.baseID, out)
-				unlinked, compactions := sh.index.Unlinked(), sh.compactions
-				_ = sh.maybeCompact(cfg, m.dim) // the batch is applied either way
-				if sh.compactions > compactions {
-					r.st.skipped[s] += int64(unlinked)
-				}
+				r.st.skipped[s] += int64(sh.maybeCompact())
 			}
 			r.st.shardBusy[s] += time.Since(t0)
 		}

@@ -1,7 +1,6 @@
 package multiem
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -120,13 +119,10 @@ func (v *shardView) centroidAt(local int) []float32 {
 // tuple's previous node, if it had one, goes stale. The node's vector is
 // readable at once; it is linked into the graph when whoever next takes a
 // view of the shard calls index.Link. The caller holds addMu.
-func (sh *shard) indexCentroid(local int) error {
+func (sh *shard) indexCentroid(local int) {
 	centroidInto(sh.centroid, sh.tuples.at(local).members, sh.entVecs)
-	if err := sh.index.Append(local, sh.centroid); err != nil {
-		return err
-	}
+	sh.index.Append(local, sh.centroid)
 	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
-	return nil
 }
 
 // apply carries out the plan's share for this shard, s: its rows, in
@@ -172,14 +168,13 @@ func (sh *shard) apply(s int, p *batchPlan, baseID int, out []AddResult) {
 	// ascending, with its recomputed centroid under the same local id: the
 	// previous index entry goes stale, and every search re-ranks against
 	// current centroids, so staleness only costs recall head-room until
-	// compaction — not correctness. Append fails only on a frozen index or a
-	// foreign dimensionality, neither of which a writer-side shard can have.
+	// compaction — not correctness.
 	for local := base; local < sh.tuples.len(); local++ {
-		_ = sh.indexCentroid(local)
+		sh.indexCentroid(local)
 	}
 	slices.Sort(sh.touched)
 	for _, local := range slices.Compact(sh.touched) {
-		_ = sh.indexCentroid(local)
+		sh.indexCentroid(local)
 	}
 }
 
@@ -243,31 +238,30 @@ func (v *shardView) memberIDs(members []int) []int {
 const compactThreshold = 2
 
 // maybeCompact rebuilds the shard's index from current centroids when the
-// stale/live ratio exceeds compactThreshold. The caller holds addMu. The
-// rebuild fills a fresh index and swaps it in only on success: published
-// views keep the old one, so readers are never affected, and a failed
-// rebuild leaves the shard serving from its previous state.
+// stale/live ratio exceeds compactThreshold, and reports how many nodes of the
+// index it replaced were appended and never linked: graph work nobody does.
+// The caller holds addMu. Published views keep the old index, so readers are
+// never affected.
 //
-// The rebuilt index starts a fresh seeded RNG stream, which is deterministic:
-// the trigger depends only on ingest history (index entries accrue one per
-// new tuple and one per centroid refresh, regardless of shard layout or any
-// save/load in between), so an original matcher and its save/load twin
-// compact at the same point and rebuild identical graphs. The rebuild only
-// Appends, like apply: its graph is built when it is next linked, and the
-// nodes of the index it replaces that were never linked never are.
-func (sh *shard) maybeCompact(cfg hnsw.Config, dim int) error {
+// The rebuild takes the replaced index's own dimensionality and config — the
+// ones it was built or saved with, whatever Options a later process passes —
+// and starts a fresh seeded RNG stream, which is deterministic: the trigger
+// depends only on ingest history (index entries accrue one per new tuple and
+// one per centroid refresh, regardless of shard layout or any save/load in
+// between), so an original matcher and its save/load twin compact at the same
+// point and rebuild identical graphs. The rebuild only Appends, like apply:
+// its graph is built when it is next linked.
+func (sh *shard) maybeCompact() (discarded int) {
 	live := sh.tuples.len()
 	if live == 0 || sh.index.Len()-live <= compactThreshold*live {
-		return nil
+		return 0
 	}
-	ix := hnsw.New(dim, cfg)
+	ix := hnsw.New(sh.index.Dim(), sh.index.Config())
 	// The rebuild replaces the index but not the logical shard: keep the
 	// search-effort counters monotonic across compactions.
 	ix.CarrySearchStats(sh.index)
 	for l := 0; l < live; l++ {
-		if err := ix.Append(l, sh.centroidAt(l)); err != nil {
-			return fmt.Errorf("multiem: shard compaction: %w", err)
-		}
+		ix.Append(l, sh.centroidAt(l))
 	}
 	// In the dense index tuple l's node is l. Rewriting every row's node
 	// dirties (and so copies) every shared tuple chunk — fine: compaction is
@@ -275,9 +269,10 @@ func (sh *shard) maybeCompact(cfg hnsw.Config, dim int) error {
 	for l := 0; l < live; l++ {
 		sh.tuples.mut(l).node = int32(l)
 	}
+	discarded = sh.index.Unlinked()
 	sh.index = ix
 	sh.compactions++
-	return nil
+	return discarded
 }
 
 // routeVec hashes a vector's bit pattern to a shard: FNV-1a over the float32

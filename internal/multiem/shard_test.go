@@ -345,6 +345,56 @@ func TestShardCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionKeepsSavedConfig: a compaction rebuilds a shard's index with
+// the config that index was built or saved with, not the Options of whoever
+// loaded it. A matcher and its save/load twin, loaded with another HNSW seed
+// and M, take the same absorbing batches past a compaction on every shard and
+// must still save identical bytes.
+func TestCompactionKeepsSavedConfig(t *testing.T) {
+	m, d := shardedGeo(t, 2)
+	opt := geoOpts()
+	opt.HNSW.Seed, opt.HNSW.M = 99, 6
+	twin, err := LoadMatcher(bytes.NewReader(saveBytes(t, m)), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := d.EntityByID()
+	res := m.Result()
+	width := min(len(res.Tuples), 40)
+	rows := make([][]string, width)
+	for i := range rows {
+		rows[i] = byID[res.Tuples[i][0]].Values
+	}
+	compacted := func() bool {
+		_, ss, _ := m.StatsWithShards()
+		for _, s := range ss {
+			if s.Compactions == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for b := 0; !compacted(); b++ {
+		if b == 100 {
+			t.Fatal("no compaction on every shard after 100 batches")
+		}
+		want, err := m.AddRecords(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := twin.AddRecords(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("batch %d: twin placed the rows differently", b)
+		}
+	}
+	if !bytes.Equal(saveBytes(t, twin), saveBytes(t, m)) {
+		t.Fatal("after a compaction the twin loaded with other HNSW options saves other bytes")
+	}
+}
+
 // TestShardedConcurrentHammer races Match + AddRecords + Stats + Tuples
 // across a 4-shard matcher; under -race (CI runs this package with
 // -cpu=1,4) it is the regression test for the lock-free epoch read path

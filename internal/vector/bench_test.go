@@ -55,14 +55,6 @@ func BenchmarkDotScalar(b *testing.B) {
 	}
 }
 
-func BenchmarkSquaredDistScalar(b *testing.B) {
-	vs := benchVecs(2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkF32 = squaredDistScalar(vs[0], vs[1])
-	}
-}
-
 // BenchmarkDotDims tracks the dispatched kernel across the dimensionalities
 // the pipeline and its ablations actually use (64 = small encoders, 256 =
 // embed.DefaultDim, 300 = fastText-style, 1000 = issue property-suite max).

@@ -5,11 +5,11 @@ import (
 	"os"
 )
 
-// simdOn selects the kernel path for Dot and SquaredDist and everything
-// layered on them: Norm, the two distances, and the batch, gather and tile
-// API. It defaults to the AVX2+FMA assembly whenever the CPU supports it and
-// may be forced to the portable scalar path with SetKernels or the
-// VECTOR_KERNELS environment variable.
+// simdOn selects the kernel path for Dot and everything layered on it: Norm,
+// the cosine distances, and the batch, gather and tile API (SquaredDist and
+// EuclideanDist are portable Go on both paths). It defaults to the AVX2+FMA
+// assembly whenever the CPU supports it and may be forced to the portable
+// scalar path with SetKernels or the VECTOR_KERNELS environment variable.
 //
 // simdOn is a plain bool, not an atomic: SetKernels is a startup/test knob,
 // documented to be called before concurrent kernel use begins. Flipping it

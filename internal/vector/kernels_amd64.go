@@ -10,9 +10,6 @@ package vector
 //go:noescape
 func dotAVX2(a, b []float32) float32
 
-//go:noescape
-func squaredDistAVX2(a, b []float32) float32
-
 // dotTileAVX2 is the 2×4 register-tile kernel behind DotTile: rows a0 and a1
 // against groups×4 B rows (row r at b + r*strideB floats), results to
 // out0[0:4*groups] and out1[0:4*groups]. See the comment above it in

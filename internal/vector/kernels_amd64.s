@@ -5,8 +5,7 @@
 // are unaligned (VMOVUPS) — arena rows have no alignment guarantee.
 //
 // Note on operand order: Go assembly reverses Intel syntax, so
-// VFMADD231PS src3, src2, dst computes dst += src2*src3, and
-// VSUBPS src3, src2, dst computes dst = src2 - src3.
+// VFMADD231PS src3, src2, dst computes dst += src2*src3.
 //
 // Callers guarantee len(a) == len(b); only a's length is read.
 
@@ -70,74 +69,6 @@ dot_tail:
 	JMP  dot_tail
 
 dot_done:
-	VMOVSS X0, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func squaredDistAVX2(a, b []float32) float32
-TEXT ·squaredDistAVX2(SB), NOSPLIT, $0-52
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ a_len+8(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-32, DX
-	CMPQ DX, $0
-	JE   sq_fold
-
-sq_loop32:
-	VMOVUPS (SI)(AX*4), Y4
-	VMOVUPS 32(SI)(AX*4), Y5
-	VMOVUPS 64(SI)(AX*4), Y6
-	VMOVUPS 96(SI)(AX*4), Y7
-	VSUBPS (DI)(AX*4), Y4, Y4
-	VSUBPS 32(DI)(AX*4), Y5, Y5
-	VSUBPS 64(DI)(AX*4), Y6, Y6
-	VSUBPS 96(DI)(AX*4), Y7, Y7
-	VFMADD231PS Y4, Y4, Y0
-	VFMADD231PS Y5, Y5, Y1
-	VFMADD231PS Y6, Y6, Y2
-	VFMADD231PS Y7, Y7, Y3
-	ADDQ $32, AX
-	CMPQ AX, DX
-	JL   sq_loop32
-
-sq_fold:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	MOVQ CX, DX
-	ANDQ $-8, DX
-
-sq_loop8:
-	CMPQ AX, DX
-	JGE  sq_reduce
-	VMOVUPS (SI)(AX*4), Y4
-	VSUBPS (DI)(AX*4), Y4, Y4
-	VFMADD231PS Y4, Y4, Y0
-	ADDQ $8, AX
-	JMP  sq_loop8
-
-sq_reduce:
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-
-sq_tail:
-	CMPQ AX, CX
-	JGE  sq_done
-	VMOVSS (SI)(AX*4), X4
-	VSUBSS (DI)(AX*4), X4, X4
-	VFMADD231SS X4, X4, X0
-	INCQ AX
-	JMP  sq_tail
-
-sq_done:
 	VMOVSS X0, ret+48(FP)
 	VZEROUPPER
 	RET
