@@ -65,18 +65,21 @@ race-matcher:
 # ~15s of coverage-guided fuzzing per target: the batch-record decoder and
 # the matcher-file loader with its embedded HNSW index (both parse bytes a
 # follower fetched from its -primary-url), the SIMD kernels against their
-# scalar reference, and the encoder's sparse token accumulation against its
-# dense definition. go test -fuzz takes one package and one target per
-# run. A crasher lands in that package's testdata/fuzz/ — commit it with the
-# fix, it replays as a regression test under plain `make test`. The loader's
-# inputs are whole matcher files: without the cap, minimising the first
-# input that reaches new code (60s by default) would be the entire run.
+# scalar reference, the encoder's sparse token accumulation against its
+# dense definition, and its field pooling (attribute selection's path)
+# against encoding the serialized record. go test -fuzz takes one package
+# and one target per run. A crasher lands in that package's testdata/fuzz/
+# — commit it with the fix, it replays as a regression test under plain
+# `make test`. The loader's inputs are whole matcher files: without the
+# cap, minimising the first input that reaches new code (60s by default)
+# would be the entire run.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatchRecord$$' -fuzztime=$(FUZZTIME) ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadMatcher$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzSIMDKernels$$' -fuzztime=$(FUZZTIME) ./internal/vector
 	$(GO) test -run='^$$' -fuzz='^FuzzEncodeMatchesDense$$' -fuzztime=$(FUZZTIME) ./internal/embed
+	$(GO) test -run='^$$' -fuzz='^FuzzFieldsMatchEncode$$' -fuzztime=$(FUZZTIME) ./internal/embed
 
 # Black-box crash recovery: run the server under ingest load, SIGKILL it,
 # restart on the same -wal-dir, and diff /stats and the SHA-256 of /tuples

@@ -185,6 +185,7 @@ func BenchmarkTable7_AttrSelect(b *testing.B) {
 		b.Run(cfg.Name, func(b *testing.B) {
 			d := mustGen(b, cfg.Name, cfg.Scale, cfg.Seed)
 			opt := cfg.MultiEMOptions()
+			b.ReportAllocs()
 			b.ResetTimer()
 			var nSel int
 			for i := 0; i < b.N; i++ {

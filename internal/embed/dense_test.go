@@ -239,9 +239,17 @@ func FuzzEncodeMatchesDense(f *testing.F) {
 		}
 	}
 	f.Add([]byte("\u212a \u0130stanbul \xff ٣٤٥ aaaa aaaa"), uint8(0))
-	// Dims 1..24 under the default grams, then again under a lone bigram
-	// with every token at weight 1. Encoders are reused across inputs so a
-	// scratch left dirty by one input shows up in the next.
+	encoders := fuzzEncoders()
+	f.Fuzz(func(t *testing.T, text []byte, sel uint8) {
+		checkMatchesDense(t, encoders[int(sel)%len(encoders)], string(text))
+	})
+}
+
+// fuzzEncoders are the fuzz targets' encoders: dims 1..24 under the
+// default grams, then again under a lone bigram with every token at
+// weight 1. They are reused across inputs so a scratch left dirty by one
+// input shows up in the next.
+func fuzzEncoders() []*HashEncoder {
 	var encoders []*HashEncoder
 	for dim := 1; dim <= 24; dim++ {
 		encoders = append(encoders, NewHashEncoder(WithDim(dim)))
@@ -249,7 +257,5 @@ func FuzzEncodeMatchesDense(f *testing.F) {
 	for dim := 1; dim <= 24; dim++ {
 		encoders = append(encoders, NewHashEncoder(WithDim(dim), WithGrams(2), WithoutLexicality()))
 	}
-	f.Fuzz(func(t *testing.T, text []byte, sel uint8) {
-		checkMatchesDense(t, encoders[int(sel)%len(encoders)], string(text))
-	})
+	return encoders
 }

@@ -21,7 +21,9 @@ type Encoder interface {
 	// Dim returns the embedding dimensionality.
 	Dim() int
 	// Encode returns the unit-norm embedding of one text sequence. The
-	// zero vector is returned for empty/meaningless text.
+	// zero vector is returned for empty/meaningless text. It must be safe
+	// for concurrent use: matcher queries and attribute selection call it
+	// from several goroutines.
 	Encode(text string) []float32
 	// EncodeBatch embeds many texts, using all cores.
 	EncodeBatch(texts []string) [][]float32
@@ -125,6 +127,14 @@ func NewHashEncoder(opts ...Option) *HashEncoder {
 	if len(e.grams) == 0 {
 		panic("embed: at least one n-gram size required")
 	}
+	for _, n := range e.grams {
+		if n < 1 {
+			panic("embed: n-gram sizes must be positive")
+		}
+	}
+	if e.seqLen < 1 {
+		panic("embed: sequence length must be positive")
+	}
 	e.pow2 = e.dim&(e.dim-1) == 0
 	e.scratch.New = func() any { return &encodeScratch{} }
 	return e
@@ -153,9 +163,7 @@ func (e *HashEncoder) EncodeInto(text string, out []float32) {
 	if len(out) != e.dim {
 		panic("embed: EncodeInto output has wrong dimension")
 	}
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	sc := e.scratch.Get().(*encodeScratch)
 	defer e.scratch.Put(sc)
 	sc.tokenize(text, e.seqLen)
@@ -165,56 +173,172 @@ func (e *HashEncoder) EncodeInto(text string, out []float32) {
 	if len(sc.tokVec) != e.dim {
 		sc.tokVec = make([]float32, e.dim)
 	}
-	tokVec := sc.tokVec
 	var total float32
 	for ti, sp := range sc.spans {
-		e.countGrams(sc.buf[sp[0]:sp[1]], sc)
-		w := float32(1)
-		if e.tokenLex {
-			w = sc.weights[ti]
-		}
+		w := e.weight(sc, ti)
 		total += w
-		// Gather the distinct non-zero counts and hand tokVec back all
-		// zero. A coordinate that cancelled to zero and was hit again is
-		// listed twice in touched (its second visit reads the zero the
-		// first one left); one that stayed cancelled contributes nothing.
-		nz := sc.nz[:0]
-		var normSq float32
-		for _, idx := range sc.touched {
-			c := tokVec[idx]
-			if c == 0 {
-				continue
-			}
-			tokVec[idx] = 0
-			normSq += c * c
-			nz = append(nz, gramCount{idx, c})
-		}
-		sc.nz = nz
-		if normSq >= 1<<24 {
-			// A float32 sum of integer squares is exact, hence the same
-			// in every summation order, only below 2^24. A token this
-			// heavy (thousands of characters) takes its norm from the
-			// kernel the dense definition uses, reduction order included.
-			for _, g := range nz {
-				tokVec[g.idx] = g.c
-			}
-			normSq = vector.Dot(tokVec, tokVec)
-			for _, g := range nz {
-				tokVec[g.idx] = 0
-			}
-		}
-		if normSq == 0 {
+		nz, inv := e.unitToken(sc.buf[sp[0]:sp[1]], sc)
+		poolToken(out, w, inv, nz)
+	}
+	finishPool(out, total)
+}
+
+// weight is the pooling weight of the scratch's token ti.
+func (e *HashEncoder) weight(sc *encodeScratch, ti int) float32 {
+	if e.tokenLex {
+		return sc.weights[ti]
+	}
+	return 1
+}
+
+// unitToken hashes one boundary-marked token and returns its distinct
+// non-zero n-gram counts (sc.nz, in hit order) with the inverse of their
+// L2 norm: the token's unit vector is c * inv at each listed coordinate. A
+// token whose counts all cancelled lists none. sc.tokVec is all zero again
+// on return.
+func (e *HashEncoder) unitToken(marked []byte, sc *encodeScratch) ([]gramCount, float32) {
+	// Accumulate the signed hashed n-gram counts, boundary markers
+	// included, into tokVec, listing the coordinates that left zero in
+	// touched.
+	sc.touched = sc.touched[:0]
+	for _, n := range e.grams {
+		if len(marked) < n {
+			e.addGram(marked, sc)
 			continue
 		}
-		inv := 1 / float32(math.Sqrt(float64(normSq)))
-		for _, g := range nz {
-			out[g.idx] += w * (g.c * inv)
+		for i := 0; i+n <= len(marked); i++ {
+			e.addGram(marked[i:i+n], sc)
 		}
 	}
+	tokVec := sc.tokVec
+	// Gather the distinct non-zero counts and hand tokVec back all zero. A
+	// coordinate that cancelled to zero and was hit again is listed twice in
+	// touched (its second visit reads the zero the first one left); one that
+	// stayed cancelled contributes nothing.
+	nz := sc.nz[:0]
+	var normSq float32
+	for _, idx := range sc.touched {
+		c := tokVec[idx]
+		if c == 0 {
+			continue
+		}
+		tokVec[idx] = 0
+		normSq += c * c
+		nz = append(nz, gramCount{idx, c})
+	}
+	sc.nz = nz
+	if normSq >= 1<<24 {
+		// A float32 sum of integer squares is exact, hence the same in
+		// every summation order, only below 2^24. A token this heavy
+		// (thousands of characters) takes its norm from the kernel the
+		// dense definition uses, reduction order included.
+		for _, g := range nz {
+			tokVec[g.idx] = g.c
+		}
+		normSq = vector.Dot(tokVec, tokVec)
+		for _, g := range nz {
+			tokVec[g.idx] = 0
+		}
+	}
+	if normSq == 0 {
+		return nil, 0
+	}
+	return nz, 1 / float32(math.Sqrt(float64(normSq)))
+}
+
+// poolToken adds w times a token's unit vector (unitToken's result) to out.
+func poolToken(out []float32, w, inv float32, nz []gramCount) {
+	for _, g := range nz {
+		out[g.idx] += w * (g.c * inv)
+	}
+}
+
+// finishPool turns out, the weighted sum of the pooled token vectors, into
+// their weighted mean, L2-normalized. total is the sum of the weights of
+// every pooled token, zero-norm ones included.
+func finishPool(out []float32, total float32) {
 	if total > 0 {
 		vector.Scale(out, 1/total)
 	}
 	vector.Normalize(out)
+}
+
+// Fields caches the hashed token vectors of a record's fields, so a record
+// can be pooled many times, each time with one field swapped for another
+// value, while every field is hashed once. Pooling is bit-identical to
+// EncodeInto of the values joined as table.Serialize joins them (the
+// package comment says why). Attribute selection (Algorithm 1) pools each
+// sampled record once as it is and once per attribute with that
+// attribute's value shuffled in. A Fields is reusable scratch for one
+// goroutine at a time.
+type Fields struct {
+	e      *HashEncoder
+	sc     encodeScratch
+	toks   []fieldToken
+	counts []gramCount // the toks' non-zero n-gram counts, back to back
+	ends   []int       // field f's tokens end at toks[ends[f]]
+}
+
+// fieldToken is one cached token: its pooling weight and its unit vector,
+// counts[lo:hi] scaled by inv.
+type fieldToken struct {
+	w, inv float32
+	lo, hi int32
+}
+
+// NewFields returns an empty field buffer for this encoder.
+func (e *HashEncoder) NewFields() *Fields {
+	return &Fields{e: e, sc: encodeScratch{tokVec: make([]float32, e.dim)}}
+}
+
+// Reset empties the buffer, keeping its memory.
+func (f *Fields) Reset() {
+	f.toks, f.counts, f.ends = f.toks[:0], f.counts[:0], f.ends[:0]
+}
+
+// Add hashes the tokens of one field value (at most the encoder's sequence
+// length of them) and appends it as the next field.
+func (f *Fields) Add(value string) {
+	e, sc := f.e, &f.sc
+	sc.tokenize(value, e.seqLen)
+	for ti, sp := range sc.spans {
+		nz, inv := e.unitToken(sc.buf[sp[0]:sp[1]], sc)
+		lo := len(f.counts)
+		f.counts = append(f.counts, nz...)
+		f.toks = append(f.toks, fieldToken{e.weight(sc, ti), inv, int32(lo), int32(len(f.counts))})
+	}
+	f.ends = append(f.ends, len(f.toks))
+}
+
+// PoolInto writes the embedding of the buffered fields, in order, into out,
+// which must have length Dim. When swap is a field index, that field's
+// tokens are taken from with's first field instead; a negative swap pools
+// the fields as they are. Like EncodeInto it pools at most the encoder's
+// sequence length of tokens.
+func (f *Fields) PoolInto(out []float32, swap int, with *Fields) {
+	if len(out) != f.e.dim {
+		panic("embed: PoolInto output has wrong dimension")
+	}
+	clear(out)
+	left := f.e.seqLen
+	var total float32
+	start := 0
+	for fi, end := range f.ends {
+		src, toks := f, f.toks[start:end]
+		start = end
+		if fi == swap {
+			src, toks = with, with.toks[:with.ends[0]]
+		}
+		if len(toks) > left {
+			toks = toks[:left]
+		}
+		left -= len(toks)
+		for _, t := range toks {
+			total += t.w
+			poolToken(out, t.w, t.inv, src.counts[t.lo:t.hi])
+		}
+	}
+	finishPool(out, total)
 }
 
 // tokenize fills the scratch with the lowercased alphanumeric runs of text
@@ -286,22 +410,6 @@ func (sc *encodeScratch) endToken(start, letters, digits, vowels int) {
 		sc.buf = append(sc.buf, '#')
 		sc.spans = append(sc.spans, [2]int32{int32(start - 1), int32(len(sc.buf))})
 		sc.weights = append(sc.weights, lexicalityCounts(letters, digits, vowels))
-	}
-}
-
-// countGrams accumulates the signed hashed n-gram counts of one token,
-// boundary markers included, into sc.tokVec and lists the coordinates it
-// moved off zero in sc.touched.
-func (e *HashEncoder) countGrams(marked []byte, sc *encodeScratch) {
-	sc.touched = sc.touched[:0]
-	for _, n := range e.grams {
-		if len(marked) < n {
-			e.addGram(marked, sc)
-			continue
-		}
-		for i := 0; i+n <= len(marked); i++ {
-			e.addGram(marked[i:i+n], sc)
-		}
 	}
 }
 

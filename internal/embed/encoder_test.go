@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -226,18 +227,26 @@ func TestEncoderOptions(t *testing.T) {
 	}
 }
 
+// An invalid option panics in NewHashEncoder with the package's message,
+// not later: a zero sequence length used to encode every text to the zero
+// vector, a negative one or a negative n-gram size to panic inside the
+// first Encode, and a zero n-gram size to yield a one-coordinate embedding.
 func TestEncoderBadOptionsPanic(t *testing.T) {
-	for _, build := range []func(){
-		func() { NewHashEncoder(WithDim(0)) },
-		func() { NewHashEncoder(WithGrams()) },
+	for i, opt := range []Option{
+		WithDim(0),
+		WithGrams(),
+		WithSeqLen(0),
+		WithSeqLen(-1),
+		WithGrams(0),
+		WithGrams(3, -2),
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic for invalid option")
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "embed: ") {
+					t.Fatalf("option %d: NewHashEncoder recovered %q, want an \"embed: \" panic", i, msg)
 				}
 			}()
-			build()
+			NewHashEncoder(opt)
 		}()
 	}
 }

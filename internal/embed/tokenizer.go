@@ -35,6 +35,21 @@
 // followed by out[i] += w * a[i] rounded, while a zero coordinate
 // contributed w * 0 = +0, which changes no out[i] (out[i] is never -0).
 // The dense definition lives on as the test oracle (denseEncodeInto).
+//
+// A token's unit vector and weight are functions of that token alone, and
+// pooling is a fixed sequence of per-token adds. So a record can be pooled
+// from its fields' cached token vectors (Fields) with the bits EncodeInto
+// gives for the serialized record: table.Serialize joins trimmed, non-empty
+// values with a space, which the tokenizer treats as a separator, so the
+// record's tokens are its fields' tokens one after another, and Fields
+// pools those same per-token values in the same order under the same
+// MaxSeqLen cap, zero-norm tokens included in the cap and in the total
+// weight. Swapping one field's tokens for another value's keeps that order.
+// Subtracting the old field's vectors from the pooled sum and adding the
+// new ones would not: it reorders the float32 additions and moves the last
+// bits. EncodeInto and Fields share the per-token helpers (unitToken,
+// poolToken, finishPool), but EncodeInto pools each token as soon as it is
+// hashed: routing it through a field buffer cost 15–25 % per encode.
 package embed
 
 import (

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/embed"
+	"repro/internal/par"
 	"repro/internal/table"
 	"repro/internal/vector"
 )
@@ -31,6 +32,11 @@ type AttrScore struct {
 // Gamma comment for why the comparison direction differs from the paper's
 // pseudocode). If the test would select nothing, the single most significant
 // attribute is kept so the pipeline always has a representation.
+//
+// With the default *embed.HashEncoder no row is re-serialized: each row's
+// fields are hashed once into an embed.Fields and pooled 1 + |A| times, the
+// shuffled-in value hashed alone, which gives the bits re-embedding the
+// serialized rows gives. Any other encoder embeds each serialized variant.
 func SelectAttributes(d *table.Dataset, opt Options) ([]AttrScore, []int) {
 	schema := d.Schema()
 	all := d.AllEntities()
@@ -48,36 +54,61 @@ func SelectAttributes(d *table.Dataset, opt Options) ([]AttrScore, []int) {
 		sample[i] = all[p]
 	}
 
-	// Initial embeddings over the full schema (Alg. 1 line 3).
-	texts := make([]string, n)
-	for i, e := range sample {
-		texts[i] = table.Serialize(e, nil)
-	}
-	base := embed.BatchStore(opt.Encoder, texts)
-
-	scores := make([]AttrScore, schema.Len())
-	shuffled := make([]string, n)
-	column := make([]string, n)
-	for j := 0; j < schema.Len(); j++ {
-		// Shuffle column j across the sample (Alg. 1 line 7).
+	// Shuffle each column across the sample (Alg. 1 line 7): row i's value
+	// of attribute j becomes shuffled[j*n+i].
+	attrs := schema.Len()
+	shuffled := make([]string, attrs*n)
+	for j := 0; j < attrs; j++ {
+		column := shuffled[j*n : (j+1)*n]
 		for i, e := range sample {
 			column[i] = e.Value(j)
 		}
 		colRng := rand.New(rand.NewSource(opt.Seed + 997 + int64(j)))
 		colRng.Shuffle(n, func(a, b int) { column[a], column[b] = column[b], column[a] })
+	}
 
-		// Serialize with the shuffled column and re-embed (line 8).
-		for i, e := range sample {
-			shuffled[i] = serializeWithOverride(e, j, column[i])
+	// Embed every row as it is (line 3) and with each attribute's shuffled
+	// value in place of its own (line 8), one row per task, and keep the
+	// pair's cosine similarity (line 9) in sims[j*n+i]. The encoder returns
+	// unit-norm or zero vectors, so that is the dot product (0 against a
+	// zero vector).
+	sims := make([]float32, attrs*n)
+	hash, _ := opt.Encoder.(*embed.HashEncoder)
+	workers := par.Workers(n, 0)
+	scratch := make([]*selectScratch, workers)
+	for w := range scratch {
+		scratch[w] = newSelectScratch(opt.Encoder.Dim(), hash)
+	}
+	par.For(n, workers, func(w, i int) {
+		s, e := scratch[w], sample[i]
+		if hash != nil {
+			s.fields.Reset()
+			for _, v := range e.Values {
+				s.fields.Add(v)
+			}
+			s.fields.PoolInto(s.base, -1, nil)
+			for j := 0; j < attrs; j++ {
+				s.swap.Reset()
+				s.swap.Add(shuffled[j*n+i])
+				s.fields.PoolInto(s.moved, j, s.swap)
+				sims[j*n+i] = vector.Dot(s.base, s.moved)
+			}
+			return
 		}
-		newEmb := embed.BatchStore(opt.Encoder, shuffled)
+		base := opt.Encoder.Encode(table.Serialize(e, nil))
+		s.row.Values = append(s.row.Values[:0], e.Values...)
+		for j := 0; j < attrs; j++ {
+			s.row.Values[j] = shuffled[j*n+i]
+			sims[j*n+i] = vector.Dot(base, opt.Encoder.Encode(table.Serialize(&s.row, nil)))
+			s.row.Values[j] = e.Values[j]
+		}
+	})
 
-		// Mean similarity between old and new embeddings (line 9). The
-		// encoder returns unit-norm or zero vectors, so cosine similarity is
-		// the dot product (0 against a zero vector).
+	scores := make([]AttrScore, attrs)
+	for j := range scores {
 		var sum float32
-		for i := 0; i < n; i++ {
-			sum += vector.Dot(base.At(i), newEmb.At(i))
+		for _, sim := range sims[j*n : (j+1)*n] {
+			sum += sim
 		}
 		mean := sum / float32(n)
 		scores[j] = AttrScore{
@@ -108,12 +139,18 @@ func SelectAttributes(d *table.Dataset, opt Options) ([]AttrScore, []int) {
 	return scores, selected
 }
 
-// serializeWithOverride serializes an entity with attribute j's value
-// replaced, keeping all other attributes.
-func serializeWithOverride(e *table.Entity, j int, v string) string {
-	saved := e.Values[j]
-	e.Values[j] = v
-	s := table.Serialize(e, nil)
-	e.Values[j] = saved
+// selectScratch is one SelectAttributes worker's reusable state.
+type selectScratch struct {
+	base, moved []float32     // a row's embeddings, as it is and with one value shuffled in
+	fields      *embed.Fields // a row's hashed fields (HashEncoder only)
+	swap        *embed.Fields // one shuffled-in value, hashed (HashEncoder only)
+	row         table.Entity  // a row's values with one shuffled in (other encoders)
+}
+
+func newSelectScratch(dim int, hash *embed.HashEncoder) *selectScratch {
+	s := &selectScratch{base: make([]float32, dim), moved: make([]float32, dim)}
+	if hash != nil {
+		s.fields, s.swap = hash.NewFields(), hash.NewFields()
+	}
 	return s
 }

@@ -77,8 +77,9 @@ type Options struct {
 	HNSW hnsw.Config
 	// Parallel enables parallel merging of table pairs and parallel
 	// pruning (MultiEM(parallel), §III-E). Phase I is not governed by it:
-	// attribute selection and representation always encode on all cores
-	// (embed.BatchStore), with or without Parallel, whatever Workers says.
+	// attribute selection (one sampled row per par.For task) and
+	// representation (embed.BatchStore) always encode on all cores, with
+	// or without Parallel, whatever Workers says.
 	Parallel bool
 	// Workers bounds the goroutines of merging and pruning when Parallel is
 	// set (par.Workers: <= 0 means GOMAXPROCS); without it they run on one.
