@@ -7,7 +7,10 @@
 // in two forms over the same inputs and outputs: MutualTopK asks an index
 // of each table once per row of the other (the paper's HNSW route), and
 // MutualTopKExact computes the pair set exactly in one blocked pass over
-// the distance matrix (exact.go).
+// the distance matrix (exact.go). That pass scores only the blocks that may
+// hold a pair within the threshold: a conservative filter over each row's
+// nonzero coordinates picks them, and the tile kernel scores them, so the
+// pairs and their distances are those of scoring every block.
 //
 // Both fan out through par.For on workers goroutines (par.Workers: 1 runs on
 // the caller, <= 0 uses GOMAXPROCS); the pairs found do not depend on it.

@@ -52,25 +52,30 @@ type mergeContext struct {
 //	go test -run '^$' -bench 'BenchmarkAblation_ANNBackend/sweep' -benchtime 1x .
 //
 // which times each leg alone on two Music-200 source tables of 500 to 32k
-// rows (dim 256, sequential). On the development box (2 cores, AVX2):
+// rows (dim 256, sequential). On the development box (2 cores, AVX2), exact
+// as the median of five runs; the HNSW row is the run hnswRowNs was set from
+// (a run beside the exact row's read 127 136 170 205 227 233 268):
 //
 //	rows a side     500    1k    2k    4k    8k   16k   32k
-//	exact ns/pair   7.9   8.0   8.4   7.9   8.7   8.1   8.1
+//	exact ns/pair   8.5   6.2   6.1   5.5   5.6   5.2   6.5
 //	HNSW  µs/row     74    92   140   186   234   277   339
 //
-// The join is flat; HNSW climbs ~50 µs a doubling as the graph deepens and
-// leaves cache (and by 32k rows misses 6% of the pairs the join finds).
+// The join is about flat: it scores each pair over the A row's nonzero
+// coordinates and only the few blocks that may hold a match in full (see
+// ann.MutualTopKExact), and its smallest tables pay the dimension-major copy
+// of b over fewer pairs. HNSW climbs ~50 µs a doubling as the graph deepens
+// and leaves cache (and by 32k rows misses 6% of the pairs the join finds).
 // exactPairNs is the sweep's median and hnswRowNs its last point, the one
 // nearest the crossover, which the model then puts at 2·hnswRowNs/exactPairNs
-// ≈ 84k rows a side for equal tables; at 32k the join still wins 8.3 s to
-// 21.6 s, and extrapolating the climb the measured curves meet near 100k, so
-// the constant errs towards the paper's ANN. Geo, Music-20/200, Shopee and
-// the early levels of every hierarchy fall below the crossover; Music-2000
-// and Person source tables (400k, 1M rows) stay on HNSW. The model ignores
+// ≈ 111k rows a side for equal tables; at 32k the join wins 6.7 s to 21.6 s,
+// and extrapolating HNSW's climb the measured curves meet near 145k, so the
+// constant errs towards the paper's ANN. Geo, Music-20/200, Shopee and the
+// early levels of every hierarchy fall below the crossover; Music-2000 and
+// Person source tables (400k, 1M rows) stay on HNSW. The model ignores
 // Options.Parallel: HNSW construction is sequential and the join is not, so
 // with workers the true crossover only moves further out.
 const (
-	exactPairNs = 8.1
+	exactPairNs = 6.1
 	hnswRowNs   = 340e3
 )
 
@@ -114,20 +119,16 @@ func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) mergeTable 
 	// matched slots by transitivity (Alg. 3 line 8).
 	na := len(a.items)
 	total := na + len(b.items)
-	uf := unionfind.New()
-	for s := 0; s < total; s++ {
-		uf.Add(s)
-	}
+	uf := unionfind.New(total)
 	for _, p := range pairs {
 		uf.Union(p.A, na+p.B)
 	}
-	// Merge-path provenance: the worst accepted pair distance per group.
-	groupMax := make(map[int]float32)
+	// Merge-path provenance: the worst accepted pair distance per group,
+	// indexed by root.
+	groupMax := make([]float32, total)
 	for _, p := range pairs {
 		root := uf.Find(p.A)
-		if p.Dist > groupMax[root] {
-			groupMax[root] = p.Dist
-		}
+		groupMax[root] = max(groupMax[root], p.Dist)
 	}
 	slot := func(s int) (item, []float32) {
 		if s < na {

@@ -8,21 +8,31 @@ import (
 
 // Property: for any union sequence, Same is an equivalence relation
 // (reflexive, symmetric, transitive on sampled triples) and Sets partitions
-// the tracked ids.
+// the ids: every id exactly once, each set ascending, the sets ordered by
+// their smallest member.
 func TestQuickEquivalenceRelation(t *testing.T) {
 	f := func(ops []struct{ A, B uint8 }) bool {
-		u := New()
+		u := New(256)
 		for _, op := range ops {
 			u.Union(int(op.A), int(op.B))
 		}
-		if u.Len() == 0 {
-			return true
-		}
 		var ids []int
+		seen := make([]bool, u.Len())
+		prevMin := -1
 		for _, set := range u.Sets(1) {
+			if set[0] <= prevMin {
+				return false
+			}
+			prevMin = set[0]
+			for x, id := range set {
+				if seen[id] || x > 0 && id <= set[x-1] || !u.Same(id, set[0]) {
+					return false
+				}
+				seen[id] = true
+			}
 			ids = append(ids, set...)
 		}
-		// Partition covers every tracked id exactly once.
+		// Partition covers every id exactly once.
 		if len(ids) != u.Len() {
 			return false
 		}
@@ -49,27 +59,24 @@ func TestQuickEquivalenceRelation(t *testing.T) {
 	}
 }
 
-// Property: Count equals the number of sets returned by Sets(1), and each
-// union between different sets decrements it by exactly one.
+// Property: Count starts at n, equals the number of sets returned by
+// Sets(1), and each union between different sets decrements it by exactly
+// one.
 func TestQuickCountConsistency(t *testing.T) {
 	f := func(ops []struct{ A, B uint8 }) bool {
-		u := New()
+		u := New(256)
+		if u.Count() != 256 {
+			return false
+		}
 		for _, op := range ops {
 			a, b := int(op.A), int(op.B)
 			before := u.Count()
-			u.Add(a)
-			u.Add(b)
-			afterAdd := u.Count()
-			added := afterAdd - before
-			if added < 0 || added > 2 {
-				return false
-			}
 			wasSame := u.Same(a, b)
 			u.Union(a, b)
-			if wasSame && u.Count() != afterAdd {
+			if wasSame && u.Count() != before {
 				return false
 			}
-			if !wasSame && u.Count() != afterAdd-1 {
+			if !wasSame && u.Count() != before-1 {
 				return false
 			}
 		}

@@ -4,42 +4,34 @@
 // C, the three end up in one set.
 package unionfind
 
-import "sort"
-
-// UF is a disjoint-set forest over arbitrary int ids (ids need not be dense;
-// sets are created lazily on first use).
+// UF is a disjoint-set forest over the dense ids [0, n), each starting as a
+// singleton: the merging phase numbers its two tables' rows that way.
 type UF struct {
-	parent map[int]int
-	rank   map[int]int
+	parent []int32
+	rank   []uint8
 	count  int // number of distinct sets
 }
 
-// New returns an empty forest.
-func New() *UF {
-	return &UF{parent: make(map[int]int), rank: make(map[int]int)}
-}
-
-// Add ensures id has a set, creating a singleton when unseen.
-func (u *UF) Add(id int) {
-	if _, ok := u.parent[id]; !ok {
-		u.parent[id] = id
-		u.count++
+// New returns a forest of n singletons {0}, ..., {n-1}.
+func New(n int) *UF {
+	u := &UF{parent: make([]int32, n), rank: make([]uint8, n), count: n}
+	for id := range u.parent {
+		u.parent[id] = int32(id)
 	}
+	return u
 }
 
-// Find returns the canonical representative of id's set, adding id as a
-// singleton if unseen.
+// Find returns the canonical representative of id's set.
 func (u *UF) Find(id int) int {
-	u.Add(id)
-	root := id
+	root := int32(id)
 	for u.parent[root] != root {
 		root = u.parent[root]
 	}
 	// Path compression.
-	for u.parent[id] != root {
-		u.parent[id], id = root, u.parent[id]
+	for x := int32(id); u.parent[x] != root; {
+		u.parent[x], x = root, u.parent[x]
 	}
-	return root
+	return int(root)
 }
 
 // Union merges the sets of a and b, returning the resulting root.
@@ -51,7 +43,7 @@ func (u *UF) Union(a, b int) int {
 	if u.rank[ra] < u.rank[rb] {
 		ra, rb = rb, ra
 	}
-	u.parent[rb] = ra
+	u.parent[rb] = int32(ra)
 	if u.rank[ra] == u.rank[rb] {
 		u.rank[ra]++
 	}
@@ -65,24 +57,40 @@ func (u *UF) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
 // Count returns the number of distinct sets.
 func (u *UF) Count() int { return u.count }
 
-// Len returns the number of tracked ids.
+// Len returns the number of ids, n.
 func (u *UF) Len() int { return len(u.parent) }
 
-// Sets returns all sets with at least minSize members, each sorted
-// ascending, ordered by their smallest member for determinism.
+// Sets returns all sets with at least minSize members, each ascending,
+// ordered by their smallest member. One pass over the ids in order finds
+// each set at its smallest member and a second one fills the sets in id
+// order, so neither needs a sort.
 func (u *UF) Sets(minSize int) [][]int {
-	groups := make(map[int][]int)
+	// at[root] is the root's set's index in out, plus one; 0 until its
+	// smallest member is reached.
+	at := make([]int32, len(u.parent))
+	var sizes []int
 	for id := range u.parent {
-		root := u.Find(id)
-		groups[root] = append(groups[root], id)
+		r := u.Find(id)
+		if at[r] == 0 {
+			sizes = append(sizes, 0)
+			at[r] = int32(len(sizes))
+		}
+		sizes[at[r]-1]++
 	}
-	var out [][]int
-	for _, members := range groups {
-		if len(members) >= minSize {
-			sort.Ints(members)
-			out = append(out, members)
+	out := make([][]int, len(sizes))
+	members := make([]int, len(u.parent))
+	for g, n := range sizes {
+		out[g], members = members[:0:n], members[n:]
+	}
+	for id, r := range u.parent { // every parent is a root after the first pass
+		g := at[r] - 1
+		out[g] = append(out[g], id)
+	}
+	kept := out[:0]
+	for _, set := range out {
+		if len(set) >= minSize {
+			kept = append(kept, set)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	return kept
 }

@@ -7,32 +7,24 @@ import (
 )
 
 func TestSingletons(t *testing.T) {
-	u := New()
-	u.Add(1)
-	u.Add(2)
+	u := New(2)
 	if u.Count() != 2 || u.Len() != 2 {
 		t.Fatalf("count=%d len=%d", u.Count(), u.Len())
 	}
-	if u.Same(1, 2) {
+	if u.Same(0, 1) {
 		t.Fatal("fresh singletons must differ")
 	}
-}
-
-func TestAddIdempotent(t *testing.T) {
-	u := New()
-	u.Add(5)
-	u.Add(5)
-	if u.Count() != 1 {
-		t.Fatal("re-adding must not create a new set")
+	if u.Find(1) != 1 {
+		t.Fatal("a fresh id must be its own root")
 	}
 }
 
 func TestUnionTransitivity(t *testing.T) {
-	u := New()
+	u := New(3)
+	u.Union(0, 1)
 	u.Union(1, 2)
-	u.Union(2, 3)
-	if !u.Same(1, 3) {
-		t.Fatal("transitivity: 1~2, 2~3 => 1~3")
+	if !u.Same(0, 2) {
+		t.Fatal("transitivity: 0~1, 1~2 => 0~2")
 	}
 	if u.Count() != 1 {
 		t.Fatalf("count = %d, want 1", u.Count())
@@ -40,7 +32,7 @@ func TestUnionTransitivity(t *testing.T) {
 }
 
 func TestUnionSameSetNoop(t *testing.T) {
-	u := New()
+	u := New(3)
 	u.Union(1, 2)
 	before := u.Count()
 	u.Union(2, 1)
@@ -49,41 +41,20 @@ func TestUnionSameSetNoop(t *testing.T) {
 	}
 }
 
-func TestFindCreatesLazily(t *testing.T) {
-	u := New()
-	if u.Find(9) != 9 {
-		t.Fatal("unseen id must be its own root")
-	}
-	if u.Count() != 1 {
-		t.Fatal("Find must register unseen ids")
-	}
-}
-
 func TestSets(t *testing.T) {
-	u := New()
+	u := New(12)
 	u.Union(3, 1)
 	u.Union(1, 5)
-	u.Union(10, 11)
-	u.Add(42)
+	u.Union(11, 10)
 	sets := u.Sets(2)
 	want := [][]int{{1, 3, 5}, {10, 11}}
 	if !reflect.DeepEqual(sets, want) {
 		t.Fatalf("Sets(2) = %v, want %v", sets, want)
 	}
 	all := u.Sets(1)
-	if len(all) != 3 {
-		t.Fatalf("Sets(1) returned %d sets, want 3", len(all))
-	}
-	if all[2][0] != 42 {
-		t.Fatalf("singleton ordering wrong: %v", all)
-	}
-}
-
-func TestSparseIDs(t *testing.T) {
-	u := New()
-	u.Union(1_000_000, -7)
-	if !u.Same(-7, 1_000_000) {
-		t.Fatal("sparse and negative ids must work")
+	want = [][]int{{0}, {1, 3, 5}, {2}, {4}, {6}, {7}, {8}, {9}, {10, 11}}
+	if !reflect.DeepEqual(all, want) {
+		t.Fatalf("Sets(1) = %v, want %v", all, want)
 	}
 }
 
@@ -91,11 +62,10 @@ func TestSparseIDs(t *testing.T) {
 func TestRandomizedAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 200
-	u := New()
+	u := New(n)
 	label := make([]int, n)
 	for i := range label {
 		label[i] = i
-		u.Add(i)
 	}
 	relabel := func(from, to int) {
 		for i := range label {
@@ -127,10 +97,10 @@ func TestRandomizedAgainstNaive(t *testing.T) {
 }
 
 func TestSetsMembersSorted(t *testing.T) {
-	u := New()
+	u := New(10)
 	u.Union(9, 2)
 	u.Union(2, 7)
-	sets := u.Sets(1)
+	sets := u.Sets(2)
 	if !reflect.DeepEqual(sets[0], []int{2, 7, 9}) {
 		t.Fatalf("members must be sorted: %v", sets[0])
 	}

@@ -28,6 +28,15 @@ func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float
 //go:noescape
 func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
 
+// sparseAtLeast32AVX2 is the kernel behind SparseAtLeast32: one sparse row
+// (n coordinates at idx, values at val) against a dim×32 dimension-major
+// block, returning the 32-lane mask of sums >= thr. It reads an index only
+// after checking it is below dim, and returns ok = false at the first one
+// that is not. See the comment above it in kernels_amd64.s.
+//
+//go:noescape
+func sparseAtLeast32AVX2(idx *int32, val *float32, n int, blockT *float32, dim int, thr float32) (mask uint32, ok bool)
+
 // PrefetchInt32s hints the first two cache lines of s (32 values) towards
 // L1 and returns at once: a PREFETCHT0 pair, which reads nothing
 // architecturally and cannot fault, so any s is fine, empty or short

@@ -326,3 +326,110 @@ dotg_store:
 dotg_done:
 	VZEROUPPER
 	RET
+
+// ---- sparse-row threshold kernel ---------------------------------------------
+//
+// sparseAtLeast32AVX2 scores one sparse row — n nonzero coordinates idx[k]
+// with values val[k] — against a 32-row dimension-major block (row l's
+// coordinate d at blockT[d*32+l], dim = the block's length / 32) and returns
+// in bits 0..31 of mask whether each row's sum val[k]·blockT[idx[k]*32+l]
+// is >= thr. The 32 sums live in four YMM registers per accumulator set;
+// two nonzeros a step feed two sets (eight independent FMA chains, each FMA
+// reading its B operand straight from the block), and an odd last nonzero
+// goes to the first set. The sets are added, compared with thr (ordered: a
+// NaN sum is never >= thr) and packed with VMOVMSKPS.
+//
+// Every index is checked against dim before its column is read: the first
+// one out of range (negative ones included, compared unsigned) returns
+// ok = false with nothing read at it, and the Go wrapper panics.
+//
+// Registers: SI idx, DI val, CX n, R8 blockT, R11 dim, AX k, DX n&^1,
+// R9/R10 the byte offsets of the current columns, Y0-Y3 and Y4-Y7 the two
+// accumulator sets, Y8/Y9 the broadcast values.
+
+// func sparseAtLeast32AVX2(idx *int32, val *float32, n int, blockT *float32, dim int, thr float32) (mask uint32, ok bool)
+TEXT ·sparseAtLeast32AVX2(SB), NOSPLIT, $0-53
+	MOVQ idx+0(FP), SI
+	MOVQ val+8(FP), DI
+	MOVQ n+16(FP), CX
+	MOVQ blockT+24(FP), R8
+	MOVQ dim+32(FP), R11
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-2, DX
+	JZ   sp_tail
+
+sp_loop2:
+	MOVL (SI)(AX*4), R9
+	MOVL 4(SI)(AX*4), R10
+	CMPQ R9, R11
+	JAE  sp_bad
+	CMPQ R10, R11
+	JAE  sp_bad
+	SHLQ $7, R9 // 32 floats a column
+	SHLQ $7, R10
+	VBROADCASTSS (DI)(AX*4), Y8
+	VBROADCASTSS 4(DI)(AX*4), Y9
+	VFMADD231PS (R8)(R9*1), Y8, Y0
+	VFMADD231PS 32(R8)(R9*1), Y8, Y1
+	VFMADD231PS 64(R8)(R9*1), Y8, Y2
+	VFMADD231PS 96(R8)(R9*1), Y8, Y3
+	VFMADD231PS (R8)(R10*1), Y9, Y4
+	VFMADD231PS 32(R8)(R10*1), Y9, Y5
+	VFMADD231PS 64(R8)(R10*1), Y9, Y6
+	VFMADD231PS 96(R8)(R10*1), Y9, Y7
+	ADDQ $2, AX
+	CMPQ AX, DX
+	JL   sp_loop2
+
+sp_tail:
+	CMPQ AX, CX
+	JGE  sp_reduce
+	MOVL (SI)(AX*4), R9
+	CMPQ R9, R11
+	JAE  sp_bad
+	SHLQ $7, R9
+	VBROADCASTSS (DI)(AX*4), Y8
+	VFMADD231PS (R8)(R9*1), Y8, Y0
+	VFMADD231PS 32(R8)(R9*1), Y8, Y1
+	VFMADD231PS 64(R8)(R9*1), Y8, Y2
+	VFMADD231PS 96(R8)(R9*1), Y8, Y3
+
+sp_reduce:
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+	VBROADCASTSS thr+40(FP), Y8
+	VCMPPS $0x1d, Y8, Y0, Y0 // GE_OQ: Y0 >= thr
+	VCMPPS $0x1d, Y8, Y1, Y1
+	VCMPPS $0x1d, Y8, Y2, Y2
+	VCMPPS $0x1d, Y8, Y3, Y3
+	VMOVMSKPS Y0, AX
+	VMOVMSKPS Y1, BX
+	SHLL $8, BX
+	ORL  BX, AX
+	VMOVMSKPS Y2, BX
+	SHLL $16, BX
+	ORL  BX, AX
+	VMOVMSKPS Y3, BX
+	SHLL $24, BX
+	ORL  BX, AX
+	MOVL AX, mask+48(FP)
+	MOVB $1, ok+52(FP)
+	VZEROUPPER
+	RET
+
+sp_bad:
+	MOVL $0, mask+48(FP)
+	MOVB $0, ok+52(FP)
+	VZEROUPPER
+	RET

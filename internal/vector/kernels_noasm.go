@@ -20,5 +20,9 @@ func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int,
 	panic("vector: AVX2 kernel called on non-amd64 build")
 }
 
+func sparseAtLeast32AVX2(idx *int32, val *float32, n int, blockT *float32, dim int, thr float32) (mask uint32, ok bool) {
+	panic("vector: AVX2 kernel called on non-amd64 build")
+}
+
 // PrefetchInt32s is a cache hint on amd64 (kernels_amd64.go) and nothing here.
 func PrefetchInt32s(s []int32) {}

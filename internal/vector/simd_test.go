@@ -3,6 +3,7 @@ package vector
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -150,10 +151,10 @@ func TestSetKernels(t *testing.T) {
 // FuzzSIMDKernels feeds arbitrary byte-derived float vectors through every
 // SIMD/scalar kernel pair, then re-reads the same floats as two arenas of
 // short rows — dimension, strides and row counts all derived from the input
-// length — and holds the tile kernel to checkTileKernels and the gather
-// kernel to the single-pair one, bit for bit. NaN/Inf inputs are
-// filtered: both paths propagate them, but relative-error comparison is
-// meaningless there.
+// length — and holds the tile kernel to checkTileKernels, the gather
+// kernel to the single-pair one, bit for bit, and both sparse-row kernels to
+// checkSparseLanes. NaN/Inf inputs are filtered: both paths propagate them,
+// but relative-error comparison is meaningless there.
 func FuzzSIMDKernels(f *testing.F) {
 	if !hasAVX2 {
 		f.Skip("CPU lacks AVX2+FMA")
@@ -207,6 +208,36 @@ func FuzzSIMDKernels(f *testing.F) {
 					t.Fatalf("dotGatherAVX2 dim %d ahead %d: out[%d] = %v, dotAVX2 = %v", dim, ahead, j, out[j], want)
 				}
 			}
+		}
+
+		// The sparse-row kernels: a dim×32 block cycling through b, and a
+		// row whose nonzeros sit at the distinct coordinates the input
+		// bytes name first, valued from a. Thresholds: zero, and each side
+		// of one lane's sum.
+		blockT := make([]float32, dim*SparseBlock)
+		for x := range blockT {
+			blockT[x] = b[x%n]
+		}
+		seen := make([]bool, dim)
+		var sidx []int32
+		var sval []float32
+		for j, c := range ab {
+			if d := int(c) % dim; !seen[d] {
+				seen[d] = true
+				sidx, sval = append(sidx, int32(d)), append(sval, a[j%n])
+			}
+		}
+		var lane float32
+		for k, d := range sidx {
+			lane += sval[k] * blockT[int(d)*SparseBlock+int(bb[0])%SparseBlock]
+		}
+		for _, thr := range []float32{0, lane, math.Nextafter32(lane, float32(math.Inf(-1))), math.Nextafter32(lane, float32(math.Inf(1)))} {
+			mask, ok := sparseAtLeast32AVX2(&sidx[0], &sval[0], len(sidx), &blockT[0], dim, thr)
+			if !ok {
+				t.Fatalf("sparseAtLeast32AVX2 dim %d refused in-range indexes %v", dim, sidx)
+			}
+			checkSparseLanes(t, fmt.Sprintf("avx2 dim %d thr %v", dim, thr), mask, sidx, sval, blockT, thr)
+			checkSparseLanes(t, fmt.Sprintf("scalar dim %d thr %v", dim, thr), sparseAtLeast32Scalar(sidx, sval, blockT, thr), sidx, sval, blockT, thr)
 		}
 	})
 }

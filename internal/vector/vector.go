@@ -2,7 +2,8 @@
 // MultiEM pipeline: dot products, normalization, small fixed-size top-K
 // accumulators, and the two distances the paper fixes, one per phase —
 // cosine over unit vectors for merging (CosineUnitDist, and its gather and
-// tile forms over flat arenas) and euclidean for pruning (EuclideanDist).
+// tile forms over flat arenas, with SparseAtLeast32 as the tile's filter) and
+// euclidean for pruning (EuclideanDist).
 //
 // All distance functions treat vectors of unequal lengths as a programming
 // error and panic; embeddings in this repository always share a single
