@@ -511,7 +511,7 @@ func liveBenchOptions() repro.Options {
 	opt.M = 0.5
 	opt.Shards = 1
 	opt.Encoder = embed.NewHashEncoder(embed.WithDim(64))
-	opt.HNSW = hnsw.Config{M: 8, EfConstruction: 40, EfSearch: 40, Seed: 1}
+	opt.HNSW = hnsw.Config{M: 8, EfConstruction: 40, EfSearch: 40}
 	return opt
 }
 

@@ -47,7 +47,7 @@ var joins = map[string]func(a, b *vector.Store, k int, maxDist float32) []Pair{
 
 func TestHNSWOverRows(t *testing.T) {
 	s := storeOf(2, unit(1, 0), unit(0, 1))
-	ix := HNSWOverRows(s, hnsw.Config{Seed: 3})
+	ix := HNSWOverRows(s, hnsw.Config{})
 	if ix.Len() != 2 || ix.Unlinked() != 0 {
 		t.Fatalf("Len = %d, unlinked %d", ix.Len(), ix.Unlinked())
 	}
@@ -140,7 +140,7 @@ func TestMutualTopKHNSWAgreesWithExact(t *testing.T) {
 	}
 	want := MutualTopKExact(a, b, 1, 0.05, 0)
 
-	cfg := hnsw.Config{EfSearch: 128, Seed: 5}
+	cfg := hnsw.Config{EfSearch: 128}
 	hA, hB := HNSWOverRows(a, cfg), HNSWOverRows(b, cfg)
 	got := MutualTopK(a, hB, b, hA, 1, 0.05, 0, 0)
 

@@ -200,7 +200,7 @@ func BlockTopK(ctx *Context, a, b *table.Table, k int) []IDPair {
 	}
 	search := func(q []float32) []vector.Neighbor { return scanTopK(q, rows, k) }
 	if large.Len() > bruteBlockLimit {
-		ix := ann.HNSWOverRows(rows, hnsw.Config{EfConstruction: 100, Seed: 1})
+		ix := ann.HNSWOverRows(rows, hnsw.Config{EfConstruction: 100})
 		search = func(q []float32) []vector.Neighbor { return ix.Search(q, k, 0) }
 	}
 	queries := make([][]vector.Neighbor, small.Len())

@@ -20,8 +20,8 @@ func TestSaveBytesGolden(t *testing.T) {
 		t.Skip("hashes were taken on amd64; other compilers may fuse multiply-adds")
 	}
 	golden := map[string]string{
-		"scalar": "794e60d2a2a838330ee58965afaf4c0b978151be87755d9e16fcfa1b9cf7c845",
-		"avx2":   "c7e91a0d886b4b8e40557e8db65b99b0518db24d3070ffa5d87a35d2c2ba060d",
+		"scalar": "4a709b8bfa55d9d9972acee91f23851d7dba1afd7275fb7560b6cb0668951207",
+		"avx2":   "57195bfe39a48f7bca5c2f0c9cb5ae59c8620aa61b026c6af3a57783be015613",
 	}
 	for mode, want := range golden {
 		t.Run(mode, func(t *testing.T) {
@@ -43,7 +43,7 @@ func goldenHistory(t *testing.T) string {
 	t.Helper()
 	const dim = 19 // the kernels' scalar tail runs
 	vecs := randomUnitVecs(600, dim, 11)
-	cfg := Config{M: 6, EfConstruction: 40, EfSearch: 30, Seed: 4}
+	cfg := Config{M: 6, EfConstruction: 40, EfSearch: 30}
 	h := sha256.New()
 	ix := buildIndex(t, vecs[:400], cfg)
 	var buf bytes.Buffer

@@ -1,22 +1,26 @@
-// Package hnsw implements the Hierarchical Navigable Small World approximate
-// nearest-neighbour index of Malkov & Yashunin (TPAMI 2020) from scratch.
+// Package hnsw implements a navigable small-world graph for approximate
+// nearest-neighbour search, from scratch, in pure Go.
 //
 // The paper's merging phase (§III-C) builds an HNSW index per table (it uses
-// hnswlib) and issues mutual top-K queries against it. This package provides
-// the same algorithm in pure Go: a multi-layer proximity graph in which node
-// levels follow a truncated geometric distribution, searches descend greedily
-// from the sparse top layer, and the bottom layer is explored with an
-// ef-bounded best-first beam. Neighbour sets are chosen with the paper's
-// "select by heuristic" rule, which keeps the graph navigable on clustered
-// data.
+// hnswlib, after Malkov & Yashunin, TPAMI 2020) and issues mutual top-K
+// queries against it. This package keeps HNSW's bottom layer and drops its
+// hierarchy: the graph is the single flat layer of the NSW graph HNSW extends
+// (Malkov et al., Information Systems 2014). Munyampirwa, Lakshman & Coleman
+// ("Down with the Hierarchy", 2024) show that on high-dimensional data hub
+// nodes already give a flat graph the short paths the upper layers were for;
+// on this repository's embeddings it reaches HNSW's recall with fewer
+// distance evaluations. Every insert and search walks the one layer with an
+// ef-bounded best-first beam from node 0, and neighbour sets are chosen with
+// HNSW's "select by heuristic" rule, which keeps the graph navigable on
+// clustered data. Nothing is random: the graph is a function of the inserted
+// vectors, their order and the Config.
 //
 // Storage is flat, in the spirit of hnswlib: vectors live in one contiguous
-// arena (vector.Store) addressed by internal index, and the adjacency lists
-// of all nodes live in fixed-size int32 chunks behind a chunk-pointer spine
-// (links.go), with per-node offsets and fixed per-layer capacities — no
-// per-node or per-layer heap objects, no pointer chasing between a node and
-// its links, and chunk-granular copy-on-write sharing between the writer and
-// its frozen clones.
+// arena (vector.Store) addressed by internal index, and every node's links
+// live in one fixed block inside int32 chunks behind a chunk-pointer spine
+// (links.go) — no per-node heap objects, a block address that is arithmetic
+// on the node index, and chunk-granular copy-on-write sharing between the
+// writer and its frozen clones.
 //
 // The distance is the merging phase's one cosine, vector.CosineUnitDist over
 // unit-norm (or zero) vectors; the index has no other. Every distance it
@@ -32,8 +36,6 @@ package hnsw
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -43,8 +45,9 @@ import (
 
 // Config holds HNSW construction parameters.
 type Config struct {
-	// M is the maximum number of bidirectional links per node in the upper
-	// layers; layer 0 allows 2*M. Typical values 8-48. Default 16.
+	// M is the number of neighbours an insert links a new node to; a node
+	// keeps at most 2*M links, which is its block's capacity. Typical values
+	// 8-48. Default 16.
 	M int
 	// EfConstruction is the beam width used while inserting. Default 200.
 	EfConstruction int
@@ -52,8 +55,6 @@ type Config struct {
 	// lower for speed. Default 64. Search never uses a beam narrower
 	// than k.
 	EfSearch int
-	// Seed makes level sampling deterministic. Default 1.
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -66,41 +67,31 @@ func (c Config) withDefaults() Config {
 	if c.EfSearch <= 0 {
 		c.EfSearch = 64
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
-// Index is an HNSW approximate nearest-neighbour index over flat storage.
+// Index is a flat navigable graph over flat storage.
 //
-// Adjacency layout: node i owns a contiguous region of regionSize(level)
-// int32 slots inside the chunked link arena (links.go); offs[i] is the
-// region's encoded chunk<<32|slot address. The region starts with the
-// layer-0 block and is followed by one block per upper layer up to the
-// node's level. Each block is a fixed-capacity counted list: slot 0 holds
-// the link count, slots 1..cap hold neighbour indexes. Layer 0 has capacity
-// 2*M, upper layers M, so block starts are pure arithmetic on the slot
-// field — the shape serializes logically (per-node counted lists) and never
-// allocates per node. Chunking exists for Clone: a copy-on-write view copies
-// the chunk spine, not the links, and the writer copies only the chunks a
-// batch dirties.
+// Entry rule: every search and every insert starts its walk at node 0, the
+// first vector inserted — after a multiem compaction, tuple 0's centroid.
+// There is no other entry point and nothing that moves one.
+//
+// Adjacency layout: node i owns one block of 1+2M int32 slots in the chunked
+// link arena (links.go), found by arithmetic on i. A block is a counted list:
+// slot 0 holds the link count, slots 1..2M neighbour indexes, and the slots
+// past the count are zero. Chunking exists for Clone: a copy-on-write view
+// copies the chunk spine, not the links, and the writer copies only the
+// chunks a batch dirties.
 type Index struct {
-	cfg    Config
-	dim    int
-	mu     sync.Mutex
-	rng    *rand.Rand
-	levelF float64 // 1 / ln(M)
+	cfg Config
+	dim int
+	mu  sync.Mutex
 
-	vecs   *vector.Store // row i = vector of internal node i
-	ids    []int         // external id per node
-	levels []int32       // top layer per node
-	la     linkArena     // chunked adjacency arena, see links.go
-	offs   []int64       // offs[i] = encoded arena offset of node i's region
-	entry  int           // index into ids of the entry point; -1 when empty
-	maxL   int
+	vecs *vector.Store // row i = vector of internal node i
+	ids  []int         // external id per node
+	la   linkArena     // chunked adjacency arena, see links.go
 	// linked counts the nodes in the graph: 0..linked-1 are linked, the rest
-	// were Appended and wait for Link. Entry and maxL describe the linked ones.
+	// were Appended and wait for Link.
 	linked int
 
 	// searchPool holds *searchCtx for concurrent Search. Clones share the
@@ -132,9 +123,10 @@ type searchStats struct {
 }
 
 // SearchStats reports totals over every Search on this index and the
-// clones sharing its counters: queries served, nodes visited (marked
-// during beam search or expanded during greedy descent), and distance
-// evaluations (batched kernel calls count each scored row).
+// clones sharing its counters: queries served, nodes visited, and distance
+// evaluations (batched kernel calls count each scored row). With one layer
+// there is no descent, and the beam scores each node it marks exactly once,
+// so visited equals distance evaluations.
 func (ix *Index) SearchStats() (searches, visited, distEvals uint64) {
 	return ix.stats.searches.Load(), ix.stats.visited.Load(), ix.stats.evals.Load()
 }
@@ -191,13 +183,11 @@ func (ix *Index) distTo(q []float32, i int, ctx *searchCtx) float32 {
 func New(dim int, cfg Config) *Index {
 	cfg = cfg.withDefaults()
 	return &Index{
-		cfg:    cfg,
-		dim:    dim,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		levelF: 1 / math.Log(float64(cfg.M)),
-		vecs:   vector.NewStore(dim),
-		entry:  -1,
-		stats:  &searchStats{},
+		cfg:   cfg,
+		dim:   dim,
+		vecs:  vector.NewStore(dim),
+		la:    newLinkArena(cfg.M),
+		stats: &searchStats{},
 
 		searchPool: &sync.Pool{New: func() any { return newSearchCtx() }},
 		buildCtx:   newSearchCtx(),
@@ -231,48 +221,24 @@ func (ix *Index) Vector(i int) []float32 { return ix.vecs.At(i) }
 // rule as Vector.
 func (ix *Index) RawVectors() []float32 { return ix.vecs.Raw() }
 
-// regionSize is the links-arena footprint of a node at the given level.
-func (ix *Index) regionSize(level int) int {
-	return (1 + 2*ix.cfg.M) + level*(1+ix.cfg.M)
-}
-
-// blockStart returns the encoded arena offset of node i's layer-l counted
-// block. Regions never straddle chunks, so adding the in-region block delta
-// to the slot field of the region offset stays inside the chunk.
-func (ix *Index) blockStart(i, l int) int64 {
-	off := ix.offs[i]
-	if l == 0 {
-		return off
-	}
-	return off + int64(1+2*ix.cfg.M+(l-1)*(1+ix.cfg.M))
-}
-
-// neighbors returns node i's layer-l links as a read view into the arena.
-func (ix *Index) neighbors(i, l int) []int32 {
-	blk := ix.la.block(ix.blockStart(i, l))
+// neighbors returns node i's links as a read view into the arena.
+func (ix *Index) neighbors(i int) []int32 {
+	blk := ix.la.at(i)
 	return blk[1 : 1+blk[0]]
 }
 
-// prefetchLinks hints node i's layer-l link block towards L1. Reading a
-// block is three dependent loads (offs, the chunk spine, the chunk), cold on
-// most pops of a walk over a large index; issued before a block is scored
-// they complete behind the arithmetic instead of in front of the next pop.
-func (ix *Index) prefetchLinks(i, l int) {
-	vector.PrefetchInt32s(ix.la.block(ix.blockStart(i, l)))
+// prefetchLinks hints node i's link block towards L1. Reading a block is two
+// dependent loads (the chunk spine, the chunk), cold on most pops of a walk
+// over a large index; issued before a block is scored they complete behind
+// the arithmetic instead of in front of the next pop.
+func (ix *Index) prefetchLinks(i int) {
+	vector.PrefetchInt32s(ix.la.at(i))
 }
 
-// layerCap is the link capacity at layer l (hnswlib's maxM/maxM0).
-func (ix *Index) layerCap(l int) int {
-	if l == 0 {
-		return 2 * ix.cfg.M
-	}
-	return ix.cfg.M
-}
-
-// appendLink adds one neighbour to node i's layer-l block; the caller
-// guarantees the block has room.
-func (ix *Index) appendLink(i, l int, nb int32) {
-	blk := ix.la.mutBlock(ix.blockStart(i, l))
+// appendLink adds one neighbour to node i's block; the caller guarantees the
+// block has room.
+func (ix *Index) appendLink(i int, nb int32) {
+	blk := ix.la.mut(i)
 	n := int(blk[0])
 	blk[1+n] = nb
 	blk[0] = int32(n + 1)
@@ -292,13 +258,13 @@ func (ix *Index) Add(id int, vec []float32) error {
 	return nil
 }
 
-// Append is the first half of Add: it draws the node's level, allocates its
-// link region and stores its vector and id, as node Len()-1, without linking
-// it into the graph. Vector, RawVectors, Len and IDs see the node at once;
-// nothing searches it until Link. Append and Link in any interleaving build
-// the graph, RNG stream and Save bytes that Adds of the same vectors build —
-// so a node that is discarded before its Link (a compaction's input) costs
-// no graph work at all.
+// Append is the first half of Add: it stores the node's vector and id, as
+// node Len()-1, and gives it an empty link block, without linking it into the
+// graph. Vector, RawVectors, Len and IDs see the node at once; nothing
+// searches it until Link. Append and Link in any interleaving build the graph
+// and Save bytes that Adds of the same vectors build — so a node that is
+// discarded before its Link (a compaction's input) costs no graph work at
+// all.
 //
 // Append panics where Add fails, as Search does on a foreign query: an owner
 // inserting its own vectors into its own index can hit neither case.
@@ -342,10 +308,8 @@ func (ix *Index) refuses(vec []float32) error {
 }
 
 func (ix *Index) appendNode(id int, vec []float32) {
-	level := ix.randomLevel()
 	ix.ids = append(ix.ids, id)
-	ix.levels = append(ix.levels, int32(level))
-	ix.offs = append(ix.offs, ix.la.alloc(ix.regionSize(level)))
+	ix.la.grow(len(ix.ids))
 	ix.vecs.Append(vec)
 }
 
@@ -355,108 +319,44 @@ func (ix *Index) linkPending() {
 	}
 }
 
-// linkNode links node cur into the graph of nodes 0..cur-1.
+// linkNode links node cur into the graph of nodes 0..cur-1: a beam search
+// from node 0, M neighbours picked by the heuristic, and a reverse link from
+// each. Node 0 has nothing to link to.
 func (ix *Index) linkNode(cur int) {
-	level := int(ix.levels[cur])
-	q := ix.vecs.At(cur)
-	if ix.entry < 0 {
-		ix.entry = cur
-		ix.maxL = level
+	if cur == 0 {
 		return
 	}
-
-	ep := ix.entry
-	// Greedy descent through layers above the new node's level.
-	for l := ix.maxL; l > level; l-- {
-		ep = ix.greedyClosest(q, ep, l, ix.buildCtx)
-	}
-	// Beam search + heuristic linking at each layer <= level.
-	for l := min(level, ix.maxL); l >= 0; l-- {
-		cands := ix.searchLayer(q, ep, ix.cfg.EfConstruction, l, ix.buildCtx)
-		selected := ix.selectHeuristic(cands, ix.cfg.M, &ix.selScratch)
-		for _, s := range selected {
-			// s.Dist is dist(new, s); the distance is symmetric, so the
-			// reverse edge carries the same distance.
-			ix.appendLink(cur, l, int32(s.ID))
-			ix.linkBack(s.ID, cur, l, s.Dist)
-		}
-		if len(cands) > 0 {
-			ep = cands[0].ID
-		}
-	}
-	if level > ix.maxL {
-		ix.maxL = level
-		ix.entry = cur
+	cands := ix.searchLayer(ix.vecs.At(cur), ix.cfg.EfConstruction, ix.buildCtx)
+	for _, s := range ix.selectHeuristic(cands, ix.cfg.M, &ix.selScratch) {
+		// s.Dist is dist(new, s); the distance is symmetric, so the reverse
+		// edge carries the same distance.
+		ix.appendLink(cur, int32(s.ID))
+		ix.linkBack(s.ID, cur, s.Dist)
 	}
 }
 
 // Clone returns a frozen, read-only copy of the index that concurrent
 // Searches (and Save) may keep using while the original continues to take
 // Adds — the building block for copy-on-write serving views. Nothing is
-// deep-copied: the vector arena, ids, levels and offsets are append-only
-// arrays and are clipped, the link arena (which linkBack rewrites in place)
-// is a copy-on-write table and is snapshotted, under the two contracts stated
-// on multiem's shardView. The RNG and construction scratch stay behind: they
-// exist only for Add, which a frozen clone refuses. Cloning an index whose
-// Appended nodes wait for Link panics.
+// deep-copied: the vector arena and ids are append-only arrays and are
+// clipped, the link arena (which linkBack rewrites in place) is a
+// copy-on-write table and is snapshotted, under the two contracts stated on
+// multiem's shardView. The construction scratch stays behind: it exists only
+// for Add, which a frozen clone refuses. Cloning an index whose Appended
+// nodes wait for Link panics.
 func (ix *Index) Clone() *Index {
 	ix.mustBeLinked("Clone")
 	return &Index{
 		cfg:    ix.cfg,
 		dim:    ix.dim,
-		levelF: ix.levelF,
 		vecs:   ix.vecs.Frozen(),
 		ids:    slices.Clip(ix.ids),
-		levels: slices.Clip(ix.levels),
 		la:     ix.la.snapshot(),
-		offs:   slices.Clip(ix.offs),
-		entry:  ix.entry,
-		maxL:   ix.maxL,
 		linked: ix.linked,
 		frozen: true,
 		stats:  ix.stats, // shared: clone searches count towards the origin
 
 		searchPool: ix.searchPool, // shared: a warm context fits every view
-	}
-}
-
-// randomLevel samples a node level from the truncated geometric
-// distribution floor(-ln(U) * mL).
-func (ix *Index) randomLevel() int {
-	u := ix.rng.Float64()
-	for u == 0 {
-		u = ix.rng.Float64()
-	}
-	return int(-math.Log(u) * ix.levelF)
-}
-
-// greedyClosest walks layer l greedily from ep towards q, returning the local
-// minimum. Each hop scores the whole neighbour block in one dists call; the
-// running-minimum scan over the results in block order makes the walk
-// identical to the per-neighbour version.
-func (ix *Index) greedyClosest(q []float32, ep, l int, ctx *searchCtx) int {
-	cur := ep
-	curDist := ix.distTo(q, cur, ctx)
-	ctx.evals++
-	for {
-		nbs := ix.neighbors(cur, l)
-		if len(nbs) == 0 {
-			return cur
-		}
-		ctx.visited++
-		ctx.evals += uint64(len(nbs))
-		dists := ctx.distBuf(len(nbs))
-		ix.dists(q, nbs, dists)
-		improved := false
-		for j, nb := range nbs {
-			if dists[j] < curDist {
-				cur, curDist = int(nb), dists[j]
-				improved = true
-			}
-		}
-		if !improved {
-			return cur
-		}
 	}
 }
 
@@ -493,9 +393,10 @@ func (v *visitSet) visit(i int32) bool {
 	return false
 }
 
-// searchLayer is Algorithm 2 of the HNSW paper: best-first beam search with
-// width ef at layer l, returning up to ef results sorted by distance. The
-// returned slice is ctx.out — valid until the ctx's next search.
+// searchLayer is Algorithm 2 of the HNSW paper on the one layer: best-first
+// beam search with width ef from node 0, returning up to ef results sorted by
+// distance. The returned slice is ctx.out — valid until the ctx's next
+// search.
 //
 // Neighbour expansion is batched: each popped node's unvisited neighbours
 // are collected and scored in one dists call over the flat links arena, then
@@ -504,18 +405,18 @@ func (v *visitSet) visit(i int32) bool {
 // The walk's two kinds of cache miss are both asked for early and change
 // nothing it computes: the block's rows inside dists, the next pop's link
 // block just before it.
-func (ix *Index) searchLayer(q []float32, ep, ef, l int, ctx *searchCtx) []vector.Neighbor {
+func (ix *Index) searchLayer(q []float32, ef int, ctx *searchCtx) []vector.Neighbor {
 	ctx.visit.reset(len(ix.ids))
-	ctx.visit.visit(int32(ep))
-	epDist := ix.distTo(q, ep, ctx)
+	ctx.visit.visit(0)
+	epDist := ix.distTo(q, 0, ctx)
 	ctx.visited++
 	ctx.evals++
 
 	ctx.frontier.Reset()
-	ctx.frontier.Push(vector.Neighbor{ID: ep, Dist: epDist})
+	ctx.frontier.Push(vector.Neighbor{ID: 0, Dist: epDist})
 	best := &ctx.best
 	best.Reset(ef)
-	best.Push(ep, epDist)
+	best.Push(0, epDist)
 
 	for ctx.frontier.Len() > 0 {
 		c := ctx.frontier.Pop()
@@ -523,7 +424,7 @@ func (ix *Index) searchLayer(q []float32, ep, ef, l int, ctx *searchCtx) []vecto
 			break
 		}
 		unv := ctx.cands[:0]
-		for _, nb := range ix.neighbors(c.ID, l) {
+		for _, nb := range ix.neighbors(c.ID) {
 			if !ctx.visit.visit(nb) {
 				unv = append(unv, nb)
 			}
@@ -537,7 +438,7 @@ func (ix *Index) searchLayer(q []float32, ep, ef, l int, ctx *searchCtx) []vecto
 		// The frontier's head is the next pop unless this block holds a
 		// closer node: ask for its links now, behind the block's arithmetic.
 		if ctx.frontier.Len() > 0 {
-			ix.prefetchLinks(ctx.frontier.Min().ID, l)
+			ix.prefetchLinks(ctx.frontier.Min().ID)
 		}
 		dists := ctx.distBuf(len(unv))
 		ix.dists(q, unv, dists)
@@ -610,15 +511,17 @@ func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vect
 }
 
 // linkBack adds a reverse edge from the node at internal index from to the
-// new node, which lies at distance d, shrinking the neighbour list with the
-// heuristic when it is full. The shrink scores from's current links in one
+// new node, which lies at distance d, shrinking the neighbour list to 2*M
+// with the heuristic when it is full. The shrink keeps exactly 2*M (the
+// heuristic backfills), so a block's count never falls and its slack slots
+// stay zero. The shrink scores from's current links in one
 // dists call, the only place the index computes the distance of an existing
 // link; the gather is symmetric to the bit, so each value equals the one
 // computed from the link's other end when it was made.
-func (ix *Index) linkBack(from, to, l int, d float32) {
-	blk := ix.la.mutBlock(ix.blockStart(from, l))
+func (ix *Index) linkBack(from, to int, d float32) {
+	blk := ix.la.mut(from)
 	cnt := int(blk[0])
-	maxM := ix.layerCap(l)
+	maxM := 2 * ix.cfg.M
 	if cnt < maxM {
 		blk[1+cnt] = int32(to)
 		blk[0] = int32(cnt + 1)
@@ -648,7 +551,7 @@ func (ix *Index) linkBack(from, to, l int, d float32) {
 // kernels do.
 func (ix *Index) Search(q []float32, k, ef int) []vector.Neighbor {
 	ix.mustBeLinked("Search")
-	if ix.entry < 0 || k <= 0 {
+	if len(ix.ids) == 0 || k <= 0 {
 		return nil
 	}
 	if len(q) != ix.dim {
@@ -663,11 +566,7 @@ func (ix *Index) Search(q []float32, k, ef int) []vector.Neighbor {
 	ctx := ix.searchPool.Get().(*searchCtx)
 	defer ix.searchPool.Put(ctx)
 	ctx.visited, ctx.evals = 0, 0
-	ep := ix.entry
-	for l := ix.maxL; l > 0; l-- {
-		ep = ix.greedyClosest(q, ep, l, ctx)
-	}
-	res := ix.searchLayer(q, ep, ef, 0, ctx)
+	res := ix.searchLayer(q, ef, ctx)
 	ix.stats.searches.Add(1)
 	ix.stats.visited.Add(ctx.visited)
 	ix.stats.evals.Add(ctx.evals)

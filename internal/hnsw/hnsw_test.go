@@ -64,7 +64,7 @@ func TestDimMismatch(t *testing.T) {
 }
 
 func TestExactOnTinySet(t *testing.T) {
-	ix := New(2, Config{Seed: 7})
+	ix := New(2, Config{})
 	pts := [][]float32{{1, 0}, {0, 1}, {-1, 0}, {0, -1}}
 	for i, p := range pts {
 		if err := ix.Add(i, p); err != nil {
@@ -80,7 +80,7 @@ func TestExactOnTinySet(t *testing.T) {
 func TestSearchKLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	vecs := randUnitVecs(rng, 50, 8)
-	ix := New(8, Config{Seed: 3})
+	ix := New(8, Config{})
 	for i, v := range vecs {
 		if err := ix.Add(i, v); err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestSearchKLimits(t *testing.T) {
 func TestSelfIsNearest(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vecs := randUnitVecs(rng, 200, 16)
-	ix := New(16, Config{Seed: 5})
+	ix := New(16, Config{})
 	for i, v := range vecs {
 		if err := ix.Add(i, v); err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n, dim, k, queries = 2000, 16, 10, 50
 	vecs := randUnitVecs(rng, n, dim)
-	ix := New(dim, Config{M: 16, EfConstruction: 200, EfSearch: 128, Seed: 9})
+	ix := New(dim, Config{M: 16, EfConstruction: 200, EfSearch: 128})
 	for i, v := range vecs {
 		if err := ix.Add(i, v); err != nil {
 			t.Fatal(err)
@@ -158,7 +158,7 @@ func TestRecallEuclidean(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const n, dim, k = 1000, 8, 5
 	vecs := randUnitVecs(rng, n, dim)
-	ix := New(dim, Config{EfSearch: 100, Seed: 13})
+	ix := New(dim, Config{EfSearch: 100})
 	for i, v := range vecs {
 		if err := ix.Add(i, v); err != nil {
 			t.Fatal(err)
@@ -187,7 +187,7 @@ func TestRecallEuclidean(t *testing.T) {
 func TestResultsSortedByDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	vecs := randUnitVecs(rng, 300, 8)
-	ix := New(8, Config{Seed: 2})
+	ix := New(8, Config{})
 	for i, v := range vecs {
 		if err := ix.Add(i, v); err != nil {
 			t.Fatal(err)
@@ -202,7 +202,7 @@ func TestResultsSortedByDistance(t *testing.T) {
 }
 
 func TestDuplicateVectors(t *testing.T) {
-	ix := New(2, Config{Seed: 8})
+	ix := New(2, Config{})
 	v := []float32{1, 0}
 	for i := 0; i < 10; i++ {
 		if err := ix.Add(i, v); err != nil {
@@ -221,7 +221,7 @@ func TestDuplicateVectors(t *testing.T) {
 }
 
 func TestExternalIDsArbitrary(t *testing.T) {
-	ix := New(2, Config{Seed: 4})
+	ix := New(2, Config{})
 	ids := []int{1000, -5, 0, 99999}
 	pts := [][]float32{{1, 0}, {0, 1}, {-1, 0}, {0.7, 0.7}}
 	for i := range ids {
@@ -238,7 +238,7 @@ func TestExternalIDsArbitrary(t *testing.T) {
 func TestConcurrentSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	vecs := randUnitVecs(rng, 500, 8)
-	ix := New(8, Config{Seed: 17})
+	ix := New(8, Config{})
 	for i, v := range vecs {
 		if err := ix.Add(i, v); err != nil {
 			t.Fatal(err)
@@ -266,7 +266,7 @@ func TestDeterministicConstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	vecs := randUnitVecs(rng, 300, 8)
 	build := func() *Index {
-		ix := New(8, Config{Seed: 99})
+		ix := New(8, Config{})
 		for i, v := range vecs {
 			if err := ix.Add(i, v); err != nil {
 				t.Fatal(err)
@@ -292,7 +292,7 @@ func TestClusteredDataNavigability(t *testing.T) {
 	// Two tight clusters far apart: searches from each cluster must stay
 	// inside it. This exercises the selection heuristic.
 	rng := rand.New(rand.NewSource(15))
-	ix := New(4, Config{M: 8, Seed: 23})
+	ix := New(4, Config{M: 8})
 	n := 200
 	for i := 0; i < n; i++ {
 		base := []float32{1, 0, 0, 0}
@@ -326,7 +326,7 @@ func BenchmarkBuild1k(b *testing.B) {
 	vecs := randUnitVecs(rng, 1000, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ix := New(32, Config{Seed: 1})
+		ix := New(32, Config{})
 		for j, v := range vecs {
 			if err := ix.Add(j, v); err != nil {
 				b.Fatal(err)
@@ -339,7 +339,7 @@ func BenchmarkSearch10k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vecs := randUnitVecs(rng, 10000, 32)
 	q := randUnitVecs(rng, 1, 32)[0]
-	ix := New(32, Config{Seed: 1})
+	ix := New(32, Config{})
 	for j, v := range vecs {
 		if err := ix.Add(j, v); err != nil {
 			b.Fatal(err)
@@ -371,7 +371,7 @@ func BenchmarkSearchBatched(b *testing.B) {
 					b.Fatal(err)
 				}
 			}()
-			ix := New(dim, Config{Seed: 1})
+			ix := New(dim, Config{})
 			for j, v := range vecs {
 				if err := ix.Add(j, v); err != nil {
 					b.Fatal(err)
@@ -401,7 +401,7 @@ func TestAppendLinkEqualsAdd(t *testing.T) {
 			}
 			defer vector.SetKernels(prev)
 			vecs := randomUnitVecs(n, dim, 8)
-			cfg := Config{M: 6, EfConstruction: 40, Seed: 5}
+			cfg := Config{M: 6, EfConstruction: 40}
 			want := savedBytes(t, buildIndex(t, vecs, cfg))
 
 			ix := New(dim, cfg)
@@ -463,7 +463,7 @@ func TestAppendLinkEqualsAdd(t *testing.T) {
 	}
 }
 
-func savedBytes(t *testing.T, ix *Index) []byte {
+func savedBytes(t testing.TB, ix *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {

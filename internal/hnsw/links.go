@@ -1,92 +1,79 @@
 package hnsw
 
-// The adjacency arena used to be one flat []int32 that Clone() deep-copied in
-// full — O(live links) per copy-on-write serving view, the dominant epoch
-// commit cost at large indexes. It is now chunked with per-chunk ownership:
-// node regions live inside fixed-size chunks behind a chunk-pointer spine, a
-// clone copies only the spine and marks every chunk shared, and the writer
-// copies a chunk the first time it mutates into it after a clone. A batch
-// therefore pays O(chunks it dirties), not O(live), and consecutive views
-// share every clean chunk.
+// Every node owns one fixed link block of 1+2M int32 slots: the link count,
+// then up to 2M neighbour indexes, the unused slots zero. Blocks sit in node
+// order inside equal chunks behind a chunk-pointer spine, so node i's block is
+// arithmetic on i — chunk i>>shift, slot (i mod 1<<shift)·(1+2M) — and a read
+// is two dependent loads, the spine entry and the chunk.
 //
-// Offsets encode the chunk address: off = chunk<<linkOffShift | slot. A node
-// region never straddles chunks (alloc opens a new chunk instead; a region
-// larger than a whole chunk gets a dedicated oversized chunk), so the old
-// flat-arena arithmetic — block start = region offset + constant — still
-// holds within the slot field, and a block read is one extra indirection.
+// The arena is chunked for Clone, which would otherwise deep-copy every link
+// per copy-on-write serving view: a clone copies only the spine and marks
+// every chunk shared, and the writer copies a chunk the first time it mutates
+// into it after a clone. A batch therefore pays O(chunks it dirties), not
+// O(live), and consecutive views share every clean chunk.
 
-const (
-	// linkChunkShift sizes a regular chunk at 1<<linkChunkShift int32 slots
-	// (8 KiB). Small enough that a batch's dirty-chunk copies stay near the
-	// batch's own footprint, large enough that a million-node index needs
-	// only a few hundred thousand spine entries.
-	linkChunkShift = 11
-	linkChunkSlots = 1 << linkChunkShift
-
-	// linkOffShift splits an encoded offset into chunk index (high bits) and
-	// slot within the chunk (low bits). 32 slot bits cover any oversized
-	// dedicated chunk a plausible config could demand.
-	linkOffShift   = 32
-	linkWithinMask = 1<<linkOffShift - 1
-)
+// linkChunkSlots bounds a chunk at 8 KiB of int32 slots: small enough that a
+// batch's dirty-chunk copies stay near the batch's own footprint, large
+// enough that a million-node index needs only a few tens of thousands of
+// spine entries. A chunk holds the largest power-of-two number of blocks that
+// fits, and at least one, so a block larger than the bound gets a chunk of
+// its own size.
+const linkChunkSlots = 1 << 11
 
 // linkArena is the chunked adjacency storage, a copy-on-write table under the
-// contract on multiem's shardView: alloc may hand out the zeroed tail of a
-// shared chunk, but a write inside an existing region goes through mutBlock.
+// contract on multiem's shardView: grow may add blocks past every frozen
+// length, but a write inside an existing block goes through mut.
 type linkArena struct {
 	chunks [][]int32
 	// owned[i] reports that no clone shares chunk i, so the writer may
-	// mutate it in place. Cleared wholesale by snapshot, set by newChunk
-	// and mutBlock; nil in a snapshot.
+	// mutate it in place. Cleared wholesale by snapshot, set by grow and
+	// mut; nil in a snapshot.
 	owned []bool
-	// tail is the number of used slots in the last chunk; regions are
-	// allocated from it and never freed.
-	tail int
+	block int  // slots per node, 1+2M
+	shift uint // a chunk holds 1<<shift blocks
 }
 
-// alloc reserves a zeroed region of size slots and returns its encoded
-// offset. The region never straddles a chunk boundary.
-func (a *linkArena) alloc(size int) int64 {
-	if size > linkChunkSlots {
-		// A region larger than a regular chunk (huge M or node level) gets a
-		// dedicated chunk of exactly its size; the slot field stays 0.
-		return a.newChunk(size)
+func newLinkArena(m int) linkArena {
+	a := linkArena{block: 1 + 2*m}
+	for a.block<<(a.shift+1) <= linkChunkSlots {
+		a.shift++
 	}
-	if n := len(a.chunks); n == 0 || a.tail+size > len(a.chunks[n-1]) {
-		return a.newChunk(size)
+	return a
+}
+
+// grow adds zeroed chunks until nodes 0..n-1 all have a block.
+func (a *linkArena) grow(n int) {
+	for len(a.chunks)<<a.shift < n {
+		a.chunks = append(a.chunks, make([]int32, a.block<<a.shift))
+		a.owned = append(a.owned, true)
 	}
-	ci := len(a.chunks) - 1
-	off := int64(ci)<<linkOffShift | int64(a.tail)
-	a.tail += size
-	return off
 }
 
-// newChunk opens a fresh chunk holding one region of size slots (regular
-// chunks are linkChunkSlots long; oversized regions get exactly their size).
-func (a *linkArena) newChunk(size int) int64 {
-	ci := len(a.chunks)
-	a.chunks = append(a.chunks, make([]int32, max(size, linkChunkSlots)))
-	a.owned = append(a.owned, true)
-	a.tail = size
-	return int64(ci) << linkOffShift
+// slot returns the offset of node i's block inside its chunk.
+func (a *linkArena) slot(i int) int { return (i & (1<<a.shift - 1)) * a.block }
+
+// at returns node i's block, for reads.
+func (a *linkArena) at(i int) []int32 {
+	s := a.slot(i)
+	return a.chunks[i>>a.shift][s : s+a.block]
 }
 
-// block returns the arena from the encoded offset onward, for reads. The
-// returned slice runs to the end of the offset's chunk, which the caller's
-// region is fully inside.
-func (a *linkArena) block(off int64) []int32 {
-	return a.chunks[off>>linkOffShift][off&linkWithinMask:]
-}
-
-// mutBlock is block for writers, copying the chunk first when a clone shares
-// it so pinned readers keep seeing the pre-mutation links.
-func (a *linkArena) mutBlock(off int64) []int32 {
-	ci := int(off >> linkOffShift)
+// mut is at for writers, copying the chunk first when a clone shares it so
+// pinned readers keep seeing the pre-mutation links.
+func (a *linkArena) mut(i int) []int32 {
+	ci := i >> a.shift
 	if !a.owned[ci] {
 		a.chunks[ci] = append([]int32(nil), a.chunks[ci]...)
 		a.owned[ci] = true
 	}
-	return a.chunks[ci][off&linkWithinMask:]
+	s := a.slot(i)
+	return a.chunks[ci][s : s+a.block]
+}
+
+// prefix returns chunk c cut to the blocks of nodes 0..n-1 it holds: the
+// link section of the file format is these prefixes in chunk order.
+func (a *linkArena) prefix(c, n int) []int32 {
+	return a.chunks[c][:min(n-c<<a.shift, 1<<a.shift)*a.block]
 }
 
 // snapshot freezes the arena for a clone — an O(chunks) spine copy with a nil
@@ -96,5 +83,5 @@ func (a *linkArena) snapshot() linkArena {
 	for i := range a.owned {
 		a.owned[i] = false
 	}
-	return linkArena{chunks: append([][]int32(nil), a.chunks...), tail: a.tail}
+	return linkArena{chunks: append([][]int32(nil), a.chunks...), block: a.block, shift: a.shift}
 }

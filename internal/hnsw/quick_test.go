@@ -17,7 +17,7 @@ func TestQuickSearchInvariants(t *testing.T) {
 		n := 2 + int(nRaw)%150
 		k := 1 + int(kRaw)%10
 		rng := rand.New(rand.NewSource(seed))
-		ix := New(8, Config{Seed: seed + 1})
+		ix := New(8, Config{})
 		ids := map[int]bool{}
 		vecs := make([][]float32, n)
 		for i := 0; i < n; i++ {

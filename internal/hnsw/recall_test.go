@@ -45,7 +45,7 @@ func TestRecallOnClusteredData(t *testing.T) {
 			vecs = append(vecs, point(c, 0.15))
 		}
 	}
-	cfg := Config{M: 12, EfConstruction: 100, EfSearch: 80, Seed: 3}
+	cfg := Config{M: 12, EfConstruction: 100, EfSearch: 80}
 	ix := New(dim, cfg)
 	for i, v := range vecs {
 		if err := ix.Add(i, v); err != nil {

@@ -2,8 +2,13 @@ package hnsw
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,7 +29,7 @@ func randomUnitVecs(n, dim int, seed int64) [][]float32 {
 	return vecs
 }
 
-func buildIndex(t *testing.T, vecs [][]float32, cfg Config) *Index {
+func buildIndex(t testing.TB, vecs [][]float32, cfg Config) *Index {
 	t.Helper()
 	ix := New(len(vecs[0]), cfg)
 	for i, v := range vecs {
@@ -40,7 +45,7 @@ func buildIndex(t *testing.T, vecs [][]float32, cfg Config) *Index {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	const dim = 32
 	vecs := randomUnitVecs(500, dim, 1)
-	cfg := Config{M: 8, EfConstruction: 50, EfSearch: 40, Seed: 3}
+	cfg := Config{M: 8, EfConstruction: 50, EfSearch: 40}
 	ix := buildIndex(t, vecs, cfg)
 
 	var buf bytes.Buffer
@@ -81,12 +86,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestSaveLoadThenAdd checks that inserting after Load reproduces the index
-// that would exist had it never been saved: the level-sampling stream resumes
-// where the original build left off.
+// that would exist had it never been saved: the file holds everything the
+// graph's construction reads.
 func TestSaveLoadThenAdd(t *testing.T) {
 	const dim = 16
 	all := randomUnitVecs(300, dim, 5)
-	cfg := Config{M: 6, EfConstruction: 40, Seed: 9}
+	cfg := Config{M: 6, EfConstruction: 40}
 
 	// Continuous build over all vectors.
 	full := buildIndex(t, all, cfg)
@@ -164,37 +169,50 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Header layout: magic 8, version 4, config 24 (M 4, efc 4, efs 4, metric 4,
-// seed 8), dim 4 @36, count 4 @40, entry 4 @44, maxL 4 @48.
+// Header layout: magic 8, version 4 @8, M 4 @12, efConstruction 4 @16,
+// efSearch 4 @20, dim 4 @24, count 4 @28. The version-2 cases patch the
+// parent-written fixture, whose header is magic, version, M, efConstruction,
+// efSearch, metric 4 @24, seed 8 @28, dim 4 @36, count 4 @40, entry 4 @44,
+// maxL 4 @48.
 func TestLoadRejectsCorruptHeaderFields(t *testing.T) {
 	ix := buildIndex(t, randomUnitVecs(20, 4, 1), Config{M: 4})
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	patch := func(offset int, v uint32) []byte {
-		b := append([]byte(nil), buf.Bytes()...)
+	v2 := readV2Fixture(t)
+	patchFile := func(file []byte, offset int, v uint32) []byte {
+		b := append([]byte(nil), file...)
 		b[offset] = byte(v)
 		b[offset+1] = byte(v >> 8)
 		b[offset+2] = byte(v >> 16)
 		b[offset+3] = byte(v >> 24)
 		return b
 	}
+	patch := func(offset int, v uint32) []byte { return patchFile(buf.Bytes(), offset, v) }
 	cases := map[string][]byte{
 		// A huge count must error, not allocate gigabytes.
-		"huge count":    patch(40, 1<<30),
-		"bad entry":     patch(44, 1<<20),
-		"maxL too high": patch(48, 3_000),
-		"huge M":        patch(12, 1<<20),
-		// The metric field is always 2: 0 was a non-unit cosine index, 1 a
-		// euclidean one, and this build reads neither.
-		"metric 0": patch(24, 0),
-		"metric 1": patch(24, 1),
-		"metric 3": patch(24, 3),
+		"huge count":     patch(28, 1<<30),
+		"huge M":         patch(12, 1<<20),
+		"zero dim":       patch(24, 0),
+		"zero efSearch":  patch(20, 0),
+		"v2 huge count":  patchFile(v2, 40, 1<<30),
+		"v2 huge M":      patchFile(v2, 12, 1<<20),
+		"v2 zero dim":    patchFile(v2, 36, 0),
+		"v2 huge level":  patchFile(v2, 52+8*40, 1<<30),
+		"v2 level -1":    patchFile(v2, 52+8*40, 1<<32-1),
+		"v2 link count":  patchFile(v2, 52+12*40, 9),
+		"v2 link target": patchFile(v2, 52+12*40+4, 40),
+		// The metric field of a version-2 file is always 2: 0 was a
+		// non-unit cosine index, 1 a euclidean one, and this build reads
+		// neither.
+		"v2 metric 0": patchFile(v2, 24, 0),
+		"v2 metric 1": patchFile(v2, 24, 1),
+		"v2 metric 3": patchFile(v2, 24, 3),
 	}
 	for name, b := range cases {
-		if _, err := Load(bytes.NewReader(b)); err == nil {
-			t.Errorf("%s: Load accepted a corrupt file", name)
+		if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load returned %v, want ErrCorrupt", name, err)
 		}
 	}
 }
@@ -222,10 +240,10 @@ func TestLoadShortFileWithLargeCountFails(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 	b := append([]byte(nil), buf.Bytes()...)
-	// count field at offset 40: claim 2^20 nodes (inside maxSaneCount) in a
+	// count field at offset 28: claim 2^20 nodes (inside maxSaneCount) in a
 	// file that only carries 20.
 	count := uint32(1 << 20)
-	b[40], b[41], b[42], b[43] = byte(count), byte(count>>8), byte(count>>16), byte(count>>24)
+	b[28], b[29], b[30], b[31] = byte(count), byte(count>>8), byte(count>>16), byte(count>>24)
 	if _, err := Load(bytes.NewReader(b)); err == nil {
 		t.Fatal("Load accepted a short file with an inflated node count")
 	}
@@ -269,4 +287,202 @@ func TestDecodeStopsAtIndexEnd(t *testing.T) {
 	if got := string(rd.Next(rd.Len())); got != "trailer" {
 		t.Fatalf("Decode left %q behind the index", got)
 	}
+}
+
+// v2FixturePath is a version-2 index file written by the last commit whose
+// Save wrote version 2, while the graph still had HNSW's layers: 40 random
+// unit vectors of dim 8 at M 4, ids 7i, nodes up to level 2.
+const v2FixturePath = "testdata/index-v2.bin"
+
+func readV2Fixture(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(v2FixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// v2Layer0 walks a version-2 file with nothing but encoding/binary: an
+// independent reading of the old format. It returns each node's layer-0
+// links and the number of upper-layer lists the file holds.
+func v2Layer0(t *testing.T, raw []byte) (layer0 [][]int32, upper int) {
+	t.Helper()
+	u32 := func(off int) int { return int(int32(binary.LittleEndian.Uint32(raw[off:]))) }
+	if u32(8) != formatV2 {
+		t.Fatalf("file has version %d", u32(8))
+	}
+	dim, n := u32(36), u32(40)
+	levels := 52 + 8*n
+	off := levels + 4*n
+	for i := 0; i < n; i++ {
+		for l := 0; l <= u32(levels+4*i); l++ {
+			cnt := u32(off)
+			links := make([]int32, cnt)
+			for j := range links {
+				links[j] = int32(u32(off + 4 + 4*j))
+			}
+			off += 4 + 4*cnt
+			if l == 0 {
+				layer0 = append(layer0, links)
+			} else {
+				upper++
+			}
+		}
+	}
+	if off+4*dim*n != len(raw) {
+		t.Fatalf("walked %d bytes of a %d-byte file", off+4*dim*n, len(raw))
+	}
+	return layer0, upper
+}
+
+// TestDecodeV2Fixture: a version-2 file loads to its layer-0 graph — the
+// same ids, vectors and config, and each node's links exactly its layer-0
+// list — and saves as a version-3 file that loads back to the same bytes.
+func TestDecodeV2Fixture(t *testing.T) {
+	raw := readV2Fixture(t)
+	layer0, upper := v2Layer0(t, raw)
+	if upper == 0 {
+		t.Fatal("fixture has no node above layer 0")
+	}
+	ix, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() != len(layer0) || ix.Config() != (Config{M: 4}).withDefaults() {
+		t.Fatalf("loaded %d nodes with config %+v", ix.Len(), ix.Config())
+	}
+	arena := raw[len(raw)-4*ix.Dim()*ix.Len():]
+	for j, f := range ix.RawVectors() {
+		if math.Float32bits(f) != binary.LittleEndian.Uint32(arena[4*j:]) {
+			t.Fatalf("vector arena differs from the file's at float %d", j)
+		}
+	}
+	for i := range layer0 {
+		if ix.IDs()[i] != 7*i {
+			t.Fatalf("node %d has id %d, want %d", i, ix.IDs()[i], 7*i)
+		}
+		if got := ix.neighbors(i); !slices.Equal(got, layer0[i]) {
+			t.Fatalf("node %d links to %v, the file's layer 0 to %v", i, got, layer0[i])
+		}
+	}
+	if res := ix.Search(ix.Vector(5), 1, 0); len(res) != 1 || res[0].ID != 35 {
+		t.Fatalf("search for node 5's own vector returned %v", res)
+	}
+	v3 := savedBytes(t, ix)
+	if binary.LittleEndian.Uint32(v3[8:]) != FormatVersion || len(v3) != ix.SaveSize() {
+		t.Fatalf("Save wrote version %d, %d bytes", binary.LittleEndian.Uint32(v3[8:]), len(v3))
+	}
+	again, err := Load(bytes.NewReader(v3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(savedBytes(t, again), v3) {
+		t.Fatal("the version-3 file does not save back to itself")
+	}
+}
+
+// v2File hand-builds a version-2 file of n nodes of dim 1 at the given M,
+// every one at level 0 with no links: the smallest file a header with a
+// large M can claim n nodes in.
+func v2File(m, n int) []byte {
+	le := binary.LittleEndian
+	b := append([]byte(nil), magic[:]...)
+	for _, v := range []int{formatV2, m, 200, 64, metricCosineUnit} {
+		b = le.AppendUint32(b, uint32(v))
+	}
+	b = le.AppendUint64(b, 1) // seed
+	for _, v := range []int{1, n, 0, 0} {
+		b = le.AppendUint32(b, uint32(v)) // dim, count, entry, maxL
+	}
+	for i := 0; i < n; i++ {
+		b = le.AppendUint64(b, uint64(i))
+	}
+	b = append(b, make([]byte, 8*n)...) // levels, then one zero link count each
+	for i := 0; i < n; i++ {
+		b = le.AppendUint32(b, math.Float32bits(1))
+	}
+	return b
+}
+
+// TestDecodeAllocBounded holds Load to the loader contract in
+// docs/OPERATIONS.md — a hostile file costs at most about 3× its size — at
+// the largest M a header may declare, where a node's link block is 32 KiB.
+// The version-2 file is one that cost over 2 000× its size when every node
+// got its block whatever the file held: 3 000 nodes of dim 1 and no links.
+// It is refused, since its links could not fill the arena it asks for; the
+// version-3 file, whose link section is that arena, loads.
+func TestDecodeAllocBounded(t *testing.T) {
+	ix := New(1, Config{M: maxSaneM})
+	for i := 0; i < 12; i++ {
+		if err := ix.Add(i, []float32{float32(1 - 2*(i%2))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		raw     []byte
+		refused bool
+	}{
+		{"v2", v2File(maxSaneM, 3000), true},
+		{"v3", savedBytes(t, ix), false},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(bytes.NewReader(tc.raw))
+		runtime.ReadMemStats(&after)
+		if tc.refused != errors.Is(err, ErrCorrupt) || !tc.refused && err != nil {
+			t.Fatalf("%s: Load returned %v, want refused=%v", tc.name, err, tc.refused)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(tc.raw)+64<<10); got > limit {
+			t.Fatalf("%s: loading %d bytes allocated %d (limit %d)", tc.name, len(tc.raw), got, limit)
+		}
+	}
+}
+
+// FuzzDecodeIndex: Decode reads the index embedded in every matcher file a
+// follower fetches, and here it is fuzzed on its own, where every mutation
+// lands in its fields. On arbitrary bytes it must not panic, must fail only
+// with ErrCorrupt or ErrFormatVersion, and must not allocate more than 3×
+// the input and a constant. What it accepts must save back to the bytes it
+// read; a version-2 input saves as version 3, and that file must save back
+// to itself.
+func FuzzDecodeIndex(f *testing.F) {
+	f.Add(savedBytes(f, New(8, Config{})))
+	one := New(2, Config{M: 2, EfSearch: 5})
+	if err := one.Add(5, []float32{1, 0}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(savedBytes(f, one))
+	f.Add(savedBytes(f, buildIndex(f, randomUnitVecs(40, 8, 1), Config{M: 4})))
+	f.Add(readV2Fixture(f))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		rd := binio.NewReader(raw)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := Decode(rd)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(raw)+64<<10); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(raw), got, limit)
+		}
+		if err != nil {
+			if ix != nil || !(errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFormatVersion)) {
+				t.Fatalf("untyped failure: %v", err)
+			}
+			return
+		}
+		ix.Search(make([]float32, ix.Dim()), 3, 0)
+		read, saved := raw[:len(raw)-rd.Len()], savedBytes(t, ix)
+		if binary.LittleEndian.Uint32(read[8:]) == formatV2 {
+			v3, err := Load(bytes.NewReader(saved))
+			if err != nil {
+				t.Fatalf("a version-2 index loaded, the version-3 file it saved as did not: %v", err)
+			}
+			read, saved = saved, savedBytes(t, v3)
+		}
+		if !bytes.Equal(read, saved) {
+			t.Fatalf("accepted %d bytes that save back as %d different ones", len(read), len(saved))
+		}
+	})
 }

@@ -40,7 +40,7 @@ func TestSearchStatsGolden(t *testing.T) {
 		ix.Search(point(q%clusters), 10, 0)
 	}
 	searches, visited, evals := ix.SearchStats()
-	want := [3]uint64{queries, 59342, 68547}
+	want := [3]uint64{queries, 64564, 64564}
 	if got := [3]uint64{searches, visited, evals}; got != want {
 		t.Fatalf("search work (searches, visited, distance evals) = %v, want %v", got, want)
 	}

@@ -190,7 +190,7 @@ func TestLoadMatcherRejectsUnservableState(t *testing.T) {
 		// Re-labelling node 0 as tuple 1 leaves tuple 0 with none, and
 		// tuple 1 still resolves to its own, later node.
 		bad := append([]byte(nil), raw...)
-		const idsOff = 8 + 4 + 4*4 + 8 + 4*4 // magic, version, config, shape
+		const idsOff = 8 + 4 + 3*4 + 2*4 // magic, version, config, shape
 		if got := binary.LittleEndian.Uint64(bad[ix+idsOff:]); got != 0 {
 			t.Fatalf("first index id is %d, want 0", got)
 		}
@@ -301,6 +301,9 @@ func FuzzLoadMatcher(f *testing.F) {
 	}
 	f.Add(v4)
 	f.Add(append(append([]byte(nil), matcherMagic[:]...), matcherFormatVersion, 0, 0, 0, dim, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0))
+	// Version 5 with hnsw version 2 inside, as every snapshot on disk was
+	// before version 6.
+	f.Add(readFixture(f, v5FixturePath, matcherFormatV5))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var before, after runtime.MemStats
@@ -322,16 +325,16 @@ func FuzzLoadMatcher(f *testing.F) {
 			}
 			return
 		}
-		// Bytes past the last section are not LoadMatcher's. A version-4
-		// file saves as version 5, so for one the property is held by the
-		// v5 file it becomes.
+		// Bytes past the last section are not LoadMatcher's. A file of an
+		// older version saves as version 6, so for one the property is held
+		// by the v6 file it becomes.
 		again := saveBytes(t, m)
-		if binary.LittleEndian.Uint32(raw[8:]) == matcherFormatV4 {
-			m5, err := LoadMatcher(bytes.NewReader(again), opt)
+		if binary.LittleEndian.Uint32(raw[8:]) != matcherFormatVersion {
+			m6, err := LoadMatcher(bytes.NewReader(again), opt)
 			if err != nil {
-				t.Fatalf("a v4 file loaded, the v5 file it saved as did not: %v", err)
+				t.Fatalf("a file loaded, the v6 file it saved as did not: %v", err)
 			}
-			raw, again = again, saveBytes(t, m5)
+			raw, again = again, saveBytes(t, m6)
 		}
 		if !bytes.HasPrefix(raw, again) {
 			t.Fatalf("accepted %d bytes that save back as %d different ones", len(raw), len(again))

@@ -2,6 +2,7 @@ package multiem
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +15,7 @@ import (
 	"repro/internal/vector"
 )
 
-// Matcher binary format (little-endian), version 5:
+// Matcher binary format (little-endian), version 6:
 //
 //	magic     [8]byte  "MEMMATC\n"
 //	version   uint32
@@ -35,21 +36,29 @@ import (
 // the file holds it there and nowhere else. Each shard's section is
 // self-contained and length-prefixed, so a loader finds every section without
 // decoding the one before it, and a loaded matcher has the exact shard
-// topology (and per-shard RNG streams) it was saved with. Version 4, the one
-// older version LoadMatcher reads, also carried a dense centroids block
-// (tuple count × dim × float32, between tuples and compactions) repeating
-// those node rows — a quarter of a file; the loader steps over it.
+// topology it was saved with.
+//
+// LoadMatcher reads two older versions. Version 5 is version 6 with an hnsw
+// version-2 index, written while the graph had HNSW's layer hierarchy; the
+// index loads to its layer-0 graph (hnsw.Decode) and saves as version 3.
+// Version 4 also carried a dense centroids block (tuple count × dim ×
+// float32, between tuples and compactions) repeating those node rows — a
+// quarter of a file; the loader steps over it. Under either older version the
+// embedded index may be of either hnsw version; a version-6 file holds hnsw
+// version 3, the one Save writes, and nothing else.
 
 var matcherMagic = [8]byte{'M', 'E', 'M', 'M', 'A', 'T', 'C', '\n'}
 
 const (
-	matcherFormatVersion = 5
-	// matcherFormatV4 is the one older version LoadMatcher still takes.
+	matcherFormatVersion = 6
+	// matcherFormatV5 and matcherFormatV4 are the older versions LoadMatcher
+	// still takes.
+	matcherFormatV5 = 5
 	matcherFormatV4 = 4
 )
 
 // ErrFormatVersion is wrapped by LoadMatcher when the file's format version
-// is not one this build reads (5, and 4); callers distinguish "old matcher
+// is not one this build reads (6, 5 and 4); callers distinguish "old matcher
 // file, rebuild it" from corruption with errors.Is.
 var ErrFormatVersion = errors.New("multiem: unsupported matcher format version")
 
@@ -160,8 +169,8 @@ func (v *shardView) sectionSize() int {
 //
 // r is read to its end, once, into a buffer sized by what the source says it
 // holds (binio.ReadAll), and everything is decoded from that buffer; bytes
-// past the last section are ignored. A version-4 file loads to the state its
-// version-5 file would.
+// past the last section are ignored. A version-5 or version-4 file loads to
+// the state its version-6 file would.
 func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -176,8 +185,8 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 		return nil, fmt.Errorf("%w: bad magic %q (not a matcher file)", ErrCorruptState, mg)
 	}
 	version := rd.U32()
-	if rd.Err() == nil && version != matcherFormatVersion && version != matcherFormatV4 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV4)
+	if rd.Err() == nil && version != matcherFormatVersion && version != matcherFormatV5 && version != matcherFormatV4 {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d, %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV5, matcherFormatV4)
 	}
 
 	m := &Matcher{opt: opt}
@@ -320,6 +329,11 @@ func (sh *shard) readSection(sec []byte, dim int, version uint32) (maxEntID int,
 		return -1, rd.Err()
 	}
 
+	// A version-6 file whose index is not the version Save writes would load
+	// and save back as another file.
+	if rest := sec[len(sec)-rd.Len():]; version == matcherFormatVersion && len(rest) >= 12 && binary.LittleEndian.Uint32(rest[8:]) != hnsw.FormatVersion {
+		return -1, fmt.Errorf("index has hnsw version %d, a version-%d file holds %d", binary.LittleEndian.Uint32(rest[8:]), version, hnsw.FormatVersion)
+	}
 	ix, err := hnsw.Decode(rd)
 	if err != nil {
 		return -1, err

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -25,6 +26,12 @@ import (
 // batches so stale index entries are present): the one v4 file in this
 // repository that no code here produced.
 const v4FixturePath = "testdata/matcher-v4-dim16.bin"
+
+// v5FixturePath is the same state as a version-5 file, written by the last
+// commit whose Save wrote version 5 (its index is hnsw version 2, with the
+// layer hierarchy): what every snapshot and -load-index file that commit
+// left on disk looks like.
+const v5FixturePath = "testdata/matcher-v5-dim16.bin"
 
 // dim16Opts are the options the fixture was written under.
 func dim16Opts(shards int) Options {
@@ -93,36 +100,96 @@ func mustLoad(t *testing.T, raw []byte, opt Options) *Matcher {
 	return m
 }
 
-// TestV4FixtureRoundTrip: the parent-written v4 file loads, what it loads to
-// renders back to the very same v4 bytes (so v4Bytes is the v4 format, not
-// this commit's idea of it), and it saves as a v5 file that is smaller by the
-// centroids block and loads to the same state.
-func TestV4FixtureRoundTrip(t *testing.T) {
-	fixture, err := os.ReadFile(v4FixturePath)
+func readFixture(t testing.TB, path string, version uint32) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(fixture[8:]); v != matcherFormatV4 {
-		t.Fatalf("fixture is version %d", v)
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != version {
+		t.Fatalf("%s is version %d", path, v)
 	}
+	return raw
+}
+
+// withoutIndexes returns a matcher file without the bytes its embedded
+// indexes decide: each index and each section's length.
+func withoutIndexes(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var out []byte
+	off := 0
+	for _, span := range fileFields(t, raw).index {
+		out = append(out, raw[off:span[0]]...)
+		off = span[1]
+	}
+	return append(out, raw[off:]...)
+}
+
+// TestV4FixtureRoundTrip: the parent-written v4 file loads, what it loads to
+// renders back to the v4 bytes outside the embedded indexes (so v4Bytes is
+// the v4 format, not this commit's idea of it; the index inside is the
+// version Save writes, which the loader takes in any matcher version), and it
+// saves as a v6 file that is smaller by the centroids block and loads to the
+// same state.
+func TestV4FixtureRoundTrip(t *testing.T) {
+	fixture := readFixture(t, v4FixturePath, matcherFormatV4)
 	m := mustLoad(t, fixture, dim16Opts(2))
-	if got := v4Bytes(t, m); !bytes.Equal(got, fixture) {
-		t.Fatalf("fixture re-rendered as v4 differs: %d vs %d bytes", len(got), len(fixture))
+	v4 := v4Bytes(t, m)
+	if got, want := withoutIndexes(t, v4), withoutIndexes(t, fixture); !bytes.Equal(got, want) {
+		t.Fatalf("fixture re-rendered as v4 differs outside its indexes: %d vs %d bytes", len(got), len(want))
 	}
-	v5 := saveBytes(t, m)
-	if v := binary.LittleEndian.Uint32(v5[8:]); v != matcherFormatVersion {
+	v6 := saveBytes(t, m)
+	if v := binary.LittleEndian.Uint32(v6[8:]); v != matcherFormatVersion {
 		t.Fatalf("Save wrote version %d", v)
 	}
-	if want := len(fixture) - m.Stats().Tuples*16*4; len(v5) != want {
-		t.Fatalf("v5 is %d bytes, want the fixture's %d less one row a tuple = %d", len(v5), len(fixture), want)
+	if want := len(v4) - m.Stats().Tuples*16*4; len(v6) != want {
+		t.Fatalf("v6 is %d bytes, want the v4 rendering's %d less one row a tuple = %d", len(v6), len(v4), want)
 	}
-	if again := saveBytes(t, mustLoad(t, v5, dim16Opts(2))); !bytes.Equal(again, v5) {
-		t.Fatal("v5 does not save back to itself")
+	if again := saveBytes(t, mustLoad(t, v6, dim16Opts(2))); !bytes.Equal(again, v6) {
+		t.Fatal("v6 does not save back to itself")
 	}
 }
 
-// TestFormatEquivalence: a v4 file and the v5 file of one state load to
-// matchers that cannot be told apart — Save bytes (v4 loads, v5 saves),
+// TestV5FixtureUpgrade: the parent-written v5 file — hnsw version 2 inside,
+// like every snapshot on disk before version 6 — loads with each index node
+// keeping exactly the file's layer-0 links, and to the state the v4 fixture
+// (the same state) loads to. It saves as v6, which reloads to the same bytes,
+// and the loaded file and its v6 re-save take the same later batches to the
+// same results and the same state.
+func TestV5FixtureUpgrade(t *testing.T) {
+	fixture := readFixture(t, v5FixturePath, matcherFormatV5)
+	m := mustLoad(t, fixture, dim16Opts(2))
+	v6 := saveBytes(t, m)
+	if v := binary.LittleEndian.Uint32(v6[8:]); v != matcherFormatVersion {
+		t.Fatalf("Save wrote version %d", v)
+	}
+	as6 := binary.LittleEndian.AppendUint32(slices.Clone(fixture[:8]), matcherFormatVersion)
+	if !bytes.Equal(withoutIndexes(t, v6), withoutIndexes(t, append(as6, fixture[12:]...))) {
+		t.Fatal("the v6 file differs from the v5 one outside the version field and the indexes")
+	}
+	if got, want := fileFields(t, v6).links, fileFields(t, fixture).links; !reflect.DeepEqual(got, want) {
+		t.Fatalf("index links after the upgrade differ from the file's layer-0 links:\n  got  %v\n  want %v", got, want)
+	}
+	if from4 := saveBytes(t, mustLoad(t, readFixture(t, v4FixturePath, matcherFormatV4), dim16Opts(2))); !bytes.Equal(from4, v6) {
+		t.Fatal("the v4 and v5 fixtures of one state save different v6 files")
+	}
+	again := mustLoad(t, v6, dim16Opts(2))
+	if !bytes.Equal(saveBytes(t, again), v6) {
+		t.Fatal("v6 does not save back to itself")
+	}
+	d := mustGeo(t, 0.01, 5)
+	for _, rows := range randomBatches(d, 8, 8, 23) {
+		r5, err5 := m.AddRecords(rows)
+		r6, err6 := again.AddRecords(rows)
+		if err5 != nil || err6 != nil || !slices.Equal(r5, r6) {
+			t.Fatalf("AddRecords diverges after the upgrade: %v / %v\n  v5 %+v\n  v6 %+v", err5, err6, r5, r6)
+		}
+	}
+	assertMatchersIdentical(t, m, again, d)
+}
+
+// TestFormatEquivalence: a v4 file and the v6 file of one state load to
+// matchers that cannot be told apart — Save bytes (v4 loads, v6 saves),
 // stats, tuples, Match replies, and the results of the same later batches —
 // on both kernel paths.
 func TestFormatEquivalence(t *testing.T) {
@@ -157,23 +224,47 @@ func TestFormatEquivalence(t *testing.T) {
 	}
 }
 
-// fileFields walks a well-formed matcher file of either version with nothing
-// but encoding/binary and returns the offset at which every field starts (an
-// array counts as one field) and, of those, the offsets of the counts and
-// lengths: an independent reading of the format, which is what lets the
-// hostile-input table below aim at each field instead of at random bytes.
-func fileFields(t *testing.T, raw []byte) (bounds, counts []int) {
+// fileLayout is an independent reading of a matcher file.
+type fileLayout struct {
+	// bounds holds the offset at which every field starts (an array counts
+	// as one field), counts the offsets of the counts and lengths among
+	// them.
+	bounds, counts []int
+	// index holds the byte ranges the embedded indexes decide: each
+	// section's length and each index.
+	index [][2]int
+	// links holds, per shard, each index node's links — for an hnsw
+	// version-2 index its layer-0 list.
+	links [][][]int32
+}
+
+// fileFields walks a well-formed matcher file of any version it reads, with
+// an embedded index of either hnsw version, with nothing but encoding/binary:
+// an independent reading of the format, which is what lets the hostile-input
+// table below aim at each field instead of at random bytes.
+func fileFields(t *testing.T, raw []byte) (f fileLayout) {
 	t.Helper()
 	off := 0
 	field := func(n int) int {
-		bounds = append(bounds, off)
+		f.bounds = append(f.bounds, off)
 		off += n
 		return off - n
 	}
 	i32 := func() int { return int(int32(binary.LittleEndian.Uint32(raw[field(4):]))) }
 	count := func() int {
-		counts = append(counts, off)
+		f.counts = append(f.counts, off)
 		return i32()
+	}
+	// list reads a counted list of links from a block of capacity slots, or
+	// of exactly as many slots as links when capacity is 0 (hnsw version 2).
+	list := func(capacity int) []int32 {
+		n := count()
+		out := make([]int32, n)
+		at := field(4 * max(n, capacity))
+		for j := range out {
+			out[j] = int32(binary.LittleEndian.Uint32(raw[at+4*j:]))
+		}
+		return out
 	}
 	field(8) // magic
 	version := i32()
@@ -187,7 +278,8 @@ func fileFields(t *testing.T, raw []byte) (bounds, counts []int) {
 		i32() // a selected attribute
 	}
 	for s := 0; s < nShards; s++ {
-		counts = append(counts, off)
+		f.counts = append(f.counts, off)
+		f.index = append(f.index, [2]int{off, off + 8})
 		field(8) // section length; its low word takes the flip
 		nEnts := count()
 		field(8 * nEnts)
@@ -200,33 +292,49 @@ func fileFields(t *testing.T, raw []byte) (bounds, counts []int) {
 		if version == matcherFormatV4 {
 			field(4 * dim * nTuples) // centroids
 		}
-		field(8) // compactions
-		field(8) // index magic
-		for i := 0; i < 5; i++ {
-			i32() // version, M, efConstruction, efSearch, metric
+		field(8)          // compactions
+		start := field(8) // index magic
+		ixVersion, m := i32(), i32()
+		i32() // efConstruction
+		i32() // efSearch
+		if ixVersion == 2 {
+			i32()    // metric
+			field(8) // seed
 		}
-		field(8) // seed
-		i32()    // dim
+		i32() // dim
 		nodes := count()
-		i32() // entry
-		i32() // maxL
+		if ixVersion == 2 {
+			i32() // entry
+			i32() // maxL
+		}
 		field(8 * nodes)
-		levels := raw[field(4*nodes):]
-		for i := 0; i < nodes; i++ {
-			for l := int32(binary.LittleEndian.Uint32(levels[4*i:])); l >= 0; l-- {
-				field(4 * count()) // a link block
+		var shardLinks [][]int32
+		if ixVersion == 2 {
+			levels := raw[field(4*nodes):]
+			for i := 0; i < nodes; i++ {
+				shardLinks = append(shardLinks, list(0))
+				for l := int32(binary.LittleEndian.Uint32(levels[4*i:])); l > 0; l-- {
+					list(0) // an upper-layer list
+				}
+			}
+		} else {
+			for i := 0; i < nodes; i++ {
+				shardLinks = append(shardLinks, list(2*m))
 			}
 		}
+		f.links = append(f.links, shardLinks)
 		field(4 * dim * nodes)
+		f.index = append(f.index, [2]int{start, off})
 	}
 	if off != len(raw) {
 		t.Fatalf("walked %d bytes of a %d-byte file", off, len(raw))
 	}
-	return bounds, counts
+	return f
 }
 
 // TestLoadMatcherHostileInput pins the loader's contract for input it cannot
-// trust, for both versions it reads: cut anywhere — at every field boundary
+// trust, for every version it reads (v5 through the parent-written fixture,
+// whose indexes are hnsw version 2): cut anywhere — at every field boundary
 // of a small file, every 4 KiB of a large one — or with any count replaced
 // by MaxInt32, LoadMatcher returns ErrCorruptState, never panics, and
 // allocates at most 3 × the input + 64 KiB: one copy of the input (the
@@ -255,9 +363,10 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 		opt  Options
 		step int // 0: every field boundary
 	}{
-		{"v5/fields", saveBytes(t, small), dim16Opts(2), 0},
+		{"v6/fields", saveBytes(t, small), dim16Opts(2), 0},
+		{"v5/fields", readFixture(t, v5FixturePath, matcherFormatV5), dim16Opts(2), 0},
 		{"v4/fields", v4Bytes(t, small), dim16Opts(2), 0},
-		{"v5/4KiB", saveBytes(t, large), durOpts(2), 4 << 10},
+		{"v6/4KiB", saveBytes(t, large), durOpts(2), 4 << 10},
 		{"v4/4KiB", v4Bytes(t, large), durOpts(2), 4 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -267,16 +376,16 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 				}
 				return
 			}
-			bounds, counts := fileFields(t, tc.raw)
-			for _, cut := range bounds {
+			f := fileFields(t, tc.raw)
+			for _, cut := range f.bounds {
 				check(t, "cut", tc.raw[:cut], tc.opt)
 			}
-			for _, off := range counts {
+			for _, off := range f.counts {
 				bad := append([]byte(nil), tc.raw...)
 				binary.LittleEndian.PutUint32(bad[off:], math.MaxInt32)
 				check(t, "count", bad, tc.opt)
 			}
-			t.Logf("%d bytes: %d field boundaries, %d counts", len(tc.raw), len(bounds), len(counts))
+			t.Logf("%d bytes: %d field boundaries, %d counts", len(tc.raw), len(f.bounds), len(f.counts))
 		})
 	}
 }

@@ -230,7 +230,7 @@ func TestEpochHammerLargeChunkedState(t *testing.T) {
 	// into existing tuples and the prepopulation loop never reaches its
 	// target.
 	opt.Encoder = embed.NewHashEncoder(embed.WithDim(64))
-	opt.HNSW = hnsw.Config{M: 6, EfConstruction: 24, EfSearch: 24, Seed: 1}
+	opt.HNSW = hnsw.Config{M: 6, EfConstruction: 24, EfSearch: 24}
 	// A link-arena chunk is 2048 slots and a node's region takes 1+2M = 13
 	// of them at layer 0 (more above), so a chunk holds at most
 	// 2048/13 = 157 nodes, and an index of >= 200*157 = 31 400 entries spans

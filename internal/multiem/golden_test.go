@@ -62,18 +62,19 @@ func compactEveryShard(t *testing.T, m *Matcher, rows [][]string, visit func([]A
 // index, in which order, or to any decision shows up here, per kernel path
 // (the AVX2 kernels reduce in a different order than the scalar ones).
 //
-// Two hashes a path: v5 over the bytes Save writes, taken when format
-// version 5 dropped the centroids block; v4 over the same history with each
-// Save rendered as version 4 (v4Bytes) — the hashes computed at the commit
-// before the centroid arena moved into the HNSW node store and carried
-// unchanged since, so the state behind the new format is still that state.
+// Two hashes a path: v6 over the bytes Save writes; v4 over the same history
+// with each Save rendered as version 4 (v4Bytes). Both were re-taken when the
+// index lost HNSW's layer hierarchy (matcher version 6, hnsw version 3): the
+// graph, and so every later decision and every byte of the index, changed
+// then. Before that the v4 hashes had been carried unchanged from the commit
+// before the centroid arena moved into the HNSW node store.
 func TestSaveBytesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes were taken on amd64; other compilers may fuse multiply-adds")
 	}
-	for mode, want := range map[string]struct{ v5, v4 string }{
-		"scalar": {"3ce7eb23f52fd2c8c922eef6693120a82ca75f5c6010b1818e5a7177e162683e", "c1cbaf90f935c632b92453c6699fe8980334e47007e660ca3ad31326a4546317"},
-		"avx2":   {"f6d6e889df51e83e4eb328547f2ef9ad97551c114d4bd7dbb176a9a640286c91", "9c476cc6ab031d77a5c730e7ba43fe819e60ad0214a4329f742cf302b4b78f41"},
+	for mode, want := range map[string]struct{ v6, v4 string }{
+		"scalar": {"909ff2c94fb15105535eafc1079f4543ea195a1fb4b7f3da75f04528ccf04da7", "5e501e572aa1c2a2e311af144d87772577d9d83b2755ab183a1337bda4c102ec"},
+		"avx2":   {"b5c2dd1ab927790cfc88424a2bda6e3a179d633b6409e06ab5193b1555c0e8e1", "9cec3a0c5af33336b71cbc431d7ee978cbfb0d57d1634220e311f3537d884e02"},
 	} {
 		t.Run(mode, func(t *testing.T) {
 			prev := vector.Kernels()
@@ -82,8 +83,8 @@ func TestSaveBytesGolden(t *testing.T) {
 			}
 			defer vector.SetKernels(prev)
 
-			h5, h4 := sha256.New(), sha256.New()
-			h := io.MultiWriter(h5, h4)
+			h6, h4 := sha256.New(), sha256.New()
+			h := io.MultiWriter(h6, h4)
 			addAll := func(m *Matcher, batches [][][]string) {
 				for _, rows := range batches {
 					res, err := m.AddRecords(rows)
@@ -105,7 +106,7 @@ func TestSaveBytesGolden(t *testing.T) {
 				t.Fatal("history leaves no stale entries at save time")
 			}
 			raw := saveBytes(t, m)
-			h5.Write(raw)
+			h6.Write(raw)
 			h4.Write(v4Bytes(t, m))
 			// Save writes each section's length ahead of it; the length is exact.
 			for s, sh := range m.state.Load().shards {
@@ -131,11 +132,11 @@ func TestSaveBytesGolden(t *testing.T) {
 				}
 				fmt.Fprintf(h, "%+v\n", cands)
 			}
-			h5.Write(saveBytes(t, loaded))
+			h6.Write(saveBytes(t, loaded))
 			h4.Write(v4Bytes(t, loaded))
 
-			if got := fmt.Sprintf("%x", h5.Sum(nil)); got != want.v5 {
-				t.Errorf("observable state moved under %s kernels:\n  got  %s\n  want %s", mode, got, want.v5)
+			if got := fmt.Sprintf("%x", h6.Sum(nil)); got != want.v6 {
+				t.Errorf("observable state moved under %s kernels:\n  got  %s\n  want %s", mode, got, want.v6)
 			}
 			if got := fmt.Sprintf("%x", h4.Sum(nil)); got != want.v4 {
 				t.Errorf("observable state, saved as version 4, moved under %s kernels:\n  got  %s\n  want %s", mode, got, want.v4)

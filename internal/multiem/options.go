@@ -120,7 +120,7 @@ func DefaultOptions() Options {
 		MinPts:      2,
 		Encoder:     embed.NewHashEncoder(),
 		Backend:     BackendAuto,
-		HNSW:        hnsw.Config{M: 12, EfConstruction: 64, EfSearch: 64, Seed: 1},
+		HNSW:        hnsw.Config{M: 12, EfConstruction: 64, EfSearch: 64},
 		Seed:        0,
 	}
 }

@@ -122,8 +122,8 @@ var ErrSeqGap = errors.New("multiem: gap in the logged batch sequence")
 // the logged decisions that target its shard (checkShard; the shard's state
 // is the pre-batch one, its own share of the batch comes next), then runs the
 // same shard.apply and maybeCompact live ingest runs — the same inserts per
-// shard in the same order, so graphs, RNG streams, compaction points and Save
-// bytes are the primary's.
+// shard in the same order, so graphs, compaction points and Save bytes are the
+// primary's.
 //
 // Replay never searches, so no stream links its graph until its list ends:
 // apply and maybeCompact only Append (shard.apply), and a stream links what

@@ -44,10 +44,9 @@ func splitTupleID(id int) (shard, local int) {
 // Every structure here is built so a published view stays valid while the
 // writer keeps going, and each is one of two kinds, frozen one way per kind:
 //
-//   - Append-only arrays (entIDs, entVecs, and the index's vectors, ids,
-//     levels and offsets): existing elements are never overwritten, and the
-//     writer appends past every frozen length — in place, or into a new
-//     backing array. A view clips them (slices.Clip, vector.Store.Frozen):
+//   - Append-only arrays (entIDs, entVecs, and the index's vectors and
+//     ids): existing elements are never overwritten, and the writer appends
+//     past every frozen length — in place, or into a new backing array. A view clips them (slices.Clip, vector.Store.Frozen):
 //     O(1), sharing the backing array.
 //   - Copy-on-write tables (the tuple table, the index's link arena): rows
 //     live in fixed-size chunks behind a spine, and the writer owns or shares
@@ -245,11 +244,11 @@ const compactThreshold = 2
 //
 // The rebuild takes the replaced index's own dimensionality and config — the
 // ones it was built or saved with, whatever Options a later process passes —
-// and starts a fresh seeded RNG stream, which is deterministic: the trigger
-// depends only on ingest history (index entries accrue one per new tuple and
-// one per centroid refresh, regardless of shard layout or any save/load in
-// between), so an original matcher and its save/load twin compact at the same
-// point and rebuild identical graphs. The rebuild only Appends, like apply:
+// and is deterministic: the graph is a function of the vectors and their
+// order, and the trigger depends only on ingest history (index entries accrue
+// one per new tuple and one per centroid refresh, regardless of shard layout
+// or any save/load in between), so an original matcher and its save/load twin
+// compact at the same point and rebuild identical graphs. The rebuild only Appends, like apply:
 // its graph is built when it is next linked.
 func (sh *shard) maybeCompact() (discarded int) {
 	live := sh.tuples.len()
@@ -293,17 +292,4 @@ func routeVec(vec []float32, nShards int) int {
 		}
 	}
 	return int(h % uint64(nShards))
-}
-
-// shardHNSWConfig derives the HNSW configuration for one shard: a per-shard
-// seed offset so the shards' level-sampling RNG streams are distinct. Each
-// stream replays independently through the index's own Save/Load, which is
-// what keeps post-load AddRecords deterministic.
-func (m *Matcher) shardHNSWConfig(shardID int) hnsw.Config {
-	cfg := m.opt.HNSW
-	if cfg.Seed == 0 {
-		cfg.Seed = 1 // mirror hnsw's default so the offset below is stable
-	}
-	cfg.Seed += int64(shardID)
-	return cfg
 }

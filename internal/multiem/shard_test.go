@@ -210,7 +210,8 @@ func TestShardedMatchParity(t *testing.T) {
 
 // TestShardedSaveLoadRoundTrip: a 4-shard matcher must round-trip with its
 // shard topology, per-shard stats, and global tuple IDs intact — and keep
-// ingesting identically afterwards (per-shard RNG streams replay).
+// ingesting identically afterwards (each shard's graph goes on from the saved
+// one).
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	m, d := shardedGeo(t, 4)
 	var buf bytes.Buffer
@@ -347,13 +348,13 @@ func TestShardCompaction(t *testing.T) {
 
 // TestCompactionKeepsSavedConfig: a compaction rebuilds a shard's index with
 // the config that index was built or saved with, not the Options of whoever
-// loaded it. A matcher and its save/load twin, loaded with another HNSW seed
-// and M, take the same absorbing batches past a compaction on every shard and
+// loaded it. A matcher and its save/load twin, loaded with another HNSW M and
+// EfConstruction, take the same absorbing batches past a compaction on every shard and
 // must still save identical bytes.
 func TestCompactionKeepsSavedConfig(t *testing.T) {
 	m, d := shardedGeo(t, 2)
 	opt := geoOpts()
-	opt.HNSW.Seed, opt.HNSW.M = 99, 6
+	opt.HNSW.M, opt.HNSW.EfConstruction = 6, 24
 	twin, err := LoadMatcher(bytes.NewReader(saveBytes(t, m)), opt)
 	if err != nil {
 		t.Fatal(err)
