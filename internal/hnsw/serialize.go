@@ -103,6 +103,8 @@ func (ix *Index) Save(w io.Writer) error {
 // SaveSize returns the exact number of bytes Save would write now: what a
 // container format that embeds the index writes as its length prefix.
 func (ix *Index) SaveSize() int {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	const header = len(magic) + 4 + 5*4 // magic, version, config, shape
 	return header + len(ix.ids)*(8+4*ix.la.block+4*ix.dim)
 }
@@ -231,42 +233,29 @@ func (ix *Index) readLinks(rd *binio.Reader) error {
 
 // readV2Links fills the arena from a version-2 levels and links section:
 // each node's layer-0 list becomes its block, and its upper-layer lists are
-// checked and skipped.
+// checked for a count within M and skipped.
 func (ix *Index) readV2Links(rd *binio.Reader) error {
 	n, m := len(ix.ids), ix.cfg.M
-	levels := rd.I32s(n)
-	// What the levels promise must be present before the lists are read:
-	// one count per layer, and every vector.
-	need := 4 * ix.dim * n
-	for i, level := range levels {
+	for i, level := range rd.I32s(n) {
 		if level < 0 {
 			return corrupt("node %d has level %d", i, level)
 		}
-		need += 4 * (int(level) + 1)
-	}
-	if rd.Err() != nil || need > rd.Len() {
-		return corrupt("%d nodes need %d bytes of links and vectors, %d follow", n, need, rd.Len())
-	}
-	upper := make([]int32, m)
-	for i, level := range levels {
 		for l := 0; l <= int(level); l++ {
-			cnt, capacity := rd.I32(), m
-			if l == 0 {
-				capacity = 2 * m
+			cnt, capacity := rd.I32(), 2*m
+			if l > 0 {
+				capacity = m
 			}
 			if rd.Err() != nil || cnt < 0 || cnt > capacity {
 				return corrupt("node %d layer %d has implausible link count %d", i, l, cnt)
 			}
-			var links []int32
-			if l == 0 {
-				blk := ix.la.mut(i)
-				blk[0] = int32(cnt)
-				links = blk[1 : 1+cnt]
-			} else {
-				links = upper[:cnt]
+			if l > 0 {
+				rd.Next(4 * cnt)
+				continue
 			}
-			rd.I32sInto(links)
-			if err := checkLinks(i, links, n); err != nil {
+			blk := ix.la.mut(i)
+			blk[0] = int32(cnt)
+			rd.I32sInto(blk[1 : 1+cnt])
+			if err := checkLinks(i, blk[1:1+cnt], n); err != nil {
 				return err
 			}
 		}

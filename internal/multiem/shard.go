@@ -46,8 +46,9 @@ func splitTupleID(id int) (shard, local int) {
 //
 //   - Append-only arrays (entIDs, entVecs, and the index's vectors and
 //     ids): existing elements are never overwritten, and the writer appends
-//     past every frozen length — in place, or into a new backing array. A view clips them (slices.Clip, vector.Store.Frozen):
-//     O(1), sharing the backing array.
+//     past every frozen length — in place, or into a new backing array. A
+//     view clips them (slices.Clip, vector.Store.Frozen): O(1), sharing the
+//     backing array.
 //   - Copy-on-write tables (the tuple table, the index's link arena): rows
 //     live in fixed-size chunks behind a spine, and the writer owns or shares
 //     each chunk. A view takes snapshot(): an O(chunks) spine copy with no
@@ -248,8 +249,8 @@ const compactThreshold = 2
 // order, and the trigger depends only on ingest history (index entries accrue
 // one per new tuple and one per centroid refresh, regardless of shard layout
 // or any save/load in between), so an original matcher and its save/load twin
-// compact at the same point and rebuild identical graphs. The rebuild only Appends, like apply:
-// its graph is built when it is next linked.
+// compact at the same point and rebuild identical graphs. The rebuild only
+// Appends, like apply: its graph is built when it is next linked.
 func (sh *shard) maybeCompact() (discarded int) {
 	live := sh.tuples.len()
 	if live == 0 || sh.index.Len()-live <= compactThreshold*live {
