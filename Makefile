@@ -67,9 +67,10 @@ race-matcher:
 # on its own, where every mutation lands in its fields (all three parse bytes
 # a follower fetched from its -primary-url), the SIMD kernels against their
 # scalar reference, the encoder's sparse token accumulation against its
-# dense definition, and its field pooling (attribute selection's path)
-# against encoding the serialized record. go test -fuzz takes one package
-# and one target per run. A crasher lands in that package's testdata/fuzz/
+# dense definition, its field pooling (attribute selection's path)
+# against encoding the serialized record, and the Prometheus text parser
+# the load generator and the benchmark read a server's /metrics with. go
+# test -fuzz takes one package and one target per run. A crasher lands in that package's testdata/fuzz/
 # — commit it with the fix, it replays as a regression test under plain
 # `make test`. The two loaders' inputs are whole files, and each input reads
 # the memory statistics twice: without the cap, minimising the first input
@@ -82,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSIMDKernels$$' -fuzztime=$(FUZZTIME) ./internal/vector
 	$(GO) test -run='^$$' -fuzz='^FuzzEncodeMatchesDense$$' -fuzztime=$(FUZZTIME) ./internal/embed
 	$(GO) test -run='^$$' -fuzz='^FuzzFieldsMatchEncode$$' -fuzztime=$(FUZZTIME) ./internal/embed
+	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=$(FUZZTIME) ./internal/obs
 
 # Black-box crash recovery: run the server under ingest load, SIGKILL it,
 # restart on the same -wal-dir, and diff /stats and the SHA-256 of /tuples

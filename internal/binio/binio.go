@@ -229,17 +229,20 @@ func (r *Reader) Count(elemBytes int) int {
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string { return string(r.Next(r.Count(1))) }
 
-// F32s decodes the next n float32s into a fresh slice — an arena as one
-// allocation and one bulk copy, the read side of WriteF32s. It returns nil,
-// with the error set, when fewer than 4*n bytes are left.
-func (r *Reader) F32s(n int) []float32 { return read4[float32](r, n) }
-
-// I32s is F32s for int32s.
+// I32s decodes the next n int32s into a fresh slice — one allocation and one
+// bulk copy. It returns nil, with the error set, when fewer than 4*n bytes
+// are left.
 func (r *Reader) I32s(n int) []int32 { return read4[int32](r, n) }
 
 // I32sInto fills dst from the next 4*len(dst) bytes; on error dst is
 // untouched.
-func (r *Reader) I32sInto(dst []int32) {
+func (r *Reader) I32sInto(dst []int32) { readInto(r, dst) }
+
+// F32sInto is I32sInto for float32s, the read side of WriteF32s: how an
+// arena is filled, a chunk at a time.
+func (r *Reader) F32sInto(dst []float32) { readInto(r, dst) }
+
+func readInto[T float32 | int32](r *Reader, dst []T) {
 	if b := r.Next(4 * len(dst)); b != nil {
 		fill4(bytesOf(dst), b)
 	}

@@ -45,8 +45,9 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.F32(); got != 3.25 {
 		t.Fatalf("F32 = %v", got)
 	}
-	if f := r.F32s(3); len(f) != 3 || f[0] != 1 || f[1] != -2 || f[2] != 0.5 {
-		t.Fatalf("F32s = %v", f)
+	f := make([]float32, 3)
+	if r.F32sInto(f); f[0] != 1 || f[1] != -2 || f[2] != 0.5 {
+		t.Fatalf("F32sInto = %v", f)
 	}
 	i32 := []int32{0, 9}
 	if r.I32sInto(i32[:1]); i32[0] != -1 || i32[1] != 9 {
@@ -80,11 +81,14 @@ func TestStickyError(t *testing.T) {
 	if got := r.Next(1); got != nil {
 		t.Fatalf("Next after error returned %v", got)
 	}
-	dst := []int32{7}
+	dst, fdst := []int32{7}, []float32{7}
 	if r.I32sInto(dst); dst[0] != 7 {
 		t.Fatal("I32sInto after error wrote to dst")
 	}
-	if r.F32s(1) != nil || r.I32s(1) != nil || r.Ints(1) != nil {
+	if r.F32sInto(fdst); fdst[0] != 7 {
+		t.Fatal("F32sInto after error wrote to dst")
+	}
+	if r.I32s(1) != nil || r.Ints(1) != nil {
 		t.Fatal("a bulk read after error allocated")
 	}
 	if r.Err() != first {
@@ -183,7 +187,8 @@ func TestBulkMatchesElementwise(t *testing.T) {
 		// Read back from an odd address: the input is never aligned for
 		// the reader's sake.
 		r := NewReader(append([]byte{0}, want...)[1:])
-		gotF, gotI, into := r.F32s(n), make([]int32, n), make([]int32, n)
+		gotF, gotI, into := make([]float32, n), make([]int32, n), make([]int32, n)
+		r.F32sInto(gotF)
 		NewReader(want[4*n:]).I32sInto(into)
 		if gotI = r.I32s(n); r.Err() != nil || r.Len() != 0 || len(gotF) != n || len(gotI) != n {
 			t.Fatalf("n=%d: Err %v, %d left, %d and %d elements", n, r.Err(), r.Len(), len(gotF), len(gotI))

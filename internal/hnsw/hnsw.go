@@ -15,19 +15,21 @@
 // clustered data. Nothing is random: the graph is a function of the inserted
 // vectors, their order and the Config.
 //
-// Storage is flat, in the spirit of hnswlib: vectors live in one contiguous
-// arena (vector.Store) addressed by internal index, and every node's links
-// live in one fixed block inside int32 chunks behind a chunk-pointer spine
-// (links.go) — no per-node heap objects, a block address that is arithmetic
-// on the node index, and chunk-granular copy-on-write sharing between the
-// writer and its frozen clones.
+// Storage is flat, in the spirit of hnswlib, and chunked: vectors live in an
+// append-only arena of fixed 64-row chunks (vector.Chunked) addressed by
+// internal index, and every node's links live in one fixed block inside int32
+// chunks behind a chunk-pointer spine (links.go) — no per-node heap objects,
+// a row or block address that is arithmetic on the node index, growth that
+// copies nothing, and chunk-granular sharing between the writer and its
+// frozen clones.
 //
 // The distance is the merging phase's one cosine, vector.CosineUnitDist over
 // unit-norm (or zero) vectors; the index has no other. Every distance it
 // computes — a query against a neighbour block, a node against the picks of
-// selectHeuristic, a full node against its links when linkBack shrinks them —
-// is one Index.dists call: vector.CosineUnitGather over the node arena. The
-// arena stores links only; no distance is cached or persisted.
+// selectHeuristic, a full node against its links when linkBack shrinks them,
+// a caller re-ranking nodes it holds — is one Index.Dists call: the chunked
+// store's CosineUnitGather over the node arena. The link arena stores links
+// only; no distance is cached or persisted.
 //
 // Construction is serialized internally; Search is safe for concurrent use
 // once construction has finished (the merging pipeline builds per-table
@@ -87,9 +89,9 @@ type Index struct {
 	dim int
 	mu  sync.Mutex
 
-	vecs *vector.Store // row i = vector of internal node i
-	ids  []int         // external id per node
-	la   linkArena     // chunked adjacency arena, see links.go
+	vecs *vector.Chunked // row i = vector of internal node i
+	ids  []int           // external id per node
+	la   linkArena       // chunked adjacency arena, see links.go
 	// linked counts the nodes in the graph: 0..linked-1 are linked, the rest
 	// were Appended and wait for Link.
 	linked int
@@ -163,19 +165,20 @@ func (ctx *searchCtx) distBuf(n int) []float32 {
 	return ctx.dists[:n]
 }
 
-// dists sets out[j] to the distance from q to node idxs[j]: the gather kernel
-// over the node arena, and the only place the index computes a distance. The
-// arena is re-read on every call, so it stays valid across Appends by the
-// same goroutine; q may be a node's own row.
-func (ix *Index) dists(q []float32, idxs []int32, out []float32) {
-	vector.CosineUnitGather(q, ix.vecs.Raw(), ix.dim, idxs, out)
+// Dists sets out[j] to the distance from q to node idxs[j] (nodes numbered
+// as Vector numbers them): the gather kernel over the node arena, and the
+// only place a distance to a stored vector is computed — the index's own
+// walks and a caller re-ranking nodes it holds alike. q may be a node's own
+// row; a node index outside 0..Len()-1 panics.
+func (ix *Index) Dists(q []float32, idxs []int32, out []float32) {
+	ix.vecs.CosineUnitGather(q, idxs, out)
 }
 
-// distTo is dists for the one node i, through ctx's scratch.
+// distTo is Dists for the one node i, through ctx's scratch.
 func (ix *Index) distTo(q []float32, i int, ctx *searchCtx) float32 {
 	ctx.cands = append(ctx.cands[:0], int32(i))
 	d := ctx.distBuf(1)
-	ix.dists(q, ctx.cands, d)
+	ix.Dists(q, ctx.cands, d)
 	return d[0]
 }
 
@@ -185,7 +188,7 @@ func New(dim int, cfg Config) *Index {
 	return &Index{
 		cfg:   cfg,
 		dim:   dim,
-		vecs:  vector.NewStore(dim),
+		vecs:  vector.NewChunked(dim),
 		la:    newLinkArena(cfg.M),
 		stats: &searchStats{},
 
@@ -208,18 +211,16 @@ func (ix *Index) Dim() int { return ix.dim }
 
 // Vector returns the stored vector of internal node i — nodes are numbered
 // 0..Len()-1 in Add (or Append) order, so the node an Add just created is
-// Len()-1, linked or not. The slice aliases the index's arena under
-// vector.Store.At's rule: read-only, and valid until the next Add or Append
-// (growth may move the arena; the values never change). On a frozen Clone it
-// stays valid for the clone's lifetime. Callers that keep one vector per
-// external id (the matcher's tuple centroids) read it back through this
-// instead of holding a second copy.
+// Len()-1, linked or not. The slice aliases the index's arena and is
+// read-only; a stored row never moves, so it stays valid for the lifetime of
+// the index and of every Clone that holds the node. Callers that keep one
+// vector per external id (the matcher's tuple centroids) read it back
+// through this instead of holding a second copy.
 func (ix *Index) Vector(i int) []float32 { return ix.vecs.At(i) }
 
-// RawVectors returns the whole node arena, Len()*Dim() float32s with node i
-// at [i*Dim(), (i+1)*Dim()), for the vector gather kernels. Same aliasing
-// rule as Vector.
-func (ix *Index) RawVectors() []float32 { return ix.vecs.Raw() }
+// Cap reports how many nodes the vector arena has room for before it
+// allocates its next chunk: Len() plus fewer than vector.ChunkRows.
+func (ix *Index) Cap() int { return ix.vecs.Cap() }
 
 // neighbors returns node i's links as a read view into the arena.
 func (ix *Index) neighbors(i int) []int32 {
@@ -260,7 +261,7 @@ func (ix *Index) Add(id int, vec []float32) error {
 
 // Append is the first half of Add: it stores the node's vector and id, as
 // node Len()-1, and gives it an empty link block, without linking it into the
-// graph. Vector, RawVectors, Len and IDs see the node at once; nothing
+// graph. Vector, Dists, Len and IDs see the node at once; nothing
 // searches it until Link. Append and Link in any interleaving build the graph
 // and Save bytes that Adds of the same vectors build — so a node that is
 // discarded before its Link (a compaction's input) costs no graph work at
@@ -338,10 +339,10 @@ func (ix *Index) linkNode(cur int) {
 // Clone returns a frozen, read-only copy of the index that concurrent
 // Searches (and Save) may keep using while the original continues to take
 // Adds — the building block for copy-on-write serving views. Nothing is
-// deep-copied: the vector arena and ids are append-only arrays and are
-// clipped, the link arena (which linkBack rewrites in place) is a
-// copy-on-write table and is snapshotted, under the two contracts stated on
-// multiem's shardView. The construction scratch stays behind: it exists only
+// deep-copied: the vector arena's chunk spine and the ids are append-only
+// arrays and are clipped, the link arena (which linkBack rewrites in place)
+// is a copy-on-write table and is snapshotted, under the two contracts stated
+// on multiem's shardView. The construction scratch stays behind: it exists only
 // for Add, which a frozen clone refuses. Cloning an index whose Appended
 // nodes wait for Link panics.
 func (ix *Index) Clone() *Index {
@@ -399,11 +400,11 @@ func (v *visitSet) visit(i int32) bool {
 // search.
 //
 // Neighbour expansion is batched: each popped node's unvisited neighbours
-// are collected and scored in one dists call over the flat links arena, then
-// pushed in block order — the same order the per-neighbour loop used, so the
-// best.Worst() gating sequence and therefore the result set are unchanged.
+// are collected and scored in one Dists call, then pushed in block order —
+// the same order the per-neighbour loop used, so the best.Worst() gating
+// sequence and therefore the result set are unchanged.
 // The walk's two kinds of cache miss are both asked for early and change
-// nothing it computes: the block's rows inside dists, the next pop's link
+// nothing it computes: the block's rows inside Dists, the next pop's link
 // block just before it.
 func (ix *Index) searchLayer(q []float32, ef int, ctx *searchCtx) []vector.Neighbor {
 	ctx.visit.reset(len(ix.ids))
@@ -441,7 +442,7 @@ func (ix *Index) searchLayer(q []float32, ef int, ctx *searchCtx) []vector.Neigh
 			ix.prefetchLinks(ctx.frontier.Min().ID)
 		}
 		dists := ctx.distBuf(len(unv))
-		ix.dists(q, unv, dists)
+		ix.Dists(q, unv, dists)
 		for j, nb := range unv {
 			d := dists[j]
 			if !best.Full() || d < best.Worst() {
@@ -460,7 +461,7 @@ func (ix *Index) searchLayer(q []float32, ef int, ctx *searchCtx) []vector.Neigh
 // spreads links across clusters and preserves graph navigability. scratch
 // backs the result when selection is needed; when candidates already fit,
 // cands is returned as-is. Each candidate is scored against all the picks so
-// far in one dists call, through buildCtx's scratch: selection runs only
+// far in one Dists call, through buildCtx's scratch: selection runs only
 // under construction, after the search that produced cands has returned.
 func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vector.Neighbor) []vector.Neighbor {
 	if len(cands) <= m {
@@ -474,7 +475,7 @@ func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vect
 			break
 		}
 		dists := ctx.distBuf(len(picks))
-		ix.dists(ix.vecs.At(c.ID), picks, dists)
+		ix.Dists(ix.vecs.At(c.ID), picks, dists)
 		ok := true
 		for _, d := range dists {
 			if d < c.Dist {
@@ -515,7 +516,7 @@ func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vect
 // with the heuristic when it is full. The shrink keeps exactly 2*M (the
 // heuristic backfills), so a block's count never falls and its slack slots
 // stay zero. The shrink scores from's current links in one
-// dists call, the only place the index computes the distance of an existing
+// Dists call, the only place the index computes the distance of an existing
 // link; the gather is symmetric to the bit, so each value equals the one
 // computed from the link's other end when it was made.
 func (ix *Index) linkBack(from, to int, d float32) {
@@ -529,7 +530,7 @@ func (ix *Index) linkBack(from, to int, d float32) {
 	}
 	nbs := blk[1 : 1+cnt]
 	dists := ix.buildCtx.distBuf(cnt)
-	ix.dists(ix.vecs.At(from), nbs, dists)
+	ix.Dists(ix.vecs.At(from), nbs, dists)
 	cands := ix.backCands[:0]
 	for k, nb := range nbs {
 		cands = append(cands, vector.Neighbor{ID: int(nb), Dist: dists[k]})

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/binio"
-	"repro/internal/vector"
 )
 
 // Binary index format, version 3 (all integers little-endian):
@@ -19,7 +18,8 @@ import (
 //	ids      count × int64
 //	links    count × (1+2M) int32: each node's link block as it sits in
 //	         memory — the link count, the links, the slack slots zero
-//	vectors  count × dim × float32, the whole arena as one block
+//	vectors  count × dim × float32 in node order (the vector arena's chunks,
+//	         each cut to its stored rows, one after another)
 //
 // The format captures the complete index state — links and vectors — so a
 // loaded index answers every query, and takes every later Add, exactly as the
@@ -72,7 +72,7 @@ const (
 
 // Save writes the index to w in the versioned binary format above: the small
 // fields through one bufio.Writer (w itself when it already is one), the link
-// arena a chunk at a time and the vector arena as one Write of their own
+// and vector arenas a chunk at a time, each chunk one Write of its own
 // memory. The index must not be mutated concurrently, and saving one whose
 // Appended nodes wait for Link panics: the file has no place for a node
 // outside the graph.
@@ -93,7 +93,9 @@ func (ix *Index) Save(w io.Writer) error {
 	for c := range ix.la.chunks {
 		binio.WriteI32s(bw, ix.la.prefix(c, len(ix.ids)))
 	}
-	binio.WriteF32s(bw, ix.vecs.Raw())
+	for c := range ix.vecs.Chunks() {
+		binio.WriteF32s(bw, ix.vecs.Chunk(c))
+	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("hnsw: save: %w", err)
 	}
@@ -125,10 +127,11 @@ func Load(r io.Reader) (*Index, error) {
 
 // Decode is Load over bytes already in memory: it reads one index from rd and
 // leaves the cursor behind its last byte, so a container format (the matcher
-// file) decodes its embedded index in place. Every array is allocated once, at
-// its final size, after the bytes left have been checked to hold it — the
-// link arena included, which is never larger than the bytes that follow the
-// header.
+// file) decodes its embedded index in place. Every array is allocated after
+// the bytes left have been checked to hold it: the ids at their final size,
+// the link arena, which is never larger than the bytes that follow the
+// header, and the vector arena in chunks whose last holds exactly the rows
+// the file fills (vector.Chunked.GrowExact).
 func Decode(rd *binio.Reader) (*Index, error) {
 	if m := rd.Next(len(magic)); string(m) != string(magic[:]) {
 		return nil, corrupt("bad magic %q (not an HNSW index file)", m)
@@ -195,7 +198,10 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.vecs = vector.StoreOver(dim, rd.F32s(dim*count))
+	ix.vecs.GrowExact(count)
+	for c := range ix.vecs.Chunks() {
+		rd.F32sInto(ix.vecs.Chunk(c))
+	}
 	if rd.Err() != nil {
 		return nil, corrupt("vectors: %v", rd.Err())
 	}

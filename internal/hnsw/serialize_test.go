@@ -353,9 +353,11 @@ func TestDecodeV2Fixture(t *testing.T) {
 		t.Fatalf("loaded %d nodes with config %+v", ix.Len(), ix.Config())
 	}
 	arena := raw[len(raw)-4*ix.Dim()*ix.Len():]
-	for j, f := range ix.RawVectors() {
-		if math.Float32bits(f) != binary.LittleEndian.Uint32(arena[4*j:]) {
-			t.Fatalf("vector arena differs from the file's at float %d", j)
+	for i := range ix.Len() {
+		for k, f := range ix.Vector(i) {
+			if math.Float32bits(f) != binary.LittleEndian.Uint32(arena[4*(i*ix.Dim()+k):]) {
+				t.Fatalf("node %d's vector differs from the file's at float %d", i, k)
+			}
 		}
 	}
 	for i := range layer0 {
@@ -456,6 +458,9 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Add(savedBytes(f, one))
 	f.Add(savedBytes(f, buildIndex(f, randomUnitVecs(40, 8, 1), Config{M: 4})))
 	f.Add(readV2Fixture(f))
+	// One wide row: the vector arena's chunk may hold only what the file
+	// fills, or it alone would outgrow the allocation bound.
+	f.Add(savedBytes(f, buildIndex(f, randomUnitVecs(1, 1024, 2), Config{M: 1})))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		rd := binio.NewReader(raw)

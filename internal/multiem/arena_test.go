@@ -1,0 +1,179 @@
+package multiem
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/hnsw"
+	"repro/internal/vector"
+)
+
+// arenaMark records where one growing arena's rows sit before a batch: the
+// address of each row whose chunk is full-sized, and the index object the
+// node arena belongs to (a compaction replaces it).
+type arenaMark struct {
+	index *hnsw.Index
+	ents  []*float32
+	nodes []*float32
+}
+
+// markArenas takes sh's mark. A loaded arena's last chunk is sized to its
+// rows (vector.Chunked.GrowExact) and moves once when it grows; the rows of
+// every full-sized chunk must never move.
+func markArenas(sh *shard) arenaMark {
+	mk := arenaMark{index: sh.index}
+	for i := range fullRows(sh.entVecs.Len(), sh.entVecs.Cap()) {
+		mk.ents = append(mk.ents, &sh.entVecs.At(i)[0])
+	}
+	for i := range fullRows(sh.index.Len(), sh.index.Cap()) {
+		mk.nodes = append(mk.nodes, &sh.index.Vector(i)[0])
+	}
+	return mk
+}
+
+// fullRows is how many of the n rows of an arena of capacity c sit in
+// full-sized chunks: all of them, unless c is not a whole number of chunks.
+func fullRows(n, c int) int {
+	if c%vector.ChunkRows != 0 {
+		return c &^ (vector.ChunkRows - 1)
+	}
+	return n
+}
+
+// checkArenas holds each shard's two growing arenas — its entity embeddings
+// and its index's node vectors — to the chunked store's contract after a
+// batch: under one chunk of unused rows, and every row marked before the
+// batch at its old address (node rows only while the index is the same one).
+func checkArenas(t *testing.T, when string, m *Matcher, marks []arenaMark) {
+	t.Helper()
+	for s, sh := range m.shards {
+		for name, a := range map[string][2]int{
+			"entity": {sh.entVecs.Len(), sh.entVecs.Cap()},
+			"node":   {sh.index.Len(), sh.index.Cap()},
+		} {
+			if slack := a[1] - a[0]; slack < 0 || slack >= vector.ChunkRows {
+				t.Fatalf("%s: shard %d's %s arena holds %d rows with room for %d", when, s, name, a[0], a[1])
+			}
+		}
+		if marks == nil {
+			continue
+		}
+		for i, p := range marks[s].ents {
+			if &sh.entVecs.At(i)[0] != p {
+				t.Fatalf("%s: shard %d's entity row %d moved", when, s, i)
+			}
+		}
+		if sh.index != marks[s].index {
+			continue
+		}
+		for i, p := range marks[s].nodes {
+			if &sh.index.Vector(i)[0] != p {
+				t.Fatalf("%s: shard %d's node row %d moved", when, s, i)
+			}
+		}
+	}
+}
+
+// TestArenaRowsNeverMove drives a two-shard matcher through batches that push
+// both growing arenas of each shard across several chunk boundaries, with a
+// save/load round trip halfway: after every batch each arena's unused
+// capacity is under one chunk, and no row of a full chunk has moved. A view
+// pinned before a batch is read from another goroutine while the batch
+// appends across a boundary, and reads the same rows after it (make race
+// runs this under the race detector).
+func TestArenaRowsNeverMove(t *testing.T) {
+	d := mustGeo(t, 0.01, 5)
+	opt := durOpts(2)
+	m, err := BuildMatcher(d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkArenas(t, "build", m, nil)
+	// Near-duplicates of another dataset's records are mostly new tuples to
+	// this base, so the node arenas grow as well as the entity arenas.
+	batches := randomBatches(mustGeo(t, 0.2, 6), 48, 16, 17)
+	// crossings[s] counts, per arena kind, the batches that appended shard
+	// s's rows across a chunk boundary.
+	crossings := make([][2]int, 2)
+	for b, rows := range batches {
+		if b == len(batches)/2 {
+			m = mustLoad(t, saveBytes(t, m), opt)
+			checkArenas(t, "load", m, nil)
+		}
+		marks := make([]arenaMark, len(m.shards))
+		for s, sh := range m.shards {
+			marks[s] = markArenas(sh)
+		}
+		before := m.state.Load()
+		want := viewRows(before)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		var readErr error
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := viewRows(before); !slices.EqualFunc(got, want, slices.Equal) {
+					readErr = fmt.Errorf("batch %d: a pinned view read other rows while the writer appended", b)
+					return
+				}
+			}
+		}()
+		if _, err := m.AddRecords(rows); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		wg.Wait()
+		if readErr != nil {
+			t.Fatal(readErr)
+		}
+		checkArenas(t, fmt.Sprintf("batch %d", b), m, marks)
+		for s, sh := range m.shards {
+			if sh.entVecs.Len()/vector.ChunkRows > before.shards[s].entVecs.Len()/vector.ChunkRows {
+				crossings[s][0]++
+			}
+			if sh.index == marks[s].index && sh.index.Len()/vector.ChunkRows > before.shards[s].index.Len()/vector.ChunkRows {
+				crossings[s][1]++
+			}
+		}
+		if got := viewRows(before); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("batch %d: a view pinned before it reads other rows after it", b)
+		}
+	}
+	t.Logf("chunk boundaries crossed per shard (entity, node): %v", crossings)
+	for s, c := range crossings {
+		if c[0] < 3 || c[1] < 2 {
+			t.Fatalf("shard %d crossed %d entity and %d node chunk boundaries, want several", s, c[0], c[1])
+		}
+	}
+}
+
+// viewRows reads every entity and node row of a published view, and the
+// distance from each shard's first entity row to every node through the
+// gather kernel.
+func viewRows(v *matcherView) [][]float32 {
+	var rows [][]float32
+	for _, sv := range v.shards {
+		for i := range sv.entVecs.Len() {
+			rows = append(rows, slices.Clone(sv.entVecs.At(i)))
+		}
+		nodes := make([]int32, sv.index.Len())
+		for i := range nodes {
+			rows = append(rows, slices.Clone(sv.index.Vector(i)))
+			nodes[i] = int32(i)
+		}
+		if sv.entVecs.Len() > 0 && len(nodes) > 0 {
+			dists := make([]float32, len(nodes))
+			sv.index.Dists(sv.entVecs.At(0), nodes, dists)
+			rows = append(rows, dists)
+		}
+	}
+	return rows
+}

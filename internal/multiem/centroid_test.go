@@ -27,7 +27,7 @@ import (
 // every tuple's node carries the tuple's id, is the last node that does, and
 // holds exactly the centroid its members produce. It returns a copy of the
 // centroids in local order.
-func checkCentroidNodes(tuples *tupleTable, index *hnsw.Index, entVecs *vector.Store) ([][]float32, error) {
+func checkCentroidNodes(tuples *tupleTable, index *hnsw.Index, entVecs *vector.Chunked) ([][]float32, error) {
 	ids := index.IDs()
 	last := make(map[int]int, tuples.len())
 	for node, id := range ids {
@@ -44,7 +44,7 @@ func checkCentroidNodes(tuples *tupleTable, index *hnsw.Index, entVecs *vector.S
 		if last[l] != node {
 			return nil, fmt.Errorf("tuple %d points at node %d, but node %d is its newest entry", l, node, last[l])
 		}
-		centroidInto(want, ts.members, entVecs)
+		centroidInto(want, ts.members, entVecs.At)
 		got := index.Vector(node)
 		if !sameBits(got, want) {
 			return nil, fmt.Errorf("tuple %d: node %d holds %v, members give %v", l, node, got, want)

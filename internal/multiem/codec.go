@@ -12,7 +12,6 @@ import (
 	"repro/internal/binio"
 	"repro/internal/hnsw"
 	"repro/internal/par"
-	"repro/internal/vector"
 )
 
 // Matcher binary format (little-endian), version 6:
@@ -27,7 +26,7 @@ import (
 //	per shard:
 //	  section bytes  int64 (length of the section that follows)
 //	  entIDs      count + count × int64
-//	  entVecs     count × dim × float32, the shard's embedding arena as one block
+//	  entVecs     count × dim × float32, the shard's embedding arena in row order
 //	  tuples      count × { nMembers int32; members []int32 (local rows); maxJoinDist f32 }
 //	  compactions int64
 //	  index       embedded hnsw.Index (its own versioned format)
@@ -131,7 +130,9 @@ func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 func (v *shardView) writeSection(bw *bufio.Writer) error {
 	binio.WriteI32(bw, int32(len(v.entIDs)))
 	binio.WriteInts(bw, v.entIDs)
-	binio.WriteF32s(bw, v.entVecs.Raw())
+	for c := range v.entVecs.Chunks() {
+		binio.WriteF32s(bw, v.entVecs.Chunk(c))
+	}
 	binio.WriteI32(bw, int32(v.tuples.len()))
 	v.tuples.each(func(_ int, ts *tupleState) {
 		binio.WriteI32(bw, int32(len(ts.members)))
@@ -151,8 +152,8 @@ func (v *shardView) writeSection(bw *bufio.Writer) error {
 
 // sectionSize is the number of bytes writeSection produces for this view.
 func (v *shardView) sectionSize() int {
-	n := 4 + 8*len(v.entIDs) + 4*len(v.entVecs.Raw()) // entities
-	n += 4                                            // tuple count
+	n := 4 + 8*len(v.entIDs) + 4*v.entVecs.Len()*v.entVecs.Dim() // entities
+	n += 4                                                       // tuple count
 	v.tuples.each(func(_ int, ts *tupleState) {
 		n += 4 + 4*len(ts.members) + 4
 	})
@@ -272,8 +273,9 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 // readSection decodes one shard's section bytes into sh, returning the
 // largest entity ID seen (-1 when the shard is empty). Every count is checked
 // against the bytes the section still holds before anything is sized by it
-// (binio.Reader.Count), and each arena is one allocation of its final size
-// filled by one bulk copy.
+// (binio.Reader.Count), and each arena is allocated at its final size — the
+// embedding arena as chunks, the last holding exactly the rows left — and
+// filled by bulk copies.
 func (sh *shard) readSection(sec []byte, dim int, version uint32) (maxEntID int, err error) {
 	rd := binio.NewReader(sec)
 
@@ -286,7 +288,10 @@ func (sh *shard) readSection(sec []byte, dim int, version uint32) (maxEntID int,
 	if nEnts > 0 {
 		maxEntID = slices.Max(sh.entIDs)
 	}
-	sh.entVecs = vector.StoreOver(dim, rd.F32s(nEnts*dim))
+	sh.entVecs.GrowExact(nEnts)
+	for c := range sh.entVecs.Chunks() {
+		rd.F32sInto(sh.entVecs.Chunk(c))
+	}
 
 	// A tuple is at least its member count and its join distance — and in a
 	// version-4 file its row of the centroids block.

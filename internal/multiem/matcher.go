@@ -260,7 +260,7 @@ func (m *Matcher) newShards(n int) {
 	m.shards = make([]*shard, n)
 	for s := range m.shards {
 		m.shards[s] = &shard{
-			shardView: shardView{entVecs: vector.NewStore(m.dim), tuples: tupleTable{shift: shift}},
+			shardView: shardView{entVecs: vector.NewChunked(m.dim), tuples: tupleTable{shift: shift}},
 			centroid:  make([]float32, m.dim),
 		}
 	}
@@ -306,7 +306,7 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 	// owning shard, and each member's embedding and ID move there with it.
 	centroid := make([]float32, m.dim)
 	place := func(members []int, maxJoinDist float32) {
-		centroidInto(centroid, members, st.entVecs)
+		centroidInto(centroid, members, st.entVecs.At)
 		sh := m.shards[routeVec(centroid, len(m.shards))]
 		local := make([]int, len(members))
 		for i, p := range members {
@@ -349,18 +349,19 @@ func (m *Matcher) buildShardIndex(s int) {
 }
 
 // centroidInto writes the unit-norm mean embedding of the member positions
-// into dst. Both the merging phase and the online matcher derive tuple
-// centroids through it, so the two can never diverge.
-func centroidInto(dst []float32, members []int, entVecs *vector.Store) {
+// into dst, reading member row p as row(p) — of the pipeline's flat arena or
+// of a shard's chunked one. Both the merging phase and the online matcher
+// derive tuple centroids through it, so the two can never diverge.
+func centroidInto(dst []float32, members []int, row func(int) []float32) {
 	if len(members) == 1 {
-		copy(dst, entVecs.At(members[0]))
+		copy(dst, row(members[0]))
 		return
 	}
 	for i := range dst {
 		dst[i] = 0
 	}
 	for _, pos := range members {
-		vector.Add(dst, entVecs.At(pos))
+		vector.Add(dst, row(pos))
 	}
 	vector.Scale(dst, 1/float32(len(members)))
 	vector.Normalize(dst)
@@ -459,7 +460,7 @@ func searchShard(v *shardView, fetch, ef int, q []float32, hits *shardHits) {
 	}
 	hits.dists = slices.Grow(hits.dists[:0], len(hits.nodes))[:len(hits.nodes)]
 	if len(hits.nodes) > 0 {
-		vector.CosineUnitGather(q, v.index.RawVectors(), v.index.Dim(), hits.nodes, hits.dists)
+		v.index.Dists(q, hits.nodes, hits.dists)
 	}
 }
 

@@ -46,9 +46,11 @@ func splitTupleID(id int) (shard, local int) {
 //
 //   - Append-only arrays (entIDs, entVecs, and the index's vectors and
 //     ids): existing elements are never overwritten, and the writer appends
-//     past every frozen length — in place, or into a new backing array. A
-//     view clips them (slices.Clip, vector.Store.Frozen): O(1), sharing the
-//     backing array.
+//     past every frozen length. The ids grow by append, in place or into a
+//     new backing array; the two vector arenas grow by fixed 64-row chunks
+//     behind a chunk spine (vector.Chunked), so a stored row never moves. A
+//     view clips them — slices.Clip, and for a vector arena its chunk spine
+//     (vector.Chunked.Frozen): O(1), sharing every backing array and chunk.
 //   - Copy-on-write tables (the tuple table, the index's link arena): rows
 //     live in fixed-size chunks behind a spine, and the writer owns or shares
 //     each chunk. A view takes snapshot(): an O(chunks) spine copy with no
@@ -69,7 +71,7 @@ type shardView struct {
 	entIDs []int
 	// entVecs holds the embeddings of every entity owned by this shard; a
 	// tuple's members index into it. Append-only.
-	entVecs *vector.Store
+	entVecs *vector.Chunked
 	// tuples is the chunked tuple table (tupletable.go): the writer's copy
 	// in a shard, a frozen snapshot of it in a published view.
 	tuples tupleTable
@@ -108,8 +110,7 @@ func (sh *shard) view() *shardView {
 }
 
 // centroidAt resolves tuple local's current centroid: the vector of its
-// current index node. On the writer's shard it is valid until the index's
-// next Add.
+// current index node, which never moves.
 func (v *shardView) centroidAt(local int) []float32 {
 	return v.index.Vector(int(v.tuples.at(local).node))
 }
@@ -120,7 +121,7 @@ func (v *shardView) centroidAt(local int) []float32 {
 // readable at once; it is linked into the graph when whoever next takes a
 // view of the shard calls index.Link. The caller holds addMu.
 func (sh *shard) indexCentroid(local int) {
-	centroidInto(sh.centroid, sh.tuples.at(local).members, sh.entVecs)
+	centroidInto(sh.centroid, sh.tuples.at(local).members, sh.entVecs.At)
 	sh.index.Append(local, sh.centroid)
 	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
 }

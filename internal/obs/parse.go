@@ -116,7 +116,9 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 		exp.Values[series] = v
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		// The line the scanner could not deliver, too long or unreadable.
+		lineNo++
+		return fail("%v", err)
 	}
 	return exp, nil
 }

@@ -1,11 +1,42 @@
 package obs
 
 import (
+	"fmt"
+	"maps"
+	"math"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// goldenExposition is what TestExpositionGolden's registry renders.
+const goldenExposition = `# HELP test_external_total An externally counted counter.
+# TYPE test_external_total counter
+test_external_total 7
+# HELP test_latency_seconds A latency summary.
+# TYPE test_latency_seconds summary
+test_latency_seconds{endpoint="match",quantile="0.5"} 0.001
+test_latency_seconds{endpoint="match",quantile="0.9"} 0.001
+test_latency_seconds{endpoint="match",quantile="0.99"} 0.001
+test_latency_seconds{endpoint="match",quantile="0.999"} 0.001
+test_latency_seconds_sum{endpoint="match"} 0.002
+test_latency_seconds_count{endpoint="match"} 2
+# HELP test_requests_total Requests served.
+# TYPE test_requests_total counter
+test_requests_total{endpoint="match"} 42
+# HELP test_shard_live Per-shard live rows.
+# TYPE test_shard_live gauge
+test_shard_live{shard="0"} 10
+test_shard_live{shard="1"} 20
+# HELP test_temperature A settable gauge.
+# TYPE test_temperature gauge
+test_temperature -3.5
+# HELP test_uptime_seconds A computed gauge.
+# TYPE test_uptime_seconds gauge
+test_uptime_seconds 12
+`
 
 // TestExpositionGolden pins the exact rendered exposition for one of
 // every metric kind, so format drift is a deliberate diff.
@@ -36,31 +67,7 @@ func TestExpositionGolden(t *testing.T) {
 
 	// 1ms lands in an HDR bucket whose midpoint reconstructs to ~1.008ms,
 	// clamped to the exact min/max (1ms) for a single-valued histogram.
-	want := `# HELP test_external_total An externally counted counter.
-# TYPE test_external_total counter
-test_external_total 7
-# HELP test_latency_seconds A latency summary.
-# TYPE test_latency_seconds summary
-test_latency_seconds{endpoint="match",quantile="0.5"} 0.001
-test_latency_seconds{endpoint="match",quantile="0.9"} 0.001
-test_latency_seconds{endpoint="match",quantile="0.99"} 0.001
-test_latency_seconds{endpoint="match",quantile="0.999"} 0.001
-test_latency_seconds_sum{endpoint="match"} 0.002
-test_latency_seconds_count{endpoint="match"} 2
-# HELP test_requests_total Requests served.
-# TYPE test_requests_total counter
-test_requests_total{endpoint="match"} 42
-# HELP test_shard_live Per-shard live rows.
-# TYPE test_shard_live gauge
-test_shard_live{shard="0"} 10
-test_shard_live{shard="1"} 20
-# HELP test_temperature A settable gauge.
-# TYPE test_temperature gauge
-test_temperature -3.5
-# HELP test_uptime_seconds A computed gauge.
-# TYPE test_uptime_seconds gauge
-test_uptime_seconds 12
-`
+	want := goldenExposition
 	if got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
@@ -77,24 +84,71 @@ test_uptime_seconds 12
 	}
 }
 
+// malformedExpositions each break one rule ParseExposition enforces; the
+// line a case names is the one its error must number.
+var malformedExpositions = []struct {
+	name, in string
+	line     int
+}{
+	{"no TYPE", "foo 1\n", 1},
+	{"bad value", "# TYPE foo gauge\nfoo abc\n", 2},
+	{"bad name", "# TYPE 9foo gauge\n", 1},
+	{"bad type", "# TYPE foo banana\n", 1},
+	{"duplicate TYPE", "# TYPE foo gauge\n# TYPE foo gauge\nfoo 1\n", 2},
+	{"duplicate series", "# TYPE foo gauge\nfoo 1\nfoo 2\n", 3},
+	{"unterminated labels", "# TYPE foo gauge\nfoo{a=\"b\" 1\n", 2},
+	{"unquoted label", "# TYPE foo gauge\nfoo{a=b} 1\n", 2},
+	{"missing value", "# TYPE foo gauge\nfoo\n", 2},
+	{"suffix on gauge", "# TYPE foo gauge\nfoo_count 1\n", 2},
+	// Longer than the scanner's 1 MiB cap: refused, with its number, like
+	// every other violation.
+	{"line over 1 MiB", "# TYPE foo gauge\nfoo 1\n" + strings.Repeat("a", 2<<20) + "\n", 3},
+}
+
 func TestParseExpositionRejectsMalformed(t *testing.T) {
-	cases := []struct{ name, in string }{
-		{"no TYPE", "foo 1\n"},
-		{"bad value", "# TYPE foo gauge\nfoo abc\n"},
-		{"bad name", "# TYPE 9foo gauge\n"},
-		{"bad type", "# TYPE foo banana\n"},
-		{"duplicate TYPE", "# TYPE foo gauge\n# TYPE foo gauge\nfoo 1\n"},
-		{"duplicate series", "# TYPE foo gauge\nfoo 1\nfoo 2\n"},
-		{"unterminated labels", "# TYPE foo gauge\nfoo{a=\"b\" 1\n"},
-		{"unquoted label", "# TYPE foo gauge\nfoo{a=b} 1\n"},
-		{"missing value", "# TYPE foo gauge\nfoo\n"},
-		{"suffix on gauge", "# TYPE foo gauge\nfoo_count 1\n"},
-	}
-	for _, c := range cases {
-		if _, err := ParseExposition(strings.NewReader(c.in)); err == nil {
-			t.Errorf("%s: parse accepted %q", c.name, c.in)
+	for _, c := range malformedExpositions {
+		_, err := ParseExposition(strings.NewReader(c.in))
+		if err == nil {
+			t.Errorf("%s: parse accepted %.80q", c.name, c.in)
+			continue
+		}
+		if want := fmt.Sprintf("line %d: ", c.line); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: error %q does not start with %q", c.name, err, want)
 		}
 	}
+}
+
+// lineNumbered matches the prefix of every ParseExposition error.
+var lineNumbered = regexp.MustCompile(`^line [1-9][0-9]*: `)
+
+// FuzzParseExposition: the loadgen scraper and the benchmark parse a live
+// server's /metrics with ParseExposition. On any input it must not panic,
+// every error must carry the line number it promises, and a blank line added
+// after an accepted input must change nothing it parsed.
+func FuzzParseExposition(f *testing.F) {
+	f.Add(goldenExposition)
+	for _, c := range malformedExpositions {
+		if len(c.in) < 1<<10 {
+			f.Add(c.in)
+		}
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		exp, err := ParseExposition(strings.NewReader(in))
+		if err != nil {
+			if exp != nil || !lineNumbered.MatchString(err.Error()) {
+				t.Fatalf("error %q (exposition %v) is not a line-numbered refusal", err, exp != nil)
+			}
+			return
+		}
+		again, err := ParseExposition(strings.NewReader(in + "\n\n"))
+		if err != nil {
+			t.Fatalf("accepted input refused after a blank line: %v", err)
+		}
+		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if !maps.EqualFunc(exp.Values, again.Values, sameBits) || !maps.Equal(exp.Types, again.Types) {
+			t.Fatalf("a blank line changed the parse: %v %v, then %v %v", exp.Values, exp.Types, again.Values, again.Types)
+		}
+	})
 }
 
 func TestParseExpositionSummarySuffixes(t *testing.T) {

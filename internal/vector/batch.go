@@ -10,11 +10,16 @@ import (
 // fills out[j] for every j, reading row j (DotBatch) or row idxs[j] (the
 // gather forms). out[j] is bit-identical to the corresponding single-pair
 // call on the active kernel path — the single-pair kernels are the reference
-// and the batch layer reorders no math. DotGather — what a graph walk calls,
-// over rows scattered through an arena far larger than the cache — is one
-// assembly call per block on the AVX2 path (kernels_amd64.s), which
-// prefetches the rows ahead in idxs while it sums the current one.
-// CosineUnitGather puts the merging distance on top of it.
+// and the batch layer reorders no math.
+//
+// There is one gather, dotGather: rows addressed through a chunk spine, row i
+// at spine[i>>shift] + (i mod 1<<shift)·stride. A Chunked store passes its
+// spine; DotGather passes a flat arena as a one-entry spine whose shift puts
+// every index in chunk 0. It is what a graph walk calls, over rows scattered
+// through an arena far larger than the cache, and is one assembly call per
+// block on the AVX2 path (kernels_amd64.s), which prefetches the rows ahead
+// in idxs while it sums the current one. CosineUnitGather puts the merging
+// distance on top of it.
 
 func checkStride(q []float32, stride int) {
 	if stride < len(q) {
@@ -59,16 +64,29 @@ func checkGather(q, rows []float32, stride int, idxs []int32, out []float32) {
 	}
 }
 
+// flatShift is a one-entry spine's shift: every non-negative int32 index
+// lies in chunk 0, at its own row.
+const flatShift = 31
+
 // DotGather sets out[j] = Dot(q, row idxs[j]) for j in [0, len(out)).
 func DotGather(q, rows []float32, stride int, idxs []int32, out []float32) {
 	checkGather(q, rows, stride, idxs, out)
+	spine := [1][]float32{rows}
+	dotGather(q, spine[:], flatShift, stride, idxs, out)
+}
+
+// dotGather sets out[j] = Dot(q, row idxs[j]), row i at (i mod 1<<shift)·stride
+// floats into spine[i>>shift]: the one gather behind both arena kinds. The
+// callers have checked that every index names a whole row.
+func dotGather(q []float32, spine [][]float32, shift uint, stride int, idxs []int32, out []float32) {
 	if simdOn {
-		dotGatherAVX2(unsafe.SliceData(q), unsafe.SliceData(rows), len(q), stride,
+		dotGatherAVX2(unsafe.SliceData(q), unsafe.SliceData(spine), shift, len(q), stride,
 			unsafe.SliceData(idxs), len(idxs), gatherAhead, unsafe.SliceData(out))
 		return
 	}
+	mask := 1<<shift - 1
 	for j, i := range idxs {
-		out[j] = dotScalar(q, row(rows, stride, len(q), int(i)))
+		out[j] = dotScalar(q, row(spine[int(i)>>shift], stride, len(q), int(i)&mask))
 	}
 }
 

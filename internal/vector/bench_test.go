@@ -146,7 +146,8 @@ func BenchmarkGather(b *testing.B) {
 			}
 		}},
 		{"kernel=fused/lookahead=off", func(arena []float32, blk []int32) {
-			dotGatherAVX2(unsafe.SliceData(q), unsafe.SliceData(arena), benchDim, benchDim, unsafe.SliceData(blk), block, 0, unsafe.SliceData(out))
+			spine := [1][]float32{arena}
+			dotGatherAVX2(unsafe.SliceData(q), &spine[0], flatShift, benchDim, benchDim, unsafe.SliceData(blk), block, 0, unsafe.SliceData(out))
 		}},
 		{"kernel=fused/lookahead=on", func(arena []float32, blk []int32) {
 			DotGather(q, arena, benchDim, blk, out)

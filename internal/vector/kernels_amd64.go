@@ -18,15 +18,16 @@ func dotAVX2(a, b []float32) float32
 //go:noescape
 func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
 
-// dotGatherAVX2 is the one-call-per-block kernel behind DotGather: q against
-// the n rows idxs[0..n) of the arena (row i at rows + i*stride floats),
+// dotGatherAVX2 is the one-call-per-block kernel behind every gather: q
+// against the n rows idxs[0..n) of a chunked arena (row i at
+// (i mod 1<<shift)*stride floats into the chunk spine[i>>shift] names),
 // out[j] bit-equal to dotAVX2 on row idxs[j], with row idxs[j+ahead]
 // prefetched while row j is summed. It takes raw pointers and checks
-// nothing: every index must already be known to name a whole row inside the
-// arena. See the comment above it in kernels_amd64.s.
+// nothing: every index must already be known to name a whole row inside its
+// chunk. See the comment above it in kernels_amd64.s.
 //
 //go:noescape
-func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
+func dotGatherAVX2(q *float32, spine *[]float32, shift uint, dim, stride int, idxs *int32, n, ahead int, out *float32)
 
 // sparseAtLeast32AVX2 is the kernel behind SparseAtLeast32: one sparse row
 // (n coordinates at idx, values at val) against a dim×32 dimension-major

@@ -212,11 +212,14 @@ dtile_done:
 
 // ---- gather kernel ----------------------------------------------------------
 //
-// dotGatherAVX2 scores one query against the n rows idxs[0..n) of an arena
-// (row i at rows + i*stride floats) in a single call and stores the results
-// to out[0..n). Each row is summed exactly as dotAVX2 sums it — the same four
-// accumulators over the 32-wide loop, the same fold, 8-wide loop, reduction
-// and scalar-FMA tail — so out[j] has the bits of the single-pair call.
+// dotGatherAVX2 scores one query against the n rows idxs[0..n) of a chunked
+// arena in a single call and stores the results to out[0..n). Row i lives in
+// the chunk the spine's entry i>>shift names (a Go slice header: 24 bytes, its
+// data pointer first), (i mod 1<<shift)*stride floats in; a flat arena is a
+// one-entry spine whose shift puts every index in chunk 0. Each row is summed
+// exactly as dotAVX2 sums it — the same four accumulators over the 32-wide
+// loop, the same fold, 8-wide loop, reduction and scalar-FMA tail — so out[j]
+// has the bits of the single-pair call.
 //
 // What the single call buys is that the misses overlap: a graph walk's rows
 // are scattered over an arena far larger than L2, and a row's sixteen cache
@@ -230,46 +233,57 @@ dtile_done:
 // offset dim&^31 of a row, loads below dim: nothing touches a byte outside
 // the rows idxs names.
 //
-// Callers guarantee 0 <= idxs[j] and idxs[j]*stride+dim <= len(rows) for
-// every j (batch.go checks before the call) and ahead >= 0.
+// Callers guarantee, for every j, that chunk idxs[j]>>shift exists and holds
+// the whole row (batch.go and chunked.go check before the call), and
+// ahead >= 0.
 //
-// Registers: SI q, R8 rows, R9 stride in bytes, R10 idxs, R11 n, R12 ahead,
-// R13 out, CX dim, BX j, DI current row, R14 look-ahead row, AX element
-// index, DX loop bound.
+// Registers: SI q, R8 spine, CX shift (CL is the variable shift count), R9
+// stride in bytes, R10 idxs, R11 n, R12 ahead, R13 out, BX j, DI current
+// row, R14 look-ahead row, AX element index, DX loop bound; dim stays in its
+// argument slot. ROWADDR turns the row index in r into its address, through
+// AX and DX, before either is set for the row.
 
-// func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
-TEXT ·dotGatherAVX2(SB), NOSPLIT, $0-64
+#define ROWADDR(r) \
+	MOVQ r, AX; \
+	SHRQ CX, AX; \
+	LEAQ (AX)(AX*2), DX; \
+	MOVQ (R8)(DX*8), DX; \
+	SHLQ CX, AX; \
+	SUBQ AX, r; \
+	IMULQ R9, r; \
+	ADDQ DX, r
+
+// func dotGatherAVX2(q *float32, spine *[]float32, shift uint, dim, stride int, idxs *int32, n, ahead int, out *float32)
+TEXT ·dotGatherAVX2(SB), NOSPLIT, $0-72
 	MOVQ q+0(FP), SI
-	MOVQ rows+8(FP), R8
-	MOVQ dim+16(FP), CX
-	MOVQ stride+24(FP), R9
+	MOVQ spine+8(FP), R8
+	MOVQ shift+16(FP), CX
+	MOVQ stride+32(FP), R9
 	SHLQ $2, R9 // stride in bytes
-	MOVQ idxs+32(FP), R10
-	MOVQ n+40(FP), R11
-	MOVQ ahead+48(FP), R12
-	MOVQ out+56(FP), R13
+	MOVQ idxs+40(FP), R10
+	MOVQ n+48(FP), R11
+	MOVQ ahead+56(FP), R12
+	MOVQ out+64(FP), R13
 	XORQ BX, BX
 
 dotg_row:
 	CMPQ BX, R11
 	JGE  dotg_done
-	// Row pointers for j = BX (the look-ahead index clamps to j past the
+	// Row addresses for j = BX (the look-ahead index clamps to j past the
 	// end), zeroed accumulators, DX = dim&^31.
 	MOVLQSX (R10)(BX*4), DI
-	IMULQ R9, DI
-	ADDQ R8, DI
+	ROWADDR(DI)
 	LEAQ (BX)(R12*1), AX
 	CMPQ AX, R11
 	CMOVQGE BX, AX
 	MOVLQSX (R10)(AX*4), R14
-	IMULQ R9, R14
-	ADDQ R8, R14
+	ROWADDR(R14)
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
 	XORQ AX, AX
-	MOVQ CX, DX
+	MOVQ dim+24(FP), DX
 	ANDQ $-32, DX
 	CMPQ DX, $0
 	JE   dotg_fold
@@ -293,7 +307,7 @@ dotg_fold:
 	VADDPS Y1, Y0, Y0
 	VADDPS Y3, Y2, Y2
 	VADDPS Y2, Y0, Y0
-	MOVQ CX, DX
+	MOVQ dim+24(FP), DX
 	ANDQ $-8, DX
 
 dotg_loop8:
@@ -311,7 +325,7 @@ dotg_reduce:
 	VHADDPS X0, X0, X0
 
 dotg_tail:
-	CMPQ AX, CX
+	CMPQ AX, dim+24(FP)
 	JGE  dotg_store
 	VMOVSS (SI)(AX*4), X4
 	VFMADD231SS (DI)(AX*4), X4, X0

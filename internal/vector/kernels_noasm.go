@@ -16,7 +16,7 @@ func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float
 	panic("vector: AVX2 kernel called on non-amd64 build")
 }
 
-func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32) {
+func dotGatherAVX2(q *float32, spine *[]float32, shift uint, dim, stride int, idxs *int32, n, ahead int, out *float32) {
 	panic("vector: AVX2 kernel called on non-amd64 build")
 }
 

@@ -67,6 +67,19 @@ func TestSIMDMatchesScalar(t *testing.T) {
 		for offset := 0; offset < 4; offset++ {
 			checkAllKernels(t, randVecOff(rng, dim, offset), randVecOff(rng, dim, offset+1))
 		}
+		// The gather over a multi-chunk store, both paths: each path's
+		// result has its own single-pair bits, and the two paths agree.
+		s := randChunked(rng, dim, 2*ChunkRows+5)
+		q := randVecOff(rng, dim, 3)
+		idxs := boundaryIdxs(s.Len())
+		paths := map[string][]float32{}
+		for _, mode := range []string{"avx2", "scalar"} {
+			forceKernels(t, mode)
+			paths[mode] = checkChunkedGather(t, mode, s, q, idxs)
+		}
+		for j := range idxs {
+			relClose(t, fmt.Sprintf("Chunked.DotGather dim %d row %d", dim, idxs[j]), paths["avx2"][j], paths["scalar"][j])
+		}
 	}
 }
 
@@ -152,8 +165,8 @@ func TestSetKernels(t *testing.T) {
 // SIMD/scalar kernel pair, then re-reads the same floats as two arenas of
 // short rows — dimension, strides and row counts all derived from the input
 // length — and holds the tile kernel to checkTileKernels, the gather
-// kernel to the single-pair one, bit for bit, and both sparse-row kernels to
-// checkSparseLanes. NaN/Inf inputs are filtered: both paths propagate them,
+// kernel to the single-pair one, bit for bit, over a flat spine and a
+// chunked one, and both sparse-row kernels to checkSparseLanes. NaN/Inf inputs are filtered: both paths propagate them,
 // but relative-error comparison is meaningless there.
 func FuzzSIMDKernels(f *testing.F) {
 	if !hasAVX2 {
@@ -201,11 +214,22 @@ func FuzzSIMDKernels(f *testing.F) {
 		}
 		out := make([]float32, len(idxs))
 		q := a[:dim]
+		// The arena goes in as the one-entry flat spine, and again cut into
+		// chunks of 1<<shift rows, each its own allocation and the last one
+		// partial, as a chunked store's spine addresses them.
+		flat := [][]float32{b}
+		shift := uint(len(bb) % 4)
+		chunked := spineOf(b, strideB, rowsB, shift)
 		for ahead := 0; ahead <= len(idxs)+1; ahead += 1 + ahead/3 {
-			dotGatherAVX2(&q[0], &b[0], dim, strideB, &idxs[0], len(idxs), ahead, &out[0])
-			for j, i := range idxs {
-				if want := dotAVX2(q, row(b, strideB, dim, int(i))); math.Float32bits(out[j]) != math.Float32bits(want) {
-					t.Fatalf("dotGatherAVX2 dim %d ahead %d: out[%d] = %v, dotAVX2 = %v", dim, ahead, j, out[j], want)
+			for _, sp := range []struct {
+				spine [][]float32
+				shift uint
+			}{{flat, flatShift}, {chunked, shift}} {
+				dotGatherAVX2(&q[0], &sp.spine[0], sp.shift, dim, strideB, &idxs[0], len(idxs), ahead, &out[0])
+				for j, i := range idxs {
+					if want := dotAVX2(q, row(b, strideB, dim, int(i))); math.Float32bits(out[j]) != math.Float32bits(want) {
+						t.Fatalf("dotGatherAVX2 dim %d shift %d ahead %d: out[%d] = %v, dotAVX2 = %v", dim, sp.shift, ahead, j, out[j], want)
+					}
 				}
 			}
 		}

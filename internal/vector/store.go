@@ -4,10 +4,12 @@ import "fmt"
 
 // Store is a contiguous arena of fixed-dimension float32 vectors: one flat
 // []float32 with stride Dim, instead of one heap allocation per vector.
-// Every layer of the pipeline that used to hold [][]float32 — embeddings,
-// merge centroids, HNSW-stored vectors, matcher state — holds a Store, so
-// sequential scans are cache-linear, per-vector GC pressure is zero, and
-// serializers can write the whole arena as a single block.
+// Every array of the pipeline that is allocated at its final size —
+// embeddings, their per-table windows (Slice), merge centroids, batch plans —
+// holds a Store, so sequential scans are cache-linear, per-vector GC pressure
+// is zero, and the tile kernel reads two arenas as plain strided memory. The
+// arenas that grow row by row for the matcher's lifetime hold a Chunked
+// store instead (chunked.go), whose rows never move.
 //
 // Rows returned by At alias the arena; they stay valid across Append/Grow in
 // value but not in identity (growth may move the backing array), so callers
@@ -33,19 +35,6 @@ func NewStoreWithCap(dim, rows int) *Store {
 	if rows > 0 {
 		s.data = make([]float32, 0, rows*dim)
 	}
-	return s
-}
-
-// StoreOver returns a Store that adopts data — rows of dim float32s, row
-// major — as its arena without copying: how a loader that filled an exactly
-// sized slice in one bulk read hands it over. len(data) must be a multiple
-// of dim, and the caller must not keep using data.
-func StoreOver(dim int, data []float32) *Store {
-	s := NewStore(dim)
-	if len(data)%dim != 0 {
-		panic(fmt.Sprintf("vector: %d floats are not whole rows of dimension %d", len(data), dim))
-	}
-	s.data = data
 	return s
 }
 
@@ -103,22 +92,16 @@ func (s *Store) SetRow(i int, v []float32) {
 	copy(s.At(i), v)
 }
 
-// Raw returns the backing arena: Len()*Dim() float32s, row-major. Serializers
-// write and read it as one block; callers must not resize it.
+// Raw returns the backing arena: Len()*Dim() float32s, row-major, for the
+// flat kernels (DotBatch, DotGather, the tile kernel); callers must not
+// resize it.
 func (s *Store) Raw() []float32 { return s.data }
 
-// Frozen returns a read-only snapshot of the store in O(1): a new Store
-// clipped at the current row count, sharing the backing array. Concurrent
-// Appends on the original never touch memory the snapshot can read, as long
-// as the original's rows are only appended, never overwritten — the
-// append-only contract stated on multiem's shardView. The caller must not
-// mutate the snapshot.
-func (s *Store) Frozen() *Store { return s.Slice(0, s.Len()) }
-
 // Slice returns rows [lo, hi) as a Store of their own that shares the backing
-// array, under Frozen's contract: the window is read-only and stays valid
-// while the original only appends. The merging phase hands each source
-// table its rows of the pipeline's entity arena this way, without a copy.
+// array. The window is read-only and stays valid while the original only
+// appends: an append never writes a row the window can read. The merging
+// phase hands each source table its rows of the pipeline's entity arena this
+// way, without a copy.
 func (s *Store) Slice(lo, hi int) *Store {
 	return &Store{dim: s.dim, data: s.data[lo*s.dim : hi*s.dim : hi*s.dim]}
 }
