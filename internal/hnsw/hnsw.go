@@ -15,13 +15,12 @@
 // clustered data. Nothing is random: the graph is a function of the inserted
 // vectors, their order and the Config.
 //
-// Storage is flat, in the spirit of hnswlib, and chunked: vectors live in an
-// append-only arena of fixed 64-row chunks (vector.Chunked) addressed by
-// internal index, and every node's links live in one fixed block inside int32
-// chunks behind a chunk-pointer spine (links.go) — no per-node heap objects,
-// a row or block address that is arithmetic on the node index, growth that
-// copies nothing, and chunk-granular sharing between the writer and its
-// frozen clones.
+// Storage is flat, in the spirit of hnswlib, and chunked: the vectors and the
+// links are two copy-on-write arenas (arena.Arena) indexed by node — the
+// vectors in fixed 64-row chunks (vector.Chunked), every node's links in one
+// fixed block of int32 slots (links.go). There are no per-node heap objects;
+// a row or block address is arithmetic on the node index, growth copies
+// nothing, and the writer shares chunks with its frozen clones.
 //
 // The distance is the merging phase's one cosine, vector.CosineUnitDist over
 // unit-norm (or zero) vectors; the index has no other. Every distance it
@@ -42,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/vector"
 )
 
@@ -78,20 +78,19 @@ func (c Config) withDefaults() Config {
 // first vector inserted — after a multiem compaction, tuple 0's centroid.
 // There is no other entry point and nothing that moves one.
 //
-// Adjacency layout: node i owns one block of 1+2M int32 slots in the chunked
-// link arena (links.go), found by arithmetic on i. A block is a counted list:
-// slot 0 holds the link count, slots 1..2M neighbour indexes, and the slots
-// past the count are zero. Chunking exists for Clone: a copy-on-write view
-// copies the chunk spine, not the links, and the writer copies only the
-// chunks a batch dirties.
+// Adjacency layout: node i owns row i of the link arena, a block of 1+2M
+// int32 slots (links.go). A block is a counted list: slot 0 holds the link
+// count, slots 1..2M neighbour indexes, and the slots past the count are
+// zero. Chunking exists for Clone: a copy-on-write view shares the chunks,
+// and the writer copies only the chunks a batch dirties.
 type Index struct {
 	cfg Config
 	dim int
 	mu  sync.Mutex
 
-	vecs *vector.Chunked // row i = vector of internal node i
-	ids  []int           // external id per node
-	la   linkArena       // chunked adjacency arena, see links.go
+	vecs *vector.Chunked    // row i = vector of internal node i
+	ids  []int              // external id per node
+	la   arena.Arena[int32] // node i's link block is row i, see links.go
 	// linked counts the nodes in the graph: 0..linked-1 are linked, the rest
 	// were Appended and wait for Link.
 	linked int
@@ -189,7 +188,7 @@ func New(dim int, cfg Config) *Index {
 		cfg:   cfg,
 		dim:   dim,
 		vecs:  vector.NewChunked(dim),
-		la:    newLinkArena(cfg.M),
+		la:    newLinks(cfg.M),
 		stats: &searchStats{},
 
 		searchPool: &sync.Pool{New: func() any { return newSearchCtx() }},
@@ -224,7 +223,7 @@ func (ix *Index) Cap() int { return ix.vecs.Cap() }
 
 // neighbors returns node i's links as a read view into the arena.
 func (ix *Index) neighbors(i int) []int32 {
-	blk := ix.la.at(i)
+	blk := ix.la.At(i)
 	return blk[1 : 1+blk[0]]
 }
 
@@ -233,13 +232,13 @@ func (ix *Index) neighbors(i int) []int32 {
 // over a large index; issued before a block is scored they complete behind
 // the arithmetic instead of in front of the next pop.
 func (ix *Index) prefetchLinks(i int) {
-	vector.PrefetchInt32s(ix.la.at(i))
+	vector.PrefetchInt32s(ix.la.At(i))
 }
 
 // appendLink adds one neighbour to node i's block; the caller guarantees the
 // block has room.
 func (ix *Index) appendLink(i int, nb int32) {
-	blk := ix.la.mut(i)
+	blk := ix.la.Mut(i)
 	n := int(blk[0])
 	blk[1+n] = nb
 	blk[0] = int32(n + 1)
@@ -310,7 +309,7 @@ func (ix *Index) refuses(vec []float32) error {
 
 func (ix *Index) appendNode(id int, vec []float32) {
 	ix.ids = append(ix.ids, id)
-	ix.la.grow(len(ix.ids))
+	ix.la.Grow(1)
 	ix.vecs.Append(vec)
 }
 
@@ -339,12 +338,11 @@ func (ix *Index) linkNode(cur int) {
 // Clone returns a frozen, read-only copy of the index that concurrent
 // Searches (and Save) may keep using while the original continues to take
 // Adds — the building block for copy-on-write serving views. Nothing is
-// deep-copied: the vector arena's chunk spine and the ids are append-only
-// arrays and are clipped, the link arena (which linkBack rewrites in place)
-// is a copy-on-write table and is snapshotted, under the two contracts stated
-// on multiem's shardView. The construction scratch stays behind: it exists only
-// for Add, which a frozen clone refuses. Cloning an index whose Appended
-// nodes wait for Link panics.
+// deep-copied: the ids are clipped, and the vector and link arenas are
+// snapshotted (arena.Arena), so the original's later linkBack rewrites copy
+// the chunks they dirty. The construction scratch stays behind: it exists
+// only for Add, which a frozen clone refuses. Cloning an index whose
+// Appended nodes wait for Link panics.
 func (ix *Index) Clone() *Index {
 	ix.mustBeLinked("Clone")
 	return &Index{
@@ -352,7 +350,7 @@ func (ix *Index) Clone() *Index {
 		dim:    ix.dim,
 		vecs:   ix.vecs.Frozen(),
 		ids:    slices.Clip(ix.ids),
-		la:     ix.la.snapshot(),
+		la:     ix.la.Snapshot(),
 		linked: ix.linked,
 		frozen: true,
 		stats:  ix.stats, // shared: clone searches count towards the origin
@@ -520,7 +518,7 @@ func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vect
 // link; the gather is symmetric to the bit, so each value equals the one
 // computed from the link's other end when it was made.
 func (ix *Index) linkBack(from, to int, d float32) {
-	blk := ix.la.mut(from)
+	blk := ix.la.Mut(from)
 	cnt := int(blk[0])
 	maxM := 2 * ix.cfg.M
 	if cnt < maxM {

@@ -90,8 +90,8 @@ func (ix *Index) Save(w io.Writer) error {
 	binio.WriteI32(bw, int32(ix.dim))
 	binio.WriteI32(bw, int32(len(ix.ids)))
 	binio.WriteInts(bw, ix.ids)
-	for c := range ix.la.chunks {
-		binio.WriteI32s(bw, ix.la.prefix(c, len(ix.ids)))
+	for c := range ix.la.Chunks() {
+		binio.WriteI32s(bw, ix.la.Chunk(c))
 	}
 	for c := range ix.vecs.Chunks() {
 		binio.WriteF32s(bw, ix.vecs.Chunk(c))
@@ -108,7 +108,7 @@ func (ix *Index) SaveSize() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	const header = len(magic) + 4 + 5*4 // magic, version, config, shape
-	return header + len(ix.ids)*(8+4*ix.la.block+4*ix.dim)
+	return header + len(ix.ids)*(8+4*ix.la.Width()+4*ix.dim)
 }
 
 // Load reads an index previously written by Save. The returned index is an
@@ -131,7 +131,7 @@ func Load(r io.Reader) (*Index, error) {
 // the bytes left have been checked to hold it: the ids at their final size,
 // the link arena, which is never larger than the bytes that follow the
 // header, and the vector arena in chunks whose last holds exactly the rows
-// the file fills (vector.Chunked.GrowExact).
+// the file fills (arena.Arena.GrowExact).
 func Decode(rd *binio.Reader) (*Index, error) {
 	if m := rd.Next(len(magic)); string(m) != string(magic[:]) {
 		return nil, corrupt("bad magic %q (not an HNSW index file)", m)
@@ -178,17 +178,17 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	// than the file: past these checks the header's count sizes only what
 	// is there.
 	ix := New(dim, cfg)
-	nodeBytes := 8 + 4*ix.la.block + 4*dim
+	nodeBytes := 8 + 4*ix.la.Width() + 4*dim
 	if version == formatV2 {
 		nodeBytes = 8 + 4 + 4 + 4*dim
 	}
-	if count < 0 || count > maxSaneCount || count > rd.Len()/nodeBytes || 4*ix.la.block*count > rd.Len() {
+	if count < 0 || count > maxSaneCount || count > rd.Len()/nodeBytes || 4*ix.la.Width()*count > rd.Len() {
 		return nil, corrupt("implausible node count %d of M %d for the %d bytes that follow", count, cfg.M, rd.Len())
 	}
 
 	ix.linked = count // a saved node is a linked one
 	ix.ids = rd.Ints(count)
-	ix.la.grow(count)
+	ix.la.Grow(count)
 	var err error
 	if version == formatV2 {
 		err = ix.readV2Links(rd)
@@ -213,14 +213,14 @@ func Decode(rd *binio.Reader) (*Index, error) {
 // saves back to the bytes it was read from).
 func (ix *Index) readLinks(rd *binio.Reader) error {
 	n := len(ix.ids)
-	for c := range ix.la.chunks {
-		rd.I32sInto(ix.la.prefix(c, n))
+	for c := range ix.la.Chunks() {
+		rd.I32sInto(ix.la.Chunk(c))
 	}
 	if rd.Err() != nil {
 		return corrupt("links: %v", rd.Err())
 	}
 	for i := range n {
-		blk := ix.la.at(i)
+		blk := ix.la.At(i)
 		cnt := int(blk[0])
 		if cnt < 0 || cnt > 2*ix.cfg.M {
 			return corrupt("node %d has implausible link count %d", i, cnt)
@@ -258,7 +258,7 @@ func (ix *Index) readV2Links(rd *binio.Reader) error {
 				rd.Next(4 * cnt)
 				continue
 			}
-			blk := ix.la.mut(i)
+			blk := ix.la.Mut(i)
 			blk[0] = int32(cnt)
 			rd.I32sInto(blk[1 : 1+cnt])
 			if err := checkLinks(i, blk[1:1+cnt], n); err != nil {

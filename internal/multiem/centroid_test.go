@@ -29,13 +29,13 @@ import (
 // centroids in local order.
 func checkCentroidNodes(tuples *tupleTable, index *hnsw.Index, entVecs *vector.Chunked) ([][]float32, error) {
 	ids := index.IDs()
-	last := make(map[int]int, tuples.len())
+	last := make(map[int]int, tuples.Len())
 	for node, id := range ids {
 		last[id] = node
 	}
 	want := make([]float32, index.Dim())
-	out := make([][]float32, tuples.len())
-	for l := 0; l < tuples.len(); l++ {
+	out := make([][]float32, tuples.Len())
+	for l := 0; l < tuples.Len(); l++ {
 		ts := tuples.at(l)
 		node := int(ts.node)
 		if node < 0 || node >= len(ids) || ids[node] != l {

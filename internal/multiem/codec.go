@@ -133,8 +133,8 @@ func (v *shardView) writeSection(bw *bufio.Writer) error {
 	for c := range v.entVecs.Chunks() {
 		binio.WriteF32s(bw, v.entVecs.Chunk(c))
 	}
-	binio.WriteI32(bw, int32(v.tuples.len()))
-	v.tuples.each(func(_ int, ts *tupleState) {
+	binio.WriteI32(bw, int32(v.tuples.Len()))
+	v.tuples.each(func(ts *tupleState) {
 		binio.WriteI32(bw, int32(len(ts.members)))
 		for _, p := range ts.members {
 			binio.WriteI32(bw, int32(p))
@@ -154,7 +154,7 @@ func (v *shardView) writeSection(bw *bufio.Writer) error {
 func (v *shardView) sectionSize() int {
 	n := 4 + 8*len(v.entIDs) + 4*v.entVecs.Len()*v.entVecs.Dim() // entities
 	n += 4                                                       // tuple count
-	v.tuples.each(func(_ int, ts *tupleState) {
+	v.tuples.each(func(ts *tupleState) {
 		n += 4 + 4*len(ts.members) + 4
 	})
 	n += 8 // compactions
@@ -303,6 +303,7 @@ func (sh *shard) readSection(sec []byte, dim int, version uint32) (maxEntID int,
 	if rd.Err() != nil {
 		return -1, fmt.Errorf("tuples: %w", rd.Err())
 	}
+	sh.tuples.GrowExact(nTuples)
 	for i := 0; i < nTuples; i++ {
 		nMembers := rd.Count(4)
 		if rd.Err() != nil {
@@ -319,12 +320,12 @@ func (sh *shard) readSection(sec []byte, dim int, version uint32) (maxEntID int,
 			}
 			members[j] = p
 		}
-		sh.tuples.append(tupleState{
+		*sh.tuples.at(i) = tupleState{
 			members:     members,
 			maxJoinDist: rd.F32(),
 			minEntID:    minMemberID(members, sh.entIDs),
 			node:        -1, // until the index names one
-		})
+		}
 	}
 	if version == matcherFormatV4 {
 		rd.Next(nTuples * dim * 4) // the centroids block

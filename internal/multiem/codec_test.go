@@ -61,7 +61,7 @@ func v4Bytes(t *testing.T, m *Matcher) []byte {
 		rest = rest[8+len(sec):]
 		cut := len(sec) - 8 - sv.index.SaveSize()
 		var cents []byte
-		for l := 0; l < sv.tuples.len(); l++ {
+		for l := 0; l < sv.tuples.Len(); l++ {
 			for _, f := range sv.centroidAt(l) {
 				cents = binary.LittleEndian.AppendUint32(cents, math.Float32bits(f))
 			}

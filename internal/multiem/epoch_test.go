@@ -231,11 +231,11 @@ func TestEpochHammerLargeChunkedState(t *testing.T) {
 	// target.
 	opt.Encoder = embed.NewHashEncoder(embed.WithDim(64))
 	opt.HNSW = hnsw.Config{M: 6, EfConstruction: 24, EfSearch: 24}
-	// A link-arena chunk is 2048 slots and a node's region takes 1+2M = 13
-	// of them at layer 0 (more above), so a chunk holds at most
-	// 2048/13 = 157 nodes, and an index of >= 200*157 = 31 400 entries spans
-	// >= 200 chunks.
-	const minTupleChunks, minIndexSize = 200, 200 * (2048 / (1 + 2*6))
+	// A link-arena chunk holds the largest power-of-two number of
+	// 1+2M = 13-slot node blocks that fits 2048 slots: 128 nodes. So an
+	// index of >= 246*128 = 31 488 entries spans >= 246 chunks.
+	const minTupleChunks, minLinkChunks = 200, 246
+	const minIndexSize = minLinkChunks * 128
 
 	m, err := RecoverMatcher(WALConfig{Dir: t.TempDir(), Fsync: "off"}, opt, func() (*Matcher, error) {
 		// Prepopulate as part of the base state (large batches keep it
@@ -273,11 +273,11 @@ func TestEpochHammerLargeChunkedState(t *testing.T) {
 		t.Fatalf("prepopulation stopped at %d tuples, want >= %d", base.Tuples, liveTarget)
 	}
 	sv := m.state.Load().shards[0]
-	if n := len(sv.tuples.chunks); n < minTupleChunks {
+	if n := sv.tuples.Chunks(); n < minTupleChunks {
 		t.Fatalf("tuple table spans %d chunks, want >= %d", n, minTupleChunks)
 	}
 	if n := sv.index.Len(); n < minIndexSize {
-		t.Fatalf("index holds %d entries, want >= %d so its link arena spans >= 200 chunks", n, minIndexSize)
+		t.Fatalf("index holds %d entries, want >= %d so its link arena spans >= %d chunks", n, minIndexSize, minLinkChunks)
 	}
 
 	stop := make(chan struct{})

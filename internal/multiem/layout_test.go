@@ -16,16 +16,16 @@ import (
 // flat table it replaced.
 
 // chunkLayouts is the override sweep: chunk size 1<<(override-1) rows.
-// "whole" makes one chunk larger than any test shard, degenerating to the
-// pre-chunking single-slab layout (geometric chunk growth keeps it from
-// pre-allocating 1<<26 rows).
+// "whole" makes one chunk of 1<<16 rows, larger than any test shard,
+// degenerating to the pre-chunking single-slab layout. A chunk is allocated
+// whole, so that is 3 MiB a shard at 48 bytes a row.
 var chunkLayouts = []struct {
 	name     string
 	override int
 }{
 	{"rows=1", 1},
 	{"rows=4096", 13},
-	{"rows=whole", 27},
+	{"rows=whole", 17},
 }
 
 // TestTupleChunkLayoutIndependence: a matcher built and grown under any

@@ -260,7 +260,7 @@ func (m *Matcher) newShards(n int) {
 	m.shards = make([]*shard, n)
 	for s := range m.shards {
 		m.shards[s] = &shard{
-			shardView: shardView{entVecs: vector.NewChunked(m.dim), tuples: tupleTable{shift: shift}},
+			shardView: shardView{entVecs: vector.NewChunked(m.dim), tuples: newTupleTable(shift)},
 			centroid:  make([]float32, m.dim),
 		}
 	}
@@ -342,7 +342,7 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 func (m *Matcher) buildShardIndex(s int) {
 	sh := m.shards[s]
 	sh.index = hnsw.New(m.dim, m.opt.HNSW)
-	for local := 0; local < sh.tuples.len(); local++ {
+	for local := 0; local < sh.tuples.Len(); local++ {
 		sh.indexCentroid(local)
 	}
 	sh.index.Link()

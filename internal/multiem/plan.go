@@ -170,7 +170,7 @@ func (m *Matcher) checkShard(s int, logged []addDecision, vecs *vector.Store) (r
 // checkDecision validates one logged absorption for the row embedded as q
 // against the pre-batch state of the shard it names.
 func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
-	if d.local >= m.shards[d.shard].tuples.len() {
+	if d.local >= m.shards[d.shard].tuples.Len() {
 		return fmt.Errorf("absorbed into tuple %d of shard %d, which does not exist here", d.local, d.shard)
 	}
 	if vector.Norm(q) == 0 {

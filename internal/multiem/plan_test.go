@@ -157,7 +157,7 @@ func TestSearchShardWriterEqualsView(t *testing.T) {
 	views := m.state.Load().shards
 	collapsed := 0
 	for s, sh := range m.shards {
-		if sh.index.Len() == sh.tuples.len() {
+		if sh.index.Len() == sh.tuples.Len() {
 			t.Fatalf("shard %d has no stale entries; the history does not exercise the collapse", s)
 		}
 		for _, fetch := range []int{addSearchK, 4*3 + 8} {

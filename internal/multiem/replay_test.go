@@ -193,7 +193,7 @@ func TestPlanFromRecordRefuses(t *testing.T) {
 		name   string
 		mutate func(m *Matcher, rec *batchRecord, d *addDecision)
 	}{
-		{"local past the shard's tuples", func(m *Matcher, _ *batchRecord, d *addDecision) { d.local = m.shards[d.shard].tuples.len() }},
+		{"local past the shard's tuples", func(m *Matcher, _ *batchRecord, d *addDecision) { d.local = m.shards[d.shard].tuples.Len() }},
 		{"another shard count", func(_ *Matcher, rec *batchRecord, _ *addDecision) { rec.nShards = shards + 1 }},
 		{"distance NaN", func(_ *Matcher, _ *batchRecord, d *addDecision) { d.dist = float32(math.NaN()) }},
 		{"distance beyond M", func(m *Matcher, _ *batchRecord, d *addDecision) { d.dist = m.opt.M + 0.01 }},
@@ -362,7 +362,7 @@ func skewedHistory(t *testing.T, d *table.Dataset, batchRows, tail int, primary,
 	byID := d.EntityByID()
 	var dups [][]string // one member of every base tuple of shard 0
 	sh := uncrashed.shards[0]
-	sh.tuples.each(func(_ int, ts *tupleState) {
+	sh.tuples.each(func(ts *tupleState) {
 		if e, ok := byID[sh.entIDs[ts.members[0]]]; ok {
 			dups = append(dups, e.Values)
 		}
@@ -620,7 +620,7 @@ func TestReplayRefusalDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for row, dec := range rec.decisions {
-			if key := [2]int{dec.shard, dec.local}; dec.absorb && dec.local < base.shards[dec.shard].tuples.len() && !seen[key] {
+			if key := [2]int{dec.shard, dec.local}; dec.absorb && dec.local < base.shards[dec.shard].tuples.Len() && !seen[key] {
 				seen[key] = true
 				if _, ok := first[dec.shard][b]; !ok {
 					first[dec.shard][b] = target{dec.local, row}

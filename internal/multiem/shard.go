@@ -42,24 +42,23 @@ func splitTupleID(id int) (shard, local int) {
 // one that is never written again, the writer's shard one it may mutate.
 //
 // Every structure here is built so a published view stays valid while the
-// writer keeps going, and each is one of two kinds, frozen one way per kind:
+// writer keeps going:
 //
-//   - Append-only arrays (entIDs, entVecs, and the index's vectors and
-//     ids): existing elements are never overwritten, and the writer appends
-//     past every frozen length. The ids grow by append, in place or into a
-//     new backing array; the two vector arenas grow by fixed 64-row chunks
-//     behind a chunk spine (vector.Chunked), so a stored row never moves. A
-//     view clips them — slices.Clip, and for a vector arena its chunk spine
-//     (vector.Chunked.Frozen): O(1), sharing every backing array and chunk.
-//   - Copy-on-write tables (the tuple table, the index's link arena): rows
-//     live in fixed-size chunks behind a spine, and the writer owns or shares
-//     each chunk. A view takes snapshot(): an O(chunks) spine copy with no
-//     ownership, which marks every writer chunk shared. The writer copies a
-//     shared chunk before it mutates a row in it, and may append into a
-//     shared chunk's tail, which lies past every frozen length.
+//   - The two id slices (entIDs, and the index's ids) are append-only:
+//     existing elements are never overwritten, the writer appends past every
+//     frozen length, in place or into a new backing array, and a view clips
+//     them with slices.Clip.
+//   - The four tables (entVecs, the tuple table, and the index's node
+//     vectors and link blocks) are one kind, arena.Arena: rows in fixed
+//     chunks behind a spine, so a stored row never moves. A view takes a
+//     snapshot, which clips the spine in O(1) and marks every chunk and the
+//     spine shared. Appends write past every frozen length, in place; a
+//     write to an existing row (a tuple's node, a node's links) copies its
+//     chunk first, and the batch's first such write copies the spine.
 //
-// So a view costs O(chunks), never O(state), and the writer's next batch
-// copies only the chunks it dirties.
+// So a view copies no row and no spine (it clears one ownership flag a
+// chunk), and the writer's next batch copies only the chunks it dirties and
+// at most one spine a table.
 //
 // The index's node store is the only copy of the tuple centroids. A node's
 // vector is immutable, so a recomputed centroid is indexed as a new node
@@ -72,8 +71,8 @@ type shardView struct {
 	// entVecs holds the embeddings of every entity owned by this shard; a
 	// tuple's members index into it. Append-only.
 	entVecs *vector.Chunked
-	// tuples is the chunked tuple table (tupletable.go): the writer's copy
-	// in a shard, a frozen snapshot of it in a published view.
+	// tuples is the tuple table (tupletable.go): the writer's copy in a
+	// shard, a snapshot of it in a published view.
 	tuples tupleTable
 	// index is the HNSW index over tuple centroids, ids = local tuple
 	// indexes. Append-only between compactions.
@@ -96,14 +95,13 @@ type shard struct {
 	touched  []int
 }
 
-// view freezes the shard's current state into an immutable shardView, each
-// field the one way its kind freezes (see shardView). The caller holds addMu
-// and has linked the index.
+// view freezes the shard's current state into an immutable shardView (see
+// shardView). The caller holds addMu and has linked the index.
 func (sh *shard) view() *shardView {
 	return &shardView{
 		entIDs:      slices.Clip(sh.entIDs),
 		entVecs:     sh.entVecs.Frozen(),
-		tuples:      sh.tuples.snapshot(),
+		tuples:      tupleTable{sh.tuples.Snapshot()},
 		index:       sh.index.Clone(),
 		compactions: sh.compactions,
 	}
@@ -136,7 +134,7 @@ func (sh *shard) indexCentroid(local int) {
 // A tuple's member slice is shared by every copy of its tuple chunk; it is an
 // append-only array under shardView's contract.
 func (sh *shard) apply(s int, p *batchPlan, baseID int, out []AddResult) {
-	base := sh.tuples.len()
+	base := sh.tuples.Len()
 	sh.touched = sh.touched[:0]
 	for _, i := range p.perShard[s] {
 		d := &p.rows[i]
@@ -170,7 +168,7 @@ func (sh *shard) apply(s int, p *batchPlan, baseID int, out []AddResult) {
 	// previous index entry goes stale, and every search re-ranks against
 	// current centroids, so staleness only costs recall head-room until
 	// compaction — not correctness.
-	for local := base; local < sh.tuples.len(); local++ {
+	for local := base; local < sh.tuples.Len(); local++ {
 		sh.indexCentroid(local)
 	}
 	slices.Sort(sh.touched)
@@ -207,12 +205,12 @@ func (v *shardView) stats(id int) ShardStats {
 	s := ShardStats{
 		Shard:       id,
 		Entities:    len(v.entIDs),
-		Tuples:      v.tuples.len(),
+		Tuples:      v.tuples.Len(),
 		IndexSize:   v.index.Len(),
-		Live:        v.tuples.len(),
+		Live:        v.tuples.Len(),
 		Compactions: v.compactions,
 	}
-	v.tuples.each(func(_ int, ts *tupleState) {
+	v.tuples.each(func(ts *tupleState) {
 		if len(ts.members) >= 2 {
 			s.Matched++
 		} else {
@@ -253,7 +251,7 @@ const compactThreshold = 2
 // compact at the same point and rebuild identical graphs. The rebuild only
 // Appends, like apply: its graph is built when it is next linked.
 func (sh *shard) maybeCompact() (discarded int) {
-	live := sh.tuples.len()
+	live := sh.tuples.Len()
 	if live == 0 || sh.index.Len()-live <= compactThreshold*live {
 		return 0
 	}

@@ -37,7 +37,7 @@ func (m *Matcher) TupleCursor(minMembers int) *TupleCursor {
 func (c *TupleCursor) Next() bool {
 	for c.s < len(c.shards) {
 		sv := c.shards[c.s]
-		for c.i < sv.tuples.len() {
+		for c.i < sv.tuples.Len() {
 			local := c.i
 			c.i++
 			if ts := sv.tuples.at(local); len(ts.members) >= c.minMembers {

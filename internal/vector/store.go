@@ -8,8 +8,9 @@ import "fmt"
 // embeddings, their per-table windows (Slice), merge centroids, batch plans —
 // holds a Store, so sequential scans are cache-linear, per-vector GC pressure
 // is zero, and the tile kernel reads two arenas as plain strided memory. The
-// arenas that grow row by row for the matcher's lifetime hold a Chunked
-// store instead (chunked.go), whose rows never move.
+// arenas that grow row by row for the matcher's lifetime and are shared with
+// published views hold a Chunked store instead (chunked.go): the matcher's
+// one copy-on-write chunked arena, whose rows never move.
 //
 // Rows returned by At alias the arena; they stay valid across Append/Grow in
 // value but not in identity (growth may move the backing array), so callers

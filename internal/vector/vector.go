@@ -5,8 +5,9 @@
 // over flat and chunked arenas and tile form over flat ones, with
 // SparseAtLeast32 as the tile's filter) and euclidean for pruning
 // (EuclideanDist). Rows live in two kinds of arena: Store, one contiguous
-// block for arrays allocated at their final size, and Chunked, fixed 64-row
-// chunks behind a spine for arenas that grow and whose rows must never move.
+// block for arrays allocated at their final size, and Chunked, an
+// arena.Arena of fixed 64-row chunks for arenas that grow and whose rows must
+// never move.
 //
 // All distance functions treat vectors of unequal lengths as a programming
 // error and panic; embeddings in this repository always share a single
