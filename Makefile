@@ -66,21 +66,24 @@ race-matcher:
 # matcher-file loader with its embedded HNSW index, and that index's decoder
 # on its own, where every mutation lands in its fields (all three parse bytes
 # a follower fetched from its -primary-url), the SIMD kernels against their
-# scalar reference, the encoder's sparse token accumulation against its
-# dense definition, its field pooling (attribute selection's path)
-# against encoding the serialized record, and the Prometheus text parser
-# the load generator and the benchmark read a server's /metrics with. go
-# test -fuzz takes one package and one target per run. A crasher lands in that package's testdata/fuzz/
-# — commit it with the fix, it replays as a regression test under plain
-# `make test`. The two loaders' inputs are whole files, and each input reads
-# the memory statistics twice: without the cap, minimising the first input
-# that reaches new code (60s by default) would be the entire run.
+# scalar reference, the sparse entity store's rows against the dense rows
+# they came from (expanded and summed, bit for bit), the encoder's sparse
+# token accumulation against its dense definition, its field pooling
+# (attribute selection's path) against encoding the serialized record, and
+# the Prometheus text parser the load generator and the benchmark read a
+# server's /metrics with. go test -fuzz takes one package and one target per
+# run. A crasher lands in that package's testdata/fuzz/ — commit it with the
+# fix, it replays as a regression test under plain `make test`. The two
+# loaders' inputs are whole files, and each input reads the memory
+# statistics twice: without the cap, minimising the first input that reaches
+# new code (60s by default) would be the entire run.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatchRecord$$' -fuzztime=$(FUZZTIME) ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadMatcher$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeIndex$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hnsw
 	$(GO) test -run='^$$' -fuzz='^FuzzSIMDKernels$$' -fuzztime=$(FUZZTIME) ./internal/vector
+	$(GO) test -run='^$$' -fuzz='^FuzzSparseRow$$' -fuzztime=$(FUZZTIME) ./internal/vector
 	$(GO) test -run='^$$' -fuzz='^FuzzEncodeMatchesDense$$' -fuzztime=$(FUZZTIME) ./internal/embed
 	$(GO) test -run='^$$' -fuzz='^FuzzFieldsMatchEncode$$' -fuzztime=$(FUZZTIME) ./internal/embed
 	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=$(FUZZTIME) ./internal/obs

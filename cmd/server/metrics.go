@@ -63,6 +63,16 @@ func (s *server) registerMetrics() {
 	r.GaugeFunc("multiem_entities",
 		"Records known to the matcher.", nil,
 		gfn(func(m *repro.Matcher) float64 { return float64(m.Stats().Entities) }))
+	r.GaugeFunc("multiem_entity_store_bytes",
+		"Memory the entity embeddings take, kept as their nonzero coordinates: about 6 B a nonzero and 8 B an entity.", nil,
+		gfn(func(m *repro.Matcher) float64 {
+			_, perShard, _ := m.StatsWithShards()
+			n := 0
+			for _, ss := range perShard {
+				n += ss.EntityBytes
+			}
+			return float64(n)
+		}))
 	r.GaugeFunc("multiem_tuples",
 		"Tracked tuples, singletons included.", nil,
 		gfn(func(m *repro.Matcher) float64 { return float64(m.Stats().Tuples) }))

@@ -24,6 +24,7 @@ var pinnedMetrics = map[string]string{
 	"multiem_kernels_info":        "gauge",
 
 	"multiem_entities":             "gauge",
+	"multiem_entity_store_bytes":   "gauge",
 	"multiem_tuples":               "gauge",
 	"multiem_matched_tuples":       "gauge",
 	"multiem_shards":               "gauge",
@@ -131,6 +132,7 @@ func TestMetricsCatalogue(t *testing.T) {
 		`multiem_http_requests_total{endpoint="add"}`,
 		`multiem_http_request_duration_seconds_count{endpoint="match"}`,
 		`multiem_entities`,
+		`multiem_entity_store_bytes`,
 		`multiem_tuples`,
 		`multiem_shards`,
 		`multiem_epoch`,
@@ -176,8 +178,10 @@ func TestMetricsCatalogue(t *testing.T) {
 			t.Errorf("cold server missing metric family %s", name)
 		}
 	}
-	if v := cold.Values[`multiem_entities`]; v != 0 {
-		t.Errorf("cold multiem_entities = %v, want 0", v)
+	for _, series := range []string{`multiem_entities`, `multiem_entity_store_bytes`} {
+		if v := cold.Values[series]; v != 0 {
+			t.Errorf("cold %s = %v, want 0", series, v)
+		}
 	}
 }
 

@@ -248,6 +248,11 @@ func readInto[T float32 | int32](r *Reader, dst []T) {
 	}
 }
 
+// F32sFrom fills dst from the first 4*len(dst) bytes of b, little-endian
+// float32s: F32sInto for a caller that holds the bytes already, such as a
+// loader that decodes a block a row at a time.
+func F32sFrom(dst []float32, b []byte) { fill4(bytesOf(dst), b[:4*len(dst)]) }
+
 // Ints decodes the next n little-endian int64s into a fresh []int, or nil
 // with the error set when fewer than 8*n bytes are left.
 func (r *Reader) Ints(n int) []int {

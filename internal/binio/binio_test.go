@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/iotest"
 )
@@ -48,6 +49,11 @@ func TestRoundTrip(t *testing.T) {
 	f := make([]float32, 3)
 	if r.F32sInto(f); f[0] != 1 || f[1] != -2 || f[2] != 0.5 {
 		t.Fatalf("F32sInto = %v", f)
+	}
+	// F32sFrom decodes the same block from the bytes themselves.
+	g := make([]float32, 3)
+	if F32sFrom(g, buf.Bytes()[4+4+8+4+len("hello world")+4:]); !slices.Equal(g, f) {
+		t.Fatalf("F32sFrom = %v, F32sInto %v", g, f)
 	}
 	i32 := []int32{0, 9}
 	if r.I32sInto(i32[:1]); i32[0] != -1 || i32[1] != 9 {

@@ -10,50 +10,59 @@ import (
 	"repro/internal/vector"
 )
 
-// arenaMark records where one growing arena's rows sit before a batch: the
-// address of each row whose chunk is full-sized, and the index object the
+// arenaMark records where a shard's growing arenas keep their rows before a
+// batch: the address of each entity row's first stored value and of each
+// node vector, for the rows in full-sized chunks, and the index object the
 // node arena belongs to (a compaction replaces it).
 type arenaMark struct {
 	index *hnsw.Index
-	ents  []*float32
+	ents  map[int]*float32
 	nodes []*float32
 }
 
 // markArenas takes sh's mark. A loaded arena's last chunk is sized to its
-// rows (vector.Chunked.GrowExact) and moves once when it grows; the rows of
+// rows (arena.Arena.GrowExact) and moves once when it grows; the rows of
 // every full-sized chunk must never move.
 func markArenas(sh *shard) arenaMark {
-	mk := arenaMark{index: sh.index}
-	for i := range fullRows(sh.entVecs.Len(), sh.entVecs.Cap()) {
-		mk.ents = append(mk.ents, &sh.entVecs.At(i)[0])
+	mk := arenaMark{index: sh.index, ents: map[int]*float32{}}
+	elemCap, _ := sh.entVecs.Cap()
+	full := fullRows(sh.entVecs.Elems(), elemCap, sh.entVecs.ChunkElems())
+	for i := range sh.entVecs.Len() {
+		if _, val := sh.entVecs.Row(i); len(val) > 0 && sh.entVecs.Offset(i)+len(val) <= full {
+			mk.ents[i] = &val[0]
+		}
 	}
-	for i := range fullRows(sh.index.Len(), sh.index.Cap()) {
+	for i := range fullRows(sh.index.Len(), sh.index.Cap(), vector.ChunkRows) {
 		mk.nodes = append(mk.nodes, &sh.index.Vector(i)[0])
 	}
 	return mk
 }
 
-// fullRows is how many of the n rows of an arena of capacity c sit in
-// full-sized chunks: all of them, unless c is not a whole number of chunks.
-func fullRows(n, c int) int {
-	if c%vector.ChunkRows != 0 {
-		return c &^ (vector.ChunkRows - 1)
+// fullRows is how many of the n rows of an arena of capacity c, in chunks
+// of chunk rows, sit in full-sized chunks: all of them, unless c is not a
+// whole number of chunks.
+func fullRows(n, c, chunk int) int {
+	if c%chunk != 0 {
+		return c &^ (chunk - 1)
 	}
 	return n
 }
 
-// checkArenas holds each shard's two growing arenas — its entity embeddings
-// and its index's node vectors — to the chunked store's contract after a
-// batch: under one chunk of unused rows, and every row marked before the
-// batch at its old address (node rows only while the index is the same one).
+// checkArenas holds each shard's growing arenas — its entity embeddings'
+// values and coordinates (one geometry) and row descriptors, and its index's
+// node vectors — to the chunked store's contract after a batch: under one
+// chunk of unused rows a table, and every row marked before the batch at its
+// old address (node rows only while the index is the same one).
 func checkArenas(t *testing.T, when string, m *Matcher, marks []arenaMark) {
 	t.Helper()
 	for s, sh := range m.shards {
-		for name, a := range map[string][2]int{
-			"entity": {sh.entVecs.Len(), sh.entVecs.Cap()},
-			"node":   {sh.index.Len(), sh.index.Cap()},
+		elemCap, rowCap := sh.entVecs.Cap()
+		for name, a := range map[string][3]int{
+			"entity value":      {sh.entVecs.Elems(), elemCap, sh.entVecs.ChunkElems()},
+			"entity descriptor": {sh.entVecs.Len(), rowCap, vector.ChunkRows},
+			"node":              {sh.index.Len(), sh.index.Cap(), vector.ChunkRows},
 		} {
-			if slack := a[1] - a[0]; slack < 0 || slack >= vector.ChunkRows {
+			if slack := a[1] - a[0]; slack < 0 || slack >= a[2] {
 				t.Fatalf("%s: shard %d's %s arena holds %d rows with room for %d", when, s, name, a[0], a[1])
 			}
 		}
@@ -61,7 +70,7 @@ func checkArenas(t *testing.T, when string, m *Matcher, marks []arenaMark) {
 			continue
 		}
 		for i, p := range marks[s].ents {
-			if &sh.entVecs.At(i)[0] != p {
+			if _, val := sh.entVecs.Row(i); &val[0] != p {
 				t.Fatalf("%s: shard %d's entity row %d moved", when, s, i)
 			}
 		}
@@ -77,12 +86,13 @@ func checkArenas(t *testing.T, when string, m *Matcher, marks []arenaMark) {
 }
 
 // TestArenaRowsNeverMove drives a two-shard matcher through batches that push
-// both growing arenas of each shard across several chunk boundaries, with a
-// save/load round trip halfway: after every batch each arena's unused
-// capacity is under one chunk, and no row of a full chunk has moved. A view
-// pinned before a batch is read from another goroutine while the batch
-// appends across a boundary, and reads the same rows after it (make race
-// runs this under the race detector).
+// the entity values and the node vectors of each shard across several chunk
+// boundaries (a values chunk holds 4096 elements, some 150 Geo rows, so it
+// takes 192 batches), with a save/load round trip halfway: after every batch
+// each arena's unused capacity is under one chunk, and no row of a full
+// chunk has moved. A view pinned before a batch is read from another
+// goroutine while the batch appends across a boundary, and reads the same
+// rows after it (make race runs this under the race detector).
 func TestArenaRowsNeverMove(t *testing.T) {
 	d := mustGeo(t, 0.01, 5)
 	opt := durOpts(2)
@@ -93,7 +103,7 @@ func TestArenaRowsNeverMove(t *testing.T) {
 	checkArenas(t, "build", m, nil)
 	// Near-duplicates of another dataset's records are mostly new tuples to
 	// this base, so the node arenas grow as well as the entity arenas.
-	batches := randomBatches(mustGeo(t, 0.2, 6), 48, 16, 17)
+	batches := randomBatches(mustGeo(t, 0.2, 6), 192, 16, 17)
 	// crossings[s] counts, per arena kind, the batches that appended shard
 	// s's rows across a chunk boundary.
 	crossings := make([][2]int, 2)
@@ -136,7 +146,7 @@ func TestArenaRowsNeverMove(t *testing.T) {
 		}
 		checkArenas(t, fmt.Sprintf("batch %d", b), m, marks)
 		for s, sh := range m.shards {
-			if sh.entVecs.Len()/vector.ChunkRows > before.shards[s].entVecs.Len()/vector.ChunkRows {
+			if sh.entVecs.Elems()/sh.entVecs.ChunkElems() > before.shards[s].entVecs.Elems()/sh.entVecs.ChunkElems() {
 				crossings[s][0]++
 			}
 			if sh.index == marks[s].index && sh.index.Len()/vector.ChunkRows > before.shards[s].index.Len()/vector.ChunkRows {
@@ -161,8 +171,11 @@ func TestArenaRowsNeverMove(t *testing.T) {
 func viewRows(v *matcherView) [][]float32 {
 	var rows [][]float32
 	for _, sv := range v.shards {
+		first := len(rows)
 		for i := range sv.entVecs.Len() {
-			rows = append(rows, slices.Clone(sv.entVecs.At(i)))
+			row := make([]float32, sv.entVecs.Dim())
+			sv.entVecs.CopyTo(row, i)
+			rows = append(rows, row)
 		}
 		nodes := make([]int32, sv.index.Len())
 		for i := range nodes {
@@ -171,7 +184,7 @@ func viewRows(v *matcherView) [][]float32 {
 		}
 		if sv.entVecs.Len() > 0 && len(nodes) > 0 {
 			dists := make([]float32, len(nodes))
-			sv.index.Dists(sv.entVecs.At(0), nodes, dists)
+			sv.index.Dists(rows[first], nodes, dists)
 			rows = append(rows, dists)
 		}
 	}

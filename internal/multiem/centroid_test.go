@@ -27,7 +27,7 @@ import (
 // every tuple's node carries the tuple's id, is the last node that does, and
 // holds exactly the centroid its members produce. It returns a copy of the
 // centroids in local order.
-func checkCentroidNodes(tuples *tupleTable, index *hnsw.Index, entVecs *vector.Chunked) ([][]float32, error) {
+func checkCentroidNodes(tuples *tupleTable, index *hnsw.Index, entVecs *vector.SparseRows) ([][]float32, error) {
 	ids := index.IDs()
 	last := make(map[int]int, tuples.Len())
 	for node, id := range ids {
@@ -44,7 +44,7 @@ func checkCentroidNodes(tuples *tupleTable, index *hnsw.Index, entVecs *vector.C
 		if last[l] != node {
 			return nil, fmt.Errorf("tuple %d points at node %d, but node %d is its newest entry", l, node, last[l])
 		}
-		centroidInto(want, ts.members, entVecs.At)
+		centroidInto(want, ts.members, entVecs)
 		got := index.Vector(node)
 		if !sameBits(got, want) {
 			return nil, fmt.Errorf("tuple %d: node %d holds %v, members give %v", l, node, got, want)
@@ -158,6 +158,53 @@ func TestCentroidNodeInvariants(t *testing.T) {
 	}
 }
 
+// TestCentroidSparseParity: a tuple centroid computed from a shard's sparse
+// entity store has the bits of the one computed from the same rows dense —
+// the pipeline's definition — for every member count from 1 to N, on both
+// kernel paths (Normalize's norm is a kernel call). Row 0 holds a −0, so the
+// singleton centroid is the sparse store's expansion of a −0 it kept: a
+// store that dropped it would give back +0.
+func TestCentroidSparseParity(t *testing.T) {
+	const n = 12
+	enc := durOpts(1).Encoder
+	dense, sparse := vector.NewStore(enc.Dim()), vector.NewSparseRows(enc.Dim())
+	for i, e := range smallGeo(t).Tables[0].Entities[:n] {
+		v := enc.Encode(strings.Join(e.Values, " "))
+		if i == 0 {
+			d := slices.Index(v, 0)
+			v[d] = float32(math.Copysign(0, -1))
+		}
+		dense.Append(v)
+		sparse.Append(v)
+	}
+	eachKernel(t, func(t *testing.T) {
+		want, got := make([]float32, enc.Dim()), make([]float32, enc.Dim())
+		check := func(members []int) {
+			t.Helper()
+			centroidInto(want, members, dense)
+			centroidInto(got, members, sparse)
+			if !sameBits(got, want) {
+				d := 0
+				for math.Float32bits(got[d]) == math.Float32bits(want[d]) {
+					d++
+				}
+				t.Fatalf("members %v: coordinate %d of the sparse centroid is %v, dense %v", members, d, got[d], want[d])
+			}
+		}
+		check([]int{0})
+		if !slices.ContainsFunc(got, func(x float32) bool { return math.Signbit(float64(x)) && x == 0 }) {
+			t.Fatal("the singleton centroid of a row holding −0 holds none")
+		}
+		for k := 1; k <= n; k++ {
+			members := make([]int, k)
+			for i := range members {
+				members[i] = (i*5 + k) % n // a different order for each count
+			}
+			check(members)
+		}
+	})
+}
+
 func sameBits(a, b []float32) bool {
 	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
@@ -209,10 +256,10 @@ func TestLoadMatcherRejectsUnservableState(t *testing.T) {
 	})
 }
 
-// TestMatcherHeapBudget holds the serving heap to one vector per entity and
-// one per index entry. With a second centroid arena beside the index — one
-// more row per index entry — the same state needs (entities + 2 × entries)
-// rows and misses the budget.
+// TestMatcherHeapBudget holds the serving heap to one sparse row per entity
+// and one vector per index entry. With a second centroid arena beside the
+// index — one more vector per index entry — the same state misses the
+// budget, and so it does with dense entity rows.
 func TestMatcherHeapBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -230,23 +277,28 @@ func TestMatcherHeapBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := m.Stats()
+	s, perShard, _ := m.StatsWithShards()
 	d, rows = nil, nil
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(m)
 
-	// 1.5: link blocks and their cached distances cost an index entry about
-	// a quarter of its vector at dim 256, and the arenas grow geometrically.
-	// This state reads 1.35 with one arena and 1.73 with two.
-	rowsHeld := s.Entities + s.IndexSize
-	budget := uint64(1.5 * float64(rowsHeld*s.Dim*4))
+	// 1.8: an index entry's link block is about a tenth of its vector at
+	// dim 256, and ids, tuples and each table's last chunk come on top.
+	// This state reads 1.52 with one centroid arena, 2.28 with two, and
+	// 2.74 with a dense copy of the entity rows.
+	entityBytes := 0
+	for _, ss := range perShard {
+		entityBytes += ss.EntityBytes
+	}
+	rowBytes := entityBytes + s.IndexSize*s.Dim*4
+	budget := uint64(1.8 * float64(rowBytes))
 	got := after.HeapAlloc - before.HeapAlloc
-	t.Logf("%d entities + %d index entries (%d tuples): heap %d KiB, budget %d KiB, a second arena would add %d KiB",
-		s.Entities, s.IndexSize, s.Tuples, got>>10, budget>>10, s.IndexSize*s.Dim*4>>10)
+	t.Logf("%d entities (%d KiB of sparse rows) + %d index entries, %d tuples: heap %d KiB, budget %d KiB, a second arena would add %d KiB",
+		s.Entities, entityBytes>>10, s.IndexSize, s.Tuples, got>>10, budget>>10, s.IndexSize*s.Dim*4>>10)
 	if got > budget {
-		t.Fatalf("matcher holds %d bytes for %d vectors of dim %d; budget %d", got, rowsHeld, s.Dim, budget)
+		t.Fatalf("matcher holds %d bytes for %d bytes of entity rows and index vectors; budget %d", got, rowBytes, budget)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/binio"
 	"repro/internal/hnsw"
 	"repro/internal/par"
+	"repro/internal/vector"
 )
 
 // Matcher binary format (little-endian), version 6:
@@ -26,16 +27,19 @@ import (
 //	per shard:
 //	  section bytes  int64 (length of the section that follows)
 //	  entIDs      count + count × int64
-//	  entVecs     count × dim × float32, the shard's embedding arena in row order
+//	  entVecs     count × dim × float32, the shard's embeddings, dense, in row order
 //	  tuples      count × { nMembers int32; members []int32 (local rows); maxJoinDist f32 }
 //	  compactions int64
 //	  index       embedded hnsw.Index (its own versioned format)
 //
 // A tuple's centroid is the vector of the last index node carrying its id;
-// the file holds it there and nowhere else. Each shard's section is
-// self-contained and length-prefixed, so a loader finds every section without
-// decoding the one before it, and a loaded matcher has the exact shard
-// topology it was saved with.
+// the file holds it there and nowhere else. The embeddings are dense in the
+// file and sparse in memory (vector.SparseRows keeps each row's nonzeros):
+// writeSection expands each row, readSection compresses it again, and a
+// row's bits are the same on both sides, so a file saves back to itself.
+// Each shard's section is self-contained and length-prefixed, so a loader
+// finds every section without decoding the one before it, and a loaded
+// matcher has the exact shard topology it was saved with.
 //
 // LoadMatcher reads two older versions. Version 5 is version 6 with an hnsw
 // version-2 index, written while the graph had HNSW's layer hierarchy; the
@@ -69,9 +73,10 @@ var ErrFormatVersion = errors.New("multiem: unsupported matcher format version")
 var ErrCorruptState = errors.New("multiem: corrupt matcher state")
 
 // Header bounds the bytes present cannot give (binio.Reader.Count gives the
-// rest): row sizes far from overflow, and empty shards that stay cheap.
+// rest): the largest dimension a shard's entity store holds, and empty
+// shards that stay cheap.
 const (
-	maxSaneDim    = 1 << 20
+	maxSaneDim    = vector.MaxSparseDim
 	maxSaneShards = 1 << 12
 )
 
@@ -130,8 +135,10 @@ func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 func (v *shardView) writeSection(bw *bufio.Writer) error {
 	binio.WriteI32(bw, int32(len(v.entIDs)))
 	binio.WriteInts(bw, v.entIDs)
-	for c := range v.entVecs.Chunks() {
-		binio.WriteF32s(bw, v.entVecs.Chunk(c))
+	row := make([]float32, v.entVecs.Dim())
+	for i := range v.entVecs.Len() {
+		v.entVecs.CopyTo(row, i)
+		binio.WriteF32s(bw, row)
 	}
 	binio.WriteI32(bw, int32(v.tuples.Len()))
 	v.tuples.each(func(ts *tupleState) {
@@ -273,9 +280,9 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 // readSection decodes one shard's section bytes into sh, returning the
 // largest entity ID seen (-1 when the shard is empty). Every count is checked
 // against the bytes the section still holds before anything is sized by it
-// (binio.Reader.Count), and each arena is allocated at its final size — the
-// embedding arena as chunks, the last holding exactly the rows left — and
-// filled by bulk copies.
+// (binio.Reader.Count), and each arena is allocated at its final size —
+// chunks, the last holding exactly the rows left — the embeddings' from the
+// nonzeros their rows hold.
 func (sh *shard) readSection(sec []byte, dim int, version uint32) (maxEntID int, err error) {
 	rd := binio.NewReader(sec)
 
@@ -288,10 +295,10 @@ func (sh *shard) readSection(sec []byte, dim int, version uint32) (maxEntID int,
 	if nEnts > 0 {
 		maxEntID = slices.Max(sh.entIDs)
 	}
-	sh.entVecs.GrowExact(nEnts)
-	for c := range sh.entVecs.Chunks() {
-		rd.F32sInto(sh.entVecs.Chunk(c))
-	}
+	// The rows are compressed from the section bytes, so each table is sized
+	// by the nonzeros the file holds: at most 1.5× its dense bytes.
+	vecs := rd.Next(nEnts * 4 * dim)
+	sh.entVecs.Load(nEnts, func(i int, dst []float32) { binio.F32sFrom(dst, vecs[i*4*dim:]) })
 
 	// A tuple is at least its member count and its join distance — and in a
 	// version-4 file its row of the centroids block.

@@ -236,6 +236,8 @@ type fileLayout struct {
 	// links holds, per shard, each index node's links — for an hnsw
 	// version-2 index its layer-0 list.
 	links [][][]int32
+	// vecs holds each section's entity embeddings' byte range.
+	vecs [][2]int
 }
 
 // fileFields walks a well-formed matcher file of any version it reads, with
@@ -283,7 +285,8 @@ func fileFields(t *testing.T, raw []byte) (f fileLayout) {
 		field(8) // section length; its low word takes the flip
 		nEnts := count()
 		field(8 * nEnts)
-		field(4 * dim * nEnts)
+		at := field(4 * dim * nEnts)
+		f.vecs = append(f.vecs, [2]int{at, off})
 		nTuples := count()
 		for i := 0; i < nTuples; i++ {
 			field(4 * count()) // members
@@ -341,6 +344,12 @@ func fileFields(t *testing.T, raw []byte) (f fileLayout) {
 // in-memory reader is copied once, like a file is read once), at most the
 // undamaged shards decoded beside it, and a constant for the matcher and
 // per-shard shells. No count in the file adds to that.
+//
+// Memory keeps an entity row's nonzeros at 6 B each, 1.5 × the file's 4, so
+// the worst file is one whose rows have no zero at all: the "full rows" leg,
+// a dim-256 file whose every zero coordinate is rewritten to −0 (a nonzero
+// to the store: its bits are not zero). That file also loads whole, saves
+// back to itself, and stays within the same bound.
 func TestLoadMatcherHostileInput(t *testing.T) {
 	small := staleMatcher(t, mustGeo(t, 0.01, 5), dim16Opts(2))
 	large := staleMatcher(t, smallGeo(t), durOpts(2))
@@ -357,6 +366,24 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 			t.Fatalf("%s: %d input bytes, %d allocated (limit %d)", name, len(raw), got, limit)
 		}
 	}
+	full := fullRowFile(t)
+	t.Run("v6/full rows loads", func(t *testing.T) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := LoadMatcher(bytes.NewReader(full), durOpts(2))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(full)+64<<10)
+		t.Logf("whole file of %d bytes: %d allocated (limit %d)", len(full), got, limit)
+		if got > limit {
+			t.Fatalf("loading %d bytes allocated %d (limit %d)", len(full), got, limit)
+		}
+		if !bytes.Equal(saveBytes(t, m), full) {
+			t.Fatal("the full-row file does not save back to itself")
+		}
+	})
 	for _, tc := range []struct {
 		name string
 		raw  []byte
@@ -368,6 +395,7 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 		{"v4/fields", v4Bytes(t, small), dim16Opts(2), 0},
 		{"v6/4KiB", saveBytes(t, large), durOpts(2), 4 << 10},
 		{"v4/4KiB", v4Bytes(t, large), durOpts(2), 4 << 10},
+		{"v6/full rows", full, durOpts(2), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.step > 0 {
@@ -388,6 +416,20 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 			t.Logf("%d bytes: %d field boundaries, %d counts", len(tc.raw), len(f.bounds), len(f.counts))
 		})
 	}
+}
+
+// fullRowFile saves a small two-shard dim-256 matcher and rewrites every
+// zero coordinate of its entity rows to −0, so no row has a zero to drop.
+func fullRowFile(t *testing.T) []byte {
+	raw := saveBytes(t, staleMatcher(t, mustGeo(t, 0.01, 5), durOpts(2)))
+	for _, r := range fileFields(t, raw).vecs {
+		for at := r[0]; at < r[1]; at += 4 {
+			if binary.LittleEndian.Uint32(raw[at:]) == 0 {
+				binary.LittleEndian.PutUint32(raw[at:], 0x80000000)
+			}
+		}
+	}
+	return raw
 }
 
 func mustGeo(t *testing.T, scale float64, seed int64) *table.Dataset {

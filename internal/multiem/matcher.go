@@ -260,7 +260,7 @@ func (m *Matcher) newShards(n int) {
 	m.shards = make([]*shard, n)
 	for s := range m.shards {
 		m.shards[s] = &shard{
-			shardView: shardView{entVecs: vector.NewChunked(m.dim), tuples: newTupleTable(shift)},
+			shardView: shardView{entVecs: vector.NewSparseRows(m.dim), tuples: newTupleTable(shift)},
 			centroid:  make([]float32, m.dim),
 		}
 	}
@@ -273,6 +273,9 @@ func (m *Matcher) newShards(n int) {
 // the routing hash of their centroid, and the per-shard HNSW indexes are
 // built concurrently. The pipeline's Result is available via Result().
 func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
+	if opt.Encoder != nil && opt.Encoder.Dim() > maxSaneDim {
+		return nil, fmt.Errorf("multiem: a matcher holds embeddings of at most %d dimensions, the encoder's have %d", maxSaneDim, opt.Encoder.Dim())
+	}
 	st, err := run(d, opt)
 	if err != nil {
 		return nil, err
@@ -306,7 +309,7 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 	// owning shard, and each member's embedding and ID move there with it.
 	centroid := make([]float32, m.dim)
 	place := func(members []int, maxJoinDist float32) {
-		centroidInto(centroid, members, st.entVecs.At)
+		centroidInto(centroid, members, st.entVecs)
 		sh := m.shards[routeVec(centroid, len(m.shards))]
 		local := make([]int, len(members))
 		for i, p := range members {
@@ -348,20 +351,26 @@ func (m *Matcher) buildShardIndex(s int) {
 	sh.index.Link()
 }
 
+// memberRows is where centroidInto reads member embeddings: a dense
+// vector.Store (the pipeline's arena, a batch plan's rows) or a shard's
+// vector.SparseRows. Both give the same bits for the same rows: CopyTo is
+// the row, and AddTo is vector.Add into a sum that starts from +0.
+type memberRows interface {
+	CopyTo(dst []float32, i int)
+	AddTo(dst []float32, i int)
+}
+
 // centroidInto writes the unit-norm mean embedding of the member positions
-// into dst, reading member row p as row(p) — of the pipeline's flat arena or
-// of a shard's chunked one. Both the merging phase and the online matcher
-// derive tuple centroids through it, so the two can never diverge.
-func centroidInto(dst []float32, members []int, row func(int) []float32) {
+// into dst. Both the merging phase and the online matcher derive tuple
+// centroids through it, so the two can never diverge.
+func centroidInto(dst []float32, members []int, rows memberRows) {
 	if len(members) == 1 {
-		copy(dst, row(members[0]))
+		rows.CopyTo(dst, members[0])
 		return
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	for _, pos := range members {
-		vector.Add(dst, row(pos))
+		rows.AddTo(dst, pos)
 	}
 	vector.Scale(dst, 1/float32(len(members)))
 	vector.Normalize(dst)

@@ -395,3 +395,14 @@ func TestMatcherConcurrentMatchAndAdd(t *testing.T) {
 		t.Fatalf("entity count %d after ingest, want %d", got, d.NumEntities()+60)
 	}
 }
+
+// TestBuildMatcherRefusesWideEncoder: a shard keeps an entity's coordinates
+// as uint16s, so an encoder wider than that is refused before the pipeline
+// runs, not by a panic when the first shard is made.
+func TestBuildMatcherRefusesWideEncoder(t *testing.T) {
+	opt := geoOpts()
+	opt.Encoder = embed.NewHashEncoder(embed.WithDim(maxSaneDim + 1))
+	if m, err := BuildMatcher(smallGeo(t), opt); m != nil || err == nil || !strings.Contains(err.Error(), "at most 65535 dimensions") {
+		t.Fatalf("BuildMatcher with a dim-%d encoder: %v", maxSaneDim+1, err)
+	}
+}

@@ -160,7 +160,7 @@ func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) mergeTable 
 				maxDist = it.maxJoinDist
 			}
 		}
-		centroidInto(merged.vecs.At(merged.vecs.AppendZero()), members, mc.entVecs.At)
+		centroidInto(merged.vecs.At(merged.vecs.AppendZero()), members, mc.entVecs)
 		merged.items = append(merged.items, item{members: members, maxJoinDist: maxDist})
 	}
 	return merged

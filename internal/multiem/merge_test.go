@@ -106,7 +106,7 @@ func TestMergedTableRowsStayAligned(t *testing.T) {
 	}
 	for r, it := range merged.items {
 		want := make([]float32, 3)
-		centroidInto(want, it.members, mc.entVecs.At)
+		centroidInto(want, it.members, mc.entVecs)
 		if fmt.Sprint(merged.vecs.At(r)) != fmt.Sprint(want) {
 			t.Fatalf("row %d (members %v) holds %v, want %v", r, it.members, merged.vecs.At(r), want)
 		}

@@ -208,7 +208,7 @@ func (m *Matcher) chain(p *batchPlan) {
 			if best >= 0 && bestDist <= m.opt.M && (!d.absorb || bestDist < d.dist) {
 				bt := &p.tuples[best]
 				bt.rows = append(bt.rows, i)
-				centroidInto(bt.centroid, bt.rows, p.vecs.At)
+				centroidInto(bt.centroid, bt.rows, p.vecs)
 				bt.maxJoin = max(bt.maxJoin, bestDist)
 				*d = addDecision{batch: best, dist: bestDist}
 				continue

@@ -48,13 +48,15 @@ func splitTupleID(id int) (shard, local int) {
 //     existing elements are never overwritten, the writer appends past every
 //     frozen length, in place or into a new backing array, and a view clips
 //     them with slices.Clip.
-//   - The four tables (entVecs, the tuple table, and the index's node
-//     vectors and link blocks) are one kind, arena.Arena: rows in fixed
-//     chunks behind a spine, so a stored row never moves. A view takes a
-//     snapshot, which clips the spine in O(1) and marks every chunk and the
-//     spine shared. Appends write past every frozen length, in place; a
-//     write to an existing row (a tuple's node, a node's links) copies its
-//     chunk first, and the batch's first such write copies the spine.
+//   - Every table is one kind, arena.Arena: rows in fixed chunks behind a
+//     spine, so a stored row never moves. The tables are the tuple table,
+//     the index's node vectors and link blocks, and entVecs's three (an
+//     entity row's nonzero values, their coordinates, and a descriptor a
+//     row). A view takes a snapshot, which clips the spine in O(1) and
+//     marks every chunk and the spine shared. Appends write past every
+//     frozen length, in place; a write to an existing row (a tuple's node,
+//     a node's links — never an entity row) copies its chunk first, and the
+//     batch's first such write copies the spine.
 //
 // So a view copies no row and no spine (it clears one ownership flag a
 // chunk), and the writer's next batch copies only the chunks it dirties and
@@ -68,9 +70,10 @@ func splitTupleID(id int) (shard, local int) {
 type shardView struct {
 	// entIDs maps local entity row -> global entity ID. Append-only.
 	entIDs []int
-	// entVecs holds the embeddings of every entity owned by this shard; a
-	// tuple's members index into it. Append-only.
-	entVecs *vector.Chunked
+	// entVecs holds the embeddings of every entity owned by this shard, as
+	// their nonzero coordinates; a tuple's members index into it. Only the
+	// centroid sums read it. Append-only.
+	entVecs *vector.SparseRows
 	// tuples is the tuple table (tupletable.go): the writer's copy in a
 	// shard, a snapshot of it in a published view.
 	tuples tupleTable
@@ -119,7 +122,7 @@ func (v *shardView) centroidAt(local int) []float32 {
 // readable at once; it is linked into the graph when whoever next takes a
 // view of the shard calls index.Link. The caller holds addMu.
 func (sh *shard) indexCentroid(local int) {
-	centroidInto(sh.centroid, sh.tuples.at(local).members, sh.entVecs.At)
+	centroidInto(sh.centroid, sh.tuples.at(local).members, sh.entVecs)
 	sh.index.Append(local, sh.centroid)
 	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
 }
@@ -183,6 +186,10 @@ type ShardStats struct {
 	Shard int `json:"shard"`
 	// Entities is the number of entity embeddings this shard owns.
 	Entities int `json:"entities"`
+	// EntityBytes is the memory the shard's entity embeddings take. They
+	// are kept as their nonzero coordinates, so it depends on the data:
+	// about 6 B a nonzero and 8 B an entity (vector.SparseRows.Bytes).
+	EntityBytes int `json:"entity_bytes"`
 	// Tuples is the number of tuples homed here, singletons included.
 	Tuples int `json:"tuples"`
 	// Matched is the number of tuples with >= 2 members.
@@ -205,6 +212,7 @@ func (v *shardView) stats(id int) ShardStats {
 	s := ShardStats{
 		Shard:       id,
 		Entities:    len(v.entIDs),
+		EntityBytes: v.entVecs.Bytes(),
 		Tuples:      v.tuples.Len(),
 		IndexSize:   v.index.Len(),
 		Live:        v.tuples.Len(),

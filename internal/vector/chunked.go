@@ -16,10 +16,11 @@ const chunkShift = 6
 const ChunkRows = 1 << chunkShift
 
 // Chunked is an append-only arena of fixed-dimension float32 vectors in
-// chunks of ChunkRows rows (arena.Arena, whose rows never move). It holds the
-// arenas that grow for a matcher's lifetime — a shard's entity embeddings and
-// an HNSW index's node vectors — where a flat Store would re-allocate the
-// whole arena on growth and carry up to a quarter of it as unused tail.
+// chunks of ChunkRows rows (arena.Arena, whose rows never move). It holds an
+// HNSW index's node vectors, which grow for a matcher's lifetime: a flat
+// Store would re-allocate the whole arena on growth and carry up to a quarter
+// of it as unused tail. (A shard's entity embeddings, which only the
+// centroid sums read, keep their nonzeros alone: SparseRows.)
 //
 // Frozen snapshots the store in O(1), sharing every chunk; the writer's later
 // Appends write only rows the snapshot cannot read. A Chunked store is not

@@ -1,0 +1,193 @@
+package vector
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// sparseRowOf returns a dim-wide row with about density of its coordinates
+// set, the others +0.
+func sparseRowOf(rng *rand.Rand, dim int, density float64) []float32 {
+	v := make([]float32, dim)
+	for d := range v {
+		if rng.Float64() < density {
+			v[d] = rng.Float32()*2 - 1
+		}
+	}
+	return v
+}
+
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
+// checkSparseRows holds s to the rows it was given: each expands to its
+// dense row bit for bit, lies inside one chunk, and the tables' unused
+// capacity is under one chunk each.
+func checkSparseRows(t *testing.T, s *SparseRows, rows [][]float32) {
+	t.Helper()
+	if s.Len() != len(rows) {
+		t.Fatalf("store holds %d rows, want %d", s.Len(), len(rows))
+	}
+	got := make([]float32, s.Dim())
+	for i, want := range rows {
+		s.CopyTo(got, i)
+		if !sameBits(got, want) {
+			t.Fatalf("row %d expands to %v, want %v", i, got, want)
+		}
+		idx, _ := s.Row(i)
+		if off := s.Offset(i); len(idx) > 0 && off/s.ChunkElems() != (off+len(idx)-1)/s.ChunkElems() {
+			t.Fatalf("row %d of %d elements at %d straddles a %d-element chunk", i, len(idx), off, s.ChunkElems())
+		}
+	}
+	elemCap, rowCap := s.Cap()
+	if slack := elemCap - s.Elems(); slack < 0 || slack >= s.ChunkElems() {
+		t.Fatalf("values table holds %d elements with room for %d", s.Elems(), elemCap)
+	}
+	if slack := rowCap - s.Len(); slack < 0 || slack >= ChunkRows {
+		t.Fatalf("descriptor table holds %d rows with room for %d", s.Len(), rowCap)
+	}
+}
+
+// TestSparseRowsStore: rows of every density — empty, full, and the
+// encoder's quarter — over several chunks of a small dimension, appended or
+// loaded, expand to what was stored and lie inside one chunk each; a loaded
+// store lays its rows out as the appending one did, in tables no larger than
+// they fill, and grows on from there; a frozen snapshot reads its rows,
+// unmoved, while the writer appends past them.
+func TestSparseRowsStore(t *testing.T) {
+	const dim = 24 // a 512-element chunk: 21 full rows
+	rng := rand.New(rand.NewSource(5))
+	var rows [][]float32
+	for i := range 300 {
+		density := []float64{0, 1, 0.25, 0.05, 0.6}[i%5]
+		rows = append(rows, sparseRowOf(rng, dim, density))
+	}
+	s := NewSparseRows(dim)
+	for i, v := range rows[:200] {
+		if got := s.Append(v); got != i {
+			t.Fatalf("Append returned %d, want %d", got, i)
+		}
+	}
+	checkSparseRows(t, s, rows[:200])
+	frozen := s.Frozen()
+	addrs := make([]*float32, frozen.Len())
+	for i := range addrs {
+		if _, val := frozen.Row(i); len(val) > 0 {
+			addrs[i] = &val[0]
+		}
+	}
+	for _, v := range rows[200:] {
+		s.Append(v)
+	}
+	checkSparseRows(t, s, rows)
+	checkSparseRows(t, frozen, rows[:200])
+	for i, p := range addrs {
+		if _, val := s.Row(i); p != nil && &val[0] != p {
+			t.Fatalf("row %d moved when the writer grew", i)
+		}
+	}
+
+	loaded := NewSparseRows(dim)
+	loaded.Load(200, func(i int, dst []float32) { copy(dst, rows[i]) })
+	checkSparseRows(t, loaded, rows[:200])
+	if elemCap, rowCap := loaded.Cap(); elemCap != frozen.Elems() || rowCap != 200 {
+		t.Fatalf("loaded tables hold %d elements and %d rows, the rows fill %d and 200", elemCap, rowCap, frozen.Elems())
+	}
+	for i := range 200 {
+		if loaded.Offset(i) != frozen.Offset(i) {
+			t.Fatalf("loaded row %d at %d, appended at %d", i, loaded.Offset(i), frozen.Offset(i))
+		}
+	}
+	if loaded.Bytes() != frozen.Bytes() {
+		t.Fatalf("loaded store reports %d bytes, appended %d", loaded.Bytes(), frozen.Bytes())
+	}
+	for _, v := range rows[200:] {
+		loaded.Append(v)
+	}
+	checkSparseRows(t, loaded, rows)
+
+	for _, bad := range []func(){
+		func() { frozen.Row(frozen.Len()) },
+		func() { frozen.Row(-1) },
+		func() { NewSparseRows(MaxSparseDim + 1) },
+		func() { NewSparseRows(0) },
+		func() { s.Append(make([]float32, dim+1)) },
+		func() { s.Load(1, func(int, []float32) {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("want a panic")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// TestSparseRowsLargestDim: at MaxSparseDim a chunk holds exactly one full
+// row, and the last coordinate survives its uint16.
+func TestSparseRowsLargestDim(t *testing.T) {
+	s := NewSparseRows(MaxSparseDim)
+	full := make([]float32, MaxSparseDim)
+	for d := range full {
+		full[d] = float32(d + 1)
+	}
+	last := make([]float32, MaxSparseDim)
+	last[MaxSparseDim-1] = -1
+	rows := [][]float32{full, last, full}
+	for _, v := range rows {
+		s.Append(v)
+	}
+	checkSparseRows(t, s, rows)
+}
+
+// FuzzSparseRow: from arbitrary float32 bit patterns — ±0, NaN payloads,
+// infinities, subnormals — a compressed row expands to the dense row bit for
+// bit, and adding compressed rows into a sum that starts from +0 (AddTo)
+// gives the bits Add gives adding the dense ones. Both rows are stored many
+// times over, so the rows cross chunk boundaries.
+func FuzzSparseRow(f *testing.F) {
+	le := func(bits ...uint32) []byte {
+		b := make([]byte, 4*len(bits))
+		for i, x := range bits {
+			binary.LittleEndian.PutUint32(b[4*i:], x)
+		}
+		return b
+	}
+	f.Add(le(0x80000000, 0, 0x3f800000), le(0x80000000, 0x80000000, 0))                // −0 in both rows, and beside +0
+	f.Add(le(0x7fa00001, 0x7fc12345, 0, 1), le(0, 0xffc00abc, 0x3f800000, 0x80000001)) // NaN payloads, subnormals
+	f.Add(le(0x7f800000, 0xff800000, 0x7f7fffff), le(0xff800000, 0, 0x7f7fffff))       // ±Inf, overflow to Inf
+	f.Add(make([]byte, 4*33), le(0x3f800000))
+	f.Fuzz(func(t *testing.T, ab, bb []byte) {
+		n := min(len(ab), len(bb), 4*MaxSparseDim) / 4
+		if n == 0 {
+			return
+		}
+		a, b := make([]float32, n), make([]float32, n)
+		for i := range n {
+			a[i] = math.Float32frombits(binary.LittleEndian.Uint32(ab[4*i:]))
+			b[i] = math.Float32frombits(binary.LittleEndian.Uint32(bb[4*i:]))
+		}
+		s := NewSparseRows(n)
+		var rows [][]float32
+		for range 40 {
+			s.Append(a)
+			s.Append(b)
+			rows = append(rows, a, b)
+		}
+		checkSparseRows(t, s, rows)
+		dense, sparse := make([]float32, n), make([]float32, n)
+		for i, v := range rows[:4] {
+			Add(dense, v)
+			s.AddTo(sparse, i)
+			if !sameBits(dense, sparse) {
+				t.Fatalf("after %d rows: AddTo gives %v, Add %v", i+1, sparse, dense)
+			}
+		}
+	})
+}

@@ -9,8 +9,9 @@ import "fmt"
 // holds a Store, so sequential scans are cache-linear, per-vector GC pressure
 // is zero, and the tile kernel reads two arenas as plain strided memory. The
 // arenas that grow row by row for the matcher's lifetime and are shared with
-// published views hold a Chunked store instead (chunked.go): the matcher's
-// one copy-on-write chunked arena, whose rows never move.
+// published views are chunked instead, so their rows never move: an HNSW
+// index's node vectors in a Chunked store (chunked.go), a shard's entity
+// embeddings as their nonzeros in a SparseRows store (sparserows.go).
 //
 // Rows returned by At alias the arena; they stay valid across Append/Grow in
 // value but not in identity (growth may move the backing array), so callers
@@ -87,6 +88,12 @@ func (s *Store) Grow(rows int) {
 	}
 	s.data = append(s.data, make([]float32, rows*s.dim)...)
 }
+
+// CopyTo copies row i into dst.
+func (s *Store) CopyTo(dst []float32, i int) { copy(dst, s.At(i)) }
+
+// AddTo adds row i into dst.
+func (s *Store) AddTo(dst []float32, i int) { Add(dst, s.At(i)) }
 
 // SetRow copies v over row i.
 func (s *Store) SetRow(i int, v []float32) {
