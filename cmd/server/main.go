@@ -66,7 +66,7 @@ func main() {
 		scale       = flag.Float64("scale", 0.1, "generation scale for -dataset")
 		seed        = flag.Int64("seed", 1, "random seed")
 		k           = flag.Int("k", 1, "mutual top-K width")
-		m           = flag.Float64("m", 0.5, "merge distance threshold (cosine)")
+		m           = flag.Float64("m", 0.5, "merge distance threshold (cosine) of a matcher built from -dataset or -data; a loaded, recovered or following matcher absorbs under the M its file holds, and -m beside -load-index or -role follower refuses to start")
 		parallel    = flag.Bool("parallel", true, "build with MultiEM(parallel)")
 		shards      = flag.Int("shards", 0, "matcher hash shards (0 = GOMAXPROCS; ignored with -load-index)")
 		efSearch    = flag.Int("efsearch", 0, "HNSW query beam width for /match (0 = backend default; applies to built and loaded matchers)")
@@ -103,6 +103,13 @@ func main() {
 		slog.Error(msg, args...)
 		os.Exit(1)
 	}
+
+	// Every file holds its own M, so -m beside one would be silently ignored.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "m" && (*loadIndex != "" || *role == "follower") {
+			fatal("-m applies only when building from -dataset or -data; a loaded or following matcher uses the M its file holds")
+		}
+	})
 
 	if *kernels != "" {
 		if err := vector.SetKernels(*kernels); err != nil {
@@ -206,7 +213,7 @@ func main() {
 			}
 			s.warmup()
 			st := follower.Stats()
-			slog.Info("ready: following", "primary", *primaryURL, "next_seq", st.NextSeq, "lag_batches", st.LagBatches)
+			slog.Info("ready: following", "primary", *primaryURL, "next_seq", st.NextSeq, "lag_batches", st.LagBatches, "m", s.currentMatcher().M())
 		}()
 		slog.Info("follower: mirroring", "primary", *primaryURL, "dir", *walDir,
 			"poll", *followPoll, "auto_promote", *promoteAfter)
@@ -257,7 +264,7 @@ func main() {
 		st := matcher.Stats()
 		slog.Info("ready: serving", "entities", st.Entities, "tuples", st.Tuples,
 			"matched", st.Matched, "singletons", st.Singletons,
-			"shards", st.Shards, "attrs", fmt.Sprint(st.Attrs))
+			"shards", st.Shards, "attrs", fmt.Sprint(st.Attrs), "m", matcher.M())
 
 	default:
 		fatal("unknown -role (want primary or follower)", "role", *role)

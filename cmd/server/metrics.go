@@ -18,8 +18,8 @@ import (
 // s.currentMatcher(): in follower role the serving matcher is swapped
 // wholesale on resync and again on promotion, so holding a matcher
 // pointer at registration time would scrape a dead instance. The
-// callbacks run only at scrape time, so their cost (a stats walk over
-// the current epoch view) is off every request path.
+// callbacks run only at scrape time, so their cost (one stats walk over
+// the current epoch view a scrape) is off every request path.
 //
 // The HTTP endpoint series live in newServer, next to the handles the
 // instrument wrapper records into; docs/OPERATIONS.md carries the
@@ -59,32 +59,66 @@ func (s *server) registerMetrics() {
 		}
 	}
 
-	// Matcher state (current epoch view).
+	// snap is gfn for a summary: nil, an empty one, without a matcher.
+	snap := func(f func(m *repro.Matcher) *hist.Snapshot) func() *hist.Snapshot {
+		return func() *hist.Snapshot {
+			if m := matcher(); m != nil {
+				return f(m)
+			}
+			return nil
+		}
+	}
+
+	// Matcher state and durability: one pinned read a scrape. The totals,
+	// the per-shard sets and the WAL gauges below all read it, so each
+	// scrape's totals are its per-shard sums even while batches commit, and
+	// a scrape walks the state once, not once a family.
+	var pinned struct {
+		total    repro.MatcherStats
+		perShard []repro.ShardStats
+		epoch    uint64
+		wal      repro.WALStats
+	}
+	r.OnScrape(func() {
+		pinned.total, pinned.perShard, pinned.epoch, pinned.wal = repro.MatcherStats{}, nil, 0, repro.WALStats{}
+		if m := matcher(); m != nil {
+			pinned.total, pinned.perShard, pinned.epoch = m.StatsWithShards()
+			pinned.wal = m.WALStats()
+		}
+	})
 	r.GaugeFunc("multiem_entities",
 		"Records known to the matcher.", nil,
-		gfn(func(m *repro.Matcher) float64 { return float64(m.Stats().Entities) }))
+		func() float64 { return float64(pinned.total.Entities) })
 	r.GaugeFunc("multiem_entity_store_bytes",
 		"Memory the entity embeddings take, kept as their nonzero coordinates: about 6 B a nonzero and 8 B an entity.", nil,
-		gfn(func(m *repro.Matcher) float64 {
-			_, perShard, _ := m.StatsWithShards()
+		func() float64 {
 			n := 0
-			for _, ss := range perShard {
+			for _, ss := range pinned.perShard {
 				n += ss.EntityBytes
 			}
 			return float64(n)
-		}))
+		})
 	r.GaugeFunc("multiem_tuples",
 		"Tracked tuples, singletons included.", nil,
-		gfn(func(m *repro.Matcher) float64 { return float64(m.Stats().Tuples) }))
+		func() float64 { return float64(pinned.total.Tuples) })
 	r.GaugeFunc("multiem_matched_tuples",
 		"Tuples with >= 2 members.", nil,
-		gfn(func(m *repro.Matcher) float64 { return float64(m.Stats().Matched) }))
+		func() float64 { return float64(pinned.total.Matched) })
+	r.GaugeSetFunc("multiem_config_info",
+		"Always 1; the m label is the merge threshold the serving matcher absorbs under: -m when it was built, the one its file holds when it was loaded, recovered or followed.",
+		func() []obs.Sample {
+			m := matcher()
+			if m == nil {
+				return nil
+			}
+			return []obs.Sample{{Labels: obs.L("m", strconv.FormatFloat(float64(m.M()), 'g', -1, 32)), Value: 1}}
+		})
 	r.GaugeFunc("multiem_shards",
 		"Hash shards the matcher state is split across.", nil,
-		gfn(func(m *repro.Matcher) float64 { return float64(m.Shards()) }))
+		func() float64 { return float64(pinned.total.Shards) })
 	r.GaugeFunc("multiem_epoch",
 		"View epoch: ingest batches committed since the matcher was installed.", nil,
-		gfn(func(m *repro.Matcher) float64 { return float64(m.Epoch()) }))
+		func() float64 { return float64(pinned.epoch) })
 	r.GaugeFunc("multiem_epoch_age_seconds",
 		"Time since the last epoch publish (how stale the serving view is).", nil,
 		gfn(func(m *repro.Matcher) float64 { return m.EpochAge().Seconds() }))
@@ -95,22 +129,14 @@ func (s *server) registerMetrics() {
 		"Rows committed through ingest batches (recovery replay excluded).", nil,
 		gfn(func(m *repro.Matcher) float64 { _, rows := m.IngestTotals(); return float64(rows) }))
 
-	// Per-shard breakdown: the sample set is rebuilt each scrape from one
-	// pinned epoch view, so a hot or bloated shard is visible without a
-	// debugger and the samples are mutually consistent.
+	// Per-shard breakdown, from the scrape's pinned view: a hot or bloated
+	// shard is visible without a debugger, and the samples are mutually
+	// consistent.
 	shardSamples := func(f func(ss repro.ShardStats) float64) func() []obs.Sample {
 		return func() []obs.Sample {
-			m := matcher()
-			if m == nil {
-				return nil
-			}
-			_, perShard, _ := m.StatsWithShards()
-			out := make([]obs.Sample, len(perShard))
-			for i, ss := range perShard {
-				out[i] = obs.Sample{
-					Labels: obs.L("shard", strconv.Itoa(ss.Shard)),
-					Value:  f(ss),
-				}
+			out := make([]obs.Sample, len(pinned.perShard))
+			for i, ss := range pinned.perShard {
+				out[i] = obs.Sample{Labels: obs.L("shard", strconv.Itoa(ss.Shard)), Value: f(ss)}
 			}
 			return out
 		}
@@ -132,23 +158,11 @@ func (s *server) registerMetrics() {
 	// same spans, so the stage summaries decompose the totals.
 	stageSummaries := func(name, help string, names []string,
 		total func(m *repro.Matcher) *obs.Stages) {
-		r.SummaryFunc(name, help+" (all stages).", nil, func() *hist.Snapshot {
-			m := matcher()
-			if m == nil {
-				return nil
-			}
-			return total(m).TotalSnapshot()
-		})
+		r.SummaryFunc(name, help+" (all stages).", nil,
+			snap(func(m *repro.Matcher) *hist.Snapshot { return total(m).TotalSnapshot() }))
 		for i, stage := range names {
-			i := i
 			r.SummaryFunc(name+"_stage", help+", by stage.", obs.L("stage", stage),
-				func() *hist.Snapshot {
-					m := matcher()
-					if m == nil {
-						return nil
-					}
-					return total(m).StageSnapshot(i)
-				})
+				snap(func(m *repro.Matcher) *hist.Snapshot { return total(m).StageSnapshot(i) }))
 		}
 	}
 	stageSummaries("multiem_match_duration_seconds",
@@ -159,13 +173,7 @@ func (s *server) registerMetrics() {
 		func(m *repro.Matcher) *obs.Stages { return m.IngestStages() })
 	r.SummaryFunc("multiem_view_build_duration_seconds",
 		"Per-shard copy-on-write view build during commit (one observation per touched shard per batch).",
-		nil, func() *hist.Snapshot {
-			m := matcher()
-			if m == nil {
-				return nil
-			}
-			return m.ViewBuildDurations()
-		})
+		nil, snap((*repro.Matcher).ViewBuildDurations))
 	slowCounter := func(st func(m *repro.Matcher) *obs.Stages) func() float64 {
 		return gfn(func(m *repro.Matcher) float64 { return float64(st(m).SlowLogged()) })
 	}
@@ -191,7 +199,7 @@ func (s *server) registerMetrics() {
 
 	// Durability (zero when the matcher runs without -wal-dir).
 	walGauge := func(f func(ws repro.WALStats) float64) func() float64 {
-		return gfn(func(m *repro.Matcher) float64 { return f(m.WALStats()) })
+		return func() float64 { return f(pinned.wal) }
 	}
 	r.GaugeFunc("multiem_wal_enabled",
 		"1 when the matcher appends to a write-ahead log.", nil,
@@ -246,13 +254,8 @@ func (s *server) registerMetrics() {
 	r.GaugeSetFunc("multiem_recovery_shard_busy_seconds",
 		"Replay time the shard's apply stream spent checking and applying rather than waiting for the reader.",
 		func() []obs.Sample {
-			m := matcher()
-			if m == nil {
-				return nil
-			}
-			busy := m.WALStats().ReplayShardBusySeconds
-			out := make([]obs.Sample, len(busy))
-			for s, v := range busy {
+			out := make([]obs.Sample, len(pinned.wal.ReplayShardBusySeconds))
+			for s, v := range pinned.wal.ReplayShardBusySeconds {
 				out[s] = obs.Sample{Labels: obs.L("shard", strconv.Itoa(s)), Value: v}
 			}
 			return out
@@ -261,13 +264,7 @@ func (s *server) registerMetrics() {
 		"Index nodes replay appended without linking because a compaction later in the log discarded them; 0 when the log crossed no compaction.", nil,
 		walGauge(func(ws repro.WALStats) float64 { return float64(ws.ReplaySkippedLinks) }))
 	r.SummaryFunc("multiem_wal_sync_duration_seconds",
-		"WAL fsync latency.", nil, func() *hist.Snapshot {
-			m := matcher()
-			if m == nil {
-				return nil
-			}
-			return m.WALSyncDurations()
-		})
+		"WAL fsync latency.", nil, snap((*repro.Matcher).WALSyncDurations))
 
 	// Replication. Role and term resolve by which handles exist, so the
 	// same series tracks a node across follower -> primary promotion —

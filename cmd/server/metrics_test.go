@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -22,6 +25,7 @@ var pinnedMetrics = map[string]string{
 	"multiem_go_goroutines":       "gauge",
 	"multiem_go_heap_alloc_bytes": "gauge",
 	"multiem_kernels_info":        "gauge",
+	"multiem_config_info":         "gauge",
 
 	"multiem_entities":             "gauge",
 	"multiem_entity_store_bytes":   "gauge",
@@ -161,6 +165,10 @@ func TestMetricsCatalogue(t *testing.T) {
 		}
 	}
 
+	if v := exp.Values[`multiem_config_info{m="0.5"}`]; v != 1 {
+		t.Errorf(`multiem_config_info{m="0.5"} = %v, want 1`, v)
+	}
+
 	// The stage summaries decompose the total: the fan-out stage alone
 	// must not exceed the whole request.
 	if exp.Values[`multiem_match_duration_seconds_stage_sum{stage="fanout"}`] >
@@ -224,5 +232,49 @@ func TestMetricsStatsAgree(t *testing.T) {
 	gotP99 := exp.Values[`multiem_http_request_duration_seconds{endpoint="match",quantile="0.99"}`] * 1000
 	if diff := es.P99Ms - gotP99; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("/stats p99 %vms != /metrics p99 %vms", es.P99Ms, gotP99)
+	}
+}
+
+// TestMetricsScrapeConsistent: every scrape reads the matcher state from one
+// pinned view, so under concurrent AddRecords each scrape's totals equal its
+// own per-shard sum of live tuples.
+func TestMetricsScrapeConsistent(t *testing.T) {
+	m, _ := testMatcher(t)
+	h := newHandler(m, 0)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Random letters: every batch starts a tuple of its own, so the
+		// tuple count moves with every commit.
+		rng := rand.New(rand.NewSource(1))
+		name := make([]byte, 24)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range name {
+				name[i] = 'a' + byte(rng.Intn(26))
+			}
+			row := []string{string(name), "1.5", "2.5"}
+			if _, err := m.AddRecords([][]string{row}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 40; i++ {
+		_, exp := scrape(t, h)
+		live := 0.0
+		for s := 0; s < m.Shards(); s++ {
+			live += exp.Values[fmt.Sprintf(`multiem_shard_live_tuples{shard="%d"}`, s)]
+		}
+		if tuples := exp.Values["multiem_tuples"]; tuples != live {
+			t.Fatalf("scrape %d: %v tuples, the shards' live tuples sum to %v", i, tuples, live)
+		}
 	}
 }

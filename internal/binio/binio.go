@@ -234,6 +234,9 @@ func (r *Reader) Str() string { return string(r.Next(r.Count(1))) }
 // are left.
 func (r *Reader) I32s(n int) []int32 { return read4[int32](r, n) }
 
+// F32s is I32s for float32s.
+func (r *Reader) F32s(n int) []float32 { return read4[float32](r, n) }
+
 // I32sInto fills dst from the next 4*len(dst) bytes; on error dst is
 // untouched.
 func (r *Reader) I32sInto(dst []int32) { readInto(r, dst) }

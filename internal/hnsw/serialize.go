@@ -25,32 +25,16 @@ import (
 // loaded index answers every query, and takes every later Add, exactly as the
 // index that was saved. The link section is the arena itself, so its size is
 // fixed by count and M and a file pays for the memory it decodes into.
-//
-// Version 2, which Decode still reads, was written while the graph had HNSW's
-// layer hierarchy. Its header also held a metric field (always 2, cosine over
-// unit vectors), the level-sampling seed, the entry point and the top level;
-// a levels section (count × int32) followed the ids; and each node's links
-// were one counted list per layer 0..level, layer 0 holding up to 2M links
-// and each upper layer up to M. A version-2 index decodes to its layer-0
-// graph with node 0 as the entry: the upper-layer lists are checked and
-// skipped, and so are the seed, entry and top level. Version 1 interleaved
-// every section per node.
+// Version 2 (HNSW's layers) is upgraded by loading and saving the matcher
+// file that embeds it under a build that writes matcher version 6.
 
 var magic = [8]byte{'H', 'N', 'S', 'W', 'I', 'D', 'X', '\n'}
 
-const (
-	// FormatVersion is the version Save writes; a container format that
-	// embeds an index can tell what it holds from the uint32 at byte 8.
-	FormatVersion = 3
-	// formatV2 is the one older version Decode still reads.
-	formatV2 = 2
-	// metricCosineUnit is the only metric field a version-2 file can hold.
-	metricCosineUnit = 2
-)
+const formatVersion = 3 // the one version Save writes and Decode reads
 
 // ErrFormatVersion is wrapped by Load when the file's format version is not
-// one this build reads (3, and 2); callers distinguish "old index file,
-// rebuild it" from corruption with errors.Is.
+// the one this build reads; callers distinguish "old index file, upgrade
+// it" from corruption with errors.Is.
 var ErrFormatVersion = errors.New("hnsw: unsupported index format version")
 
 // ErrCorrupt is wrapped by Decode (and Load) for input that is not a
@@ -83,7 +67,7 @@ func (ix *Index) Save(w io.Writer) error {
 
 	bw := bufio.NewWriter(w)
 	bw.Write(magic[:])
-	binio.WriteU32(bw, FormatVersion)
+	binio.WriteU32(bw, formatVersion)
 	binio.WriteI32(bw, int32(ix.cfg.M))
 	binio.WriteI32(bw, int32(ix.cfg.EfConstruction))
 	binio.WriteI32(bw, int32(ix.cfg.EfSearch))
@@ -137,24 +121,16 @@ func Decode(rd *binio.Reader) (*Index, error) {
 		return nil, corrupt("bad magic %q (not an HNSW index file)", m)
 	}
 	version := rd.U32()
-	if rd.Err() == nil && version != FormatVersion && version != formatV2 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d and %d", ErrFormatVersion, version, FormatVersion, formatV2)
+	if rd.Err() == nil && version != formatVersion {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrFormatVersion, version, formatVersion)
 	}
 
 	var cfg Config
 	cfg.M = rd.I32()
 	cfg.EfConstruction = rd.I32()
 	cfg.EfSearch = rd.I32()
-	metric := metricCosineUnit
-	if version == formatV2 {
-		metric = rd.I32()
-		rd.I64() // the level-sampling seed
-	}
 	dim := rd.I32()
 	count := rd.I32()
-	if version == formatV2 {
-		rd.Next(8) // the entry point and top level
-	}
 	if rd.Err() != nil {
 		return nil, corrupt("header: %v", rd.Err())
 	}
@@ -166,36 +142,21 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	if cfg != cfg.withDefaults() {
 		return nil, corrupt("implausible config %+v", cfg)
 	}
-	if metric != metricCosineUnit {
-		return nil, corrupt("metric %d, want %d (cosine over unit vectors)", metric, metricCosineUnit)
-	}
 	if dim <= 0 || dim > maxSaneDim {
 		return nil, corrupt("implausible dim %d", dim)
 	}
-	// A version-3 node is exactly its id, its block and its vector; a
-	// version-2 one at least its id, its level, its layer-0 count and its
-	// vector. Either way the arena a file decodes into may not be larger
-	// than the file: past these checks the header's count sizes only what
-	// is there.
+	// A node is exactly its id, its block and its vector, so the arena a
+	// file decodes into is never larger than the file: past this check the
+	// header's count sizes only what is there.
 	ix := New(dim, cfg)
-	nodeBytes := 8 + 4*ix.la.Width() + 4*dim
-	if version == formatV2 {
-		nodeBytes = 8 + 4 + 4 + 4*dim
-	}
-	if count < 0 || count > maxSaneCount || count > rd.Len()/nodeBytes || 4*ix.la.Width()*count > rd.Len() {
+	if count < 0 || count > maxSaneCount || count > rd.Len()/(8+4*ix.la.Width()+4*dim) {
 		return nil, corrupt("implausible node count %d of M %d for the %d bytes that follow", count, cfg.M, rd.Len())
 	}
 
 	ix.linked = count // a saved node is a linked one
 	ix.ids = rd.Ints(count)
 	ix.la.Grow(count)
-	var err error
-	if version == formatV2 {
-		err = ix.readV2Links(rd)
-	} else {
-		err = ix.readLinks(rd)
-	}
-	if err != nil {
+	if err := ix.readLinks(rd); err != nil {
 		return nil, err
 	}
 	ix.vecs.GrowExact(count)
@@ -208,7 +169,7 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// readLinks fills the arena from a version-3 link section and checks every
+// readLinks fills the arena from the link section and checks every
 // block: a count within 2M, links to existing nodes, zero slack (so the index
 // saves back to the bytes it was read from).
 func (ix *Index) readLinks(rd *binio.Reader) error {
@@ -233,41 +194,6 @@ func (ix *Index) readLinks(rd *binio.Reader) error {
 				return corrupt("node %d has a nonzero slot past its %d links", i, cnt)
 			}
 		}
-	}
-	return nil
-}
-
-// readV2Links fills the arena from a version-2 levels and links section:
-// each node's layer-0 list becomes its block, and its upper-layer lists are
-// checked for a count within M and skipped.
-func (ix *Index) readV2Links(rd *binio.Reader) error {
-	n, m := len(ix.ids), ix.cfg.M
-	for i, level := range rd.I32s(n) {
-		if level < 0 {
-			return corrupt("node %d has level %d", i, level)
-		}
-		for l := 0; l <= int(level); l++ {
-			cnt, capacity := rd.I32(), 2*m
-			if l > 0 {
-				capacity = m
-			}
-			if rd.Err() != nil || cnt < 0 || cnt > capacity {
-				return corrupt("node %d layer %d has implausible link count %d", i, l, cnt)
-			}
-			if l > 0 {
-				rd.Next(4 * cnt)
-				continue
-			}
-			blk := ix.la.Mut(i)
-			blk[0] = int32(cnt)
-			rd.I32sInto(blk[1 : 1+cnt])
-			if err := checkLinks(i, blk[1:1+cnt], n); err != nil {
-				return err
-			}
-		}
-	}
-	if rd.Err() != nil {
-		return corrupt("links: %v", rd.Err())
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -170,45 +169,24 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // Header layout: magic 8, version 4 @8, M 4 @12, efConstruction 4 @16,
-// efSearch 4 @20, dim 4 @24, count 4 @28. The version-2 cases patch the
-// parent-written fixture, whose header is magic, version, M, efConstruction,
-// efSearch, metric 4 @24, seed 8 @28, dim 4 @36, count 4 @40, entry 4 @44,
-// maxL 4 @48.
+// efSearch 4 @20, dim 4 @24, count 4 @28.
 func TestLoadRejectsCorruptHeaderFields(t *testing.T) {
 	ix := buildIndex(t, randomUnitVecs(20, 4, 1), Config{M: 4})
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	v2 := readV2Fixture(t)
-	patchFile := func(file []byte, offset int, v uint32) []byte {
-		b := append([]byte(nil), file...)
-		b[offset] = byte(v)
-		b[offset+1] = byte(v >> 8)
-		b[offset+2] = byte(v >> 16)
-		b[offset+3] = byte(v >> 24)
+	patch := func(offset int, v uint32) []byte {
+		b := slices.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(b[offset:], v)
 		return b
 	}
-	patch := func(offset int, v uint32) []byte { return patchFile(buf.Bytes(), offset, v) }
 	cases := map[string][]byte{
 		// A huge count must error, not allocate gigabytes.
-		"huge count":     patch(28, 1<<30),
-		"huge M":         patch(12, 1<<20),
-		"zero dim":       patch(24, 0),
-		"zero efSearch":  patch(20, 0),
-		"v2 huge count":  patchFile(v2, 40, 1<<30),
-		"v2 huge M":      patchFile(v2, 12, 1<<20),
-		"v2 zero dim":    patchFile(v2, 36, 0),
-		"v2 huge level":  patchFile(v2, 52+8*40, 1<<30),
-		"v2 level -1":    patchFile(v2, 52+8*40, 1<<32-1),
-		"v2 link count":  patchFile(v2, 52+12*40, 9),
-		"v2 link target": patchFile(v2, 52+12*40+4, 40),
-		// The metric field of a version-2 file is always 2: 0 was a
-		// non-unit cosine index, 1 a euclidean one, and this build reads
-		// neither.
-		"v2 metric 0": patchFile(v2, 24, 0),
-		"v2 metric 1": patchFile(v2, 24, 1),
-		"v2 metric 3": patchFile(v2, 24, 3),
+		"huge count":    patch(28, 1<<30),
+		"huge M":        patch(12, 1<<20),
+		"zero dim":      patch(24, 0),
+		"zero efSearch": patch(20, 0),
 	}
 	for name, b := range cases {
 		if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
@@ -289,108 +267,13 @@ func TestDecodeStopsAtIndexEnd(t *testing.T) {
 	}
 }
 
-// v2FixturePath is a version-2 index file written by the last commit whose
-// Save wrote version 2, while the graph still had HNSW's layers: 40 random
-// unit vectors of dim 8 at M 4, ids 7i, nodes up to level 2.
-const v2FixturePath = "testdata/index-v2.bin"
-
-func readV2Fixture(t testing.TB) []byte {
-	t.Helper()
-	raw, err := os.ReadFile(v2FixturePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
-// v2Layer0 walks a version-2 file with nothing but encoding/binary: an
-// independent reading of the old format. It returns each node's layer-0
-// links and the number of upper-layer lists the file holds.
-func v2Layer0(t *testing.T, raw []byte) (layer0 [][]int32, upper int) {
-	t.Helper()
-	u32 := func(off int) int { return int(int32(binary.LittleEndian.Uint32(raw[off:]))) }
-	if u32(8) != formatV2 {
-		t.Fatalf("file has version %d", u32(8))
-	}
-	dim, n := u32(36), u32(40)
-	levels := 52 + 8*n
-	off := levels + 4*n
-	for i := 0; i < n; i++ {
-		for l := 0; l <= u32(levels+4*i); l++ {
-			cnt := u32(off)
-			links := make([]int32, cnt)
-			for j := range links {
-				links[j] = int32(u32(off + 4 + 4*j))
-			}
-			off += 4 + 4*cnt
-			if l == 0 {
-				layer0 = append(layer0, links)
-			} else {
-				upper++
-			}
-		}
-	}
-	if off+4*dim*n != len(raw) {
-		t.Fatalf("walked %d bytes of a %d-byte file", off+4*dim*n, len(raw))
-	}
-	return layer0, upper
-}
-
-// TestDecodeV2Fixture: a version-2 file loads to its layer-0 graph — the
-// same ids, vectors and config, and each node's links exactly its layer-0
-// list — and saves as a version-3 file that loads back to the same bytes.
-func TestDecodeV2Fixture(t *testing.T) {
-	raw := readV2Fixture(t)
-	layer0, upper := v2Layer0(t, raw)
-	if upper == 0 {
-		t.Fatal("fixture has no node above layer 0")
-	}
-	ix, err := Load(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Len() != len(layer0) || ix.Config() != (Config{M: 4}).withDefaults() {
-		t.Fatalf("loaded %d nodes with config %+v", ix.Len(), ix.Config())
-	}
-	arena := raw[len(raw)-4*ix.Dim()*ix.Len():]
-	for i := range ix.Len() {
-		for k, f := range ix.Vector(i) {
-			if math.Float32bits(f) != binary.LittleEndian.Uint32(arena[4*(i*ix.Dim()+k):]) {
-				t.Fatalf("node %d's vector differs from the file's at float %d", i, k)
-			}
-		}
-	}
-	for i := range layer0 {
-		if ix.IDs()[i] != 7*i {
-			t.Fatalf("node %d has id %d, want %d", i, ix.IDs()[i], 7*i)
-		}
-		if got := ix.neighbors(i); !slices.Equal(got, layer0[i]) {
-			t.Fatalf("node %d links to %v, the file's layer 0 to %v", i, got, layer0[i])
-		}
-	}
-	if res := ix.Search(ix.Vector(5), 1, 0); len(res) != 1 || res[0].ID != 35 {
-		t.Fatalf("search for node 5's own vector returned %v", res)
-	}
-	v3 := savedBytes(t, ix)
-	if binary.LittleEndian.Uint32(v3[8:]) != FormatVersion || len(v3) != ix.SaveSize() {
-		t.Fatalf("Save wrote version %d, %d bytes", binary.LittleEndian.Uint32(v3[8:]), len(v3))
-	}
-	again, err := Load(bytes.NewReader(v3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(savedBytes(t, again), v3) {
-		t.Fatal("the version-3 file does not save back to itself")
-	}
-}
-
 // v2File hand-builds a version-2 file of n nodes of dim 1 at the given M,
 // every one at level 0 with no links: the smallest file a header with a
 // large M can claim n nodes in.
 func v2File(m, n int) []byte {
 	le := binary.LittleEndian
 	b := append([]byte(nil), magic[:]...)
-	for _, v := range []int{formatV2, m, 200, 64, metricCosineUnit} {
+	for _, v := range []int{2, m, 200, 64, 2} { // version, M, efC, efS, metric
 		b = le.AppendUint32(b, uint32(v))
 	}
 	b = le.AppendUint64(b, 1) // seed
@@ -412,7 +295,7 @@ func v2File(m, n int) []byte {
 // the largest M a header may declare, where a node's link block is 32 KiB.
 // The version-2 file is one that cost over 2 000× its size when every node
 // got its block whatever the file held: 3 000 nodes of dim 1 and no links.
-// It is refused, since its links could not fill the arena it asks for; the
+// No version-2 file is read any more, and this one is refused as such; the
 // version-3 file, whose link section is that arena, loads.
 func TestDecodeAllocBounded(t *testing.T) {
 	ix := New(1, Config{M: maxSaneM})
@@ -422,19 +305,19 @@ func TestDecodeAllocBounded(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name    string
-		raw     []byte
-		refused bool
+		name string
+		raw  []byte
+		want error
 	}{
-		{"v2", v2File(maxSaneM, 3000), true},
-		{"v3", savedBytes(t, ix), false},
+		{"v2", v2File(maxSaneM, 3000), ErrFormatVersion},
+		{"v3", savedBytes(t, ix), nil},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := Load(bytes.NewReader(tc.raw))
 		runtime.ReadMemStats(&after)
-		if tc.refused != errors.Is(err, ErrCorrupt) || !tc.refused && err != nil {
-			t.Fatalf("%s: Load returned %v, want refused=%v", tc.name, err, tc.refused)
+		if !errors.Is(err, tc.want) || tc.want == nil && err != nil {
+			t.Fatalf("%s: Load returned %v, want %v", tc.name, err, tc.want)
 		}
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(tc.raw)+64<<10); got > limit {
 			t.Fatalf("%s: loading %d bytes allocated %d (limit %d)", tc.name, len(tc.raw), got, limit)
@@ -447,8 +330,7 @@ func TestDecodeAllocBounded(t *testing.T) {
 // lands in its fields. On arbitrary bytes it must not panic, must fail only
 // with ErrCorrupt or ErrFormatVersion, and must not allocate more than 3×
 // the input and a constant. What it accepts must save back to the bytes it
-// read; a version-2 input saves as version 3, and that file must save back
-// to itself.
+// read.
 func FuzzDecodeIndex(f *testing.F) {
 	f.Add(savedBytes(f, New(8, Config{})))
 	one := New(2, Config{M: 2, EfSearch: 5})
@@ -457,7 +339,8 @@ func FuzzDecodeIndex(f *testing.F) {
 	}
 	f.Add(savedBytes(f, one))
 	f.Add(savedBytes(f, buildIndex(f, randomUnitVecs(40, 8, 1), Config{M: 4})))
-	f.Add(readV2Fixture(f))
+	// A version-2 header, which is refused.
+	f.Add(v2File(4, 40))
 	// One wide row: the vector arena's chunk may hold only what the file
 	// fills, or it alone would outgrow the allocation bound.
 	f.Add(savedBytes(f, buildIndex(f, randomUnitVecs(1, 1024, 2), Config{M: 1})))
@@ -478,15 +361,7 @@ func FuzzDecodeIndex(f *testing.F) {
 			return
 		}
 		ix.Search(make([]float32, ix.Dim()), 3, 0)
-		read, saved := raw[:len(raw)-rd.Len()], savedBytes(t, ix)
-		if binary.LittleEndian.Uint32(read[8:]) == formatV2 {
-			v3, err := Load(bytes.NewReader(saved))
-			if err != nil {
-				t.Fatalf("a version-2 index loaded, the version-3 file it saved as did not: %v", err)
-			}
-			read, saved = saved, savedBytes(t, v3)
-		}
-		if !bytes.Equal(read, saved) {
+		if read, saved := raw[:len(raw)-rd.Len()], savedBytes(t, ix); !bytes.Equal(read, saved) {
 			t.Fatalf("accepted %d bytes that save back as %d different ones", len(read), len(saved))
 		}
 	})

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -343,19 +342,33 @@ func FuzzLoadMatcher(f *testing.F) {
 		}
 		f.Add(stale.Bytes())
 	}
-	// A header that promises 2^20 schema strings and 4096 shards.
-	f.Add(append(append([]byte(nil), matcherMagic[:]...), 4, 0, 0, 0, dim, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0))
-	// Version 4, which the loader still reads: the file the last v4 writer
-	// left, and that header again under the current version.
-	v4, err := os.ReadFile(v4FixturePath)
+	// A header that promises 2^20 schema strings and 4096 shards, in each
+	// version: a v7 header holds M and the probes of the encoder below.
+	le := binary.LittleEndian
+	v6 := le.AppendUint32(le.AppendUint32(append(matcherMagic[:0:0], matcherMagic[:]...), matcherFormatV6), dim)
+	v7 := le.AppendUint32(le.AppendUint32(append(matcherMagic[:0:0], matcherMagic[:]...), matcherFormatVersion), dim)
+	v7 = le.AppendUint32(v7, math.Float32bits(opt.M))
+	for _, x := range embedProbes(opt.Encoder) {
+		v7 = le.AppendUint32(v7, math.Float32bits(x))
+	}
+	for _, hdr := range [][]byte{v6, v7} {
+		f.Add(append(hdr, 9, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0))
+	}
+	// The file the last v6 writer left, and that state saved as v7 under
+	// another encoder, whose probes the one below refuses.
+	fixture := readFixture(f, v6FixturePath, matcherFormatV6)
+	f.Add(fixture)
+	grams3 := opt
+	grams3.Encoder = embed.NewHashEncoder(embed.WithDim(dim), embed.WithGrams(3))
+	m, err := LoadMatcher(bytes.NewReader(fixture), grams3)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v4)
-	f.Add(append(append([]byte(nil), matcherMagic[:]...), matcherFormatVersion, 0, 0, 0, dim, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0))
-	// Version 5 with hnsw version 2 inside, as every snapshot on disk was
-	// before version 6.
-	f.Add(readFixture(f, v5FixturePath, matcherFormatV5))
+	var foreign bytes.Buffer
+	if err := m.Save(&foreign); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(foreign.Bytes())
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var before, after runtime.MemStats
@@ -371,22 +384,21 @@ func FuzzLoadMatcher(f *testing.F) {
 			t.Fatalf("loading %d bytes allocated %d (limit %d)", len(raw), got, limit)
 		}
 		if err != nil {
-			wrongDim := len(raw) >= 16 && binary.LittleEndian.Uint32(raw[12:]) != dim
-			if m != nil || !(errors.Is(err, ErrCorruptState) || errors.Is(err, ErrFormatVersion) || wrongDim) {
+			if m != nil || !(errors.Is(err, ErrCorruptState) || errors.Is(err, ErrFormatVersion) || errors.Is(err, ErrEncoderMismatch)) {
 				t.Fatalf("untyped failure: %v", err)
 			}
 			return
 		}
-		// Bytes past the last section are not LoadMatcher's. A file of an
-		// older version saves as version 6, so for one the property is held
-		// by the v6 file it becomes.
+		// Bytes past the last section are not LoadMatcher's. A v6 file saves
+		// as version 7, so for one the property is held by the v7 file it
+		// becomes.
 		again := saveBytes(t, m)
 		if binary.LittleEndian.Uint32(raw[8:]) != matcherFormatVersion {
-			m6, err := LoadMatcher(bytes.NewReader(again), opt)
+			m7, err := LoadMatcher(bytes.NewReader(again), opt)
 			if err != nil {
-				t.Fatalf("a file loaded, the v6 file it saved as did not: %v", err)
+				t.Fatalf("a file loaded, the v7 file it saved as did not: %v", err)
 			}
-			raw, again = again, saveBytes(t, m6)
+			raw, again = again, saveBytes(t, m7)
 		}
 		if !bytes.HasPrefix(raw, again) {
 			t.Fatalf("accepted %d bytes that save back as %d different ones", len(raw), len(again))

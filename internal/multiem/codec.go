@@ -2,24 +2,27 @@ package multiem
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"time"
 
 	"repro/internal/binio"
+	"repro/internal/embed"
 	"repro/internal/hnsw"
 	"repro/internal/par"
 	"repro/internal/vector"
 )
 
-// Matcher binary format (little-endian), version 6:
+// Matcher binary format (little-endian), version 7:
 //
 //	magic     [8]byte  "MEMMATC\n"
 //	version   uint32
 //	dim       int32
+//	M         float32  the merge threshold the matcher absorbs under
+//	probes    len(probeTexts) × dim × float32, the encoder's embeddings of them
 //	nextID    int64
 //	nShards   int32
 //	schema    count + length-prefixed strings
@@ -30,40 +33,37 @@ import (
 //	  entVecs     count × dim × float32, the shard's embeddings, dense, in row order
 //	  tuples      count × { nMembers int32; members []int32 (local rows); maxJoinDist f32 }
 //	  compactions int64
-//	  index       embedded hnsw.Index (its own versioned format)
+//	  index       embedded hnsw.Index (its own versioned format, 3)
 //
-// A tuple's centroid is the vector of the last index node carrying its id;
-// the file holds it there and nowhere else. The embeddings are dense in the
-// file and sparse in memory (vector.SparseRows keeps each row's nonzeros):
-// writeSection expands each row, readSection compresses it again, and a
-// row's bits are the same on both sides, so a file saves back to itself.
-// Each shard's section is self-contained and length-prefixed, so a loader
-// finds every section without decoding the one before it, and a loaded
-// matcher has the exact shard topology it was saved with.
+// The file holds what defines the state it serves: M, under which every
+// later absorption is decided and every replayed one checked, and the
+// probes, which tie the embeddings to the encoder that made them
+// (checkProbes). A tuple's centroid is the vector of the last index node
+// carrying its id, and is stored there only. The embeddings are dense in the
+// file and sparse in memory (vector.SparseRows): a row's bits are the same on
+// both sides, so a file saves back to itself. Each shard's section is
+// self-contained and length-prefixed, so a loader finds every section without
+// decoding the one before it, and a loaded matcher has the exact shard
+// topology it was saved with.
 //
-// LoadMatcher reads two older versions. Version 5 is version 6 with an hnsw
-// version-2 index, written while the graph had HNSW's layer hierarchy; the
-// index loads to its layer-0 graph (hnsw.Decode) and saves as version 3.
-// Version 4 also carried a dense centroids block (tuple count × dim ×
-// float32, between tuples and compactions) repeating those node rows — a
-// quarter of a file; the loader steps over it. Under either older version the
-// embedded index may be of either hnsw version; a version-6 file holds hnsw
-// version 3, the one Save writes, and nothing else.
+// LoadMatcher also reads version 6, version 7 without M and the probes: it
+// takes both from the caller's Options and saves as version 7. Older files
+// are upgraded by a load and a Save under a build that writes version 6.
 
 var matcherMagic = [8]byte{'M', 'E', 'M', 'M', 'A', 'T', 'C', '\n'}
 
-const (
-	matcherFormatVersion = 6
-	// matcherFormatV5 and matcherFormatV4 are the older versions LoadMatcher
-	// still takes.
-	matcherFormatV5 = 5
-	matcherFormatV4 = 4
-)
+// matcherFormatV6 is the one older version LoadMatcher still takes.
+const matcherFormatVersion, matcherFormatV6 = 7, 6
 
 // ErrFormatVersion is wrapped by LoadMatcher when the file's format version
-// is not one this build reads (6, 5 and 4); callers distinguish "old matcher
-// file, rebuild it" from corruption with errors.Is.
+// is not one this build reads (7 and 6); callers distinguish "old matcher
+// file, upgrade it" from corruption with errors.Is.
 var ErrFormatVersion = errors.New("multiem: unsupported matcher format version")
+
+// ErrEncoderMismatch is wrapped by LoadMatcher when the caller's encoder did
+// not make the file's embeddings: another dim, or a probe that embeds
+// elsewhere. Such a file is refused before any section is decoded.
+var ErrEncoderMismatch = errors.New("multiem: encoder does not match the matcher file's")
 
 // ErrCorruptState is wrapped by LoadMatcher for input that is not a
 // well-formed matcher file of a version it reads: truncated, a count or
@@ -71,6 +71,41 @@ var ErrFormatVersion = errors.New("multiem: unsupported matcher format version")
 // the index never mentions). Such a state could not be served, so it is
 // refused whole.
 var ErrCorruptState = errors.New("multiem: corrupt matcher state")
+
+// probeTexts are the strings a matcher file holds the embeddings of, as its
+// encoder check: words, numbers, codes, punctuation and non-ASCII letters.
+var probeTexts = [...]string{
+	"apple iphone 8 plus 64gb silver unlocked",
+	"Tim O'Brien - The Things They Carried (1990)",
+	"st. mary's hospital 51.5074 -0.1278",
+	"sony bravia kd-55x80j 55 inch 4k tv",
+	"Beethoven: Symphony No. 9 in D minor, Op. 125",
+	"Café Zürich, Straße 12, 8001",
+	"AB1234-XYZ 2024-10-17 #42",
+	"the quick brown fox jumps over the lazy dog",
+}
+
+// embedProbes returns enc's embeddings of probeTexts, row after row.
+func embedProbes(enc embed.Encoder) []float32 {
+	out := make([]float32, 0, len(probeTexts)*enc.Dim())
+	for _, s := range probeTexts {
+		out = append(out, enc.Encode(s)...)
+	}
+	return out
+}
+
+// checkProbes embeds probeTexts again with enc and refuses it, naming the
+// first probe that differs, unless each lies within distTolerance of the
+// file's row. Not bit for bit: encoding ends in vector.Normalize, whose last
+// bits differ between the AVX2 and scalar kernel paths.
+func checkProbes(enc embed.Encoder, probes []float32, dim int) error {
+	for i, s := range probeTexts {
+		if d := vector.CosineUnitDist(enc.Encode(s), probes[i*dim:(i+1)*dim]); !(math.Abs(float64(d)) <= distTolerance) { // NaN included
+			return fmt.Errorf("%w: probe %d %q embeds at distance %v from the file's embedding of it", ErrEncoderMismatch, i, s, d)
+		}
+	}
+	return nil
+}
 
 // Header bounds the bytes present cannot give (binio.Reader.Count gives the
 // rest): the largest dimension a shard's entity store holds, and empty
@@ -104,6 +139,8 @@ func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 	bw.Write(matcherMagic[:])
 	binio.WriteU32(bw, matcherFormatVersion)
 	binio.WriteI32(bw, int32(m.dim))
+	binio.WriteF32(bw, m.mergeM)
+	binio.WriteF32s(bw, m.probes)
 	binio.WriteI64(bw, int64(v.nextID))
 	binio.WriteI32(bw, int32(len(v.shards)))
 	binio.WriteI32(bw, int32(len(m.schema)))
@@ -118,9 +155,12 @@ func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 			binio.WriteI32(bw, int32(j))
 		}
 	}
+	// Entity rows are expanded 8 KiB at a time, so that a full block
+	// bypasses the 4 KiB bufio.Writer buffer in one Write.
+	scratch := make([]float32, max(1, 2048/m.dim)*m.dim)
 	for _, sv := range v.shards {
 		binio.WriteI64(bw, int64(sv.sectionSize()))
-		if err := sv.writeSection(bw); err != nil {
+		if err := sv.writeSection(bw, scratch); err != nil {
 			return err
 		}
 	}
@@ -131,14 +171,18 @@ func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 }
 
 // writeSection streams one shard's section — entities, tuples, and the
-// embedded index — to bw; sectionSize is its length.
-func (v *shardView) writeSection(bw *bufio.Writer) error {
+// embedded index — to bw; sectionSize is its length. The entity rows are
+// expanded as many at a time as fit scratch, a whole number of rows.
+func (v *shardView) writeSection(bw *bufio.Writer, scratch []float32) error {
 	binio.WriteI32(bw, int32(len(v.entIDs)))
 	binio.WriteInts(bw, v.entIDs)
-	row := make([]float32, v.entVecs.Dim())
-	for i := range v.entVecs.Len() {
-		v.entVecs.CopyTo(row, i)
-		binio.WriteF32s(bw, row)
+	dim, rows := v.entVecs.Dim(), len(scratch)/v.entVecs.Dim()
+	for i := 0; i < v.entVecs.Len(); i += rows {
+		n := min(rows, v.entVecs.Len()-i)
+		for r := range n {
+			v.entVecs.CopyTo(scratch[r*dim:], i+r)
+		}
+		binio.WriteF32s(bw, scratch[:n*dim])
 	}
 	binio.WriteI32(bw, int32(v.tuples.Len()))
 	v.tuples.each(func(ts *tupleState) {
@@ -168,20 +212,15 @@ func (v *shardView) sectionSize() int {
 	return n + v.index.SaveSize()
 }
 
-// LoadMatcher reads a matcher written by Save. opt supplies the runtime
-// pieces that are not persisted — the encoder and thresholds — and must use
-// an encoder with the same dimensionality (and, for meaningful results, the
-// same encoding) as at save time. The shard count comes from the file, not
-// from opt.Shards: global tuple IDs encode the shard layout, so the layout is
-// part of the persistent state.
-//
-// r is read to its end, once, into a buffer sized by what the source says it
-// holds (binio.ReadAll), and everything is decoded from that buffer; bytes
-// past the last section are ignored. A version-5 or version-4 file loads to
-// the state its version-6 file would.
+// LoadMatcher reads a matcher written by Save. The shard count, M and the
+// embeddings come from the file; opt supplies only what code cannot persist:
+// the encoder, which must embed the file's probes as the file holds them
+// (ErrEncoderMismatch), and the query beam HNSW.EfSearch. A version-6 file,
+// which holds no M, takes opt.M. r is read to its end, once (binio.ReadAll),
+// and decoded from that buffer; bytes past the last section are ignored.
 func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
+	if opt.Encoder == nil || opt.HNSW.EfSearch < 0 {
+		return nil, errors.New("multiem: load matcher: Options need an Encoder and HNSW.EfSearch >= 0")
 	}
 	began := time.Now()
 	raw, err := binio.ReadAll(r)
@@ -193,22 +232,33 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 		return nil, fmt.Errorf("%w: bad magic %q (not a matcher file)", ErrCorruptState, mg)
 	}
 	version := rd.U32()
-	if rd.Err() == nil && version != matcherFormatVersion && version != matcherFormatV5 && version != matcherFormatV4 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d, %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV5, matcherFormatV4)
+	if rd.Err() == nil && version != matcherFormatVersion && version != matcherFormatV6 {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV6)
 	}
 
-	m := &Matcher{opt: opt}
-	m.dim = rd.I32()
+	m := &Matcher{opt: opt, dim: rd.I32(), mergeM: opt.M}
+	if rd.Err() == nil && (m.dim <= 0 || m.dim > maxSaneDim) {
+		return nil, fmt.Errorf("%w: dim %d", ErrCorruptState, m.dim)
+	}
+	if got := opt.Encoder.Dim(); rd.Err() == nil && got != m.dim {
+		return nil, fmt.Errorf("%w: the encoder embeds in %d dimensions, the file in %d", ErrEncoderMismatch, got, m.dim)
+	}
+	if version == matcherFormatV6 {
+		m.probes = embedProbes(opt.Encoder)
+	} else {
+		m.mergeM = rd.F32()
+		m.probes = rd.F32s(len(probeTexts) * m.dim)
+	}
 	m.nextID = int(rd.I64())
 	nShards := rd.I32()
 	if rd.Err() != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorruptState, rd.Err())
 	}
-	if m.dim <= 0 || m.dim > maxSaneDim {
-		return nil, fmt.Errorf("%w: dim %d", ErrCorruptState, m.dim)
+	if !(m.mergeM >= 0 && m.mergeM <= 2) { // NaN included
+		return nil, fmt.Errorf("%w: M %v is not a cosine distance in [0,2]", ErrCorruptState, m.mergeM)
 	}
-	if got := opt.Encoder.Dim(); got != m.dim {
-		return nil, fmt.Errorf("multiem: load matcher: encoder dim %d does not match saved dim %d", got, m.dim)
+	if err := checkProbes(opt.Encoder, m.probes, m.dim); err != nil {
+		return nil, err
 	}
 	// A shard is at least its section length.
 	if nShards <= 0 || nShards > maxSaneShards || nShards > rd.Len()/8 {
@@ -259,7 +309,7 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	maxEntIDs := make([]int, nShards)
 	errs := make([]error, nShards)
 	par.For(nShards, nShards, func(_, s int) {
-		maxEntIDs[s], errs[s] = m.shards[s].readSection(secs[s], m.dim, version)
+		maxEntIDs[s], errs[s] = m.shards[s].readSection(secs[s], m.dim)
 		if errs[s] != nil {
 			errs[s] = fmt.Errorf("%w: shard %d: %w", ErrCorruptState, s, errs[s])
 		}
@@ -283,7 +333,7 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 // (binio.Reader.Count), and each arena is allocated at its final size —
 // chunks, the last holding exactly the rows left — the embeddings' from the
 // nonzeros their rows hold.
-func (sh *shard) readSection(sec []byte, dim int, version uint32) (maxEntID int, err error) {
+func (sh *shard) readSection(sec []byte, dim int) (maxEntID int, err error) {
 	rd := binio.NewReader(sec)
 
 	nEnts := rd.Count(8 + 4*dim)
@@ -300,13 +350,8 @@ func (sh *shard) readSection(sec []byte, dim int, version uint32) (maxEntID int,
 	vecs := rd.Next(nEnts * 4 * dim)
 	sh.entVecs.Load(nEnts, func(i int, dst []float32) { binio.F32sFrom(dst, vecs[i*4*dim:]) })
 
-	// A tuple is at least its member count and its join distance — and in a
-	// version-4 file its row of the centroids block.
-	tupleBytes := 8
-	if version == matcherFormatV4 {
-		tupleBytes += 4 * dim
-	}
-	nTuples := rd.Count(tupleBytes)
+	// A tuple is at least its member count and its join distance.
+	nTuples := rd.Count(8)
 	if rd.Err() != nil {
 		return -1, fmt.Errorf("tuples: %w", rd.Err())
 	}
@@ -334,19 +379,11 @@ func (sh *shard) readSection(sec []byte, dim int, version uint32) (maxEntID int,
 			node:        -1, // until the index names one
 		}
 	}
-	if version == matcherFormatV4 {
-		rd.Next(nTuples * dim * 4) // the centroids block
-	}
 	sh.compactions = rd.I64()
 	if rd.Err() != nil {
 		return -1, rd.Err()
 	}
 
-	// A version-6 file whose index is not the version Save writes would load
-	// and save back as another file.
-	if rest := sec[len(sec)-rd.Len():]; version == matcherFormatVersion && len(rest) >= 12 && binary.LittleEndian.Uint32(rest[8:]) != hnsw.FormatVersion {
-		return -1, fmt.Errorf("index has hnsw version %d, a version-%d file holds %d", binary.LittleEndian.Uint32(rest[8:]), version, hnsw.FormatVersion)
-	}
 	ix, err := hnsw.Decode(rd)
 	if err != nil {
 		return -1, err

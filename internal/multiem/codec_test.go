@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -21,17 +20,11 @@ import (
 	"repro/internal/vector"
 )
 
-// v4FixturePath is a version-4 matcher file written by the last commit whose
-// Save wrote version 4 (Geo at 0.01, seed 5, dim 16, 2 shards, two absorb
-// batches so stale index entries are present): the one v4 file in this
-// repository that no code here produced.
-const v4FixturePath = "testdata/matcher-v4-dim16.bin"
-
-// v5FixturePath is the same state as a version-5 file, written by the last
-// commit whose Save wrote version 5 (its index is hnsw version 2, with the
-// layer hierarchy): what every snapshot and -load-index file that commit
-// left on disk looks like.
-const v5FixturePath = "testdata/matcher-v5-dim16.bin"
+// v6FixturePath is a version-6 matcher file written by the last commit whose
+// Save wrote version 6 (Geo at 0.01, seed 5, dim 16, 2 shards, two absorb
+// batches so stale index entries are present, M 0.5): what every snapshot
+// and -load-index file that commit left on disk looks like.
+const v6FixturePath = "testdata/matcher-v6-dim16.bin"
 
 // dim16Opts are the options the fixture was written under.
 func dim16Opts(shards int) Options {
@@ -40,36 +33,15 @@ func dim16Opts(shards int) Options {
 	return o
 }
 
-// v4Bytes renders m's state as a version-4 file: its Save bytes with the
-// version field set back and each section's centroids block — tuple l's
-// current index node vector at row l, between the tuples and the compaction
-// count — put back in, and counted in the section length.
-// TestV4FixtureRoundTrip holds it to the bytes a real v4 writer produced.
-func v4Bytes(t *testing.T, m *Matcher) []byte {
-	t.Helper()
-	raw := saveBytes(t, m)
-	shards := m.state.Load().shards
-	hdr := len(raw)
-	for _, sv := range shards {
-		hdr -= 8 + sv.sectionSize()
-	}
-	out := append([]byte(nil), raw[:hdr]...)
-	binary.LittleEndian.PutUint32(out[8:], matcherFormatV4)
-	rest := raw[hdr:]
-	for _, sv := range shards {
-		sec := rest[8 : 8+sv.sectionSize()]
-		rest = rest[8+len(sec):]
-		cut := len(sec) - 8 - sv.index.SaveSize()
-		var cents []byte
-		for l := 0; l < sv.tuples.Len(); l++ {
-			for _, f := range sv.centroidAt(l) {
-				cents = binary.LittleEndian.AppendUint32(cents, math.Float32bits(f))
-			}
-		}
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(sec)+len(cents)))
-		out = append(append(append(out, sec[:cut]...), cents...), sec[cut:]...)
-	}
-	return out
+// v6Bytes renders a version-7 file as version 6: the version field set back
+// and the fields version 7 added to the header, M and the probes, cut out.
+// TestFormatEquivalence and TestV6FixtureUpgrade hold it to the bytes a real
+// v6 writer produced.
+func v6Bytes(raw []byte) []byte {
+	dim := int(binary.LittleEndian.Uint32(raw[12:]))
+	out := binary.LittleEndian.AppendUint32(slices.Clone(raw[:8]), matcherFormatV6)
+	out = append(out, raw[12:16]...)
+	return append(out, raw[16+4+4*len(probeTexts)*dim:]...)
 }
 
 // staleMatcher builds a matcher and absorbs into it until stale index entries
@@ -112,84 +84,40 @@ func readFixture(t testing.TB, path string, version uint32) []byte {
 	return raw
 }
 
-// withoutIndexes returns a matcher file without the bytes its embedded
-// indexes decide: each index and each section's length.
-func withoutIndexes(t *testing.T, raw []byte) []byte {
-	t.Helper()
-	var out []byte
-	off := 0
-	for _, span := range fileFields(t, raw).index {
-		out = append(out, raw[off:span[0]]...)
-		off = span[1]
-	}
-	return append(out, raw[off:]...)
-}
-
-// TestV4FixtureRoundTrip: the parent-written v4 file loads, what it loads to
-// renders back to the v4 bytes outside the embedded indexes (so v4Bytes is
-// the v4 format, not this commit's idea of it; the index inside is the
-// version Save writes, which the loader takes in any matcher version), and it
-// saves as a v6 file that is smaller by the centroids block and loads to the
-// same state.
-func TestV4FixtureRoundTrip(t *testing.T) {
-	fixture := readFixture(t, v4FixturePath, matcherFormatV4)
+// TestV6FixtureUpgrade: the parent-written v6 file loads under the caller's
+// M and encoder, saves as a v7 file that holds both and is the fixture
+// outside the header fields v7 added, and that file loads to the same state
+// under any Options.M: the M it holds is the one later batches are decided
+// under.
+func TestV6FixtureUpgrade(t *testing.T) {
+	fixture := readFixture(t, v6FixturePath, matcherFormatV6)
 	m := mustLoad(t, fixture, dim16Opts(2))
-	v4 := v4Bytes(t, m)
-	if got, want := withoutIndexes(t, v4), withoutIndexes(t, fixture); !bytes.Equal(got, want) {
-		t.Fatalf("fixture re-rendered as v4 differs outside its indexes: %d vs %d bytes", len(got), len(want))
-	}
-	v6 := saveBytes(t, m)
-	if v := binary.LittleEndian.Uint32(v6[8:]); v != matcherFormatVersion {
+	v7 := saveBytes(t, m)
+	if v := binary.LittleEndian.Uint32(v7[8:]); v != matcherFormatVersion {
 		t.Fatalf("Save wrote version %d", v)
 	}
-	if want := len(v4) - m.Stats().Tuples*16*4; len(v6) != want {
-		t.Fatalf("v6 is %d bytes, want the v4 rendering's %d less one row a tuple = %d", len(v6), len(v4), want)
+	if !bytes.Equal(v6Bytes(v7), fixture) {
+		t.Fatal("the v7 file differs from the v6 one outside the version field and the new header fields")
 	}
-	if again := saveBytes(t, mustLoad(t, v6, dim16Opts(2))); !bytes.Equal(again, v6) {
-		t.Fatal("v6 does not save back to itself")
-	}
-}
-
-// TestV5FixtureUpgrade: the parent-written v5 file — hnsw version 2 inside,
-// like every snapshot on disk before version 6 — loads with each index node
-// keeping exactly the file's layer-0 links, and to the state the v4 fixture
-// (the same state) loads to. It saves as v6, which reloads to the same bytes,
-// and the loaded file and its v6 re-save take the same later batches to the
-// same results and the same state.
-func TestV5FixtureUpgrade(t *testing.T) {
-	fixture := readFixture(t, v5FixturePath, matcherFormatV5)
-	m := mustLoad(t, fixture, dim16Opts(2))
-	v6 := saveBytes(t, m)
-	if v := binary.LittleEndian.Uint32(v6[8:]); v != matcherFormatVersion {
-		t.Fatalf("Save wrote version %d", v)
-	}
-	as6 := binary.LittleEndian.AppendUint32(slices.Clone(fixture[:8]), matcherFormatVersion)
-	if !bytes.Equal(withoutIndexes(t, v6), withoutIndexes(t, append(as6, fixture[12:]...))) {
-		t.Fatal("the v6 file differs from the v5 one outside the version field and the indexes")
-	}
-	if got, want := fileFields(t, v6).links, fileFields(t, fixture).links; !reflect.DeepEqual(got, want) {
-		t.Fatalf("index links after the upgrade differ from the file's layer-0 links:\n  got  %v\n  want %v", got, want)
-	}
-	if from4 := saveBytes(t, mustLoad(t, readFixture(t, v4FixturePath, matcherFormatV4), dim16Opts(2))); !bytes.Equal(from4, v6) {
-		t.Fatal("the v4 and v5 fixtures of one state save different v6 files")
-	}
-	again := mustLoad(t, v6, dim16Opts(2))
-	if !bytes.Equal(saveBytes(t, again), v6) {
-		t.Fatal("v6 does not save back to itself")
+	other := dim16Opts(2)
+	other.M = 0.05
+	again := mustLoad(t, v7, other)
+	if again.M() != 0.5 || !bytes.Equal(saveBytes(t, again), v7) {
+		t.Fatalf("the v7 file loads under M %v, or does not save back to itself", again.M())
 	}
 	d := mustGeo(t, 0.01, 5)
 	for _, rows := range randomBatches(d, 8, 8, 23) {
-		r5, err5 := m.AddRecords(rows)
-		r6, err6 := again.AddRecords(rows)
-		if err5 != nil || err6 != nil || !slices.Equal(r5, r6) {
-			t.Fatalf("AddRecords diverges after the upgrade: %v / %v\n  v5 %+v\n  v6 %+v", err5, err6, r5, r6)
+		r6, err6 := m.AddRecords(rows)
+		r7, err7 := again.AddRecords(rows)
+		if err6 != nil || err7 != nil || !slices.Equal(r6, r7) {
+			t.Fatalf("AddRecords diverges after the upgrade: %v / %v\n  v6 %+v\n  v7 %+v", err6, err7, r6, r7)
 		}
 	}
 	assertMatchersIdentical(t, m, again, d)
 }
 
-// TestFormatEquivalence: a v4 file and the v6 file of one state load to
-// matchers that cannot be told apart — Save bytes (v4 loads, v6 saves),
+// TestFormatEquivalence: the v6 and the v7 file of one state load to
+// matchers that cannot be told apart — Save bytes (v6 loads, v7 saves),
 // stats, tuples, Match replies, and the results of the same later batches —
 // on both kernel paths.
 func TestFormatEquivalence(t *testing.T) {
@@ -203,22 +131,20 @@ func TestFormatEquivalence(t *testing.T) {
 				}
 				defer vector.SetKernels(prev)
 				m := staleMatcher(t, d, durOpts(shards))
-				v4, v5 := v4Bytes(t, m), saveBytes(t, m)
-				if len(v4) <= len(v5) {
-					t.Fatalf("v4 is %d bytes, v5 %d", len(v4), len(v5))
-				}
-				from4, from5 := mustLoad(t, v4, durOpts(shards)), mustLoad(t, v5, durOpts(shards))
-				if got := saveBytes(t, from4); !bytes.Equal(got, v5) {
-					t.Fatal("loading v4 then Save does not yield the v5 bytes")
+				v7 := saveBytes(t, m)
+				v6 := v6Bytes(v7)
+				from6, from7 := mustLoad(t, v6, durOpts(shards)), mustLoad(t, v7, durOpts(shards))
+				if got := saveBytes(t, from6); !bytes.Equal(got, v7) {
+					t.Fatal("loading v6 then Save does not yield the v7 bytes")
 				}
 				for _, rows := range randomBatches(d, 4, 8, 23) {
-					r4, err4 := from4.AddRecords(rows)
-					r5, err5 := from5.AddRecords(rows)
-					if err4 != nil || err5 != nil || !slices.Equal(r4, r5) {
-						t.Fatalf("AddRecords diverges after load: %v / %v\n  v4 %+v\n  v5 %+v", err4, err5, r4, r5)
+					r6, err6 := from6.AddRecords(rows)
+					r7, err7 := from7.AddRecords(rows)
+					if err6 != nil || err7 != nil || !slices.Equal(r6, r7) {
+						t.Fatalf("AddRecords diverges after load: %v / %v\n  v6 %+v\n  v7 %+v", err6, err7, r6, r7)
 					}
 				}
-				assertMatchersIdentical(t, from5, from4, d)
+				assertMatchersIdentical(t, from7, from6, d)
 			})
 		}
 	}
@@ -230,20 +156,16 @@ type fileLayout struct {
 	// as one field), counts the offsets of the counts and lengths among
 	// them.
 	bounds, counts []int
-	// index holds the byte ranges the embedded indexes decide: each
-	// section's length and each index.
-	index [][2]int
-	// links holds, per shard, each index node's links — for an hnsw
-	// version-2 index its layer-0 list.
-	links [][][]int32
+	// m and probes are the offsets of a version-7 header's M and probes.
+	m, probes int
 	// vecs holds each section's entity embeddings' byte range.
 	vecs [][2]int
 }
 
-// fileFields walks a well-formed matcher file of any version it reads, with
-// an embedded index of either hnsw version, with nothing but encoding/binary:
-// an independent reading of the format, which is what lets the hostile-input
-// table below aim at each field instead of at random bytes.
+// fileFields walks a well-formed matcher file of either version it reads
+// with nothing but encoding/binary: an independent reading of the format,
+// which is what lets the hostile-input table below aim at each field instead
+// of at random bytes.
 func fileFields(t *testing.T, raw []byte) (f fileLayout) {
 	t.Helper()
 	off := 0
@@ -257,20 +179,13 @@ func fileFields(t *testing.T, raw []byte) (f fileLayout) {
 		f.counts = append(f.counts, off)
 		return i32()
 	}
-	// list reads a counted list of links from a block of capacity slots, or
-	// of exactly as many slots as links when capacity is 0 (hnsw version 2).
-	list := func(capacity int) []int32 {
-		n := count()
-		out := make([]int32, n)
-		at := field(4 * max(n, capacity))
-		for j := range out {
-			out[j] = int32(binary.LittleEndian.Uint32(raw[at+4*j:]))
-		}
-		return out
-	}
 	field(8) // magic
 	version := i32()
 	dim := i32()
+	if version == matcherFormatVersion {
+		f.m = field(4)
+		f.probes = field(4 * len(probeTexts) * dim)
+	}
 	field(8) // nextID
 	nShards := count()
 	for n := count(); n > 0; n-- {
@@ -281,53 +196,29 @@ func fileFields(t *testing.T, raw []byte) (f fileLayout) {
 	}
 	for s := 0; s < nShards; s++ {
 		f.counts = append(f.counts, off)
-		f.index = append(f.index, [2]int{off, off + 8})
 		field(8) // section length; its low word takes the flip
 		nEnts := count()
 		field(8 * nEnts)
 		at := field(4 * dim * nEnts)
 		f.vecs = append(f.vecs, [2]int{at, off})
-		nTuples := count()
-		for i := 0; i < nTuples; i++ {
+		for n := count(); n > 0; n-- {
 			field(4 * count()) // members
 			field(4)           // maxJoinDist
 		}
-		if version == matcherFormatV4 {
-			field(4 * dim * nTuples) // centroids
-		}
-		field(8)          // compactions
-		start := field(8) // index magic
-		ixVersion, m := i32(), i32()
+		field(8) // compactions
+		field(8) // index magic
+		i32()    // index version
+		m := i32()
 		i32() // efConstruction
 		i32() // efSearch
-		if ixVersion == 2 {
-			i32()    // metric
-			field(8) // seed
-		}
 		i32() // dim
 		nodes := count()
-		if ixVersion == 2 {
-			i32() // entry
-			i32() // maxL
-		}
 		field(8 * nodes)
-		var shardLinks [][]int32
-		if ixVersion == 2 {
-			levels := raw[field(4*nodes):]
-			for i := 0; i < nodes; i++ {
-				shardLinks = append(shardLinks, list(0))
-				for l := int32(binary.LittleEndian.Uint32(levels[4*i:])); l > 0; l-- {
-					list(0) // an upper-layer list
-				}
-			}
-		} else {
-			for i := 0; i < nodes; i++ {
-				shardLinks = append(shardLinks, list(2*m))
-			}
+		for i := 0; i < nodes; i++ {
+			count()          // the node's link count
+			field(4 * 2 * m) // its link slots
 		}
-		f.links = append(f.links, shardLinks)
 		field(4 * dim * nodes)
-		f.index = append(f.index, [2]int{start, off})
 	}
 	if off != len(raw) {
 		t.Fatalf("walked %d bytes of a %d-byte file", off, len(raw))
@@ -336,52 +227,72 @@ func fileFields(t *testing.T, raw []byte) (f fileLayout) {
 }
 
 // TestLoadMatcherHostileInput pins the loader's contract for input it cannot
-// trust, for every version it reads (v5 through the parent-written fixture,
-// whose indexes are hnsw version 2): cut anywhere — at every field boundary
-// of a small file, every 4 KiB of a large one — or with any count replaced
-// by MaxInt32, LoadMatcher returns ErrCorruptState, never panics, and
-// allocates at most 3 × the input + 64 KiB: one copy of the input (the
-// in-memory reader is copied once, like a file is read once), at most the
-// undamaged shards decoded beside it, and a constant for the matcher and
-// per-shard shells. No count in the file adds to that.
+// trust, for both versions it reads (v6 through the parent-written fixture
+// and a v7 file rendered back): cut anywhere — at every field boundary of a
+// small file, every 4 KiB of a large one — or with any count replaced by
+// MaxInt32, LoadMatcher returns ErrCorruptState, never panics, and allocates
+// at most 3 × the input + 64 KiB: one copy of the input (the in-memory
+// reader is copied once, like a file is read once), at most the undamaged
+// shards decoded beside it, and a constant for the matcher and per-shard
+// shells. No count in the file adds to that. The header fields v7 added are
+// held to the same bound: an M that is no cosine distance is ErrCorruptState,
+// a probe row that is not the encoder's embedding ErrEncoderMismatch.
 //
 // Memory keeps an entity row's nonzeros at 6 B each, 1.5 × the file's 4, so
-// the worst file is one whose rows have no zero at all: the "full rows" leg,
+// the worst file is one whose rows have no zero at all: the "full rows" legs,
 // a dim-256 file whose every zero coordinate is rewritten to −0 (a nonzero
-// to the store: its bits are not zero). That file also loads whole, saves
-// back to itself, and stays within the same bound.
+// to the store: its bits are not zero). That file also loads whole, in
+// either version, saves as itself, and stays within the same bound.
 func TestLoadMatcherHostileInput(t *testing.T) {
 	small := staleMatcher(t, mustGeo(t, 0.01, 5), dim16Opts(2))
 	large := staleMatcher(t, smallGeo(t), durOpts(2))
-	check := func(t *testing.T, name string, raw []byte, opt Options) {
+	check := func(t *testing.T, name string, raw []byte, opt Options, want error) {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		m, err := LoadMatcher(bytes.NewReader(raw), opt)
 		runtime.ReadMemStats(&after)
-		if m != nil || !errors.Is(err, ErrCorruptState) {
-			t.Fatalf("%s: loaded=%v err=%v, want ErrCorruptState", name, m != nil, err)
+		if m != nil || !errors.Is(err, want) {
+			t.Fatalf("%s: loaded=%v err=%v, want %v", name, m != nil, err, want)
 		}
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(raw)+64<<10); got > limit {
 			t.Fatalf("%s: %d input bytes, %d allocated (limit %d)", name, len(raw), got, limit)
 		}
 	}
 	full := fullRowFile(t)
-	t.Run("v6/full rows loads", func(t *testing.T) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m, err := LoadMatcher(bytes.NewReader(full), durOpts(2))
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+	for version, raw := range map[string][]byte{"v6": v6Bytes(full), "v7": full} {
+		t.Run(version+"/full rows loads", func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := LoadMatcher(bytes.NewReader(raw), durOpts(2))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(raw)+64<<10)
+			t.Logf("whole file of %d bytes: %d allocated (limit %d)", len(raw), got, limit)
+			if got > limit {
+				t.Fatalf("loading %d bytes allocated %d (limit %d)", len(raw), got, limit)
+			}
+			if !bytes.Equal(saveBytes(t, m), full) {
+				t.Fatal("the full-row file does not save as the v7 full-row file")
+			}
+		})
+	}
+	t.Run("v7/header", func(t *testing.T) {
+		raw := saveBytes(t, small)
+		f := fileFields(t, raw)
+		for _, bits := range []uint32{math.Float32bits(float32(math.NaN())), math.Float32bits(-0.01), math.Float32bits(2.01), math.Float32bits(float32(math.Inf(1)))} {
+			bad := slices.Clone(raw)
+			binary.LittleEndian.PutUint32(bad[f.m:], bits)
+			check(t, "M", bad, dim16Opts(2), ErrCorruptState)
 		}
-		got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(full)+64<<10)
-		t.Logf("whole file of %d bytes: %d allocated (limit %d)", len(full), got, limit)
-		if got > limit {
-			t.Fatalf("loading %d bytes allocated %d (limit %d)", len(full), got, limit)
-		}
-		if !bytes.Equal(saveBytes(t, m), full) {
-			t.Fatal("the full-row file does not save back to itself")
+		for i := range probeTexts {
+			bad := slices.Clone(raw)
+			for at := f.probes + 4*16*i; at < f.probes+4*16*(i+1); at += 4 {
+				bad[at+3] ^= 0x80 // probe i's row, negated
+			}
+			check(t, fmt.Sprintf("probe %d", i), bad, dim16Opts(2), ErrEncoderMismatch)
 		}
 	})
 	for _, tc := range []struct {
@@ -390,28 +301,28 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 		opt  Options
 		step int // 0: every field boundary
 	}{
-		{"v6/fields", saveBytes(t, small), dim16Opts(2), 0},
-		{"v5/fields", readFixture(t, v5FixturePath, matcherFormatV5), dim16Opts(2), 0},
-		{"v4/fields", v4Bytes(t, small), dim16Opts(2), 0},
-		{"v6/4KiB", saveBytes(t, large), durOpts(2), 4 << 10},
-		{"v4/4KiB", v4Bytes(t, large), durOpts(2), 4 << 10},
-		{"v6/full rows", full, durOpts(2), 0},
+		{"v7/fields", saveBytes(t, small), dim16Opts(2), 0},
+		{"v6/fields", readFixture(t, v6FixturePath, matcherFormatV6), dim16Opts(2), 0},
+		{"v7/4KiB", saveBytes(t, large), durOpts(2), 4 << 10},
+		{"v6/4KiB", v6Bytes(saveBytes(t, large)), durOpts(2), 4 << 10},
+		{"v7/full rows", full, durOpts(2), 0},
+		{"v6/full rows", v6Bytes(full), durOpts(2), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.step > 0 {
 				for cut := 0; cut < len(tc.raw); cut += tc.step {
-					check(t, "cut", tc.raw[:cut], tc.opt)
+					check(t, "cut", tc.raw[:cut], tc.opt, ErrCorruptState)
 				}
 				return
 			}
 			f := fileFields(t, tc.raw)
 			for _, cut := range f.bounds {
-				check(t, "cut", tc.raw[:cut], tc.opt)
+				check(t, "cut", tc.raw[:cut], tc.opt, ErrCorruptState)
 			}
 			for _, off := range f.counts {
 				bad := append([]byte(nil), tc.raw...)
 				binary.LittleEndian.PutUint32(bad[off:], math.MaxInt32)
-				check(t, "count", bad, tc.opt)
+				check(t, "count", bad, tc.opt, ErrCorruptState)
 			}
 			t.Logf("%d bytes: %d field boundaries, %d counts", len(tc.raw), len(f.bounds), len(f.counts))
 		})

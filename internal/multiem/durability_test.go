@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/embed"
 	"repro/internal/table"
 	"repro/internal/wal"
 )
@@ -633,4 +634,122 @@ func TestWALStatsJSON(t *testing.T) {
 	if string(got) != want {
 		t.Fatalf("WALStats marshals to\n%s\nwant\n%s", got, want)
 	}
+}
+
+// TestRestartUnderOtherOptions: the state defines itself. A primary over a
+// snapshot at seq 0 logs absorptions under M = 0.5; a restart over that
+// directory with the same options, with M below its farthest logged
+// absorption, or with a larger M recovers to the uncrashed primary's bytes
+// and decides later batches under the file's M, and one with another
+// encoder is refused with ErrEncoderMismatch before any replay. A follower
+// bootstrapped under another M equals the primary at every seq.
+func TestRestartUnderOtherOptions(t *testing.T) {
+	d := smallGeo(t)
+	dir := t.TempDir()
+	load := baseLoader(t, d, 2)
+	primary, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(2), load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	uncrashed, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atSeq [][]byte // the uncrashed state after each batch
+	var farthest float32
+	for _, rows := range randomBatches(d, 12, 8, 1) {
+		res, err := primary.AddRecords(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := uncrashed.AddRecords(rows); err != nil {
+			t.Fatal(err)
+		}
+		atSeq = append(atSeq, saveBytes(t, uncrashed))
+		for _, r := range res {
+			if r.Absorbed {
+				farthest = max(farthest, r.Distance)
+			}
+		}
+	}
+	if farthest <= 0.189 {
+		t.Fatalf("the farthest logged absorption is at %v; the M = 0.189 case needs one beyond it", farthest)
+	}
+	defer primary.CloseWAL()
+	records := scanMirror(t, dir)
+	snap, err := os.ReadFile(SnapshotFile(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	withM := func(m float32) Options {
+		o := durOpts(2)
+		o.M = m
+		return o
+	}
+	withEncoder := func(opts ...embed.Option) Options {
+		o := durOpts(2)
+		o.Encoder = embed.NewHashEncoder(opts...)
+		return o
+	}
+	later := randomBatches(d, 4, 8, 4)
+	for _, tc := range []struct {
+		name    string
+		opt     Options
+		refused bool
+	}{
+		{"same options", durOpts(2), false},
+		{"M 0.189", withM(0.189), false},
+		{"M 0.7", withM(0.7), false},
+		{"3-grams only", withEncoder(embed.WithGrams(3)), true},
+		{"without lexicality", withEncoder(embed.WithoutLexicality()), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			restart := t.TempDir()
+			mirrorLog(t, primary, restart)
+			if err := os.WriteFile(SnapshotFile(restart, 0), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := RecoverMatcher(WALConfig{Dir: restart, Fsync: "off"}, tc.opt, func() (*Matcher, error) {
+				return nil, errors.New("the base was rebuilt despite the snapshot")
+			})
+			if tc.refused {
+				if rec != nil || !errors.Is(err, ErrEncoderMismatch) || !strings.Contains(err.Error(), "probe ") {
+					t.Fatalf("recovered=%v err=%v, want ErrEncoderMismatch naming a probe", rec != nil, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.CloseWAL()
+			if got := rec.M(); got != 0.5 {
+				t.Fatalf("recovered under M %v, the file holds 0.5", got)
+			}
+			want := mustLoad(t, atSeq[len(atSeq)-1], durOpts(2))
+			for _, rows := range later {
+				w, errW := want.AddRecords(rows)
+				g, errG := rec.AddRecords(rows)
+				if errW != nil || errG != nil || !slices.Equal(w, g) {
+					t.Fatalf("a later batch is decided otherwise: %v / %v\n  want %+v\n  got  %+v", errW, errG, w, g)
+				}
+			}
+			assertMatchersIdentical(t, want, rec, d)
+		})
+	}
+
+	t.Run("follower under M 0.7", func(t *testing.T) {
+		r := NewReplicator(mustLoad(t, snap, withM(0.7)), 0)
+		for seq, rec := range records {
+			if err := r.Apply(scanOf(rec)); err != nil {
+				t.Fatalf("seq %d: %v", seq, err)
+			}
+			if !bytes.Equal(saveBytes(t, r.m), atSeq[seq]) {
+				t.Fatalf("seq %d: the follower's Save bytes differ from the primary's", seq)
+			}
+		}
+	})
 }

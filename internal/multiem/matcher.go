@@ -152,8 +152,13 @@ type Matcher struct {
 	// wholesale (one pointer swap per batch); readers Load it once and hold
 	// a cross-shard-consistent snapshot for as long as they like.
 	state atomic.Pointer[matcherView]
-	opt   Options
+	opt   Options // a loaded matcher reads only Encoder and HNSW.EfSearch
 	dim   int
+	// mergeM is the M every absorption is decided and checked under, and
+	// probes the embeddings of probeTexts, as built or loaded: Save writes
+	// these, so a file saves back to itself on either kernel path.
+	mergeM float32
+	probes []float32
 	// schema is the attribute list incoming records must follow.
 	schema []string
 	// selected are the schema positions used for serialization; nil means
@@ -284,6 +289,8 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 	m := &Matcher{
 		opt:    opt,
 		dim:    opt.Encoder.Dim(),
+		mergeM: opt.M,
+		probes: embedProbes(opt.Encoder),
 		schema: append([]string(nil), d.Schema().Attrs...),
 		result: st.res,
 	}
@@ -387,6 +394,10 @@ func (m *Matcher) Schema() []string {
 
 // Shards reports how many hash shards the matcher's state is split across.
 func (m *Matcher) Shards() int { return len(m.shards) }
+
+// M reports the merge threshold the matcher absorbs under: Options.M when
+// built, the file's when loaded, recovered or followed.
+func (m *Matcher) M() float32 { return m.mergeM }
 
 // embed serializes a record's values over the selected attributes and encodes
 // them, mirroring the pipeline's representation phase.

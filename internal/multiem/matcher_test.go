@@ -285,22 +285,22 @@ func TestMatcherSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// A matcher file from a previous format version must fail with the named
-// ErrFormatVersion, not be misparsed into garbage.
+// A matcher file from a format version this build does not read — v5 and v4
+// included — must fail with the named ErrFormatVersion, naming the versions
+// it reads, not be misparsed into garbage.
 func TestLoadMatcherOldVersionFailsWithNamedError(t *testing.T) {
 	m, _ := geoMatcher(t)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b := append([]byte(nil), buf.Bytes()...)
-	b[8] = 1 // version field, little-endian low byte
-	_, err := LoadMatcher(bytes.NewReader(b), geoOpts())
-	if err == nil {
-		t.Fatal("LoadMatcher accepted a version-1 file")
-	}
-	if !errors.Is(err, ErrFormatVersion) {
-		t.Fatalf("old-version error %v does not wrap ErrFormatVersion", err)
+	for _, version := range []byte{5, 4, 1} {
+		b := append([]byte(nil), buf.Bytes()...)
+		b[8] = version // version field, little-endian low byte
+		_, err := LoadMatcher(bytes.NewReader(b), geoOpts())
+		if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), "this build reads 7 and 6") {
+			t.Fatalf("version-%d file: %v, want ErrFormatVersion naming versions 7 and 6", version, err)
+		}
 	}
 }
 
@@ -339,8 +339,8 @@ func TestLoadMatcherRejectsDimMismatch(t *testing.T) {
 	}
 	opt := geoOpts()
 	opt.Encoder = embed.NewHashEncoder(embed.WithDim(64))
-	if _, err := LoadMatcher(bytes.NewReader(buf.Bytes()), opt); err == nil {
-		t.Fatal("LoadMatcher accepted an encoder with the wrong dimensionality")
+	if _, err := LoadMatcher(bytes.NewReader(buf.Bytes()), opt); !errors.Is(err, ErrEncoderMismatch) {
+		t.Fatalf("an encoder with the wrong dimensionality: %v, want ErrEncoderMismatch", err)
 	}
 }
 

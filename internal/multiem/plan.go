@@ -99,7 +99,7 @@ func (m *Matcher) decideRow(d *addDecision, q []float32, ef int, hits *shardHits
 			}
 		}
 	}
-	if top.Len() > 0 && top.Worst() <= m.opt.M {
+	if top.Len() > 0 && top.Worst() <= m.mergeM {
 		d.absorb, d.dist = true, top.Worst()
 	}
 }
@@ -176,8 +176,8 @@ func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
 	if vector.Norm(q) == 0 {
 		return errors.New("a row without text is logged as absorbed")
 	}
-	if !(d.dist <= m.opt.M) { // NaN included
-		return fmt.Errorf("logged distance %v is not within M = %v", d.dist, m.opt.M)
+	if !(d.dist <= m.mergeM) { // NaN included
+		return fmt.Errorf("logged distance %v is not within M = %v", d.dist, m.mergeM)
 	}
 	if got := vector.CosineUnitDist(q, m.shards[d.shard].centroidAt(d.local)); math.Abs(float64(got-d.dist)) > distTolerance {
 		return fmt.Errorf("logged at distance %v from tuple %d of shard %d, which is at %v here", d.dist, d.local, d.shard, got)
@@ -205,7 +205,7 @@ func (m *Matcher) chain(p *batchPlan) {
 					best, bestDist = t, dd
 				}
 			}
-			if best >= 0 && bestDist <= m.opt.M && (!d.absorb || bestDist < d.dist) {
+			if best >= 0 && bestDist <= m.mergeM && (!d.absorb || bestDist < d.dist) {
 				bt := &p.tuples[best]
 				bt.rows = append(bt.rows, i)
 				centroidInto(bt.centroid, bt.rows, p.vecs)

@@ -111,6 +111,8 @@ type family struct {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+	onScrape []func()
+	scrapeMu sync.Mutex // one scrape at a time: see OnScrape
 }
 
 // NewRegistry returns an empty registry.
@@ -248,6 +250,14 @@ func (r *Registry) registerSet(name, typ, help string, fn func() []Sample) {
 	r.families[name] = &family{name: name, typ: typ, help: help, collect: fn}
 }
 
+// OnScrape registers fn to run first in every scrape. Scrapes are serialized,
+// so a snapshot fn pins is what every family of that scrape reads.
+func (r *Registry) OnScrape(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.onScrape = append(r.onScrape, fn)
+}
+
 // Summary registers and returns a duration summary series.
 func (r *Registry) Summary(name, help string, labels Labels) *Summary {
 	s := &Summary{}
@@ -289,7 +299,12 @@ func writeSample(w io.Writer, name, labels, extra string, v float64) error {
 // WritePrometheus renders every registered family in Prometheus text
 // exposition format (version 0.0.4), families sorted by name.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	r.scrapeMu.Lock()
+	defer r.scrapeMu.Unlock()
 	r.mu.RLock()
+	for _, fn := range r.onScrape {
+		fn()
+	}
 	names := make([]string, 0, len(r.families))
 	for n := range r.families {
 		names = append(names, n)

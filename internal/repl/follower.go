@@ -28,9 +28,10 @@ type Config struct {
 	// Dir is the local mirror directory. Its layout is byte-for-byte the
 	// primary's durability layout, so on promotion it simply becomes one.
 	Dir string
-	// Opt are the matcher runtime options (encoder, thresholds); they must
-	// match the primary's: a shipped batch is embedded, checked against the
-	// primary's logged decisions and chained under them.
+	// Opt supplies what a loaded matcher cannot take from its file: the
+	// encoder, which the snapshot's probes check (multiem.LoadMatcher), and
+	// the query beam HNSW.EfSearch. M and the shard count come from the
+	// primary's snapshot.
 	Opt multiem.Options
 	// WAL configures the log opened at promotion (fsync policy, intervals);
 	// Dir is overridden with the mirror directory.

@@ -10,11 +10,12 @@
 #      search effort, WAL appends — moved off zero
 #   5. assert the pprof index answers on the debug listener and that the
 #      debug listener serves the same /metrics catalogue
-#   6. SIGKILL the server, restart it on the same -wal-dir, and assert the
-#      recovery gauges report the load (seconds, bytes) and the replay (rows
-#      and seconds) off zero, and that the skipped-links gauge is exported
-#      (it is off zero only when the log crossed a compaction; make
-#      crash-recovery asserts that case)
+#   6. SIGKILL the server, restart it on the same -wal-dir with another -m,
+#      and assert the recovery gauges report the load (seconds, bytes) and
+#      the replay (rows and seconds) off zero, that the skipped-links gauge
+#      is exported (it is off zero only when the log crossed a compaction;
+#      make crash-recovery asserts that case), and that the M in force is
+#      still the snapshot's (multiem_config_info, the ready log line)
 #
 # Env overrides: RATE, DURATION.
 # Run from the repository root.
@@ -136,6 +137,7 @@ assert_positive multiem_hnsw_distance_evals_total
 assert_positive multiem_wal_enabled
 assert_positive multiem_wal_appends_total
 assert_positive multiem_wal_bytes
+assert_positive multiem_config_info 'm="0.5"'
 
 log "checking the debug listener (pprof + /metrics copy)"
 curl -fsS "http://$DEBUG_ADDR/debug/pprof/" >/dev/null \
@@ -155,10 +157,10 @@ grep -q '"msg":"starting"' "$WORK/server.log" \
 grep -q '"kernels":' "$WORK/server.log" \
   || { log "FAIL: startup record does not name the kernels path"; exit 1; }
 
-log "restarting on the same -wal-dir: recovery must report itself"
+log "restarting on the same -wal-dir under -m 0.3: recovery must report itself and keep the snapshot's M"
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
-"$WORK/server" -dataset Geo -scale 0.1 -seed 7 \
+"$WORK/server" -dataset Geo -scale 0.1 -seed 7 -m 0.3 \
   -wal-dir "$WORK/wal" -fsync interval \
   -log-format json -addr "$ADDR" >>"$WORK/server.log" 2>&1 &
 SERVER_PID=$!
@@ -172,7 +174,12 @@ assert_positive multiem_recovery_replay_seconds
 assert_positive multiem_recovery_reader_busy_seconds
 assert_positive multiem_recovery_shard_busy_seconds 'shard="0"'
 assert_present multiem_recovery_skipped_links
+assert_positive multiem_config_info 'm="0.5"'
+[ "$(metric multiem_config_info 'm="0.3"')" = MISSING ] \
+  || { log "FAIL: the restart runs under -m 0.3, not the snapshot's M"; exit 1; }
+[ "$(grep -c '"msg":"ready: serving".*"m":0.5' "$WORK/server.log")" = 2 ] \
+  || { log "FAIL: the ready log lines do not both name m 0.5"; exit 1; }
 grep -q '"msg":"durability on".*"load_bytes":[1-9].*"replayed_rows":[1-9].*"replay_skipped_links":[0-9]' "$WORK/server.log" \
   || { log "FAIL: the durability log line does not report the load and the replay"; exit 1; }
 
-log "PASS: /metrics well-formed, key series non-zero, pprof reachable, recovery reported"
+log "PASS: /metrics well-formed, key series non-zero, pprof reachable, recovery reported, the snapshot's M in force"
