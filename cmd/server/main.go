@@ -66,7 +66,7 @@ func main() {
 		scale       = flag.Float64("scale", 0.1, "generation scale for -dataset")
 		seed        = flag.Int64("seed", 1, "random seed")
 		k           = flag.Int("k", 1, "mutual top-K width")
-		m           = flag.Float64("m", 0.5, "merge distance threshold (cosine) of a matcher built from -dataset or -data; a loaded, recovered or following matcher absorbs under the M its file holds, and -m beside -load-index or -role follower refuses to start")
+		m           = flag.Float64("m", 0.5, "merge distance threshold (cosine) of a matcher built from -dataset or -data; a loaded, recovered or following matcher absorbs under the M its file holds (a version-6 file takes -m), and an explicit -m that differs from it refuses to start")
 		parallel    = flag.Bool("parallel", true, "build with MultiEM(parallel)")
 		shards      = flag.Int("shards", 0, "matcher hash shards (0 = GOMAXPROCS; ignored with -load-index)")
 		efSearch    = flag.Int("efsearch", 0, "HNSW query beam width for /match (0 = backend default; applies to built and loaded matchers)")
@@ -104,12 +104,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Every file holds its own M, so -m beside one would be silently ignored.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "m" && (*loadIndex != "" || *role == "follower") {
-			fatal("-m applies only when building from -dataset or -data; a loaded or following matcher uses the M its file holds")
+	// A file holds its own M (v6 takes -m); an explicit -m unlike it is fatal.
+	mGiven := false
+	flag.Visit(func(f *flag.Flag) { mGiven = mGiven || f.Name == "m" })
+	checkM := func(matcher *repro.Matcher) {
+		if mGiven && matcher.M() != float32(*m) {
+			fatal("-m differs from the M the matcher's file holds; drop -m or pass the file's", "m", *m, "file_m", matcher.M())
 		}
-	})
+	}
 
 	if *kernels != "" {
 		if err := vector.SetKernels(*kernels); err != nil {
@@ -211,6 +213,7 @@ func main() {
 			for follower.Matcher() == nil && !follower.Promoted() {
 				time.Sleep(50 * time.Millisecond)
 			}
+			checkM(follower.Matcher()) // promotion, too, needs a bootstrap
 			s.warmup()
 			st := follower.Stats()
 			slog.Info("ready: following", "primary", *primaryURL, "next_seq", st.NextSeq, "lag_batches", st.LagBatches, "m", s.currentMatcher().M())
@@ -243,6 +246,7 @@ func main() {
 		if err != nil {
 			fatal("matcher startup failed", "err", err)
 		}
+		checkM(matcher)
 		if *saveIndex != "" {
 			if err := repro.SaveMatcherFile(matcher, *saveIndex); err != nil {
 				fatal("save failed", "path", *saveIndex, "err", err)

@@ -107,11 +107,10 @@ func (s *server) registerMetrics() {
 	r.GaugeSetFunc("multiem_config_info",
 		"Always 1; the m label is the merge threshold the serving matcher absorbs under: -m when it was built, the one its file holds when it was loaded, recovered or followed.",
 		func() []obs.Sample {
-			m := matcher()
-			if m == nil {
-				return nil
+			if m := matcher(); m != nil {
+				return []obs.Sample{{Labels: obs.L("m", strconv.FormatFloat(float64(m.M()), 'g', -1, 32)), Value: 1}}
 			}
-			return []obs.Sample{{Labels: obs.L("m", strconv.FormatFloat(float64(m.M()), 'g', -1, 32)), Value: 1}}
+			return nil
 		})
 	r.GaugeFunc("multiem_shards",
 		"Hash shards the matcher state is split across.", nil,

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -241,32 +240,26 @@ func TestMetricsStatsAgree(t *testing.T) {
 func TestMetricsScrapeConsistent(t *testing.T) {
 	m, _ := testMatcher(t)
 	h := newHandler(m, 0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer wg.Done()
-		// Random letters: every batch starts a tuple of its own, so the
+		defer close(done)
+		// Random names: every batch starts a tuple of its own, so the
 		// tuple count moves with every commit.
 		rng := rand.New(rand.NewSource(1))
-		name := make([]byte, 24)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			for i := range name {
-				name[i] = 'a' + byte(rng.Intn(26))
-			}
-			row := []string{string(name), "1.5", "2.5"}
+			row := []string{fmt.Sprintf("%x %x %x", rng.Uint64(), rng.Uint64(), rng.Uint64()), "1.5", "2.5"}
 			if _, err := m.AddRecords([][]string{row}); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
-	defer func() { close(stop); wg.Wait() }()
+	defer func() { close(stop); <-done }()
 	for i := 0; i < 40; i++ {
 		_, exp := scrape(t, h)
 		live := 0.0

@@ -321,11 +321,7 @@ func FuzzLoadMatcher(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var fresh bytes.Buffer
-		if err := m.Save(&fresh); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(fresh.Bytes())
+		f.Add(saveBytes(f, m))
 		// Absorptions leave stale entries, so node pointers differ from
 		// local indexes in the seed.
 		for batch := 0; batch < 2; batch++ {
@@ -336,22 +332,16 @@ func FuzzLoadMatcher(f *testing.F) {
 		if s := m.Stats(); s.IndexSize == s.Live {
 			f.Fatal("seed matcher has no stale index entries")
 		}
-		var stale bytes.Buffer
-		if err := m.Save(&stale); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(stale.Bytes())
+		f.Add(saveBytes(f, m))
 	}
 	// A header that promises 2^20 schema strings and 4096 shards, in each
 	// version: a v7 header holds M and the probes of the encoder below.
-	le := binary.LittleEndian
-	v6 := le.AppendUint32(le.AppendUint32(append(matcherMagic[:0:0], matcherMagic[:]...), matcherFormatV6), dim)
-	v7 := le.AppendUint32(le.AppendUint32(append(matcherMagic[:0:0], matcherMagic[:]...), matcherFormatVersion), dim)
-	v7 = le.AppendUint32(v7, math.Float32bits(opt.M))
-	for _, x := range embedProbes(opt.Encoder) {
-		v7 = le.AppendUint32(v7, math.Float32bits(x))
+	m, err := BuildMatcher(d, opt)
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, hdr := range [][]byte{v6, v7} {
+	v7 := saveBytes(f, m)[:16+4+4*len(probeTexts)*dim] // magic, version, dim, M, probes
+	for _, hdr := range [][]byte{v6Bytes(v7), v7} {
 		f.Add(append(hdr, 9, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0))
 	}
 	// The file the last v6 writer left, and that state saved as v7 under
@@ -360,15 +350,10 @@ func FuzzLoadMatcher(f *testing.F) {
 	f.Add(fixture)
 	grams3 := opt
 	grams3.Encoder = embed.NewHashEncoder(embed.WithDim(dim), embed.WithGrams(3))
-	m, err := LoadMatcher(bytes.NewReader(fixture), grams3)
-	if err != nil {
+	if m, err = LoadMatcher(bytes.NewReader(fixture), grams3); err != nil {
 		f.Fatal(err)
 	}
-	var foreign bytes.Buffer
-	if err := m.Save(&foreign); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(foreign.Bytes())
+	f.Add(saveBytes(f, m))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var before, after runtime.MemStats

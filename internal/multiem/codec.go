@@ -38,7 +38,7 @@ import (
 // The file holds what defines the state it serves: M, under which every
 // later absorption is decided and every replayed one checked, and the
 // probes, which tie the embeddings to the encoder that made them
-// (checkProbes). A tuple's centroid is the vector of the last index node
+// (checkHeader). A tuple's centroid is the vector of the last index node
 // carrying its id, and is stored there only. The embeddings are dense in the
 // file and sparse in memory (vector.SparseRows): a row's bits are the same on
 // both sides, so a file saves back to itself. Each shard's section is
@@ -94,11 +94,15 @@ func embedProbes(enc embed.Encoder) []float32 {
 	return out
 }
 
-// checkProbes embeds probeTexts again with enc and refuses it, naming the
-// first probe that differs, unless each lies within distTolerance of the
-// file's row. Not bit for bit: encoding ends in vector.Normalize, whose last
-// bits differ between the AVX2 and scalar kernel paths.
-func checkProbes(enc embed.Encoder, probes []float32, dim int) error {
+// checkHeader refuses a file's M outside [0,2] as corrupt. It then embeds
+// probeTexts again with enc and refuses enc, naming the first probe that
+// differs, unless each lies within distTolerance of the file's row. Not bit
+// for bit: encoding ends in vector.Normalize, whose last bits differ between
+// the AVX2 and scalar kernel paths.
+func checkHeader(enc embed.Encoder, mergeM float32, probes []float32, dim int) error {
+	if !(mergeM >= 0 && mergeM <= 2) { // NaN included
+		return fmt.Errorf("%w: M %v is not a cosine distance in [0,2]", ErrCorruptState, mergeM)
+	}
 	for i, s := range probeTexts {
 		if d := vector.CosineUnitDist(enc.Encode(s), probes[i*dim:(i+1)*dim]); !(math.Abs(float64(d)) <= distTolerance) { // NaN included
 			return fmt.Errorf("%w: probe %d %q embeds at distance %v from the file's embedding of it", ErrEncoderMismatch, i, s, d)
@@ -236,7 +240,7 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 		return nil, fmt.Errorf("%w: file has version %d, this build reads %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV6)
 	}
 
-	m := &Matcher{opt: opt, dim: rd.I32(), mergeM: opt.M}
+	m := &Matcher{opt: opt, dim: rd.I32()}
 	if rd.Err() == nil && (m.dim <= 0 || m.dim > maxSaneDim) {
 		return nil, fmt.Errorf("%w: dim %d", ErrCorruptState, m.dim)
 	}
@@ -244,21 +248,22 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 		return nil, fmt.Errorf("%w: the encoder embeds in %d dimensions, the file in %d", ErrEncoderMismatch, got, m.dim)
 	}
 	if version == matcherFormatV6 {
-		m.probes = embedProbes(opt.Encoder)
+		if !(opt.M >= 0 && opt.M <= 2) { // NaN included; the caller's fault, not the file's
+			return nil, fmt.Errorf("multiem: load matcher: a version-6 file takes Options.M, which must be a cosine distance in [0,2], got %v", opt.M)
+		}
+		m.mergeM, m.probes = opt.M, embedProbes(opt.Encoder)
 	} else {
-		m.mergeM = rd.F32()
-		m.probes = rd.F32s(len(probeTexts) * m.dim)
+		m.mergeM, m.probes = rd.F32(), rd.F32s(len(probeTexts)*m.dim)
 	}
 	m.nextID = int(rd.I64())
 	nShards := rd.I32()
 	if rd.Err() != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorruptState, rd.Err())
 	}
-	if !(m.mergeM >= 0 && m.mergeM <= 2) { // NaN included
-		return nil, fmt.Errorf("%w: M %v is not a cosine distance in [0,2]", ErrCorruptState, m.mergeM)
-	}
-	if err := checkProbes(opt.Encoder, m.probes, m.dim); err != nil {
-		return nil, err
+	if version != matcherFormatV6 {
+		if err := checkHeader(opt.Encoder, m.mergeM, m.probes, m.dim); err != nil {
+			return nil, err
+		}
 	}
 	// A shard is at least its section length.
 	if nShards <= 0 || nShards > maxSaneShards || nShards > rd.Len()/8 {

@@ -94,7 +94,7 @@ func randomBatches(d *table.Dataset, n, rowsPer int, seed int64) [][][]string {
 }
 
 // saveBytes captures a matcher's exact persistent state.
-func saveBytes(t *testing.T, m *Matcher) []byte {
+func saveBytes(t testing.TB, m *Matcher) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -637,38 +637,44 @@ func TestWALStatsJSON(t *testing.T) {
 }
 
 // TestRestartUnderOtherOptions: the state defines itself. A primary over a
-// snapshot at seq 0 logs absorptions under M = 0.5; a restart over that
+// snapshot at seq 0 logs absorptions under M = 0.4; a restart over that
 // directory with the same options, with M below its farthest logged
-// absorption, or with a larger M recovers to the uncrashed primary's bytes
-// and decides later batches under the file's M, and one with another
-// encoder is refused with ErrEncoderMismatch before any replay. A follower
-// bootstrapped under another M equals the primary at every seq.
+// absorption, or with a larger M recovers to the primary's bytes and
+// decides later batches under the file's M, and one with another encoder is
+// refused with ErrEncoderMismatch before any replay. A follower bootstrapped
+// under another M equals the primary at every seq, and so does one
+// bootstrapped from the v6 rendering of the snapshot, which holds no M,
+// under the primary's.
 func TestRestartUnderOtherOptions(t *testing.T) {
 	d := smallGeo(t)
-	dir := t.TempDir()
-	load := baseLoader(t, d, 2)
-	primary, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(2), load)
+	withM := func(m float32) Options {
+		o := durOpts(2)
+		o.M = m
+		return o
+	}
+	grams3, noLex := durOpts(2), durOpts(2)
+	grams3.Encoder, noLex.Encoder = embed.NewHashEncoder(embed.WithGrams(3)), embed.NewHashEncoder(embed.WithoutLexicality())
+	base, err := BuildMatcher(d, withM(0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
+	primary, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, withM(0.4), func() (*Matcher, error) { return base, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.CloseWAL()
 	if _, err := primary.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	uncrashed, err := load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var atSeq [][]byte // the uncrashed state after each batch
+	var atSeq [][]byte // the primary's state after each batch
 	var farthest float32
 	for _, rows := range randomBatches(d, 12, 8, 1) {
 		res, err := primary.AddRecords(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := uncrashed.AddRecords(rows); err != nil {
-			t.Fatal(err)
-		}
-		atSeq = append(atSeq, saveBytes(t, uncrashed))
+		atSeq = append(atSeq, saveBytes(t, primary))
 		for _, r := range res {
 			if r.Absorbed {
 				farthest = max(farthest, r.Distance)
@@ -678,34 +684,22 @@ func TestRestartUnderOtherOptions(t *testing.T) {
 	if farthest <= 0.189 {
 		t.Fatalf("the farthest logged absorption is at %v; the M = 0.189 case needs one beyond it", farthest)
 	}
-	defer primary.CloseWAL()
-	records := scanMirror(t, dir)
 	snap, err := os.ReadFile(SnapshotFile(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	withM := func(m float32) Options {
-		o := durOpts(2)
-		o.M = m
-		return o
-	}
-	withEncoder := func(opts ...embed.Option) Options {
-		o := durOpts(2)
-		o.Encoder = embed.NewHashEncoder(opts...)
-		return o
-	}
 	later := randomBatches(d, 4, 8, 4)
 	for _, tc := range []struct {
 		name    string
 		opt     Options
 		refused bool
 	}{
-		{"same options", durOpts(2), false},
+		{"same options", withM(0.4), false},
 		{"M 0.189", withM(0.189), false},
 		{"M 0.7", withM(0.7), false},
-		{"3-grams only", withEncoder(embed.WithGrams(3)), true},
-		{"without lexicality", withEncoder(embed.WithoutLexicality()), true},
+		{"3-grams only", grams3, true},
+		{"without lexicality", noLex, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			restart := t.TempDir()
@@ -726,8 +720,8 @@ func TestRestartUnderOtherOptions(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rec.CloseWAL()
-			if got := rec.M(); got != 0.5 {
-				t.Fatalf("recovered under M %v, the file holds 0.5", got)
+			if got := rec.M(); got != 0.4 {
+				t.Fatalf("recovered under M %v, the file holds 0.4", got)
 			}
 			want := mustLoad(t, atSeq[len(atSeq)-1], durOpts(2))
 			for _, rows := range later {
@@ -741,15 +735,25 @@ func TestRestartUnderOtherOptions(t *testing.T) {
 		})
 	}
 
-	t.Run("follower under M 0.7", func(t *testing.T) {
-		r := NewReplicator(mustLoad(t, snap, withM(0.7)), 0)
-		for seq, rec := range records {
-			if err := r.Apply(scanOf(rec)); err != nil {
-				t.Fatalf("seq %d: %v", seq, err)
+	records := scanMirror(t, dir)
+	for _, tc := range []struct {
+		name string
+		file []byte
+		m    float32
+	}{
+		{"follower under M 0.7", snap, 0.7},
+		{"follower from v6 under M 0.4", v6Bytes(snap), 0.4}, // v6 holds no M, and takes the caller's
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewReplicator(mustLoad(t, tc.file, withM(tc.m)), 0)
+			for seq, rec := range records {
+				if err := r.Apply(scanOf(rec)); err != nil {
+					t.Fatalf("seq %d: %v", seq, err)
+				}
+				if !bytes.Equal(saveBytes(t, r.m), atSeq[seq]) {
+					t.Fatalf("seq %d: the follower's Save bytes differ from the primary's", seq)
+				}
 			}
-			if !bytes.Equal(saveBytes(t, r.m), atSeq[seq]) {
-				t.Fatalf("seq %d: the follower's Save bytes differ from the primary's", seq)
-			}
-		}
-	})
+		})
+	}
 }

@@ -11,6 +11,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -282,50 +283,49 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func writeSample(w io.Writer, name, labels, extra string, v float64) error {
-	sep := ""
+func writeSample(w *bytes.Buffer, name, labels, extra string, v float64) {
 	if labels != "" && extra != "" {
-		sep = ","
+		labels += ","
 	}
-	var err error
 	if labels == "" && extra == "" {
-		_, err = fmt.Fprintf(w, "%s %s\n", name, formatValue(v))
+		fmt.Fprintf(w, "%s %s\n", name, formatValue(v))
 	} else {
-		_, err = fmt.Fprintf(w, "%s{%s%s%s} %s\n", name, labels, sep, extra, formatValue(v))
+		fmt.Fprintf(w, "%s{%s%s} %s\n", name, labels, extra, formatValue(v))
 	}
-	return err
 }
 
 // WritePrometheus renders every registered family in Prometheus text
-// exposition format (version 0.0.4), families sorted by name.
+// exposition format (version 0.0.4), families sorted by name. Scrapes are
+// serialized only while they render into memory: a slow reader of w holds
+// up no other scrape.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	var buf bytes.Buffer
 	r.scrapeMu.Lock()
-	defer r.scrapeMu.Unlock()
+	r.render(&buf)
+	r.scrapeMu.Unlock()
+	_, err := w.Write(buf.Bytes())
+	return err
+}
+
+// render is WritePrometheus under scrapeMu.
+func (r *Registry) render(w *bytes.Buffer) {
 	r.mu.RLock()
 	for _, fn := range r.onScrape {
 		fn()
 	}
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
 	r.mu.RUnlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	for _, f := range fams {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.typ); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.typ)
 		for _, s := range f.series {
 			switch s.kind {
 			case kindValue:
-				if err := writeSample(w, f.name, s.labels, "", s.value()); err != nil {
-					return err
-				}
+				writeSample(w, f.name, s.labels, "", s.value())
 			case kindSummary:
 				snap := s.snap()
 				if snap == nil {
@@ -334,27 +334,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				for _, q := range SummaryQuantiles {
 					qv := snap.Quantile(q).Seconds()
 					extra := `quantile="` + strconv.FormatFloat(q, 'g', -1, 64) + `"`
-					if err := writeSample(w, f.name, s.labels, extra, qv); err != nil {
-						return err
-					}
+					writeSample(w, f.name, s.labels, extra, qv)
 				}
-				if err := writeSample(w, f.name+"_sum", s.labels, "", time.Duration(snap.Sum).Seconds()); err != nil {
-					return err
-				}
-				if err := writeSample(w, f.name+"_count", s.labels, "", float64(snap.Count)); err != nil {
-					return err
-				}
+				writeSample(w, f.name+"_sum", s.labels, "", time.Duration(snap.Sum).Seconds())
+				writeSample(w, f.name+"_count", s.labels, "", float64(snap.Count))
 			}
 		}
 		if f.collect != nil {
 			for _, sm := range f.collect() {
-				if err := writeSample(w, f.name, renderLabels(sm.Labels), "", sm.Value); err != nil {
-					return err
-				}
+				writeSample(w, f.name, renderLabels(sm.Labels), "", sm.Value)
 			}
 		}
 	}
-	return nil
 }
 
 // Handler returns an http.Handler serving the exposition.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"maps"
 	"math"
 	"regexp"
@@ -242,4 +243,35 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// stalledWriter blocks every Write until release is closed, as a /metrics
+// client that stopped reading does.
+type stalledWriter struct{ writing, release chan struct{} }
+
+func (w stalledWriter) Write(p []byte) (int, error) {
+	w.writing <- struct{}{}
+	<-w.release
+	return len(p), nil
+}
+
+// TestStalledScrapeBlocksNoOther: a scrape whose reader stalls mid-write
+// holds up no other scrape; only rendering is serialized.
+func TestStalledScrapeBlocksNoOther(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("stall_total", "h", nil).Inc()
+	w := stalledWriter{make(chan struct{}), make(chan struct{})}
+	go r.WritePrometheus(w)
+	<-w.writing
+	defer close(w.release)
+	other := make(chan error)
+	go func() { other <- r.WritePrometheus(io.Discard) }()
+	select {
+	case err := <-other:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a scrape waited on another scrape's stalled reader")
+	}
 }

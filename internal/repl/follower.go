@@ -426,7 +426,8 @@ func (f *Follower) bootstrap(man *Manifest) error {
 // loadMirroredSnapshot loads the newest mirrored snapshot that loads. One
 // that does not (torn by a crash, damaged on disk) is renamed to
 // <name>.bad, out of ListSnapshots' sight, and the next newest is tried, so a
-// bad file costs a fetch from the primary instead of wedging bootstrap. m is
+// bad file costs a fetch from the primary instead of wedging bootstrap. An
+// ErrEncoderMismatch, the follower's own fault, is returned as it is. m is
 // nil when no mirrored snapshot is left.
 func (f *Follower) loadMirroredSnapshot() (m *multiem.Matcher, seq uint64, path string, err error) {
 	for {
@@ -437,6 +438,9 @@ func (f *Follower) loadMirroredSnapshot() (m *multiem.Matcher, seq uint64, path 
 		m, err := loadSnapshot(path, f.cfg.Opt)
 		if err == nil {
 			return m, seq, path, nil
+		}
+		if errors.Is(err, multiem.ErrEncoderMismatch) { // a fetch would not mend it
+			return nil, 0, "", fmt.Errorf("repl: load snapshot seq %d: %w", seq, err)
 		}
 		f.cfg.Logf("repl: mirrored snapshot seq %d does not load (%v); moving it aside to %s.bad", seq, err, filepath.Base(path))
 		if err := os.Rename(path, path+".bad"); err != nil {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/embed"
 	"repro/internal/multiem"
 	"repro/internal/table"
 	"repro/internal/wal"
@@ -500,6 +501,34 @@ func TestFollowerResyncsOnRefusal(t *testing.T) {
 	}
 	if !bytes.Equal(saveBytes(t, f.Matcher()), saveBytes(t, m)) {
 		t.Fatal("resynced follower diverges from the primary")
+	}
+}
+
+// TestFollowerRefusesForeignEncoder: a follower whose encoder did not make
+// the primary's snapshot fails every round with ErrEncoderMismatch, and
+// keeps the fetched snapshot instead of moving it aside as damaged (and
+// fetching it again).
+func TestFollowerRefusesForeignEncoder(t *testing.T) {
+	_, _, srv := newPrimary(t, smallGeo(t), t.TempDir(), 2, 0)
+	opt := testOpts(2)
+	opt.Encoder = embed.NewHashEncoder(embed.WithGrams(3))
+	var refusals atomic.Int32
+	mirror := t.TempDir()
+	f, err := Start(Config{PrimaryURL: srv.URL, Dir: mirror, Opt: opt, Poll: 10 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			if line := fmt.Sprintf(format, args...); strings.Contains(line, multiem.ErrEncoderMismatch.Error()) {
+				refusals.Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "repeated encoder refusals", func() bool { return refusals.Load() >= 3 })
+	f.Close()
+	bad, _ := filepath.Glob(filepath.Join(mirror, "*.bad"))
+	if _, _, ok, _ := multiem.LatestSnapshot(mirror); !ok || len(bad) != 0 || f.Stats().Bootstrapped {
+		t.Fatalf("snapshot kept %v, moved aside %v, bootstrapped %v", ok, bad, f.Stats().Bootstrapped)
 	}
 }
 

@@ -152,10 +152,8 @@ func BuildMatcher(d *Dataset, opt Options) (*Matcher, error) {
 	return multiem.BuildMatcher(d, opt)
 }
 
-// LoadMatcher reads a matcher previously written with Matcher.Save. The file
-// holds M and the shard count; opt supplies only the encoder, which must
-// embed the file's probe strings where the file holds them
-// (multiem.ErrEncoderMismatch otherwise), and the query beam HNSW.EfSearch.
+// LoadMatcher reads a matcher written with Matcher.Save. The file holds M;
+// opt supplies only the encoder and HNSW.EfSearch (see multiem.LoadMatcher).
 func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	return multiem.LoadMatcher(r, opt)
 }

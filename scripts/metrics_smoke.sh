@@ -10,8 +10,9 @@
 #      search effort, WAL appends — moved off zero
 #   5. assert the pprof index answers on the debug listener and that the
 #      debug listener serves the same /metrics catalogue
-#   6. SIGKILL the server, restart it on the same -wal-dir with another -m,
-#      and assert the recovery gauges report the load (seconds, bytes) and
+#   6. SIGKILL the server; assert a restart on the same -wal-dir under
+#      another -m refuses to start; restart it without -m, and assert the
+#      recovery gauges report the load (seconds, bytes) and
 #      the replay (rows and seconds) off zero, that the skipped-links gauge
 #      is exported (it is off zero only when the log crossed a compaction;
 #      make crash-recovery asserts that case), and that the M in force is
@@ -157,10 +158,20 @@ grep -q '"msg":"starting"' "$WORK/server.log" \
 grep -q '"kernels":' "$WORK/server.log" \
   || { log "FAIL: startup record does not name the kernels path"; exit 1; }
 
-log "restarting on the same -wal-dir under -m 0.3: recovery must report itself and keep the snapshot's M"
+log "restarting on the same -wal-dir under -m 0.3: the snapshot holds 0.5, so it must refuse to start"
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
-"$WORK/server" -dataset Geo -scale 0.1 -seed 7 -m 0.3 \
+SERVER_PID=""
+if timeout 120 "$WORK/server" -dataset Geo -scale 0.1 -seed 7 -m 0.3 \
+  -wal-dir "$WORK/wal" -fsync interval \
+  -log-format json -addr "$ADDR" >>"$WORK/server.log" 2>&1; then
+  log "FAIL: the restart under -m 0.3 started over a snapshot that holds 0.5"; exit 1
+fi
+grep -q '"msg":"-m differs from the M the matcher'"'"'s file holds.*"file_m":0.5' "$WORK/server.log" \
+  || { log "FAIL: the refused restart does not name the file's M"; cat "$WORK/server.log" >&2; exit 1; }
+
+log "restarting on the same -wal-dir without -m: recovery must report itself and keep the snapshot's M"
+"$WORK/server" -dataset Geo -scale 0.1 -seed 7 \
   -wal-dir "$WORK/wal" -fsync interval \
   -log-format json -addr "$ADDR" >>"$WORK/server.log" 2>&1 &
 SERVER_PID=$!
@@ -175,8 +186,6 @@ assert_positive multiem_recovery_reader_busy_seconds
 assert_positive multiem_recovery_shard_busy_seconds 'shard="0"'
 assert_present multiem_recovery_skipped_links
 assert_positive multiem_config_info 'm="0.5"'
-[ "$(metric multiem_config_info 'm="0.3"')" = MISSING ] \
-  || { log "FAIL: the restart runs under -m 0.3, not the snapshot's M"; exit 1; }
 [ "$(grep -c '"msg":"ready: serving".*"m":0.5' "$WORK/server.log")" = 2 ] \
   || { log "FAIL: the ready log lines do not both name m 0.5"; exit 1; }
 grep -q '"msg":"durability on".*"load_bytes":[1-9].*"replayed_rows":[1-9].*"replay_skipped_links":[0-9]' "$WORK/server.log" \
