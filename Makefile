@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build build-arm64 build-bigendian vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke paper-parity benchmark-smoke load-smoke metrics-smoke loc
+.PHONY: all build build-arm64 build-bigendian vet fmt test test-scalar race race-matcher fuzz-smoke crash-recovery failover-smoke bench bench-smoke benchmark-smoke load-smoke metrics-smoke loc
 
 all: build vet test
 
@@ -14,9 +14,26 @@ build:
 # twin in kernels_noasm.go; only a build for another architecture notices a
 # missing one. vet type-checks the two packages' tests as well, which call the
 # kernels directly.
+#
+# The third line audits fusion. Go may compile x*y + z on float32 into one
+# fused multiply-add on arm64 (FMADDS and its kin), which rounds once where
+# amd64 rounds twice, so the packages whose arithmetic reaches matcher state
+# or a decision must show none: an explicit float32(x*y) stops the fusion.
+# The compiler's own listing (-S) is read, not a linked binary, so functions
+# no binary calls are audited too; -a rebuilds, because a build-cache hit
+# prints no listing. sparseAtLeast32Scalar is allowed: its filter bound
+# covers any rounding. The audit compiles arm64 code and never runs it.
+FUSION_AUDIT = vector embed multiem hnsw ann cluster
+FUSION_ALLOWED = repro/internal/vector.sparseAtLeast32Scalar
 build-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/vector ./internal/hnsw
+	GOARCH=arm64 $(GO) build -a -gcflags='repro/internal/...=-S' $(addprefix ./internal/,$(FUSION_AUDIT)) 2>&1 | \
+	awk -v pkgs='$(FUSION_AUDIT)' -v allowed='$(FUSION_ALLOWED)' ' \
+		BEGIN { gsub(/ /, "|", pkgs) } \
+		/^repro\/internal\/[a-z]+\.[^ ]* STEXT/ { fn = $$1; n++ } \
+		/\t(FMADDS|FMSUBS|FNMADDS|FNMSUBS)\t/ && fn ~ "^repro/internal/(" pkgs ")\\." && fn != allowed { print "fused multiply-add in " fn ": " $$0; bad = 1 } \
+		END { if (n == 0) { print "build-arm64: the compiler printed no listing to audit"; exit 1 } exit bad }'
 
 # internal/binio moves whole arenas between memory and the file as one block
 # where the host is little-endian and through a byte swap elsewhere, chosen by
@@ -125,13 +142,6 @@ bench:
 # IngestLive prepopulation, which is minutes of setup for one iteration.
 bench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x -run=^$$ ./...
-
-# Every paper bench (Table|Figure|Ablation|Lemma) once under the default
-# kernels and once under VECTOR_KERNELS=scalar; fails if any sub-benchmark's
-# F1, pair-F1, selected-attrs or matched differs. On a CPU without AVX2 both
-# runs are scalar and it passes trivially.
-paper-parity:
-	GO=$(GO) ./scripts/paper_parity.sh
 
 # The repository benchmark (BENCHMARK.json -> bench/run.sh) at 1/50 size,
 # every workload, plus the harness's own tests. bench/ is a module of its

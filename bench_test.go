@@ -9,7 +9,7 @@
 // and cmd/experiments give the same numbers at the same config. Quality
 // metrics (F1, pair-F1) are attached to benchmark output via b.ReportMetric,
 // so a single bench run reproduces both the performance and effectiveness
-// shape; `make paper-parity` checks them across the kernel paths.
+// shape, the same on either kernel path (they return the same bits).
 package repro_test
 
 import (

@@ -84,8 +84,6 @@ func main() {
 		promoteAfter = flag.Duration("promote-after", 0, "follower self-promotes after the primary is unreachable this long (0 = manual /promote only)")
 		warmupK      = flag.Int("warmup", 8, "probe matches run before /readyz flips after recovery, bootstrap, or promotion (0 disables)")
 
-		kernels = flag.String("kernels", "", "distance kernel path: auto | scalar | avx2 (default auto; VECTOR_KERNELS env is the fallback)")
-
 		debugAddr  = flag.String("debug-addr", "", "admin listener with /debug/pprof/* and /metrics; empty disables")
 		logLevel   = flag.String("log-level", "info", "log level: debug | info | warn | error")
 		logFormat  = flag.String("log-format", "text", "log format: text | json")
@@ -113,11 +111,6 @@ func main() {
 		}
 	}
 
-	if *kernels != "" {
-		if err := vector.SetKernels(*kernels); err != nil {
-			fatal("bad -kernels", "err", err)
-		}
-	}
 	// Slow-request logging must be configured before any matcher exists:
 	// matchers adopt the config at creation (recovery, follower bootstrap,
 	// and promotion all build fresh instances).

@@ -161,7 +161,7 @@ func HAC(n int, opt HACOptions) [][]int {
 					d = db
 				}
 			default: // AverageLinkage
-				d = (na*da + nb*db) / (na + nb)
+				d = (float32(na*da) + float32(nb*db)) / (na + nb)
 			}
 			dist[a][o], dist[o][a] = d, d
 		}

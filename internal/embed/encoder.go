@@ -223,7 +223,7 @@ func (e *HashEncoder) unitToken(marked []byte, sc *encodeScratch) ([]gramCount, 
 			continue
 		}
 		tokVec[idx] = 0
-		normSq += c * c
+		normSq += float32(c * c)
 		nz = append(nz, gramCount{idx, c})
 	}
 	sc.nz = nz
@@ -246,10 +246,11 @@ func (e *HashEncoder) unitToken(marked []byte, sc *encodeScratch) ([]gramCount, 
 	return nz, 1 / float32(math.Sqrt(float64(normSq)))
 }
 
-// poolToken adds w times a token's unit vector (unitToken's result) to out.
+// poolToken adds w times a token's unit vector (unitToken's result) to out,
+// the product rounded before the add, so no compiler fuses the two.
 func poolToken(out []float32, w, inv float32, nz []gramCount) {
 	for _, g := range nz {
-		out[g.idx] += w * (g.c * inv)
+		out[g.idx] += float32(w * (g.c * inv))
 	}
 }
 

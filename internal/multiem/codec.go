@@ -97,8 +97,8 @@ func embedProbes(enc embed.Encoder) []float32 {
 // checkHeader refuses a file's M outside [0,2] as corrupt. It then embeds
 // probeTexts again with enc and refuses enc, naming the first probe that
 // differs, unless each lies within distTolerance of the file's row. Not bit
-// for bit: encoding ends in vector.Normalize, whose last bits differ between
-// the AVX2 and scalar kernel paths.
+// for bit: on amd64 both kernel paths embed to the same bits, but a file may
+// come from an arm64 host, whose bits are unverified.
 func checkHeader(enc embed.Encoder, mergeM float32, probes []float32, dim int) error {
 	if !(mergeM >= 0 && mergeM <= 2) { // NaN included
 		return fmt.Errorf("%w: M %v is not a cosine distance in [0,2]", ErrCorruptState, mergeM)

@@ -1,6 +1,7 @@
 package multiem
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -25,12 +26,9 @@ func withKernels(t *testing.T, mode string) func() {
 }
 
 // TestMatcherKernelParity builds the same matcher and ingests the same
-// batches under the scalar and AVX2 kernel paths and requires identical
-// tuple membership: the SIMD layer is a speed change, not a semantics
-// change. (Per-path determinism is what the pipeline promises; membership
-// identity additionally holds across paths because the decision thresholds
-// sit far from the ~1e-7 FMA reassociation noise. Raw distances are
-// compared within that noise, not bit-exactly.)
+// batches under the scalar and AVX2 kernel paths and requires the same
+// tuples and the same Match replies, distances to the bit: the portable
+// kernels sum in the assembly's order, so the SIMD layer is a speed change.
 func TestMatcherKernelParity(t *testing.T) {
 	if vector.Kernels() != "avx2" {
 		t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
@@ -67,9 +65,6 @@ func TestMatcherKernelParity(t *testing.T) {
 			t.Fatalf("tuple %s exists on scalar path but not avx2", k)
 		}
 	}
-	// Candidate membership and ranking must be identical; the reported
-	// distances may differ by FMA reassociation noise, bounded far below
-	// any decision threshold.
 	if len(scalarMatches) != len(simdMatches) {
 		t.Fatalf("match counts diverge: scalar %d vs avx2 %d", len(scalarMatches), len(simdMatches))
 	}
@@ -78,16 +73,16 @@ func TestMatcherKernelParity(t *testing.T) {
 		if fmt.Sprintf("%v", sc.EntityIDs) != fmt.Sprintf("%v", sd.EntityIDs) {
 			t.Fatalf("match %d members diverge: scalar %v vs avx2 %v", i, sc.EntityIDs, sd.EntityIDs)
 		}
-		if diff := math.Abs(float64(sc.Distance) - float64(sd.Distance)); diff > 1e-4 {
+		if math.Float32bits(sc.Distance) != math.Float32bits(sd.Distance) {
 			t.Fatalf("match %d distance diverges: scalar %v vs avx2 %v", i, sc.Distance, sd.Distance)
 		}
 	}
 }
 
 // TestReplayAcrossKernels: a log written under the AVX2 kernels replays under
-// the scalar ones. The logged distances then differ from the recomputed ones
-// in the 1e-7 digit, which planFromRecord's tolerance must absorb, and every
-// row lands in the tuple its client was acknowledged with.
+// the scalar ones to the very state the primary reached: the recomputed
+// distances have the logged bits, every row lands in the tuple its client
+// was acknowledged with, and the recovered matcher saves the primary's bytes.
 func TestReplayAcrossKernels(t *testing.T) {
 	if vector.Kernels() != "avx2" {
 		t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
@@ -95,7 +90,8 @@ func TestReplayAcrossKernels(t *testing.T) {
 	const shards = 2
 	load := baseLoader(t, smallGeo(t), shards)
 	cfg := WALConfig{Dir: t.TempDir(), Fsync: "off"}
-	_, acked, _ := loggedHistory(t, cfg.Dir, shards, load) // absorbs rows, or it fails
+	primary, acked, _ := loggedHistory(t, cfg.Dir, shards, load) // absorbs rows, or it fails
+	want := saveBytes(t, primary)
 
 	defer withKernels(t, "scalar")()
 	recovered, err := RecoverMatcher(cfg, durOpts(shards), load)
@@ -113,5 +109,8 @@ func TestReplayAcrossKernels(t *testing.T) {
 		if got, ok := tupleOf[r.EntityID]; !ok || got != r.Tuple {
 			t.Fatalf("entity %d was acknowledged in tuple %d, recovered in %d (present %v)", r.EntityID, r.Tuple, got, ok)
 		}
+	}
+	if !bytes.Equal(saveBytes(t, recovered), want) {
+		t.Fatal("the matcher recovered under the scalar kernels saves other bytes than the primary")
 	}
 }

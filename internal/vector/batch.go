@@ -36,8 +36,16 @@ func row(rows []float32, stride, d, i int) []float32 {
 // DotBatch sets out[j] = Dot(q, row j) for j in [0, len(out)).
 func DotBatch(q, rows []float32, stride int, out []float32) {
 	checkStride(q, stride)
+	if simdOn {
+		for j := range out {
+			out[j] = dotAVX2(q, row(rows, stride, len(q), j))
+		}
+		return
+	}
+	var lb layoutBuf
+	qs := sparseLayout(q, &lb)
 	for j := range out {
-		out[j] = Dot(q, row(rows, stride, len(q), j))
+		out[j] = qs.dotRow(row(rows, stride, len(q), j))
 	}
 }
 
@@ -84,9 +92,11 @@ func dotGather(q []float32, spine [][]float32, shift uint, stride int, idxs []in
 			unsafe.SliceData(idxs), len(idxs), gatherAhead, unsafe.SliceData(out))
 		return
 	}
+	var lb layoutBuf
+	qs := sparseLayout(q, &lb)
 	mask := 1<<shift - 1
 	for j, i := range idxs {
-		out[j] = dotScalar(q, row(spine[int(i)>>shift], stride, len(q), int(i)&mask))
+		out[j] = qs.dotRow(row(spine[int(i)>>shift], stride, len(q), int(i)&mask))
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 // the cosine distances, and the batch, gather and tile API (SquaredDist and
 // EuclideanDist are portable Go on both paths). It defaults to the AVX2+FMA
 // assembly whenever the CPU supports it and may be forced to the portable
-// scalar path with SetKernels or the VECTOR_KERNELS environment variable.
+// Go twins with SetKernels or the VECTOR_KERNELS environment variable. The
+// twins sum in the assembly's order, so the choice changes speed, not bits
+// (SparseAtLeast32, a filter with a bound, is the exception).
 //
 // simdOn is a plain bool, not an atomic: SetKernels is a startup/test knob,
 // documented to be called before concurrent kernel use begins. Flipping it
@@ -26,13 +28,13 @@ func init() {
 
 // SetKernels selects the kernel implementation:
 //
-//	"auto"   — AVX2+FMA assembly when the CPU supports it, scalar otherwise.
-//	"scalar" — force the portable Go path (deterministic across machines).
+//	"auto"   — AVX2+FMA assembly when the CPU supports it, the Go twins otherwise.
+//	"scalar" — force the portable Go twins.
 //	"avx2"   — require the assembly path; errors on CPUs without AVX2+FMA.
 //
-// Call it at startup (the server/loadgen -kernels flag and the
-// VECTOR_KERNELS env both route here) or between sequential test phases —
-// not while other goroutines are computing distances.
+// Both paths return the same bits. Call it at startup (the VECTOR_KERNELS
+// env routes here) or between sequential test phases — not while other
+// goroutines are computing distances.
 func SetKernels(mode string) error {
 	switch mode {
 	case "auto":

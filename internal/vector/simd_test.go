@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -28,15 +29,23 @@ func forceKernels(t *testing.T, mode string) {
 	})
 }
 
-// relClose asserts agreement within 1e-4 relative error (the tentpole's
-// SIMD-vs-scalar bound; observed divergence is ~1e-7 — FMA keeps the
-// products exact until the adds).
+// relClose asserts agreement within 1e-4 relative error: the bound between
+// two different reduction orders (the tile kernel's and Dot's), which share
+// no bits.
 func relClose(t *testing.T, name string, got, want float32) {
 	t.Helper()
 	diff := math.Abs(float64(got) - float64(want))
 	scale := math.Max(1, math.Max(math.Abs(float64(got)), math.Abs(float64(want))))
 	if diff/scale > 1e-4 {
-		t.Errorf("%s: simd %v vs scalar %v (rel err %g)", name, got, want, diff/scale)
+		t.Errorf("%s: %v vs %v (rel err %g)", name, got, want, diff/scale)
+	}
+}
+
+// sameF32 asserts that a kernel and its twin returned the same bits.
+func sameF32(t *testing.T, name string, simd, scalar float32) {
+	t.Helper()
+	if math.Float32bits(simd) != math.Float32bits(scalar) {
+		t.Errorf("%s: avx2 %v (%#08x) vs scalar %v (%#08x)", name, simd, math.Float32bits(simd), scalar, math.Float32bits(scalar))
 	}
 }
 
@@ -51,13 +60,33 @@ func randVecOff(rng *rand.Rand, dim, offset int) []float32 {
 	return backing[offset : offset+dim : offset+dim]
 }
 
-// checkAllKernels compares every SIMD kernel against its scalar reference on
-// one (a, b) input pair.
+// checkAllKernels holds every kernel that reaches a caller's state to its
+// twin bit for bit on one (a, b) input pair, through the dispatch: Dot,
+// Norm, the gather over a flat arena and over a chunked one, a 1×1 DotTile,
+// then Normalize, coordinate by coordinate.
 func checkAllKernels(t *testing.T, a, b []float32) {
 	t.Helper()
-	relClose(t, "Dot", dotAVX2(a, b), dotScalar(a, b))
+	var got [2][]float32
+	for p, mode := range []string{"avx2", "scalar"} {
+		forceKernels(t, mode)
+		out := make([]float32, 3)
+		if len(a) > 0 {
+			c := NewChunked(len(b))
+			c.Append(b)
+			DotGather(a, b, len(b), []int32{0}, out[:1])
+			c.DotGather(a, []int32{0}, out[1:2])
+			DotTile(a, len(a), 1, b, len(b), 1, len(a), out[2:])
+		}
+		got[p] = append(append([]float32{Dot(a, b), Norm(a)}, out...), Normalize(slices.Clone(a))...)
+	}
+	for i := range got[0] {
+		sameF32(t, fmt.Sprintf("value %d of Dot, Norm, DotGather, Chunked.DotGather, DotTile, Normalize…", i), got[0][i], got[1][i])
+	}
 }
 
+// The twins summed in the assembly's order: the gather over a multi-chunk
+// store on both paths, and checkAllKernels at every length regime and
+// unaligned base.
 func TestSIMDMatchesScalar(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("CPU lacks AVX2+FMA")
@@ -67,8 +96,6 @@ func TestSIMDMatchesScalar(t *testing.T) {
 		for offset := 0; offset < 4; offset++ {
 			checkAllKernels(t, randVecOff(rng, dim, offset), randVecOff(rng, dim, offset+1))
 		}
-		// The gather over a multi-chunk store, both paths: each path's
-		// result has its own single-pair bits, and the two paths agree.
 		s := randChunked(rng, dim, 2*ChunkRows+5)
 		q := randVecOff(rng, dim, 3)
 		idxs := boundaryIdxs(s.Len())
@@ -78,7 +105,7 @@ func TestSIMDMatchesScalar(t *testing.T) {
 			paths[mode] = checkChunkedGather(t, mode, s, q, idxs)
 		}
 		for j := range idxs {
-			relClose(t, fmt.Sprintf("Chunked.DotGather dim %d row %d", dim, idxs[j]), paths["avx2"][j], paths["scalar"][j])
+			sameF32(t, fmt.Sprintf("Chunked.DotGather dim %d row %d", dim, idxs[j]), paths["avx2"][j], paths["scalar"][j])
 		}
 	}
 }
@@ -106,8 +133,8 @@ func TestSIMDZeroVectors(t *testing.T) {
 }
 
 // TestDispatchedAPIAgrees exercises the public API (not the raw kernels)
-// under both SetKernels modes: Norm, both distances and CosineUnitGather must
-// agree within the property bound.
+// under both SetKernels modes: Norm, both distances and CosineUnitGather
+// return the same bits.
 func TestDispatchedAPIAgrees(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("CPU lacks AVX2+FMA")
@@ -129,10 +156,10 @@ func TestDispatchedAPIAgrees(t *testing.T) {
 		if err := SetKernels("auto"); err != nil {
 			t.Fatal(err)
 		}
-		relClose(t, "Norm", simd.norm, scalar.norm)
-		relClose(t, "CosineUnitDist", simd.cos, scalar.cos)
-		relClose(t, "EuclideanDist", simd.euclid, scalar.euclid)
-		relClose(t, "CosineUnitGather", simd.gathered, scalar.gathered)
+		sameF32(t, "Norm", simd.norm, scalar.norm)
+		sameF32(t, "CosineUnitDist", simd.cos, scalar.cos)
+		sameF32(t, "EuclideanDist", simd.euclid, scalar.euclid)
+		sameF32(t, "CosineUnitGather", simd.gathered, scalar.gathered)
 	}
 }
 
@@ -162,12 +189,12 @@ func TestSetKernels(t *testing.T) {
 }
 
 // FuzzSIMDKernels feeds arbitrary byte-derived float vectors through every
-// SIMD/scalar kernel pair, then re-reads the same floats as two arenas of
-// short rows — dimension, strides and row counts all derived from the input
-// length — and holds the tile kernel to checkTileKernels, the gather
-// kernel to the single-pair one, bit for bit, over a flat spine and a
-// chunked one, and both sparse-row kernels to checkSparseLanes. NaN/Inf inputs are filtered: both paths propagate them,
-// but relative-error comparison is meaningless there.
+// kernel and its twin, bit for bit (checkAllKernels), then re-reads the same
+// floats as two arenas of short rows — dimension, strides and row counts all
+// derived from the input length — and holds the tile kernels to
+// checkTileKernels, the raw gather kernel to the single-pair one over a flat
+// spine and a chunked one, and both sparse-row kernels to checkSparseLanes.
+// Inputs are clamped to finite values below 1e18, so the sums stay finite.
 func FuzzSIMDKernels(f *testing.F) {
 	if !hasAVX2 {
 		f.Skip("CPU lacks AVX2+FMA")
@@ -176,6 +203,9 @@ func FuzzSIMDKernels(f *testing.F) {
 	f.Add(make([]byte, 4*33), make([]byte, 4*33))
 	f.Add(bytes.Repeat([]byte{0x3f, 0x80, 0x12, 0xbe, 0x9a}, 4*23), bytes.Repeat([]byte{0x40, 0x07, 0x3e}, 7*31))
 	f.Add([]byte{0x00, 0x00, 0x80, 0x3f}, []byte{0x00, 0x00, 0x80, 0xbf}) // 1.0, -1.0
+	// a = (6.4e-10, 6.4e-10), b = (-7.9e17, 7.9e17): the products cancel
+	// exactly, and the FMA keeps the first one's rounding error (4.51).
+	f.Add([]byte("0000000000000000"), []byte("000\xdd000]"))
 	f.Fuzz(func(t *testing.T, ab, bb []byte) {
 		n := min(len(ab), len(bb)) / 4
 		if n == 0 {
@@ -186,8 +216,8 @@ func FuzzSIMDKernels(f *testing.F) {
 		for i := 0; i < n; i++ {
 			a[i] = math.Float32frombits(binary.LittleEndian.Uint32(ab[4*i:]))
 			b[i] = math.Float32frombits(binary.LittleEndian.Uint32(bb[4*i:]))
-			// Clamp to a finite, overflow-safe range: comparing reduction
-			// orders is only meaningful when the sums stay finite.
+			// Clamp to a finite, overflow-safe range: NaN payloads are not
+			// part of the contract.
 			for _, v := range []*float32{&a[i], &b[i]} {
 				if f64 := float64(*v); math.IsNaN(f64) || math.IsInf(f64, 0) || math.Abs(f64) > 1e18 {
 					*v = 0
@@ -264,4 +294,67 @@ func FuzzSIMDKernels(f *testing.F) {
 			checkSparseLanes(t, fmt.Sprintf("scalar dim %d thr %v", dim, thr), sparseAtLeast32Scalar(sidx, sval, blockT, thr), sidx, sval, blockT, thr)
 		}
 	})
+}
+
+// TestSparseLayoutExact holds the skipping of zero coordinates (layout) to
+// the dense twin and the assembly, and in particular a sum rounded to −0
+// before a zero coordinate of the query (−0 + +0 is +0; in a 5-wide vector,
+// all tail, the −0 would reach the result).
+func TestSparseLayoutExact(t *testing.T) {
+	at := func(dim int, vals map[int]float32) []float32 {
+		v := make([]float32, dim)
+		for i, x := range vals {
+			v[i] = x
+		}
+		return v
+	}
+	b45 := make([]float32, 45)
+	for i := range b45 {
+		b45[i] = float32(i%7) - 3
+	}
+	for _, c := range []struct {
+		name string
+		q, b []float32
+	}{
+		{"32 lanes, 8 and a tail", at(45, map[int]float32{1: 0.5, 3: 0.5, 33: 0.5, 44: 0.5}), b45},
+		{"−0 then +0", at(5, map[int]float32{0: -0x1p-80}), at(5, map[int]float32{0: 0x1p-80, 1: 1})},
+	} {
+		dim := len(c.q)
+		var lb layoutBuf
+		qs := sparseLayout(c.q, &lb)
+		got, dense := qs.dotRow(c.b), dotScalar(c.q, c.b)
+		sameF32(t, c.name+" sparse vs dense", got, dense)
+		var tile [1]float32
+		tileScalar(c.q, dim, 1, c.b, dim, 1, dim, tile[:])
+		sameF32(t, c.name+" tile", tile[0], dotTileScalar(c.q, c.b))
+		if hasAVX2 {
+			sameF32(t, c.name+" assembly", dotAVX2(c.q, c.b), dense)
+		}
+	}
+}
+
+// TestFMARoundsOnce drives the twin through the steps its cheap rounding
+// hands to fma32, in the tail's FMA chain, each against its exact answer:
+// sums whose float64 rounding lands on a float32 midpoint from above and
+// from below (1 + 2^-24 + 2^-60 rounds once to 1 + 2^-23, twice to 1;
+// 1 + 3·2^-24 − 2^-60 once to 1 + 2^-23, twice to 1 + 2^-22),
+// a sum that overflows float32 and must stay +Inf, and a subnormal sum,
+// 2^-140 + 2^-150 + 2^-186, which float32 rounds at 2^-149.
+func TestFMARoundsOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a, b []float32
+		want float32
+	}{
+		// 4097·16773121 = 2^36 + 1 and 262143·262145 = 2^36 − 1.
+		{"above a midpoint", []float32{1, 4097 * 0x1p-12}, []float32{1, 16773121 * 0x1p-48}, 1 + 0x1p-23},
+		{"below a midpoint", []float32{1 + 0x1p-23, 262143 * 0x1p-18}, []float32{1, 262145 * 0x1p-42}, 1 + 0x1p-23},
+		{"overflow", []float32{0x1p64, 0x1p63}, []float32{0x1p64, -0x1p64}, float32(math.Inf(1))},
+		{"subnormal", []float32{0x1p-70, (1 + 0x1p-12) * 0x1p-75}, []float32{0x1p-70, 16773121 * 0x1p-99}, 0x1p-140 + 0x1p-149},
+	} {
+		sameF32(t, c.name+" twin vs exact", c.want, dotScalar(c.a, c.b))
+		if hasAVX2 {
+			sameF32(t, c.name+" assembly vs exact", dotAVX2(c.a, c.b), c.want)
+		}
+	}
 }

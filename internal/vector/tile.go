@@ -13,8 +13,8 @@ import "fmt"
 // a pair costs about half of a dispatched Dot. The price is a reduction
 // order of its own — one 8-lane accumulator per pair instead of Dot's four —
 // so tile values agree with Dot to float reassociation (~1e-7 relative), not
-// bit for bit. The portable path calls the scalar single-pair kernel and is
-// bit-identical to it.
+// bit for bit. The portable path, dotTileScalar, sums each pair in the tile
+// kernel's order, so both paths return the same bits.
 //
 // What both paths guarantee is position independence: a pair's value is a
 // function of the two rows alone, never of where in a tile, an edge group or
@@ -47,11 +47,12 @@ func DotTile(a []float32, strideA, na int, b []float32, strideB, nb, dim int, ou
 }
 
 func tileScalar(a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32) {
+	var lb layoutBuf
 	for i := 0; i < na; i++ {
-		ai := row(a, strideA, dim, i)
+		ai := sparseLayout(row(a, strideA, dim, i), &lb)
 		o := out[i*nb : i*nb+nb]
 		for j := range o {
-			o[j] = dotScalar(ai, row(b, strideB, dim, j))
+			o[j] = ai.tileRow(row(b, strideB, dim, j))
 		}
 	}
 }

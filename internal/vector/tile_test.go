@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// checkTileKernels holds one tile layout against the two properties the tile
-// layer promises: every AVX2 value is within the SIMD bound of the scalar
-// single-pair kernel, and — on either path — a pair computed alone as a 1×1
-// tile has the very bits it has inside the tile, whichever register lane,
-// edge group or self-paired odd row it fell in.
+// checkTileKernels holds one tile layout to what the tile layer promises:
+// the AVX2 tile and its twin return the same bits; on either path a pair
+// computed alone as a 1×1 tile has the very bits it has inside the tile,
+// whichever register lane, edge group or self-paired odd row it fell in; and
+// every value is within the bound between two reduction orders of Dot's.
 func checkTileKernels(t *testing.T, a []float32, strideA, na int, b []float32, strideB, nb, dim int) {
 	t.Helper()
 	type path struct {
@@ -22,6 +22,7 @@ func checkTileKernels(t *testing.T, a []float32, strideA, na int, b []float32, s
 	if hasAVX2 {
 		paths = append(paths, path{"avx2", tileAVX2})
 	}
+	var scalar []float32
 	for _, p := range paths {
 		dots := make([]float32, na*nb)
 		p.tile(a, strideA, na, b, strideB, nb, dim, dots)
@@ -29,14 +30,18 @@ func checkTileKernels(t *testing.T, a []float32, strideA, na int, b []float32, s
 			for j := 0; j < nb; j++ {
 				ai, bj := row(a, strideA, dim, i), row(b, strideB, dim, j)
 				at := fmt.Sprintf("%s dim=%d %dx%d strides %d,%d pair (%d,%d)", p.name, dim, na, nb, strideA, strideB, i, j)
-				relClose(t, at+" DotTile", dots[i*nb+j], dotScalar(ai, bj))
+				relClose(t, at+" DotTile", dots[i*nb+j], Dot(ai, bj))
 				var alone [1]float32
 				p.tile(ai, dim, 1, bj, dim, 1, dim, alone[:])
 				if math.Float32bits(alone[0]) != math.Float32bits(dots[i*nb+j]) {
 					t.Fatalf("%s: DotTile value depends on position: %v alone, %v in the tile", at, alone[0], dots[i*nb+j])
 				}
+				if scalar != nil {
+					sameF32(t, at, dots[i*nb+j], scalar[i*nb+j])
+				}
 			}
 		}
+		scalar = dots
 	}
 }
 

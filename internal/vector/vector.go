@@ -21,10 +21,8 @@ import (
 
 // Dot returns the inner product of a and b. It dispatches to the AVX2+FMA
 // assembly kernel when the CPU supports it and SetKernels has not forced the
-// scalar path; the portable fallback is the 8-chain unrolled scalar loop
-// below. The two paths differ only in float reduction order (FMA fuses the
-// multiply-add and sums eight lanes per chain), within ~1e-7 relative error;
-// each path is individually deterministic.
+// portable path; the portable kernel, dotScalar, sums in the assembly's
+// order with the same single roundings, so both paths return the same bits.
 func Dot(a, b []float32) float32 {
 	assertSameLen(a, b)
 	if simdOn {
@@ -33,48 +31,8 @@ func Dot(a, b []float32) float32 {
 	return dotScalar(a, b)
 }
 
-// dotScalar is the portable Dot kernel. The unrolled loop keeps eight
-// independent FP add chains in flight (hiding add latency), consumes sixteen
-// elements per iteration (halving loop overhead), and the explicit re-slices
-// eliminate bounds checks; this function dominates HNSW construction and
-// search cost. A tail loop mops up the remainder, and an 8-wide step covers
-// short vectors.
-func dotScalar(a, b []float32) float32 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3, s4, s5, s6, s7 float32
-	i := 0
-	for n := len(a) &^ 15; i < n; i += 16 {
-		aa, bb := a[i:i+16:i+16], b[i:i+16:i+16]
-		s0 += aa[0]*bb[0] + aa[8]*bb[8]
-		s1 += aa[1]*bb[1] + aa[9]*bb[9]
-		s2 += aa[2]*bb[2] + aa[10]*bb[10]
-		s3 += aa[3]*bb[3] + aa[11]*bb[11]
-		s4 += aa[4]*bb[4] + aa[12]*bb[12]
-		s5 += aa[5]*bb[5] + aa[13]*bb[13]
-		s6 += aa[6]*bb[6] + aa[14]*bb[14]
-		s7 += aa[7]*bb[7] + aa[15]*bb[15]
-	}
-	if i+8 <= len(a) {
-		aa, bb := a[i:i+8:i+8], b[i:i+8:i+8]
-		s0 += aa[0] * bb[0]
-		s1 += aa[1] * bb[1]
-		s2 += aa[2] * bb[2]
-		s3 += aa[3] * bb[3]
-		s4 += aa[4] * bb[4]
-		s5 += aa[5] * bb[5]
-		s6 += aa[6] * bb[6]
-		s7 += aa[7] * bb[7]
-		i += 8
-	}
-	s := ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-	for ; i < len(a); i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // Norm returns the L2 norm of a, computed as sqrt(Dot(a, a)) so it rides the
-// same unrolled/SIMD kernel as every other inner product.
+// same kernel as every other inner product.
 func Norm(a []float32) float32 {
 	return float32(math.Sqrt(float64(Dot(a, a))))
 }
@@ -101,7 +59,9 @@ func EuclideanDist(a, b []float32) float32 {
 
 // SquaredDist returns the squared L2 distance between a and b, the kernel
 // under EuclideanDist: portable Go on both kernel paths (pruning, its one
-// caller, is under 2 % of a pipeline run), unrolled 8-way like Dot's.
+// caller, is under 2 % of a pipeline run), unrolled 8-way. Each square is
+// rounded to float32 before its add, so no compiler fuses the two (arm64's
+// would, and change the bits).
 func SquaredDist(a, b []float32) float32 {
 	assertSameLen(a, b)
 	b = b[:len(a)]
@@ -117,19 +77,19 @@ func SquaredDist(a, b []float32) float32 {
 		d5 := aa[5] - bb[5]
 		d6 := aa[6] - bb[6]
 		d7 := aa[7] - bb[7]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		s4 += d4 * d4
-		s5 += d5 * d5
-		s6 += d6 * d6
-		s7 += d7 * d7
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
+		s4 += float32(d4 * d4)
+		s5 += float32(d5 * d5)
+		s6 += float32(d6 * d6)
+		s7 += float32(d7 * d7)
 	}
 	s := ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
 	for i := n; i < len(a); i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float32(d * d)
 	}
 	return s
 }
@@ -158,13 +118,14 @@ func Add(dst, src []float32) {
 	}
 }
 
-// AddScaled accumulates c*src into dst element-wise. Only the dense
-// encoder's reference test uses it, to pool token vectors the plain way.
+// AddScaled accumulates c*src into dst element-wise, rounding the product
+// before the add (no fused multiply-add). Only the dense encoder's reference
+// test uses it, to pool token vectors the plain way.
 func AddScaled(dst, src []float32, c float32) {
 	assertSameLen(dst, src)
 	src = src[:len(dst)]
 	for i := range dst {
-		dst[i] += c * src[i]
+		dst[i] += float32(c * src[i])
 	}
 }
 

@@ -1,5 +1,6 @@
 // Kernel-path parity on the Table-4 pipelines: the SIMD dispatch layer must
-// not change which tuples the reproduction produces.
+// not change which tuples the reproduction produces (the portable kernels
+// return the assembly's bits, so nothing downstream can differ).
 package repro_test
 
 import (
