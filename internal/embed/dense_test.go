@@ -116,8 +116,8 @@ func clip(s string) string {
 }
 
 // bothKernels runs fn under the scalar and (where the CPU has it) the AVX2
-// kernel path: the oracle's Normalize rides Dot, whose reduction order
-// differs between the two, and the sparse loop must match each.
+// kernel path: the oracle's Normalize rides Dot, whose kernel differs
+// between the two (its bits do not), and the sparse loop must match each.
 func bothKernels(t *testing.T, fn func(t *testing.T)) {
 	prev := vector.Kernels()
 	defer func() {

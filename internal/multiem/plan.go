@@ -194,7 +194,7 @@ func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
 func (m *Matcher) chain(p *batchPlan) {
 	created := make([]int, len(m.shards)) // new tuples per shard so far
 	// Row t is the running centroid of p.tuples[t].
-	centroids := vector.NewStoreWithCap(m.dim, len(p.rows))
+	centroids := vector.NewStore(m.dim)
 	dots := make([]float32, len(p.rows))
 	for i := range p.rows {
 		d, vec := &p.rows[i], p.vecs.At(i)

@@ -33,19 +33,20 @@ func row(rows []float32, stride, d, i int) []float32 {
 	return rows[off : off+d : off+d]
 }
 
-// DotBatch sets out[j] = Dot(q, row j) for j in [0, len(out)).
+// DotBatch sets out[j] = Dot(q, row j) for j in [0, len(out)). The portable
+// path lays q out once for every row (layout).
 func DotBatch(q, rows []float32, stride int, out []float32) {
 	checkStride(q, stride)
 	if simdOn {
 		for j := range out {
-			out[j] = dotAVX2(q, row(rows, stride, len(q), j))
+			out[j] = Dot(q, row(rows, stride, len(q), j))
 		}
 		return
 	}
 	var lb layoutBuf
-	qs := sparseLayout(q, &lb)
+	qs := newLayout(q, false, &lb)
 	for j := range out {
-		out[j] = qs.dotRow(row(rows, stride, len(q), j))
+		out[j] = qs.row(row(rows, stride, len(q), j))
 	}
 }
 
@@ -92,11 +93,14 @@ func dotGather(q []float32, spine [][]float32, shift uint, stride int, idxs []in
 			unsafe.SliceData(idxs), len(idxs), gatherAhead, unsafe.SliceData(out))
 		return
 	}
+	if len(idxs) == 0 {
+		return
+	}
 	var lb layoutBuf
-	qs := sparseLayout(q, &lb)
+	qs := newLayout(q, false, &lb)
 	mask := 1<<shift - 1
 	for j, i := range idxs {
-		out[j] = qs.dotRow(row(spine[int(i)>>shift], stride, len(q), int(i)&mask))
+		out[j] = qs.row(row(spine[int(i)>>shift], stride, len(q), int(i)&mask))
 	}
 }
 

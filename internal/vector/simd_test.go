@@ -319,16 +319,18 @@ func TestSparseLayoutExact(t *testing.T) {
 		{"32 lanes, 8 and a tail", at(45, map[int]float32{1: 0.5, 3: 0.5, 33: 0.5, 44: 0.5}), b45},
 		{"−0 then +0", at(5, map[int]float32{0: -0x1p-80}), at(5, map[int]float32{0: 0x1p-80, 1: 1})},
 	} {
-		dim := len(c.q)
-		var lb layoutBuf
-		qs := sparseLayout(c.q, &lb)
-		got, dense := qs.dotRow(c.b), dotScalar(c.q, c.b)
-		sameF32(t, c.name+" sparse vs dense", got, dense)
-		var tile [1]float32
-		tileScalar(c.q, dim, 1, c.b, dim, 1, dim, tile[:])
-		sameF32(t, c.name+" tile", tile[0], dotTileScalar(c.q, c.b))
-		if hasAVX2 {
-			sameF32(t, c.name+" assembly", dotAVX2(c.q, c.b), dense)
+		for _, tile := range []bool{false, true} {
+			var lb layoutBuf
+			qs, dense := newLayout(c.q, tile, &lb), newLayout(c.q, tile, nil)
+			want := dense.row(c.b)
+			sameF32(t, fmt.Sprintf("%s (tile %v) sparse vs dense", c.name, tile), qs.row(c.b), want)
+			if hasAVX2 {
+				dim, asm := len(c.q), [1]float32{dotAVX2(c.q, c.b)}
+				if tile {
+					tileAVX2(c.q, dim, 1, c.b, dim, 1, dim, asm[:])
+				}
+				sameF32(t, fmt.Sprintf("%s (tile %v) assembly", c.name, tile), asm[0], want)
+			}
 		}
 	}
 }

@@ -13,8 +13,8 @@ import "fmt"
 // a pair costs about half of a dispatched Dot. The price is a reduction
 // order of its own — one 8-lane accumulator per pair instead of Dot's four —
 // so tile values agree with Dot to float reassociation (~1e-7 relative), not
-// bit for bit. The portable path, dotTileScalar, sums each pair in the tile
-// kernel's order, so both paths return the same bits.
+// bit for bit. The portable path sums each pair in the tile kernel's order,
+// so both paths return the same bits.
 //
 // What both paths guarantee is position independence: a pair's value is a
 // function of the two rows alone, never of where in a tile, an edge group or
@@ -49,10 +49,10 @@ func DotTile(a []float32, strideA, na int, b []float32, strideB, nb, dim int, ou
 func tileScalar(a []float32, strideA, na int, b []float32, strideB, nb, dim int, out []float32) {
 	var lb layoutBuf
 	for i := 0; i < na; i++ {
-		ai := sparseLayout(row(a, strideA, dim, i), &lb)
+		ai := newLayout(row(a, strideA, dim, i), true, &lb)
 		o := out[i*nb : i*nb+nb]
 		for j := range o {
-			o[j] = ai.tileRow(row(b, strideB, dim, j))
+			o[j] = ai.row(row(b, strideB, dim, j))
 		}
 	}
 }

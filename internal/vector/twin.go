@@ -1,6 +1,9 @@
 package vector
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // The portable kernels are Go twins of the assembly in kernels_amd64.s: each
 // sums in its kernel's order, with its roundings, so both kernel paths
@@ -8,65 +11,73 @@ import "math"
 // every lane of every FMA step one at a time; it skips the steps a zero
 // coordinate contributes where that provably changes no bit (layout).
 
-// A layout lists the coordinates of v a twin visits, ascending: all of them
-// (denseLayout), or those where v is not ±0 (sparseLayout). Skipping a zero
-// coordinate skips a ±0 product, which changes no lane (a running sum of
-// the kernel's) while the other vector's coordinate is finite and the lane
-// is not −0: x + (±0) is x for every other x. So the twins' contract is
-// finite inputs: an Inf or NaN where the skipping vector is zero makes the
-// assembly's result NaN, and a twin that skips it does not see it. A lane
-// starts at +0, an exact cancellation gives +0, and +0 + (±0) is +0, so a
-// lane turns −0 only by rounding a tiny negative sum, which fma32 does and
-// fmaSteps reports; the row is then summed again over every coordinate.
+// A layout lists the coordinates of v a twin visits, ascending: all of them,
+// or those where v is not ±0 (a sparse layout). Skipping a zero coordinate
+// skips a ±0 product, which changes no lane (a running sum of the kernel's)
+// while the other vector's coordinate is finite and the lane is not −0:
+// x + (±0) is x for every other x. So the twins' contract is finite inputs:
+// an Inf or NaN where the skipping vector is zero makes the assembly's result
+// NaN, and a twin that skips it does not see it. A lane starts at +0, an
+// exact cancellation gives +0, and +0 + (±0) is +0, so a lane turns −0 only
+// by rounding a tiny negative sum, which fma32 does and fmaSteps reports;
+// row then sums again over every coordinate.
 type layout struct {
 	v       []float32
 	idx     []int32 // the coordinates visited, ascending
-	n32, n8 int     // idx[:n32] lie below len(v)&^31, idx[:n8] below len(v)&^7
+	n32, n8 int     // idx[:n32] feed 32 lanes, idx[n32:n8] eight (see sum)
+	tile    bool    // one pair of dotTileAVX2, not dotAVX2
 	sparse  bool    // zero coordinates are skipped
 }
 
-// coords is 0, 1, 2, …: a dense layout's coordinates.
-var coords = iota32(4096)
-
-func iota32(n int) []int32 {
-	c := make([]int32, n)
+// coords is 0, 1, 2, …: a dense layout's coordinates up to its length.
+var coords = func() (c [4096]int32) {
 	for i := range c {
 		c[i] = int32(i)
 	}
 	return c
-}
-
-func denseLayout(v []float32) layout {
-	idx := coords
-	if len(v) > len(idx) {
-		idx = iota32(len(v))
-	}
-	return layout{v: v, idx: idx[:len(v)], n32: len(v) &^ 31, n8: len(v) &^ 7}
-}
+}()
 
 // A layoutBuf holds a sparse layout of up to 256 coordinates on its
 // caller's stack.
 type layoutBuf [256]int32
 
-// sparseLayout lays out v's nonzero coordinates in lb, or in a new slice if
-// v is longer.
-func sparseLayout(v []float32, lb *layoutBuf) layout {
-	s := layout{v: v, idx: lb[:], sparse: true}
-	if len(v) > len(s.idx) {
+// newLayout lays v out for dotAVX2 or, with tile set, for one pair of
+// dotTileAVX2: every coordinate or, with lb set, v's nonzeros, held in lb
+// or, if v is longer, in a new slice.
+func newLayout(v []float32, tile bool, lb *layoutBuf) layout {
+	n32 := len(v) &^ 31
+	if tile {
+		n32 = 0
+	}
+	s := layout{v: v, n32: n32, n8: len(v) &^ 7, tile: tile, sparse: lb != nil}
+	switch {
+	case lb == nil && len(v) <= len(coords):
+		s.idx = coords[:len(v)]
+		return s
+	case lb != nil && len(v) <= len(lb):
+		s.idx = lb[:]
+	default:
 		s.idx = make([]int32, len(v))
 	}
-	s.n32 = s.nonzeros(0, 0, len(v)&^31)
-	s.n8 = s.nonzeros(s.n32, len(v)&^31, len(v)&^7)
-	s.idx = s.idx[:s.nonzeros(s.n8, len(v)&^7, len(v))]
+	s.n32 = s.keep(0, 0, n32)
+	s.n8 = s.keep(s.n32, n32, s.n8)
+	s.idx = s.idx[:s.keep(s.n8, len(v)&^7, len(v))]
 	return s
 }
 
-// nonzeros writes the coordinates in [lo, hi) where s.v is not ±0 to s.idx
-// from position n on, and returns the new count.
-func (s *layout) nonzeros(n, lo, hi int) int {
+// keep writes the coordinates in [lo, hi) the layout visits to s.idx from
+// position n on, and returns the new count. It reads v's bits, where x<<1 is
+// 0 just for ±0, so the loop has no branch on the data.
+func (s *layout) keep(n, lo, hi int) int {
+	v := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(s.v))), hi)
+	var all uint32
+	if !s.sparse {
+		all = 1
+	}
+	idx := s.idx[:hi]
 	for i := lo; i < hi; i++ {
-		if s.v[i] != 0 {
-			s.idx[n] = int32(i)
+		idx[n] = int32(i)
+		if v[i]<<1|all != 0 {
 			n++
 		}
 	}
@@ -75,41 +86,26 @@ func (s *layout) nonzeros(n, lo, hi int) int {
 
 // dotScalar is the twin of dotAVX2.
 func dotScalar(a, b []float32) float32 {
-	s := denseLayout(a)
-	d, _ := s.dot(b)
-	return d
+	return newLayout(a, false, nil).row(b)
 }
 
-// dotTileScalar is the twin of one pair of dotTileAVX2.
-func dotTileScalar(a, b []float32) float32 {
-	s := denseLayout(a)
-	d, _ := s.tile(b)
-	return d
-}
-
-// dotRow is dotScalar(s.v, b) for a finite b.
-func (s *layout) dotRow(b []float32) float32 {
-	if d, ok := s.dot(b); ok {
+// row is the twin of s's kernel on s.v and a finite b.
+func (s layout) row(b []float32) float32 {
+	if d, ok := s.sum(b); ok {
 		return d
 	}
-	return dotScalar(s.v, b)
+	return newLayout(s.v, s.tile, nil).row(b)
 }
 
-// tileRow is dotTileScalar(s.v, b) for a finite b.
-func (s *layout) tileRow(b []float32) float32 {
-	if d, ok := s.tile(b); ok {
-		return d
-	}
-	return dotTileScalar(s.v, b)
-}
-
-// dot is dotAVX2's order: coordinates below len(v)&^31 feed 32 lanes,
+// sum is dotAVX2's order: coordinates below len(v)&^31 feed 32 lanes,
 // coordinate i lane i mod 32 (the assembly's four 8-lane accumulators); the
 // lanes fold to eight as (Y0+Y1)+(Y2+Y3); those eight take the coordinates
 // below len(v)&^7; VEXTRACTF128 and two VHADDPS reduce them as
 // ((y0+y4)+(y1+y5))+((y2+y6)+(y3+y7)); the rest is an FMA chain on that sum.
-// It reports false where fmaSteps does.
-func (s *layout) dot(b []float32) (float32, bool) {
+// A tile pair has no 32 lanes (the eight start at +0) and reduces by the add
+// tree ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)) its VHADDPS and VEXTRACTF128
+// steps build. It reports false where fmaSteps does.
+func (s *layout) sum(b []float32) (float32, bool) {
 	b = b[:len(s.v)]
 	var acc [32]float64
 	ok := fmaSteps(acc[:], s.idx[:s.n32], s.v, b, s.sparse)
@@ -120,20 +116,9 @@ func (s *layout) dot(b []float32) (float32, bool) {
 	ok = ok && fmaSteps(y[:], s.idx[s.n32:s.n8], s.v, b, s.sparse)
 	y0, y1, y2, y3, y4, y5, y6, y7 := float32(y[0]), float32(y[1]), float32(y[2]), float32(y[3]), float32(y[4]), float32(y[5]), float32(y[6]), float32(y[7])
 	r := [1]float64{float64(((y0 + y4) + (y1 + y5)) + ((y2 + y6) + (y3 + y7)))}
-	ok = ok && fmaSteps(r[:], s.idx[s.n8:], s.v, b, s.sparse)
-	return float32(r[0]), ok
-}
-
-// tile is one pair of dotTileAVX2: eight lanes over the coordinates below
-// len(v)&^7, the add tree ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)) its VHADDPS and
-// VEXTRACTF128 steps build, then an FMA chain on the sum. It reports false
-// where fmaSteps does.
-func (s *layout) tile(b []float32) (float32, bool) {
-	b = b[:len(s.v)]
-	var y [8]float64
-	ok := fmaSteps(y[:], s.idx[:s.n8], s.v, b, s.sparse)
-	l0, l1, l2, l3, l4, l5, l6, l7 := float32(y[0]), float32(y[1]), float32(y[2]), float32(y[3]), float32(y[4]), float32(y[5]), float32(y[6]), float32(y[7])
-	r := [1]float64{float64(((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)))}
+	if s.tile {
+		r[0] = float64(((y0 + y1) + (y2 + y3)) + ((y4 + y5) + (y6 + y7)))
+	}
 	ok = ok && fmaSteps(r[:], s.idx[s.n8:], s.v, b, s.sparse)
 	return float32(r[0]), ok
 }
