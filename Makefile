@@ -80,7 +80,9 @@ race-matcher:
 # matcher-file loader with its embedded HNSW index, and that index's decoder
 # on its own, where every mutation lands in its fields (all three parse bytes
 # a follower fetched from its -primary-url), the SIMD kernels against their
-# scalar reference, the sparse entity store's rows against the dense rows
+# scalar reference, the bitmask-row gather against Dot on the expanded row on
+# every kernel path the CPU has (any float bits: NaN payloads, −0,
+# subnormals, infinities), the sparse store's rows against the dense rows
 # they came from (expanded and summed, bit for bit), the encoder's sparse
 # token accumulation against its dense definition, its field pooling
 # (attribute selection's path) against encoding the serialized record, and
@@ -97,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadMatcher$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeIndex$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hnsw
 	$(GO) test -run='^$$' -fuzz='^FuzzSIMDKernels$$' -fuzztime=$(FUZZTIME) ./internal/vector
+	$(GO) test -run='^$$' -fuzz='^FuzzMaskGather$$' -fuzztime=$(FUZZTIME) ./internal/vector
 	$(GO) test -run='^$$' -fuzz='^FuzzSparseRow$$' -fuzztime=$(FUZZTIME) ./internal/vector
 	$(GO) test -run='^$$' -fuzz='^FuzzEncodeMatchesDense$$' -fuzztime=$(FUZZTIME) ./internal/embed
 	$(GO) test -run='^$$' -fuzz='^FuzzFieldsMatchEncode$$' -fuzztime=$(FUZZTIME) ./internal/embed

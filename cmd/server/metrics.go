@@ -90,11 +90,20 @@ func (s *server) registerMetrics() {
 		"Records known to the matcher.", nil,
 		func() float64 { return float64(pinned.total.Entities) })
 	r.GaugeFunc("multiem_entity_store_bytes",
-		"Memory the entity embeddings take, kept as their nonzero coordinates: about 6 B a nonzero and 8 B an entity.", nil,
+		"Memory the entity embeddings take, kept as bitmask rows: dim/8 B of mask, 4 B a nonzero and 8 B an entity.", nil,
 		func() float64 {
 			n := 0
 			for _, ss := range pinned.perShard {
 				n += ss.EntityBytes
+			}
+			return float64(n)
+		})
+	r.GaugeFunc("multiem_index_vector_bytes",
+		"Memory the index node vectors (tuple centroids, stale ones included) take, kept as bitmask rows: dim/8 B of mask, 4 B a nonzero and 8 B a node.", nil,
+		func() float64 {
+			n := 0
+			for _, ss := range pinned.perShard {
+				n += ss.IndexBytes
 			}
 			return float64(n)
 		})

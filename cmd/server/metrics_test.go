@@ -28,6 +28,7 @@ var pinnedMetrics = map[string]string{
 
 	"multiem_entities":             "gauge",
 	"multiem_entity_store_bytes":   "gauge",
+	"multiem_index_vector_bytes":   "gauge",
 	"multiem_tuples":               "gauge",
 	"multiem_matched_tuples":       "gauge",
 	"multiem_shards":               "gauge",
@@ -136,6 +137,7 @@ func TestMetricsCatalogue(t *testing.T) {
 		`multiem_http_request_duration_seconds_count{endpoint="match"}`,
 		`multiem_entities`,
 		`multiem_entity_store_bytes`,
+		`multiem_index_vector_bytes`,
 		`multiem_tuples`,
 		`multiem_shards`,
 		`multiem_epoch`,
@@ -185,7 +187,7 @@ func TestMetricsCatalogue(t *testing.T) {
 			t.Errorf("cold server missing metric family %s", name)
 		}
 	}
-	for _, series := range []string{`multiem_entities`, `multiem_entity_store_bytes`} {
+	for _, series := range []string{`multiem_entities`, `multiem_entity_store_bytes`, `multiem_index_vector_bytes`} {
 		if v := cold.Values[series]; v != 0 {
 			t.Errorf("cold %s = %v, want 0", series, v)
 		}

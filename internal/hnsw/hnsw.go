@@ -16,19 +16,23 @@
 // vectors, their order and the Config.
 //
 // Storage is flat, in the spirit of hnswlib, and chunked: the vectors and the
-// links are two copy-on-write arenas (arena.Arena) indexed by node — the
-// vectors in fixed 64-row chunks (vector.Chunked), every node's links in one
-// fixed block of int32 slots (links.go). There are no per-node heap objects;
-// a row or block address is arithmetic on the node index, growth copies
-// nothing, and the writer shares chunks with its frozen clones.
+// links are copy-on-write arenas (arena.Arena) indexed by node — the vectors
+// as bitmask rows (vector.SparseRows: a mask of the nonzero coordinates and
+// their values, about 415 B for a dim-256 centroid instead of 1 KiB), every
+// node's links in one fixed block of int32 slots (links.go). There are no
+// per-node heap objects; a row or block address is arithmetic on the node
+// index, growth copies nothing, and the writer shares chunks with its frozen
+// clones.
 //
 // The distance is the merging phase's one cosine, vector.CosineUnitDist over
 // unit-norm (or zero) vectors; the index has no other. Every distance it
-// computes — a query against a neighbour block, a node against the picks of
-// selectHeuristic, a full node against its links when linkBack shrinks them,
-// a caller re-ranking nodes it holds — is one Index.Dists call: the chunked
-// store's CosineUnitGather over the node arena. The link arena stores links
-// only; no distance is cached or persisted.
+// computes to a stored row — a query against a neighbour block, a full node
+// against its links when linkBack shrinks them, a caller re-ranking nodes it
+// holds — is one Index.Dists call: the sparse store's CosineUnitGather over
+// the node arena, which expands each row to the dense row's bits.
+// selectHeuristic, which scores a candidate against the picks so far, holds
+// the picks expanded and takes 1 − vector.DotBatch over them: the same bits.
+// The link arena stores links only; no distance is cached or persisted.
 //
 // Construction is serialized internally; Search is safe for concurrent use
 // once construction has finished (the merging pipeline builds per-table
@@ -88,7 +92,7 @@ type Index struct {
 	dim int
 	mu  sync.Mutex
 
-	vecs *vector.Chunked    // row i = vector of internal node i
+	vecs *vector.SparseRows // row i = vector of internal node i
 	ids  []int              // external id per node
 	la   arena.Arena[int32] // node i's link block is row i, see links.go
 	// linked counts the nodes in the graph: 0..linked-1 are linked, the rest
@@ -101,9 +105,13 @@ type Index struct {
 	// the first Search of every published view.
 	searchPool *sync.Pool
 	buildCtx   *searchCtx // construction reuse, guarded by mu
-	selScratch []vector.Neighbor
-	backCands  []vector.Neighbor
-	backSel    []vector.Neighbor
+	// nodeBuf and pickVecs hold dense copies of node vectors for
+	// construction: the node linkNode inserts or linkBack shrinks, and
+	// selectHeuristic's picks and candidate. Guarded by mu.
+	nodeBuf, pickVecs []float32
+	selScratch        []vector.Neighbor
+	backCands         []vector.Neighbor
+	backSel           []vector.Neighbor
 
 	// frozen marks a read-only Clone: Add fails and Append panics on it;
 	// Search and Save work.
@@ -116,11 +124,13 @@ type Index struct {
 }
 
 // searchStats counts Search work: queries served, nodes visited, and
-// distance evaluations. Updated with three atomic adds per Search.
+// distance evaluations, updated with three atomic adds per Search; and the
+// rows Link scored, one add per linked node.
 type searchStats struct {
-	searches atomic.Uint64
-	visited  atomic.Uint64
-	evals    atomic.Uint64
+	searches  atomic.Uint64
+	visited   atomic.Uint64
+	evals     atomic.Uint64
+	linkEvals atomic.Uint64
 }
 
 // SearchStats reports totals over every Search on this index and the
@@ -131,6 +141,11 @@ type searchStats struct {
 func (ix *Index) SearchStats() (searches, visited, distEvals uint64) {
 	return ix.stats.searches.Load(), ix.stats.visited.Load(), ix.stats.evals.Load()
 }
+
+// LinkEvals reports the distance evaluations linking has made, over the same
+// counters SearchStats reads: the insert beams, the heuristic's candidate
+// checks and linkBack's shrinks.
+func (ix *Index) LinkEvals() uint64 { return ix.stats.linkEvals.Load() }
 
 // CarrySearchStats makes ix share from's search counters, so a rebuilt
 // index (compaction) keeps the logical index's totals monotonic.
@@ -149,8 +164,9 @@ type searchCtx struct {
 	dists    []float32
 	// visited/evals accumulate one query's effort locally; Search resets
 	// them and flushes to Index.stats in three atomic adds, keeping the
-	// inner loops free of shared-memory traffic. Add's buildCtx also
-	// bumps them, but never flushes — construction is not a query.
+	// inner loops free of shared-memory traffic. buildCtx counts a linked
+	// node's evaluations in evals, which linkPending flushes to the link
+	// counter — construction is not a query.
 	visited uint64
 	evals   uint64
 }
@@ -187,7 +203,7 @@ func New(dim int, cfg Config) *Index {
 	return &Index{
 		cfg:   cfg,
 		dim:   dim,
-		vecs:  vector.NewChunked(dim),
+		vecs:  vector.NewSparseRows(dim),
 		la:    newLinks(cfg.M),
 		stats: &searchStats{},
 
@@ -208,18 +224,16 @@ func (ix *Index) Len() int { return len(ix.ids) }
 // Dim reports the vector dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
 
-// Vector returns the stored vector of internal node i — nodes are numbered
-// 0..Len()-1 in Add (or Append) order, so the node an Add just created is
-// Len()-1, linked or not. The slice aliases the index's arena and is
-// read-only; a stored row never moves, so it stays valid for the lifetime of
-// the index and of every Clone that holds the node. Callers that keep one
-// vector per external id (the matcher's tuple centroids) read it back
+// CopyTo sets dst, of Dim() elements, to the stored vector of internal node
+// i, bit for bit — nodes are numbered 0..Len()-1 in Add (or Append) order, so
+// the node an Add just created is Len()-1, linked or not. Callers that keep
+// one vector per external id (the matcher's tuple centroids) read it back
 // through this instead of holding a second copy.
-func (ix *Index) Vector(i int) []float32 { return ix.vecs.At(i) }
+func (ix *Index) CopyTo(dst []float32, i int) { ix.vecs.CopyTo(dst, i) }
 
-// Cap reports how many nodes the vector arena has room for before it
-// allocates its next chunk: Len() plus fewer than vector.ChunkRows.
-func (ix *Index) Cap() int { return ix.vecs.Cap() }
+// Vectors returns the node vector store, for reading its size and layout.
+// The caller must not modify it.
+func (ix *Index) Vectors() *vector.SparseRows { return ix.vecs }
 
 // neighbors returns node i's links as a read view into the arena.
 func (ix *Index) neighbors(i int) []int32 {
@@ -314,8 +328,11 @@ func (ix *Index) appendNode(id int, vec []float32) {
 }
 
 func (ix *Index) linkPending() {
+	ctx := ix.buildCtx
 	for ; ix.linked < len(ix.ids); ix.linked++ {
+		ctx.evals = 0
 		ix.linkNode(ix.linked)
+		ix.stats.linkEvals.Add(ctx.evals)
 	}
 }
 
@@ -326,13 +343,24 @@ func (ix *Index) linkNode(cur int) {
 	if cur == 0 {
 		return
 	}
-	cands := ix.searchLayer(ix.vecs.At(cur), ix.cfg.EfConstruction, ix.buildCtx)
+	q := ix.denseNode(&ix.nodeBuf, cur)
+	cands := ix.searchLayer(q, ix.cfg.EfConstruction, ix.buildCtx)
 	for _, s := range ix.selectHeuristic(cands, ix.cfg.M, &ix.selScratch) {
 		// s.Dist is dist(new, s); the distance is symmetric, so the reverse
 		// edge carries the same distance.
 		ix.appendLink(cur, int32(s.ID))
 		ix.linkBack(s.ID, cur, s.Dist)
 	}
+}
+
+// denseNode expands node i's vector into *buf, sized to the dimension on
+// first use, and returns it.
+func (ix *Index) denseNode(buf *[]float32, i int) []float32 {
+	if len(*buf) != ix.dim {
+		*buf = make([]float32, ix.dim)
+	}
+	ix.vecs.CopyTo(*buf, i)
+	return *buf
 }
 
 // Clone returns a frozen, read-only copy of the index that concurrent
@@ -458,35 +486,44 @@ func (ix *Index) searchLayer(q []float32, ef int, ctx *searchCtx) []vector.Neigh
 // that is closer to an already-selected neighbour than to the query. This
 // spreads links across clusters and preserves graph navigability. scratch
 // backs the result when selection is needed; when candidates already fit,
-// cands is returned as-is. Each candidate is scored against all the picks so
-// far in one Dists call, through buildCtx's scratch: selection runs only
-// under construction, after the search that produced cands has returned.
+// cands is returned as-is. Each candidate is expanded once and scored
+// against dense copies of all the picks so far in one vector.DotBatch call,
+// through buildCtx's scratch: selection runs only under construction, after
+// the search that produced cands has returned. 1 − DotBatch has the bits of
+// Dists, whose gather expands each row to exactly those values, and the
+// picks, a dozen or two rows, are read from L1 instead of from the arena.
 func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vector.Neighbor) []vector.Neighbor {
 	if len(cands) <= m {
 		return cands
 	}
 	ctx := ix.buildCtx
-	picks := ctx.cands[:0]
+	if len(ix.pickVecs) < m*ix.dim {
+		ix.pickVecs = make([]float32, m*ix.dim)
+	}
 	selected := (*scratch)[:0]
 	for _, c := range cands {
 		if len(selected) == m {
 			break
 		}
-		dists := ctx.distBuf(len(picks))
-		ix.Dists(ix.vecs.At(c.ID), picks, dists)
+		// The candidate is expanded into the slot after the picks' own dense
+		// copies, where it stays if it is picked.
+		n := len(selected) * ix.dim
+		cv := ix.pickVecs[n : n+ix.dim]
+		ix.vecs.CopyTo(cv, c.ID)
+		dots := ctx.distBuf(len(selected))
+		ctx.evals += uint64(len(selected))
+		vector.DotBatch(cv, ix.pickVecs[:n], ix.dim, dots)
 		ok := true
-		for _, d := range dists {
-			if d < c.Dist {
+		for _, dot := range dots {
+			if 1-dot < c.Dist {
 				ok = false
 				break
 			}
 		}
 		if ok {
 			selected = append(selected, c)
-			picks = append(picks, int32(c.ID))
 		}
 	}
-	ctx.cands = picks
 	// Backfill with nearest skipped candidates if the heuristic was too
 	// aggressive (hnswlib's keepPrunedConnections behaviour). The picks so
 	// far are a subsequence of cands in order, so a two-pointer scan finds
@@ -528,7 +565,8 @@ func (ix *Index) linkBack(from, to int, d float32) {
 	}
 	nbs := blk[1 : 1+cnt]
 	dists := ix.buildCtx.distBuf(cnt)
-	ix.Dists(ix.vecs.At(from), nbs, dists)
+	ix.buildCtx.evals += uint64(cnt)
+	ix.Dists(ix.denseNode(&ix.nodeBuf, from), nbs, dists)
 	cands := ix.backCands[:0]
 	for k, nb := range nbs {
 		cands = append(cands, vector.Neighbor{ID: int(nb), Dist: dists[k]})

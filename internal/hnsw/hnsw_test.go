@@ -396,6 +396,9 @@ func TestAppendLinkEqualsAdd(t *testing.T) {
 	for _, mode := range []string{"scalar", "avx2"} {
 		t.Run(mode, func(t *testing.T) {
 			prev := vector.Kernels()
+			if prev == "avx512" {
+				prev = "auto" // the one mode that reaches it
+			}
 			if err := vector.SetKernels(mode); err != nil {
 				t.Skip(err)
 			}

@@ -18,8 +18,8 @@ import (
 //	ids      count × int64
 //	links    count × (1+2M) int32: each node's link block as it sits in
 //	         memory — the link count, the links, the slack slots zero
-//	vectors  count × dim × float32 in node order (the vector arena's chunks,
-//	         each cut to its stored rows, one after another)
+//	vectors  count × dim × float32 in node order, dense: the vector store
+//	         expands each row on Save and keeps its nonzeros on Load
 //
 // The format captures the complete index state — links and vectors — so a
 // loaded index answers every query, and takes every later Add, exactly as the
@@ -56,8 +56,8 @@ const (
 
 // Save writes the index to w in the versioned binary format above: the small
 // fields through one bufio.Writer (w itself when it already is one), the link
-// and vector arenas a chunk at a time, each chunk one Write of its own
-// memory. The index must not be mutated concurrently, and saving one whose
+// arena a chunk at a time, each chunk one Write of its own memory, and the
+// vectors expanded one row at a time through a single row of scratch. The index must not be mutated concurrently, and saving one whose
 // Appended nodes wait for Link panics: the file has no place for a node
 // outside the graph.
 func (ix *Index) Save(w io.Writer) error {
@@ -77,8 +77,10 @@ func (ix *Index) Save(w io.Writer) error {
 	for c := range ix.la.Chunks() {
 		binio.WriteI32s(bw, ix.la.Chunk(c))
 	}
-	for c := range ix.vecs.Chunks() {
-		binio.WriteF32s(bw, ix.vecs.Chunk(c))
+	row := make([]float32, ix.dim)
+	for i := range ix.Len() {
+		ix.vecs.CopyTo(row, i)
+		binio.WriteF32s(bw, row)
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("hnsw: save: %w", err)
@@ -114,8 +116,8 @@ func Load(r io.Reader) (*Index, error) {
 // file) decodes its embedded index in place. Every array is allocated after
 // the bytes left have been checked to hold it: the ids at their final size,
 // the link arena, which is never larger than the bytes that follow the
-// header, and the vector arena in chunks whose last holds exactly the rows
-// the file fills (arena.Arena.GrowExact).
+// header, and the vector store at the size of the rows' nonzeros
+// (vector.SparseRows.Load).
 func Decode(rd *binio.Reader) (*Index, error) {
 	if m := rd.Next(len(magic)); string(m) != string(magic[:]) {
 		return nil, corrupt("bad magic %q (not an HNSW index file)", m)
@@ -159,13 +161,11 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	if err := ix.readLinks(rd); err != nil {
 		return nil, err
 	}
-	ix.vecs.GrowExact(count)
-	for c := range ix.vecs.Chunks() {
-		rd.F32sInto(ix.vecs.Chunk(c))
-	}
+	vecs := rd.Next(4 * count * dim)
 	if rd.Err() != nil {
 		return nil, corrupt("vectors: %v", rd.Err())
 	}
+	ix.vecs.Load(count, func(i int, dst []float32) { binio.F32sFrom(dst, vecs[4*i*dim:]) })
 	return ix, nil
 }
 

@@ -10,32 +10,33 @@ import (
 	"repro/internal/vector"
 )
 
-// arenaMark records where a shard's growing arenas keep their rows before a
-// batch: the address of each entity row's first stored value and of each
-// node vector, for the rows in full-sized chunks, and the index object the
-// node arena belongs to (a compaction replaces it).
+// arenaMark records where a shard's growing stores keep their rows before a
+// batch — the address of each row's first mask word, for the rows in
+// full-sized chunks, of the entity store and of the index's node store — and
+// the index object the node store belongs to (a compaction replaces it).
 type arenaMark struct {
-	index *hnsw.Index
-	ents  map[int]*float32
-	nodes []*float32
+	index       *hnsw.Index
+	ents, nodes map[int]*uint32
 }
 
-// markArenas takes sh's mark. A loaded arena's last chunk is sized to its
-// rows (arena.Arena.GrowExact) and moves once when it grows; the rows of
-// every full-sized chunk must never move.
-func markArenas(sh *shard) arenaMark {
-	mk := arenaMark{index: sh.index, ents: map[int]*float32{}}
-	elemCap, _ := sh.entVecs.Cap()
-	full := fullRows(sh.entVecs.Elems(), elemCap, sh.entVecs.ChunkElems())
-	for i := range sh.entVecs.Len() {
-		if _, val := sh.entVecs.Row(i); len(val) > 0 && sh.entVecs.Offset(i)+len(val) <= full {
-			mk.ents[i] = &val[0]
+// markRows returns the addresses of s's rows in full-sized chunks. A loaded
+// store's last chunk is sized to its rows (arena.Arena.GrowExact) and moves
+// once when it grows; the rows of every full-sized chunk must never move.
+func markRows(s *vector.SparseRows) map[int]*uint32 {
+	rows := map[int]*uint32{}
+	elemCap, _ := s.Cap()
+	full := fullRows(s.Elems(), elemCap, s.ChunkElems())
+	for i := range s.Len() {
+		if mask, vals := s.Row(i); s.Offset(i)+len(mask)+len(vals) <= full {
+			rows[i] = &mask[0]
 		}
 	}
-	for i := range fullRows(sh.index.Len(), sh.index.Cap(), vector.ChunkRows) {
-		mk.nodes = append(mk.nodes, &sh.index.Vector(i)[0])
-	}
-	return mk
+	return rows
+}
+
+// markArenas takes sh's mark.
+func markArenas(sh *shard) arenaMark {
+	return arenaMark{index: sh.index, ents: markRows(sh.entVecs), nodes: markRows(sh.index.Vectors())}
 }
 
 // fullRows is how many of the n rows of an arena of capacity c, in chunks
@@ -48,47 +49,46 @@ func fullRows(n, c, chunk int) int {
 	return n
 }
 
-// checkArenas holds each shard's growing arenas — its entity embeddings'
-// values and coordinates (one geometry) and row descriptors, and its index's
-// node vectors — to the chunked store's contract after a batch: under one
-// chunk of unused rows a table, and every row marked before the batch at its
-// old address (node rows only while the index is the same one).
+// checkArenas holds each shard's growing stores — its entity embeddings and
+// its index's node vectors, both bitmask-row stores of a data table and a
+// descriptor table — to the chunked store's contract after a batch: under
+// one chunk of unused rows a table, and every row marked before the batch at
+// its old address (node rows only while the index is the same one).
 func checkArenas(t *testing.T, when string, m *Matcher, marks []arenaMark) {
 	t.Helper()
 	for s, sh := range m.shards {
-		elemCap, rowCap := sh.entVecs.Cap()
-		for name, a := range map[string][3]int{
-			"entity value":      {sh.entVecs.Elems(), elemCap, sh.entVecs.ChunkElems()},
-			"entity descriptor": {sh.entVecs.Len(), rowCap, vector.ChunkRows},
-			"node":              {sh.index.Len(), sh.index.Cap(), vector.ChunkRows},
-		} {
-			if slack := a[1] - a[0]; slack < 0 || slack >= a[2] {
-				t.Fatalf("%s: shard %d's %s arena holds %d rows with room for %d", when, s, name, a[0], a[1])
+		for kind, st := range map[string]*vector.SparseRows{"entity": sh.entVecs, "node": sh.index.Vectors()} {
+			elemCap, rowCap := st.Cap()
+			for name, a := range map[string][3]int{
+				"data":       {st.Elems(), elemCap, st.ChunkElems()},
+				"descriptor": {st.Len(), rowCap, vector.DescChunkRows},
+			} {
+				if slack := a[1] - a[0]; slack < 0 || slack >= a[2] {
+					t.Fatalf("%s: shard %d's %s %s table holds %d rows with room for %d", when, s, kind, name, a[0], a[1])
+				}
 			}
 		}
 		if marks == nil {
 			continue
 		}
-		for i, p := range marks[s].ents {
-			if _, val := sh.entVecs.Row(i); &val[0] != p {
-				t.Fatalf("%s: shard %d's entity row %d moved", when, s, i)
+		moved := func(kind string, st *vector.SparseRows, rows map[int]*uint32) {
+			for i, p := range rows {
+				if mask, _ := st.Row(i); &mask[0] != p {
+					t.Fatalf("%s: shard %d's %s row %d moved", when, s, kind, i)
+				}
 			}
 		}
-		if sh.index != marks[s].index {
-			continue
-		}
-		for i, p := range marks[s].nodes {
-			if &sh.index.Vector(i)[0] != p {
-				t.Fatalf("%s: shard %d's node row %d moved", when, s, i)
-			}
+		moved("entity", sh.entVecs, marks[s].ents)
+		if sh.index == marks[s].index {
+			moved("node", sh.index.Vectors(), marks[s].nodes)
 		}
 	}
 }
 
 // TestArenaRowsNeverMove drives a two-shard matcher through batches that push
-// the entity values and the node vectors of each shard across several chunk
-// boundaries (a values chunk holds 4096 elements, some 150 Geo rows, so it
-// takes 192 batches), with a save/load round trip halfway: after every batch
+// the entity rows and the node vectors of each shard across several chunk
+// boundaries (a data chunk holds 8192 words, some 190 Geo rows, so it takes
+// 192 batches), with a save/load round trip halfway: after every batch
 // each arena's unused capacity is under one chunk, and no row of a full
 // chunk has moved. A view pinned before a batch is read from another
 // goroutine while the batch appends across a boundary, and reads the same
@@ -149,7 +149,8 @@ func TestArenaRowsNeverMove(t *testing.T) {
 			if sh.entVecs.Elems()/sh.entVecs.ChunkElems() > before.shards[s].entVecs.Elems()/sh.entVecs.ChunkElems() {
 				crossings[s][0]++
 			}
-			if sh.index == marks[s].index && sh.index.Len()/vector.ChunkRows > before.shards[s].index.Len()/vector.ChunkRows {
+			now, then := sh.index.Vectors(), before.shards[s].index.Vectors()
+			if sh.index == marks[s].index && now.Elems()/now.ChunkElems() > then.Elems()/now.ChunkElems() {
 				crossings[s][1]++
 			}
 		}
@@ -179,7 +180,9 @@ func viewRows(v *matcherView) [][]float32 {
 		}
 		nodes := make([]int32, sv.index.Len())
 		for i := range nodes {
-			rows = append(rows, slices.Clone(sv.index.Vector(i)))
+			row := make([]float32, sv.index.Dim())
+			sv.index.CopyTo(row, i)
+			rows = append(rows, row)
 			nodes[i] = int32(i)
 		}
 		if sv.entVecs.Len() > 0 && len(nodes) > 0 {

@@ -119,7 +119,7 @@ func checkSelectMatchesText(t *testing.T, d *table.Dataset, opt Options) {
 func eachKernel(t *testing.T, fn func(t *testing.T)) {
 	for _, mode := range []string{"scalar", "avx2"} {
 		t.Run(mode, func(t *testing.T) {
-			if mode == "avx2" && vector.Kernels() != "avx2" {
+			if mode == "avx2" && defaultKernels(t) == "scalar" {
 				t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
 			}
 			defer withKernels(t, mode)()

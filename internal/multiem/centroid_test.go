@@ -44,11 +44,12 @@ func checkCentroidNodes(tuples *tupleTable, index *hnsw.Index, entVecs *vector.S
 			return nil, fmt.Errorf("tuple %d points at node %d, but node %d is its newest entry", l, node, last[l])
 		}
 		centroidInto(want, ts.members, entVecs)
-		got := index.Vector(node)
+		got := make([]float32, index.Dim())
+		index.CopyTo(got, node)
 		if !sameBits(got, want) {
 			return nil, fmt.Errorf("tuple %d: node %d holds %v, members give %v", l, node, got, want)
 		}
-		out[l] = append([]float32(nil), got...)
+		out[l] = got
 	}
 	return out, nil
 }
@@ -255,10 +256,10 @@ func TestLoadMatcherRejectsUnservableState(t *testing.T) {
 	})
 }
 
-// TestMatcherHeapBudget holds the serving heap to one sparse row per entity
-// and one vector per index entry. With a second centroid arena beside the
-// index — one more vector per index entry — the same state misses the
-// budget, and so it does with dense entity rows.
+// TestMatcherHeapBudget holds the serving heap to one bitmask row per entity
+// and one per index entry. With a second centroid arena beside the index —
+// one more dense vector per index entry — the same state misses the budget,
+// and so it does with dense entity rows or a dense node store.
 func TestMatcherHeapBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -283,21 +284,24 @@ func TestMatcherHeapBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(m)
 
-	// 1.8: an index entry's link block is about a tenth of its vector at
-	// dim 256, and ids, tuples and each table's last chunk come on top.
-	// This state reads 1.52 with one centroid arena, 2.28 with two, and
-	// 2.74 with a dense copy of the entity rows.
-	entityBytes := 0
+	// 3: at this size the link blocks (100 B an entry, most of a Geo
+	// centroid's row), ids, tuples and each table's last chunk weigh as
+	// much as the rows. This state reads 2.37, and would read 4.70 with a
+	// second, dense centroid arena, 4.34 with dense node vectors (1.53 of
+	// those rows when the node store was dense) and 6.19 with dense entity
+	// rows.
+	entityBytes, indexBytes := 0, 0
 	for _, ss := range perShard {
 		entityBytes += ss.EntityBytes
+		indexBytes += ss.IndexBytes
 	}
-	rowBytes := entityBytes + s.IndexSize*s.Dim*4
-	budget := uint64(1.8 * float64(rowBytes))
+	rowBytes := entityBytes + indexBytes
+	budget := uint64(3 * float64(rowBytes))
 	got := after.HeapAlloc - before.HeapAlloc
-	t.Logf("%d entities (%d KiB of sparse rows) + %d index entries, %d tuples: heap %d KiB, budget %d KiB, a second arena would add %d KiB",
-		s.Entities, entityBytes>>10, s.IndexSize, s.Tuples, got>>10, budget>>10, s.IndexSize*s.Dim*4>>10)
+	t.Logf("%d entities (%d KiB of rows) + %d index entries (%d KiB of rows), %d tuples: heap %d KiB, budget %d KiB, a second arena would add %d KiB",
+		s.Entities, entityBytes>>10, s.IndexSize, indexBytes>>10, s.Tuples, got>>10, budget>>10, s.IndexSize*s.Dim*4>>10)
 	if got > budget {
-		t.Fatalf("matcher holds %d bytes for %d bytes of entity rows and index vectors; budget %d", got, rowBytes, budget)
+		t.Fatalf("matcher holds %d bytes for %d bytes of entity and index rows; budget %d", got, rowBytes, budget)
 	}
 }
 

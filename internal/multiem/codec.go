@@ -112,10 +112,10 @@ func checkHeader(enc embed.Encoder, mergeM float32, probes []float32, dim int) e
 }
 
 // Header bounds the bytes present cannot give (binio.Reader.Count gives the
-// rest): the largest dimension a shard's entity store holds, and empty
-// shards that stay cheap.
+// rest): the largest dimension a matcher holds, and empty shards that stay
+// cheap.
 const (
-	maxSaneDim    = vector.MaxSparseDim
+	maxSaneDim    = 1<<16 - 1
 	maxSaneShards = 1 << 12
 )
 

@@ -4,10 +4,26 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/vector"
 )
+
+// defaultKernels selects the kernel path the test binary started on —
+// VECTOR_KERNELS, or auto — and reports it, whatever an earlier test left
+// selected: a test that hands SetKernels back what Kernels() said fails to
+// restore "avx512", which only auto reaches, and leaves its last mode.
+func defaultKernels(t *testing.T) string {
+	mode := os.Getenv("VECTOR_KERNELS")
+	if mode == "" {
+		mode = "auto"
+	}
+	if err := vector.SetKernels(mode); err != nil {
+		t.Fatal(err)
+	}
+	return vector.Kernels()
+}
 
 // withKernels forces a dispatch path for one test body and restores the
 // prior path afterwards. The flips are sequential — no matcher is live
@@ -15,6 +31,9 @@ import (
 func withKernels(t *testing.T, mode string) func() {
 	t.Helper()
 	prev := vector.Kernels()
+	if prev == "avx512" {
+		prev = "auto" // the one mode that reaches it
+	}
 	if err := vector.SetKernels(mode); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +49,7 @@ func withKernels(t *testing.T, mode string) func() {
 // tuples and the same Match replies, distances to the bit: the portable
 // kernels sum in the assembly's order, so the SIMD layer is a speed change.
 func TestMatcherKernelParity(t *testing.T) {
-	if vector.Kernels() != "avx2" {
+	if defaultKernels(t) == "scalar" {
 		t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
 	}
 	build := func(mode string) (map[string]bool, []Candidate) {
@@ -84,7 +103,7 @@ func TestMatcherKernelParity(t *testing.T) {
 // distances have the logged bits, every row lands in the tuple its client
 // was acknowledged with, and the recovered matcher saves the primary's bytes.
 func TestReplayAcrossKernels(t *testing.T) {
-	if vector.Kernels() != "avx2" {
+	if defaultKernels(t) == "scalar" {
 		t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
 	}
 	const shards = 2

@@ -7,7 +7,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/table"
-	"repro/internal/vector"
 )
 
 func geoOpts() Options {
@@ -107,7 +106,7 @@ func TestRunSelectsGeoNameOnly(t *testing.T) {
 		}
 		for _, mode := range []string{"scalar", "avx2"} {
 			t.Run(c.name+"/"+mode, func(t *testing.T) {
-				if mode == "avx2" && vector.Kernels() != "avx2" {
+				if mode == "avx2" && defaultKernels(t) == "scalar" {
 					t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
 				}
 				defer withKernels(t, mode)()

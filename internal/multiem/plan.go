@@ -178,7 +178,8 @@ func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
 	if !(d.dist <= m.mergeM) { // NaN included
 		return fmt.Errorf("logged distance %v is not within M = %v", d.dist, m.mergeM)
 	}
-	if got := vector.CosineUnitDist(q, m.shards[d.shard].centroidAt(d.local)); math.Abs(float64(got-d.dist)) > distTolerance {
+	sh := m.shards[d.shard]
+	if got := vector.CosineUnitDist(q, sh.centroidAt(sh.centroid, d.local)); math.Abs(float64(got-d.dist)) > distTolerance {
 		return fmt.Errorf("logged at distance %v from tuple %d of shard %d, which is at %v here", d.dist, d.local, d.shard, got)
 	}
 	return nil

@@ -584,13 +584,17 @@ func TestFollowerRoundsCrossCompaction(t *testing.T) {
 }
 
 // perturbCentroid nudges the centroid of one tuple of a freshly loaded base,
-// so that a logged distance to it no longer holds.
+// so that a logged distance to it no longer holds: the nudged vector becomes
+// the tuple's current node, as a centroid refresh would index it.
 func perturbCentroid(m *Matcher, shard, local int) {
-	c := m.shards[shard].centroidAt(local)
+	sh := m.shards[shard]
+	c := sh.centroidAt(make([]float32, m.dim), local)
 	for i := range c {
 		c[i] *= 1 + 0.15*float32(i%2)
 	}
-	vector.Normalize(c)
+	sh.index.Append(local, vector.Normalize(c))
+	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
+	sh.index.Link()
 }
 
 // TestReplayRefusalDeterministic: over a base that differs from the log's in

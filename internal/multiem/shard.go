@@ -92,8 +92,9 @@ type shardView struct {
 type shard struct {
 	shardView
 	// centroid (dim floats) is where a settled centroid is computed before
-	// index.Append copies it; touched collects the pre-existing tuples a
-	// batch absorbed rows into.
+	// index.Append copies it, and where a replay stream or a compaction reads
+	// a current one back (centroidAt); touched collects the pre-existing
+	// tuples a batch absorbed rows into.
 	centroid []float32
 	touched  []int
 }
@@ -110,10 +111,11 @@ func (sh *shard) view() *shardView {
 	}
 }
 
-// centroidAt resolves tuple local's current centroid: the vector of its
-// current index node, which never moves.
-func (v *shardView) centroidAt(local int) []float32 {
-	return v.index.Vector(int(v.tuples.at(local).node))
+// centroidAt writes tuple local's current centroid — the vector of its
+// current index node — into dst, of the matcher's dimension, and returns it.
+func (v *shardView) centroidAt(dst []float32, local int) []float32 {
+	v.index.CopyTo(dst, int(v.tuples.at(local).node))
+	return dst
 }
 
 // indexCentroid recomputes tuple local's centroid from its members, appends
@@ -187,9 +189,12 @@ type ShardStats struct {
 	// Entities is the number of entity embeddings this shard owns.
 	Entities int `json:"entities"`
 	// EntityBytes is the memory the shard's entity embeddings take. They
-	// are kept as their nonzero coordinates, so it depends on the data:
-	// about 6 B a nonzero and 8 B an entity (vector.SparseRows.Bytes).
+	// are kept as bitmask rows, so it depends on the data: dim/8 B of mask,
+	// 4 B a nonzero and 8 B an entity (vector.SparseRows.Bytes).
 	EntityBytes int `json:"entity_bytes"`
+	// IndexBytes is the memory the shard's index node vectors take, stale
+	// entries included, kept as bitmask rows like the entities.
+	IndexBytes int `json:"index_bytes"`
 	// Tuples is the number of tuples homed here, singletons included.
 	Tuples int `json:"tuples"`
 	// Matched is the number of tuples with >= 2 members.
@@ -213,6 +218,7 @@ func (v *shardView) stats(id int) ShardStats {
 		Shard:       id,
 		Entities:    len(v.entIDs),
 		EntityBytes: v.entVecs.Bytes(),
+		IndexBytes:  v.index.Vectors().Bytes(),
 		Tuples:      v.tuples.Len(),
 		IndexSize:   v.index.Len(),
 		Live:        v.tuples.Len(),
@@ -268,7 +274,7 @@ func (sh *shard) maybeCompact() (discarded int) {
 	// search-effort counters monotonic across compactions.
 	ix.CarrySearchStats(sh.index)
 	for l := 0; l < live; l++ {
-		ix.Append(l, sh.centroidAt(l))
+		ix.Append(l, sh.centroidAt(sh.centroid, l))
 	}
 	// In the dense index tuple l's node is l. Rewriting every row's node
 	// dirties (and so copies) every shared tuple chunk — fine: compaction is

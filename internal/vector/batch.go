@@ -12,14 +12,12 @@ import (
 // call on the active kernel path — the single-pair kernels are the reference
 // and the batch layer reorders no math.
 //
-// There is one gather, dotGather: rows addressed through a chunk spine, row i
-// at spine[i>>shift] + (i mod 1<<shift)·stride. A Chunked store passes its
-// spine; DotGather passes a flat arena as a one-entry spine whose shift puts
-// every index in chunk 0. It is what a graph walk calls, over rows scattered
-// through an arena far larger than the cache, and is one assembly call per
-// block on the AVX2 path (kernels_amd64.s), which prefetches the rows ahead
-// in idxs while it sums the current one. CosineUnitGather puts the merging
-// distance on top of it.
+// DotGather scores rows scattered through an arena far larger than the
+// cache, as a graph walk does, in one assembly call per block on the AVX2
+// path (kernels_amd64.s), which prefetches the rows ahead in idxs while it
+// sums the current one. CosineUnitGather puts the merging distance on top of
+// it. SparseRows has the same pair over bitmask rows, the store an index's
+// walks read.
 
 func checkStride(q []float32, stride int) {
 	if stride < len(q) {
@@ -33,13 +31,18 @@ func row(rows []float32, stride, d, i int) []float32 {
 	return rows[off : off+d : off+d]
 }
 
-// DotBatch sets out[j] = Dot(q, row j) for j in [0, len(out)). The portable
-// path lays q out once for every row (layout).
+// DotBatch sets out[j] = Dot(q, row j) for j in [0, len(out)). The AVX2 path
+// is the gather kernel over rows 0, 1, 2, …, one call for up to len(coords)
+// rows; the portable path lays q out once for every row (layout).
 func DotBatch(q, rows []float32, stride int, out []float32) {
 	checkStride(q, stride)
 	if simdOn {
-		for j := range out {
-			out[j] = Dot(q, row(rows, stride, len(q), j))
+		if n := len(out); n > 0 {
+			row(rows, stride, len(q), n-1) // the last row must lie in rows
+			for lo := 0; lo < n; lo += len(coords) {
+				dotGatherAVX2(unsafe.SliceData(q), unsafe.SliceData(rows[lo*stride:]), len(q), stride,
+					&coords[0], min(n-lo, len(coords)), gatherAhead, &out[lo])
+			}
 		}
 		return
 	}
@@ -73,23 +76,12 @@ func checkGather(q, rows []float32, stride int, idxs []int32, out []float32) {
 	}
 }
 
-// flatShift is a one-entry spine's shift: every non-negative int32 index
-// lies in chunk 0, at its own row.
-const flatShift = 31
-
-// DotGather sets out[j] = Dot(q, row idxs[j]) for j in [0, len(out)).
+// DotGather sets out[j] = Dot(q, row idxs[j]) for j in [0, len(out)). The
+// portable path lays q out once for every row (layout).
 func DotGather(q, rows []float32, stride int, idxs []int32, out []float32) {
 	checkGather(q, rows, stride, idxs, out)
-	spine := [1][]float32{rows}
-	dotGather(q, spine[:], flatShift, stride, idxs, out)
-}
-
-// dotGather sets out[j] = Dot(q, row idxs[j]), row i at (i mod 1<<shift)·stride
-// floats into spine[i>>shift]: the one gather behind both arena kinds. The
-// callers have checked that every index names a whole row.
-func dotGather(q []float32, spine [][]float32, shift uint, stride int, idxs []int32, out []float32) {
 	if simdOn {
-		dotGatherAVX2(unsafe.SliceData(q), unsafe.SliceData(spine), shift, len(q), stride,
+		dotGatherAVX2(unsafe.SliceData(q), unsafe.SliceData(rows), len(q), stride,
 			unsafe.SliceData(idxs), len(idxs), gatherAhead, unsafe.SliceData(out))
 		return
 	}
@@ -98,9 +90,8 @@ func dotGather(q []float32, spine [][]float32, shift uint, stride int, idxs []in
 	}
 	var lb layoutBuf
 	qs := newLayout(q, false, &lb)
-	mask := 1<<shift - 1
 	for j, i := range idxs {
-		out[j] = qs.row(row(spine[int(i)>>shift], stride, len(q), int(i)&mask))
+		out[j] = qs.row(row(rows, stride, len(q), int(i)))
 	}
 }
 

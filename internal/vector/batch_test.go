@@ -48,69 +48,15 @@ func TestBatchMatchesSinglePair(t *testing.T) {
 					}
 				}
 			}
-			// And over a chunked store of three full chunks and a partial
-			// one: both sides of every chunk boundary, repeats, the last row.
-			s := randChunked(rng, dim, 3*ChunkRows+17)
-			checkChunkedGather(t, mode, s, randVecOff(rng, dim, 1), boundaryIdxs(s.Len()))
 		}
 	}
-}
-
-// randChunked returns a chunked store of rows random rows.
-func randChunked(rng *rand.Rand, dim, rows int) *Chunked {
-	s := NewChunked(dim)
-	for range rows {
-		s.Append(randVecOff(rng, dim, 0))
-	}
-	return s
-}
-
-// boundaryIdxs names, for a store of n rows, the rows on both sides of every
-// chunk boundary, row 0, the last row, and some of them twice.
-func boundaryIdxs(n int) []int32 {
-	idxs := []int32{0, int32(n - 1)}
-	for b := ChunkRows; b < n; b += ChunkRows {
-		idxs = append(idxs, int32(b-1), int32(b))
-	}
-	return append(idxs, idxs[len(idxs)-1], 0, int32(n-1))
-}
-
-// checkChunkedGather holds s.DotGather and s.CosineUnitGather to the
-// single-pair kernel bit for bit on the active path, and returns the dots.
-func checkChunkedGather(t *testing.T, mode string, s *Chunked, q []float32, idxs []int32) []float32 {
-	t.Helper()
-	out := make([]float32, len(idxs))
-	cos := make([]float32, len(idxs))
-	s.DotGather(q, idxs, out)
-	s.CosineUnitGather(q, idxs, cos)
-	for j, i := range idxs {
-		if want := Dot(q, s.At(int(i))); math.Float32bits(out[j]) != math.Float32bits(want) {
-			t.Fatalf("%s dim %d: Chunked.DotGather row %d = %v, Dot = %v", mode, s.Dim(), i, out[j], want)
-		}
-		if want := CosineUnitDist(q, s.At(int(i))); math.Float32bits(cos[j]) != math.Float32bits(want) {
-			t.Fatalf("%s dim %d: Chunked.CosineUnitGather row %d = %v, CosineUnitDist = %v", mode, s.Dim(), i, cos[j], want)
-		}
-	}
-	return out
-}
-
-// spineOf cuts the rows-row arena (row i at i*stride) into chunks of
-// 1<<shift rows, each a copy of its own, the last one cut at the arena's end.
-func spineOf(arena []float32, stride, rows int, shift uint) [][]float32 {
-	var spine [][]float32
-	for lo := 0; lo < rows; lo += 1 << shift {
-		end := min((lo+1<<shift)*stride, len(arena))
-		spine = append(spine, append([]float32(nil), arena[lo*stride:end]...))
-	}
-	return spine
 }
 
 // TestGatherMatchesSinglePair holds the gather form to the single-pair
 // kernel bit for bit, on both kernel paths, across every regime of the
 // assembly: dims 1…259 (no 32-wide pass, several, each 8-wide and scalar-tail
 // remainder), padded and unpadded strides, blocks of 0…33 rows with repeated
-// indexes, and — on the raw kernel, over a flat spine and a chunked one —
-// look-ahead distances from none to past the end of idxs, which must change
+// indexes, and — on the raw kernel — look-ahead distances from none to past the end of idxs, which must change
 // no bit and write nothing beyond out[n).
 func TestGatherMatchesSinglePair(t *testing.T) {
 	const rows, maxN = 37, 33
@@ -123,9 +69,6 @@ func TestGatherMatchesSinglePair(t *testing.T) {
 		for dim := 1; dim <= 259; dim++ {
 			for _, stride := range []int{dim, dim + 5} {
 				arena := testArena(rng, rows, stride)
-				// The raw kernel reads it as the one-entry flat spine and as
-				// ten chunks of four rows, the last one partial.
-				flat, chunked := [][]float32{arena}, spineOf(arena, stride, rows, 2)
 				q := randVecOff(rng, dim, 1)
 				for j := range idxs {
 					idxs[j] = int32(rng.Intn(rows))
@@ -151,10 +94,8 @@ func TestGatherMatchesSinglePair(t *testing.T) {
 						continue
 					}
 					for _, ahead := range []int{0, 1, gatherAhead, 5, n, n + 40} {
-						dotGatherAVX2(&q[0], &flat[0], flatShift, dim, stride, &idxs[0], n, ahead, &out[0])
+						dotGatherAVX2(&q[0], &arena[0], dim, stride, &idxs[0], n, ahead, &out[0])
 						check("dotGatherAVX2", n)
-						dotGatherAVX2(&q[0], &chunked[0], 2, dim, stride, &idxs[0], n, ahead, &out[0])
-						check("dotGatherAVX2/chunked", n)
 					}
 				}
 			}
@@ -256,15 +197,5 @@ func TestBatchValidationPanics(t *testing.T) {
 		mustPanic("CosineUnitGather idxs/out mismatch", func() { CosineUnitGather(q, arena, 8, []int32{0, 1, 2}, out) })
 		mustPanic("CosineUnitGather stride < dim", func() { CosineUnitGather(q, arena, 7, []int32{0, 1}, out) })
 
-		// A chunked store's last chunk has rows past Len: allocated, zero,
-		// and out of range all the same.
-		s := NewChunked(8)
-		s.Grow(ChunkRows + 3)
-		for _, bad := range [][]int32{{-1, 0}, {0, int32(s.Len())}, {int32(s.Cap() - 1), 0}, {math.MaxInt32, 0}} {
-			mustPanic("Chunked.DotGather bad index", func() { s.DotGather(q, bad, out) })
-			mustPanic("Chunked.CosineUnitGather bad index", func() { s.CosineUnitGather(q, bad, out) })
-		}
-		mustPanic("Chunked.DotGather query dim", func() { s.DotGather(q[:7], []int32{0, 1}, out) })
-		mustPanic("Chunked.DotGather idxs/out mismatch", func() { s.DotGather(q, []int32{0}, out) })
 	}
 }

@@ -136,22 +136,30 @@ func BenchmarkGather(b *testing.B) {
 	const block, blocks = 24, 256
 	q := benchVecs(1)[0]
 	out := make([]float32, block)
+	// The bitmask legs gather as many rows of a SparseRows store, each with
+	// about 90 of its benchDim coordinates set (a centroid's density), under
+	// the kernel path their mode forces.
+	var sparse *SparseRows
+	bitmask := func(arena []float32, blk []int32) { sparse.DotGather(q, blk, out) }
 	kernels := []struct {
 		name  string
 		score func(arena []float32, blk []int32)
+		mode  string
 	}{
 		{"kernel=single-pair", func(arena []float32, blk []int32) {
 			for j, i := range blk {
 				out[j] = Dot(q, row(arena, benchDim, benchDim, int(i)))
 			}
-		}},
+		}, ""},
 		{"kernel=fused/lookahead=off", func(arena []float32, blk []int32) {
-			spine := [1][]float32{arena}
-			dotGatherAVX2(unsafe.SliceData(q), &spine[0], flatShift, benchDim, benchDim, unsafe.SliceData(blk), block, 0, unsafe.SliceData(out))
-		}},
+			dotGatherAVX2(unsafe.SliceData(q), unsafe.SliceData(arena), benchDim, benchDim, unsafe.SliceData(blk), block, 0, unsafe.SliceData(out))
+		}, ""},
 		{"kernel=fused/lookahead=on", func(arena []float32, blk []int32) {
 			DotGather(q, arena, benchDim, blk, out)
-		}},
+		}, ""},
+		{"kernel=bitmask/path=avx512", bitmask, "auto"},
+		{"kernel=bitmask/path=avx2", bitmask, "avx2"},
+		{"kernel=bitmask/path=scalar", bitmask, "scalar"},
 	}
 	for _, mb := range []int{1, 24, 64, 256} {
 		if testing.Short() && mb > 64 {
@@ -163,8 +171,26 @@ func BenchmarkGather(b *testing.B) {
 			arena[i] = float32(i&1023) / 1024
 		}
 		rng := rand.New(rand.NewSource(5))
+		sparse = NewSparseRows(benchDim)
+		v := make([]float32, benchDim)
+		for range rows {
+			for c := range v {
+				v[c] = 0
+				if rng.Intn(benchDim) < 90 {
+					v[c] = rng.Float32() - 0.5
+				}
+			}
+			sparse.Append(v)
+		}
 		for _, k := range kernels {
+			if k.mode == "auto" && !hasAVX512 {
+				b.Logf("CPU or OS lacks AVX-512F: %s skipped", k.name)
+				continue
+			}
 			b.Run(fmt.Sprintf("arena=%dMB/%s", mb, k.name), func(b *testing.B) {
+				if k.mode != "" {
+					forceKernels(b, k.mode)
+				}
 				idxs := make([]int32, block*blocks)
 				pieces := make([]float64, 0, b.N)
 				for i := 0; i < b.N; i++ {

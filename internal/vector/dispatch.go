@@ -11,12 +11,14 @@ import (
 // assembly whenever the CPU supports it and may be forced to the portable
 // Go twins with SetKernels or the VECTOR_KERNELS environment variable. The
 // twins sum in the assembly's order, so the choice changes speed, not bits
-// (SparseAtLeast32, a filter with a bound, is the exception).
+// (SparseAtLeast32, a filter with a bound, is the exception). avx512 further
+// moves the bitmask-row gather (SparseRows.DotGather) from its AVX2 kernel
+// to its AVX-512 one, which returns the same bits.
 //
-// simdOn is a plain bool, not an atomic: SetKernels is a startup/test knob,
-// documented to be called before concurrent kernel use begins. Flipping it
+// Both are plain bools, not atomics: SetKernels is a startup/test knob,
+// documented to be called before concurrent kernel use begins. Flipping them
 // mid-flight from another goroutine is a data race.
-var simdOn = hasAVX2
+var simdOn, avx512 = hasAVX2, hasAVX512
 
 func init() {
 	if v := os.Getenv("VECTOR_KERNELS"); v != "" {
@@ -28,33 +30,39 @@ func init() {
 
 // SetKernels selects the kernel implementation:
 //
-//	"auto"   — AVX2+FMA assembly when the CPU supports it, the Go twins otherwise.
+//	"auto"   — the widest assembly the CPU supports: AVX-512 for the
+//	           bitmask-row gather and AVX2+FMA for the rest, or AVX2+FMA
+//	           throughout, or the Go twins where it has neither.
 //	"scalar" — force the portable Go twins.
-//	"avx2"   — require the assembly path; errors on CPUs without AVX2+FMA.
+//	"avx2"   — the AVX2+FMA assembly throughout; errors on CPUs without it.
 //
-// Both paths return the same bits. Call it at startup (the VECTOR_KERNELS
+// Every path returns the same bits. Call it at startup (the VECTOR_KERNELS
 // env routes here) or between sequential test phases — not while other
 // goroutines are computing distances.
 func SetKernels(mode string) error {
 	switch mode {
 	case "auto":
-		simdOn = hasAVX2
+		simdOn, avx512 = hasAVX2, hasAVX512
 	case "scalar":
-		simdOn = false
+		simdOn, avx512 = false, false
 	case "avx2":
 		if !hasAVX2 {
 			return fmt.Errorf("vector: kernels %q requested but CPU lacks AVX2+FMA support", mode)
 		}
-		simdOn = true
+		simdOn, avx512 = true, false
 	default:
 		return fmt.Errorf("vector: unknown kernels mode %q (want auto, scalar, or avx2)", mode)
 	}
 	return nil
 }
 
-// Kernels reports the active kernel path: "avx2" or "scalar".
+// Kernels reports the active kernel path: "avx512" (reached through "auto"
+// only), "avx2" or "scalar".
 func Kernels() string {
-	if simdOn {
+	switch {
+	case avx512:
+		return "avx512"
+	case simdOn:
 		return "avx2"
 	}
 	return "scalar"

@@ -2,6 +2,8 @@
 
 package vector
 
+import "unsafe"
+
 // Assembly kernels in kernels_amd64.s. Each handles arbitrary lengths
 // (32-wide FMA main loop, 8-wide loop, scalar tail) and requires
 // len(a) == len(b) — the exported wrappers in vector.go check that before
@@ -18,16 +20,42 @@ func dotAVX2(a, b []float32) float32
 //go:noescape
 func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
 
-// dotGatherAVX2 is the one-call-per-block kernel behind every gather: q
-// against the n rows idxs[0..n) of a chunked arena (row i at
-// (i mod 1<<shift)*stride floats into the chunk spine[i>>shift] names),
-// out[j] bit-equal to dotAVX2 on row idxs[j], with row idxs[j+ahead]
-// prefetched while row j is summed. It takes raw pointers and checks
-// nothing: every index must already be known to name a whole row inside its
-// chunk. See the comment above it in kernels_amd64.s.
+// dotGatherAVX2 is the one-call-per-block kernel behind DotGather: q
+// against the n rows idxs[0..n) of a flat arena (row i at i*stride floats
+// into rows), out[j] bit-equal to dotAVX2 on row idxs[j], with row
+// idxs[j+ahead] prefetched while row j is summed. It takes raw pointers and
+// checks nothing: every index must already be known to name a whole row
+// inside the arena. See the comment above it in kernels_amd64.s.
 //
 //go:noescape
-func dotGatherAVX2(q *float32, spine *[]float32, shift uint, dim, stride int, idxs *int32, n, ahead int, out *float32)
+func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32)
+
+// dotMaskAVX512 is the gather behind SparseRows.DotGather where the CPU has
+// AVX-512: q against the n bitmask rows rows[0..n) (each its mask, skip
+// bytes, then its packed values), out[j] bit-equal to dotAVX2 on row j
+// expanded, with row j+ahead prefetched while row j is summed. It checks
+// nothing. See the comment above it in kernels_amd64.s.
+//
+//go:noescape
+func dotMaskAVX512(q *float32, dim int, rows *unsafe.Pointer, skip, n, ahead int, out *float32)
+
+// dotMaskAVX2 is dotMaskAVX512 for CPUs with AVX2 alone: it expands each
+// 8-lane group through the table maskExpand builds.
+//
+//go:noescape
+func dotMaskAVX2(q *float32, dim int, rows *unsafe.Pointer, skip, n, ahead int, out *float32, table *int32)
+
+// expandMaskAVX512 writes a bitmask row (its mask at row, its values skip
+// bytes on) out dense to dst[0..dim), every value's bits kept, or with add
+// set adds it to dst; expandMaskAVX2 does so with AVX2 alone, through
+// maskExpand's table. They check nothing. See the comment above them in
+// kernels_amd64.s.
+//
+//go:noescape
+func expandMaskAVX512(dst *float32, row *uint32, dim, skip int, add bool)
+
+//go:noescape
+func expandMaskAVX2(dst *float32, row *uint32, dim, skip int, add bool, table *int32)
 
 // sparseAtLeast32AVX2 is the kernel behind SparseAtLeast32: one sparse row
 // (n coordinates at idx, values at val) against a dim×32 dimension-major
@@ -61,6 +89,21 @@ func xgetbv() (eax, edx uint32)
 // XCR0[2:1] == 11, the check Intel's manuals mandate before executing any
 // VEX-256 instruction).
 var hasAVX2 = detectAVX2()
+
+// hasAVX512 reports whether the bitmask gather may run its AVX-512 kernel:
+// hasAVX2, AVX-512F (CPUID.7.0:EBX[16]), and the OS saving the opmask and
+// ZMM state across context switches (XCR0[7:5] == 111).
+var hasAVX512 = hasAVX2 && detectAVX512()
+
+func detectAVX512() bool {
+	xlo, _ := xgetbv()
+	if xlo&0xe0 != 0xe0 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx512fBit = 1 << 16
+	return ebx7&avx512fBit != 0
+}
 
 func detectAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)

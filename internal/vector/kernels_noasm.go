@@ -2,11 +2,16 @@
 
 package vector
 
+import "unsafe"
+
 // Non-amd64 builds have no SIMD kernels: hasAVX2 is constant false, so
 // simdOn can never be set and the stubs below are unreachable. They exist
 // only so vector.go compiles unconditionally.
 
-const hasAVX2 = false
+const (
+	hasAVX2   = false
+	hasAVX512 = false
+)
 
 func dotAVX2(a, b []float32) float32 {
 	panic("vector: AVX2 kernel called on non-amd64 build")
@@ -16,7 +21,23 @@ func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float
 	panic("vector: AVX2 kernel called on non-amd64 build")
 }
 
-func dotGatherAVX2(q *float32, spine *[]float32, shift uint, dim, stride int, idxs *int32, n, ahead int, out *float32) {
+func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32) {
+	panic("vector: AVX2 kernel called on non-amd64 build")
+}
+
+func dotMaskAVX512(q *float32, dim int, rows *unsafe.Pointer, skip, n, ahead int, out *float32) {
+	panic("vector: AVX-512 kernel called on non-amd64 build")
+}
+
+func dotMaskAVX2(q *float32, dim int, rows *unsafe.Pointer, skip, n, ahead int, out *float32, table *int32) {
+	panic("vector: AVX2 kernel called on non-amd64 build")
+}
+
+func expandMaskAVX512(dst *float32, row *uint32, dim, skip int, add bool) {
+	panic("vector: AVX-512 kernel called on non-amd64 build")
+}
+
+func expandMaskAVX2(dst *float32, row *uint32, dim, skip int, add bool, table *int32) {
 	panic("vector: AVX2 kernel called on non-amd64 build")
 }
 

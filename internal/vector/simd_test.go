@@ -16,11 +16,14 @@ var simdTestDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 
 
 // forceKernels flips the dispatch for the duration of a test and restores
 // the prior path on cleanup. Tests using it must not run in parallel.
-func forceKernels(t *testing.T, mode string) {
+func forceKernels(t testing.TB, mode string) {
 	t.Helper()
 	prev := Kernels()
 	if err := SetKernels(mode); err != nil {
 		t.Fatal(err)
+	}
+	if prev == "avx512" {
+		prev = "auto" // the one mode that reaches it
 	}
 	t.Cleanup(func() {
 		if err := SetKernels(prev); err != nil {
@@ -62,8 +65,8 @@ func randVecOff(rng *rand.Rand, dim, offset int) []float32 {
 
 // checkAllKernels holds every kernel that reaches a caller's state to its
 // twin bit for bit on one (a, b) input pair, through the dispatch: Dot,
-// Norm, the gather over a flat arena and over a chunked one, a 1×1 DotTile,
-// then Normalize, coordinate by coordinate.
+// Norm, the gather over a flat arena and over a bitmask-row store, a 1×1
+// DotTile, then Normalize, coordinate by coordinate.
 func checkAllKernels(t *testing.T, a, b []float32) {
 	t.Helper()
 	var got [2][]float32
@@ -71,7 +74,7 @@ func checkAllKernels(t *testing.T, a, b []float32) {
 		forceKernels(t, mode)
 		out := make([]float32, 3)
 		if len(a) > 0 {
-			c := NewChunked(len(b))
+			c := NewSparseRows(len(b))
 			c.Append(b)
 			DotGather(a, b, len(b), []int32{0}, out[:1])
 			c.DotGather(a, []int32{0}, out[1:2])
@@ -80,12 +83,12 @@ func checkAllKernels(t *testing.T, a, b []float32) {
 		got[p] = append(append([]float32{Dot(a, b), Norm(a)}, out...), Normalize(slices.Clone(a))...)
 	}
 	for i := range got[0] {
-		sameF32(t, fmt.Sprintf("value %d of Dot, Norm, DotGather, Chunked.DotGather, DotTile, Normalize…", i), got[0][i], got[1][i])
+		sameF32(t, fmt.Sprintf("value %d of Dot, Norm, DotGather, SparseRows.DotGather, DotTile, Normalize…", i), got[0][i], got[1][i])
 	}
 }
 
-// The twins summed in the assembly's order: the gather over a multi-chunk
-// store on both paths, and checkAllKernels at every length regime and
+// The twins summed in the assembly's order: the bitmask gather over a
+// multi-chunk store on every path, and checkAllKernels at every length regime and
 // unaligned base.
 func TestSIMDMatchesScalar(t *testing.T) {
 	if !hasAVX2 {
@@ -96,16 +99,18 @@ func TestSIMDMatchesScalar(t *testing.T) {
 		for offset := 0; offset < 4; offset++ {
 			checkAllKernels(t, randVecOff(rng, dim, offset), randVecOff(rng, dim, offset+1))
 		}
-		s := randChunked(rng, dim, 2*ChunkRows+5)
+		s, dense := randSparseRows(rng, dim, 3*DescChunkRows+5)
 		q := randVecOff(rng, dim, 3)
-		idxs := boundaryIdxs(s.Len())
+		idxs := chunkEdges(s)
 		paths := map[string][]float32{}
-		for _, mode := range []string{"avx2", "scalar"} {
+		for _, mode := range kernelPaths(t) {
 			forceKernels(t, mode)
-			paths[mode] = checkChunkedGather(t, mode, s, q, idxs)
+			paths[mode] = checkMaskGather(t, s, dense, q, idxs)
 		}
-		for j := range idxs {
-			sameF32(t, fmt.Sprintf("Chunked.DotGather dim %d row %d", dim, idxs[j]), paths["avx2"][j], paths["scalar"][j])
+		for mode, got := range paths {
+			for j := range idxs {
+				sameF32(t, fmt.Sprintf("SparseRows.DotGather %s dim %d row %d", mode, dim, idxs[j]), got[j], paths["scalar"][j])
+			}
 		}
 	}
 }
@@ -175,7 +180,10 @@ func TestSetKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "scalar"
-	if hasAVX2 {
+	switch {
+	case hasAVX512:
+		want = "avx512"
+	case hasAVX2:
 		want = "avx2"
 	}
 	if Kernels() != want {
@@ -185,6 +193,11 @@ func TestSetKernels(t *testing.T) {
 		if err := SetKernels("avx2"); err == nil {
 			t.Fatal("SetKernels(avx2) must error on a CPU without AVX2+FMA")
 		}
+	} else if err := SetKernels("avx2"); err != nil || Kernels() != "avx2" {
+		t.Fatalf("SetKernels(avx2) = %v, then Kernels() = %q", err, Kernels())
+	}
+	if err := SetKernels("avx512"); err == nil {
+		t.Fatal(`SetKernels accepted "avx512": only "auto" reaches that path`)
 	}
 }
 
@@ -192,8 +205,8 @@ func TestSetKernels(t *testing.T) {
 // kernel and its twin, bit for bit (checkAllKernels), then re-reads the same
 // floats as two arenas of short rows — dimension, strides and row counts all
 // derived from the input length — and holds the tile kernels to
-// checkTileKernels, the raw gather kernel to the single-pair one over a flat
-// spine and a chunked one, and both sparse-row kernels to checkSparseLanes.
+// checkTileKernels, the raw gather kernel to the single-pair one, and both
+// sparse-row kernels to checkSparseLanes.
 // Inputs are clamped to finite values below 1e18, so the sums stay finite.
 func FuzzSIMDKernels(f *testing.F) {
 	if !hasAVX2 {
@@ -244,22 +257,11 @@ func FuzzSIMDKernels(f *testing.F) {
 		}
 		out := make([]float32, len(idxs))
 		q := a[:dim]
-		// The arena goes in as the one-entry flat spine, and again cut into
-		// chunks of 1<<shift rows, each its own allocation and the last one
-		// partial, as a chunked store's spine addresses them.
-		flat := [][]float32{b}
-		shift := uint(len(bb) % 4)
-		chunked := spineOf(b, strideB, rowsB, shift)
 		for ahead := 0; ahead <= len(idxs)+1; ahead += 1 + ahead/3 {
-			for _, sp := range []struct {
-				spine [][]float32
-				shift uint
-			}{{flat, flatShift}, {chunked, shift}} {
-				dotGatherAVX2(&q[0], &sp.spine[0], sp.shift, dim, strideB, &idxs[0], len(idxs), ahead, &out[0])
-				for j, i := range idxs {
-					if want := dotAVX2(q, row(b, strideB, dim, int(i))); math.Float32bits(out[j]) != math.Float32bits(want) {
-						t.Fatalf("dotGatherAVX2 dim %d shift %d ahead %d: out[%d] = %v, dotAVX2 = %v", dim, sp.shift, ahead, j, out[j], want)
-					}
+			dotGatherAVX2(&q[0], &b[0], dim, strideB, &idxs[0], len(idxs), ahead, &out[0])
+			for j, i := range idxs {
+				if want := dotAVX2(q, row(b, strideB, dim, int(i))); math.Float32bits(out[j]) != math.Float32bits(want) {
+					t.Fatalf("dotGatherAVX2 dim %d ahead %d: out[%d] = %v, dotAVX2 = %v", dim, ahead, j, out[j], want)
 				}
 			}
 		}

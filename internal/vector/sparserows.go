@@ -4,63 +4,57 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/arena"
 )
 
 // SparseRows is an append-only store of fixed-dimension float32 vectors kept
-// as their nonzero coordinates: a shard's entity embeddings, which the
-// encoder's signed feature hashing leaves about a quarter full. A coordinate
-// is stored iff its bits are not zero (math.Float32bits(x) != 0), so CopyTo
-// gives back the appended row bit for bit — −0, NaN payloads and subnormals
-// included — and AddTo adds exactly what Add adds: the coordinates it skips
-// are +0, and x + (+0) is x for every x an accumulator started at +0 can
-// hold.
+// as bitmask rows: a shard's entity embeddings, which the encoder's signed
+// feature hashing leaves about a quarter full, and an HNSW index's node
+// vectors, their centroids, about a third full. A row is ceil(dim/64) 64-bit
+// words of mask — bit c set iff coordinate c's bits are not zero
+// (math.Float32bits(x) != 0) — then the values of the set coordinates,
+// packed in coordinate order, then an 8 B descriptor: dim/8 + 4·nonzeros + 8
+// bytes at a dim that is a multiple of 64. So CopyTo gives back the appended
+// row bit for bit — −0, NaN payloads and subnormals included — AddTo adds
+// exactly what Add adds (the coordinates it skips are +0, and x + (+0) is x
+// for every x an accumulator started at +0 can hold), and the gather kernels
+// expand a row to exactly the dense row's bits.
 //
-// Storage is three arena.Arena tables: the values and their coordinates
-// (uint16, so the dimension is at most MaxSparseDim), element by element in
-// chunks of the same size, and one descriptor a row naming its chunk, offset
-// and count. A row never straddles a chunk — one that does not fit starts the
-// next chunk, leaving less than a row unused — and a chunk holds at least
-// dim elements, so any row fits. Rows are never rewritten, so a stored row
-// never moves, Frozen is three O(1) snapshots, and no copy-on-write copy
-// ever happens. A SparseRows is not safe for concurrent mutation; a frozen
-// snapshot may be read from any number of goroutines while its writer goes
-// on.
+// Storage is two arena.Arena tables: the rows' words (masks and value bits,
+// uint32 each) in chunks of 1<<shift words, and one descriptor a row, the
+// word it starts at. A row never straddles a chunk — one that does not fit
+// starts the next chunk, leaving less than a row unused — and a chunk holds
+// at least a full row, so any row fits. Rows are never rewritten, so a
+// stored row never moves, Frozen is two O(1) snapshots, and no
+// copy-on-write copy ever happens. A SparseRows is not safe for concurrent
+// mutation; a frozen snapshot may be read from any number of goroutines
+// while its writer goes on.
 type SparseRows struct {
 	dim   int
-	shift uint // a values chunk holds 1<<shift elements
-	vals  arena.Arena[float32]
-	idx   arena.Arena[uint16]
-	rows  arena.Arena[rowSpan]
+	words int  // a row's mask, in uint32 words: 2·ceil(dim/64)
+	shift uint // a data chunk holds 1<<shift words
+	data  arena.Arena[uint32]
+	rows  arena.Arena[uint64] // the word each row starts at
 }
-
-// rowSpan locates one row's elements: chunk c, elements [off, off+n).
-type rowSpan struct {
-	chunk uint32
-	off   uint16
-	n     uint16
-}
-
-// MaxSparseDim is the largest dimension a SparseRows holds: a coordinate is
-// a uint16.
-const MaxSparseDim = math.MaxUint16
 
 // NewSparseRows returns an empty store for vectors of the given
-// dimensionality. Its values chunks hold 16 rows of dim elements, rounded up
-// to a power of two and capped at 1<<16 elements, so a chunk's offsets fit
-// the descriptor's uint16.
+// dimensionality. Its data chunks hold 16 full rows, rounded up to a power of
+// two and capped at 1<<16 words where a full row fits in fewer.
 func NewSparseRows(dim int) *SparseRows {
-	if dim <= 0 || dim > MaxSparseDim {
-		panic(fmt.Sprintf("vector: sparse store dimension must be in [1, %d], got %d", MaxSparseDim, dim))
+	if dim <= 0 {
+		panic(fmt.Sprintf("vector: sparse store dimension must be positive, got %d", dim))
 	}
-	shift := uint(min(bits.Len(uint(dim-1))+4, 16))
+	words := 2 * ((dim + 63) / 64)
+	full := uint(bits.Len(uint(words + dim - 1)))
+	shift := max(full, min(full+4, 16))
 	return &SparseRows{
 		dim:   dim,
+		words: words,
 		shift: shift,
-		vals:  arena.New[float32](1, shift),
-		idx:   arena.New[uint16](1, shift),
-		rows:  arena.New[rowSpan](1, chunkShift),
+		data:  arena.New[uint32](1, shift),
+		rows:  arena.New[uint64](1, descShift),
 	}
 }
 
@@ -81,144 +75,331 @@ func nonzeros(v []float32) int {
 	return n
 }
 
-// place returns where a row of n elements starts when the elements so far
+// place returns the word a row of n words starts at when the words so far
 // end at end: there, or at the next chunk if it does not fit the rest of
 // end's chunk.
-func (s *SparseRows) place(end, n int) rowSpan {
+func (s *SparseRows) place(end, n int) int {
 	size := 1 << s.shift
 	if off := end & (size - 1); off+n > size {
 		end += size - off
 	}
-	return rowSpan{chunk: uint32(end >> s.shift), off: uint16(end & (size - 1)), n: uint16(n)}
+	return end
 }
 
-// end is the element just past row r.
-func (s *SparseRows) end(r rowSpan) int {
-	return int(r.chunk)<<s.shift + int(r.off) + int(r.n)
-}
-
-// span returns row r's coordinates and values.
-func (s *SparseRows) span(r rowSpan) ([]uint16, []float32) {
-	if r.n == 0 {
-		return nil, nil
+// rowWords returns the words from row i's first to its chunk's end: the row's
+// mask, then its values. It panics on a row out of range.
+func (s *SparseRows) rowWords(i int) []uint32 {
+	if i < 0 || i >= s.Len() {
+		panic(fmt.Sprintf("vector: row %d out of range [0, %d)", i, s.Len()))
 	}
-	lo, hi := int(r.off), int(r.off)+int(r.n)
-	return s.idx.Spine()[r.chunk][lo:hi:hi], s.vals.Spine()[r.chunk][lo:hi:hi]
+	at := s.rows.Spine()[i>>descShift][i&(DescChunkRows-1)]
+	return s.data.Spine()[at>>s.shift][at&(1<<s.shift-1):]
 }
 
-// store writes v's nonzeros into row r's span.
-func (s *SparseRows) store(r rowSpan, v []float32) {
-	idx, val := s.span(r)
-	j := 0
-	for d, x := range v {
-		if math.Float32bits(x) != 0 {
-			idx[j], val[j] = uint16(d), x
-			j++
+// store writes v as the row that starts at word at: its mask, then its
+// nonzeros.
+func (s *SparseRows) store(at int, v []float32) {
+	w := s.data.Spine()[at>>s.shift][at&(1<<s.shift-1):]
+	mask, vals := w[:s.words], w[s.words:]
+	clear(mask)
+	n := 0
+	for c, x := range v {
+		if b := math.Float32bits(x); b != 0 {
+			mask[c>>5] |= 1 << (c & 31)
+			vals[n] = b
+			n++
 		}
 	}
 }
 
-// Append stores v's nonzeros as a new row and returns its index. v must have
-// Dim() elements.
+// Append stores v as a new row and returns its index. v must have Dim()
+// elements.
 func (s *SparseRows) Append(v []float32) int {
 	if len(v) != s.dim {
 		panic(fmt.Sprintf("vector: sparse store dimension mismatch: row has %d, store wants %d", len(v), s.dim))
 	}
-	r := s.place(s.vals.Len(), nonzeros(v))
-	grow := s.end(r) - s.vals.Len()
-	s.vals.Grow(grow)
-	s.idx.Grow(grow)
-	s.store(r, v)
+	n := s.words + nonzeros(v)
+	at := s.place(s.data.Len(), n)
+	s.data.Grow(at + n - s.data.Len())
+	s.store(at, v)
 	i := s.rows.Len()
 	s.rows.Grow(1)
-	s.rows.At(i)[0] = r
+	s.rows.At(i)[0] = uint64(at)
 	return i
 }
 
 // Load fills an empty store with n rows, each table allocated at its final
-// size (arena.GrowExact): never more than the rows' nonzeros and the chunk
+// size (arena.GrowExact): never more than the rows' words and the chunk
 // tails they leave. row(i, dst) must write dense row i into dst; Load calls it
 // for every row in order, twice over — once to count, once to store.
 func (s *SparseRows) Load(n int, row func(i int, dst []float32)) {
 	if s.Len() != 0 {
 		panic("vector: Load into a non-empty sparse store")
 	}
+	if n == 0 {
+		return // a hostile header's dimension sizes nothing
+	}
 	dst := make([]float32, s.dim)
 	s.rows.GrowExact(n)
 	end := 0
 	for i := range n {
 		row(i, dst)
-		r := s.place(end, nonzeros(dst))
-		s.rows.At(i)[0] = r
-		end = s.end(r)
+		k := s.words + nonzeros(dst)
+		at := s.place(end, k)
+		s.rows.At(i)[0] = uint64(at)
+		end = at + k
 	}
-	s.vals.GrowExact(end)
-	s.idx.GrowExact(end)
+	s.data.GrowExact(end)
 	for i := range n {
 		row(i, dst)
-		s.store(s.rows.At(i)[0], dst)
+		s.store(int(s.rows.At(i)[0]), dst)
 	}
 }
 
-// Row returns row i's stored coordinates, ascending, and their values. The
-// slices alias the store; the caller must not modify them.
-func (s *SparseRows) Row(i int) ([]uint16, []float32) {
-	if i < 0 || i >= s.Len() {
-		panic(fmt.Sprintf("vector: row %d out of range [0, %d)", i, s.Len()))
+// Row returns row i's mask words (bit c of word c/32 for coordinate c) and
+// its stored values' bits, in coordinate order. The slices alias the store;
+// the caller must not modify them.
+func (s *SparseRows) Row(i int) (mask, vals []uint32) {
+	w := s.rowWords(i)
+	n := 0
+	for _, m := range w[:s.words] {
+		n += bits.OnesCount32(m)
 	}
-	return s.span(s.rows.At(i)[0])
+	return w[:s.words:s.words], w[s.words : s.words+n : s.words+n]
+}
+
+// floats views words of value bits as the float32 values they hold.
+func floats(w []uint32) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(w))), len(w))
 }
 
 // CopyTo sets dst, of Dim() elements, to row i: the vector Append stored,
-// bit for bit.
+// bit for bit. The assembly paths expand the row in registers, a group of
+// lanes at a time, as the gathers do.
 func (s *SparseRows) CopyTo(dst []float32, i int) {
-	idx, val := s.Row(i)
-	clear(dst[:s.dim])
-	for k, d := range idx {
-		dst[d] = val[k]
+	if s.expand(dst, i, false) {
+		return
+	}
+	w := s.rowWords(i)
+	dst = dst[:s.dim]
+	clear(dst)
+	vals, k := floats(w[s.words:]), 0
+	for j, m := range w[:s.words] {
+		for ; m != 0; m &= m - 1 {
+			dst[j<<5|bits.TrailingZeros32(m)] = vals[k]
+			k++
+		}
 	}
 }
 
 // AddTo adds row i into dst, of Dim() elements: Add(dst, row) over the row's
-// stored coordinates only, the same bits whenever no element of dst is −0
-// or a signalling NaN — so always for a sum that starts from +0.
+// stored coordinates, the same bits as Add whenever no element of dst is −0
+// or a signalling NaN — so always for a sum that starts from +0. The
+// portable path adds the stored coordinates alone; the assembly paths add
+// the expanded row, +0 where nothing is stored, which is the same there.
 func (s *SparseRows) AddTo(dst []float32, i int) {
-	idx, val := s.Row(i)
-	dst = dst[:s.dim]
-	for k, d := range idx {
-		dst[d] += val[k]
+	if s.expand(dst, i, true) {
+		return
 	}
+	w := s.rowWords(i)
+	dst = dst[:s.dim]
+	vals, k := floats(w[s.words:]), 0
+	for j, m := range w[:s.words] {
+		for ; m != 0; m &= m - 1 {
+			dst[j<<5|bits.TrailingZeros32(m)] += vals[k]
+			k++
+		}
+	}
+}
+
+// expand stores row i to dst, or adds it with add set, through the assembly
+// kernels, and reports false, doing nothing, on the portable path.
+func (s *SparseRows) expand(dst []float32, i int, add bool) bool {
+	if !simdOn {
+		return false
+	}
+	w := s.rowWords(i)
+	dst = dst[:s.dim]
+	if avx512 {
+		expandMaskAVX512(&dst[0], &w[0], s.dim, 4*s.words, add)
+	} else {
+		expandMaskAVX2(&dst[0], &w[0], s.dim, 4*s.words, add, &maskExpand[0][0])
+	}
+	return true
 }
 
 // Frozen returns a read-only snapshot of the store in O(1). The caller must
 // not mutate it.
 func (s *SparseRows) Frozen() *SparseRows {
-	return &SparseRows{dim: s.dim, shift: s.shift, vals: s.vals.Snapshot(), idx: s.idx.Snapshot(), rows: s.rows.Snapshot()}
+	return &SparseRows{dim: s.dim, words: s.words, shift: s.shift, data: s.data.Snapshot(), rows: s.rows.Snapshot()}
 }
 
-// Bytes reports the memory the stored rows take: 4 B a value and 2 B a
-// coordinate, the chunk tails left by rows that did not fit included, and
-// 8 B a row's descriptor. It depends on the rows alone, not on how the store
-// grew — a store and its saved and loaded copy report the same — and the
-// allocated chunks hold less than one chunk a table more.
+// Bytes reports the memory the stored rows take: 4 B a word — a row's mask
+// is 8 B per 64 coordinates, a value 4 B — the chunk tails left by rows that
+// did not fit included, and 8 B a row's descriptor. It depends on the rows
+// alone, not on how the store grew — a store and its saved and loaded copy
+// report the same — and the allocated chunks hold less than one chunk a
+// table more.
 func (s *SparseRows) Bytes() int {
-	return 6*s.vals.Len() + 8*s.rows.Len()
+	return 4*s.data.Len() + 8*s.rows.Len()
 }
 
-// Offset reports the element of the values and coordinates tables row i
-// starts at.
-func (s *SparseRows) Offset(i int) int {
-	r := s.rows.At(i)[0]
-	return int(r.chunk)<<s.shift + int(r.off)
-}
+// Offset reports the word of the data table row i starts at.
+func (s *SparseRows) Offset(i int) int { return int(s.rows.At(i)[0]) }
 
-// Elems reports the elements the values and coordinates tables hold, the
-// chunk tails left by rows that did not fit included.
-func (s *SparseRows) Elems() int { return s.vals.Len() }
+// Elems reports the words the data table holds, the chunk tails left by rows
+// that did not fit included.
+func (s *SparseRows) Elems() int { return s.data.Len() }
 
-// Cap reports the allocated capacity of the values and coordinates tables,
-// in elements, and of the descriptor table, in rows.
-func (s *SparseRows) Cap() (elems, rows int) { return s.vals.Cap(), s.rows.Cap() }
+// Cap reports the allocated capacity of the data table, in words, and of the
+// descriptor table, in rows.
+func (s *SparseRows) Cap() (elems, rows int) { return s.data.Cap(), s.rows.Cap() }
 
-// ChunkElems is the number of elements in one values and coordinates chunk.
+// ChunkElems is the number of words in one data chunk.
 func (s *SparseRows) ChunkElems() int { return 1 << s.shift }
+
+// descShift fixes a descriptor chunk at 1<<descShift rows.
+const descShift = 6
+
+// DescChunkRows is the number of descriptors in one descriptor chunk.
+const DescChunkRows = 1 << descShift
+
+// gatherBlock is the most rows one kernel call of DotGather scores: the
+// rows' addresses sit in an array on its stack.
+const gatherBlock = 32
+
+// maskExpand is the AVX2 kernels' table, a 32-byte row per mask byte m:
+// lane l holds the VPERMPS index of its value (the rank of bit l among m's
+// set bits, or m's popcount — the first lane the load left +0 — where bit l
+// is clear), with the sign bit set in m's first popcount(m) lanes, the
+// VMASKMOVPS mask that loads just m's values.
+var maskExpand = func() (t [256][8]int32) {
+	for m := range t {
+		pc := int32(bits.OnesCount8(uint8(m)))
+		for l := range 8 {
+			t[m][l] = pc & 7
+			if m>>l&1 != 0 {
+				t[m][l] = int32(bits.OnesCount8(uint8(m & (1<<l - 1))))
+			}
+			if int32(l) < pc {
+				t[m][l] |= math.MinInt32
+			}
+		}
+	}
+	return t
+}()
+
+// DotGather sets out[j] = Dot(q, row idxs[j]) for j in [0, len(out)), the
+// row expanded: bit-identical to the single-pair call on the expanded row,
+// on every kernel path. The assembly kernels score up to gatherBlock rows a
+// call; the portable twin sums the coordinates the query and the row both
+// hold nonzero. q must have the
+// store's dimensionality and is only read.
+func (s *SparseRows) DotGather(q []float32, idxs []int32, out []float32) {
+	if len(q) != s.dim || len(idxs) != len(out) {
+		panic(fmt.Sprintf("vector: gather of a dim-%d query, %d idxs, %d outs over a dim-%d store", len(q), len(idxs), len(out), s.dim))
+	}
+	if !simdOn {
+		s.dotGatherTwin(q, idxs, out)
+		return
+	}
+	// A block's rows are checked as they are resolved, before the kernel
+	// reads any of them: it takes raw addresses.
+	var rows [gatherBlock]unsafe.Pointer
+	descs, spine := s.rows.Spine(), s.data.Spine()
+	within := uint64(1)<<s.shift - 1
+	for lo := 0; lo < len(idxs); lo += gatherBlock {
+		blk := idxs[lo:min(lo+gatherBlock, len(idxs))]
+		for j, i := range blk {
+			if uint(i) >= uint(s.Len()) {
+				panic(fmt.Sprintf("vector: gather row %d out of range [0, %d)", i, s.Len()))
+			}
+			at := descs[i>>descShift][i&(DescChunkRows-1)]
+			rows[j] = unsafe.Pointer(&spine[at>>s.shift][at&within])
+		}
+		if avx512 {
+			dotMaskAVX512(unsafe.SliceData(q), s.dim, &rows[0], 4*s.words, len(blk), gatherAhead, &out[lo])
+		} else {
+			dotMaskAVX2(unsafe.SliceData(q), s.dim, &rows[0], 4*s.words, len(blk), gatherAhead, &out[lo], &maskExpand[0][0])
+		}
+	}
+}
+
+// CosineUnitGather sets out[j] to CosineUnitDist(q, row idxs[j]), as the
+// package-level CosineUnitGather does over a flat arena.
+func (s *SparseRows) CosineUnitGather(q []float32, idxs []int32, out []float32) {
+	s.DotGather(q, idxs, out)
+	for j := range out {
+		out[j] = 1 - out[j]
+	}
+}
+
+// dotGatherTwin is DotGather's portable path. It lays the query out once,
+// as the mask of its nonzero coordinates, and sums each row over the
+// coordinates both have nonzero alone (layout), the query's value and the
+// row's (its rank among the row's values) gathered side by side: a skipped
+// coordinate makes a product of a zero and a finite number, which changes no
+// lane. So a query or a row with an Inf or NaN — the one a zero meets
+// would make the product NaN — or a lane that rounds to −0 sums every
+// coordinate of the expanded row (dotScalar).
+func (s *SparseRows) dotGatherTwin(q []float32, idxs []int32, out []float32) {
+	var lb layoutBuf
+	idx, qa, ra := lb.idx[:], lb.a[:], lb.b[:]
+	if s.dim > len(idx) {
+		idx, qa, ra = make([]int32, s.dim), make([]float32, s.dim), make([]float32, s.dim)
+	}
+	qmask := make([]uint64, s.words/2)
+	finite := allFinite(q)
+	for c, x := range q {
+		if math.Float32bits(x) != 0 {
+			qmask[c>>6] |= 1 << (c & 63)
+		}
+	}
+	var dense []float32
+	for j, i := range idxs {
+		w := s.rowWords(int(i))
+		if vals := floats(w[s.words:]); finite {
+			n, base := 0, 0
+			for k, qm := range qmask {
+				m := uint64(w[2*k]) | uint64(w[2*k+1])<<32
+				for both := m & qm; both != 0; both &= both - 1 {
+					b := bits.TrailingZeros64(both)
+					c := k<<6 | b
+					idx[n], qa[n], ra[n] = int32(c), q[c], vals[base+bits.OnesCount64(m&(1<<b-1))]
+					n++
+				}
+				base += bits.OnesCount64(m)
+			}
+			if allFinite(vals[:base]) {
+				l := layout{idx: idx[:n], a: qa[:n], n8: n, sparse: true}
+				for l.n8 > 0 && int(idx[l.n8-1]) >= s.dim&^7 {
+					l.n8--
+				}
+				l.n32 = l.n8
+				for l.n32 > 0 && int(idx[l.n32-1]) >= s.dim&^31 {
+					l.n32--
+				}
+				if d, ok := l.sum(ra[:n]); ok {
+					out[j] = d
+					continue
+				}
+			}
+		}
+		if dense == nil {
+			dense = make([]float32, s.dim)
+		}
+		s.CopyTo(dense, int(i))
+		out[j] = dotScalar(q, dense)
+	}
+}
+
+// allFinite reports whether no element of v is an Inf or a NaN.
+func allFinite(v []float32) bool {
+	var inf uint32
+	for _, x := range v {
+		if b := math.Float32bits(x); b&0x7f800000 == 0x7f800000 {
+			inf = 1
+		}
+	}
+	return inf == 0
+}

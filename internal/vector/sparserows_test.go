@@ -25,29 +25,39 @@ func sameBits(a, b []float32) bool {
 }
 
 // checkSparseRows holds s to the rows it was given: each expands to its
-// dense row bit for bit, lies inside one chunk, and the tables' unused
-// capacity is under one chunk each.
+// dense row bit for bit on every kernel path, keeps exactly its nonzero
+// coordinates' bits in its mask and values, lies inside one chunk, and the
+// tables' unused capacity is under one chunk each.
 func checkSparseRows(t *testing.T, s *SparseRows, rows [][]float32) {
 	t.Helper()
 	if s.Len() != len(rows) {
 		t.Fatalf("store holds %d rows, want %d", s.Len(), len(rows))
 	}
-	got := make([]float32, s.Dim())
-	for i, want := range rows {
-		s.CopyTo(got, i)
-		if !sameBits(got, want) {
-			t.Fatalf("row %d expands to %v, want %v", i, got, want)
+	got := make([]float32, s.Dim()+1)
+	for _, mode := range kernelPaths(t) {
+		forceKernels(t, mode)
+		for i, want := range rows {
+			got[s.Dim()] = 7
+			s.CopyTo(got, i)
+			if !sameBits(got[:s.Dim()], want) || got[s.Dim()] != 7 {
+				t.Fatalf("%s: row %d expands to %v, want %v", Kernels(), i, got, want)
+			}
 		}
-		idx, _ := s.Row(i)
-		if off := s.Offset(i); len(idx) > 0 && off/s.ChunkElems() != (off+len(idx)-1)/s.ChunkElems() {
-			t.Fatalf("row %d of %d elements at %d straddles a %d-element chunk", i, len(idx), off, s.ChunkElems())
+	}
+	for i, want := range rows {
+		mask, vals := s.Row(i)
+		if len(mask) != 2*((s.Dim()+63)/64) || len(vals) != nonzeros(want) {
+			t.Fatalf("row %d has %d mask words and %d values, want %d and %d", i, len(mask), len(vals), 2*((s.Dim()+63)/64), nonzeros(want))
+		}
+		if n, off := len(mask)+len(vals), s.Offset(i); off/s.ChunkElems() != (off+n-1)/s.ChunkElems() {
+			t.Fatalf("row %d of %d words at %d straddles a %d-word chunk", i, n, off, s.ChunkElems())
 		}
 	}
 	elemCap, rowCap := s.Cap()
 	if slack := elemCap - s.Elems(); slack < 0 || slack >= s.ChunkElems() {
-		t.Fatalf("values table holds %d elements with room for %d", s.Elems(), elemCap)
+		t.Fatalf("data table holds %d words with room for %d", s.Elems(), elemCap)
 	}
-	if slack := rowCap - s.Len(); slack < 0 || slack >= ChunkRows {
+	if slack := rowCap - s.Len(); slack < 0 || slack >= DescChunkRows {
 		t.Fatalf("descriptor table holds %d rows with room for %d", s.Len(), rowCap)
 	}
 }
@@ -59,7 +69,7 @@ func checkSparseRows(t *testing.T, s *SparseRows, rows [][]float32) {
 // they fill, and grows on from there; a frozen snapshot reads its rows,
 // unmoved, while the writer appends past them.
 func TestSparseRowsStore(t *testing.T) {
-	const dim = 24 // a 512-element chunk: 21 full rows
+	const dim = 24 // a 512-word chunk: 19 full rows
 	rng := rand.New(rand.NewSource(5))
 	var rows [][]float32
 	for i := range 300 {
@@ -74,11 +84,10 @@ func TestSparseRowsStore(t *testing.T) {
 	}
 	checkSparseRows(t, s, rows[:200])
 	frozen := s.Frozen()
-	addrs := make([]*float32, frozen.Len())
+	addrs := make([]*uint32, frozen.Len())
 	for i := range addrs {
-		if _, val := frozen.Row(i); len(val) > 0 {
-			addrs[i] = &val[0]
-		}
+		mask, _ := frozen.Row(i)
+		addrs[i] = &mask[0]
 	}
 	for _, v := range rows[200:] {
 		s.Append(v)
@@ -86,7 +95,7 @@ func TestSparseRowsStore(t *testing.T) {
 	checkSparseRows(t, s, rows)
 	checkSparseRows(t, frozen, rows[:200])
 	for i, p := range addrs {
-		if _, val := s.Row(i); p != nil && &val[0] != p {
+		if mask, _ := s.Row(i); &mask[0] != p {
 			t.Fatalf("row %d moved when the writer grew", i)
 		}
 	}
@@ -95,7 +104,7 @@ func TestSparseRowsStore(t *testing.T) {
 	loaded.Load(200, func(i int, dst []float32) { copy(dst, rows[i]) })
 	checkSparseRows(t, loaded, rows[:200])
 	if elemCap, rowCap := loaded.Cap(); elemCap != frozen.Elems() || rowCap != 200 {
-		t.Fatalf("loaded tables hold %d elements and %d rows, the rows fill %d and 200", elemCap, rowCap, frozen.Elems())
+		t.Fatalf("loaded tables hold %d words and %d rows, the rows fill %d and 200", elemCap, rowCap, frozen.Elems())
 	}
 	for i := range 200 {
 		if loaded.Offset(i) != frozen.Offset(i) {
@@ -113,7 +122,6 @@ func TestSparseRowsStore(t *testing.T) {
 	for _, bad := range []func(){
 		func() { frozen.Row(frozen.Len()) },
 		func() { frozen.Row(-1) },
-		func() { NewSparseRows(MaxSparseDim + 1) },
 		func() { NewSparseRows(0) },
 		func() { s.Append(make([]float32, dim+1)) },
 		func() { s.Load(1, func(int, []float32) {}) },
@@ -129,17 +137,22 @@ func TestSparseRowsStore(t *testing.T) {
 	}
 }
 
-// TestSparseRowsLargestDim: at MaxSparseDim a chunk holds exactly one full
-// row, and the last coordinate survives its uint16.
-func TestSparseRowsLargestDim(t *testing.T) {
-	s := NewSparseRows(MaxSparseDim)
-	full := make([]float32, MaxSparseDim)
+// TestSparseRowsLargeDim: past 1<<16 words a full row, a chunk holds one
+// full row rounded up to a power of two, and a row of every coordinate, one
+// of the last coordinate only and an empty one round-trip.
+func TestSparseRowsLargeDim(t *testing.T) {
+	const dim = 1<<16 + 3
+	s := NewSparseRows(dim)
+	if s.ChunkElems() != 1<<17 {
+		t.Fatalf("a dim-%d store has %d-word chunks, want %d", dim, s.ChunkElems(), 1<<17)
+	}
+	full := make([]float32, dim)
 	for d := range full {
 		full[d] = float32(d + 1)
 	}
-	last := make([]float32, MaxSparseDim)
-	last[MaxSparseDim-1] = -1
-	rows := [][]float32{full, last, full}
+	last := make([]float32, dim)
+	last[dim-1] = -1
+	rows := [][]float32{full, last, full, make([]float32, dim), full}
 	for _, v := range rows {
 		s.Append(v)
 	}
@@ -149,7 +162,7 @@ func TestSparseRowsLargestDim(t *testing.T) {
 // FuzzSparseRow: from arbitrary float32 bit patterns — ±0, NaN payloads,
 // infinities, subnormals — a compressed row expands to the dense row bit for
 // bit, and adding compressed rows into a sum that starts from +0 (AddTo)
-// gives the bits Add gives adding the dense ones. Both rows are stored many
+// gives the bits Add gives adding the dense ones, on every kernel path. Both rows are stored many
 // times over, so the rows cross chunk boundaries.
 func FuzzSparseRow(f *testing.F) {
 	le := func(bits ...uint32) []byte {
@@ -164,7 +177,7 @@ func FuzzSparseRow(f *testing.F) {
 	f.Add(le(0x7f800000, 0xff800000, 0x7f7fffff), le(0xff800000, 0, 0x7f7fffff))       // ±Inf, overflow to Inf
 	f.Add(make([]byte, 4*33), le(0x3f800000))
 	f.Fuzz(func(t *testing.T, ab, bb []byte) {
-		n := min(len(ab), len(bb), 4*MaxSparseDim) / 4
+		n := min(len(ab), len(bb), 4*4096) / 4
 		if n == 0 {
 			return
 		}
@@ -181,12 +194,15 @@ func FuzzSparseRow(f *testing.F) {
 			rows = append(rows, a, b)
 		}
 		checkSparseRows(t, s, rows)
-		dense, sparse := make([]float32, n), make([]float32, n)
-		for i, v := range rows[:4] {
-			Add(dense, v)
-			s.AddTo(sparse, i)
-			if !sameBits(dense, sparse) {
-				t.Fatalf("after %d rows: AddTo gives %v, Add %v", i+1, sparse, dense)
+		for _, mode := range kernelPaths(t) {
+			forceKernels(t, mode)
+			dense, sparse := make([]float32, n), make([]float32, n)
+			for i, v := range rows[:4] {
+				Add(dense, v)
+				s.AddTo(sparse, i)
+				if !sameBits(dense, sparse) {
+					t.Fatalf("%s: after %d rows: AddTo gives %v, Add %v", Kernels(), i+1, sparse, dense)
+				}
 			}
 		}
 	})

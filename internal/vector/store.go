@@ -9,9 +9,9 @@ import "fmt"
 // holds a Store, so sequential scans are cache-linear, per-vector GC pressure
 // is zero, and the tile kernel reads two arenas as plain strided memory. The
 // arenas that grow row by row for the matcher's lifetime and are shared with
-// published views are chunked instead, so their rows never move: an HNSW
-// index's node vectors in a Chunked store (chunked.go), a shard's entity
-// embeddings as their nonzeros in a SparseRows store (sparserows.go).
+// published views are chunked instead, so their rows never move: a shard's
+// entity embeddings and its HNSW index's node vectors, as bitmask rows in a
+// SparseRows store (sparserows.go).
 //
 // Rows returned by At alias the arena; they stay valid across Append/Grow in
 // value but not in identity (growth may move the backing array), so callers

@@ -2,12 +2,12 @@
 // MultiEM pipeline: dot products, normalization, small fixed-size top-K
 // accumulators, and the two distances the paper fixes, one per phase —
 // cosine over unit vectors for merging (CosineUnitDist, and its gather form
-// over flat and chunked arenas and tile form over flat ones, with
+// over flat and bitmask-row arenas and tile form over flat ones, with
 // SparseAtLeast32 as the tile's filter) and euclidean for pruning
 // (EuclideanDist). Rows live in two kinds of arena: Store, one contiguous
-// block for arrays allocated at their final size, and Chunked, an
-// arena.Arena of fixed 64-row chunks for arenas that grow and whose rows must
-// never move.
+// block for arrays allocated at their final size, and SparseRows, bitmask
+// rows in arena.Arena chunks for arenas that grow and whose rows must never
+// move.
 //
 // All distance functions treat vectors of unequal lengths as a programming
 // error and panic; embeddings in this repository always share a single

@@ -124,6 +124,7 @@ assert_positive multiem_http_requests_total 'endpoint="add"'
 assert_positive multiem_http_request_duration_seconds_count 'endpoint="match"'
 assert_positive multiem_entities
 assert_positive multiem_entity_store_bytes
+assert_positive multiem_index_vector_bytes
 assert_positive multiem_tuples
 assert_positive multiem_epoch
 assert_positive multiem_ingest_batches_total
