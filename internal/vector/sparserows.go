@@ -36,8 +36,12 @@ type SparseRows struct {
 	words int  // a row's mask, in uint32 words: 2·ceil(dim/64)
 	shift uint // a data chunk holds 1<<shift words
 	data  arena.Arena[uint32]
-	rows  arena.Arena[uint64] // the word each row starts at
+	rows  arena.Arena[uint64] // the word each row starts at, | nonFinite
 }
+
+// nonFinite marks a descriptor whose row holds an Inf or a NaN, which the
+// portable gather must not skip (dotGatherTwin).
+const nonFinite = 1 << 63
 
 // NewSparseRows returns an empty store for vectors of the given
 // dimensionality. Its data chunks hold 16 full rows, rounded up to a power of
@@ -92,8 +96,22 @@ func (s *SparseRows) rowWords(i int) []uint32 {
 	if i < 0 || i >= s.Len() {
 		panic(fmt.Sprintf("vector: row %d out of range [0, %d)", i, s.Len()))
 	}
-	at := s.rows.Spine()[i>>descShift][i&(DescChunkRows-1)]
+	return s.descWords(s.rows.Spine()[i>>descShift][i&(DescChunkRows-1)])
+}
+
+// descWords returns the words from the row desc describes to its chunk's
+// end.
+func (s *SparseRows) descWords(desc uint64) []uint32 {
+	at := desc &^ nonFinite
 	return s.data.Spine()[at>>s.shift][at&(1<<s.shift-1):]
+}
+
+// desc is the descriptor of v stored at word at.
+func desc(at int, v []float32) uint64 {
+	if allFinite(v) {
+		return uint64(at)
+	}
+	return uint64(at) | nonFinite
 }
 
 // store writes v as the row that starts at word at: its mask, then its
@@ -124,7 +142,7 @@ func (s *SparseRows) Append(v []float32) int {
 	s.store(at, v)
 	i := s.rows.Len()
 	s.rows.Grow(1)
-	s.rows.At(i)[0] = uint64(at)
+	s.rows.At(i)[0] = desc(at, v)
 	return i
 }
 
@@ -146,13 +164,13 @@ func (s *SparseRows) Load(n int, row func(i int, dst []float32)) {
 		row(i, dst)
 		k := s.words + nonzeros(dst)
 		at := s.place(end, k)
-		s.rows.At(i)[0] = uint64(at)
+		s.rows.At(i)[0] = desc(at, dst)
 		end = at + k
 	}
 	s.data.GrowExact(end)
 	for i := range n {
 		row(i, dst)
-		s.store(int(s.rows.At(i)[0]), dst)
+		s.store(int(s.rows.At(i)[0]&^nonFinite), dst)
 	}
 }
 
@@ -184,9 +202,9 @@ func (s *SparseRows) CopyTo(dst []float32, i int) {
 	dst = dst[:s.dim]
 	clear(dst)
 	vals, k := floats(w[s.words:]), 0
-	for j, m := range w[:s.words] {
-		for ; m != 0; m &= m - 1 {
-			dst[j<<5|bits.TrailingZeros32(m)] = vals[k]
+	for j := 0; j < s.words; j += 2 {
+		for m := uint64(w[j]) | uint64(w[j+1])<<32; m != 0; m &= m - 1 {
+			dst[j<<5|bits.TrailingZeros64(m)] = vals[k]
 			k++
 		}
 	}
@@ -204,9 +222,9 @@ func (s *SparseRows) AddTo(dst []float32, i int) {
 	w := s.rowWords(i)
 	dst = dst[:s.dim]
 	vals, k := floats(w[s.words:]), 0
-	for j, m := range w[:s.words] {
-		for ; m != 0; m &= m - 1 {
-			dst[j<<5|bits.TrailingZeros32(m)] += vals[k]
+	for j := 0; j < s.words; j += 2 {
+		for m := uint64(w[j]) | uint64(w[j+1])<<32; m != 0; m &= m - 1 {
+			dst[j<<5|bits.TrailingZeros64(m)] += vals[k]
 			k++
 		}
 	}
@@ -245,7 +263,7 @@ func (s *SparseRows) Bytes() int {
 }
 
 // Offset reports the word of the data table row i starts at.
-func (s *SparseRows) Offset(i int) int { return int(s.rows.At(i)[0]) }
+func (s *SparseRows) Offset(i int) int { return int(s.rows.At(i)[0] &^ nonFinite) }
 
 // Elems reports the words the data table holds, the chunk tails left by rows
 // that did not fit included.
@@ -293,8 +311,7 @@ var maskExpand = func() (t [256][8]int32) {
 // row expanded: bit-identical to the single-pair call on the expanded row,
 // on every kernel path. The assembly kernels score up to gatherBlock rows a
 // call; the portable twin sums the coordinates the query and the row both
-// hold nonzero. q must have the
-// store's dimensionality and is only read.
+// hold nonzero. q must have the store's dimensionality and is only read.
 func (s *SparseRows) DotGather(q []float32, idxs []int32, out []float32) {
 	if len(q) != s.dim || len(idxs) != len(out) {
 		panic(fmt.Sprintf("vector: gather of a dim-%d query, %d idxs, %d outs over a dim-%d store", len(q), len(idxs), len(out), s.dim))
@@ -314,7 +331,7 @@ func (s *SparseRows) DotGather(q []float32, idxs []int32, out []float32) {
 			if uint(i) >= uint(s.Len()) {
 				panic(fmt.Sprintf("vector: gather row %d out of range [0, %d)", i, s.Len()))
 			}
-			at := descs[i>>descShift][i&(DescChunkRows-1)]
+			at := descs[i>>descShift][i&(DescChunkRows-1)] &^ nonFinite
 			rows[j] = unsafe.Pointer(&spine[at>>s.shift][at&within])
 		}
 		if avx512 {
@@ -334,55 +351,63 @@ func (s *SparseRows) CosineUnitGather(q []float32, idxs []int32, out []float32) 
 	}
 }
 
-// dotGatherTwin is DotGather's portable path. It lays the query out once,
-// as the mask of its nonzero coordinates, and sums each row over the
-// coordinates both have nonzero alone (layout), the query's value and the
-// row's (its rank among the row's values) gathered side by side: a skipped
-// coordinate makes a product of a zero and a finite number, which changes no
-// lane. So a query or a row with an Inf or NaN — the one a zero meets
-// would make the product NaN — or a lane that rounds to −0 sums every
-// coordinate of the expanded row (dotScalar).
+// dotGatherTwin is DotGather's portable path. It lays the query out once a
+// call, as the mask of its nonzero coordinates, and sums each row over the
+// coordinates both hold nonzero alone (layout), reading the row's value
+// there (its rank among the row's values) from a scratch copy: a skipped
+// coordinate is a zero times a finite value, which changes no lane. So a
+// query or a row with an Inf or NaN, which a zero would turn into a NaN
+// product, or a lane that rounds to −0, sums every coordinate of the
+// expanded row (dotScalar).
 func (s *SparseRows) dotGatherTwin(q []float32, idxs []int32, out []float32) {
+	var vb [256]float32
 	var lb layoutBuf
-	idx, qa, ra := lb.idx[:], lb.a[:], lb.b[:]
-	if s.dim > len(idx) {
-		idx, qa, ra = make([]int32, s.dim), make([]float32, s.dim), make([]float32, s.dim)
+	var qb [16]uint32
+	v, idx, qmask := vb[:], lb[:], qb[:]
+	if s.dim > len(v) {
+		v, idx, qmask = make([]float32, s.dim), make([]int32, s.dim), make([]uint32, s.words)
 	}
-	qmask := make([]uint64, s.words/2)
-	finite := allFinite(q)
+	v, qmask = v[:s.dim], qmask[:s.words]
 	for c, x := range q {
 		if math.Float32bits(x) != 0 {
-			qmask[c>>6] |= 1 << (c & 63)
+			qmask[c>>5] |= 1 << (c & 31)
 		}
 	}
+	finite := allFinite(q)
 	var dense []float32
 	for j, i := range idxs {
-		w := s.rowWords(int(i))
-		if vals := floats(w[s.words:]); finite {
+		if uint(i) >= uint(s.Len()) {
+			panic(fmt.Sprintf("vector: row %d out of range [0, %d)", i, s.Len()))
+		}
+		d := s.rows.Spine()[i>>descShift][i&(DescChunkRows-1)]
+		if finite && d&nonFinite == 0 {
+			w := s.descWords(d)
+			vals := floats(w[s.words:])
 			n, base := 0, 0
-			for k, qm := range qmask {
-				m := uint64(w[2*k]) | uint64(w[2*k+1])<<32
-				for both := m & qm; both != 0; both &= both - 1 {
-					b := bits.TrailingZeros64(both)
-					c := k<<6 | b
-					idx[n], qa[n], ra[n] = int32(c), q[c], vals[base+bits.OnesCount64(m&(1<<b-1))]
+			for k, m := range w[:s.words] {
+				for both := m & qmask[k]; both != 0; both &= both - 1 {
+					b := bits.TrailingZeros32(both)
+					c := k<<5 | b
+					idx[n], v[c] = int32(c), vals[base+bits.OnesCount32(m&(1<<b-1))]
 					n++
 				}
-				base += bits.OnesCount64(m)
+				base += bits.OnesCount32(m)
 			}
-			if allFinite(vals[:base]) {
-				l := layout{idx: idx[:n], a: qa[:n], n8: n, sparse: true}
-				for l.n8 > 0 && int(idx[l.n8-1]) >= s.dim&^7 {
-					l.n8--
-				}
-				l.n32 = l.n8
-				for l.n32 > 0 && int(idx[l.n32-1]) >= s.dim&^31 {
-					l.n32--
-				}
-				if d, ok := l.sum(ra[:n]); ok {
-					out[j] = d
-					continue
-				}
+			l := layout{v: q, idx: idx[:n], n8: n, sparse: true}
+			for l.n8 > 0 && int(idx[l.n8-1]) >= s.dim&^7 {
+				l.n8--
+			}
+			l.n32 = l.n8
+			for l.n32 > 0 && int(idx[l.n32-1]) >= s.dim&^31 {
+				l.n32--
+			}
+			dot, ok := l.sum(v)
+			for _, c := range idx[:n] {
+				v[c] = 0
+			}
+			if ok {
+				out[j] = dot
+				continue
 			}
 		}
 		if dense == nil {

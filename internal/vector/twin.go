@@ -21,17 +21,12 @@ import (
 // exact cancellation gives +0, and +0 + (±0) is +0, so a lane turns −0 only
 // by rounding a tiny negative sum, which fma32 does and fmaSteps reports;
 // row then sums again over every coordinate.
-//
-// The steps read their operands packed, position k of the visit holding
-// coordinate idx[k]: a holds v's values, and row gathers the other vector's
-// to match (a dense layout's operands are the vectors themselves).
 type layout struct {
 	v       []float32
-	idx     []int32   // the coordinates visited, ascending
-	a, bb   []float32 // v at idx, and row's buffer for the other vector at idx
-	n32, n8 int       // idx[:n32] feed 32 lanes, idx[n32:n8] eight (see sum)
-	tile    bool      // one pair of dotTileAVX2, not dotAVX2
-	sparse  bool      // zero coordinates are skipped
+	idx     []int32 // the coordinates visited, ascending
+	n32, n8 int     // idx[:n32] feed 32 lanes, idx[n32:n8] eight (see sum)
+	tile    bool    // one pair of dotTileAVX2, not dotAVX2
+	sparse  bool    // zero coordinates are skipped
 }
 
 // coords is 0, 1, 2, …: a dense layout's coordinates up to its length.
@@ -42,42 +37,31 @@ var coords = func() (c [4096]int32) {
 	return c
 }()
 
-// A layoutBuf holds a sparse layout of up to 256 coordinates, and its
-// operands, on its caller's stack.
-type layoutBuf struct {
-	idx  [256]int32
-	a, b [256]float32
-}
+// A layoutBuf holds a sparse layout of up to 256 coordinates on its
+// caller's stack.
+type layoutBuf [256]int32
 
 // newLayout lays v out for dotAVX2 or, with tile set, for one pair of
 // dotTileAVX2: every coordinate or, with lb set, v's nonzeros, held in lb
-// or, if v is longer, in new slices.
+// or, if v is longer, in a new slice.
 func newLayout(v []float32, tile bool, lb *layoutBuf) layout {
 	n32 := len(v) &^ 31
 	if tile {
 		n32 = 0
 	}
-	s := layout{v: v, a: v, n32: n32, n8: len(v) &^ 7, tile: tile, sparse: lb != nil}
+	s := layout{v: v, n32: n32, n8: len(v) &^ 7, tile: tile, sparse: lb != nil}
 	switch {
 	case lb == nil && len(v) <= len(coords):
 		s.idx = coords[:len(v)]
 		return s
-	case lb != nil && len(v) <= len(lb.idx):
-		s.idx, s.a, s.bb = lb.idx[:], lb.a[:], lb.b[:]
-	case lb != nil:
-		s.idx, s.a, s.bb = make([]int32, len(v)), make([]float32, len(v)), make([]float32, len(v))
+	case lb != nil && len(v) <= len(lb):
+		s.idx = lb[:]
 	default:
 		s.idx = make([]int32, len(v))
 	}
 	s.n32 = s.keep(0, 0, n32)
 	s.n8 = s.keep(s.n32, n32, s.n8)
 	s.idx = s.idx[:s.keep(s.n8, len(v)&^7, len(v))]
-	if s.sparse {
-		s.a = s.a[:len(s.idx)]
-		for k, i := range s.idx {
-			s.a[k] = v[i]
-		}
-	}
 	return s
 }
 
@@ -107,64 +91,57 @@ func dotScalar(a, b []float32) float32 {
 
 // row is the twin of s's kernel on s.v and a finite b.
 func (s layout) row(b []float32) float32 {
-	bp := b[:len(s.v)]
-	if s.sparse {
-		bp = s.bb[:len(s.idx)]
-		for k, i := range s.idx {
-			bp[k] = b[i]
-		}
-	}
-	if d, ok := s.sum(bp); ok {
+	if d, ok := s.sum(b); ok {
 		return d
 	}
 	return newLayout(s.v, s.tile, nil).row(b)
 }
 
-// sum is dotAVX2's order over the packed operands s.a and b: coordinates
-// below len(v)&^31 feed 32 lanes, coordinate i lane i mod 32 (the assembly's
-// four 8-lane accumulators); the lanes fold to eight as (Y0+Y1)+(Y2+Y3);
-// those eight take the coordinates below len(v)&^7; VEXTRACTF128 and two
-// VHADDPS reduce them as ((y0+y4)+(y1+y5))+((y2+y6)+(y3+y7)); the rest is an
-// FMA chain on that sum. A tile pair has no 32 lanes (the eight start at +0)
-// and reduces by the add tree ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)) its
-// VHADDPS and VEXTRACTF128 steps build. It reports false where fmaSteps does.
+// sum is dotAVX2's order: coordinates below len(v)&^31 feed 32 lanes,
+// coordinate i lane i mod 32 (the assembly's four 8-lane accumulators); the
+// lanes fold to eight as (Y0+Y1)+(Y2+Y3); those eight take the coordinates
+// below len(v)&^7; VEXTRACTF128 and two VHADDPS reduce them as
+// ((y0+y4)+(y1+y5))+((y2+y6)+(y3+y7)); the rest is an FMA chain on that sum.
+// A tile pair has no 32 lanes (the eight start at +0) and reduces by the add
+// tree ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)) its VHADDPS and VEXTRACTF128
+// steps build. It reports false where fmaSteps does.
 func (s *layout) sum(b []float32) (float32, bool) {
-	a, n32, n8 := s.a, s.n32, s.n8
+	b = b[:len(s.v)]
 	var acc [32]float64
-	ok := fmaSteps(acc[:], s.idx[:n32], a[:n32], b[:n32], s.sparse)
+	ok := fmaSteps(acc[:], s.idx[:s.n32], s.v, b, s.sparse)
 	var y [8]float64
 	for l := range y {
 		y[l] = float64((float32(acc[l]) + float32(acc[8+l])) + (float32(acc[16+l]) + float32(acc[24+l])))
 	}
-	ok = ok && fmaSteps(y[:], s.idx[n32:n8], a[n32:n8], b[n32:n8], s.sparse)
+	ok = ok && fmaSteps(y[:], s.idx[s.n32:s.n8], s.v, b, s.sparse)
 	y0, y1, y2, y3, y4, y5, y6, y7 := float32(y[0]), float32(y[1]), float32(y[2]), float32(y[3]), float32(y[4]), float32(y[5]), float32(y[6]), float32(y[7])
 	r := [1]float64{float64(((y0 + y4) + (y1 + y5)) + ((y2 + y6) + (y3 + y7)))}
 	if s.tile {
 		r[0] = float64(((y0 + y1) + (y2 + y3)) + ((y4 + y5) + (y6 + y7)))
 	}
-	ok = ok && fmaSteps(r[:], s.idx[n8:], a[n8:], b[n8:len(s.idx)], s.sparse)
+	ok = ok && fmaSteps(r[:], s.idx[s.n8:], s.v, b, s.sparse)
 	return float32(r[0]), ok
 }
 
 // fmaSteps runs len(acc) lanes (a power of two) over the coordinates idx,
-// which start at a multiple of len(acc), and their packed operands a and b:
-// position k makes lane l = idx[k] mod len(acc) acc[l] = fma32(a[k], b[k],
-// acc[l]). Lanes hold float32 values, widened. fastSteps takes the steps it
-// can, fma32 the others; with sparse set it reports false once a lane turns
-// −0 (see layout).
+// which start at a multiple of len(acc): coordinate i makes lane
+// l = i mod len(acc) acc[l] = fma32(a[i], b[i], acc[l]). Lanes hold float32
+// values, widened. fastSteps takes the steps it can, fma32 the others; with
+// sparse set it reports false once a lane turns −0 (see layout).
 func fmaSteps(acc []float64, idx []int32, a, b []float32, sparse bool) bool {
 	for {
 		k := fastSteps(acc, idx, a, b)
 		if k == len(idx) {
 			return true
 		}
-		l := idx[k] & int32(len(acc)-1)
-		r := fma32(a[k], b[k], float32(acc[l]))
+		i := idx[k]
+		l := i & int32(len(acc)-1)
+		r := fma32(a[i], b[i], float32(acc[l]))
 		if sparse && r == 0 && math.Signbit(float64(r)) {
 			return false
 		}
 		acc[l] = float64(r)
-		idx, a, b = idx[k+1:], a[k+1:], b[k+1:]
+		idx = idx[k+1:]
 	}
 }
 
@@ -201,10 +178,10 @@ const (
 // the run.
 func fastSteps(acc []float64, idx []int32, a, b []float32) int {
 	lane := len(acc) - 1
-	a, b = a[:len(idx)], b[:len(idx)]
-	for k, i := range idx {
-		l := int(i) & lane
-		u := math.Float64bits(float64(a[k])*float64(b[k]) + acc[l])
+	for k, i32 := range idx {
+		i := int(i32)
+		l := i & lane
+		u := math.Float64bits(float64(a[i])*float64(b[i]) + acc[l])
 		t := u + halfUlp
 		if e := uint32(u >> 31); t&dropped == 0 || e-1 < e126-1 || e >= e127 {
 			return k
