@@ -24,7 +24,7 @@ import (
 //
 // Storage is two arena.Arena tables: the rows' words (masks and value bits,
 // uint32 each) in chunks of 1<<shift words, and one descriptor a row, the
-// word it starts at. A row never straddles a chunk — one that does not fit
+// word it starts at and a bit saying whether it holds an Inf or a NaN. A row never straddles a chunk — one that does not fit
 // starts the next chunk, leaving less than a row unused — and a chunk holds
 // at least a full row, so any row fits. Rows are never rewritten, so a
 // stored row never moves, Frozen is two O(1) snapshots, and no
@@ -101,8 +101,8 @@ func (s *SparseRows) rowWords(i int) []uint32 {
 
 // descWords returns the words from the row desc describes to its chunk's
 // end.
-func (s *SparseRows) descWords(desc uint64) []uint32 {
-	at := desc &^ nonFinite
+func (s *SparseRows) descWords(d uint64) []uint32 {
+	at := d &^ nonFinite
 	return s.data.Spine()[at>>s.shift][at&(1<<s.shift-1):]
 }
 
