@@ -214,9 +214,6 @@ func checkExactJoin(t *testing.T, rng *rand.Rand, name string, a, b *vector.Stor
 // with all-zero rows and rows too dense for the filter.
 func TestMutualTopKExactMatchesNaive(t *testing.T) {
 	prev := vector.Kernels()
-	if prev == "avx512" {
-		prev = "auto" // the one mode that reaches it
-	}
 	defer vector.SetKernels(prev)
 	sizes := [][2]int{{0, 5}, {5, 0}, {1, 1}, {1, 9}, {9, 1}, {2, 3}, {33, 70}, {70, 33}, {129, 64}}
 	dims := []int{256, 1024}

@@ -9,7 +9,7 @@
 // allocates a zeroed chunk and copies nothing, so a row never moves, and the
 // unused capacity is the last chunk's tail. The one exception is a loaded
 // arena (GrowExact), whose last chunk holds exactly its rows until the next
-// growth moves them, once, into a whole chunk.
+// growth moves them, once, into a larger chunk.
 //
 // Sharing with a published view is copy-on-write at chunk grain:
 //
@@ -132,20 +132,24 @@ func (a *Arena[T]) Grow(rows int) {
 	}
 }
 
-// GrowExact sizes an empty arena to rows zero rows for a loader, which fills
+// GrowExact extends the arena by rows zero rows for a loader, which fills
 // them from bytes it has already checked: whole chunks, and a last one that
-// holds exactly the rows left, so the allocation is never larger than what
-// fills it.
+// holds exactly the rows so far, so the allocation is never larger than what
+// fills it. A short last chunk that the new rows extend moves, once, into
+// one sized to its rows (a loader that fills one arena in two steps).
 func (a *Arena[T]) GrowExact(rows int) {
-	if a.n != 0 {
-		panic("arena: GrowExact on a non-empty arena")
+	end := a.n + max(rows, 0)
+	if c := len(a.chunks) - 1; c >= 0 && end > a.Cap() && len(a.chunks[c]) < a.width<<a.shift {
+		chunk := make([]T, min(end-c<<a.shift, 1<<a.shift)*a.width)
+		copy(chunk, a.chunks[c])
+		a.replace(c, chunk)
 	}
-	for a.n < rows {
-		take := min(rows-a.n, 1<<a.shift)
+	for len(a.chunks)<<a.shift < end {
+		take := min(end-len(a.chunks)<<a.shift, 1<<a.shift)
 		a.chunks = append(a.chunks, make([]T, take*a.width))
 		a.owned = append(a.owned, true)
-		a.n += take
 	}
+	a.n = end
 }
 
 // Chunks reports the number of allocated chunks.

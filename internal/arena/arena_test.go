@@ -170,6 +170,33 @@ func chunksRoundTrip[T any](t *testing.T, width int, shift uint, row func(width,
 	}
 }
 
+// TestGrowExactInSteps: a loader that sizes one arena in two GrowExact
+// steps, filling the first before the second, ends with every row it wrote
+// and no unused capacity, as one step would.
+func TestGrowExactInSteps(t *testing.T) {
+	forShapes(t, func(t *testing.T, width int, shift uint) {
+		chunk := 1 << shift
+		for _, rows := range []int{1, chunk - 1, chunk, 2*chunk + 7} {
+			for _, first := range []int{0, min(1, rows), rows / 2, max(rows-1, 0), rows} {
+				u := New[int32](width, shift)
+				u.GrowExact(first)
+				for i := range first {
+					copy(u.At(i), int32Row(width, i, 0))
+				}
+				u.GrowExact(rows - first)
+				if u.Len() != rows || u.Cap() != rows {
+					t.Fatalf("GrowExact(%d) then (%d): Len %d, Cap %d", first, rows-first, u.Len(), u.Cap())
+				}
+				for i := range first {
+					if !reflect.DeepEqual(u.At(i), int32Row(width, i, 0)) {
+						t.Fatalf("GrowExact(%d) then (%d): row %d lost", first, rows-first, i)
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestCopyOnWrite pins the contract a published view relies on: the first
 // Mut into a shared chunk copies it and the second does not; the snapshot
 // keeps reading the row as it was; an Append into the snapshot's shared last

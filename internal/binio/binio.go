@@ -102,24 +102,6 @@ func words4(dst, src []byte) {
 	}
 }
 
-// read4 decodes the next n 4-byte elements into a fresh slice of exactly that
-// many. The bytes are taken first, so a length the input cannot back fails
-// before anything is allocated; a little-endian host then grows the slice
-// straight from them — one copy, into memory nobody zeroed first. The input
-// need not be aligned for T: its view is only ever the source of that copy.
-func read4[T float32 | int32](r *Reader, n int) []T {
-	b := r.Next(4 * n)
-	if len(b) == 0 {
-		return nil
-	}
-	if !hostBigEndian {
-		return append([]T(nil), unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)...)
-	}
-	out := make([]T, n)
-	fill4(bytesOf(out), b)
-	return out
-}
-
 // bytesOf views v's memory as bytes, in host order.
 func bytesOf[T float32 | int32](v []T) []byte {
 	if len(v) == 0 {
@@ -229,31 +211,37 @@ func (r *Reader) Count(elemBytes int) int {
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string { return string(r.Next(r.Count(1))) }
 
-// I32s decodes the next n int32s into a fresh slice — one allocation and one
-// bulk copy. It returns nil, with the error set, when fewer than 4*n bytes
-// are left.
-func (r *Reader) I32s(n int) []int32 { return read4[int32](r, n) }
+// F32s decodes the next n float32s into a fresh slice of exactly that many,
+// or returns nil, with the error set, when fewer than 4*n bytes are left.
+// The bytes are taken first, so a length the input cannot back fails before
+// anything is allocated; a little-endian host then grows the slice straight
+// from them — one copy, into memory nobody zeroed first. The input need not
+// be aligned for float32: its view is only ever the source of that copy.
+func (r *Reader) F32s(n int) []float32 {
+	b := r.Next(4 * n)
+	if len(b) == 0 {
+		return nil
+	}
+	if !hostBigEndian {
+		return append([]float32(nil), unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)...)
+	}
+	out := make([]float32, n)
+	fill4(bytesOf(out), b)
+	return out
+}
 
-// F32s is I32s for float32s.
-func (r *Reader) F32s(n int) []float32 { return read4[float32](r, n) }
-
-// I32sInto fills dst from the next 4*len(dst) bytes; on error dst is
+// I32sInto fills dst from the next 4*len(dst) bytes, the read side of
+// WriteI32s: how an arena is filled, a chunk at a time. On error dst is
 // untouched.
-func (r *Reader) I32sInto(dst []int32) { readInto(r, dst) }
-
-// F32sInto is I32sInto for float32s, the read side of WriteF32s: how an
-// arena is filled, a chunk at a time.
-func (r *Reader) F32sInto(dst []float32) { readInto(r, dst) }
-
-func readInto[T float32 | int32](r *Reader, dst []T) {
+func (r *Reader) I32sInto(dst []int32) {
 	if b := r.Next(4 * len(dst)); b != nil {
 		fill4(bytesOf(dst), b)
 	}
 }
 
 // F32sFrom fills dst from the first 4*len(dst) bytes of b, little-endian
-// float32s: F32sInto for a caller that holds the bytes already, such as a
-// loader that decodes a block a row at a time.
+// float32s, the read side of WriteF32s for a caller that holds the bytes
+// already, such as a loader that decodes a block a row at a time.
 func F32sFrom(dst []float32, b []byte) { fill4(bytesOf(dst), b[:4*len(dst)]) }
 
 // Ints decodes the next n little-endian int64s into a fresh []int, or nil

@@ -46,21 +46,21 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.F32(); got != 3.25 {
 		t.Fatalf("F32 = %v", got)
 	}
-	f := make([]float32, 3)
-	if r.F32sInto(f); f[0] != 1 || f[1] != -2 || f[2] != 0.5 {
-		t.Fatalf("F32sInto = %v", f)
+	f := r.F32s(3)
+	if len(f) != 3 || f[0] != 1 || f[1] != -2 || f[2] != 0.5 {
+		t.Fatalf("F32s = %v", f)
 	}
 	// F32sFrom decodes the same block from the bytes themselves.
 	g := make([]float32, 3)
 	if F32sFrom(g, buf.Bytes()[4+4+8+4+len("hello world")+4:]); !slices.Equal(g, f) {
-		t.Fatalf("F32sFrom = %v, F32sInto %v", g, f)
+		t.Fatalf("F32sFrom = %v, F32s %v", g, f)
 	}
 	i32 := []int32{0, 9}
 	if r.I32sInto(i32[:1]); i32[0] != -1 || i32[1] != 9 {
 		t.Fatalf("I32sInto = %v", i32)
 	}
-	if i32 := r.I32s(1); len(i32) != 1 || i32[0] != 1<<30 {
-		t.Fatalf("I32s = %v", i32)
+	if r.I32sInto(i32[1:]); i32[1] != 1<<30 {
+		t.Fatalf("I32sInto = %v", i32)
 	}
 	if ints := r.Ints(2); len(ints) != 2 || ints[0] != -5 || ints[1] != 1<<40 {
 		t.Fatalf("Ints = %v", ints)
@@ -87,14 +87,11 @@ func TestStickyError(t *testing.T) {
 	if got := r.Next(1); got != nil {
 		t.Fatalf("Next after error returned %v", got)
 	}
-	dst, fdst := []int32{7}, []float32{7}
+	dst := []int32{7}
 	if r.I32sInto(dst); dst[0] != 7 {
 		t.Fatal("I32sInto after error wrote to dst")
 	}
-	if r.F32sInto(fdst); fdst[0] != 7 {
-		t.Fatal("F32sInto after error wrote to dst")
-	}
-	if r.I32s(1) != nil || r.Ints(1) != nil {
+	if r.F32s(1) != nil || r.Ints(1) != nil {
 		t.Fatal("a bulk read after error allocated")
 	}
 	if r.Err() != first {
@@ -193,15 +190,13 @@ func TestBulkMatchesElementwise(t *testing.T) {
 		// Read back from an odd address: the input is never aligned for
 		// the reader's sake.
 		r := NewReader(append([]byte{0}, want...)[1:])
-		gotF, gotI, into := make([]float32, n), make([]int32, n), make([]int32, n)
-		r.F32sInto(gotF)
-		NewReader(want[4*n:]).I32sInto(into)
-		if gotI = r.I32s(n); r.Err() != nil || r.Len() != 0 || len(gotF) != n || len(gotI) != n {
-			t.Fatalf("n=%d: Err %v, %d left, %d and %d elements", n, r.Err(), r.Len(), len(gotF), len(gotI))
+		gotF, gotI := r.F32s(n), make([]int32, n)
+		if r.I32sInto(gotI); r.Err() != nil || r.Len() != 0 || len(gotF) != n {
+			t.Fatalf("n=%d: Err %v, %d left, %d floats", n, r.Err(), r.Len(), len(gotF))
 		}
 		for i := range f {
-			if math.Float32bits(gotF[i]) != math.Float32bits(f[i]) || gotI[i] != i32[i] || into[i] != i32[i] {
-				t.Fatalf("n=%d: element %d read back as %x / %d / %d", n, i, math.Float32bits(gotF[i]), gotI[i], into[i])
+			if math.Float32bits(gotF[i]) != math.Float32bits(f[i]) || gotI[i] != i32[i] {
+				t.Fatalf("n=%d: element %d read back as %x / %d", n, i, math.Float32bits(gotF[i]), gotI[i])
 			}
 		}
 

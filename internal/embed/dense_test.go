@@ -120,9 +120,6 @@ func clip(s string) string {
 // between the two (its bits do not), and the sparse loop must match each.
 func bothKernels(t *testing.T, fn func(t *testing.T)) {
 	prev := vector.Kernels()
-	if prev == "avx512" {
-		prev = "auto" // the one mode that reaches it
-	}
 	defer func() {
 		if err := vector.SetKernels(prev); err != nil {
 			t.Fatal(err)

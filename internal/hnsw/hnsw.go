@@ -22,7 +22,12 @@
 // node's links in one fixed block of int32 slots (links.go). There are no
 // per-node heap objects; a row or block address is arithmetic on the node
 // index, growth copies nothing, and the writer shares chunks with its frozen
-// clones.
+// clones. The node rows are a descriptor table over a data arena
+// (vector.RowData) that New makes for the index alone and NewOn takes from
+// a caller who stores other rows there: the online matcher's shard keeps its
+// entity rows and its index's node rows in one arena, and a node AppendRef
+// makes of an entity row is that row. A walk reads a node's row through its
+// descriptor either way.
 //
 // The distance is the merging phase's one cosine, vector.CosineUnitDist over
 // unit-norm (or zero) vectors; the index has no other. Every distance it
@@ -197,13 +202,20 @@ func (ix *Index) distTo(q []float32, i int, ctx *searchCtx) float32 {
 	return d[0]
 }
 
-// New creates an empty index for vectors of the given dimensionality.
-func New(dim int, cfg Config) *Index {
+// New creates an empty index for vectors of the given dimensionality, its
+// node rows on a data arena of its own.
+func New(dim int, cfg Config) *Index { return NewOn(vector.NewRowData(dim), cfg) }
+
+// NewOn creates an empty index whose node rows are a table on data, a data
+// arena its caller shares: AppendRef makes a node of a row another table
+// stored there. The caller must not write data while the index does, nor
+// while a Clone of it is being taken.
+func NewOn(data *vector.RowData, cfg Config) *Index {
 	cfg = cfg.withDefaults()
 	return &Index{
 		cfg:   cfg,
-		dim:   dim,
-		vecs:  vector.NewSparseRows(dim),
+		dim:   data.Dim(),
+		vecs:  vector.NewSparseRowsOn(data),
 		la:    newLinks(cfg.M),
 		stats: &searchStats{},
 
@@ -231,8 +243,8 @@ func (ix *Index) Dim() int { return ix.dim }
 // through this instead of holding a second copy.
 func (ix *Index) CopyTo(dst []float32, i int) { ix.vecs.CopyTo(dst, i) }
 
-// Vectors returns the node vector store, for reading its size and layout.
-// The caller must not modify it.
+// Vectors returns the node row table, for reading its size and layout. The
+// caller must not modify it.
 func (ix *Index) Vectors() *vector.SparseRows { return ix.vecs }
 
 // neighbors returns node i's links as a read view into the arena.
@@ -267,7 +279,8 @@ func (ix *Index) Add(id int, vec []float32) error {
 	if err := ix.refuses(vec); err != nil {
 		return err
 	}
-	ix.appendNode(id, vec)
+	ix.vecs.Append(vec)
+	ix.appendNode(id)
 	ix.linkPending()
 	return nil
 }
@@ -288,7 +301,22 @@ func (ix *Index) Append(id int, vec []float32) {
 	if err := ix.refuses(vec); err != nil {
 		panic(err.Error())
 	}
-	ix.appendNode(id, vec)
+	ix.vecs.Append(vec)
+	ix.appendNode(id)
+}
+
+// AppendRef is Append of a vector already stored on the index's data arena:
+// the row r names (vector.SparseRows.Ref), which becomes the node's row and
+// keeps its words in one place. r must name a row of NewOn's data arena;
+// AppendRef panics otherwise, and on a frozen Clone.
+func (ix *Index) AppendRef(id int, r vector.Ref) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.frozen {
+		panic("hnsw: insert into a frozen Clone")
+	}
+	ix.vecs.AppendRef(r)
+	ix.appendNode(id)
 }
 
 // Link links every Appended node not linked yet, in node order — what their
@@ -321,10 +349,11 @@ func (ix *Index) refuses(vec []float32) error {
 	return nil
 }
 
-func (ix *Index) appendNode(id int, vec []float32) {
+// appendNode gives the row just appended to the node table its id and an
+// empty link block.
+func (ix *Index) appendNode(id int) {
 	ix.ids = append(ix.ids, id)
 	ix.la.Grow(1)
-	ix.vecs.Append(vec)
 }
 
 func (ix *Index) linkPending() {
@@ -371,12 +400,16 @@ func (ix *Index) denseNode(buf *[]float32, i int) []float32 {
 // the chunks they dirty. The construction scratch stays behind: it exists
 // only for Add, which a frozen clone refuses. Cloning an index whose
 // Appended nodes wait for Link panics.
-func (ix *Index) Clone() *Index {
+func (ix *Index) Clone() *Index { return ix.CloneOn(ix.vecs.Data().Frozen()) }
+
+// CloneOn is Clone over data, a Frozen snapshot of the index's data arena
+// taken now, which the caller's other frozen tables on the arena share.
+func (ix *Index) CloneOn(data *vector.RowData) *Index {
 	ix.mustBeLinked("Clone")
 	return &Index{
 		cfg:    ix.cfg,
 		dim:    ix.dim,
-		vecs:   ix.vecs.Frozen(),
+		vecs:   ix.vecs.FrozenOn(data),
 		ids:    slices.Clip(ix.ids),
 		la:     ix.la.Snapshot(),
 		linked: ix.linked,

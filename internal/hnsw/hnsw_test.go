@@ -4,11 +4,25 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 
 	"repro/internal/vector"
 )
+
+// TestMain fails a run whose tests leave the kernel path other than where it
+// started: a test that forces a path must hand it back, or every test after
+// it runs on the forced path instead of the one the binary started on.
+func TestMain(m *testing.M) {
+	start := vector.Kernels()
+	code := m.Run()
+	if end := vector.Kernels(); code == 0 && end != start {
+		fmt.Fprintf(os.Stderr, "FAIL: the tests started on the %s kernel path and ended on %s\n", start, end)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 func randUnitVecs(rng *rand.Rand, n, dim int) [][]float32 {
 	vecs := make([][]float32, n)
@@ -396,9 +410,6 @@ func TestAppendLinkEqualsAdd(t *testing.T) {
 	for _, mode := range []string{"scalar", "avx2"} {
 		t.Run(mode, func(t *testing.T) {
 			prev := vector.Kernels()
-			if prev == "avx512" {
-				prev = "auto" // the one mode that reaches it
-			}
 			if err := vector.SetKernels(mode); err != nil {
 				t.Skip(err)
 			}

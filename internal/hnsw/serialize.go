@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/binio"
+	"repro/internal/vector"
 )
 
 // Binary index format, version 3 (all integers little-endian):
@@ -118,7 +119,16 @@ func Load(r io.Reader) (*Index, error) {
 // the link arena, which is never larger than the bytes that follow the
 // header, and the vector store at the size of the rows' nonzeros
 // (vector.SparseRows.Load).
-func Decode(rd *binio.Reader) (*Index, error) {
+func Decode(rd *binio.Reader) (*Index, error) { return DecodeOn(rd, nil, nil) }
+
+// DecodeOn is Decode into an index on data, a data arena its caller shares
+// (NewOn), or on one of its own when data is nil. alias, which may be nil,
+// names for a node's external id a row on data the node may share, or
+// returns the zero Ref: a node whose vector has that row's bits becomes an
+// AppendRef of it and stores no words. The graph, and the bytes it saves
+// back to, are the same either way. A file of another dimensionality than
+// data's is corrupt.
+func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int) vector.Ref) (*Index, error) {
 	if m := rd.Next(len(magic)); string(m) != string(magic[:]) {
 		return nil, corrupt("bad magic %q (not an HNSW index file)", m)
 	}
@@ -147,10 +157,15 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	if dim <= 0 || dim > maxSaneDim {
 		return nil, corrupt("implausible dim %d", dim)
 	}
+	if data == nil {
+		data = vector.NewRowData(dim)
+	} else if data.Dim() != dim {
+		return nil, corrupt("index dim %d on a dim-%d data arena", dim, data.Dim())
+	}
 	// A node is exactly its id, its block and its vector, so the arena a
 	// file decodes into is never larger than the file: past this check the
 	// header's count sizes only what is there.
-	ix := New(dim, cfg)
+	ix := NewOn(data, cfg)
 	if count < 0 || count > maxSaneCount || count > rd.Len()/(8+4*ix.la.Width()+4*dim) {
 		return nil, corrupt("implausible node count %d of M %d for the %d bytes that follow", count, cfg.M, rd.Len())
 	}
@@ -165,7 +180,11 @@ func Decode(rd *binio.Reader) (*Index, error) {
 	if rd.Err() != nil {
 		return nil, corrupt("vectors: %v", rd.Err())
 	}
-	ix.vecs.Load(count, func(i int, dst []float32) { binio.F32sFrom(dst, vecs[4*i*dim:]) })
+	var same func(i int) vector.Ref
+	if alias != nil {
+		same = func(i int) vector.Ref { return alias(ix.ids[i]) }
+	}
+	ix.vecs.Load(count, func(i int, dst []float32) { binio.F32sFrom(dst, vecs[4*i*dim:]) }, same)
 	return ix, nil
 }
 

@@ -10,22 +10,23 @@ import (
 	"repro/internal/vector"
 )
 
-// arenaMark records where a shard's growing stores keep their rows before a
-// batch — the address of each row's first mask word, for the rows in
-// full-sized chunks, of the entity store and of the index's node store — and
-// the index object the node store belongs to (a compaction replaces it).
+// arenaMark records where a shard keeps its rows before a batch — the
+// address of each row's first mask word, for the rows in full-sized chunks
+// of its data arena, of the entity table and of the index's node table — and
+// the data arena and index they belong to (a compaction replaces both).
 type arenaMark struct {
+	data        *vector.RowData
 	index       *hnsw.Index
 	ents, nodes map[int]*uint32
 }
 
 // markRows returns the addresses of s's rows in full-sized chunks. A loaded
-// store's last chunk is sized to its rows (arena.Arena.GrowExact) and moves
+// arena's last chunk is sized to its rows (arena.Arena.GrowExact) and moves
 // once when it grows; the rows of every full-sized chunk must never move.
 func markRows(s *vector.SparseRows) map[int]*uint32 {
 	rows := map[int]*uint32{}
-	elemCap, _ := s.Cap()
-	full := fullRows(s.Elems(), elemCap, s.ChunkElems())
+	d := s.Data()
+	full := fullRows(d.Elems(), d.Cap(), d.ChunkElems())
 	for i := range s.Len() {
 		if mask, vals := s.Row(i); s.Offset(i)+len(mask)+len(vals) <= full {
 			rows[i] = &mask[0]
@@ -36,7 +37,7 @@ func markRows(s *vector.SparseRows) map[int]*uint32 {
 
 // markArenas takes sh's mark.
 func markArenas(sh *shard) arenaMark {
-	return arenaMark{index: sh.index, ents: markRows(sh.entVecs), nodes: markRows(sh.index.Vectors())}
+	return arenaMark{data: sh.entVecs.Data(), index: sh.index, ents: markRows(sh.entVecs), nodes: markRows(sh.index.Vectors())}
 }
 
 // fullRows is how many of the n rows of an arena of capacity c, in chunks
@@ -49,26 +50,26 @@ func fullRows(n, c, chunk int) int {
 	return n
 }
 
-// checkArenas holds each shard's growing stores — its entity embeddings and
-// its index's node vectors, both bitmask-row stores of a data table and a
-// descriptor table — to the chunked store's contract after a batch: under
-// one chunk of unused rows a table, and every row marked before the batch at
-// its old address (node rows only while the index is the same one).
+// checkArenas holds each shard's growing stores — one data arena, under the
+// entity table and the index's node table, which share it — to the chunked
+// store's contract after a batch: under one chunk of unused words in the
+// arena and of unused descriptors a table, and every row marked before the
+// batch at its old address while the arena is the same one (node rows only
+// while the index is the same one too).
 func checkArenas(t *testing.T, when string, m *Matcher, marks []arenaMark) {
 	t.Helper()
 	for s, sh := range m.shards {
+		if d := sh.entVecs.Data(); d != sh.index.Vectors().Data() {
+			t.Fatalf("%s: shard %d's entity and node rows are on two data arenas", when, s)
+		} else if slack := d.Cap() - d.Elems(); slack < 0 || slack >= d.ChunkElems() {
+			t.Fatalf("%s: shard %d's data arena holds %d words with room for %d", when, s, d.Elems(), d.Cap())
+		}
 		for kind, st := range map[string]*vector.SparseRows{"entity": sh.entVecs, "node": sh.index.Vectors()} {
-			elemCap, rowCap := st.Cap()
-			for name, a := range map[string][3]int{
-				"data":       {st.Elems(), elemCap, st.ChunkElems()},
-				"descriptor": {st.Len(), rowCap, vector.DescChunkRows},
-			} {
-				if slack := a[1] - a[0]; slack < 0 || slack >= a[2] {
-					t.Fatalf("%s: shard %d's %s %s table holds %d rows with room for %d", when, s, kind, name, a[0], a[1])
-				}
+			if slack := st.Cap() - st.Len(); slack < 0 || slack >= vector.DescChunkRows {
+				t.Fatalf("%s: shard %d's %s descriptor table holds %d rows with room for %d", when, s, kind, st.Len(), st.Cap())
 			}
 		}
-		if marks == nil {
+		if marks == nil || sh.entVecs.Data() != marks[s].data {
 			continue
 		}
 		moved := func(kind string, st *vector.SparseRows, rows map[int]*uint32) {
@@ -86,13 +87,13 @@ func checkArenas(t *testing.T, when string, m *Matcher, marks []arenaMark) {
 }
 
 // TestArenaRowsNeverMove drives a two-shard matcher through batches that push
-// the entity rows and the node vectors of each shard across several chunk
-// boundaries (a data chunk holds 8192 words, some 190 Geo rows, so it takes
-// 192 batches), with a save/load round trip halfway: after every batch
-// each arena's unused capacity is under one chunk, and no row of a full
-// chunk has moved. A view pinned before a batch is read from another
-// goroutine while the batch appends across a boundary, and reads the same
-// rows after it (make race runs this under the race detector).
+// each shard's data arena — entity rows and node rows, interleaved — across
+// several chunk boundaries (a chunk holds 8192 words, some 100 Geo rows of
+// either kind), with a save/load round trip halfway: after every batch the
+// arena's unused capacity is under one chunk, and no row of a full chunk has
+// moved. A view pinned before a batch is read from another goroutine while
+// the batch appends across a boundary, and reads the same rows after it
+// (make race runs this under the race detector).
 func TestArenaRowsNeverMove(t *testing.T) {
 	d := mustGeo(t, 0.01, 5)
 	opt := durOpts(2)
@@ -104,9 +105,9 @@ func TestArenaRowsNeverMove(t *testing.T) {
 	// Near-duplicates of another dataset's records are mostly new tuples to
 	// this base, so the node arenas grow as well as the entity arenas.
 	batches := randomBatches(mustGeo(t, 0.2, 6), 192, 16, 17)
-	// crossings[s] counts, per arena kind, the batches that appended shard
-	// s's rows across a chunk boundary.
-	crossings := make([][2]int, 2)
+	// crossings[s] counts the batches that appended shard s's rows across a
+	// chunk boundary of its data arena.
+	crossings := make([]int, 2)
 	for b, rows := range batches {
 		if b == len(batches)/2 {
 			m = mustLoad(t, saveBytes(t, m), opt)
@@ -146,22 +147,19 @@ func TestArenaRowsNeverMove(t *testing.T) {
 		}
 		checkArenas(t, fmt.Sprintf("batch %d", b), m, marks)
 		for s, sh := range m.shards {
-			if sh.entVecs.Elems()/sh.entVecs.ChunkElems() > before.shards[s].entVecs.Elems()/sh.entVecs.ChunkElems() {
-				crossings[s][0]++
-			}
-			now, then := sh.index.Vectors(), before.shards[s].index.Vectors()
-			if sh.index == marks[s].index && now.Elems()/now.ChunkElems() > then.Elems()/now.ChunkElems() {
-				crossings[s][1]++
+			now, then := sh.entVecs.Data(), before.shards[s].entVecs.Data()
+			if now == marks[s].data && now.Elems()/now.ChunkElems() > then.Elems()/now.ChunkElems() {
+				crossings[s]++
 			}
 		}
 		if got := viewRows(before); !slices.EqualFunc(got, want, slices.Equal) {
 			t.Fatalf("batch %d: a view pinned before it reads other rows after it", b)
 		}
 	}
-	t.Logf("chunk boundaries crossed per shard (entity, node): %v", crossings)
+	t.Logf("data arena chunk boundaries crossed per shard: %v", crossings)
 	for s, c := range crossings {
-		if c[0] < 3 || c[1] < 2 {
-			t.Fatalf("shard %d crossed %d entity and %d node chunk boundaries, want several", s, c[0], c[1])
+		if c < 5 {
+			t.Fatalf("shard %d crossed %d chunk boundaries of its data arena, want several", s, c)
 		}
 	}
 }

@@ -286,10 +286,11 @@ func TestMatcherHeapBudget(t *testing.T) {
 
 	// 3: at this size the link blocks (100 B an entry, most of a Geo
 	// centroid's row), ids, tuples and each table's last chunk weigh as
-	// much as the rows. This state reads 2.37, and would read 4.70 with a
-	// second, dense centroid arena, 4.34 with dense node vectors (1.53 of
-	// those rows when the node store was dense) and 6.19 with dense entity
-	// rows.
+	// much as the rows. This state reads 2.59 (the index's singleton nodes
+	// count 8 B each: they are their entity rows), and would read about 5.1
+	// with a second, dense centroid arena, 4.8 with dense node vectors (1.5
+	// of those rows when the node store was dense) and 6.7 with dense
+	// entity rows, by the rows each would add.
 	entityBytes, indexBytes := 0, 0
 	for _, ss := range perShard {
 		entityBytes += ss.EntityBytes

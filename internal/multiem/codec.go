@@ -39,9 +39,11 @@ import (
 // later absorption is decided and every replayed one checked, and the
 // probes, which tie the embeddings to the encoder that made them
 // (checkHeader). A tuple's centroid is the vector of the last index node
-// carrying its id, and is stored there only. The embeddings are dense in the
-// file and sparse in memory (vector.SparseRows): a row's bits are the same on
-// both sides, so a file saves back to itself. Each shard's section is
+// carrying its id, and is stored there only. The embeddings and centroids
+// are dense in the file and bitmask rows in memory, on one data arena a
+// shard (vector.SparseRows), where a node with its tuple's first member's
+// bits shares that entity row: a row's bits are the same on both sides, so a
+// file saves back to itself. Each shard's section is
 // self-contained and length-prefixed, so a loader finds every section without
 // decoding the one before it, and a loaded matcher has the exact shard
 // topology it was saved with.
@@ -353,7 +355,7 @@ func (sh *shard) readSection(sec []byte, dim int) (maxEntID int, err error) {
 	// The rows are compressed from the section bytes, so each table is sized
 	// by the nonzeros the file holds: at most 1.5× its dense bytes.
 	vecs := rd.Next(nEnts * 4 * dim)
-	sh.entVecs.Load(nEnts, func(i int, dst []float32) { binio.F32sFrom(dst, vecs[i*4*dim:]) })
+	sh.entVecs.Load(nEnts, func(i int, dst []float32) { binio.F32sFrom(dst, vecs[i*4*dim:]) }, nil)
 
 	// A tuple is at least its member count and its join distance.
 	nTuples := rd.Count(8)
@@ -366,7 +368,7 @@ func (sh *shard) readSection(sec []byte, dim int) (maxEntID int, err error) {
 		if rd.Err() != nil {
 			return -1, fmt.Errorf("tuple %d: %w", i, rd.Err())
 		}
-		if nMembers > nEnts {
+		if nMembers == 0 || nMembers > nEnts {
 			return -1, fmt.Errorf("tuple %d has %d members, the shard %d entities", i, nMembers, nEnts)
 		}
 		members := make([]int, nMembers)
@@ -389,12 +391,17 @@ func (sh *shard) readSection(sec []byte, dim int) (maxEntID int, err error) {
 		return -1, rd.Err()
 	}
 
-	ix, err := hnsw.Decode(rd)
+	// The index's node rows go on the shard's data arena, after the entity
+	// rows, and a node with its tuple's first member's bits is that row, as
+	// indexNode made it.
+	ix, err := hnsw.DecodeOn(rd, sh.entVecs.Data(), func(id int) vector.Ref {
+		if id < 0 || id >= nTuples {
+			return vector.Ref{} // refused below
+		}
+		return sh.entVecs.Ref(sh.tuples.at(id).members[0])
+	})
 	if err != nil {
 		return -1, err
-	}
-	if ix.Dim() != dim {
-		return -1, fmt.Errorf("index dim %d does not match matcher dim %d", ix.Dim(), dim)
 	}
 	if rd.Len() != 0 {
 		return -1, fmt.Errorf("section has %d trailing bytes", rd.Len())

@@ -122,9 +122,6 @@ func TestFormatEquivalence(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/shards=%d", mode, shards), func(t *testing.T) {
 				prev := vector.Kernels()
-				if prev == "avx512" {
-					prev = "auto" // the one mode that reaches it
-				}
 				if err := vector.SetKernels(mode); err != nil {
 					t.Skip(err)
 				}

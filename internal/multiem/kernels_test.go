@@ -12,8 +12,7 @@ import (
 
 // defaultKernels selects the kernel path the test binary started on —
 // VECTOR_KERNELS, or auto — and reports it, whatever an earlier test left
-// selected: a test that hands SetKernels back what Kernels() said fails to
-// restore "avx512", which only auto reaches, and leaves its last mode.
+// selected.
 func defaultKernels(t *testing.T) string {
 	mode := os.Getenv("VECTOR_KERNELS")
 	if mode == "" {
@@ -31,9 +30,6 @@ func defaultKernels(t *testing.T) string {
 func withKernels(t *testing.T, mode string) func() {
 	t.Helper()
 	prev := vector.Kernels()
-	if prev == "avx512" {
-		prev = "auto" // the one mode that reaches it
-	}
 	if err := vector.SetKernels(mode); err != nil {
 		t.Fatal(err)
 	}

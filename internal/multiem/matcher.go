@@ -351,7 +351,7 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 // hence the same bits.
 func (m *Matcher) buildShardIndex(s int) {
 	sh := m.shards[s]
-	sh.index = hnsw.New(m.dim, m.opt.HNSW)
+	sh.index = hnsw.NewOn(sh.entVecs.Data(), m.opt.HNSW)
 	for local := 0; local < sh.tuples.Len(); local++ {
 		sh.indexCentroid(local)
 	}

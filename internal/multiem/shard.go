@@ -50,29 +50,36 @@ func splitTupleID(id int) (shard, local int) {
 //     them with slices.Clip.
 //   - Every table is one kind, arena.Arena: rows in fixed chunks behind a
 //     spine, so a stored row never moves. The tables are the tuple table,
-//     the index's node vectors and link blocks, and entVecs's three (an
-//     entity row's nonzero values, their coordinates, and a descriptor a
-//     row). A view takes a snapshot, which clips the spine in O(1) and
-//     marks every chunk and the spine shared. Appends write past every
-//     frozen length, in place; a write to an existing row (a tuple's node,
-//     a node's links — never an entity row) copies its chunk first, and the
+//     the index's link blocks, and the shard's one data arena of bitmask
+//     rows (vector.RowData: mask and value words) under two descriptor
+//     tables, entVecs's and the index's node table (vector.SparseRows). A
+//     view takes a snapshot of each — one of the data arena, which both
+//     descriptor tables share — which clips the spine in O(1) and marks
+//     every chunk and the spine shared. Appends write past every frozen
+//     length, in place; a write to an existing row (a tuple's node, a node's
+//     links — never a row of the data arena) copies its chunk first, and the
 //     batch's first such write copies the spine.
 //
 // So a view copies no row and no spine (it clears one ownership flag a
 // chunk), and the writer's next batch copies only the chunks it dirties and
 // at most one spine a table.
 //
-// The index's node store is the only copy of the tuple centroids. A node's
+// The index's node table is the only copy of the tuple centroids. A node's
 // vector is immutable, so a recomputed centroid is indexed as a new node
 // under the same tuple id, never written over one a view may be reading;
 // tupleState.node says which node is current, and the superseded ones are
-// the index's stale entries until the next compaction rebuilds it dense.
+// the index's stale entries until the next compaction rebuilds it dense. A
+// node whose centroid has its tuple's first member's bits — every node of a
+// one-member tuple — is that member's entity row (indexNode): its descriptor
+// names the row's words, and it stores none of its own.
 type shardView struct {
 	// entIDs maps local entity row -> global entity ID. Append-only.
 	entIDs []int
 	// entVecs holds the embeddings of every entity owned by this shard, as
-	// their nonzero coordinates; a tuple's members index into it. Only the
-	// centroid sums read it. Append-only.
+	// bitmask rows on the shard's data arena (entVecs.Data()), which the
+	// index's node rows share; a tuple's members index into it. The
+	// centroid sums read it, and the walks through the nodes that alias its
+	// rows. Append-only.
 	entVecs *vector.SparseRows
 	// tuples is the tuple table (tupletable.go): the writer's copy in a
 	// shard, a snapshot of it in a published view.
@@ -92,8 +99,8 @@ type shardView struct {
 type shard struct {
 	shardView
 	// centroid (dim floats) is where a settled centroid is computed before
-	// index.Append copies it, and where a replay stream or a compaction reads
-	// a current one back (centroidAt); touched collects the pre-existing
+	// indexNode stores it, and where a replay stream or a compaction reads a
+	// current one back (centroidAt); touched collects the pre-existing
 	// tuples a batch absorbed rows into.
 	centroid []float32
 	touched  []int
@@ -102,11 +109,12 @@ type shard struct {
 // view freezes the shard's current state into an immutable shardView (see
 // shardView). The caller holds addMu and has linked the index.
 func (sh *shard) view() *shardView {
+	data := sh.entVecs.Data().Frozen()
 	return &shardView{
 		entIDs:      slices.Clip(sh.entIDs),
-		entVecs:     sh.entVecs.Frozen(),
+		entVecs:     sh.entVecs.FrozenOn(data),
 		tuples:      tupleTable{sh.tuples.Snapshot()},
-		index:       sh.index.Clone(),
+		index:       sh.index.CloneOn(data),
 		compactions: sh.compactions,
 	}
 }
@@ -125,7 +133,20 @@ func (v *shardView) centroidAt(dst []float32, local int) []float32 {
 // view of the shard calls index.Link. The caller holds addMu.
 func (sh *shard) indexCentroid(local int) {
 	centroidInto(sh.centroid, sh.tuples.at(local).members, sh.entVecs)
-	sh.index.Append(local, sh.centroid)
+	sh.indexNode(local, sh.centroid)
+}
+
+// indexNode appends vec as tuple local's new current node: an alias of the
+// tuple's first member's entity row when vec has that row's bits — always
+// for a one-member tuple, whose centroid is the row — and otherwise a row
+// of its own. The rule depends on the bits alone, so a build, a replay, a
+// compaction and a load (readSection) alias the same nodes.
+func (sh *shard) indexNode(local int, vec []float32) {
+	if first := sh.entVecs.Ref(sh.tuples.at(local).members[0]); first.Holds(vec) {
+		sh.index.AppendRef(local, first)
+	} else {
+		sh.index.Append(local, vec)
+	}
 	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
 }
 
@@ -190,10 +211,14 @@ type ShardStats struct {
 	Entities int `json:"entities"`
 	// EntityBytes is the memory the shard's entity embeddings take. They
 	// are kept as bitmask rows, so it depends on the data: dim/8 B of mask,
-	// 4 B a nonzero and 8 B an entity (vector.SparseRows.Bytes).
+	// 4 B a nonzero and 8 B an entity (vector.SparseRows.Bytes). The data
+	// arena's chunk tails, under a row a 32 KiB chunk, are in neither count.
 	EntityBytes int `json:"entity_bytes"`
 	// IndexBytes is the memory the shard's index node vectors take, stale
-	// entries included, kept as bitmask rows like the entities.
+	// entries included: the words of the node rows the index stores itself
+	// and 8 B a node's descriptor. A node that is its tuple's first member's
+	// entity row (every one-member tuple's) adds its descriptor alone: its
+	// words are counted in EntityBytes.
 	IndexBytes int `json:"index_bytes"`
 	// Tuples is the number of tuples homed here, singletons included.
 	Tuples int `json:"tuples"`
@@ -256,36 +281,39 @@ const compactThreshold = 2
 // The caller holds addMu. Published views keep the old index, so readers are
 // never affected.
 //
-// The rebuild takes the replaced index's own dimensionality and config — the
-// ones it was built or saved with, whatever Options a later process passes —
-// and is deterministic: the graph is a function of the vectors and their
-// order, and the trigger depends only on ingest history (index entries accrue
-// one per new tuple and one per centroid refresh, regardless of shard layout
-// or any save/load in between), so an original matcher and its save/load twin
+// The rebuild takes the replaced index's own config — the one it was built or
+// saved with, whatever Options a later process passes — and is
+// deterministic: the graph is a function of the vectors and their order, and
+// the trigger depends only on ingest history (index entries accrue one per
+// new tuple and one per centroid refresh, regardless of shard layout or any
+// save/load in between), so an original matcher and its save/load twin
 // compact at the same point and rebuild identical graphs. The rebuild only
 // Appends, like apply: its graph is built when it is next linked.
+//
+// It also rebuilds the shard's data arena, where the replaced nodes' words
+// would otherwise stay: the entity rows are copied word for word to a new
+// one, the current centroids are indexed on it as apply indexes them
+// (indexNode), and the old arena goes with the last view that reads it.
 func (sh *shard) maybeCompact() (discarded int) {
 	live := sh.tuples.Len()
 	if live == 0 || sh.index.Len()-live <= compactThreshold*live {
 		return 0
 	}
-	ix := hnsw.New(sh.index.Dim(), sh.index.Config())
+	old := sh.index
+	sh.entVecs = sh.entVecs.CopyOn(vector.NewRowData(sh.entVecs.Dim()))
+	sh.index = hnsw.NewOn(sh.entVecs.Data(), old.Config())
 	// The rebuild replaces the index but not the logical shard: keep the
 	// search-effort counters monotonic across compactions.
-	ix.CarrySearchStats(sh.index)
-	for l := 0; l < live; l++ {
-		ix.Append(l, sh.centroidAt(sh.centroid, l))
-	}
+	sh.index.CarrySearchStats(old)
 	// In the dense index tuple l's node is l. Rewriting every row's node
 	// dirties (and so copies) every shared tuple chunk — fine: compaction is
 	// already an O(live) rebuild, and it runs rarely by construction.
 	for l := 0; l < live; l++ {
-		sh.tuples.mut(l).node = int32(l)
+		old.CopyTo(sh.centroid, int(sh.tuples.at(l).node))
+		sh.indexNode(l, sh.centroid)
 	}
-	discarded = sh.index.Unlinked()
-	sh.index = ix
 	sh.compactions++
-	return discarded
+	return old.Unlinked()
 }
 
 // routeVec hashes a vector's bit pattern to a shard: FNV-1a over the float32

@@ -94,9 +94,6 @@ func workCounts(t *testing.T) string {
 func TestWorkCounts(t *testing.T) {
 	const golden = "testdata/workcounts.golden"
 	prev := vector.Kernels()
-	if prev == "avx512" {
-		prev = "auto" // the one mode that reaches it
-	}
 	defer vector.SetKernels(prev)
 	ran := map[string]bool{}
 	for _, mode := range []string{"scalar", "avx2", "auto"} {

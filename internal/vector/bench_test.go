@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -129,6 +130,11 @@ func BenchmarkMetricGather(b *testing.B) {
 // of a run is mostly the neighbours (docs/BENCHMARKING.md, "The gather
 // kernel", has the table and the sweep that fixed gatherAhead). The 256 MB
 // arena is skipped under -short.
+//
+// The bitmask-nodes and bitmask-shared legs gather the same node rows, laid
+// out as a shard's apply lays them (shardLayout), from a node table of its
+// own and from one that shares its data arena with the entity rows; they
+// run up to 64 MB.
 func BenchmarkGather(b *testing.B) {
 	if !hasAVX2 {
 		b.Skip("CPU lacks AVX2+FMA")
@@ -139,8 +145,10 @@ func BenchmarkGather(b *testing.B) {
 	// The bitmask legs gather as many rows of a SparseRows store, each with
 	// about 90 of its benchDim coordinates set (a centroid's density), under
 	// the kernel path their mode forces.
-	var sparse *SparseRows
+	var sparse, nodes, shared *SparseRows
 	bitmask := func(arena []float32, blk []int32) { sparse.DotGather(q, blk, out) }
+	nodeOnly := func(arena []float32, blk []int32) { nodes.DotGather(q, blk, out) }
+	onShared := func(arena []float32, blk []int32) { shared.DotGather(q, blk, out) }
 	kernels := []struct {
 		name  string
 		score func(arena []float32, blk []int32)
@@ -157,9 +165,13 @@ func BenchmarkGather(b *testing.B) {
 		{"kernel=fused/lookahead=on", func(arena []float32, blk []int32) {
 			DotGather(q, arena, benchDim, blk, out)
 		}, ""},
-		{"kernel=bitmask/path=avx512", bitmask, "auto"},
+		{"kernel=bitmask/path=avx512", bitmask, "avx512"},
 		{"kernel=bitmask/path=avx2", bitmask, "avx2"},
 		{"kernel=bitmask/path=scalar", bitmask, "scalar"},
+		{"kernel=bitmask-nodes/path=avx512", nodeOnly, "avx512"},
+		{"kernel=bitmask-shared/path=avx512", onShared, "avx512"},
+		{"kernel=bitmask-nodes/path=avx2", nodeOnly, "avx2"},
+		{"kernel=bitmask-shared/path=avx2", onShared, "avx2"},
 	}
 	for _, mb := range []int{1, 24, 64, 256} {
 		if testing.Short() && mb > 64 {
@@ -182,9 +194,16 @@ func BenchmarkGather(b *testing.B) {
 			}
 			sparse.Append(v)
 		}
+		nodes, shared = nil, nil
+		if mb <= 64 {
+			nodes, shared = shardLayout(rng, rows)
+		}
 		for _, k := range kernels {
-			if k.mode == "auto" && !hasAVX512 {
+			if k.mode == "avx512" && !hasAVX512 {
 				b.Logf("CPU or OS lacks AVX-512F: %s skipped", k.name)
+				continue
+			}
+			if strings.HasPrefix(k.name, "kernel=bitmask-") && nodes == nil {
 				continue
 			}
 			b.Run(fmt.Sprintf("arena=%dMB/%s", mb, k.name), func(b *testing.B) {
@@ -212,4 +231,45 @@ func BenchmarkGather(b *testing.B) {
 		}
 	}
 	sinkF32 = out[0]
+}
+
+// shardLayout returns the node rows of a shard that has indexed nodes rows
+// twice over: in a node table on its own data arena, every node its own
+// words, and in one that shares its arena with the entity rows, as a
+// shard's apply lays them out. A batch appends 16 entity rows (about 63 of
+// benchDim coordinates set, the encoder's density), then 7 nodes for new
+// one-member tuples — 7 of those entity rows, which the shared table names
+// with AppendRef — and 8 recomputed centroids of about 90 coordinates:
+// serve_ingest's mix, where 43 % of the nodes are singletons'.
+func shardLayout(rng *rand.Rand, nodes int) (own, shared *SparseRows) {
+	vec := func(set int) []float32 {
+		v := make([]float32, benchDim)
+		for c := range v {
+			if rng.Intn(benchDim) < set {
+				v[c] = rng.Float32() - 0.5
+			}
+		}
+		return v
+	}
+	own = NewSparseRows(benchDim)
+	ents := NewSparseRows(benchDim)
+	shared = NewSparseRowsOn(ents.Data())
+	for own.Len() < nodes {
+		first := ents.Len()
+		var batch [][]float32
+		for range 16 {
+			batch = append(batch, vec(63))
+			ents.Append(batch[len(batch)-1])
+		}
+		for k := 0; k < 7 && own.Len() < nodes; k++ {
+			own.Append(batch[k])
+			shared.AppendRef(ents.Ref(first + k))
+		}
+		for k := 0; k < 8 && own.Len() < nodes; k++ {
+			v := vec(90)
+			own.Append(v)
+			shared.Append(v)
+		}
+	}
+	return own, shared
 }

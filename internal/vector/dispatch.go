@@ -35,8 +35,12 @@ func init() {
 //	           throughout, or the Go twins where it has neither.
 //	"scalar" — force the portable Go twins.
 //	"avx2"   — the AVX2+FMA assembly throughout; errors on CPUs without it.
+//	"avx512" — AVX-512 for the bitmask-row gather and AVX2+FMA for the
+//	           rest; errors on CPUs or OSes without AVX-512F.
 //
-// Every path returns the same bits. Call it at startup (the VECTOR_KERNELS
+// Each mode Kernels reports selects that path again, so SetKernels(Kernels())
+// changes nothing: how a test hands the path back. Every path returns the
+// same bits. Call it at startup (the VECTOR_KERNELS
 // env routes here) or between sequential test phases — not while other
 // goroutines are computing distances.
 func SetKernels(mode string) error {
@@ -50,14 +54,18 @@ func SetKernels(mode string) error {
 			return fmt.Errorf("vector: kernels %q requested but CPU lacks AVX2+FMA support", mode)
 		}
 		simdOn, avx512 = true, false
+	case "avx512":
+		if !hasAVX512 {
+			return fmt.Errorf("vector: kernels %q requested but CPU or OS lacks AVX-512F support", mode)
+		}
+		simdOn, avx512 = true, true
 	default:
-		return fmt.Errorf("vector: unknown kernels mode %q (want auto, scalar, or avx2)", mode)
+		return fmt.Errorf("vector: unknown kernels mode %q (want auto, scalar, avx2 or avx512)", mode)
 	}
 	return nil
 }
 
-// Kernels reports the active kernel path: "avx512" (reached through "auto"
-// only), "avx2" or "scalar".
+// Kernels reports the active kernel path: "avx512", "avx2" or "scalar".
 func Kernels() string {
 	switch {
 	case avx512:

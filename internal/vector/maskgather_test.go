@@ -9,8 +9,7 @@ import (
 )
 
 // kernelPaths names, as SetKernels modes, every kernel path this CPU runs:
-// the twins, AVX2, and AVX-512 (which only "auto" reaches). A path the CPU
-// lacks is logged and left out.
+// the twins, AVX2, and AVX-512. A path the CPU lacks is logged and left out.
 func kernelPaths(t testing.TB) []string {
 	paths := []string{"scalar"}
 	if !hasAVX2 {
@@ -22,7 +21,7 @@ func kernelPaths(t testing.TB) []string {
 		t.Logf("CPU or OS lacks AVX-512F: the avx512 leg is skipped")
 		return paths
 	}
-	return append(paths, "auto")
+	return append(paths, "avx512")
 }
 
 // randSparseRows returns a store of n random rows of dimension dim and the
@@ -56,7 +55,7 @@ func randSparseRows(rng *rand.Rand, dim, n int) (*SparseRows, [][]float32) {
 func chunkEdges(s *SparseRows) []int32 {
 	idxs := []int32{0, int32(s.Len() - 1)}
 	for i := 1; i < s.Len(); i++ {
-		if s.Offset(i)/s.ChunkElems() != s.Offset(i-1)/s.ChunkElems() {
+		if chunk := s.Data().ChunkElems(); s.Offset(i)/chunk != s.Offset(i-1)/chunk {
 			idxs = append(idxs, int32(i-1), int32(i))
 		}
 	}
@@ -134,9 +133,9 @@ func TestMaskGatherMatchesSinglePair(t *testing.T) {
 				for _, ahead := range []int{0, 1, gatherAhead, 5, n, n + 40} {
 					clear(out[:n])
 					if avx512 {
-						dotMaskAVX512(&q[0], dim, &ptrs[0], 4*s.words, n, ahead, &out[0])
+						dotMaskAVX512(&q[0], dim, &ptrs[0], 4*s.d.words, n, ahead, &out[0])
 					} else {
-						dotMaskAVX2(&q[0], dim, &ptrs[0], 4*s.words, n, ahead, &out[0], &maskExpand[0][0])
+						dotMaskAVX2(&q[0], dim, &ptrs[0], 4*s.d.words, n, ahead, &out[0], &maskExpand[0][0])
 					}
 					for j := range n {
 						if want := Dot(q, dense[idxs[j]]); math.Float32bits(out[j]) != math.Float32bits(want) {

@@ -22,9 +22,6 @@ func forceKernels(t testing.TB, mode string) {
 	if err := SetKernels(mode); err != nil {
 		t.Fatal(err)
 	}
-	if prev == "avx512" {
-		prev = "auto" // the one mode that reaches it
-	}
 	t.Cleanup(func() {
 		if err := SetKernels(prev); err != nil {
 			t.Fatal(err)
@@ -196,8 +193,28 @@ func TestSetKernels(t *testing.T) {
 	} else if err := SetKernels("avx2"); err != nil || Kernels() != "avx2" {
 		t.Fatalf("SetKernels(avx2) = %v, then Kernels() = %q", err, Kernels())
 	}
-	if err := SetKernels("avx512"); err == nil {
-		t.Fatal(`SetKernels accepted "avx512": only "auto" reaches that path`)
+	if !hasAVX512 {
+		if err := SetKernels("avx512"); err == nil {
+			t.Fatal("SetKernels(avx512) must error on a CPU or OS without AVX-512F")
+		}
+	} else if err := SetKernels("avx512"); err != nil || Kernels() != "avx512" {
+		t.Fatalf("SetKernels(avx512) = %v, then Kernels() = %q", err, Kernels())
+	}
+}
+
+// TestSetKernelsRoundTrip: on every path the CPU has, SetKernels(Kernels())
+// selects the path it is on, so a test that saves Kernels() and hands it
+// back restores the path.
+func TestSetKernelsRoundTrip(t *testing.T) {
+	forceKernels(t, "auto")
+	for _, mode := range kernelPaths(t) {
+		if err := SetKernels(mode); err != nil {
+			t.Fatal(err)
+		}
+		on := Kernels()
+		if err := SetKernels(on); err != nil || Kernels() != on {
+			t.Fatalf("on %s: SetKernels(%q) = %v, then Kernels() = %q", mode, on, err, Kernels())
+		}
 	}
 }
 

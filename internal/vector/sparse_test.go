@@ -143,9 +143,6 @@ func BenchmarkSparseAtLeast32(b *testing.B) {
 		for _, mode := range []string{"scalar", "auto"} {
 			b.Run(fmt.Sprintf("rows=64x32/nnz=%d/%s", nnz, mode), func(b *testing.B) {
 				prev := Kernels()
-				if prev == "avx512" {
-					prev = "auto" // the one mode that reaches it
-				}
 				if err := SetKernels(mode); err != nil {
 					b.Fatal(err)
 				}

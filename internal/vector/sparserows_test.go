@@ -49,16 +49,15 @@ func checkSparseRows(t *testing.T, s *SparseRows, rows [][]float32) {
 		if len(mask) != 2*((s.Dim()+63)/64) || len(vals) != nonzeros(want) {
 			t.Fatalf("row %d has %d mask words and %d values, want %d and %d", i, len(mask), len(vals), 2*((s.Dim()+63)/64), nonzeros(want))
 		}
-		if n, off := len(mask)+len(vals), s.Offset(i); off/s.ChunkElems() != (off+n-1)/s.ChunkElems() {
-			t.Fatalf("row %d of %d words at %d straddles a %d-word chunk", i, n, off, s.ChunkElems())
+		if n, off, chunk := len(mask)+len(vals), s.Offset(i), s.Data().ChunkElems(); off/chunk != (off+n-1)/chunk {
+			t.Fatalf("row %d of %d words at %d straddles a %d-word chunk", i, n, off, chunk)
 		}
 	}
-	elemCap, rowCap := s.Cap()
-	if slack := elemCap - s.Elems(); slack < 0 || slack >= s.ChunkElems() {
-		t.Fatalf("data table holds %d words with room for %d", s.Elems(), elemCap)
+	if d := s.Data(); d.Cap()-d.Elems() < 0 || d.Cap()-d.Elems() >= d.ChunkElems() {
+		t.Fatalf("data arena holds %d words with room for %d", d.Elems(), d.Cap())
 	}
-	if slack := rowCap - s.Len(); slack < 0 || slack >= DescChunkRows {
-		t.Fatalf("descriptor table holds %d rows with room for %d", s.Len(), rowCap)
+	if slack := s.Cap() - s.Len(); slack < 0 || slack >= DescChunkRows {
+		t.Fatalf("descriptor table holds %d rows with room for %d", s.Len(), s.Cap())
 	}
 }
 
@@ -83,7 +82,7 @@ func TestSparseRowsStore(t *testing.T) {
 		}
 	}
 	checkSparseRows(t, s, rows[:200])
-	frozen := s.Frozen()
+	frozen := s.FrozenOn(s.Data().Frozen())
 	addrs := make([]*uint32, frozen.Len())
 	for i := range addrs {
 		mask, _ := frozen.Row(i)
@@ -101,10 +100,10 @@ func TestSparseRowsStore(t *testing.T) {
 	}
 
 	loaded := NewSparseRows(dim)
-	loaded.Load(200, func(i int, dst []float32) { copy(dst, rows[i]) })
+	loaded.Load(200, func(i int, dst []float32) { copy(dst, rows[i]) }, nil)
 	checkSparseRows(t, loaded, rows[:200])
-	if elemCap, rowCap := loaded.Cap(); elemCap != frozen.Elems() || rowCap != 200 {
-		t.Fatalf("loaded tables hold %d words and %d rows, the rows fill %d and 200", elemCap, rowCap, frozen.Elems())
+	if loaded.Data().Cap() != frozen.Data().Elems() || loaded.Cap() != 200 {
+		t.Fatalf("loaded tables hold %d words and %d rows, the rows fill %d and 200", loaded.Data().Cap(), loaded.Cap(), frozen.Data().Elems())
 	}
 	for i := range 200 {
 		if loaded.Offset(i) != frozen.Offset(i) {
@@ -124,7 +123,7 @@ func TestSparseRowsStore(t *testing.T) {
 		func() { frozen.Row(-1) },
 		func() { NewSparseRows(0) },
 		func() { s.Append(make([]float32, dim+1)) },
-		func() { s.Load(1, func(int, []float32) {}) },
+		func() { s.Load(1, func(int, []float32) {}, nil) },
 	} {
 		func() {
 			defer func() {
@@ -137,14 +136,118 @@ func TestSparseRowsStore(t *testing.T) {
 	}
 }
 
+// TestSparseRowsSharedArena: two tables on one data arena — entity rows,
+// and nodes that are either rows of their own or AppendRefs of entity rows —
+// read back their rows on every path, from the writer and from snapshots
+// that share one frozen arena. A table's Bytes counts the words it stored and
+// its descriptors; Load, entity table first, aliases exactly the rows that
+// hold their reference's bits, sizes the arena to the rows, and gives every
+// row and Bytes back; CopyOn moves a table to a new arena word for word.
+func TestSparseRowsSharedArena(t *testing.T) {
+	const dim = 40 // a 1024-word chunk: 21 full rows
+	rng := rand.New(rand.NewSource(9))
+	d := NewRowData(dim)
+	ents, nodes := NewSparseRowsOn(d), NewSparseRowsOn(d)
+	var entRows, nodeRows [][]float32
+	var refs []int     // the entity row node i names as its alias
+	var aliased []bool // whether node i is an AppendRef
+	for b := range 60 {
+		for range 3 {
+			v := sparseRowOf(rng, dim, 0.25)
+			ents.Append(v)
+			entRows = append(entRows, v)
+		}
+		// A batch's new tuple is its first row; the others join older ones.
+		first := ents.Len() - 3
+		nodes.AppendRef(ents.Ref(first))
+		nodeRows, refs, aliased = append(nodeRows, entRows[first]), append(refs, first), append(aliased, true)
+		if b%2 == 0 {
+			v := sparseRowOf(rng, dim, 0.4)
+			nodes.Append(v)
+			nodeRows, refs, aliased = append(nodeRows, v), append(refs, b), append(aliased, false)
+		}
+	}
+	checkSparseRows(t, ents, entRows)
+	checkSparseRows(t, nodes, nodeRows)
+	words := func(rows [][]float32) int {
+		n := 0
+		for _, v := range rows {
+			n += 2*((dim+63)/64) + nonzeros(v)
+		}
+		return n
+	}
+	owned := 0
+	for i, v := range nodeRows {
+		if !aliased[i] {
+			owned += 2*((dim+63)/64) + nonzeros(v)
+		}
+	}
+	if got, want := ents.Bytes(), 4*words(entRows)+8*ents.Len(); got != want {
+		t.Fatalf("entity table reports %d bytes, want %d", got, want)
+	}
+	if got, want := nodes.Bytes(), 4*owned+8*nodes.Len(); got != want {
+		t.Fatalf("node table reports %d bytes, want %d", got, want)
+	}
+
+	frozen := d.Frozen()
+	fe, fn := ents.FrozenOn(frozen), nodes.FrozenOn(frozen)
+	for range 30 {
+		v := sparseRowOf(rng, dim, 0.25)
+		ents.Append(v)
+		nodes.AppendRef(ents.Ref(ents.Len() - 1))
+	}
+	checkSparseRows(t, fe, entRows)
+	checkSparseRows(t, fn, nodeRows)
+	if fe.Bytes() != 4*words(entRows)+8*fe.Len() {
+		t.Fatalf("a snapshot's Bytes moved with its writer")
+	}
+
+	// Load: the entities, then the nodes, each naming the entity row it
+	// was given (or a row it does not hold) as its alias.
+	ld := NewRowData(dim)
+	le, ln := NewSparseRowsOn(ld), NewSparseRowsOn(ld)
+	le.Load(len(entRows), func(i int, dst []float32) { copy(dst, entRows[i]) }, nil)
+	ln.Load(len(nodeRows), func(i int, dst []float32) { copy(dst, nodeRows[i]) }, func(i int) Ref { return le.Ref(refs[i]) })
+	checkSparseRows(t, le, entRows)
+	checkSparseRows(t, ln, nodeRows)
+	if ld.Cap() != ld.Elems() {
+		t.Fatalf("loaded arena holds %d words with room for %d", ld.Elems(), ld.Cap())
+	}
+	for i, r := range refs {
+		if alias := ln.Offset(i) == le.Offset(r); alias != aliased[i] {
+			t.Fatalf("loaded node %d shares entity row %d's words: %v", i, r, alias)
+		}
+	}
+	if ln.Bytes() != fn.Bytes() || le.Bytes() != fe.Bytes() {
+		t.Fatalf("loaded tables report %d and %d bytes, appended %d and %d", le.Bytes(), ln.Bytes(), fe.Bytes(), fn.Bytes())
+	}
+
+	moved := fn.CopyOn(NewRowData(dim))
+	checkSparseRows(t, moved, nodeRows)
+	if moved.Bytes() != 4*words(nodeRows)+8*len(nodeRows) {
+		t.Fatalf("a copied table reports %d bytes, its rows take %d", moved.Bytes(), 4*words(nodeRows)+8*len(nodeRows))
+	}
+	if !le.Ref(0).Holds(entRows[0]) || le.Ref(0).Holds(entRows[1]) && !sameBits(entRows[0], entRows[1]) {
+		t.Fatal("Holds does not tell a row's bits")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AppendRef of another arena's row did not panic")
+			}
+		}()
+		moved.AppendRef(le.Ref(0))
+	}()
+}
+
 // TestSparseRowsLargeDim: past 1<<16 words a full row, a chunk holds one
 // full row rounded up to a power of two, and a row of every coordinate, one
 // of the last coordinate only and an empty one round-trip.
 func TestSparseRowsLargeDim(t *testing.T) {
 	const dim = 1<<16 + 3
 	s := NewSparseRows(dim)
-	if s.ChunkElems() != 1<<17 {
-		t.Fatalf("a dim-%d store has %d-word chunks, want %d", dim, s.ChunkElems(), 1<<17)
+	if s.Data().ChunkElems() != 1<<17 {
+		t.Fatalf("a dim-%d store has %d-word chunks, want %d", dim, s.Data().ChunkElems(), 1<<17)
 	}
 	full := make([]float32, dim)
 	for d := range full {

@@ -157,9 +157,6 @@ func BenchmarkDotTile(b *testing.B) {
 		for _, mode := range []string{"scalar", "auto"} {
 			b.Run(fmt.Sprintf("rows=64x%d/%s", tb, mode), func(b *testing.B) {
 				prev := Kernels()
-				if prev == "avx512" {
-					prev = "auto" // the one mode that reaches it
-				}
 				if err := SetKernels(mode); err != nil {
 					b.Fatal(err)
 				}
