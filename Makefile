@@ -33,14 +33,14 @@ build-arm64:
 		END { if (n == 0) { print "build-arm64: the compiler printed no listing to audit"; exit 1 } exit bad }'
 
 # internal/binio moves whole arenas between memory and the file as one block
-# where the host is little-endian and through a byte swap elsewhere, chosen by
-# the build-tagged constant in byteorder_{le,be}.go. No amd64 or arm64 build
-# compiles the big-endian side — or notices a GOARCH that neither file's tag
-# list names — so this leg builds the serializers for s390x, and vets binio
-# (its tests included) there.
+# where the host is little-endian and word by word elsewhere, chosen at run
+# time by hostBigEndian. No amd64 or arm64 run takes the big-endian side, so
+# this leg builds the serializers for s390x and vets them there, tests
+# included: binio, and vector and hnsw, whose row codec and index file
+# (vector.SparseRows.WriteRows/ReadRows) go through it.
 build-bigendian:
-	GOARCH=s390x $(GO) build ./internal/binio ./internal/hnsw ./internal/multiem
-	GOARCH=s390x $(GO) vet ./internal/binio
+	GOARCH=s390x $(GO) build ./internal/binio ./internal/vector ./internal/hnsw ./internal/multiem
+	GOARCH=s390x $(GO) vet ./internal/binio ./internal/vector ./internal/hnsw
 
 # bench/ is a module of its own, so ./... never reaches it; vetting it here
 # makes a program change that breaks the benchmark's build fail this fast

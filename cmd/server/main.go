@@ -66,7 +66,7 @@ func main() {
 		scale       = flag.Float64("scale", 0.1, "generation scale for -dataset")
 		seed        = flag.Int64("seed", 1, "random seed")
 		k           = flag.Int("k", 1, "mutual top-K width")
-		m           = flag.Float64("m", 0.5, "merge distance threshold (cosine) of a matcher built from -dataset or -data; a loaded, recovered or following matcher absorbs under the M its file holds (a version-6 file takes -m), and an explicit -m that differs from it refuses to start")
+		m           = flag.Float64("m", 0.5, "merge distance threshold (cosine) of a matcher built from -dataset or -data; a loaded, recovered or following matcher absorbs under the M its file holds, and an explicit -m that differs from it refuses to start")
 		parallel    = flag.Bool("parallel", true, "build with MultiEM(parallel)")
 		shards      = flag.Int("shards", 0, "matcher hash shards (0 = GOMAXPROCS; ignored with -load-index)")
 		efSearch    = flag.Int("efsearch", 0, "HNSW query beam width for /match (0 = backend default; applies to built and loaded matchers)")
@@ -102,7 +102,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// A file holds its own M (v6 takes -m); an explicit -m unlike it is fatal.
+	// A file holds its own M; an explicit -m unlike it is fatal.
 	mGiven := false
 	flag.Visit(func(f *flag.Flag) { mGiven = mGiven || f.Name == "m" })
 	checkM := func(matcher *repro.Matcher) {

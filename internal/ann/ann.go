@@ -38,7 +38,7 @@ type Index interface {
 func HNSWOverRows(s *vector.Store, cfg hnsw.Config) *hnsw.Index {
 	ix := hnsw.New(s.Dim(), cfg)
 	for i := 0; i < s.Len(); i++ {
-		ix.Append(i, s.At(i))
+		ix.Append(i, s.At(i), vector.Ref{})
 	}
 	ix.Link()
 	return ix

@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/vector"
 )
+
+// TestMain fails a run that ends on another kernel path than it began on.
+func TestMain(m *testing.M) { os.Exit(vector.KernelsRestored(m.Run)) }
 
 // naiveJoin is Eq. 1 written down: the full |a|×|b| distance matrix, one
 // pair at a time, every row and every column ranked by (distance, index),
@@ -213,17 +217,13 @@ func checkExactJoin(t *testing.T, rng *rand.Rand, name string, a, b *vector.Stor
 // to 40 and of 256 and 1024, at unit scale and scaled by 1e-3 and by 7,
 // with all-zero rows and rows too dense for the filter.
 func TestMutualTopKExactMatchesNaive(t *testing.T) {
-	prev := vector.Kernels()
-	defer vector.SetKernels(prev)
 	sizes := [][2]int{{0, 5}, {5, 0}, {1, 1}, {1, 9}, {9, 1}, {2, 3}, {33, 70}, {70, 33}, {129, 64}}
 	dims := []int{256, 1024}
 	for d := 1; d <= 40; d++ {
 		dims = append(dims, d)
 	}
 	for _, mode := range []string{"scalar", "auto"} {
-		if err := vector.SetKernels(mode); err != nil {
-			t.Fatal(err)
-		}
+		vector.ForceKernels(t, mode)
 		rng := rand.New(rand.NewSource(20240926))
 		for _, sz := range sizes {
 			a, b := tiedSides(rng, sz[0], sz[1], 1+rng.Intn(40))

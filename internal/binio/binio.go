@@ -52,14 +52,6 @@ func WriteString(w *bufio.Writer, s string) {
 // WriteF32 writes the IEEE-754 bits of v.
 func WriteF32(w *bufio.Writer, v float32) { WriteU32(w, math.Float32bits(v)) }
 
-// WriteF32s writes v as one little-endian block: on a little-endian host a
-// single Write of the slice's own memory, which bufio hands straight to the
-// underlying writer when v outsizes its buffer — an arena is never copied.
-func WriteF32s(w *bufio.Writer, v []float32) { write4(w, v) }
-
-// WriteI32s is WriteF32s for int32s.
-func WriteI32s(w *bufio.Writer, v []int32) { write4(w, v) }
-
 // WriteInts writes each element of v as a little-endian int64.
 func WriteInts(w *bufio.Writer, v []int) {
 	for _, x := range v {
@@ -72,9 +64,11 @@ func WriteInts(w *bufio.Writer, v []int) {
 // takes that side; CI compiles and vets it for s390x (make build-bigendian).
 var hostBigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
 
-// write4 writes v's 4-byte elements little-endian: v's own memory where the
-// host's order is the file's, element by element elsewhere.
-func write4[T float32 | int32](w *bufio.Writer, v []T) {
+// WriteWords writes v's 4-byte elements as one little-endian block: on a
+// little-endian host a single Write of the slice's own memory, which bufio
+// hands straight to the underlying writer when v outsizes its buffer — an
+// arena is never copied — and element by element elsewhere.
+func WriteWords[T float32 | int32 | uint32](w *bufio.Writer, v []T) {
 	b := bytesOf(v)
 	if !hostBigEndian {
 		w.Write(b)
@@ -85,17 +79,8 @@ func write4[T float32 | int32](w *bufio.Writer, v []T) {
 	}
 }
 
-// fill4 copies src's little-endian 4-byte words into dst in host order: one
-// block copy where the two orders agree, words4 elsewhere.
-func fill4(dst, src []byte) {
-	if hostBigEndian {
-		words4(dst, src)
-	} else {
-		copy(dst, src)
-	}
-}
-
-// words4 is fill4 a word at a time, right on either kind of host.
+// words4 copies src's little-endian 4-byte words into dst in host order, a
+// word at a time: right on either kind of host.
 func words4(dst, src []byte) {
 	for i := 0; i+4 <= len(src); i += 4 {
 		binary.NativeEndian.PutUint32(dst[i:], binary.LittleEndian.Uint32(src[i:]))
@@ -103,7 +88,7 @@ func words4(dst, src []byte) {
 }
 
 // bytesOf views v's memory as bytes, in host order.
-func bytesOf[T float32 | int32](v []T) []byte {
+func bytesOf[T float32 | int32 | uint32](v []T) []byte {
 	if len(v) == 0 {
 		return nil
 	}
@@ -211,38 +196,16 @@ func (r *Reader) Count(elemBytes int) int {
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string { return string(r.Next(r.Count(1))) }
 
-// F32s decodes the next n float32s into a fresh slice of exactly that many,
-// or returns nil, with the error set, when fewer than 4*n bytes are left.
-// The bytes are taken first, so a length the input cannot back fails before
-// anything is allocated; a little-endian host then grows the slice straight
-// from them — one copy, into memory nobody zeroed first. The input need not
-// be aligned for float32: its view is only ever the source of that copy.
-func (r *Reader) F32s(n int) []float32 {
-	b := r.Next(4 * n)
-	if len(b) == 0 {
-		return nil
-	}
-	if !hostBigEndian {
-		return append([]float32(nil), unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)...)
-	}
-	out := make([]float32, n)
-	fill4(bytesOf(out), b)
-	return out
-}
-
-// I32sInto fills dst from the next 4*len(dst) bytes, the read side of
-// WriteI32s: how an arena is filled, a chunk at a time. On error dst is
-// untouched.
-func (r *Reader) I32sInto(dst []int32) {
-	if b := r.Next(4 * len(dst)); b != nil {
-		fill4(bytesOf(dst), b)
+// ReadWords fills dst from the next 4*len(dst) bytes of r, the read side of
+// WriteWords: how an arena is filled, a chunk or a row at a time, in one
+// block copy where the host is little-endian. On error dst is untouched.
+func ReadWords[T float32 | int32 | uint32](r *Reader, dst []T) {
+	if b := r.Next(4 * len(dst)); hostBigEndian {
+		words4(bytesOf(dst), b)
+	} else {
+		copy(bytesOf(dst), b)
 	}
 }
-
-// F32sFrom fills dst from the first 4*len(dst) bytes of b, little-endian
-// float32s, the read side of WriteF32s for a caller that holds the bytes
-// already, such as a loader that decodes a block a row at a time.
-func F32sFrom(dst []float32, b []byte) { fill4(bytesOf(dst), b[:4*len(dst)]) }
 
 // Ints decodes the next n little-endian int64s into a fresh []int, or nil
 // with the error set when fewer than 8*n bytes are left.

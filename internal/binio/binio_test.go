@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 	"testing/iotest"
 )
@@ -23,8 +22,8 @@ func TestRoundTrip(t *testing.T) {
 	WriteI64(bw, -1<<40)
 	WriteString(bw, "hello world")
 	WriteF32(bw, 3.25)
-	WriteF32s(bw, []float32{1, -2, 0.5})
-	WriteI32s(bw, []int32{-1, 1 << 30})
+	WriteWords(bw, []float32{1, -2, 0.5})
+	WriteWords(bw, []int32{-1, 1 << 30})
 	WriteInts(bw, []int{-5, 1 << 40})
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
@@ -46,21 +45,16 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.F32(); got != 3.25 {
 		t.Fatalf("F32 = %v", got)
 	}
-	f := r.F32s(3)
-	if len(f) != 3 || f[0] != 1 || f[1] != -2 || f[2] != 0.5 {
-		t.Fatalf("F32s = %v", f)
-	}
-	// F32sFrom decodes the same block from the bytes themselves.
-	g := make([]float32, 3)
-	if F32sFrom(g, buf.Bytes()[4+4+8+4+len("hello world")+4:]); !slices.Equal(g, f) {
-		t.Fatalf("F32sFrom = %v, F32s %v", g, f)
+	f := make([]float32, 3)
+	if ReadWords(r, f); f[0] != 1 || f[1] != -2 || f[2] != 0.5 {
+		t.Fatalf("ReadWords = %v", f)
 	}
 	i32 := []int32{0, 9}
-	if r.I32sInto(i32[:1]); i32[0] != -1 || i32[1] != 9 {
-		t.Fatalf("I32sInto = %v", i32)
+	if ReadWords(r, i32[:1]); i32[0] != -1 || i32[1] != 9 {
+		t.Fatalf("ReadWords = %v", i32)
 	}
-	if r.I32sInto(i32[1:]); i32[1] != 1<<30 {
-		t.Fatalf("I32sInto = %v", i32)
+	if ReadWords(r, i32[1:]); i32[1] != 1<<30 {
+		t.Fatalf("ReadWords = %v", i32)
 	}
 	if ints := r.Ints(2); len(ints) != 2 || ints[0] != -5 || ints[1] != 1<<40 {
 		t.Fatalf("Ints = %v", ints)
@@ -88,10 +82,10 @@ func TestStickyError(t *testing.T) {
 		t.Fatalf("Next after error returned %v", got)
 	}
 	dst := []int32{7}
-	if r.I32sInto(dst); dst[0] != 7 {
-		t.Fatal("I32sInto after error wrote to dst")
+	if ReadWords(r, dst); dst[0] != 7 {
+		t.Fatal("ReadWords after error wrote to dst")
 	}
-	if r.F32s(1) != nil || r.Ints(1) != nil {
+	if r.Ints(1) != nil {
 		t.Fatal("a bulk read after error allocated")
 	}
 	if r.Err() != first {
@@ -180,8 +174,8 @@ func TestBulkMatchesElementwise(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		bw := bufio.NewWriter(&buf)
-		WriteF32s(bw, f)
-		WriteI32s(bw, i32)
+		WriteWords(bw, f)
+		WriteWords(bw, i32)
 		bw.Flush()
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("n=%d: bulk write differs from element-wise little-endian", n)
@@ -190,9 +184,10 @@ func TestBulkMatchesElementwise(t *testing.T) {
 		// Read back from an odd address: the input is never aligned for
 		// the reader's sake.
 		r := NewReader(append([]byte{0}, want...)[1:])
-		gotF, gotI := r.F32s(n), make([]int32, n)
-		if r.I32sInto(gotI); r.Err() != nil || r.Len() != 0 || len(gotF) != n {
-			t.Fatalf("n=%d: Err %v, %d left, %d floats", n, r.Err(), r.Len(), len(gotF))
+		gotF, gotI := make([]float32, n), make([]int32, n)
+		ReadWords(r, gotF)
+		if ReadWords(r, gotI); r.Err() != nil || r.Len() != 0 {
+			t.Fatalf("n=%d: Err %v, %d left", n, r.Err(), r.Len())
 		}
 		for i := range f {
 			if math.Float32bits(gotF[i]) != math.Float32bits(f[i]) || gotI[i] != i32[i] {

@@ -3,6 +3,7 @@ package embed
 import (
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,6 +11,9 @@ import (
 	"repro/internal/race"
 	"repro/internal/vector"
 )
+
+// TestMain fails a run that ends on another kernel path than it began on.
+func TestMain(m *testing.M) { os.Exit(vector.KernelsRestored(m.Run)) }
 
 // denseEncodeInto is the encoder's definition and the oracle EncodeInto is
 // pinned to: tokens and weights come from the package's exported Tokenize
@@ -119,18 +123,11 @@ func clip(s string) string {
 // kernel path: the oracle's Normalize rides Dot, whose kernel differs
 // between the two (its bits do not), and the sparse loop must match each.
 func bothKernels(t *testing.T, fn func(t *testing.T)) {
-	prev := vector.Kernels()
-	defer func() {
-		if err := vector.SetKernels(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
 	for _, mode := range []string{"scalar", "avx2"} {
-		if err := vector.SetKernels(mode); err != nil {
-			t.Logf("kernels %s: %v", mode, err)
-			continue
-		}
-		t.Run(mode, fn)
+		t.Run(mode, func(t *testing.T) {
+			vector.ForceKernels(t, mode)
+			fn(t)
+		})
 	}
 }
 

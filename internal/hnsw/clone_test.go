@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/race"
+	"repro/internal/vector"
 )
 
 // TestCloneFrozenSnapshot: a Clone must answer every query exactly like the
@@ -38,7 +39,7 @@ func TestCloneFrozenSnapshot(t *testing.T) {
 	if err := c.Add(999, vecs[0]); err == nil {
 		t.Fatal("Add on a frozen clone must fail")
 	}
-	mustPanicWith(t, "hnsw: insert into a frozen Clone", func() { c.Append(999, vecs[0]) })
+	mustPanicWith(t, "hnsw: insert into a frozen Clone", func() { c.Append(999, vecs[0], vector.Ref{}) })
 
 	frozen := make([]string, len(queries))
 	for qi, q := range queries {

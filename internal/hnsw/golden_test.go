@@ -16,18 +16,19 @@ import (
 // The history builds, saves, loads, adds on top of the loaded index and saves
 // again, so a change to any distance the index computes (in the walk, in
 // selectHeuristic, or in linkBack's shrink after a load) fails here first.
+//
+// The hash was re-taken when the format went from version 3 to 4, whose rows
+// are bitmask rows instead of dense ones. The history's two files, each
+// rendered back as version 3 with its rows dense, gave the version-3 hash
+// then pinned, so no link, reply or other byte moved.
 func TestSaveBytesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the hash was taken on amd64; no test runs the arm64 bits")
 	}
-	const want = "57195bfe39a48f7bca5c2f0c9cb5ae59c8620aa61b026c6af3a57783be015613"
+	const want = "e82a5b500a234e07fdfb7abd504c3c50c4744c24bcbceb0185a9e8d1e9fafb02"
 	for _, mode := range []string{"scalar", "avx2"} {
 		t.Run(mode, func(t *testing.T) {
-			prev := vector.Kernels()
-			if err := vector.SetKernels(mode); err != nil {
-				t.Skip(err)
-			}
-			defer vector.SetKernels(prev)
+			vector.ForceKernels(t, mode)
 			if got := goldenHistory(t); got != want {
 				t.Errorf("index state moved under %s kernels:\n  got  %s\n  want %s", mode, got, want)
 			}

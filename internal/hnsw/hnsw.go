@@ -25,9 +25,9 @@
 // clones. The node rows are a descriptor table over a data arena
 // (vector.RowData) that New makes for the index alone and NewOn takes from
 // a caller who stores other rows there: the online matcher's shard keeps its
-// entity rows and its index's node rows in one arena, and a node AppendRef
-// makes of an entity row is that row. A walk reads a node's row through its
-// descriptor either way.
+// entity rows and its index's node rows in one arena, and a node whose row
+// has an entity row's words (Append's alias) is that row. A walk reads a
+// node's row through its descriptor either way.
 //
 // The distance is the merging phase's one cosine, vector.CosineUnitDist over
 // unit-norm (or zero) vectors; the index has no other. Every distance it
@@ -207,7 +207,7 @@ func (ix *Index) distTo(q []float32, i int, ctx *searchCtx) float32 {
 func New(dim int, cfg Config) *Index { return NewOn(vector.NewRowData(dim), cfg) }
 
 // NewOn creates an empty index whose node rows are a table on data, a data
-// arena its caller shares: AppendRef makes a node of a row another table
+// arena its caller shares: Append makes a node of a row another table
 // stored there. The caller must not write data while the index does, nor
 // while a Clone of it is being taken.
 func NewOn(data *vector.RowData, cfg Config) *Index {
@@ -291,31 +291,19 @@ func (ix *Index) Add(id int, vec []float32) error {
 // searches it until Link. Append and Link in any interleaving build the graph
 // and Save bytes that Adds of the same vectors build — so a node that is
 // discarded before its Link (a compaction's input) costs no graph work at
-// all.
+// all. alias, which may be the zero Ref, names a row on NewOn's data arena
+// that the node is, storing no words, where that row's words are vec's
+// (vector.SparseRows.AppendShared).
 //
 // Append panics where Add fails, as Search does on a foreign query: an owner
 // inserting its own vectors into its own index can hit neither case.
-func (ix *Index) Append(id int, vec []float32) {
+func (ix *Index) Append(id int, vec []float32, alias vector.Ref) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if err := ix.refuses(vec); err != nil {
 		panic(err.Error())
 	}
-	ix.vecs.Append(vec)
-	ix.appendNode(id)
-}
-
-// AppendRef is Append of a vector already stored on the index's data arena:
-// the row r names (vector.SparseRows.Ref), which becomes the node's row and
-// keeps its words in one place. r must name a row of NewOn's data arena;
-// AppendRef panics otherwise, and on a frozen Clone.
-func (ix *Index) AppendRef(id int, r vector.Ref) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.frozen {
-		panic("hnsw: insert into a frozen Clone")
-	}
-	ix.vecs.AppendRef(r)
+	ix.vecs.AppendShared(vec, alias)
 	ix.appendNode(id)
 }
 

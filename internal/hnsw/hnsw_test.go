@@ -14,15 +14,7 @@ import (
 // TestMain fails a run whose tests leave the kernel path other than where it
 // started: a test that forces a path must hand it back, or every test after
 // it runs on the forced path instead of the one the binary started on.
-func TestMain(m *testing.M) {
-	start := vector.Kernels()
-	code := m.Run()
-	if end := vector.Kernels(); code == 0 && end != start {
-		fmt.Fprintf(os.Stderr, "FAIL: the tests started on the %s kernel path and ended on %s\n", start, end)
-		code = 1
-	}
-	os.Exit(code)
-}
+func TestMain(m *testing.M) { os.Exit(vector.KernelsRestored(m.Run)) }
 
 func randUnitVecs(rng *rand.Rand, n, dim int) [][]float32 {
 	vecs := make([][]float32, n)
@@ -71,7 +63,7 @@ func TestDimMismatch(t *testing.T) {
 	if err := ix.Add(0, []float32{1, 0}); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	mustPanicWith(t, "hnsw: vector has dim 2, index wants 3", func() { ix.Append(0, []float32{1, 0}) })
+	mustPanicWith(t, "hnsw: vector has dim 2, index wants 3", func() { ix.Append(0, []float32{1, 0}, vector.Ref{}) })
 	if ix.Len() != 0 {
 		t.Fatalf("refused inserts left %d nodes", ix.Len())
 	}
@@ -377,14 +369,7 @@ func BenchmarkSearchBatched(b *testing.B) {
 	q := randUnitVecs(rng, 1, dim)[0]
 	for _, mode := range []string{"auto", "scalar"} {
 		b.Run(mode, func(b *testing.B) {
-			if err := vector.SetKernels(mode); err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				if err := vector.SetKernels("auto"); err != nil {
-					b.Fatal(err)
-				}
-			}()
+			vector.ForceKernels(b, mode)
 			ix := New(dim, Config{})
 			for j, v := range vecs {
 				if err := ix.Add(j, v); err != nil {
@@ -409,18 +394,14 @@ func TestAppendLinkEqualsAdd(t *testing.T) {
 	const n, dim = 300, 19 // 19: the kernels' scalar tail runs
 	for _, mode := range []string{"scalar", "avx2"} {
 		t.Run(mode, func(t *testing.T) {
-			prev := vector.Kernels()
-			if err := vector.SetKernels(mode); err != nil {
-				t.Skip(err)
-			}
-			defer vector.SetKernels(prev)
+			vector.ForceKernels(t, mode)
 			vecs := randomUnitVecs(n, dim, 8)
 			cfg := Config{M: 6, EfConstruction: 40}
 			want := savedBytes(t, buildIndex(t, vecs, cfg))
 
 			ix := New(dim, cfg)
 			for i, v := range vecs {
-				ix.Append(i*7, v)
+				ix.Append(i*7, v, vector.Ref{})
 			}
 			if ix.Len() != n || ix.Unlinked() != n {
 				t.Fatalf("%d appended nodes, %d unlinked; want %d of each", ix.Len(), ix.Unlinked(), n)
@@ -449,7 +430,7 @@ func TestAppendLinkEqualsAdd(t *testing.T) {
 						}
 					} else {
 						ops = append(ops, 'p')
-						ix.Append(i*7, v)
+						ix.Append(i*7, v, vector.Ref{})
 					}
 					if rng.Intn(16) == 0 {
 						ops = append(ops, 'L')

@@ -10,35 +10,41 @@ import (
 	"repro/internal/vector"
 )
 
-// Binary index format, version 3 (all integers little-endian):
+// Binary index format, version 4 (all integers little-endian):
 //
 //	magic    [8]byte  "HNSWIDX\n"
-//	version  uint32   3
+//	version  uint32   4
 //	config   M, EfConstruction, EfSearch as int32
 //	shape    dim, count as int32
 //	ids      count × int64
 //	links    count × (1+2M) int32: each node's link block as it sits in
 //	         memory — the link count, the links, the slack slots zero
-//	vectors  count × dim × float32 in node order, dense: the vector store
-//	         expands each row on Save and keeps its nonzeros on Load
+//	vectors  count bitmask rows in node order, as they sit in memory
+//	         (vector.SparseRows.WriteRows): a node that shares its row
+//	         with another table writes it whole
 //
 // The format captures the complete index state — links and vectors — so a
 // loaded index answers every query, and takes every later Add, exactly as the
 // index that was saved. The link section is the arena itself, so its size is
-// fixed by count and M and a file pays for the memory it decodes into.
-// Version 2 (HNSW's layers) is upgraded by loading and saving the matcher
-// file that embeds it under a build that writes matcher version 6.
+// fixed by count and M, and the vectors are the rows' own words, so a file
+// pays for the memory it decodes into.
+//
+// Version 3 is version 4 with each row dense, count × dim × float32; only a
+// matcher file of version 7 embeds it (DecodeOn's dense). Older versions are
+// upgraded through the matcher file that embeds them (docs/OPERATIONS.md).
 
 var magic = [8]byte{'H', 'N', 'S', 'W', 'I', 'D', 'X', '\n'}
 
-const formatVersion = 3 // the one version Save writes and Decode reads
+// formatVersion is the version Save writes and Load reads; formatDense is
+// the one DecodeOn also reads for a matcher file of version 7.
+const formatVersion, formatDense = 4, 3
 
 // ErrFormatVersion is wrapped by Load when the file's format version is not
 // the one this build reads; callers distinguish "old index file, upgrade
 // it" from corruption with errors.Is.
 var ErrFormatVersion = errors.New("hnsw: unsupported index format version")
 
-// ErrCorrupt is wrapped by Decode (and Load) for input that is not a
+// ErrCorrupt is wrapped by DecodeOn (and Load) for input that is not a
 // well-formed index file of a version it reads: truncated, a count or link
 // out of range, or a config Save would not have written.
 var ErrCorrupt = errors.New("hnsw: corrupt index")
@@ -58,9 +64,9 @@ const (
 // Save writes the index to w in the versioned binary format above: the small
 // fields through one bufio.Writer (w itself when it already is one), the link
 // arena a chunk at a time, each chunk one Write of its own memory, and the
-// vectors expanded one row at a time through a single row of scratch. The index must not be mutated concurrently, and saving one whose
-// Appended nodes wait for Link panics: the file has no place for a node
-// outside the graph.
+// vectors one row at a time. The index must not be mutated concurrently.
+// Saving one whose Appended nodes wait for Link panics: the file has no place
+// for a node outside the graph.
 func (ix *Index) Save(w io.Writer) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -76,13 +82,9 @@ func (ix *Index) Save(w io.Writer) error {
 	binio.WriteI32(bw, int32(len(ix.ids)))
 	binio.WriteInts(bw, ix.ids)
 	for c := range ix.la.Chunks() {
-		binio.WriteI32s(bw, ix.la.Chunk(c))
+		binio.WriteWords(bw, ix.la.Chunk(c))
 	}
-	row := make([]float32, ix.dim)
-	for i := range ix.Len() {
-		ix.vecs.CopyTo(row, i)
-		binio.WriteF32s(bw, row)
-	}
+	ix.vecs.WriteRows(bw)
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("hnsw: save: %w", err)
 	}
@@ -95,13 +97,13 @@ func (ix *Index) SaveSize() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	const header = len(magic) + 4 + 5*4 // magic, version, config, shape
-	return header + len(ix.ids)*(8+4*ix.la.Width()+4*ix.dim)
+	return header + len(ix.ids)*(8+4*ix.la.Width()) + ix.vecs.RowsSize()
 }
 
 // Load reads an index previously written by Save. The returned index is an
 // exact reconstruction: searches return identical results, and subsequent
 // Adds build the graph they would have built on the original index. A file
-// of a format version Decode does not read fails with an error wrapping
+// of a format version DecodeOn does not read fails with an error wrapping
 // ErrFormatVersion, any other malformed one with ErrCorrupt. Load consumes r
 // to its end (binio.ReadAll) and decodes from the front of what it read.
 func Load(r io.Reader) (*Index, error) {
@@ -109,32 +111,29 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hnsw: load: %w", err)
 	}
-	return Decode(binio.NewReader(raw))
+	return DecodeOn(binio.NewReader(raw), nil, nil, false)
 }
 
-// Decode is Load over bytes already in memory: it reads one index from rd and
-// leaves the cursor behind its last byte, so a container format (the matcher
-// file) decodes its embedded index in place. Every array is allocated after
-// the bytes left have been checked to hold it: the ids at their final size,
-// the link arena, which is never larger than the bytes that follow the
-// header, and the vector store at the size of the rows' nonzeros
-// (vector.SparseRows.Load).
-func Decode(rd *binio.Reader) (*Index, error) { return DecodeOn(rd, nil, nil) }
-
-// DecodeOn is Decode into an index on data, a data arena its caller shares
-// (NewOn), or on one of its own when data is nil. alias, which may be nil,
-// names for a node's external id a row on data the node may share, or
-// returns the zero Ref: a node whose vector has that row's bits becomes an
-// AppendRef of it and stores no words. The graph, and the bytes it saves
-// back to, are the same either way. A file of another dimensionality than
-// data's is corrupt.
-func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int) vector.Ref) (*Index, error) {
+// DecodeOn is Load over bytes already in memory: it reads one index from rd
+// and leaves the cursor behind its last byte, so a container format (the
+// matcher file) decodes its embedded index in place. Every array is
+// allocated after the bytes left have been checked to hold it. The rows go
+// on data, a data arena its caller shares (NewOn), or on one of their own
+// when data is nil; a node whose row has the words of the row alias names
+// for its id, which may be nil, is that row (vector.SparseRows.Load). dense
+// marks the version a matcher file of version 7 embeds, 3, whose rows are
+// dense. A file of another version, or dimensionality than data's, fails.
+func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int) vector.Ref, dense bool) (*Index, error) {
 	if m := rd.Next(len(magic)); string(m) != string(magic[:]) {
 		return nil, corrupt("bad magic %q (not an HNSW index file)", m)
 	}
+	want := uint32(formatVersion)
+	if dense {
+		want = formatDense
+	}
 	version := rd.U32()
-	if rd.Err() == nil && version != formatVersion {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrFormatVersion, version, formatVersion)
+	if rd.Err() == nil && version != want {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrFormatVersion, version, want)
 	}
 
 	var cfg Config
@@ -162,11 +161,11 @@ func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int) vector.
 	} else if data.Dim() != dim {
 		return nil, corrupt("index dim %d on a dim-%d data arena", dim, data.Dim())
 	}
-	// A node is exactly its id, its block and its vector, so the arena a
-	// file decodes into is never larger than the file: past this check the
-	// header's count sizes only what is there.
+	// A node is its id, its block and its row, which ReadRows bounds, so the
+	// arena a file decodes into is never larger than the file: past this
+	// check the header's count sizes only what is there.
 	ix := NewOn(data, cfg)
-	if count < 0 || count > maxSaneCount || count > rd.Len()/(8+4*ix.la.Width()+4*dim) {
+	if count < 0 || count > maxSaneCount || count > rd.Len()/(8+4*ix.la.Width()) {
 		return nil, corrupt("implausible node count %d of M %d for the %d bytes that follow", count, cfg.M, rd.Len())
 	}
 
@@ -176,15 +175,13 @@ func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int) vector.
 	if err := ix.readLinks(rd); err != nil {
 		return nil, err
 	}
-	vecs := rd.Next(4 * count * dim)
-	if rd.Err() != nil {
-		return nil, corrupt("vectors: %v", rd.Err())
-	}
 	var same func(i int) vector.Ref
 	if alias != nil {
 		same = func(i int) vector.Ref { return alias(ix.ids[i]) }
 	}
-	ix.vecs.Load(count, func(i int, dst []float32) { binio.F32sFrom(dst, vecs[4*i*dim:]) }, same)
+	if err := ix.vecs.ReadRows(rd, count, dense, same); err != nil {
+		return nil, corrupt("vectors: %v", err)
+	}
 	return ix, nil
 }
 
@@ -194,7 +191,7 @@ func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int) vector.
 func (ix *Index) readLinks(rd *binio.Reader) error {
 	n := len(ix.ids)
 	for c := range ix.la.Chunks() {
-		rd.I32sInto(ix.la.Chunk(c))
+		binio.ReadWords(rd, ix.la.Chunk(c))
 	}
 	if rd.Err() != nil {
 		return corrupt("links: %v", rd.Err())

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -249,7 +251,7 @@ func TestLoadOldVersionFailsWithNamedError(t *testing.T) {
 	}
 }
 
-// TestDecodeStopsAtIndexEnd: Decode consumes one index and leaves what
+// TestDecodeStopsAtIndexEnd: DecodeOn consumes one index and leaves what
 // follows it to the caller, which is how a container format embeds one.
 func TestDecodeStopsAtIndexEnd(t *testing.T) {
 	ix := buildIndex(t, randomUnitVecs(40, 8, 1), Config{M: 4})
@@ -259,11 +261,11 @@ func TestDecodeStopsAtIndexEnd(t *testing.T) {
 	}
 	buf.WriteString("trailer")
 	rd := binio.NewReader(buf.Bytes())
-	if _, err := Decode(rd); err != nil {
+	if _, err := DecodeOn(rd, nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := string(rd.Next(rd.Len())); got != "trailer" {
-		t.Fatalf("Decode left %q behind the index", got)
+		t.Fatalf("DecodeOn left %q behind the index", got)
 	}
 }
 
@@ -325,12 +327,54 @@ func TestDecodeAllocBounded(t *testing.T) {
 	}
 }
 
-// FuzzDecodeIndex: Decode reads the index embedded in every matcher file a
+// TestDecodeRejectsMalformedRows: a row Save could not have written — a mask
+// bit at or past the dimension (dim 16 leaves 48 such bits a row), a value
+// whose bits are 0, values cut short — or a node count the bytes cannot back
+// is ErrCorrupt, within the allocation bound. Each bad row is otherwise
+// well formed: a decoder without the check would load it.
+func TestDecodeRejectsMalformedRows(t *testing.T) {
+	const dim = 16
+	raw := savedBytes(t, buildIndex(t, randomUnitVecs(20, dim, 1), Config{M: 4}))
+	// The rows are the file's last 20 × (8 + 4·16) bytes: every coordinate
+	// of a random unit vector is set.
+	first := len(raw) - 20*(8+4*dim)
+	mask, vals := raw[first:first+8], raw[first+8:first+8+4*dim]
+	withFirst := func(row ...[]byte) []byte {
+		return slices.Concat(raw[:first], slices.Concat(row...), raw[first+8+4*dim:])
+	}
+	cases := map[string][]byte{
+		"value of bits 0":  withFirst(mask, []byte{0, 0, 0, 0}, vals[4:]),
+		"values cut short": raw[:len(raw)-4*dim],
+		"node count":       slices.Clone(raw),
+	}
+	binary.LittleEndian.PutUint32(cases["node count"][28:], 1<<20)
+	for c := dim; c < 64; c++ {
+		bad := slices.Clone(mask)
+		bad[c/8] |= 1 << (c % 8)
+		cases[fmt.Sprintf("mask bit %d", c)] = withFirst(bad, vals, []byte{0, 0, 0, 0x3f})
+	}
+	for name, b := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(bytes.NewReader(b))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load returned %v, want ErrCorrupt", name, err)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(b)+64<<10); got > limit {
+			t.Errorf("%s: loading %d bytes allocated %d (limit %d)", name, len(b), got, limit)
+		}
+	}
+}
+
+// FuzzDecodeIndex: DecodeOn reads the index embedded in every matcher file a
 // follower fetches, and here it is fuzzed on its own, where every mutation
-// lands in its fields. On arbitrary bytes it must not panic, must fail only
-// with ErrCorrupt or ErrFormatVersion, and must not allocate more than 3×
-// the input and a constant. What it accepts must save back to the bytes it
-// read.
+// lands in its fields; an input of version 3 is read as a version-7 matcher
+// file's embedded index is (DecodeOn's dense). On arbitrary bytes it must
+// not panic, must fail only with ErrCorrupt or ErrFormatVersion, and must
+// not allocate more than 3× the input and a constant. What it accepts must
+// save back to the bytes it read; a version-3 index saves as version 4, so
+// for one that holds for the file it saves as.
 func FuzzDecodeIndex(f *testing.F) {
 	f.Add(savedBytes(f, New(8, Config{})))
 	one := New(2, Config{M: 2, EfSearch: 5})
@@ -344,12 +388,20 @@ func FuzzDecodeIndex(f *testing.F) {
 	// One wide row: the vector arena's chunk may hold only what the file
 	// fills, or it alone would outgrow the allocation bound.
 	f.Add(savedBytes(f, buildIndex(f, randomUnitVecs(1, 1024, 2), Config{M: 1})))
+	// The version-3 index of the first shard of the last version-7 matcher
+	// file's fixture: dim 16, its dense rows a third full.
+	fixture, err := os.ReadFile("../multiem/testdata/matcher-v7-dim16.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture[bytes.Index(fixture, magic[:]):])
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		dense := len(raw) >= 12 && binary.LittleEndian.Uint32(raw[8:]) == formatDense
 		rd := binio.NewReader(raw)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ix, err := Decode(rd)
+		ix, err := DecodeOn(rd, nil, nil, dense)
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(raw)+64<<10); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(raw), got, limit)
@@ -361,7 +413,15 @@ func FuzzDecodeIndex(f *testing.F) {
 			return
 		}
 		ix.Search(make([]float32, ix.Dim()), 3, 0)
-		if read, saved := raw[:len(raw)-rd.Len()], savedBytes(t, ix); !bytes.Equal(read, saved) {
+		read, saved := raw[:len(raw)-rd.Len()], savedBytes(t, ix)
+		if dense {
+			again, err := Load(bytes.NewReader(saved))
+			if err != nil {
+				t.Fatalf("a version-3 index loaded, the version-4 file it saved as did not: %v", err)
+			}
+			read, saved = saved, savedBytes(t, again)
+		}
+		if !bytes.Equal(read, saved) {
 			t.Fatalf("accepted %d bytes that save back as %d different ones", len(read), len(saved))
 		}
 	})

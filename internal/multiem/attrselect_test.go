@@ -119,10 +119,10 @@ func checkSelectMatchesText(t *testing.T, d *table.Dataset, opt Options) {
 func eachKernel(t *testing.T, fn func(t *testing.T)) {
 	for _, mode := range []string{"scalar", "avx2"} {
 		t.Run(mode, func(t *testing.T) {
-			if mode == "avx2" && defaultKernels(t) == "scalar" {
+			if mode == "avx2" && vector.Kernels() == "scalar" {
 				t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
 			}
-			defer withKernels(t, mode)()
+			vector.ForceKernels(t, mode)
 			fn(t)
 		})
 	}

@@ -340,22 +340,22 @@ func FuzzLoadMatcher(f *testing.F) {
 		f.Add(saveBytes(f, m))
 	}
 	// A header that promises 2^20 schema strings and 4096 shards, in each
-	// version: a v7 header holds M and the probes of the encoder below.
+	// version: a header holds M and the probes of the encoder below.
 	m, err := BuildMatcher(d, opt)
 	if err != nil {
 		f.Fatal(err)
 	}
-	v7 := saveBytes(f, m)[:16+4+4*len(probeTexts)*dim] // magic, version, dim, M, probes
-	for _, hdr := range [][]byte{v6Bytes(v7), v7} {
+	v8 := saveBytes(f, m)[:16+4+4*len(probeTexts)*dim] // magic, version, dim, M, probes
+	v7 := binary.LittleEndian.AppendUint32(slices.Clone(v8[:8]), matcherFormatV7)
+	for _, hdr := range [][]byte{append(v7, v8[12:]...), v8} {
 		f.Add(append(hdr, 9, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0))
 	}
-	// The file the last v6 writer left, and that state saved as v7 under
-	// another encoder, whose probes the one below refuses.
-	fixture := readFixture(f, v6FixturePath, matcherFormatV6)
-	f.Add(fixture)
+	// The file the last v7 writer left, and a matcher built under another
+	// encoder, whose probes the one below refuses.
+	f.Add(readFixture(f))
 	grams3 := opt
 	grams3.Encoder = embed.NewHashEncoder(embed.WithDim(dim), embed.WithGrams(3))
-	if m, err = LoadMatcher(bytes.NewReader(fixture), grams3); err != nil {
+	if m, err = BuildMatcher(d, grams3); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(saveBytes(f, m))
@@ -379,16 +379,19 @@ func FuzzLoadMatcher(f *testing.F) {
 			}
 			return
 		}
-		// Bytes past the last section are not LoadMatcher's. A v6 file saves
-		// as version 7, so for one the property is held by the v7 file it
-		// becomes.
+		// Bytes past the last section are not LoadMatcher's. A v7 file saves
+		// as version 8, so for one the property is held by the v8 file it
+		// becomes, and by that file rendered back as version 7.
 		again := saveBytes(t, m)
 		if binary.LittleEndian.Uint32(raw[8:]) != matcherFormatVersion {
-			m7, err := LoadMatcher(bytes.NewReader(again), opt)
-			if err != nil {
-				t.Fatalf("a file loaded, the v7 file it saved as did not: %v", err)
+			if !bytes.HasPrefix(raw, v7Bytes(t, again)) {
+				t.Fatalf("a v7 file loaded, and the v8 file it saves as does not render back to it")
 			}
-			raw, again = again, saveBytes(t, m7)
+			m8, err := LoadMatcher(bytes.NewReader(again), opt)
+			if err != nil {
+				t.Fatalf("a file loaded, the v8 file it saved as did not: %v", err)
+			}
+			raw, again = again, saveBytes(t, m8)
 		}
 		if !bytes.HasPrefix(raw, again) {
 			t.Fatalf("accepted %d bytes that save back as %d different ones", len(raw), len(again))

@@ -16,7 +16,7 @@ import (
 	"repro/internal/vector"
 )
 
-// Matcher binary format (little-endian), version 7:
+// Matcher binary format (little-endian), version 8:
 //
 //	magic     [8]byte  "MEMMATC\n"
 //	version   uint32
@@ -30,35 +30,34 @@ import (
 //	per shard:
 //	  section bytes  int64 (length of the section that follows)
 //	  entIDs      count + count × int64
-//	  entVecs     count × dim × float32, the shard's embeddings, dense, in row order
+//	  entVecs     count bitmask rows, the shard's embeddings in row order
 //	  tuples      count × { nMembers int32; members []int32 (local rows); maxJoinDist f32 }
 //	  compactions int64
-//	  index       embedded hnsw.Index (its own versioned format, 3)
+//	  index       embedded hnsw.Index (its own versioned format, 4)
 //
 // The file holds what defines the state it serves: M, under which every
 // later absorption is decided and every replayed one checked, and the
 // probes, which tie the embeddings to the encoder that made them
 // (checkHeader). A tuple's centroid is the vector of the last index node
-// carrying its id, and is stored there only. The embeddings and centroids
-// are dense in the file and bitmask rows in memory, on one data arena a
-// shard (vector.SparseRows), where a node with its tuple's first member's
-// bits shares that entity row: a row's bits are the same on both sides, so a
-// file saves back to itself. Each shard's section is
-// self-contained and length-prefixed, so a loader finds every section without
-// decoding the one before it, and a loaded matcher has the exact shard
-// topology it was saved with.
+// carrying its id, and is stored there only. Every row is written as it sits
+// in memory (vector.SparseRows.WriteRows), a node's whole even where it
+// shares its tuple's first member's entity row; a loader shares it again by
+// the same rule, so a file saves back to itself. Each shard's section is
+// self-contained and length-prefixed, so a loader finds every section
+// without decoding the one before it, and a loaded matcher has the exact
+// shard topology it was saved with.
 //
-// LoadMatcher also reads version 6, version 7 without M and the probes: it
-// takes both from the caller's Options and saves as version 7. Older files
-// are upgraded by a load and a Save under a build that writes version 6.
+// LoadMatcher also reads version 7, whose rows are dense (dim × float32) and
+// whose index is in hnsw format 3, and saves it as version 8. Older files are
+// upgraded by a load and a Save under a build that writes version 7.
 
 var matcherMagic = [8]byte{'M', 'E', 'M', 'M', 'A', 'T', 'C', '\n'}
 
-// matcherFormatV6 is the one older version LoadMatcher still takes.
-const matcherFormatVersion, matcherFormatV6 = 7, 6
+// matcherFormatV7 is the one older version LoadMatcher still takes.
+const matcherFormatVersion, matcherFormatV7 = 8, 7
 
 // ErrFormatVersion is wrapped by LoadMatcher when the file's format version
-// is not one this build reads (7 and 6); callers distinguish "old matcher
+// is not one this build reads (8 and 7); callers distinguish "old matcher
 // file, upgrade it" from corruption with errors.Is.
 var ErrFormatVersion = errors.New("multiem: unsupported matcher format version")
 
@@ -146,7 +145,7 @@ func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 	binio.WriteU32(bw, matcherFormatVersion)
 	binio.WriteI32(bw, int32(m.dim))
 	binio.WriteF32(bw, m.mergeM)
-	binio.WriteF32s(bw, m.probes)
+	binio.WriteWords(bw, m.probes)
 	binio.WriteI64(bw, int64(v.nextID))
 	binio.WriteI32(bw, int32(len(v.shards)))
 	binio.WriteI32(bw, int32(len(m.schema)))
@@ -161,12 +160,9 @@ func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 			binio.WriteI32(bw, int32(j))
 		}
 	}
-	// Entity rows are expanded 8 KiB at a time, so that a full block
-	// bypasses the 4 KiB bufio.Writer buffer in one Write.
-	scratch := make([]float32, max(1, 2048/m.dim)*m.dim)
 	for _, sv := range v.shards {
 		binio.WriteI64(bw, int64(sv.sectionSize()))
-		if err := sv.writeSection(bw, scratch); err != nil {
+		if err := sv.writeSection(bw); err != nil {
 			return err
 		}
 	}
@@ -177,19 +173,11 @@ func (m *Matcher) saveView(v *matcherView, w io.Writer) error {
 }
 
 // writeSection streams one shard's section — entities, tuples, and the
-// embedded index — to bw; sectionSize is its length. The entity rows are
-// expanded as many at a time as fit scratch, a whole number of rows.
-func (v *shardView) writeSection(bw *bufio.Writer, scratch []float32) error {
+// embedded index — to bw; sectionSize is its length.
+func (v *shardView) writeSection(bw *bufio.Writer) error {
 	binio.WriteI32(bw, int32(len(v.entIDs)))
 	binio.WriteInts(bw, v.entIDs)
-	dim, rows := v.entVecs.Dim(), len(scratch)/v.entVecs.Dim()
-	for i := 0; i < v.entVecs.Len(); i += rows {
-		n := min(rows, v.entVecs.Len()-i)
-		for r := range n {
-			v.entVecs.CopyTo(scratch[r*dim:], i+r)
-		}
-		binio.WriteF32s(bw, scratch[:n*dim])
-	}
+	v.entVecs.WriteRows(bw)
 	binio.WriteI32(bw, int32(v.tuples.Len()))
 	v.tuples.each(func(ts *tupleState) {
 		binio.WriteI32(bw, int32(len(ts.members)))
@@ -209,8 +197,8 @@ func (v *shardView) writeSection(bw *bufio.Writer, scratch []float32) error {
 
 // sectionSize is the number of bytes writeSection produces for this view.
 func (v *shardView) sectionSize() int {
-	n := 4 + 8*len(v.entIDs) + 4*v.entVecs.Len()*v.entVecs.Dim() // entities
-	n += 4                                                       // tuple count
+	n := 4 + 8*len(v.entIDs) + v.entVecs.RowsSize() // entities
+	n += 4                                          // tuple count
 	v.tuples.each(func(ts *tupleState) {
 		n += 4 + 4*len(ts.members) + 4
 	})
@@ -221,9 +209,9 @@ func (v *shardView) sectionSize() int {
 // LoadMatcher reads a matcher written by Save. The shard count, M and the
 // embeddings come from the file; opt supplies only what code cannot persist:
 // the encoder, which must embed the file's probes as the file holds them
-// (ErrEncoderMismatch), and the query beam HNSW.EfSearch. A version-6 file,
-// which holds no M, takes opt.M. r is read to its end, once (binio.ReadAll),
-// and decoded from that buffer; bytes past the last section are ignored.
+// (ErrEncoderMismatch), and the query beam HNSW.EfSearch. r is read to its
+// end, once (binio.ReadAll), and decoded from that buffer; bytes past the
+// last section are ignored.
 func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	if opt.Encoder == nil || opt.HNSW.EfSearch < 0 {
 		return nil, errors.New("multiem: load matcher: Options need an Encoder and HNSW.EfSearch >= 0")
@@ -238,8 +226,8 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 		return nil, fmt.Errorf("%w: bad magic %q (not a matcher file)", ErrCorruptState, mg)
 	}
 	version := rd.U32()
-	if rd.Err() == nil && version != matcherFormatVersion && version != matcherFormatV6 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV6)
+	if rd.Err() == nil && version != matcherFormatVersion && version != matcherFormatV7 {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV7)
 	}
 
 	m := &Matcher{opt: opt, dim: rd.I32()}
@@ -249,23 +237,15 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	if got := opt.Encoder.Dim(); rd.Err() == nil && got != m.dim {
 		return nil, fmt.Errorf("%w: the encoder embeds in %d dimensions, the file in %d", ErrEncoderMismatch, got, m.dim)
 	}
-	if version == matcherFormatV6 {
-		if !(opt.M >= 0 && opt.M <= 2) { // NaN included; the caller's fault, not the file's
-			return nil, fmt.Errorf("multiem: load matcher: a version-6 file takes Options.M, which must be a cosine distance in [0,2], got %v", opt.M)
-		}
-		m.mergeM, m.probes = opt.M, embedProbes(opt.Encoder)
-	} else {
-		m.mergeM, m.probes = rd.F32(), rd.F32s(len(probeTexts)*m.dim)
-	}
+	m.mergeM, m.probes = rd.F32(), make([]float32, len(probeTexts)*opt.Encoder.Dim())
+	binio.ReadWords(rd, m.probes)
 	m.nextID = int(rd.I64())
 	nShards := rd.I32()
 	if rd.Err() != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorruptState, rd.Err())
 	}
-	if version != matcherFormatV6 {
-		if err := checkHeader(opt.Encoder, m.mergeM, m.probes, m.dim); err != nil {
-			return nil, err
-		}
+	if err := checkHeader(opt.Encoder, m.mergeM, m.probes, m.dim); err != nil {
+		return nil, err
 	}
 	// A shard is at least its section length.
 	if nShards <= 0 || nShards > maxSaneShards || nShards > rd.Len()/8 {
@@ -316,7 +296,7 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	maxEntIDs := make([]int, nShards)
 	errs := make([]error, nShards)
 	par.For(nShards, nShards, func(_, s int) {
-		maxEntIDs[s], errs[s] = m.shards[s].readSection(secs[s], m.dim)
+		maxEntIDs[s], errs[s] = m.shards[s].readSection(secs[s], version == matcherFormatV7)
 		if errs[s] != nil {
 			errs[s] = fmt.Errorf("%w: shard %d: %w", ErrCorruptState, s, errs[s])
 		}
@@ -335,15 +315,15 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 }
 
 // readSection decodes one shard's section bytes into sh, returning the
-// largest entity ID seen (-1 when the shard is empty). Every count is checked
-// against the bytes the section still holds before anything is sized by it
-// (binio.Reader.Count), and each arena is allocated at its final size —
-// chunks, the last holding exactly the rows left — the embeddings' from the
-// nonzeros their rows hold.
-func (sh *shard) readSection(sec []byte, dim int) (maxEntID int, err error) {
+// largest entity ID seen (-1 when the shard is empty). dense marks a version-7
+// section, whose rows are dense. Every count is checked against the bytes the
+// section still holds before anything is sized by it (binio.Reader.Count),
+// and each arena is allocated at its final size — chunks, the last holding
+// exactly the rows left — the embeddings' from the words their rows hold.
+func (sh *shard) readSection(sec []byte, dense bool) (maxEntID int, err error) {
 	rd := binio.NewReader(sec)
 
-	nEnts := rd.Count(8 + 4*dim)
+	nEnts := rd.Count(8) // an entity is its ID and its row, which ReadRows bounds
 	if rd.Err() != nil {
 		return -1, fmt.Errorf("entities: %w", rd.Err())
 	}
@@ -352,10 +332,9 @@ func (sh *shard) readSection(sec []byte, dim int) (maxEntID int, err error) {
 	if nEnts > 0 {
 		maxEntID = slices.Max(sh.entIDs)
 	}
-	// The rows are compressed from the section bytes, so each table is sized
-	// by the nonzeros the file holds: at most 1.5× its dense bytes.
-	vecs := rd.Next(nEnts * 4 * dim)
-	sh.entVecs.Load(nEnts, func(i int, dst []float32) { binio.F32sFrom(dst, vecs[i*4*dim:]) }, nil)
+	if err := sh.entVecs.ReadRows(rd, nEnts, dense, nil); err != nil {
+		return -1, fmt.Errorf("entities: %w", err)
+	}
 
 	// A tuple is at least its member count and its join distance.
 	nTuples := rd.Count(8)
@@ -392,14 +371,14 @@ func (sh *shard) readSection(sec []byte, dim int) (maxEntID int, err error) {
 	}
 
 	// The index's node rows go on the shard's data arena, after the entity
-	// rows, and a node with its tuple's first member's bits is that row, as
+	// rows, and a node with its tuple's first member's words is that row, as
 	// indexNode made it.
 	ix, err := hnsw.DecodeOn(rd, sh.entVecs.Data(), func(id int) vector.Ref {
 		if id < 0 || id >= nTuples {
 			return vector.Ref{} // refused below
 		}
 		return sh.entVecs.Ref(sh.tuples.at(id).members[0])
-	})
+	}, dense)
 	if err != nil {
 		return -1, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,11 +21,12 @@ import (
 	"repro/internal/vector"
 )
 
-// v6FixturePath is a version-6 matcher file written by the last commit whose
-// Save wrote version 6 (Geo at 0.01, seed 5, dim 16, 2 shards, two absorb
+// v7FixturePath is a version-7 matcher file written by the last commit whose
+// Save wrote version 7 (Geo at 0.01, seed 5, dim 16, 2 shards, two absorb
 // batches so stale index entries are present, M 0.5): what every snapshot
-// and -load-index file that commit left on disk looks like.
-const v6FixturePath = "testdata/matcher-v6-dim16.bin"
+// and -load-index file that commit left on disk looks like. It is also the
+// file that commit saved the version-6 fixture it read as.
+const v7FixturePath = "testdata/matcher-v7-dim16.bin"
 
 // dim16Opts are the options the fixture was written under.
 func dim16Opts(shards int) Options {
@@ -33,15 +35,40 @@ func dim16Opts(shards int) Options {
 	return o
 }
 
-// v6Bytes renders a version-7 file as version 6: the version field set back
-// and the fields version 7 added to the header, M and the probes, cut out.
-// TestFormatEquivalence and TestV6FixtureUpgrade hold it to the bytes a real
-// v6 writer produced.
-func v6Bytes(raw []byte) []byte {
-	dim := int(binary.LittleEndian.Uint32(raw[12:]))
-	out := binary.LittleEndian.AppendUint32(slices.Clone(raw[:8]), matcherFormatV6)
-	out = append(out, raw[12:16]...)
-	return append(out, raw[16+4+4*len(probeTexts)*dim:]...)
+// v7Bytes renders a version-8 file as version 7: the version fields set back
+// (the matcher's to 7, each index's to 3), every row written dense, and each
+// section's length to match. TestFormatEquivalence and TestV7FixtureUpgrade
+// hold it to the bytes a real v7 writer produced.
+func v7Bytes(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	f := fileFields(t, raw)
+	le := binary.LittleEndian
+	src := slices.Clone(raw)
+	le.PutUint32(src[8:], matcherFormatV7)
+	for _, at := range f.indexVersions {
+		le.PutUint32(src[at:], 3)
+	}
+	out := src[:f.sections[0][0]:f.sections[0][0]]
+	rows := f.rows
+	for _, sec := range f.sections {
+		var body []byte
+		from := sec[0] + 8
+		for ; len(rows) > 0 && rows[0][0] < sec[1]; rows = rows[1:] {
+			body = append(body, src[from:rows[0][0]]...)
+			mask, vals := src[rows[0][0]:rows[0][0]+8*f.maskWords], src[rows[0][0]+8*f.maskWords:rows[0][1]]
+			for c := range f.dim {
+				if mask[c/8]>>(c%8)&1 == 0 {
+					body = append(body, 0, 0, 0, 0)
+				} else {
+					body, vals = append(body, vals[:4]...), vals[4:]
+				}
+			}
+			from = rows[0][1]
+		}
+		body = append(body, src[from:sec[1]]...)
+		out = append(le.AppendUint64(out, uint64(len(body))), body...)
+	}
+	return out
 }
 
 // staleMatcher builds a matcher and absorbs into it until stale index entries
@@ -72,75 +99,79 @@ func mustLoad(t *testing.T, raw []byte, opt Options) *Matcher {
 	return m
 }
 
-func readFixture(t testing.TB, path string, version uint32) []byte {
+func readFixture(t testing.TB) []byte {
 	t.Helper()
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(v7FixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != version {
-		t.Fatalf("%s is version %d", path, v)
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != matcherFormatV7 {
+		t.Fatalf("%s is version %d", v7FixturePath, v)
 	}
 	return raw
 }
 
-// TestV6FixtureUpgrade: the parent-written v6 file loads under the caller's
-// M and encoder, saves as a v7 file that holds both and is the fixture
-// outside the header fields v7 added, and that file loads under any
-// Options.M to the M it holds and saves back to itself (TestFormatEquivalence
-// holds the two versions of one state to the same later decisions). An
-// Options.M out of range fails a v6 load as the caller's error.
-func TestV6FixtureUpgrade(t *testing.T) {
-	fixture := readFixture(t, v6FixturePath, matcherFormatV6)
-	m := mustLoad(t, fixture, dim16Opts(2))
-	v7 := saveBytes(t, m)
-	if v := binary.LittleEndian.Uint32(v7[8:]); v != matcherFormatVersion {
+// TestV7FixtureUpgrade: the parent-written v7 file loads under the dim-16
+// encoder and saves as a v8 file that is the fixture with its rows as bitmask
+// words (v7Bytes gives the fixture back). That file loads to a matcher with
+// the same Save bytes, Stats, per-shard EntityBytes and IndexBytes, node
+// aliases and Match replies.
+func TestV7FixtureUpgrade(t *testing.T) {
+	fixture := readFixture(t)
+	from7 := mustLoad(t, fixture, dim16Opts(2))
+	v8 := saveBytes(t, from7)
+	if v := binary.LittleEndian.Uint32(v8[8:]); v != matcherFormatVersion {
 		t.Fatalf("Save wrote version %d", v)
 	}
-	if !bytes.Equal(v6Bytes(v7), fixture) {
-		t.Fatal("the v7 file differs from the v6 one outside the version field and the new header fields")
+	if !bytes.Equal(v7Bytes(t, v8), fixture) {
+		t.Fatal("the v8 file, rendered as v7, is not the fixture")
 	}
-	other := dim16Opts(2)
-	other.M = float32(math.NaN())
-	if _, err := LoadMatcher(bytes.NewReader(fixture), other); err == nil || errors.Is(err, ErrCorruptState) {
-		t.Fatalf("a v6 file under M NaN: %v, want an options error, not ErrCorruptState", err)
+	t.Logf("v7 %d bytes, v8 %d", len(fixture), len(v8))
+	from8 := mustLoad(t, v8, dim16Opts(2))
+	assertLoadedAlike(t, from7, from8)
+	assertMatchersIdentical(t, from7, from8, mustGeo(t, 0.01, 5))
+}
+
+// assertLoadedAlike holds two loads of one state to the same Save bytes,
+// per-shard EntityBytes and IndexBytes, and node aliases.
+func assertLoadedAlike(t *testing.T, want, got *Matcher) {
+	t.Helper()
+	if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+		t.Fatal("the two loads save different bytes")
 	}
-	other.M = 0.05
-	again := mustLoad(t, v7, other)
-	if again.M() != 0.5 || !bytes.Equal(saveBytes(t, again), v7) {
-		t.Fatalf("the v7 file loads under M %v, or does not save back to itself", again.M())
+	if w, g := shardBytes(want), shardBytes(got); !slices.Equal(w, g) {
+		t.Fatalf("shards report (entity, index) bytes %v and %v", w, g)
+	}
+	if w, g := checkAliases(t, "want", want), checkAliases(t, "got", got); w != g {
+		t.Fatalf("nodes alias as %+v and %+v", w, g)
 	}
 }
 
-// TestFormatEquivalence: the v6 and the v7 file of one state load to
-// matchers that cannot be told apart — Save bytes (v6 loads, v7 saves),
-// stats, tuples, Match replies, and the results of the same later batches —
-// on both kernel paths.
+// TestFormatEquivalence: the v7 and the v8 file of one state load to
+// matchers that cannot be told apart — Save bytes (v7 loads, v8 saves),
+// EntityBytes and IndexBytes, node aliases, stats, tuples, Match replies, and
+// the results of the same later batches — on both kernel paths.
 func TestFormatEquivalence(t *testing.T) {
 	d := smallGeo(t)
 	for _, mode := range []string{"scalar", "avx2"} {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/shards=%d", mode, shards), func(t *testing.T) {
-				prev := vector.Kernels()
-				if err := vector.SetKernels(mode); err != nil {
-					t.Skip(err)
-				}
-				defer vector.SetKernels(prev)
+				vector.ForceKernels(t, mode)
 				m := staleMatcher(t, d, durOpts(shards))
-				v7 := saveBytes(t, m)
-				v6 := v6Bytes(v7)
-				from6, from7 := mustLoad(t, v6, durOpts(shards)), mustLoad(t, v7, durOpts(shards))
-				if got := saveBytes(t, from6); !bytes.Equal(got, v7) {
-					t.Fatal("loading v6 then Save does not yield the v7 bytes")
+				v8 := saveBytes(t, m)
+				from7, from8 := mustLoad(t, v7Bytes(t, v8), durOpts(shards)), mustLoad(t, v8, durOpts(shards))
+				if got := saveBytes(t, from7); !bytes.Equal(got, v8) {
+					t.Fatal("loading v7 then Save does not yield the v8 bytes")
 				}
+				assertLoadedAlike(t, from8, from7)
 				for _, rows := range randomBatches(d, 4, 8, 23) {
-					r6, err6 := from6.AddRecords(rows)
 					r7, err7 := from7.AddRecords(rows)
-					if err6 != nil || err7 != nil || !slices.Equal(r6, r7) {
-						t.Fatalf("AddRecords diverges after load: %v / %v\n  v6 %+v\n  v7 %+v", err6, err7, r6, r7)
+					r8, err8 := from8.AddRecords(rows)
+					if err7 != nil || err8 != nil || !slices.Equal(r7, r8) {
+						t.Fatalf("AddRecords diverges after load: %v / %v\n  v7 %+v\n  v8 %+v", err7, err8, r7, r8)
 					}
 				}
-				assertMatchersIdentical(t, from7, from6, d)
+				assertMatchersIdentical(t, from8, from7, d)
 			})
 		}
 	}
@@ -149,20 +180,28 @@ func TestFormatEquivalence(t *testing.T) {
 // fileLayout is an independent reading of a matcher file.
 type fileLayout struct {
 	// bounds holds the offset at which every field starts (an array counts
-	// as one field), counts the offsets of the counts and lengths among
-	// them.
+	// as one field, a row as one), counts the offsets of the counts and
+	// lengths among them.
 	bounds, counts []int
-	// m and probes are the offsets of a version-7 header's M and probes.
+	// m and probes are the offsets of the header's M and probes.
 	m, probes int
-	// vecs holds each section's entity embeddings' byte range.
-	vecs [][2]int
+	dim       int
+	maskWords int // a bitmask row's 64-bit mask words
+	// sections holds each shard's section's range, its length field
+	// included; rows each row's byte range, entity rows then node rows, a
+	// section at a time; indexVersions each embedded index's version field.
+	sections, rows [][2]int
+	indexVersions  []int
+	// entCounts and nodeCounts hold each section's entity and node count
+	// field.
+	entCounts, nodeCounts []int
 }
 
 // fileFields walks a well-formed matcher file of either version it reads
 // with nothing but encoding/binary: an independent reading of the format,
 // which is what lets the hostile-input table below aim at each field instead
 // of at random bytes.
-func fileFields(t *testing.T, raw []byte) (f fileLayout) {
+func fileFields(t testing.TB, raw []byte) (f fileLayout) {
 	t.Helper()
 	off := 0
 	field := func(n int) int {
@@ -176,11 +215,22 @@ func fileFields(t *testing.T, raw []byte) (f fileLayout) {
 		return i32()
 	}
 	field(8) // magic
-	version := i32()
-	dim := i32()
-	if version == matcherFormatVersion {
-		f.m = field(4)
-		f.probes = field(4 * len(probeTexts) * dim)
+	dense := i32() == matcherFormatV7
+	f.dim = i32()
+	f.maskWords = (f.dim + 63) / 64
+	f.m = field(4)
+	f.probes = field(4 * len(probeTexts) * f.dim)
+	// row walks one row: dim float32s, or its mask and a value a set bit.
+	row := func() {
+		n := 4 * f.dim
+		if !dense {
+			n = 8 * f.maskWords
+			for _, b := range raw[off : off+n] {
+				n += 4 * bits.OnesCount8(b)
+			}
+		}
+		f.rows = append(f.rows, [2]int{off, off + n})
+		field(n)
 	}
 	field(8) // nextID
 	nShards := count()
@@ -191,30 +241,38 @@ func fileFields(t *testing.T, raw []byte) (f fileLayout) {
 		i32() // a selected attribute
 	}
 	for s := 0; s < nShards; s++ {
+		start := off
 		f.counts = append(f.counts, off)
 		field(8) // section length; its low word takes the flip
+		f.entCounts = append(f.entCounts, off)
 		nEnts := count()
 		field(8 * nEnts)
-		at := field(4 * dim * nEnts)
-		f.vecs = append(f.vecs, [2]int{at, off})
+		for range nEnts {
+			row()
+		}
 		for n := count(); n > 0; n-- {
 			field(4 * count()) // members
 			field(4)           // maxJoinDist
 		}
 		field(8) // compactions
 		field(8) // index magic
-		i32()    // index version
+		f.indexVersions = append(f.indexVersions, off)
+		i32() // index version
 		m := i32()
 		i32() // efConstruction
 		i32() // efSearch
 		i32() // dim
+		f.nodeCounts = append(f.nodeCounts, off)
 		nodes := count()
 		field(8 * nodes)
 		for i := 0; i < nodes; i++ {
 			count()          // the node's link count
 			field(4 * 2 * m) // its link slots
 		}
-		field(4 * dim * nodes)
+		for range nodes {
+			row()
+		}
+		f.sections = append(f.sections, [2]int{start, off})
 	}
 	if off != len(raw) {
 		t.Fatalf("walked %d bytes of a %d-byte file", off, len(raw))
@@ -223,25 +281,29 @@ func fileFields(t *testing.T, raw []byte) (f fileLayout) {
 }
 
 // TestLoadMatcherHostileInput pins the loader's contract for input it cannot
-// trust, for both versions it reads (v6 through the parent-written fixture
-// and a v7 file rendered back): cut anywhere — at every field boundary of a
+// trust, for both versions it reads (v7 through the parent-written fixture
+// and v8 files rendered back): cut anywhere — at every field boundary of a
 // small file, every 4 KiB of a large one — or with any count replaced by
 // MaxInt32, LoadMatcher returns ErrCorruptState, never panics, and allocates
 // at most 3 × the input + 64 KiB: one copy of the input (the in-memory
 // reader is copied once, like a file is read once), at most the undamaged
 // shards decoded beside it, and a constant for the matcher and per-shard
-// shells. No count in the file adds to that. The header fields v7 added are
-// held to the same bound: an M that is no cosine distance is ErrCorruptState,
-// a probe row that is not the encoder's embedding ErrEncoderMismatch.
+// shells. No count in the file adds to that. The header's M and probes are
+// held to the same bound: an M that is no cosine distance is
+// ErrCorruptState, a probe row that is not the encoder's embedding
+// ErrEncoderMismatch. So is every row a v8 file holds: a mask bit at or past
+// the dimension, a value whose bits are 0, values cut short, and an entity
+// or node count the bytes cannot back are ErrCorruptState.
 //
-// Memory keeps an entity row's nonzeros at 6 B each, 1.5 × the file's 4, so
-// the worst file is one whose rows have no zero at all: the "full rows" legs,
-// a dim-256 file whose every zero coordinate is rewritten to −0 (a nonzero
-// to the store: its bits are not zero). That file also loads whole, in
-// either version, saves as itself, and stays within the same bound.
+// Memory keeps a v7 row's nonzeros at 4 B each with its mask and descriptor,
+// so the worst v7 file is one whose rows have no zero at all: the "full rows"
+// legs, a dim-256 file whose every zero coordinate is rewritten to −0 (a
+// nonzero to the store: its bits are not zero). That file, and the v8 file
+// it saves as, load whole, save as that v8 file, and stay within the same
+// bound.
 func TestLoadMatcherHostileInput(t *testing.T) {
-	small := staleMatcher(t, mustGeo(t, 0.01, 5), dim16Opts(2))
-	large := staleMatcher(t, smallGeo(t), durOpts(2))
+	small := saveBytes(t, staleMatcher(t, mustGeo(t, 0.01, 5), dim16Opts(2)))
+	large := saveBytes(t, staleMatcher(t, smallGeo(t), durOpts(2)))
 	// check loads raw and wants err to be want (nil: the load succeeds).
 	check := func(t *testing.T, name string, raw []byte, opt Options, want error) *Matcher {
 		t.Helper()
@@ -257,28 +319,56 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 		}
 		return m
 	}
-	full := fullRowFile(t)
-	for version, raw := range map[string][]byte{"v6": v6Bytes(full), "v7": full} {
+	full7 := fullRowFile(t)
+	full8 := saveBytes(t, mustLoad(t, full7, durOpts(2)))
+	for version, raw := range map[string][]byte{"v7": full7, "v8": full8} {
 		t.Run(version+"/full rows loads", func(t *testing.T) {
-			if m := check(t, "whole file", raw, durOpts(2), nil); !bytes.Equal(saveBytes(t, m), full) {
-				t.Fatal("the full-row file does not save as the v7 full-row file")
+			if m := check(t, "whole file", raw, durOpts(2), nil); !bytes.Equal(saveBytes(t, m), full8) {
+				t.Fatal("the full-row file does not save as the v8 full-row file")
 			}
 		})
 	}
-	t.Run("v7/header", func(t *testing.T) {
-		raw := saveBytes(t, small)
-		f := fileFields(t, raw)
-		for _, bits := range []uint32{math.Float32bits(float32(math.NaN())), math.Float32bits(-0.01), math.Float32bits(2.01), math.Float32bits(float32(math.Inf(1)))} {
-			bad := slices.Clone(raw)
-			binary.LittleEndian.PutUint32(bad[f.m:], bits)
-			check(t, "M", bad, dim16Opts(2), ErrCorruptState)
-		}
-		for i := range probeTexts {
-			bad := slices.Clone(raw)
-			for at := f.probes + 4*16*i; at < f.probes+4*16*(i+1); at += 4 {
-				bad[at+3] ^= 0x80 // probe i's row, negated
+	for version, raw := range map[string][]byte{"v7": v7Bytes(t, small), "v8": small} {
+		t.Run(version+"/header", func(t *testing.T) {
+			f := fileFields(t, raw)
+			for _, bits := range []uint32{math.Float32bits(float32(math.NaN())), math.Float32bits(-0.01), math.Float32bits(2.01), math.Float32bits(float32(math.Inf(1)))} {
+				bad := slices.Clone(raw)
+				binary.LittleEndian.PutUint32(bad[f.m:], bits)
+				check(t, "M", bad, dim16Opts(2), ErrCorruptState)
 			}
-			check(t, fmt.Sprintf("probe %d", i), bad, dim16Opts(2), ErrEncoderMismatch)
+			for i := range probeTexts {
+				bad := slices.Clone(raw)
+				for at := f.probes + 4*16*i; at < f.probes+4*16*(i+1); at += 4 {
+					bad[at+3] ^= 0x80 // probe i's row, negated
+				}
+				check(t, fmt.Sprintf("probe %d", i), bad, dim16Opts(2), ErrEncoderMismatch)
+			}
+		})
+	}
+	t.Run("v8/rows", func(t *testing.T) {
+		f := fileFields(t, small)
+		// A row with values, its mask and its values' bytes.
+		r := f.rows[slices.IndexFunc(f.rows, func(r [2]int) bool { return r[1]-r[0] > 8 })]
+		mask, vals := small[r[0]:r[0]+8], small[r[0]+8:r[1]]
+		for c := 16; c < 64; c++ {
+			bad := slices.Clone(mask)
+			bad[c/8] |= 1 << (c % 8)
+			// The value is the row's last: a load that took the bit would
+			// read the rows after it as they were.
+			check(t, fmt.Sprintf("mask bit %d", c), withRow(f, small, r, slices.Concat(bad, vals, []byte{0, 0, 0, 0x3f})), dim16Opts(2), ErrCorruptState)
+		}
+		check(t, "value of bits 0", withRow(f, small, r, slices.Concat(mask, []byte{0, 0, 0, 0}, vals[4:])), dim16Opts(2), ErrCorruptState)
+		// The file's last row is the last shard's last node's: the file
+		// ends after its mask, with its values gone.
+		last := f.rows[len(f.rows)-1]
+		if last[1]-last[0] == 8 {
+			t.Fatal("the file's last row holds no values")
+		}
+		check(t, "values cut short", withRow(f, small, last, small[last[0]:last[0]+8]), dim16Opts(2), ErrCorruptState)
+		for name, at := range map[string]int{"entity count": f.entCounts[0], "node count": f.nodeCounts[0]} {
+			bad := slices.Clone(small)
+			binary.LittleEndian.PutUint32(bad[at:], 1<<20)
+			check(t, name, bad, dim16Opts(2), ErrCorruptState)
 		}
 	})
 	for _, tc := range []struct {
@@ -287,12 +377,12 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 		opt  Options
 		step int // 0: every field boundary
 	}{
-		{"v7/fields", saveBytes(t, small), dim16Opts(2), 0},
-		{"v6/fields", readFixture(t, v6FixturePath, matcherFormatV6), dim16Opts(2), 0},
-		{"v7/4KiB", saveBytes(t, large), durOpts(2), 4 << 10},
-		{"v6/4KiB", v6Bytes(saveBytes(t, large)), durOpts(2), 4 << 10},
-		{"v7/full rows", full, durOpts(2), 0},
-		{"v6/full rows", v6Bytes(full), durOpts(2), 0},
+		{"v8/fields", small, dim16Opts(2), 0},
+		{"v7/fields", readFixture(t), dim16Opts(2), 0},
+		{"v8/4KiB", large, durOpts(2), 4 << 10},
+		{"v7/4KiB", v7Bytes(t, large), durOpts(2), 4 << 10},
+		{"v8/full rows", full8, durOpts(2), 0},
+		{"v7/full rows", full7, durOpts(2), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.step > 0 {
@@ -315,11 +405,25 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 	}
 }
 
-// fullRowFile saves a small two-shard dim-256 matcher and rewrites every
-// zero coordinate of its entity rows to −0, so no row has a zero to drop.
+// withRow returns the file raw, read as f, with row r's bytes replaced by row
+// and its section's length set to match.
+func withRow(f fileLayout, raw []byte, r [2]int, row []byte) []byte {
+	out := slices.Concat(raw[:r[0]], row, raw[r[1]:])
+	for _, sec := range f.sections {
+		if sec[0] < r[0] && r[0] < sec[1] {
+			n := binary.LittleEndian.Uint64(out[sec[0]:])
+			binary.LittleEndian.PutUint64(out[sec[0]:], n+uint64(len(row))-uint64(r[1]-r[0]))
+		}
+	}
+	return out
+}
+
+// fullRowFile saves a small two-shard dim-256 matcher as version 7 and
+// rewrites every zero coordinate of its rows to −0, so no row has a zero to
+// drop.
 func fullRowFile(t *testing.T) []byte {
-	raw := saveBytes(t, staleMatcher(t, mustGeo(t, 0.01, 5), durOpts(2)))
-	for _, r := range fileFields(t, raw).vecs {
+	raw := v7Bytes(t, saveBytes(t, staleMatcher(t, mustGeo(t, 0.01, 5), durOpts(2))))
+	for _, r := range fileFields(t, raw).rows {
 		for at := r[0]; at < r[1]; at += 4 {
 			if binary.LittleEndian.Uint32(raw[at:]) == 0 {
 				binary.LittleEndian.PutUint32(raw[at:], 0x80000000)

@@ -643,8 +643,7 @@ func TestWALStatsJSON(t *testing.T) {
 // decides later batches under the file's M, and one with another encoder is
 // refused with ErrEncoderMismatch before any replay. A follower bootstrapped
 // under another M equals the primary at every seq, and so does one
-// bootstrapped from the v6 rendering of the snapshot, which holds no M,
-// under the primary's.
+// bootstrapped from the v7 rendering of the snapshot.
 func TestRestartUnderOtherOptions(t *testing.T) {
 	d := smallGeo(t)
 	withM := func(m float32) Options {
@@ -742,7 +741,7 @@ func TestRestartUnderOtherOptions(t *testing.T) {
 		m    float32
 	}{
 		{"follower under M 0.7", snap, 0.7},
-		{"follower from v6 under M 0.4", v6Bytes(snap), 0.4}, // v6 holds no M, and takes the caller's
+		{"follower from v7 under M 0.7", v7Bytes(t, snap), 0.7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewReplicator(mustLoad(t, tc.file, withM(tc.m)), 0)

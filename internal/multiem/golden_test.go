@@ -63,25 +63,22 @@ func compactEveryShard(t *testing.T, m *Matcher, rows [][]string, visit func([]A
 // order, so they have its bits.
 //
 // One hash, over the results, the replies and the bytes Save writes. It was
-// re-taken when the matcher file gained M and the probes (version 7); the
-// history's bytes outside those header fields, hashed with each file
-// rendered back as version 6 (v6Bytes), gave the version-6 hash then pinned,
-// so no decision and no other byte moved. That had been re-taken when the
-// index lost HNSW's layer hierarchy (matcher version 6, hnsw version 3): the
-// graph, and so every later decision and every byte of the index, changed
-// then.
+// re-taken when the files' rows became bitmask rows (matcher version 8, hnsw
+// version 4); the history hashed with each file rendered back as version 7
+// (v7Bytes) gave the version-7 hash then pinned, so no decision and no other
+// byte moved. That had been re-taken when the matcher file gained M and the
+// probes (version 7), with the same check against version 6, and before that
+// when the index lost HNSW's layer hierarchy (matcher version 6, hnsw
+// version 3): the graph, and so every later decision and every byte of the
+// index, changed then.
 func TestSaveBytesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the hash was taken on amd64; no test runs the arm64 bits")
 	}
-	const want = "2a02f83318145c320651f1ea383a42ef7cb8f884bedfdc809bc81a86def81488"
+	const want = "bd36e45439351e6966a783984a562f84a5cde3d1b41c9d14b2510e6d44712928"
 	for _, mode := range []string{"scalar", "avx2"} {
 		t.Run(mode, func(t *testing.T) {
-			prev := vector.Kernels()
-			if err := vector.SetKernels(mode); err != nil {
-				t.Skip(err)
-			}
-			defer vector.SetKernels(prev)
+			vector.ForceKernels(t, mode)
 
 			h := sha256.New()
 			addAll := func(m *Matcher, batches [][][]string) {
@@ -109,7 +106,7 @@ func TestSaveBytesGolden(t *testing.T) {
 			// Save writes each section's length ahead of it; the length is exact.
 			for s, sh := range m.state.Load().shards {
 				var sec bytes.Buffer
-				if err := sh.writeSection(bufio.NewWriter(&sec), make([]float32, 3*m.dim)); err != nil {
+				if err := sh.writeSection(bufio.NewWriter(&sec)); err != nil {
 					t.Fatal(err)
 				}
 				if got := sh.sectionSize(); got != sec.Len() {

@@ -10,47 +10,19 @@ import (
 	"repro/internal/vector"
 )
 
-// defaultKernels selects the kernel path the test binary started on —
-// VECTOR_KERNELS, or auto — and reports it, whatever an earlier test left
-// selected.
-func defaultKernels(t *testing.T) string {
-	mode := os.Getenv("VECTOR_KERNELS")
-	if mode == "" {
-		mode = "auto"
-	}
-	if err := vector.SetKernels(mode); err != nil {
-		t.Fatal(err)
-	}
-	return vector.Kernels()
-}
-
-// withKernels forces a dispatch path for one test body and restores the
-// prior path afterwards. The flips are sequential — no matcher is live
-// across a flip — which is the documented SetKernels contract.
-func withKernels(t *testing.T, mode string) func() {
-	t.Helper()
-	prev := vector.Kernels()
-	if err := vector.SetKernels(mode); err != nil {
-		t.Fatal(err)
-	}
-	return func() {
-		if err := vector.SetKernels(prev); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
+// TestMain fails a run that ends on another kernel path than it began on.
+func TestMain(m *testing.M) { os.Exit(vector.KernelsRestored(m.Run)) }
 
 // TestMatcherKernelParity builds the same matcher and ingests the same
 // batches under the scalar and AVX2 kernel paths and requires the same
 // tuples and the same Match replies, distances to the bit: the portable
 // kernels sum in the assembly's order, so the SIMD layer is a speed change.
 func TestMatcherKernelParity(t *testing.T) {
-	if defaultKernels(t) == "scalar" {
+	if vector.Kernels() == "scalar" {
 		t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
 	}
 	build := func(mode string) (map[string]bool, []Candidate) {
-		restore := withKernels(t, mode)
-		defer restore()
+		vector.ForceKernels(t, mode)
 		m, _ := shardedGeo(t, 2)
 		var matches []Candidate
 		for batch := 0; batch < 4; batch++ {
@@ -99,7 +71,7 @@ func TestMatcherKernelParity(t *testing.T) {
 // distances have the logged bits, every row lands in the tuple its client
 // was acknowledged with, and the recovered matcher saves the primary's bytes.
 func TestReplayAcrossKernels(t *testing.T) {
-	if defaultKernels(t) == "scalar" {
+	if vector.Kernels() == "scalar" {
 		t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
 	}
 	const shards = 2
@@ -108,7 +80,7 @@ func TestReplayAcrossKernels(t *testing.T) {
 	primary, acked, _ := loggedHistory(t, cfg.Dir, shards, load) // absorbs rows, or it fails
 	want := saveBytes(t, primary)
 
-	defer withKernels(t, "scalar")()
+	vector.ForceKernels(t, "scalar")
 	recovered, err := RecoverMatcher(cfg, durOpts(shards), load)
 	if err != nil {
 		t.Fatalf("replay under the scalar kernels: %v", err)

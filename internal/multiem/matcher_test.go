@@ -285,21 +285,21 @@ func TestMatcherSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// A matcher file from a format version this build does not read — v5 and v4
-// included — must fail with the named ErrFormatVersion, naming the versions
-// it reads, not be misparsed into garbage.
+// A matcher file from a format version this build does not read — v6, v5
+// and v4 included — must fail with the named ErrFormatVersion, naming the
+// versions it reads, not be misparsed into garbage.
 func TestLoadMatcherOldVersionFailsWithNamedError(t *testing.T) {
 	m, _ := geoMatcher(t)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []byte{5, 4, 1} {
+	for _, version := range []byte{6, 5, 4, 1} {
 		b := append([]byte(nil), buf.Bytes()...)
 		b[8] = version // version field, little-endian low byte
 		_, err := LoadMatcher(bytes.NewReader(b), geoOpts())
-		if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), "this build reads 7 and 6") {
-			t.Fatalf("version-%d file: %v, want ErrFormatVersion naming versions 7 and 6", version, err)
+		if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), "this build reads 8 and 7") {
+			t.Fatalf("version-%d file: %v, want ErrFormatVersion naming versions 8 and 7", version, err)
 		}
 	}
 }

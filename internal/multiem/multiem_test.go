@@ -7,6 +7,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/table"
+	"repro/internal/vector"
 )
 
 func geoOpts() Options {
@@ -106,10 +107,10 @@ func TestRunSelectsGeoNameOnly(t *testing.T) {
 		}
 		for _, mode := range []string{"scalar", "avx2"} {
 			t.Run(c.name+"/"+mode, func(t *testing.T) {
-				if mode == "avx2" && defaultKernels(t) == "scalar" {
+				if mode == "avx2" && vector.Kernels() == "scalar" {
 					t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
 				}
-				defer withKernels(t, mode)()
+				vector.ForceKernels(t, mode)
 				scores, sel := SelectAttributes(d, DefaultOptions())
 				var got []string
 				for _, j := range sel {

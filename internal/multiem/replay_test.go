@@ -592,7 +592,7 @@ func perturbCentroid(m *Matcher, shard, local int) {
 	for i := range c {
 		c[i] *= 1 + 0.15*float32(i%2)
 	}
-	sh.index.Append(local, vector.Normalize(c))
+	sh.index.Append(local, vector.Normalize(c), vector.Ref{})
 	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
 	sh.index.Link()
 }

@@ -137,16 +137,12 @@ func (sh *shard) indexCentroid(local int) {
 }
 
 // indexNode appends vec as tuple local's new current node: an alias of the
-// tuple's first member's entity row when vec has that row's bits — always
+// tuple's first member's entity row when vec has that row's words — always
 // for a one-member tuple, whose centroid is the row — and otherwise a row
 // of its own. The rule depends on the bits alone, so a build, a replay, a
 // compaction and a load (readSection) alias the same nodes.
 func (sh *shard) indexNode(local int, vec []float32) {
-	if first := sh.entVecs.Ref(sh.tuples.at(local).members[0]); first.Holds(vec) {
-		sh.index.AppendRef(local, first)
-	} else {
-		sh.index.Append(local, vec)
-	}
+	sh.index.Append(local, vec, sh.entVecs.Ref(sh.tuples.at(local).members[0]))
 	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
 }
 
@@ -300,7 +296,7 @@ func (sh *shard) maybeCompact() (discarded int) {
 		return 0
 	}
 	old := sh.index
-	sh.entVecs = sh.entVecs.CopyOn(vector.NewRowData(sh.entVecs.Dim()))
+	sh.entVecs = sh.entVecs.Copy()
 	sh.index = hnsw.NewOn(sh.entVecs.Data(), old.Config())
 	// The rebuild replaces the index but not the logical shard: keep the
 	// search-effort counters monotonic across compactions.

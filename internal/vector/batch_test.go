@@ -22,7 +22,7 @@ func testArena(rng *rand.Rand, rows, stride int) []float32 {
 func TestBatchMatchesSinglePair(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, mode := range []string{"scalar", "auto"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for _, dim := range []int{1, 7, 16, 33, 64} {
 			for _, stride := range []int{dim, dim + 3} {
 				const rows = 9
@@ -65,7 +65,7 @@ func TestGatherMatchesSinglePair(t *testing.T) {
 	out := make([]float32, maxN+1)
 	sentinel := float32(math.Inf(-1))
 	for _, mode := range []string{"scalar", "auto"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for dim := 1; dim <= 259; dim++ {
 			for _, stride := range []int{dim, dim + 5} {
 				arena := testArena(rng, rows, stride)
@@ -111,7 +111,7 @@ func TestMetricGatherMatchesDist(t *testing.T) {
 	idxs := []int32{6, 2, 0, 2, 5}
 	out := make([]float32, len(idxs))
 	for _, mode := range []string{"scalar", "auto"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for dim := 1; dim <= 70; dim++ {
 			stride := dim + dim%3
 			arena := testArena(rng, 7, stride)
@@ -148,7 +148,7 @@ func TestMetricGatherSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ab, ba := make([]float32, 1), make([]float32, 1)
 	for _, mode := range []string{"scalar", "auto"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for _, dim := range []int{1, 7, 19, 64, 259} {
 			arena := testArena(rng, rows, dim)
 			clear(row(arena, dim, dim, 3))
@@ -186,7 +186,7 @@ func TestBatchValidationPanics(t *testing.T) {
 	// bad index must be refused in Go first, on either path, wherever in idxs
 	// it sits — including where only the look-ahead would have touched it.
 	for _, mode := range []string{"scalar", "auto"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for _, bad := range [][]int32{{-1, 0}, {0, -1}, {8, 0}, {0, 8}, {math.MinInt32, 0}, {0, math.MaxInt32}} {
 			mustPanic("DotGather bad index", func() { DotGather(q, arena, 8, bad, out) })
 			mustPanic("CosineUnitGather bad index", func() { CosineUnitGather(q, arena, 8, bad, out) })

@@ -208,7 +208,7 @@ func BenchmarkGather(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("arena=%dMB/%s", mb, k.name), func(b *testing.B) {
 				if k.mode != "" {
-					forceKernels(b, k.mode)
+					ForceKernels(b, k.mode)
 				}
 				idxs := make([]int32, block*blocks)
 				pieces := make([]float64, 0, b.N)
@@ -239,7 +239,7 @@ func BenchmarkGather(b *testing.B) {
 // shard's apply lays them out. A batch appends 16 entity rows (about 63 of
 // benchDim coordinates set, the encoder's density), then 7 nodes for new
 // one-member tuples — 7 of those entity rows, which the shared table names
-// with AppendRef — and 8 recomputed centroids of about 90 coordinates:
+// with AppendShared — and 8 recomputed centroids of about 90 coordinates:
 // serve_ingest's mix, where 43 % of the nodes are singletons'.
 func shardLayout(rng *rand.Rand, nodes int) (own, shared *SparseRows) {
 	vec := func(set int) []float32 {
@@ -263,7 +263,7 @@ func shardLayout(rng *rand.Rand, nodes int) (own, shared *SparseRows) {
 		}
 		for k := 0; k < 7 && own.Len() < nodes; k++ {
 			own.Append(batch[k])
-			shared.AppendRef(ents.Ref(first + k))
+			shared.AppendShared(batch[k], ents.Ref(first+k))
 		}
 		for k := 0; k < 8 && own.Len() < nodes; k++ {
 			v := vec(90)

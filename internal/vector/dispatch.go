@@ -75,3 +75,30 @@ func Kernels() string {
 	}
 	return "scalar"
 }
+
+// ForceKernels selects mode for the rest of test t, as SetKernels does, and
+// hands back the path in effect now when t ends; it skips t where this CPU
+// lacks mode. Tests that force a path run one at a time.
+func ForceKernels(t interface {
+	Helper()
+	Skip(...any)
+	Cleanup(func())
+}, mode string) {
+	t.Helper()
+	prev := Kernels()
+	if err := SetKernels(mode); err != nil {
+		t.Skip(err)
+	}
+	t.Cleanup(func() { SetKernels(prev) })
+}
+
+// KernelsRestored runs a package's tests (testing.M's Run) and fails the run
+// when they end on another kernel path than they began on.
+func KernelsRestored(run func() int) int {
+	start, code := Kernels(), run()
+	if code == 0 && Kernels() != start {
+		fmt.Fprintf(os.Stderr, "FAIL: the tests began on the %s kernel path and ended on %s\n", start, Kernels())
+		return 1
+	}
+	return code
+}

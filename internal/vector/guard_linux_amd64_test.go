@@ -97,7 +97,7 @@ func TestGatherGuardPage(t *testing.T) {
 func maskGuardPage(t *testing.T, mem []byte) {
 	rng := rand.New(rand.NewSource(3))
 	for _, mode := range kernelPaths(t)[1:] {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for _, dim := range []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 63, 64, 65, 256, 259, 300} {
 			q := randVecOff(rng, dim, 0)
 			last := make([]float32, dim)
@@ -111,7 +111,7 @@ func maskGuardPage(t *testing.T, mem []byte) {
 				row := unsafe.Slice((*uint32)(unsafe.Pointer(&mem[len(mem)-4*n])), n)
 				copy(row, mask)
 				copy(row[len(mask):], vals)
-				guarded, other := unsafe.Pointer(&row[0]), unsafe.Pointer(&s.rowWords(1)[0])
+				guarded, other := unsafe.Pointer(&row[0]), unsafe.Pointer(&s.words(1)[0])
 				want := []float32{Dot(q, dense), Dot(q, second)}
 				// The expansion reads the guarded row, then writes a dense
 				// one that ends on the guard page.
@@ -157,7 +157,7 @@ func maskGuardPage(t *testing.T, mem []byte) {
 						}
 					}
 				}
-				expand(unsafe.Slice((*float32)(unsafe.Pointer(&mem[len(mem)-4*dim])), dim), s.rowWords(0))
+				expand(unsafe.Slice((*float32)(unsafe.Pointer(&mem[len(mem)-4*dim])), dim), s.words(0))
 			}
 		}
 	}

@@ -86,7 +86,7 @@ func checkMaskGather(t *testing.T, s *SparseRows, dense [][]float32, q []float32
 func rowPtrs(s *SparseRows, idxs []int32) []unsafe.Pointer {
 	ptrs := make([]unsafe.Pointer, len(idxs))
 	for j, i := range idxs {
-		ptrs[j] = unsafe.Pointer(&s.rowWords(int(i))[0])
+		ptrs[j] = unsafe.Pointer(&s.words(int(i))[0])
 	}
 	return ptrs
 }
@@ -104,7 +104,7 @@ func TestMaskGatherMatchesSinglePair(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	sentinel := float32(math.Inf(-1))
 	for _, mode := range kernelPaths(t) {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for dim := 1; dim <= 300; dim++ {
 			s, dense := randSparseRows(rng, dim, 40+4096/dim)
 			q := randVecOff(rng, dim, 1)
@@ -161,7 +161,7 @@ func TestMaskGatherValidationPanics(t *testing.T) {
 	}
 	q, out := make([]float32, 8), make([]float32, 2)
 	for _, mode := range kernelPaths(t) {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for _, bad := range [][]int32{{-1, 0}, {0, int32(s.Len())}, {0, DescChunkRows*2 - 1}, {math.MaxInt32, 0}, {math.MinInt32, 0}} {
 			mustPanic(t, "SparseRows.DotGather bad index", func() { s.DotGather(q, bad, out) })
 			mustPanic(t, "SparseRows.CosineUnitGather bad index", func() { s.CosineUnitGather(q, bad, out) })
@@ -248,7 +248,7 @@ func FuzzMaskGather(f *testing.F) {
 			}
 		}
 		for _, mode := range kernelPaths(t) {
-			forceKernels(t, mode)
+			ForceKernels(t, mode)
 			checkMaskGather(t, s, dense, q, idxs)
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 )
@@ -14,20 +15,8 @@ import (
 // 8-wide loop, scalar tail) and their boundaries.
 var simdTestDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64, 300, 1000}
 
-// forceKernels flips the dispatch for the duration of a test and restores
-// the prior path on cleanup. Tests using it must not run in parallel.
-func forceKernels(t testing.TB, mode string) {
-	t.Helper()
-	prev := Kernels()
-	if err := SetKernels(mode); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := SetKernels(prev); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
+// TestMain fails a run that ends on another kernel path than it began on.
+func TestMain(m *testing.M) { os.Exit(KernelsRestored(m.Run)) }
 
 // relClose asserts agreement within 1e-4 relative error: the bound between
 // two different reduction orders (the tile kernel's and Dot's), which share
@@ -68,7 +57,7 @@ func checkAllKernels(t *testing.T, a, b []float32) {
 	t.Helper()
 	var got [2][]float32
 	for p, mode := range []string{"avx2", "scalar"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		out := make([]float32, 3)
 		if len(a) > 0 {
 			c := NewSparseRows(len(b))
@@ -101,7 +90,7 @@ func TestSIMDMatchesScalar(t *testing.T) {
 		idxs := chunkEdges(s)
 		paths := map[string][]float32{}
 		for _, mode := range kernelPaths(t) {
-			forceKernels(t, mode)
+			ForceKernels(t, mode)
 			paths[mode] = checkMaskGather(t, s, dense, q, idxs)
 		}
 		for mode, got := range paths {
@@ -124,7 +113,7 @@ func TestSIMDZeroVectors(t *testing.T) {
 		checkAllKernels(t, v, zero)
 		checkAllKernels(t, zero, zero)
 		// The exported zero-vector semantics must hold on the SIMD path too.
-		forceKernels(t, "avx2")
+		ForceKernels(t, "avx2")
 		if got := CosineUnitDist(zero, v); got != 1 {
 			t.Errorf("dim %d: CosineUnitDist(0, v) = %v on avx2 path, want 1", dim, got)
 		}
@@ -146,18 +135,13 @@ func TestDispatchedAPIAgrees(t *testing.T) {
 		a, b := randVecOff(rng, dim, 0), randVecOff(rng, dim, 2)
 		type sample struct{ norm, cos, euclid, gathered float32 }
 		run := func(mode string) sample {
-			if err := SetKernels(mode); err != nil {
-				t.Fatal(err)
-			}
+			ForceKernels(t, mode)
 			g := make([]float32, 1)
 			CosineUnitGather(a, b, dim, []int32{0}, g)
 			return sample{Norm(a), CosineUnitDist(a, b), EuclideanDist(a, b), g[0]}
 		}
 		simd := run("avx2")
 		scalar := run("scalar")
-		if err := SetKernels("auto"); err != nil {
-			t.Fatal(err)
-		}
 		sameF32(t, "Norm", simd.norm, scalar.norm)
 		sameF32(t, "CosineUnitDist", simd.cos, scalar.cos)
 		sameF32(t, "EuclideanDist", simd.euclid, scalar.euclid)
@@ -166,7 +150,7 @@ func TestDispatchedAPIAgrees(t *testing.T) {
 }
 
 func TestSetKernels(t *testing.T) {
-	forceKernels(t, "scalar")
+	ForceKernels(t, "scalar")
 	if Kernels() != "scalar" {
 		t.Fatalf("Kernels() = %q after SetKernels(scalar)", Kernels())
 	}
@@ -206,7 +190,7 @@ func TestSetKernels(t *testing.T) {
 // selects the path it is on, so a test that saves Kernels() and hands it
 // back restores the path.
 func TestSetKernelsRoundTrip(t *testing.T) {
-	forceKernels(t, "auto")
+	ForceKernels(t, "auto")
 	for _, mode := range kernelPaths(t) {
 		if err := SetKernels(mode); err != nil {
 			t.Fatal(err)

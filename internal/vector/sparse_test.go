@@ -54,7 +54,7 @@ func sparseRow(rng *rand.Rand, dim, nnz int) ([]int32, []float32) {
 func TestSparseAtLeast32(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	for _, mode := range []string{"scalar", "auto"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for _, dim := range []int{1, 2, 3, 7, 33, 256} {
 			blockT := randArena(rng, dim*SparseBlock)
 			for nnz := 0; nnz <= dim; nnz += 1 + nnz/5 {
@@ -84,7 +84,7 @@ func TestSparseAtLeast32ExactSums(t *testing.T) {
 	}
 	idx, val := []int32{8, 0, 3}, []float32{2, -1, 1}
 	for _, mode := range []string{"scalar", "auto"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for thr := float32(-25); thr <= 25; thr++ {
 			var want uint32
 			for l := 0; l < SparseBlock; l++ {
@@ -113,7 +113,7 @@ func TestSparseAtLeast32ExactSums(t *testing.T) {
 func TestSparseAtLeast32Bounds(t *testing.T) {
 	blockT := make([]float32, 4*SparseBlock)
 	for _, mode := range []string{"scalar", "auto"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for name, call := range map[string]func(){
 			"index = dim":    func() { SparseAtLeast32([]int32{0, 4}, []float32{1, 1}, blockT, 0) },
 			"negative index": func() { SparseAtLeast32([]int32{-1}, []float32{1}, blockT, 0) },
@@ -142,11 +142,7 @@ func BenchmarkSparseAtLeast32(b *testing.B) {
 	for _, nnz := range []int{16, 64, 128, 192, 256} {
 		for _, mode := range []string{"scalar", "auto"} {
 			b.Run(fmt.Sprintf("rows=64x32/nnz=%d/%s", nnz, mode), func(b *testing.B) {
-				prev := Kernels()
-				if err := SetKernels(mode); err != nil {
-					b.Fatal(err)
-				}
-				defer SetKernels(prev)
+				ForceKernels(b, mode)
 				rng := rand.New(rand.NewSource(1))
 				blockT := randArena(rng, benchDim*SparseBlock)
 				idx, val := make([][]int32, 64), make([][]float32, 64)

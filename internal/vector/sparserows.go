@@ -1,12 +1,16 @@
 package vector
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"repro/internal/arena"
+	"repro/internal/binio"
 )
 
 // SparseRows is an append-only table of fixed-dimension float32 vectors kept
@@ -26,9 +30,9 @@ import (
 // each) live in a data arena, a RowData, which any number of tables may
 // share; the table itself is one arena.Arena of descriptors, one a row: the
 // word its row starts at and a bit saying whether it holds an Inf or a NaN.
-// A row Append stores is the table's own; one AppendRef names is another
-// table's row on the same data arena, whose words it shares: a shard's index
-// node for a one-member tuple is its member's entity row. Rows are never
+// A row Append stores is the table's own; one AppendShared makes of another
+// table's row on the same data arena shares that row's words: a shard's
+// index node for a one-member tuple is its member's entity row. Rows are never
 // rewritten, so a stored row never moves, Frozen is O(1), and no
 // copy-on-write copy ever happens. A SparseRows is not safe for concurrent
 // mutation, nor are two tables that share a data arena; a frozen snapshot
@@ -48,6 +52,7 @@ type RowData struct {
 	words int  // a row's mask, in uint32 words: 2·ceil(dim/64)
 	shift uint // a chunk holds 1<<shift words
 	data  arena.Arena[uint32]
+	row   []uint32 // Append's scratch: a row packed before it is placed
 }
 
 // nonFinite marks a descriptor whose row holds an Inf or a NaN, which the
@@ -104,17 +109,6 @@ func (s *SparseRows) Len() int { return s.rows.Len() }
 // Data returns the data arena the table's rows are stored in.
 func (s *SparseRows) Data() *RowData { return s.d }
 
-// nonzeros counts the coordinates of v the store keeps.
-func nonzeros(v []float32) int {
-	n := 0
-	for _, x := range v {
-		if math.Float32bits(x) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // place returns the word a row of n words starts at when the words so far
 // end at end: there, or at the next chunk if it does not fit the rest of
 // end's chunk.
@@ -134,9 +128,25 @@ func (s *SparseRows) desc(i int) uint64 {
 	return s.rows.Spine()[i>>descShift][i&(DescChunkRows-1)]
 }
 
-// rowWords returns the words from row i's first to its chunk's end: the row's
-// mask, then its values. It panics on a row out of range.
-func (s *SparseRows) rowWords(i int) []uint32 { return s.d.descWords(s.desc(i)) }
+// words returns row i's words: its mask, then its values.
+func (s *SparseRows) words(i int) []uint32 { return s.d.rowOf(s.desc(i)) }
+
+// rowOf returns the words of the row desc describes.
+func (d *RowData) rowOf(desc uint64) []uint32 {
+	w := d.descWords(desc)
+	n := d.size(w)
+	return w[:n:n]
+}
+
+// size is the number of words of the row whose mask w starts with: the mask,
+// then a value for each bit set in it.
+func (d *RowData) size(w []uint32) int {
+	n := d.words
+	for _, m := range w[:d.words] {
+		n += bits.OnesCount32(m)
+	}
+	return n
+}
 
 // descWords returns the words from the row desc describes to its chunk's
 // end.
@@ -145,36 +155,28 @@ func (d *RowData) descWords(desc uint64) []uint32 {
 	return d.data.Spine()[at>>d.shift][at&(1<<d.shift-1):]
 }
 
-// descOf is the descriptor of v stored at word at.
-func descOf(at int, v []float32) uint64 {
-	if allFinite(v) {
+// descOf is the descriptor of row w stored at word at.
+func (d *RowData) descOf(at int, w []uint32) uint64 {
+	if allFinite(floats(w[d.words:])) {
 		return uint64(at)
 	}
 	return uint64(at) | nonFinite
 }
 
-// store writes v as the row that starts at word at: its mask, then its
-// nonzeros.
-func (d *RowData) store(at int, v []float32) {
-	w := d.descWords(uint64(at))
-	mask, vals := w[:d.words], w[d.words:]
-	clear(mask)
-	n := 0
+// pack writes v, of Dim() elements, as a row into w, which has room for its
+// mask and Dim() values, and returns the row's words: its mask, then the
+// bits of its nonzeros in coordinate order.
+func (d *RowData) pack(w []uint32, v []float32) []uint32 {
+	clear(w[:d.words])
+	n := d.words
 	for c, x := range v {
 		if b := math.Float32bits(x); b != 0 {
-			mask[c>>5] |= 1 << (c & 31)
-			vals[n] = b
+			w[c>>5] |= 1 << (c & 31)
+			w[n] = b
 			n++
 		}
 	}
-}
-
-// grow makes room for a row of n words after the arena's last and returns
-// the word it starts at.
-func (d *RowData) grow(n int) int {
-	at := d.place(d.data.Len(), n)
-	d.data.Grow(at + n - d.data.Len())
-	return at
+	return w[:n]
 }
 
 // appendDesc adds desc as the table's next row and returns its index.
@@ -187,15 +189,28 @@ func (s *SparseRows) appendDesc(desc uint64) int {
 
 // Append stores v as a new row, with words of its own, and returns its index.
 // v must have Dim() elements.
-func (s *SparseRows) Append(v []float32) int {
-	if len(v) != s.d.dim {
-		panic(fmt.Sprintf("vector: sparse store dimension mismatch: row has %d, store wants %d", len(v), s.d.dim))
+func (s *SparseRows) Append(v []float32) int { return s.AppendShared(v, Ref{}) }
+
+// AppendShared is Append, except where r names a row on the table's data
+// arena whose words are v's: then the new row is that row, stored once, and
+// the table's Bytes grows by its descriptor alone.
+func (s *SparseRows) AppendShared(v []float32, r Ref) int {
+	d := s.d
+	if len(v) != d.dim {
+		panic(fmt.Sprintf("vector: sparse store dimension mismatch: row has %d, store wants %d", len(v), d.dim))
 	}
-	n := s.d.words + nonzeros(v)
-	at := s.d.grow(n)
-	s.d.store(at, v)
-	s.own += n
-	return s.appendDesc(descOf(at, v))
+	if d.row == nil {
+		d.row = make([]uint32, d.words+d.dim)
+	}
+	w := d.pack(d.row, v)
+	if d.holds(r, w) {
+		return s.appendDesc(r.desc)
+	}
+	at := d.place(d.data.Len(), len(w))
+	d.data.Grow(at + len(w) - d.data.Len())
+	copy(d.descWords(uint64(at)), w)
+	s.own += len(w)
+	return s.appendDesc(d.descOf(at, w))
 }
 
 // Ref names one stored row: its data arena and its descriptor. The zero Ref
@@ -205,114 +220,148 @@ type Ref struct {
 	desc uint64
 }
 
-// Ref returns a reference to row i, for AppendRef.
+// Ref returns a reference to row i, for AppendShared and Load.
 func (s *SparseRows) Ref(i int) Ref { return Ref{s.d, s.desc(i)} }
 
-// Holds reports whether the row r names is v, bit for bit: what CopyTo of it
-// would write. v must have the row's dimensionality.
-func (r Ref) Holds(v []float32) bool {
-	w := r.d.descWords(r.desc)
-	mask, vals := w[:r.d.words], w[r.d.words:]
-	k := 0
-	for c, x := range v[:r.d.dim] {
-		b := math.Float32bits(x)
-		if mask[c>>5]>>(c&31)&1 == 0 {
-			if b != 0 {
-				return false
-			}
-			continue
-		}
-		if b != vals[k] {
-			return false
-		}
-		k++
-	}
-	return true
+// holds reports whether r names a row on d whose words are w.
+func (d *RowData) holds(r Ref, w []uint32) bool {
+	return r.d == d && slices.Equal(d.rowOf(r.desc), w)
 }
 
-// AppendRef adds the row r names as a new row of this table and returns its
-// index: the same words, stored once, so the table's Bytes grows by the
-// descriptor alone. r must name a row on the table's data arena.
-func (s *SparseRows) AppendRef(r Ref) int {
-	if r.d != s.d {
-		panic("vector: AppendRef of a row on another data arena")
-	}
-	return s.appendDesc(r.desc)
-}
-
-// Load fills an empty table with n rows, every table allocated at its final
-// size (arena.GrowExact): the descriptors, and the data arena grown by the
-// rows' words and the chunk tails they leave, never more. row(i, dst) must
-// write dense row i into dst; Load calls it for every row in order, and
-// again for each row it stores. alias, which may be nil, names a row on the
-// table's data arena that row i may share, or returns the zero Ref: where
-// that row Holds row i, row i is an AppendRef of it and stores no words.
-func (s *SparseRows) Load(n int, row func(i int, dst []float32), alias func(i int) Ref) {
+// Load fills an empty table with n rows, each arena grown to its final size
+// (arena.GrowExact). row(i) returns row i's words, valid until the next
+// call; Load calls it for i = 0, …, n−1 twice, once to check and lay the rows
+// out and once to copy them. alias, which may be nil, names a row on the
+// table's data arena that row i is, storing no words, where that row's words
+// are row i's (as AppendShared). A row Append could not have stored — a mask
+// bit at or past the dimension, words cut short, a value whose bits are 0 —
+// fails the load, naming it, and leaves the table unusable.
+func (s *SparseRows) Load(n int, row func(i int) []uint32, alias func(i int) Ref) error {
 	if s.Len() != 0 {
 		panic("vector: Load into a non-empty sparse store")
 	}
-	if n == 0 {
-		return // a hostile header's dimension sizes nothing
-	}
 	d := s.d
-	dst := make([]float32, d.dim)
 	s.rows.GrowExact(n)
-	base := d.data.Len()
-	end := base
+	base, end := d.data.Len(), d.data.Len()
 	for i := range n {
-		row(i, dst)
+		w := row(i)
+		if err := d.check(w); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
 		if alias != nil {
-			if r := alias(i); r.d == d && r.Holds(dst) {
+			if r := alias(i); d.holds(r, w) {
 				s.rows.At(i)[0] = r.desc
 				continue
 			}
 		}
-		k := d.words + nonzeros(dst)
-		at := d.place(end, k)
-		s.rows.At(i)[0] = descOf(at, dst)
-		s.own += k
-		end = at + k
+		at := d.place(end, len(w))
+		s.rows.At(i)[0] = d.descOf(at, w)
+		s.own += len(w)
+		end = at + len(w)
 	}
 	d.data.GrowExact(end - base)
 	for i := range n {
 		// An alias names a row below base, which was stored before.
-		if at := int(s.rows.At(i)[0] &^ nonFinite); at >= base {
-			row(i, dst)
-			d.store(at, dst)
+		if w, at := row(i), int(s.rows.At(i)[0]&^nonFinite); at >= base {
+			copy(d.descWords(uint64(at)), w)
 		}
+	}
+	return nil
+}
+
+// check reports how w is not a row Append could have stored, or nil.
+func (d *RowData) check(w []uint32) error {
+	if len(w) < d.words || len(w) != d.size(w) {
+		return errors.New("cut short")
+	}
+	for j, m := range w[:d.words] {
+		if c := j<<5 + bits.Len32(m) - 1; m != 0 && c >= d.dim {
+			return fmt.Errorf("mask bit %d at or past dimension %d", c, d.dim)
+		}
+	}
+	if slices.Contains(w[d.words:], 0) {
+		return errors.New("a stored value's bits are 0")
+	}
+	return nil
+}
+
+// Copy returns a table of s's rows stored afresh, word for word, on a data
+// arena of its own, laid out as Load lays them.
+func (s *SparseRows) Copy() *SparseRows {
+	t := NewSparseRows(s.d.dim)
+	if err := t.Load(s.Len(), s.words, nil); err != nil {
+		panic(err) // a stored row is well formed
+	}
+	return t
+}
+
+// WriteRows writes the table's rows to w in row order, each as it sits in
+// memory: its mask, ceil(dim/64) little-endian 64-bit words (the bytes of its
+// 32-bit words), then its values' bits, 4 bytes each. No descriptor is
+// written: ReadRows works out the rest from the words, and a shared row is
+// written whole. Write errors surface at w's Flush.
+func (s *SparseRows) WriteRows(w *bufio.Writer) {
+	for i := range s.Len() {
+		binio.WriteWords(w, s.words(i))
 	}
 }
 
-// CopyOn returns a table of s's rows stored afresh, word for word, on d, an
-// arena of the same dimensionality: every row its own, in row order.
-func (s *SparseRows) CopyOn(d *RowData) *SparseRows {
-	if d.dim != s.d.dim {
-		panic(fmt.Sprintf("vector: CopyOn of dim-%d rows to a dim-%d arena", s.d.dim, d.dim))
-	}
-	t := NewSparseRowsOn(d)
+// RowsSize reports the number of bytes WriteRows writes.
+func (s *SparseRows) RowsSize() (n int) {
 	for i := range s.Len() {
-		mask, vals := s.Row(i)
-		n := len(mask) + len(vals)
-		at := d.grow(n)
-		w := d.descWords(uint64(at))
-		copy(w, mask)
-		copy(w[len(mask):], vals)
-		t.own += n
-		t.appendDesc(uint64(at) | s.desc(i)&nonFinite)
+		n += 4 * len(s.words(i))
 	}
-	return t
+	return n
+}
+
+// ReadRows fills the empty table s with n rows read from rd: rows WriteRows
+// wrote or, with dense set, rows of Dim() little-endian float32s each (the
+// layout of the formats before), packed as Append packs them. alias is
+// Load's. Fewer bytes than n rows need at the least (a mask, or a dense row),
+// or a row Load refuses, fail the read and leave the table unusable.
+func (s *SparseRows) ReadRows(rd *binio.Reader, n int, dense bool, alias func(i int) Ref) error {
+	if n == 0 {
+		return nil // a hostile header's dimension sizes no scratch
+	}
+	d := s.d
+	least := 4 * d.words
+	if dense {
+		least = 4 * d.dim
+	}
+	if n > rd.Len()/least {
+		return fmt.Errorf("%d rows of at least %d bytes in %d bytes", n, least, rd.Len())
+	}
+	w := make([]uint32, d.words+least/4) // a mask, and a dense row's values
+	// Load reads the rows twice, in order, so each pass starts where they
+	// begin: a Reader is a cursor, and a copy of it another.
+	start := *rd
+	return s.Load(n, func(i int) []uint32 {
+		if i == 0 {
+			*rd = start
+		}
+		if dense {
+			// pack compacts in place: it writes the k-th value at or before
+			// the coordinate it read it from, so the row it reads may lie in w.
+			binio.ReadWords(rd, w[d.words:])
+			return d.pack(w, floats(w[d.words:]))
+		}
+		binio.ReadWords(rd, w[:d.words])
+		k := d.size(w)
+		if rd.Err() != nil || rd.Len() < 4*(k-d.words) {
+			return nil // the mask or the values cut short
+		}
+		w = slices.Grow(w[:d.words], k-d.words)[:k]
+		binio.ReadWords(rd, w[d.words:])
+		return w
+	}, alias)
 }
 
 // Row returns row i's mask words (bit c of word c/32 for coordinate c) and
 // its stored values' bits, in coordinate order. The slices alias the store;
 // the caller must not modify them.
 func (s *SparseRows) Row(i int) (mask, vals []uint32) {
-	w, words := s.rowWords(i), s.d.words
-	n := 0
-	for _, m := range w[:words] {
-		n += bits.OnesCount32(m)
-	}
-	return w[:words:words], w[words : words+n : words+n]
+	w, words := s.words(i), s.d.words
+	return w[:words:words], w[words:]
 }
 
 // floats views words of value bits as the float32 values they hold.
@@ -327,7 +376,7 @@ func (s *SparseRows) CopyTo(dst []float32, i int) {
 	if s.expand(dst, i, false) {
 		return
 	}
-	w, words := s.rowWords(i), s.d.words
+	w, words := s.words(i), s.d.words
 	dst = dst[:s.d.dim]
 	clear(dst)
 	vals, k := floats(w[words:]), 0
@@ -348,7 +397,7 @@ func (s *SparseRows) AddTo(dst []float32, i int) {
 	if s.expand(dst, i, true) {
 		return
 	}
-	w, words := s.rowWords(i), s.d.words
+	w, words := s.words(i), s.d.words
 	dst = dst[:s.d.dim]
 	vals, k := floats(w[words:]), 0
 	for j := 0; j < words; j += 2 {
@@ -365,7 +414,7 @@ func (s *SparseRows) expand(dst []float32, i int, add bool) bool {
 	if !simdOn {
 		return false
 	}
-	w, d := s.rowWords(i), s.d
+	w, d := s.words(i), s.d
 	dst = dst[:d.dim]
 	if avx512 {
 		expandMaskAVX512(&dst[0], &w[0], d.dim, 4*d.words, add)
@@ -384,7 +433,7 @@ func (s *SparseRows) FrozenOn(d *RowData) *SparseRows {
 
 // Bytes reports the memory the table's rows take: 4 B a word of the rows it
 // stored — a row's mask is 8 B per 64 coordinates, a value 4 B — and 8 B a
-// descriptor, an AppendRef's included. It depends on the rows alone, not on
+// descriptor, a shared row's included. It depends on the rows alone, not on
 // how the arena grew — a table and its saved and loaded copy report the
 // same — and leaves out the chunk tails, less than a row a chunk, and the
 // unused capacity, less than a chunk an arena.

@@ -20,6 +20,23 @@ func sparseRowOf(rng *rand.Rand, dim int, density float64) []float32 {
 	return v
 }
 
+// nonzeros counts the coordinates of v a bitmask row keeps.
+func nonzeros(v []float32) int {
+	n := 0
+	for _, x := range v {
+		if math.Float32bits(x) != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// packed is a Load row source of rows, packed as Append packs them.
+func packed(d *RowData, rows [][]float32) func(i int) []uint32 {
+	w := make([]uint32, d.words+d.dim)
+	return func(i int) []uint32 { return d.pack(w, rows[i]) }
+}
+
 func sameBits(a, b []float32) bool {
 	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
@@ -35,7 +52,7 @@ func checkSparseRows(t *testing.T, s *SparseRows, rows [][]float32) {
 	}
 	got := make([]float32, s.Dim()+1)
 	for _, mode := range kernelPaths(t) {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		for i, want := range rows {
 			got[s.Dim()] = 7
 			s.CopyTo(got, i)
@@ -100,7 +117,9 @@ func TestSparseRowsStore(t *testing.T) {
 	}
 
 	loaded := NewSparseRows(dim)
-	loaded.Load(200, func(i int, dst []float32) { copy(dst, rows[i]) }, nil)
+	if err := loaded.Load(200, packed(loaded.Data(), rows), nil); err != nil {
+		t.Fatal(err)
+	}
 	checkSparseRows(t, loaded, rows[:200])
 	if loaded.Data().Cap() != frozen.Data().Elems() || loaded.Cap() != 200 {
 		t.Fatalf("loaded tables hold %d words and %d rows, the rows fill %d and 200", loaded.Data().Cap(), loaded.Cap(), frozen.Data().Elems())
@@ -123,7 +142,7 @@ func TestSparseRowsStore(t *testing.T) {
 		func() { frozen.Row(-1) },
 		func() { NewSparseRows(0) },
 		func() { s.Append(make([]float32, dim+1)) },
-		func() { s.Load(1, func(int, []float32) {}, nil) },
+		func() { s.Load(1, packed(s.Data(), rows), nil) },
 	} {
 		func() {
 			defer func() {
@@ -137,12 +156,14 @@ func TestSparseRowsStore(t *testing.T) {
 }
 
 // TestSparseRowsSharedArena: two tables on one data arena — entity rows,
-// and nodes that are either rows of their own or AppendRefs of entity rows —
-// read back their rows on every path, from the writer and from snapshots
-// that share one frozen arena. A table's Bytes counts the words it stored and
-// its descriptors; Load, entity table first, aliases exactly the rows that
-// hold their reference's bits, sizes the arena to the rows, and gives every
-// row and Bytes back; CopyOn moves a table to a new arena word for word.
+// and nodes that AppendShared makes either rows of their own or shares of
+// the entity row they name, exactly where they have its words — read back
+// their rows on every path, from the writer and from snapshots that share
+// one frozen arena. A table's Bytes counts the words it stored and its
+// descriptors; Load, entity table first, aliases exactly the rows that hold
+// their reference's words, sizes the arena to the rows, and gives every row
+// and Bytes back; Copy moves a table to a new arena word for word. A row
+// on another arena is never shared.
 func TestSparseRowsSharedArena(t *testing.T) {
 	const dim = 40 // a 1024-word chunk: 21 full rows
 	rng := rand.New(rand.NewSource(9))
@@ -150,7 +171,7 @@ func TestSparseRowsSharedArena(t *testing.T) {
 	ents, nodes := NewSparseRowsOn(d), NewSparseRowsOn(d)
 	var entRows, nodeRows [][]float32
 	var refs []int     // the entity row node i names as its alias
-	var aliased []bool // whether node i is an AppendRef
+	var aliased []bool // whether node i shares its entity row
 	for b := range 60 {
 		for range 3 {
 			v := sparseRowOf(rng, dim, 0.25)
@@ -159,11 +180,11 @@ func TestSparseRowsSharedArena(t *testing.T) {
 		}
 		// A batch's new tuple is its first row; the others join older ones.
 		first := ents.Len() - 3
-		nodes.AppendRef(ents.Ref(first))
+		nodes.AppendShared(entRows[first], ents.Ref(first))
 		nodeRows, refs, aliased = append(nodeRows, entRows[first]), append(refs, first), append(aliased, true)
 		if b%2 == 0 {
 			v := sparseRowOf(rng, dim, 0.4)
-			nodes.Append(v)
+			nodes.AppendShared(v, ents.Ref(b))
 			nodeRows, refs, aliased = append(nodeRows, v), append(refs, b), append(aliased, false)
 		}
 	}
@@ -194,7 +215,7 @@ func TestSparseRowsSharedArena(t *testing.T) {
 	for range 30 {
 		v := sparseRowOf(rng, dim, 0.25)
 		ents.Append(v)
-		nodes.AppendRef(ents.Ref(ents.Len() - 1))
+		nodes.AppendShared(v, ents.Ref(ents.Len()-1))
 	}
 	checkSparseRows(t, fe, entRows)
 	checkSparseRows(t, fn, nodeRows)
@@ -206,8 +227,12 @@ func TestSparseRowsSharedArena(t *testing.T) {
 	// was given (or a row it does not hold) as its alias.
 	ld := NewRowData(dim)
 	le, ln := NewSparseRowsOn(ld), NewSparseRowsOn(ld)
-	le.Load(len(entRows), func(i int, dst []float32) { copy(dst, entRows[i]) }, nil)
-	ln.Load(len(nodeRows), func(i int, dst []float32) { copy(dst, nodeRows[i]) }, func(i int) Ref { return le.Ref(refs[i]) })
+	if err := le.Load(len(entRows), packed(ld, entRows), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ln.Load(len(nodeRows), packed(ld, nodeRows), func(i int) Ref { return le.Ref(refs[i]) }); err != nil {
+		t.Fatal(err)
+	}
 	checkSparseRows(t, le, entRows)
 	checkSparseRows(t, ln, nodeRows)
 	if ld.Cap() != ld.Elems() {
@@ -222,22 +247,14 @@ func TestSparseRowsSharedArena(t *testing.T) {
 		t.Fatalf("loaded tables report %d and %d bytes, appended %d and %d", le.Bytes(), ln.Bytes(), fe.Bytes(), fn.Bytes())
 	}
 
-	moved := fn.CopyOn(NewRowData(dim))
+	moved := fn.Copy()
 	checkSparseRows(t, moved, nodeRows)
 	if moved.Bytes() != 4*words(nodeRows)+8*len(nodeRows) {
 		t.Fatalf("a copied table reports %d bytes, its rows take %d", moved.Bytes(), 4*words(nodeRows)+8*len(nodeRows))
 	}
-	if !le.Ref(0).Holds(entRows[0]) || le.Ref(0).Holds(entRows[1]) && !sameBits(entRows[0], entRows[1]) {
-		t.Fatal("Holds does not tell a row's bits")
+	if before := moved.Bytes(); moved.AppendShared(entRows[0], le.Ref(0)) >= 0 && moved.Bytes() == before+8 {
+		t.Fatal("AppendShared shared a row on another data arena")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("AppendRef of another arena's row did not panic")
-			}
-		}()
-		moved.AppendRef(le.Ref(0))
-	}()
 }
 
 // TestSparseRowsLargeDim: past 1<<16 words a full row, a chunk holds one
@@ -298,7 +315,7 @@ func FuzzSparseRow(f *testing.F) {
 		}
 		checkSparseRows(t, s, rows)
 		for _, mode := range kernelPaths(t) {
-			forceKernels(t, mode)
+			ForceKernels(t, mode)
 			dense, sparse := make([]float32, n), make([]float32, n)
 			for i, v := range rows[:4] {
 				Add(dense, v)

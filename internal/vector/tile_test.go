@@ -76,7 +76,7 @@ func TestTileDispatchAndBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	a, b := randArena(rng, 3*20), randArena(rng, 6*20)
 	for _, mode := range []string{"scalar", "auto"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		out := make([]float32, 3*6)
 		DotTile(a, 20, 3, b, 20, 6, 17, out)
 		want := make([]float32, 3*6)
@@ -126,7 +126,7 @@ func TestCosineUnitTileMatchesDist(t *testing.T) {
 	a.SetRow(2, make([]float32, dim))
 	b.SetRow(5, make([]float32, dim))
 	for _, mode := range []string{"scalar", "auto"} {
-		forceKernels(t, mode)
+		ForceKernels(t, mode)
 		tile := CosineUnitTile(a, b)
 		whole := make([]float32, na*nb)
 		tile(0, na, 0, nb, whole)
@@ -156,11 +156,7 @@ func BenchmarkDotTile(b *testing.B) {
 	for _, tb := range []int{32, 64} {
 		for _, mode := range []string{"scalar", "auto"} {
 			b.Run(fmt.Sprintf("rows=64x%d/%s", tb, mode), func(b *testing.B) {
-				prev := Kernels()
-				if err := SetKernels(mode); err != nil {
-					b.Fatal(err)
-				}
-				defer SetKernels(prev)
+				ForceKernels(b, mode)
 				vs := benchVecs(64 + tb)
 				sa, sb := StoreFromRows(benchDim, vs[:64]), StoreFromRows(benchDim, vs[64:])
 				out := make([]float32, 64*tb)

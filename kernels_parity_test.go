@@ -4,6 +4,7 @@
 package repro_test
 
 import (
+	"os"
 	"testing"
 
 	"repro"
@@ -12,6 +13,9 @@ import (
 	"repro/internal/table"
 	"repro/internal/vector"
 )
+
+// TestMain fails a run that ends on another kernel path than it began on.
+func TestMain(m *testing.M) { os.Exit(vector.KernelsRestored(m.Run)) }
 
 // TestTable4KernelParity runs a reduced-scale Table-4 pipeline per dataset
 // under the scalar and AVX2 kernel paths and requires identical tuple
@@ -23,13 +27,6 @@ func TestTable4KernelParity(t *testing.T) {
 	if vector.Kernels() == "scalar" {
 		t.Skip("CPU lacks AVX2+FMA (or VECTOR_KERNELS forced scalar)")
 	}
-	restore := func() {
-		if err := vector.SetKernels("auto"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer restore()
-
 	cfgs := []experiments.DatasetConfig{benchConfig("Geo", 0.1), benchConfig("Music-20", 0.05)}
 	backends := map[string]multiem.ANNBackend{"hnsw": multiem.BackendHNSW, "exact": multiem.BackendBrute}
 	for _, cfg := range cfgs {
@@ -40,9 +37,7 @@ func TestTable4KernelParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				run := func(mode string) map[string]bool {
-					if err := vector.SetKernels(mode); err != nil {
-						t.Fatal(err)
-					}
+					vector.ForceKernels(t, mode)
 					opt := cfg.MultiEMOptions()
 					opt.Backend = backend
 					res, err := repro.Match(d, opt)
@@ -57,7 +52,6 @@ func TestTable4KernelParity(t *testing.T) {
 				}
 				scalar := run("scalar")
 				simd := run("avx2")
-				restore()
 				if len(scalar) != len(simd) {
 					t.Fatalf("tuple counts diverge: scalar %d vs avx2 %d", len(scalar), len(simd))
 				}
