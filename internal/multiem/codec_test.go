@@ -403,6 +403,67 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 			t.Logf("%d bytes: %d field boundaries, %d counts", len(tc.raw), len(f.bounds), len(f.counts))
 		})
 	}
+	// A v6 file is refused by its version field, whole, cut or with any
+	// count replaced by MaxInt32, before anything past its header is read:
+	// ErrFormatVersion once the version is in, ErrCorruptState before it,
+	// within the same bound.
+	for _, tc := range []struct {
+		name string
+		v7   []byte // the state, as a v7 file
+		opt  Options
+		step int // 0: every field boundary
+	}{
+		{"v6/fields", readFixture(t), dim16Opts(2), 0},
+		{"v6/4KiB", v7Bytes(t, large), durOpts(2), 4 << 10},
+		{"v6/full rows", full7, durOpts(2), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, bounds, counts := v6Layout(t, tc.v7)
+			if tc.step > 0 {
+				bounds, counts = nil, nil
+				for cut := 0; cut < len(raw); cut += tc.step {
+					bounds = append(bounds, cut)
+				}
+			}
+			check(t, "whole file", raw, tc.opt, ErrFormatVersion)
+			for _, cut := range bounds {
+				want := ErrFormatVersion
+				if cut < 12 {
+					want = ErrCorruptState
+				}
+				check(t, fmt.Sprintf("cut at %d", cut), raw[:cut], tc.opt, want)
+			}
+			for _, off := range counts {
+				bad := slices.Clone(raw)
+				binary.LittleEndian.PutUint32(bad[off:], math.MaxInt32)
+				check(t, "count", bad, tc.opt, ErrFormatVersion)
+			}
+		})
+	}
+}
+
+// v6Layout renders a version-7 file as version 6, the layout the last build
+// that read it took: the version field set back and the header's M and probes
+// cut out. It returns that file with its field boundaries and count offsets,
+// read off the v7 file's.
+func v6Layout(t *testing.T, v7 []byte) (raw []byte, bounds, counts []int) {
+	t.Helper()
+	f := fileFields(t, v7)
+	body := f.probes + 4*len(probeTexts)*f.dim // where the header ends
+	raw = binary.LittleEndian.AppendUint32(slices.Clone(v7[:8]), 6)
+	raw = slices.Concat(raw, v7[12:f.m], v7[body:])
+	shift := func(offs []int) (out []int) {
+		for _, o := range offs {
+			switch {
+			case o < f.m:
+				out = append(out, o)
+			case o >= body:
+				out = append(out, o-(body-f.m))
+			}
+		}
+		return out
+	}
+	return raw, shift(f.bounds), shift(f.counts)
 }
 
 // withRow returns the file raw, read as f, with row r's bytes replaced by row
