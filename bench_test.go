@@ -347,12 +347,12 @@ func BenchmarkAblation_ANNBackend(b *testing.B) {
 			}
 			// Music-200 has five sources of ~40k rows at scale 1.
 			sd := mustGen(b, "Music-200", float64(rows)/40000, 17)
-			side := func(t *table.Table) *vector.Store {
+			side := func(t *table.Table) *vector.SparseRows {
 				texts := make([]string, t.Len())
 				for i, e := range t.Entities {
 					texts[i] = table.Serialize(e, nil)
 				}
-				return embed.BatchStore(opt.Encoder, texts)
+				return embed.Rows(opt.Encoder, texts)
 			}
 			ta, tb := side(sd.Tables[0]), side(sd.Tables[1])
 			var pairs int

@@ -4,12 +4,13 @@
 //	Pm = {(e, e') | e ∈ topK(e') ∧ e' ∈ topK(e) ∧ dist(e, e') ≤ m}
 //
 // which is the core primitive of the two-table merging strategy (Alg. 3),
-// in two forms over the same inputs and outputs: MutualTopK asks an index
-// of each table once per row of the other (the paper's HNSW route), and
-// MutualTopKExact computes the pair set exactly in one blocked pass over
-// the distance matrix (exact.go). That pass scores only the blocks that may
-// hold a pair within the threshold: a conservative filter over each row's
-// nonzero coordinates picks them, and the tile kernel scores them, so the
+// in two forms over the same inputs and outputs, two tables of bitmask rows
+// (vector.SparseRows): MutualTopK asks an index of each table once per row
+// of the other (the paper's HNSW route), and MutualTopKExact computes the
+// pair set exactly in one blocked pass over the distance matrix (exact.go).
+// That pass scores only the blocks that may hold a pair within the
+// threshold: a conservative filter that walks each row's mask picks them,
+// and the tile kernel scores them over the rows expanded bit for bit, so the
 // pairs and their distances are those of scoring every block.
 //
 // Both fan out through par.For on workers goroutines (par.Workers: 1 runs on
@@ -34,11 +35,15 @@ type Index interface {
 
 // HNSWOverRows builds an HNSW index over the rows of s, each stored under its
 // row number as id — the form MutualTopK expects: it appends every row, then
-// links them once, which builds the graph row-by-row Adds would.
-func HNSWOverRows(s *vector.Store, cfg hnsw.Config) *hnsw.Index {
+// links them once, which builds the graph row-by-row Adds would. The index
+// keeps node rows of its own, on a data arena of its own, so s may be read
+// by other goroutines meanwhile.
+func HNSWOverRows(s *vector.SparseRows, cfg hnsw.Config) *hnsw.Index {
 	ix := hnsw.New(s.Dim(), cfg)
+	v := make([]float32, s.Dim())
 	for i := 0; i < s.Len(); i++ {
-		ix.Append(i, s.At(i), vector.Ref{})
+		s.CopyTo(v, i)
+		ix.Append(i, v, vector.Ref{})
 	}
 	ix.Link()
 	return ix
@@ -61,7 +66,7 @@ type Pair struct {
 //
 // workers bounds query parallelism: 1 asks every query on the caller
 // (MultiEM's non-parallel mode), <= 0 uses GOMAXPROCS.
-func MutualTopK(a *vector.Store, indexB Index, b *vector.Store, indexA Index,
+func MutualTopK(a *vector.SparseRows, indexB Index, b *vector.SparseRows, indexA Index,
 	k int, maxDist float32, ef, workers int) []Pair {
 
 	if k <= 0 || a.Len() == 0 || b.Len() == 0 {
@@ -95,11 +100,16 @@ func MutualTopK(a *vector.Store, indexB Index, b *vector.Store, indexA Index,
 }
 
 // topKAll runs index.Search for every row of queries across workers
-// goroutines.
-func topKAll(queries *vector.Store, index Index, k, ef, workers int) [][]vector.Neighbor {
+// goroutines, each expanding its query rows into a buffer of its own.
+func topKAll(queries *vector.SparseRows, index Index, k, ef, workers int) [][]vector.Neighbor {
 	out := make([][]vector.Neighbor, queries.Len())
-	par.For(len(out), workers, func(_, i int) {
-		out[i] = index.Search(queries.At(i), k, ef)
+	qs := make([][]float32, par.Workers(len(out), workers))
+	for w := range qs {
+		qs[w] = make([]float32, queries.Dim())
+	}
+	par.For(len(out), workers, func(w, i int) {
+		queries.CopyTo(qs[w], i)
+		out[i] = index.Search(qs[w], k, ef)
 	})
 	return out
 }

@@ -18,6 +18,16 @@ func storeOf(dim int, rows ...[]float32) *vector.Store {
 	return vector.StoreFromRows(dim, rows)
 }
 
+// rowsOf packs a store's rows as the bitmask rows both joins read, row for
+// row.
+func rowsOf(s *vector.Store) *vector.SparseRows {
+	rows := vector.NewSparseRows(s.Dim())
+	for i := range s.Len() {
+		rows.Append(s.At(i))
+	}
+	return rows
+}
+
 // exactIndex is the exact per-query Index over a store's rows, ids = row
 // numbers: the form MutualTopK wants, scanning every row with CosineUnitDist.
 type exactIndex struct {
@@ -38,16 +48,16 @@ func (x exactIndex) Search(q []float32, k, _ int) []vector.Neighbor {
 // on every semantic case below.
 var joins = map[string]func(a, b *vector.Store, k int, maxDist float32) []Pair{
 	"indexed": func(a, b *vector.Store, k int, maxDist float32) []Pair {
-		return MutualTopK(a, exactIndex{b}, b, exactIndex{a}, k, maxDist, 0, 0)
+		return MutualTopK(rowsOf(a), exactIndex{b}, rowsOf(b), exactIndex{a}, k, maxDist, 0, 0)
 	},
 	"exact": func(a, b *vector.Store, k int, maxDist float32) []Pair {
-		return MutualTopKExact(a, b, k, maxDist, 0)
+		return MutualTopKExact(rowsOf(a), rowsOf(b), k, maxDist, 0)
 	},
 }
 
 func TestHNSWOverRows(t *testing.T) {
 	s := storeOf(2, unit(1, 0), unit(0, 1))
-	ix := HNSWOverRows(s, hnsw.Config{})
+	ix := HNSWOverRows(rowsOf(s), hnsw.Config{})
 	if ix.Len() != 2 || ix.Unlinked() != 0 {
 		t.Fatalf("Len = %d, unlinked %d", ix.Len(), ix.Unlinked())
 	}
@@ -138,11 +148,12 @@ func TestMutualTopKHNSWAgreesWithExact(t *testing.T) {
 		copyVec[0] += 0.01
 		b.SetRow(i, vector.Normalize(copyVec))
 	}
-	want := MutualTopKExact(a, b, 1, 0.05, 0)
+	ra, rb := rowsOf(a), rowsOf(b)
+	want := MutualTopKExact(ra, rb, 1, 0.05, 0)
 
 	cfg := hnsw.Config{EfSearch: 128}
-	hA, hB := HNSWOverRows(a, cfg), HNSWOverRows(b, cfg)
-	got := MutualTopK(a, hB, b, hA, 1, 0.05, 0, 0)
+	hA, hB := HNSWOverRows(ra, cfg), HNSWOverRows(rb, cfg)
+	got := MutualTopK(ra, hB, rb, hA, 1, 0.05, 0, 0)
 
 	key := func(p Pair) [2]int { return [2]int{p.A, p.B} }
 	wantSet := map[[2]int]bool{}
@@ -213,7 +224,7 @@ func TestMutualTopKHonoursWorkers(t *testing.T) {
 		var active, peak atomic.Int32
 		ixA := countingIndex{exactIndex{a}, &active, &peak}
 		ixB := countingIndex{exactIndex{b}, &active, &peak}
-		MutualTopK(a, ixB, b, ixA, 1, 1, 0, workers)
+		MutualTopK(rowsOf(a), ixB, rowsOf(b), ixA, 1, 1, 0, workers)
 		if got := int(peak.Load()); got > workers {
 			t.Fatalf("workers=%d: %d searches in flight", workers, got)
 		}

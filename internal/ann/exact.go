@@ -1,8 +1,11 @@
 package ann
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/par"
 	"repro/internal/vector"
@@ -42,70 +45,79 @@ const sparseNNZPerDim = 0.7
 //
 // exactly: one cache-blocked pass over the a×b distance matrix feeds a
 // bounded top-K per a-row and per b-column, so each distance is computed
-// once and each arena is streamed once per block of the other, where a
-// per-query scan streams the whole other arena once per row and per
+// once and each table is streamed once per block of the other, where a
+// per-query scan streams the whole other table once per row and per
 // direction. Neighbours at equal distance rank by lower row index.
 //
 // The pass scores only what can matter. A pair past maxDist can never be
 // output, and dropping it cannot promote another pair into a top-K that
 // matters: whatever outranks an accepted pair is at least as close, hence
 // also within maxDist. So each A row is first held against a 32-row block of
-// B by vector.SparseAtLeast32, over the row's nonzero coordinates only (the
-// encoder's hashed embeddings have a few dozen of hundreds). Its sums carry a
-// rounding error the tile kernel's do not share, so the row is flagged when
-// any sum reaches 1 - maxDist - δ, δ bounding both kernels' error at this
-// dimension and these row norms (filterThreshold): every pair whose tile
-// distance is within maxDist is flagged. Two A rows at a time, a block where
-// either is flagged is scored by vector.CosineUnitTile and its distances are
-// thresholded exactly as a pass without the filter does; an unflagged one
-// holds no pair within maxDist. Tile distances do not depend on where in a
-// tile they are computed, and the kept top-K depends only on the pairs
-// offered, so the pairs, their order and their distances are those of
-// scoring every block. Rows too dense for the filter to pay
+// B by vector.MaskAtLeast32, which walks the row's mask and reads its packed
+// values where the table stores them (the encoder's hashed embeddings have a
+// few dozen nonzeros of hundreds). Its sums carry a rounding error the tile
+// kernel's do not share, so the row is flagged when any sum reaches
+// 1 - maxDist - δ, δ bounding both kernels' error at this dimension and these
+// row norms (filterThreshold): every pair whose tile distance is within
+// maxDist is flagged. Two A rows at a time, a block where either is flagged
+// is scored by vector.CosineUnitTile over the rows expanded bit for bit (the
+// A rows once per A block, the B block once per A block that needs it), and
+// its distances are thresholded exactly as a pass without the filter does;
+// an unflagged one holds no pair within maxDist. Tile distances do not
+// depend on where in a tile they are computed, and the kept top-K depends
+// only on the pairs offered, so the pairs, their order and their distances
+// are those of scoring every block. Rows too dense for the filter to pay
 // (sparseNNZPerDim) are flagged whole, and a table of them costs what the
-// unfiltered pass does.
+// unfiltered pass does, plus each block's expansion.
 //
 // Pairs carry row indices (A into a, B into b) and come out ordered by A,
 // then by rank among A's neighbours. workers (par.Workers: <= 0 means
 // GOMAXPROCS) claim the a-rows a tile block at a time; the result does not
 // depend on it. While it runs, the pass holds a dimension-major copy of b
-// (unless every row of a is too dense to filter).
-func MutualTopKExact(a, b *vector.Store, k int, maxDist float32, workers int) []Pair {
+// (unless every row of a is too dense to filter), and each worker a dense
+// copy of one block of each table. The tables are only read, so a and b may
+// share a data arena, and rows.
+func MutualTopKExact(a, b *vector.SparseRows, k int, maxDist float32, workers int) []Pair {
 	return mutualTopKExact(a, b, k, maxDist, workers, exactTileA)
 }
 
-func mutualTopKExact(a, b *vector.Store, k int, maxDist float32, workers, tileA int) []Pair {
+func mutualTopKExact(a, b *vector.SparseRows, k int, maxDist float32, workers, tileA int) []Pair {
 	na, nb := a.Len(), b.Len()
 	if k <= 0 || na == 0 || nb == 0 {
 		return nil
 	}
+	if a.Dim() != b.Dim() {
+		panic(fmt.Sprintf("ann: join of dimension %d against %d", a.Dim(), b.Dim()))
+	}
 	const tileB = vector.SparseBlock
 	dim := a.Dim()
-	dist := vector.CosineUnitTile(a, b)
 	// Only a row with at most maxNNZ nonzeros runs the filter, and only if
 	// one does is b copied dimension-major for it.
 	maxNNZ := int(sparseNNZPerDim * float64(dim))
-	nnz := nonzeros(a)
 	var blocksB []float32
 	var normB float64
-	if slices.Min(nnz) <= maxNNZ {
-		blocksB, normB = transposeBlocks(b, workers)
+	for i := range na {
+		if _, vals := a.Row(i); len(vals) <= maxNNZ {
+			blocksB, normB = transposeBlocks(b, workers)
+			defer blockPool.Put(&blocksB)
+			break
+		}
 	}
 	rows := newBestK(na, k)
 	// A worker claims blocks of tileA a-rows, whose row bests no other
-	// worker touches; its column bests (merged below), filter rows and tile
-	// buffer are its own.
+	// worker touches; its column bests (merged below) and its copies of the
+	// tables are its own.
 	blocks := (na + tileA - 1) / tileA
 	workers = par.Workers(blocks, workers)
-	cols, filters, bufs := make([]*bestK, workers), make([]*sparseRows, workers), make([][]float32, workers)
+	cols, ws := make([]*bestK, workers), make([]*joinWorker, workers)
 	for w := range workers {
-		cols[w], filters[w], bufs[w] = newBestK(nb, k), newSparseRows(tileA, maxNNZ, dim), make([]float32, tileA*tileB)
+		cols[w], ws[w] = newBestK(nb, k), newJoinWorker(a, b, tileA)
 	}
 	par.For(blocks, workers, func(w, blk int) {
-		c, f, buf := cols[w], filters[w], bufs[w]
+		c, f := cols[w], ws[w]
 		i0 := blk * tileA
 		i1 := min(i0+tileA, na)
-		f.load(a, i0, i1, nnz[i0:i1], maxNNZ, maxDist, normB)
+		f.load(i0, i1, maxNNZ, maxDist, normB)
 		for j0 := 0; j0 < nb; j0 += tileB {
 			j1 := min(j0+tileB, nb)
 			var blockT []float32
@@ -126,9 +138,9 @@ func mutualTopKExact(a, b *vector.Store, k int, maxDist float32, workers, tileA 
 					ie += 2
 				}
 				ie = min(ie, i1)
-				dist(i, ie, j0, j1, buf)
+				buf := f.score(i-i0, ie-i0, j0, j1)
 				nj := j1 - j0
-				for x, d := range buf[:(ie-i)*nj] {
+				for x, d := range buf {
 					if d <= maxDist {
 						r, j := i+x/nj, j0+x%nj
 						rows.offer(r, j, d)
@@ -156,113 +168,135 @@ func mutualTopKExact(a, b *vector.Store, k int, maxDist float32, workers, tileA 
 	return pairs
 }
 
+// blockPool holds the dimension-major copies of B that joins are done with,
+// for the next join to reuse: a join of the merging phase's hierarchy needs
+// one as large as the last, and a fresh one costs a fresh page of zeroes.
+var blockPool sync.Pool
+
 // transposeBlocks returns b's rows in dimension-major blocks of
 // vector.SparseBlock rows — row j's coordinate d at
 // out[(j/32)*32*dim + d*32 + j%32], the last block padded with zero rows —
-// and an upper bound on the largest row norm of b.
-func transposeBlocks(b *vector.Store, workers int) ([]float32, float64) {
+// scattered from each row's mask and packed values, and an upper bound on
+// the largest row norm of b. out may come from blockPool.
+func transposeBlocks(b *vector.SparseRows, workers int) ([]float32, float64) {
 	const bs = vector.SparseBlock
 	dim, nb := b.Dim(), b.Len()
 	blocks := (nb + bs - 1) / bs
-	out := make([]float32, blocks*bs*dim)
+	var out []float32
+	if p, ok := blockPool.Get().(*[]float32); ok && cap(*p) >= blocks*bs*dim {
+		out = (*p)[:blocks*bs*dim]
+	} else {
+		out = make([]float32, blocks*bs*dim)
+	}
 	workers = par.Workers(blocks, workers)
 	norms := make([]float64, workers)
 	par.For(blocks, workers, func(w, blk int) {
 		t := out[blk*bs*dim : (blk+1)*bs*dim]
+		clear(t)
 		for l := range min(bs, nb-blk*bs) {
-			v := b.At(blk*bs + l)
-			for d, x := range v {
-				t[d*bs+l] = x
+			mask, vals := b.Row(blk*bs + l)
+			k := 0
+			for j := 0; j < len(mask); j += 2 {
+				for m := uint64(mask[j]) | uint64(mask[j+1])<<32; m != 0; m &= m - 1 {
+					t[(j<<5|bits.TrailingZeros64(m))*bs+l] = vals[k]
+					k++
+				}
 			}
-			norms[w] = max(norms[w], normBound(v))
+			norms[w] = max(norms[w], normBound(vals, dim))
 		}
 	})
 	return out, slices.Max(norms)
 }
 
-// nonzeros returns the number of nonzero coordinates (±0 counts as zero) of
-// each row of a, counted without a branch on the value: at the encoder's
-// densities a branch would mispredict one coordinate in four.
-func nonzeros(a *vector.Store) []int {
-	out := make([]int, a.Len())
-	for i := range out {
-		m := 0
-		for _, x := range a.At(i) {
-			nz := math.Float32bits(x) << 1
-			m += int((nz | -nz) >> 31)
-		}
-		out[i] = m
-	}
-	return out
-}
-
-// sparseRows is the filter's copy of one worker's block of A rows: each
-// row's nonzero coordinates, and the threshold its sums against a B block
-// must reach for the block to be scored (-Inf: every block is, and the row
-// has no coordinates here).
-type sparseRows struct {
-	start []int // row r's nonzeros are idx[start[r]:start[r+1]], likewise val
-	idx   []int32
-	val   []float32
+// joinWorker is one worker's view of its block of A rows. The filter reads
+// each row where a stores it — its mask and packed values — against the
+// threshold its sums against a B block must reach for the block to be
+// scored (-Inf: every block is). The re-check scores flagged cells over
+// dense copies, bit for bit, of the block's A rows, each expanded the first
+// time a flagged cell needs it, and of one B block, expanded once per A block
+// that flags a cell in it.
+type joinWorker struct {
+	a, b  *vector.SparseRows
+	mask  [][]uint32
+	vals  [][]float32
 	thr   []float32
+	i0    int
+	dense *vector.Store // rows [0, tileA) the A block's, then the B block's
+	hasA  []bool
+	hasB  int // the B block dense holds, by its first row, or -1
+	dist  vector.TileDist
+	buf   []float32
 }
 
-// newSparseRows sizes s for rows rows of dimension dim, at most maxNNZ of
-// whose coordinates are kept per row; load writes up to dim past its fill
-// point.
-func newSparseRows(rows, maxNNZ, dim int) *sparseRows {
-	return &sparseRows{
-		start: make([]int, rows+1),
-		idx:   make([]int32, rows*maxNNZ+dim),
-		val:   make([]float32, rows*maxNNZ+dim),
-		thr:   make([]float32, rows),
+func newJoinWorker(a, b *vector.SparseRows, tileA int) *joinWorker {
+	const tileB = vector.SparseBlock
+	dense := vector.NewStoreWithCap(a.Dim(), tileA+tileB)
+	dense.Grow(tileA + tileB)
+	return &joinWorker{
+		a: a, b: b,
+		mask:  make([][]uint32, tileA),
+		vals:  make([][]float32, tileA),
+		thr:   make([]float32, tileA),
+		dense: dense,
+		hasA:  make([]bool, tileA),
+		dist:  vector.CosineUnitTile(dense, dense),
+		buf:   make([]float32, tileA*tileB),
 	}
 }
 
-// load fills s with rows [i0, i1) of a, whose nonzero counts are nnz, for a
-// join at maxDist against rows of norm at most normB. A row with more than
-// maxNNZ nonzeros is flagged whole. Every coordinate of the others is
-// written at the fill point, which moves past it only if it is nonzero,
-// again with no branch on the value.
-func (s *sparseRows) load(a *vector.Store, i0, i1 int, nnz []int, maxNNZ int, maxDist float32, normB float64) {
-	dim := a.Dim()
-	n := 0
+// load takes rows [i0, i1) of a as the worker's block, for a join at maxDist
+// against rows of norm at most normB. A row with more than maxNNZ nonzeros
+// is flagged whole.
+func (f *joinWorker) load(i0, i1, maxNNZ int, maxDist float32, normB float64) {
+	dim := f.a.Dim()
+	f.i0, f.hasB = i0, -1
+	clear(f.hasA)
 	for r := range i1 - i0 {
-		s.start[r] = n
-		s.thr[r] = float32(math.Inf(-1))
-		if nnz[r] > maxNNZ {
+		f.mask[r], f.vals[r] = f.a.Row(i0 + r)
+		f.thr[r] = float32(math.Inf(-1))
+		if len(f.vals[r]) > maxNNZ {
 			continue
 		}
-		v := a.At(i0 + r)
-		idx, val := s.idx[n:n+dim], s.val[n:n+dim]
-		m := 0
-		for d, x := range v {
-			idx[m], val[m] = int32(d), x
-			nz := math.Float32bits(x) << 1
-			m += int((nz | -nz) >> 31)
-		}
-		n += m
 		// The filter can reject nothing when the error bound would need
 		// sums past overflow, or when no sum can fall short of t.
-		p := normBound(v) * normB
+		p := normBound(f.vals[r], dim) * normB
 		if t := filterThreshold(maxDist, p, dim); p <= 1e30 && float64(t) > -p*(1+gamma(dim)) {
-			s.thr[r] = t
+			f.thr[r] = t
 		}
 	}
-	s.start[i1-i0] = n
 }
 
-// flags reports whether row r of s may be within the threshold of any row of
-// the B block blockT holds dimension-major. The zero rows padding a ragged
-// last block flag a row only at thresholds near 1, a zero vector's
+// flags reports whether row r of the block may be within the threshold of
+// any row of the B block blockT holds dimension-major. The zero rows padding
+// a ragged last block flag a row only at thresholds near 1, a zero vector's
 // distance, and the re-check never reads them.
-func (s *sparseRows) flags(r int, blockT []float32) bool {
-	t := s.thr[r]
+func (f *joinWorker) flags(r int, blockT []float32) bool {
+	t := f.thr[r]
 	if math.IsInf(float64(t), -1) {
 		return true
 	}
-	lo, hi := s.start[r], s.start[r+1]
-	return vector.SparseAtLeast32(s.idx[lo:hi], s.val[lo:hi], blockT, t) != 0
+	return vector.MaskAtLeast32(f.mask[r], f.vals[r], blockT, t) != 0
+}
+
+// score returns the tile distances of the block's A rows [r0, r1) against
+// B rows [j0, j1), row by row, expanding what is not expanded yet.
+func (f *joinWorker) score(r0, r1, j0, j1 int) []float32 {
+	tileA := len(f.hasA)
+	for r := r0; r < r1; r++ {
+		if !f.hasA[r] {
+			f.a.CopyTo(f.dense.At(r), f.i0+r)
+			f.hasA[r] = true
+		}
+	}
+	if f.hasB != j0 {
+		for j := j0; j < j1; j++ {
+			f.b.CopyTo(f.dense.At(tileA+j-j0), j)
+		}
+		f.hasB = j0
+	}
+	buf := f.buf[:(r1-r0)*(j1-j0)]
+	f.dist(r0, r1, tileA, tileA+j1-j0, buf)
+	return buf
 }
 
 // unitRoundoff is float32's unit roundoff u = 2⁻²⁴.
@@ -281,14 +315,16 @@ func gamma(n int) float64 {
 	return nu / (1 - nu)
 }
 
-// normBound is an upper bound on the L2 norm of v: Dot(v, v) is within
-// γ_dim·‖v‖² of ‖v‖², so ‖v‖² ≤ Dot(v, v)/(1 - γ_dim) ≤ Dot(v, v)·(1 + 2γ_dim)
-// for γ_dim ≤ 1/2.
-func normBound(v []float32) float64 {
-	return math.Sqrt(float64(vector.Dot(v, v)) * (1 + 2*gamma(len(v))))
+// normBound is an upper bound on the L2 norm of a row of dimension dim whose
+// nonzero values are vals: Dot(vals, vals) is a float32 sum of at most dim
+// products, so it is within γ_dim·‖v‖² of ‖v‖² whatever its order, and
+// ‖v‖² ≤ Dot(vals, vals)/(1 - γ_dim) ≤ Dot(vals, vals)·(1 + 2γ_dim) for
+// γ_dim ≤ 1/2.
+func normBound(vals []float32, dim int) float64 {
+	return math.Sqrt(float64(vector.Dot(vals, vals)) * (1 + 2*gamma(dim)))
 }
 
-// filterThreshold returns the float32 threshold that SparseAtLeast32's sums
+// filterThreshold returns the float32 threshold that MaskAtLeast32's sums
 // for an A row must reach for any of its pairs to be within maxDist, when
 // every pair's norm product is at most p (and p ≤ 1e30, so no partial sum
 // overflows). With s a pair's true dot, the tile kernel's t and the filter's

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -104,11 +105,12 @@ func tiedSides(rng *rand.Rand, na, nb, dim int) (*vector.Store, *vector.Store) {
 
 // hashedSides builds two tables like the encoder's hashed n-gram embeddings:
 // each row sums signed hits of weight 1–3 on 5–90 % of the coordinates,
-// normalized and then scaled by scale. Some rows are copies of others, in
-// their table and across, and half of the copies take one more hit, so
-// there are ties and pairs at every distance. Each table of three rows or
-// more also gets an all-zero row and a fully dense one, past the filter's
-// cutoff.
+// normalized and then scaled by scale, and about one of its zero coordinates
+// in eight is −0, which a bitmask row stores as a value. Some rows are
+// copies of others, in their table and across, and half of the copies take
+// one more hit, so there are ties and pairs at every distance. Each table of
+// three rows or more also gets an all-zero row and a fully dense one, past
+// the filter's cutoff.
 func hashedSides(rng *rand.Rand, na, nb, dim int, scale float32) (*vector.Store, *vector.Store) {
 	row := func(nnz int) []float32 {
 		v := make([]float32, dim)
@@ -120,9 +122,15 @@ func hashedSides(rng *rand.Rand, na, nb, dim int, scale float32) (*vector.Store,
 		}
 		return v
 	}
+	negZero := float32(math.Copysign(0, -1))
 	finish := func(v []float32) []float32 {
 		vector.Normalize(v)
 		vector.Scale(v, scale)
+		for d, x := range v {
+			if x == 0 && rng.Intn(8) == 0 {
+				v[d] = negZero
+			}
+		}
 		return v
 	}
 	side := func(n int) *vector.Store {
@@ -187,22 +195,52 @@ func thresholdsAround(rng *rand.Rand, a, b *vector.Store, naive func(int, float3
 // joinShape is one A tile size and worker count to run the join with.
 type joinShape struct{ tile, workers int }
 
-// checkExactJoin holds mutualTopKExact to the naive reference on one pair of
-// tables, for K 1–3, every threshold thresholdsAround gives and each shape,
+// sharedRows packs the rows of a and of b as bitmask rows on one data
+// arena: b's table shares the words of a's row wherever a row of b is a row
+// of a bit for bit (the sides copy rows across), so the join reads one table
+// whose rows alias the other's.
+func sharedRows(a, b *vector.Store) (*vector.SparseRows, *vector.SparseRows) {
+	ra := rowsOf(a)
+	rb := vector.NewSparseRowsOn(ra.Data())
+	at := make(map[string]int, a.Len())
+	bitsOf := func(v []float32) string {
+		out := make([]byte, 0, 4*len(v))
+		for _, x := range v {
+			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(x))
+		}
+		return string(out)
+	}
+	for i := range a.Len() {
+		at[bitsOf(a.At(i))] = i
+	}
+	for j := range b.Len() {
+		if i, ok := at[bitsOf(b.At(j))]; ok {
+			rb.AppendRef(ra.Ref(i))
+		} else {
+			rb.Append(b.At(j))
+		}
+	}
+	return ra, rb
+}
+
+// checkExactJoin holds mutualTopKExact, over a and b as bitmask rows that
+// share a data arena (sharedRows), to the naive reference over the dense
+// rows, for K 1–3, every threshold thresholdsAround gives and each shape,
 // and MutualTopKExact at its default shape.
 func checkExactJoin(t *testing.T, rng *rand.Rand, name string, a, b *vector.Store, shapes []joinShape) {
 	t.Helper()
 	naive := naiveJoin(a, b)
+	ra, rb := sharedRows(a, b)
 	for _, k := range []int{1, 2, 3} {
 		for _, maxDist := range thresholdsAround(rng, a, b, naive) {
 			want := naive(k, maxDist)
 			for _, sh := range shapes {
-				if got := mutualTopKExact(a, b, k, maxDist, sh.workers, sh.tile); !reflect.DeepEqual(got, want) {
+				if got := mutualTopKExact(ra, rb, k, maxDist, sh.workers, sh.tile); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %s %dx%d dim %d k=%d maxDist=%v tile=%d workers=%d:\n got %v\nwant %v",
 						vector.Kernels(), name, a.Len(), b.Len(), a.Dim(), k, maxDist, sh.tile, sh.workers, got, want)
 				}
 			}
-			if got := MutualTopKExact(a, b, k, maxDist, 0); !reflect.DeepEqual(got, want) {
+			if got := MutualTopKExact(ra, rb, k, maxDist, 0); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %s %dx%d dim %d k=%d maxDist=%v default shape:\n got %v\nwant %v",
 					vector.Kernels(), name, a.Len(), b.Len(), a.Dim(), k, maxDist, got, want)
 			}
@@ -211,37 +249,41 @@ func checkExactJoin(t *testing.T, rng *rand.Rand, name string, a, b *vector.Stor
 }
 
 // The join must return the naive reference's pairs, order and distance bits
-// included, on both kernel paths: on dense tables full of ties, at every
+// included, on every kernel path: on dense tables full of ties, at every
 // tile size and worker count, and on hashed-embedding tables — where the
-// sparse filter decides which blocks are scored — of every dimension from 1
-// to 40 and of 256 and 1024, at unit scale and scaled by 1e-3 and by 7,
-// with all-zero rows and rows too dense for the filter.
+// mask-walk filter decides which blocks are scored — of every dimension from
+// 1 to 40 and of 256 and 1024, at unit scale and scaled by 1e-3 and by 7,
+// with −0 coordinates, all-zero rows and rows too dense for the filter. Each
+// pair of tables is joined as bitmask rows on one data arena, B's table
+// sharing the rows it copied from A's.
 func TestMutualTopKExactMatchesNaive(t *testing.T) {
 	sizes := [][2]int{{0, 5}, {5, 0}, {1, 1}, {1, 9}, {9, 1}, {2, 3}, {33, 70}, {70, 33}, {129, 64}}
 	dims := []int{256, 1024}
 	for d := 1; d <= 40; d++ {
 		dims = append(dims, d)
 	}
-	for _, mode := range []string{"scalar", "auto"} {
-		vector.ForceKernels(t, mode)
-		rng := rand.New(rand.NewSource(20240926))
-		for _, sz := range sizes {
-			a, b := tiedSides(rng, sz[0], sz[1], 1+rng.Intn(40))
-			var shapes []joinShape
-			for _, tile := range []int{1, 7, 64, max(sz[0], sz[1], 1)} {
-				for _, workers := range []int{1, 2, 5} {
-					shapes = append(shapes, joinShape{tile, workers})
+	for _, mode := range []string{"scalar", "avx2", "avx512"} {
+		t.Run(mode, func(t *testing.T) {
+			vector.ForceKernels(t, mode)
+			rng := rand.New(rand.NewSource(20240926))
+			for _, sz := range sizes {
+				a, b := tiedSides(rng, sz[0], sz[1], 1+rng.Intn(40))
+				var shapes []joinShape
+				for _, tile := range []int{1, 7, 64, max(sz[0], sz[1], 1)} {
+					for _, workers := range []int{1, 2, 5} {
+						shapes = append(shapes, joinShape{tile, workers})
+					}
 				}
+				checkExactJoin(t, rng, "tied", a, b, shapes)
 			}
-			checkExactJoin(t, rng, "tied", a, b, shapes)
-		}
-		for x, dim := range dims {
-			sz := sizes[len(sizes)-1-x%(len(sizes)-2)] // 129×64 at dim 256, 70×33 at 1024, ...
-			scale := []float32{1, 1e-3, 7}[x%3]
-			a, b := hashedSides(rng, sz[0], sz[1], dim, scale)
-			shapes := []joinShape{{7, 1}, {max(sz[0], sz[1]), 2}, {7, 5}}
-			checkExactJoin(t, rng, fmt.Sprintf("hashed x%v", scale), a, b, shapes)
-		}
+			for x, dim := range dims {
+				sz := sizes[len(sizes)-1-x%(len(sizes)-2)] // 129×64 at dim 256, 70×33 at 1024, ...
+				scale := []float32{1, 1e-3, 7}[x%3]
+				a, b := hashedSides(rng, sz[0], sz[1], dim, scale)
+				shapes := []joinShape{{7, 1}, {max(sz[0], sz[1]), 2}, {7, 5}}
+				checkExactJoin(t, rng, fmt.Sprintf("hashed x%v", scale), a, b, shapes)
+			}
+		})
 	}
 }
 
@@ -249,8 +291,8 @@ func TestMutualTopKExactMatchesNaive(t *testing.T) {
 // only the first of each side pairs up at k=1, and k copies at k.
 func TestMutualTopKExactTieBreak(t *testing.T) {
 	v := unit(1, 2, 3)
-	a := storeOf(3, v, v, v)
-	b := storeOf(3, v, v, v, v)
+	a := rowsOf(storeOf(3, v, v, v))
+	b := rowsOf(storeOf(3, v, v, v, v))
 	for k := 1; k <= 3; k++ {
 		got := MutualTopKExact(a, b, k, 0.5, 0)
 		var want []Pair

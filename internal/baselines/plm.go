@@ -194,7 +194,7 @@ func BlockTopK(ctx *Context, a, b *table.Table, k int) []IDPair {
 	if small.Len() > large.Len() {
 		small, large = large, small
 	}
-	rows := vector.NewStoreWithCap(len(ctx.Vec(large.Entities[0].ID)), large.Len())
+	rows := vector.NewSparseRows(len(ctx.Vec(large.Entities[0].ID)))
 	for _, e := range large.Entities {
 		rows.Append(ctx.Vec(e.ID))
 	}
@@ -218,7 +218,7 @@ func BlockTopK(ctx *Context, a, b *table.Table, k int) []IDPair {
 
 // scanTopK returns the k rows of s nearest to q under CosineUnitDist, ranked
 // by (distance, row), scoring a fixed-size block of rows per gather call.
-func scanTopK(q []float32, s *vector.Store, k int) []vector.Neighbor {
+func scanTopK(q []float32, s *vector.SparseRows, k int) []vector.Neighbor {
 	tk := vector.NewTopK(k)
 	var idxs [256]int32
 	var dists [256]float32
@@ -227,7 +227,7 @@ func scanTopK(q []float32, s *vector.Store, k int) []vector.Neighbor {
 		for j := range idxs[:n] {
 			idxs[j] = int32(start + j)
 		}
-		vector.CosineUnitGather(q, s.Raw(), s.Dim(), idxs[:n], dists[:n])
+		s.CosineUnitGather(q, idxs[:n], dists[:n])
 		for j, d := range dists[:n] {
 			tk.Push(start+j, d)
 		}

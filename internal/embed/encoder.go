@@ -29,28 +29,41 @@ type Encoder interface {
 	EncodeBatch(texts []string) [][]float32
 }
 
-// StoreEncoder is implemented by encoders that can write embeddings straight
-// into a contiguous vector arena, skipping the per-vector allocation of
-// EncodeBatch.
-type StoreEncoder interface {
+// IntoEncoder is implemented by encoders that can write an embedding into a
+// caller's buffer, which is how Rows embeds with no per-vector allocation.
+type IntoEncoder interface {
 	Encoder
-	// EncodeBatchStore embeds texts into a fresh arena, row i holding the
-	// embedding of texts[i].
-	EncodeBatchStore(texts []string) *vector.Store
+	// EncodeInto writes the embedding of text into out, of length Dim.
+	EncodeInto(text string, out []float32)
 }
 
-// BatchStore embeds texts into a contiguous arena using the encoder's native
-// arena path when it has one, and falling back to copying EncodeBatch rows
-// otherwise. The pipeline's representation phase goes through here.
-func BatchStore(e Encoder, texts []string) *vector.Store {
-	if se, ok := e.(StoreEncoder); ok {
-		return se.EncodeBatchStore(texts)
+// Rows embeds texts as bitmask rows (vector.SparseRows), row i holding the
+// embedding of texts[i] bit for bit, on GOMAXPROCS workers (par.For). Each
+// worker packs the embeddings it computes into a table of its own; the rows
+// are then copied word for word, in text order, onto one data arena. The
+// pipeline's representation phase goes through here.
+func Rows(e Encoder, texts []string) *vector.SparseRows {
+	dim := e.Dim()
+	workers := par.Workers(len(texts), 0)
+	parts, bufs := make([]*vector.SparseRows, workers), make([][]float32, workers)
+	for w := range parts {
+		parts[w], bufs[w] = vector.NewSparseRows(dim), make([]float32, dim)
 	}
-	s := vector.NewStoreWithCap(e.Dim(), len(texts))
-	for _, v := range e.EncodeBatch(texts) {
-		s.Append(v)
+	at := make([]vector.Ref, len(texts))
+	par.For(len(texts), workers, func(w, i int) {
+		v := bufs[w]
+		if ie, ok := e.(IntoEncoder); ok {
+			ie.EncodeInto(texts[i], v)
+		} else {
+			v = e.Encode(texts[i])
+		}
+		at[i] = parts[w].Ref(parts[w].Append(v))
+	})
+	rows := vector.NewSparseRows(dim)
+	for _, r := range at {
+		rows.AppendRef(r)
 	}
-	return s
+	return rows
 }
 
 // HashEncoder is the deterministic hashed character-n-gram encoder described
@@ -152,7 +165,7 @@ func (e *HashEncoder) Encode(text string) []float32 {
 
 // EncodeInto writes the unit-norm embedding of text into out, which must
 // have length Dim. It allocates nothing in steady state, which is what lets
-// EncodeBatchStore fill an arena with zero per-vector garbage.
+// Rows embed a table with zero per-vector garbage.
 //
 // A token's hashed n-gram vector has about two non-zero coordinates per
 // character, so it is never walked densely: the token is normalized and
@@ -454,16 +467,4 @@ func (e *HashEncoder) EncodeBatch(texts []string) [][]float32 {
 	return out
 }
 
-// EncodeBatchStore implements StoreEncoder: embeddings are written directly
-// into arena rows, so a batch of n texts costs one arena allocation instead
-// of n vector allocations.
-func (e *HashEncoder) EncodeBatchStore(texts []string) *vector.Store {
-	s := vector.NewStoreWithCap(e.dim, len(texts))
-	s.Grow(len(texts))
-	par.For(len(texts), 0, func(_, i int) {
-		e.EncodeInto(texts[i], s.At(i))
-	})
-	return s
-}
-
-var _ StoreEncoder = (*HashEncoder)(nil)
+var _ IntoEncoder = (*HashEncoder)(nil)

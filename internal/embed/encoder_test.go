@@ -86,7 +86,7 @@ func TestEncodeDeterministic(t *testing.T) {
 // selection and the PLM baselines take dot for the similarity, which holds
 // only for unit-norm or zero vectors. Every serialized row of every dataset
 // family at a small scale, and the empty text, goes through Encode and
-// EncodeBatchStore on both kernel paths; each embedding must be exactly zero
+// Rows on both kernel paths; each embedding must be exactly zero
 // or within 1e-5 of unit norm.
 func TestEncodeUnitNorm(t *testing.T) {
 	texts := []string{"hello world", ""}
@@ -111,10 +111,11 @@ func TestEncodeUnitNorm(t *testing.T) {
 		}
 	}
 	bothKernels(t, func(t *testing.T) {
-		store := e.EncodeBatchStore(texts)
+		rows, v := Rows(e, texts), make([]float32, e.Dim())
 		for i, text := range texts {
 			check(t, "Encode", text, e.Encode(text))
-			check(t, "EncodeBatchStore", text, store.At(i))
+			rows.CopyTo(v, i)
+			check(t, "Rows", text, v)
 		}
 	})
 }

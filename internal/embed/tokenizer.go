@@ -17,7 +17,7 @@
 //     token vectors, L2-normalized, exactly as the paper mean-pools
 //     Sentence-BERT token embeddings.
 //
-// Batch encoding (EncodeBatch, EncodeBatchStore, BatchStore) always hands
+// Batch encoding (EncodeBatch, Rows) always hands
 // the texts to GOMAXPROCS workers through par.For, whose single-worker case
 // runs on the caller; nothing in the pipeline's options narrows it.
 //

@@ -17,7 +17,7 @@ import (
 // selectAttributesByText is Algorithm 1 by its text definition and the
 // oracle SelectAttributes is pinned to: every sampled row is serialized
 // and re-embedded once as it is and once per attribute with that
-// attribute's column shuffled, through embed.BatchStore. It is the body
+// attribute's column shuffled, through EncodeBatch. It is the body
 // SelectAttributes had before it pooled cached field vectors.
 func selectAttributesByText(d *table.Dataset, opt Options) ([]AttrScore, []int) {
 	schema := d.Schema()
@@ -39,7 +39,7 @@ func selectAttributesByText(d *table.Dataset, opt Options) ([]AttrScore, []int) 
 	for i, e := range sample {
 		texts[i] = table.Serialize(e, nil)
 	}
-	base := embed.BatchStore(opt.Encoder, texts)
+	base := opt.Encoder.EncodeBatch(texts)
 
 	scores := make([]AttrScore, schema.Len())
 	shuffled := make([]string, n)
@@ -53,10 +53,10 @@ func selectAttributesByText(d *table.Dataset, opt Options) ([]AttrScore, []int) 
 		for i, e := range sample {
 			shuffled[i] = serializeWithOverride(e, j, column[i])
 		}
-		newEmb := embed.BatchStore(opt.Encoder, shuffled)
+		newEmb := opt.Encoder.EncodeBatch(shuffled)
 		var sum float32
 		for i := 0; i < n; i++ {
-			sum += vector.Dot(base.At(i), newEmb.At(i))
+			sum += vector.Dot(base[i], newEmb[i])
 		}
 		mean := sum / float32(n)
 		scores[j] = AttrScore{Attr: schema.Attrs[j], Index: j, MeanSim: mean, Selected: mean <= opt.Gamma}

@@ -313,14 +313,15 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 
 	// Distribute pipeline tuples, then leftover singletons, routing each by
 	// its centroid. Member positions are rewritten to rows local to the
-	// owning shard, and each member's embedding and ID move there with it.
+	// owning shard, and each member's embedding (its row's words, copied
+	// word for word) and ID move there with it.
 	centroid := make([]float32, m.dim)
 	place := func(members []int, maxJoinDist float32) {
 		centroidInto(centroid, members, st.entVecs)
 		sh := m.shards[routeVec(centroid, len(m.shards))]
 		local := make([]int, len(members))
 		for i, p := range members {
-			local[i] = sh.entVecs.Append(st.entVecs.At(p))
+			local[i] = sh.entVecs.AppendRef(st.entVecs.Ref(p))
 			sh.entIDs = append(sh.entIDs, st.ents[p].ID)
 		}
 		sh.tuples.append(tupleState{
@@ -359,9 +360,9 @@ func (m *Matcher) buildShardIndex(s int) {
 }
 
 // memberRows is where centroidInto reads member embeddings: a dense
-// vector.Store (the pipeline's arena, a batch plan's rows) or a shard's
-// vector.SparseRows. Both give the same bits for the same rows: CopyTo is
-// the row, and AddTo is vector.Add into a sum that starts from +0.
+// vector.Store (a batch plan's rows) or a vector.SparseRows (the pipeline's
+// entity rows, a shard's). Both give the same bits for the same rows: CopyTo
+// is the row, and AddTo is vector.Add into a sum that starts from +0.
 type memberRows interface {
 	CopyTo(dst []float32, i int)
 	AddTo(dst []float32, i int)

@@ -21,20 +21,21 @@ type item struct {
 }
 
 // mergeTable is one table of the hierarchy: its items and, row for row,
-// their representative embeddings in one contiguous arena — what both legs
-// of the two-table join read. A source table's arena is a window onto the
-// pipeline's entity arena; a merged table owns its own, holding each
-// unmatched item's vector unchanged and each merged item's L2-normalized
-// member centroid.
+// their representative embeddings as bitmask rows — what both legs of the
+// two-table join read. A source table's rows are the pipeline's entity rows,
+// shared on their data arena. A merged table holds each unmatched item's row
+// as its words stand, shared where the merged table's data arena is the
+// row's and copied word for word where it is not, and packs each merged
+// item's L2-normalized member centroid.
 type mergeTable struct {
 	items []item
-	vecs  *vector.Store
+	vecs  *vector.SparseRows
 }
 
 // mergeContext carries what two-table merging needs about the whole dataset:
-// the per-entity embedding arena used to recompute centroids.
+// the entity rows used to recompute centroids.
 type mergeContext struct {
-	entVecs *vector.Store
+	entVecs *vector.SparseRows
 	opt     *Options
 	// wrapIndex, when set, decorates every index the HNSW leg builds. Tests
 	// use it to observe the searches a merge issues.
@@ -86,13 +87,13 @@ func exactIsCheaper(na, nb int) bool {
 
 // matchedPairs finds the mutual top-K pairs between two tables (Eq. 1) with
 // the backend the options force or, under BackendAuto, the cost model picks.
-func (mc *mergeContext) matchedPairs(a, b *vector.Store, workers int) []ann.Pair {
+func (mc *mergeContext) matchedPairs(a, b *vector.SparseRows, workers int) []ann.Pair {
 	exact := mc.opt.Backend == BackendBrute ||
 		(mc.opt.Backend == BackendAuto && exactIsCheaper(a.Len(), b.Len()))
 	if exact {
 		return ann.MutualTopKExact(a, b, mc.opt.K, mc.opt.M, workers)
 	}
-	index := func(s *vector.Store) ann.Index {
+	index := func(s *vector.SparseRows) ann.Index {
 		ix := ann.HNSWOverRows(s, mc.opt.HNSW)
 		if mc.wrapIndex != nil {
 			return mc.wrapIndex(ix)
@@ -106,7 +107,11 @@ func (mc *mergeContext) matchedPairs(a, b *vector.Store, workers int) []ann.Pair
 // between tables a and b (Eq. 1), union matched items transitively, and
 // emit the merged table containing combined tuples plus all unmatched items.
 // workers is this call's share of the merging phase's goroutine budget.
-func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) mergeTable {
+// alone reports that no other merge runs beside this one: then the merged
+// table's rows go on a's data arena, which takes one writer at a time, and
+// every row a shares it keeps shared; otherwise they go on a data arena of
+// the merged table's own.
+func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int, alone bool) mergeTable {
 	if len(a.items) == 0 {
 		return b
 	}
@@ -130,25 +135,26 @@ func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) mergeTable 
 		root := uf.Find(p.A)
 		groupMax[root] = max(groupMax[root], p.Dist)
 	}
-	slot := func(s int) (item, []float32) {
+	slot := func(s int) (item, vector.Ref) {
 		if s < na {
-			return a.items[s], a.vecs.At(s)
+			return a.items[s], a.vecs.Ref(s)
 		}
-		return b.items[s-na], b.vecs.At(s - na)
+		return b.items[s-na], b.vecs.Ref(s - na)
 	}
 
 	groups := uf.Sets(1)
-	merged := mergeTable{
-		items: make([]item, 0, len(groups)),
-		vecs:  vector.NewStoreWithCap(mc.entVecs.Dim(), len(groups)),
+	merged := mergeTable{items: make([]item, 0, len(groups)), vecs: vector.NewSparseRows(mc.entVecs.Dim())}
+	if alone {
+		merged.vecs = vector.NewSparseRowsOn(a.vecs.Data())
 	}
+	centroid := make([]float32, mc.entVecs.Dim())
 	for _, group := range groups {
 		if len(group) == 1 {
 			// Mismatched item: retained unchanged into the next
 			// hierarchy (Alg. 3 line 9).
-			it, vec := slot(group[0])
+			it, row := slot(group[0])
 			merged.items = append(merged.items, it)
-			merged.vecs.Append(vec)
+			merged.vecs.AppendRef(row)
 			continue
 		}
 		var members []int
@@ -160,7 +166,8 @@ func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int) mergeTable 
 				maxDist = it.maxJoinDist
 			}
 		}
-		centroidInto(merged.vecs.At(merged.vecs.AppendZero()), members, mc.entVecs)
+		centroidInto(centroid, members, mc.entVecs)
+		merged.vecs.Append(centroid)
 		merged.items = append(merged.items, item{members: members, maxJoinDist: maxDist})
 	}
 	return merged
@@ -185,7 +192,7 @@ func (mc *mergeContext) hierarchicalMerge(tables []mergeTable) []item {
 		inFlight := min(nPairs, budget)
 		inner := budget / inFlight
 		par.For(nPairs, inFlight, func(_, p int) {
-			next[p] = mc.mergeTwoTables(tables[2*p], tables[2*p+1], inner)
+			next[p] = mc.mergeTwoTables(tables[2*p], tables[2*p+1], inner, inFlight == 1)
 		})
 		if len(tables)%2 == 1 {
 			// The odd table out is carried into the next hierarchy.

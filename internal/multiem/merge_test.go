@@ -15,12 +15,16 @@ import (
 
 func unitv(vs ...float32) []float32 { return vector.Normalize(vs) }
 
-// storeOf copies test fixture rows into the arena the pipeline now carries.
-func storeOf(entVecs [][]float32) *vector.Store {
+// rowsOf packs test fixture rows as the bitmask rows the pipeline carries.
+func rowsOf(entVecs [][]float32) *vector.SparseRows {
 	if len(entVecs) == 0 {
-		return vector.NewStore(2)
+		return vector.NewSparseRows(2)
 	}
-	return vector.StoreFromRows(len(entVecs[0]), entVecs)
+	rows := vector.NewSparseRows(len(entVecs[0]))
+	for _, v := range entVecs {
+		rows.Append(v)
+	}
+	return rows
 }
 
 func mcFor(t *testing.T, opt Options, entVecs [][]float32) *mergeContext {
@@ -28,16 +32,16 @@ func mcFor(t *testing.T, opt Options, entVecs [][]float32) *mergeContext {
 	if err := opt.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return &mergeContext{entVecs: storeOf(entVecs), opt: &opt}
+	return &mergeContext{entVecs: rowsOf(entVecs), opt: &opt}
 }
 
-// singleItems is a source table: one single-member item per position, its
-// embedding alongside.
-func singleItems(entVecs [][]float32, positions ...int) mergeTable {
-	t := mergeTable{items: make([]item, len(positions)), vecs: vector.NewStore(len(entVecs[0]))}
+// singleItems is a source table as the pipeline builds one: one
+// single-member item per position, its entity row shared alongside.
+func singleItems(mc *mergeContext, positions ...int) mergeTable {
+	t := mergeTable{items: make([]item, len(positions)), vecs: vector.NewSparseRowsOn(mc.entVecs.Data())}
 	for i, p := range positions {
 		t.items[i] = item{members: []int{p}}
-		t.vecs.Append(entVecs[p])
+		t.vecs.AppendRef(mc.entVecs.Ref(p))
 	}
 	return t
 }
@@ -45,12 +49,12 @@ func singleItems(entVecs [][]float32, positions ...int) mergeTable {
 func TestMergeTwoTablesEmptySides(t *testing.T) {
 	entVecs := [][]float32{unitv(1, 0)}
 	mc := mcFor(t, DefaultOptions(), entVecs)
-	a := singleItems(entVecs, 0)
-	got := mc.mergeTwoTables(a, mergeTable{}, 1)
+	a := singleItems(mc, 0)
+	got := mc.mergeTwoTables(a, mergeTable{}, 1, true)
 	if len(got.items) != 1 || got.items[0].members[0] != 0 {
 		t.Fatalf("empty B must return A unchanged: %+v", got)
 	}
-	got = mc.mergeTwoTables(mergeTable{}, a, 1)
+	got = mc.mergeTwoTables(mergeTable{}, a, 1, true)
 	if len(got.items) != 1 {
 		t.Fatalf("empty A must return B unchanged: %+v", got)
 	}
@@ -67,9 +71,9 @@ func TestMergeTwoTablesMatchesClosePairs(t *testing.T) {
 	opt.M = 0.3
 	opt.Backend = BackendBrute
 	mc := mcFor(t, opt, entVecs)
-	a := singleItems(entVecs, 0, 1)
-	b := singleItems(entVecs, 2, 3)
-	merged := mc.mergeTwoTables(a, b, 1)
+	a := singleItems(mc, 0, 1)
+	b := singleItems(mc, 2, 3)
+	merged := mc.mergeTwoTables(a, b, 1, true)
 	if len(merged.items) != 2 {
 		t.Fatalf("want 2 merged items, got %d: %+v", len(merged.items), merged.items)
 	}
@@ -86,29 +90,40 @@ func TestMergeTwoTablesRespectsThreshold(t *testing.T) {
 	opt.M = 0.2 // orthogonal vectors are at distance 1.0
 	opt.Backend = BackendBrute
 	mc := mcFor(t, opt, entVecs)
-	merged := mc.mergeTwoTables(singleItems(entVecs, 0), singleItems(entVecs, 1), 1)
+	merged := mc.mergeTwoTables(singleItems(mc, 0), singleItems(mc, 1), 1, true)
 	if len(merged.items) != 2 {
 		t.Fatalf("distant items must stay separate: %+v", merged.items)
 	}
 }
 
 func TestMergedTableRowsStayAligned(t *testing.T) {
-	// Row r of a merged table's arena is item r's representative: an
-	// unmatched item's own vector, carried over unchanged, or a merged
-	// item's member centroid.
+	// Row r of a merged table is item r's representative: an unmatched
+	// item's own row, carried over word for word, or a merged item's member
+	// centroid. A merge that runs alone stores them on its first table's
+	// data arena, the entity rows' here, and shares every unmatched row
+	// there; one beside others stores them on an arena of its own.
 	entVecs := [][]float32{unitv(1, 0, 0), unitv(0, 1, 0), unitv(0.99, 0.01, 0), unitv(0, 0, 1)}
 	opt := DefaultOptions()
 	opt.M = 0.2
 	mc := mcFor(t, opt, entVecs)
-	merged := mc.mergeTwoTables(singleItems(entVecs, 0, 1), singleItems(entVecs, 2, 3), 1)
-	if len(merged.items) != 3 || merged.vecs.Len() != 3 {
-		t.Fatalf("want 3 aligned rows, got %d items and %d vectors", len(merged.items), merged.vecs.Len())
-	}
-	for r, it := range merged.items {
-		want := make([]float32, 3)
-		centroidInto(want, it.members, mc.entVecs)
-		if fmt.Sprint(merged.vecs.At(r)) != fmt.Sprint(want) {
-			t.Fatalf("row %d (members %v) holds %v, want %v", r, it.members, merged.vecs.At(r), want)
+	for _, alone := range []bool{true, false} {
+		merged := mc.mergeTwoTables(singleItems(mc, 0, 1), singleItems(mc, 2, 3), 1, alone)
+		if len(merged.items) != 3 || merged.vecs.Len() != 3 {
+			t.Fatalf("want 3 aligned rows, got %d items and %d vectors", len(merged.items), merged.vecs.Len())
+		}
+		if on := merged.vecs.Data() == mc.entVecs.Data(); on != alone {
+			t.Fatalf("alone=%v: merged table on the entity rows' arena: %v", alone, on)
+		}
+		got, want := make([]float32, 3), make([]float32, 3)
+		for r, it := range merged.items {
+			centroidInto(want, it.members, mc.entVecs)
+			merged.vecs.CopyTo(got, r)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("alone=%v: row %d (members %v) holds %v, want %v", alone, r, it.members, got, want)
+			}
+			if len(it.members) == 1 && alone && merged.vecs.Offset(r) != mc.entVecs.Offset(it.members[0]) {
+				t.Fatalf("row %d (members %v) does not share its entity row", r, it.members)
+			}
 		}
 	}
 }
@@ -119,11 +134,12 @@ func TestMergedCentroidIsUnitNorm(t *testing.T) {
 	opt.M = 0.3
 	opt.Backend = BackendBrute
 	mc := mcFor(t, opt, entVecs)
-	merged := mc.mergeTwoTables(singleItems(entVecs, 0), singleItems(entVecs, 1), 1)
+	merged := mc.mergeTwoTables(singleItems(mc, 0), singleItems(mc, 1), 1, true)
 	if len(merged.items) != 1 || len(merged.items[0].members) != 2 {
 		t.Fatalf("want one merged pair, got %+v", merged.items)
 	}
-	c := merged.vecs.At(0)
+	c := make([]float32, 3)
+	merged.vecs.CopyTo(c, 0)
 	if n := vector.Norm(c); n < 0.999 || n > 1.001 {
 		t.Fatalf("centroid norm = %v", n)
 	}
@@ -159,9 +175,9 @@ func TestPlannerCrossover(t *testing.T) {
 }
 
 // randomTables builds n source tables of rows random unit vectors each.
-func randomTables(n, rows, dim int) (tables []mergeTable, entVecs *vector.Store) {
+func randomTables(n, rows, dim int) (tables []mergeTable, entVecs *vector.SparseRows) {
 	rng := rand.New(rand.NewSource(int64(n*1000 + rows)))
-	entVecs = vector.NewStoreWithCap(dim, n*rows)
+	entVecs = vector.NewSparseRows(dim)
 	v := make([]float32, dim)
 	for i := 0; i < n*rows; i++ {
 		for j := range v {
@@ -171,10 +187,12 @@ func randomTables(n, rows, dim int) (tables []mergeTable, entVecs *vector.Store)
 	}
 	for t := 0; t < n; t++ {
 		items := make([]item, rows)
+		vecs := vector.NewSparseRowsOn(entVecs.Data())
 		for r := range items {
 			items[r] = item{members: []int{t*rows + r}}
+			vecs.AppendRef(entVecs.Ref(t*rows + r))
 		}
-		tables = append(tables, mergeTable{items: items, vecs: entVecs.Slice(t*rows, (t+1)*rows)})
+		tables = append(tables, mergeTable{items: items, vecs: vecs})
 	}
 	return tables, entVecs
 }
@@ -248,7 +266,7 @@ func TestExactMergeIndependentOfWorkers(t *testing.T) {
 func TestHierarchicalMergeSingleTable(t *testing.T) {
 	entVecs := [][]float32{unitv(1, 0)}
 	mc := mcFor(t, DefaultOptions(), entVecs)
-	got := mc.hierarchicalMerge([]mergeTable{singleItems(entVecs, 0)})
+	got := mc.hierarchicalMerge([]mergeTable{singleItems(mc, 0)})
 	if len(got) != 1 {
 		t.Fatalf("single table passes through: %+v", got)
 	}
@@ -271,9 +289,9 @@ func TestHierarchicalMergeOddTableCount(t *testing.T) {
 	opt.Backend = BackendBrute
 	mc := mcFor(t, opt, entVecs)
 	tables := []mergeTable{
-		singleItems(entVecs, 0),
-		singleItems(entVecs, 1),
-		singleItems(entVecs, 2),
+		singleItems(mc, 0),
+		singleItems(mc, 1),
+		singleItems(mc, 2),
 	}
 	got := mc.hierarchicalMerge(tables)
 	if len(got) != 1 || len(got[0].members) != 3 {
@@ -296,7 +314,7 @@ func TestTransitivityThroughHierarchies(t *testing.T) {
 	mc := mcFor(t, opt, entVecs)
 	// Put a and c in one table, b alone in the other, so both pairs are
 	// evaluated in a single two-table merge.
-	merged := mc.mergeTwoTables(singleItems(entVecs, 0, 2), singleItems(entVecs, 1), 1)
+	merged := mc.mergeTwoTables(singleItems(mc, 0, 2), singleItems(mc, 1), 1, true)
 	if len(merged.items) != 1 || len(merged.items[0].members) != 3 {
 		t.Fatalf("transitive closure must group all three: %+v", merged.items)
 	}
@@ -309,7 +327,7 @@ func TestPruneItemsRemovesOutlier(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Eps = 0.6
 	items := []item{{members: []int{0, 1, 2}}}
-	tuples, confs := pruneItems(items, storeOf(entVecs), &opt)
+	tuples, confs := pruneItems(items, rowsOf(entVecs), &opt)
 	if len(confs) != len(tuples) {
 		t.Fatalf("confidences misaligned: %d vs %d", len(confs), len(tuples))
 	}
@@ -323,7 +341,7 @@ func TestPruneItemsDropsShrunkenTuples(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Eps = 0.2
 	items := []item{{members: []int{0, 1}}}
-	if got, _ := pruneItems(items, storeOf(entVecs), &opt); got != nil {
+	if got, _ := pruneItems(items, rowsOf(entVecs), &opt); got != nil {
 		t.Fatalf("tuple shrinking below 2 must disappear: %v", got)
 	}
 }
@@ -353,7 +371,7 @@ func TestPruneItemsParallelMatchesSequential(t *testing.T) {
 		}
 		items = append(items, item{members: members, maxJoinDist: float32(i%7) / 5})
 	}
-	store := storeOf(entVecs)
+	store := rowsOf(entVecs)
 	for _, disable := range []bool{false, true} {
 		seq := DefaultOptions()
 		seq.Eps = 0.5
@@ -379,7 +397,7 @@ func TestPruneItemsDisabled(t *testing.T) {
 	opt := DefaultOptions()
 	opt.DisablePruning = true
 	items := []item{{members: []int{0, 1}}}
-	got, _ := pruneItems(items, storeOf(entVecs), &opt)
+	got, _ := pruneItems(items, rowsOf(entVecs), &opt)
 	if len(got) != 1 || len(got[0]) != 2 {
 		t.Fatalf("w/o DP must keep the raw tuple: %v", got)
 	}

@@ -45,14 +45,14 @@ type Result struct {
 }
 
 // runState carries the pipeline's intermediate products alongside the public
-// Result: the entities in position order, their embeddings (one contiguous
-// arena, row = entity position), and the predicted tuples as entity
-// positions. BuildMatcher consumes these to set up online serving without
-// re-deriving them from the Result's entity IDs.
+// Result: the entities in position order, their embeddings (bitmask rows,
+// row = entity position), and the predicted tuples as entity positions.
+// BuildMatcher consumes these to set up online serving without re-deriving
+// them from the Result's entity IDs.
 type runState struct {
 	res     *Result
 	ents    []*table.Entity
-	entVecs *vector.Store
+	entVecs *vector.SparseRows
 	// posTuples[i] lists entity positions (rows into ents/entVecs) for
 	// res.Tuples[i]; the two are aligned index-by-index.
 	posTuples [][]int
@@ -92,7 +92,8 @@ func run(d *table.Dataset, opt Options) (*runState, error) {
 	res.Timings.Select = time.Since(tSel)
 
 	// Phase I-b: representation — serialize over selected attributes and
-	// embed every entity.
+	// embed every entity, each packed once as a bitmask row: every later
+	// phase reads these rows, or words copied from them, and no dense copy.
 	tRep := time.Now()
 	ents := d.AllEntities()
 	texts := make([]string, len(ents))
@@ -103,7 +104,7 @@ func run(d *table.Dataset, opt Options) (*runState, error) {
 	for i, e := range ents {
 		texts[i] = table.Serialize(e, sel)
 	}
-	entVecs := embed.BatchStore(opt.Encoder, texts)
+	entVecs := embed.Rows(opt.Encoder, texts)
 	res.Timings.Represent = time.Since(tRep)
 
 	// Phase II: table-wise hierarchical merging (Algorithm 2).
@@ -113,10 +114,12 @@ func run(d *table.Dataset, opt Options) (*runState, error) {
 	pos := 0
 	for _, t := range d.Tables {
 		rows := make([]item, t.Len())
+		vecs := vector.NewSparseRowsOn(entVecs.Data())
 		for r := range rows {
 			rows[r] = item{members: []int{pos + r}}
+			vecs.AppendRef(entVecs.Ref(pos + r))
 		}
-		tables = append(tables, mergeTable{items: rows, vecs: entVecs.Slice(pos, pos+t.Len())})
+		tables = append(tables, mergeTable{items: rows, vecs: vecs})
 		pos += t.Len()
 	}
 	integrated := mc.hierarchicalMerge(tables)

@@ -15,17 +15,24 @@ import (
 // With opt.Parallel, tuples are handed out across workers (§III-E, "pruning
 // in parallel"); pruning each tuple is independent and the survivors keep
 // item order, so the split does not change results.
-func pruneItems(items []item, entVecs *vector.Store, opt *Options) ([][]int, []float64) {
-	prune := func(it item) []int {
+func pruneItems(items []item, entVecs *vector.SparseRows, opt *Options) ([][]int, []float64) {
+	// Each worker expands a tuple's member rows into buffers of its own,
+	// which the next tuple it prunes reuses.
+	dim, workers := entVecs.Dim(), par.Workers(len(items), opt.workers())
+	vecs := make([][][]float32, workers)
+	prune := func(w int, it item) []int {
 		if len(it.members) < 2 {
 			return nil
 		}
 		if opt.DisablePruning {
 			return it.members
 		}
-		vecs := make([][]float32, len(it.members))
+		for len(vecs[w]) < len(it.members) {
+			vecs[w] = append(vecs[w], make([]float32, dim))
+		}
+		vecs := vecs[w][:len(it.members)]
 		for i, pos := range it.members {
-			vecs[i] = entVecs.At(pos)
+			entVecs.CopyTo(vecs[i], pos)
 		}
 		keep := cluster.PruneTuple(vecs, opt.Eps, opt.MinPts)
 		if len(keep) < 2 {
@@ -39,8 +46,8 @@ func pruneItems(items []item, entVecs *vector.Store, opt *Options) ([][]int, []f
 	}
 
 	kept := make([][]int, len(items))
-	par.For(len(items), opt.workers(), func(_, i int) {
-		kept[i] = prune(items[i])
+	par.For(len(items), workers, func(w, i int) {
+		kept[i] = prune(w, items[i])
 	})
 	var tuples [][]int
 	var confs []float64

@@ -110,7 +110,7 @@ func maskGuardPage(t *testing.T, mem []byte) {
 				n := len(mask) + len(vals)
 				row := unsafe.Slice((*uint32)(unsafe.Pointer(&mem[len(mem)-4*n])), n)
 				copy(row, mask)
-				copy(row[len(mask):], vals)
+				copy(floats(row[len(mask):]), vals)
 				guarded, other := unsafe.Pointer(&row[0]), unsafe.Pointer(&s.words(1)[0])
 				want := []float32{Dot(q, dense), Dot(q, second)}
 				// The expansion reads the guarded row, then writes a dense

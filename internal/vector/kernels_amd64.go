@@ -57,14 +57,19 @@ func expandMaskAVX512(dst *float32, row *uint32, dim, skip int, add bool)
 //go:noescape
 func expandMaskAVX2(dst *float32, row *uint32, dim, skip int, add bool, table *int32)
 
-// sparseAtLeast32AVX2 is the kernel behind SparseAtLeast32: one sparse row
-// (n coordinates at idx, values at val) against a dim×32 dimension-major
-// block, returning the 32-lane mask of sums >= thr. It reads an index only
-// after checking it is below dim, and returns ok = false at the first one
-// that is not. See the comment above it in kernels_amd64.s.
+// maskAtLeast32AVX2 is the kernel behind MaskAtLeast32: one bitmask row
+// (words 64-bit mask words at mask, its n values at vals) against a dim×32
+// dimension-major block, returning the 32-lane mask of sums >= thr.
+// maskAtLeast32AVX512 is the same on AVX-512, with twice the accumulator
+// sets. Each checks a mask word before reading at any of its bits, and
+// returns ok = false for a bit at or past dim, or for a mask whose bit count
+// is not n. See the comment above them in kernels_amd64.s.
 //
 //go:noescape
-func sparseAtLeast32AVX2(idx *int32, val *float32, n int, blockT *float32, dim int, thr float32) (mask uint32, ok bool)
+func maskAtLeast32AVX2(mask *uint32, words int, vals *float32, n int, blockT *float32, dim int, thr float32) (out uint32, ok bool)
+
+//go:noescape
+func maskAtLeast32AVX512(mask *uint32, words int, vals *float32, n int, blockT *float32, dim int, thr float32) (out uint32, ok bool)
 
 // PrefetchInt32s hints the first two cache lines of s (32 values) towards
 // L1 and returns at once: a PREFETCHT0 pair, which reads nothing
@@ -84,7 +89,8 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // hasAVX2 reports whether the running CPU and OS support the AVX2+FMA
-// kernels: AVX2 (CPUID.7.0:EBX[5]) and FMA (CPUID.1:ECX[12]) present, and
+// kernels: AVX2 (CPUID.7.0:EBX[5]), FMA (CPUID.1:ECX[12]) and BMI1
+// (CPUID.7.0:EBX[3], the mask walks' TZCNT and BLSR) present, and
 // the OS saving YMM state across context switches (OSXSAVE set and
 // XCR0[2:1] == 11, the check Intel's manuals mandate before executing any
 // VEX-256 instruction).
@@ -126,6 +132,9 @@ func detectAVX2() bool {
 		return false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2Bit = 1 << 5
-	return ebx7&avx2Bit != 0
+	const (
+		bmi1Bit = 1 << 3
+		avx2Bit = 1 << 5
+	)
+	return ebx7&(bmi1Bit|avx2Bit) == bmi1Bit|avx2Bit
 }

@@ -327,33 +327,73 @@ dotg_done:
 	VZEROUPPER
 	RET
 
-// ---- sparse-row threshold kernel ---------------------------------------------
+// ---- bitmask-row threshold kernels -------------------------------------------
 //
-// sparseAtLeast32AVX2 scores one sparse row — n nonzero coordinates idx[k]
-// with values val[k] — against a 32-row dimension-major block (row l's
-// coordinate d at blockT[d*32+l], dim = the block's length / 32) and returns
-// in bits 0..31 of mask whether each row's sum val[k]·blockT[idx[k]*32+l]
-// is >= thr. The 32 sums live in four YMM registers per accumulator set;
-// two nonzeros a step feed two sets (eight independent FMA chains, each FMA
-// reading its B operand straight from the block), and an odd last nonzero
-// goes to the first set. The sets are added, compared with thr (ordered: a
-// NaN sum is never >= thr) and packed with VMOVMSKPS.
+// maskAtLeast32AVX2 and maskAtLeast32AVX512 score one bitmask row — `words`
+// 64-bit mask words at mask, bit c set for each stored coordinate, and its n
+// values packed at vals in coordinate order — against a 32-row
+// dimension-major block (row l's coordinate c at blockT[c*32+l]) and return
+// in bits 0..31 of out whether each row's sum vals[k]·blockT[c_k*32+l] is
+// >= thr. They walk the mask a word at a time: TZCNT names the lowest set
+// bit, BLSR clears it, and its value is the next one at vals. The 32 sums of
+// an accumulator set are four YMM (AVX2) or two ZMM (AVX-512) registers; the
+// AVX2 kernel keeps two sets and the AVX-512 kernel four, so each runs eight
+// independent FMA chains, each FMA reading its B operand straight from the
+// block. A word's nonzeros go to the sets in turn, starting from the first
+// set at each word. The sets are added, compared with thr (ordered: a NaN
+// sum is never >= thr) and packed to the 32-bit mask.
 //
-// Every index is checked against dim before its column is read: the first
-// one out of range (negative ones included, compared unsigned) returns
-// ok = false with nothing read at it, and the Go wrapper panics.
+// Each word is checked before any of its bits is read: a bit at or past dim
+// (the Go side passes words = ceil(dim/64), so only a last word can hold
+// one), or more bits so far than n values, returns ok = false with nothing
+// read at it, as does a mask with fewer bits than n; the Go wrapper panics.
 //
-// Registers: SI idx, DI val, CX n, R8 blockT, R11 dim, AX k, DX n&^1,
-// R9/R10 the byte offsets of the current columns, Y0-Y3 and Y4-Y7 the two
-// accumulator sets, Y8/Y9 the broadcast values.
+// Registers: SI mask, R14 words, R13 the word index, R12 the word's bits
+// left, DI the next value, DX n, BX the bits counted so far, R8 blockT, R10
+// the column of the word's bit 0 (R8 + 64·128·index), R11 dim, R9 the current
+// column, AX and CX scratch. The AVX2 sets are Y0-Y3 and Y4-Y7, the AVX-512
+// sets Z0/Z1, Z2/Z3, Z4/Z5 and Z6/Z7.
 
-// func sparseAtLeast32AVX2(idx *int32, val *float32, n int, blockT *float32, dim int, thr float32) (mask uint32, ok bool)
-TEXT ·sparseAtLeast32AVX2(SB), NOSPLIT, $0-53
-	MOVQ idx+0(FP), SI
-	MOVQ val+8(FP), DI
-	MOVQ n+16(FP), CX
-	MOVQ blockT+24(FP), R8
-	MOVQ dim+32(FP), R11
+// MASKWORD loads word R13 into R12 and checks it (jumping to bad), sets R10
+// to its bit 0's column and advances R13; it jumps to reduce past the last
+// word.
+#define MASKWORD(reduce, bad) \
+	CMPQ R13, R14 \
+	JGE  reduce \
+	MOVQ (SI)(R13*8), R12 \
+	MOVQ R13, AX \
+	SHLQ $6, AX \
+	MOVQ R11, CX \
+	SUBQ AX, CX \
+	CMPQ CX, $64 \
+	JAE  4(PC) \
+	MOVQ R12, AX \
+	SHRQ CX, AX \
+	JNZ  bad \
+	POPCNTQ R12, AX \
+	ADDQ AX, BX \
+	CMPQ BX, DX \
+	JA   bad \
+	MOVQ R13, R10 \
+	SHLQ $13, R10 \
+	ADDQ R8, R10 \
+	INCQ R13
+
+// NEXTBIT points R9 at the column of R12's lowest set bit and clears it.
+#define NEXTBIT \
+	TZCNTQ R12, R9 \
+	BLSRQ R12, R12 \
+	SHLQ $7, R9 \
+	ADDQ R10, R9
+
+// func maskAtLeast32AVX2(mask *uint32, words int, vals *float32, n int, blockT *float32, dim int, thr float32) (out uint32, ok bool)
+TEXT ·maskAtLeast32AVX2(SB), NOSPLIT, $0-61
+	MOVQ mask+0(FP), SI
+	MOVQ words+8(FP), R14
+	MOVQ vals+16(FP), DI
+	MOVQ n+24(FP), DX
+	MOVQ blockT+32(FP), R8
+	MOVQ dim+40(FP), R11
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -362,53 +402,44 @@ TEXT ·sparseAtLeast32AVX2(SB), NOSPLIT, $0-53
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-2, DX
-	JZ   sp_tail
+	XORQ R13, R13
+	XORQ BX, BX
 
-sp_loop2:
-	MOVL (SI)(AX*4), R9
-	MOVL 4(SI)(AX*4), R10
-	CMPQ R9, R11
-	JAE  sp_bad
-	CMPQ R10, R11
-	JAE  sp_bad
-	SHLQ $7, R9 // 32 floats a column
-	SHLQ $7, R10
-	VBROADCASTSS (DI)(AX*4), Y8
-	VBROADCASTSS 4(DI)(AX*4), Y9
-	VFMADD231PS (R8)(R9*1), Y8, Y0
-	VFMADD231PS 32(R8)(R9*1), Y8, Y1
-	VFMADD231PS 64(R8)(R9*1), Y8, Y2
-	VFMADD231PS 96(R8)(R9*1), Y8, Y3
-	VFMADD231PS (R8)(R10*1), Y9, Y4
-	VFMADD231PS 32(R8)(R10*1), Y9, Y5
-	VFMADD231PS 64(R8)(R10*1), Y9, Y6
-	VFMADD231PS 96(R8)(R10*1), Y9, Y7
-	ADDQ $2, AX
-	CMPQ AX, DX
-	JL   sp_loop2
+ma2_word:
+	MASKWORD(ma2_reduce, ma2_bad)
 
-sp_tail:
-	CMPQ AX, CX
-	JGE  sp_reduce
-	MOVL (SI)(AX*4), R9
-	CMPQ R9, R11
-	JAE  sp_bad
-	SHLQ $7, R9
-	VBROADCASTSS (DI)(AX*4), Y8
-	VFMADD231PS (R8)(R9*1), Y8, Y0
-	VFMADD231PS 32(R8)(R9*1), Y8, Y1
-	VFMADD231PS 64(R8)(R9*1), Y8, Y2
-	VFMADD231PS 96(R8)(R9*1), Y8, Y3
+ma2_bits:
+	TESTQ R12, R12
+	JZ    ma2_word
+	NEXTBIT
+	VBROADCASTSS (DI), Y8
+	VFMADD231PS (R9), Y8, Y0
+	VFMADD231PS 32(R9), Y8, Y1
+	VFMADD231PS 64(R9), Y8, Y2
+	VFMADD231PS 96(R9), Y8, Y3
+	TESTQ R12, R12
+	JZ    ma2_word1
+	NEXTBIT
+	VBROADCASTSS 4(DI), Y9
+	VFMADD231PS (R9), Y9, Y4
+	VFMADD231PS 32(R9), Y9, Y5
+	VFMADD231PS 64(R9), Y9, Y6
+	VFMADD231PS 96(R9), Y9, Y7
+	ADDQ $8, DI
+	JMP  ma2_bits
 
-sp_reduce:
+ma2_word1:
+	ADDQ $4, DI
+	JMP  ma2_word
+
+ma2_reduce:
+	CMPQ BX, DX
+	JNE  ma2_bad
 	VADDPS Y4, Y0, Y0
 	VADDPS Y5, Y1, Y1
 	VADDPS Y6, Y2, Y2
 	VADDPS Y7, Y3, Y3
-	VBROADCASTSS thr+40(FP), Y8
+	VBROADCASTSS thr+48(FP), Y8
 	VCMPPS $0x1d, Y8, Y0, Y0 // GE_OQ: Y0 >= thr
 	VCMPPS $0x1d, Y8, Y1, Y1
 	VCMPPS $0x1d, Y8, Y2, Y2
@@ -423,14 +454,101 @@ sp_reduce:
 	VMOVMSKPS Y3, BX
 	SHLL $24, BX
 	ORL  BX, AX
-	MOVL AX, mask+48(FP)
-	MOVB $1, ok+52(FP)
+	MOVL AX, out+56(FP)
+	MOVB $1, ok+60(FP)
 	VZEROUPPER
 	RET
 
-sp_bad:
-	MOVL $0, mask+48(FP)
-	MOVB $0, ok+52(FP)
+ma2_bad:
+	MOVL $0, out+56(FP)
+	MOVB $0, ok+60(FP)
+	VZEROUPPER
+	RET
+
+// FMA5 adds the value at off(DI) times the column at R9 into the set lo/hi.
+#define FMA5(off, v, lo, hi) \
+	VBROADCASTSS off(DI), v \
+	VFMADD231PS (R9), v, lo \
+	VFMADD231PS 64(R9), v, hi
+
+// func maskAtLeast32AVX512(mask *uint32, words int, vals *float32, n int, blockT *float32, dim int, thr float32) (out uint32, ok bool)
+TEXT ·maskAtLeast32AVX512(SB), NOSPLIT, $0-61
+	MOVQ mask+0(FP), SI
+	MOVQ words+8(FP), R14
+	MOVQ vals+16(FP), DI
+	MOVQ n+24(FP), DX
+	MOVQ blockT+32(FP), R8
+	MOVQ dim+40(FP), R11
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	XORQ R13, R13
+	XORQ BX, BX
+
+ma5_word:
+	MASKWORD(ma5_reduce, ma5_bad)
+
+ma5_bits:
+	TESTQ R12, R12
+	JZ    ma5_word
+	NEXTBIT
+	FMA5(0, Z8, Z0, Z1)
+	TESTQ R12, R12
+	JZ    ma5_word1
+	NEXTBIT
+	FMA5(4, Z9, Z2, Z3)
+	TESTQ R12, R12
+	JZ    ma5_word2
+	NEXTBIT
+	FMA5(8, Z10, Z4, Z5)
+	TESTQ R12, R12
+	JZ    ma5_word3
+	NEXTBIT
+	FMA5(12, Z11, Z6, Z7)
+	ADDQ $16, DI
+	JMP  ma5_bits
+
+ma5_word1:
+	ADDQ $4, DI
+	JMP  ma5_word
+
+ma5_word2:
+	ADDQ $8, DI
+	JMP  ma5_word
+
+ma5_word3:
+	ADDQ $12, DI
+	JMP  ma5_word
+
+ma5_reduce:
+	CMPQ BX, DX
+	JNE  ma5_bad
+	VADDPS Z2, Z0, Z0
+	VADDPS Z6, Z4, Z4
+	VADDPS Z4, Z0, Z0
+	VADDPS Z3, Z1, Z1
+	VADDPS Z7, Z5, Z5
+	VADDPS Z5, Z1, Z1
+	VBROADCASTSS thr+48(FP), Z8
+	VCMPPS $0x1d, Z8, Z0, K1 // GE_OQ: Z0 >= thr
+	VCMPPS $0x1d, Z8, Z1, K2
+	KMOVW K1, AX
+	KMOVW K2, BX
+	SHLL $16, BX
+	ORL  BX, AX
+	MOVL AX, out+56(FP)
+	MOVB $1, ok+60(FP)
+	VZEROUPPER
+	RET
+
+ma5_bad:
+	MOVL $0, out+56(FP)
+	MOVB $0, ok+60(FP)
 	VZEROUPPER
 	RET
 

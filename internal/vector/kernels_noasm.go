@@ -41,8 +41,12 @@ func expandMaskAVX2(dst *float32, row *uint32, dim, skip int, add bool, table *i
 	panic("vector: AVX2 kernel called on non-amd64 build")
 }
 
-func sparseAtLeast32AVX2(idx *int32, val *float32, n int, blockT *float32, dim int, thr float32) (mask uint32, ok bool) {
+func maskAtLeast32AVX2(mask *uint32, words int, vals *float32, n int, blockT *float32, dim int, thr float32) (out uint32, ok bool) {
 	panic("vector: AVX2 kernel called on non-amd64 build")
+}
+
+func maskAtLeast32AVX512(mask *uint32, words int, vals *float32, n int, blockT *float32, dim int, thr float32) (out uint32, ok bool) {
+	panic("vector: AVX-512 kernel called on non-amd64 build")
 }
 
 // PrefetchInt32s is a cache hint on amd64 (kernels_amd64.go) and nothing here.

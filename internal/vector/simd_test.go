@@ -206,8 +206,8 @@ func TestSetKernelsRoundTrip(t *testing.T) {
 // kernel and its twin, bit for bit (checkAllKernels), then re-reads the same
 // floats as two arenas of short rows — dimension, strides and row counts all
 // derived from the input length — and holds the tile kernels to
-// checkTileKernels, the raw gather kernel to the single-pair one, and both
-// sparse-row kernels to checkSparseLanes.
+// checkTileKernels, the raw gather kernel to the single-pair one, and every
+// tier of the bitmask-row threshold kernel to checkSparseLanes.
 // Inputs are clamped to finite values below 1e18, so the sums stay finite.
 func FuzzSIMDKernels(f *testing.F) {
 	if !hasAVX2 {
@@ -267,10 +267,10 @@ func FuzzSIMDKernels(f *testing.F) {
 			}
 		}
 
-		// The sparse-row kernels: a dim×32 block cycling through b, and a
-		// row whose nonzeros sit at the distinct coordinates the input
-		// bytes name first, valued from a. Thresholds: zero, and each side
-		// of one lane's sum.
+		// The bitmask-row threshold kernels, every tier: a dim×32 block
+		// cycling through b, and a row whose nonzeros sit at the distinct
+		// coordinates the input bytes name first, valued from a.
+		// Thresholds: zero, and each side of one lane's sum.
 		blockT := make([]float32, dim*SparseBlock)
 		for x := range blockT {
 			blockT[x] = b[x%n]
@@ -284,17 +284,30 @@ func FuzzSIMDKernels(f *testing.F) {
 				sidx, sval = append(sidx, int32(d)), append(sval, a[j%n])
 			}
 		}
+		mask, vals := maskOf(dim, sidx, sval)
 		var lane float32
 		for k, d := range sidx {
 			lane += sval[k] * blockT[int(d)*SparseBlock+int(bb[0])%SparseBlock]
 		}
-		for _, thr := range []float32{0, lane, math.Nextafter32(lane, float32(math.Inf(-1))), math.Nextafter32(lane, float32(math.Inf(1)))} {
-			mask, ok := sparseAtLeast32AVX2(&sidx[0], &sval[0], len(sidx), &blockT[0], dim, thr)
-			if !ok {
-				t.Fatalf("sparseAtLeast32AVX2 dim %d refused in-range indexes %v", dim, sidx)
+		tiers := map[string]func(thr float32) (uint32, bool){
+			"scalar": func(thr float32) (uint32, bool) { return maskAtLeast32Twin(mask, vals, blockT, thr) },
+			"avx2": func(thr float32) (uint32, bool) {
+				return maskAtLeast32AVX2(&mask[0], len(mask)/2, &vals[0], len(vals), &blockT[0], dim, thr)
+			},
+		}
+		if hasAVX512 {
+			tiers["avx512"] = func(thr float32) (uint32, bool) {
+				return maskAtLeast32AVX512(&mask[0], len(mask)/2, &vals[0], len(vals), &blockT[0], dim, thr)
 			}
-			checkSparseLanes(t, fmt.Sprintf("avx2 dim %d thr %v", dim, thr), mask, sidx, sval, blockT, thr)
-			checkSparseLanes(t, fmt.Sprintf("scalar dim %d thr %v", dim, thr), sparseAtLeast32Scalar(sidx, sval, blockT, thr), sidx, sval, blockT, thr)
+		}
+		for _, thr := range []float32{0, lane, math.Nextafter32(lane, float32(math.Inf(-1))), math.Nextafter32(lane, float32(math.Inf(1)))} {
+			for tier, run := range tiers {
+				out, ok := run(thr)
+				if !ok {
+					t.Fatalf("%s dim %d refused a well-formed row at %v", tier, dim, sidx)
+				}
+				checkSparseLanes(t, fmt.Sprintf("%s dim %d thr %v", tier, dim, thr), out, sidx, sval, blockT, thr)
+			}
 		}
 	})
 }

@@ -1,78 +1,105 @@
 package vector
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"unsafe"
+)
 
-// The sparse-row threshold kernel, SparseAtLeast32: one row given by its
-// nonzero coordinates against a block of 32 rows stored dimension-major, one
-// comparison per row of the block. The exact join (package ann) runs it as a
-// conservative filter ahead of DotTile: the encoder's hashed embeddings have
-// a few dozen nonzeros out of hundreds of coordinates, so a row's sums over
-// its own nonzeros cost a fraction of the dense tile, and only blocks that
-// may hold a pair within the threshold are scored exactly.
+// The bitmask-row threshold kernel, MaskAtLeast32: one row given as a
+// SparseRows row is stored — its mask words and its packed values — against
+// a block of 32 rows stored dimension-major, one comparison per row of the
+// block. The exact join (package ann) runs it as a conservative filter ahead
+// of DotTile: the encoder's hashed embeddings have a few dozen nonzeros out
+// of hundreds of coordinates, so a row's sums over its own nonzeros cost a
+// fraction of the dense tile, and only blocks that may hold a pair within
+// the threshold are scored exactly. Every tier walks the mask a 64-bit word
+// at a time, taking the lowest set bit (TZCNT) and clearing it (BLSR), so
+// the row is read where it is stored and never laid out again.
 //
-// Its sums are not bit-equal to any other kernel's, nor across the two paths:
-// the AVX2 kernel keeps two accumulator sets (even and odd nonzeros) and adds
-// them at the end, the portable one sums each lane's nonzeros in order. Both
-// are within the usual inner-product bound of the true sum, γₙ·Σ|aᵢbᵢ| with
-// n the number of nonzeros, which is what a caller filtering with it must
-// allow for.
+// Its sums are not bit-equal to any other kernel's, nor across the three
+// tiers: the AVX-512 kernel keeps four accumulator sets, the AVX2 kernel two
+// (a word's nonzeros go to the sets in turn, from the first set at each
+// word), and both add the sets at the end; the portable twin sums each lane's
+// nonzeros in order. All are within the usual inner-product bound of the
+// true sum, γₙ·Σ|aᵢbᵢ| with n the number of nonzeros, which is what a caller
+// filtering with it must allow for.
 
-// SparseBlock is the number of rows in a SparseAtLeast32 block: one bit of
-// the returned mask each.
+// SparseBlock is the number of rows in a MaskAtLeast32 block: one bit of the
+// returned mask each.
 const SparseBlock = 32
 
-// SparseAtLeast32 returns the mask whose bit l is set when
+// MaskAtLeast32 returns the mask whose bit l is set when
 //
-//	Σ_k val[k] · blockT[idx[k]*32 + l]  >=  thr
+//	Σ_c v[c] · blockT[c*32 + l]  >=  thr
 //
-// for the 32 rows l of a dimension-major block — row l's coordinate d at
-// blockT[d*32+l], so len(blockT) must be 32·dim — and the row whose
-// coordinate idx[k] is val[k] for every k (the indexes need not be sorted,
-// and any coordinate not listed counts as zero). A NaN sum compares false.
-// It panics when len(idx) != len(val), when blockT is not whole columns, or
-// at an index outside [0, dim).
-func SparseAtLeast32(idx []int32, val []float32, blockT []float32, thr float32) uint32 {
-	if len(idx) != len(val) || len(blockT)%SparseBlock != 0 {
-		panic(fmt.Sprintf("vector: sparse row of %d indexes and %d values against a block of %d floats", len(idx), len(val), len(blockT)))
+// for the 32 rows l of a dimension-major block — row l's coordinate c at
+// blockT[c*32+l], so len(blockT) must be 32·dim — and the row v whose
+// coordinates are given as SparseRows.Row gives them: bit c of mask (bit c%32
+// of mask[c/32], 2·ceil(dim/64) words) set for each stored coordinate, whose
+// value is the next of vals, in coordinate order; a coordinate whose bit is
+// clear counts as zero. A NaN sum compares false. It panics when blockT is
+// not whole columns, when mask has another length, at a mask bit at or past
+// dim, or when vals holds another number of values than mask has bits.
+func MaskAtLeast32(mask []uint32, vals []float32, blockT []float32, thr float32) uint32 {
+	dim := len(blockT) / SparseBlock
+	if len(blockT)%SparseBlock != 0 || len(mask) != 2*((dim+63)/64) {
+		panic(fmt.Sprintf("vector: a %d-word mask against a block of %d floats", len(mask), len(blockT)))
 	}
-	if !simdOn || len(idx) == 0 {
-		return sparseAtLeast32Scalar(idx, val, blockT, thr)
+	var out uint32
+	var ok bool
+	switch {
+	case !simdOn:
+		out, ok = maskAtLeast32Twin(mask, vals, blockT, thr)
+	case avx512:
+		out, ok = maskAtLeast32AVX512(unsafe.SliceData(mask), len(mask)/2, unsafe.SliceData(vals), len(vals), unsafe.SliceData(blockT), dim, thr)
+	default:
+		out, ok = maskAtLeast32AVX2(unsafe.SliceData(mask), len(mask)/2, unsafe.SliceData(vals), len(vals), unsafe.SliceData(blockT), dim, thr)
 	}
-	var bt *float32
-	if len(blockT) > 0 {
-		bt = &blockT[0]
-	}
-	mask, ok := sparseAtLeast32AVX2(&idx[0], &val[0], len(idx), bt, len(blockT)/SparseBlock, thr)
 	if !ok {
-		panic(fmt.Sprintf("vector: sparse row index out of range [0, %d)", len(blockT)/SparseBlock))
+		panic(fmt.Sprintf("vector: a row of %d values whose mask has a bit at or past dimension %d or another number of bits", len(vals), dim))
 	}
-	return mask
+	return out
 }
 
-// sparseAtLeast32Scalar is the portable twin: eight lanes at a time, each
-// lane's nonzeros summed in order.
-func sparseAtLeast32Scalar(idx []int32, val []float32, blockT []float32, thr float32) uint32 {
-	val = val[:len(idx)]
-	var mask uint32
+// maskAtLeast32Twin is the portable twin: eight lanes at a time, each lane's
+// nonzeros summed in order. It reports false, having summed nothing, for a
+// row the assembly kernels refuse.
+func maskAtLeast32Twin(mask []uint32, vals []float32, blockT []float32, thr float32) (uint32, bool) {
+	dim, n := len(blockT)/SparseBlock, 0
+	for j, m := range mask {
+		if m != 0 && j<<5+bits.Len32(m)-1 >= dim {
+			return 0, false
+		}
+		n += bits.OnesCount32(m)
+	}
+	if n != len(vals) {
+		return 0, false
+	}
+	var out uint32
 	for g := 0; g < SparseBlock; g += 8 {
 		var s0, s1, s2, s3, s4, s5, s6, s7 float32
-		for k, d := range idx {
-			c := blockT[int(d)*SparseBlock+g:][:8]
-			v := val[k]
-			s0 += v * c[0]
-			s1 += v * c[1]
-			s2 += v * c[2]
-			s3 += v * c[3]
-			s4 += v * c[4]
-			s5 += v * c[5]
-			s6 += v * c[6]
-			s7 += v * c[7]
+		k := 0
+		for j := 0; j < len(mask); j += 2 {
+			for m := uint64(mask[j]) | uint64(mask[j+1])<<32; m != 0; m &= m - 1 {
+				c := blockT[(j<<5|bits.TrailingZeros64(m))*SparseBlock+g:][:8]
+				v := vals[k]
+				k++
+				s0 += float32(v * c[0])
+				s1 += float32(v * c[1])
+				s2 += float32(v * c[2])
+				s3 += float32(v * c[3])
+				s4 += float32(v * c[4])
+				s5 += float32(v * c[5])
+				s6 += float32(v * c[6])
+				s7 += float32(v * c[7])
+			}
 		}
 		for l, s := range [8]float32{s0, s1, s2, s3, s4, s5, s6, s7} {
 			if s >= thr {
-				mask |= 1 << (g + l)
+				out |= 1 << (g + l)
 			}
 		}
 	}
-	return mask
+	return out, true
 }

@@ -30,9 +30,11 @@ import (
 // each) live in a data arena, a RowData, which any number of tables may
 // share; the table itself is one arena.Arena of descriptors, one a row: the
 // word its row starts at and a bit saying whether it holds an Inf or a NaN.
-// A row Append stores is the table's own; one AppendShared makes of another
-// table's row on the same data arena shares that row's words: a shard's
-// index node for a one-member tuple is its member's entity row. Rows are never
+// A row Append stores is the table's own; one AppendShared or AppendRef
+// makes of another table's row on the same data arena shares that row's
+// words: a shard's index node for a one-member tuple is its member's entity
+// row, and a source table of the batch pipeline's merging phase is a window
+// of its entity rows. Rows are never
 // rewritten, so a stored row never moves, Frozen is O(1), and no
 // copy-on-write copy ever happens. A SparseRows is not safe for concurrent
 // mutation, nor are two tables that share a data arena; a frozen snapshot
@@ -165,18 +167,29 @@ func (d *RowData) descOf(at int, w []uint32) uint64 {
 
 // pack writes v, of Dim() elements, as a row into w, which has room for its
 // mask and Dim() values, and returns the row's words: its mask, then the
-// bits of its nonzeros in coordinate order.
+// bits of its nonzeros in coordinate order. Every coordinate's bits are
+// written at the fill point, which moves past them only if they are not 0,
+// with no branch on the value: at the encoder's densities a branch would
+// mispredict about one coordinate in four.
 func (d *RowData) pack(w []uint32, v []float32) []uint32 {
-	clear(w[:d.words])
-	n := d.words
-	for c, x := range v {
-		if b := math.Float32bits(x); b != 0 {
-			w[c>>5] |= 1 << (c & 31)
-			w[n] = b
-			n++
+	mask, vals := w[:d.words], w[d.words:d.words+len(v)]
+	clear(mask)
+	n := 0
+	for j := range mask {
+		if j<<5 >= len(v) {
+			break
 		}
+		var m uint32
+		for c, x := range v[j<<5 : min(j<<5+32, len(v))] {
+			b := math.Float32bits(x)
+			nz := (b | -b) >> 31 // 1 iff b != 0
+			m |= nz << (c & 31)
+			vals[n] = b
+			n += int(nz)
+		}
+		mask[j] = m
 	}
-	return w[:n]
+	return w[:d.words+n]
 }
 
 // appendDesc adds desc as the table's next row and returns its index.
@@ -206,11 +219,33 @@ func (s *SparseRows) AppendShared(v []float32, r Ref) int {
 	if d.holds(r, w) {
 		return s.appendDesc(r.desc)
 	}
+	at := s.appendWords(w)
+	return s.appendDesc(d.descOf(at, w))
+}
+
+// appendWords stores w, a row's words, on the table's data arena and returns
+// the word it starts at; the caller appends its descriptor.
+func (s *SparseRows) appendWords(w []uint32) int {
+	d := s.d
 	at := d.place(d.data.Len(), len(w))
 	d.data.Grow(at + len(w) - d.data.Len())
 	copy(d.descWords(uint64(at)), w)
 	s.own += len(w)
-	return s.appendDesc(d.descOf(at, w))
+	return at
+}
+
+// AppendRef adds the row r names as a new row of this table and returns its
+// index: the same words, shared where r is a row of the table's data arena,
+// so the table's Bytes grows by the descriptor alone, and copied word for
+// word where it is not. r must name a row of the table's dimensionality.
+func (s *SparseRows) AppendRef(r Ref) int {
+	if r.d == s.d {
+		return s.appendDesc(r.desc)
+	}
+	if r.d == nil || r.d.dim != s.d.dim {
+		panic("vector: AppendRef of no row, or of a row of another dimension")
+	}
+	return s.appendDesc(uint64(s.appendWords(r.d.rowOf(r.desc))) | r.desc&nonFinite)
 }
 
 // Ref names one stored row: its data arena and its descriptor. The zero Ref
@@ -220,7 +255,7 @@ type Ref struct {
 	desc uint64
 }
 
-// Ref returns a reference to row i, for AppendShared and Load.
+// Ref returns a reference to row i, for AppendShared, AppendRef and Load.
 func (s *SparseRows) Ref(i int) Ref { return Ref{s.d, s.desc(i)} }
 
 // holds reports whether r names a row on d whose words are w.
@@ -357,11 +392,11 @@ func (s *SparseRows) ReadRows(rd *binio.Reader, n int, dense bool, alias func(i 
 }
 
 // Row returns row i's mask words (bit c of word c/32 for coordinate c) and
-// its stored values' bits, in coordinate order. The slices alias the store;
-// the caller must not modify them.
-func (s *SparseRows) Row(i int) (mask, vals []uint32) {
+// its stored values, in coordinate order, bit for bit. The slices alias the
+// store; the caller must not modify them.
+func (s *SparseRows) Row(i int) (mask []uint32, vals []float32) {
 	w, words := s.words(i), s.d.words
-	return w[:words:words], w[words:]
+	return w[:words:words], floats(w[words:])
 }
 
 // floats views words of value bits as the float32 values they hold.

@@ -3,15 +3,13 @@ package vector
 import "fmt"
 
 // Store is a contiguous arena of fixed-dimension float32 vectors: one flat
-// []float32 with stride Dim, instead of one heap allocation per vector.
-// Every array of the pipeline that is allocated at its final size —
-// embeddings, their per-table windows (Slice), merge centroids, batch plans —
-// holds a Store, so sequential scans are cache-linear, per-vector GC pressure
-// is zero, and the tile kernel reads two arenas as plain strided memory. The
-// arenas that grow row by row for the matcher's lifetime and are shared with
-// published views are chunked instead, so their rows never move: a shard's
-// entity embeddings and its HNSW index's node vectors, as bitmask rows in a
-// SparseRows store (sparserows.go).
+// []float32 with stride Dim, instead of one heap allocation per vector. It
+// holds the dense rows a kernel reads as plain strided memory — an ingest
+// batch plan's embeddings, the exact join's expanded blocks, which the tile
+// kernel reads — so sequential scans are cache-linear and per-vector GC
+// pressure is zero. Stored embeddings are bitmask rows in a SparseRows
+// store instead (sparserows.go): the batch pipeline's entity rows and merged
+// tables, a shard's entity embeddings and its HNSW index's node vectors.
 //
 // Rows returned by At alias the arena; they stay valid across Append/Grow in
 // value but not in identity (growth may move the backing array), so callers
@@ -104,12 +102,3 @@ func (s *Store) SetRow(i int, v []float32) {
 // flat kernels (DotBatch, DotGather, the tile kernel); callers must not
 // resize it.
 func (s *Store) Raw() []float32 { return s.data }
-
-// Slice returns rows [lo, hi) as a Store of their own that shares the backing
-// array. The window is read-only and stays valid while the original only
-// appends: an append never writes a row the window can read. The merging
-// phase hands each source table its rows of the pipeline's entity arena this
-// way, without a copy.
-func (s *Store) Slice(lo, hi int) *Store {
-	return &Store{dim: s.dim, data: s.data[lo*s.dim : hi*s.dim : hi*s.dim]}
-}
