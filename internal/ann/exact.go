@@ -23,19 +23,21 @@ const exactTileA = 64
 // sparseNNZPerDim is the filter's break-even: a row with more than this
 // fraction of its coordinates nonzero skips the filter and has every block
 // scored exactly, because the filter would cost it more than the tile kernel
-// it can save. On the development box (2 cores, AVX2), BenchmarkSparseAtLeast32
-// against BenchmarkDotTile's rows=64x32, dim 256, in ns per pair (medians of
-// five runs):
+// it can save. On a 2-CPU AVX-512 box, BenchmarkMaskAtLeast32 against
+// BenchmarkDotTile's rows=64x32, dim 256, in ns per pair (medians of five
+// runs):
 //
 //	nonzeros     16    64   128   192   256 | DotTile
-//	auto        1.1   3.3   5.4   7.7  10.3 |  7.7
-//	scalar      9.7    38    80    93   109 |   93
+//	avx512      1.0   2.8   5.2   7.7   8.8 |  9.8
+//	avx2        1.2   3.4   6.9  11.4  15.3 |  9.8
+//	scalar       13    57   119   193   236 |  970
 //
-// The filter meets the tile near 190 nonzeros on both paths, three quarters
-// of dim; the cutoff sits a little below, so a row near it never pays the
-// filter and a re-check both. The encoder's embeddings hold a median of
-// 26–62 nonzeros (max 98); long records and the centroids of large tuples
-// can pass the cutoff.
+// The AVX2 tier meets the tile near 170 nonzeros, two thirds of dim; the
+// AVX-512 tier and the twin stay below it at every density. The cutoff sits
+// between the two assembly tiers, as it sat a little below the single
+// break-even the list kernel had (near 190 on the AVX2 box). The encoder's
+// embeddings hold a median of 26–62 nonzeros (max 98); long records and the
+// centroids of large tuples can pass the cutoff.
 const sparseNNZPerDim = 0.7
 
 // MutualTopKExact returns the Eq.-1 pair set between the rows of a and b

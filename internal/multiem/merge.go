@@ -53,12 +53,14 @@ type mergeContext struct {
 //	go test -run '^$' -bench 'BenchmarkAblation_ANNBackend/sweep' -benchtime 1x .
 //
 // which times each leg alone on two Music-200 source tables of 500 to 32k
-// rows (dim 256, sequential). On the development box (2 cores, AVX2), exact
-// as the median of five runs; the HNSW row is the run hnswRowNs was set from
-// (a run beside the exact row's read 127 136 170 205 227 233 268):
+// rows (dim 256, sequential). The exact row is the median of five runs on a
+// 2-CPU AVX-512 box, where the parent of the bitmask-row join read 8.0 6.7
+// 8.2 5.7 5.9 6.6 7.1 (median 6.7; 6.1 on the AVX2 box the constant was
+// first set on). The HNSW row is the run hnswRowNs was set from, on that
+// AVX2 box; one run on the AVX-512 box read 106 137 181 189 212 219 289:
 //
 //	rows a side     500    1k    2k    4k    8k   16k   32k
-//	exact ns/pair   8.5   6.2   6.1   5.5   5.6   5.2   6.5
+//	exact ns/pair   7.0   6.4   5.7   5.0   4.8   4.7   5.8
 //	HNSW  µs/row     74    92   140   186   234   277   339
 //
 // The join is about flat: it scores each pair over the A row's nonzero
@@ -68,15 +70,16 @@ type mergeContext struct {
 // and leaves cache (and by 32k rows misses 6% of the pairs the join finds).
 // exactPairNs is the sweep's median and hnswRowNs its last point, the one
 // nearest the crossover, which the model then puts at 2·hnswRowNs/exactPairNs
-// ≈ 111k rows a side for equal tables; at 32k the join wins 6.7 s to 21.6 s,
-// and extrapolating HNSW's climb the measured curves meet near 145k, so the
-// constant errs towards the paper's ANN. Geo, Music-20/200, Shopee and the
-// early levels of every hierarchy fall below the crossover; Music-2000 and
-// Person source tables (400k, 1M rows) stay on HNSW. The model ignores
-// Options.Parallel: HNSW construction is sequential and the join is not, so
-// with workers the true crossover only moves further out.
+// ≈ 119k rows a side for equal tables; at 32k the join wins 5.9 s to 21.6 s,
+// and extrapolating the AVX-512 box's HNSW climb (~50 µs a doubling from 289
+// at 32k) the measured curves meet near 120–135k, so the constant still errs
+// towards the paper's ANN. Geo, Music-20/200, Shopee
+// and the early levels of every hierarchy fall below the crossover;
+// Music-2000 and Person source tables (400k, 1M rows) stay on HNSW. The
+// model ignores Options.Parallel: HNSW construction is sequential and the
+// join is not, so with workers the true crossover only moves further out.
 const (
-	exactPairNs = 6.1
+	exactPairNs = 5.7
 	hnswRowNs   = 340e3
 )
 

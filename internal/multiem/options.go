@@ -78,7 +78,7 @@ type Options struct {
 	// Parallel enables parallel merging of table pairs and parallel
 	// pruning (MultiEM(parallel), §III-E). Phase I is not governed by it:
 	// attribute selection (one sampled row per par.For task) and
-	// representation (embed.BatchStore) always encode on all cores, with
+	// representation (embed.Rows) always encode on all cores, with
 	// or without Parallel, whatever Workers says.
 	Parallel bool
 	// Workers bounds the goroutines of merging and pruning when Parallel is

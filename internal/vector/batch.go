@@ -15,9 +15,9 @@ import (
 // DotGather scores rows scattered through an arena far larger than the
 // cache, as a graph walk does, in one assembly call per block on the AVX2
 // path (kernels_amd64.s), which prefetches the rows ahead in idxs while it
-// sums the current one. CosineUnitGather puts the merging distance on top of
-// it. SparseRows has the same pair over bitmask rows, the store an index's
-// walks read.
+// sums the current one. SparseRows has the same gather over bitmask rows,
+// the store an index's walks read, and CosineUnitGather there puts the
+// merging distance on top of it.
 
 func checkStride(q []float32, stride int) {
 	if stride < len(q) {
@@ -92,18 +92,5 @@ func DotGather(q, rows []float32, stride int, idxs []int32, out []float32) {
 	qs := newLayout(q, false, &lb)
 	for j, i := range idxs {
 		out[j] = qs.row(row(rows, stride, len(q), int(i)))
-	}
-}
-
-// CosineUnitGather sets out[j] to CosineUnitDist(q, row idxs[j]) — the one
-// way to score a query against stored rows, in a graph walk and in an exact
-// scan alike. out[j] is bit-identical to the single-pair call on the active
-// kernel path, so the distance from a to b has the bits of the distance from
-// b to a (an index caches a link's distance in one direction and recomputes
-// it in the other). q is only read, and may alias a row of the arena.
-func CosineUnitGather(q, rows []float32, stride int, idxs []int32, out []float32) {
-	DotGather(q, rows, stride, idxs, out)
-	for j := range out {
-		out[j] = 1 - out[j]
 	}
 }

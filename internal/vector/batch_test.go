@@ -103,9 +103,19 @@ func TestGatherMatchesSinglePair(t *testing.T) {
 	}
 }
 
+// rowsFrom stores rows rows of arena, dim floats at a stride, as bitmask
+// rows.
+func rowsFrom(arena []float32, stride, dim, rows int) *SparseRows {
+	s := NewSparseRows(dim)
+	for i := range rows {
+		s.Append(row(arena, stride, dim, i))
+	}
+	return s
+}
+
 // TestMetricGatherMatchesDist: CosineUnitGather is CosineUnitDist row by row,
-// to the bit, on both kernel paths, across the kernels' tail lengths and
-// padded strides — and a zero vector on either side is at distance 1.
+// to the bit, on both kernel paths, across the kernels' tail lengths — and a
+// zero vector on either side is at distance 1.
 func TestMetricGatherMatchesDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	idxs := []int32{6, 2, 0, 2, 5}
@@ -113,12 +123,11 @@ func TestMetricGatherMatchesDist(t *testing.T) {
 	for _, mode := range []string{"scalar", "auto"} {
 		ForceKernels(t, mode)
 		for dim := 1; dim <= 70; dim++ {
-			stride := dim + dim%3
-			arena := testArena(rng, 7, stride)
+			arena := testArena(rng, 7, dim)
 			q := randVecOff(rng, dim, 1)
-			CosineUnitGather(q, arena, stride, idxs, out)
+			rowsFrom(arena, dim, dim, 7).CosineUnitGather(q, idxs, out)
 			for j, i := range idxs {
-				want := CosineUnitDist(q, row(arena, stride, dim, int(i)))
+				want := CosineUnitDist(q, row(arena, dim, dim, int(i)))
 				if math.Float32bits(out[j]) != math.Float32bits(want) {
 					t.Fatalf("%s dim %d: CosineUnitGather[%d] = %v, CosineUnitDist = %v", mode, dim, j, out[j], want)
 				}
@@ -126,13 +135,12 @@ func TestMetricGatherMatchesDist(t *testing.T) {
 		}
 		zero := make([]float32, 8)
 		one := Normalize([]float32{1, 1, 1, 1, 1, 1, 1, 1})
-		arena := append(append([]float32(nil), zero...), one...)
-		both := []int32{0, 1}
-		CosineUnitGather(zero, arena, 8, both, out[:2])
+		both := rowsFrom(append(append([]float32(nil), zero...), one...), 8, 8, 2)
+		both.CosineUnitGather(zero, []int32{0, 1}, out[:2])
 		if out[0] != 1 || out[1] != 1 {
 			t.Fatalf("%s: cosine distances from a zero query = %v, want [1 1]", mode, out[:2])
 		}
-		CosineUnitGather(one, arena, 8, both, out[:2])
+		both.CosineUnitGather(one, []int32{0, 1}, out[:2])
 		if out[0] != 1 {
 			t.Fatalf("%s: cosine distance to a zero row = %v, want 1", mode, out[0])
 		}
@@ -152,10 +160,11 @@ func TestMetricGatherSymmetric(t *testing.T) {
 		for _, dim := range []int{1, 7, 19, 64, 259} {
 			arena := testArena(rng, rows, dim)
 			clear(row(arena, dim, dim, 3))
+			s := rowsFrom(arena, dim, dim, rows)
 			for a := 0; a < rows; a++ {
 				for b := 0; b < rows; b++ {
-					CosineUnitGather(row(arena, dim, dim, a), arena, dim, []int32{int32(b)}, ab)
-					CosineUnitGather(row(arena, dim, dim, b), arena, dim, []int32{int32(a)}, ba)
+					s.CosineUnitGather(row(arena, dim, dim, a), []int32{int32(b)}, ab)
+					s.CosineUnitGather(row(arena, dim, dim, b), []int32{int32(a)}, ba)
 					if math.Float32bits(ab[0]) != math.Float32bits(ba[0]) {
 						t.Fatalf("%s dim %d: %d->%d = %v, %d->%d = %v", mode, dim, a, b, ab[0], b, a, ba[0])
 					}
@@ -189,13 +198,12 @@ func TestBatchValidationPanics(t *testing.T) {
 		ForceKernels(t, mode)
 		for _, bad := range [][]int32{{-1, 0}, {0, -1}, {8, 0}, {0, 8}, {math.MinInt32, 0}, {0, math.MaxInt32}} {
 			mustPanic("DotGather bad index", func() { DotGather(q, arena, 8, bad, out) })
-			mustPanic("CosineUnitGather bad index", func() { CosineUnitGather(q, arena, 8, bad, out) })
 		}
 		// A row that starts inside the arena but does not end inside it.
 		mustPanic("DotGather partial row", func() { DotGather(q, arena[:63], 8, []int32{0, 7}, out) })
 		mustPanic("DotGather nil idxs", func() { DotGather(q, arena, 8, nil, out) })
-		mustPanic("CosineUnitGather idxs/out mismatch", func() { CosineUnitGather(q, arena, 8, []int32{0, 1, 2}, out) })
-		mustPanic("CosineUnitGather stride < dim", func() { CosineUnitGather(q, arena, 7, []int32{0, 1}, out) })
+		mustPanic("CosineUnitGather idxs/out mismatch", func() { rowsFrom(arena, 8, 8, 8).CosineUnitGather(q, []int32{0, 1, 2}, out) })
+		mustPanic("CosineUnitGather query dim", func() { rowsFrom(arena, 8, 8, 8).CosineUnitGather(q[:7], []int32{0, 1}, out) })
 
 	}
 }

@@ -97,7 +97,8 @@ func BenchmarkDotBatch(b *testing.B) {
 }
 
 // BenchmarkMetricGather is BenchmarkDotBatch's shape through
-// CosineUnitGather: what one neighbour block costs a graph walk.
+// SparseRows.CosineUnitGather over dense rows: what one neighbour block
+// costs a graph walk.
 func BenchmarkMetricGather(b *testing.B) {
 	const rows = 32
 	rng := rand.New(rand.NewSource(4))
@@ -109,11 +110,14 @@ func BenchmarkMetricGather(b *testing.B) {
 	for i := range idxs {
 		idxs[i] = int32(i)
 	}
-	q := benchVecs(1)[0]
+	q, s := benchVecs(1)[0], NewSparseRows(benchDim)
+	for i := range rows {
+		s.Append(row(arena, benchDim, benchDim, i))
+	}
 	out := make([]float32, rows)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CosineUnitGather(q, arena, benchDim, idxs, out)
+		s.CosineUnitGather(q, idxs, out)
 	}
 	sinkF32 = out[0]
 }

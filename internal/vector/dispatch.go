@@ -11,9 +11,10 @@ import (
 // assembly whenever the CPU supports it and may be forced to the portable
 // Go twins with SetKernels or the VECTOR_KERNELS environment variable. The
 // twins sum in the assembly's order, so the choice changes speed, not bits
-// (SparseAtLeast32, a filter with a bound, is the exception). avx512 further
-// moves the bitmask-row gather (SparseRows.DotGather) from its AVX2 kernel
-// to its AVX-512 one, which returns the same bits.
+// (MaskAtLeast32, a filter with a bound, is the exception). avx512 further
+// moves the bitmask-row gather (SparseRows.DotGather) and expansion from
+// their AVX2 kernels to AVX-512 ones, which return the same bits, and
+// MaskAtLeast32 to its AVX-512 tier, whose sums are within the same bound.
 //
 // Both are plain bools, not atomics: SetKernels is a startup/test knob,
 // documented to be called before concurrent kernel use begins. Flipping them
@@ -31,11 +32,11 @@ func init() {
 // SetKernels selects the kernel implementation:
 //
 //	"auto"   — the widest assembly the CPU supports: AVX-512 for the
-//	           bitmask-row gather and AVX2+FMA for the rest, or AVX2+FMA
+//	           bitmask-row kernels and AVX2+FMA for the rest, or AVX2+FMA
 //	           throughout, or the Go twins where it has neither.
 //	"scalar" — force the portable Go twins.
 //	"avx2"   — the AVX2+FMA assembly throughout; errors on CPUs without it.
-//	"avx512" — AVX-512 for the bitmask-row gather and AVX2+FMA for the
+//	"avx512" — AVX-512 for the bitmask-row kernels and AVX2+FMA for the
 //	           rest; errors on CPUs or OSes without AVX-512F.
 //
 // Each mode Kernels reports selects that path again, so SetKernels(Kernels())

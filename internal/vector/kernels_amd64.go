@@ -96,7 +96,7 @@ func xgetbv() (eax, edx uint32)
 // VEX-256 instruction).
 var hasAVX2 = detectAVX2()
 
-// hasAVX512 reports whether the bitmask gather may run its AVX-512 kernel:
+// hasAVX512 reports whether the bitmask-row kernels may run on AVX-512:
 // hasAVX2, AVX-512F (CPUID.7.0:EBX[16]), and the OS saving the opmask and
 // ZMM state across context switches (XCR0[7:5] == 111).
 var hasAVX512 = hasAVX2 && detectAVX512()

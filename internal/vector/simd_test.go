@@ -136,8 +136,9 @@ func TestDispatchedAPIAgrees(t *testing.T) {
 		type sample struct{ norm, cos, euclid, gathered float32 }
 		run := func(mode string) sample {
 			ForceKernels(t, mode)
-			g := make([]float32, 1)
-			CosineUnitGather(a, b, dim, []int32{0}, g)
+			g, rows := make([]float32, 1), NewSparseRows(dim)
+			rows.Append(b)
+			rows.CosineUnitGather(a, []int32{0}, g)
 			return sample{Norm(a), CosineUnitDist(a, b), EuclideanDist(a, b), g[0]}
 		}
 		simd := run("avx2")

@@ -547,8 +547,12 @@ func (s *SparseRows) DotGather(q []float32, idxs []int32, out []float32) {
 	}
 }
 
-// CosineUnitGather sets out[j] to CosineUnitDist(q, row idxs[j]), as the
-// package-level CosineUnitGather does over a flat arena.
+// CosineUnitGather sets out[j] to CosineUnitDist(q, row idxs[j]) — the one
+// way to score a query against stored rows, in a graph walk and in an exact
+// scan alike. out[j] is bit-identical to the single-pair call on the
+// expanded row on every kernel path, so the distance from a to b has the
+// bits of the distance from b to a (an index caches a link's distance in one
+// direction and recomputes it in the other). q is only read.
 func (s *SparseRows) CosineUnitGather(q []float32, idxs []int32, out []float32) {
 	s.DotGather(q, idxs, out)
 	for j := range out {

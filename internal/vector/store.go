@@ -71,14 +71,6 @@ func (s *Store) Append(v []float32) int {
 	return i
 }
 
-// AppendZero appends a zero row and returns its index. Writers fill it via
-// At, which is how batch encoders write embeddings straight into the arena.
-func (s *Store) AppendZero() int {
-	i := s.Len()
-	s.data = append(s.data, make([]float32, s.dim)...)
-	return i
-}
-
 // Grow extends the arena by rows zero rows.
 func (s *Store) Grow(rows int) {
 	if rows <= 0 {
