@@ -167,27 +167,32 @@ func (d *RowData) descOf(at int, w []uint32) uint64 {
 
 // pack writes v, of Dim() elements, as a row into w, which has room for its
 // mask and Dim() values, and returns the row's words: its mask, then the
-// bits of its nonzeros in coordinate order. Every coordinate's bits are
-// written at the fill point, which moves past them only if they are not 0,
-// with no branch on the value: at the encoder's densities a branch would
-// mispredict about one coordinate in four.
+// bits of its nonzeros in coordinate order. v may lie in w past the mask:
+// the k-th value is written at or before the coordinate it was read from.
+// The assembly paths pack whole groups of 16 or 8 coordinates in registers
+// (packMaskAVX512, packMaskAVX2); the rest, and the portable path, go a
+// coordinate at a time, each coordinate's bits written at the fill point,
+// which moves past them only if they are not 0, with no branch on the value:
+// at the encoder's densities a branch would mispredict about one coordinate
+// in four. Every path writes the same words.
 func (d *RowData) pack(w []uint32, v []float32) []uint32 {
 	mask, vals := w[:d.words], w[d.words:d.words+len(v)]
 	clear(mask)
-	n := 0
-	for j := range mask {
-		if j<<5 >= len(v) {
-			break
-		}
-		var m uint32
-		for c, x := range v[j<<5 : min(j<<5+32, len(v))] {
-			b := math.Float32bits(x)
-			nz := (b | -b) >> 31 // 1 iff b != 0
-			m |= nz << (c & 31)
-			vals[n] = b
-			n += int(nz)
-		}
-		mask[j] = m
+	c, n := 0, 0
+	switch {
+	case avx512 && len(v) >= 16:
+		c = len(v) &^ 15
+		n = packMaskAVX512(&mask[0], &vals[0], &v[0], c/16)
+	case simdOn && len(v) >= 8:
+		c = len(v) &^ 7
+		n = packMaskAVX2(&mask[0], &vals[0], &v[0], c/8, &maskCompress[0][0])
+	}
+	for ; c < len(v); c++ {
+		b := math.Float32bits(v[c])
+		nz := (b | -b) >> 31 // 1 iff b != 0
+		mask[c>>5] |= nz << (c & 31)
+		vals[n] = b
+		n += int(nz)
 	}
 	return w[:d.words+n]
 }
@@ -505,6 +510,22 @@ var maskExpand = func() (t [256][8]int32) {
 			}
 			if int32(l) < pc {
 				t[m][l] |= math.MinInt32
+			}
+		}
+	}
+	return t
+}()
+
+// maskCompress is packMaskAVX2's table, a 32-byte row per mask byte m: lane
+// i holds the index of m's i-th set bit (the VPERMD index that moves it to
+// lane i), and 0 past m's popcount.
+var maskCompress = func() (t [256][8]int32) {
+	for m := range t {
+		i := 0
+		for l := range 8 {
+			if m>>l&1 != 0 {
+				t[m][i] = int32(l)
+				i++
 			}
 		}
 	}
