@@ -54,10 +54,11 @@ type mergeContext struct {
 //
 // which times each leg alone on two Music-200 source tables of 500 to 32k
 // rows (dim 256, sequential). The exact row is the median of five runs on a
-// 2-CPU AVX-512 box, where the parent of the bitmask-row join read 8.0 6.7
-// 8.2 5.7 5.9 6.6 7.1 (median 6.7; 6.1 on the AVX2 box the constant was
-// first set on). The HNSW row is the run hnswRowNs was set from, on that
-// AVX2 box; one run on the AVX-512 box read 106 137 181 189 212 219 289:
+// 2-CPU AVX-512 box, where the join over dense tables, before it read
+// bitmask rows, read 8.0 6.7 8.2 5.7 5.9 6.6 7.1 (median 6.7; 6.1 on the
+// 2-core AVX2 box the constant was first set on). The HNSW row is the run
+// hnswRowNs was set from, on that AVX2 box; one run on the AVX-512 box read
+// 106 137 181 189 212 219 289:
 //
 //	rows a side     500    1k    2k    4k    8k   16k   32k
 //	exact ns/pair   7.0   6.4   5.7   5.0   4.8   4.7   5.8
@@ -73,11 +74,11 @@ type mergeContext struct {
 // ≈ 119k rows a side for equal tables; at 32k the join wins 5.9 s to 21.6 s,
 // and extrapolating the AVX-512 box's HNSW climb (~50 µs a doubling from 289
 // at 32k) the measured curves meet near 120–135k, so the constant still errs
-// towards the paper's ANN. Geo, Music-20/200, Shopee
-// and the early levels of every hierarchy fall below the crossover;
-// Music-2000 and Person source tables (400k, 1M rows) stay on HNSW. The
-// model ignores Options.Parallel: HNSW construction is sequential and the
-// join is not, so with workers the true crossover only moves further out.
+// towards the paper's ANN. Geo, Music-20/200, Shopee and the early levels
+// of every hierarchy fall below the crossover; Music-2000 and Person source
+// tables (400k, 1M rows) stay on HNSW. The model ignores Options.Parallel:
+// HNSW construction is sequential and the join is not, so with workers the
+// true crossover only moves further out.
 const (
 	exactPairNs = 5.7
 	hnswRowNs   = 340e3
@@ -146,9 +147,11 @@ func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int, alone bool)
 	}
 
 	groups := uf.Sets(1)
-	merged := mergeTable{items: make([]item, 0, len(groups)), vecs: vector.NewSparseRows(mc.entVecs.Dim())}
+	merged := mergeTable{items: make([]item, 0, len(groups))}
 	if alone {
 		merged.vecs = vector.NewSparseRowsOn(a.vecs.Data())
+	} else {
+		merged.vecs = vector.NewSparseRows(mc.entVecs.Dim())
 	}
 	centroid := make([]float32, mc.entVecs.Dim())
 	for _, group := range groups {
