@@ -96,14 +96,16 @@ func mutualTopKExact(a, b *vector.SparseRows, k int, maxDist float32, workers, t
 	// Only a row with at most maxNNZ nonzeros runs the filter, and only if
 	// one does is b copied dimension-major for it.
 	maxNNZ := int(sparseNNZPerDim * float64(dim))
+	filters := false
+	for i := 0; i < na && !filters; i++ {
+		_, vals := a.Row(i)
+		filters = len(vals) <= maxNNZ
+	}
 	var blocksB []float32
 	var normB float64
-	for i := range na {
-		if _, vals := a.Row(i); len(vals) <= maxNNZ {
-			blocksB, normB = transposeBlocks(b, workers)
-			defer blockPool.Put(&blocksB)
-			break
-		}
+	if filters {
+		blocksB, normB = transposeBlocks(b, workers)
+		defer blockPool.Put(&blocksB)
 	}
 	rows := newBestK(na, k)
 	// A worker claims blocks of tileA a-rows, whose row bests no other
