@@ -34,9 +34,8 @@ import (
 // makes of another table's row on the same data arena shares that row's
 // words: a shard's index node for a one-member tuple is its member's entity
 // row, and a source table of the batch pipeline's merging phase is a window
-// of its entity rows. Rows are never
-// rewritten, so a stored row never moves, Frozen is O(1), and no
-// copy-on-write copy ever happens. A SparseRows is not safe for concurrent
+// of its entity rows. Rows are never rewritten, so a stored row never moves,
+// Frozen is O(1), and no copy-on-write copy ever happens. A SparseRows is not safe for concurrent
 // mutation, nor are two tables that share a data arena; a frozen snapshot
 // may be read from any number of goroutines while its writer goes on.
 type SparseRows struct {
