@@ -30,7 +30,7 @@ const exactTileA = 64
 //	nonzeros     16    64   128   192   256 | DotTile
 //	avx512      1.0   2.8   5.2   7.7   8.8 |  9.8
 //	avx2        1.2   3.4   6.9  11.4  15.3 |  9.8
-//	scalar       13    57   119   193   236 |  970
+//	scalar       15    44    79   106   138 |  970
 //
 // The AVX2 tier meets the tile near 170 nonzeros, two thirds of dim; the
 // AVX-512 tier and the twin stay below it at every density. The cutoff sits

@@ -114,7 +114,9 @@ func (mc *mergeContext) matchedPairs(a, b *vector.SparseRows, workers int) []ann
 // alone reports that no other merge runs beside this one: then the merged
 // table's rows go on a's data arena, which takes one writer at a time, and
 // every row a shares it keeps shared; otherwise they go on a data arena of
-// the merged table's own.
+// the merged table's own. A centroid stored on a shared arena stays there
+// until the run ends: one per union of two items at most, so fewer rows than
+// the entities.
 func (mc *mergeContext) mergeTwoTables(a, b mergeTable, workers int, alone bool) mergeTable {
 	if len(a.items) == 0 {
 		return b

@@ -13,9 +13,10 @@ import (
 // of DotTile: the encoder's hashed embeddings have a few dozen nonzeros out
 // of hundreds of coordinates, so a row's sums over its own nonzeros cost a
 // fraction of the dense tile, and only blocks that may hold a pair within
-// the threshold are scored exactly. Every tier walks the mask a 64-bit word
-// at a time, taking the lowest set bit (TZCNT) and clearing it (BLSR), so
-// the row is read where it is stored and never laid out again.
+// the threshold are scored exactly. The assembly tiers walk the mask a 64-bit
+// word at a time, taking the lowest set bit (TZCNT) and clearing it (BLSR),
+// so the row is read where it is stored and never laid out again; the
+// portable twin walks it once a call into the row's coordinates.
 //
 // Its sums are not bit-equal to any other kernel's, nor across the three
 // tiers: the AVX-512 kernel keeps four accumulator sets, the AVX2 kernel two
@@ -62,38 +63,39 @@ func MaskAtLeast32(mask []uint32, vals []float32, blockT []float32, thr float32)
 	return out
 }
 
-// maskAtLeast32Twin is the portable twin: eight lanes at a time, each lane's
-// nonzeros summed in order. It reports false, having summed nothing, for a
-// row the assembly kernels refuse.
+// maskAtLeast32Twin is the portable twin: it walks the mask once into the
+// row's coordinates, then sums eight lanes at a time, each lane's nonzeros
+// in order. It reports false, having summed nothing, for a row the assembly
+// kernels refuse.
 func maskAtLeast32Twin(mask []uint32, vals []float32, blockT []float32, thr float32) (uint32, bool) {
-	dim, n := len(blockT)/SparseBlock, 0
+	dim := len(blockT) / SparseBlock
+	var cb [256]int32
+	cols := cb[:0]
 	for j, m := range mask {
 		if m != 0 && j<<5+bits.Len32(m)-1 >= dim {
 			return 0, false
 		}
-		n += bits.OnesCount32(m)
+		for ; m != 0; m &= m - 1 {
+			cols = append(cols, int32(j<<5|bits.TrailingZeros32(m))*SparseBlock)
+		}
 	}
-	if n != len(vals) {
+	if len(cols) != len(vals) {
 		return 0, false
 	}
 	var out uint32
 	for g := 0; g < SparseBlock; g += 8 {
 		var s0, s1, s2, s3, s4, s5, s6, s7 float32
-		k := 0
-		for j := 0; j < len(mask); j += 2 {
-			for m := uint64(mask[j]) | uint64(mask[j+1])<<32; m != 0; m &= m - 1 {
-				c := blockT[(j<<5|bits.TrailingZeros64(m))*SparseBlock+g:][:8]
-				v := vals[k]
-				k++
-				s0 += float32(v * c[0])
-				s1 += float32(v * c[1])
-				s2 += float32(v * c[2])
-				s3 += float32(v * c[3])
-				s4 += float32(v * c[4])
-				s5 += float32(v * c[5])
-				s6 += float32(v * c[6])
-				s7 += float32(v * c[7])
-			}
+		for k, at := range cols {
+			c := blockT[int(at)+g:][:8]
+			v := vals[k]
+			s0 += float32(v * c[0])
+			s1 += float32(v * c[1])
+			s2 += float32(v * c[2])
+			s3 += float32(v * c[3])
+			s4 += float32(v * c[4])
+			s5 += float32(v * c[5])
+			s6 += float32(v * c[6])
+			s7 += float32(v * c[7])
 		}
 		for l, s := range [8]float32{s0, s1, s2, s3, s4, s5, s6, s7} {
 			if s >= thr {
