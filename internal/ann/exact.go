@@ -34,10 +34,9 @@ const exactTileA = 64
 //
 // The AVX2 tier meets the tile near 170 nonzeros, two thirds of dim; the
 // AVX-512 tier and the twin stay below it at every density. The cutoff sits
-// between the two assembly tiers, as it sat a little below the single
-// break-even the list kernel had (near 190 on the AVX2 box). The encoder's
-// embeddings hold a median of 26–62 nonzeros (max 98); long records and the
-// centroids of large tuples can pass the cutoff.
+// between the two assembly tiers' break-evens. The encoder's embeddings hold
+// a median of 26–62 nonzeros (max 98); long records and the centroids of
+// large tuples can pass the cutoff.
 const sparseNNZPerDim = 0.7
 
 // MutualTopKExact returns the Eq.-1 pair set between the rows of a and b

@@ -54,11 +54,9 @@ type mergeContext struct {
 //
 // which times each leg alone on two Music-200 source tables of 500 to 32k
 // rows (dim 256, sequential). The exact row is the median of five runs on a
-// 2-CPU AVX-512 box, where the join over dense tables, before it read
-// bitmask rows, read 8.0 6.7 8.2 5.7 5.9 6.6 7.1 (median 6.7; 6.1 on the
-// 2-core AVX2 box the constant was first set on). The HNSW row is the run
-// hnswRowNs was set from, on that AVX2 box; one run on the AVX-512 box read
-// 106 137 181 189 212 219 289:
+// 2-CPU AVX-512 box; the HNSW row is the run hnswRowNs was set from, on a
+// 2-core AVX2 box (one run on the AVX-512 box read 106 137 181 189 212 219
+// 289):
 //
 //	rows a side     500    1k    2k    4k    8k   16k   32k
 //	exact ns/pair   7.0   6.4   5.7   5.0   4.8   4.7   5.8
