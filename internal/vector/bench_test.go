@@ -29,6 +29,26 @@ func benchVecs(n int) [][]float32 {
 
 var sinkF32 float32
 
+// BenchmarkPack packs rows at the encoder's density (about 66 of 256
+// coordinates nonzero), cycling over 4000 rows so that no branch predictor
+// learns their masks, as Append packs each embedding.
+func BenchmarkPack(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	rows := make([][]float32, 4000)
+	for i := range rows {
+		rows[i] = make([]float32, benchDim)
+		for range 66 {
+			rows[i][rng.Intn(benchDim)] = float32(rng.NormFloat64())
+		}
+	}
+	d := NewRowData(benchDim)
+	w := make([]uint32, d.words+benchDim)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.pack(w, rows[i%len(rows)])
+	}
+}
+
 func BenchmarkDot(b *testing.B) {
 	vs := benchVecs(2)
 	b.ReportAllocs()

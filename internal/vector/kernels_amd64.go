@@ -71,20 +71,6 @@ func maskAtLeast32AVX2(mask *uint32, words int, vals *float32, n int, blockT *fl
 //go:noescape
 func maskAtLeast32AVX512(mask *uint32, words int, vals *float32, n int, blockT *float32, dim int, thr float32) (out uint32, ok bool)
 
-// packMaskAVX512 packs the first groups 16-coordinate groups of a dense row
-// v as bitmask-row words — each group's 16 mask bits to the g-th uint16 at
-// mask, its nonzero values' bits to vals in coordinate order — and returns
-// the number of values written; packMaskAVX2 does so 8 coordinates a group,
-// through maskCompress's table. Each stores whole registers at the fill
-// point, so vals must hold groups·16 (8) values; it may alias v. They check
-// nothing. See the comment above them in kernels_amd64.s.
-//
-//go:noescape
-func packMaskAVX512(mask *uint32, vals *uint32, v *float32, groups int) (n int)
-
-//go:noescape
-func packMaskAVX2(mask *uint32, vals *uint32, v *float32, groups int, table *int32) (n int)
-
 // PrefetchInt32s hints the first two cache lines of s (32 values) towards
 // L1 and returns at once: a PREFETCHT0 pair, which reads nothing
 // architecturally and cannot fault, so any s is fine, empty or short

@@ -812,93 +812,6 @@ dm2_done:
 	VZEROUPPER
 	RET
 
-// ---- bitmask-row packing --------------------------------------------------------
-//
-// packMaskAVX512 and packMaskAVX2 pack the first `groups` groups of 16 (8)
-// coordinates of a dense row v into bitmask-row form: group g's mask bits —
-// bit l set iff lane l's bits are not zero — go to the g-th 16-bit (8-bit)
-// unit at mask, little-endian, so they land at bits c%32 of word c/32, and
-// the set lanes' values to vals, packed in lane order; n returns how many
-// values were written. A group is loaded whole, its set lanes moved to the
-// bottom of a register (VPCOMPRESSD; VPERMD through the table maskCompress
-// builds on AVX2) and the register stored whole at the fill point: the
-// lanes past the group's count are scratch the next group overwrites. The
-// fill point is never past the group's own first coordinate, so the store
-// ends within vals[0, groups·16) and the row may be compacted in place
-// (vals aliasing v). The Go side writes the mask's remaining bits and the
-// coordinates past the last whole group.
-//
-// Registers: SI v, DI mask, R10 the fill point, R11 vals, CX groups, AX g,
-// DX the group's mask; the AVX2 kernel's R8 is the table, Y7 zero.
-
-// func packMaskAVX512(mask *uint32, vals *uint32, v *float32, groups int) (n int)
-TEXT ·packMaskAVX512(SB), NOSPLIT, $0-40
-	MOVQ mask+0(FP), DI
-	MOVQ vals+8(FP), R10
-	MOVQ v+16(FP), SI
-	MOVQ groups+24(FP), CX
-	MOVQ R10, R11
-	XORQ AX, AX
-
-pk5_loop:
-	CMPQ AX, CX
-	JGE  pk5_done
-	VMOVDQU32 (SI), Z0
-	VPTESTMD Z0, Z0, K1
-	KMOVW K1, DX
-	MOVW DX, (DI)(AX*2)
-	VPCOMPRESSD.Z Z0, K1, Z1
-	VMOVDQU32 Z1, (R10)
-	POPCNTL DX, DX
-	LEAQ (R10)(DX*4), R10
-	ADDQ $64, SI
-	INCQ AX
-	JMP  pk5_loop
-
-pk5_done:
-	SUBQ R11, R10
-	SHRQ $2, R10
-	MOVQ R10, n+32(FP)
-	VZEROUPPER
-	RET
-
-// func packMaskAVX2(mask *uint32, vals *uint32, v *float32, groups int, table *int32) (n int)
-TEXT ·packMaskAVX2(SB), NOSPLIT, $0-48
-	MOVQ mask+0(FP), DI
-	MOVQ vals+8(FP), R10
-	MOVQ v+16(FP), SI
-	MOVQ groups+24(FP), CX
-	MOVQ table+32(FP), R8
-	MOVQ R10, R11
-	XORQ AX, AX
-	VPXOR Y7, Y7, Y7
-
-pk2_loop:
-	CMPQ AX, CX
-	JGE  pk2_done
-	VMOVDQU (SI), Y0
-	VPCMPEQD Y7, Y0, Y1
-	VMOVMSKPS Y1, DX
-	XORL $0xff, DX
-	MOVB DX, (DI)(AX*1)
-	MOVQ DX, R9
-	SHLQ $5, R9
-	VMOVDQU (R8)(R9*1), Y2
-	VPERMD Y0, Y2, Y3
-	VMOVDQU Y3, (R10)
-	POPCNTL DX, DX
-	LEAQ (R10)(DX*4), R10
-	ADDQ $32, SI
-	INCQ AX
-	JMP  pk2_loop
-
-pk2_done:
-	SUBQ R11, R10
-	SHRQ $2, R10
-	MOVQ R10, n+40(FP)
-	VZEROUPPER
-	RET
-
 // ---- bitmask-row expansion ------------------------------------------------------
 //
 // expandMaskAVX512 and expandMaskAVX2 expand a bitmask row (its mask at row,

@@ -49,13 +49,5 @@ func maskAtLeast32AVX512(mask *uint32, words int, vals *float32, n int, blockT *
 	panic("vector: AVX-512 kernel called on non-amd64 build")
 }
 
-func packMaskAVX512(mask *uint32, vals *uint32, v *float32, groups int) (n int) {
-	panic("vector: AVX-512 kernel called on non-amd64 build")
-}
-
-func packMaskAVX2(mask *uint32, vals *uint32, v *float32, groups int, table *int32) (n int) {
-	panic("vector: AVX2 kernel called on non-amd64 build")
-}
-
 // PrefetchInt32s is a cache hint on amd64 (kernels_amd64.go) and nothing here.
 func PrefetchInt32s(s []int32) {}

@@ -166,35 +166,42 @@ func (d *RowData) descOf(at int, w []uint32) uint64 {
 
 // pack writes v, of Dim() elements, as a row into w, which has room for its
 // mask and Dim() values, and returns the row's words: its mask, then the
-// bits of its nonzeros in coordinate order. v may lie in w past the mask:
-// the k-th value is written at or before the coordinate it was read from.
-// The assembly paths pack whole groups of 16 or 8 coordinates in registers
-// (packMaskAVX512, packMaskAVX2); the rest, and the portable path, go a
-// coordinate at a time, each coordinate's bits written at the fill point,
-// which moves past them only if they are not 0, with no branch on the value:
-// at the encoder's densities a branch would mispredict about one coordinate
-// in four. Every path writes the same words.
+// bits of its nonzeros in coordinate order. v may lie in w past the mask
+// (ReadRows packs a row in place): a value is written at or before the
+// coordinate it was read from, after its group of four is read. Each
+// coordinate's bits are written at the fill point, which moves past them
+// only if they are not 0, with no branch on the value: at the encoder's
+// densities a branch would mispredict about one coordinate in four.
 func (d *RowData) pack(w []uint32, v []float32) []uint32 {
 	mask, vals := w[:d.words], w[d.words:d.words+len(v)]
 	clear(mask)
-	c, n := 0, 0
-	switch {
-	case avx512 && len(v) >= 16:
-		c = len(v) &^ 15
-		n = packMaskAVX512(&mask[0], &vals[0], &v[0], c/16)
-	case simdOn && len(v) >= 8:
-		c = len(v) &^ 7
-		n = packMaskAVX2(&mask[0], &vals[0], &v[0], c/8, &maskCompress[0][0])
+	n, c := 0, 0
+	for ; c+4 <= len(v); c += 4 {
+		g := v[c : c+4 : c+4]
+		b0, b1, b2, b3 := math.Float32bits(g[0]), math.Float32bits(g[1]), math.Float32bits(g[2]), math.Float32bits(g[3])
+		z0, z1, z2, z3 := nonzero(b0), nonzero(b1), nonzero(b2), nonzero(b3)
+		mask[c>>5] |= (z0 | z1<<1 | z2<<2 | z3<<3) << (c & 31)
+		vals[n] = b0
+		n += int(z0)
+		vals[n] = b1
+		n += int(z1)
+		vals[n] = b2
+		n += int(z2)
+		vals[n] = b3
+		n += int(z3)
 	}
 	for ; c < len(v); c++ {
 		b := math.Float32bits(v[c])
-		nz := (b | -b) >> 31 // 1 iff b != 0
-		mask[c>>5] |= nz << (c & 31)
+		z := nonzero(b)
+		mask[c>>5] |= z << (c & 31)
 		vals[n] = b
-		n += int(nz)
+		n += int(z)
 	}
 	return w[:d.words+n]
 }
+
+// nonzero is 1 if b is not 0, else 0.
+func nonzero(b uint32) uint32 { return (b | -b) >> 31 }
 
 // appendDesc adds desc as the table's next row and returns its index.
 func (s *SparseRows) appendDesc(desc uint64) int {
@@ -509,22 +516,6 @@ var maskExpand = func() (t [256][8]int32) {
 			}
 			if int32(l) < pc {
 				t[m][l] |= math.MinInt32
-			}
-		}
-	}
-	return t
-}()
-
-// maskCompress is packMaskAVX2's table, a 32-byte row per mask byte m: lane
-// i holds the index of m's i-th set bit (the VPERMD index that moves it to
-// lane i), and 0 past m's popcount.
-var maskCompress = func() (t [256][8]int32) {
-	for m := range t {
-		i := 0
-		for l := range 8 {
-			if m>>l&1 != 0 {
-				t[m][i] = int32(l)
-				i++
 			}
 		}
 	}

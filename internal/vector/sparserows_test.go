@@ -279,49 +279,39 @@ func TestSparseRowsLargeDim(t *testing.T) {
 	checkSparseRows(t, s, rows)
 }
 
-// packWant is a row's words by their definition: bit c of the mask set iff
-// coordinate c's bits are not 0, then those coordinates' bits in order.
-func packWant(v []float32) []uint32 {
-	w := make([]uint32, 2*((len(v)+63)/64))
-	for c, x := range v {
-		if b := math.Float32bits(x); b != 0 {
-			w[c>>5] |= 1 << (c & 31)
-			w = append(w, b)
-		}
-	}
-	return w
-}
-
-// Every path packs a row into the same words — its definition, packWant —
-// at every dimension around the kernels' 8- and 16-lane groups and at every
-// density, −0, NaN payloads, subnormals and infinities included, and
-// compacts a row in place as ReadRows does.
+// pack writes a row's words by their definition — bit c of the mask set iff
+// coordinate c's bits are not 0, then those coordinates' bits in order — at
+// every dimension around its four-coordinate groups and mask words, at every
+// density, −0, NaN payloads, subnormals and infinities included, and packs
+// a row in place as ReadRows does.
 func TestPackMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
-	special := []uint32{0x80000000, 0x7fc12345, 0xffa00001, 1, 0x807fffff, 0x7f800000, 0xff800000, 0x3f800000}
-	for _, mode := range kernelPaths(t) {
-		ForceKernels(t, mode)
-		for _, dim := range []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 255, 256, 257, 300} {
-			d := NewRowData(dim)
-			for _, density := range []float64{0, 0.05, 0.25, 0.5, 0.9, 1} {
-				v := make([]float32, dim)
-				for c := range v {
-					if rng.Float64() < density {
-						v[c] = float32(rng.NormFloat64())
-						if rng.Intn(6) == 0 {
-							v[c] = math.Float32frombits(special[rng.Intn(len(special))])
-						}
+	special := []uint32{0x80000000, 0x7fc12345, 0xffa00001, 1, 0x807fffff, 0x7f800000, 0xff800000}
+	for _, dim := range []int{1, 3, 4, 5, 31, 32, 33, 63, 64, 65, 66, 255, 256, 257} {
+		d := NewRowData(dim)
+		for _, density := range []float64{0, 0.05, 0.25, 0.5, 0.9, 1} {
+			v := make([]float32, dim)
+			want := make([]uint32, d.words)
+			for c := range v {
+				if rng.Float64() < density {
+					v[c] = float32(rng.NormFloat64())
+					if rng.Intn(6) == 0 {
+						v[c] = math.Float32frombits(special[rng.Intn(len(special))])
 					}
+					want[c>>5] |= 1 << (c & 31)
+					want = append(want, math.Float32bits(v[c]))
 				}
-				want := packWant(v)
-				w := make([]uint32, d.words+dim)
-				if got := d.pack(w, v); !slices.Equal(got, want) {
-					t.Fatalf("%s dim %d density %v: pack gives %x, want %x", mode, dim, density, got, want)
-				}
-				copy(floats(w[d.words:]), v)
-				if got := d.pack(w, floats(w[d.words:])); !slices.Equal(got, want) {
-					t.Fatalf("%s dim %d density %v: pack in place gives %x, want %x", mode, dim, density, got, want)
-				}
+			}
+			w := make([]uint32, d.words+dim)
+			for i := range w {
+				w[i] = 0xdeadbeef
+			}
+			if got := d.pack(w, v); !slices.Equal(got, want) {
+				t.Fatalf("dim %d density %v: pack gives %x, want %x", dim, density, got, want)
+			}
+			copy(floats(w[d.words:]), v)
+			if got := d.pack(w, floats(w[d.words:])); !slices.Equal(got, want) {
+				t.Fatalf("dim %d density %v: pack in place gives %x, want %x", dim, density, got, want)
 			}
 		}
 	}
