@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/par"
 	"repro/internal/vector"
@@ -104,7 +103,6 @@ func mutualTopKExact(a, b *vector.SparseRows, k int, maxDist float32, workers, t
 	var normB float64
 	if filters {
 		blocksB, normB = transposeBlocks(b, workers)
-		defer blockPool.Put(&blocksB)
 	}
 	rows := newBestK(na, k)
 	// A worker claims blocks of tileA a-rows, whose row bests no other
@@ -171,31 +169,20 @@ func mutualTopKExact(a, b *vector.SparseRows, k int, maxDist float32, workers, t
 	return pairs
 }
 
-// blockPool holds the dimension-major copies of B that joins are done with,
-// for the next join to reuse: a join of the merging phase's hierarchy needs
-// one as large as the last, and a fresh one costs a fresh page of zeroes.
-var blockPool sync.Pool
-
 // transposeBlocks returns b's rows in dimension-major blocks of
 // vector.SparseBlock rows — row j's coordinate d at
 // out[(j/32)*32*dim + d*32 + j%32], the last block padded with zero rows —
 // scattered from each row's mask and packed values, and an upper bound on
-// the largest row norm of b. out may come from blockPool.
+// the largest row norm of b.
 func transposeBlocks(b *vector.SparseRows, workers int) ([]float32, float64) {
 	const bs = vector.SparseBlock
 	dim, nb := b.Dim(), b.Len()
 	blocks := (nb + bs - 1) / bs
-	var out []float32
-	if p, ok := blockPool.Get().(*[]float32); ok && cap(*p) >= blocks*bs*dim {
-		out = (*p)[:blocks*bs*dim]
-	} else {
-		out = make([]float32, blocks*bs*dim)
-	}
+	out := make([]float32, blocks*bs*dim)
 	workers = par.Workers(blocks, workers)
 	norms := make([]float64, workers)
 	par.For(blocks, workers, func(w, blk int) {
 		t := out[blk*bs*dim : (blk+1)*bs*dim]
-		clear(t)
 		for l := range min(bs, nb-blk*bs) {
 			mask, vals := b.Row(blk*bs + l)
 			k := 0
