@@ -39,9 +39,10 @@ type IntoEncoder interface {
 
 // Rows embeds texts as bitmask rows (vector.SparseRows), row i holding the
 // embedding of texts[i] bit for bit, on GOMAXPROCS workers (par.For). Each
-// worker packs the embeddings it computes into a table of its own; the rows
-// are then copied word for word, in text order, onto one data arena. The
-// pipeline's representation phase goes through here.
+// worker packs the embeddings it computes into a table of its own; with more
+// than one, the rows are then copied word for word, in text order, onto one
+// data arena (one worker's table is already in text order). The pipeline's
+// representation phase goes through here.
 func Rows(e Encoder, texts []string) *vector.SparseRows {
 	dim := e.Dim()
 	workers := par.Workers(len(texts), 0)
@@ -49,16 +50,20 @@ func Rows(e Encoder, texts []string) *vector.SparseRows {
 	for w := range parts {
 		parts[w], bufs[w] = vector.NewSparseRows(dim), make([]float32, dim)
 	}
+	into, _ := e.(IntoEncoder)
 	at := make([]vector.Ref, len(texts))
 	par.For(len(texts), workers, func(w, i int) {
 		v := bufs[w]
-		if ie, ok := e.(IntoEncoder); ok {
-			ie.EncodeInto(texts[i], v)
+		if into != nil {
+			into.EncodeInto(texts[i], v)
 		} else {
 			v = e.Encode(texts[i])
 		}
 		at[i] = parts[w].Ref(parts[w].Append(v))
 	})
+	if workers == 1 {
+		return parts[0]
+	}
 	rows := vector.NewSparseRows(dim)
 	for _, r := range at {
 		rows.AppendRef(r)
