@@ -53,33 +53,30 @@ type mergeContext struct {
 //	go test -run '^$' -bench 'BenchmarkAblation_ANNBackend/sweep' -benchtime 1x .
 //
 // which times each leg alone on two Music-200 source tables of 500 to 32k
-// rows (dim 256, sequential). The exact row is the median of five runs on a
-// 2-CPU AVX-512 box; the HNSW row is the run hnswRowNs was set from, on a
-// 2-core AVX2 box (one run on the AVX-512 box read 106 137 181 189 212 219
-// 289):
+// rows (dim 256, sequential). Each row is the median of the same five runs,
+// on a 2-CPU AVX-512 box:
 //
 //	rows a side     500    1k    2k    4k    8k   16k   32k
-//	exact ns/pair   7.0   6.4   5.7   5.0   4.8   4.7   5.8
-//	HNSW  µs/row     74    92   140   186   234   277   339
+//	exact ns/pair   6.0   4.5   4.4   4.2   4.4   4.0   4.2
+//	HNSW  µs/row    119   138   154   188   191   227   258
 //
 // The join is about flat: it scores each pair over the A row's nonzero
 // coordinates and only the few blocks that may hold a match in full (see
 // ann.MutualTopKExact), and its smallest tables pay the dimension-major copy
-// of b over fewer pairs. HNSW climbs ~50 µs a doubling as the graph deepens
+// of b over fewer pairs. HNSW climbs ~30 µs a doubling as the graph deepens
 // and leaves cache (and by 32k rows misses 6% of the pairs the join finds).
 // exactPairNs is the sweep's median and hnswRowNs its last point, the one
 // nearest the crossover, which the model then puts at 2·hnswRowNs/exactPairNs
-// ≈ 119k rows a side for equal tables; at 32k the join wins 5.9 s to 21.6 s,
-// and extrapolating the AVX-512 box's HNSW climb (~50 µs a doubling from 289
-// at 32k) the measured curves meet near 120–135k, so the constant still errs
-// towards the paper's ANN. Geo, Music-20/200, Shopee and the early levels
-// of every hierarchy fall below the crossover; Music-2000 and Person source
-// tables (400k, 1M rows) stay on HNSW. The model ignores Options.Parallel:
-// HNSW construction is sequential and the join is not, so with workers the
-// true crossover only moves further out.
+// ≈ 117k rows a side for equal tables; at 32k the join wins 4.3 s to 16.5 s,
+// and extrapolating HNSW's climb the measured curves meet near 140–155k, so
+// the constant errs towards the paper's ANN. Geo, Music-20/200, Shopee and
+// the early levels of every hierarchy fall below the crossover; Music-2000
+// and Person source tables (400k, 1M rows) stay on HNSW. The model ignores
+// Options.Parallel: HNSW construction is sequential and the join is not, so
+// with workers the true crossover only moves further out.
 const (
-	exactPairNs = 5.7
-	hnswRowNs   = 340e3
+	exactPairNs = 4.4
+	hnswRowNs   = 258e3
 )
 
 // exactIsCheaper is the cost model behind BackendAuto.
