@@ -8,10 +8,12 @@
 // (vector.SparseRows): MutualTopK asks an index of each table once per row
 // of the other (the paper's HNSW route), and MutualTopKExact computes the
 // pair set exactly in one blocked pass over the distance matrix (exact.go).
-// That pass scores only the blocks that may hold a pair within the
-// threshold: a conservative filter that walks each row's mask picks them,
-// and the tile kernel scores them over the rows expanded bit for bit, so the
-// pairs and their distances are those of scoring every block.
+// That pass scores only the pairs that may be within the threshold: a
+// conservative filter that walks each row's mask picks them, and the
+// bitmask-row gather the HNSW leg scores with (vector.SparseRows'
+// CosineUnitGather) scores them, so the pairs and their distances are those
+// of scoring every pair, and a pair both forms return has the same distance
+// bits in each.
 //
 // Both fan out through par.For on workers goroutines (par.Workers: 1 runs on
 // the caller, <= 0 uses GOMAXPROCS); the pairs found do not depend on it.

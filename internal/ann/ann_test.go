@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -15,7 +16,11 @@ func unit(vs ...float32) []float32 { return vector.Normalize(vs) }
 // storeOf copies rows into one arena; the row number is the id both joins
 // report.
 func storeOf(dim int, rows ...[]float32) *vector.Store {
-	return vector.StoreFromRows(dim, rows)
+	s := vector.NewStoreWithCap(dim, len(rows))
+	for _, v := range rows {
+		s.Append(v)
+	}
+	return s
 }
 
 // rowsOf packs a store's rows as the bitmask rows both joins read, row for
@@ -137,7 +142,7 @@ func randomSide(rng *rand.Rand, n, dim int) *vector.Store {
 }
 
 // HNSW-backed mutual top-K must agree with the exact join on moderately
-// sized random data.
+// sized random data, to the distance bits of every pair both return.
 func TestMutualTopKHNSWAgreesWithExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n, dim = 400, 16
@@ -155,15 +160,20 @@ func TestMutualTopKHNSWAgreesWithExact(t *testing.T) {
 	hA, hB := HNSWOverRows(ra, cfg), HNSWOverRows(rb, cfg)
 	got := MutualTopK(ra, hB, rb, hA, 1, 0.05, 0, 0)
 
+	// Both legs score through the one gather, so a pair both return
+	// carries the same distance bits.
 	key := func(p Pair) [2]int { return [2]int{p.A, p.B} }
-	wantSet := map[[2]int]bool{}
+	wantDist := map[[2]int]float32{}
 	for _, p := range want {
-		wantSet[key(p)] = true
+		wantDist[key(p)] = p.Dist
 	}
 	hits := 0
 	for _, p := range got {
-		if wantSet[key(p)] {
+		if d, ok := wantDist[key(p)]; ok {
 			hits++
+			if math.Float32bits(d) != math.Float32bits(p.Dist) {
+				t.Errorf("pair %v: HNSW distance %v (%#08x), exact %v (%#08x)", key(p), p.Dist, math.Float32bits(p.Dist), d, math.Float32bits(d))
+			}
 		}
 	}
 	if len(want) < 40 {

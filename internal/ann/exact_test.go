@@ -17,7 +17,7 @@ import (
 func TestMain(m *testing.M) { os.Exit(vector.KernelsRestored(m.Run)) }
 
 // naiveJoin is Eq. 1 written down: the full |a|×|b| distance matrix, one
-// pair at a time, every row and every column ranked by (distance, index),
+// vector.CosineUnitDist at a time, every row and every column ranked by (distance, index),
 // and for each k and threshold the pairs that survive both cuts at k and the
 // threshold. O(n² log n), no tiling, no filtering before ranking, no sharing
 // between directions — the reference MutualTopKExact must reproduce, order
@@ -28,12 +28,11 @@ func naiveJoin(a, b *vector.Store) func(k int, maxDist float32) []Pair {
 	if na == 0 || nb == 0 {
 		return func(int, float32) []Pair { return nil }
 	}
-	dist := vector.CosineUnitTile(a, b)
 	d := make([][]float32, na)
 	for i := range d {
 		d[i] = make([]float32, nb)
 		for j := range d[i] {
-			dist(i, i+1, j, j+1, d[i][j:j+1])
+			d[i][j] = vector.CosineUnitDist(a.At(i), b.At(j))
 		}
 	}
 	// rank orders n candidates by (at(x), x).
@@ -109,8 +108,7 @@ func tiedSides(rng *rand.Rand, na, nb, dim int) (*vector.Store, *vector.Store) {
 // in eight is −0, which a bitmask row stores as a value. Some rows are
 // copies of others, in their table and across, and half of the copies take
 // one more hit, so there are ties and pairs at every distance. Each table of
-// three rows or more also gets an all-zero row and a fully dense one, past
-// the filter's cutoff.
+// three rows or more also gets an all-zero row and a fully dense one.
 func hashedSides(rng *rand.Rand, na, nb, dim int, scale float32) (*vector.Store, *vector.Store) {
 	row := func(nnz int) []float32 {
 		v := make([]float32, dim)
@@ -174,13 +172,9 @@ func thresholdsAround(rng *rand.Rand, a, b *vector.Store, naive func(int, float3
 	if a.Len() == 0 || b.Len() == 0 {
 		return out
 	}
-	dist := vector.CosineUnitTile(a, b)
 	var ds []float32
 	for x := 0; x < 3; x++ {
-		var d [1]float32
-		i, j := rng.Intn(a.Len()), rng.Intn(b.Len())
-		dist(i, i+1, j, j+1, d[:])
-		ds = append(ds, d[0])
+		ds = append(ds, vector.CosineUnitDist(a.At(rng.Intn(a.Len())), b.At(rng.Intn(b.Len()))))
 	}
 	all := naive(1, float32(math.Inf(1)))
 	for x := 0; x < 3; x++ {
@@ -251,11 +245,11 @@ func checkExactJoin(t *testing.T, rng *rand.Rand, name string, a, b *vector.Stor
 // The join must return the naive reference's pairs, order and distance bits
 // included, on every kernel path: on dense tables full of ties, at every
 // tile size and worker count, and on hashed-embedding tables — where the
-// mask-walk filter decides which blocks are scored — of every dimension from
+// mask-walk filter decides which pairs are scored — of every dimension from
 // 1 to 40 and of 256 and 1024, at unit scale and scaled by 1e-3 and by 7,
-// with −0 coordinates, all-zero rows and rows too dense for the filter. Each
-// pair of tables is joined as bitmask rows on one data arena, B's table
-// sharing the rows it copied from A's.
+// with −0 coordinates, all-zero rows and fully dense rows. Each pair of
+// tables is joined as bitmask rows on one data arena, B's table sharing the
+// rows it copied from A's.
 func TestMutualTopKExactMatchesNaive(t *testing.T) {
 	sizes := [][2]int{{0, 5}, {5, 0}, {1, 1}, {1, 9}, {9, 1}, {2, 3}, {33, 70}, {70, 33}, {129, 64}}
 	dims := []int{256, 1024}

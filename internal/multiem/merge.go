@@ -44,7 +44,7 @@ type mergeContext struct {
 
 // The two legs of a two-table join cost, to a first order,
 //
-//	exact join:  |a|·|b| · exactPairNs    (one tiled pass over a×b)
+//	exact join:  |a|·|b| · exactPairNs    (one blocked pass over a×b)
 //	HNSW:        (|a|+|b|) · hnswRowNs    (insert every row, then query it)
 //
 // and BackendAuto takes the cheaper one per table pair. Both constants come
@@ -60,8 +60,20 @@ type mergeContext struct {
 //	exact ns/pair   6.0   4.5   4.4   4.2   4.4   4.0   4.2
 //	HNSW  µs/row    119   138   154   188   191   227   258
 //
+// Five runs on a second such box, which reads both legs at about 0.65× the
+// first, after the join's re-check became the bitmask gather (each run
+// followed by one of the tile re-check it replaced, for the middle row):
+//
+//	exact ns/pair   4.5   4.2   3.4   2.9   2.6   2.7   2.6
+//	before          4.2   3.4   2.8   2.8   2.6   2.7   2.6
+//	HNSW  µs/row     85    99   113   128   134   148   169
+//
+// The exact leg's median over every size and run, 2.89 ns/pair (quartiles
+// 2.59–3.77) against 2.80 (2.64–3.30) before, moved within its spread, and
+// that box's crossover, 2·169/2.89 ≈ 117k, is the one below.
+//
 // The join is about flat: it scores each pair over the A row's nonzero
-// coordinates and only the few blocks that may hold a match in full (see
+// coordinates and only the few pairs that may match in full (see
 // ann.MutualTopKExact), and its smallest tables pay the dimension-major copy
 // of b over fewer pairs. HNSW climbs ~30 µs a doubling as the graph deepens
 // and leaves cache (and by 32k rows misses 6% of the pairs the join finds).

@@ -15,9 +15,9 @@ import (
 // DotGather scores rows scattered through an arena far larger than the
 // cache, as a graph walk does, in one assembly call per block on the AVX2
 // path (kernels_amd64.s), which prefetches the rows ahead in idxs while it
-// sums the current one. SparseRows has the same gather over bitmask rows,
-// the store an index's walks read, and CosineUnitGather there puts the
-// merging distance on top of it.
+// sums the current one. SparseRows has the same gather over bitmask rows —
+// the store an index's walks and the exact join read — and CosineUnitGather
+// there puts the merging distance on top of it.
 
 func checkStride(q []float32, stride int) {
 	if stride < len(q) {
@@ -47,7 +47,7 @@ func DotBatch(q, rows []float32, stride int, out []float32) {
 		return
 	}
 	var lb layoutBuf
-	qs := newLayout(q, false, &lb)
+	qs := newLayout(q, &lb)
 	for j := range out {
 		out[j] = qs.row(row(rows, stride, len(q), j))
 	}
@@ -89,7 +89,7 @@ func DotGather(q, rows []float32, stride int, idxs []int32, out []float32) {
 		return
 	}
 	var lb layoutBuf
-	qs := newLayout(q, false, &lb)
+	qs := newLayout(q, &lb)
 	for j, i := range idxs {
 		out[j] = qs.row(row(rows, stride, len(q), int(i)))
 	}

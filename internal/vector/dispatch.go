@@ -6,7 +6,7 @@ import (
 )
 
 // simdOn selects the kernel path for Dot and everything layered on it: Norm,
-// the cosine distances, and the batch, gather and tile API (SquaredDist and
+// the cosine distances, and the batch and gather API (SquaredDist and
 // EuclideanDist are portable Go on both paths). It defaults to the AVX2+FMA
 // assembly whenever the CPU supports it and may be forced to the portable
 // Go twins with SetKernels or the VECTOR_KERNELS environment variable. The

@@ -12,14 +12,6 @@ import "unsafe"
 //go:noescape
 func dotAVX2(a, b []float32) float32
 
-// dotTileAVX2 is the 2×4 register-tile kernel behind DotTile: rows a0 and a1
-// against groups×4 B rows (row r at b + r*strideB floats), results to
-// out0[0:4*groups] and out1[0:4*groups]. See the comment above it in
-// kernels_amd64.s.
-//
-//go:noescape
-func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
-
 // dotGatherAVX2 is the one-call-per-block kernel behind DotGather: q
 // against the n rows idxs[0..n) of a flat arena (row i at i*stride floats
 // into rows), out[j] bit-equal to dotAVX2 on row idxs[j], with row

@@ -1,13 +1,17 @@
-// AVX2+FMA distance kernels. Each kernel handles arbitrary vector lengths:
-// the one-pair kernels run a 32-element FMA main loop over four accumulator
-// registers (hiding FMA latency, mirroring the scalar kernels' unrolls),
-// an 8-element loop, a horizontal reduction, and a scalar-FMA tail. Loads
+// AVX2+FMA and AVX-512 distance kernels. The one-pair kernel, dotAVX2,
+// handles any vector length: a 32-element FMA main loop over four
+// accumulator registers (hiding FMA latency, mirroring the scalar kernels'
+// unrolls), an 8-element loop, a horizontal reduction, and a scalar-FMA
+// tail. The gathers — dotGatherAVX2 over a flat arena, dotMaskAVX512 and
+// dotMaskAVX2 over bitmask rows — sum every row in exactly that order, so
+// each distance the program keeps has dotAVX2's bits; the threshold kernels
+// (maskAtLeast32AVX2/AVX512) are a filter with an order of their own. Loads
 // are unaligned (VMOVUPS) — arena rows have no alignment guarantee.
 //
 // Note on operand order: Go assembly reverses Intel syntax, so
 // VFMADD231PS src3, src2, dst computes dst += src2*src3.
 //
-// Callers guarantee len(a) == len(b); only a's length is read.
+// dotAVX2's callers guarantee len(a) == len(b); only a's length is read.
 
 #include "textflag.h"
 
@@ -97,117 +101,6 @@ TEXT ·PrefetchInt32s(SB), NOSPLIT, $0-24
 	MOVQ s_base+0(FP), AX
 	PREFETCHT0 (AX)
 	PREFETCHT0 64(AX)
-	RET
-
-// ---- 2x4 register-tile kernel ----------------------------------------------
-//
-// dotTileAVX2 evaluates two A rows against `groups` consecutive groups of
-// four B rows (row r of group g at b + (4g+r)*strideB floats) and stores the
-// eight results of each group to out0[4g..4g+3] (row a0) and out1[4g..4g+3]
-// (row a1). Each of the eight pairs owns one YMM accumulator — eight
-// independent FMA chains, which is exactly what two FMA ports at latency four
-// need — and every loaded vector feeds two (A rows) or four (B rows) FMAs, so
-// the loop runs on the FMA ports instead of the load ports as the one-pair
-// kernels do.
-//
-// Every pair is reduced the same way whatever its position in the group:
-// 8-wide FMA steps into its accumulator, the fixed add tree
-// ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then one FMA per tail element. The Go
-// driver (tile.go) handles odd row counts by re-pointing the kernel at rows
-// it has already seen, so a pair's value never depends on where in a tile
-// it falls.
-
-// func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32)
-TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
-	MOVQ a0+0(FP), SI
-	MOVQ a1+8(FP), DI
-	MOVQ b+16(FP), R8
-	MOVQ strideB+24(FP), R9
-	SHLQ $2, R9 // stride in bytes
-	MOVQ groups+32(FP), R14
-	MOVQ dim+40(FP), CX
-	MOVQ out0+48(FP), R13
-	MOVQ out1+56(FP), BX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	TESTQ R14, R14
-	JLE  dtile_done
-
-dtile_group:
-	// Row pointers of the current group and zeroed accumulators.
-	LEAQ (R8)(R9*1), R10
-	LEAQ (R10)(R9*1), R11
-	LEAQ (R11)(R9*1), R12
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	XORQ AX, AX
-	CMPQ DX, $0
-	JE   dtile_reduce
-
-dtile_loop8:
-	VMOVUPS (SI)(AX*4), Y8
-	VMOVUPS (DI)(AX*4), Y9
-	VMOVUPS (R8)(AX*4), Y10
-	VMOVUPS (R10)(AX*4), Y11
-	VMOVUPS (R11)(AX*4), Y12
-	VMOVUPS (R12)(AX*4), Y13
-	VFMADD231PS Y10, Y8, Y0
-	VFMADD231PS Y11, Y8, Y1
-	VFMADD231PS Y12, Y8, Y2
-	VFMADD231PS Y13, Y8, Y3
-	VFMADD231PS Y10, Y9, Y4
-	VFMADD231PS Y11, Y9, Y5
-	VFMADD231PS Y12, Y9, Y6
-	VFMADD231PS Y13, Y9, Y7
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JL   dtile_loop8
-
-dtile_reduce:
-	// Y0..Y3 -> X0 (four sums of row a0), Y4..Y7 -> X4 (row a1).
-	VHADDPS Y1, Y0, Y0
-	VHADDPS Y3, Y2, Y2
-	VHADDPS Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS Y5, Y4, Y4
-	VHADDPS Y7, Y6, Y6
-	VHADDPS Y6, Y4, Y4
-	VEXTRACTF128 $1, Y4, X5
-	VADDPS X5, X4, X4
-
-dtile_tail:
-	CMPQ AX, CX
-	JGE  dtile_store
-	// Tail element AX of the four B rows -> X10, of a0/a1 broadcast -> X8/X9.
-	VMOVSS (R8)(AX*4), X10
-	VINSERTPS $0x10, (R10)(AX*4), X10, X10
-	VINSERTPS $0x20, (R11)(AX*4), X10, X10
-	VINSERTPS $0x30, (R12)(AX*4), X10, X10
-	VBROADCASTSS (SI)(AX*4), X8
-	VBROADCASTSS (DI)(AX*4), X9
-	VFMADD231PS X10, X8, X0
-	VFMADD231PS X10, X9, X4
-	INCQ AX
-	JMP  dtile_tail
-
-dtile_store:
-	VMOVUPS X0, (R13)
-	VMOVUPS X4, (BX)
-	ADDQ $16, R13
-	ADDQ $16, BX
-	LEAQ (R12)(R9*1), R8
-	DECQ R14
-	JNZ  dtile_group
-
-dtile_done:
-	VZEROUPPER
 	RET
 
 // ---- gather kernel ----------------------------------------------------------

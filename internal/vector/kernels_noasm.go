@@ -17,10 +17,6 @@ func dotAVX2(a, b []float32) float32 {
 	panic("vector: AVX2 kernel called on non-amd64 build")
 }
 
-func dotTileAVX2(a0, a1, b *float32, strideB, groups, dim int, out0, out1 *float32) {
-	panic("vector: AVX2 kernel called on non-amd64 build")
-}
-
 func dotGatherAVX2(q, rows *float32, dim, stride int, idxs *int32, n, ahead int, out *float32) {
 	panic("vector: AVX2 kernel called on non-amd64 build")
 }

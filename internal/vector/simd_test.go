@@ -18,18 +18,6 @@ var simdTestDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 
 // TestMain fails a run that ends on another kernel path than it began on.
 func TestMain(m *testing.M) { os.Exit(KernelsRestored(m.Run)) }
 
-// relClose asserts agreement within 1e-4 relative error: the bound between
-// two different reduction orders (the tile kernel's and Dot's), which share
-// no bits.
-func relClose(t *testing.T, name string, got, want float32) {
-	t.Helper()
-	diff := math.Abs(float64(got) - float64(want))
-	scale := math.Max(1, math.Max(math.Abs(float64(got)), math.Abs(float64(want))))
-	if diff/scale > 1e-4 {
-		t.Errorf("%s: %v vs %v (rel err %g)", name, got, want, diff/scale)
-	}
-}
-
 // sameF32 asserts that a kernel and its twin returned the same bits.
 func sameF32(t *testing.T, name string, simd, scalar float32) {
 	t.Helper()
@@ -51,25 +39,24 @@ func randVecOff(rng *rand.Rand, dim, offset int) []float32 {
 
 // checkAllKernels holds every kernel that reaches a caller's state to its
 // twin bit for bit on one (a, b) input pair, through the dispatch: Dot,
-// Norm, the gather over a flat arena and over a bitmask-row store, a 1×1
-// DotTile, then Normalize, coordinate by coordinate.
+// Norm, the gather over a flat arena and over a bitmask-row store, then
+// Normalize, coordinate by coordinate.
 func checkAllKernels(t *testing.T, a, b []float32) {
 	t.Helper()
 	var got [2][]float32
 	for p, mode := range []string{"avx2", "scalar"} {
 		ForceKernels(t, mode)
-		out := make([]float32, 3)
+		out := make([]float32, 2)
 		if len(a) > 0 {
 			c := NewSparseRows(len(b))
 			c.Append(b)
 			DotGather(a, b, len(b), []int32{0}, out[:1])
 			c.DotGather(a, []int32{0}, out[1:2])
-			DotTile(a, len(a), 1, b, len(b), 1, len(a), out[2:])
 		}
 		got[p] = append(append([]float32{Dot(a, b), Norm(a)}, out...), Normalize(slices.Clone(a))...)
 	}
 	for i := range got[0] {
-		sameF32(t, fmt.Sprintf("value %d of Dot, Norm, DotGather, SparseRows.DotGather, DotTile, Normalize…", i), got[0][i], got[1][i])
+		sameF32(t, fmt.Sprintf("value %d of Dot, Norm, DotGather, SparseRows.DotGather, Normalize…", i), got[0][i], got[1][i])
 	}
 }
 
@@ -205,10 +192,9 @@ func TestSetKernelsRoundTrip(t *testing.T) {
 
 // FuzzSIMDKernels feeds arbitrary byte-derived float vectors through every
 // kernel and its twin, bit for bit (checkAllKernels), then re-reads the same
-// floats as two arenas of short rows — dimension, strides and row counts all
-// derived from the input length — and holds the tile kernels to
-// checkTileKernels, the raw gather kernel to the single-pair one, and every
-// tier of the bitmask-row threshold kernel to checkSparseLanes.
+// floats as an arena of short rows — dimension and stride derived from the
+// input length — and holds the raw gather kernel to the single-pair one, and
+// every tier of the bitmask-row threshold kernel to checkSparseLanes.
 // Inputs are clamped to finite values below 1e18, so the sums stay finite.
 func FuzzSIMDKernels(f *testing.F) {
 	if !hasAVX2 {
@@ -242,12 +228,10 @@ func FuzzSIMDKernels(f *testing.F) {
 		checkAllKernels(t, a, b)
 
 		dim := 1 + n%11
-		strideA, strideB := dim+n%3, dim+n%2
+		strideB := dim + n%2
 		if n < dim {
 			return
 		}
-		na, nb := min((n-dim)/strideA+1, 5), min((n-dim)/strideB+1, 9)
-		checkTileKernels(t, a, strideA, na, b, strideB, nb, dim)
 
 		// The gather kernel over the same arena: up to 33 indexes read off
 		// the input bytes (repeats included), every look-ahead from none to
@@ -336,18 +320,11 @@ func TestSparseLayoutExact(t *testing.T) {
 		{"32 lanes, 8 and a tail", at(45, map[int]float32{1: 0.5, 3: 0.5, 33: 0.5, 44: 0.5}), b45},
 		{"−0 then +0", at(5, map[int]float32{0: -0x1p-80}), at(5, map[int]float32{0: 0x1p-80, 1: 1})},
 	} {
-		for _, tile := range []bool{false, true} {
-			var lb layoutBuf
-			qs, dense := newLayout(c.q, tile, &lb), newLayout(c.q, tile, nil)
-			want := dense.row(c.b)
-			sameF32(t, fmt.Sprintf("%s (tile %v) sparse vs dense", c.name, tile), qs.row(c.b), want)
-			if hasAVX2 {
-				dim, asm := len(c.q), [1]float32{dotAVX2(c.q, c.b)}
-				if tile {
-					tileAVX2(c.q, dim, 1, c.b, dim, 1, dim, asm[:])
-				}
-				sameF32(t, fmt.Sprintf("%s (tile %v) assembly", c.name, tile), asm[0], want)
-			}
+		var lb layoutBuf
+		want := newLayout(c.q, nil).row(c.b)
+		sameF32(t, c.name+" sparse vs dense", newLayout(c.q, &lb).row(c.b), want)
+		if hasAVX2 {
+			sameF32(t, c.name+" assembly", dotAVX2(c.q, c.b), want)
 		}
 	}
 }

@@ -10,10 +10,11 @@ import (
 // SparseRows row is stored — its mask words and its packed values — against
 // a block of 32 rows stored dimension-major, one comparison per row of the
 // block. The exact join (package ann) runs it as a conservative filter ahead
-// of DotTile: the encoder's hashed embeddings have a few dozen nonzeros out
-// of hundreds of coordinates, so a row's sums over its own nonzeros cost a
-// fraction of the dense tile, and only blocks that may hold a pair within
-// the threshold are scored exactly. The assembly tiers walk the mask a 64-bit
+// of SparseRows.CosineUnitGather: the encoder's hashed embeddings have a few
+// dozen nonzeros out of hundreds of coordinates, so a row's sums over its
+// own nonzeros cost a fraction of its dense distances, and only the lanes
+// that may be within the threshold are scored exactly, through the gather.
+// The assembly tiers walk the mask a 64-bit
 // word at a time, taking the lowest set bit (TZCNT) and clearing it (BLSR),
 // so the row is read where it is stored and never laid out again; the
 // portable twin walks it once a call into the row's coordinates.

@@ -21,6 +21,15 @@ func sparseBound(idx []int32, val, blockT []float32, l int) float64 {
 	return n*u/(1-n*u)*abs + n*math.Ldexp(1, -126)
 }
 
+// randArena returns n floats uniform in [-1, 1).
+func randArena(rng *rand.Rand, n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = rng.Float32()*2 - 1
+	}
+	return out
+}
+
 // checkSparseLanes holds one MaskAtLeast32 mask to its contract: a lane
 // whose float64 sum clears thr by more than the bound is set, one that falls
 // short of it by more than the bound is clear.
@@ -187,9 +196,9 @@ func TestMaskAtLeast32Bounds(t *testing.T) {
 
 // BenchmarkMaskAtLeast32 runs the join's shape — 64 bitmask A rows against
 // one 32-row block, dim 256 — for nonzero counts from hashed-record sparse to
-// fully dense, on every path. Its ns/pair against BenchmarkDotTile's
-// rows=64x32 is what fixes the exact join's dense-row cutoff (package ann,
-// sparseNNZPerDim).
+// fully dense, on every path: the filter's cost per pair, which the exact
+// join (package ann) pays on every row before it gathers the lanes that
+// flag.
 func BenchmarkMaskAtLeast32(b *testing.B) {
 	for _, nnz := range []int{16, 64, 128, 192, 256} {
 		for _, mode := range sparsePaths {

@@ -5,11 +5,11 @@ import "fmt"
 // Store is a contiguous arena of fixed-dimension float32 vectors: one flat
 // []float32 with stride Dim, instead of one heap allocation per vector. It
 // holds the dense rows a kernel reads as plain strided memory — an ingest
-// batch plan's embeddings, the exact join's expanded blocks, which the tile
-// kernel reads — so sequential scans are cache-linear and per-vector GC
-// pressure is zero. Stored embeddings are bitmask rows in a SparseRows
-// store instead (sparserows.go): the batch pipeline's entity rows and merged
-// tables, a shard's entity embeddings and its HNSW index's node vectors.
+// batch plan's embeddings — so sequential scans are cache-linear and
+// per-vector GC pressure is zero. Stored embeddings are bitmask rows in a
+// SparseRows store instead (sparserows.go): the batch pipeline's entity rows
+// and merged tables, a shard's entity embeddings and its HNSW index's node
+// vectors.
 //
 // Rows returned by At alias the arena; they stay valid across Append/Grow in
 // value but not in identity (growth may move the backing array), so callers
@@ -34,16 +34,6 @@ func NewStoreWithCap(dim, rows int) *Store {
 	s := NewStore(dim)
 	if rows > 0 {
 		s.data = make([]float32, 0, rows*dim)
-	}
-	return s
-}
-
-// StoreFromRows copies rows into a fresh arena. Rows must all have length
-// dim.
-func StoreFromRows(dim int, rows [][]float32) *Store {
-	s := NewStoreWithCap(dim, len(rows))
-	for _, v := range rows {
-		s.Append(v)
 	}
 	return s
 }
@@ -91,6 +81,6 @@ func (s *Store) SetRow(i int, v []float32) {
 }
 
 // Raw returns the backing arena: Len()*Dim() float32s, row-major, for the
-// flat kernels (DotBatch, DotGather, the tile kernel); callers must not
+// flat kernels (DotBatch, DotGather); callers must not
 // resize it.
 func (s *Store) Raw() []float32 { return s.data }

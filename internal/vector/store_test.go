@@ -61,19 +61,6 @@ func TestStoreGrowAndSetRow(t *testing.T) {
 	}
 }
 
-func TestStoreFromRows(t *testing.T) {
-	rows := [][]float32{{1, 0}, {0, 1}, {1, 1}}
-	s := StoreFromRows(2, rows)
-	if s.Len() != 3 || s.Dim() != 2 {
-		t.Fatalf("Len %d Dim %d", s.Len(), s.Dim())
-	}
-	for i, r := range rows {
-		if !reflect.DeepEqual(s.At(i), r) {
-			t.Fatalf("row %d = %v, want %v", i, s.At(i), r)
-		}
-	}
-}
-
 func TestStoreDimMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

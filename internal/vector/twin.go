@@ -25,7 +25,6 @@ type layout struct {
 	v       []float32
 	idx     []int32 // the coordinates visited, ascending
 	n32, n8 int     // idx[:n32] feed 32 lanes, idx[n32:n8] eight (see sum)
-	tile    bool    // one pair of dotTileAVX2, not dotAVX2
 	sparse  bool    // zero coordinates are skipped
 }
 
@@ -41,15 +40,11 @@ var coords = func() (c [4096]int32) {
 // caller's stack.
 type layoutBuf [256]int32
 
-// newLayout lays v out for dotAVX2 or, with tile set, for one pair of
-// dotTileAVX2: every coordinate or, with lb set, v's nonzeros, held in lb
-// or, if v is longer, in a new slice.
-func newLayout(v []float32, tile bool, lb *layoutBuf) layout {
+// newLayout lays v out for dotAVX2: every coordinate or, with lb set, v's
+// nonzeros, held in lb or, if v is longer, in a new slice.
+func newLayout(v []float32, lb *layoutBuf) layout {
 	n32 := len(v) &^ 31
-	if tile {
-		n32 = 0
-	}
-	s := layout{v: v, n32: n32, n8: len(v) &^ 7, tile: tile, sparse: lb != nil}
+	s := layout{v: v, n32: n32, n8: len(v) &^ 7, sparse: lb != nil}
 	switch {
 	case lb == nil && len(v) <= len(coords):
 		s.idx = coords[:len(v)]
@@ -86,7 +81,7 @@ func (s *layout) keep(n, lo, hi int) int {
 
 // dotScalar is the twin of dotAVX2.
 func dotScalar(a, b []float32) float32 {
-	return newLayout(a, false, nil).row(b)
+	return newLayout(a, nil).row(b)
 }
 
 // row is the twin of s's kernel on s.v and a finite b.
@@ -94,7 +89,7 @@ func (s layout) row(b []float32) float32 {
 	if d, ok := s.sum(b); ok {
 		return d
 	}
-	return newLayout(s.v, s.tile, nil).row(b)
+	return newLayout(s.v, nil).row(b)
 }
 
 // sum is dotAVX2's order: coordinates below len(v)&^31 feed 32 lanes,
@@ -102,9 +97,7 @@ func (s layout) row(b []float32) float32 {
 // lanes fold to eight as (Y0+Y1)+(Y2+Y3); those eight take the coordinates
 // below len(v)&^7; VEXTRACTF128 and two VHADDPS reduce them as
 // ((y0+y4)+(y1+y5))+((y2+y6)+(y3+y7)); the rest is an FMA chain on that sum.
-// A tile pair has no 32 lanes (the eight start at +0) and reduces by the add
-// tree ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)) its VHADDPS and VEXTRACTF128
-// steps build. It reports false where fmaSteps does.
+// It reports false where fmaSteps does.
 func (s *layout) sum(b []float32) (float32, bool) {
 	b = b[:len(s.v)]
 	var acc [32]float64
@@ -116,9 +109,6 @@ func (s *layout) sum(b []float32) (float32, bool) {
 	ok = ok && fmaSteps(y[:], s.idx[s.n32:s.n8], s.v, b, s.sparse)
 	y0, y1, y2, y3, y4, y5, y6, y7 := float32(y[0]), float32(y[1]), float32(y[2]), float32(y[3]), float32(y[4]), float32(y[5]), float32(y[6]), float32(y[7])
 	r := [1]float64{float64(((y0 + y4) + (y1 + y5)) + ((y2 + y6) + (y3 + y7)))}
-	if s.tile {
-		r[0] = float64(((y0 + y1) + (y2 + y3)) + ((y4 + y5) + (y6 + y7)))
-	}
 	ok = ok && fmaSteps(r[:], s.idx[s.n8:], s.v, b, s.sparse)
 	return float32(r[0]), ok
 }

@@ -2,13 +2,12 @@
 // MultiEM pipeline: dot products, normalization, small fixed-size top-K
 // accumulators, and the two distances the paper fixes, one per phase —
 // cosine over unit vectors for merging (CosineUnitDist, and its gather form
-// over flat and bitmask-row arenas and tile form over flat ones, with
-// MaskAtLeast32 over a bitmask row as the tile's filter) and euclidean for
-// pruning (EuclideanDist). Rows live in two kinds of arena: SparseRows,
-// bitmask rows in arena.Arena chunks that never move, which hold every
-// stored embedding — the batch pipeline's tables and a shard's — and Store,
-// one contiguous block of dense rows for a kernel that reads them as strided
-// memory.
+// over bitmask-row arenas, with MaskAtLeast32 over a bitmask row as the
+// filter ahead of the gather in the exact join) and euclidean for pruning
+// (EuclideanDist). Rows live in two kinds of arena: SparseRows, bitmask rows
+// in arena.Arena chunks that never move, which hold every stored embedding —
+// the batch pipeline's tables and a shard's — and Store, one contiguous
+// block of dense rows for a kernel that reads them as strided memory.
 //
 // All distance functions treat vectors of unequal lengths as a programming
 // error and panic; embeddings in this repository always share a single
