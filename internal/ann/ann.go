@@ -13,7 +13,9 @@
 // bitmask-row gather the HNSW leg scores with (vector.SparseRows'
 // CosineUnitGather) scores them, so the pairs and their distances are those
 // of scoring every pair, and a pair both forms return has the same distance
-// bits in each.
+// bits in each. Both rank a row's neighbours with vector.TopK, by distance
+// and then by lower row, and both apply Eq. 1 to the two directions'
+// rankings in one step, mutualPairs.
 //
 // Both fan out through par.For on workers goroutines (par.Workers: 1 runs on
 // the caller, <= 0 uses GOMAXPROCS); the pairs found do not depend on it.
@@ -31,8 +33,6 @@ type Index interface {
 	// increasing distance. ef tunes beam width where supported (<= 0
 	// picks the backend default).
 	Search(q []float32, k, ef int) []vector.Neighbor
-	// Len reports the number of stored vectors.
-	Len() int
 }
 
 // HNSWOverRows builds an HNSW index over the rows of s, each stored under its
@@ -76,7 +76,14 @@ func MutualTopK(a *vector.SparseRows, indexB Index, b *vector.SparseRows, indexA
 	}
 	fwd := topKAll(a, indexB, k, ef, workers) // direction A -> B
 	rev := topKAll(b, indexA, k, ef, workers) // direction B -> A
+	return mutualPairs(fwd, rev, maxDist)
+}
 
+// mutualPairs is Eq. 1 on both directions' rankings: fwd[i] holds a's row i's
+// nearest rows of b, rev[j] b's row j's nearest rows of a, each in rank
+// order. It returns the pairs each side ranks for the other and that lie
+// within maxDist, ordered by A, then by rank among A's neighbours.
+func mutualPairs(fwd, rev [][]vector.Neighbor, maxDist float32) []Pair {
 	// k is small (the paper fixes k=1), so a linear scan over b's choices
 	// beats a set per row.
 	chose := func(ns []vector.Neighbor, id int) bool {

@@ -39,14 +39,12 @@ type exactIndex struct {
 	rows *vector.Store
 }
 
-func (x exactIndex) Len() int { return x.rows.Len() }
-
 func (x exactIndex) Search(q []float32, k, _ int) []vector.Neighbor {
 	tk := vector.NewTopK(k)
 	for i := 0; i < x.rows.Len(); i++ {
 		tk.Push(i, vector.CosineUnitDist(q, x.rows.At(i)))
 	}
-	return tk.Results()
+	return tk.ResultsAppend(nil)
 }
 
 // joins are the two ways to evaluate Eq. 1; on exact indexes they must agree

@@ -24,10 +24,11 @@ const exactTileA = 64
 //	{(i, j) | j ∈ topK_b(i) ∧ i ∈ topK_a(j) ∧ dist(i, j) ≤ maxDist},
 //
 // exactly: one cache-blocked pass over the a×b distance matrix feeds a
-// bounded top-K per a-row and per b-column, so each distance is computed
-// once and each table is streamed once per block of the other, where a
-// per-query scan streams the whole other table once per row and per
-// direction. Neighbours at equal distance rank by lower row index.
+// vector.TopK per a-row and per b-column, so each distance is computed once
+// and each table is streamed once per block of the other, where a per-query
+// scan streams the whole other table once per row and per direction.
+// Neighbours at equal distance rank by lower row index. The two directions'
+// rankings then go through the HNSW leg's Eq.-1 step, mutualPairs.
 //
 // The pass scores only what can matter. A pair past maxDist can never be
 // output, and dropping it cannot promote another pair into a top-K that
@@ -70,15 +71,15 @@ func mutualTopKExact(a, b *vector.SparseRows, k int, maxDist float32, workers, t
 	const tileB = vector.SparseBlock
 	dim := a.Dim()
 	blocksB, normB := transposeBlocks(b, workers)
-	rows := newBestK(na, k)
-	// A worker claims blocks of tileA a-rows, whose row bests no other
-	// worker touches; its column bests (merged below) and its copy of the
-	// A block are its own.
+	rows := rankings(na, k)
+	// A worker claims blocks of tileA a-rows, whose row rankings no other
+	// worker touches; its column rankings (merged below) and its copy of
+	// the A block are its own.
 	blocks := (na + tileA - 1) / tileA
 	workers = par.Workers(blocks, workers)
-	cols, ws := make([]*bestK, workers), make([]*joinWorker, workers)
+	cols, ws := make([][]vector.TopK, workers), make([]*joinWorker, workers)
 	for w := range workers {
-		cols[w], ws[w] = newBestK(nb, k), newJoinWorker(a, b, tileA)
+		cols[w], ws[w] = rankings(nb, k), newJoinWorker(a, b, tileA)
 	}
 	par.For(blocks, workers, func(w, blk int) {
 		c, f := cols[w], ws[w]
@@ -99,28 +100,59 @@ func mutualTopKExact(a, b *vector.SparseRows, k int, maxDist float32, workers, t
 				for x, d := range ds {
 					if d <= maxDist {
 						j := int(js[x])
-						rows.offer(i, j, d)
-						c.offer(j, i, d)
+						rows[i].Push(j, d)
+						c[j].Push(i, d)
 					}
 				}
 			}
 		}
 	})
-
-	col := cols[0]
 	for _, c := range cols[1:] {
-		col.merge(c)
+		pushAll(cols[0], c)
 	}
-	var pairs []Pair
-	for i := 0; i < na; i++ {
-		ids, ds := rows.at(i)
-		for r, j := range ids {
-			if j != noID && col.has(int(j), i) {
-				pairs = append(pairs, Pair{A: i, B: int(j), Dist: ds[r]})
-			}
+	return mutualPairs(drain(rows), drain(cols[0]), maxDist)
+}
+
+// rankings returns n empty rankings of the k best. A TopK keeps the k best
+// of what it was offered in (distance, id) order, whatever the offer order,
+// which is what makes the join independent of tile shape and worker split.
+func rankings(n, k int) []vector.TopK {
+	ts := make([]vector.TopK, n)
+	for i := range ts {
+		ts[i].Reset(k)
+	}
+	return ts
+}
+
+// pushAll drains each ranking of src into the same ranking of dst, which
+// then keeps the k best of both rankings' offers: each of those is among the
+// k best of its own side.
+func pushAll(dst, src []vector.TopK) {
+	var buf []vector.Neighbor
+	for j := range src {
+		buf = src[j].ResultsAppend(buf[:0])
+		for _, n := range buf {
+			dst[j].Push(n.ID, n.Dist)
 		}
 	}
-	return pairs
+}
+
+// drain returns each ranking's neighbours in rank order, emptying it. Most
+// rankings of a join are empty, so the rest share one array.
+func drain(ts []vector.TopK) [][]vector.Neighbor {
+	n := 0
+	for i := range ts {
+		n += ts[i].Len()
+	}
+	flat, out := make([]vector.Neighbor, 0, n), make([][]vector.Neighbor, len(ts))
+	for i := range ts {
+		if ts[i].Len() > 0 {
+			at := len(flat)
+			flat = ts[i].ResultsAppend(flat)
+			out[i] = flat[at:]
+		}
+	}
+	return out
 }
 
 // transposeBlocks returns b's rows in dimension-major blocks of
@@ -271,63 +303,4 @@ func filterThreshold(maxDist float32, p float64, dim int) float32 {
 		t = math.Nextafter32(t, float32(math.Inf(-1)))
 	}
 	return t
-}
-
-// bestK holds, for each of n slots, the k best (distance, id) candidates seen
-// so far in rank order: ascending distance, ties by ascending id. The kept
-// set is a function of the offered multiset alone, not of offer order, which
-// is what makes the join independent of tile shape and worker split. Empty
-// places hold (+Inf, noID), the key every real candidate outranks.
-type bestK struct {
-	k    int
-	ids  []int32
-	dist []float32
-}
-
-const noID = math.MaxInt32
-
-func newBestK(n, k int) *bestK {
-	t := &bestK{k: k, ids: make([]int32, n*k), dist: make([]float32, n*k)}
-	inf := float32(math.Inf(1))
-	for x := range t.ids {
-		t.ids[x], t.dist[x] = noID, inf
-	}
-	return t
-}
-
-func (t *bestK) at(slot int) ([]int32, []float32) {
-	return t.ids[slot*t.k : (slot+1)*t.k], t.dist[slot*t.k : (slot+1)*t.k]
-}
-
-// offer inserts (id, d) into slot's ranking if it outranks the current k-th.
-func (t *bestK) offer(slot, id int, d float32) {
-	ids, ds := t.at(slot)
-	outranks := func(x int) bool { return d < ds[x] || (d == ds[x] && int32(id) < ids[x]) }
-	x := t.k - 1
-	if !outranks(x) {
-		return
-	}
-	for ; x > 0 && outranks(x-1); x-- {
-		ids[x], ds[x] = ids[x-1], ds[x-1]
-	}
-	ids[x], ds[x] = int32(id), d
-}
-
-// merge offers every candidate of o (same shape) into t.
-func (t *bestK) merge(o *bestK) {
-	for x, id := range o.ids {
-		if id != noID {
-			t.offer(x/t.k, int(id), o.dist[x])
-		}
-	}
-}
-
-func (t *bestK) has(slot, id int) bool {
-	ids, _ := t.at(slot)
-	for _, v := range ids {
-		if int(v) == id {
-			return true
-		}
-	}
-	return false
 }

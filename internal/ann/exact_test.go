@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -301,48 +302,38 @@ func TestMutualTopKExactTieBreak(t *testing.T) {
 	}
 }
 
+// The join's rankings keep the k best offers in (distance, row) order,
+// whatever order they come in and however the workers split them: a
+// worker's column rankings, pushed again into another's (pushAll), end as
+// if that one ranking had been offered everything.
 func TestBestKKeepsRankOrderWhateverTheOfferOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	type cand struct {
-		id int
-		d  float32
-	}
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + rng.Intn(4)
-		cands := make([]cand, rng.Intn(12))
+		cands := make([]vector.Neighbor, rng.Intn(12))
 		for x := range cands {
-			cands[x] = cand{id: x, d: float32(rng.Intn(4))} // few values: many ties
+			cands[x] = vector.Neighbor{ID: x, Dist: float32(rng.Intn(4))} // few values: many ties
 		}
-		want := append([]cand(nil), cands...)
-		sort.Slice(want, func(p, q int) bool {
-			if want[p].d != want[q].d {
-				return want[p].d < want[q].d
-			}
-			return want[p].id < want[q].id
-		})
+		want := slices.Clone(cands)
+		sort.SliceStable(want, func(p, q int) bool { return want[p].Dist < want[q].Dist })
 		want = want[:min(k, len(want))]
 
 		rng.Shuffle(len(cands), func(p, q int) { cands[p], cands[q] = cands[q], cands[p] })
-		whole, left, right := newBestK(1, k), newBestK(1, k), newBestK(1, k)
-		for x, c := range cands {
-			whole.offer(0, c.id, c.d)
-			if x%2 == 0 {
-				left.offer(0, c.id, c.d)
-			} else {
-				right.offer(0, c.id, c.d)
-			}
+		workers := 1 + rng.Intn(3)
+		whole, split := rankings(1, k), make([][]vector.TopK, workers)
+		for w := range split {
+			split[w] = rankings(1, k)
 		}
-		left.merge(right)
-		for name, got := range map[string]*bestK{"offered": whole, "merged": left} {
-			ids, ds := got.at(0)
-			var have []cand
-			for x, id := range ids {
-				if id != noID {
-					have = append(have, cand{int(id), ds[x]})
-				}
-			}
-			if fmt.Sprint(have) != fmt.Sprint(want) {
-				t.Fatalf("trial %d %s: kept %v, want %v", trial, name, have, want)
+		for _, c := range cands {
+			whole[0].Push(c.ID, c.Dist)
+			split[rng.Intn(workers)][0].Push(c.ID, c.Dist)
+		}
+		for _, s := range split[1:] {
+			pushAll(split[0], s)
+		}
+		for name, got := range map[string][]vector.TopK{"offered": whole, "merged": split[0]} {
+			if have := drain(got)[0]; fmt.Sprint(have) != fmt.Sprint(want) {
+				t.Fatalf("trial %d %s (%d workers): kept %v, want %v", trial, name, workers, have, want)
 			}
 		}
 	}

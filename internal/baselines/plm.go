@@ -232,7 +232,7 @@ func scanTopK(q []float32, s *vector.SparseRows, k int) []vector.Neighbor {
 			tk.Push(start+j, d)
 		}
 	}
-	return tk.Results()
+	return tk.ResultsAppend(nil)
 }
 
 var _ TwoTableMatcher = (*PLMMatcher)(nil)

@@ -33,7 +33,7 @@ func bruteKNN(q []float32, vecs [][]float32, k int, dist func(a, b []float32) fl
 	for i, v := range vecs {
 		tk.Push(i, dist(q, v))
 	}
-	return tk.Results()
+	return tk.ResultsAppend(nil)
 }
 
 func TestEmptyIndex(t *testing.T) {

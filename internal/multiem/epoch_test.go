@@ -216,7 +216,7 @@ func TestEpochHammerLargeChunkedState(t *testing.T) {
 		t.Skip("32k-tuple hammer skipped in -short mode")
 	}
 	const liveTarget = 32_000
-	const prepopBatch = 8192
+	const prepopBatch = 1024
 	const batchRows = 64
 
 	d := smallGeo(t)
@@ -238,10 +238,13 @@ func TestEpochHammerLargeChunkedState(t *testing.T) {
 	const minIndexSize = minLinkChunks * 128
 
 	m, err := RecoverMatcher(WALConfig{Dir: t.TempDir(), Fsync: "off"}, opt, func() (*Matcher, error) {
-		// Prepopulate as part of the base state (large batches keep it
-		// fast); the WAL then journals only the hammer's own batches. The
-		// serialized base is cached at package level so -cpu reruns of the
-		// hammer in one test binary pay the prepopulation once and reload.
+		// Prepopulate as part of the base state; the WAL then journals
+		// only the hammer's own batches. chain settles each row against
+		// every tuple its batch has formed so far, so a batch's cost grows
+		// with the square of its rows; nothing asserted below depends on
+		// the batch size, so batches stay small. The serialized base is
+		// cached at package level so -cpu reruns of the hammer in one test
+		// binary pay the prepopulation once and reload.
 		largeHammerBase.Lock()
 		defer largeHammerBase.Unlock()
 		if largeHammerBase.raw != nil {

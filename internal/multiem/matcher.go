@@ -539,7 +539,7 @@ func (m *Matcher) Match(values []string, k int) ([]Candidate, error) {
 			byKey[key] = globalTupleID(s, h.locals[i])
 		}
 	}
-	merged := top.Results()
+	merged := top.ResultsAppend(nil)
 
 	// Materialize the survivors from the same pinned view.
 	out := make([]Candidate, len(merged))

@@ -179,8 +179,10 @@ func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
 		return fmt.Errorf("logged distance %v is not within M = %v", d.dist, m.mergeM)
 	}
 	sh := m.shards[d.shard]
-	if got := vector.CosineUnitDist(q, sh.centroidAt(sh.centroid, d.local)); math.Abs(float64(got-d.dist)) > distTolerance {
-		return fmt.Errorf("logged at distance %v from tuple %d of shard %d, which is at %v here", d.dist, d.local, d.shard, got)
+	node, got := [1]int32{sh.tuples.at(d.local).node}, [1]float32{}
+	sh.index.Dists(q, node[:], got[:])
+	if math.Abs(float64(got[0]-d.dist)) > distTolerance {
+		return fmt.Errorf("logged at distance %v from tuple %d of shard %d, which is at %v here", d.dist, d.local, d.shard, got[0])
 	}
 	return nil
 }

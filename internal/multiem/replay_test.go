@@ -588,7 +588,8 @@ func TestFollowerRoundsCrossCompaction(t *testing.T) {
 // the tuple's current node, as a centroid refresh would index it.
 func perturbCentroid(m *Matcher, shard, local int) {
 	sh := m.shards[shard]
-	c := sh.centroidAt(make([]float32, m.dim), local)
+	c := make([]float32, m.dim)
+	sh.index.CopyTo(c, int(sh.tuples.at(local).node))
 	for i := range c {
 		c[i] *= 1 + 0.15*float32(i%2)
 	}

@@ -99,9 +99,8 @@ type shardView struct {
 type shard struct {
 	shardView
 	// centroid (dim floats) is where a settled centroid is computed before
-	// indexNode stores it, and where a replay stream or a compaction reads a
-	// current one back (centroidAt); touched collects the pre-existing
-	// tuples a batch absorbed rows into.
+	// indexNode stores it, and where a compaction reads a current one back;
+	// touched collects the pre-existing tuples a batch absorbed rows into.
 	centroid []float32
 	touched  []int
 }
@@ -117,13 +116,6 @@ func (sh *shard) view() *shardView {
 		index:       sh.index.CloneOn(data),
 		compactions: sh.compactions,
 	}
-}
-
-// centroidAt writes tuple local's current centroid — the vector of its
-// current index node — into dst, of the matcher's dimension, and returns it.
-func (v *shardView) centroidAt(dst []float32, local int) []float32 {
-	v.index.CopyTo(dst, int(v.tuples.at(local).node))
-	return dst
 }
 
 // indexCentroid recomputes tuple local's centroid from its members, appends

@@ -8,9 +8,15 @@ import (
 // Batched one-query × N-rows kernels over flat Store arenas. Row i lives at
 // rows[i*stride : i*stride+len(q)]; stride may exceed len(q). Each function
 // fills out[j] for every j, reading row j (DotBatch) or row idxs[j] (the
-// gather forms). out[j] is bit-identical to the corresponding single-pair
-// call on the active kernel path — the single-pair kernels are the reference
-// and the batch layer reorders no math.
+// gather forms). For a row whose coordinates are all finite, out[j] is
+// bit-identical to the corresponding single-pair call on the active kernel
+// path — the single-pair kernels are the reference and the batch layer
+// reorders no math. A row holding ±Inf or NaN is outside that contract on
+// the portable path: its twins lay out only q's nonzeros (twin.go's layout)
+// and never read a coordinate where q is zero, so a row with +Inf there
+// scores the sum of its other products where Dot returns NaN. SparseRows'
+// gather keeps the contract for every row: a row's descriptor marks a
+// non-finite value.
 //
 // DotGather scores rows scattered through an arena far larger than the
 // cache, as a graph walk does, in one assembly call per block on the AVX2

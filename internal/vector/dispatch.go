@@ -11,7 +11,9 @@ import (
 // assembly whenever the CPU supports it and may be forced to the portable
 // Go twins with SetKernels or the VECTOR_KERNELS environment variable. The
 // twins sum in the assembly's order, so the choice changes speed, not bits
-// (MaskAtLeast32, a filter with a bound, is the exception). avx512 further
+// (MaskAtLeast32, a filter with a bound, is the exception, and the flat
+// DotBatch and DotGather twins give the same bits only on finite rows: see
+// batch.go). avx512 further
 // moves the bitmask-row gather (SparseRows.DotGather) and expansion from
 // their AVX2 kernels to AVX-512 ones, which return the same bits, and
 // MaskAtLeast32 to its AVX-512 tier, whose sums are within the same bound.
@@ -41,9 +43,9 @@ func init() {
 //
 // Each mode Kernels reports selects that path again, so SetKernels(Kernels())
 // changes nothing: how a test hands the path back. Every path returns the
-// same bits. Call it at startup (the VECTOR_KERNELS
-// env routes here) or between sequential test phases — not while other
-// goroutines are computing distances.
+// same bits (the flat twins on finite rows). Call it at startup (the
+// VECTOR_KERNELS env routes here) or between sequential test phases — not
+// while other goroutines are computing distances.
 func SetKernels(mode string) error {
 	switch mode {
 	case "auto":

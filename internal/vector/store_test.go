@@ -3,6 +3,7 @@ package vector
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -78,29 +79,30 @@ func TestAddScaled(t *testing.T) {
 	}
 }
 
-// ResultsAppend must produce exactly the order Results produces (distance
-// ascending, ID tie-break) while leaving the accumulator reusable.
-func TestTopKResultsAppendMatchesResults(t *testing.T) {
+// ResultsAppend must return the k best of what was pushed in rank order
+// (distance ascending, ID tie-break) while leaving the accumulator reusable.
+func TestTopKResultsAppendMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 100; trial++ {
 		k := 1 + rng.Intn(12)
 		n := rng.Intn(60)
-		a := NewTopK(k)
 		b := NewTopK(k)
+		var want []Neighbor
 		for i := 0; i < n; i++ {
 			// Coarse distances force plenty of ties.
 			d := float32(rng.Intn(5))
-			a.Push(i, d)
+			want = append(want, Neighbor{ID: i, Dist: d})
 			b.Push(i, d)
 		}
-		want := a.Results()
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Dist < want[j].Dist })
+		want = want[:min(k, n)]
 		got := b.ResultsAppend(nil)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: ResultsAppend %v, Results %v", trial, got, want)
+			t.Fatalf("trial %d: ResultsAppend %v, want %v", trial, got, want)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: ResultsAppend %v, Results %v", trial, got, want)
+				t.Fatalf("trial %d: ResultsAppend %v, want %v", trial, got, want)
 			}
 		}
 		// The drained accumulator must be reusable after Reset.

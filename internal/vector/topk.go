@@ -1,7 +1,5 @@
 package vector
 
-import "sort"
-
 // Neighbor is a search result: an item index with its distance from the
 // query. Smaller Dist means closer.
 type Neighbor struct {
@@ -17,7 +15,8 @@ type Neighbor struct {
 // push order, which is what lets fan-out searches merge per-shard results
 // without the cut at k depending on traversal order.
 //
-// The zero value is not usable; construct with NewTopK.
+// The zero value is ready once Reset sets k; NewTopK returns one ready to
+// use.
 type TopK struct {
 	k    int
 	heap []Neighbor // max-heap on (Dist, ID)
@@ -76,26 +75,11 @@ func (t *TopK) Push(id int, dist float32) bool {
 	return true
 }
 
-// Results returns the kept neighbours ordered by increasing distance, with
-// ties broken by increasing ID for determinism. The accumulator is left
-// empty afterwards.
-func (t *TopK) Results() []Neighbor {
-	out := t.heap
-	t.heap = nil
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// ResultsAppend drains the accumulator into dst in the same order Results
-// produces — increasing distance, ties broken by increasing ID — but without
-// allocating: the max-heap is popped in place (largest first, filled from the
-// back) and equal-distance runs are ID-fixed with an insertion pass. Unlike
-// Results, the heap's backing array survives for reuse via Reset.
+// ResultsAppend drains the accumulator into dst in rank order — increasing
+// distance, ties broken by increasing ID — and leaves it empty, its backing
+// array kept for the next pushes: the max-heap is popped in place (largest
+// first, filled from the back) and equal-distance runs are ID-fixed with an
+// insertion pass.
 func (t *TopK) ResultsAppend(dst []Neighbor) []Neighbor {
 	n := len(t.heap)
 	start := len(dst)

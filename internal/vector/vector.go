@@ -9,6 +9,11 @@
 // the batch pipeline's tables and a shard's — and Store, one contiguous
 // block of dense rows for a kernel that reads them as strided memory.
 //
+// Every kernel path returns the same bits for the same inputs, with one
+// precondition on the portable path: the flat batch and gather forms
+// (DotBatch, DotGather) match the single-pair kernel only on rows whose
+// coordinates are all finite (see batch.go).
+//
 // All distance functions treat vectors of unequal lengths as a programming
 // error and panic; embeddings in this repository always share a single
 // dimensionality fixed by the encoder.

@@ -157,7 +157,7 @@ func TestTopKKeepsSmallest(t *testing.T) {
 	for i, d := range dists {
 		tk.Push(i, d)
 	}
-	res := tk.Results()
+	res := tk.ResultsAppend(nil)
 	want := []float32{1, 2, 3}
 	if len(res) != 3 {
 		t.Fatalf("got %d results, want 3", len(res))
@@ -173,7 +173,7 @@ func TestTopKFewerThanK(t *testing.T) {
 	tk := NewTopK(10)
 	tk.Push(1, 0.5)
 	tk.Push(2, 0.25)
-	res := tk.Results()
+	res := tk.ResultsAppend(nil)
 	if len(res) != 2 || res[0].ID != 2 || res[1].ID != 1 {
 		t.Fatalf("unexpected results %v", res)
 	}
@@ -183,7 +183,7 @@ func TestTopKTieBreaksByID(t *testing.T) {
 	tk := NewTopK(2)
 	tk.Push(9, 1.0)
 	tk.Push(3, 1.0)
-	res := tk.Results()
+	res := tk.ResultsAppend(nil)
 	if res[0].ID != 3 || res[1].ID != 9 {
 		t.Fatalf("ties must order by ID, got %v", res)
 	}
@@ -212,7 +212,7 @@ func TestTopKMatchesSort(t *testing.T) {
 		}
 		sorted := append([]float32(nil), dists...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		res := tk.Results()
+		res := tk.ResultsAppend(nil)
 		wantLen := k
 		if n < k {
 			wantLen = n
