@@ -78,7 +78,9 @@ race-matcher:
 # ~15s of coverage-guided fuzzing per target: the batch-record decoder, the
 # matcher-file loader with its embedded HNSW index, and that index's decoder
 # on its own, where every mutation lands in its fields (all three parse bytes
-# a follower fetched from its -primary-url), the SIMD kernels against their
+# a follower fetched from its -primary-url), the HNSW link-block shrink
+# derived from a block's last split against the selection heuristic it
+# stands in for (every kernel path), the SIMD kernels against their
 # scalar reference, the bitmask-row gather against Dot on the expanded row on
 # every kernel path the CPU has (any float bits: NaN payloads, −0,
 # subnormals, infinities), the sparse store's rows against the dense rows
@@ -97,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatchRecord$$' -fuzztime=$(FUZZTIME) ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadMatcher$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeIndex$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hnsw
+	$(GO) test -run='^$$' -fuzz='^FuzzShrinkMatchesHeuristic$$' -fuzztime=$(FUZZTIME) ./internal/hnsw
 	$(GO) test -run='^$$' -fuzz='^FuzzSIMDKernels$$' -fuzztime=$(FUZZTIME) ./internal/vector
 	$(GO) test -run='^$$' -fuzz='^FuzzMaskGather$$' -fuzztime=$(FUZZTIME) ./internal/vector
 	$(GO) test -run='^$$' -fuzz='^FuzzSparseRow$$' -fuzztime=$(FUZZTIME) ./internal/vector

@@ -15,6 +15,7 @@ package repro_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -636,91 +637,131 @@ func BenchmarkMatcherIngestWAL(b *testing.B) {
 }
 
 // BenchmarkRecoverReplay measures replay by layout: a durability directory
-// is written once per sub-benchmark — the base state at that shard count plus
-// about 4 096 rows through AddRecords in batches of the given size — and
-// replayed two ways. A recover op is RecoverMatcher over it: load the base
-// file, replay the log, publish. A follower op is what a follower's catch-up
-// costs: LoadMatcher of the same base, then one Replicator.Apply round over
-// the whole log. rows/s is logged rows per second of the whole op; nearly all
-// of it is replay, which redoes each batch from the decisions its record
-// holds, one apply stream per shard — the same replay both ways, so the two
-// legs should read alike. shards=1 is the reader overlapping one stream; more
-// shards scale with min(shards, cores). skipped-% is the index nodes replay
-// left unlinked, because a compaction later in the log discarded them, per
-// hundred replayed rows: the graph work that linking each stream once, when
-// the log ends, saves. It depends on the log alone.
+// is written once per sub-benchmark — a base state plus a stream of rows
+// through AddRecords — and replayed two ways. A recover op is RecoverMatcher
+// over it: load the base file, replay the log, publish. A follower op is
+// what a follower's catch-up costs: LoadMatcher of the same base, then one
+// Replicator.Apply round over the whole log. rows/s is logged rows per
+// second of the whole op; nearly all of it is replay, which redoes each
+// batch from the decisions its record holds, one apply stream per shard —
+// the same replay both ways, so the two legs should read alike. skipped-% is
+// the index nodes replay left unlinked, because a compaction later in the
+// log discarded them, per hundred replayed rows: the graph work that linking
+// each stream once, when the log ends, saves. It depends on the log alone.
+//
+// Two streams:
+//   - shards=N/rows=R: a Geo ×0.3 base at each shard count, then about 4 096
+//     synthetic rows (benchIngestRows) in batches of R. They over-merge into
+//     large tuples, so most of their replay re-derives centroids
+//     (centroidInto): the lever of ROADMAP item 7. shards=1 is the reader
+//     overlapping one stream; more shards scale with min(shards, cores).
+//   - workcounts: TestWorkCounts' scenario — a Music-20 ×0.1 base on 2
+//     shards, then a Music-200 ×0.01 dataset's rows, shuffled, in 16-row
+//     batches (testdata/workcounts.golden counts its link work). Most of
+//     its replay links new index nodes, as the repository benchmark's
+//     recoveries do: size a change to the insert or the link here.
 func BenchmarkRecoverReplay(b *testing.B) {
 	const totalRows = 4096
 	for _, shards := range []int{1, 2, 4} {
 		for _, batchRows := range []int{6, 16} {
 			b.Run(fmt.Sprintf("shards=%d/rows=%d", shards, batchRows), func(b *testing.B) {
-				batches := totalRows / batchRows
 				m, _ := benchMatcher(b, shards)
 				opt := repro.DefaultOptions()
 				opt.M = 0.5
-				dir := b.TempDir()
-				basePath := filepath.Join(dir, "base.bin")
-				if err := repro.SaveMatcherFile(m, basePath); err != nil {
-					b.Fatal(err)
+				batches := make([][][]string, totalRows/batchRows)
+				for i := range batches {
+					batches[i] = benchIngestRows(i, batchRows)
 				}
-				base := func() (*repro.Matcher, error) { return repro.LoadMatcherFile(basePath, opt) }
-				cfg := repro.WALConfig{Dir: filepath.Join(dir, "wal"), Fsync: "off"}
-				live, err := repro.RecoverMatcher(cfg, opt, base)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < batches; i++ {
-					if _, err := live.AddRecords(benchIngestRows(i, batchRows)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := live.CloseWAL(); err != nil {
-					b.Fatal(err)
-				}
-				want := live.Stats()
-				// leg times replay, one op a call; what it returns is checked
-				// against the live matcher off the clock.
-				leg := func(b *testing.B, replay func() (*repro.Matcher, error)) {
-					var skipped int64
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						rec, err := replay()
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.StopTimer()
-						if got := rec.Stats(); got.Entities != want.Entities || got.Tuples != want.Tuples {
-							b.Fatalf("replayed %d entities in %d tuples, want %d in %d", got.Entities, got.Tuples, want.Entities, want.Tuples)
-						}
-						skipped += rec.WALStats().ReplaySkippedLinks
-						if err := rec.CloseWAL(); err != nil {
-							b.Fatal(err)
-						}
-						b.StartTimer()
-					}
-					b.ReportMetric(float64(batches*batchRows*b.N)/b.Elapsed().Seconds(), "rows/s")
-					b.ReportMetric(100*float64(skipped)/float64(batches*batchRows*b.N), "skipped-%")
-				}
-				b.Run("recover", func(b *testing.B) {
-					leg(b, func() (*repro.Matcher, error) { return repro.RecoverMatcher(cfg, opt, base) })
-				})
-				b.Run("follower", func(b *testing.B) {
-					l, err := wal.Open(multiem.LogDir(cfg.Dir), wal.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer l.Close()
-					leg(b, func() (*repro.Matcher, error) {
-						m, err := base()
-						if err != nil {
-							return nil, err
-						}
-						return m, multiem.NewReplicator(m, 0).Apply(l.Replay)
-					})
-				})
+				benchReplay(b, m, opt, batches)
 			})
 		}
 	}
+	b.Run("workcounts", func(b *testing.B) {
+		opt := repro.DefaultOptions()
+		opt.Shards = 2
+		m, err := repro.BuildMatcher(mustGen(b, "Music-20", 0.1, 1), opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := mustGen(b, "Music-200", 0.01, 2).AllEntities()
+		rand.New(rand.NewSource(3)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		var batches [][][]string
+		for lo := 0; lo < len(rows); lo += 16 {
+			var batch [][]string
+			for _, e := range rows[lo:min(lo+16, len(rows))] {
+				batch = append(batch, e.Values)
+			}
+			batches = append(batches, batch)
+		}
+		benchReplay(b, m, opt, batches)
+	})
+}
+
+// benchReplay writes m and then batches to a durability directory, and times
+// its replay both ways (BenchmarkRecoverReplay), loading the base under opt.
+func benchReplay(b *testing.B, m *repro.Matcher, opt repro.Options, batches [][][]string) {
+	dir := b.TempDir()
+	basePath := filepath.Join(dir, "base.bin")
+	if err := repro.SaveMatcherFile(m, basePath); err != nil {
+		b.Fatal(err)
+	}
+	base := func() (*repro.Matcher, error) { return repro.LoadMatcherFile(basePath, opt) }
+	cfg := repro.WALConfig{Dir: filepath.Join(dir, "wal"), Fsync: "off"}
+	live, err := repro.RecoverMatcher(cfg, opt, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := 0
+	for _, batch := range batches {
+		if _, err := live.AddRecords(batch); err != nil {
+			b.Fatal(err)
+		}
+		rows += len(batch)
+	}
+	if err := live.CloseWAL(); err != nil {
+		b.Fatal(err)
+	}
+	want := live.Stats()
+	// leg times replay, one op a call; what it returns is checked against
+	// the live matcher off the clock.
+	leg := func(b *testing.B, replay func() (*repro.Matcher, error)) {
+		var skipped int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec, err := replay()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if got := rec.Stats(); got.Entities != want.Entities || got.Tuples != want.Tuples {
+				b.Fatalf("replayed %d entities in %d tuples, want %d in %d", got.Entities, got.Tuples, want.Entities, want.Tuples)
+			}
+			skipped += rec.WALStats().ReplaySkippedLinks
+			if err := rec.CloseWAL(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+		b.ReportMetric(100*float64(skipped)/float64(rows*b.N), "skipped-%")
+	}
+	b.Run("recover", func(b *testing.B) {
+		leg(b, func() (*repro.Matcher, error) { return repro.RecoverMatcher(cfg, opt, base) })
+	})
+	b.Run("follower", func(b *testing.B) {
+		l, err := wal.Open(multiem.LogDir(cfg.Dir), wal.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		leg(b, func() (*repro.Matcher, error) {
+			m, err := base()
+			if err != nil {
+				return nil, err
+			}
+			return m, multiem.NewReplicator(m, 0).Apply(l.Replay)
+		})
+	})
 }
 
 // BenchmarkStateFile measures the matcher file both ways as a function of

@@ -32,12 +32,15 @@
 // The distance is the merging phase's one cosine, vector.CosineUnitDist over
 // unit-norm (or zero) vectors; the index has no other. Every distance it
 // computes to a stored row — a query against a neighbour block, a full node
-// against its links when linkBack shrinks them, a caller re-ranking nodes it
-// holds — is one Index.Dists call: the sparse store's CosineUnitGather over
-// the node arena, which expands each row to the dense row's bits.
-// selectHeuristic, which scores a candidate against the picks so far, holds
-// the picks expanded and takes 1 − vector.DotBatch over them: the same bits.
-// The link arena stores links only; no distance is cached or persisted.
+// against its links when linkBack shrinks them, the new node against the
+// links that shrink accepted, a caller re-ranking nodes it holds — is one
+// Index.Dists call: the sparse store's CosineUnitGather over the node arena,
+// which expands each row to the dense row's bits. selectHeuristic, which
+// scores a candidate against the picks so far, holds the picks expanded and
+// takes 1 − vector.DotBatch over them: the same bits. It picks each insert's
+// links; a full block's shrink re-runs it only where the block's last split
+// (shrinkFast) cannot derive the result. The link arena stores links only;
+// no distance is cached or persisted, and the split is the writer's alone.
 //
 // Construction is serialized internally; Search is safe for concurrent use
 // once construction has finished (the merging pipeline builds per-table
@@ -46,6 +49,7 @@ package hnsw
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -110,13 +114,20 @@ type Index struct {
 	// the first Search of every published view.
 	searchPool *sync.Pool
 	buildCtx   *searchCtx // construction reuse, guarded by mu
-	// nodeBuf and pickVecs hold dense copies of node vectors for
-	// construction: the node linkNode inserts or linkBack shrinks, and
-	// selectHeuristic's picks and candidate. Guarded by mu.
-	nodeBuf, pickVecs []float32
-	selScratch        []vector.Neighbor
-	backCands         []vector.Neighbor
-	backSel           []vector.Neighbor
+	// curBuf, nodeBuf, candBuf and pickVecs hold dense copies of node
+	// vectors for construction: the node linkNode inserts, the node
+	// linkBack shrinks, a candidate shrinkFast scores, and selectHeuristic's
+	// picks and candidate. Guarded by mu.
+	curBuf, nodeBuf, candBuf, pickVecs []float32
+	selScratch, backCands, backSel     []vector.Neighbor
+	backState                          []int8
+	backPicks, backFresh               []int32
+	// split[i] is how many of node i's links its last overflow shrink
+	// accepted, the rest being backfill: the block is [accepted][backfilled],
+	// each ascending by distance to i. -1, or a node past the slice, is
+	// unknown — a block filled by appends, an index loaded or rebuilt. The
+	// writer's alone: never saved, never carried by a Clone.
+	split []int8
 
 	// frozen marks a read-only Clone: Add fails and Append panics on it;
 	// Search and Save work.
@@ -129,13 +140,16 @@ type Index struct {
 }
 
 // searchStats counts Search work: queries served, nodes visited, and
-// distance evaluations, updated with three atomic adds per Search; and the
-// rows Link scored, one add per linked node.
+// distance evaluations, updated with three atomic adds per Search; and
+// Link's work, flushed once per linked node.
 type searchStats struct {
 	searches  atomic.Uint64
 	visited   atomic.Uint64
 	evals     atomic.Uint64
+	linked    atomic.Uint64
 	linkEvals atomic.Uint64
+	shrinks   atomic.Uint64
+	fast      atomic.Uint64
 }
 
 // SearchStats reports totals over every Search on this index and the
@@ -147,10 +161,15 @@ func (ix *Index) SearchStats() (searches, visited, distEvals uint64) {
 	return ix.stats.searches.Load(), ix.stats.visited.Load(), ix.stats.evals.Load()
 }
 
-// LinkEvals reports the distance evaluations linking has made, over the same
-// counters SearchStats reads: the insert beams, the heuristic's candidate
-// checks and linkBack's shrinks.
-func (ix *Index) LinkEvals() uint64 { return ix.stats.linkEvals.Load() }
+// LinkStats reports Link's work, over the same counters SearchStats reads:
+// the nodes linked; the distance evaluations linking made (the insert
+// beams, the heuristic's candidate checks and linkBack's shrinks); the
+// shrinks of a full block; and how many of those shrinks were derived from
+// the block's last split instead of re-running the heuristic.
+func (ix *Index) LinkStats() (nodes, evals, shrinks, fastShrinks uint64) {
+	s := ix.stats
+	return s.linked.Load(), s.linkEvals.Load(), s.shrinks.Load(), s.fast.Load()
+}
 
 // CarrySearchStats makes ix share from's search counters, so a rebuilt
 // index (compaction) keeps the logical index's totals monotonic.
@@ -170,10 +189,13 @@ type searchCtx struct {
 	// visited/evals accumulate one query's effort locally; Search resets
 	// them and flushes to Index.stats in three atomic adds, keeping the
 	// inner loops free of shared-memory traffic. buildCtx counts a linked
-	// node's evaluations in evals, which linkPending flushes to the link
-	// counter — construction is not a query.
+	// node's evaluations in evals, and its shrinks in shrinks and fast,
+	// which linkPending flushes to the link counters — construction is not
+	// a query.
 	visited uint64
 	evals   uint64
+	shrinks uint64
+	fast    uint64
 }
 
 // distBuf returns an n-sized distance scratch, growing the backing array
@@ -347,9 +369,12 @@ func (ix *Index) appendNode(id int) {
 func (ix *Index) linkPending() {
 	ctx := ix.buildCtx
 	for ; ix.linked < len(ix.ids); ix.linked++ {
-		ctx.evals = 0
+		ctx.evals, ctx.shrinks, ctx.fast = 0, 0, 0
 		ix.linkNode(ix.linked)
+		ix.stats.linked.Add(1)
 		ix.stats.linkEvals.Add(ctx.evals)
+		ix.stats.shrinks.Add(ctx.shrinks)
+		ix.stats.fast.Add(ctx.fast)
 	}
 }
 
@@ -360,13 +385,14 @@ func (ix *Index) linkNode(cur int) {
 	if cur == 0 {
 		return
 	}
-	q := ix.denseNode(&ix.nodeBuf, cur)
+	q := ix.denseNode(&ix.curBuf, cur)
 	cands := ix.searchLayer(q, ix.cfg.EfConstruction, ix.buildCtx)
-	for _, s := range ix.selectHeuristic(cands, ix.cfg.M, &ix.selScratch) {
+	sel, _ := ix.selectHeuristic(cands, ix.cfg.M, &ix.selScratch)
+	for _, s := range sel {
 		// s.Dist is dist(new, s); the distance is symmetric, so the reverse
 		// edge carries the same distance.
 		ix.appendLink(cur, int32(s.ID))
-		ix.linkBack(s.ID, cur, s.Dist)
+		ix.linkBack(s.ID, cur, s.Dist, q)
 	}
 }
 
@@ -507,15 +533,17 @@ func (ix *Index) searchLayer(q []float32, ef int, ctx *searchCtx) []vector.Neigh
 // that is closer to an already-selected neighbour than to the query. This
 // spreads links across clusters and preserves graph navigability. scratch
 // backs the result when selection is needed; when candidates already fit,
-// cands is returned as-is. Each candidate is expanded once and scored
+// cands is returned as-is and accepted is -1. Otherwise the result is the
+// accepted picks, then the backfill, and accepted counts the picks. Each
+// candidate is expanded once and scored
 // against dense copies of all the picks so far in one vector.DotBatch call,
 // through buildCtx's scratch: selection runs only under construction, after
 // the search that produced cands has returned. 1 − DotBatch has the bits of
 // Dists, whose gather expands each row to exactly those values, and the
 // picks, a dozen or two rows, are read from L1 instead of from the arena.
-func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vector.Neighbor) []vector.Neighbor {
+func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vector.Neighbor) (sel []vector.Neighbor, accepted int) {
 	if len(cands) <= m {
-		return cands
+		return cands, -1
 	}
 	ctx := ix.buildCtx
 	if len(ix.pickVecs) < m*ix.dim {
@@ -550,7 +578,8 @@ func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vect
 	// far are a subsequence of cands in order, so a two-pointer scan finds
 	// the skipped ones without the map the old implementation allocated on
 	// every overflowing linkBack.
-	if nsel := len(selected); nsel < m {
+	nsel := len(selected)
+	if nsel < m {
 		si := 0
 		for _, c := range cands {
 			if len(selected) == m {
@@ -564,29 +593,33 @@ func (ix *Index) selectHeuristic(cands []vector.Neighbor, m int, scratch *[]vect
 		}
 	}
 	*scratch = selected
-	return selected
+	return selected, nsel
 }
 
 // linkBack adds a reverse edge from the node at internal index from to the
-// new node, which lies at distance d, shrinking the neighbour list to 2*M
-// with the heuristic when it is full. The shrink keeps exactly 2*M (the
-// heuristic backfills), so a block's count never falls and its slack slots
-// stay zero. The shrink scores from's current links in one
-// Dists call, the only place the index computes the distance of an existing
-// link; the gather is symmetric to the bit, so each value equals the one
-// computed from the link's other end when it was made.
-func (ix *Index) linkBack(from, to int, d float32) {
-	blk := ix.la.Mut(from)
-	cnt := int(blk[0])
+// new node to, which lies at distance d and whose dense row is toRow. A full
+// block is shrunk back to 2*M: it keeps what selectHeuristic keeps over its
+// links and to, exactly 2*M (the heuristic backfills), so a block's count
+// never falls and its slack slots stay zero. The shrink scores from's
+// current links in one Dists call, the only place the index computes the
+// distance of an existing link; the gather is symmetric to the bit, so each
+// value equals the one computed from the link's other end when it was made.
+// shrinkFast derives the kept list from the block's last split where it
+// can, and the heuristic re-runs where it cannot. A shrink that leaves the
+// block as it was (to is the farthest candidate it drops) writes nothing, so
+// a chunk a Clone shares is not copied for it.
+func (ix *Index) linkBack(from, to int, d float32, toRow []float32) {
 	maxM := 2 * ix.cfg.M
-	if cnt < maxM {
+	if cnt := int(ix.la.At(from)[0]); cnt < maxM {
+		blk := ix.la.Mut(from)
 		blk[1+cnt] = int32(to)
 		blk[0] = int32(cnt + 1)
 		return
 	}
-	nbs := blk[1 : 1+cnt]
-	dists := ix.buildCtx.distBuf(cnt)
-	ix.buildCtx.evals += uint64(cnt)
+	ctx := ix.buildCtx
+	nbs := ix.neighbors(from)
+	dists := ctx.distBuf(len(nbs))
+	ctx.evals += uint64(len(nbs))
 	ix.Dists(ix.denseNode(&ix.nodeBuf, from), nbs, dists)
 	cands := ix.backCands[:0]
 	for k, nb := range nbs {
@@ -595,11 +628,190 @@ func (ix *Index) linkBack(from, to int, d float32) {
 	cands = append(cands, vector.Neighbor{ID: to, Dist: d})
 	ix.backCands = cands
 	sortNeighbors(cands)
-	kept := ix.selectHeuristic(cands, maxM, &ix.backSel)
+	ctx.shrinks++
+	kept, split, ok := ix.shrinkFast(cands, nbs, ix.splitOf(from), to, toRow)
+	if ok {
+		ctx.fast++
+	} else {
+		kept, split = ix.selectHeuristic(cands, maxM, &ix.backSel)
+	}
+	ix.setSplit(from, split)
+	if slices.EqualFunc(kept, nbs, func(k vector.Neighbor, nb int32) bool { return int32(k.ID) == nb }) {
+		return
+	}
+	blk := ix.la.Mut(from)
 	for i, kn := range kept {
 		blk[1+i] = int32(kn.ID)
 	}
 	blk[0] = int32(len(kept))
+}
+
+// Candidate states in shrinkFast: rejected, accepted, and accepted by the
+// last shrink but rejected now by the new node.
+const (
+	candRejected int8 = iota
+	candAccepted
+	candDisplaced
+)
+
+// shrinkFast is selectHeuristic(cands, 2*M) for a full block whose last
+// shrink accepted its first split links (nbs: those, ascending, then the
+// backfill, ascending), derived instead of re-run: cands is nbs and the new
+// node to, sorted by distance to the block's node. The last shrink's picks
+// kept one another and rejected its rejects, and the one candidate it
+// dropped was never a pick, so over nbs the heuristic decides as it did
+// then. Only to changes anything:
+//   - to itself is accepted unless an accepted link ahead of it lies closer
+//     to it than d, its distance to the block's node: one gather of toRow
+//     against those links (with 2*M of them the heuristic stops before to).
+//     Rejected, it changes nothing else.
+//   - Accepted, it displaces each accepted link behind it that lies closer
+//     to it than to the block's node: a second gather, of toRow against
+//     them. Where none is displaced, every other decision stands.
+//   - Behind a displaced link, a reject may now be accepted — the pick that
+//     rejected it may be gone — and a link accepted before may now be
+//     rejected by such a newcomer. So the walk resumes the heuristic there
+//     for exactly those: a reject is scored against every pick ahead of it,
+//     an accepted link against the newcomers ahead of it, each as the
+//     heuristic scores a candidate (its row expanded, the picks gathered).
+//
+// The kept list is the picks, then the rest, each in cands' order, cut at
+// 2*M: the heuristic's picks and backfill, and accepted counts the picks.
+// ok is false, and the caller runs the heuristic, where the derivation does
+// not hold: an unknown split (-1), a distance tie or NaN in cands (the
+// stable sort may then order them otherwise than the last shrink did), or
+// a prefix that is not a subsequence of cands.
+func (ix *Index) shrinkFast(cands []vector.Neighbor, nbs []int32, split, to int, toRow []float32) (kept []vector.Neighbor, accepted int, ok bool) {
+	if split < 0 {
+		return nil, 0, false
+	}
+	for k := 1; k < len(cands); k++ {
+		if !(cands[k-1].Dist < cands[k].Dist) {
+			return nil, 0, false
+		}
+	}
+	st := ix.backState[:0]
+	ai, at := 0, -1
+	for k, c := range cands {
+		s := candRejected
+		if c.ID == to {
+			at = k
+		} else if ai < split && int(nbs[ai]) == c.ID {
+			s = candAccepted
+			ai++
+		}
+		st = append(st, s)
+	}
+	ix.backState = st
+	if ai < split || at < 0 {
+		return nil, 0, false
+	}
+	maxM, d := 2*ix.cfg.M, cands[at].Dist
+	picks := ix.backPicks[:0]
+	for k := range at {
+		if st[k] == candAccepted {
+			picks = append(picks, int32(cands[k].ID))
+		}
+	}
+	if len(picks) < maxM && !ix.closer(toRow, picks, d) {
+		st[at] = candAccepted
+		behind := ix.backFresh[:0]
+		for k := at + 1; k < len(cands); k++ {
+			if st[k] == candAccepted {
+				behind = append(behind, int32(cands[k].ID))
+			}
+		}
+		k := at
+		for _, dist := range ix.gatherBuild(toRow, behind) {
+			for k++; st[k] != candAccepted; k++ {
+			}
+			if dist < cands[k].Dist {
+				st[k] = candDisplaced
+			}
+		}
+		picks = append(picks, int32(to))
+		fresh, displaced := behind[:0], false
+		for k := at + 1; k < len(cands) && len(picks) < maxM; k++ {
+			c := cands[k]
+			switch st[k] {
+			case candDisplaced:
+				st[k], displaced = candRejected, true
+			case candAccepted:
+				if len(fresh) > 0 && ix.closer(ix.denseNode(&ix.candBuf, c.ID), fresh, c.Dist) {
+					st[k] = candRejected
+				}
+			case candRejected:
+				if displaced && !ix.closer(ix.denseNode(&ix.candBuf, c.ID), picks, c.Dist) {
+					st[k] = candAccepted
+					fresh = append(fresh, int32(c.ID))
+				}
+			}
+			if st[k] == candAccepted {
+				picks = append(picks, int32(c.ID))
+			}
+		}
+		ix.backFresh = fresh
+	}
+	ix.backPicks = picks
+	kept = ix.backSel[:0]
+	for k, c := range cands {
+		if st[k] == candAccepted && len(kept) < maxM {
+			kept = append(kept, c)
+		}
+	}
+	accepted = len(kept)
+	for k, c := range cands {
+		if st[k] != candAccepted && len(kept) < maxM {
+			kept = append(kept, c)
+		}
+	}
+	ix.backSel = kept
+	return kept, accepted, true
+}
+
+// closer reports whether any of nodes idxs lies closer to q than d, the
+// test selectHeuristic puts a candidate to against its picks.
+func (ix *Index) closer(q []float32, idxs []int32, d float32) bool {
+	for _, dist := range ix.gatherBuild(q, idxs) {
+		if dist < d {
+			return true
+		}
+	}
+	return false
+}
+
+// gatherBuild scores q against nodes idxs through buildCtx's distance
+// scratch and counts them as link evaluations.
+func (ix *Index) gatherBuild(q []float32, idxs []int32) []float32 {
+	ctx := ix.buildCtx
+	dists := ctx.distBuf(len(idxs))
+	ctx.evals += uint64(len(idxs))
+	ix.Dists(q, idxs, dists)
+	return dists
+}
+
+// splitOf reports node i's split, -1 when unknown.
+func (ix *Index) splitOf(i int) int {
+	if i < len(ix.split) {
+		return int(ix.split[i])
+	}
+	return -1
+}
+
+// setSplit records node i's split; one a byte cannot hold is left unknown.
+func (ix *Index) setSplit(i, s int) {
+	if s > math.MaxInt8 {
+		s = -1
+	}
+	if i >= len(ix.split) {
+		if s < 0 {
+			return
+		}
+		for len(ix.split) <= i {
+			ix.split = append(ix.split, -1)
+		}
+	}
+	ix.split[i] = int8(s)
 }
 
 // Search returns the (approximately) k nearest stored vectors to q, sorted

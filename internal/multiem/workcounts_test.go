@@ -14,14 +14,17 @@ import (
 
 var updateWorkCounts = flag.Bool("update-workcounts", false, "rewrite testdata/workcounts.golden from this run")
 
-// linkEvals sums the link-time distance evaluations of the serving view's
-// indexes (a clone shares its writer's counters).
-func (m *Matcher) linkEvals() uint64 {
-	var n uint64
+// linkStats sums the link work of the serving view's indexes (a clone
+// shares its writer's counters): nodes linked, link-time distance
+// evaluations, shrinks of a full block and the shrinks shrinkFast derived.
+func (m *Matcher) linkStats() (w [4]uint64) {
 	for _, sv := range m.state.Load().shards {
-		n += sv.index.LinkEvals()
+		nodes, evals, shrinks, fast := sv.index.LinkStats()
+		for i, v := range [4]uint64{nodes, evals, shrinks, fast} {
+			w[i] += v
+		}
 	}
-	return n
+	return w
 }
 
 // workCounts runs the in-process online scenario and renders the work it
@@ -29,7 +32,8 @@ func (m *Matcher) linkEvals() uint64 {
 // dataset, shuffled, through AddRecords in 16-row batches, then Match on
 // every tenth of them re-cased. Each line is a phase's totals: searches,
 // distance evaluations and link-time distance evaluations, and the rows or
-// queries they are over.
+// queries they are over; then the link blocks shrunk per node linked, and
+// the share of those shrinks derived from the block's last split.
 func workCounts(t *testing.T) string {
 	t.Helper()
 	base, err := datagen.GenerateByName("Music-20", 0.1, 1)
@@ -47,11 +51,14 @@ func workCounts(t *testing.T) string {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	var s0, e0, l0 uint64
+	var s0, e0 uint64
+	var l0 [4]uint64
 	phase := func(name string, n int) {
 		s, _, e := m.SearchStats()
-		l := m.linkEvals()
-		fmt.Fprintf(&b, "%-6s n=%-5d searches=%-6d dist_evals=%-9d link_evals=%d\n", name, n, s-s0, e-e0, l-l0)
+		l := m.linkStats()
+		nodes, shrinks, fast := l[0]-l0[0], l[2]-l0[2], l[3]-l0[3]
+		fmt.Fprintf(&b, "%-6s n=%-5d searches=%-6d dist_evals=%-9d link_evals=%-8d shrinks/link=%.3f fast=%.3f\n",
+			name, n, s-s0, e-e0, l[1]-l0[1], ratio(shrinks, nodes), ratio(fast, shrinks))
 		s0, e0, l0 = s, e, l
 	}
 	phase("build", base.NumEntities())
@@ -119,4 +126,12 @@ func TestWorkCounts(t *testing.T) {
 			t.Errorf("work counts under %s kernels moved:\ngot\n%swant\n%s", vector.Kernels(), got, want)
 		}
 	}
+}
+
+// ratio is a/b, or 0 for a phase that did none of b.
+func ratio(a, b uint64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }
