@@ -644,10 +644,7 @@ func BenchmarkMatcherIngestWAL(b *testing.B) {
 // Replicator.Apply round over the whole log. rows/s is logged rows per
 // second of the whole op; nearly all of it is replay, which redoes each
 // batch from the decisions its record holds, one apply stream per shard —
-// the same replay both ways, so the two legs should read alike. skipped-% is
-// the index nodes replay left unlinked, because a compaction later in the
-// log discarded them, per hundred replayed rows: the graph work that linking
-// each stream once, when the log ends, saves. It depends on the log alone.
+// the same replay both ways, so the two legs should read alike.
 //
 // Two streams:
 //   - shards=N/rows=R: a Geo ×0.3 base at each shard count, then about 4 096
@@ -657,9 +654,10 @@ func BenchmarkMatcherIngestWAL(b *testing.B) {
 //     overlapping one stream; more shards scale with min(shards, cores).
 //   - workcounts: TestWorkCounts' scenario — a Music-20 ×0.1 base on 2
 //     shards, then a Music-200 ×0.01 dataset's rows, shuffled, in 16-row
-//     batches (testdata/workcounts.golden counts its link work). Most of
-//     its replay links new index nodes, as the repository benchmark's
-//     recoveries do: size a change to the insert or the link here.
+//     batches (testdata/workcounts.golden counts its link work). Its
+//     replay links the new tuples' nodes and recomputes absorbed tuples'
+//     centroids, as the repository benchmark's recoveries do: size a change
+//     to the insert, the link or the centroid here.
 func BenchmarkRecoverReplay(b *testing.B) {
 	const totalRows = 4096
 	for _, shards := range []int{1, 2, 4} {
@@ -725,7 +723,6 @@ func benchReplay(b *testing.B, m *repro.Matcher, opt repro.Options, batches [][]
 	// leg times replay, one op a call; what it returns is checked against
 	// the live matcher off the clock.
 	leg := func(b *testing.B, replay func() (*repro.Matcher, error)) {
-		var skipped int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec, err := replay()
@@ -736,14 +733,12 @@ func benchReplay(b *testing.B, m *repro.Matcher, opt repro.Options, batches [][]
 			if got := rec.Stats(); got.Entities != want.Entities || got.Tuples != want.Tuples {
 				b.Fatalf("replayed %d entities in %d tuples, want %d in %d", got.Entities, got.Tuples, want.Entities, want.Tuples)
 			}
-			skipped += rec.WALStats().ReplaySkippedLinks
 			if err := rec.CloseWAL(); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
 		}
 		b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
-		b.ReportMetric(100*float64(skipped)/float64(rows*b.N), "skipped-%")
 	}
 	b.Run("recover", func(b *testing.B) {
 		leg(b, func() (*repro.Matcher, error) { return repro.RecoverMatcher(cfg, opt, base) })

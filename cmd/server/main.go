@@ -230,8 +230,7 @@ func main() {
 					"replayed_batches", ws.ReplayedBatches, "replayed_rows", ws.ReplayedRows,
 					"replay_seconds", ws.ReplaySeconds,
 					"replay_reader_busy_seconds", ws.ReplayReaderBusySeconds,
-					"replay_shard_busy_seconds", ws.ReplayShardBusySeconds,
-					"replay_skipped_links", ws.ReplaySkippedLinks)
+					"replay_shard_busy_seconds", ws.ReplayShardBusySeconds)
 			}
 		} else {
 			matcher, err = base()

@@ -99,7 +99,7 @@ func (s *server) registerMetrics() {
 			return float64(n)
 		})
 	r.GaugeFunc("multiem_index_vector_bytes",
-		"Memory the index node vectors (tuple centroids, stale ones included) take, kept as bitmask rows: dim/8 B of mask, 4 B a nonzero and 8 B a node.", nil,
+		"Memory the graph nodes and current tuple centroids take, kept as bitmask rows: dim/8 B of mask and 4 B a nonzero for a row not shared with an entity row or node, and 8 B a row.", nil,
 		func() float64 {
 			n := 0
 			for _, ss := range pinned.perShard {
@@ -153,14 +153,8 @@ func (s *server) registerMetrics() {
 		"Current tuples homed on the shard.",
 		shardSamples(func(ss repro.ShardStats) float64 { return float64(ss.Live) }))
 	r.GaugeSetFunc("multiem_shard_index_entries",
-		"Centroid vectors in the shard's ANN index, stale entries included.",
+		"Nodes in the shard's graph: one a tuple, and one for each row absorbed far from every node its tuple had.",
 		shardSamples(func(ss repro.ShardStats) float64 { return float64(ss.IndexSize) }))
-	r.GaugeSetFunc("multiem_shard_stale_entries",
-		"Stale ANN entries left behind by absorptions (compaction debt).",
-		shardSamples(func(ss repro.ShardStats) float64 { return float64(ss.IndexSize - ss.Live) }))
-	r.CounterSetFunc("multiem_shard_compactions_total",
-		"Stale-centroid index rebuilds on the shard.",
-		shardSamples(func(ss repro.ShardStats) float64 { return float64(ss.Compactions) }))
 
 	// Pipeline stage latency. Total and per-stage series come from the
 	// same spans, so the stage summaries decompose the totals.
@@ -268,9 +262,6 @@ func (s *server) registerMetrics() {
 			}
 			return out
 		})
-	r.GaugeFunc("multiem_recovery_skipped_links",
-		"Index nodes replay appended without linking because a compaction later in the log discarded them; 0 when the log crossed no compaction.", nil,
-		walGauge(func(ws repro.WALStats) float64 { return float64(ws.ReplaySkippedLinks) }))
 	r.SummaryFunc("multiem_wal_sync_duration_seconds",
 		"WAL fsync latency.", nil, snap((*repro.Matcher).WALSyncDurations))
 

@@ -37,10 +37,8 @@ var pinnedMetrics = map[string]string{
 	"multiem_ingest_batches_total": "counter",
 	"multiem_ingest_rows_total":    "counter",
 
-	"multiem_shard_live_tuples":       "gauge",
-	"multiem_shard_index_entries":     "gauge",
-	"multiem_shard_stale_entries":     "gauge",
-	"multiem_shard_compactions_total": "counter",
+	"multiem_shard_live_tuples":   "gauge",
+	"multiem_shard_index_entries": "gauge",
 
 	"multiem_match_duration_seconds":        "summary",
 	"multiem_match_duration_seconds_stage":  "summary",
@@ -71,7 +69,6 @@ var pinnedMetrics = map[string]string{
 
 	"multiem_recovery_reader_busy_seconds": "gauge",
 	"multiem_recovery_shard_busy_seconds":  "gauge",
-	"multiem_recovery_skipped_links":       "gauge",
 
 	"multiem_repl_role":                  "gauge",
 	"multiem_repl_term":                  "gauge",

@@ -125,3 +125,62 @@ func TestCloneSearchReusesWarmContext(t *testing.T) {
 		t.Fatalf("first Search on a fresh Clone of a warmed %d-node index allocated %d bytes, want < %d", n, got, 4*n)
 	}
 }
+
+// TestMoveOnKeepsTheIndex: moving the node rows onto another data arena
+// changes no answer, no byte Save writes and no later insert, and a Clone
+// taken before the move keeps answering from the rows it had. A node the
+// alias names a row of the new arena for stores no words there.
+func TestMoveOnKeepsTheIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const dim = 16
+	vecs := randUnitVecs(rng, 200, dim)
+	queries := randUnitVecs(rng, 20, dim)
+	twin, moved := New(dim, Config{M: 8, EfConstruction: 60}), New(dim, Config{M: 8, EfConstruction: 60})
+	for i, v := range vecs[:150] {
+		twin.Add(i, v)
+		moved.Add(i, v)
+	}
+	before := moved.Clone()
+	answers := func(ix *Index) string {
+		var b bytes.Buffer
+		for _, q := range queries {
+			fmt.Fprintf(&b, "%v\n", ix.Search(q, 10, 40))
+		}
+		return b.String()
+	}
+	want := answers(moved)
+
+	// The new arena holds vecs[7] already; node 7, whose row it is, shares it.
+	data := vector.NewRowData(dim)
+	other := vector.NewSparseRowsOn(data)
+	other.Append(vecs[7])
+	moved.MoveOn(data, func(id int, w []uint32) vector.Ref {
+		if id == 7 {
+			return other.Ref(0)
+		}
+		return vector.Ref{}
+	})
+	if moved.Vectors().Data() != data || moved.Vectors().Offset(7) != other.Offset(0) {
+		t.Fatal("the moved index does not read its rows from the new arena, or node 7 has a copy of its own")
+	}
+	if got := answers(moved); got != want {
+		t.Fatalf("the moved index answers\n%s\nwant\n%s", got, want)
+	}
+	if got := answers(before); got != want {
+		t.Fatal("a clone taken before the move answers otherwise")
+	}
+	for i, v := range vecs[150:] {
+		twin.Add(150+i, v)
+		moved.Add(150+i, v)
+	}
+	var a, b bytes.Buffer
+	if err := twin.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := moved.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("after the move and more inserts, the index saves other bytes than its twin")
+	}
+}

@@ -88,8 +88,8 @@ func (c Config) withDefaults() Config {
 // Index is a flat navigable graph over flat storage.
 //
 // Entry rule: every search and every insert starts its walk at node 0, the
-// first vector inserted — after a multiem compaction, tuple 0's centroid.
-// There is no other entry point and nothing that moves one.
+// first vector inserted. There is no other entry point and nothing that
+// moves one.
 //
 // Adjacency layout: node i owns row i of the link arena, a block of 1+2M
 // int32 slots (links.go). A block is a counted list: slot 0 holds the link
@@ -135,7 +135,7 @@ type Index struct {
 
 	// stats accumulates per-query search effort. Clones share the pointer,
 	// so totals aggregate across every copy-on-write view of one logical
-	// index; CarrySearchStats keeps them monotonic across rebuilds.
+	// index.
 	stats *searchStats
 }
 
@@ -170,10 +170,6 @@ func (ix *Index) LinkStats() (nodes, evals, shrinks, fastShrinks uint64) {
 	s := ix.stats
 	return s.linked.Load(), s.linkEvals.Load(), s.shrinks.Load(), s.fast.Load()
 }
-
-// CarrySearchStats makes ix share from's search counters, so a rebuilt
-// index (compaction) keeps the logical index's totals monotonic.
-func (ix *Index) CarrySearchStats(from *Index) { ix.stats = from.stats }
 
 // searchCtx bundles the per-search working set — visited marks, frontier,
 // result accumulator, output buffer, and the unvisited-candidate/distance
@@ -311,9 +307,9 @@ func (ix *Index) Add(id int, vec []float32) error {
 // node Len()-1, and gives it an empty link block, without linking it into the
 // graph. Vector, Dists, Len and IDs see the node at once; nothing
 // searches it until Link. Append and Link in any interleaving build the graph
-// and Save bytes that Adds of the same vectors build — so a node that is
-// discarded before its Link (a compaction's input) costs no graph work at
-// all. alias, which may be the zero Ref, names a row on NewOn's data arena
+// and Save bytes that Adds of the same vectors build, so an owner may append
+// a batch's nodes and link them once. alias, which may be the zero Ref,
+// names a row on NewOn's data arena
 // that the node is, storing no words, where that row's words are vec's
 // (vector.SparseRows.AppendShared).
 //
@@ -327,6 +323,27 @@ func (ix *Index) Append(id int, vec []float32, alias vector.Ref) {
 	}
 	ix.vecs.AppendShared(vec, alias)
 	ix.appendNode(id)
+}
+
+// MoveOn moves the node rows onto data, a data arena of the index's
+// dimensionality, as vector.SparseRows.CopyOn stores them there — alias as
+// DecodeOn's — and drops the index's hold on the arena they were on. Node
+// numbers, ids and links stay as they are: nothing is relinked, and a Clone
+// taken before keeps reading the old rows. The caller must not write data
+// while the index does.
+func (ix *Index) MoveOn(data *vector.RowData, alias func(id int, w []uint32) vector.Ref) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.vecs = ix.vecs.CopyOn(data, nil, ix.byID(alias))
+}
+
+// byID adapts an alias by node id to vector.SparseRows.Load's, by node; nil
+// stays nil.
+func (ix *Index) byID(alias func(id int, w []uint32) vector.Ref) func(i int, w []uint32) vector.Ref {
+	if alias == nil {
+		return nil
+	}
+	return func(i int, w []uint32) vector.Ref { return alias(ix.ids[i], w) }
 }
 
 // Link links every Appended node not linked yet, in node order — what their

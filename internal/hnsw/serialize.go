@@ -119,11 +119,12 @@ func Load(r io.Reader) (*Index, error) {
 // matcher file) decodes its embedded index in place. Every array is
 // allocated after the bytes left have been checked to hold it. The rows go
 // on data, a data arena its caller shares (NewOn), or on one of their own
-// when data is nil; a node whose row has the words of the row alias names
-// for its id, which may be nil, is that row (vector.SparseRows.Load). dense
-// marks the version a matcher file of version 7 embeds, 3, whose rows are
-// dense. A file of another version, or dimensionality than data's, fails.
-func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int) vector.Ref, dense bool) (*Index, error) {
+// when data is nil; alias, which may be nil, is called once a node, in node
+// order, with the node's id and words, and a node whose row has the words of
+// the row it names is that row (vector.SparseRows.Load). dense marks the
+// version a matcher file of version 7 embeds, 3, whose rows are dense. A
+// file of another version, or dimensionality than data's, fails.
+func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int, w []uint32) vector.Ref, dense bool) (*Index, error) {
 	if m := rd.Next(len(magic)); string(m) != string(magic[:]) {
 		return nil, corrupt("bad magic %q (not an HNSW index file)", m)
 	}
@@ -175,11 +176,7 @@ func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int) vector.
 	if err := ix.readLinks(rd); err != nil {
 		return nil, err
 	}
-	var same func(i int) vector.Ref
-	if alias != nil {
-		same = func(i int) vector.Ref { return alias(ix.ids[i]) }
-	}
-	if err := ix.vecs.ReadRows(rd, count, dense, same); err != nil {
+	if err := ix.vecs.ReadRows(rd, count, dense, ix.byID(alias)); err != nil {
 		return nil, corrupt("vectors: %v", err)
 	}
 	return ix, nil

@@ -6,50 +6,84 @@ import (
 	"testing"
 )
 
-// aliasCounts tallies a matcher's index nodes by how they store their rows.
+// aliasCounts tallies a matcher's graph nodes and centroid rows by how they
+// store their rows.
 type aliasCounts struct {
-	singletons int // current nodes of one-member tuples: aliases
-	owned      int // current nodes of larger tuples that own their words
-	equal      int // current nodes of larger tuples with the first member's bits
-	stale      int // superseded nodes that alias an entity row
+	singletons int // first nodes of one-member tuples: aliases
+	owned      int // first nodes of larger tuples that own their words
+	equal      int // first nodes of larger tuples with the first member's bits
+	extra      int // later nodes: absorbed rows, or a v8 file's old versions
+	extraOwned int // later nodes that own their words
+	shared     int // centroid rows that are their tuple's last node's row
 }
 
-// checkAliases holds every index node of m to the aliasing rule: a node is
-// its tuple's first member's entity row — the same data-word offset — when
-// it has that row's bits, which every current node of a one-member tuple
-// has, and otherwise owns its words, at an offset no entity row starts at.
+// checkAliases holds every node and centroid row of m to the aliasing rule
+// (shard.nodeAlias): a tuple's first node is its first member's entity row —
+// the same data-word offset — when it has that row's bits, which every
+// one-member tuple's has, and otherwise owns its words, at an offset no
+// entity row starts at; a later node is an entity row of its tuple's members
+// where one has its bits, as every absorbed node does; and a centroid row is
+// its tuple's last node's row when it has that row's bits, and otherwise
+// owns its words.
 func checkAliases(t *testing.T, when string, m *Matcher) aliasCounts {
 	t.Helper()
 	var c aliasCounts
-	row, first := make([]float32, m.dim), make([]float32, m.dim)
+	row, other := make([]float32, m.dim), make([]float32, m.dim)
+	same := func() bool {
+		return slices.EqualFunc(row, other, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) })
+	}
 	for s, sh := range m.shards {
-		ents := map[int]bool{}
+		ents := map[int]int{}
 		for i := range sh.entVecs.Len() {
-			ents[sh.entVecs.Offset(i)] = true
+			ents[sh.entVecs.Offset(i)] = i
 		}
-		nodes := sh.index.Vectors()
+		nodes, seen := sh.index.Vectors(), map[int]bool{}
+		last := map[int]int{}
 		for n, id := range sh.index.IDs() {
 			ts := sh.tuples.at(id)
+			last[id] = n
 			nodes.CopyTo(row, n)
-			sh.entVecs.CopyTo(first, ts.members[0])
-			same := slices.EqualFunc(row, first, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) })
-			alias := nodes.Offset(n) == sh.entVecs.Offset(ts.members[0])
-			current := int(ts.node) == n
-			switch {
-			case current && len(ts.members) == 1 && !alias:
-				t.Fatalf("%s: shard %d's node %d, of one-member tuple %d, has words of its own", when, s, n, id)
-			case alias != same:
-				t.Fatalf("%s: shard %d's node %d aliases tuple %d's first member: %v; has its bits: %v", when, s, n, id, alias, same)
-			case !alias && ents[nodes.Offset(n)]:
-				t.Fatalf("%s: shard %d's node %d, of tuple %d, shares another entity row's words", when, s, n, id)
-			case current && len(ts.members) == 1:
-				c.singletons++
-			case current && alias:
-				c.equal++
-			case current:
-				c.owned++
-			case alias:
-				c.stale++
+			pos, alias := ents[nodes.Offset(n)]
+			if !seen[id] {
+				seen[id] = true
+				sh.entVecs.CopyTo(other, ts.members[0])
+				switch {
+				case alias != same() || alias && pos != ts.members[0]:
+					t.Fatalf("%s: shard %d's node %d, tuple %d's first, aliases its first member: %v; has its bits: %v", when, s, n, id, alias, same())
+				case len(ts.members) == 1:
+					c.singletons++
+				case alias:
+					c.equal++
+				default:
+					c.owned++
+				}
+				continue
+			}
+			c.extra++
+			if !alias {
+				c.extraOwned++
+				for _, p := range ts.members {
+					if sh.entVecs.CopyTo(other, p); same() {
+						t.Fatalf("%s: shard %d's node %d, of tuple %d, owns the words of member row %d", when, s, n, id, p)
+					}
+				}
+			} else if !slices.Contains(ts.members, pos) {
+				sh.entVecs.CopyTo(other, pos)
+				t.Fatalf("%s: shard %d's node %d, of tuple %d, is entity row %d, no member of it (same bits: %v)", when, s, n, id, pos, same())
+			}
+		}
+		for l := range sh.tuples.Len() {
+			cent := int(sh.tuples.at(l).cent)
+			sh.cents.CopyTo(row, cent)
+			nodes.CopyTo(other, last[l])
+			alias := sh.cents.Offset(cent) == nodes.Offset(last[l])
+			if alias != same() {
+				t.Fatalf("%s: shard %d's tuple %d: centroid row is its last node's: %v; has its bits: %v", when, s, l, alias, same())
+			}
+			if alias {
+				c.shared++
+			} else if _, ok := ents[sh.cents.Offset(cent)]; ok {
+				t.Fatalf("%s: shard %d's tuple %d: centroid row shares an entity row's words", when, s, l)
 			}
 		}
 	}
@@ -67,13 +101,14 @@ func shardBytes(m *Matcher) [][2]int {
 	return out
 }
 
-// TestSingletonNodeAliasesEntityRow: a shard's entity rows and index nodes
-// share one data arena, and a node indexed for a one-member tuple is its
-// member's entity row, while a node of a larger tuple owns its words. That
-// holds after the build, after ingest (new singletons, absorptions, so stale
-// singleton nodes), after a compaction of every shard and more ingest, and
-// after a Save/Load round trip, which aliases the nodes from their bits: the
-// loaded matcher reports the EntityBytes and IndexBytes it was saved with.
+// TestSingletonNodeAliasesEntityRow: a shard's entity rows, graph nodes and
+// centroid rows share one data arena, a node indexed for a one-member tuple
+// is its member's entity row, an absorbed node its own, and a first node of a
+// larger tuple owns its words (checkAliases). That holds after the build,
+// after ingest (new singletons, absorptions, so absorbed nodes and moved
+// centroids), after a reclamation of every shard and more ingest, and after
+// a Save/Load round trip, which aliases the rows from their bits: the loaded
+// matcher reports the EntityBytes and IndexBytes it was saved with.
 func TestSingletonNodeAliasesEntityRow(t *testing.T) {
 	d := mustGeo(t, 0.05, 5)
 	opt := durOpts(2)
@@ -92,15 +127,17 @@ func TestSingletonNodeAliasesEntityRow(t *testing.T) {
 		}
 	}
 	ingest(7)
-	if c := checkAliases(t, "ingest", m); c.stale == 0 {
-		t.Fatalf("ingest: %+v, want stale singleton nodes", c)
+	if c := checkAliases(t, "ingest", m); c.extra == 0 || c.extraOwned != 0 || !recentred(m) {
+		t.Fatalf("ingest: %+v, want absorbed nodes, each an entity row, and moved centroids", c)
 	}
-	compactEveryShard(t, m, absorbRows(m, d, 40), func([]AddResult) {})
-	checkAliases(t, "compaction", m)
+	before := shardBytes(m)
+	reclaimEveryShard(t, m, absorbRows(m, d, 40), func([]AddResult) {})
+	checkAliases(t, "reclamation", m)
 	ingest(8)
-	if c := checkAliases(t, "ingest after compaction", m); c.stale == 0 {
-		t.Fatalf("ingest after compaction: %+v, want stale singleton nodes", c)
+	if c := checkAliases(t, "ingest after reclamation", m); c.extra == 0 || c.extraOwned != 0 {
+		t.Fatalf("ingest after reclamation: %+v, want absorbed nodes, each an entity row", c)
 	}
+	t.Logf("(entity, index) bytes %v before the reclamation, %v after it and more ingest", before, shardBytes(m))
 
 	want := checkAliases(t, "saved", m)
 	loaded := mustLoad(t, saveBytes(t, m), opt)

@@ -6,17 +6,15 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/hnsw"
 	"repro/internal/vector"
 )
 
 // arenaMark records where a shard keeps its rows before a batch — the
 // address of each row's first mask word, for the rows in full-sized chunks
 // of its data arena, of the entity table and of the index's node table — and
-// the data arena and index they belong to (a compaction replaces both).
+// the data arena they belong to (a reclamation replaces it).
 type arenaMark struct {
 	data        *vector.RowData
-	index       *hnsw.Index
 	ents, nodes map[int]*uint32
 }
 
@@ -37,7 +35,7 @@ func markRows(s *vector.SparseRows) map[int]*uint32 {
 
 // markArenas takes sh's mark.
 func markArenas(sh *shard) arenaMark {
-	return arenaMark{data: sh.entVecs.Data(), index: sh.index, ents: markRows(sh.entVecs), nodes: markRows(sh.index.Vectors())}
+	return arenaMark{data: sh.entVecs.Data(), ents: markRows(sh.entVecs), nodes: markRows(sh.index.Vectors())}
 }
 
 // fullRows is how many of the n rows of an arena of capacity c, in chunks
@@ -64,7 +62,7 @@ func checkArenas(t *testing.T, when string, m *Matcher, marks []arenaMark) {
 		} else if slack := d.Cap() - d.Elems(); slack < 0 || slack >= d.ChunkElems() {
 			t.Fatalf("%s: shard %d's data arena holds %d words with room for %d", when, s, d.Elems(), d.Cap())
 		}
-		for kind, st := range map[string]*vector.SparseRows{"entity": sh.entVecs, "node": sh.index.Vectors()} {
+		for kind, st := range map[string]*vector.SparseRows{"entity": sh.entVecs, "node": sh.index.Vectors(), "centroid": sh.cents} {
 			if slack := st.Cap() - st.Len(); slack < 0 || slack >= vector.DescChunkRows {
 				t.Fatalf("%s: shard %d's %s descriptor table holds %d rows with room for %d", when, s, kind, st.Len(), st.Cap())
 			}
@@ -80,9 +78,7 @@ func checkArenas(t *testing.T, when string, m *Matcher, marks []arenaMark) {
 			}
 		}
 		moved("entity", sh.entVecs, marks[s].ents)
-		if sh.index == marks[s].index {
-			moved("node", sh.index.Vectors(), marks[s].nodes)
-		}
+		moved("node", sh.index.Vectors(), marks[s].nodes)
 	}
 }
 

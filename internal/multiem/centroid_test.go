@@ -14,40 +14,43 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/embed"
-	"repro/internal/hnsw"
 	"repro/internal/vector"
 )
 
-// The shard's HNSW index holds the only copy of every tuple centroid. These
-// tests pin what replaced the second copy: the node pointer invariants, the
-// load-time checks that make a derived pointer safe, and the memory it saved.
+// Each tuple's centroid is one row of its shard's centroid table, and its
+// graph nodes never change. These tests pin the invariants that tie the two
+// to the tuple table, the load-time checks that make derived pointers safe,
+// and the memory the layout takes.
 
 // checkCentroidNodes verifies one shard's state, writer-side or published:
-// every tuple's node carries the tuple's id, is the last node that does, and
-// holds exactly the centroid its members produce. It returns a copy of the
-// centroids in local order.
-func checkCentroidNodes(tuples *tupleTable, index *hnsw.Index, entVecs *vector.SparseRows) ([][]float32, error) {
-	ids := index.IDs()
-	last := make(map[int]int, tuples.Len())
-	for node, id := range ids {
-		last[id] = node
+// every node names a live tuple, every tuple's first node is the first that
+// names it, and every tuple's centroid row holds exactly the centroid its
+// members produce. It returns a copy of the centroids in local order.
+func checkCentroidNodes(v *shardView) ([][]float32, error) {
+	first := make(map[int]int, v.tuples.Len())
+	for node, id := range v.index.IDs() {
+		if id < 0 || id >= v.tuples.Len() {
+			return nil, fmt.Errorf("node %d names tuple %d, of %d", node, id, v.tuples.Len())
+		}
+		if _, ok := first[id]; !ok {
+			first[id] = node
+		}
 	}
-	want := make([]float32, index.Dim())
-	out := make([][]float32, tuples.Len())
-	for l := 0; l < tuples.Len(); l++ {
-		ts := tuples.at(l)
-		node := int(ts.node)
-		if node < 0 || node >= len(ids) || ids[node] != l {
-			return nil, fmt.Errorf("tuple %d points at node %d, which is not one of its entries", l, node)
+	want := make([]float32, v.index.Dim())
+	out := make([][]float32, v.tuples.Len())
+	for l := 0; l < v.tuples.Len(); l++ {
+		ts := v.tuples.at(l)
+		if n, ok := first[l]; !ok || int(ts.node) != n {
+			return nil, fmt.Errorf("tuple %d starts at node %d; its first node is %d (has one: %v)", l, ts.node, n, ok)
 		}
-		if last[l] != node {
-			return nil, fmt.Errorf("tuple %d points at node %d, but node %d is its newest entry", l, node, last[l])
+		if ts.cent < 0 || int(ts.cent) >= v.cents.Len() {
+			return nil, fmt.Errorf("tuple %d's centroid row %d is out of %d", l, ts.cent, v.cents.Len())
 		}
-		centroidInto(want, ts.members, entVecs)
-		got := make([]float32, index.Dim())
-		index.CopyTo(got, node)
+		centroidInto(want, ts.members, v.entVecs)
+		got := make([]float32, v.index.Dim())
+		v.cents.CopyTo(got, int(ts.cent))
 		if !sameBits(got, want) {
-			return nil, fmt.Errorf("tuple %d: node %d holds %v, members give %v", l, node, got, want)
+			return nil, fmt.Errorf("tuple %d: centroid row %d holds %v, members give %v", l, ts.cent, got, want)
 		}
 		out[l] = got
 	}
@@ -59,7 +62,7 @@ func checkWriterShards(t *testing.T, m *Matcher) {
 	m.addMu.Lock()
 	defer m.addMu.Unlock()
 	for s, sh := range m.shards {
-		if _, err := checkCentroidNodes(&sh.tuples, sh.index, sh.entVecs); err != nil {
+		if _, err := checkCentroidNodes(&sh.shardView); err != nil {
 			t.Fatalf("writer shard %d: %v", s, err)
 		}
 	}
@@ -67,10 +70,11 @@ func checkWriterShards(t *testing.T, m *Matcher) {
 
 // TestCentroidNodeInvariants sweeps shard counts and tuple chunk layouts
 // over a history with batch-formed multi-member tuples, absorptions and a
-// compaction on every shard. After every phase the writer state and the
-// published view satisfy checkCentroidNodes; a view pinned before the
-// compaction keeps satisfying it, with unchanged values, while the writer
-// ingests and compacts underneath (the -race half of the property).
+// reclamation on every shard. After every phase — before and after the
+// reclamation — the writer state and the published view satisfy
+// checkCentroidNodes; a view pinned before the reclamation keeps satisfying
+// it, with unchanged values, while the writer ingests and reclaims
+// underneath (the -race half of the property).
 func TestCentroidNodeInvariants(t *testing.T) {
 	d := smallGeo(t)
 	for _, shards := range []int{1, 2, 4} {
@@ -104,7 +108,7 @@ func TestCentroidNodeInvariants(t *testing.T) {
 				frozen := make([][][]float32, len(pinned.shards))
 				checkPinned := func() error {
 					for s, v := range pinned.shards {
-						cents, err := checkCentroidNodes(&v.tuples, v.index, v.entVecs)
+						cents, err := checkCentroidNodes(v)
 						if err != nil {
 							return fmt.Errorf("pinned shard %d: %w", s, err)
 						}
@@ -140,14 +144,14 @@ func TestCentroidNodeInvariants(t *testing.T) {
 						}
 					}
 				}()
-				compactEveryShard(t, m, absorbRows(m, d, 40), func([]AddResult) {})
+				reclaimEveryShard(t, m, absorbRows(m, d, 40), func([]AddResult) { checkWriterShards(t, m) })
 				close(stop)
 				wg.Wait()
 
 				checkWriterShards(t, m)
 				for s, v := range m.state.Load().shards {
-					if _, err := checkCentroidNodes(&v.tuples, v.index, v.entVecs); err != nil {
-						t.Fatalf("published shard %d after compaction: %v", s, err)
+					if _, err := checkCentroidNodes(v); err != nil {
+						t.Fatalf("published shard %d after the reclamation: %v", s, err)
 					}
 				}
 				if err := checkPinned(); err != nil {
@@ -220,9 +224,8 @@ func indexOffset(t *testing.T, raw []byte) int {
 }
 
 // TestLoadMatcherRejectsUnservableState: a file whose sections contradict
-// each other must fail to load with ErrCorruptState — with node pointers
-// derived from the index, either state would otherwise serve a wrong or
-// out-of-range centroid row on the first query.
+// each other must fail to load with ErrCorruptState — with each tuple's
+// nodes derived from the index, a tuple no node names could never be found.
 func TestLoadMatcherRejectsUnservableState(t *testing.T) {
 	d := smallGeo(t)
 	m, err := BuildMatcher(d, durOpts(1))
@@ -256,10 +259,10 @@ func TestLoadMatcherRejectsUnservableState(t *testing.T) {
 	})
 }
 
-// TestMatcherHeapBudget holds the serving heap to one bitmask row per entity
-// and one per index entry. With a second centroid arena beside the index —
-// one more dense vector per index entry — the same state misses the budget,
-// and so it does with dense entity rows or a dense node store.
+// TestMatcherHeapBudget holds the serving heap to one bitmask row per entity,
+// graph node and live centroid, with the dead centroid rows a reclamation
+// bounds. With dense entity rows, a dense node or centroid store, or no
+// reclamation, the same state misses the budget.
 func TestMatcherHeapBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -272,7 +275,7 @@ func TestMatcherHeapBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := absorbRows(m, d, 40)
-	for m.Stats().IndexSize < 2*m.Stats().Tuples {
+	for b := 0; b < 40; b++ {
 		if _, err := m.AddRecords(rows); err != nil {
 			t.Fatal(err)
 		}
@@ -284,13 +287,13 @@ func TestMatcherHeapBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(m)
 
-	// 3: at this size the link blocks (100 B an entry, most of a Geo
-	// centroid's row), ids, tuples and each table's last chunk weigh as
-	// much as the rows. This state reads 2.59 (the index's singleton nodes
-	// count 8 B each: they are their entity rows), and would read about 5.1
-	// with a second, dense centroid arena, 4.8 with dense node vectors (1.5
-	// of those rows when the node store was dense) and 6.7 with dense
-	// entity rows, by the rows each would add.
+	// 3: at this size the link blocks (100 B a node, most of a Geo
+	// centroid's row), ids, tuples, the dead centroid rows (up to an eighth
+	// of the live words) and each table's last chunk weigh about as much as
+	// the rows. This state reads 2.1 (841 KiB for 400 KiB of rows; a
+	// singleton's node and an unmoved centroid count 8 B each: they are
+	// other rows), and would read about 2.9 with a dense centroid table,
+	// and 7.6 with dense entity rows, by the rows each would add.
 	entityBytes, indexBytes := 0, 0
 	for _, ss := range perShard {
 		entityBytes += ss.EntityBytes
@@ -327,15 +330,15 @@ func FuzzLoadMatcher(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(saveBytes(f, m))
-		// Absorptions leave stale entries, so node pointers differ from
-		// local indexes in the seed.
+		// Absorptions move centroids, so centroid rows differ from the
+		// nodes in the seed.
 		for batch := 0; batch < 2; batch++ {
 			if _, err := m.AddRecords(absorbRows(m, d, 8)); err != nil {
 				f.Fatal(err)
 			}
 		}
-		if s := m.Stats(); s.IndexSize == s.Live {
-			f.Fatal("seed matcher has no stale index entries")
+		if !recentred(m) {
+			f.Fatal("seed matcher has no recomputed centroid")
 		}
 		f.Add(saveBytes(f, m))
 	}
@@ -345,14 +348,15 @@ func FuzzLoadMatcher(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v8 := saveBytes(f, m)[:16+4+4*len(probeTexts)*dim] // magic, version, dim, M, probes
-	v7 := binary.LittleEndian.AppendUint32(slices.Clone(v8[:8]), matcherFormatV7)
-	for _, hdr := range [][]byte{append(v7, v8[12:]...), v8} {
+	v9 := saveBytes(f, m)[:16+4+4*len(probeTexts)*dim] // magic, version, dim, M, probes
+	for _, version := range []uint32{matcherFormatV7, matcherFormatV8, matcherFormatVersion} {
+		hdr := slices.Concat(binary.LittleEndian.AppendUint32(slices.Clone(v9[:8]), version), v9[12:])
 		f.Add(append(hdr, 9, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0))
 	}
-	// The file the last v7 writer left, and a matcher built under another
-	// encoder, whose probes the one below refuses.
+	// The files the last v7 and v8 writers left, and a matcher built under
+	// another encoder, whose probes the one below refuses.
 	f.Add(readFixture(f))
+	f.Add(readFile(f, v8FixturePath(2)+".bin", matcherFormatV8))
 	grams3 := opt
 	grams3.Encoder = embed.NewHashEncoder(embed.WithDim(dim), embed.WithGrams(3))
 	if m, err = BuildMatcher(d, grams3); err != nil {
@@ -379,19 +383,17 @@ func FuzzLoadMatcher(f *testing.F) {
 			}
 			return
 		}
-		// Bytes past the last section are not LoadMatcher's. A v7 file saves
-		// as version 8, so for one the property is held by the v8 file it
-		// becomes, and by that file rendered back as version 7.
+		// Bytes past the last section are not LoadMatcher's. A v8 or v7
+		// file saves as version 9, dropping its compaction counts, which
+		// nothing reads: for one the property is held by the v9 file it
+		// becomes.
 		again := saveBytes(t, m)
 		if binary.LittleEndian.Uint32(raw[8:]) != matcherFormatVersion {
-			if !bytes.HasPrefix(raw, v7Bytes(t, again)) {
-				t.Fatalf("a v7 file loaded, and the v8 file it saves as does not render back to it")
-			}
-			m8, err := LoadMatcher(bytes.NewReader(again), opt)
+			m9, err := LoadMatcher(bytes.NewReader(again), opt)
 			if err != nil {
-				t.Fatalf("a file loaded, the v8 file it saved as did not: %v", err)
+				t.Fatalf("a file loaded, the v9 file it saved as did not: %v", err)
 			}
-			raw, again = again, saveBytes(t, m8)
+			raw, again = again, saveBytes(t, m9)
 		}
 		if !bytes.HasPrefix(raw, again) {
 			t.Fatalf("accepted %d bytes that save back as %d different ones", len(raw), len(again))

@@ -16,7 +16,7 @@ import (
 	"repro/internal/vector"
 )
 
-// Matcher binary format (little-endian), version 8:
+// Matcher binary format (little-endian), version 9:
 //
 //	magic     [8]byte  "MEMMATC\n"
 //	version   uint32
@@ -32,32 +32,41 @@ import (
 //	  entIDs      count + count × int64
 //	  entVecs     count bitmask rows, the shard's embeddings in row order
 //	  tuples      count × { nMembers int32; members []int32 (local rows); maxJoinDist f32 }
-//	  compactions int64
-//	  index       embedded hnsw.Index (its own versioned format, 4)
+//	  index       embedded hnsw.Index (its own versioned format, 4): the
+//	              tuples' graph nodes, ids = local tuples, each tuple's
+//	              first node first
+//	  centroids   one bitmask row a tuple, in tuple order: its centroid
 //
 // The file holds what defines the state it serves: M, under which every
 // later absorption is decided and every replayed one checked, and the
 // probes, which tie the embeddings to the encoder that made them
-// (checkHeader). A tuple's centroid is the vector of the last index node
-// carrying its id, and is stored there only. Every row is written as it sits
-// in memory (vector.SparseRows.WriteRows), a node's whole even where it
-// shares its tuple's first member's entity row; a loader shares it again by
-// the same rule, so a file saves back to itself. Each shard's section is
-// self-contained and length-prefixed, so a loader finds every section
-// without decoding the one before it, and a loaded matcher has the exact
-// shard topology it was saved with.
+// (checkHeader). It holds the live rows only — no dead centroid row, and no
+// count of reclamations — so it is a function of the logical state. Every
+// row is written as it sits in memory (vector.SparseRows.WriteRows), whole
+// even where it shares another row's words; a loader shares it again by the
+// same rule (shard.nodeAlias, and a centroid its tuple's last node's row), so
+// a file saves back to itself. Each shard's section is self-contained and
+// length-prefixed, so a loader finds every section without decoding the one
+// before it, and a loaded matcher has the exact shard topology it was saved
+// with.
 //
-// LoadMatcher also reads version 7, whose rows are dense (dim × float32) and
-// whose index is in hnsw format 3, and saves it as version 8. Older files are
-// upgraded by a load and a Save under a build that writes version 7.
+// LoadMatcher also reads versions 8 and 7, which indexed a node per centroid
+// version. They hold no centroid section, and a compaction count (int64)
+// between the tuples and the index, which is dropped; every node is kept,
+// the superseded versions as more nodes of their tuples, and each tuple's
+// last node, its current centroid, gives its centroid row. Version 7's rows
+// are dense (dim × float32) and its index is in hnsw format 3. Either saves
+// as version 9. Older files are upgraded by a load and a Save under a build
+// that writes version 7.
 
 var matcherMagic = [8]byte{'M', 'E', 'M', 'M', 'A', 'T', 'C', '\n'}
 
-// matcherFormatV7 is the one older version LoadMatcher still takes.
-const matcherFormatVersion, matcherFormatV7 = 8, 7
+// matcherFormatV8 and matcherFormatV7 are the older versions LoadMatcher
+// still takes.
+const matcherFormatVersion, matcherFormatV8, matcherFormatV7 = 9, 8, 7
 
 // ErrFormatVersion is wrapped by LoadMatcher when the file's format version
-// is not one this build reads (8 and 7); callers distinguish "old matcher
+// is not one this build reads (9, 8 and 7); callers distinguish "old matcher
 // file, upgrade it" from corruption with errors.Is.
 var ErrFormatVersion = errors.New("multiem: unsupported matcher format version")
 
@@ -99,7 +108,7 @@ func embedProbes(enc embed.Encoder) []float32 {
 // probeTexts again with enc and refuses enc, naming the first probe that
 // differs, unless each lies within distTolerance of the file's row. Not bit
 // for bit: on amd64 both kernel paths embed to the same bits, but a file may
-// come from an arm64 host, whose bits are unverified.
+// come from an arm64 host, whose bits no test checks (see distTolerance).
 func checkHeader(enc embed.Encoder, mergeM float32, probes []float32, dim int) error {
 	if !(mergeM >= 0 && mergeM <= 2) { // NaN included
 		return fmt.Errorf("%w: M %v is not a cosine distance in [0,2]", ErrCorruptState, mergeM)
@@ -186,12 +195,12 @@ func (v *shardView) writeSection(bw *bufio.Writer) error {
 		}
 		binio.WriteF32(bw, ts.maxJoinDist)
 	})
-	binio.WriteI64(bw, v.compactions)
 	// The index writes through bw as well (bufio.NewWriter returns a
 	// bufio.Writer it is handed); its flush reports any error from above.
 	if err := v.index.Save(bw); err != nil {
 		return fmt.Errorf("multiem: save matcher: %w", err)
 	}
+	v.tuples.each(func(ts *tupleState) { v.cents.WriteRow(bw, int(ts.cent)) })
 	return nil
 }
 
@@ -200,9 +209,9 @@ func (v *shardView) sectionSize() int {
 	n := 4 + 8*len(v.entIDs) + v.entVecs.RowsSize() // entities
 	n += 4                                          // tuple count
 	v.tuples.each(func(ts *tupleState) {
-		n += 4 + 4*len(ts.members) + 4
+		n += 4 + 4*len(ts.members) + 4       // the tuple
+		n += 4 * v.cents.Words(int(ts.cent)) // its centroid
 	})
-	n += 8 // compactions
 	return n + v.index.SaveSize()
 }
 
@@ -226,8 +235,8 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 		return nil, fmt.Errorf("%w: bad magic %q (not a matcher file)", ErrCorruptState, mg)
 	}
 	version := rd.U32()
-	if rd.Err() == nil && version != matcherFormatVersion && version != matcherFormatV7 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV7)
+	if rd.Err() == nil && version != matcherFormatVersion && version != matcherFormatV8 && version != matcherFormatV7 {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d, %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV8, matcherFormatV7)
 	}
 
 	m := &Matcher{opt: opt, dim: rd.I32()}
@@ -296,7 +305,7 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	maxEntIDs := make([]int, nShards)
 	errs := make([]error, nShards)
 	par.For(nShards, nShards, func(_, s int) {
-		maxEntIDs[s], errs[s] = m.shards[s].readSection(secs[s], version == matcherFormatV7)
+		maxEntIDs[s], errs[s] = m.shards[s].readSection(secs[s], version)
 		if errs[s] != nil {
 			errs[s] = fmt.Errorf("%w: shard %d: %w", ErrCorruptState, s, errs[s])
 		}
@@ -314,14 +323,15 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 	return m, nil
 }
 
-// readSection decodes one shard's section bytes into sh, returning the
-// largest entity ID seen (-1 when the shard is empty). dense marks a version-7
-// section, whose rows are dense. Every count is checked against the bytes the
-// section still holds before anything is sized by it (binio.Reader.Count),
-// and each arena is allocated at its final size — chunks, the last holding
-// exactly the rows left — the embeddings' from the words their rows hold.
-func (sh *shard) readSection(sec []byte, dense bool) (maxEntID int, err error) {
+// readSection decodes one shard's section bytes, of the given format
+// version, into sh, returning the largest entity ID seen (-1 when the shard
+// is empty). Every count is checked against the bytes the section still
+// holds before anything is sized by it (binio.Reader.Count), and each arena
+// is allocated at its final size — chunks, the last holding exactly the rows
+// left — the embeddings' from the words their rows hold.
+func (sh *shard) readSection(sec []byte, version uint32) (maxEntID int, err error) {
 	rd := binio.NewReader(sec)
+	dense, legacy := version == matcherFormatV7, version < matcherFormatVersion
 
 	nEnts := rd.Count(8) // an entity is its ID and its row, which ReadRows bounds
 	if rd.Err() != nil {
@@ -362,43 +372,40 @@ func (sh *shard) readSection(sec []byte, dense bool) (maxEntID int, err error) {
 			members:     members,
 			maxJoinDist: rd.F32(),
 			minEntID:    minMemberID(members, sh.entIDs),
-			node:        -1, // until the index names one
+			cent:        int32(i),
 		}
 	}
-	sh.compactions = rd.I64()
+	if legacy {
+		rd.I64() // the compaction count, which nothing reads now
+	}
 	if rd.Err() != nil {
 		return -1, rd.Err()
 	}
 
-	// The index's node rows go on the shard's data arena, after the entity
-	// rows, and a node with its tuple's first member's words is that row, as
-	// indexNode made it.
-	ix, err := hnsw.DecodeOn(rd, sh.entVecs.Data(), func(id int) vector.Ref {
-		if id < 0 || id >= nTuples {
-			return vector.Ref{} // refused below
-		}
-		return sh.entVecs.Ref(sh.tuples.at(id).members[0])
-	}, dense)
+	// The node rows go on the shard's data arena, after the entity rows, and
+	// the centroid rows after them, each sharing a row where the rule live
+	// ingest shares it by says so.
+	ix, err := hnsw.DecodeOn(rd, sh.entVecs.Data(), sh.nodeAlias(sh.entVecs), dense)
 	if err != nil {
 		return -1, err
+	}
+	sh.index = ix
+	// Index ids are local tuple indexes. A tuple without a node could never
+	// be found.
+	if err := sh.chainNodes(); err != nil {
+		return -1, err
+	}
+	alias := sh.centAlias()
+	if legacy {
+		// Each tuple's last node is its current centroid.
+		for l := range nTuples {
+			sh.cents.AppendRef(alias(l, nil))
+		}
+	} else if err := sh.cents.ReadRows(rd, nTuples, false, alias); err != nil {
+		return -1, fmt.Errorf("centroids: %w", err)
 	}
 	if rd.Len() != 0 {
 		return -1, fmt.Errorf("section has %d trailing bytes", rd.Len())
 	}
-	// Index ids are local tuple indexes, and a tuple's current node is the
-	// last one carrying its id (Add order is history order). A tuple without
-	// a node could never be found or re-ranked.
-	for node, id := range ix.IDs() {
-		if id < 0 || id >= nTuples {
-			return -1, fmt.Errorf("index references tuple %d, have %d tuples", id, nTuples)
-		}
-		sh.tuples.mut(id).node = int32(node)
-	}
-	for l := 0; l < nTuples; l++ {
-		if sh.tuples.at(l).node < 0 {
-			return -1, fmt.Errorf("tuple %d has no index entry", l)
-		}
-	}
-	sh.index = ix
 	return maxEntID, nil
 }

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -28,11 +29,41 @@ import (
 // file that commit saved the version-6 fixture it read as.
 const v7FixturePath = "testdata/matcher-v7-dim16.bin"
 
+// v8FixturePath names version-8 matcher files written by the last commit
+// whose Save wrote version 8, each beside the Match replies that commit gave
+// on the file's state (one line a query: the replies to every record of Geo
+// at 0.01, seed 6, k 5): Geo at 0.01, seed 5, dim 16, M 0.5, six batches of
+// eight random rows, a compaction of every shard (two shards only) and two
+// absorb batches. The one-shard state holds one node a tuple, the two-shard
+// state stale nodes too.
+func v8FixturePath(shards int) string {
+	return fmt.Sprintf("testdata/matcher-v8-dim16-shards%d", shards)
+}
+
 // dim16Opts are the options the fixture was written under.
 func dim16Opts(shards int) Options {
 	o := durOpts(shards)
 	o.Encoder = embed.NewHashEncoder(embed.WithDim(16))
 	return o
+}
+
+// v8Bytes renders a version-9 file in version 8's layout: the version field
+// set back, each section's centroid rows dropped and a compaction count of 0
+// put before its index. It is the v8 file of the state only where every
+// tuple's centroid is its last node, as in a state a v8 or v7 file loaded to;
+// elsewhere it is a v8 file of another state, which the hostile-input legs
+// need no more than.
+func v8Bytes(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	f := fileFields(t, raw)
+	le := binary.LittleEndian
+	out := le.AppendUint32(slices.Clone(raw[:8]), matcherFormatV8)
+	out = append(out, raw[12:f.sections[0][0]]...)
+	for s, sec := range f.sections {
+		body := slices.Concat(raw[sec[0]+8:f.indexStarts[s]], make([]byte, 8), raw[f.indexStarts[s]:f.centStarts[s]])
+		out = append(le.AppendUint64(out, uint64(len(body))), body...)
+	}
+	return out
 }
 
 // v7Bytes renders a version-8 file as version 7: the version fields set back
@@ -71,9 +102,9 @@ func v7Bytes(t testing.TB, raw []byte) []byte {
 	return out
 }
 
-// staleMatcher builds a matcher and absorbs into it until stale index entries
-// exist, so node pointers differ from local tuple indexes in what it saves.
-func staleMatcher(t *testing.T, d *table.Dataset, opt Options) *Matcher {
+// absorbedMatcher builds a matcher and absorbs into it, so centroid rows
+// differ from local tuple indexes and from the nodes in what it saves.
+func absorbedMatcher(t *testing.T, d *table.Dataset, opt Options) *Matcher {
 	t.Helper()
 	m, err := BuildMatcher(d, opt)
 	if err != nil {
@@ -84,10 +115,21 @@ func staleMatcher(t *testing.T, d *table.Dataset, opt Options) *Matcher {
 			t.Fatal(err)
 		}
 	}
-	if s := m.Stats(); s.IndexSize == s.Live {
-		t.Fatal("matcher has no stale index entries")
+	if !recentred(m) {
+		t.Fatal("matcher has no recomputed centroid")
 	}
 	return m
+}
+
+// recentred reports whether some tuple's centroid row is not the one it was
+// created with.
+func recentred(m *Matcher) bool {
+	for _, sv := range m.state.Load().shards {
+		if sv.cents.Len() > sv.tuples.Len() {
+			return true
+		}
+	}
+	return false
 }
 
 func mustLoad(t *testing.T, raw []byte, opt Options) *Matcher {
@@ -100,36 +142,101 @@ func mustLoad(t *testing.T, raw []byte, opt Options) *Matcher {
 }
 
 func readFixture(t testing.TB) []byte {
+	return readFile(t, v7FixturePath, matcherFormatV7)
+}
+
+// readFile reads the matcher file at path and holds it to the version.
+func readFile(t testing.TB, path string, version uint32) []byte {
 	t.Helper()
-	raw, err := os.ReadFile(v7FixturePath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != matcherFormatV7 {
-		t.Fatalf("%s is version %d", v7FixturePath, v)
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != version {
+		t.Fatalf("%s is version %d", path, v)
 	}
 	return raw
 }
 
 // TestV7FixtureUpgrade: the parent-written v7 file loads under the dim-16
-// encoder and saves as a v8 file that is the fixture with its rows as bitmask
-// words (v7Bytes gives the fixture back). That file loads to a matcher with
-// the same Save bytes, Stats, per-shard EntityBytes and IndexBytes, node
-// aliases and Match replies.
+// encoder and saves as a v9 file that is the fixture with its rows as bitmask
+// words, its compaction counts dropped and each tuple's last node as its
+// centroid row (v7Bytes(v8Bytes(…)) gives the fixture back, whose counts
+// are 0). That file loads to a matcher with the same Save bytes, Stats,
+// per-shard EntityBytes and IndexBytes, node aliases and Match replies.
 func TestV7FixtureUpgrade(t *testing.T) {
 	fixture := readFixture(t)
 	from7 := mustLoad(t, fixture, dim16Opts(2))
-	v8 := saveBytes(t, from7)
-	if v := binary.LittleEndian.Uint32(v8[8:]); v != matcherFormatVersion {
+	v9 := saveBytes(t, from7)
+	if v := binary.LittleEndian.Uint32(v9[8:]); v != matcherFormatVersion {
 		t.Fatalf("Save wrote version %d", v)
 	}
-	if !bytes.Equal(v7Bytes(t, v8), fixture) {
-		t.Fatal("the v8 file, rendered as v7, is not the fixture")
+	if !bytes.Equal(v7Bytes(t, v8Bytes(t, v9)), fixture) {
+		t.Fatal("the v9 file, rendered as v7, is not the fixture")
 	}
-	t.Logf("v7 %d bytes, v8 %d", len(fixture), len(v8))
-	from8 := mustLoad(t, v8, dim16Opts(2))
-	assertLoadedAlike(t, from7, from8)
-	assertMatchersIdentical(t, from7, from8, mustGeo(t, 0.01, 5))
+	t.Logf("v7 %d bytes, v9 %d", len(fixture), len(v9))
+	from9 := mustLoad(t, v9, dim16Opts(2))
+	assertLoadedAlike(t, from7, from9)
+	assertMatchersIdentical(t, from7, from9, mustGeo(t, 0.01, 5))
+}
+
+// matchReplies renders m's Match replies to every record of Geo at 0.01,
+// seed 6, at k 5, one line a query: the v8 fixtures' replies file.
+func matchReplies(t *testing.T, m *Matcher) string {
+	t.Helper()
+	var b strings.Builder
+	for _, e := range mustGeo(t, 0.01, 6).AllEntities() {
+		cands, err := m.Match(e.Values, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%+v\n", cands)
+	}
+	return b.String()
+}
+
+// TestV8Fixture: each parent-written v8 file loads — every node kept, the
+// stale versions as more nodes of their tuples — and answers Match exactly
+// as the v8 matcher did: the same candidates, distances and confidences,
+// on every kernel path. It saves as a v9 file that loads to a matcher with
+// the same Save bytes, aliases and replies, and that, rendered back as v8,
+// is the fixture with its compaction counts at 0.
+func TestV8Fixture(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			eachKernel(t, func(t *testing.T) {
+				fixture := readFile(t, v8FixturePath(shards)+".bin", matcherFormatV8)
+				want, err := os.ReadFile(v8FixturePath(shards) + ".match")
+				if err != nil {
+					t.Fatal(err)
+				}
+				from8 := mustLoad(t, fixture, dim16Opts(shards))
+				if got := matchReplies(t, from8); got != string(want) {
+					t.Fatalf("%d shards: the v8 file answers\n%s\nthe v8 matcher answered\n%s", shards, got, want)
+				}
+				v9 := saveBytes(t, from8)
+				if v := binary.LittleEndian.Uint32(v9[8:]); v != matcherFormatVersion {
+					t.Fatalf("Save wrote version %d", v)
+				}
+				f8, f9 := fileFields(t, fixture), fileFields(t, v8Bytes(t, v9))
+				if len(f8.compactions) != shards || !slices.Equal(f8.sections, f9.sections) {
+					t.Fatalf("the v9 file's v8 layout has sections %v, the fixture %v", f9.sections, f8.sections)
+				}
+				zeroed := slices.Clone(fixture)
+				for _, at := range f8.compactions {
+					clear(zeroed[at : at+8])
+				}
+				if !bytes.Equal(v8Bytes(t, v9), zeroed) {
+					t.Fatal("the v9 file, rendered as v8, is not the fixture")
+				}
+				from9 := mustLoad(t, v9, dim16Opts(shards))
+				assertLoadedAlike(t, from8, from9)
+				if got := matchReplies(t, from9); got != string(want) {
+					t.Fatalf("%d shards: the v9 file answers otherwise than the v8 matcher", shards)
+				}
+			})
+		})
+	}
 }
 
 // assertLoadedAlike holds two loads of one state to the same Save bytes,
@@ -147,22 +254,18 @@ func assertLoadedAlike(t *testing.T, want, got *Matcher) {
 	}
 }
 
-// TestFormatEquivalence: the v7 and the v8 file of one state load to
-// matchers that cannot be told apart — Save bytes (v7 loads, v8 saves),
-// EntityBytes and IndexBytes, node aliases, stats, tuples, Match replies, and
-// the results of the same later batches — on both kernel paths.
+// TestFormatEquivalence: the v7 and the v8 file of one state (a v8 fixture,
+// and it rendered as v7) load to matchers that cannot be told apart — Save
+// bytes, EntityBytes and IndexBytes, node aliases, stats, tuples, Match
+// replies, and the results of the same later batches — on both kernel paths.
 func TestFormatEquivalence(t *testing.T) {
-	d := smallGeo(t)
+	d := mustGeo(t, 0.01, 5)
 	for _, mode := range []string{"scalar", "avx2"} {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/shards=%d", mode, shards), func(t *testing.T) {
 				vector.ForceKernels(t, mode)
-				m := staleMatcher(t, d, durOpts(shards))
-				v8 := saveBytes(t, m)
-				from7, from8 := mustLoad(t, v7Bytes(t, v8), durOpts(shards)), mustLoad(t, v8, durOpts(shards))
-				if got := saveBytes(t, from7); !bytes.Equal(got, v8) {
-					t.Fatal("loading v7 then Save does not yield the v8 bytes")
-				}
+				v8 := readFile(t, v8FixturePath(shards)+".bin", matcherFormatV8)
+				from7, from8 := mustLoad(t, v7Bytes(t, v8), dim16Opts(shards)), mustLoad(t, v8, dim16Opts(shards))
 				assertLoadedAlike(t, from8, from7)
 				for _, rows := range randomBatches(d, 4, 8, 23) {
 					r7, err7 := from7.AddRecords(rows)
@@ -188,16 +291,20 @@ type fileLayout struct {
 	dim       int
 	maskWords int // a bitmask row's 64-bit mask words
 	// sections holds each shard's section's range, its length field
-	// included; rows each row's byte range, entity rows then node rows, a
-	// section at a time; indexVersions each embedded index's version field.
+	// included; rows each row's byte range, entity rows, node rows, then
+	// (version 9) centroid rows, a section at a time; indexVersions each
+	// embedded index's version field.
 	sections, rows [][2]int
 	indexVersions  []int
-	// entCounts and nodeCounts hold each section's entity and node count
-	// field.
-	entCounts, nodeCounts []int
+	// entCounts, tupleCounts and nodeCounts hold each section's entity,
+	// tuple and node count field; indexStarts and centStarts where its
+	// index and its centroid rows (version 9; the section's end before)
+	// begin; compactions its compaction count's offset (versions 8 and 7).
+	entCounts, tupleCounts, nodeCounts   []int
+	indexStarts, centStarts, compactions []int
 }
 
-// fileFields walks a well-formed matcher file of either version it reads
+// fileFields walks a well-formed matcher file of any version it reads
 // with nothing but encoding/binary: an independent reading of the format,
 // which is what lets the hostile-input table below aim at each field instead
 // of at random bytes.
@@ -215,7 +322,8 @@ func fileFields(t testing.TB, raw []byte) (f fileLayout) {
 		return i32()
 	}
 	field(8) // magic
-	dense := i32() == matcherFormatV7
+	version := uint32(i32())
+	dense := version == matcherFormatV7
 	f.dim = i32()
 	f.maskWords = (f.dim + 63) / 64
 	f.m = field(4)
@@ -250,11 +358,16 @@ func fileFields(t testing.TB, raw []byte) (f fileLayout) {
 		for range nEnts {
 			row()
 		}
-		for n := count(); n > 0; n-- {
+		f.tupleCounts = append(f.tupleCounts, off)
+		nTuples := count()
+		for n := nTuples; n > 0; n-- {
 			field(4 * count()) // members
 			field(4)           // maxJoinDist
 		}
-		field(8) // compactions
+		if version != matcherFormatVersion {
+			f.compactions = append(f.compactions, field(8))
+		}
+		f.indexStarts = append(f.indexStarts, off)
 		field(8) // index magic
 		f.indexVersions = append(f.indexVersions, off)
 		i32() // index version
@@ -272,6 +385,12 @@ func fileFields(t testing.TB, raw []byte) (f fileLayout) {
 		for range nodes {
 			row()
 		}
+		f.centStarts = append(f.centStarts, off)
+		if version == matcherFormatVersion {
+			for range nTuples {
+				row()
+			}
+		}
 		f.sections = append(f.sections, [2]int{start, off})
 	}
 	if off != len(raw) {
@@ -281,29 +400,31 @@ func fileFields(t testing.TB, raw []byte) (f fileLayout) {
 }
 
 // TestLoadMatcherHostileInput pins the loader's contract for input it cannot
-// trust, for both versions it reads (v7 through the parent-written fixture
-// and v8 files rendered back): cut anywhere — at every field boundary of a
-// small file, every 4 KiB of a large one — or with any count replaced by
-// MaxInt32, LoadMatcher returns ErrCorruptState, never panics, and allocates
-// at most 3 × the input + 64 KiB: one copy of the input (the in-memory
-// reader is copied once, like a file is read once), at most the undamaged
-// shards decoded beside it, and a constant for the matcher and per-shard
-// shells. No count in the file adds to that. The header's M and probes are
-// held to the same bound: an M that is no cosine distance is
+// trust, for every version it reads (v7 through the parent-written fixture,
+// v9 files, and both rendered back as v8 and v7): cut anywhere — at every
+// field boundary of a small file, every 4 KiB of a large one — or with any
+// count replaced by MaxInt32, LoadMatcher returns ErrCorruptState, never
+// panics, and allocates at most 3 × the input + 64 KiB: one copy of the
+// input (the in-memory reader is copied once, like a file is read once), at
+// most the undamaged shards decoded beside it, and a constant for the
+// matcher and per-shard shells. No count in the file adds to that, the tuple
+// count that sizes v9's centroid table included. The header's M and probes
+// are held to the same bound: an M that is no cosine distance is
 // ErrCorruptState, a probe row that is not the encoder's embedding
-// ErrEncoderMismatch. So is every row a v8 file holds: a mask bit at or past
-// the dimension, a value whose bits are 0, values cut short, and an entity
-// or node count the bytes cannot back are ErrCorruptState.
+// ErrEncoderMismatch. So is every bitmask row a v8 or v9 file holds, a v9
+// file's centroid rows included: a mask bit at or past the dimension, a
+// value whose bits are 0, values cut short, and an entity or node count the
+// bytes cannot back are ErrCorruptState.
 //
 // Memory keeps a v7 row's nonzeros at 4 B each with its mask and descriptor,
 // so the worst v7 file is one whose rows have no zero at all: the "full rows"
 // legs, a dim-256 file whose every zero coordinate is rewritten to −0 (a
-// nonzero to the store: its bits are not zero). That file, and the v8 file
-// it saves as, load whole, save as that v8 file, and stay within the same
-// bound.
+// nonzero to the store: its bits are not zero). That file, and the v8 and
+// v9 files it renders and saves as, load whole, save as that v9 file, and
+// stay within the same bound.
 func TestLoadMatcherHostileInput(t *testing.T) {
-	small := saveBytes(t, staleMatcher(t, mustGeo(t, 0.01, 5), dim16Opts(2)))
-	large := saveBytes(t, staleMatcher(t, smallGeo(t), durOpts(2)))
+	small := saveBytes(t, absorbedMatcher(t, mustGeo(t, 0.01, 5), dim16Opts(2)))
+	large := saveBytes(t, absorbedMatcher(t, smallGeo(t), durOpts(2)))
 	// check loads raw and wants err to be want (nil: the load succeeds).
 	check := func(t *testing.T, name string, raw []byte, opt Options, want error) *Matcher {
 		t.Helper()
@@ -320,15 +441,17 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 		return m
 	}
 	full7 := fullRowFile(t)
-	full8 := saveBytes(t, mustLoad(t, full7, durOpts(2)))
-	for version, raw := range map[string][]byte{"v7": full7, "v8": full8} {
+	full9 := saveBytes(t, mustLoad(t, full7, durOpts(2)))
+	full8 := v8Bytes(t, full9)
+	for version, raw := range map[string][]byte{"v7": full7, "v8": full8, "v9": full9} {
 		t.Run(version+"/full rows loads", func(t *testing.T) {
-			if m := check(t, "whole file", raw, durOpts(2), nil); !bytes.Equal(saveBytes(t, m), full8) {
-				t.Fatal("the full-row file does not save as the v8 full-row file")
+			if m := check(t, "whole file", raw, durOpts(2), nil); !bytes.Equal(saveBytes(t, m), full9) {
+				t.Fatal("the full-row file does not save as the v9 full-row file")
 			}
 		})
 	}
-	for version, raw := range map[string][]byte{"v7": v7Bytes(t, small), "v8": small} {
+	small8 := v8Bytes(t, small)
+	for version, raw := range map[string][]byte{"v7": v7Bytes(t, small8), "v8": small8, "v9": small} {
 		t.Run(version+"/header", func(t *testing.T) {
 			f := fileFields(t, raw)
 			for _, bits := range []uint32{math.Float32bits(float32(math.NaN())), math.Float32bits(-0.01), math.Float32bits(2.01), math.Float32bits(float32(math.Inf(1)))} {
@@ -345,42 +468,57 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 			}
 		})
 	}
-	t.Run("v8/rows", func(t *testing.T) {
-		f := fileFields(t, small)
-		// A row with values, its mask and its values' bytes.
-		r := f.rows[slices.IndexFunc(f.rows, func(r [2]int) bool { return r[1]-r[0] > 8 })]
-		mask, vals := small[r[0]:r[0]+8], small[r[0]+8:r[1]]
-		for c := 16; c < 64; c++ {
-			bad := slices.Clone(mask)
-			bad[c/8] |= 1 << (c % 8)
-			// The value is the row's last: a load that took the bit would
-			// read the rows after it as they were.
-			check(t, fmt.Sprintf("mask bit %d", c), withRow(f, small, r, slices.Concat(bad, vals, []byte{0, 0, 0, 0x3f})), dim16Opts(2), ErrCorruptState)
-		}
-		check(t, "value of bits 0", withRow(f, small, r, slices.Concat(mask, []byte{0, 0, 0, 0}, vals[4:])), dim16Opts(2), ErrCorruptState)
-		// The file's last row is the last shard's last node's: the file
-		// ends after its mask, with its values gone.
-		last := f.rows[len(f.rows)-1]
-		if last[1]-last[0] == 8 {
-			t.Fatal("the file's last row holds no values")
-		}
-		check(t, "values cut short", withRow(f, small, last, small[last[0]:last[0]+8]), dim16Opts(2), ErrCorruptState)
-		for name, at := range map[string]int{"entity count": f.entCounts[0], "node count": f.nodeCounts[0]} {
-			bad := slices.Clone(small)
-			binary.LittleEndian.PutUint32(bad[at:], 1<<20)
-			check(t, name, bad, dim16Opts(2), ErrCorruptState)
-		}
-	})
+	for version, raw := range map[string][]byte{"v8": small8, "v9": small} {
+		t.Run(version+"/rows", func(t *testing.T) {
+			f := fileFields(t, raw)
+			// Rows with values, their masks and their values' bytes: the
+			// first, an entity row, and (v9) the first centroid row.
+			rows := [][2]int{f.rows[slices.IndexFunc(f.rows, func(r [2]int) bool { return r[1]-r[0] > 8 })]}
+			if version == "v9" {
+				c := slices.IndexFunc(f.rows, func(r [2]int) bool { return r[0] >= f.centStarts[0] && r[1]-r[0] > 8 })
+				rows = append(rows, f.rows[c])
+			}
+			for _, r := range rows {
+				mask, vals := raw[r[0]:r[0]+8], raw[r[0]+8:r[1]]
+				for c := 16; c < 64; c++ {
+					bad := slices.Clone(mask)
+					bad[c/8] |= 1 << (c % 8)
+					// The value is the row's last: a load that took the bit
+					// would read the rows after it as they were.
+					check(t, fmt.Sprintf("row at %d: mask bit %d", r[0], c), withRow(f, raw, r, slices.Concat(bad, vals, []byte{0, 0, 0, 0x3f})), dim16Opts(2), ErrCorruptState)
+				}
+				check(t, fmt.Sprintf("row at %d: value of bits 0", r[0]), withRow(f, raw, r, slices.Concat(mask, []byte{0, 0, 0, 0}, vals[4:])), dim16Opts(2), ErrCorruptState)
+			}
+			// The file's last row is the last shard's last node's (v8) or
+			// last centroid's (v9): the file ends after its mask, with its
+			// values gone.
+			last := f.rows[len(f.rows)-1]
+			if last[1]-last[0] == 8 {
+				t.Fatal("the file's last row holds no values")
+			}
+			check(t, "values cut short", withRow(f, raw, last, raw[last[0]:last[0]+8]), dim16Opts(2), ErrCorruptState)
+			for name, at := range map[string]int{"entity count": f.entCounts[0], "tuple count": f.tupleCounts[0], "node count": f.nodeCounts[0]} {
+				bad := slices.Clone(raw)
+				binary.LittleEndian.PutUint32(bad[at:], 1<<20)
+				check(t, name, bad, dim16Opts(2), ErrCorruptState)
+			}
+		})
+	}
+	large8 := v8Bytes(t, large)
 	for _, tc := range []struct {
 		name string
 		raw  []byte
 		opt  Options
 		step int // 0: every field boundary
 	}{
-		{"v8/fields", small, dim16Opts(2), 0},
+		{"v9/fields", small, dim16Opts(2), 0},
+		{"v8/fields", small8, dim16Opts(2), 0},
+		{"v8/fixture fields", readFile(t, v8FixturePath(2)+".bin", matcherFormatV8), dim16Opts(2), 0},
 		{"v7/fields", readFixture(t), dim16Opts(2), 0},
-		{"v8/4KiB", large, durOpts(2), 4 << 10},
-		{"v7/4KiB", v7Bytes(t, large), durOpts(2), 4 << 10},
+		{"v9/4KiB", large, durOpts(2), 4 << 10},
+		{"v8/4KiB", large8, durOpts(2), 4 << 10},
+		{"v7/4KiB", v7Bytes(t, large8), durOpts(2), 4 << 10},
+		{"v9/full rows", full9, durOpts(2), 0},
 		{"v8/full rows", full8, durOpts(2), 0},
 		{"v7/full rows", full7, durOpts(2), 0},
 	} {
@@ -414,7 +552,7 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 		step int // 0: every field boundary
 	}{
 		{"v6/fields", readFixture(t), dim16Opts(2), 0},
-		{"v6/4KiB", v7Bytes(t, large), durOpts(2), 4 << 10},
+		{"v6/4KiB", v7Bytes(t, large8), durOpts(2), 4 << 10},
 		{"v6/full rows", full7, durOpts(2), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -483,7 +621,7 @@ func withRow(f fileLayout, raw []byte, r [2]int, row []byte) []byte {
 // rewrites every zero coordinate of its rows to −0, so no row has a zero to
 // drop.
 func fullRowFile(t *testing.T) []byte {
-	raw := v7Bytes(t, saveBytes(t, staleMatcher(t, mustGeo(t, 0.01, 5), durOpts(2))))
+	raw := v7Bytes(t, v8Bytes(t, saveBytes(t, absorbedMatcher(t, mustGeo(t, 0.01, 5), durOpts(2)))))
 	for _, r := range fileFields(t, raw).rows {
 		for at := r[0]; at < r[1]; at += 4 {
 			if binary.LittleEndian.Uint32(raw[at:]) == 0 {
@@ -508,7 +646,7 @@ func mustGeo(t *testing.T, scale float64, seed int64) *table.Dataset {
 // load the same matcher.
 func TestLoadMatcherFromAnyReader(t *testing.T) {
 	d := smallGeo(t)
-	raw := saveBytes(t, staleMatcher(t, d, durOpts(2)))
+	raw := saveBytes(t, absorbedMatcher(t, d, durOpts(2)))
 	path := filepath.Join(t.TempDir(), "m.bin")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)

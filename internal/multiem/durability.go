@@ -96,13 +96,6 @@ type WALStats struct {
 	// is skewed; the reader near it: embed-bound.
 	ReplayReaderBusySeconds float64   `json:"replay_reader_busy_seconds"`
 	ReplayShardBusySeconds  []float64 `json:"replay_shard_busy_seconds,omitempty"`
-	// ReplaySkippedLinks counts the index nodes replay appended without
-	// linking them into a graph, because a compaction later in the log
-	// discarded them: graph work the crashed process did and recovery did not
-	// have to. Replay links a shard only when its log (or round) ends, so the
-	// count is every node a compaction discards, fixed by the log and the
-	// state it replays over. Zero when the replayed log crossed no compaction.
-	ReplaySkippedLinks int64 `json:"replay_skipped_links"`
 }
 
 // walState is a matcher's attached durability state.
@@ -460,7 +453,6 @@ func (m *Matcher) WALStats() WALStats {
 		st.ReplayShardBusySeconds = make([]float64, len(rs.shardBusy))
 		for s, d := range rs.shardBusy {
 			st.ReplayShardBusySeconds[s] = d.Seconds()
-			st.ReplaySkippedLinks += rs.skipped[s]
 		}
 	}
 	ws := m.wal

@@ -619,7 +619,6 @@ func TestWALStatsJSON(t *testing.T) {
 	st.LoadSeconds, st.LoadBytes = 0.5, 10
 	st.ReplayedBatches, st.ReplayedRows, st.ReplaySeconds = 11, 12, 1.5
 	st.ReplayReaderBusySeconds, st.ReplayShardBusySeconds = 0.25, []float64{0.75}
-	st.ReplaySkippedLinks = 13
 	got, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
@@ -629,8 +628,7 @@ func TestWALStatsJSON(t *testing.T) {
 		`"next_seq":6,"snapshot_seq":7,"snapshots":8,"snapshot_errors":9,` +
 		`"load_seconds":0.5,"load_bytes":10,` +
 		`"replayed_batches":11,"replayed_rows":12,"replay_seconds":1.5,` +
-		`"replay_reader_busy_seconds":0.25,"replay_shard_busy_seconds":[0.75],` +
-		`"replay_skipped_links":13}`
+		`"replay_reader_busy_seconds":0.25,"replay_shard_busy_seconds":[0.75]}`
 	if string(got) != want {
 		t.Fatalf("WALStats marshals to\n%s\nwant\n%s", got, want)
 	}
@@ -741,7 +739,7 @@ func TestRestartUnderOtherOptions(t *testing.T) {
 		m    float32
 	}{
 		{"follower under M 0.7", snap, 0.7},
-		{"follower from v7 under M 0.7", v7Bytes(t, snap), 0.7},
+		{"follower from v7 under M 0.7", v7Bytes(t, v8Bytes(t, snap)), 0.7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewReplicator(mustLoad(t, tc.file, withM(tc.m)), 0)

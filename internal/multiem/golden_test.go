@@ -14,8 +14,8 @@ import (
 
 // absorbRows returns one row per pipeline tuple (up to width): the values of
 // the tuple's first member. Re-adding them absorbs every row into its own
-// tuple and refreshes that tuple's centroid, leaving one stale index entry
-// per row per batch — the fastest way to drive a shard into compaction.
+// tuple and refreshes that tuple's centroid, leaving one dead centroid row
+// per row per batch — the fastest way to drive a shard into a reclamation.
 func absorbRows(m *Matcher, d *table.Dataset, width int) [][]string {
 	byID := d.EntityByID()
 	tuples := m.Result().Tuples
@@ -29,21 +29,25 @@ func absorbRows(m *Matcher, d *table.Dataset, width int) [][]string {
 	return rows
 }
 
-// compactEveryShard re-adds rows until every shard has compacted at least
-// once, reporting each batch's results to visit.
-func compactEveryShard(t *testing.T, m *Matcher, rows [][]string, visit func([]AddResult)) {
+// reclaimEveryShard re-adds rows until every shard has reclaimed its dead
+// centroid rows at least once — moved its rows to a fresh data arena —
+// reporting each batch's results to visit. It returns the number of batches.
+func reclaimEveryShard(t *testing.T, m *Matcher, rows [][]string, visit func([]AddResult)) int {
 	t.Helper()
+	arenas := make([]*vector.RowData, len(m.shards))
+	for s, sh := range m.shards {
+		arenas[s] = sh.entVecs.Data()
+	}
 	for batch := 0; ; batch++ {
 		done := true
-		_, per, _ := m.StatsWithShards()
-		for _, ss := range per {
-			done = done && ss.Compactions > 0
+		for s, sh := range m.shards {
+			done = done && sh.entVecs.Data() != arenas[s]
 		}
 		if done {
-			return
+			return batch
 		}
 		if batch == 400 {
-			t.Fatalf("no compaction on every shard after %d absorb batches: %+v", batch, per)
+			t.Fatalf("no reclamation on every shard after %d absorb batches", batch)
 		}
 		res, err := m.AddRecords(rows)
 		if err != nil {
@@ -56,14 +60,19 @@ func compactEveryShard(t *testing.T, m *Matcher, rows [][]string, visit func([]A
 // TestSaveBytesGolden pins everything a client or a file can observe of a
 // fixed history — every AddRecords result, a set of Match replies, and the
 // Save bytes before and after a Save/Load/ingest leg — to hashes. The
-// history covers batch-formed tuples, absorptions, a compaction on both
-// shards and stale entries at save time; a change to which vectors enter the
-// index, in which order, or to any decision shows up here. Both kernel
-// paths must give the one hash: the portable kernels sum in the assembly's
-// order, so they have its bits.
+// history covers batch-formed tuples, absorptions, a reclamation on both
+// shards and dead centroid rows at save time; a change to which vectors
+// enter the index, in which order, or to any decision shows up here. Both
+// kernel paths must give the one hash: the portable kernels sum in the
+// assembly's order, so they have its bits.
 //
 // One hash, over the results, the replies and the bytes Save writes. It was
-// last re-taken when the exact two-table join began to score its pairs
+// last re-taken when the graph stopped indexing a node per centroid version
+// (matcher version 9): a tuple keeps its first centroid as its one node,
+// plus each absorbed row far from all its nodes, and its current centroid
+// is a row of the centroid table. The graph, hence the candidates every
+// decision and reply re-ranks, and every byte of the index changed. Before
+// that, it was re-taken when the exact two-table join began to score its pairs
 // through the bitmask gather, as the HNSW leg does: the build's confidences
 // moved in their last bits, so the tuples' maxJoinDist words in the file
 // did, and nothing else (a Music-20 matcher saved with every maxJoinDist
@@ -80,7 +89,7 @@ func TestSaveBytesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the hash was taken on amd64; no test runs the arm64 bits")
 	}
-	const want = "6b0746d2179ec2167df435208ec97d21a3a084035d4e3a2f366ca5ce8d1c431b"
+	const want = "49cb90e753ea519ead85b5a6c14a477ddde333a6b3c282b0b3dd048cf9f2638c"
 	for _, mode := range []string{"scalar", "avx2"} {
 		t.Run(mode, func(t *testing.T) {
 			vector.ForceKernels(t, mode)
@@ -101,17 +110,21 @@ func TestSaveBytesGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			addAll(m, randomBatches(d, 6, 8, 7))
-			compactEveryShard(t, m, absorbRows(m, d, 40), func(res []AddResult) { fmt.Fprintf(h, "%+v\n", res) })
+			reclaimEveryShard(t, m, absorbRows(m, d, 40), func(res []AddResult) { fmt.Fprintf(h, "%+v\n", res) })
 			addAll(m, randomBatches(d, 2, 8, 8))
-			if s := m.Stats(); s.IndexSize == s.Live {
-				t.Fatal("history leaves no stale entries at save time")
+			if !recentred(m) {
+				t.Fatal("history leaves no dead centroid rows at save time")
 			}
 			raw := saveBytes(t, m)
 			h.Write(raw)
 			// Save writes each section's length ahead of it; the length is exact.
 			for s, sh := range m.state.Load().shards {
 				var sec bytes.Buffer
-				if err := sh.writeSection(bufio.NewWriter(&sec)); err != nil {
+				w := bufio.NewWriter(&sec)
+				if err := sh.writeSection(w); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Flush(); err != nil {
 					t.Fatal(err)
 				}
 				if got := sh.sectionSize(); got != sec.Len() {

@@ -62,12 +62,11 @@ type MatcherStats struct {
 	Dim int `json:"dim"`
 	// Shards is the number of hash shards the state is split across.
 	Shards int `json:"shards"`
-	// IndexSize is the total number of centroid vectors across the shards'
-	// ANN indexes, stale centroids of absorbed-into tuples included.
+	// IndexSize is the total number of nodes across the shards' graphs: one
+	// a tuple, and one for each row absorbed far from every node its tuple
+	// had (ShardStats.IndexSize).
 	IndexSize int `json:"index_size"`
-	// Live is the number of current centroids (one per tuple); the
-	// difference IndexSize - Live is stale index weight, bounded per shard
-	// by compaction.
+	// Live is the number of current centroids (one per tuple).
 	Live int `json:"live"`
 	// Attrs are the attribute names used for representation.
 	Attrs []string `json:"attrs"`
@@ -98,28 +97,32 @@ func (e *ArityError) Error() string {
 
 // tupleState is one tracked tuple: its member entity rows (local to the
 // owning shard) and merge-path provenance. The tuple's unit-norm centroid is
-// the vector of node `node` in the shard's HNSW index.
+// row `cent` of the shard's centroid table.
 type tupleState struct {
-	members     []int
-	maxJoinDist float32
+	members []int
 	// minEntID caches the smallest member entity ID — the tuple's
 	// layout-independent identity for deterministic tie-breaks. Fixed at
 	// creation: later members always carry fresh, larger IDs. Derived
 	// state, recomputed on load rather than persisted.
-	minEntID int
-	// node is the internal HNSW node (hnsw.Index.Vector's numbering) of the
-	// tuple's current index entry, whose vector is the tuple's centroid. A
-	// centroid refresh indexes a new node under the same tuple id instead of
-	// overwriting (published views may still be reading the old one) and
-	// moves this pointer; compaction rebuilds the index dense, node = local
-	// index. Derived state, like minEntID: on load it is the last index node
-	// carrying the tuple's id.
+	minEntID    int
+	maxJoinDist float32
+	// node is the tuple's first node in the shard's graph (hnsw.Index's
+	// numbering), where the writer's chain through its nodes starts
+	// (shard.next). Derived state, like minEntID: on load it is the first
+	// node carrying the tuple's id.
 	node int32
+	// cent is the row of the shard's centroid table holding the tuple's
+	// centroid. A centroid refresh appends a row instead of overwriting one
+	// (published views may still be reading it) and moves this pointer; a
+	// reclamation renumbers the live rows, cent = local index, as a load
+	// does.
+	cent int32
 }
 
 // Matcher serves online entity matching over a completed pipeline run. Its
 // state is hash-sharded: each shard owns a disjoint set of tuples together
-// with their member embeddings and the HNSW index that stores their centroids.
+// with their member embeddings, the HNSW graph that finds them and their
+// centroids.
 // Tuples are addressed by stable global IDs (shard<<32 | local index).
 //
 // Match answers "which tuple does this record belong to" without re-running
@@ -265,9 +268,11 @@ func (m *Matcher) newShards(n int) {
 	m.shards = make([]*shard, n)
 	for s := range m.shards {
 		m.shards[s] = &shard{
-			shardView: shardView{entVecs: vector.NewSparseRows(m.dim), tuples: newTupleTable(shift)},
-			centroid:  make([]float32, m.dim),
+			centroid: make([]float32, m.dim),
 		}
+		sh := m.shards[s]
+		sh.entVecs, sh.tuples = vector.NewSparseRows(m.dim), newTupleTable(shift)
+		sh.cents = vector.NewSparseRowsOn(sh.entVecs.Data())
 	}
 }
 
@@ -345,16 +350,16 @@ func BuildMatcher(d *table.Dataset, opt Options) (*Matcher, error) {
 	return m, nil
 }
 
-// buildShardIndex constructs shard s's centroid HNSW index from its tuples,
-// in local order, so tuple l starts out at node l, and links it for the
-// first view. Each centroid is derived again from the member rows the shard
-// now owns — the same vectors in the same order as the routing centroid,
-// hence the same bits.
+// buildShardIndex constructs shard s's graph from its tuples, in local
+// order, so tuple l starts out at node l and centroid row l, and links it for
+// the first view. Each centroid is derived again from the member rows the
+// shard now owns — the same vectors in the same order as the routing
+// centroid, hence the same bits.
 func (m *Matcher) buildShardIndex(s int) {
 	sh := m.shards[s]
 	sh.index = hnsw.NewOn(sh.entVecs.Data(), m.opt.HNSW)
 	for local := 0; local < sh.tuples.Len(); local++ {
-		sh.indexCentroid(local)
+		sh.addTuple(local)
 	}
 	sh.index.Link()
 }
@@ -450,38 +455,37 @@ func (m *Matcher) shardEf() int {
 type shardHits struct {
 	keys   []int   // smallest member entity ID per tuple
 	locals []int   // local tuple indexes
-	nodes  []int32 // the tuples' current index nodes
+	cents  []int32 // the tuples' centroid rows
 	dists  []float32
 }
 
 // searchShard runs one shard's leg of a query — Match's over a published
 // view, decide's over the writer's own state — and is the only place the
-// matcher searches an index: fetch entries (callers over-fetch, because
-// absorbed-into tuples leave stale centroid entries behind), collapse the
-// entries that resolve to one tuple, and re-rank every distinct tuple by cosine
-// distance to its current centroid — one gather call over the index's node
-// store (the rows the graph walk just read) instead of a kernel call per
+// matcher searches an index: fetch nodes (callers over-fetch, because a
+// tuple may have several), collapse the nodes that resolve to one tuple, and
+// re-rank every distinct tuple by cosine distance to its current centroid —
+// one gather call over the centroid table instead of a kernel call per
 // tuple. Nothing here writes shard state, so no lock is involved. Distances
 // are as the kernel returns them, unclamped.
 func searchShard(v *shardView, fetch, ef int, q []float32, hits *shardHits) {
 	raw := v.index.Search(q, fetch, ef)
 	hits.keys = slices.Grow(hits.keys[:0], len(raw))
 	hits.locals = slices.Grow(hits.locals[:0], len(raw))
-	hits.nodes = slices.Grow(hits.nodes[:0], len(raw))
+	hits.cents = slices.Grow(hits.cents[:0], len(raw))
 	for _, r := range raw {
-		// Stale versions of one tuple all re-rank against the same current
-		// centroid, so keep the first and score each tuple once.
+		// A tuple's nodes all re-rank against its one centroid, so keep the
+		// first and score each tuple once.
 		if slices.Contains(hits.locals, r.ID) {
 			continue
 		}
 		ts := v.tuples.at(r.ID)
 		hits.keys = append(hits.keys, ts.minEntID)
 		hits.locals = append(hits.locals, r.ID)
-		hits.nodes = append(hits.nodes, ts.node)
+		hits.cents = append(hits.cents, ts.cent)
 	}
-	hits.dists = slices.Grow(hits.dists[:0], len(hits.nodes))[:len(hits.nodes)]
-	if len(hits.nodes) > 0 {
-		v.index.Dists(q, hits.nodes, hits.dists)
+	hits.dists = slices.Grow(hits.dists[:0], len(hits.cents))[:len(hits.cents)]
+	if len(hits.cents) > 0 {
+		v.cents.CosineUnitGather(q, hits.cents, hits.dists)
 	}
 }
 
@@ -588,10 +592,13 @@ const addSearchK = 8
 //     routing hash of its embedding names.
 //  3. The batch is partitioned by destination shard and applied
 //     concurrently, each shard's slice in row order against the writer-side
-//     state: members appended, each created or touched tuple's centroid
-//     computed once and indexed as a fresh node, and the shard compacted if
-//     stale index entries piled up. The batch commits with one atomic
-//     view swap, so concurrent readers see it all-or-nothing across shards.
+//     state: members appended, each created tuple's centroid computed once
+//     and indexed as its first node, each touched tuple's recomputed once
+//     into the centroid table (an absorbed row far from every node of its
+//     tuple becomes one more node), and the shard's dead centroid rows
+//     reclaimed once they outnumber the live ones. The batch commits with
+//     one atomic view swap, so concurrent readers see it all-or-nothing
+//     across shards.
 //
 // Decisions against pre-existing tuples use the state at the start of the
 // batch, and the chaining pass is independent of the shard layout — so

@@ -298,8 +298,8 @@ func TestLoadMatcherOldVersionFailsWithNamedError(t *testing.T) {
 		b := append([]byte(nil), buf.Bytes()...)
 		b[8] = version // version field, little-endian low byte
 		_, err := LoadMatcher(bytes.NewReader(b), geoOpts())
-		if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), "this build reads 8 and 7") {
-			t.Fatalf("version-%d file: %v, want ErrFormatVersion naming versions 8 and 7", version, err)
+		if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), "this build reads 9, 8 and 7") {
+			t.Fatalf("version-%d file: %v, want ErrFormatVersion naming versions 9, 8 and 7", version, err)
 		}
 	}
 }

@@ -109,11 +109,19 @@ func (m *Matcher) decideRow(d *addDecision, q []float32, ef int, hits *shardHits
 var ErrLogMismatch = errors.New("multiem: logged batch does not fit this matcher state " +
 	"(replay a log over the base state or snapshot it was written over, with the same shard count)")
 
-// distTolerance is how far a logged absorption distance may lie from the one
-// recomputed at replay. On amd64 both kernel paths recompute the logged bits
-// (TestReplayAcrossKernels); the slack is for a log that moves to an arm64
-// host, whose kernel bits no test checks. A different target centroid
-// differs in the first digit.
+// distTolerance is how far a number a log or state file carries may lie
+// from the one this host recomputes: checkDecision's logged absorption
+// distance, against the target tuple's centroid row, and the encoder probe
+// check (checkHeader). It covers only a log or state that moved to another
+// host. On amd64 the two agree bit for bit on every kernel path: the
+// portable kernels are Go twins that sum in the assembly's order with one
+// rounding per product (TestReplayAcrossKernels pins the replayed distances,
+// TestSaveBytesGolden the files), make build-arm64 fails on any fused
+// float32 multiply-add in the packages a state or a decision depends on,
+// and the one transcendental on the state path, math.Sqrt, is correctly
+// rounded everywhere. So an arm64 host should compute the portable path's
+// bits, but no test runs there, and the slack stays until one does. A
+// different target centroid differs in the first digit.
 const distTolerance = 1e-5
 
 // planFromRecord is the plan's second source: the rows of a log record,
@@ -179,8 +187,8 @@ func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
 		return fmt.Errorf("logged distance %v is not within M = %v", d.dist, m.mergeM)
 	}
 	sh := m.shards[d.shard]
-	node, got := [1]int32{sh.tuples.at(d.local).node}, [1]float32{}
-	sh.index.Dists(q, node[:], got[:])
+	cent, got := [1]int32{sh.tuples.at(d.local).cent}, [1]float32{}
+	sh.cents.CosineUnitGather(q, cent[:], got[:])
 	if math.Abs(float64(got[0]-d.dist)) > distTolerance {
 		return fmt.Errorf("logged at distance %v from tuple %d of shard %d, which is at %v here", d.dist, d.local, d.shard, got[0])
 	}
@@ -240,9 +248,8 @@ func (m *Matcher) chain(p *batchPlan) {
 
 // apply carries out a settled plan: it hands the batch its entity IDs —
 // fresh and dense in row order — and runs every destination shard's share
-// concurrently (shard.apply), compacting a shard whose stale index entries
-// piled up, then links what the shard appended: publish takes its view next,
-// and the next batch's decide searches it.
+// concurrently (shard.apply), then links the nodes the shard appended:
+// publish takes its view next, and the next batch's decide searches it.
 func (m *Matcher) apply(p *batchPlan) []AddResult {
 	baseID := m.nextID
 	m.nextID += len(p.rows)
@@ -250,8 +257,7 @@ func (m *Matcher) apply(p *batchPlan) []AddResult {
 	par.For(len(m.shards), len(m.shards), func(_, s int) {
 		if len(p.perShard[s]) > 0 {
 			sh := m.shards[s]
-			sh.apply(s, p, baseID, out)
-			sh.maybeCompact()
+			sh.apply(s, p, baseID, out, m.mergeM)
 			sh.index.Link()
 		}
 	})

@@ -140,14 +140,20 @@ func TestPlanLayoutIndependent(t *testing.T) {
 }
 
 // TestSearchShardWriterEqualsView is the property that lets decide and Match
-// share searchShard: after a history that leaves stale index entries, a
-// search over the writer's own shard state and one over the view published
-// from it return the same tuples, nodes and distance bits, on every shard.
+// share searchShard: after a history that leaves tuples with several graph
+// nodes and recomputed centroids, a search over the writer's own shard state
+// and one over the view published from it return the same tuples, centroid
+// rows and distance bits, on every shard.
 func TestSearchShardWriterEqualsView(t *testing.T) {
 	m, d := shardedGeo(t, 4)
 	rows := absorbRows(m, d, 24)
-	for b := 0; b < 2; b++ { // each batch strands one stale entry per row
+	for b := 0; b < 2; b++ {
 		if _, err := m.AddRecords(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, batch := range randomBatches(mustGeo(t, 0.3, 12), 8, 16, 5) {
+		if _, err := m.AddRecords(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,18 +161,21 @@ func TestSearchShardWriterEqualsView(t *testing.T) {
 
 	ef := m.shardEf()
 	views := m.state.Load().shards
-	collapsed := 0
+	collapsed, extra := 0, 0
+	for _, sh := range m.shards {
+		extra += sh.index.Len() - sh.tuples.Len()
+	}
+	if extra == 0 || !recentred(m) {
+		t.Fatalf("%d extra nodes, recomputed centroids %v; the history does not exercise the collapse", extra, recentred(m))
+	}
 	for s, sh := range m.shards {
-		if sh.index.Len() == sh.tuples.Len() {
-			t.Fatalf("shard %d has no stale entries; the history does not exercise the collapse", s)
-		}
 		for _, fetch := range []int{addSearchK, 4*3 + 8} {
 			for qi, values := range queries {
 				q := m.embed(values)
 				var w, v shardHits
 				searchShard(&sh.shardView, fetch, ef, q, &w)
 				searchShard(views[s], fetch, ef, q, &v)
-				if !slices.Equal(w.keys, v.keys) || !slices.Equal(w.locals, v.locals) || !slices.Equal(w.nodes, v.nodes) {
+				if !slices.Equal(w.keys, v.keys) || !slices.Equal(w.locals, v.locals) || !slices.Equal(w.cents, v.cents) {
 					t.Fatalf("shard %d fetch %d query %d: writer hits %+v, view hits %+v", s, fetch, qi, w, v)
 				}
 				for j := range w.dists {

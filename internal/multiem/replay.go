@@ -35,9 +35,6 @@ type replayStats struct {
 	shardBusy        []time.Duration
 	// peakRows is the most rows that were in flight at once.
 	peakRows int
-	// skipped[s] counts the nodes shard s's stream appended that a compaction
-	// then discarded unlinked, as maybeCompact reports them.
-	skipped []int64
 }
 
 // plus adds prev's (nil for none) WALStats fields to st's, reusing st's slices,
@@ -48,7 +45,6 @@ func (st replayStats) plus(prev *replayStats) *replayStats {
 		st.wall, st.readerBusy = st.wall+prev.wall, st.readerBusy+prev.readerBusy
 		for s := range st.shardBusy {
 			st.shardBusy[s] += prev.shardBusy[s]
-			st.skipped[s] += prev.skipped[s]
 		}
 	}
 	return &st
@@ -121,16 +117,15 @@ var ErrSeqGap = errors.New("multiem: gap in the logged batch sequence")
 // stream walks. A stream takes the batches in log order and for each checks
 // the logged decisions that target its shard (checkShard; the shard's state
 // is the pre-batch one, its own share of the batch comes next), then runs the
-// same shard.apply and maybeCompact live ingest runs — the same inserts per
-// shard in the same order, so graphs, compaction points and Save bytes are the
-// primary's.
+// same shard.apply live ingest runs — the same inserts per shard in the same
+// order, the same extra-node checks (one gather each, no search) and the same
+// reclamations, so graphs and Save bytes are the primary's.
 //
 // Replay never searches, so no stream links its graph until its list ends:
-// apply and maybeCompact only Append (shard.apply), and a stream links what
-// is pending once, after its last batch. Link links every appended node in
-// node order, as their Adds would have, so the graph is the one live ingest
-// built; and a node that a compaction discards before then is never linked
-// at all. Nothing else happens: no logging (the records are being read back)
+// apply only Appends, and a stream links what is pending once, after its last
+// batch. Link links every appended node in node order, as their Adds would
+// have, so the graph is the one live ingest built. Nothing else happens: no
+// logging (the records are being read back)
 // and no spans or counters (replayed history would pollute the serving
 // histograms). The shards change copy-on-write, as under live ingest, so the
 // views readers hold stay intact; once every stream has finished and linked,
@@ -160,7 +155,6 @@ func (m *Matcher) replayWAL(scan func(fn func(payload []byte) error) error, star
 		window:   max(1, windowBytes/(4*m.dim)),
 	}
 	r.st.shardBusy = make([]time.Duration, n)
-	r.st.skipped = make([]int64, n)
 	r.freed.L, r.posted.L = &r.mu, &r.mu
 	r.failSeq.Store(math.MaxUint64)
 	var streams sync.WaitGroup
@@ -269,8 +263,7 @@ func (r *replayer) stream(s int, head *replayItem, done *sync.WaitGroup) {
 				r.fail(it.seq, row, fmt.Errorf("apply logged batch %d: %w", it.seq, err))
 			} else if len(it.p.perShard[s]) > 0 {
 				out = slices.Grow(out[:0], len(it.p.rows))[:len(it.p.rows)]
-				sh.apply(s, it.p, it.baseID, out)
-				r.st.skipped[s] += int64(sh.maybeCompact())
+				sh.apply(s, it.p, it.baseID, out, m.mergeM)
 			}
 			r.st.shardBusy[s] += time.Since(t0)
 		}

@@ -321,38 +321,30 @@ func TestFollowerRoundRefusal(t *testing.T) {
 }
 
 // skewedHistory ingests, in batches of batchRows, a history whose one
-// compaction falls on shard 0 alone — mixed batches, then batches of exact
-// duplicates of shard 0's base tuples until that shard rebuilds its index,
-// then tail mixed batches again — into both matchers, and returns how many
-// batches and rows that took, the batches after which shard 0 compacted, and
-// how many index nodes those compactions discard that a replay of the whole
-// history over the base never links: every node shard 0 appended from the
-// base's linked index on, up to the last compaction.
-func skewedHistory(t *testing.T, d *table.Dataset, batchRows, tail int, primary, uncrashed *Matcher) (batches, rows int, compactedAfter []uint64, unlinked int64) {
+// reclamation falls on shard 0 alone — mixed batches, then batches of exact
+// duplicates of shard 0's base tuples until that shard reclaims its dead
+// centroid rows, then tail mixed batches again — into both matchers, and
+// returns how many batches and rows that took and the batches after which
+// shard 0 reclaimed.
+func skewedHistory(t *testing.T, d *table.Dataset, batchRows, tail int, primary, uncrashed *Matcher) (batches, rows int, reclaimedAfter []uint64) {
 	t.Helper()
-	linked := uncrashed.shards[0].index.Len() // the base's index, linked at load
+	arenas := make([]*vector.RowData, len(uncrashed.shards))
 	add := func(batch [][]string) {
-		sh := uncrashed.shards[0]
-		before, indexLen := sh.compactions, sh.index.Len()
-		var res []AddResult
+		for s, sh := range uncrashed.shards {
+			arenas[s] = sh.entVecs.Data()
+		}
 		for _, m := range []*Matcher{primary, uncrashed} {
-			var err error
-			if res, err = m.AddRecords(batch); err != nil {
+			if _, err := m.AddRecords(batch); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if sh.compactions > before {
-			// The batch appended one node per shard-0 tuple it created or
-			// absorbed into; the compaction discarded those with the rest.
-			touched := map[int]bool{}
-			for _, r := range res {
-				if s, _ := splitTupleID(r.Tuple); s == 0 {
-					touched[r.Tuple] = true
+		for s, sh := range uncrashed.shards {
+			if sh.entVecs.Data() != arenas[s] {
+				if s != 0 {
+					t.Fatalf("shard %d reclaimed after batch %d; the history wants shard 0 alone to", s, batches)
 				}
+				reclaimedAfter = append(reclaimedAfter, uint64(batches))
 			}
-			unlinked += int64(indexLen + len(touched) - linked)
-			linked = 0 // the rebuilt index is appended and not linked
-			compactedAfter = append(compactedAfter, uint64(batches))
 		}
 		batches, rows = batches+1, rows+len(batch)
 	}
@@ -367,9 +359,9 @@ func skewedHistory(t *testing.T, d *table.Dataset, batchRows, tail int, primary,
 			dups = append(dups, e.Values)
 		}
 	})
-	for next := 0; uncrashed.shards[0].compactions == 0; {
+	for next := 0; len(reclaimedAfter) == 0; {
 		if rows > 50*len(dups) {
-			t.Fatalf("shard 0 has not compacted after %d rows", rows)
+			t.Fatalf("shard 0 has not reclaimed after %d rows", rows)
 		}
 		batch := make([][]string, batchRows)
 		for i := range batch {
@@ -380,21 +372,15 @@ func skewedHistory(t *testing.T, d *table.Dataset, batchRows, tail int, primary,
 	for _, batch := range randomBatches(d, tail, batchRows, 18) {
 		add(batch)
 	}
-	for s, sh := range uncrashed.shards {
-		if (sh.compactions > 0) != (s == 0) {
-			t.Fatalf("shard %d compacted %d times; the history wants shard 0 alone to", s, sh.compactions)
-		}
-	}
-	return batches, rows, compactedAfter, unlinked
+	return batches, rows, reclaimedAfter
 }
 
 // TestReplayStreamsEqualLive: recovery's per-shard streams, which join only at
 // the end of the log, rebuild what live ingest built joining after every
 // batch — Save bytes, the next entity ID and the replayed counts — at every
 // shard count, from one-row batches (every shard sees every batch, most have
-// no share of it) to batches of 300 rows, across a compaction on one shard
-// only — whose stream never links a node that compaction discards, and no
-// other stream skips one — and with a torn record closing the log.
+// no share of it) to batches of 300 rows, across a reclamation on one shard
+// only, and with a torn record closing the log.
 func TestReplayStreamsEqualLive(t *testing.T) {
 	d := smallGeo(t)
 	for _, shards := range []int{1, 2, 3} {
@@ -411,7 +397,7 @@ func TestReplayStreamsEqualLive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batches, rows, _, unlinked := skewedHistory(t, d, batchRows, 3, primary, uncrashed)
+				batches, rows, _ := skewedHistory(t, d, batchRows, 3, primary, uncrashed)
 
 				// One more batch reaches the log only in part.
 				seg := wal.SegmentFile(LogDir(dir), 1)
@@ -459,67 +445,17 @@ func TestReplayStreamsEqualLive(t *testing.T) {
 						t.Fatalf("stage %d (0 = reader) busy %vs of a %vs replay", i, b, st.ReplaySeconds)
 					}
 				}
-				// The stream of the shard that compacted skipped the link of
-				// every node the compaction discarded — a count the log alone
-				// fixes — and no other stream skipped any.
-				rs := recovered.replayed.Load()
-				for s := 0; s < shards; s++ {
-					var want int64
-					if s == 0 {
-						want = unlinked
-					}
-					if rs.skipped[s] != want || (rs.skipped[s] > 0) != (s == 0) {
-						t.Fatalf("shard %d: a compaction discarded %d nodes unlinked, want %d (> 0 on shard 0 alone)", s, rs.skipped[s], want)
-					}
-				}
-				if st.ReplaySkippedLinks != unlinked {
-					t.Fatalf("WALStats reports %d skipped links, want %d", st.ReplaySkippedLinks, unlinked)
-				}
 			})
 		}
 	}
 }
 
-// TestReplayEndsOnCompaction: a log whose last batch compacts a shard leaves
-// that shard's rebuilt index appended and not linked when the list ends;
-// the stream links it then, and recovery publishes the uncrashed graph.
-func TestReplayEndsOnCompaction(t *testing.T) {
-	d := smallGeo(t)
-	const shards = 2
-	load := baseLoader(t, d, shards)
-	cfg := WALConfig{Dir: t.TempDir(), Fsync: "off"}
-	primary, err := RecoverMatcher(cfg, durOpts(shards), load)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncrashed, err := load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches, _, compactedAfter, _ := skewedHistory(t, d, 16, 0, primary, uncrashed)
-	if err := primary.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(compactedAfter, []uint64{uint64(batches - 1)}) {
-		t.Fatalf("shard 0 compacted after batches %v of %d; want after the last alone", compactedAfter, batches)
-	}
-	recovered, err := RecoverMatcher(cfg, durOpts(shards), load)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.CloseWAL()
-	if !bytes.Equal(saveBytes(t, recovered), saveBytes(t, uncrashed)) {
-		t.Fatal("recovered Save bytes differ from the uncrashed matcher's")
-	}
-}
-
-// TestFollowerRoundsCrossCompaction: a follower that catches up on a log in
-// rounds — one ending just before the batch that compacts shard 0, one
-// holding that batch alone, one holding the rest — stands where a live twin
-// given the same batches stands at the end of every round: each round links
-// what it appended before it publishes. Only the round that holds the
-// compaction skips a link.
-func TestFollowerRoundsCrossCompaction(t *testing.T) {
+// TestReplayCrossesReclamation: a recovery whose log ends just before the
+// batch that reclaims shard 0's dead centroid rows, just after it, or at the
+// end of the history gives the Save bytes the primary had at that seq, and
+// reclaims where the primary did: a replay moves shard 0's rows to a fresh
+// arena exactly when its log holds that batch.
+func TestReplayCrossesReclamation(t *testing.T) {
 	d := smallGeo(t)
 	const shards = 2
 	load := baseLoader(t, d, shards)
@@ -532,70 +468,132 @@ func TestFollowerRoundsCrossCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, _, compactedAfter, _ := skewedHistory(t, d, 16, 3, primary, uncrashed)
+	batches, _, reclaimedAfter := skewedHistory(t, d, 16, 3, primary, uncrashed)
 	if err := primary.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if len(compactedAfter) != 1 {
-		t.Fatalf("shard 0 compacted after batches %v; want once", compactedAfter)
+	if len(reclaimedAfter) != 1 {
+		t.Fatalf("shard 0 reclaimed after batches %v; want once", reclaimedAfter)
+	}
+	records := scanMirror(t, dir)
+	c := int(reclaimedAfter[0])
+	// The primary's Save bytes at each seq: a live twin given the same
+	// batches.
+	twin, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int][]byte{}
+	for seq, p := range records {
+		if seq == c || seq == c+1 {
+			want[seq] = saveBytes(t, twin)
+		}
+		rec, err := decodeBatchRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := twin.AddRecords(rec.rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want[batches] = saveBytes(t, twin)
+	for _, end := range []int{c, c + 1, batches} {
+		m, err := load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena := m.shards[0].entVecs.Data()
+		if n, err := m.replayWAL(scanOf(records[:end]...), 0, replayInflightBytes); err != nil || n != int64(end) {
+			t.Fatalf("replaying %d batches: %d replayed, %v", end, n, err)
+		}
+		if !bytes.Equal(saveBytes(t, m), want[end]) {
+			t.Fatalf("a replay ending at seq %d: Save bytes differ from the primary's", end)
+		}
+		if moved := m.shards[0].entVecs.Data() != arena; moved != (end > c) {
+			t.Fatalf("a replay ending at seq %d reclaimed shard 0: %v", end, moved)
+		}
+	}
+}
+
+// TestFollowerRoundsCrossReclamation: a follower that catches up on a log one
+// batch a round stands where a live twin given the same batches stands — the
+// primary at that seq — at the end of every round, the one holding the batch
+// that reclaims shard 0 included; and one that catches up in three rounds
+// around that batch does too.
+func TestFollowerRoundsCrossReclamation(t *testing.T) {
+	d := smallGeo(t)
+	const shards = 2
+	load := baseLoader(t, d, shards)
+	dir := t.TempDir()
+	primary, err := RecoverMatcher(WALConfig{Dir: dir, Fsync: "off"}, durOpts(shards), load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncrashed, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, _, reclaimedAfter := skewedHistory(t, d, 16, 3, primary, uncrashed)
+	if err := primary.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if len(reclaimedAfter) != 1 {
+		t.Fatalf("shard 0 reclaimed after batches %v; want once", reclaimedAfter)
 	}
 	records := scanMirror(t, dir)
 	if len(records) != batches {
 		t.Fatalf("the log holds %d records, want %d", len(records), batches)
 	}
-
-	follower, err := load()
-	if err != nil {
-		t.Fatal(err)
+	c := int(reclaimedAfter[0])
+	every := make([]int, batches)
+	for i := range every {
+		every[i] = i + 1
 	}
-	twin, err := load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReplicator(follower, 0)
-	c := int(compactedAfter[0])
-	var skipped int64
-	for _, end := range []int{c, c + 1, batches} {
-		round := records[r.NextSeq():end]
-		if err := r.Apply(scanOf(round...)); err != nil {
+	for _, ends := range [][]int{every, {c, c + 1, batches}} {
+		follower, err := load()
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range round {
-			rec, err := decodeBatchRecord(p)
-			if err != nil {
+		twin, err := load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewReplicator(follower, 0)
+		for _, end := range ends {
+			round := records[r.NextSeq():end]
+			if err := r.Apply(scanOf(round...)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := twin.AddRecords(rec.rows); err != nil {
-				t.Fatal(err)
+			for _, p := range round {
+				rec, err := decodeBatchRecord(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := twin.AddRecords(rec.rows); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if r.NextSeq() != uint64(end) {
-			t.Fatalf("the follower stands at seq %d, want %d", r.NextSeq(), end)
-		}
-		if !bytes.Equal(saveBytes(t, follower), saveBytes(t, twin)) {
-			t.Fatalf("the round ending at seq %d: follower Save bytes differ from the live twin's", end)
-		}
-		got := follower.WALStats().ReplaySkippedLinks - skipped
-		skipped += got
-		if holds := c < end && c >= end-len(round); (got > 0) != holds {
-			t.Fatalf("the round ending at seq %d skipped %d links; it holds the compaction: %v", end, got, holds)
+			if r.NextSeq() != uint64(end) {
+				t.Fatalf("the follower stands at seq %d, want %d", r.NextSeq(), end)
+			}
+			if !bytes.Equal(saveBytes(t, follower), saveBytes(t, twin)) {
+				t.Fatalf("the round ending at seq %d: follower Save bytes differ from the live twin's", end)
+			}
 		}
 	}
 }
 
 // perturbCentroid nudges the centroid of one tuple of a freshly loaded base,
 // so that a logged distance to it no longer holds: the nudged vector becomes
-// the tuple's current node, as a centroid refresh would index it.
+// the tuple's centroid row, as a centroid refresh would store it.
 func perturbCentroid(m *Matcher, shard, local int) {
 	sh := m.shards[shard]
 	c := make([]float32, m.dim)
-	sh.index.CopyTo(c, int(sh.tuples.at(local).node))
+	sh.cents.CopyTo(c, int(sh.tuples.at(local).cent))
 	for i := range c {
 		c[i] *= 1 + 0.15*float32(i%2)
 	}
-	sh.index.Append(local, vector.Normalize(c), vector.Ref{})
-	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
-	sh.index.Link()
+	sh.tuples.mut(local).cent = int32(sh.cents.Append(vector.Normalize(c)))
 }
 
 // TestReplayRefusalDeterministic: over a base that differs from the log's in

@@ -1,6 +1,7 @@
 package multiem
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -37,9 +38,10 @@ func splitTupleID(id int) (shard, local int) {
 	return id >> tupleShardShift, id & tupleLocalMask
 }
 
-// shardView is one shard's state — its entities, its tuples and the centroid
-// index over them — and the only type that holds them: a published view is
-// one that is never written again, the writer's shard one it may mutate.
+// shardView is one shard's state — its entities, its tuples, the graph that
+// finds them and their centroids — and the only type that holds them: a
+// published view is one that is never written again, the writer's shard one
+// it may mutate.
 //
 // Every structure here is built so a published view stays valid while the
 // writer keeps going:
@@ -51,58 +53,82 @@ func splitTupleID(id int) (shard, local int) {
 //   - Every table is one kind, arena.Arena: rows in fixed chunks behind a
 //     spine, so a stored row never moves. The tables are the tuple table,
 //     the index's link blocks, and the shard's one data arena of bitmask
-//     rows (vector.RowData: mask and value words) under two descriptor
-//     tables, entVecs's and the index's node table (vector.SparseRows). A
-//     view takes a snapshot of each — one of the data arena, which both
-//     descriptor tables share — which clips the spine in O(1) and marks
-//     every chunk and the spine shared. Appends write past every frozen
-//     length, in place; a write to an existing row (a tuple's node, a node's
-//     links — never a row of the data arena) copies its chunk first, and the
-//     batch's first such write copies the spine.
+//     rows (vector.RowData: mask and value words) under three descriptor
+//     tables, entVecs's, the index's node table and the centroid table
+//     (vector.SparseRows). A view takes a snapshot of each — one of the data
+//     arena, which the descriptor tables share — which clips the spine in
+//     O(1) and marks every chunk and the spine shared. Appends write past
+//     every frozen length, in place; a write to an existing row (a tuple's
+//     centroid row number, a node's links — never a row of the data arena)
+//     copies its chunk first, and the batch's first such write copies the
+//     spine.
 //
 // So a view copies no row and no spine (it clears one ownership flag a
 // chunk), and the writer's next batch copies only the chunks it dirties and
 // at most one spine a table.
 //
-// The index's node table is the only copy of the tuple centroids. A node's
-// vector is immutable, so a recomputed centroid is indexed as a new node
-// under the same tuple id, never written over one a view may be reading;
-// tupleState.node says which node is current, and the superseded ones are
-// the index's stale entries until the next compaction rebuilds it dense. A
-// node whose centroid has its tuple's first member's bits — every node of a
-// one-member tuple — is that member's entity row (indexNode): its descriptor
-// names the row's words, and it stores none of its own.
+// A tuple's graph nodes never change and never go stale. A tuple gets one
+// when it is created, its first centroid, and one more for each row absorbed
+// into it that lies farther than extraNodeFactor·M from every node it had,
+// that row itself; every node carries the tuple's local index as its id. Its
+// current centroid is a row of the centroid table, tupleState.cent: an
+// absorption appends the recomputed centroid there and links nothing, and
+// the row it supersedes is dead until a reclamation (maybeReclaim) copies
+// the live rows to a fresh arena. A row is shared where it has the words of
+// the row it derives from (nodeAlias, the one rule): a node that is its
+// tuple's first centroid is the first member's entity row where it has that
+// row's words — every one-member tuple's is — an absorbed node is that
+// member's entity row, and a centroid row is its tuple's last node's row
+// where it has that row's words — a tuple's first centroid always.
 type shardView struct {
 	// entIDs maps local entity row -> global entity ID. Append-only.
 	entIDs []int
 	// entVecs holds the embeddings of every entity owned by this shard, as
 	// bitmask rows on the shard's data arena (entVecs.Data()), which the
-	// index's node rows share; a tuple's members index into it. The
+	// node and centroid rows share; a tuple's members index into it. The
 	// centroid sums read it, and the walks through the nodes that alias its
 	// rows. Append-only.
 	entVecs *vector.SparseRows
 	// tuples is the tuple table (tupletable.go): the writer's copy in a
 	// shard, a snapshot of it in a published view.
 	tuples tupleTable
-	// index is the HNSW index over tuple centroids, ids = local tuple
-	// indexes. Append-only between compactions.
+	// index is the HNSW graph over the tuples' nodes, ids = local tuple
+	// indexes. Append-only.
 	index *hnsw.Index
-	// compactions counts stale-centroid index rebuilds (persisted, so stats
-	// survive a save/load round-trip).
-	compactions int64
+	// cents is the centroid table: row tupleState.cent is the tuple's
+	// current centroid, and every other row is dead. Append-only between
+	// reclamations.
+	cents *vector.SparseRows
+	// dead counts the words of the dead centroid rows cents stored itself.
+	dead int
 }
 
+// extraNodeFactor scales M, the merge threshold (the file's, for a loaded
+// matcher), into the distance beyond which an absorbed row becomes one more
+// graph node of its tuple: a row no node of the tuple lies within 0.8·M of.
+// Sized on serve_read's Match recall against the graph of one node per
+// centroid version this replaced: with no extra nodes −0.018, at 1.0·M
+// −0.005 to −0.010, at 0.7–0.8·M +0.009 to +0.014.
+const extraNodeFactor = 0.8
+
 // shard is the writer's side of one shard: the mutable shardView plus the
-// scratch an apply reuses from batch to batch. It is guarded by the
-// matcher's ingest lock (addMu) — only ingest and recovery replay touch it —
-// and readers never see it, only the views taken of it.
+// graph bookkeeping and the scratch an apply reuses from batch to batch. It
+// is guarded by the matcher's ingest lock (addMu) — only ingest and recovery
+// replay touch it — and readers never see it, only the views taken of it.
 type shard struct {
 	shardView
-	// centroid (dim floats) is where a settled centroid is computed before
-	// indexNode stores it, and where a compaction reads a current one back;
-	// touched collects the pre-existing tuples a batch absorbed rows into.
+	// next chains each tuple's nodes in node order, from tupleState.node:
+	// next[n] is the node after node n, or -1 after the last. Only the
+	// writer reads it.
+	next []int32
+	// centroid (dim floats) is where a centroid is computed before it is
+	// stored; touched collects the pre-existing tuples a batch absorbed rows
+	// into; nodes and dists hold one tuple's nodes and a row's distances to
+	// them.
 	centroid []float32
 	touched  []int
+	nodes    []int32
+	dists    []float32
 }
 
 // view freezes the shard's current state into an immutable shardView (see
@@ -110,44 +136,90 @@ type shard struct {
 func (sh *shard) view() *shardView {
 	data := sh.entVecs.Data().Frozen()
 	return &shardView{
-		entIDs:      slices.Clip(sh.entIDs),
-		entVecs:     sh.entVecs.FrozenOn(data),
-		tuples:      tupleTable{sh.tuples.Snapshot()},
-		index:       sh.index.CloneOn(data),
-		compactions: sh.compactions,
+		entIDs:  slices.Clip(sh.entIDs),
+		entVecs: sh.entVecs.FrozenOn(data),
+		tuples:  tupleTable{sh.tuples.Snapshot()},
+		index:   sh.index.CloneOn(data),
+		cents:   sh.cents.FrozenOn(data),
+		dead:    sh.dead,
 	}
 }
 
-// indexCentroid recomputes tuple local's centroid from its members, appends
-// it as a new node under the tuple's id, and makes that node current. The
-// tuple's previous node, if it had one, goes stale. The node's vector is
-// readable at once; it is linked into the graph when whoever next takes a
-// view of the shard calls index.Link. The caller holds addMu.
-func (sh *shard) indexCentroid(local int) {
-	centroidInto(sh.centroid, sh.tuples.at(local).members, sh.entVecs)
-	sh.indexNode(local, sh.centroid)
+// nodesOf returns the nodes of the tuple whose first node is first, in node
+// order, in the shard's scratch.
+func (sh *shard) nodesOf(first int32) []int32 {
+	sh.nodes = sh.nodes[:0]
+	for n := first; n >= 0; n = sh.next[n] {
+		sh.nodes = append(sh.nodes, n)
+	}
+	return sh.nodes
 }
 
-// indexNode appends vec as tuple local's new current node: an alias of the
-// tuple's first member's entity row when vec has that row's words — always
-// for a one-member tuple, whose centroid is the row — and otherwise a row
-// of its own. The rule depends on the bits alone, so a build, a replay, a
-// compaction and a load (readSection) alias the same nodes.
-func (sh *shard) indexNode(local int, vec []float32) {
-	sh.index.Append(local, vec, sh.entVecs.Ref(sh.tuples.at(local).members[0]))
-	sh.tuples.mut(local).node = int32(sh.index.Len() - 1)
+// addNode appends vec as a node of tuple local, the row r names where it has
+// vec's words, after the tuple's last node last (-1 for its first).
+func (sh *shard) addNode(local int, vec []float32, r vector.Ref, last int32) int32 {
+	n := int32(sh.index.Len())
+	sh.index.Append(local, vec, r)
+	sh.next = append(sh.next, -1)
+	if last >= 0 {
+		sh.next[last] = n
+	}
+	return n
+}
+
+// addTuple indexes tuple local, just created: its centroid becomes its first
+// node and its centroid row. The node's vector is readable at once; it is
+// linked into the graph when whoever next takes a view of the shard calls
+// index.Link. The caller holds addMu.
+func (sh *shard) addTuple(local int) {
+	ts := sh.tuples.mut(local)
+	centroidInto(sh.centroid, ts.members, sh.entVecs)
+	ts.node = sh.addNode(local, sh.centroid, sh.entVecs.Ref(ts.members[0]), -1)
+	ts.cent = int32(sh.cents.AppendRef(sh.index.Vectors().Ref(int(ts.node))))
+}
+
+// absorbNode makes the row at entity position pos, embedded as q and just
+// absorbed into tuple local, one more node of the tuple when every node the
+// tuple has lies farther than near from it — one gather over the tuple's
+// nodes, so a replay decides it as the live batch did, without searching.
+func (sh *shard) absorbNode(local, pos int, q []float32, near float32) {
+	nodes := sh.nodesOf(sh.tuples.at(local).node)
+	sh.dists = slices.Grow(sh.dists[:0], len(nodes))[:len(nodes)]
+	sh.index.Dists(q, nodes, sh.dists)
+	for _, d := range sh.dists {
+		if !(d > near) {
+			return
+		}
+	}
+	sh.addNode(local, q, sh.entVecs.Ref(pos), nodes[len(nodes)-1])
+}
+
+// recentre recomputes the centroid of tuple local, absorbed into, and makes
+// it the tuple's centroid row: the tuple's last node's row where it has that
+// row's words, a row of its own otherwise. The row it supersedes is dead;
+// its words count towards a reclamation where it was not a node's.
+func (sh *shard) recentre(local int) {
+	ts := sh.tuples.mut(local)
+	centroidInto(sh.centroid, ts.members, sh.entVecs)
+	nodes, old := sh.nodesOf(ts.node), sh.cents.Ref(int(ts.cent))
+	if !slices.ContainsFunc(nodes, func(n int32) bool { return sh.index.Vectors().Ref(int(n)) == old }) {
+		sh.dead += sh.cents.Words(int(ts.cent))
+	}
+	ts.cent = int32(sh.cents.AppendShared(sh.centroid, sh.index.Vectors().Ref(int(nodes[len(nodes)-1]))))
 }
 
 // apply carries out the plan's share for this shard, s: its rows, in
-// ascending order (deterministic appends), join the tuples the plan names,
-// and every tuple the batch created or absorbed into is indexed once with its
-// settled centroid, appended and not yet linked. The caller holds addMu;
-// out[i] is written for the shard's own rows only, so shards apply
-// concurrently.
+// ascending order (deterministic appends), join the tuples the plan names.
+// An absorbed row far from every node of its tuple becomes one more node of
+// it (absorbNode, at extraNodeFactor·mergeM); every tuple the batch created
+// gets its first node, and every one it absorbed into its recomputed
+// centroid row, once each. Nodes are appended, not yet linked. The caller
+// holds addMu; out[i] is written for the shard's own rows only, so shards
+// apply concurrently.
 //
 // A tuple's member slice is shared by every copy of its tuple chunk; it is an
 // append-only array under shardView's contract.
-func (sh *shard) apply(s int, p *batchPlan, baseID int, out []AddResult) {
+func (sh *shard) apply(s int, p *batchPlan, baseID int, out []AddResult, mergeM float32) {
 	base := sh.tuples.Len()
 	sh.touched = sh.touched[:0]
 	for _, i := range p.perShard[s] {
@@ -174,21 +246,128 @@ func (sh *shard) apply(s int, p *batchPlan, baseID int, out []AddResult) {
 		if d.absorb {
 			ts.maxJoinDist = max(ts.maxJoinDist, d.dist)
 			sh.touched = append(sh.touched, local)
+			sh.absorbNode(local, pos, p.vecs.At(i), extraNodeFactor*mergeM)
 		}
 		out[i] = AddResult{EntityID: baseID + i, Tuple: globalTupleID(s, local), Absorbed: true, Distance: d.dist}
 	}
 	// Created tuples first, in creation order, then each touched tuple once,
-	// ascending, with its recomputed centroid under the same local id: the
-	// previous index entry goes stale, and every search re-ranks against
-	// current centroids, so staleness only costs recall head-room until
-	// compaction — not correctness.
+	// ascending, with its recomputed centroid under the same local id.
 	for local := base; local < sh.tuples.Len(); local++ {
-		sh.indexCentroid(local)
+		sh.addTuple(local)
 	}
 	slices.Sort(sh.touched)
 	for _, local := range slices.Compact(sh.touched) {
-		sh.indexCentroid(local)
+		sh.recentre(local)
 	}
+	sh.maybeReclaim()
+}
+
+// reclaimShare sets when a shard reclaims its dead centroid rows: once their
+// words exceed 1/reclaimShare of the live words. So the arena holds at most
+// that share of dead words, and a reclamation, which copies the live words,
+// costs at most reclaimShare words copied per dead word. A rule of dead
+// against all live words never fires under absorption-heavy ingest: each
+// absorbed row adds an entity row about as large as the centroid row it
+// kills.
+const reclaimShare = 8
+
+// maybeReclaim copies the shard's live rows — its entity rows, node rows and
+// current centroid rows — to a fresh data arena once the dead centroid rows'
+// words exceed 1/reclaimShare of the live words. The rows are
+// stored as a load stores them (nodeAlias, and each centroid row its tuple's
+// last node's where it has its words), the centroid rows in tuple order.
+// Node numbers, ids and links stay: nothing is relinked, and no
+// decision, distance or Save byte moves. Published views keep the old arena,
+// so readers are never affected; the trigger depends only on ingest history,
+// so a replay and a follower reclaim where the primary did. The caller holds
+// addMu.
+func (sh *shard) maybeReclaim() {
+	live := sh.entVecs.OwnWords() + sh.index.Vectors().OwnWords() + sh.cents.OwnWords() - sh.dead
+	if sh.dead*reclaimShare <= live {
+		return
+	}
+	ents := sh.entVecs.Copy()
+	sh.index.MoveOn(ents.Data(), sh.nodeAlias(ents))
+	picks := make([]int32, sh.tuples.Len())
+	for l := range picks {
+		picks[l] = sh.tuples.at(l).cent
+	}
+	sh.cents = sh.cents.CopyOn(ents.Data(), picks, sh.centAlias())
+	// Rewriting every tuple's row dirties (and so copies) every shared
+	// tuple chunk, which a reclamation pays once for at least as many
+	// absorptions.
+	for l := range picks {
+		sh.tuples.mut(l).cent = int32(l)
+	}
+	sh.entVecs, sh.dead = ents, 0
+}
+
+// nodeAlias is the rule for which entity row of ents a node row is, given in
+// node order (vector.SparseRows.Load's alias): a tuple's first node is its
+// first member's row where it has that row's words, and each later node the
+// first member's row past the previous match with the node's words. A node
+// the rule finds no row for — a multi-member centroid — stores its own. A
+// live ingest shares exactly these rows: an absorbed node is its member's
+// row, and members and nodes are appended in the same order.
+func (sh *shard) nodeAlias(ents *vector.SparseRows) func(id int, w []uint32) vector.Ref {
+	from := make([]int32, sh.tuples.Len()) // the member the tuple's next node scans from; 0 before its first
+	return func(id int, w []uint32) vector.Ref {
+		if id < 0 || id >= len(from) {
+			return vector.Ref{} // a load refuses the id
+		}
+		members := sh.tuples.at(id).members
+		if from[id] == 0 {
+			from[id] = 1
+			return ents.Ref(members[0])
+		}
+		for j := int(from[id]); j < len(members); j++ {
+			if r := ents.Ref(members[j]); r.Holds(w) {
+				from[id] = int32(j + 1)
+				return r
+			}
+		}
+		return vector.Ref{}
+	}
+}
+
+// centAlias is the rule for which row a tuple's centroid row is, given in
+// tuple order: its last node's, where it has that row's words.
+func (sh *shard) centAlias() func(l int, w []uint32) vector.Ref {
+	return func(l int, _ []uint32) vector.Ref {
+		nodes := sh.nodesOf(sh.tuples.at(l).node)
+		return sh.index.Vectors().Ref(int(nodes[len(nodes)-1]))
+	}
+}
+
+// chainNodes rebuilds the writer's node bookkeeping from the index's ids —
+// every tuple's first node and the chain through the rest — after a load,
+// and reports a node naming no tuple or a tuple with no node.
+func (sh *shard) chainNodes() error {
+	n := sh.tuples.Len()
+	last := make([]int32, n)
+	for l := range last {
+		last[l] = -1
+	}
+	ids := sh.index.IDs()
+	sh.next = make([]int32, len(ids))
+	for node, id := range ids {
+		if id < 0 || id >= n {
+			return fmt.Errorf("index references tuple %d, have %d tuples", id, n)
+		}
+		sh.next[node] = -1
+		if p := last[id]; p >= 0 {
+			sh.next[p] = int32(node)
+		} else {
+			sh.tuples.mut(id).node = int32(node)
+		}
+		last[id] = int32(node)
+	}
+	for l, p := range last {
+		if p < 0 {
+			return fmt.Errorf("tuple %d has no index entry", l)
+		}
+	}
+	return nil
 }
 
 // ShardStats describes one shard's share of the matcher state.
@@ -202,11 +381,14 @@ type ShardStats struct {
 	// 4 B a nonzero and 8 B an entity (vector.SparseRows.Bytes). The data
 	// arena's chunk tails, under a row a 32 KiB chunk, are in neither count.
 	EntityBytes int `json:"entity_bytes"`
-	// IndexBytes is the memory the shard's index node vectors take, stale
-	// entries included: the words of the node rows the index stores itself
-	// and 8 B a node's descriptor. A node that is its tuple's first member's
-	// entity row (every one-member tuple's) adds its descriptor alone: its
-	// words are counted in EntityBytes.
+	// IndexBytes is the memory the shard's graph nodes and current
+	// centroids take: the words of the node and centroid rows stored apart
+	// from an entity row (a first centroid of several members, a centroid
+	// moved by an absorption) and 8 B a row's descriptor. A node that is an
+	// entity row (every one-member tuple's, every absorbed node), and a
+	// centroid row that is its tuple's last node's, add their descriptor
+	// alone. The dead centroid rows a reclamation has not dropped yet are
+	// in no count: they are at most as many words as the live rows.
 	IndexBytes int `json:"index_bytes"`
 	// Tuples is the number of tuples homed here, singletons included.
 	Tuples int `json:"tuples"`
@@ -214,28 +396,24 @@ type ShardStats struct {
 	Matched int `json:"matched"`
 	// Singletons is the number of single-member tuples.
 	Singletons int `json:"singletons"`
-	// IndexSize is the number of centroid vectors in the shard's ANN index,
-	// stale entries included.
+	// IndexSize is the number of nodes in the shard's graph: one a tuple,
+	// and one more for each row absorbed far from every node its tuple had.
 	IndexSize int `json:"index_size"`
-	// Live is the number of current centroids (= Tuples); IndexSize - Live
-	// entries are stale leftovers of absorbed-into tuples.
+	// Live is the number of current centroids (= Tuples).
 	Live int `json:"live"`
-	// Compactions counts how often the shard rebuilt its index to drop stale
-	// centroids.
-	Compactions int64 `json:"compactions"`
 }
 
 // stats computes the shard's stats from one immutable view.
 func (v *shardView) stats(id int) ShardStats {
+	deadRows := v.cents.Len() - v.tuples.Len()
 	s := ShardStats{
 		Shard:       id,
 		Entities:    len(v.entIDs),
 		EntityBytes: v.entVecs.Bytes(),
-		IndexBytes:  v.index.Vectors().Bytes(),
+		IndexBytes:  v.index.Vectors().Bytes() + v.cents.Bytes() - 4*v.dead - 8*deadRows,
 		Tuples:      v.tuples.Len(),
 		IndexSize:   v.index.Len(),
 		Live:        v.tuples.Len(),
-		Compactions: v.compactions,
 	}
 	v.tuples.each(func(ts *tupleState) {
 		if len(ts.members) >= 2 {
@@ -255,53 +433,6 @@ func (v *shardView) memberIDs(members []int) []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// compactThreshold triggers an index rebuild when stale entries outnumber
-// live centroids by this factor: every absorption leaves the tuple's previous
-// centroid behind in the index, and past 2x the dead entries dominate both
-// memory and search work.
-const compactThreshold = 2
-
-// maybeCompact rebuilds the shard's index from current centroids when the
-// stale/live ratio exceeds compactThreshold, and reports how many nodes of the
-// index it replaced were appended and never linked: graph work nobody does.
-// The caller holds addMu. Published views keep the old index, so readers are
-// never affected.
-//
-// The rebuild takes the replaced index's own config — the one it was built or
-// saved with, whatever Options a later process passes — and is
-// deterministic: the graph is a function of the vectors and their order, and
-// the trigger depends only on ingest history (index entries accrue one per
-// new tuple and one per centroid refresh, regardless of shard layout or any
-// save/load in between), so an original matcher and its save/load twin
-// compact at the same point and rebuild identical graphs. The rebuild only
-// Appends, like apply: its graph is built when it is next linked.
-//
-// It also rebuilds the shard's data arena, where the replaced nodes' words
-// would otherwise stay: the entity rows are copied word for word to a new
-// one, the current centroids are indexed on it as apply indexes them
-// (indexNode), and the old arena goes with the last view that reads it.
-func (sh *shard) maybeCompact() (discarded int) {
-	live := sh.tuples.Len()
-	if live == 0 || sh.index.Len()-live <= compactThreshold*live {
-		return 0
-	}
-	old := sh.index
-	sh.entVecs = sh.entVecs.Copy()
-	sh.index = hnsw.NewOn(sh.entVecs.Data(), old.Config())
-	// The rebuild replaces the index but not the logical shard: keep the
-	// search-effort counters monotonic across compactions.
-	sh.index.CarrySearchStats(old)
-	// In the dense index tuple l's node is l. Rewriting every row's node
-	// dirties (and so copies) every shared tuple chunk — fine: compaction is
-	// already an O(live) rebuild, and it runs rarely by construction.
-	for l := 0; l < live; l++ {
-		old.CopyTo(sh.centroid, int(sh.tuples.at(l).node))
-		sh.indexNode(l, sh.centroid)
-	}
-	sh.compactions++
-	return old.Unlinked()
 }
 
 // routeVec hashes a vector's bit pattern to a shard: FNV-1a over the float32

@@ -3,6 +3,7 @@ package multiem
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -298,101 +299,51 @@ func TestAddRecordsIntraBatchChaining(t *testing.T) {
 	}
 }
 
-// TestShardCompaction: absorptions leave stale centroids in the shard index;
-// once stale outnumber live 2x, the shard must rebuild so the only size
-// signal operators see tracks reality.
-func TestShardCompaction(t *testing.T) {
-	m, d := shardedGeo(t, 1)
-	byID := d.EntityByID()
-	res := m.Result()
-
-	// Each batch re-adds copies of distinct tuple members: every row is
-	// absorbed and refreshes its tuple's centroid, leaving one stale index
-	// entry per touched tuple per batch.
-	width := min(len(res.Tuples), 40)
-	rows := make([][]string, width)
-	for i := 0; i < width; i++ {
-		rows[i] = byID[res.Tuples[i][0]].Values
-	}
-	live := m.Stats().Live
-	batches := (2*live)/width + 3 // enough absorptions to cross the 2x threshold
-	for b := 0; b < batches; b++ {
-		if _, err := m.AddRecords(rows); err != nil {
-			t.Fatalf("batch %d: %v", b, err)
+// nodeEntities names every graph node of m by what it indexes, sorted: the
+// entity ID of the entity row it is, or the smallest member entity ID of the
+// tuple whose first centroid it holds. Neither depends on the shard layout.
+func nodeEntities(m *Matcher) (names []string, extra int) {
+	for _, sh := range m.shards {
+		ents := map[int]int{}
+		for i := range sh.entVecs.Len() {
+			ents[sh.entVecs.Offset(i)] = sh.entIDs[i]
 		}
-		s := m.Stats()
-		if s.Live != s.Tuples {
-			t.Fatalf("Live %d != Tuples %d", s.Live, s.Tuples)
-		}
-		if stale := s.IndexSize - s.Live; stale > compactThreshold*s.Live {
-			t.Fatalf("batch %d: stale %d exceeds %dx live %d without compaction", b, stale, compactThreshold, s.Live)
-		}
-	}
-	_, ss, _ := m.StatsWithShards()
-	if len(ss) != 1 || ss[0].Compactions == 0 {
-		t.Fatalf("expected at least one compaction, got %+v", ss)
-	}
-
-	// Compaction must not lose any tuple: every representative still matches
-	// its own tuple first.
-	for i := 0; i < width; i++ {
-		cands, err := m.Match(rows[i], 1)
-		if err != nil || len(cands) == 0 {
-			t.Fatalf("Match after compaction: %v (%d candidates)", err, len(cands))
-		}
-		if !containsID(cands[0].EntityIDs, res.Tuples[i][0]) {
-			t.Fatalf("tuple %d lost after compaction: top candidate %+v", i, cands[0])
-		}
-	}
-}
-
-// TestCompactionKeepsSavedConfig: a compaction rebuilds a shard's index with
-// the config that index was built or saved with, not the Options of whoever
-// loaded it. A matcher and its save/load twin, loaded with another HNSW M and
-// EfConstruction, take the same absorbing batches past a compaction on every shard and
-// must still save identical bytes.
-func TestCompactionKeepsSavedConfig(t *testing.T) {
-	m, d := shardedGeo(t, 2)
-	opt := geoOpts()
-	opt.HNSW.M, opt.HNSW.EfConstruction = 6, 24
-	twin, err := LoadMatcher(bytes.NewReader(saveBytes(t, m)), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := d.EntityByID()
-	res := m.Result()
-	width := min(len(res.Tuples), 40)
-	rows := make([][]string, width)
-	for i := range rows {
-		rows[i] = byID[res.Tuples[i][0]].Values
-	}
-	compacted := func() bool {
-		_, ss, _ := m.StatsWithShards()
-		for _, s := range ss {
-			if s.Compactions == 0 {
-				return false
+		for n, id := range sh.index.IDs() {
+			if eid, ok := ents[sh.index.Vectors().Offset(n)]; ok {
+				names = append(names, fmt.Sprintf("entity %d", eid))
+			} else {
+				names = append(names, fmt.Sprintf("centroid of %d", sh.tuples.at(id).minEntID))
 			}
 		}
-		return true
+		extra += sh.index.Len() - sh.tuples.Len()
 	}
-	for b := 0; !compacted(); b++ {
-		if b == 100 {
-			t.Fatal("no compaction on every shard after 100 batches")
+	slices.Sort(names)
+	return names, extra
+}
+
+// TestNodesLayoutIndependent: which rows become graph nodes — every tuple's
+// first centroid, and each absorbed row far from every node its tuple had —
+// is decided per tuple in row order, so the same batches index the same
+// entity rows at 1, 2 and 4 shards.
+func TestNodesLayoutIndependent(t *testing.T) {
+	var want []string
+	for _, shards := range []int{1, 2, 4} {
+		m, d := shardedGeo(t, shards)
+		for _, rows := range append(randomBatches(mustGeo(t, 0.3, 12), 8, 16, 5), absorbRows(m, d, 24)) {
+			if _, err := m.AddRecords(rows); err != nil {
+				t.Fatal(err)
+			}
 		}
-		want, err := m.AddRecords(rows)
-		if err != nil {
-			t.Fatal(err)
+		got, extra := nodeEntities(m)
+		t.Logf("%d shards: %d nodes, %d past one a tuple", shards, len(got), extra)
+		if extra == 0 {
+			t.Fatal("no absorbed row became a node; the history does not exercise the rule")
 		}
-		got, err := twin.AddRecords(rows)
-		if err != nil {
-			t.Fatal(err)
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("%d shards index other rows as nodes than 1 shard", shards)
 		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("batch %d: twin placed the rows differently", b)
-		}
-	}
-	if !bytes.Equal(saveBytes(t, twin), saveBytes(t, m)) {
-		t.Fatal("after a compaction the twin loaded with other HNSW options saves other bytes")
 	}
 }
 

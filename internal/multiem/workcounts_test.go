@@ -16,13 +16,15 @@ var updateWorkCounts = flag.Bool("update-workcounts", false, "rewrite testdata/w
 
 // linkStats sums the link work of the serving view's indexes (a clone
 // shares its writer's counters): nodes linked, link-time distance
-// evaluations, shrinks of a full block and the shrinks shrinkFast derived.
-func (m *Matcher) linkStats() (w [4]uint64) {
+// evaluations, shrinks of a full block and the shrinks shrinkFast derived;
+// then the nodes past one a tuple, the absorbed rows indexed as nodes.
+func (m *Matcher) linkStats() (w [5]uint64) {
 	for _, sv := range m.state.Load().shards {
 		nodes, evals, shrinks, fast := sv.index.LinkStats()
 		for i, v := range [4]uint64{nodes, evals, shrinks, fast} {
 			w[i] += v
 		}
+		w[4] += uint64(sv.index.Len() - sv.tuples.Len())
 	}
 	return w
 }
@@ -32,8 +34,10 @@ func (m *Matcher) linkStats() (w [4]uint64) {
 // dataset, shuffled, through AddRecords in 16-row batches, then Match on
 // every tenth of them re-cased. Each line is a phase's totals: searches,
 // distance evaluations and link-time distance evaluations, and the rows or
-// queries they are over; then the link blocks shrunk per node linked, and
-// the share of those shrinks derived from the block's last split.
+// queries they are over; then the nodes linked per row or query, the
+// absorbed rows the phase indexed as extra nodes of their tuples, the link
+// blocks shrunk per node linked, and the share of those shrinks derived from
+// the block's last split.
 func workCounts(t *testing.T) string {
 	t.Helper()
 	base, err := datagen.GenerateByName("Music-20", 0.1, 1)
@@ -52,13 +56,13 @@ func workCounts(t *testing.T) string {
 	}
 	var b strings.Builder
 	var s0, e0 uint64
-	var l0 [4]uint64
+	var l0 [5]uint64
 	phase := func(name string, n int) {
 		s, _, e := m.SearchStats()
 		l := m.linkStats()
 		nodes, shrinks, fast := l[0]-l0[0], l[2]-l0[2], l[3]-l0[3]
-		fmt.Fprintf(&b, "%-6s n=%-5d searches=%-6d dist_evals=%-9d link_evals=%-8d shrinks/link=%.3f fast=%.3f\n",
-			name, n, s-s0, e-e0, l[1]-l0[1], ratio(shrinks, nodes), ratio(fast, shrinks))
+		fmt.Fprintf(&b, "%-6s n=%-5d searches=%-6d dist_evals=%-9d link_evals=%-8d links/row=%.3f extra=%-4d shrinks/link=%.3f fast=%.3f\n",
+			name, n, s-s0, e-e0, l[1]-l0[1], ratio(nodes, uint64(n)), l[4]-l0[4], ratio(shrinks, nodes), ratio(fast, shrinks))
 		s0, e0, l0 = s, e, l
 	}
 	phase("build", base.NumEntities())

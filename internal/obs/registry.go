@@ -233,12 +233,6 @@ func (r *Registry) GaugeSetFunc(name, help string, fn func() []Sample) {
 	r.registerSet(name, "gauge", help, fn)
 }
 
-// CounterSetFunc is GaugeSetFunc for monotonic families (fn must return
-// non-decreasing values per label set, e.g. per-shard compaction counts).
-func (r *Registry) CounterSetFunc(name, help string, fn func() []Sample) {
-	r.registerSet(name, "counter", help, fn)
-}
-
 func (r *Registry) registerSet(name, typ, help string, fn func() []Sample) {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))

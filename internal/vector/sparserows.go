@@ -271,18 +271,25 @@ func (s *SparseRows) Ref(i int) Ref { return Ref{s.d, s.desc(i)} }
 
 // holds reports whether r names a row on d whose words are w.
 func (d *RowData) holds(r Ref, w []uint32) bool {
-	return r.d == d && slices.Equal(d.rowOf(r.desc), w)
+	return r.d == d && r.Holds(w)
+}
+
+// Holds reports whether r names a row whose words are w, a row's words as
+// Load's row gives them. The zero Ref holds none.
+func (r Ref) Holds(w []uint32) bool {
+	return r.d != nil && slices.Equal(r.d.rowOf(r.desc), w)
 }
 
 // Load fills an empty table with n rows, each arena grown to its final size
 // (arena.GrowExact). row(i) returns row i's words, valid until the next
 // call; Load calls it for i = 0, …, n−1 twice, once to check and lay the rows
-// out and once to copy them. alias, which may be nil, names a row on the
-// table's data arena that row i is, storing no words, where that row's words
-// are row i's (as AppendShared). A row Append could not have stored — a mask
-// bit at or past the dimension, words cut short, a value whose bits are 0 —
-// fails the load, naming it, and leaves the table unusable.
-func (s *SparseRows) Load(n int, row func(i int) []uint32, alias func(i int) Ref) error {
+// out and once to copy them. alias, which may be nil, is called once a row,
+// in row order, with row i's words: it names a row on the table's data arena
+// that row i is, storing no words, where that row's words are row i's (as
+// AppendShared). A row Append could not have stored — a mask bit at or past
+// the dimension, words cut short, a value whose bits are 0 — fails the load,
+// naming it, and leaves the table unusable.
+func (s *SparseRows) Load(n int, row func(i int) []uint32, alias func(i int, w []uint32) Ref) error {
 	if s.Len() != 0 {
 		panic("vector: Load into a non-empty sparse store")
 	}
@@ -295,7 +302,7 @@ func (s *SparseRows) Load(n int, row func(i int) []uint32, alias func(i int) Ref
 			return fmt.Errorf("row %d: %w", i, err)
 		}
 		if alias != nil {
-			if r := alias(i); d.holds(r, w) {
+			if r := alias(i, w); d.holds(r, w) {
 				s.rows.At(i)[0] = r.desc
 				continue
 			}
@@ -333,9 +340,19 @@ func (d *RowData) check(w []uint32) error {
 
 // Copy returns a table of s's rows stored afresh, word for word, on a data
 // arena of its own, laid out as Load lays them.
-func (s *SparseRows) Copy() *SparseRows {
-	t := NewSparseRows(s.d.dim)
-	if err := t.Load(s.Len(), s.words, nil); err != nil {
+func (s *SparseRows) Copy() *SparseRows { return s.CopyOn(NewRowData(s.d.dim), nil, nil) }
+
+// CopyOn returns a table on d of s's rows picks[0], picks[1], … (every row,
+// in order, when picks is nil), stored afresh as Load stores them: word for
+// word, or as the row alias names (Load's alias, called with the new row's
+// index). d must have s's dimensionality.
+func (s *SparseRows) CopyOn(d *RowData, picks []int32, alias func(i int, w []uint32) Ref) *SparseRows {
+	n, row := s.Len(), s.words
+	if picks != nil {
+		n, row = len(picks), func(i int) []uint32 { return s.words(int(picks[i])) }
+	}
+	t := NewSparseRowsOn(d)
+	if err := t.Load(n, row, alias); err != nil {
 		panic(err) // a stored row is well formed
 	}
 	return t
@@ -348,9 +365,13 @@ func (s *SparseRows) Copy() *SparseRows {
 // written whole. Write errors surface at w's Flush.
 func (s *SparseRows) WriteRows(w *bufio.Writer) {
 	for i := range s.Len() {
-		binio.WriteWords(w, s.words(i))
+		s.WriteRow(w, i)
 	}
 }
+
+// WriteRow writes row i to w as WriteRows writes each row: 4 × Words(i)
+// bytes.
+func (s *SparseRows) WriteRow(w *bufio.Writer, i int) { binio.WriteWords(w, s.words(i)) }
 
 // RowsSize reports the number of bytes WriteRows writes.
 func (s *SparseRows) RowsSize() (n int) {
@@ -365,7 +386,7 @@ func (s *SparseRows) RowsSize() (n int) {
 // layout of the formats before), packed as Append packs them. alias is
 // Load's. Fewer bytes than n rows need at the least (a mask, or a dense row),
 // or a row Load refuses, fail the read and leave the table unusable.
-func (s *SparseRows) ReadRows(rd *binio.Reader, n int, dense bool, alias func(i int) Ref) error {
+func (s *SparseRows) ReadRows(rd *binio.Reader, n int, dense bool, alias func(i int, w []uint32) Ref) error {
 	if n == 0 {
 		return nil // a hostile header's dimension sizes no scratch
 	}
@@ -484,6 +505,13 @@ func (s *SparseRows) FrozenOn(d *RowData) *SparseRows {
 // same — and leaves out the chunk tails, less than a row a chunk, and the
 // unused capacity, less than a chunk an arena.
 func (s *SparseRows) Bytes() int { return 4*s.own + 8*s.rows.Len() }
+
+// OwnWords reports the words of the rows the table stored itself, Bytes
+// without the descriptors.
+func (s *SparseRows) OwnWords() int { return s.own }
+
+// Words reports the number of words row i occupies: its mask and values.
+func (s *SparseRows) Words(i int) int { return len(s.words(i)) }
 
 // Offset reports the word of the data arena row i starts at.
 func (s *SparseRows) Offset(i int) int { return int(s.desc(i) &^ nonFinite) }

@@ -230,7 +230,7 @@ func TestSparseRowsSharedArena(t *testing.T) {
 	if err := le.Load(len(entRows), packed(ld, entRows), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ln.Load(len(nodeRows), packed(ld, nodeRows), func(i int) Ref { return le.Ref(refs[i]) }); err != nil {
+	if err := ln.Load(len(nodeRows), packed(ld, nodeRows), func(i int, _ []uint32) Ref { return le.Ref(refs[i]) }); err != nil {
 		t.Fatal(err)
 	}
 	checkSparseRows(t, le, entRows)
@@ -255,6 +255,27 @@ func TestSparseRowsSharedArena(t *testing.T) {
 	if before := moved.Bytes(); moved.AppendShared(entRows[0], le.Ref(0)) >= 0 && moved.Bytes() == before+8 {
 		t.Fatal("AppendShared shared a row on another data arena")
 	}
+
+	// CopyOn: the picked rows, in pick order, on the loaded arena, each
+	// sharing the entity row its alias names where that row holds its words;
+	// the alias sees each row's words, once, in order.
+	picks := []int32{5, 0, 5, 17}
+	seen := 0
+	picked := fn.CopyOn(ld, picks, func(i int, w []uint32) Ref {
+		if i != seen || le.Ref(refs[picks[i]]).Holds(w) != aliased[picks[i]] {
+			t.Fatalf("alias called for row %d (want %d), words held by its entity row: %v", i, seen, le.Ref(refs[picks[i]]).Holds(w))
+		}
+		seen++
+		return le.Ref(refs[picks[i]])
+	})
+	want := make([][]float32, len(picks))
+	for i, p := range picks {
+		want[i] = nodeRows[p]
+		if alias := picked.Offset(i) == le.Offset(refs[p]); alias != aliased[p] {
+			t.Fatalf("picked row %d (node %d) shares entity row %d's words: %v", i, p, refs[p], alias)
+		}
+	}
+	checkSparseRows(t, picked, want)
 }
 
 // TestSparseRowsLargeDim: past 1<<16 words a full row, a chunk holds one

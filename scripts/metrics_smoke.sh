@@ -13,10 +13,10 @@
 #   6. SIGKILL the server; assert a restart on the same -wal-dir under
 #      another -m refuses to start; restart it without -m, and assert the
 #      recovery gauges report the load (seconds, bytes) and
-#      the replay (rows and seconds) off zero, that the skipped-links gauge
-#      is exported (it is off zero only when the log crossed a compaction;
-#      make crash-recovery asserts that case), and that the M in force is
-#      still the snapshot's (multiem_config_info, the ready log line)
+#      the replay (rows and seconds) off zero, and that the M in force is
+#      still the snapshot's (multiem_config_info, the ready log line); and
+#      that no series of the per-version index this build replaced (stale
+#      entries, compactions, skipped links) is exported
 #
 # Env overrides: RATE, DURATION.
 # Run from the repository root.
@@ -185,11 +185,16 @@ assert_positive multiem_recovery_replayed_rows
 assert_positive multiem_recovery_replay_seconds
 assert_positive multiem_recovery_reader_busy_seconds
 assert_positive multiem_recovery_shard_busy_seconds 'shard="0"'
-assert_present multiem_recovery_skipped_links
+for gone in multiem_shard_stale_entries multiem_shard_compactions_total multiem_recovery_skipped_links; do
+  if grep -q "^$gone" "$WORK/metrics.txt"; then
+    log "FAIL: /metrics still exports $gone"
+    exit 1
+  fi
+done
 assert_positive multiem_config_info 'm="0.5"'
 [ "$(grep -c '"msg":"ready: serving".*"m":0.5' "$WORK/server.log")" = 2 ] \
   || { log "FAIL: the ready log lines do not both name m 0.5"; exit 1; }
-grep -q '"msg":"durability on".*"load_bytes":[1-9].*"replayed_rows":[1-9].*"replay_skipped_links":[0-9]' "$WORK/server.log" \
+grep -q '"msg":"durability on".*"load_bytes":[1-9].*"replayed_rows":[1-9].*"replay_shard_busy_seconds"' "$WORK/server.log" \
   || { log "FAIL: the durability log line does not report the load and the replay"; exit 1; }
 
 log "PASS: /metrics well-formed, key series non-zero, pprof reachable, recovery reported, the snapshot's M in force"
