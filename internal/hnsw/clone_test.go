@@ -154,8 +154,8 @@ func TestMoveOnKeepsTheIndex(t *testing.T) {
 	data := vector.NewRowData(dim)
 	other := vector.NewSparseRowsOn(data)
 	other.Append(vecs[7])
-	moved.MoveOn(data, func(id int, w []uint32) vector.Ref {
-		if id == 7 {
+	moved.MoveOn(data, func(node int, w []uint32) vector.Ref {
+		if node == 7 {
 			return other.Ref(0)
 		}
 		return vector.Ref{}

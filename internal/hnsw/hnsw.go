@@ -254,15 +254,8 @@ func (ix *Index) Len() int { return len(ix.ids) }
 // Dim reports the vector dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
 
-// CopyTo sets dst, of Dim() elements, to the stored vector of internal node
-// i, bit for bit — nodes are numbered 0..Len()-1 in Add (or Append) order, so
-// the node an Add just created is Len()-1, linked or not. Callers that keep
-// one vector per external id (the matcher's tuple centroids) read it back
-// through this instead of holding a second copy.
-func (ix *Index) CopyTo(dst []float32, i int) { ix.vecs.CopyTo(dst, i) }
-
-// Vectors returns the node row table, for reading its size and layout. The
-// caller must not modify it.
+// Vectors returns the node row table, for reading its rows, size and
+// layout. The caller must not modify it.
 func (ix *Index) Vectors() *vector.SparseRows { return ix.vecs }
 
 // neighbors returns node i's links as a read view into the arena.
@@ -326,15 +319,16 @@ func (ix *Index) Append(id int, vec []float32, alias vector.Ref) {
 }
 
 // MoveOn moves the node rows onto data, a data arena of the index's
-// dimensionality, as vector.SparseRows.CopyOn stores them there — alias as
-// DecodeOn's — and drops the index's hold on the arena they were on. Node
+// dimensionality, as vector.SparseRows.CopyOn stores them there — alias is
+// CopyOn's, called with each node in node order while Vectors still reads
+// the old rows — and drops the index's hold on the arena they were on. Node
 // numbers, ids and links stay as they are: nothing is relinked, and a Clone
 // taken before keeps reading the old rows. The caller must not write data
 // while the index does.
-func (ix *Index) MoveOn(data *vector.RowData, alias func(id int, w []uint32) vector.Ref) {
+func (ix *Index) MoveOn(data *vector.RowData, alias func(node int, w []uint32) vector.Ref) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.vecs = ix.vecs.CopyOn(data, nil, ix.byID(alias))
+	ix.vecs = ix.vecs.CopyOn(data, nil, alias)
 }
 
 // byID adapts an alias by node id to vector.SparseRows.Load's, by node; nil

@@ -221,9 +221,6 @@ func checkLinks(i int, links []int32, n int) error {
 	return nil
 }
 
-// Config returns the construction parameters the index was built with.
-func (ix *Index) Config() Config { return ix.cfg }
-
 // IDs returns the external ids of all indexed vectors in insertion order.
 // Callers that use ids as indexes into their own state (e.g. the matcher's
 // tuple table) can validate a loaded index against it.

@@ -67,8 +67,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Dim() != ix.Dim() {
 		t.Fatalf("loaded Dim=%d, want %d", loaded.Dim(), ix.Dim())
 	}
-	if loaded.Config() != ix.Config() {
-		t.Fatalf("loaded Config=%+v, want %+v", loaded.Config(), ix.Config())
+	if loaded.cfg != ix.cfg {
+		t.Fatalf("loaded Config=%+v, want %+v", loaded.cfg, ix.cfg)
 	}
 
 	queries := randomUnitVecs(100, dim, 2)

@@ -92,7 +92,7 @@ func checkShrinkOnce(t *testing.T, in shrinkInput) shrinkCases {
 	rows := make([][]float32, ix.Len())
 	for i := range rows {
 		rows[i] = make([]float32, dim)
-		ix.CopyTo(rows[i], i)
+		ix.Vectors().CopyTo(rows[i], i)
 	}
 	// dist is the distance linkBack gets for node b: Dists from a's row.
 	dist := func(a, b int) float32 {

@@ -148,3 +148,35 @@ func TestSingletonNodeAliasesEntityRow(t *testing.T) {
 		t.Fatalf("loaded shards report (entity, index) bytes %v, saved %v", got, want)
 	}
 }
+
+// TestReclaimUpgradedState: a v8 file's superseded centroid versions stay
+// nodes of their tuples that store their own words. A reclamation of the
+// upgraded state keeps every node's sharing as it was — the old versions own
+// their words, every absorbed node is its member's entity row — and leaves
+// the shards with the entity and index bytes a load of its Save reports.
+func TestReclaimUpgradedState(t *testing.T) {
+	const shards = 2
+	m := mustLoad(t, readFile(t, v8FixturePath(shards)+".bin", matcherFormatV8), dim16Opts(shards))
+	before := checkAliases(t, "loaded", m)
+	if before.extraOwned == 0 {
+		t.Fatalf("loaded: %+v, want old centroid versions as nodes of their own", before)
+	}
+	// The first records of the file's matched tuples, which absorb into them.
+	byID := mustGeo(t, 0.01, 5).EntityByID()
+	var rows [][]string
+	tuples, _ := m.Tuples()
+	for _, ids := range tuples {
+		if e, ok := byID[ids[0]]; ok && len(rows) < 8 {
+			rows = append(rows, e.Values)
+		}
+	}
+	reclaimEveryShard(t, m, rows, func([]AddResult) {})
+	after := checkAliases(t, "reclaimed", m)
+	if after.extraOwned != before.extraOwned {
+		t.Fatalf("reclaimed: %+v, loaded %+v: the old versions' sharing changed", after, before)
+	}
+	loaded := mustLoad(t, saveBytes(t, m), dim16Opts(shards))
+	if got, want := shardBytes(loaded), shardBytes(m); !slices.Equal(got, want) {
+		t.Fatalf("the reclaimed state reports (entity, index) bytes %v, a load of its Save %v", want, got)
+	}
+}

@@ -175,7 +175,7 @@ func viewRows(v *matcherView) [][]float32 {
 		nodes := make([]int32, sv.index.Len())
 		for i := range nodes {
 			row := make([]float32, sv.index.Dim())
-			sv.index.CopyTo(row, i)
+			sv.index.Vectors().CopyTo(row, i)
 			rows = append(rows, row)
 			nodes[i] = int32(i)
 		}

@@ -314,7 +314,8 @@ func TestMatcherHeapBudget(t *testing.T) {
 // not panic, must fail only with a typed error, must not let a count in the
 // file size an allocation the file cannot back, and what it accepts must
 // save back to the bytes it read — so no two files load to the same state
-// and nothing it accepts is silently repaired.
+// (a v8 or v7 file's compaction counts, which nothing reads, aside) and
+// nothing it accepts is silently repaired.
 func FuzzLoadMatcher(f *testing.F) {
 	const dim = 16
 	opt := geoOpts()
@@ -386,9 +387,24 @@ func FuzzLoadMatcher(f *testing.F) {
 		// Bytes past the last section are not LoadMatcher's. A v8 or v7
 		// file saves as version 9, dropping its compaction counts, which
 		// nothing reads: for one the property is held by the v9 file it
-		// becomes.
+		// becomes, and by that file rendered back in the input's version,
+		// which must be the input with its compaction counts at 0.
 		again := saveBytes(t, m)
-		if binary.LittleEndian.Uint32(raw[8:]) != matcherFormatVersion {
+		if version := binary.LittleEndian.Uint32(raw[8:]); version != matcherFormatVersion {
+			want := v8Bytes(t, again)
+			if version == matcherFormatV7 {
+				want = v7Bytes(t, want)
+			}
+			if len(raw) < len(want) {
+				t.Fatalf("a %d-byte v%d file loaded, and renders back as %d bytes", len(raw), version, len(want))
+			}
+			zeroed := slices.Clone(raw[:len(want)])
+			for _, at := range fileFields(t, want).compactions {
+				clear(zeroed[at : at+8])
+			}
+			if !bytes.Equal(zeroed, want) {
+				t.Fatalf("a v%d file loaded, and the v9 file it saves as does not render back to it", version)
+			}
 			m9, err := LoadMatcher(bytes.NewReader(again), opt)
 			if err != nil {
 				t.Fatalf("a file loaded, the v9 file it saved as did not: %v", err)

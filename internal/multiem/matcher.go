@@ -596,9 +596,9 @@ const addSearchK = 8
 //     and indexed as its first node, each touched tuple's recomputed once
 //     into the centroid table (an absorbed row far from every node of its
 //     tuple becomes one more node), and the shard's dead centroid rows
-//     reclaimed once they outnumber the live ones. The batch commits with
-//     one atomic view swap, so concurrent readers see it all-or-nothing
-//     across shards.
+//     reclaimed once their words pass an eighth of the live words. The
+//     batch commits with one atomic view swap, so concurrent readers see it
+//     all-or-nothing across shards.
 //
 // Decisions against pre-existing tuples use the state at the start of the
 // batch, and the chaining pass is independent of the shard layout — so

@@ -1,6 +1,7 @@
 package multiem
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -75,11 +76,12 @@ func splitTupleID(id int) (shard, local int) {
 // absorption appends the recomputed centroid there and links nothing, and
 // the row it supersedes is dead until a reclamation (maybeReclaim) copies
 // the live rows to a fresh arena. A row is shared where it has the words of
-// the row it derives from (nodeAlias, the one rule): a node that is its
-// tuple's first centroid is the first member's entity row where it has that
-// row's words — every one-member tuple's is — an absorbed node is that
-// member's entity row, and a centroid row is its tuple's last node's row
-// where it has that row's words — a tuple's first centroid always.
+// the row it derives from (nodeAlias on a load, movedAlias on a
+// reclamation): a node that is its tuple's first centroid is the first
+// member's entity row where it has that row's words — every one-member
+// tuple's is — an absorbed node is that member's entity row, and a centroid
+// row is its tuple's last node's row where it has that row's words — a
+// tuple's first centroid always.
 type shardView struct {
 	// entIDs maps local entity row -> global entity ID. Append-only.
 	entIDs []int
@@ -273,21 +275,24 @@ const reclaimShare = 8
 
 // maybeReclaim copies the shard's live rows — its entity rows, node rows and
 // current centroid rows — to a fresh data arena once the dead centroid rows'
-// words exceed 1/reclaimShare of the live words. The rows are
-// stored as a load stores them (nodeAlias, and each centroid row its tuple's
-// last node's where it has its words), the centroid rows in tuple order.
-// Node numbers, ids and links stay: nothing is relinked, and no
-// decision, distance or Save byte moves. Published views keep the old arena,
-// so readers are never affected; the trigger depends only on ingest history,
-// so a replay and a follower reclaim where the primary did. The caller holds
-// addMu.
+// words exceed 1/reclaimShare of the live words. Each node shares the copy
+// of the entity row it shared and stores its own words where it did
+// (movedAlias), and each centroid row is its tuple's last node's where it has
+// that row's words, the centroid rows in tuple order: the rows a load of the
+// state's Save stores. Node numbers, ids and links stay: nothing is
+// relinked, and no decision, distance or Save byte moves. Published views
+// keep the old arena, so readers are never affected. The trigger counts the
+// dead rows since the shard's last reclamation or load, so a replay from the
+// same base reclaims where the primary did, and a matcher loaded from a
+// snapshot, which starts with none, at other batches — which changes no
+// decision and no Save byte either. The caller holds addMu.
 func (sh *shard) maybeReclaim() {
 	live := sh.entVecs.OwnWords() + sh.index.Vectors().OwnWords() + sh.cents.OwnWords() - sh.dead
 	if sh.dead*reclaimShare <= live {
 		return
 	}
 	ents := sh.entVecs.Copy()
-	sh.index.MoveOn(ents.Data(), sh.nodeAlias(ents))
+	sh.index.MoveOn(ents.Data(), sh.movedAlias(ents))
 	picks := make([]int32, sh.tuples.Len())
 	for l := range picks {
 		picks[l] = sh.tuples.at(l).cent
@@ -302,13 +307,30 @@ func (sh *shard) maybeReclaim() {
 	sh.entVecs, sh.dead = ents, 0
 }
 
-// nodeAlias is the rule for which entity row of ents a node row is, given in
-// node order (vector.SparseRows.Load's alias): a tuple's first node is its
-// first member's row where it has that row's words, and each later node the
-// first member's row past the previous match with the node's words. A node
-// the rule finds no row for — a multi-member centroid — stores its own. A
-// live ingest shares exactly these rows: an absorbed node is its member's
-// row, and members and nodes are appended in the same order.
+// movedAlias is a reclamation's rule for which row of ents, the entity rows'
+// copy, a node row is, given in node order: the copy of the entity row the
+// node shares now, found by its word offset — entity rows store their own
+// words, in position order, so their offsets ascend — and none for a node
+// that stores its own words. So a reclamation costs a binary search a node,
+// whatever its tuple's size, and keeps every node's sharing as it was.
+func (sh *shard) movedAlias(ents *vector.SparseRows) func(node int, w []uint32) vector.Ref {
+	nodes := sh.index.Vectors() // the rows being moved
+	return func(node int, _ []uint32) vector.Ref {
+		at := nodes.Offset(node)
+		if p, ok := sort.Find(sh.entVecs.Len(), func(i int) int { return cmp.Compare(at, sh.entVecs.Offset(i)) }); ok {
+			return ents.Ref(p)
+		}
+		return vector.Ref{}
+	}
+}
+
+// nodeAlias is a load's rule for which entity row of ents a node row is,
+// given in node order (vector.SparseRows.Load's alias): a tuple's first node
+// is its first member's row where it has that row's words, and each later
+// node the first member's row past the previous match with the node's words.
+// A node the rule finds no row for — a multi-member centroid — stores its
+// own. A live ingest shares exactly these rows: an absorbed node is its
+// member's row, and members and nodes are appended in the same order.
 func (sh *shard) nodeAlias(ents *vector.SparseRows) func(id int, w []uint32) vector.Ref {
 	from := make([]int32, sh.tuples.Len()) // the member the tuple's next node scans from; 0 before its first
 	return func(id int, w []uint32) vector.Ref {
@@ -388,7 +410,8 @@ type ShardStats struct {
 	// entity row (every one-member tuple's, every absorbed node), and a
 	// centroid row that is its tuple's last node's, add their descriptor
 	// alone. The dead centroid rows a reclamation has not dropped yet are
-	// in no count: they are at most as many words as the live rows.
+	// in no count: their words are at most an eighth of the live words
+	// (reclaimShare).
 	IndexBytes int `json:"index_bytes"`
 	// Tuples is the number of tuples homed here, singletons included.
 	Tuples int `json:"tuples"`
