@@ -150,21 +150,25 @@ func main() {
 	if err != nil {
 		fatal("listen failed", "addr", *addr, "err", err)
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	slog.Info("listening (not ready: matcher starting)", "addr", *addr)
-
 	// The admin listener is separate from the data port on purpose:
 	// pprof exposes memory contents and must not ride on a port that is
-	// load-balanced to clients.
+	// load-balanced to clients. It binds before the server reports itself
+	// listening, so one that cannot have the port it was given exits.
 	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			fatal("debug listen failed", "addr", *debugAddr, "err", err)
+		}
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, debugMux(s)); err != nil {
+			if err := http.Serve(dln, debugMux(s)); err != nil {
 				slog.Error("debug listener failed", "addr", *debugAddr, "err", err)
 			}
 		}()
 		slog.Info("debug listener on", "addr", *debugAddr)
 	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	slog.Info("listening (not ready: matcher starting)", "addr", *addr)
 
 	cfg := repro.WALConfig{
 		Dir:              *walDir,

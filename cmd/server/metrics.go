@@ -151,7 +151,7 @@ func (s *server) registerMetrics() {
 	}
 	r.GaugeSetFunc("multiem_shard_live_tuples",
 		"Current tuples homed on the shard.",
-		shardSamples(func(ss repro.ShardStats) float64 { return float64(ss.Live) }))
+		shardSamples(func(ss repro.ShardStats) float64 { return float64(ss.Tuples) }))
 	r.GaugeSetFunc("multiem_shard_index_entries",
 		"Nodes in the shard's graph: one a tuple, and one for each row absorbed far from every node its tuple had.",
 		shardSamples(func(ss repro.ShardStats) float64 { return float64(ss.IndexSize) }))

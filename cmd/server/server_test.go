@@ -147,17 +147,16 @@ func TestStats(t *testing.T) {
 	if got.Shards != 4 || len(got.PerShard) != 4 {
 		t.Fatalf("stats report %d shards and %d per-shard entries, want 4", got.Shards, len(got.PerShard))
 	}
-	var ents, tuples, live int
+	var ents, tuples int
 	for i, ss := range got.PerShard {
 		if ss.Shard != i {
 			t.Fatalf("per-shard entry %d labelled shard %d", i, ss.Shard)
 		}
 		ents += ss.Entities
 		tuples += ss.Tuples
-		live += ss.Live
 	}
-	if ents != got.Entities || tuples != got.Tuples || live != got.Live {
-		t.Fatalf("per-shard sums (%d entities, %d tuples, %d live) disagree with totals %+v", ents, tuples, live, got.MatcherStats)
+	if ents != got.Entities || tuples != got.Tuples {
+		t.Fatalf("per-shard sums (%d entities, %d tuples) disagree with totals %+v", ents, tuples, got.MatcherStats)
 	}
 	if got.Epoch != 0 {
 		t.Fatalf("fresh matcher reports epoch %d, want 0", got.Epoch)

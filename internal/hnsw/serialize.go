@@ -29,15 +29,13 @@ import (
 // fixed by count and M, and the vectors are the rows' own words, so a file
 // pays for the memory it decodes into.
 //
-// Version 3 is version 4 with each row dense, count × dim × float32; only a
-// matcher file of version 7 embeds it (DecodeOn's dense). Older versions are
-// upgraded through the matcher file that embeds them (docs/OPERATIONS.md).
+// Older versions are upgraded through the matcher file that embeds them
+// (docs/OPERATIONS.md).
 
 var magic = [8]byte{'H', 'N', 'S', 'W', 'I', 'D', 'X', '\n'}
 
-// formatVersion is the version Save writes and Load reads; formatDense is
-// the one DecodeOn also reads for a matcher file of version 7.
-const formatVersion, formatDense = 4, 3
+// formatVersion is the version Save writes and Load reads.
+const formatVersion = 4
 
 // ErrFormatVersion is wrapped by Load when the file's format version is not
 // the one this build reads; callers distinguish "old index file, upgrade
@@ -111,7 +109,7 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hnsw: load: %w", err)
 	}
-	return DecodeOn(binio.NewReader(raw), nil, nil, false)
+	return DecodeOn(binio.NewReader(raw), nil, nil)
 }
 
 // DecodeOn is Load over bytes already in memory: it reads one index from rd
@@ -121,20 +119,15 @@ func Load(r io.Reader) (*Index, error) {
 // on data, a data arena its caller shares (NewOn), or on one of their own
 // when data is nil; alias, which may be nil, is called once a node, in node
 // order, with the node's id and words, and a node whose row has the words of
-// the row it names is that row (vector.SparseRows.Load). dense marks the
-// version a matcher file of version 7 embeds, 3, whose rows are dense. A
-// file of another version, or dimensionality than data's, fails.
-func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int, w []uint32) vector.Ref, dense bool) (*Index, error) {
+// the row it names is that row (vector.SparseRows.Load). A file of another
+// version, or dimensionality than data's, fails.
+func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int, w []uint32) vector.Ref) (*Index, error) {
 	if m := rd.Next(len(magic)); string(m) != string(magic[:]) {
 		return nil, corrupt("bad magic %q (not an HNSW index file)", m)
 	}
-	want := uint32(formatVersion)
-	if dense {
-		want = formatDense
-	}
 	version := rd.U32()
-	if rd.Err() == nil && version != want {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrFormatVersion, version, want)
+	if rd.Err() == nil && version != formatVersion {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrFormatVersion, version, formatVersion)
 	}
 
 	var cfg Config
@@ -176,7 +169,7 @@ func DecodeOn(rd *binio.Reader, data *vector.RowData, alias func(id int, w []uin
 	if err := ix.readLinks(rd); err != nil {
 		return nil, err
 	}
-	if err := ix.vecs.ReadRows(rd, count, dense, ix.byID(alias)); err != nil {
+	if err := ix.vecs.ReadRows(rd, count, ix.byID(alias)); err != nil {
 		return nil, corrupt("vectors: %v", err)
 	}
 	return ix, nil

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -250,7 +249,7 @@ func TestLoadOldVersionFailsWithNamedError(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	for _, old := range []byte{1, 0} {
+	for _, old := range []byte{3, 1, 0} {
 		b := append([]byte(nil), buf.Bytes()...)
 		b[8] = old // version field, little-endian low byte
 		_, err := Load(bytes.NewReader(b))
@@ -273,7 +272,7 @@ func TestDecodeStopsAtIndexEnd(t *testing.T) {
 	}
 	buf.WriteString("trailer")
 	rd := binio.NewReader(buf.Bytes())
-	if _, err := DecodeOn(rd, nil, nil, false); err != nil {
+	if _, err := DecodeOn(rd, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := string(rd.Next(rd.Len())); got != "trailer" {
@@ -310,7 +309,7 @@ func v2File(m, n int) []byte {
 // The version-2 file is one that cost over 2 000× its size when every node
 // got its block whatever the file held: 3 000 nodes of dim 1 and no links.
 // No version-2 file is read any more, and this one is refused as such; the
-// version-3 file, whose link section is that arena, loads.
+// version-4 file, whose link section is that arena, loads.
 func TestDecodeAllocBounded(t *testing.T) {
 	ix := New(1, Config{M: maxSaneM})
 	for i := 0; i < 12; i++ {
@@ -324,7 +323,7 @@ func TestDecodeAllocBounded(t *testing.T) {
 		want error
 	}{
 		{"v2", v2File(maxSaneM, 3000), ErrFormatVersion},
-		{"v3", savedBytes(t, ix), nil},
+		{"v4", savedBytes(t, ix), nil},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -381,12 +380,10 @@ func TestDecodeRejectsMalformedRows(t *testing.T) {
 
 // FuzzDecodeIndex: DecodeOn reads the index embedded in every matcher file a
 // follower fetches, and here it is fuzzed on its own, where every mutation
-// lands in its fields; an input of version 3 is read as a version-7 matcher
-// file's embedded index is (DecodeOn's dense). On arbitrary bytes it must
-// not panic, must fail only with ErrCorrupt or ErrFormatVersion, and must
-// not allocate more than 3× the input and a constant. What it accepts must
-// save back to the bytes it read; a version-3 index saves as version 4, so
-// for one that holds for the file it saves as.
+// lands in its fields. On arbitrary bytes it must not panic, must fail only
+// with ErrCorrupt or ErrFormatVersion, and must not allocate more than 3×
+// the input and a constant. What it accepts must save back to the bytes it
+// read.
 func FuzzDecodeIndex(f *testing.F) {
 	f.Add(savedBytes(f, New(8, Config{})))
 	one := New(2, Config{M: 2, EfSearch: 5})
@@ -400,20 +397,17 @@ func FuzzDecodeIndex(f *testing.F) {
 	// One wide row: the vector arena's chunk may hold only what the file
 	// fills, or it alone would outgrow the allocation bound.
 	f.Add(savedBytes(f, buildIndex(f, randomUnitVecs(1, 1024, 2), Config{M: 1})))
-	// The version-3 index of the first shard of the last version-7 matcher
-	// file's fixture: dim 16, its dense rows a third full.
-	fixture, err := os.ReadFile("../multiem/testdata/matcher-v7-dim16.bin")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fixture[bytes.Index(fixture, magic[:]):])
+	// A version-3 header, which is refused: the format a version-7 matcher
+	// file embedded, version 4 with each row dense.
+	v3 := savedBytes(f, buildIndex(f, randomUnitVecs(40, 8, 1), Config{M: 4}))
+	binary.LittleEndian.PutUint32(v3[8:], 3)
+	f.Add(v3)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		dense := len(raw) >= 12 && binary.LittleEndian.Uint32(raw[8:]) == formatDense
 		rd := binio.NewReader(raw)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ix, err := DecodeOn(rd, nil, nil, dense)
+		ix, err := DecodeOn(rd, nil, nil)
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(raw)+64<<10); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(raw), got, limit)
@@ -426,13 +420,6 @@ func FuzzDecodeIndex(f *testing.F) {
 		}
 		ix.Search(make([]float32, ix.Dim()), 3, 0)
 		read, saved := raw[:len(raw)-rd.Len()], savedBytes(t, ix)
-		if dense {
-			again, err := Load(bytes.NewReader(saved))
-			if err != nil {
-				t.Fatalf("a version-3 index loaded, the version-4 file it saved as did not: %v", err)
-			}
-			read, saved = saved, savedBytes(t, again)
-		}
 		if !bytes.Equal(read, saved) {
 			t.Fatalf("accepted %d bytes that save back as %d different ones", len(read), len(saved))
 		}

@@ -46,8 +46,8 @@ func TestPacerTickCountFakeClock(t *testing.T) {
 		if n != c.want {
 			t.Errorf("rate %v over %v: %d ticks, want %d", c.rate, c.window, n, c.want)
 		}
-		if p.Issued() != c.want {
-			t.Errorf("Issued() = %d, want %d", p.Issued(), c.want)
+		if p.i != c.want {
+			t.Errorf("issued %d ticks, want %d", p.i, c.want)
 		}
 	}
 }

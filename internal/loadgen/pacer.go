@@ -53,6 +53,3 @@ func (p *Pacer) Next(deadline time.Time) (time.Time, bool) {
 func (p *Pacer) tick(i int64) time.Time {
 	return p.start.Add(time.Duration(float64(i) * float64(time.Second) / p.rate))
 }
-
-// Issued reports how many ticks Next has handed out.
-func (p *Pacer) Issued() int64 { return p.i }

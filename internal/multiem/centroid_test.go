@@ -314,7 +314,7 @@ func TestMatcherHeapBudget(t *testing.T) {
 // not panic, must fail only with a typed error, must not let a count in the
 // file size an allocation the file cannot back, and what it accepts must
 // save back to the bytes it read — so no two files load to the same state
-// (a v8 or v7 file's compaction counts, which nothing reads, aside) and
+// (a v8 file's compaction counts, which nothing reads, aside) and
 // nothing it accepts is silently repaired.
 func FuzzLoadMatcher(f *testing.F) {
 	const dim = 16
@@ -344,20 +344,25 @@ func FuzzLoadMatcher(f *testing.F) {
 		f.Add(saveBytes(f, m))
 	}
 	// A header that promises 2^20 schema strings and 4096 shards, in each
-	// version: a header holds M and the probes of the encoder below.
+	// version it reads and in version 7, which it refuses: a header holds M
+	// and the probes of the encoder below.
 	m, err := BuildMatcher(d, opt)
 	if err != nil {
 		f.Fatal(err)
 	}
 	v9 := saveBytes(f, m)[:16+4+4*len(probeTexts)*dim] // magic, version, dim, M, probes
-	for _, version := range []uint32{matcherFormatV7, matcherFormatV8, matcherFormatVersion} {
+	for _, version := range []uint32{7, matcherFormatV8, matcherFormatVersion} {
 		hdr := slices.Concat(binary.LittleEndian.AppendUint32(slices.Clone(v9[:8]), version), v9[12:])
 		f.Add(append(hdr, 9, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0))
 	}
-	// The files the last v7 and v8 writers left, and a matcher built under
-	// another encoder, whose probes the one below refuses.
-	f.Add(readFixture(f))
-	f.Add(readFile(f, v8FixturePath(2)+".bin", matcherFormatV8))
+	// The file the last v8 writer left, it with its version set to 7, which
+	// is refused, and a matcher built under another encoder, whose probes the
+	// one below refuses.
+	v8 := readFile(f, v8FixturePath(2)+".bin", matcherFormatV8)
+	f.Add(v8)
+	v7 := slices.Clone(v8)
+	binary.LittleEndian.PutUint32(v7[8:], 7)
+	f.Add(v7)
 	grams3 := opt
 	grams3.Encoder = embed.NewHashEncoder(embed.WithDim(dim), embed.WithGrams(3))
 	if m, err = BuildMatcher(d, grams3); err != nil {
@@ -384,26 +389,23 @@ func FuzzLoadMatcher(f *testing.F) {
 			}
 			return
 		}
-		// Bytes past the last section are not LoadMatcher's. A v8 or v7
-		// file saves as version 9, dropping its compaction counts, which
-		// nothing reads: for one the property is held by the v9 file it
-		// becomes, and by that file rendered back in the input's version,
-		// which must be the input with its compaction counts at 0.
+		// Bytes past the last section are not LoadMatcher's. A v8 file
+		// saves as version 9, dropping its compaction counts, which nothing
+		// reads: for one the property is held by the v9 file it becomes, and
+		// by that file rendered back as v8, which must be the input with its
+		// compaction counts at 0.
 		again := saveBytes(t, m)
-		if version := binary.LittleEndian.Uint32(raw[8:]); version != matcherFormatVersion {
+		if binary.LittleEndian.Uint32(raw[8:]) == matcherFormatV8 {
 			want := v8Bytes(t, again)
-			if version == matcherFormatV7 {
-				want = v7Bytes(t, want)
-			}
 			if len(raw) < len(want) {
-				t.Fatalf("a %d-byte v%d file loaded, and renders back as %d bytes", len(raw), version, len(want))
+				t.Fatalf("a %d-byte v8 file loaded, and renders back as %d bytes", len(raw), len(want))
 			}
 			zeroed := slices.Clone(raw[:len(want)])
 			for _, at := range fileFields(t, want).compactions {
 				clear(zeroed[at : at+8])
 			}
 			if !bytes.Equal(zeroed, want) {
-				t.Fatalf("a v%d file loaded, and the v9 file it saves as does not render back to it", version)
+				t.Fatal("a v8 file loaded, and the v9 file it saves as does not render back to it")
 			}
 			m9, err := LoadMatcher(bytes.NewReader(again), opt)
 			if err != nil {

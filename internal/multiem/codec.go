@@ -50,23 +50,21 @@ import (
 // before it, and a loaded matcher has the exact shard topology it was saved
 // with.
 //
-// LoadMatcher also reads versions 8 and 7, which indexed a node per centroid
-// version. They hold no centroid section, and a compaction count (int64)
+// LoadMatcher also reads version 8, which indexed a node per centroid
+// version. It holds no centroid section, and a compaction count (int64)
 // between the tuples and the index, which is dropped; every node is kept,
 // the superseded versions as more nodes of their tuples, and each tuple's
-// last node, its current centroid, gives its centroid row. Version 7's rows
-// are dense (dim × float32) and its index is in hnsw format 3. Either saves
-// as version 9. Older files are upgraded by a load and a Save under a build
-// that writes version 7.
+// last node, its current centroid, gives its centroid row. It saves as
+// version 9. Older files are upgraded by a load and a Save under a build
+// that reads them (docs/OPERATIONS.md).
 
 var matcherMagic = [8]byte{'M', 'E', 'M', 'M', 'A', 'T', 'C', '\n'}
 
-// matcherFormatV8 and matcherFormatV7 are the older versions LoadMatcher
-// still takes.
-const matcherFormatVersion, matcherFormatV8, matcherFormatV7 = 9, 8, 7
+// matcherFormatV8 is the older version LoadMatcher still takes.
+const matcherFormatVersion, matcherFormatV8 = 9, 8
 
 // ErrFormatVersion is wrapped by LoadMatcher when the file's format version
-// is not one this build reads (9, 8 and 7); callers distinguish "old matcher
+// is not one this build reads (9 and 8); callers distinguish "old matcher
 // file, upgrade it" from corruption with errors.Is.
 var ErrFormatVersion = errors.New("multiem: unsupported matcher format version")
 
@@ -235,8 +233,8 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 		return nil, fmt.Errorf("%w: bad magic %q (not a matcher file)", ErrCorruptState, mg)
 	}
 	version := rd.U32()
-	if rd.Err() == nil && version != matcherFormatVersion && version != matcherFormatV8 && version != matcherFormatV7 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d, %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV8, matcherFormatV7)
+	if rd.Err() == nil && version != matcherFormatVersion && version != matcherFormatV8 {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d and %d", ErrFormatVersion, version, matcherFormatVersion, matcherFormatV8)
 	}
 
 	m := &Matcher{opt: opt, dim: rd.I32()}
@@ -331,7 +329,7 @@ func LoadMatcher(r io.Reader, opt Options) (*Matcher, error) {
 // left — the embeddings' from the words their rows hold.
 func (sh *shard) readSection(sec []byte, version uint32) (maxEntID int, err error) {
 	rd := binio.NewReader(sec)
-	dense, legacy := version == matcherFormatV7, version < matcherFormatVersion
+	legacy := version == matcherFormatV8
 
 	nEnts := rd.Count(8) // an entity is its ID and its row, which ReadRows bounds
 	if rd.Err() != nil {
@@ -342,7 +340,7 @@ func (sh *shard) readSection(sec []byte, version uint32) (maxEntID int, err erro
 	if nEnts > 0 {
 		maxEntID = slices.Max(sh.entIDs)
 	}
-	if err := sh.entVecs.ReadRows(rd, nEnts, dense, nil); err != nil {
+	if err := sh.entVecs.ReadRows(rd, nEnts, nil); err != nil {
 		return -1, fmt.Errorf("entities: %w", err)
 	}
 
@@ -385,7 +383,7 @@ func (sh *shard) readSection(sec []byte, version uint32) (maxEntID int, err erro
 	// The node rows go on the shard's data arena, after the entity rows, and
 	// the centroid rows after them, each sharing a row where the rule live
 	// ingest shares it by says so.
-	ix, err := hnsw.DecodeOn(rd, sh.entVecs.Data(), sh.nodeAlias(sh.entVecs), dense)
+	ix, err := hnsw.DecodeOn(rd, sh.entVecs.Data(), sh.nodeAlias(sh.entVecs))
 	if err != nil {
 		return -1, err
 	}
@@ -401,7 +399,7 @@ func (sh *shard) readSection(sec []byte, version uint32) (maxEntID int, err erro
 		for l := range nTuples {
 			sh.cents.AppendRef(alias(l, nil))
 		}
-	} else if err := sh.cents.ReadRows(rd, nTuples, false, alias); err != nil {
+	} else if err := sh.cents.ReadRows(rd, nTuples, alias); err != nil {
 		return -1, fmt.Errorf("centroids: %w", err)
 	}
 	if rd.Len() != 0 {

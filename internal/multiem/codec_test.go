@@ -19,15 +19,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/embed"
 	"repro/internal/table"
-	"repro/internal/vector"
 )
-
-// v7FixturePath is a version-7 matcher file written by the last commit whose
-// Save wrote version 7 (Geo at 0.01, seed 5, dim 16, 2 shards, two absorb
-// batches so stale index entries are present, M 0.5): what every snapshot
-// and -load-index file that commit left on disk looks like. It is also the
-// file that commit saved the version-6 fixture it read as.
-const v7FixturePath = "testdata/matcher-v7-dim16.bin"
 
 // v8FixturePath names version-8 matcher files written by the last commit
 // whose Save wrote version 8, each beside the Match replies that commit gave
@@ -50,7 +42,7 @@ func dim16Opts(shards int) Options {
 // v8Bytes renders a version-9 file in version 8's layout: the version field
 // set back, each section's centroid rows dropped and a compaction count of 0
 // put before its index. It is the v8 file of the state only where every
-// tuple's centroid is its last node, as in a state a v8 or v7 file loaded to;
+// tuple's centroid is its last node, as in a state a v8 file loaded to;
 // elsewhere it is a v8 file of another state, which the hostile-input legs
 // need no more than.
 func v8Bytes(t testing.TB, raw []byte) []byte {
@@ -61,42 +53,6 @@ func v8Bytes(t testing.TB, raw []byte) []byte {
 	out = append(out, raw[12:f.sections[0][0]]...)
 	for s, sec := range f.sections {
 		body := slices.Concat(raw[sec[0]+8:f.indexStarts[s]], make([]byte, 8), raw[f.indexStarts[s]:f.centStarts[s]])
-		out = append(le.AppendUint64(out, uint64(len(body))), body...)
-	}
-	return out
-}
-
-// v7Bytes renders a version-8 file as version 7: the version fields set back
-// (the matcher's to 7, each index's to 3), every row written dense, and each
-// section's length to match. TestFormatEquivalence and TestV7FixtureUpgrade
-// hold it to the bytes a real v7 writer produced.
-func v7Bytes(t testing.TB, raw []byte) []byte {
-	t.Helper()
-	f := fileFields(t, raw)
-	le := binary.LittleEndian
-	src := slices.Clone(raw)
-	le.PutUint32(src[8:], matcherFormatV7)
-	for _, at := range f.indexVersions {
-		le.PutUint32(src[at:], 3)
-	}
-	out := src[:f.sections[0][0]:f.sections[0][0]]
-	rows := f.rows
-	for _, sec := range f.sections {
-		var body []byte
-		from := sec[0] + 8
-		for ; len(rows) > 0 && rows[0][0] < sec[1]; rows = rows[1:] {
-			body = append(body, src[from:rows[0][0]]...)
-			mask, vals := src[rows[0][0]:rows[0][0]+8*f.maskWords], src[rows[0][0]+8*f.maskWords:rows[0][1]]
-			for c := range f.dim {
-				if mask[c/8]>>(c%8)&1 == 0 {
-					body = append(body, 0, 0, 0, 0)
-				} else {
-					body, vals = append(body, vals[:4]...), vals[4:]
-				}
-			}
-			from = rows[0][1]
-		}
-		body = append(body, src[from:sec[1]]...)
 		out = append(le.AppendUint64(out, uint64(len(body))), body...)
 	}
 	return out
@@ -141,10 +97,6 @@ func mustLoad(t *testing.T, raw []byte, opt Options) *Matcher {
 	return m
 }
 
-func readFixture(t testing.TB) []byte {
-	return readFile(t, v7FixturePath, matcherFormatV7)
-}
-
 // readFile reads the matcher file at path and holds it to the version.
 func readFile(t testing.TB, path string, version uint32) []byte {
 	t.Helper()
@@ -156,28 +108,6 @@ func readFile(t testing.TB, path string, version uint32) []byte {
 		t.Fatalf("%s is version %d", path, v)
 	}
 	return raw
-}
-
-// TestV7FixtureUpgrade: the parent-written v7 file loads under the dim-16
-// encoder and saves as a v9 file that is the fixture with its rows as bitmask
-// words, its compaction counts dropped and each tuple's last node as its
-// centroid row (v7Bytes(v8Bytes(…)) gives the fixture back, whose counts
-// are 0). That file loads to a matcher with the same Save bytes, Stats,
-// per-shard EntityBytes and IndexBytes, node aliases and Match replies.
-func TestV7FixtureUpgrade(t *testing.T) {
-	fixture := readFixture(t)
-	from7 := mustLoad(t, fixture, dim16Opts(2))
-	v9 := saveBytes(t, from7)
-	if v := binary.LittleEndian.Uint32(v9[8:]); v != matcherFormatVersion {
-		t.Fatalf("Save wrote version %d", v)
-	}
-	if !bytes.Equal(v7Bytes(t, v8Bytes(t, v9)), fixture) {
-		t.Fatal("the v9 file, rendered as v7, is not the fixture")
-	}
-	t.Logf("v7 %d bytes, v9 %d", len(fixture), len(v9))
-	from9 := mustLoad(t, v9, dim16Opts(2))
-	assertLoadedAlike(t, from7, from9)
-	assertMatchersIdentical(t, from7, from9, mustGeo(t, 0.01, 5))
 }
 
 // matchReplies renders m's Match replies to every record of Geo at 0.01,
@@ -254,32 +184,6 @@ func assertLoadedAlike(t *testing.T, want, got *Matcher) {
 	}
 }
 
-// TestFormatEquivalence: the v7 and the v8 file of one state (a v8 fixture,
-// and it rendered as v7) load to matchers that cannot be told apart — Save
-// bytes, EntityBytes and IndexBytes, node aliases, stats, tuples, Match
-// replies, and the results of the same later batches — on both kernel paths.
-func TestFormatEquivalence(t *testing.T) {
-	d := mustGeo(t, 0.01, 5)
-	for _, mode := range []string{"scalar", "avx2"} {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/shards=%d", mode, shards), func(t *testing.T) {
-				vector.ForceKernels(t, mode)
-				v8 := readFile(t, v8FixturePath(shards)+".bin", matcherFormatV8)
-				from7, from8 := mustLoad(t, v7Bytes(t, v8), dim16Opts(shards)), mustLoad(t, v8, dim16Opts(shards))
-				assertLoadedAlike(t, from8, from7)
-				for _, rows := range randomBatches(d, 4, 8, 23) {
-					r7, err7 := from7.AddRecords(rows)
-					r8, err8 := from8.AddRecords(rows)
-					if err7 != nil || err8 != nil || !slices.Equal(r7, r8) {
-						t.Fatalf("AddRecords diverges after load: %v / %v\n  v7 %+v\n  v8 %+v", err7, err8, r7, r8)
-					}
-				}
-				assertMatchersIdentical(t, from8, from7, d)
-			})
-		}
-	}
-}
-
 // fileLayout is an independent reading of a matcher file.
 type fileLayout struct {
 	// bounds holds the offset at which every field starts (an array counts
@@ -292,14 +196,12 @@ type fileLayout struct {
 	maskWords int // a bitmask row's 64-bit mask words
 	// sections holds each shard's section's range, its length field
 	// included; rows each row's byte range, entity rows, node rows, then
-	// (version 9) centroid rows, a section at a time; indexVersions each
-	// embedded index's version field.
+	// (version 9) centroid rows, a section at a time.
 	sections, rows [][2]int
-	indexVersions  []int
 	// entCounts, tupleCounts and nodeCounts hold each section's entity,
 	// tuple and node count field; indexStarts and centStarts where its
 	// index and its centroid rows (version 9; the section's end before)
-	// begin; compactions its compaction count's offset (versions 8 and 7).
+	// begin; compactions its compaction count's offset (version 8).
 	entCounts, tupleCounts, nodeCounts   []int
 	indexStarts, centStarts, compactions []int
 }
@@ -323,19 +225,15 @@ func fileFields(t testing.TB, raw []byte) (f fileLayout) {
 	}
 	field(8) // magic
 	version := uint32(i32())
-	dense := version == matcherFormatV7
 	f.dim = i32()
 	f.maskWords = (f.dim + 63) / 64
 	f.m = field(4)
 	f.probes = field(4 * len(probeTexts) * f.dim)
-	// row walks one row: dim float32s, or its mask and a value a set bit.
+	// row walks one row: its mask and a value a set bit.
 	row := func() {
-		n := 4 * f.dim
-		if !dense {
-			n = 8 * f.maskWords
-			for _, b := range raw[off : off+n] {
-				n += 4 * bits.OnesCount8(b)
-			}
+		n := 8 * f.maskWords
+		for _, b := range raw[off : off+n] {
+			n += 4 * bits.OnesCount8(b)
 		}
 		f.rows = append(f.rows, [2]int{off, off + n})
 		field(n)
@@ -369,8 +267,7 @@ func fileFields(t testing.TB, raw []byte) (f fileLayout) {
 		}
 		f.indexStarts = append(f.indexStarts, off)
 		field(8) // index magic
-		f.indexVersions = append(f.indexVersions, off)
-		i32() // index version
+		i32()    // index version
 		m := i32()
 		i32() // efConstruction
 		i32() // efSearch
@@ -400,14 +297,14 @@ func fileFields(t testing.TB, raw []byte) (f fileLayout) {
 }
 
 // TestLoadMatcherHostileInput pins the loader's contract for input it cannot
-// trust, for every version it reads (v7 through the parent-written fixture,
-// v9 files, and both rendered back as v8 and v7): cut anywhere — at every
-// field boundary of a small file, every 4 KiB of a large one — or with any
-// count replaced by MaxInt32, LoadMatcher returns ErrCorruptState, never
-// panics, and allocates at most 3 × the input + 64 KiB: one copy of the
-// input (the in-memory reader is copied once, like a file is read once), at
-// most the undamaged shards decoded beside it, and a constant for the
-// matcher and per-shard shells. No count in the file adds to that, the tuple
+// trust, for every version it reads (v9 files, them rendered back as v8, and
+// the parent-written v8 fixture): cut anywhere — at every field boundary of
+// a small file, every 4 KiB of a large one — or with any count replaced by
+// MaxInt32, LoadMatcher returns ErrCorruptState, never panics, and
+// allocates at most 3 × the input + 64 KiB: one copy of the input (the
+// in-memory reader is copied once, like a file is read once), at most the
+// undamaged shards decoded beside it, and a constant for the matcher and
+// per-shard shells. No count in the file adds to that, the tuple
 // count that sizes v9's centroid table included. The header's M and probes
 // are held to the same bound: an M that is no cosine distance is
 // ErrCorruptState, a probe row that is not the encoder's embedding
@@ -416,12 +313,14 @@ func fileFields(t testing.TB, raw []byte) (f fileLayout) {
 // value whose bits are 0, values cut short, and an entity or node count the
 // bytes cannot back are ErrCorruptState.
 //
-// Memory keeps a v7 row's nonzeros at 4 B each with its mask and descriptor,
-// so the worst v7 file is one whose rows have no zero at all: the "full rows"
-// legs, a dim-256 file whose every zero coordinate is rewritten to −0 (a
-// nonzero to the store: its bits are not zero). That file, and the v8 and
-// v9 files it renders and saves as, load whole, save as that v9 file, and
-// stay within the same bound.
+// The largest rows a file holds are those with no zero at all: the "full
+// rows" legs, a dim-256 v8 file whose every row has each mask bit set and
+// −0 (a nonzero to the store: its bits are not zero) where it stored no
+// value. That file, and the v9 file it saves as, load whole, save as that
+// v9 file, and stay within the same bound.
+//
+// A v7 file is refused by its version field before anything past its header
+// is read.
 func TestLoadMatcherHostileInput(t *testing.T) {
 	small := saveBytes(t, absorbedMatcher(t, mustGeo(t, 0.01, 5), dim16Opts(2)))
 	large := saveBytes(t, absorbedMatcher(t, smallGeo(t), durOpts(2)))
@@ -440,10 +339,9 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 		}
 		return m
 	}
-	full7 := fullRowFile(t)
-	full9 := saveBytes(t, mustLoad(t, full7, durOpts(2)))
-	full8 := v8Bytes(t, full9)
-	for version, raw := range map[string][]byte{"v7": full7, "v8": full8, "v9": full9} {
+	full8 := fullRowFile(t)
+	full9 := saveBytes(t, mustLoad(t, full8, durOpts(2)))
+	for version, raw := range map[string][]byte{"v8": full8, "v9": full9} {
 		t.Run(version+"/full rows loads", func(t *testing.T) {
 			if m := check(t, "whole file", raw, durOpts(2), nil); !bytes.Equal(saveBytes(t, m), full9) {
 				t.Fatal("the full-row file does not save as the v9 full-row file")
@@ -451,7 +349,7 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 		})
 	}
 	small8 := v8Bytes(t, small)
-	for version, raw := range map[string][]byte{"v7": v7Bytes(t, small8), "v8": small8, "v9": small} {
+	for version, raw := range map[string][]byte{"v8": small8, "v9": small} {
 		t.Run(version+"/header", func(t *testing.T) {
 			f := fileFields(t, raw)
 			for _, bits := range []uint32{math.Float32bits(float32(math.NaN())), math.Float32bits(-0.01), math.Float32bits(2.01), math.Float32bits(float32(math.Inf(1)))} {
@@ -504,6 +402,7 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 			}
 		})
 	}
+	fixture8 := readFile(t, v8FixturePath(2)+".bin", matcherFormatV8)
 	large8 := v8Bytes(t, large)
 	for _, tc := range []struct {
 		name string
@@ -513,14 +412,11 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 	}{
 		{"v9/fields", small, dim16Opts(2), 0},
 		{"v8/fields", small8, dim16Opts(2), 0},
-		{"v8/fixture fields", readFile(t, v8FixturePath(2)+".bin", matcherFormatV8), dim16Opts(2), 0},
-		{"v7/fields", readFixture(t), dim16Opts(2), 0},
+		{"v8/fixture fields", fixture8, dim16Opts(2), 0},
 		{"v9/4KiB", large, durOpts(2), 4 << 10},
 		{"v8/4KiB", large8, durOpts(2), 4 << 10},
-		{"v7/4KiB", v7Bytes(t, large8), durOpts(2), 4 << 10},
 		{"v9/full rows", full9, durOpts(2), 0},
 		{"v8/full rows", full8, durOpts(2), 0},
-		{"v7/full rows", full7, durOpts(2), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.step > 0 {
@@ -541,22 +437,25 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 			t.Logf("%d bytes: %d field boundaries, %d counts", len(tc.raw), len(f.bounds), len(f.counts))
 		})
 	}
-	// A v6 file is refused by its version field, whole, cut or with any
-	// count replaced by MaxInt32, before anything past its header is read:
-	// ErrFormatVersion once the version is in, ErrCorruptState before it,
-	// within the same bound.
+	// A v7 file, here a v8 file with its version field set to 7, is refused
+	// by that field, whole, cut or with any count replaced by MaxInt32,
+	// before anything past its header is read: ErrFormatVersion once the
+	// version is in, ErrCorruptState before it, within the same bound.
 	for _, tc := range []struct {
 		name string
-		v7   []byte // the state, as a v7 file
+		v8   []byte // the state, as a v8 file
 		opt  Options
 		step int // 0: every field boundary
 	}{
-		{"v6/fields", readFixture(t), dim16Opts(2), 0},
-		{"v6/4KiB", v7Bytes(t, large8), durOpts(2), 4 << 10},
-		{"v6/full rows", full7, durOpts(2), 0},
+		{"v7/fields", fixture8, dim16Opts(2), 0},
+		{"v7/4KiB", large8, durOpts(2), 4 << 10},
+		{"v7/full rows", full8, durOpts(2), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			raw, bounds, counts := v6Layout(t, tc.v7)
+			raw := slices.Clone(tc.v8)
+			binary.LittleEndian.PutUint32(raw[8:], 7)
+			f := fileFields(t, tc.v8)
+			bounds, counts := f.bounds, f.counts
 			if tc.step > 0 {
 				bounds, counts = nil, nil
 				for cut := 0; cut < len(raw); cut += tc.step {
@@ -580,56 +479,57 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 	}
 }
 
-// v6Layout renders a version-7 file as version 6, the layout the last build
-// that read it took: the version field set back and the header's M and probes
-// cut out. It returns that file with its field boundaries and count offsets,
-// read off the v7 file's.
-func v6Layout(t *testing.T, v7 []byte) (raw []byte, bounds, counts []int) {
-	t.Helper()
-	f := fileFields(t, v7)
-	body := f.probes + 4*len(probeTexts)*f.dim // where the header ends
-	raw = binary.LittleEndian.AppendUint32(slices.Clone(v7[:8]), 6)
-	raw = slices.Concat(raw, v7[12:f.m], v7[body:])
-	shift := func(offs []int) (out []int) {
-		for _, o := range offs {
-			switch {
-			case o < f.m:
-				out = append(out, o)
-			case o >= body:
-				out = append(out, o-(body-f.m))
-			}
-		}
-		return out
-	}
-	return raw, shift(f.bounds), shift(f.counts)
-}
-
 // withRow returns the file raw, read as f, with row r's bytes replaced by row
 // and its section's length set to match.
 func withRow(f fileLayout, raw []byte, r [2]int, row []byte) []byte {
-	out := slices.Concat(raw[:r[0]], row, raw[r[1]:])
-	for _, sec := range f.sections {
-		if sec[0] < r[0] && r[0] < sec[1] {
-			n := binary.LittleEndian.Uint64(out[sec[0]:])
-			binary.LittleEndian.PutUint64(out[sec[0]:], n+uint64(len(row))-uint64(r[1]-r[0]))
+	return rewriteRows(f, raw, func(q [2]int) []byte {
+		if q == r {
+			return row
 		}
+		return raw[q[0]:q[1]]
+	})
+}
+
+// rewriteRows returns the file raw, read as f, with each row r's bytes
+// replaced by row(r) and each section's length set to match.
+func rewriteRows(f fileLayout, raw []byte, row func(r [2]int) []byte) []byte {
+	out := raw[:f.sections[0][0]:f.sections[0][0]]
+	rows := f.rows
+	for _, sec := range f.sections {
+		var body []byte
+		from := sec[0] + 8
+		for ; len(rows) > 0 && rows[0][0] < sec[1]; rows = rows[1:] {
+			body = append(append(body, raw[from:rows[0][0]]...), row(rows[0])...)
+			from = rows[0][1]
+		}
+		body = append(body, raw[from:sec[1]]...)
+		out = append(binary.LittleEndian.AppendUint64(out, uint64(len(body))), body...)
 	}
 	return out
 }
 
-// fullRowFile saves a small two-shard dim-256 matcher as version 7 and
-// rewrites every zero coordinate of its rows to −0, so no row has a zero to
-// drop.
+// fullRowFile saves a small two-shard dim-256 matcher in version 8's layout
+// with every row full: each mask bit set, and −0 where the row stored no
+// value, so no row has a zero to drop.
 func fullRowFile(t *testing.T) []byte {
-	raw := v7Bytes(t, v8Bytes(t, saveBytes(t, absorbedMatcher(t, mustGeo(t, 0.01, 5), durOpts(2)))))
-	for _, r := range fileFields(t, raw).rows {
-		for at := r[0]; at < r[1]; at += 4 {
-			if binary.LittleEndian.Uint32(raw[at:]) == 0 {
-				binary.LittleEndian.PutUint32(raw[at:], 0x80000000)
+	raw := v8Bytes(t, saveBytes(t, absorbedMatcher(t, mustGeo(t, 0.01, 5), durOpts(2))))
+	f := fileFields(t, raw)
+	full := make([]byte, 8*f.maskWords)
+	for c := range f.dim {
+		full[c/8] |= 1 << (c % 8)
+	}
+	return rewriteRows(f, raw, func(r [2]int) []byte {
+		mask, vals := raw[r[0]:r[0]+len(full)], raw[r[0]+len(full):r[1]]
+		out := slices.Clone(full)
+		for c := range f.dim {
+			if mask[c/8]>>(c%8)&1 == 0 {
+				out = append(out, 0, 0, 0, 0x80) // −0
+			} else {
+				out, vals = append(out, vals[:4]...), vals[4:]
 			}
 		}
-	}
-	return raw
+		return out
+	})
 }
 
 func mustGeo(t *testing.T, scale float64, seed int64) *table.Dataset {

@@ -79,8 +79,8 @@ func reclaimEveryShard(t *testing.T, m *Matcher, rows [][]string, visit func([]A
 // zeroed gave the same bytes before and after). Before that, it was
 // re-taken when the files' rows became bitmask rows (matcher version 8, hnsw
 // version 4); the history hashed with each file rendered back as version 7
-// (v7Bytes) gave the version-7 hash then pinned, so no decision and no other
-// byte moved. That had been re-taken when the matcher file gained M and the
+// gave the version-7 hash then pinned, so no decision and no other byte
+// moved. That had been re-taken when the matcher file gained M and the
 // probes (version 7), with the same check against version 6, and before that
 // when the index lost HNSW's layer hierarchy (matcher version 6, hnsw
 // version 3): the graph, and so every later decision and every byte of the

@@ -66,8 +66,6 @@ type MatcherStats struct {
 	// a tuple, and one for each row absorbed far from every node its tuple
 	// had (ShardStats.IndexSize).
 	IndexSize int `json:"index_size"`
-	// Live is the number of current centroids (one per tuple).
-	Live int `json:"live"`
 	// Attrs are the attribute names used for representation.
 	Attrs []string `json:"attrs"`
 }
@@ -710,7 +708,6 @@ func (m *Matcher) StatsWithShards() (MatcherStats, []ShardStats, uint64) {
 		s.Matched += per[id].Matched
 		s.Singletons += per[id].Singletons
 		s.IndexSize += per[id].IndexSize
-		s.Live += per[id].Live
 	}
 	return s, per, v.epoch
 }

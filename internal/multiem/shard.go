@@ -422,8 +422,6 @@ type ShardStats struct {
 	// IndexSize is the number of nodes in the shard's graph: one a tuple,
 	// and one more for each row absorbed far from every node its tuple had.
 	IndexSize int `json:"index_size"`
-	// Live is the number of current centroids (= Tuples).
-	Live int `json:"live"`
 }
 
 // stats computes the shard's stats from one immutable view.
@@ -436,7 +434,6 @@ func (v *shardView) stats(id int) ShardStats {
 		IndexBytes:  v.index.Vectors().Bytes() + v.cents.Bytes() - 4*v.dead - 8*deadRows,
 		Tuples:      v.tuples.Len(),
 		IndexSize:   v.index.Len(),
-		Live:        v.tuples.Len(),
 	}
 	v.tuples.each(func(ts *tupleState) {
 		if len(ts.members) >= 2 {

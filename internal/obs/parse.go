@@ -21,12 +21,6 @@ type Exposition struct {
 // Value returns the series value, or 0 when absent.
 func (e *Exposition) Value(series string) float64 { return e.Values[series] }
 
-// Has reports whether the series was present.
-func (e *Exposition) Has(series string) bool {
-	_, ok := e.Values[series]
-	return ok
-}
-
 var validTypes = map[string]bool{
 	"counter": true, "gauge": true, "summary": true,
 	"histogram": true, "untyped": true,

@@ -161,7 +161,7 @@ func TestParseExpositionSummarySuffixes(t *testing.T) {
 	if exp.Value("lat_count") != 50 {
 		t.Errorf("lat_count = %v", exp.Value("lat_count"))
 	}
-	if !exp.Has(`lat{quantile="0.5"}`) {
+	if _, ok := exp.Values[`lat{quantile="0.5"}`]; !ok {
 		t.Error("quantile series missing")
 	}
 }

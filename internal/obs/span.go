@@ -54,9 +54,6 @@ func NewStages(name string, stages ...string) *Stages {
 // Name returns the operation name.
 func (s *Stages) Name() string { return s.name }
 
-// StageNames returns the stage list in Mark-index order.
-func (s *Stages) StageNames() []string { return s.stages }
-
 // SetClock replaces the time source (tests only; not concurrency-safe
 // with in-flight spans).
 func (s *Stages) SetClock(now func() time.Time) { s.now = now }

@@ -124,7 +124,7 @@ func TestSlowLogBreakdownSumsToTotal(t *testing.T) {
 	}
 	total := m["total_ms"].(float64)
 	sum := 0.0
-	for _, stage := range st.StageNames() {
+	for _, stage := range st.stages {
 		v, ok := m[stage+"_ms"].(float64)
 		if !ok {
 			t.Fatalf("stage %s missing from log: %v", stage, m)

@@ -51,9 +51,6 @@ func (u *UF) Union(a, b int) int {
 	return ra
 }
 
-// Same reports whether a and b are in one set.
-func (u *UF) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
-
 // Count returns the number of distinct sets.
 func (u *UF) Count() int { return u.count }
 

@@ -11,7 +11,7 @@ func TestSingletons(t *testing.T) {
 	if u.Count() != 2 || u.Len() != 2 {
 		t.Fatalf("count=%d len=%d", u.Count(), u.Len())
 	}
-	if u.Same(0, 1) {
+	if u.Find(0) == u.Find(1) {
 		t.Fatal("fresh singletons must differ")
 	}
 	if u.Find(1) != 1 {
@@ -23,7 +23,7 @@ func TestUnionTransitivity(t *testing.T) {
 	u := New(3)
 	u.Union(0, 1)
 	u.Union(1, 2)
-	if !u.Same(0, 2) {
+	if u.Find(0) != u.Find(2) {
 		t.Fatal("transitivity: 0~1, 1~2 => 0~2")
 	}
 	if u.Count() != 1 {
@@ -58,7 +58,7 @@ func TestSets(t *testing.T) {
 	}
 }
 
-// Property: after random unions, Same agrees with a naive labelling.
+// Property: after random unions, Find agrees with a naive labelling.
 func TestRandomizedAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 200
@@ -90,8 +90,8 @@ func TestRandomizedAgainstNaive(t *testing.T) {
 	}
 	for trial := 0; trial < 500; trial++ {
 		a, b := rng.Intn(n), rng.Intn(n)
-		if u.Same(a, b) != (label[a] == label[b]) {
-			t.Fatalf("Same(%d,%d) disagrees with naive labelling", a, b)
+		if (u.Find(a) == u.Find(b)) != (label[a] == label[b]) {
+			t.Fatalf("Find(%d) == Find(%d) disagrees with naive labelling", a, b)
 		}
 	}
 }

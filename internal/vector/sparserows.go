@@ -166,12 +166,10 @@ func (d *RowData) descOf(at int, w []uint32) uint64 {
 
 // pack writes v, of Dim() elements, as a row into w, which has room for its
 // mask and Dim() values, and returns the row's words: its mask, then the
-// bits of its nonzeros in coordinate order. v may lie in w past the mask
-// (ReadRows packs a row in place): a value is written at or before the
-// coordinate it was read from, after its group of four is read. Each
-// coordinate's bits are written at the fill point, which moves past them
-// only if they are not 0, with no branch on the value: at the encoder's
-// densities a branch would mispredict about one coordinate in four.
+// bits of its nonzeros in coordinate order. Each coordinate's bits are
+// written at the fill point, which moves past them only if they are not 0,
+// with no branch on the value: at the encoder's densities a branch would
+// mispredict about one coordinate in four.
 func (d *RowData) pack(w []uint32, v []float32) []uint32 {
 	mask, vals := w[:d.words], w[d.words:d.words+len(v)]
 	clear(mask)
@@ -381,36 +379,24 @@ func (s *SparseRows) RowsSize() (n int) {
 	return n
 }
 
-// ReadRows fills the empty table s with n rows read from rd: rows WriteRows
-// wrote or, with dense set, rows of Dim() little-endian float32s each (the
-// layout of the formats before), packed as Append packs them. alias is
-// Load's. Fewer bytes than n rows need at the least (a mask, or a dense row),
-// or a row Load refuses, fail the read and leave the table unusable.
-func (s *SparseRows) ReadRows(rd *binio.Reader, n int, dense bool, alias func(i int, w []uint32) Ref) error {
+// ReadRows fills the empty table s with n rows read from rd, as WriteRows
+// wrote them. alias is Load's. Fewer bytes than n rows need at the least (a
+// mask), or a row Load refuses, fail the read and leave the table unusable.
+func (s *SparseRows) ReadRows(rd *binio.Reader, n int, alias func(i int, w []uint32) Ref) error {
 	if n == 0 {
 		return nil // a hostile header's dimension sizes no scratch
 	}
 	d := s.d
-	least := 4 * d.words
-	if dense {
-		least = 4 * d.dim
-	}
-	if n > rd.Len()/least {
+	if least := 4 * d.words; n > rd.Len()/least {
 		return fmt.Errorf("%d rows of at least %d bytes in %d bytes", n, least, rd.Len())
 	}
-	w := make([]uint32, d.words+least/4) // a mask, and a dense row's values
+	w := make([]uint32, d.words)
 	// Load reads the rows twice, in order, so each pass starts where they
 	// begin: a Reader is a cursor, and a copy of it another.
 	start := *rd
 	return s.Load(n, func(i int) []uint32 {
 		if i == 0 {
 			*rd = start
-		}
-		if dense {
-			// pack compacts in place: it writes the k-th value at or before
-			// the coordinate it read it from, so the row it reads may lie in w.
-			binio.ReadWords(rd, w[d.words:])
-			return d.pack(w, floats(w[d.words:]))
 		}
 		binio.ReadWords(rd, w[:d.words])
 		k := d.size(w)
