@@ -437,25 +437,27 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 			t.Logf("%d bytes: %d field boundaries, %d counts", len(tc.raw), len(f.bounds), len(f.counts))
 		})
 	}
-	// A v7 file, here a v8 file with its version field set to 7, is refused
-	// by that field, whole, cut or with any count replaced by MaxInt32,
-	// before anything past its header is read: ErrFormatVersion once the
-	// version is in, ErrCorruptState before it, within the same bound.
+	// A v6 or v7 file is refused by its version field, whole, cut or with
+	// any count replaced by MaxInt32, before anything past its header is
+	// read: ErrFormatVersion once the version is in, ErrCorruptState before
+	// it, within the same bound. Each is rendered from a v8 file by its
+	// layout function.
 	for _, tc := range []struct {
-		name string
-		v8   []byte // the state, as a v8 file
-		opt  Options
-		step int // 0: every field boundary
+		name   string
+		v8     []byte // the state, as a v8 file
+		layout func(t *testing.T, v8 []byte) (raw []byte, bounds, counts []int)
+		opt    Options
+		step   int // 0: every field boundary
 	}{
-		{"v7/fields", fixture8, dim16Opts(2), 0},
-		{"v7/4KiB", large8, durOpts(2), 4 << 10},
-		{"v7/full rows", full8, durOpts(2), 0},
+		{"v6/fields", fixture8, v6Layout, dim16Opts(2), 0},
+		{"v6/4KiB", large8, v6Layout, durOpts(2), 4 << 10},
+		{"v6/full rows", full8, v6Layout, durOpts(2), 0},
+		{"v7/fields", fixture8, v7Layout, dim16Opts(2), 0},
+		{"v7/4KiB", large8, v7Layout, durOpts(2), 4 << 10},
+		{"v7/full rows", full8, v7Layout, durOpts(2), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			raw := slices.Clone(tc.v8)
-			binary.LittleEndian.PutUint32(raw[8:], 7)
-			f := fileFields(t, tc.v8)
-			bounds, counts := f.bounds, f.counts
+			raw, bounds, counts := tc.layout(t, tc.v8)
 			if tc.step > 0 {
 				bounds, counts = nil, nil
 				for cut := 0; cut < len(raw); cut += tc.step {
@@ -477,6 +479,41 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// v7Layout renders a version-8 file as version 7: the version field set
+// back, everything else as it was. It returns that file with its field
+// boundaries and count offsets.
+func v7Layout(t *testing.T, v8 []byte) (raw []byte, bounds, counts []int) {
+	t.Helper()
+	f := fileFields(t, v8)
+	raw = slices.Clone(v8)
+	binary.LittleEndian.PutUint32(raw[8:], 7)
+	return raw, f.bounds, f.counts
+}
+
+// v6Layout renders a version-8 file as version 6, the layout the last build
+// that read it took: the version field set back and the header's M and probes
+// cut out. It returns that file with its field boundaries and count offsets,
+// read off the v8 file's.
+func v6Layout(t *testing.T, v8 []byte) (raw []byte, bounds, counts []int) {
+	t.Helper()
+	f := fileFields(t, v8)
+	body := f.probes + 4*len(probeTexts)*f.dim // where the header ends
+	raw = binary.LittleEndian.AppendUint32(slices.Clone(v8[:8]), 6)
+	raw = slices.Concat(raw, v8[12:f.m], v8[body:])
+	shift := func(offs []int) (out []int) {
+		for _, o := range offs {
+			switch {
+			case o < f.m:
+				out = append(out, o)
+			case o >= body:
+				out = append(out, o-(body-f.m))
+			}
+		}
+		return out
+	}
+	return raw, shift(f.bounds), shift(f.counts)
 }
 
 // withRow returns the file raw, read as f, with row r's bytes replaced by row
