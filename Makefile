@@ -90,13 +90,13 @@ race-matcher:
 # the Prometheus text parser the load generator and the benchmark read a
 # server's /metrics with. go test -fuzz takes one package and one target per
 # run. A crasher lands in that package's testdata/fuzz/ — commit it with the
-# fix, it replays as a regression test under plain `make test`. The two
-# loaders' inputs are whole files, and each input reads the memory
-# statistics twice: without the cap, minimising the first input that reaches
-# new code (60s by default) would be the entire run.
+# fix, it replays as a regression test under plain `make test`. The three
+# decoders' legs — the batch record and the two loaders — read the memory
+# statistics twice per input: without the cap, minimising the first input
+# that reaches new code (60s by default) would be the entire run.
 FUZZTIME ?= 15s
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatchRecord$$' -fuzztime=$(FUZZTIME) ./internal/multiem
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatchRecord$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadMatcher$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/multiem
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeIndex$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hnsw
 	$(GO) test -run='^$$' -fuzz='^FuzzShrinkMatchesHeuristic$$' -fuzztime=$(FUZZTIME) ./internal/hnsw

@@ -187,17 +187,20 @@ func (s *server) registerMetrics() {
 		slowCounter(func(m *repro.Matcher) *obs.Stages { return m.IngestStages() }))
 
 	// ANN search effort, summed over the per-shard HNSW indexes. The
-	// ratios visited/searches and evals/searches are the per-query effort
-	// the paper's index tuning trades against recall.
+	// ratio evals/searches is the per-query effort the paper's index tuning
+	// trades against recall. The one-layer walk scores each node it visits
+	// once, so the visited series reads the evals counter; it keeps its
+	// name for the readers that scrape it.
+	evals := gfn(func(m *repro.Matcher) float64 { _, e := m.SearchStats(); return float64(e) })
 	r.CounterFunc("multiem_hnsw_searches_total",
 		"HNSW queries answered (match fan-out, ingest scoring, warmup probes).", nil,
-		gfn(func(m *repro.Matcher) float64 { s, _, _ := m.SearchStats(); return float64(s) }))
+		gfn(func(m *repro.Matcher) float64 { s, _ := m.SearchStats(); return float64(s) }))
 	r.CounterFunc("multiem_hnsw_nodes_visited_total",
-		"Graph nodes expanded across HNSW queries.", nil,
-		gfn(func(m *repro.Matcher) float64 { _, v, _ := m.SearchStats(); return float64(v) }))
+		"Graph nodes visited across HNSW queries; equal to the distance evaluations, as each visited node is scored once.", nil,
+		evals)
 	r.CounterFunc("multiem_hnsw_distance_evals_total",
 		"Distance evaluations across HNSW queries.", nil,
-		gfn(func(m *repro.Matcher) float64 { _, _, e := m.SearchStats(); return float64(e) }))
+		evals)
 
 	// Durability (zero when the matcher runs without -wal-dir).
 	walGauge := func(f func(ws repro.WALStats) float64) func() float64 {

@@ -139,12 +139,11 @@ type Index struct {
 	stats *searchStats
 }
 
-// searchStats counts Search work: queries served, nodes visited, and
-// distance evaluations, updated with three atomic adds per Search; and
-// Link's work, flushed once per linked node.
+// searchStats counts Search work: queries served and distance
+// evaluations, updated with two atomic adds per Search; and Link's work,
+// flushed once per linked node.
 type searchStats struct {
 	searches  atomic.Uint64
-	visited   atomic.Uint64
 	evals     atomic.Uint64
 	linked    atomic.Uint64
 	linkEvals atomic.Uint64
@@ -153,12 +152,12 @@ type searchStats struct {
 }
 
 // SearchStats reports totals over every Search on this index and the
-// clones sharing its counters: queries served, nodes visited, and distance
-// evaluations (batched kernel calls count each scored row). With one layer
-// there is no descent, and the beam scores each node it marks exactly once,
-// so visited equals distance evaluations.
-func (ix *Index) SearchStats() (searches, visited, distEvals uint64) {
-	return ix.stats.searches.Load(), ix.stats.visited.Load(), ix.stats.evals.Load()
+// clones sharing its counters: queries served and distance evaluations
+// (batched kernel calls count each scored row). With one layer there is no
+// descent, and the beam scores each node it marks exactly once, so the
+// evaluations are also the nodes visited.
+func (ix *Index) SearchStats() (searches, distEvals uint64) {
+	return ix.stats.searches.Load(), ix.stats.evals.Load()
 }
 
 // LinkStats reports Link's work, over the same counters SearchStats reads:
@@ -182,13 +181,12 @@ type searchCtx struct {
 	out      []vector.Neighbor
 	cands    []int32
 	dists    []float32
-	// visited/evals accumulate one query's effort locally; Search resets
-	// them and flushes to Index.stats in three atomic adds, keeping the
-	// inner loops free of shared-memory traffic. buildCtx counts a linked
-	// node's evaluations in evals, and its shrinks in shrinks and fast,
-	// which linkPending flushes to the link counters — construction is not
-	// a query.
-	visited uint64
+	// evals accumulates one query's effort locally; Search resets it and
+	// flushes it to Index.stats in one atomic add, keeping the inner loops
+	// free of shared-memory traffic. buildCtx counts a linked node's
+	// evaluations in evals, and its shrinks in shrinks and fast, which
+	// linkPending flushes to the link counters — construction is not a
+	// query.
 	evals   uint64
 	shrinks uint64
 	fast    uint64
@@ -494,7 +492,6 @@ func (ix *Index) searchLayer(q []float32, ef int, ctx *searchCtx) []vector.Neigh
 	ctx.visit.reset(len(ix.ids))
 	ctx.visit.visit(0)
 	epDist := ix.distTo(q, 0, ctx)
-	ctx.visited++
 	ctx.evals++
 
 	ctx.frontier.Reset()
@@ -518,7 +515,6 @@ func (ix *Index) searchLayer(q []float32, ef int, ctx *searchCtx) []vector.Neigh
 		if len(unv) == 0 {
 			continue
 		}
-		ctx.visited += uint64(len(unv))
 		ctx.evals += uint64(len(unv))
 		// The frontier's head is the next pop unless this block holds a
 		// closer node: ask for its links now, behind the block's arithmetic.
@@ -846,10 +842,9 @@ func (ix *Index) Search(q []float32, k, ef int) []vector.Neighbor {
 	}
 	ctx := ix.searchPool.Get().(*searchCtx)
 	defer ix.searchPool.Put(ctx)
-	ctx.visited, ctx.evals = 0, 0
+	ctx.evals = 0
 	res := ix.searchLayer(q, ef, ctx)
 	ix.stats.searches.Add(1)
-	ix.stats.visited.Add(ctx.visited)
 	ix.stats.evals.Add(ctx.evals)
 	if len(res) > k {
 		res = res[:k]

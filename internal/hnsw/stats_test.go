@@ -7,8 +7,8 @@ import (
 	"repro/internal/vector"
 )
 
-// TestSearchStatsGolden pins the work searches do — queries served, nodes
-// visited and distance evaluations, as SearchStats counts them — for a fixed
+// TestSearchStatsGolden pins the work searches do — queries served and
+// distance evaluations, as SearchStats counts them — for a fixed
 // clustered index and query set. The counts are exact at a seed, so a change
 // to how the graph is built or walked shows here as a number rather than only
 // through timing noise. Both kernel paths do the same work to the count.
@@ -45,9 +45,9 @@ func searchWorkGolden(t *testing.T) {
 	for q := 0; q < queries; q++ {
 		ix.Search(point(q%clusters), 10, 0)
 	}
-	searches, visited, evals := ix.SearchStats()
-	want := [3]uint64{queries, 64564, 64564}
-	if got := [3]uint64{searches, visited, evals}; got != want {
-		t.Fatalf("search work (searches, visited, distance evals) = %v, want %v", got, want)
+	searches, evals := ix.SearchStats()
+	want := [2]uint64{queries, 64564}
+	if got := [2]uint64{searches, evals}; got != want {
+		t.Fatalf("search work (searches, distance evals) = %v, want %v", got, want)
 	}
 }

@@ -69,8 +69,8 @@ const matcherFormatVersion, matcherFormatV8 = 9, 8
 var ErrFormatVersion = errors.New("multiem: unsupported matcher format version")
 
 // ErrEncoderMismatch is wrapped by LoadMatcher when the caller's encoder did
-// not make the file's embeddings: another dim, or a probe that embeds
-// elsewhere. Such a file is refused before any section is decoded.
+// not make the file's embeddings: another dim, or a probe that embeds to
+// other bits. Such a file is refused before any section is decoded.
 var ErrEncoderMismatch = errors.New("multiem: encoder does not match the matcher file's")
 
 // ErrCorruptState is wrapped by LoadMatcher for input that is not a
@@ -104,16 +104,17 @@ func embedProbes(enc embed.Encoder) []float32 {
 
 // checkHeader refuses a file's M outside [0,2] as corrupt. It then embeds
 // probeTexts again with enc and refuses enc, naming the first probe that
-// differs, unless each lies within distTolerance of the file's row. Not bit
-// for bit: on amd64 both kernel paths embed to the same bits, but a file may
-// come from an arm64 host, whose bits no test checks (see distTolerance).
+// differs, unless each is the file's row bit for bit: a file that moved to a
+// host computing other bits is refused here, before its rows drift from the
+// primary's.
 func checkHeader(enc embed.Encoder, mergeM float32, probes []float32, dim int) error {
 	if !(mergeM >= 0 && mergeM <= 2) { // NaN included
 		return fmt.Errorf("%w: M %v is not a cosine distance in [0,2]", ErrCorruptState, mergeM)
 	}
 	for i, s := range probeTexts {
-		if d := vector.CosineUnitDist(enc.Encode(s), probes[i*dim:(i+1)*dim]); !(math.Abs(float64(d)) <= distTolerance) { // NaN included
-			return fmt.Errorf("%w: probe %d %q embeds at distance %v from the file's embedding of it", ErrEncoderMismatch, i, s, d)
+		got, want := enc.Encode(s), probes[i*dim:(i+1)*dim]
+		if !slices.EqualFunc(got, want, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }) {
+			return fmt.Errorf("%w: probe %d %q embeds at distance %v from the file's embedding of it", ErrEncoderMismatch, i, s, vector.CosineUnitDist(got, want))
 		}
 	}
 	return nil

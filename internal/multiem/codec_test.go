@@ -307,11 +307,12 @@ func fileFields(t testing.TB, raw []byte) (f fileLayout) {
 // per-shard shells. No count in the file adds to that, the tuple
 // count that sizes v9's centroid table included. The header's M and probes
 // are held to the same bound: an M that is no cosine distance is
-// ErrCorruptState, a probe row that is not the encoder's embedding
-// ErrEncoderMismatch. So is every bitmask row a v8 or v9 file holds, a v9
-// file's centroid rows included: a mask bit at or past the dimension, a
-// value whose bits are 0, values cut short, and an entity or node count the
-// bytes cannot back are ErrCorruptState.
+// ErrCorruptState, a probe row that is not the encoder's embedding bit for
+// bit (one flipped mantissa bit included) ErrEncoderMismatch. So is every
+// bitmask row a v8 or v9 file holds, a v9 file's centroid rows included: a
+// mask bit at or past the dimension, a value whose bits are 0, values cut
+// short, and an entity or node count the bytes cannot back are
+// ErrCorruptState.
 //
 // The largest rows a file holds are those with no zero at all: the "full
 // rows" legs, a dim-256 v8 file whose every row has each mask bit set and
@@ -363,6 +364,9 @@ func TestLoadMatcherHostileInput(t *testing.T) {
 					bad[at+3] ^= 0x80 // probe i's row, negated
 				}
 				check(t, fmt.Sprintf("probe %d", i), bad, dim16Opts(2), ErrEncoderMismatch)
+				bad = slices.Clone(raw)
+				bad[f.probes+4*16*i] ^= 0x01 // probe i's first coordinate, its lowest mantissa bit flipped
+				check(t, fmt.Sprintf("probe %d, one bit", i), bad, dim16Opts(2), ErrEncoderMismatch)
 			}
 		})
 	}

@@ -127,20 +127,19 @@ func (m *Matcher) EpochAge() time.Duration {
 }
 
 // SearchStats aggregates the per-shard HNSW indexes' search-effort
-// counters (queries, nodes visited, distance evaluations) over the
-// current serving view. Clones share counters with the writer-side
-// index, so Match fan-out, ingest snapshot searches, and warmup probes
-// all land here.
-func (m *Matcher) SearchStats() (searches, visited, distEvals uint64) {
+// counters (queries, distance evaluations, which are also the nodes
+// visited) over the current serving view. Clones share counters with the
+// writer-side index, so Match fan-out, ingest snapshot searches, and
+// warmup probes all land here.
+func (m *Matcher) SearchStats() (searches, distEvals uint64) {
 	v := m.state.Load()
 	if v == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	for _, sv := range v.shards {
-		s, vis, ev := sv.index.SearchStats()
+		s, ev := sv.index.SearchStats()
 		searches += s
-		visited += vis
 		distEvals += ev
 	}
-	return searches, visited, distEvals
+	return searches, distEvals
 }

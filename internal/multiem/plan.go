@@ -109,21 +109,6 @@ func (m *Matcher) decideRow(d *addDecision, q []float32, ef int, hits *shardHits
 var ErrLogMismatch = errors.New("multiem: logged batch does not fit this matcher state " +
 	"(replay a log over the base state or snapshot it was written over, with the same shard count)")
 
-// distTolerance is how far a number a log or state file carries may lie
-// from the one this host recomputes: checkDecision's logged absorption
-// distance, against the target tuple's centroid row, and the encoder probe
-// check (checkHeader). It covers only a log or state that moved to another
-// host. On amd64 the two agree bit for bit on every kernel path: the
-// portable kernels are Go twins that sum in the assembly's order with one
-// rounding per product (TestReplayAcrossKernels pins the replayed distances,
-// TestSaveBytesGolden the files), make build-arm64 fails on any fused
-// float32 multiply-add in the packages a state or a decision depends on,
-// and the one transcendental on the state path, math.Sqrt, is correctly
-// rounded everywhere. So an arm64 host should compute the portable path's
-// bits, but no test runs there, and the slack stays until one does. A
-// different target centroid differs in the first digit.
-const distTolerance = 1e-5
-
 // planFromRecord is the plan's second source: the rows of a log record,
 // embedded, under the decisions the record holds for them — what decide
 // settled when the batch was acknowledged. It searches nothing and reads no
@@ -175,7 +160,10 @@ func (m *Matcher) checkShard(s int, logged []addDecision, vecs *vector.Store) (r
 }
 
 // checkDecision validates one logged absorption for the row embedded as q
-// against the pre-batch state of the shard it names.
+// against the pre-batch state of the shard it names. The logged distance
+// must be the one recomputed against the target's centroid row bit for bit:
+// replay rebuilds the primary's state exactly or not at all, so a log that
+// moved to a host computing other bits is refused at its first absorption.
 func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
 	if d.local >= m.shards[d.shard].tuples.Len() {
 		return fmt.Errorf("absorbed into tuple %d of shard %d, which does not exist here", d.local, d.shard)
@@ -189,7 +177,7 @@ func (m *Matcher) checkDecision(d *addDecision, q []float32) error {
 	sh := m.shards[d.shard]
 	cent, got := [1]int32{sh.tuples.at(d.local).cent}, [1]float32{}
 	sh.cents.CosineUnitGather(q, cent[:], got[:])
-	if math.Abs(float64(got[0]-d.dist)) > distTolerance {
+	if math.Float32bits(got[0]) != math.Float32bits(d.dist) {
 		return fmt.Errorf("logged at distance %v from tuple %d of shard %d, which is at %v here", d.dist, d.local, d.shard, got[0])
 	}
 	return nil

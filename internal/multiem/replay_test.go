@@ -24,10 +24,10 @@ import (
 // are replayed over.
 
 // shardSearches reads every shard index's search counters.
-func shardSearches(m *Matcher) [][3]uint64 {
-	out := make([][3]uint64, len(m.shards))
+func shardSearches(m *Matcher) [][2]uint64 {
+	out := make([][2]uint64, len(m.shards))
 	for s, sh := range m.shards {
-		out[s][0], out[s][1], out[s][2] = sh.index.SearchStats()
+		out[s][0], out[s][1] = sh.index.SearchStats()
 	}
 	return out
 }
@@ -198,6 +198,7 @@ func TestPlanFromRecordRefuses(t *testing.T) {
 		{"distance NaN", func(_ *Matcher, _ *batchRecord, d *addDecision) { d.dist = float32(math.NaN()) }},
 		{"distance beyond M", func(m *Matcher, _ *batchRecord, d *addDecision) { d.dist = m.opt.M + 0.01 }},
 		{"distance off by 1e-3", func(_ *Matcher, _ *batchRecord, d *addDecision) { d.dist -= 1e-3 }},
+		{"distance off by one ulp", func(_ *Matcher, _ *batchRecord, d *addDecision) { d.dist = math.Nextafter32(d.dist, 0) }},
 		{"no-text row absorbed", func(_ *Matcher, rec *batchRecord, _ *addDecision) { rec.rows[row] = []string{"", "1.0", "2.0"} }},
 		{"row of another schema", func(_ *Matcher, rec *batchRecord, _ *addDecision) { rec.rows[row] = rec.rows[row][:2] }},
 	}

@@ -58,7 +58,7 @@ func workCounts(t *testing.T) string {
 	var s0, e0 uint64
 	var l0 [5]uint64
 	phase := func(name string, n int) {
-		s, _, e := m.SearchStats()
+		s, e := m.SearchStats()
 		l := m.linkStats()
 		nodes, shrinks, fast := l[0]-l0[0], l[2]-l0[2], l[3]-l0[3]
 		fmt.Fprintf(&b, "%-6s n=%-5d searches=%-6d dist_evals=%-9d link_evals=%-8d links/row=%.3f extra=%-4d shrinks/link=%.3f fast=%.3f\n",

@@ -4,10 +4,10 @@
 //
 // The registry is built for hot paths: a Counter is one atomic add, a
 // Summary observation is one lock-free HDR histogram record
-// (internal/hist), and gauges are either an atomic store or a callback
-// evaluated only at scrape time. Registration happens at startup and may
-// panic on programmer error (bad names, type conflicts, duplicates) —
-// the same contract as expvar/prometheus client libraries.
+// (internal/hist), and a gauge is a callback evaluated only at scrape
+// time. Registration happens at startup and may panic on programmer error
+// (bad names, type conflicts, duplicates) — the same contract as
+// expvar/prometheus client libraries.
 package obs
 
 import (
@@ -65,15 +65,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable instantaneous value. The zero value is ready.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Summary is a duration distribution backed by an HDR histogram. It is
 // exported as a Prometheus summary in seconds with SummaryQuantiles.
@@ -209,16 +200,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 // scrape time (for counts already maintained elsewhere as atomics).
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
 	r.register(name, "counter", help, labels, &series{kind: kindValue, value: fn})
-}
-
-// Gauge registers and returns a settable gauge series.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.register(name, "gauge", help, labels, &series{
-		kind:  kindValue,
-		value: g.Value,
-	})
-	return g
 }
 
 // GaugeFunc registers a gauge evaluated by fn at scrape time.

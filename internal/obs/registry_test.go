@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -31,7 +32,7 @@ test_requests_total{endpoint="match"} 42
 # TYPE test_shard_live gauge
 test_shard_live{shard="0"} 10
 test_shard_live{shard="1"} 20
-# HELP test_temperature A settable gauge.
+# HELP test_temperature A negative gauge.
 # TYPE test_temperature gauge
 test_temperature -3.5
 # HELP test_uptime_seconds A computed gauge.
@@ -46,8 +47,7 @@ func TestExpositionGolden(t *testing.T) {
 	c := r.Counter("test_requests_total", "Requests served.", L("endpoint", "match"))
 	c.Add(41)
 	c.Inc()
-	g := r.Gauge("test_temperature", "A settable gauge.", nil)
-	g.Set(-3.5)
+	r.GaugeFunc("test_temperature", "A negative gauge.", nil, func() float64 { return -3.5 })
 	r.GaugeFunc("test_uptime_seconds", "A computed gauge.", nil, func() float64 { return 12 })
 	r.CounterFunc("test_external_total", "An externally counted counter.", nil, func() float64 { return 7 })
 	s := r.Summary("test_latency_seconds", "A latency summary.", L("endpoint", "match"))
@@ -195,7 +195,7 @@ func TestRegistryPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "h", nil)
 	mustPanic("dup series", func() { r.Counter("a_total", "h", nil) })
-	mustPanic("type conflict", func() { r.Gauge("a_total", "h", nil) })
+	mustPanic("type conflict", func() { r.GaugeFunc("a_total", "h", nil, func() float64 { return 0 }) })
 	mustPanic("bad name", func() { r.Counter("9bad", "h", nil) })
 	mustPanic("bad label", func() { r.Counter("ok_total", "h", L("9bad", "v")) })
 	mustPanic("odd L", func() { L("k") })
@@ -207,7 +207,8 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hammer_total", "h", nil)
 	s := r.Summary("hammer_seconds", "h", nil)
-	g := r.Gauge("hammer_gauge", "h", nil)
+	var g atomic.Int64
+	r.GaugeFunc("hammer_gauge", "h", nil, func() float64 { return float64(g.Load()) })
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -222,7 +223,7 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 				}
 				c.Inc()
 				s.Observe(time.Duration(n%1000) * time.Microsecond)
-				g.Set(float64(n))
+				g.Store(int64(n))
 			}
 		}(i)
 	}
